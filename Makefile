@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint sanitize race static effects obs objprof pdes frontier check bench bench-paper perf examples demo clean
+.PHONY: install test lint sanitize race static effects obs objprof frontier check bench bench-paper perf examples demo clean
 
 install:
 	pip install -e .
@@ -36,9 +36,8 @@ race:
 static:
 	PYTHONPATH=src python -m repro.checks static
 
-# Interprocedural effect/purity gate: observer purity (EFF1xx), clock
-# separation (EFF2xx) and partition safety (EFF3xx) over the
-# simulator's own source, checked against the committed effects.json.
+# Interprocedural effect/purity gate: observer purity (EFF1xx) and
+# clock separation (EFF2xx) over the simulator's own source.
 effects:
 	PYTHONPATH=src python -m repro.checks effects
 
@@ -70,7 +69,6 @@ check: lint
 	PYTHONPATH=src python -m repro.checks effects
 	PYTHONPATH=src python -m repro.obs gate
 	PYTHONPATH=src python -m repro.obs objprof
-	$(MAKE) pdes
 	PYTHONPATH=src python benchmarks/perf_harness.py --repeats 3 --scale smoke --frontier smoke --output /tmp/BENCH_perf.check.json
 	PYTHONPATH=src python benchmarks/check_regression.py BENCH_perf.json /tmp/BENCH_perf.check.json
 
@@ -80,14 +78,6 @@ check: lint
 # gate fails (prime-gap identity, 2x-accuracy-at-lower-cost, probe).
 frontier:
 	PYTHONPATH=src python benchmarks/frontier.py --mode full
-
-# Partitioned-kernel gate: byte-identity of the conservative parallel
-# kernel (2 and 4 partitions) and the vectorized replay engine against
-# the serial scalar oracle on the paper workloads and randomized
-# programs.  The scale smoke in `check`'s perf step re-asserts identity
-# at bench scale.
-pdes:
-	PYTHONPATH=src python -m pytest tests/sim/test_partition_kernel.py tests/runtime/test_vector_replay.py -q
 
 bench:
 	pytest benchmarks/ --benchmark-only

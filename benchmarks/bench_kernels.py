@@ -95,10 +95,9 @@ def test_kernel_network_construction(benchmark):
             for dst in range(256):
                 if dst != src:
                     total += net.latency_between_ns(src, dst)
-        return net, total
+        return total
 
-    net, total = benchmark(run)
-    assert net.min_latency_ns == 60_000
+    total = benchmark(run)
     assert total > 0
 
 

@@ -18,9 +18,9 @@ phase: every sample is simulated state, so any drift between baseline
 and current is a silent behavior change and fails hard (wall times in
 that phase get the normal tolerance).
 
-The ``scale`` phase (serial oracle vs partitioned+vectorized kernel on
-the SOR node ladder) is judged on correctness, not speed: its wall times
-are printed as advisory, but the serial and parallel checksums must be
+The ``scale`` phase (scalar oracle vs vectorized access replay on the
+SOR node ladder) is judged on correctness, not speed: its wall times
+are printed as advisory, but the scalar and vector checksums must be
 identical within CURRENT and unchanged against BASELINE.
 
 The ``frontier`` phase (sampling-backend accuracy vs overhead) follows
@@ -120,28 +120,27 @@ def main(argv: list[str]) -> int:
 
     # Scale phase: wall times are advisory (multi-second runs on shared
     # hardware are too noisy to gate on), but the result checksums are
-    # hard requirements — the partitioned/vectorized kernel must match
-    # the serial oracle byte for byte, and neither may drift from the
-    # committed baseline.
+    # hard requirements — vector replay must match the scalar oracle
+    # byte for byte, and neither may drift from the committed baseline.
     base_scale = baseline.get("scale", {})
     for rung, point in sorted(current.get("scale", {}).items()):
         if not isinstance(point, dict):
             continue
-        serial = point.get("serial", {}).get("wall_s")
-        par = point.get("parallel", {}).get("wall_s")
-        if serial is not None and par is not None:
+        scalar = point.get("scalar", {}).get("wall_s")
+        vector = point.get("vector", {}).get("wall_s")
+        if scalar is not None and vector is not None:
             print(
-                f"  scale      {rung:40s} serial {serial:.4f}s -> "
-                f"parallel {par:.4f}s ({point.get('speedup', 0):.2f}x, advisory)"
+                f"  scale      {rung:40s} scalar {scalar:.4f}s -> "
+                f"vector {vector:.4f}s ({point.get('speedup', 0):.2f}x, advisory)"
             )
-        if not point.get("identical", False):
+        if point.get("checksum_scalar") != point.get("checksum_vector"):
             failures.append(
-                f"scale:{rung}: parallel kernel checksum diverged from the "
-                f"serial oracle"
+                f"scale:{rung}: vector replay checksum diverged from the "
+                f"scalar oracle"
             )
         expect = base_scale.get(rung)
         if expect is not None:
-            for key in ("checksum_serial", "checksum_parallel"):
+            for key in ("checksum_scalar", "checksum_vector"):
                 if expect.get(key) != point.get(key):
                     failures.append(
                         f"scale:{rung}: {key} changed vs baseline "

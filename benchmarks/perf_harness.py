@@ -7,13 +7,13 @@ scale through four phases each — ``base`` (no profiling), ``r4``
 attached, plus the deterministic metrics snapshot) — and the simulator's
 hot kernels, then writes ``BENCH_perf.json``.  A separate ``scale``
 phase runs the SOR weak-scaling ladder (8 → 128 simulated nodes, one
-thread per node) under both the serial oracle kernel and the
-partitioned + vectorized kernel, recording wall/ops-per-second for each
-mode plus a byte-level checksum of the simulated results — the two
-kernels must produce identical checksums at every rung.  This file is the perf trajectory every later PR is
-measured against: ``make perf`` regenerates it and
-``benchmarks/check_regression.py`` fails the build when wall-time
-regresses against the committed baseline.
+thread per node) under ``scalar`` (per-op oracle) and ``vector`` (bulk)
+access replay, recording wall/ops-per-second for each mode plus a
+byte-level checksum of the simulated results — the two replay modes
+must produce identical checksums at every rung.  This file is the perf
+trajectory every later PR is measured against: ``make perf``
+regenerates it and ``benchmarks/check_regression.py`` fails the build
+when wall-time regresses against the committed baseline.
 
 Methodology: every wall-time is the best of ``--repeats`` runs (default
 3) with ``gc.collect()`` before each, so one-off allocator/GC noise does
@@ -66,7 +66,6 @@ SCALE_CONFIGS = [
     (64, 16_384, 2),
     (128, 32_768, 2),
 ]
-SCALE_PARTITIONS = 4
 
 
 def best_of(fn, repeats: int) -> tuple[float, object]:
@@ -89,7 +88,7 @@ def median_of(fn, repeats: int, warmups: int = 2) -> tuple[float, object]:
     runs, with the collector paused around each timed region.  The scale
     phase uses medians (not best-of): its multi-second runs drift with
     allocator state, and the median is the honest central tendency the
-    serial-vs-parallel speedups are computed from."""
+    scalar-vs-vector speedups are computed from."""
     walls = []
     result = None
     for i in range(warmups + repeats):
@@ -196,15 +195,15 @@ def measure_workloads(repeats: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scale phase: serial oracle vs partitioned+vectorized kernel
+# scale phase: scalar oracle vs vectorized access replay
 # ---------------------------------------------------------------------------
 
 
 def result_checksum(res) -> str:
     """Digest of everything the simulation produced: protocol counters,
-    final thread clocks, op count, and per-kind network traffic.  The
-    partitioned/vectorized kernel must reproduce the serial oracle's
-    digest byte for byte — check_regression fails hard otherwise."""
+    final thread clocks, op count, and per-kind network traffic.  Vector
+    replay must reproduce the scalar oracle's digest byte for byte —
+    check_regression fails hard otherwise."""
     h = hashlib.sha256()
     h.update(repr(sorted(res.counters.items())).encode())
     h.update(repr(sorted(res.thread_finish_ms.items())).encode())
@@ -216,9 +215,9 @@ def result_checksum(res) -> str:
 
 
 def _scale_point(nodes: int, n: int, rounds: int, repeats: int) -> dict:
-    """One ladder rung: SOR at ``nodes`` simulated nodes, serial-scalar
-    vs partitioned-vectorized, sharing one compiled program set (object
-    allocation is deterministic, so ids stay valid across rebuilds)."""
+    """One ladder rung: SOR at ``nodes`` simulated nodes, scalar vs
+    vector replay, sharing one compiled program set (object allocation
+    is deterministic, so ids stay valid across rebuilds)."""
     scratch = DJVM(nodes)
     workload = SORWorkload(n=n, rounds=rounds, n_threads=nodes, seed=0)
     workload.build(scratch)
@@ -226,42 +225,28 @@ def _scale_point(nodes: int, n: int, rounds: int, repeats: int) -> dict:
         tid: P.compile_program(ops) for tid, ops in workload.programs().items()
     }
 
-    def run_mode(kernel_kwargs: dict):
-        djvm = DJVM(nodes, **kernel_kwargs)
+    def run_mode(replay: str):
+        djvm = DJVM(nodes, replay=replay)
         SORWorkload(n=n, rounds=rounds, n_threads=nodes, seed=0).build(djvm)
         return djvm.run(compiled)
 
     point: dict[str, object] = {"nodes": nodes, "n": n, "rounds": rounds}
-    sums = {}
-    for mode, kwargs in (
-        ("serial", {"kernel": "serial", "replay": "scalar"}),
-        (
-            "parallel",
-            {
-                "kernel": "partitioned",
-                "partitions": SCALE_PARTITIONS,
-                "replay": "vector",
-            },
-        ),
-    ):
-        wall, res = median_of(lambda kw=kwargs: run_mode(kw), repeats)
+    for mode in ("scalar", "vector"):
+        wall, res = median_of(lambda m=mode: run_mode(m), repeats)
         point[mode] = {
             "wall_s": round(wall, 6),
             "ops": res.ops_executed,
             "ops_per_s": round(res.ops_executed / wall, 1),
         }
-        sums[mode] = result_checksum(res)
-    point["speedup"] = round(point["serial"]["wall_s"] / point["parallel"]["wall_s"], 3)
-    point["checksum_serial"] = sums["serial"]
-    point["checksum_parallel"] = sums["parallel"]
-    point["identical"] = sums["serial"] == sums["parallel"]
+        point[f"checksum_{mode}"] = result_checksum(res)
+    point["speedup"] = round(point["scalar"]["wall_s"] / point["vector"]["wall_s"], 3)
     return point
 
 
 def measure_scale(repeats: int, mode: str = "full") -> dict:
     """``full``: the whole ladder.  ``smoke`` (make check / CI): the two
     smallest rungs with one timed run each — still enough to hard-check
-    serial↔parallel byte-identity, and config-compatible with the full
+    scalar↔vector byte-identity, and config-compatible with the full
     baseline so checksum comparison stays exact."""
     configs = SCALE_CONFIGS if mode == "full" else SCALE_CONFIGS[:2]
     if mode == "smoke":
@@ -271,9 +256,10 @@ def measure_scale(repeats: int, mode: str = "full") -> dict:
         point = _scale_point(nodes, n, rounds, repeats)
         out[f"sor_{nodes}"] = point
         print(
-            f"scale sor nodes={nodes:3d}  serial {point['serial']['wall_s']:.4f}s  "
-            f"parallel {point['parallel']['wall_s']:.4f}s  "
-            f"speedup {point['speedup']:.2f}x  identical={point['identical']}",
+            f"scale sor nodes={nodes:3d}  scalar {point['scalar']['wall_s']:.4f}s  "
+            f"vector {point['vector']['wall_s']:.4f}s  "
+            f"speedup {point['speedup']:.2f}x  "
+            f"identical={point['checksum_scalar'] == point['checksum_vector']}",
             flush=True,
         )
     return out
@@ -357,10 +343,10 @@ def kernel_network_topology(repeats: int) -> dict:
             for dst in range(256):
                 if dst != src:
                     total += net.latency_between_ns(src, dst)
-        return net, total
+        return total
 
-    wall, (net, total) = best_of(run, repeats)
-    assert net.min_latency_ns == 60_000 and total > 0
+    wall, total = best_of(run, repeats)
+    assert total > 0
     probes = 16 * 255
     return {"wall_s": round(wall, 6), "probes_per_s": round(probes / wall, 1)}
 

@@ -19,9 +19,8 @@ Subcommands:
   must be covered by the static may-race set.
 * ``effects`` — run the interprocedural effect/purity analysis
   (:mod:`repro.checks.effects`) over the simulator's own source:
-  observer purity (EFF1xx), clock separation (EFF2xx) and partition
-  safety (EFF3xx); ``--write`` regenerates the committed
-  ``effects.json`` consumed by simlint and the partitioned kernel.
+  observer purity (EFF1xx) and clock separation (EFF2xx);
+  ``--json PATH`` dumps the full summary document on demand.
 * ``all`` (default) — run **every** gate (lint, sanitize, race,
   static, effects), report each failure, and exit with the
   highest-severity (numerically largest) failing code.
@@ -35,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from repro.checks.simlint import check_paths
 
@@ -51,12 +51,19 @@ EXIT_EFFECTS = 6
 def run_lint(paths: list[str] | None = None) -> int:
     """Lint ``paths``; print findings; return a process exit code.
 
-    When the committed ``effects.json`` is present, the interprocedural
-    SIM009/SIM010 feeds sharpen the syntactic pass."""
-    from repro.checks.effects.summary import EffectsSummary
+    Every linted source root (a directory holding the ``repro``
+    package) is also run through the effect analysis, live and in
+    memory, so the interprocedural SIM009 feed sharpens the syntactic
+    pass and cannot go stale."""
+    from repro.checks.effects import analyze_package
+    from repro.checks.effects.summary import counter_writes
 
     paths = paths or DEFAULT_LINT_PATHS
-    findings = check_paths(paths, effects_summary=EffectsSummary.load())
+    feed: dict[str, list] = {}
+    for root in paths:
+        if (Path(root) / "repro" / "__init__.py").is_file():
+            feed.update(counter_writes(analyze_package(root)))
+    findings = check_paths(paths, counter_writes=feed)
     for finding in findings:
         print(finding.render())
     if findings:
@@ -189,21 +196,16 @@ def run_static(json_path: str | None = None, *, verbose: bool = True) -> int:
 def run_effects(
     src_root: str | None = None,
     json_path: str | None = None,
-    write: str | None = None,
     *,
     verbose: bool = True,
 ) -> int:
     """Run the interprocedural effect/purity gate.
 
-    ``write`` regenerates ``effects.json`` (default location: next to
-    the ``src`` tree, i.e. the repository root); ``json_path`` dumps the
-    same document elsewhere without touching the committed copy.
+    ``json_path`` dumps the full summary document (nothing is committed;
+    the dump is on demand).
     """
-    from pathlib import Path
-
     from repro.checks.effects import analyze_package
     from repro.checks.effects.rules import render_summary_line
-    from repro.checks.effects.summary import DEFAULT_FILENAME
 
     root = Path(src_root) if src_root else Path(__file__).resolve().parents[2]
     report = analyze_package(root)
@@ -215,24 +217,15 @@ def run_effects(
             print(f"  suppressed: {finding.render()}")
         print(render_summary_line(report))
 
-    doc = None
     if json_path:
-        doc = report.to_json()
         with open(json_path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
         print(f"effects: wrote {json_path}")
-    if write is not None:
-        target = Path(write) if write else root.parent / DEFAULT_FILENAME
-        doc = doc or report.to_json()
-        with open(target, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"effects: wrote {target}")
 
     if report.findings:
         print(f"effects: {len(report.findings)} finding(s)", file=sys.stderr)
         return EXIT_EFFECTS
-    print("effects: certified (observer purity, clock separation, partition safety)")
+    print("effects: certified (observer purity, clock separation)")
     return 0
 
 
@@ -308,14 +301,6 @@ def main(argv: list[str] | None = None) -> int:
     effects.add_argument(
         "--json", default=None, metavar="PATH", help="also dump the full JSON report"
     )
-    effects.add_argument(
-        "--write",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help="regenerate the committed effects.json (default path: repo root)",
-    )
     sub.add_parser("all", help="run every gate, exit max failing code (default)")
     args = parser.parse_args(argv)
 
@@ -328,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "static":
         return run_static(args.json)
     if args.command == "effects":
-        return run_effects(args.src_root, args.json, args.write)
+        return run_effects(args.src_root, args.json)
     return run_all()
 
 

@@ -6,35 +6,26 @@ class-hierarchy-aware call graph over ``src/repro/`` with stdlib
 :mod:`ast`, runs a fixed-point effect inference assigning every
 function a lattice value (``pure`` -> ``reads-sim-state`` ->
 ``writes-sim-state`` -> ``host-effect``), and statically certifies the
-three properties the repo otherwise only proves dynamically through
+two properties the repo otherwise only proves dynamically through
 byte-identity checksums:
 
 * **EFF1xx observer purity** — the race detector, protocol sanitizer,
   span tracer and telemetry collectors never perturb simulated state;
 * **EFF2xx clock separation** — host time never flows into simulated
-  time (event scheduling, clock advances);
-* **EFF3xx partition safety** — worker-dispatched callables touch other
-  partitions' state only through the :class:`~repro.sim.network.Network`.
+  time (event scheduling, clock advances).
 
 Run it as ``python -m repro.checks effects`` (exit code 6 on
-unsuppressed findings); ``--write`` regenerates the committed
-``effects.json`` consumed by simlint and the partitioned kernel.
-
-The analysis submodules load lazily: importing this package (which the
-partition kernel does on its construction path, via
-:mod:`~repro.checks.effects.summary`) must stay cheap.
+unsuppressed findings); ``--json PATH`` dumps the full machine-readable
+summary on demand.
 """
 
 from __future__ import annotations
 
 from repro.checks.effects.lattice import EFFECT_NAMES, Effect
-from repro.checks.effects.summary import EffectsSummary, default_summary_path
 
 __all__ = [
     "Effect",
     "EFFECT_NAMES",
-    "EffectsSummary",
-    "default_summary_path",
     "analyze_package",
     "analyze_sources",
 ]

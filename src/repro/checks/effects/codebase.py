@@ -18,12 +18,10 @@ and builds the indexes the inference pass resolves calls against:
   ``advance``.  Names of builtin container methods never join — they go
   through the builtin receiver model instead.
 
-The same front end also discovers the two root sets the rule families
-start from: observer entry points (methods invoked through the nullable
-``sanitizer``/``racedetector``/``tracer`` slots and callables registered
-via ``register_collector``) and worker-dispatched callables (the
-``callback=`` argument of event-kernel ``schedule`` sites, with the
-scheduling ``EventKind``).
+The same front end also discovers the root set the observer-purity
+family starts from: observer entry points (methods invoked through the
+nullable ``sanitizer``/``racedetector``/``tracer`` slots and callables
+registered via ``register_collector``).
 """
 
 from __future__ import annotations

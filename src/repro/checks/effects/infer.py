@@ -3,20 +3,15 @@
 The local pass walks one function body in statement order, tracking for
 every local name a *root* — where the value it aliases came from::
 
-    ("self", None, foreign)     reachable from the receiver
-    ("param", <name>, foreign)  reachable from a parameter
-    ("global", None, foreign)   a module-level binding
-    ("fresh", None, False)      constructed inside this function
+    ("self", None)     reachable from the receiver
+    ("param", <name>)  reachable from a parameter
+    ("global", None)   a module-level binding
+    ("fresh", None)    constructed inside this function
 
 Attribute and subscript chains preserve the base's root (``record =
 heap.get(obj_id)`` keeps ``heap``'s root), so a later ``record.x = v``
 is charged to the chain's origin, which is exactly the ownership
 question the rules ask.  Mutating a ``fresh`` root is not an effect.
-
-``foreign`` marks a chain that passed through a *partition-owned table*
-(``threads_by_id``, ``heaps``, ``cluster``, ...) subscripted by an index
-not derived from the dispatched actor — the cross-partition signal the
-EFF3xx family keys on.
 
 Host-time taint is tracked per local name: wall-clock reads (including
 module-level aliases like ``_perf_ns = time.perf_counter_ns``) and
@@ -68,7 +63,7 @@ __all__ = ["EffectsConfig", "analyze"]
 
 @dataclass(slots=True)
 class EffectsConfig:
-    """Tunable vocabulary of the three rule families."""
+    """Tunable vocabulary of the rule families."""
 
     #: nullable observer slots on the engine (EFF1xx roots).
     observer_slots: frozenset = frozenset(
@@ -94,33 +89,22 @@ class EffectsConfig:
     #: audit-only sinks: kernel channels that exist *for* observers;
     #: calls resolve here are effect-free (suffix match on qualname).
     audit_sinks: tuple = (".EventLoop.record_aux", ".EventLoop.record")
-    #: partition-owned tables: a subscript of one of these with a
-    #: non-actor-derived index is a cross-partition reference.
-    partition_tables: frozenset = frozenset(
-        {"threads_by_id", "threads", "heaps", "nodes", "cluster", "_copies_by_node"}
-    )
-    #: parameter names that carry the dispatched actor.
-    actor_params: frozenset = frozenset({"thread", "event"})
     #: self attrs that accumulate sanctioned observer self-overhead.
     self_account_attrs: frozenset = frozenset({"self_ns"})
     #: simulated-time fields (EFF202 store sinks).
     sim_time_attrs: frozenset = frozenset({"_now_ns", "now_ns", "time_ns"})
-    #: event kinds whose callbacks run at a global synchronization
-    #: point (every partition aligned): exempt from EFF301.
-    exempt_event_kinds: frozenset = frozenset({"BARRIER_RELEASE"})
     #: collector registration entry point (observer roots).
     collector_func: str = "register_collector"
 
 
-# root triples -----------------------------------------------------------
+# root pairs -------------------------------------------------------------
 
-FRESH = ("fresh", None, False)
+FRESH = ("fresh", None)
 _SEVERITY = {"fresh": 0, "self": 1, "global": 2, "param": 3}
 
 
 def _join_roots(a: tuple, b: tuple) -> tuple:
-    kind = a if _SEVERITY[a[0]] >= _SEVERITY[b[0]] else b
-    return (kind[0], kind[1], a[2] or b[2])
+    return a if _SEVERITY[a[0]] >= _SEVERITY[b[0]] else b
 
 
 def _root_str(r: tuple) -> str:
@@ -158,10 +142,6 @@ class _LocalPass:
         )
         self.env: dict[str, _Value] = {}
         self.globals_declared: set[str] = set()
-        #: names derived from the dispatched actor parameter(s).
-        self.actor: set[str] = {
-            p for p in fi.params if p in config.actor_params
-        }
         #: names aliasing an observer slot (``sanitizer = self.sanitizer``).
         self.slot_alias: dict[str, str] = {}
         self.tainted_write_bad = False
@@ -169,7 +149,6 @@ class _LocalPass:
         self.observer_calls: list[tuple[str, str, int]] = []  # (slot, method, line)
         self.slot_bindings: list[tuple[str, str]] = []  # (slot, class qual)
         self.collector_regs: list[str] = []  # callable qualnames
-        self.schedule_callbacks: list[tuple[str, str, int]] = []  # (qual, kind, line)
 
     # -- entry ----------------------------------------------------------
 
@@ -220,7 +199,7 @@ class _LocalPass:
             self.block(st.orelse)
         elif isinstance(st, (ast.For, ast.AsyncFor)):
             it = self.eval(st.iter)
-            elem = _Value(self._iter_elem_root(st.iter, it), None, it.tainted)
+            elem = _Value(it.root, None, it.tainted)
             self.assign(st.target, elem, st.iter)
             self.block(st.body)
             self.block(st.orelse)
@@ -253,24 +232,6 @@ class _LocalPass:
             self.env[st.name] = _Value(callables=frozenset({qual}))
         # Nonlocal, Pass, Break, Continue, Import, ClassDef: no effect facts.
 
-    def _iter_elem_root(self, iter_expr: ast.expr, it: _Value) -> tuple:
-        """Element root when iterating: keeps the iterable's root; an
-        iteration *over a partition table* yields elements of unknown
-        partition, hence foreign."""
-        root = it.root
-        chain = _walk_attr_chain(iter_expr)
-        if chain and chain[-1] in self.config.partition_tables and root[0] != "fresh":
-            root = (root[0], root[1], True)
-        if isinstance(iter_expr, ast.Call):
-            # for x in sorted(self.threads): ... — look through wrappers
-            for a in iter_expr.args:
-                ch = _walk_attr_chain(a)
-                if ch and ch[-1] in self.config.partition_tables:
-                    base = self.eval(a)
-                    if base.root[0] != "fresh":
-                        root = (base.root[0], base.root[1], True)
-        return root
-
     # -- assignment targets ---------------------------------------------
 
     def assign(
@@ -280,13 +241,9 @@ class _LocalPass:
         if isinstance(target, ast.Name):
             name = target.id
             if name in self.globals_declared:
-                self._add_write(("global", None, False), name, None, target.lineno, None)
+                self._add_write(("global", None), name, None, target.lineno, None)
                 return
             self.env[name] = v
-            if value_expr is not None and self._actor_derived(value_expr):
-                self.actor.add(name)
-            else:
-                self.actor.discard(name)
             slot = self._slot_of(value_expr) if value_expr is not None else None
             if slot:
                 self.slot_alias[name] = slot
@@ -326,15 +283,6 @@ class _LocalPass:
                 attr = chain[-1]
         bv = self.eval(base, reading=False)
         root = bv.root
-        if isinstance(target, ast.Subscript):
-            chain = _walk_attr_chain(base)
-            if (
-                chain
-                and chain[-1] in cfg.partition_tables
-                and root[0] != "fresh"
-                and not self._actor_derived(target.slice)
-            ):
-                root = (root[0], root[1], True)
         # EFF202: host time stored into a simulated-time field.
         if (
             isinstance(target, ast.Attribute)
@@ -375,7 +323,6 @@ class _LocalPass:
                 root=_root_str(root),
                 attr=attr,
                 cls=cls,
-                foreign=root[2],
                 origin=self.fi.qualname,
                 path=self.fi.path,
                 line=line,
@@ -391,17 +338,16 @@ class _LocalPass:
     # -- expressions ----------------------------------------------------
 
     def eval(self, node: ast.expr, *, reading: bool = True) -> _Value:
-        cfg = self.config
         if isinstance(node, ast.Name):
             name = node.id
             if name == "self" and self.fi.is_method:
-                return _Value(("self", None, False), self.fi.cls)
+                return _Value(("self", None), self.fi.cls)
             v = self.env.get(name)
             if v is not None:
                 return v
             if name in self.fi.params:
-                return _Value(("param", name, False), self.fi.param_types.get(name))
-            return _Value(("global", None, False))
+                return _Value(("param", name), self.fi.param_types.get(name))
+            return _Value(("global", None))
         if isinstance(node, ast.Attribute):
             base = self.eval(node.value)
             if reading and base.root[0] != "fresh":
@@ -415,16 +361,7 @@ class _LocalPass:
             self.eval(node.slice)
             if reading and base.root[0] != "fresh":
                 self.summary.reads = True
-            root = base.root
-            chain = _walk_attr_chain(node.value)
-            if (
-                chain
-                and chain[-1] in cfg.partition_tables
-                and root[0] != "fresh"
-                and not self._actor_derived(node.slice)
-            ):
-                root = (root[0], root[1], True)
-            return _Value(root, None, base.tainted)
+            return _Value(base.root, None, base.tainted)
         if isinstance(node, ast.Call):
             return self.call(node)
         if isinstance(node, (ast.BinOp, ast.UnaryOp)):
@@ -476,7 +413,7 @@ class _LocalPass:
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
             for gen in node.generators:
                 it = self.eval(gen.iter)
-                self.assign(gen.target, _Value(self._iter_elem_root(gen.iter, it)), gen.iter)
+                self.assign(gen.target, _Value(it.root), gen.iter)
                 for cond in gen.ifs:
                     self.eval(cond)
             if isinstance(node, ast.DictComp):
@@ -564,7 +501,7 @@ class _LocalPass:
                     self.eval(func.slice)
                     return self._dispatch(
                         node, tuple(sorted(members)),
-                        _Value(("self", None, False), self.fi.cls), arg_vals, kw_vals,
+                        _Value(("self", None), self.fi.cls), arg_vals, kw_vals,
                     )
             self.eval(func)
             return _Value()
@@ -586,7 +523,7 @@ class _LocalPass:
             fi = self.cb.resolve_method(mro[1], method) if len(mro) > 1 else None
             return self._dispatch(
                 node, (fi.qualname,) if fi is not None else (),
-                _Value(("self", None, False), self.fi.cls), arg_vals, kw_vals,
+                _Value(("self", None), self.fi.cls), arg_vals, kw_vals,
             )
         recv = self.eval(func.value)
         self._note_observer_call(func, method, node.lineno)
@@ -650,9 +587,6 @@ class _LocalPass:
                     line=node.lineno,
                 )
             )
-        for t in targets:
-            if t.endswith(".Network.send"):
-                self.summary.calls_network_send = True
         self._check_schedule_site(node, targets, arg_vals, kw_vals)
         self._check_advance_sink(node, targets, arg_vals)
         # a *resolved* repo method's result stays reachable from its
@@ -670,8 +604,8 @@ class _LocalPass:
         arg_vals: list[_Value],
         kw_vals: dict[str, _Value],
     ) -> None:
-        """Event-kernel ``schedule`` sites: worker-root discovery plus
-        the EFF201 host-time-into-scheduling sink."""
+        """Event-kernel ``schedule`` sites: the EFF201
+        host-time-into-scheduling sink."""
         if not any(self._is_event_schedule(t) for t in targets):
             return
         # time argument: positional #1 (after kind) or time_ns kw.
@@ -691,22 +625,6 @@ class _LocalPass:
                     line=node.lineno,
                 )
             )
-        # callback argument -> worker root
-        cb_expr = None
-        for kw in node.keywords:
-            if kw.arg == "callback":
-                cb_expr = kw.value
-        if cb_expr is None and len(node.args) >= 5:
-            cb_expr = node.args[4]
-        if cb_expr is None:
-            return
-        kind = "<unknown>"
-        if node.args:
-            chain = _walk_attr_chain(node.args[0])
-            if chain:
-                kind = chain[-1]
-        for qual in self._callable_refs(cb_expr):
-            self.schedule_callbacks.append((qual, kind, node.lineno))
 
     def _is_event_schedule(self, qual: str) -> bool:
         fi = self.cb.functions.get(qual)
@@ -818,21 +736,6 @@ class _LocalPass:
                 return q
         return None
 
-    def _actor_derived(self, expr: ast.expr) -> bool:
-        """True when every leaf of ``expr`` traces back to the actor
-        parameter (``thread``/``event``) or an alias of it."""
-        if isinstance(expr, ast.Name):
-            return expr.id in self.actor
-        if isinstance(expr, ast.Attribute):
-            return self._actor_derived(expr.value)
-        if isinstance(expr, ast.BinOp):
-            return self._actor_derived(expr.left) and self._actor_derived(expr.right)
-        if isinstance(expr, ast.Subscript):
-            return self._actor_derived(expr.value)
-        if isinstance(expr, ast.Call):
-            return all(self._actor_derived(a) for a in expr.args) and bool(expr.args)
-        return False
-
 
 # ----------------------------------------------------------------------
 # driver: local rounds + interprocedural fixed point
@@ -850,7 +753,6 @@ class Analysis:
     observer_calls: list = field(default_factory=list)  # (slot, method, line, qual)
     slot_bindings: list = field(default_factory=list)  # (slot, cls)
     collector_regs: list = field(default_factory=list)  # qualnames
-    schedule_callbacks: list = field(default_factory=list)  # (qual, kind, line, in_qual)
 
 
 def analyze(cb: Codebase, config: EffectsConfig | None = None) -> Analysis:
@@ -879,9 +781,6 @@ def analyze(cb: Codebase, config: EffectsConfig | None = None) -> Analysis:
         analysis.observer_calls.extend((s, m, ln, q) for s, m, ln in p.observer_calls)
         analysis.slot_bindings.extend(p.slot_bindings)
         analysis.collector_regs.extend(p.collector_regs)
-        analysis.schedule_callbacks.extend(
-            (cq, kind, ln, q) for cq, kind, ln in p.schedule_callbacks
-        )
 
     _propagate(cb, summaries)
     return analysis
@@ -933,7 +832,7 @@ def _rewrite(w: WriteRec, cs: CallSite, t_fi: FunctionInfo | None) -> WriteRec |
             return None
         return WriteRec(
             root=_root_str(recv), attr=w.attr, cls=w.cls,
-            foreign=w.foreign or recv[2], origin=w.origin, path=w.path, line=w.line,
+            origin=w.origin, path=w.path, line=w.line,
         )
     # param:<name>
     pname = w.root.split(":", 1)[1]
@@ -951,5 +850,5 @@ def _rewrite(w: WriteRec, cs: CallSite, t_fi: FunctionInfo | None) -> WriteRec |
         return None
     return WriteRec(
         root=_root_str(root), attr=w.attr, cls=w.cls,
-        foreign=w.foreign or root[2], origin=w.origin, path=w.path, line=w.line,
+        origin=w.origin, path=w.path, line=w.line,
     )

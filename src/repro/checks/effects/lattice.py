@@ -84,11 +84,6 @@ class WriteRec:
     #: class of the written object when statically known (annotation or
     #: constructor), else None.
     cls: str | None
-    #: True when the reference chain passed through a partition-owned
-    #: table (``threads_by_id``, ``heaps``, ``cluster``, ...) subscripted
-    #: by an index *not* derived from the dispatching actor — the EFF3xx
-    #: cross-partition signal.
-    foreign: bool
     #: function the write syntactically occurs in (reporting).
     origin: str
     path: str
@@ -124,9 +119,9 @@ class CallSite:
     #: resolved callee qualnames (may be a name-based join).
     targets: tuple[str, ...]
     #: root of the receiver for method calls (None for plain calls);
-    #: a ``(kind, detail, foreign)`` triple.
+    #: a ``(kind, detail)`` pair.
     receiver: tuple | None
-    #: callee parameter name -> argument root triple (positional args
+    #: callee parameter name -> argument root pair (positional args
     #: matched against each target's signature at propagation time are
     #: pre-resolved per target in :mod:`infer`).
     arg_roots: dict
@@ -154,7 +149,6 @@ class FunctionSummary:
     flows: list[Eff2Flow] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
     returns_host_time: bool = False
-    calls_network_send: bool = False
     #: all host use is wall-clock reads folded into self-owned
     #: ``self_ns`` accounting (the sanctioned observer overhead meter).
     self_accounting: bool = False

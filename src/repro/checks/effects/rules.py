@@ -1,4 +1,4 @@
-"""The three EFF rule families over the inferred summaries.
+"""The EFF rule families over the inferred summaries.
 
 EFF1xx — observer purity
     Everything reachable from the nullable observer slots
@@ -17,19 +17,7 @@ EFF2xx — clock separation
     * EFF201 — host-time value used as an event-schedule time
     * EFF202 — host-time value advances or is stored into a sim clock
 
-EFF3xx — partition safety
-    Callables dispatched inside ``PartitionedEventLoop`` workers may
-    only touch state of other partitions through the network (a write
-    modelling the receipt of a message lives in a function that also
-    performs the ``Network.send``).  Callbacks scheduled as
-    ``BARRIER_RELEASE`` run with every partition aligned at the barrier
-    frontier and are exempt.
-    * EFF301 — cross-partition (foreign-indexed table) write without a
-      mediating ``Network.send`` in the same function
-    * EFF302 — host effect inside the worker-dispatched closure (the
-      semantic form of simlint SIM010)
-
-Suppression: a trailing ``# effects: disable=EFF301`` (comma list, or
+Suppression: a trailing ``# effects: disable=EFF102`` (comma list, or
 ``all``) on the offending line. Suppressed findings are kept on the
 report (they document sanctioned seams) but do not gate.
 """
@@ -50,8 +38,6 @@ RULES = {
     "EFF102": "observer writes engine-owned state",
     "EFF201": "host-time value used as an event-schedule time",
     "EFF202": "host-time value flows into a simulated clock",
-    "EFF301": "cross-partition write without Network mediation in a worker callable",
-    "EFF302": "host effect inside the worker-dispatched closure",
 }
 
 _DISABLE_RE = re.compile(r"#\s*effects:\s*disable=([A-Za-z0-9_,\s]+)")
@@ -82,10 +68,6 @@ class EffectsReport:
     analysis: Analysis
     #: observer entry-point qualname -> how it was discovered.
     observer_roots: dict[str, str] = field(default_factory=dict)
-    #: worker callback qualname -> {"kind", "status", "line"}.
-    worker_roots: dict[str, dict] = field(default_factory=dict)
-    #: every function reachable from a non-exempt worker root.
-    worker_closure: list[str] = field(default_factory=list)
 
     @property
     def summaries(self) -> dict[str, FunctionSummary]:
@@ -181,67 +163,6 @@ def run_rules(analysis: Analysis) -> EffectsReport:
             raw.append(Finding(fl.path, fl.line, code, f"{fl.detail} in {fl.origin}"))
 
     # ------------------------------------------------------------------
-    # EFF3xx: partition safety over the worker-dispatched closure
-    # ------------------------------------------------------------------
-    worker_roots: dict[str, dict] = {}
-    for qual, kind, line, _site in analysis.schedule_callbacks:
-        exempt = kind in cfg.exempt_event_kinds
-        entry = worker_roots.setdefault(
-            qual, {"kind": kind, "status": "exempt" if exempt else "certified", "line": line}
-        )
-        if not exempt and entry["status"] == "exempt" and entry["kind"] != kind:
-            entry["status"] = "certified"
-            entry["kind"] = kind
-
-    closure: set[str] = set()
-    frontier = [q for q, e in worker_roots.items() if e["status"] != "exempt"]
-    while frontier:
-        q = frontier.pop()
-        if q in closure:
-            continue
-        closure.add(q)
-        s = summaries.get(q)
-        if s is None:
-            continue
-        for cs in s.calls:
-            for t in cs.targets:
-                if t not in closure and t in summaries:
-                    frontier.append(t)
-
-    seen: set[tuple[str, int, str]] = set()
-    for q in sorted(closure):
-        s = summaries[q]
-        if not s.calls_network_send:
-            for w in s.writes:
-                if not w.foreign:
-                    continue
-                key = (w.path, w.line, "EFF301")
-                if key in seen:
-                    continue
-                seen.add(key)
-                raw.append(
-                    Finding(
-                        w.path, w.line, "EFF301",
-                        f"{w.origin} writes cross-partition state (.{w.attr} via "
-                        f"{w.root}) with no Network.send mediating it",
-                        root=q,
-                    )
-                )
-        if not s.self_accounting:
-            for h in s.host:
-                key = (h.path, h.line, "EFF302")
-                if key in seen:
-                    continue
-                seen.add(key)
-                raw.append(
-                    Finding(
-                        h.path, h.line, "EFF302",
-                        f"host effect ({h.kind}: {h.detail}) in worker-dispatched {h.origin}",
-                        root=q,
-                    )
-                )
-
-    # ------------------------------------------------------------------
     # suppression split
     # ------------------------------------------------------------------
     path_index = {m.path: m.source_lines for m in cb.modules.values()}
@@ -250,44 +171,12 @@ def run_rules(analysis: Analysis) -> EffectsReport:
     for f in sorted(set(raw), key=lambda f: (f.path, f.line, f.code, f.message)):
         (suppressed if _disabled(cb, path_index, f) else findings).append(f)
 
-    # a worker root whose closure carries an unsuppressed EFF3xx is not
-    # certified — the runtime validator refuses to dispatch it.
-    bad_roots = {f.root for f in findings if f.code.startswith("EFF3")}
-    for qual, entry in worker_roots.items():
-        if entry["status"] == "certified" and _reaches(summaries, qual, bad_roots):
-            entry["status"] = "violation"
-
-    report = EffectsReport(
+    return EffectsReport(
         findings=findings,
         suppressed=suppressed,
         analysis=analysis,
         observer_roots=observer_roots,
-        worker_roots=worker_roots,
-        worker_closure=sorted(closure),
     )
-    return report
-
-
-def _reaches(
-    summaries: dict[str, FunctionSummary], root: str, bad: set[str]
-) -> bool:
-    if not bad:
-        return False
-    seen: set[str] = set()
-    frontier = [root]
-    while frontier:
-        q = frontier.pop()
-        if q in bad:
-            return True
-        if q in seen:
-            continue
-        seen.add(q)
-        s = summaries.get(q)
-        if s is None:
-            continue
-        for cs in s.calls:
-            frontier.extend(t for t in cs.targets if t not in seen)
-    return False
 
 
 def render_summary_line(report: EffectsReport) -> str:
@@ -301,6 +190,5 @@ def render_summary_line(report: EffectsReport) -> str:
     return (
         f"effects: {len(summaries)} functions ({levels}); "
         f"{len(report.observer_roots)} observer roots, "
-        f"{len(report.worker_roots)} worker callables, "
         f"{len(report.suppressed)} suppressed finding(s)"
     )

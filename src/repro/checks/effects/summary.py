@@ -1,128 +1,51 @@
-"""The machine-readable ``effects.json`` summary.
+"""The machine-readable effects summary document.
 
-Written by ``python -m repro.checks effects --write``, committed at the
-repository root, and consumed by two clients:
-
-* :mod:`repro.checks.simlint` sharpens SIM009/SIM010 from syntactic to
-  semantic using the ``counter_writes`` / ``host_in_worker`` feeds and
-  the worker-closure module list;
-* :class:`repro.sim.partition.PartitionedEventLoop` validates its
-  worker-dispatched callables against ``worker.roots`` at construction
-  and (memoized) per ``schedule()`` call.
-
-This module is deliberately dependency-free (json + pathlib only): the
-partition kernel imports it lazily on its hot construction path and
-must not drag the analysis machinery — or anything that imports the
-simulator — into scope.
+Dumped on demand by ``python -m repro.checks effects --json PATH``;
+nothing is committed or loaded at run time.  The one in-process
+consumer is :mod:`repro.checks.simlint`, which sharpens SIM009 from
+syntactic to semantic using :func:`counter_writes` over a live
+analysis run.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-__all__ = ["EffectsSummary", "build_doc", "DEFAULT_FILENAME", "default_summary_path"]
+__all__ = ["build_doc", "counter_writes"]
 
-DEFAULT_FILENAME = "effects.json"
 SCHEMA_VERSION = 1
 
 
-def default_summary_path() -> Path | None:
-    """Walk up from this package towards the repository root looking
-    for the committed summary."""
-    for parent in Path(__file__).resolve().parents:
-        candidate = parent / DEFAULT_FILENAME
-        if candidate.is_file():
-            return candidate
-    return None
+def _rel(path: str) -> str:
+    """``path`` relative to the repository layout's ``src`` ancestor
+    when there is one, so the document is position-independent."""
+    parts = Path(path).parts
+    if "src" in parts:
+        i = len(parts) - 1 - list(reversed(parts)).index("src")
+        return "/".join(parts[i:])
+    return path
 
 
-class EffectsSummary:
-    """Read-only view over a loaded ``effects.json``."""
-
-    __slots__ = ("doc", "path")
-
-    def __init__(self, doc: dict, path: str | None = None) -> None:
-        self.doc = doc
-        self.path = path
-
-    @classmethod
-    def load(cls, path: str | Path | None = None) -> "EffectsSummary | None":
-        """Load the summary; None when absent or unreadable (callers
-        degrade to unvalidated operation — the static gate, not the
-        runtime check, is the enforcement point)."""
-        p = Path(path) if path is not None else default_summary_path()
-        if p is None or not p.is_file():
-            return None
-        try:
-            doc = json.loads(p.read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
-            return None
-        return cls(doc, str(p))
-
-    # -- worker validation ---------------------------------------------
-
-    @property
-    def worker_roots(self) -> dict:
-        return self.doc.get("worker", {}).get("roots", {})
-
-    def worker_status(self, qualname: str) -> str | None:
-        """``"certified"`` / ``"exempt"`` / ``"violation"`` for a known
-        worker callable, None for callables the analysis never saw."""
-        entry = self.worker_roots.get(qualname)
-        return entry.get("status") if isinstance(entry, dict) else None
-
-    def violations(self) -> list[str]:
-        """Worker callables the analysis refused to certify."""
-        return sorted(
-            q for q, e in self.worker_roots.items()
-            if isinstance(e, dict) and e.get("status") == "violation"
-        )
-
-    # -- simlint feeds --------------------------------------------------
-
-    @property
-    def counter_writes(self) -> dict:
-        """path -> [[line, qualname], ...] of alias-tracked counter
-        mutations outside the metrics registry."""
-        return self.doc.get("counter_writes", {})
-
-    @property
-    def host_in_worker(self) -> dict:
-        """path -> [[line, qualname, kind], ...] of host effects inside
-        the worker closure."""
-        return self.doc.get("host_in_worker", {})
-
-    @property
-    def worker_modules(self) -> list[str]:
-        """Modules with at least one function in the worker closure."""
-        return self.doc.get("worker", {}).get("modules", [])
-
-    def function_effect(self, qualname: str) -> str | None:
-        entry = self.doc.get("functions", {}).get(qualname)
-        return entry.get("effect") if isinstance(entry, dict) else None
+def counter_writes(report) -> dict[str, list]:
+    """path -> [[line, qualname], ...] of alias-tracked counter
+    mutations outside the metrics registry (the semantic SIM009 feed)."""
+    analysis = report.analysis
+    module_of = {m.path: m.name for m in analysis.codebase.modules.values()}
+    out: dict[str, list] = {}
+    for q in sorted(analysis.summaries):
+        for path, line in analysis.summaries[q].counter_writes:
+            mod = module_of.get(path)
+            if mod is not None and ".obs" in f".{mod}":
+                continue  # the registry's own mutations are sanctioned
+            out.setdefault(_rel(path), []).append([line, q])
+    return out
 
 
 def build_doc(report) -> dict:
-    """Serialize an :class:`~repro.checks.effects.rules.EffectsReport`.
-
-    Paths are stored relative to the repository layout's ``src``
-    ancestor when possible so the summary is position-independent.
-    """
+    """Serialize an :class:`~repro.checks.effects.rules.EffectsReport`."""
     from repro.checks.effects.lattice import EFFECT_NAMES
 
-    analysis = report.analysis
-    summaries = analysis.summaries
-
-    def rel(path: str) -> str:
-        parts = Path(path).parts
-        if "src" in parts:
-            i = len(parts) - 1 - list(reversed(parts)).index("src")
-            return "/".join(parts[i:])
-        return path
-
+    summaries = report.analysis.summaries
     functions = {}
     for q in sorted(summaries):
         s = summaries[q]
@@ -131,59 +54,23 @@ def build_doc(report) -> dict:
             "writes": s.writes_kind(),
             "host_kinds": sorted({h.kind for h in s.trans_host}),
             "self_accounting": s.self_accounting,
-            "path": rel(s.path),
+            "path": _rel(s.path),
             "line": s.line,
         }
 
-    counter_writes: dict[str, list] = {}
-    host_in_worker: dict[str, list] = {}
-    closure = set(report.worker_closure)
-    for q in sorted(summaries):
-        s = summaries[q]
-        for path, line in s.counter_writes:
-            mod = _module_of(analysis.codebase, path)
-            if mod is not None and ".obs" in f".{mod}":
-                continue  # the registry's own mutations are sanctioned
-            counter_writes.setdefault(rel(path), []).append([line, q])
-        if q in closure and not s.self_accounting:
-            for h in s.host:
-                host_in_worker.setdefault(rel(h.path), []).append([h.line, q, h.kind])
-
-    worker_modules = sorted(
-        {
-            analysis.codebase.functions[q].module
-            for q in closure
-            if q in analysis.codebase.functions
-        }
-    )
-
     return {
         "version": SCHEMA_VERSION,
-        "generated_by": "python -m repro.checks effects --write",
+        "generated_by": "python -m repro.checks effects --json",
         "rules": {
             "EFF1xx": "observer purity",
             "EFF2xx": "clock separation",
-            "EFF3xx": "partition safety",
         },
         "functions": functions,
         "observers": {
             "roots": {q: how for q, how in sorted(report.observer_roots.items())},
         },
-        "worker": {
-            "roots": report.worker_roots,
-            "closure": report.worker_closure,
-            "modules": worker_modules,
-        },
-        "counter_writes": counter_writes,
-        "host_in_worker": host_in_worker,
+        "counter_writes": counter_writes(report),
         "suppressed": [
-            [rel(f.path), f.line, f.code] for f in report.suppressed
+            [_rel(f.path), f.line, f.code] for f in report.suppressed
         ],
     }
-
-
-def _module_of(cb, path: str) -> str | None:
-    for m in cb.modules.values():
-        if m.path == path:
-            return m.name
-    return None

@@ -24,9 +24,9 @@ SIM003    iteration over a container without a canonical order (``set``
 SIM004    ``id()``-based ordering/keying in the deterministic core
 SIM005    hot-path class without ``__slots__`` (configured hot modules)
 SIM006    mutable default argument (``def f(x=[])``) anywhere
-SIM007    direct ``heapq`` use outside the event-kernel modules
-          (``repro/sim/events.py``, ``repro/sim/partition.py``) — all
-          scheduling must go through the event kernel
+SIM007    direct ``heapq`` use outside the event kernel
+          (``repro/sim/events.py``) — all scheduling must go through
+          the event kernel
 SIM008    environment read (``os.environ`` / ``os.getenv``) inside the
           deterministic core (config must flow through constructors)
 SIM009    direct ``counters[...]`` mutation outside the metrics
@@ -34,9 +34,9 @@ SIM009    direct ``counters[...]`` mutation outside the metrics
           registry handles, not ad-hoc dicts
 SIM010    wall-clock/OS-level process API (``multiprocessing``,
           ``subprocess``, ``threading``, ``signal``, ``os.fork``/
-          ``os.spawn*``/``os.getpid``, ``time.sleep``, …) inside a
-          partition-worker module; only the sanctioned worker harness
-          (``repro/sim/workerpool.py``) may touch process machinery
+          ``os.spawn*``/``os.getpid``, ``time.sleep``, …) inside the
+          deterministic core — the simulation is one process on one
+          deterministic event stream
 SIM011    direct mutation of sampling state (``gap_table[...]``,
           per-class decision memos/counters, ``real_gap``/``epoch``
           fields) outside ``repro/core/sampling.py`` — rate changes
@@ -54,11 +54,10 @@ SIM013    silent exception swallow (``except Exception: pass`` /
           turns a crash into a silent divergence of simulated state
 ========  ==============================================================
 
-Semantic sharpening: when the committed ``effects.json`` summary (see
-:mod:`repro.checks.effects`) is available, :func:`semantic_findings`
-adds interprocedural SIM009/SIM010 findings the syntactic pass cannot
-see — alias-tracked ``counters`` mutations and host effects reached
-*through calls* from worker-dispatched callables.
+Semantic sharpening: given the ``counter_writes`` feed of a live
+effect analysis (see :mod:`repro.checks.effects`),
+:func:`semantic_findings` adds interprocedural SIM009 findings the
+syntactic pass cannot see — alias-tracked ``counters`` mutations.
 
 Escape hatch: append ``# simlint: disable=SIM003`` (comma-separate for
 several codes, or ``disable=all``) to the offending line.  A disable on
@@ -80,7 +79,6 @@ __all__ = [
     "check_file",
     "check_paths",
     "semantic_findings",
-    "main",
     "RULES",
 ]
 
@@ -108,28 +106,12 @@ HOT_MODULES = frozenset(
     }
 )
 
-#: the modules allowed to touch heapq directly (the serial event kernel
-#: and its conservative-PDES partitioning; both ARE the event kernel).
-HEAPQ_HOME = frozenset({"repro/sim/events.py", "repro/sim/partition.py"})
+#: the one module allowed to touch heapq directly: the event kernel.
+HEAPQ_HOME = frozenset({"repro/sim/events.py"})
 
-#: the sanctioned worker harness — the only partition-worker module that
-#: may touch OS process machinery (SIM010's single exemption).
-WORKER_HARNESS = "repro/sim/workerpool.py"
-
-#: modules the SIM010 partition-worker rule scopes to: the partitioned
-#: kernel itself plus any worker-layer module under repro/sim/.
-def _is_partition_worker(mod: str) -> bool:
-    if mod == WORKER_HARNESS:
-        return False
-    if not mod.startswith("repro/sim/"):
-        return False
-    name = mod.rsplit("/", 1)[-1]
-    return name.startswith("partition") or "worker" in name
-
-
-#: modules whose import into a partition-worker module breaks the
+#: modules whose import into the deterministic core breaks the
 #: determinism-by-construction contract (SIM010).
-WORKER_BANNED_MODULES = frozenset(
+PROCESS_BANNED_MODULES = frozenset(
     {
         "multiprocessing",
         "subprocess",
@@ -142,7 +124,7 @@ WORKER_BANNED_MODULES = frozenset(
     }
 )
 
-#: os.<attr> process APIs banned inside partition-worker modules.
+#: os.<attr> process APIs banned inside the deterministic core.
 OS_PROCESS_ATTRS = frozenset(
     {
         "fork",
@@ -244,10 +226,10 @@ RULES: dict[str, str] = {
     "SIM004": "id()-based ordering or keying in the deterministic core",
     "SIM005": "hot-path class without __slots__",
     "SIM006": "mutable default argument",
-    "SIM007": "direct heapq use outside the event kernel (repro/sim/{events,partition}.py)",
+    "SIM007": "direct heapq use outside the event kernel (repro/sim/events.py)",
     "SIM008": "environment read inside the deterministic core",
     "SIM009": "direct counters[...] mutation outside the metrics registry (repro/obs/)",
-    "SIM010": "process/wall-clock API in a partition-worker module outside the sanctioned worker harness",
+    "SIM010": "process/wall-clock API (multiprocessing, threading, os.fork, time.sleep, ...) in the deterministic core",
     "SIM011": "direct sampling-state mutation (gap_table / per-class counters) outside repro/core/sampling.py",
     "SIM012": "write to a shared-annotated object outside an acquire/release region",
     "SIM013": "silent exception swallow (except ...: pass) inside the engine subtrees",
@@ -365,8 +347,6 @@ class _Checker(ast.NodeVisitor):
         self.testish = _is_test_or_bench(path)
         self.deterministic = not self.testish and _is_deterministic(self.mod)
         self.hot_module = not self.testish and self.mod in HOT_MODULES
-        #: SIM010 scope: partition-worker module (harness exempt).
-        self.partition_worker = not self.testish and _is_partition_worker(self.mod)
         #: SIM013 scope: engine subtree where swallowed errors diverge state.
         self.engine_module = not self.testish and self.mod.startswith(
             SILENT_SWALLOW_PREFIXES
@@ -400,16 +380,15 @@ class _Checker(ast.NodeVisitor):
 
     # -- imports (feed several rules) ----------------------------------
 
-    def _check_worker_import(self, node: ast.AST, module_name: str) -> None:
-        """SIM010: a partition-worker module importing process machinery."""
+    def _check_process_import(self, node: ast.AST, module_name: str) -> None:
+        """SIM010: a deterministic-core module importing process machinery."""
         root = module_name.split(".", 1)[0]
-        if self.partition_worker and root in WORKER_BANNED_MODULES:
+        if self.deterministic and root in PROCESS_BANNED_MODULES:
             self.report(
                 node,
                 "SIM010",
-                f"import {module_name} inside a partition-worker module; "
-                "process machinery may only live in the sanctioned worker "
-                f"harness ({WORKER_HARNESS})",
+                f"import {module_name} inside the deterministic core; the "
+                "simulation runs in one process on one event stream",
             )
 
     def visit_Import(self, node: ast.Import) -> None:
@@ -421,7 +400,7 @@ class _Checker(ast.NodeVisitor):
                     "import heapq outside the event kernel; schedule through "
                     "repro.sim.events.EventLoop instead",
                 )
-            self._check_worker_import(node, alias.name)
+            self._check_process_import(node, alias.name)
             if alias.name == "numpy":
                 self._numpy_aliases.add(alias.asname or "numpy")
         self.generic_visit(node)
@@ -429,7 +408,7 @@ class _Checker(ast.NodeVisitor):
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         mod = node.module or ""
         if mod:
-            self._check_worker_import(node, mod)
+            self._check_process_import(node, mod)
         for alias in node.names:
             if mod == "heapq" and self.mod not in HEAPQ_HOME and not self.testish:
                 self.report(
@@ -519,40 +498,35 @@ class _Checker(ast.NodeVisitor):
                     )
         self.generic_visit(node)
 
-    # -- attribute reads (SIM008) --------------------------------------
+    # -- attribute reads (SIM008, SIM010) ------------------------------
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if self.deterministic:
-            chain = _attr_chain(node)
-            if len(chain) >= 2 and chain[0] == "os" and chain[1] in ("environ", "getenv"):
+        chain = _attr_chain(node) if self.deterministic else []
+        if len(chain) >= 2:
+            if chain[0] == "os" and chain[1] in ("environ", "getenv"):
                 self.report(
                     node,
                     "SIM008",
                     f"os.{chain[1]} read in the deterministic core; configuration "
                     "must flow through constructors so runs are reproducible",
                 )
-        if self.partition_worker:
-            chain = _attr_chain(node)
-            if len(chain) >= 2:
-                if chain[0] == "os" and (
-                    chain[1] in OS_PROCESS_ATTRS
-                    or chain[1].startswith(OS_PROCESS_PREFIXES)
-                ):
-                    self.report(
-                        node,
-                        "SIM010",
-                        f"os.{chain[1]} inside a partition-worker module; process "
-                        "machinery may only live in the sanctioned worker harness "
-                        f"({WORKER_HARNESS})",
-                    )
-                elif chain[0] == "time" and chain[1] == "sleep":
-                    self.report(
-                        node,
-                        "SIM010",
-                        "time.sleep inside a partition-worker module; workers "
-                        "synchronize through the kernel's safe windows, never "
-                        "the host clock",
-                    )
+            elif chain[0] == "os" and (
+                chain[1] in OS_PROCESS_ATTRS or chain[1].startswith(OS_PROCESS_PREFIXES)
+            ):
+                self.report(
+                    node,
+                    "SIM010",
+                    f"os.{chain[1]} inside the deterministic core; the "
+                    "simulation runs in one process on one event stream",
+                )
+            elif chain[0] == "time" and chain[1] == "sleep":
+                self.report(
+                    node,
+                    "SIM010",
+                    "time.sleep inside the deterministic core; simulated "
+                    "time advances through the event kernel, never the "
+                    "host clock",
+                )
         self.generic_visit(node)
 
     # -- iteration (SIM003) --------------------------------------------
@@ -947,22 +921,22 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
 
 
 def check_paths(
-    paths: Iterable[str | Path], *, effects_summary=None
+    paths: Iterable[str | Path], *, counter_writes: dict | None = None
 ) -> list[Finding]:
     """Lint every .py file under ``paths``.
 
-    When ``effects_summary`` (an
-    :class:`~repro.checks.effects.summary.EffectsSummary`) is given, the
-    interprocedural SIM009/SIM010 feeds are folded in and deduplicated
+    When ``counter_writes`` (the effect analysis' feed, see
+    :func:`repro.checks.effects.summary.counter_writes`) is given, the
+    interprocedural SIM009 findings are folded in and deduplicated
     against the syntactic findings.
     """
     files = list(iter_python_files(paths))
     findings: list[Finding] = []
     for p in files:
         findings.extend(check_file(p))
-    if effects_summary is not None:
+    if counter_writes:
         seen = {(Path(f.path).as_posix(), f.line, f.code) for f in findings}
-        for f in semantic_findings(effects_summary, files):
+        for f in semantic_findings(counter_writes, files):
             if (Path(f.path).as_posix(), f.line, f.code) not in seen:
                 findings.append(f)
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
@@ -970,67 +944,32 @@ def check_paths(
 
 
 def semantic_findings(
-    summary, checked_files: Iterable[str | Path]
+    counter_writes: dict, checked_files: Iterable[str | Path]
 ) -> list[Finding]:
-    """SIM009/SIM010 findings sourced from the effect analysis.
+    """SIM009 findings sourced from the effect analysis.
 
-    The syntactic rules only see a mutation or host call spelled at the
-    flagged line; the ``effects.json`` feeds carry facts proven *through
-    the call graph*: ``counter_writes`` are alias-tracked ``counters``
-    mutations outside the registry (semantic SIM009), ``host_in_worker``
-    are host effects anywhere in the worker-dispatched closure, not just
-    in partition-worker *modules* (semantic SIM010).  Findings honor the
-    standard ``# simlint: disable=`` escape hatch on the flagged line.
+    The syntactic rule only sees a mutation spelled at the flagged
+    line; ``counter_writes`` (path -> [[line, qualname], ...]) carries
+    alias-tracked ``counters`` mutations outside the registry proven
+    *through the call graph*.  Findings honor the standard
+    ``# simlint: disable=`` escape hatch on the flagged line.
     """
-    by_suffix: dict[str, Path] = {}
-    for f in checked_files:
-        by_suffix[Path(f).as_posix()] = Path(f)
-
-    def locate(rel: str) -> Path | None:
-        for posix, p in by_suffix.items():
-            if posix.endswith(rel):
-                return p
-        return None
-
+    by_posix = {Path(f).as_posix(): Path(f) for f in checked_files}
     out: list[Finding] = []
-
-    def emit(rel: str, entries: list, code: str, render) -> None:
-        p = locate(rel)
+    for rel, entries in sorted(counter_writes.items()):
+        p = next((p for posix, p in by_posix.items() if posix.endswith(rel)), None)
         if p is None or not p.is_file():
-            return
+            continue
         disabled = _disabled_lines(p.read_text(encoding="utf-8"))
-        for entry in entries:
-            line = int(entry[0])
+        for line, qualname in entries:
             codes = disabled.get(line, ())
-            if code in codes or "ALL" in codes:
+            if "SIM009" in codes or "ALL" in codes:
                 continue
-            out.append(Finding(str(p), line, 0, code, render(entry)))
-
-    for rel, entries in sorted(summary.counter_writes.items()):
-        emit(
-            rel, entries, "SIM009",
-            lambda e: (
-                f"alias-tracked counters[...] mutation in {e[1]} outside the "
-                "metrics registry (interprocedural, via effects.json)"
-            ),
-        )
-    for rel, entries in sorted(summary.host_in_worker.items()):
-        emit(
-            rel, entries, "SIM010",
-            lambda e: (
-                f"host effect ({e[2]}) in {e[1]}, reached from a worker-"
-                "dispatched callable (interprocedural, via effects.json)"
-            ),
-        )
+            out.append(
+                Finding(
+                    str(p), line, 0, "SIM009",
+                    f"alias-tracked counters[...] mutation in {qualname} outside "
+                    "the metrics registry (interprocedural, via the effect analysis)",
+                )
+            )
     return out
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI shim (the full CLI lives in ``repro.checks.__main__``)."""
-    from repro.checks.__main__ import main as cli_main
-
-    return cli_main(["lint"] + list(argv or []))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

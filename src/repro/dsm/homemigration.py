@@ -18,7 +18,7 @@ home directory entry (the GOS is the directory in this simulation).
 Policy (:class:`DominantWriterPolicy`): per closed interval, count each
 node's writes per object; when one remote node's share of recent writes
 exceeds ``threshold`` over at least ``min_writes`` writes, propose
-re-homing to it.  Hysteresis (``cooldown_intervals``) prevents homes
+re-homing to it.  Hysteresis (``cooldown_writes``) prevents homes
 from thrashing between alternating writers — the exact pathology the
 paper's "tricky cases" sentence worries about.
 """
@@ -128,15 +128,11 @@ class DominantWriterPolicy:
         threshold: float = 0.6,
         min_writes: int = 4,
         cooldown_writes: int = 8,
-        cooldown_intervals: int | None = None,
     ) -> None:
         if not 0.5 < threshold <= 1.0:
             raise ValueError(f"threshold must be in (0.5, 1], got {threshold}")
         if min_writes < 1:
             raise ValueError(f"min_writes must be >= 1, got {min_writes}")
-        if cooldown_intervals is not None:
-            # Backwards-compatible alias for the cooldown knob.
-            cooldown_writes = cooldown_intervals
         self.engine = engine
         self.threshold = threshold
         self.min_writes = min_writes

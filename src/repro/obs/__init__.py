@@ -87,7 +87,6 @@ class Telemetry:
         reg.register_collector(lambda r, d=djvm: _collect_gos(r, d))
         reg.register_collector(lambda r, d=djvm: _collect_migration(r, d))
         reg.register_collector(lambda r, d=djvm: _collect_kernel(r, d))
-        reg.register_collector(lambda r, d=djvm: _collect_pdes(r, d))
         reg.register_collector(lambda r, d=djvm: _collect_cpu(r, d))
         if self.tracer is not None:
             reg.register_collector(lambda r, t=self.tracer: _collect_tracer(r, t))
@@ -174,44 +173,6 @@ def _collect_kernel(reg: MetricsRegistry, djvm) -> None:
     reg.gauge("event_kernel_popped", "events dispatched").set(kernel.popped)
     reg.gauge("event_kernel_aux_dropped", "aux audit entries dropped (capacity)").set(
         kernel.aux_dropped
-    )
-
-
-def _collect_pdes(reg: MetricsRegistry, djvm) -> None:
-    """Partitioned-kernel accounting: safe windows, cross-partition
-    traffic, synchronisation overhead and partition skew.  Absent (no
-    samples) under the serial kernel or before the first run."""
-    stats = djvm.kernel_stats
-    if stats is None:
-        return
-    reg.gauge("pdes_partitions", "partitions in the conservative kernel").set(
-        stats["partitions"]
-    )
-    reg.gauge("pdes_lookahead_ns", "kernel lookahead (min network latency)").set(
-        stats["lookahead_ns"]
-    )
-    reg.gauge("pdes_windows_total", "safe windows executed").set(stats["windows"])
-    reg.gauge("pdes_window_events_max", "largest event batch in one window").set(
-        stats["max_window_events"]
-    )
-    reg.gauge("pdes_null_window_slots_total", "empty per-partition window slots").set(
-        stats["null_window_slots"]
-    )
-    reg.gauge("pdes_cross_messages_total", "events crossing a partition boundary").set(
-        stats["cross_messages"]
-    )
-    reg.gauge("pdes_intra_messages_total", "events staying inside a partition").set(
-        stats["intra_messages"]
-    )
-    reg.gauge(
-        "pdes_lookahead_violations_total",
-        "cross-partition deliveries under the lookahead bound",
-    ).set(stats["lookahead_violations"])
-    reg.gauge("pdes_frontier_syncs_total", "frontier synchronisations (LBTS rounds)").set(
-        stats["frontier_syncs"]
-    )
-    reg.gauge("pdes_max_skew_ns", "largest observed inter-partition clock skew").set(
-        stats["max_skew_ns"]
     )
 
 

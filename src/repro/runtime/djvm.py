@@ -18,7 +18,6 @@ from repro.runtime.thread import SimThread, ThreadState
 from repro.sim.cluster import Cluster
 from repro.sim.costs import CostModel, CpuAccounting
 from repro.sim.network import Network, TrafficStats
-from repro.sim.partition import NodeGroupPartitioner, PartitionedEventLoop
 
 
 @dataclass
@@ -75,32 +74,12 @@ class DJVM:
         racecheck: bool | str = False,
         telemetry=None,
         aux_capacity: int | None = None,
-        kernel: str = "serial",
-        partitions: int | None = None,
         replay: str = "vector",
         sampling_backend=None,
         objprof: bool = False,
-        validate_effects: "bool | object" = True,
     ) -> None:
-        if kernel not in ("serial", "partitioned"):
-            raise ValueError(f"kernel must be 'serial' or 'partitioned', got {kernel!r}")
         if replay not in ("vector", "scalar"):
             raise ValueError(f"replay must be 'vector' or 'scalar', got {replay!r}")
-        if partitions is not None and kernel != "partitioned":
-            raise ValueError("partitions requires kernel='partitioned'")
-        #: event kernel flavour: "serial" is the correctness oracle;
-        #: "partitioned" shards the event loop into node-group partitions
-        #: (conservative PDES, byte-identical pop order).
-        self.kernel = kernel
-        if kernel == "partitioned":
-            if partitions is None:
-                partitions = min(4, n_nodes)
-            if not 1 <= partitions <= n_nodes:
-                raise ValueError(
-                    f"need 1 <= partitions <= {n_nodes} nodes, got {partitions}"
-                )
-        #: partition count (None under the serial kernel).
-        self.partitions = partitions
         #: access replay mode handed to the interpreter ("vector" bulk
         #: replay or the "scalar" per-op oracle).
         self.replay = replay
@@ -109,10 +88,6 @@ class DJVM:
         #: name ("prime_gap" | "poisson" | "hash" | "hybrid"), or a
         #: ready repro.core.sampling.SamplingBackend instance.
         self.sampling_backend = sampling_backend
-        #: partitioned-kernel worker certification against the committed
-        #: ``effects.json``: True (load it if present), False (off), or
-        #: an injected :class:`~repro.checks.effects.summary.EffectsSummary`.
-        self.validate_effects = validate_effects
         self.cluster = Cluster(
             n_nodes,
             costs=costs if costs is not None else CostModel.gideon300(),
@@ -296,15 +271,6 @@ class DJVM:
         return self._interpreter.kernel.trace
 
     @property
-    def kernel_stats(self) -> dict[str, int] | None:
-        """Partition/window statistics of the last run's event kernel
-        (None before :meth:`run` or under the serial kernel)."""
-        if self._interpreter is None:
-            return None
-        stats = getattr(self._interpreter.kernel, "stats", None)
-        return stats() if stats is not None else None
-
-    @property
     def race_trace(self) -> list[tuple]:
         """The recorded race-operation audit trace (empty unless
         constructed with ``racecheck="record"``); feed it to
@@ -329,26 +295,10 @@ class DJVM:
             raise RuntimeError(
                 f"threads {spent} already ran; build a fresh DJVM per run"
             )
-        events = None
-        if self.kernel == "partitioned":
-            partitioner = NodeGroupPartitioner(
-                len(self.cluster),
-                self.partitions,
-                node_of_thread=lambda tid: self.threads[tid].node_id,
-                master_node=self.cluster.master_id,
-            )
-            events = PartitionedEventLoop(
-                partitioner,
-                lookahead_ns=self.cluster.network.min_latency_ns,
-                keep_trace=self.keep_event_trace,
-                aux_capacity=self.aux_capacity,
-                validate_effects=self.validate_effects,
-            )
         interp = Interpreter(
             self.hlrc,
             self.threads,
             timeshare_nodes=self.timeshare_nodes,
-            events=events,
             keep_event_trace=self.keep_event_trace,
             aux_capacity=self.aux_capacity,
             sanitizer=self.sanitizer,

@@ -78,7 +78,6 @@ class Interpreter:
         *,
         barrier_parties: int | None = None,
         timeshare_nodes: bool = True,
-        events: EventLoop | None = None,
         keep_event_trace: bool = False,
         aux_capacity: int | None = None,
         sanitizer=None,
@@ -115,11 +114,7 @@ class Interpreter:
         #: one core per thread (an idealized SMP node).
         self.timeshare_nodes = timeshare_nodes
         #: the discrete-event kernel every scheduling decision runs through.
-        self.kernel = (
-            events
-            if events is not None
-            else EventLoop(keep_trace=keep_event_trace, aux_capacity=aux_capacity)
-        )
+        self.kernel = EventLoop(keep_trace=keep_event_trace, aux_capacity=aux_capacity)
         # Queued network sends deliver through the same kernel.
         hlrc.network.attach_kernel(self.kernel)
         # A recording race detector mirrors its operation trace into the
@@ -188,21 +183,15 @@ class Interpreter:
                 for thread in self.threads:
                     gate_program(thread.program)
         self._schedule_runnable()
-        drain = getattr(kernel, "drain", None)
-        if drain is not None:
-            # Partitioned kernel: it owns the pop/dispatch loop so event
-            # execution is attributable per partition.
-            drain(sanitizer)
-        else:
-            while True:
-                event = kernel.pop()
-                if event is None:
-                    break
-                if sanitizer is not None:
-                    sanitizer.on_event_pop(kernel.now_ns, event)
-                callback = event.callback
-                if callback is not None:
-                    callback(event)
+        while True:
+            event = kernel.pop()
+            if event is None:
+                break
+            if sanitizer is not None:
+                sanitizer.on_event_pop(kernel.now_ns, event)
+            callback = event.callback
+            if callback is not None:
+                callback(event)
         waiting = [
             t
             for t in self.threads

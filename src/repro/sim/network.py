@@ -33,10 +33,7 @@ Topology (opt-in): per-pair latency is an **O(1) formula**, never an
 eagerly allocated O(n²) table — a 256-node cluster costs the same to
 build as an 8-node one.  The default is the flat (uniform) fabric;
 :class:`RackTopology` models a two-tier switch hierarchy (cheap
-intra-rack hops, expensive cross-rack hops).  The topology's
-``min_latency_ns`` doubles as the conservative-PDES lookahead bound of
-the partitioned event kernel (:mod:`repro.sim.partition`): no message
-between distinct nodes can arrive sooner than the fabric's fastest hop.
+intra-rack hops, expensive cross-rack hops).
 """
 
 from __future__ import annotations
@@ -177,18 +174,12 @@ class Topology:
     """Per-pair latency as an O(1) formula (see module docstring).
 
     Subclasses override :meth:`latency_ns` (a pure function of the two
-    endpoints) and :attr:`min_latency_ns` (the fastest possible hop —
-    the conservative lookahead bound).  Nothing here may allocate
-    per-pair state: construction cost must be independent of fan-out.
+    endpoints).  Nothing here may allocate per-pair state: construction
+    cost must be independent of fan-out.
     """
 
     def latency_ns(self, src: int, dst: int) -> int:
         """One-way latency between two distinct nodes (ns)."""
-        raise NotImplementedError
-
-    @property
-    def min_latency_ns(self) -> int:
-        """Smallest latency any distinct-node pair can see (ns)."""
         raise NotImplementedError
 
 
@@ -202,10 +193,6 @@ class UniformTopology(Topology):
         self._latency_ns = int(latency_ns)
 
     def latency_ns(self, src: int, dst: int) -> int:
-        return self._latency_ns
-
-    @property
-    def min_latency_ns(self) -> int:
         return self._latency_ns
 
 
@@ -233,10 +220,6 @@ class RackTopology(Topology):
         if src // self.rack_size == dst // self.rack_size:
             return self.intra_ns
         return self.cross_ns
-
-    @property
-    def min_latency_ns(self) -> int:
-        return self.intra_ns
 
 
 class Network:
@@ -299,14 +282,6 @@ class Network:
         """Attach the event kernel that receives MESSAGE_DELIVER events
         for queued sends."""
         self._kernel = kernel
-
-    @property
-    def min_latency_ns(self) -> int:
-        """Smallest one-way latency the fabric can deliver (ns) — the
-        conservative lookahead bound of the partitioned event kernel."""
-        if self.topology is not None:
-            return self.topology.min_latency_ns
-        return self.latency_ns
 
     def latency_between_ns(self, src: int, dst: int) -> int:
         """One-way latency between two distinct nodes (ns), honouring the

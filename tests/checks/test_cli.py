@@ -94,14 +94,6 @@ def test_race_gate_fails_when_seeded_race_missed(monkeypatch, capsys):
     assert "seeded race NOT detected" in capsys.readouterr().err
 
 
-def test_simlint_module_entry(tmp_path):
-    from repro.checks.simlint import main as simlint_main
-
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("def f(x=[]):\n    return x\n")
-    assert simlint_main([str(dirty)]) == EXIT_LINT
-
-
 class TestExitCodes:
     """Each failing gate has its own documented exit code."""
 
@@ -171,12 +163,6 @@ class TestEffectsGate:
 
         doc = json.loads(out_json.read_text())
         assert doc["version"] == 1 and doc["functions"]
-
-    def test_write_flag_targets_explicit_path(self, tmp_path):
-        root = self._tree(tmp_path, "def f(x):\n    return x\n")
-        target = tmp_path / "committed.json"
-        assert main(["effects", str(root), "--write", str(target)]) == 0
-        assert target.is_file()
 
 
 class TestAllAggregation:

@@ -1,17 +1,14 @@
 """Interprocedural effect/purity analysis: lattice, rule families on
-seeded-violation fixtures, the repo self-check, the ``effects.json``
-round trip, and the partitioned kernel's worker certification."""
+seeded-violation fixtures, the repo self-check and the on-demand
+summary document."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.checks.effects import (
     EFFECT_NAMES,
     Effect,
-    EffectsSummary,
     analyze_package,
     analyze_sources,
 )
@@ -24,18 +21,11 @@ from repro.checks.effects.summary import SCHEMA_VERSION, build_doc
 KERNEL = """
 class EventKind:
     MESSAGE_DELIVER = 1
-    BARRIER_RELEASE = 2
-    MIGRATION_CHECK = 3
 
 class EventLoop:
     def __init__(self):
         self.time_ns = 0
-        self.threads_by_id = {}
     def schedule(self, kind, time_ns, node, seq, callback=None):
-        pass
-
-class Network:
-    def send(self, src, dst, payload):
         pass
 """
 
@@ -308,85 +298,6 @@ class Engine:
 
 
 # ---------------------------------------------------------------------------
-# EFF3xx: partition safety
-# ---------------------------------------------------------------------------
-
-WORKER_TMPL = """
-from kern import EventKind, Network
-
-class Engine:
-    def __init__(self, kernel, network):
-        self.kernel = kernel
-        self.network = network
-        self.threads_by_id = {{}}
-    def boot(self):
-        self.kernel.schedule(EventKind.{kind}, 10, 0, 0, callback=self._work)
-    def _work(self, event):
-{body}
-"""
-
-
-def test_eff301_cross_partition_write_in_worker():
-    rep = report_for(
-        WORKER_TMPL.format(
-            kind="MIGRATION_CHECK",
-            body='        self.threads_by_id[42].status = "poked"\n',
-        )
-    )
-    assert codes(rep) == ["EFF301"]
-    assert rep.worker_roots["engine.Engine._work"]["status"] == "violation"
-
-
-def test_network_send_mediates_cross_partition_write():
-    rep = report_for(
-        WORKER_TMPL.format(
-            kind="MIGRATION_CHECK",
-            body=(
-                '        self.threads_by_id[42].status = "poked"\n'
-                "        self.network.send(0, 1, event)\n"
-            ),
-        )
-    )
-    assert rep.findings == []
-    assert rep.worker_roots["engine.Engine._work"]["status"] == "certified"
-
-
-def test_actor_indexed_write_is_not_foreign():
-    rep = report_for(
-        WORKER_TMPL.format(
-            kind="MIGRATION_CHECK",
-            body='        self.threads_by_id[event.actor].status = "ran"\n',
-        )
-    )
-    assert rep.findings == []
-
-
-def test_barrier_release_callbacks_are_exempt():
-    rep = report_for(
-        WORKER_TMPL.format(
-            kind="BARRIER_RELEASE",
-            body='        self.threads_by_id[42].status = "released"\n',
-        )
-    )
-    assert rep.findings == []
-    assert rep.worker_roots["engine.Engine._work"]["status"] == "exempt"
-
-
-def test_eff302_host_effect_in_worker_closure():
-    rep = report_for(
-        WORKER_TMPL.format(
-            kind="MIGRATION_CHECK",
-            body="        import_side_effect()\n",
-        ).replace(
-            "from kern import EventKind, Network",
-            "import time\nfrom kern import EventKind, Network\n\n"
-            "def import_side_effect():\n    time.sleep(0.01)\n",
-        )
-    )
-    assert "EFF302" in codes(rep)
-
-
-# ---------------------------------------------------------------------------
 # suppression
 # ---------------------------------------------------------------------------
 
@@ -413,44 +324,24 @@ def test_disable_all_suppresses():
 def test_disable_other_code_does_not_suppress():
     src = BAD_OBSERVER.replace(
         'heap.records[3].state = "dirty"',
-        'heap.records[3].state = "dirty"  # effects: disable=EFF301',
+        'heap.records[3].state = "dirty"  # effects: disable=EFF201',
     )
     rep = report_for(src)
     assert codes(rep) == ["EFF102"]
 
 
 # ---------------------------------------------------------------------------
-# effects.json round trip
+# the on-demand summary document
 # ---------------------------------------------------------------------------
 
 
-def test_summary_round_trip(tmp_path):
-    rep = report_for(
-        WORKER_TMPL.format(
-            kind="MIGRATION_CHECK",
-            body='        self.threads_by_id[42].status = "poked"\n',
-        )
-    )
-    doc = build_doc(rep)
+def test_summary_round_trip():
+    rep = report_for(BAD_OBSERVER)
+    doc = json.loads(json.dumps(build_doc(rep)))
     assert doc["version"] == SCHEMA_VERSION
-    path = tmp_path / "effects.json"
-    path.write_text(json.dumps(doc))
-
-    summary = EffectsSummary.load(path)
-    assert summary is not None
-    assert summary.worker_status("engine.Engine._work") == "violation"
-    assert summary.violations() == ["engine.Engine._work"]
-    assert summary.function_effect("engine.Engine._work") == "writes-sim-state"
-
-
-def test_summary_load_missing_and_bad(tmp_path):
-    assert EffectsSummary.load(tmp_path / "nope.json") is None
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert EffectsSummary.load(bad) is None
-    wrong = tmp_path / "wrong.json"
-    wrong.write_text(json.dumps({"version": SCHEMA_VERSION + 999}))
-    assert EffectsSummary.load(wrong) is None
+    assert doc["functions"]["engine.BadObserver.on_access"]["effect"] == "writes-sim-state"
+    assert "engine.BadObserver.on_access" in doc["observers"]["roots"]
+    assert doc["counter_writes"] == {}
 
 
 # ---------------------------------------------------------------------------
@@ -465,90 +356,3 @@ def test_repo_tree_has_no_unsuppressed_violations():
     # the discovery layers actually found the repo's hooks
     assert len(rep.observer_roots) >= 10
     assert any("sanitizer" in how for how in rep.observer_roots.values())
-    assert rep.worker_roots, "no worker-dispatched callables discovered"
-    assert all(
-        entry["status"] in ("certified", "exempt")
-        for entry in rep.worker_roots.values()
-    )
-
-
-def test_committed_summary_matches_tree():
-    """The committed effects.json must certify the current source (the
-    ``--write`` flow keeps it fresh; CI runs the gate)."""
-    summary = EffectsSummary.load()
-    assert summary is not None, "effects.json missing — run `python -m repro.checks effects --write`"
-    assert summary.violations() == []
-    assert summary.worker_roots
-
-
-# ---------------------------------------------------------------------------
-# PartitionedEventLoop worker certification
-# ---------------------------------------------------------------------------
-
-
-def _partitioner():
-    from repro.sim.partition import NodeGroupPartitioner
-
-    return NodeGroupPartitioner(4, 2, node_of_thread=lambda tid: 0)
-
-
-def _violating_summary(qualname="tests.fake.Cb.run"):
-    return EffectsSummary(
-        {
-            "version": SCHEMA_VERSION,
-            "worker": {"roots": {qualname: {"status": "violation", "line": 1}}},
-        }
-    )
-
-
-def test_partition_rejects_violating_summary_at_construction():
-    from repro.sim.partition import PartitionedEventLoop, WorkerEffectsError
-
-    with pytest.raises(WorkerEffectsError, match="tests.fake.Cb.run"):
-        PartitionedEventLoop(_partitioner(), validate_effects=_violating_summary())
-
-
-def test_partition_opt_out_skips_validation():
-    from repro.sim.partition import PartitionedEventLoop
-
-    loop = PartitionedEventLoop(_partitioner(), validate_effects=False)
-    assert loop._effects is None
-
-
-def test_partition_without_summary_degrades_gracefully(monkeypatch):
-    from repro.checks.effects import summary as summary_mod
-    from repro.sim.partition import PartitionedEventLoop
-
-    monkeypatch.setattr(summary_mod.EffectsSummary, "load", classmethod(lambda cls, path=None: None))
-    loop = PartitionedEventLoop(_partitioner())
-    assert loop._effects is None
-
-
-def test_partition_schedule_refuses_violating_callback():
-    from repro.sim.events import EventKind
-    from repro.sim.partition import PartitionedEventLoop, WorkerEffectsError
-
-    class Cb:
-        def run(self, event):
-            pass
-
-    qual = f"{Cb.__module__}.{Cb.run.__qualname__}"
-    loop = PartitionedEventLoop(_partitioner(), validate_effects=False)
-    loop._effects = _violating_summary(qual)
-    with pytest.raises(WorkerEffectsError):
-        loop.schedule(EventKind.MESSAGE_DELIVER, 10, 0, callback=Cb().run)
-    # unknown callables stay allowed
-    loop.schedule(EventKind.MESSAGE_DELIVER, 20, 0, callback=lambda e: None)
-
-
-def test_partition_runs_clean_against_committed_summary():
-    """The real kernel constructs with the committed effects.json and
-    dispatches the repo's own callbacks without tripping the check."""
-    from repro.runtime.djvm import DJVM
-    from repro.workloads.sor import SORWorkload
-
-    vm = DJVM(4, kernel="partitioned", partitions=2)
-    assert vm.validate_effects is True
-    workload = SORWorkload(n=32, rounds=1, n_threads=4, seed=3)
-    workload.build(vm)
-    vm.run(workload.programs())

@@ -328,9 +328,9 @@ def test_run_twice_byte_identity():
 
 def test_sanitized_migration_run_is_clean():
     """The check-gate runner's migration path (SAN006 on real traffic)."""
-    from repro.checks.sanitize_run import run_workload
+    from repro.checks.runner import run_checked
 
     workload = SORWorkload(n=128, rounds=2, n_threads=4, seed=11)
-    _, sanitizer = run_workload(workload, migrate=True)
-    assert sanitizer.violations == 0
-    assert sanitizer.checks_run > 0
+    _, djvm = run_checked(workload, sanitize=True, migrate=True)
+    assert djvm.sanitizer.violations == 0
+    assert djvm.sanitizer.checks_run > 0

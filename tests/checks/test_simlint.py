@@ -343,58 +343,60 @@ def test_sim009_disabled():
 
 
 # ---------------------------------------------------------------------------
-# SIM010: process machinery in partition-worker modules
+# SIM010: process machinery in the deterministic core
 # ---------------------------------------------------------------------------
-
-#: a partition-worker module (SIM010 scope).
-WORKERISH = "src/repro/sim/partition.py"
-#: the sanctioned worker harness (SIM010's single exemption).
-HARNESS = "src/repro/sim/workerpool.py"
 
 
 def test_sim010_positive_import_multiprocessing():
     src = "import multiprocessing\n"
-    assert "SIM010" in codes(src, WORKERISH)
+    assert "SIM010" in codes(src, CORE)
+
+
+@pytest.mark.parametrize("subtree", ["sim", "dsm", "runtime", "core"])
+def test_sim010_positive_in_each_core_subtree(subtree):
+    src = "import threading\n"
+    assert codes(src, f"src/repro/{subtree}/somefile.py") == ["SIM010"]
 
 
 def test_sim010_positive_from_import():
     src = "from concurrent.futures import ProcessPoolExecutor\n"
-    assert "SIM010" in codes(src, WORKERISH)
+    assert "SIM010" in codes(src, CORE)
 
 
 def test_sim010_positive_os_fork():
     src = "import os\n\ndef f():\n    return os.fork()\n"
-    assert "SIM010" in codes(src, WORKERISH)
+    assert "SIM010" in codes(src, CORE)
 
 
 def test_sim010_positive_time_sleep():
     src = "import time\n\ndef f():\n    time.sleep(0.1)\n"
-    assert "SIM010" in codes(src, WORKERISH)
+    assert "SIM010" in codes(src, CORE)
 
 
-def test_sim010_negative_harness_exempt():
+def test_sim010_no_harness_exemption():
+    """No module name inside the core buys an exemption."""
     src = "import multiprocessing\n"
-    assert "SIM010" not in codes(src, HARNESS)
+    assert "SIM010" in codes(src, "src/repro/sim/harness.py")
 
 
-def test_sim010_negative_outside_worker_scope():
+def test_sim010_negative_outside_core():
     src = "import multiprocessing\n"
-    assert "SIM010" not in codes(src, OUTSIDE)
+    assert "SIM010" not in codes(src, "src/repro/obs/somefile.py")
 
 
 def test_sim010_negative_testish():
     src = "import multiprocessing\n"
-    assert "SIM010" not in codes(src, "tests/sim/test_partition.py")
+    assert "SIM010" not in codes(src, "tests/sim/test_events.py")
 
 
-def test_sim010_negative_clean_worker():
-    src = "def f(kernel):\n    return kernel.drain()\n"
-    assert codes(src, WORKERISH) == []
+def test_sim010_negative_clean_core_module():
+    src = "def f(kernel):\n    return kernel.pop()\n"
+    assert codes(src, CORE) == []
 
 
 def test_sim010_disabled():
     src = "import multiprocessing  # simlint: disable=SIM010\n"
-    assert codes(src, WORKERISH) == []
+    assert codes(src, CORE) == []
 
 
 # ---------------------------------------------------------------------------
@@ -617,14 +619,8 @@ def test_sim013_disabled():
 
 
 # ---------------------------------------------------------------------------
-# semantic SIM009/SIM010 feeds from effects.json
+# semantic SIM009 feed from the live effect analysis
 # ---------------------------------------------------------------------------
-
-
-def _summary(doc):
-    from repro.checks.effects.summary import EffectsSummary
-
-    return EffectsSummary(doc)
 
 
 def test_semantic_sim009_feed(tmp_path):
@@ -632,25 +628,9 @@ def test_semantic_sim009_feed(tmp_path):
 
     target = tmp_path / "engine.py"
     target.write_text("def f(obj):\n    helper(obj)\n")
-    summary = _summary(
-        {"version": 1, "counter_writes": {"engine.py": [[2, "mod.helper"]]}}
-    )
-    findings = semantic_findings(summary, [target])
+    findings = semantic_findings({"engine.py": [[2, "mod.helper"]]}, [target])
     assert [f.code for f in findings] == ["SIM009"]
     assert findings[0].line == 2 and "mod.helper" in findings[0].message
-
-
-def test_semantic_sim010_feed(tmp_path):
-    from repro.checks.simlint import semantic_findings
-
-    target = tmp_path / "engine.py"
-    target.write_text("def f():\n    pass\n")
-    summary = _summary(
-        {"version": 1, "host_in_worker": {"engine.py": [[1, "mod.f", "wallclock"]]}}
-    )
-    findings = semantic_findings(summary, [target])
-    assert [f.code for f in findings] == ["SIM010"]
-    assert "wallclock" in findings[0].message
 
 
 def test_semantic_feed_honors_disable_comment(tmp_path):
@@ -658,25 +638,38 @@ def test_semantic_feed_honors_disable_comment(tmp_path):
 
     target = tmp_path / "engine.py"
     target.write_text("def f(obj):\n    helper(obj)  # simlint: disable=SIM009\n")
-    summary = _summary(
-        {"version": 1, "counter_writes": {"engine.py": [[2, "mod.helper"]]}}
-    )
-    assert semantic_findings(summary, [target]) == []
+    assert semantic_findings({"engine.py": [[2, "mod.helper"]]}, [target]) == []
 
 
 def test_semantic_feed_dedupes_against_syntactic(tmp_path):
     """A line the syntactic pass already flags is not double-reported."""
-    from repro.checks.simlint import check_paths as cp
-
     sub = tmp_path / "src" / "repro" / "dsm"
     sub.mkdir(parents=True)
     target = sub / "engine.py"
     target.write_text("def f(obj):\n    obj.counters[0] += 1\n")
-    summary = _summary(
-        {"version": 1, "counter_writes": {"repro/dsm/engine.py": [[2, "mod.f"]]}}
+    findings = check_paths(
+        [target], counter_writes={"repro/dsm/engine.py": [[2, "mod.f"]]}
     )
-    findings = cp([target], effects_summary=summary)
     assert [f.code for f in findings] == ["SIM009"]
+
+
+def test_run_lint_reports_live_counter_mutation(tmp_path, capsys):
+    """``run_lint`` analyzes the linted source root in memory: a
+    mutator call on a ``counters`` table (invisible to the syntactic
+    rule) is reported with no ``effects.json`` anywhere on disk."""
+    from repro.checks.__main__ import EXIT_LINT, run_lint
+
+    pkg = tmp_path / "src" / "repro"
+    (pkg / "dsm").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "dsm" / "__init__.py").write_text("")
+    (pkg / "dsm" / "engine.py").write_text(
+        "def bump(hlrc):\n    hlrc.counters.update({'faults': 1})\n"
+    )
+    assert check_paths([tmp_path / "src"]) == []
+    assert run_lint([str(tmp_path / "src")]) == EXIT_LINT
+    out = capsys.readouterr().out
+    assert "engine.py:2:0: SIM009" in out and "repro.dsm.engine.bump" in out
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ class TestDominantWriterPolicy:
             engine,
             threshold=threshold,
             min_writes=min_writes,
-            cooldown_intervals=cooldown,
+            cooldown_writes=cooldown,
         )
         djvm.add_hook(policy)
         ops1 = []
@@ -122,7 +122,7 @@ class TestDominantWriterPolicy:
         djvm.spawn_thread(1)
         engine = HomeMigrationEngine(djvm.hlrc)
         policy = DominantWriterPolicy(
-            engine, threshold=0.6, min_writes=2, cooldown_intervals=6
+            engine, threshold=0.6, min_writes=2, cooldown_writes=6
         )
         djvm.add_hook(policy)
         rounds = 12

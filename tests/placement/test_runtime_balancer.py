@@ -48,7 +48,7 @@ def run(*, rebalance: bool, home_migration: bool = False, rounds: int = 12):
     if home_migration:
         engine = HomeMigrationEngine(djvm.hlrc)
         djvm.add_hook(
-            DominantWriterPolicy(engine, threshold=0.6, min_writes=3, cooldown_intervals=4)
+            DominantWriterPolicy(engine, threshold=0.6, min_writes=3, cooldown_writes=4)
         )
     result = djvm.run(wl.programs())
     return wl, djvm, result, rebalancer

@@ -5,8 +5,9 @@ Randomized access programs (seeded) run twice — ``replay="scalar"`` and
 counters, thread clocks, network traffic, and the interval history down
 to per-object access summaries in first-touch order.  Configurations
 cover the paths the vector engine special-cases: no observers (the
-summary-free fast path), interval history kept, a deadline-API timer,
-a ``fast_on_access`` profiler hook, and the partitioned kernel on top.
+summary-free fast path), interval history kept, a deadline-API timer
+and a ``fast_on_access`` profiler hook.  The paper workloads (SOR /
+Barnes-Hut / Water-Spatial) run through the same comparison.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import pytest
 
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
+from repro.workloads.barnes_hut import BarnesHutWorkload
+from repro.workloads.sor import SORWorkload
+from repro.workloads.water_spatial import WaterSpatialWorkload
 
 N_NODES = 4
 N_THREADS = 4
@@ -85,6 +89,8 @@ def fingerprint(djvm: DJVM, res) -> dict:
         history[tid] = [
             (
                 iv.interval_id,
+                iv.start_pc,
+                iv.end_pc,
                 iv.start_ns,
                 iv.end_ns,
                 iv.close_reason,
@@ -108,12 +114,24 @@ def fingerprint(djvm: DJVM, res) -> dict:
     }
 
 
+def compile_hot(programs: dict[int, list], replay: str) -> dict:
+    """Compile ``programs``; under vector replay also pre-mark every
+    run hot.  These programs execute once, so the interpreter's warm-up
+    gate would keep every run scalar; pre-marking forces the engine
+    through the bulk path the tests are here to check."""
+    progs = {tid: P.compile_program(ops) for tid, ops in programs.items()}
+    if replay == "vector":
+        for cp in progs.values():
+            for vr in cp.vector_runs().values():
+                vr.hot = True
+    return progs
+
+
 def run_replay(
     seed: int,
     replay: str,
     *,
     observer: str | None = None,
-    warm: bool = True,
     **kwargs,
 ):
     djvm, obj_ids = build_djvm(replay=replay, **kwargs)
@@ -124,18 +142,7 @@ def run_replay(
     elif observer == "hook":
         extra = FastHook()
         djvm.add_hook(extra)
-    progs = {
-        tid: P.compile_program(ops)
-        for tid, ops in random_programs(seed, obj_ids).items()
-    }
-    if replay == "vector" and warm:
-        # These programs execute once, so the interpreter's warm-up
-        # gate would keep every run scalar; pre-marking runs hot forces
-        # the engine through the bulk path the tests are here to check.
-        for cp in progs.values():
-            for vr in cp.vector_runs().values():
-                vr.hot = True
-    res = djvm.run(progs)
+    res = djvm.run(compile_hot(random_programs(seed, obj_ids), replay))
     fp = fingerprint(djvm, res)
     if extra is not None:
         fp["observer"] = list(extra.events)
@@ -263,14 +270,26 @@ def test_hot_runs_materialize_lanes_lazily(seed):
     assert materialized, "second execution should have engaged the engine"
 
 
-@pytest.mark.parametrize("seed", SEEDS[:3])
-def test_partitioned_vector_matches_serial_scalar(seed):
-    """Both tentpole layers stacked: partitioned kernel + vector replay
-    against the serial-scalar oracle."""
-    assert run_replay(
-        seed,
-        "vector",
-        kernel="partitioned",
-        partitions=2,
-        keep_interval_history=True,
-    ) == run_replay(seed, "scalar", keep_interval_history=True)
+WORKLOADS = {
+    "sor": lambda: SORWorkload(n=128, rounds=2, n_threads=N_NODES, seed=3),
+    "barnes_hut": lambda: BarnesHutWorkload(
+        n_bodies=96, rounds=2, n_threads=N_NODES, seed=3
+    ),
+    "water_spatial": lambda: WaterSpatialWorkload(
+        n_molecules=64, rounds=2, n_threads=N_NODES, seed=3
+    ),
+}
+
+
+def run_workload(name: str, replay: str) -> dict:
+    djvm = DJVM(N_NODES, keep_interval_history=True, replay=replay)
+    workload = WORKLOADS[name]()
+    workload.build(djvm)
+    return fingerprint(djvm, djvm.run(compile_hot(workload.programs(), replay)))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_vector_replay_matches_scalar_on_workloads(name):
+    """The paper workloads, not just random programs: byte-identical
+    down to the interval history."""
+    assert run_workload(name, "vector") == run_workload(name, "scalar")
