@@ -20,7 +20,7 @@ lint:
 	PYTHONPATH=src python -m repro.checks lint
 
 # Protocol sanitizer: run the tracked bench workloads at test scale with
-# DJVM(sanitize=True); any invariant violation fails the target.
+# a ProtocolSanitizer attached; any invariant violation fails the target.
 sanitize:
 	PYTHONPATH=src python -m repro.checks sanitize
 
@@ -57,12 +57,15 @@ objprof:
 # The pre-merge gate: lint, tier-1 tests, sanitizer-enabled workloads,
 # the happens-before race gate, the static-analysis soundness gate,
 # the interprocedural effect/purity gate,
-# the telemetry and object-profiler gates, plus the perf
+# the telemetry and object-profiler gates, the e2e benchmark's smoke
+# tests (its layer tracer resolves simulator entry points by name, so a
+# rename must fail here, not in a benchmark run), plus the perf
 # regression guard (wall-time within tolerance of BENCH_perf.json,
 # determinism checksums unchanged).  Does not rewrite the committed
 # baseline — use `make perf` for that.
 check: lint
 	PYTHONPATH=src python -m pytest tests/
+	PYTHONPATH=src python -m pytest benchmarks/e2e -q
 	PYTHONPATH=src python -m repro.checks sanitize
 	PYTHONPATH=src python -m repro.checks race
 	PYTHONPATH=src python -m repro.checks static

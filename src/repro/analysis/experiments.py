@@ -53,10 +53,13 @@ def build_djvm(
     costs: CostModel | None = None,
     placement: str = "block",
     telemetry=None,
-    objprof: bool = False,
+    observers=(),
 ) -> DJVM:
-    """Boot a DJVM and build the workload on it."""
-    djvm = DJVM(n_nodes=n_nodes, costs=costs, telemetry=telemetry, objprof=objprof)
+    """Boot a DJVM, attach ``observers`` (ProtocolObserver instances)
+    and build the workload on it."""
+    djvm = DJVM(n_nodes=n_nodes, costs=costs, telemetry=telemetry)
+    for observer in observers:
+        djvm.attach(observer)
     workload.build(djvm, placement=placement)
     return djvm
 
@@ -85,13 +88,13 @@ def run_with_correlation(
     costs: CostModel | None = None,
     telemetry=None,
     sampling_backend=None,
-    objprof: bool = False,
+    observers=(),
 ) -> ProfiledRun:
     """Run with correlation tracking at one sampling rate (optionally
-    under a non-default sampling backend, optionally with the
-    object-centric inefficiency profiler attached)."""
+    under a non-default sampling backend, optionally with pure
+    observers — e.g. the object-centric profiler — attached)."""
     workload = workload_factory()
-    djvm = build_djvm(workload, n_nodes, costs=costs, telemetry=telemetry, objprof=objprof)
+    djvm = build_djvm(workload, n_nodes, costs=costs, telemetry=telemetry, observers=observers)
     suite = ProfilerSuite(
         djvm,
         correlation=True,

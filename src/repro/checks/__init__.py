@@ -12,15 +12,16 @@ contract ("bit-identical simulated results"):
   kernel, and environment reads inside the deterministic core.
 
 * :mod:`repro.checks.sanitizer` — an opt-in runtime protocol checker
-  (``DJVM(sanitize=True)``) that hooks HLRC/interpreter events and
-  asserts the paper's state-machine invariants (at-most-once OAL
-  logging, legal copy-state transitions, barrier party accounting,
-  event-kernel monotonicity, sticky-set membership), raising structured
+  (``djvm.attach(ProtocolSanitizer())``) that observes
+  HLRC/interpreter events and asserts the paper's state-machine
+  invariants (at-most-once OAL logging, legal copy-state transitions,
+  barrier party accounting, event-kernel monotonicity, sticky-set
+  membership), raising structured
   :class:`~repro.checks.sanitizer.SanitizerViolation`\\ s with the
   offending event trace.
 
 * :mod:`repro.checks.racedetect` — an opt-in happens-before data race
-  detector (``DJVM(racecheck=...)``) over the global object space:
+  detector (``djvm.attach(RaceDetector())``) over the global object space:
   FastTrack-style vector clocks with release->acquire, barrier and
   diff-propagation edges, online (raise/collect) and offline
   (record + :func:`~repro.checks.racedetect.replay_trace`) analysis.

@@ -6,10 +6,10 @@ Subcommands:
   ``src tests benchmarks``); prints ``path:line:col: CODE message`` per
   finding and exits non-zero when any undisabled finding remains.
 * ``sanitize`` — run the three tracked bench workloads at test scale
-  with ``DJVM(sanitize=True)``; exits non-zero on any
+  with a ``ProtocolSanitizer`` attached; exits non-zero on any
   :class:`~repro.checks.sanitizer.SanitizerViolation`.
 * ``race`` — run the tracked workloads plus the seeded racy/locked
-  synthetic pair with ``DJVM(racecheck="collect")``; exits non-zero
+  synthetic pair with a collecting ``RaceDetector`` attached; exits non-zero
   when a tracked (race-free) workload reports any race, or when the
   seeded race in ``RacyCounterWorkload(locked=False)`` goes undetected.
 * ``static`` — run the whole-program static analysis

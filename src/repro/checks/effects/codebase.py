@@ -19,8 +19,8 @@ and builds the indexes the inference pass resolves calls against:
   through the builtin receiver model instead.
 
 The same front end also discovers the root set the observer-purity
-family starts from: observer entry points (methods invoked through the
-nullable ``sanitizer``/``racedetector``/``tracer`` slots and callables
+family starts from: observer entry points (overrides of
+``ProtocolObserver`` methods, found through the MRO, and callables
 registered via ``register_collector``).
 """
 

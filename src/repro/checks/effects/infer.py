@@ -65,15 +65,9 @@ __all__ = ["EffectsConfig", "analyze"]
 class EffectsConfig:
     """Tunable vocabulary of the rule families."""
 
-    #: nullable observer slots on the engine (EFF1xx roots).
-    observer_slots: frozenset = frozenset(
-        {"sanitizer", "racedetector", "tracer", "objprof"}
-    )
-    #: observer classes by simple name (union with classes discovered
-    #: through slot assignments).
-    observer_class_hints: frozenset = frozenset(
-        {"ProtocolSanitizer", "RaceDetector", "SpanTracer", "ObjectProfiler"}
-    )
+    #: the observer vocabulary class (simple name): every override of
+    #: one of its methods in a subclass is an EFF1xx root.
+    observer_base: str = "ProtocolObserver"
     #: classes (simple names) whose state observers own: writes into
     #: them never violate EFF102.
     owned_classes: frozenset = frozenset(
@@ -88,7 +82,7 @@ class EffectsConfig:
     owned_attrs: frozenset = frozenset({"vc"})
     #: audit-only sinks: kernel channels that exist *for* observers;
     #: calls resolve here are effect-free (suffix match on qualname).
-    audit_sinks: tuple = (".EventLoop.record_aux", ".EventLoop.record")
+    audit_sinks: tuple = (".EventLoop.record",)
     #: self attrs that accumulate sanctioned observer self-overhead.
     self_account_attrs: frozenset = frozenset({"self_ns"})
     #: simulated-time fields (EFF202 store sinks).
@@ -142,12 +136,8 @@ class _LocalPass:
         )
         self.env: dict[str, _Value] = {}
         self.globals_declared: set[str] = set()
-        #: names aliasing an observer slot (``sanitizer = self.sanitizer``).
-        self.slot_alias: dict[str, str] = {}
         self.tainted_write_bad = False
-        # discovery feeds for the rules layer
-        self.observer_calls: list[tuple[str, str, int]] = []  # (slot, method, line)
-        self.slot_bindings: list[tuple[str, str]] = []  # (slot, class qual)
+        # discovery feed for the rules layer
         self.collector_regs: list[str] = []  # callable qualnames
 
     # -- entry ----------------------------------------------------------
@@ -237,24 +227,13 @@ class _LocalPass:
     def assign(
         self, target: ast.expr, v: _Value, value_expr: ast.expr | None, *, aug: bool = False
     ) -> None:
-        cfg = self.config
         if isinstance(target, ast.Name):
             name = target.id
             if name in self.globals_declared:
                 self._add_write(("global", None), name, None, target.lineno, None)
                 return
             self.env[name] = v
-            slot = self._slot_of(value_expr) if value_expr is not None else None
-            if slot:
-                self.slot_alias[name] = slot
-            else:
-                self.slot_alias.pop(name, None)
-        elif isinstance(target, ast.Attribute):
-            self._record_write(target, v, value_expr, aug=aug)
-            # observer-slot binding discovery: x.sanitizer = Sanitizer()
-            if target.attr in cfg.observer_slots and v.cls is not None:
-                self.slot_bindings.append((target.attr, v.cls))
-        elif isinstance(target, ast.Subscript):
+        elif isinstance(target, (ast.Attribute, ast.Subscript)):
             self._record_write(target, v, value_expr, aug=aug)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
@@ -526,7 +505,6 @@ class _LocalPass:
                 _Value(("self", None), self.fi.cls), arg_vals, kw_vals,
             )
         recv = self.eval(func.value)
-        self._note_observer_call(func, method, node.lineno)
 
         if method == self.config.collector_func:
             for a in node.args:
@@ -688,20 +666,6 @@ class _LocalPass:
             return ("io", ".".join(chain))
         return None
 
-    def _slot_of(self, expr: ast.expr) -> str | None:
-        """Slot name when ``expr`` reads an observer slot."""
-        chain = _walk_attr_chain(expr)
-        if chain and chain[-1] in self.config.observer_slots:
-            return chain[-1]
-        if isinstance(expr, ast.Name):
-            return self.slot_alias.get(expr.id)
-        return None
-
-    def _note_observer_call(self, func: ast.Attribute, method: str, line: int) -> None:
-        slot = self._slot_of(func.value)
-        if slot:
-            self.observer_calls.append((slot, method, line))
-
     def _callable_refs(self, expr: ast.expr) -> set[str]:
         """Callable qualnames an expression can evaluate to."""
         out: set[str] = set()
@@ -749,9 +713,7 @@ class Analysis:
     codebase: Codebase
     summaries: dict[str, FunctionSummary]
     config: EffectsConfig
-    #: discovery feeds joined over all functions
-    observer_calls: list = field(default_factory=list)  # (slot, method, line, qual)
-    slot_bindings: list = field(default_factory=list)  # (slot, cls)
+    #: discovery feed joined over all functions
     collector_regs: list = field(default_factory=list)  # qualnames
 
 
@@ -777,9 +739,7 @@ def analyze(cb: Codebase, config: EffectsConfig | None = None) -> Analysis:
 
     summaries = {q: p.summary for q, p in passes.items()}
     analysis = Analysis(codebase=cb, summaries=summaries, config=config)
-    for q, p in passes.items():
-        analysis.observer_calls.extend((s, m, ln, q) for s, m, ln in p.observer_calls)
-        analysis.slot_bindings.extend(p.slot_bindings)
+    for p in passes.values():
         analysis.collector_regs.extend(p.collector_regs)
 
     _propagate(cb, summaries)

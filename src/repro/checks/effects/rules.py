@@ -1,9 +1,9 @@
 """The EFF rule families over the inferred summaries.
 
 EFF1xx — observer purity
-    Everything reachable from the nullable observer slots
-    (``hlrc.sanitizer`` / ``hlrc.racedetector`` / ``hlrc.tracer``) and
-    from registered telemetry collectors must stay at or below
+    Everything reachable from an override of a ``ProtocolObserver``
+    method (the one vocabulary the engine emits into) and from
+    registered telemetry collectors must stay at or below
     ``reads-sim-state``.  Writes rooted at the observer itself are its
     own state and always allowed; writes into whitelisted
     observer-owned classes/attributes pass the ownership check; wall
@@ -100,26 +100,16 @@ def run_rules(analysis: Analysis) -> EffectsReport:
     # ------------------------------------------------------------------
     # EFF1xx: observer purity
     # ------------------------------------------------------------------
-    slot_classes: dict[str, set[str]] = {s: set() for s in cfg.observer_slots}
-    for slot, cls in analysis.slot_bindings:
-        slot_classes[slot].add(cls)
-    for name in cfg.observer_class_hints:
-        for qual in cb.classes_by_name.get(name, []):
-            # hints bind to every slot: the wiring may change, the
-            # class's purity obligation does not.
-            for slot in slot_classes:
-                slot_classes[slot].add(qual)
-
     observer_roots: dict[str, str] = {}
-    for slot, method, _line, _site in analysis.observer_calls:
-        if method.startswith("attach"):
-            # wiring-phase plumbing (``attach_kernel`` et al.) runs at
-            # setup, not as a runtime hook; purity applies to hooks.
-            continue
-        for cls in sorted(slot_classes.get(slot, ())):
-            fi = cb.resolve_method(cls, method)
-            if fi is not None:
-                observer_roots.setdefault(fi.qualname, f"slot {slot}")
+    for base in cb.classes_by_name.get(cfg.observer_base, []):
+        vocabulary = sorted(m for m in cb.classes[base].methods if not m.startswith("__"))
+        for cls in sorted(cb.classes):
+            if cls == base or base not in cb.mro(cls):
+                continue
+            for method in vocabulary:
+                fi = cb.resolve_method(cls, method)
+                if fi is not None and fi.cls != base:
+                    observer_roots.setdefault(fi.qualname, f"override of {method}")
     for qual in analysis.collector_regs:
         observer_roots.setdefault(qual, "telemetry collector")
 

@@ -1,5 +1,5 @@
 """FastTrack-style happens-before data race detector for the GOS
-(``DJVM(racecheck=True)``).
+(``djvm.attach(RaceDetector(...))``).
 
 The sanitizer (:mod:`repro.checks.sanitizer`) validates *protocol*
 invariants — a workload whose application-level sharing is completely
@@ -45,27 +45,28 @@ on the overwhelmingly common same-epoch paths.
 Modes
 -----
 
-* **online** — ``DJVM(racecheck=True)`` raises a structured
-  :class:`DataRaceError` at the second racing access;
-  ``DJVM(racecheck="collect")`` records :class:`RaceReport`\\ s in
-  ``djvm.racedetector.reports`` instead.
-* **offline** — ``DJVM(racecheck="record")`` only records the compact
-  race-relevant operation trace (an auxiliary audit channel of the event
-  kernel, :attr:`repro.sim.events.EventLoop.aux_trace`);
-  :func:`replay_trace` re-runs the analysis over a recorded trace
-  without re-executing the workload and produces identical reports.
+* **online** — ``RaceDetector(raise_on_race=True)`` raises a structured
+  :class:`DataRaceError` at the second racing access; a plain
+  ``RaceDetector()`` collects :class:`RaceReport`\\ s in ``reports``
+  instead.
+* **offline** — ``RaceDetector(detect=False, keep_trace=True)`` only
+  records the compact race-relevant operation trace (``trace``, the
+  serialised form of the protocol-event stream); :func:`replay_trace`
+  re-runs the analysis over a recorded trace without re-executing the
+  workload and produces identical reports.
 
-Like the sanitizer, the detector rides a nullable ``hlrc.racedetector``
-slot consulted on the single access hook and at sync operations: it
-observes, never advances simulated clocks, so a ``racecheck`` run is
-byte-identical to a plain one and the fast dispatch path stays intact
-when the slot is ``None``.
+Like the sanitizer, the detector is a ``per_op``
+:class:`~repro.dsm.observer.ProtocolObserver`: it observes, never
+advances simulated clocks, so a race-checked run is byte-identical to a
+plain one (under scalar replay, which a ``per_op`` observer forces).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
+
+from repro.dsm.observer import ProtocolObserver
 
 __all__ = [
     "AccessSite",
@@ -81,7 +82,7 @@ __all__ = [
     "TR_APPLY",
 ]
 
-#: trace op codes (first field after time_ns in an aux-trace tuple).
+#: trace op codes (first field after time_ns in a trace tuple).
 TR_ACCESS = 0  # (t, TR_ACCESS, tid, obj_id, is_write, interval_id)
 TR_ACQUIRE = 1  # (t, TR_ACQUIRE, tid, lock_id)
 TR_RELEASE = 2  # (t, TR_RELEASE, tid, lock_id)
@@ -176,7 +177,7 @@ class _ObjState:
         self.read_sites: dict[int, AccessSite] = {}
 
 
-class RaceDetector:
+class RaceDetector(ProtocolObserver):
     """Happens-before race analysis over the DJVM's operation stream.
 
     The same instance serves three roles, selected by construction
@@ -185,8 +186,10 @@ class RaceDetector:
     pure trace recorder (``detect=False, keep_trace=True``).  The
     primitive ``record_*`` methods take plain ids so :func:`replay_trace`
     can drive them from a recorded trace; the ``on_*`` methods are the
-    thread-facing observer surface the HLRC engine calls.
+    thread-facing :class:`ProtocolObserver` overrides the engine calls.
     """
+
+    per_op = True
 
     def __init__(
         self,
@@ -199,14 +202,13 @@ class RaceDetector:
         self.raise_on_race = raise_on_race
         self.detect = detect
         self.keep_trace = keep_trace
-        #: obj_id -> class name, for reports (attached by the DJVM).
+        #: obj_id -> class name, for reports (defaults to the bound
+        #: engine's GOS, see :meth:`bind`).
         self._resolver = resolver
         #: detected races (collect mode; raise mode stops at the first).
         self.reports: list[RaceReport] = []
         #: recorded operation trace (``keep_trace=True`` only).
         self.trace: list[tuple] = []
-        #: event kernel whose aux channel mirrors the trace (optional).
-        self._kernel = None
         #: thread_id -> vector clock (dict tid -> clock).
         self._vc: dict[int, dict[int, int]] = {}
         #: lock_id -> releaser's clock snapshot at last release.
@@ -230,26 +232,15 @@ class RaceDetector:
     # wiring
     # ------------------------------------------------------------------
 
-    def attach_resolver(self, resolver: "Callable[[int], str]") -> None:
-        """Attach an ``obj_id -> class name`` resolver for reports."""
-        self._resolver = resolver
-
-    def attach_kernel(self, kernel) -> None:
-        """Mirror recorded trace entries into the event kernel's
-        auxiliary audit channel (``EventLoop.aux_trace``)."""
-        self._kernel = kernel
-        if self.keep_trace:
-            kernel.keep_aux = True
+    def bind(self, hlrc) -> None:
+        if self._resolver is None:
+            gos = hlrc.gos
+            self._resolver = lambda obj_id: gos.get(obj_id).jclass.name
 
     def _class_of(self, obj_id: int) -> str:
         if self._resolver is None:
             return "<unresolved class>"
         return self._resolver(obj_id)
-
-    def _emit(self, entry: tuple) -> None:
-        self.trace.append(entry)
-        if self._kernel is not None:
-            self._kernel.record_aux(entry)
 
     def _clock_of(self, tid: int) -> dict[int, int]:
         vc = self._vc.get(tid)
@@ -311,7 +302,7 @@ class RaceDetector:
         """One GOS access by ``tid``; runs the FastTrack state machine."""
         self.ops_observed += 1
         if self.keep_trace:
-            self._emit((time_ns, TR_ACCESS, tid, obj_id, is_write, interval_id))
+            self.trace.append((time_ns, TR_ACCESS, tid, obj_id, is_write, interval_id))
         if not self.detect:
             return
         self.accesses_checked += 1
@@ -379,7 +370,7 @@ class RaceDetector:
         """Lock grant to ``tid``: join the lock's release clock."""
         self.ops_observed += 1
         if self.keep_trace:
-            self._emit((time_ns, TR_ACQUIRE, tid, lock_id))
+            self.trace.append((time_ns, TR_ACQUIRE, tid, lock_id))
         self._last_sync[tid] = f"acquire(lock {lock_id}) at t={time_ns} ns"
         if not self.detect:
             return
@@ -392,7 +383,7 @@ class RaceDetector:
         """Lock release by ``tid``: publish its clock on the lock."""
         self.ops_observed += 1
         if self.keep_trace:
-            self._emit((time_ns, TR_RELEASE, tid, lock_id))
+            self.trace.append((time_ns, TR_RELEASE, tid, lock_id))
         self._last_sync[tid] = f"release(lock {lock_id}) at t={time_ns} ns"
         if not self.detect:
             return
@@ -404,7 +395,7 @@ class RaceDetector:
         """Barrier episode release: total synchronization of ``waiters``."""
         self.ops_observed += 1
         if self.keep_trace:
-            self._emit((time_ns, TR_BARRIER, barrier_id, tuple(waiters)))
+            self.trace.append((time_ns, TR_BARRIER, barrier_id, tuple(waiters)))
         for tid in waiters:
             self._last_sync[tid] = f"barrier({barrier_id}) release at t={time_ns} ns"
         if not self.detect:
@@ -422,7 +413,7 @@ class RaceDetector:
         notice (index-aligned with the HLRC global notice log)."""
         self.ops_observed += 1
         if self.keep_trace:
-            self._emit((time_ns, TR_NOTICE, tid, obj_id, version))
+            self.trace.append((time_ns, TR_NOTICE, tid, obj_id, version))
         if not self.detect:
             return
         self._notice_vc.append(dict(self._clock_of(tid)))
@@ -432,7 +423,7 @@ class RaceDetector:
         ``tid``: diff-propagation edges publisher -> node -> thread."""
         self.ops_observed += 1
         if self.keep_trace:
-            self._emit((time_ns, TR_APPLY, tid, node_id, start, end))
+            self.trace.append((time_ns, TR_APPLY, tid, node_id, start, end))
         if not self.detect:
             return
         node_vc = self._node_vc.get(node_id)
@@ -444,11 +435,11 @@ class RaceDetector:
             self._join(self._clock_of(tid), node_vc)
 
     # ------------------------------------------------------------------
-    # online observer surface (called by the HLRC engine)
+    # ProtocolObserver overrides (called by the HLRC engine)
     # ------------------------------------------------------------------
 
-    def on_access(self, thread, obj_id: int, is_write: bool) -> None:
-        """Single-hook access observer (``hlrc.racedetector`` slot)."""
+    def on_access(self, thread, obj_id: int, is_write: bool, record, obj, faulted) -> None:
+        """One access op: run the FastTrack check."""
         vc = self._vc.get(thread.thread_id)
         if vc is None:
             vc = self._vc[thread.thread_id] = {thread.thread_id: 1}
@@ -464,7 +455,8 @@ class RaceDetector:
         )
 
     def on_lock_acquire(self, thread, lock_id: int) -> None:
-        """A lock grant completed for ``thread``."""
+        """A lock grant completed for ``thread``: the release->acquire
+        edge joins the last releaser's clock."""
         self.record_acquire(thread.clock._now_ns, thread.thread_id, lock_id)
         thread.vc = self._vc[thread.thread_id]
 
@@ -474,14 +466,18 @@ class RaceDetector:
         self.record_release(thread.clock._now_ns, thread.thread_id, lock_id)
         thread.vc = self._vc[thread.thread_id]
 
-    def on_barrier_release(self, threads_by_id, barrier_id: int, waiters, release_ns: int) -> None:
-        """A barrier episode completed, waking ``waiters``."""
+    def on_barrier_release(
+        self, barrier_id: int, parties: int, waiters, release_ns: int, threads_by_id
+    ) -> None:
+        """A barrier episode completed, waking ``waiters``: join every
+        participant's clock (per-waiter diff-propagation joins already
+        ran via :meth:`on_apply_notices`)."""
         self.record_barrier(release_ns, barrier_id, tuple(waiters))
         if self.detect:
             for tid in waiters:
                 threads_by_id[tid].vc = self._vc[tid]
 
-    def on_notice_publish(self, thread, obj_id: int, version: int) -> None:
+    def on_notice(self, thread, obj_id: int, version: int) -> None:
         """``thread`` published a write notice during interval close."""
         self.record_notice(thread.clock._now_ns, thread.thread_id, obj_id, version)
 
@@ -501,8 +497,8 @@ def replay_trace(
     resolver: "Callable[[int], str] | None" = None,
 ) -> RaceDetector:
     """Re-run the happens-before analysis over a recorded operation
-    trace (``DJVM(racecheck="record")``'s ``djvm.race_trace``, or an
-    event kernel's ``aux_trace``) without re-executing the workload.
+    trace (a ``RaceDetector(detect=False, keep_trace=True)``'s
+    ``trace``) without re-executing the workload.
 
     Returns the detector; its ``reports`` hold the races found, in the
     same order (and with the same sites) the online detector would have

@@ -8,8 +8,8 @@ CI.  This module owns that shared harness: workload construction, the
 profiler-suite attachment, and the optional mid-run migration that
 covers the sanitizer's sticky-set/prefetch invariant (SAN006).
 
-* :func:`run_checked` builds a DJVM with the requested checkers
-  attached, runs one workload, and returns ``(result, djvm)``.
+* :func:`run_checked` builds a DJVM with the given checker attached,
+  runs one workload, and returns ``(result, djvm)``.
 * :func:`run_sanitize_all` runs every tracked workload under the
   protocol sanitizer (violations raise).
 * :func:`run_race_all` runs every tracked workload plus the seeded
@@ -19,6 +19,8 @@ covers the sanitizer's sticky-set/prefetch invariant (SAN006).
 
 from __future__ import annotations
 
+from repro.checks.racedetect import RaceDetector
+from repro.checks.sanitizer import ProtocolSanitizer
 from repro.core.profiler import ProfilerSuite
 from repro.runtime.djvm import DJVM, RunResult
 from repro.workloads.barnes_hut import BarnesHutWorkload
@@ -40,22 +42,18 @@ def tracked_workloads():
     ]
 
 
-def run_checked(
-    workload,
-    *,
-    sanitize: bool = False,
-    racecheck: bool | str = False,
-    migrate: bool = False,
-) -> tuple[RunResult, DJVM]:
-    """Execute one workload with the requested checkers attached.
+def run_checked(workload, checker, *, migrate: bool = False) -> tuple[RunResult, DJVM]:
+    """Execute one workload with ``checker`` (a ProtocolObserver: the
+    sanitizer or a race detector) attached; the checker carries the
+    check outcome.
 
-    The full profiler suite rides along (rate 4) so checker hooks see
+    The full profiler suite rides along (rate 4) so the checker sees
     realistic protocol + profiling traffic; ``migrate=True`` also queues
     a mid-run prefetching migration of thread 0.  Returns the run result
-    and the spent DJVM (its ``sanitizer`` / ``racedetector`` carry the
-    check outcome).
+    and the spent DJVM.
     """
-    djvm = DJVM(n_nodes=N_NODES, sanitize=sanitize, racecheck=racecheck)
+    djvm = DJVM(n_nodes=N_NODES)
+    djvm.attach(checker)
     workload.build(djvm, placement="round_robin")
     suite = ProfilerSuite(djvm, correlation=True, footprint=True, stack=True)
     suite.set_rate_all(4)
@@ -92,8 +90,8 @@ def run_sanitize_all(*, verbose: bool = True) -> list[tuple[str, int, int]]:
     ``[(name, checks_run, violations), ...]``.  Violations raise."""
     report = []
     for name, workload in tracked_workloads():
-        _, djvm = run_checked(workload, sanitize=True, migrate=(name == "SOR"))
-        sanitizer = djvm.sanitizer
+        sanitizer = ProtocolSanitizer()
+        run_checked(workload, sanitizer, migrate=(name == "SOR"))
         report.append((name, sanitizer.checks_run, sanitizer.violations))
         if verbose:
             print(
@@ -134,8 +132,8 @@ def run_race_all(*, verbose: bool = True) -> list[tuple[str, int, list, bool]]:
     """
     out = []
     for name, workload, expected in race_workloads():
-        _, djvm = run_checked(workload, racecheck="collect")
-        detector = djvm.racedetector
+        detector = RaceDetector()
+        run_checked(workload, detector)
         out.append((name, detector.accesses_checked, list(detector.reports), expected))
         if verbose:
             print(

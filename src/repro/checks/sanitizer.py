@@ -1,4 +1,4 @@
-"""Runtime HLRC protocol sanitizer (``DJVM(sanitize=True)``).
+"""Runtime HLRC protocol sanitizer (``djvm.attach(ProtocolSanitizer())``).
 
 JESSICA2-style DSM runtimes were debugged with protocol assertion
 layers exactly like this one: an opt-in checker that rides the protocol
@@ -35,12 +35,13 @@ SAN007    write-notice/version discipline: per-object home versions in
           written set is a subset of its access summaries
 ========  ==============================================================
 
-The sanitizer deliberately does **not** register as a
+The sanitizer is a :class:`~repro.dsm.observer.ProtocolObserver`, not a
 :class:`~repro.dsm.hlrc.ProtocolHooks` profiler hook: hook fan-out has
 a cost model attached (and a single-hook fast path the profiler relies
-on), while sanitizer callbacks are free — they observe, never advance
-simulated clocks — so a sanitize-on run produces byte-identical
-simulated results, which ``tests/checks`` asserts.
+on), while observer callbacks are free — they observe, never advance
+simulated clocks — so a sanitized run produces byte-identical simulated
+results, which ``tests/checks`` asserts.  It is ``per_op`` (SAN003
+checks every access), so it forces scalar replay.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
+from repro.dsm.observer import ProtocolObserver
 from repro.dsm.states import CopyRecord, RealState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,14 +88,14 @@ class SanitizerViolation(AssertionError):
         super().__init__(msg)
 
 
-class ProtocolSanitizer:
+class ProtocolSanitizer(ProtocolObserver):
     """Observes the protocol engine and raises on invariant violations.
 
-    One instance per DJVM; attach via ``DJVM(sanitize=True)`` (the DJVM
-    wires it into the HLRC engine, the interpreter's event loop, the
-    migration engine, and — through :class:`~repro.core.profiler.
-    ProfilerSuite` — the access profiler and footprinter).
+    One instance per DJVM; attach via ``djvm.attach(ProtocolSanitizer())``
+    before building a :class:`~repro.core.profiler.ProfilerSuite`.
     """
+
+    per_op = True
 
     def __init__(self, *, trace_limit: int = 64) -> None:
         #: ring buffer of observed protocol events: (time_ns, description).
@@ -113,22 +115,21 @@ class ProtocolSanitizer:
         self._kernel_ns = 0
         # SAN007: obj_id -> last notice version seen.
         self._notice_version: dict[int, int] = {}
-        #: wired by the DJVM / ProfilerSuite.
+        #: heap/GOS visibility for the sweep checks (set by :meth:`bind`).
         self._hlrc: HomeBasedLRC | None = None
+        #: sticky-set footprinter, when the suite has one (enables
+        #: SAN006's membership check at migration time).
         self._footprinter = None
 
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
 
-    def attach_hlrc(self, hlrc: HomeBasedLRC) -> None:
-        """Give the sanitizer heap/GOS visibility for sweep checks."""
+    def bind(self, hlrc: HomeBasedLRC) -> None:
         self._hlrc = hlrc
 
-    def attach_footprinter(self, footprinter) -> None:
-        """Attach the sticky-set footprinter (enables SAN006's
-        membership check at migration time)."""
-        self._footprinter = footprinter
+    def on_suite_attach(self, suite) -> None:
+        self._footprinter = suite.footprinter
 
     # ------------------------------------------------------------------
     # internals
@@ -208,13 +209,15 @@ class ProtocolSanitizer:
         self._logged.pop(tid, None)
 
     def on_run_end(self, threads) -> None:
-        """All threads finished: no interval may remain open."""
+        """All threads finished: no interval may remain open, and every
+        heap must pass the copy-state sweep."""
         self.checks_run += 1
         if self._open:
             self._fail(
                 "SAN001",
                 f"run ended with intervals still open: {dict(sorted(self._open.items()))}",
             )
+        self.sweep_heaps()
 
     # ------------------------------------------------------------------
     # SAN002: at-most-once OAL logging
@@ -256,6 +259,7 @@ class ProtocolSanitizer:
         self,
         thread: SimThread,
         obj_id: int,
+        is_write: bool,
         record: CopyRecord,
         obj: HeapObject | None,
         faulted: bool,
@@ -303,8 +307,9 @@ class ProtocolSanitizer:
             )
 
     def sweep_heaps(self) -> int:
-        """Full copy-state sweep across every node's heap (run at barrier
-        releases and run end); returns the number of copies checked."""
+        """Full copy-state sweep across every node's heap (run from
+        :meth:`on_barrier_release` and :meth:`on_run_end`); returns the
+        number of copies checked."""
         hlrc = self._hlrc
         if hlrc is None:
             return 0
@@ -333,11 +338,11 @@ class ProtocolSanitizer:
     # SAN004 + SAN005: barrier accounting
     # ------------------------------------------------------------------
 
-    def on_barrier_arrive(
-        self, barrier_id: int, thread_id: int, parties: int, now_ns: int
-    ) -> None:
+    def on_barrier_arrive(self, thread: SimThread, barrier_id: int, parties: int) -> None:
         """A thread registered at a barrier."""
         self.checks_run += 1
+        thread_id = thread.thread_id
+        now_ns = thread.clock.now_ns
         self.note(now_ns, f"barrier_arrive b{barrier_id} t{thread_id}")
         arrivals = self._arrivals.setdefault(barrier_id, {})
         if thread_id in arrivals:
@@ -355,7 +360,12 @@ class ProtocolSanitizer:
             )
 
     def on_barrier_release(
-        self, barrier_id: int, parties: int, waiters: list[int], release_ns: int
+        self,
+        barrier_id: int,
+        parties: int,
+        waiters: list[int],
+        release_ns: int,
+        threads_by_id,
     ) -> None:
         """A barrier episode released ``waiters`` at ``release_ns``."""
         self.checks_run += 1
@@ -407,7 +417,7 @@ class ProtocolSanitizer:
     # SAN006: sticky-set membership at migration
     # ------------------------------------------------------------------
 
-    def on_migration(self, thread: SimThread, result: MigrationResult) -> None:
+    def on_migration(self, thread: SimThread, result: MigrationResult, begin_ns: int) -> None:
         """A migration completed; validate sticky/prefetch consistency."""
         self.checks_run += 1
         self.note(
@@ -447,7 +457,7 @@ class ProtocolSanitizer:
     # SAN007: write-notice versions
     # ------------------------------------------------------------------
 
-    def on_notice(self, obj_id: int, version: int) -> None:
+    def on_notice(self, thread: SimThread, obj_id: int, version: int) -> None:
         """The home published a write notice for ``obj_id``."""
         self.checks_run += 1
         last = self._notice_version.get(obj_id, 0)

@@ -91,15 +91,9 @@ class AccessProfiler:
         self.total_logged = 0
         self.total_batches = 0
         self.resample_passes = 0
-        #: opt-in protocol sanitizer; observes OAL appends (at-most-once).
-        self.sanitizer = None
-        #: opt-in span tracer (repro.obs): pure observer emitting one
-        #: ``oal_flush`` span per shipped batch.
-        self.tracer = None
-        #: opt-in object-centric profiler (repro.obs.objprof): pure
-        #: observer fed each closed interval's OAL entries, whose
-        #: ``scaled_bytes`` carry the backend's Horvitz–Thompson weights.
-        self.objprof = None
+        #: the run's observer list (``HomeBasedLRC.observers``, shared
+        #: by the ProfilerSuite); empty for a stand-alone profiler.
+        self.observers = ()
 
     # ------------------------------------------------------------------
     # rate changes
@@ -212,10 +206,9 @@ class AccessProfiler:
         # fully-sampled run.
         oal[obj_id] = _tuple_new(OALEntry, (obj_id, scaled, class_id))
         self.total_logged += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_oal_log(
-                thread, thread.current_interval.interval_id, obj_id
-            )
+        if self.observers:
+            for observer in self.observers:
+                observer.on_oal_log(thread, thread.current_interval.interval_id, obj_id)
 
     def _fast_on_access_stateless(self, thread, obj: HeapObject, real_fault: bool) -> None:
         """The stateless-backend twin of :meth:`fast_on_access`: probes
@@ -253,10 +246,9 @@ class AccessProfiler:
         thread.clock._now_ns += ns
         oal[obj_id] = _tuple_new(OALEntry, (obj_id, scaled, class_id))
         self.total_logged += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_oal_log(
-                thread, thread.current_interval.interval_id, obj_id
-            )
+        if self.observers:
+            for observer in self.observers:
+                observer.on_oal_log(thread, thread.current_interval.interval_id, obj_id)
 
     def prime_batch(self, objs) -> None:
         """The vector engine's decide_batch lane: pre-compute sampling
@@ -324,11 +316,8 @@ class AccessProfiler:
             # next barrier release can go out (remote senders only).
             if thread.node_id != master:
                 self.cluster.network.add_ingress_backlog(master, serialize_ns)
-        if self.tracer is not None:
-            self.tracer.oal_flush(
-                thread, len(batch), batch.wire_bytes, flush_begin_ns, thread.clock.now_ns
-            )
-        if self.objprof is not None:
-            self.objprof.on_oal_batch(thread.node_id, batch.entries)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_oal_flush(thread, batch, flush_begin_ns)
         if self.collector is not None:
             self.collector.deliver(batch, now_ns=thread.clock.now_ns)

@@ -54,9 +54,9 @@ class CorrelationCollector:
         self.window_class_tcms: list[dict[int, np.ndarray]] = []
         #: modelled daemon CPU time (overhead O3), nanoseconds.
         self.tcm_compute_ns = 0
-        #: opt-in span tracer (repro.obs): pure observer emitting one
-        #: ``tcm_window`` span per processed window on the daemon track.
-        self.tracer = None
+        #: the run's observer list (``HomeBasedLRC.observers``, shared
+        #: by the ProfilerSuite); empty for a stand-alone collector.
+        self.observers = ()
         #: simulated time of the latest delivered batch — anchors window
         #: spans; bookkeeping only, never fed back into the simulation.
         self._last_deliver_ns = 0
@@ -91,14 +91,15 @@ class CorrelationCollector:
             self.cluster.master.cpu.extra.get("tcm_compute_ns", 0) + cost
         )
         window = acc.tcm
-        if self.tracer is not None:
-            self.tracer.tcm_window(
-                self.cluster.master_id,
-                self._last_deliver_ns,
-                cost,
-                acc.n_entries,
-                len(self.window_tcms),
-            )
+        if self.observers:
+            for observer in self.observers:
+                observer.on_tcm_window(
+                    self.cluster.master_id,
+                    self._last_deliver_ns,
+                    cost,
+                    acc.n_entries,
+                    len(self.window_tcms),
+                )
         # Incremental accrual: the running TCM is updated in place.
         self._accrued += window
         self.window_tcms.append(window)

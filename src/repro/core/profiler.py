@@ -55,10 +55,6 @@ class ProfilerSuite:
             raise ValueError("spawn threads before constructing the ProfilerSuite")
         self.djvm = djvm
         costs = djvm.costs
-        if sampling_backend is None:
-            # DJVM(sampling_backend=...) is the user-facing switch; an
-            # explicit constructor argument overrides it.
-            sampling_backend = getattr(djvm, "sampling_backend", None)
         self.policy = SamplingPolicy(
             page_size=costs.page_size,
             use_prime_gaps=use_prime_gaps,
@@ -74,7 +70,9 @@ class ProfilerSuite:
         self.footprinter: StickySetFootprinter | None = None
         self.stack_sampler: StackSampler | None = None
 
-        sanitizer = getattr(djvm, "sanitizer", None)
+        # Profiler components emit into the engine's one observer list.
+        observers = djvm.hlrc.observers
+        self.collector.observers = observers
         if correlation:
             self.access_profiler = AccessProfiler(
                 self.policy,
@@ -83,12 +81,7 @@ class ProfilerSuite:
                 send_oals=send_oals,
                 piggyback=piggyback,
             )
-            if sanitizer is not None:
-                self.access_profiler.sanitizer = sanitizer
-            objprof = getattr(djvm, "objprof", None)
-            if objprof is not None:
-                # HT-weighted OAL feed for the object-centric report.
-                self.access_profiler.objprof = objprof
+            self.access_profiler.observers = observers
             djvm.add_hook(self.access_profiler)
         if footprint:
             self.footprinter = StickySetFootprinter(
@@ -97,8 +90,6 @@ class ProfilerSuite:
                 timer_period_ms=footprint_timer_ms,
             )
             self.footprinter.attach_gos(djvm.gos)
-            if sanitizer is not None:
-                sanitizer.attach_footprinter(self.footprinter)
             if footprint_min_gap > 1:
                 for jclass in djvm.registry:
                     self.policy.set_min_gap(jclass, footprint_min_gap)
@@ -108,9 +99,10 @@ class ProfilerSuite:
                 costs, gap_ms=stack_gap_ms, lazy=lazy_extraction
             )
             djvm.add_timer(self.stack_sampler)
-        telemetry = getattr(djvm, "telemetry", None)
-        if telemetry is not None:
-            telemetry.attach_suite(self)
+        for observer in observers:
+            observer.on_suite_attach(self)
+        if djvm.telemetry is not None:
+            djvm.telemetry.attach_suite(self)
 
     # ------------------------------------------------------------------
     # sampling-rate management

@@ -631,7 +631,7 @@ class HybridBackend(SamplingBackend):
         return snap
 
 
-#: backend name -> constructor (the ``DJVM(sampling_backend="...")`` registry).
+#: backend name -> constructor (the ``ProfilerSuite(sampling_backend="...")`` registry).
 BACKENDS: dict[str, type[SamplingBackend]] = {
     PrimeGapBackend.name: PrimeGapBackend,
     PoissonByteBackend.name: PoissonByteBackend,

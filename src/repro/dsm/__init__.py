@@ -6,6 +6,7 @@ to reproduce the false-sharing comparison of Fig. 1."""
 from repro.dsm.states import CopyRecord, RealState
 from repro.dsm.intervals import IntervalRecord
 from repro.dsm.sync import Barrier, DistributedLock, SyncRegistry
+from repro.dsm.observer import ProtocolObserver
 from repro.dsm.hlrc import HomeBasedLRC
 from repro.dsm.pagedsm import PageGrainTracker
 from repro.dsm.homemigration import DominantWriterPolicy, HomeMigrationEngine
@@ -18,6 +19,7 @@ __all__ = [
     "DistributedLock",
     "SyncRegistry",
     "HomeBasedLRC",
+    "ProtocolObserver",
     "PageGrainTracker",
     "DominantWriterPolicy",
     "HomeMigrationEngine",

@@ -23,6 +23,9 @@ Profiler integration: the engine accepts *hooks* (see
 :class:`ProtocolHooks`) invoked on interval open/close and on each
 access op.  Hooks do their own cost accounting into the thread's CPU
 buckets, so overhead experiments can attribute every nanosecond.
+Everything that only *watches* (sanitizer, race detector, tracer,
+object profiler) is a :class:`~repro.dsm.observer.ProtocolObserver` on
+the engine's single ``observers`` list.
 
 Scheduling approximation: threads run between sync points without
 preemption (legal under LRC, where remote writes become visible only at
@@ -35,6 +38,7 @@ from __future__ import annotations
 from typing import Protocol
 
 from repro.dsm.intervals import AccessSummary, IntervalRecord
+from repro.dsm.observer import ProtocolObserver
 from repro.dsm.states import CopyRecord, RealState
 from repro.dsm.sync import SyncRegistry
 from repro.heap.heap import GlobalObjectSpace, LocalHeap
@@ -74,17 +78,6 @@ class ProtocolHooks(Protocol):
 _HOME = RealState.HOME
 _VALID = RealState.VALID
 _INVALID = RealState.INVALID
-
-#: nullable observer slots on the engine, in attach order.  Every slot
-#: shares one contract: the observer only *reads* simulated state and
-#: writes its own — it never advances a simulated clock, charges CPU or
-#: sends a message — so results are byte-identical with it attached
-#: (certified by the EFF1xx purity gate; see repro.checks.effects).
-#: sanitizer: protocol invariant checker (repro.checks.sanitizer).
-#: racedetector: happens-before race detector (repro.checks.racedetect).
-#: tracer: span tracer (repro.obs.tracing).
-#: objprof: object-centric inefficiency profiler (repro.obs.objprof).
-OBSERVER_SLOTS = ("sanitizer", "racedetector", "tracer", "objprof")
 
 #: request/reply/control message payload sizes (bytes).
 FETCH_REQ_BYTES = 16
@@ -140,13 +133,16 @@ class HomeBasedLRC:
         # (stateless sampling backends), else None.  Resolved together
         # with ``_fast_log`` so both caches always describe ``_fast_src``.
         self._fast_prime = None
-        # Nullable observer slots (see OBSERVER_SLOTS): all None until
-        # attach_observer wires one; hot paths check with `is not None`.
-        for slot in OBSERVER_SLOTS:
-            setattr(self, slot, None)
+        #: the run's pure observers, in attach order (see :meth:`attach`).
+        #: The migration engine, access profiler, correlation collector
+        #: and interpreter emit into this same list object; every
+        #: emission site guards the fan-out with one ``if observers:``.
+        self.observers: list[ProtocolObserver] = []
+        # The ``per_op`` subset: the only receivers of ``on_access``.
+        self._per_op: list[ProtocolObserver] = []
         #: optional connectivity prefetcher consulted at fault time
         #: (anything with ``bundle_for(thread, obj) -> list[HeapObject]``).
-        #: NOT an observer slot — prefetching changes protocol behaviour.
+        #: NOT an observer — prefetching changes protocol behaviour.
         self.prefetcher = None
         self.keep_interval_history = keep_interval_history
         #: thread_id -> list of closed IntervalRecords (only when history kept).
@@ -187,32 +183,23 @@ class HomeBasedLRC:
         }
 
     # ------------------------------------------------------------------
-    # observer slots
+    # observers
     # ------------------------------------------------------------------
 
-    def attach_observer(self, slot: str, observer) -> None:
-        """Wire a pure observer into one of :data:`OBSERVER_SLOTS`.
-
-        One attach point instead of per-slot assignment boilerplate; the
-        slots stay plain attributes, so the hot paths' single
-        ``is not None`` check (and the access path's single-hook fast
-        dispatch) are untouched.  Attaching over an occupied slot is a
-        wiring bug and is rejected."""
-        if slot not in OBSERVER_SLOTS:
-            raise ValueError(f"unknown observer slot {slot!r}; expected one of {OBSERVER_SLOTS}")
-        if observer is None:
-            raise ValueError(f"cannot attach None to observer slot {slot!r}; use detach_observer")
-        if getattr(self, slot) is not None:
-            raise ValueError(f"observer slot {slot!r} is already attached")
-        setattr(self, slot, observer)
-
-    def detach_observer(self, slot: str):
-        """Clear one observer slot; returns the detached observer (or
-        None when the slot was empty)."""
-        if slot not in OBSERVER_SLOTS:
-            raise ValueError(f"unknown observer slot {slot!r}; expected one of {OBSERVER_SLOTS}")
-        observer = getattr(self, slot)
-        setattr(self, slot, None)
+    def attach(self, observer: ProtocolObserver) -> ProtocolObserver:
+        """Add one observer to the run's single list and bind it to this
+        engine; returns it.  Attach before building a ``ProfilerSuite``
+        (which announces itself through ``on_suite_attach``)."""
+        if not isinstance(observer, ProtocolObserver):
+            raise TypeError(
+                f"observers must subclass ProtocolObserver, got {type(observer).__name__}"
+            )
+        if any(o is observer for o in self.observers):
+            raise ValueError(f"{type(observer).__name__} is already attached")
+        self.observers.append(observer)
+        if observer.per_op:
+            self._per_op.append(observer)
+        observer.bind(self)
         return observer
 
     # ------------------------------------------------------------------
@@ -296,10 +283,9 @@ class HomeBasedLRC:
                 existing.real_state = RealState.VALID
                 existing.fetched_version = extra.home_version
         self._c_faults.inc()
-        if self.tracer is not None:
-            self.tracer.fault(thread, obj.obj_id, fault_begin_ns, clock._now_ns, 1 + len(bundle))
-        if self.objprof is not None:
-            self.objprof.on_fault(thread, obj, refault)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_fault(thread, obj, refault, fault_begin_ns, 1 + len(bundle))
         return record
 
     # ------------------------------------------------------------------
@@ -382,12 +368,10 @@ class HomeBasedLRC:
             summary.reads += repeat
         summary.last_ns = now
 
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_access(thread, obj_id, record, obj, faulted)
-        racedetector = self.racedetector
-        if racedetector is not None:
-            racedetector.on_access(thread, obj_id, is_write)
+        per_op = self._per_op
+        if per_op:
+            for observer in per_op:
+                observer.on_access(thread, obj_id, is_write, record, obj, faulted)
 
         hooks = self.hooks
         if not hooks:
@@ -445,12 +429,11 @@ class HomeBasedLRC:
             start_pc=thread.pc,
             start_ns=clock._now_ns,
         )
-        if self.tracer is not None:
-            self.tracer.interval_open(thread, clock._now_ns)
         for hook in self.hooks:
             hook.on_interval_open(thread)
-        if self.sanitizer is not None:
-            self.sanitizer.on_interval_open(thread)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_interval_open(thread)
 
     def close_interval(self, thread, reason: str, sync_dst: int | None = None) -> IntervalRecord:
         """Close the thread's current interval: flush diffs, publish write
@@ -465,68 +448,54 @@ class HomeBasedLRC:
         clock = thread.clock
         cpu = thread.cpu
         notices = self.notices
-        c_diffs = self._c_diffs
-        c_notices = self._c_notices
-        sanitizer = self.sanitizer
-        racedetector = self.racedetector
-        tracer = self.tracer
-        objprof = self.objprof
+        observers = self.observers
+        tid = thread.thread_id
         # Flush diffs for cache copies this thread wrote.  Sorted: the
         # written set is hash-ordered, and diff/notice publication order
         # feeds network sends and the global notice log — iteration
         # order must not depend on interning accidents (SIM003).
         # Counter increments are batched per close, not per object.
-        n_notices = n_diffs = 0
+        n_notices = n_diffs = diff_begin_ns = 0
         for obj_id in sorted(interval.written):
             record: CopyRecord | None = copies.get(obj_id)
-            obj = objects[obj_id]
             if record is None:
                 continue
-            if record.real_state is _HOME:
-                obj.home_version += 1
-                notices.append((obj_id, obj.home_version))
-                n_notices += 1
-                if sanitizer is not None:
-                    sanitizer.on_notice(obj_id, obj.home_version)
-                if racedetector is not None:
-                    racedetector.on_notice_publish(thread, obj_id, obj.home_version)
-                continue
-            if thread.thread_id not in record.writers:
-                continue
-            dirty = max(record.dirty_bytes, 1)
-            diff_begin_ns = clock._now_ns
-            diff_ns = dirty * costs.diff_ns_per_byte
-            cpu.protocol_ns += diff_ns
-            clock._now_ns += diff_ns
-            wait = self.network.send(
-                MessageKind.DIFF,
-                thread.node_id,
-                obj.home_node,
-                dirty + DIFF_OVERHEAD,
-                clock._now_ns,
-            )
-            cpu.network_wait_ns += wait
-            clock._now_ns += wait
+            obj = objects[obj_id]
+            dirty = 0  # stays 0 for a home copy: nothing to flush
+            if record.real_state is not _HOME:
+                if tid not in record.writers:
+                    continue
+                dirty = max(record.dirty_bytes, 1)
+                diff_begin_ns = clock._now_ns
+                diff_ns = dirty * costs.diff_ns_per_byte
+                cpu.protocol_ns += diff_ns
+                clock._now_ns += diff_ns
+                wait = self.network.send(
+                    MessageKind.DIFF,
+                    thread.node_id,
+                    obj.home_node,
+                    dirty + DIFF_OVERHEAD,
+                    clock._now_ns,
+                )
+                cpu.network_wait_ns += wait
+                clock._now_ns += wait
+                # The writer's copy now reflects the applied diff.
+                record.fetched_version = obj.home_version + 1
+                record.clear_interval_state()
+                n_diffs += 1
             obj.home_version += 1
-            # The writer's copy now reflects the applied diff.
-            record.fetched_version = obj.home_version
-            record.clear_interval_state()
             notices.append((obj_id, obj.home_version))
-            n_diffs += 1
             n_notices += 1
-            if tracer is not None:
-                tracer.diff(thread, obj_id, dirty, diff_begin_ns, clock._now_ns)
-            if objprof is not None:
-                objprof.on_diff(thread, obj_id, dirty)
-            if sanitizer is not None:
-                sanitizer.on_notice(obj_id, obj.home_version)
-            if racedetector is not None:
-                racedetector.on_notice_publish(thread, obj_id, obj.home_version)
+            if observers:
+                for observer in observers:
+                    if dirty:
+                        observer.on_diff(thread, obj_id, dirty, diff_begin_ns)
+                    observer.on_notice(thread, obj_id, obj.home_version)
 
         if n_diffs:
-            c_diffs.inc(n_diffs)
+            self._c_diffs.inc(n_diffs)
         if n_notices:
-            c_notices.inc(n_notices)
+            self._c_notices.inc(n_notices)
         cpu.protocol_ns += costs.interval_close_ns
         clock._now_ns += costs.interval_close_ns
         interval.end_ns = clock._now_ns
@@ -534,15 +503,13 @@ class HomeBasedLRC:
 
         for hook in self.hooks:
             hook.on_interval_close(thread, interval, sync_dst)
-        if sanitizer is not None:
-            sanitizer.on_interval_close(thread, interval)
-        if objprof is not None:
-            objprof.on_interval_close(thread, interval)
-        # The interval *span* closes after the hooks so close-time work
-        # (e.g. the profiler's OAL flush) nests inside it; the interval
-        # *record*'s end_ns above stays the protocol-close instant.
-        if tracer is not None:
-            tracer.interval_close(thread, interval, clock._now_ns)
+        # Observers see the close after the hooks, so close-time work
+        # (the profiler's OAL flush) nests inside the tracer's interval
+        # span; the interval *record*'s end_ns above stays the
+        # protocol-close instant.
+        if observers:
+            for observer in observers:
+                observer.on_interval_close(thread, interval)
 
         if self.keep_interval_history:
             self.interval_history.setdefault(thread.thread_id, []).append(interval)
@@ -557,20 +524,22 @@ class HomeBasedLRC:
         stale cache copies; returns the number of new notices consumed."""
         node_id = thread.node_id
         start = self._notice_seen[node_id]
-        if self.racedetector is not None:
-            # Diff-propagation edges flow even when no *new* notices are
-            # pending: diffs applied at the node earlier are visible to
-            # this thread too (node-shared cache copies).
-            self.racedetector.on_apply_notices(thread, start, len(self.notices))
         end = len(self.notices)
+        observers = self.observers
+        if observers:
+            # Emitted even when no *new* notices are pending: diffs
+            # applied at the node earlier are visible to this thread too
+            # (node-shared cache copies), which the race detector's
+            # diff-propagation edges need.
+            for observer in observers:
+                observer.on_apply_notices(thread, start, end)
         n_new = end - start
         if not n_new:
             return 0
         self._notice_seen[node_id] = end
         copies = self._copies_by_node[node_id]
         invalidated = 0
-        objprof = self.objprof
-        inv_ids: list[int] | None = [] if objprof is not None else None
+        inv_ids: list[int] | None = [] if observers else None
         if len(copies) < n_new:
             # Few copies, many notices: invert the scan.  Notices are
             # append-ordered, so dict() keeps each object's newest
@@ -610,7 +579,8 @@ class HomeBasedLRC:
             thread.clock._now_ns += ns
             self._c_invalidations.inc(invalidated)
             if inv_ids:
-                objprof.on_invalidations(node_id, inv_ids)
+                for observer in observers:
+                    observer.on_invalidations(thread, inv_ids)
         return n_new
 
     def pending_notices(self, node_id: int) -> int:
@@ -662,9 +632,9 @@ class HomeBasedLRC:
         thread.cpu.network_wait_ns += thread.clock.now_ns - before
         lock.holder = thread.thread_id
         lock.acquisitions += 1
-        if self.racedetector is not None:
-            # release->acquire edge: join the last releaser's clock.
-            self.racedetector.on_lock_acquire(thread, lock.lock_id)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_lock_acquire(thread, lock.lock_id)
         self.apply_notices(thread)
         self.open_interval(thread)
 
@@ -681,10 +651,9 @@ class HomeBasedLRC:
                 f"thread {thread.thread_id} released lock {lock_id} held by {lock.holder}"
             )
         self.close_interval(thread, "release", sync_dst=lock.manager_node)
-        if self.racedetector is not None:
-            # The interval's write notices were published with the
-            # pre-release clock; snapshot it on the lock, then advance.
-            self.racedetector.on_lock_release(thread, lock_id)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_lock_release(thread, lock_id)
         thread.cpu.protocol_ns += costs.lock_local_ns
         thread.clock.advance(costs.lock_local_ns)
         now = thread.clock.now_ns
@@ -717,10 +686,9 @@ class HomeBasedLRC:
             MessageKind.BARRIER, thread.node_id, self.cluster.master_id, BARRIER_MSG_BYTES, now
         )
         last = barrier.arrive(thread.thread_id, now)
-        if self.tracer is not None:
-            self.tracer.barrier_arrive(thread, barrier_id, now)
-        if self.sanitizer is not None:
-            self.sanitizer.on_barrier_arrive(barrier_id, thread.thread_id, parties, now)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_barrier_arrive(thread, barrier_id, parties)
         return last
 
     def barrier_release(self, threads_by_id: dict[int, object], barrier_id: int) -> int:
@@ -736,6 +704,7 @@ class HomeBasedLRC:
         # master's release messages go out — the paper's "rather bursty"
         # bandwidth consumption, surfacing as barrier latency.
         release_ns += self.network.drain_ingress_backlog(self.cluster.master_id)
+        observers = self.observers
         for thread_id in waiters:
             thread = threads_by_id[thread_id]
             notice_payload = self.pending_notices(thread.node_id) * NOTICE_BYTES
@@ -750,16 +719,13 @@ class HomeBasedLRC:
             thread.clock.advance_to(release_ns + wait_back)
             thread.cpu.network_wait_ns += thread.clock.now_ns - arrived_at
             self.apply_notices(thread)
-            if self.tracer is not None:
-                self.tracer.barrier_resume(thread, barrier_id, thread.clock.now_ns)
+            if observers:
+                for observer in observers:
+                    observer.on_barrier_resume(thread, barrier_id)
             self.open_interval(thread)
-        if self.sanitizer is not None:
-            self.sanitizer.on_barrier_release(barrier_id, barrier.parties, waiters, release_ns)
-        if self.racedetector is not None:
-            # Barrier edge: join every participant's clock; per-waiter
-            # diff-propagation joins already ran via apply_notices above.
-            self.racedetector.on_barrier_release(threads_by_id, barrier_id, waiters, release_ns)
-        if self.objprof is not None:
-            # Lifetime phase boundary for the object-centric profiler.
-            self.objprof.on_barrier_release(release_ns)
+        if observers:
+            for observer in observers:
+                observer.on_barrier_release(
+                    barrier_id, barrier.parties, waiters, release_ns, threads_by_id
+                )
         return release_ns

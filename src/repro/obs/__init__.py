@@ -8,11 +8,11 @@ with three pillars:
   no-op handles when disabled).  The HLRC protocol counters live here;
   network traffic, heap occupancy, migration and profiler statistics are
   folded in through snapshot-time collectors.
-* :mod:`repro.obs.tracing` — a span tracer hung off the same
-  nullable-observer slot pattern as the protocol sanitizer and race
-  detector.  Spans begin and end in *simulated* time (interval, barrier
-  wait, fault, diff, migration, OAL flush, TCM window), so traces are
-  bit-deterministic across runs.
+* :mod:`repro.obs.tracing` — a span tracer on the engine's one
+  :class:`~repro.dsm.observer.ProtocolObserver` list, next to the
+  protocol sanitizer and race detector.  Spans begin and end in
+  *simulated* time (interval, barrier wait, fault, diff, migration, OAL
+  flush, TCM window), so traces are bit-deterministic across runs.
 * :mod:`repro.obs.overhead` — self-overhead accounting: the telemetry
   layer measures the wall-clock cost of its own observation (Mertz &
   Nunes: an adaptive monitor must know what *it* costs) and offers the
@@ -92,13 +92,9 @@ class Telemetry:
             reg.register_collector(lambda r, t=self.tracer: _collect_tracer(r, t))
 
     def attach_suite(self, suite) -> None:
-        """Attach a :class:`~repro.core.profiler.ProfilerSuite`: hand the
-        tracer to the OAL flush / TCM window emitters and register the
-        suite's statistics as snapshot-time collectors."""
-        if self.tracer is not None:
-            if suite.access_profiler is not None:
-                suite.access_profiler.tracer = self.tracer
-            suite.collector.tracer = self.tracer
+        """Attach a :class:`~repro.core.profiler.ProfilerSuite`: register
+        the suite's statistics as snapshot-time collectors (the tracer
+        already sees OAL flushes / TCM windows through the observer list)."""
         if self.registry.enabled:
             self.registry.register_collector(lambda r, s=suite: _collect_suite(r, s))
 
@@ -171,9 +167,6 @@ def _collect_kernel(reg: MetricsRegistry, djvm) -> None:
     kernel = interp.kernel
     reg.gauge("event_kernel_scheduled", "events scheduled").set(kernel.scheduled)
     reg.gauge("event_kernel_popped", "events dispatched").set(kernel.popped)
-    reg.gauge("event_kernel_aux_dropped", "aux audit entries dropped (capacity)").set(
-        kernel.aux_dropped
-    )
 
 
 def _collect_cpu(reg: MetricsRegistry, djvm) -> None:

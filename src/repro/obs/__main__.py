@@ -69,7 +69,7 @@ def _run(
     rate: float | str,
     telemetry: str = "full",
     backend: str | None = None,
-    objprof: bool = False,
+    observers=(),
 ):
     factory = WORKLOADS[workload]
     return E.run_with_correlation(
@@ -79,7 +79,7 @@ def _run(
         send_oals=True,
         telemetry=telemetry,
         sampling_backend=backend,
-        objprof=objprof,
+        observers=observers,
     )
 
 
@@ -272,12 +272,14 @@ def build_objprof_report(
     """Run one workload with the object-centric profiler attached and
     build its ranked report (telemetry stays off: the objprof observer
     needs no metrics registry, and the report must not depend on one)."""
+    from repro.obs.objprof import ObjectProfiler
     from repro.obs.report import build_report
 
-    run = _run(workload, nodes, rate, telemetry=None, backend=backend, objprof=True)
+    objprof = ObjectProfiler()
+    run = _run(workload, nodes, rate, telemetry=None, backend=backend, observers=(objprof,))
     djvm = run.djvm
     return run, build_report(
-        djvm.objprof,
+        objprof,
         djvm.gos,
         djvm.costs,
         djvm.cluster.network,

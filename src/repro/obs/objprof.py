@@ -1,19 +1,19 @@
-"""Object-centric inefficiency profiler (ROADMAP item 4).
+"""Object-centric inefficiency profiler.
 
 DJXPerf-style attribution: the aggregate counters say *how much* the
 protocol worked; this profiler says *which objects* — and, through the
 allocation-site labels captured at GOS registration, *which workload
-lines* — made it work.  It rides the same nullable-observer slot as the
-tracer and race detector (``hlrc.objprof``), certified ≤ reads-sim-state
-by the EFF1xx gate: hooks fold the fault/diff/invalidation/OAL event
+lines* — made it work.  It is a
+:class:`~repro.dsm.observer.ProtocolObserver`
+(``djvm.attach(ObjectProfiler())``), certified ≤ reads-sim-state by the
+EFF1xx gate: its overrides fold the fault/diff/invalidation/OAL event
 stream into per-object :class:`ObjLifetime` records and never advance a
 simulated clock, charge CPU, or send a message, so a profiled run is
 byte-identical to an unprofiled one.
 
 Event sources folded per object:
 
-* **faults** (:meth:`ObjectProfiler.on_fault`, from
-  ``HomeBasedLRC._fault_remote``) — fetch round trips, split by
+* **faults** (:meth:`ObjectProfiler.on_fault`) — fetch round trips, split by
   faulting node; a fault that replaces an invalidated copy is a
   *refault*.  Each fault opens a read *epoch* on the faulting node.
 * **diffs** (:meth:`on_diff`, interval close) — flushes by cache-copy
@@ -27,7 +27,7 @@ Event sources folded per object:
   count feeds the ping-pong detector).  Epoch read counts accumulate
   here: invalidations only happen at sync points, so interval epochs
   align with copy epochs.
-* **OAL batches** (:meth:`on_oal_batch`, from the access profiler) —
+* **OAL batches** (:meth:`on_oal_flush`, from the access profiler) —
   Horvitz–Thompson-weighted access mass: ``scaled_bytes`` is already
   gap-scaled by the active sampling backend, so summing it estimates
   the site's true access mass from the sampled subset.
@@ -40,6 +40,8 @@ observer hooks.
 """
 
 from __future__ import annotations
+
+from repro.dsm.observer import ProtocolObserver
 
 __all__ = ["ObjLifetime", "ObjectProfiler"]
 
@@ -85,12 +87,12 @@ class ObjLifetime:
         self._epoch_reads: dict[int, int] = {}
 
 
-class ObjectProfiler:
+class ObjectProfiler(ProtocolObserver):
     """Pure observer folding protocol events into per-object lifetimes.
 
-    Attach with ``HomeBasedLRC.attach_observer("objprof", prof)`` (the
-    ``DJVM(objprof=True)`` switch does this); wire
-    ``AccessProfiler.objprof`` for the HT-weighted OAL feed.
+    Attach with ``djvm.attach(ObjectProfiler())``; with a
+    ``ProfilerSuite`` on the same DJVM the HT-weighted OAL feed arrives
+    through :meth:`on_oal_flush`.
     """
 
     __slots__ = ("records", "phase", "phase_release_ns", "intervals")
@@ -116,10 +118,10 @@ class ObjectProfiler:
         return rec
 
     # ------------------------------------------------------------------
-    # protocol event hooks (called from HomeBasedLRC / AccessProfiler)
+    # ProtocolObserver overrides
     # ------------------------------------------------------------------
 
-    def on_fault(self, thread, obj, refault: bool) -> None:
+    def on_fault(self, thread, obj, refault: bool, begin_ns: int, n_objects: int) -> None:
         """One remote fetch round trip by ``thread``; ``refault`` when it
         replaced a previously-invalidated copy."""
         rec = self._record(obj.obj_id)
@@ -131,14 +133,16 @@ class ObjectProfiler:
         # A fresh copy landed: open its read epoch.
         rec._epoch_reads[node] = 0
 
-    def on_diff(self, thread, obj_id: int, dirty: int) -> None:
+    def on_diff(self, thread, obj_id: int, dirty: int, begin_ns: int) -> None:
         """One diff flush of ``dirty`` bytes at interval close."""
         rec = self._record(obj_id)
         rec.diffs += 1
         rec.diff_bytes += dirty
 
-    def on_invalidations(self, node_id: int, obj_ids) -> None:
-        """Write-notice application invalidated ``obj_ids`` on ``node_id``."""
+    def on_invalidations(self, thread, obj_ids) -> None:
+        """Write-notice application invalidated ``obj_ids`` on the
+        thread's node."""
+        node_id = thread.node_id
         for obj_id in obj_ids:
             rec = self._record(obj_id)
             rec.invalidations += 1
@@ -166,13 +170,15 @@ class ObjectProfiler:
                     rec.last_writer_node = node
         self.intervals += 1
 
-    def on_barrier_release(self, release_ns: int) -> None:
+    def on_barrier_release(
+        self, barrier_id: int, parties: int, waiters, release_ns: int, threads_by_id
+    ) -> None:
         """A barrier episode completed: advance the lifetime phase."""
         self.phase += 1
         self.phase_release_ns.append(release_ns)
 
-    def on_oal_batch(self, node_id: int, entries) -> None:
+    def on_oal_flush(self, thread, batch, begin_ns: int) -> None:
         """One shipped OAL batch: accumulate HT-scaled access mass."""
-        for entry in entries:
+        for entry in batch.entries:
             rec = self._record(entry.obj_id)
             rec.ht_bytes += entry.scaled_bytes

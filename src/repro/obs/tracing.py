@@ -1,12 +1,10 @@
 """Span tracer: begin/end intervals in *simulated* time.
 
-The tracer rides the same nullable-observer slot pattern as the
-protocol sanitizer and the race detector: hot paths hold a ``tracer``
-attribute that is ``None`` by default and check it with one ``is not
-None`` branch.  When attached, emitters hand it timestamps read off the
-simulated clocks — the tracer never advances any clock, charges no CPU
-cost and sends no messages, so a traced run is byte-identical to an
-untraced one.
+The tracer is a :class:`~repro.dsm.observer.ProtocolObserver` on the
+engine's one observer list (``DJVM(telemetry="trace")`` attaches it).
+Its overrides read timestamps off the simulated clocks — the tracer
+never advances any clock, charges no CPU cost and sends no messages, so
+a traced run is byte-identical to an untraced one.
 
 Span taxonomy (category → names):
 
@@ -32,6 +30,8 @@ Self-overhead: each emitter brackets its own work with
 from __future__ import annotations
 
 import time
+
+from repro.dsm.observer import ProtocolObserver
 
 __all__ = ["Span", "SpanTracer", "TCM_TRACK"]
 
@@ -76,9 +76,9 @@ class Span:
         )
 
 
-class SpanTracer:
-    """Collects spans; attach to the runtime via the nullable slots
-    (``hlrc.tracer``, ``migration.tracer``, profiler components)."""
+class SpanTracer(ProtocolObserver):
+    """Collects spans; a :class:`ProtocolObserver` folding the
+    transitions that take simulated time."""
 
     __slots__ = (
         "spans", "counts", "self_ns", "_seq", "_open_interval", "_barrier_ns",
@@ -115,71 +115,73 @@ class SpanTracer:
         return span
 
     # ------------------------------------------------------------------
-    # domain emitters (called from the runtime's nullable slots)
+    # ProtocolObserver overrides
     # ------------------------------------------------------------------
 
-    def interval_open(self, thread, now_ns: int) -> None:
+    def on_interval_open(self, thread) -> None:
         t0 = _perf_ns()
+        # start_ns, not the clock: open-time hook work belongs inside.
         span = Span("interval", "interval", thread.node_id, thread.thread_id,
-                    now_ns, -1, self._seq, None)
+                    thread.current_interval.start_ns, -1, self._seq, None)
         self._seq += 1
         self._open_interval[thread.thread_id] = span
         self.self_ns += _perf_ns() - t0
 
-    def interval_close(self, thread, interval, now_ns: int) -> None:
+    def on_interval_close(self, thread, interval) -> None:
         t0 = _perf_ns()
         span = self._open_interval.pop(thread.thread_id, None)
         if span is not None:
-            span.end_ns = now_ns
+            span.end_ns = thread.clock._now_ns
             span.args = {"interval_id": interval.interval_id}
             self.spans.append(span)
             self.counts["interval"] = self.counts.get("interval", 0) + 1
         self.self_ns += _perf_ns() - t0
 
-    def fault(self, thread, obj_id: int, begin_ns: int, end_ns: int, n_objects: int) -> None:
+    def on_fault(self, thread, obj, refault, begin_ns: int, n_objects: int) -> None:
         self.add(
-            "fault", "dsm", thread.node_id, thread.thread_id, begin_ns, end_ns,
-            {"obj_id": obj_id, "objects": n_objects},
+            "fault", "dsm", thread.node_id, thread.thread_id, begin_ns,
+            thread.clock._now_ns, {"obj_id": obj.obj_id, "objects": n_objects},
         )
 
-    def diff(self, thread, obj_id: int, nbytes: int, begin_ns: int, end_ns: int) -> None:
+    def on_diff(self, thread, obj_id: int, dirty: int, begin_ns: int) -> None:
         self.add(
-            "diff", "dsm", thread.node_id, thread.thread_id, begin_ns, end_ns,
-            {"obj_id": obj_id, "bytes": nbytes},
+            "diff", "dsm", thread.node_id, thread.thread_id, begin_ns,
+            thread.clock._now_ns, {"obj_id": obj_id, "bytes": dirty},
         )
 
-    def barrier_arrive(self, thread, barrier_id: int, now_ns: int) -> None:
+    def on_barrier_arrive(self, thread, barrier_id: int, parties: int) -> None:
         t0 = _perf_ns()
-        self._barrier_ns[thread.thread_id] = now_ns
+        self._barrier_ns[thread.thread_id] = thread.clock._now_ns
         self.self_ns += _perf_ns() - t0
 
-    def barrier_resume(self, thread, barrier_id: int, now_ns: int) -> None:
+    def on_barrier_resume(self, thread, barrier_id: int) -> None:
         arrive_ns = self._barrier_ns.pop(thread.thread_id, None)
         if arrive_ns is None:
             return
         self.add(
             "barrier_wait", "sync", thread.node_id, thread.thread_id,
-            arrive_ns, now_ns, {"barrier_id": barrier_id},
+            arrive_ns, thread.clock._now_ns, {"barrier_id": barrier_id},
         )
 
-    def migration(self, thread, from_node: int, to_node: int,
-                  begin_ns: int, end_ns: int, prefetched: int) -> None:
+    def on_migration(self, thread, result, begin_ns: int) -> None:
         # attributed to the destination node: that row shows the thread
         # arriving (the freeze happened on from_node, recorded in args).
         self.add(
-            "migration", "runtime", to_node, thread.thread_id, begin_ns, end_ns,
-            {"from": from_node, "to": to_node, "prefetched": prefetched},
+            "migration", "runtime", result.to_node, thread.thread_id,
+            begin_ns, thread.clock._now_ns,
+            {"from": result.from_node, "to": result.to_node,
+             "prefetched": result.prefetched_objects},
         )
 
-    def oal_flush(self, thread, entries: int, wire_bytes: int,
-                  begin_ns: int, end_ns: int) -> None:
+    def on_oal_flush(self, thread, batch, begin_ns: int) -> None:
         self.add(
             "oal_flush", "profiler", thread.node_id, thread.thread_id,
-            begin_ns, end_ns, {"entries": entries, "bytes": wire_bytes},
+            begin_ns, thread.clock._now_ns,
+            {"entries": len(batch), "bytes": batch.wire_bytes},
         )
 
-    def tcm_window(self, master_node: int, begin_ns: int, duration_ns: int,
-                   entries: int, window_index: int) -> None:
+    def on_tcm_window(self, master_node: int, begin_ns: int, duration_ns: int,
+                      entries: int, window_index: int) -> None:
         # the daemon is sequential: a window delivered while the previous
         # one is still computing queues behind it on the daemon track.
         begin = max(begin_ns, self._tcm_busy_ns)

@@ -70,24 +70,14 @@ class DJVM:
         keep_interval_history: bool = False,
         timeshare_nodes: bool = True,
         keep_event_trace: bool = False,
-        sanitize: bool = False,
-        racecheck: bool | str = False,
         telemetry=None,
-        aux_capacity: int | None = None,
         replay: str = "vector",
-        sampling_backend=None,
-        objprof: bool = False,
     ) -> None:
         if replay not in ("vector", "scalar"):
             raise ValueError(f"replay must be 'vector' or 'scalar', got {replay!r}")
         #: access replay mode handed to the interpreter ("vector" bulk
         #: replay or the "scalar" per-op oracle).
         self.replay = replay
-        #: sampling-decision backend for any ProfilerSuite attached to
-        #: this DJVM: None (the paper's prime-gap scheme), a registry
-        #: name ("prime_gap" | "poisson" | "hash" | "hybrid"), or a
-        #: ready repro.core.sampling.SamplingBackend instance.
-        self.sampling_backend = sampling_backend
         self.cluster = Cluster(
             n_nodes,
             costs=costs if costs is not None else CostModel.gideon300(),
@@ -95,9 +85,9 @@ class DJVM:
         )
         self.gos = GlobalObjectSpace()
         #: opt-in telemetry context (repro.obs): metrics registry plus,
-        #: for "trace"/"full", the span tracer.  Pure observers on the
-        #: same contract as the sanitizer and race detector — simulated
-        #: results are byte-identical with telemetry on or off.
+        #: for "trace"/"full", the span tracer (attached below like any
+        #: other observer) — simulated results are byte-identical with
+        #: telemetry on or off.
         self.telemetry = Telemetry.from_config(telemetry)
         metrics = None
         if self.telemetry is not None and self.telemetry.registry.enabled:
@@ -108,60 +98,11 @@ class DJVM:
             keep_interval_history=keep_interval_history,
             metrics=metrics,
         )
-        if self.telemetry is not None and self.telemetry.tracer is not None:
-            self.hlrc.attach_observer("tracer", self.telemetry.tracer)
-        #: opt-in runtime protocol checker (repro.checks): asserts the
-        #: HLRC state-machine invariants as the run executes, raising
-        #: SanitizerViolation with the offending event trace.  Pure
-        #: observer — simulated results are byte-identical either way.
-        self.sanitizer = None
-        if sanitize:
-            from repro.checks.sanitizer import ProtocolSanitizer
-
-            self.sanitizer = ProtocolSanitizer()
-            self.sanitizer.attach_hlrc(self.hlrc)
-            self.hlrc.attach_observer("sanitizer", self.sanitizer)
-        #: opt-in happens-before race detector (repro.checks.racedetect).
-        #: ``True``/"raise" raises DataRaceError at the second racing
-        #: access, "collect" accumulates RaceReports in
-        #: ``racedetector.reports``, "record" only records the race
-        #: operation trace (``race_trace``) for offline replay.  Pure
-        #: observer — simulated results are byte-identical either way.
-        self.racedetector = None
-        if racecheck:
-            from repro.checks.racedetect import RaceDetector
-
-            if racecheck is True or racecheck == "raise":
-                self.racedetector = RaceDetector(raise_on_race=True)
-            elif racecheck == "collect":
-                self.racedetector = RaceDetector()
-            elif racecheck == "record":
-                self.racedetector = RaceDetector(detect=False, keep_trace=True)
-            else:
-                raise ValueError(
-                    f"racecheck must be True, 'raise', 'collect' or 'record', "
-                    f"got {racecheck!r}"
-                )
-            self.racedetector.attach_resolver(self._class_name_of)
-            self.hlrc.attach_observer("racedetector", self.racedetector)
-        #: opt-in object-centric inefficiency profiler (repro.obs.objprof):
-        #: folds faults/diffs/invalidations into per-allocation-site
-        #: lifetime profiles for the ranked `repro.obs report`.  Pure
-        #: observer — simulated results are byte-identical either way.
-        self.objprof = None
-        if objprof:
-            from repro.obs.objprof import ObjectProfiler
-
-            self.objprof = ObjectProfiler()
-            self.hlrc.attach_observer("objprof", self.objprof)
         self.migration = MigrationEngine(self.hlrc, self.cluster)
         if self.telemetry is not None:
             if self.telemetry.tracer is not None:
-                self.migration.tracer = self.telemetry.tracer
+                self.attach(self.telemetry.tracer)
             self.telemetry.bind(self)
-        #: retention cap for the event kernel's aux audit channel
-        #: (None = unbounded; see EventLoop.aux_capacity).
-        self.aux_capacity = aux_capacity
         #: single-core nodes (paper hardware) when True; one core per
         #: thread when False.
         self.timeshare_nodes = timeshare_nodes
@@ -179,10 +120,6 @@ class DJVM:
     def costs(self) -> CostModel:
         """The cluster's CPU cost model."""
         return self.cluster.costs
-
-    def _class_name_of(self, obj_id: int) -> str:
-        """Class name of one GOS object (race-report resolver)."""
-        return self.gos.get(obj_id).jclass.name
 
     @property
     def registry(self):
@@ -262,6 +199,14 @@ class DJVM:
         """Attach a timer-driven profiler component."""
         self.timers.append(timer)
 
+    def attach(self, observer):
+        """Attach one :class:`~repro.dsm.observer.ProtocolObserver`
+        (sanitizer, race detector, object profiler, a test recorder …)
+        to the run's single observer list; returns it.  Observers are
+        pure, so any set of them leaves simulated results byte-identical.
+        Attach before building a ``ProfilerSuite``."""
+        return self.hlrc.attach(observer)
+
     @property
     def event_trace(self) -> list[tuple[int, str, int]]:
         """The event kernel's dispatched-event trace from the last run
@@ -269,16 +214,6 @@ class DJVM:
         if self._interpreter is None:
             return []
         return self._interpreter.kernel.trace
-
-    @property
-    def race_trace(self) -> list[tuple]:
-        """The recorded race-operation audit trace (empty unless
-        constructed with ``racecheck="record"``); feed it to
-        :func:`repro.checks.racedetect.replay_trace` to re-run the
-        happens-before analysis offline."""
-        if self.racedetector is None:
-            return []
-        return self.racedetector.trace
 
     # ------------------------------------------------------------------
     # execution
@@ -300,9 +235,6 @@ class DJVM:
             self.threads,
             timeshare_nodes=self.timeshare_nodes,
             keep_event_trace=self.keep_event_trace,
-            aux_capacity=self.aux_capacity,
-            sanitizer=self.sanitizer,
-            racedetector=self.racedetector,
             replay=self.replay,
         )
         interp.timers = self.timers
@@ -313,9 +245,6 @@ class DJVM:
         for thread in self.threads:
             if thread.state is not ThreadState.DONE:  # pragma: no cover - guard
                 raise RuntimeError(f"thread {thread.thread_id} did not finish")
-        if self.sanitizer is not None:
-            self.sanitizer.on_run_end(self.threads)
-            self.sanitizer.sweep_heaps()
         finish = {t.thread_id: t.clock.now_ms for t in self.threads}
         return RunResult(
             execution_time_ms=max(finish.values()),

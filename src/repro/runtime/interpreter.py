@@ -79,9 +79,6 @@ class Interpreter:
         barrier_parties: int | None = None,
         timeshare_nodes: bool = True,
         keep_event_trace: bool = False,
-        aux_capacity: int | None = None,
-        sanitizer=None,
-        racedetector=None,
         replay: str = "vector",
     ) -> None:
         if not threads:
@@ -93,14 +90,6 @@ class Interpreter:
         #: per-op dispatch everywhere (the correctness oracle).
         self.replay = replay
         self._vector = None
-        #: opt-in protocol invariant checker (observes event pops).
-        self.sanitizer = sanitizer
-        #: opt-in happens-before race detector (repro.checks.racedetect):
-        #: observes accesses and sync ops via hlrc.racedetector; wired
-        #: here for direct-interpreter users (the DJVM wires it itself).
-        self.racedetector = racedetector
-        if racedetector is not None and hlrc.racedetector is None:
-            hlrc.racedetector = racedetector
         self.hlrc = hlrc
         self.threads = threads
         self.threads_by_id = {t.thread_id: t for t in threads}
@@ -114,13 +103,9 @@ class Interpreter:
         #: one core per thread (an idealized SMP node).
         self.timeshare_nodes = timeshare_nodes
         #: the discrete-event kernel every scheduling decision runs through.
-        self.kernel = EventLoop(keep_trace=keep_event_trace, aux_capacity=aux_capacity)
+        self.kernel = EventLoop(keep_trace=keep_event_trace)
         # Queued network sends deliver through the same kernel.
         hlrc.network.attach_kernel(self.kernel)
-        # A recording race detector mirrors its operation trace into the
-        # kernel's auxiliary audit channel.
-        if racedetector is not None and getattr(racedetector, "keep_trace", False):
-            racedetector.attach_kernel(self.kernel)
         #: per-node core schedules (timesharing model), owned by the nodes.
         self._nodes = hlrc.cluster.nodes
         #: thread ids with a SEGMENT_END / MIGRATION_CHECK event in flight.
@@ -160,16 +145,15 @@ class Interpreter:
                 raise RuntimeError(f"thread {thread.thread_id} has no program attached")
             self.hlrc.open_interval(thread)
         kernel = self.kernel
-        sanitizer = self.sanitizer
+        observers = self.hlrc.observers
         # Vector replay engages only when nothing observes the per-op
-        # stream: the sanitizer and race detector both consume every
-        # access, so their presence forces the scalar oracle path.
+        # stream: a ``per_op`` observer (sanitizer, race detector)
+        # consumes every access, so its presence forces the scalar
+        # oracle path.
         if (
             self._vector is None
             and self.replay == "vector"
-            and sanitizer is None
-            and self.hlrc.sanitizer is None
-            and self.hlrc.racedetector is None
+            and not any(o.per_op for o in observers)
         ):
             self._vector = _make_vector_engine(self)
             if self._vector is not None:
@@ -187,8 +171,9 @@ class Interpreter:
             event = kernel.pop()
             if event is None:
                 break
-            if sanitizer is not None:
-                sanitizer.on_event_pop(kernel.now_ns, event)
+            if observers:
+                for observer in observers:
+                    observer.on_event_pop(kernel.now_ns, event)
             callback = event.callback
             if callback is not None:
                 callback(event)
@@ -203,6 +188,8 @@ class Interpreter:
                 f"{sorted(t.thread_id for t in waiting)} wait on "
                 "synchronization no one else will complete"
             )
+        for observer in observers:
+            observer.on_run_end(self.threads)
 
     # -- event producers / consumers -----------------------------------
 

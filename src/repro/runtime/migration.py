@@ -74,9 +74,6 @@ class MigrationEngine:
         self.cluster = cluster
         self._pending: dict[int, MigrationPlan] = {}
         self.results: list[MigrationResult] = []
-        #: opt-in span tracer (repro.obs): pure observer, wired by the
-        #: DJVM when telemetry tracing is configured.
-        self.tracer = None
 
     def schedule(self, plan: MigrationPlan) -> None:
         """Queue a migration; the interpreter polls and fires it."""
@@ -150,14 +147,10 @@ class MigrationEngine:
         thread.node_id = target_node
         thread.migrations += 1
         self.results.append(result)
-        if self.tracer is not None:
-            self.tracer.migration(
-                thread, src, target_node, migrate_begin_ns, thread.clock.now_ns,
-                result.prefetched_objects,
-            )
-        sanitizer = self.hlrc.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_migration(thread, result)
+        observers = self.hlrc.observers
+        if observers:
+            for observer in observers:
+                observer.on_migration(thread, result, migrate_begin_ns)
         return result
 
     def _prefetch(

@@ -69,8 +69,8 @@ class SimThread:
         #: number of completed migrations.
         self.migrations = 0
         #: happens-before vector clock ({thread_id: clock}), assigned by
-        #: the race detector when ``DJVM(racecheck=...)`` is on; None in
-        #: plain runs (the detector owns and mutates the mapping).
+        #: an attached ``RaceDetector``; None in plain runs (the
+        #: detector owns and mutates the mapping).
         self.vc: dict[int, int] | None = None
 
     @property

@@ -25,8 +25,8 @@ clock values, CPU accounting buckets, interval summaries (including
 state, fault traffic, timer-fire points and the kernel trace all come
 out bit-for-bit equal, which the equivalence tests assert over
 randomized programs.  The engine is disengaged whenever an observer
-needs the per-op stream (sanitizer, race detector, per-op polled timers,
-hooks without the ``fast_on_access`` protocol).
+needs the per-op stream (``per_op`` observers — sanitizer, race detector
+— per-op polled timers, hooks without the ``fast_on_access`` protocol).
 
 Clock bookkeeping uses one invariant: at fast-lane position ``pos``,
 
@@ -101,7 +101,7 @@ class VectorEngine:
     """Executes :class:`AccessRun` spans in bulk for one interpreter.
 
     Created by :meth:`Interpreter.run` when replay mode is ``"vector"``
-    and no per-op observer (sanitizer / race detector) is attached; the
+    and no ``per_op`` observer (sanitizer / race detector) is attached; the
     segment loop additionally disengages it per segment when a timer
     hook needs legacy per-op polling or a profiler hook lacks the
     ``fast_on_access`` protocol.
@@ -191,7 +191,7 @@ class VectorEngine:
         hooks = hl.hooks
         interp = self.interp
         # Interval access summaries are observable only through the
-        # profiler hooks, the tracer, kept interval history, or sampling
+        # profiler hooks, any observer, kept interval history, or sampling
         # timers (which may inspect the live interval).  With none of
         # those attached the summaries are dead state: the protocol
         # consumes just the written set and per-copy dirty/writer state,
@@ -202,8 +202,7 @@ class VectorEngine:
         book = (
             hl.keep_interval_history
             or bool(hooks)
-            or hl.tracer is not None
-            or hl.objprof is not None
+            or bool(hl.observers)
             or bool(interp.timers)
         )
         fast = None

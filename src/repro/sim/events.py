@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-from collections import deque
 from typing import Any, Callable, Iterator
 
 
@@ -121,17 +120,6 @@ class EventLoop:
     Set ``keep_trace=True`` to accumulate the ``(time_ns, kind, actor)``
     trace of every dispatched *and* recorded event — the audit log the
     determinism tests compare across runs.
-
-    Besides the event trace proper, the kernel hosts an **auxiliary
-    audit channel** (:attr:`aux_trace`): subsystems that want their
-    domain operations recorded alongside the kernel's notion of time —
-    without paying heap traffic or polluting the typed event trace —
-    append self-describing tuples via :meth:`record_aux` (gated by
-    :attr:`keep_aux`).  The race detector's offline replay consumes this
-    channel: a recorded run can be re-analyzed without re-execution.
-    The channel is a bounded ring: ``aux_capacity`` caps retained
-    entries (oldest dropped first, counted in :attr:`aux_dropped`);
-    ``None`` keeps everything, for consumers that replay full traces.
     """
 
     __slots__ = (
@@ -142,12 +130,9 @@ class EventLoop:
         "trace",
         "scheduled",
         "popped",
-        "keep_aux",
-        "_aux",
-        "aux_dropped",
     )
 
-    def __init__(self, *, keep_trace: bool = False, aux_capacity: int | None = None) -> None:
+    def __init__(self, *, keep_trace: bool = False) -> None:
         self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
         #: time of the most recently popped event (monotone over pops).
@@ -157,26 +142,6 @@ class EventLoop:
         self.trace: list[tuple[int, str, int]] = []
         self.scheduled = 0
         self.popped = 0
-        #: gate for the auxiliary audit channel (set by its producer).
-        self.keep_aux = False
-        if aux_capacity is not None and aux_capacity < 0:
-            raise ValueError(f"aux_capacity must be >= 0 or None, got {aux_capacity}")
-        #: auxiliary audit channel: producer-defined tuples whose first
-        #: field is a simulated time in ns (ordering is producer order).
-        self._aux: deque[tuple] = deque(maxlen=aux_capacity)
-        #: entries evicted from the aux channel because it was full.
-        self.aux_dropped = 0
-
-    @property
-    def aux_capacity(self) -> int | None:
-        """Retention cap of the aux channel (None = unbounded)."""
-        return self._aux.maxlen
-
-    @property
-    def aux_trace(self) -> list[tuple]:
-        """The retained aux entries, oldest first (a list copy — the
-        ring itself is private so the bound cannot be bypassed)."""
-        return list(self._aux)
 
     # ------------------------------------------------------------------
 
@@ -211,19 +176,6 @@ class EventLoop:
         """
         if self.keep_trace:
             self.trace.append((int(time_ns), kind.name, actor))
-
-    def record_aux(self, entry: tuple) -> None:
-        """Append one producer-defined tuple to the auxiliary audit
-        channel (no-op unless :attr:`keep_aux` is set).  The kernel
-        never inspects entries; by convention ``entry[0]`` is a
-        simulated time in ns so mixed audit streams stay mergeable.
-        When the ring is at capacity the oldest entry is evicted and
-        :attr:`aux_dropped` incremented."""
-        if self.keep_aux:
-            aux = self._aux
-            if aux.maxlen is not None and len(aux) == aux.maxlen:
-                self.aux_dropped += 1
-            aux.append(entry)
 
     def pop(self) -> Event | None:
         """Remove and return the next event, or None when idle.

@@ -15,10 +15,15 @@ from repro.checks.effects import (
 from repro.checks.effects.summary import SCHEMA_VERSION, build_doc
 
 # ---------------------------------------------------------------------------
-# shared fixture scaffolding: a miniature event kernel + engine
+# shared fixture scaffolding: a miniature event kernel, the observer
+# vocabulary + engine
 # ---------------------------------------------------------------------------
 
 KERNEL = """
+class ProtocolObserver:
+    def on_access(self, thread, heap):
+        pass
+
 class EventKind:
     MESSAGE_DELIVER = 1
 
@@ -101,17 +106,18 @@ def caller(obj):
 # ---------------------------------------------------------------------------
 
 BAD_OBSERVER = """
-import time
+from kern import ProtocolObserver
 
-class BadObserver:
+class BadObserver(ProtocolObserver):
     def on_access(self, thread, heap):
         heap.records[3].state = "dirty"
 
 class Engine:
     def __init__(self):
-        self.sanitizer = BadObserver()
+        self.observers = [BadObserver()]
     def step(self, thread, heap):
-        self.sanitizer.on_access(thread, heap)
+        for observer in self.observers:
+            observer.on_access(thread, heap)
 """
 
 
@@ -127,16 +133,11 @@ def test_eff101_host_effect_in_observer():
     rep = report_for(
         """
 import time
+from kern import ProtocolObserver
 
-class SleepyObserver:
+class SleepyObserver(ProtocolObserver):
     def on_access(self, thread, heap):
         time.sleep(0.01)
-
-class Engine:
-    def __init__(self):
-        self.racedetector = SleepyObserver()
-    def step(self, thread, heap):
-        self.racedetector.on_access(thread, heap)
 """
     )
     assert codes(rep) == ["EFF101"]
@@ -145,19 +146,15 @@ class Engine:
 def test_observer_self_writes_allowed():
     rep = report_for(
         """
-class GoodObserver:
+from kern import ProtocolObserver
+
+class GoodObserver(ProtocolObserver):
     def __init__(self):
         self.events = []
         self.count = 0
     def on_access(self, thread, heap):
         self.events.append(thread.thread_id)
         self.count += 1
-
-class Engine:
-    def __init__(self):
-        self.tracer = GoodObserver()
-    def step(self, thread, heap):
-        self.tracer.on_access(thread, heap)
 """
     )
     assert rep.findings == []
@@ -165,20 +162,20 @@ class Engine:
 
 def test_observer_purity_is_interprocedural():
     """A write reached through a helper call is still charged to the
-    observer entry point."""
+    observer entry point — found through an indirect subclass, with no
+    engine call site at all."""
     rep = report_for(
         """
-class SneakyObserver:
+from kern import ProtocolObserver
+
+class Base(ProtocolObserver):
+    pass
+
+class SneakyObserver(Base):
     def on_access(self, thread, heap):
         self._helper(heap)
     def _helper(self, heap):
         heap.dirty = True
-
-class Engine:
-    def __init__(self):
-        self.sanitizer = SneakyObserver()
-    def step(self, thread, heap):
-        self.sanitizer.on_access(thread, heap)
 """
     )
     assert codes(rep) == ["EFF102"]
@@ -190,19 +187,14 @@ def test_self_ns_accounting_is_exempt():
     rep = report_for(
         """
 import time
+from kern import ProtocolObserver
 
-class MeteredObserver:
+class MeteredObserver(ProtocolObserver):
     def __init__(self):
         self.self_ns = 0
     def on_access(self, thread, heap):
         t0 = time.perf_counter_ns()
         self.self_ns += time.perf_counter_ns() - t0
-
-class Engine:
-    def __init__(self):
-        self.tracer = MeteredObserver()
-    def step(self, thread, heap):
-        self.tracer.on_access(thread, heap)
 """
     )
     assert rep.findings == []
@@ -355,4 +347,14 @@ def test_repo_tree_has_no_unsuppressed_violations():
     assert rep.findings == [], f"unsuppressed effect violations:\n{rendered}"
     # the discovery layers actually found the repo's hooks
     assert len(rep.observer_roots) >= 10
-    assert any("sanitizer" in how for how in rep.observer_roots.values())
+    roots = rep.observer_roots
+    # every shipped observer is found as ProtocolObserver overrides ...
+    for q in (
+        "repro.checks.sanitizer.ProtocolSanitizer.on_access",
+        "repro.checks.racedetect.RaceDetector.on_notice",
+        "repro.obs.tracing.SpanTracer.on_fault",
+        "repro.obs.objprof.ObjectProfiler.on_oal_flush",
+    ):
+        assert roots[q].startswith("override of"), q
+    # ... and the no-op vocabulary itself is not a root
+    assert not any(q.startswith("repro.dsm.observer.") for q in roots)

@@ -5,6 +5,7 @@ clean-run and byte-identity guarantees."""
 from __future__ import annotations
 
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,10 +19,16 @@ from repro.runtime.thread import SimThread
 from repro.workloads.sor import SORWorkload
 
 
-def make_thread(thread_id: int = 0, interval_id: int = 1) -> SimThread:
+def make_thread(thread_id: int = 0, interval_id: int = 1, now_ns: int = 0) -> SimThread:
     thread = SimThread(thread_id=thread_id, node_id=0)
     thread.current_interval = IntervalRecord(thread_id, interval_id)
+    thread.clock.advance_to(now_ns)
     return thread
+
+
+def sanitized_djvm(n_nodes: int = 2) -> tuple[DJVM, ProtocolSanitizer]:
+    djvm = DJVM(n_nodes=n_nodes)
+    return djvm, djvm.attach(ProtocolSanitizer())
 
 
 def expect(code: str):
@@ -34,7 +41,7 @@ def expect(code: str):
 
 
 def test_san001_nested_open_via_engine():
-    djvm = DJVM(n_nodes=2, sanitize=True)
+    djvm, _ = sanitized_djvm()
     thread = djvm.spawn_thread(0)
     djvm.hlrc.open_interval(thread)
     with expect("SAN001"):
@@ -94,50 +101,67 @@ def test_san002_log_into_wrong_interval():
 
 
 def _djvm_with_object():
-    djvm = DJVM(n_nodes=2, sanitize=True)
+    djvm, san = sanitized_djvm()
     jclass = djvm.define_class("X", instance_size=64)
     obj = djvm.allocate(jclass, home_node=0)
-    return djvm, obj
+    return djvm, san, obj
 
 
 def test_san003_cache_copy_claiming_home():
-    djvm, obj = _djvm_with_object()
+    djvm, san, obj = _djvm_with_object()
     djvm.hlrc.heaps[1].copies[obj.obj_id] = CopyRecord(obj.obj_id, RealState.HOME)
     with expect("SAN003"):
-        djvm.sanitizer.sweep_heaps()
+        san.sweep_heaps()
 
 
 def test_san003_home_copy_invalidated():
-    djvm, obj = _djvm_with_object()
+    djvm, san, obj = _djvm_with_object()
     djvm.hlrc.heaps[0].copies[obj.obj_id] = CopyRecord(obj.obj_id, RealState.INVALID)
     with expect("SAN003"):
-        djvm.sanitizer.sweep_heaps()
+        san.sweep_heaps()
 
 
 def test_san003_spurious_invalidation():
-    djvm, obj = _djvm_with_object()
+    djvm, san, obj = _djvm_with_object()
     djvm.hlrc.heaps[1].copies[obj.obj_id] = CopyRecord(
         obj.obj_id, RealState.INVALID, fetched_version=obj.home_version
     )
     with expect("SAN003"):
-        djvm.sanitizer.sweep_heaps()
+        san.sweep_heaps()
 
 
 def test_san003_dirty_bytes_exceed_size():
-    djvm, obj = _djvm_with_object()
+    djvm, san, obj = _djvm_with_object()
     djvm.hlrc.heaps[1].copies[obj.obj_id] = CopyRecord(
         obj.obj_id, RealState.VALID, dirty_bytes=obj.size_bytes + 1
     )
     with expect("SAN003"):
-        djvm.sanitizer.sweep_heaps()
+        san.sweep_heaps()
 
 
 def test_san003_clean_sweep_counts_copies():
-    djvm, obj = _djvm_with_object()
+    djvm, san, obj = _djvm_with_object()
     djvm.hlrc.heaps[1].copies[obj.obj_id] = CopyRecord(
         obj.obj_id, RealState.VALID, fetched_version=obj.home_version
     )
-    assert djvm.sanitizer.sweep_heaps() >= 1
+    assert san.sweep_heaps() >= 1
+
+
+def test_san003_corrupt_copy_caught_at_run_end_of_a_bare_interpreter():
+    """The end-of-run sweep rides ``on_run_end``, which the interpreter
+    emits itself — a directly constructed Interpreter (no DJVM.run) gets
+    it too."""
+    from repro.runtime import program as P
+    from repro.runtime.interpreter import Interpreter
+
+    djvm, san, obj = _djvm_with_object()
+    djvm.spawn_thread(0)
+    djvm.hlrc.heaps[1].copies[obj.obj_id] = CopyRecord(obj.obj_id, RealState.HOME)
+    interp = Interpreter(djvm.hlrc, djvm.threads)
+    interp.attach_programs({0: [P.compute(100)]})
+    with expect("SAN003"):
+        interp.run()
+    assert san.checks_run > 0
 
 
 # ---------------------------------------------------------------------------
@@ -147,32 +171,32 @@ def test_san003_clean_sweep_counts_copies():
 
 def test_san004_double_arrival():
     san = ProtocolSanitizer()
-    san.on_barrier_arrive(0, thread_id=1, parties=4, now_ns=10)
+    san.on_barrier_arrive(make_thread(1, now_ns=10), 0, 4)
     with expect("SAN004"):
-        san.on_barrier_arrive(0, thread_id=1, parties=4, now_ns=20)
+        san.on_barrier_arrive(make_thread(1, now_ns=20), 0, 4)
 
 
 def test_san004_arrivals_exceed_parties():
     san = ProtocolSanitizer()
-    san.on_barrier_arrive(0, thread_id=0, parties=1, now_ns=10)
+    san.on_barrier_arrive(make_thread(0, now_ns=10), 0, 1)
     with expect("SAN004"):
-        san.on_barrier_arrive(0, thread_id=1, parties=1, now_ns=20)
+        san.on_barrier_arrive(make_thread(1, now_ns=20), 0, 1)
 
 
 def test_san004_over_release():
     san = ProtocolSanitizer()
-    san.on_barrier_arrive(0, thread_id=0, parties=2, now_ns=10)
-    san.on_barrier_arrive(0, thread_id=1, parties=2, now_ns=20)
+    san.on_barrier_arrive(make_thread(0, now_ns=10), 0, 2)
+    san.on_barrier_arrive(make_thread(1, now_ns=20), 0, 2)
     with expect("SAN004"):
-        san.on_barrier_release(0, parties=2, waiters=[0, 1, 1], release_ns=30)
+        san.on_barrier_release(0, 2, [0, 1, 1], 30, {})
 
 
 def test_san004_released_set_mismatch():
     san = ProtocolSanitizer()
-    san.on_barrier_arrive(0, thread_id=0, parties=2, now_ns=10)
-    san.on_barrier_arrive(0, thread_id=1, parties=2, now_ns=20)
+    san.on_barrier_arrive(make_thread(0, now_ns=10), 0, 2)
+    san.on_barrier_arrive(make_thread(1, now_ns=20), 0, 2)
     with expect("SAN004"):
-        san.on_barrier_release(0, parties=2, waiters=[0, 2], release_ns=30)
+        san.on_barrier_release(0, 2, [0, 2], 30, {})
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +213,10 @@ def test_san005_kernel_clock_rewind():
 
 def test_san005_release_before_last_arrival():
     san = ProtocolSanitizer()
-    san.on_barrier_arrive(0, thread_id=0, parties=2, now_ns=10)
-    san.on_barrier_arrive(0, thread_id=1, parties=2, now_ns=500)
+    san.on_barrier_arrive(make_thread(0, now_ns=10), 0, 2)
+    san.on_barrier_arrive(make_thread(1, now_ns=500), 0, 2)
     with expect("SAN005"):
-        san.on_barrier_release(0, parties=2, waiters=[0, 1], release_ns=400)
+        san.on_barrier_release(0, 2, [0, 1], 400, {})
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +235,17 @@ class _StubFootprinter:
 
 def test_san006_stray_sticky_candidate():
     san = ProtocolSanitizer()
-    san.attach_footprinter(_StubFootprinter([42]))
+    san.on_suite_attach(SimpleNamespace(footprinter=_StubFootprinter([42])))
     thread = make_thread()
     result = MigrationResult(
         thread_id=0, from_node=0, to_node=1, stack_slots=0, direct_cost_ns=0
     )
     with expect("SAN006"):
-        san.on_migration(thread, result)
+        san.on_migration(thread, result, 0)
 
 
 def test_san006_prefetched_copy_not_valid_at_target():
-    djvm, obj = _djvm_with_object()
+    djvm, san, obj = _djvm_with_object()
     thread = djvm.spawn_thread(0)
     result = MigrationResult(
         thread_id=0,
@@ -232,7 +256,7 @@ def test_san006_prefetched_copy_not_valid_at_target():
         prefetched_ids=[obj.obj_id],  # nothing was installed at node 1
     )
     with expect("SAN006"):
-        djvm.sanitizer.on_migration(thread, result)
+        san.on_migration(thread, result, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +266,10 @@ def test_san006_prefetched_copy_not_valid_at_target():
 
 def test_san007_notice_version_not_increasing():
     san = ProtocolSanitizer()
-    san.on_notice(5, version=3)
+    thread = make_thread()
+    san.on_notice(thread, 5, 3)
     with expect("SAN007"):
-        san.on_notice(5, version=3)
+        san.on_notice(thread, 5, 3)
 
 
 def test_san007_written_object_missing_from_access_log():
@@ -264,9 +289,9 @@ def test_san007_written_object_missing_from_access_log():
 def test_violation_carries_code_and_trace():
     san = ProtocolSanitizer()
     san.on_event_pop(100, None)
-    san.on_barrier_arrive(3, thread_id=2, parties=4, now_ns=100)
+    san.on_barrier_arrive(make_thread(2, now_ns=100), 3, 4)
     try:
-        san.on_barrier_arrive(3, thread_id=2, parties=4, now_ns=110)
+        san.on_barrier_arrive(make_thread(2, now_ns=110), 3, 4)
     except SanitizerViolation as violation:
         assert violation.code == "SAN004"
         assert violation.trace  # ring buffer attached
@@ -287,7 +312,9 @@ def test_invariant_catalog_complete():
 
 def _profiled_run(*, sanitize: bool):
     workload = SORWorkload(n=128, rounds=2, n_threads=4, seed=7)
-    djvm = DJVM(n_nodes=4, sanitize=sanitize)
+    djvm = DJVM(n_nodes=4)
+    if sanitize:
+        djvm.attach(ProtocolSanitizer())
     workload.build(djvm, placement="round_robin")
     suite = ProfilerSuite(djvm, correlation=True, footprint=True, stack=True)
     suite.set_rate_all(4)
@@ -306,8 +333,9 @@ def _fingerprint(djvm, result, suite) -> tuple:
 
 def test_sanitized_workload_run_is_clean():
     djvm, _, _ = _profiled_run(sanitize=True)
-    assert djvm.sanitizer.violations == 0
-    assert djvm.sanitizer.checks_run > 1000  # really hooked in, not idle
+    (san,) = djvm.hlrc.observers
+    assert san.violations == 0
+    assert san.checks_run > 1000  # really hooked in, not idle
 
 
 def test_sanitizer_does_not_perturb_results():
@@ -331,6 +359,7 @@ def test_sanitized_migration_run_is_clean():
     from repro.checks.runner import run_checked
 
     workload = SORWorkload(n=128, rounds=2, n_threads=4, seed=11)
-    _, djvm = run_checked(workload, sanitize=True, migrate=True)
-    assert djvm.sanitizer.violations == 0
-    assert djvm.sanitizer.checks_run > 0
+    san = ProtocolSanitizer()
+    run_checked(workload, san, migrate=True)
+    assert san.violations == 0
+    assert san.checks_run > 0

@@ -368,9 +368,11 @@ class TestIntegration:
         from repro.core.profiler import ProfilerSuite
         from repro.runtime.djvm import DJVM
 
-        djvm = DJVM(n_nodes=2, sampling_backend=backend)
+        djvm = DJVM(n_nodes=2)
         djvm.spawn_threads(2)
-        return djvm, ProfilerSuite(djvm, correlation=True, send_oals=False)
+        return djvm, ProfilerSuite(
+            djvm, correlation=True, send_oals=False, sampling_backend=backend
+        )
 
     def test_djvm_backend_plumbing(self):
         djvm, suite = self._suite("hash")

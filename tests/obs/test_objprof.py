@@ -41,9 +41,9 @@ class TestLifetimeFolding:
     def test_fault_refault_and_per_node_counts(self):
         prof = ObjectProfiler()
         obj = _obj()
-        prof.on_fault(_thread(1, 0), obj, False)
-        prof.on_fault(_thread(2, 1), obj, False)
-        prof.on_fault(_thread(1, 0), obj, True)
+        prof.on_fault(_thread(1, 0), obj, False, 0, 1)
+        prof.on_fault(_thread(2, 1), obj, False, 0, 1)
+        prof.on_fault(_thread(1, 0), obj, True, 0, 1)
         rec = prof.records[7]
         assert rec.faults == 3
         assert rec.refaults == 1
@@ -51,23 +51,23 @@ class TestLifetimeFolding:
 
     def test_dead_transfer_is_epoch_closed_with_zero_reads(self):
         prof = ObjectProfiler()
-        prof.on_fault(_thread(1, 0), _obj(), False)  # copy in, never read
-        prof.on_invalidations(1, [7])
+        prof.on_fault(_thread(1, 0), _obj(), False, 0, 1)  # copy in, never read
+        prof.on_invalidations(_thread(1, 0), [7])
         assert prof.records[7].dead_transfers == 1
         assert prof.records[7].invalidations == 1
 
     def test_read_before_invalidation_is_not_dead(self):
         prof = ObjectProfiler()
-        prof.on_fault(_thread(1, 0), _obj(), False)
+        prof.on_fault(_thread(1, 0), _obj(), False, 0, 1)
         prof.on_interval_close(_thread(1, 0), _interval({7: (3, 0)}))
-        prof.on_invalidations(1, [7])
+        prof.on_invalidations(_thread(1, 0), [7])
         assert prof.records[7].dead_transfers == 0
         assert prof.records[7].reads_by_node == {1: 3}
 
     def test_invalidation_on_other_node_keeps_epoch_open(self):
         prof = ObjectProfiler()
-        prof.on_fault(_thread(1, 0), _obj(), False)
-        prof.on_invalidations(2, [7])  # a different node's copy dies
+        prof.on_fault(_thread(1, 0), _obj(), False, 0, 1)
+        prof.on_invalidations(_thread(2, 0), [7])  # a different node's copy dies
         assert prof.records[7].dead_transfers == 0
 
     def test_writer_alternations_count_node_changes(self):
@@ -83,8 +83,8 @@ class TestLifetimeFolding:
     def test_phases_span_barrier_releases(self):
         prof = ObjectProfiler()
         prof.on_interval_close(_thread(0, 0), _interval({7: (1, 0)}))
-        prof.on_barrier_release(1_000)
-        prof.on_barrier_release(2_000)
+        prof.on_barrier_release(0, 2, [0, 1], 1_000, {})
+        prof.on_barrier_release(0, 2, [0, 1], 2_000, {})
         prof.on_interval_close(_thread(0, 0), _interval({7: (1, 0)}))
         rec = prof.records[7]
         assert (rec.first_phase, rec.last_phase) == (0, 2)
@@ -97,7 +97,7 @@ class TestLifetimeFolding:
             SimpleNamespace(obj_id=7, scaled_bytes=512),
             SimpleNamespace(obj_id=7, scaled_bytes=256),
         ]
-        prof.on_oal_batch(0, entries)
+        prof.on_oal_flush(_thread(0, 0), SimpleNamespace(entries=entries), 0)
         assert prof.records[7].ht_bytes == 768
 
 
@@ -128,8 +128,8 @@ class TestPatternDetectors:
         prof = ObjectProfiler()
         obj = _obj()
         for node in (1, 2):
-            prof.on_fault(_thread(node, node), obj, False)
-            prof.on_invalidations(node, [7])
+            prof.on_fault(_thread(node, node), obj, False, 0, 1)
+            prof.on_invalidations(_thread(node, 0), [7])
         found = [f for f in self._detect(prof, obj) if f.pattern == "dead-transfer"]
         assert len(found) == 1
         assert found[0].wasted_ns > 0
@@ -138,20 +138,20 @@ class TestPatternDetectors:
     def test_over_invalidated_needs_read_mostly_and_refaults(self):
         prof = ObjectProfiler()
         obj = _obj()
-        prof.on_fault(_thread(1, 1), obj, False)
+        prof.on_fault(_thread(1, 1), obj, False, 0, 1)
         prof.on_interval_close(_thread(1, 1), _interval({7: (10, 0)}))
-        prof.on_invalidations(1, [7])
-        prof.on_fault(_thread(1, 1), obj, True)  # refault
+        prof.on_invalidations(_thread(1, 0), [7])
+        prof.on_fault(_thread(1, 1), obj, True, 0, 1)  # refault
         prof.on_interval_close(_thread(1, 1), _interval({7: (10, 1)}))
-        prof.on_invalidations(1, [7])
+        prof.on_invalidations(_thread(1, 0), [7])
         patterns = [f.pattern for f in self._detect(prof, obj)]
         assert "over-invalidated" in patterns
 
     def test_contended_home_names_dominant_remote_node(self):
         prof = ObjectProfiler()
         obj = _obj(home=0)
-        prof.on_fault(_thread(2, 2), obj, False)
-        prof.on_fault(_thread(2, 2), obj, True)
+        prof.on_fault(_thread(2, 2), obj, False, 0, 1)
+        prof.on_fault(_thread(2, 2), obj, True, 0, 1)
         prof.on_interval_close(_thread(0, 0), _interval({7: (1, 0)}))
         prof.on_interval_close(_thread(1, 1), _interval({7: (2, 0)}))
         prof.on_interval_close(_thread(2, 2), _interval({7: (9, 0)}))
@@ -162,7 +162,7 @@ class TestPatternDetectors:
     def test_detectors_only_emit_known_patterns(self):
         prof = ObjectProfiler()
         obj = _obj()
-        prof.on_fault(_thread(1, 1), obj, False)
+        prof.on_fault(_thread(1, 1), obj, False, 0, 1)
         for f in self._detect(prof, obj):
             assert f.pattern in PATTERNS
 

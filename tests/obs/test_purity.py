@@ -12,7 +12,6 @@ import pytest
 
 from repro.analysis.experiments import run_with_correlation
 from repro.obs.export import chrome_trace, validate_chrome_trace
-from repro.sim.events import EventLoop
 from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
@@ -127,50 +126,3 @@ def test_sor_trace_has_barrier_and_tcm_spans():
     ordered = sorted(windows, key=lambda s: s.begin_ns)
     for a, b in zip(ordered, ordered[1:]):
         assert a.end_ns <= b.begin_ns
-
-
-# ---------------------------------------------------------------------------
-# event-kernel aux channel: bounded ring + dropped accounting
-# ---------------------------------------------------------------------------
-
-
-class TestAuxRing:
-    def _loop(self, capacity):
-        loop = EventLoop(aux_capacity=capacity)
-        loop.keep_aux = True
-        return loop
-
-    def test_bounded_ring_evicts_oldest_and_counts(self):
-        loop = self._loop(2)
-        for i in range(5):
-            loop.record_aux((i,))
-        assert loop.aux_trace == [(3,), (4,)]
-        assert loop.aux_dropped == 3
-        assert loop.aux_capacity == 2
-
-    def test_unbounded_by_default(self):
-        loop = self._loop(None)
-        for i in range(100):
-            loop.record_aux((i,))
-        assert len(loop.aux_trace) == 100
-        assert loop.aux_dropped == 0
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError, match="aux_capacity"):
-            EventLoop(aux_capacity=-1)
-
-    def test_djvm_threads_capacity_to_kernel_and_telemetry(self):
-        from repro.runtime.djvm import DJVM
-
-        workload = SORWorkload(n=64, rounds=1, n_threads=2, seed=3)
-        djvm = DJVM(n_nodes=2, telemetry=True, aux_capacity=7)
-        workload.build(djvm)
-        djvm.run(workload.programs())
-        kernel = djvm._interpreter.kernel
-        assert kernel.aux_capacity == 7
-        # overflow the ring post-run; telemetry surfaces the drop count
-        kernel.keep_aux = True
-        for i in range(10):
-            kernel.record_aux((i,))
-        snap = djvm.telemetry.snapshot()
-        assert snap["event_kernel_aux_dropped"] == kernel.aux_dropped == 3

@@ -8,8 +8,15 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TCM_TRACK, SpanTracer
 
 
-def _thread(thread_id=0, node_id=0):
-    return SimpleNamespace(thread_id=thread_id, node_id=node_id)
+def _thread(thread_id=0, node_id=0, now_ns=0):
+    """A thread stub at simulated time ``now_ns`` whose current interval
+    opened at that instant."""
+    return SimpleNamespace(
+        thread_id=thread_id,
+        node_id=node_id,
+        clock=SimpleNamespace(_now_ns=now_ns),
+        current_interval=SimpleNamespace(start_ns=now_ns),
+    )
 
 
 class TestSpanTracer:
@@ -24,10 +31,11 @@ class TestSpanTracer:
 
     def test_interval_open_close_pairs(self):
         tr = SpanTracer()
-        t = _thread(thread_id=3, node_id=1)
-        tr.interval_open(t, 100)
+        t = _thread(thread_id=3, node_id=1, now_ns=100)
+        tr.on_interval_open(t)
         assert tr.open_spans() and not tr.spans
-        tr.interval_close(t, SimpleNamespace(interval_id=42), 250)
+        t.clock._now_ns = 250
+        tr.on_interval_close(t, SimpleNamespace(interval_id=42))
         assert not tr.open_spans()
         (span,) = tr.spans
         assert (span.begin_ns, span.end_ns) == (100, 250)
@@ -36,21 +44,22 @@ class TestSpanTracer:
 
     def test_interval_close_without_open_is_ignored(self):
         tr = SpanTracer()
-        tr.interval_close(_thread(), SimpleNamespace(interval_id=0), 10)
+        tr.on_interval_close(_thread(now_ns=10), SimpleNamespace(interval_id=0))
         assert tr.spans == []
 
     def test_barrier_wait_span(self):
         tr = SpanTracer()
-        t = _thread(thread_id=2, node_id=1)
-        tr.barrier_arrive(t, 7, 1000)
-        tr.barrier_resume(t, 7, 1800)
+        t = _thread(thread_id=2, node_id=1, now_ns=1000)
+        tr.on_barrier_arrive(t, 7, 2)
+        t.clock._now_ns = 1800
+        tr.on_barrier_resume(t, 7)
         (span,) = tr.by_name("barrier_wait")
         assert (span.begin_ns, span.end_ns) == (1000, 1800)
         assert span.cat == "sync"
 
     def test_barrier_resume_without_arrive_is_ignored(self):
         tr = SpanTracer()
-        tr.barrier_resume(_thread(), 7, 1800)
+        tr.on_barrier_resume(_thread(now_ns=1800), 7)
         assert tr.spans == []
 
     def test_containment_same_track_only(self):
@@ -65,8 +74,8 @@ class TestSpanTracer:
         """Two windows delivered while the first computes must queue, not
         overlap — the daemon is sequential."""
         tr = SpanTracer()
-        tr.tcm_window(0, 100, 50, entries=10, window_index=0)
-        tr.tcm_window(0, 120, 50, entries=10, window_index=1)  # arrives mid-compute
+        tr.on_tcm_window(0, 100, 50, entries=10, window_index=0)
+        tr.on_tcm_window(0, 120, 50, entries=10, window_index=1)  # arrives mid-compute
         a, b = tr.by_name("tcm_window")
         assert a.track == TCM_TRACK and b.track == TCM_TRACK
         assert (a.begin_ns, a.end_ns) == (100, 150)
@@ -89,7 +98,7 @@ class TestChromeTraceExport:
         # node 1 / thread 1: bare interval
         tr.add("interval", "interval", 1, 1, 0, 800)
         # daemon track
-        tr.tcm_window(0, 600, 100, entries=4, window_index=0)
+        tr.on_tcm_window(0, 600, 100, entries=4, window_index=0)
         return tr
 
     def test_document_is_schema_valid(self):

@@ -22,6 +22,8 @@ from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
 
+from tests.conftest import compile_hot
+
 N_NODES = 4
 N_THREADS = 4
 N_SCALARS = 24
@@ -112,19 +114,6 @@ def fingerprint(djvm: DJVM, res) -> dict:
         ),
         "history": history,
     }
-
-
-def compile_hot(programs: dict[int, list], replay: str) -> dict:
-    """Compile ``programs``; under vector replay also pre-mark every
-    run hot.  These programs execute once, so the interpreter's warm-up
-    gate would keep every run scalar; pre-marking forces the engine
-    through the bulk path the tests are here to check."""
-    progs = {tid: P.compile_program(ops) for tid, ops in programs.items()}
-    if replay == "vector":
-        for cp in progs.values():
-            for vr in cp.vector_runs().values():
-                vr.hot = True
-    return progs
 
 
 def run_replay(
