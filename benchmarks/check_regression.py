@@ -128,19 +128,22 @@ def main(argv: list[str]) -> int:
             continue
         scalar = point.get("scalar", {}).get("wall_s")
         vector = point.get("vector", {}).get("wall_s")
-        if scalar is not None and vector is not None:
+        fresh = point.get("vector_fresh", {}).get("wall_s")
+        if scalar is not None and vector is not None and fresh is not None:
             print(
                 f"  scale      {rung:40s} scalar {scalar:.4f}s -> "
-                f"vector {vector:.4f}s ({point.get('speedup', 0):.2f}x, advisory)"
+                f"vector {vector:.4f}s ({point.get('speedup', 0):.2f}x), "
+                f"fresh {fresh:.4f}s ({point.get('speedup_fresh', 0):.2f}x, advisory)"
             )
-        if point.get("checksum_scalar") != point.get("checksum_vector"):
-            failures.append(
-                f"scale:{rung}: vector replay checksum diverged from the "
-                f"scalar oracle"
-            )
+        for key in ("checksum_vector", "checksum_fresh"):
+            if point.get("checksum_scalar") != point.get(key):
+                failures.append(
+                    f"scale:{rung}: vector replay {key} diverged from the "
+                    f"scalar oracle"
+                )
         expect = base_scale.get(rung)
         if expect is not None:
-            for key in ("checksum_scalar", "checksum_vector"):
+            for key in ("checksum_scalar", "checksum_vector", "checksum_fresh"):
                 if expect.get(key) != point.get(key):
                     failures.append(
                         f"scale:{rung}: {key} changed vs baseline "

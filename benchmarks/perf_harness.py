@@ -8,9 +8,11 @@ attached, plus the deterministic metrics snapshot) — and the simulator's
 hot kernels, then writes ``BENCH_perf.json``.  A separate ``scale``
 phase runs the SOR weak-scaling ladder (8 → 128 simulated nodes, one
 thread per node) under ``scalar`` (per-op oracle) and ``vector`` (bulk)
-access replay, recording wall/ops-per-second for each mode plus a
-byte-level checksum of the simulated results — the two replay modes
-must produce identical checksums at every rung.  This file is the perf
+access replay — the latter both on a compiled program set reused across
+DJVMs (``vector``) and on one compiled for the run (``vector_fresh``) —
+recording wall/ops-per-second for each mode plus a byte-level checksum
+of the simulated results: all three must produce identical checksums at
+every rung.  This file is the perf
 trajectory every later PR is measured against: ``make perf``
 regenerates it and ``benchmarks/check_regression.py`` fails the build
 when wall-time regresses against the committed baseline.
@@ -36,6 +38,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -83,20 +86,22 @@ def best_of(fn, repeats: int) -> tuple[float, object]:
     return best, result
 
 
-def median_of(fn, repeats: int, warmups: int = 2) -> tuple[float, object]:
+def median_of(fn, setup, repeats: int, warmups: int = 2) -> tuple[float, object]:
     """Median wall time over ``repeats`` calls after ``warmups`` discarded
     runs, with the collector paused around each timed region.  The scale
     phase uses medians (not best-of): its multi-second runs drift with
     allocator state, and the median is the honest central tendency the
-    scalar-vs-vector speedups are computed from."""
+    scalar-vs-vector speedups are computed from.  ``setup`` runs untimed
+    before every call and its result is passed to ``fn``."""
     walls = []
     result = None
     for i in range(warmups + repeats):
+        arg = setup()
         gc.collect()
         gc.disable()
         try:
             t0 = time.perf_counter()
-            result = fn()
+            result = fn(arg)
             elapsed = time.perf_counter() - t0
         finally:
             gc.enable()
@@ -216,30 +221,45 @@ def result_checksum(res) -> str:
 
 def _scale_point(nodes: int, n: int, rounds: int, repeats: int) -> dict:
     """One ladder rung: SOR at ``nodes`` simulated nodes, scalar vs
-    vector replay, sharing one compiled program set (object allocation
-    is deterministic, so ids stay valid across rebuilds)."""
+    vector replay.  ``scalar`` and ``vector`` share one compiled program
+    set (object allocation is deterministic, so ids stay valid across
+    rebuilds), so ``vector`` is the steady state of a reused program:
+    every run hot, lanes and cost arrays already built.  ``vector_fresh``
+    is what a single ``DJVM.run`` gets: a program set compiled for that
+    run (outside the timed region), which pays run extraction and lane
+    builds inside it."""
     scratch = DJVM(nodes)
     workload = SORWorkload(n=n, rounds=rounds, n_threads=nodes, seed=0)
     workload.build(scratch)
-    compiled = {
-        tid: P.compile_program(ops) for tid, ops in workload.programs().items()
-    }
 
-    def run_mode(replay: str):
+    def compile_set() -> dict:
+        return {
+            tid: P.compile_program(ops) for tid, ops in workload.programs().items()
+        }
+
+    compiled = compile_set()
+
+    def run_mode(replay: str, programs: dict):
         djvm = DJVM(nodes, replay=replay)
         SORWorkload(n=n, rounds=rounds, n_threads=nodes, seed=0).build(djvm)
-        return djvm.run(compiled)
+        return djvm.run(programs)
 
     point: dict[str, object] = {"nodes": nodes, "n": n, "rounds": rounds}
-    for mode in ("scalar", "vector"):
-        wall, res = median_of(lambda m=mode: run_mode(m), repeats)
+    for mode, replay, program_set, checksum in (
+        ("scalar", "scalar", lambda: compiled, "checksum_scalar"),
+        ("vector", "vector", lambda: compiled, "checksum_vector"),
+        ("vector_fresh", "vector", compile_set, "checksum_fresh"),
+    ):
+        wall, res = median_of(partial(run_mode, replay), program_set, repeats)
         point[mode] = {
             "wall_s": round(wall, 6),
             "ops": res.ops_executed,
             "ops_per_s": round(res.ops_executed / wall, 1),
         }
-        point[f"checksum_{mode}"] = result_checksum(res)
-    point["speedup"] = round(point["scalar"]["wall_s"] / point["vector"]["wall_s"], 3)
+        point[checksum] = result_checksum(res)
+    scalar_wall = point["scalar"]["wall_s"]
+    point["speedup"] = round(scalar_wall / point["vector"]["wall_s"], 3)
+    point["speedup_fresh"] = round(scalar_wall / point["vector_fresh"]["wall_s"], 3)
     return point
 
 
@@ -257,9 +277,10 @@ def measure_scale(repeats: int, mode: str = "full") -> dict:
         out[f"sor_{nodes}"] = point
         print(
             f"scale sor nodes={nodes:3d}  scalar {point['scalar']['wall_s']:.4f}s  "
-            f"vector {point['vector']['wall_s']:.4f}s  "
-            f"speedup {point['speedup']:.2f}x  "
-            f"identical={point['checksum_scalar'] == point['checksum_vector']}",
+            f"vector {point['vector']['wall_s']:.4f}s ({point['speedup']:.2f}x)  "
+            f"fresh {point['vector_fresh']['wall_s']:.4f}s "
+            f"({point['speedup_fresh']:.2f}x)  "
+            f"identical={point['checksum_scalar'] == point['checksum_vector'] == point['checksum_fresh']}",
             flush=True,
         )
     return out

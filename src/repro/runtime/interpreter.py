@@ -36,6 +36,7 @@ from repro.dsm.hlrc import HomeBasedLRC
 from repro.runtime import program as prog
 from repro.runtime.stack import Frame
 from repro.runtime.thread import SimThread, ThreadState
+from repro.runtime.vector import VectorEngine
 from repro.sim.events import Event, EventKind, EventLoop
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,16 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: cost of a SETSLOT (a store to the current frame), nanoseconds.
 SETSLOT_NS = 2
-
-
-def _make_vector_engine(interp: "Interpreter"):
-    """Build the vector replay engine, or None when numpy is absent
-    (scalar replay remains fully functional without it)."""
-    try:
-        from repro.runtime.vector import VectorEngine
-    except ImportError:  # pragma: no cover - numpy-less environments
-        return None
-    return VectorEngine(interp)
 
 
 class TimerHook(Protocol):
@@ -155,17 +146,16 @@ class Interpreter:
             and self.replay == "vector"
             and not any(o.per_op for o in observers)
         ):
-            self._vector = _make_vector_engine(self)
-            if self._vector is not None:
-                # The bulk replay machinery assumes structurally
-                # well-formed programs (balanced CALL/RET, framed
-                # SETSLOT, paired locks); hard-gate it on the staticflow
-                # IR verifier.  Verification is cached per compiled
-                # program, so reuse across runs pays once.
-                from repro.checks.staticflow.verifier import gate_program
+            self._vector = VectorEngine(self)
+            # The bulk replay machinery assumes structurally
+            # well-formed programs (balanced CALL/RET, framed
+            # SETSLOT, paired locks); hard-gate it on the staticflow
+            # IR verifier.  Verification is cached per compiled
+            # program, so reuse across runs pays once.
+            from repro.checks.staticflow.verifier import gate_program
 
-                for thread in self.threads:
-                    gate_program(thread.program)
+            for thread in self.threads:
+                gate_program(thread.program)
         self._schedule_runnable()
         while True:
             event = kernel.pop()
@@ -361,9 +351,9 @@ class Interpreter:
                 else:
                     vec_demoted = vec.demoted
         start_i = i
-        # Run spans are non-overlapping and only a span's start index
-        # maps to a run, so once a run is taken scalar the per-op run
-        # lookup can sleep until its end.
+        # Run occurrences are non-overlapping and only an occurrence's
+        # start index maps to a run, so once one is taken scalar the
+        # per-op run lookup can sleep until its end.
         vr_skip = -1
         try:
             # ``thread.pc`` is only observed at scheduling points (sync
@@ -382,16 +372,17 @@ class Interpreter:
                         ):
                             if vr.hot:
                                 i, nd = vec.execute(
-                                    thread, vr, next_deadline if deadline_mode else -1
+                                    thread, vr, i, next_deadline if deadline_mode else -1
                                 )
                                 if deadline_mode:
                                     next_deadline = nd
                                 continue
-                            # First sighting: warm up scalar — one-shot
-                            # runs never amortize the lane build, and
-                            # re-executed runs pay one pass of it.
+                            # A body seen once in its program warms up
+                            # scalar — a one-shot run never amortizes
+                            # the lane build; a later DJVM reusing the
+                            # compiled program replays it in bulk.
                             vr.hot = True
-                        vr_skip = vr.end
+                        vr_skip = i + vr.n_ops
                 op = ops[i]
                 i += 1
                 code = op[0]
@@ -493,14 +484,3 @@ class Interpreter:
                 callback=self._on_barrier_release,
             )
         return False
-
-    def _post_op(self, thread: SimThread, timers, mig) -> None:
-        """Poll timer hooks and pending migrations after one op.
-
-        Kept for compatibility; the hot loop inlines this behind a
-        "hooks attached" guard.
-        """
-        for timer in timers:
-            timer.maybe_fire(thread)
-        if mig is not None and mig.has_pending(thread.thread_id):
-            mig.maybe_migrate(thread)

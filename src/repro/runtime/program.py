@@ -26,6 +26,7 @@ BARRIER   (OP_BARRIER, barrier_id)
 from __future__ import annotations
 
 import re
+from array import array
 from typing import Iterable, Iterator
 
 OP_READ = 0
@@ -66,32 +67,34 @@ _SYNC_OP_RE = re.compile(rb"[\x06-\x08]")
 
 
 class AccessRun:
-    """One maximal READ/WRITE/COMPUTE span of a compiled program.
+    """One distinct READ/WRITE/COMPUTE op sequence of a compiled program.
 
     The vector replay engine (:mod:`repro.runtime.vector`) executes such
-    a span as array passes instead of per-op dispatch.  Everything that
-    can be decided from the ops alone is computed by
+    a sequence as array passes instead of per-op dispatch.  A run is keyed
+    by **content**: :meth:`CompiledProgram.vector_runs` maps every
+    occurrence of an equal body to one shared run, so a run knows nothing
+    about where it sits — indexes are run-local, and the occurrence's
+    start pc is an argument of :meth:`VectorEngine.execute`.  Everything
+    that can be decided from the ops alone is computed by
     :meth:`materialize`, once per run: the per-object aggregate lanes
-    (total reads/writes, written elements, last-access position) and the
-    **checkpoints** — the run's slow lane: each object's run-local first
-    access (where a coherence probe, and possibly a fault, must happen)
-    and first write (where a twin may be created).  Every op outside the
-    checkpoint set is guaranteed to be a cache hit or pure compute
-    *given* the checkpoint outcomes, because copy state cannot change
-    inside a segment.
+    (total reads/writes, written elements, first/last-access position),
+    from which follow the **checkpoints** — the run's slow lane: each
+    object's run-local first access (where a coherence probe, and
+    possibly a fault, must happen) and first write (where a twin may be
+    created).  Every op outside the checkpoint set is guaranteed to be a
+    cache hit or pure compute *given* the checkpoint outcomes, because
+    copy state cannot change inside a segment.
 
-    Construction only records the span: the lane build is a Python-speed
-    pass over every op, which for a program of one-shot runs can cost
-    more than executing the ops, so the engine defers it until a run
-    actually vectorizes (the interpreter's ``hot`` warm-up gate).
+    Construction only records the body: the lane build is a Python-speed
+    pass over every op, which for a one-shot run can cost more than
+    executing the ops, so the engine defers it until a run actually
+    vectorizes (the ``hot`` flag).
 
     Cost arrays depend on the :class:`~repro.sim.costs.CostModel` and
     are attached lazily by the engine (``_cost_key`` / ``_costed``).
     """
 
     __slots__ = (
-        "start",
-        "end",
         "n_ops",
         "ops",
         "uniq",
@@ -104,27 +107,26 @@ class AccessRun:
         "u_last",
         "w_ks",
         "w_oids",
-        "checkpoints",
+        "_checkpoints",
         "_cost_key",
         "_costed",
         "hot",
     )
 
-    def __init__(self, all_ops: tuple, start: int, end: int) -> None:
-        #: absolute op-index span [start, end) in the program.
-        self.start = start
-        self.end = end
-        self.n_ops = end - start
-        self.ops = all_ops[start:end]
+    def __init__(self, body: tuple) -> None:
+        self.n_ops = len(body)
+        self.ops = body
         #: lanes are built lazily; ``uniq is None`` marks a stub.
         self.uniq = None
+        self._checkpoints = None
         self._cost_key = None
         self._costed = None
-        #: warm-up flag: the interpreter executes each run's first
-        #: sighting through the scalar loop (one-shot runs never earn
-        #: back the lane build) and vectorizes from the second on, so
-        #: repeated executions — including other DJVM instances reusing
-        #: the compiled program, as the bench harness does — go bulk.
+        #: replay gate: a hot run executes through the engine, a cold
+        #: one through the scalar loop.  A body that occurs at least
+        #: twice in its program is born hot (``vector_runs`` sets it);
+        #: a singleton goes hot after its first, scalar, execution —
+        #: a one-shot run never earns back the lane build, and a
+        #: compiled program reused by a later DJVM replays in bulk.
         self.hot = False
 
     def materialize(self) -> "AccessRun":
@@ -141,7 +143,6 @@ class AccessRun:
         u_first: list[int] = []
         u_firstw: list[int] = []
         u_last: list[int] = []
-        cps: dict[int, tuple[int, bool, bool]] = {}
         for j, op in enumerate(ops):
             code = op[0]
             if code == OP_COMPUTE:
@@ -159,15 +160,11 @@ class AccessRun:
                 u_first.append(j)
                 u_firstw.append(-1)
                 u_last.append(j)
-                cps[j] = (k, True, code == OP_WRITE)
             else:
                 u_last[k] = j
             if code == OP_WRITE:
                 if u_wops[k] == 0:
                     u_firstw[k] = j
-                    if j not in cps:
-                        # First write after a read first-touch: twin point.
-                        cps[j] = (k, False, True)
                 u_writes[k] += op[3]
                 u_welems[k] += op[2]
                 u_wops[k] += 1
@@ -182,19 +179,34 @@ class AccessRun:
         self.u_writes = u_writes
         self.u_welems = u_welems
         self.u_wops = u_wops
-        self.u_first = u_first
-        self.u_firstw = u_firstw
-        self.u_last = u_last
+        # Positions are packed (a list would box an int per entry); the
+        # engine indexes them only where an object needs protocol work.
+        self.u_first = array("q", u_first)
+        self.u_firstw = array("q", u_firstw)
+        self.u_last = array("q", u_last)
         #: written subset: uniq indexes and object ids with >= 1 write,
         #: for the engine's summary-free bookkeeping path.
         self.w_ks = tuple(k for k, wo in enumerate(u_wops) if wo)
         self.w_oids = tuple(uniq[k] for k in self.w_ks)
-        #: run-local slow lane: (rel_idx, uniq_idx, first_access,
-        #: check_write) in op order.
-        self.checkpoints = tuple(
-            (j, k, fa, cw) for j, (k, fa, cw) in sorted(cps.items())
-        )
         return self
+
+    def checkpoints(self) -> list[tuple[int, int, bool, bool]]:
+        """The run's complete slow lane, ``(rel_idx, uniq_idx,
+        first_access, check_write)`` in op order: every object's first
+        access, plus its first write when that comes later (the twin
+        point).  Needs the lanes; built on first use, because only
+        replay under a profiler hook walks all of them (hook-free replay
+        keeps just the objects its precheck finds incoherent)."""
+        cps = self._checkpoints
+        if cps is None:
+            cps = []
+            for k, (jf, jw) in enumerate(zip(self.u_first, self.u_firstw)):
+                cps.append((jf, k, True, jw == jf))
+                if jw > jf:
+                    cps.append((jw, k, False, True))
+            cps.sort()
+            self._checkpoints = cps
+        return cps
 
 
 class CompiledProgram:
@@ -240,15 +252,25 @@ class CompiledProgram:
         Returns ``{start_pc: AccessRun}`` for every maximal
         READ/WRITE/COMPUTE span of at least ``min_len`` ops.  The regex
         scan over the dense opcode array finds span boundaries at C
-        speed; per-run lane extraction happens once per program.
+        speed; spans with equal bodies share one :class:`AccessRun`
+        (interned by the body tuple itself, in a table that lives only
+        for this call), and a body found twice is hot from the start.
         """
         runs = self._vruns
         if runs is None:
             runs = {}
+            interned: dict[tuple, AccessRun] = {}
+            ops = self.ops
             for m in _ACCESS_RUN_RE.finditer(self.codes):
                 s, e = m.start(), m.end()
                 if e - s >= min_len:
-                    runs[s] = AccessRun(self.ops, s, e)
+                    body = ops[s:e]
+                    # setdefault: one hash of the body per span.
+                    new = AccessRun(body)
+                    run = interned.setdefault(body, new)
+                    if run is not new:
+                        run.hot = True
+                    runs[s] = run
             self._vruns = runs
         return runs
 

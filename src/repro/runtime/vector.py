@@ -17,7 +17,7 @@ access of a run every later access is a guaranteed hit, and after its
   remote fault, twin creation, summary creation, profiler fast hook.
 * **Cost arrays**: exclusive prefix sums of every op's base cost (access
   busy time, compute time) make "advance the clock across k ops" one
-  subtraction, and deadline-timer fires a ``numpy.searchsorted``.
+  subtraction, and deadline-timer fires one ``bisect``.
 
 Byte-identity with the scalar loop is the contract, not an aspiration:
 clock values, CPU accounting buckets, interval summaries (including
@@ -43,9 +43,8 @@ happens *after* the op's summary timestamp), so the per-object
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
-import numpy as np
+from array import array
+from bisect import bisect_left, bisect_right
 
 from repro.dsm.intervals import AccessSummary
 from repro.dsm.states import CopyRecord, RealState
@@ -60,7 +59,7 @@ _TIMER_FIRE = EventKind.TIMER_FIRE
 class _CostedRun:
     """Per-(run, cost model) prefix-cost arrays (exclusive; length n+1)."""
 
-    __slots__ = ("base", "base_np", "abusy", "comp", "first_base", "last_base")
+    __slots__ = ("base", "abusy", "first_base", "last_base")
 
     def __init__(self, run: AccessRun, costs) -> None:
         ops = run.ops
@@ -68,9 +67,9 @@ class _CostedRun:
         busy_ns = costs.state_check_ns + costs.access_ns
         scale_is_unity = costs.compute_scale == 1.0
         scaled_compute = costs.scaled_compute
-        base = [0] * (n + 1)
-        abusy = [0] * (n + 1)
-        comp = [0] * (n + 1)
+        # Packed int64: a list would box two Python ints per op.
+        base = array("q", [0]) * (n + 1)
+        abusy = array("q", [0]) * (n + 1)
         a = c = 0
         for j, op in enumerate(ops):
             if op[0] == OP_COMPUTE:
@@ -82,23 +81,20 @@ class _CostedRun:
                 a += busy_ns * op[3]
             j1 = j + 1
             abusy[j1] = a
-            comp[j1] = c
             base[j1] = a + c
         #: combined base cost prefix (access busy + compute).
         self.base = base
-        #: same array for searchsorted deadline lookups.
-        self.base_np = np.asarray(base, dtype=np.int64)
-        #: access-busy-only and compute-only prefixes (CPU buckets).
+        #: access-busy-only prefix; the compute share of ops [p, e) is
+        #: the difference of the two (CPU buckets).
         self.abusy = abusy
-        self.comp = comp
         #: per-uniq base-clock offsets of the first/last access instant
         #: (exact summary timestamps when the run pays no extras).
-        self.first_base = [base[j + 1] for j in run.u_first]
-        self.last_base = [base[j + 1] for j in run.u_last]
+        self.first_base = array("q", [base[j + 1] for j in run.u_first])
+        self.last_base = array("q", [base[j + 1] for j in run.u_last])
 
 
 class VectorEngine:
-    """Executes :class:`AccessRun` spans in bulk for one interpreter.
+    """Executes :class:`AccessRun` occurrences in bulk for one interpreter.
 
     Created by :meth:`Interpreter.run` when replay mode is ``"vector"``
     and no ``per_op`` observer (sanitizer / race detector) is attached; the
@@ -124,12 +120,14 @@ class VectorEngine:
         self._objects = hl._objects
         self._copies_by_node = hl._copies_by_node
         self.costs = hl.costs
-        #: runs demoted to the scalar loop (see _maybe_demote): access
-        #: streams where most distinct objects keep needing protocol
-        #: work, so bulk replay is pure overhead on top of the scalar
-        #: walk.  Both paths are byte-identical; this is purely adaptive
+        #: runs demoted to the scalar loop: access streams where most
+        #: distinct objects keep needing protocol work (_maybe_demote)
+        #: or, under a profiler hook, too many ops are first touches
+        #: (execute), so bulk replay is overhead on the scalar walk.
+        #: Both paths are byte-identical; this is purely adaptive
         #: performance routing, decided per engine (never cached on the
-        #: shared compiled program).
+        #: compiled program) and per run, so it covers every occurrence
+        #: of an interned body.
         self.demoted: set[AccessRun] = set()
         #: run -> consecutive majority-slow executions.  One strike is
         #: expected (cold start: every first touch faults); a second
@@ -161,24 +159,45 @@ class VectorEngine:
 
     # ------------------------------------------------------------------
 
-    def execute(self, thread, run: AccessRun, deadline: int) -> tuple[int, int]:
-        """Replay one access run for ``thread``; returns the next pc and
-        the (possibly recomputed) timer deadline.
+    def execute(
+        self, thread, run: AccessRun, start: int, deadline: int
+    ) -> tuple[int, int]:
+        """Replay the occurrence of ``run`` at pc ``start`` for
+        ``thread``; returns the next pc and the (possibly recomputed)
+        timer deadline.
 
         ``deadline`` is the interpreter's current minimum timer deadline,
         or ``-1`` when deadline mode is off.  Normally the whole run
-        executes and the returned pc is ``run.end``; a migration becoming
+        executes and the returned pc is ``start + n``; a migration becoming
         pending mid-run (a timer fire or profiler hook submitted a plan)
         finalizes the executed prefix, evaluates the plan at exactly the
         op boundary the scalar loop would, and returns the mid-run pc so
-        the scalar loop resumes there.
+        the scalar loop resumes there.  A run the engine declines (see
+        below) is demoted and ``start`` comes back with nothing executed.
         """
         hl = self.hlrc
+        hooks = hl.hooks
+        n = run.n_ops
+        if hooks:
+            # A profiler hook sees every distinct object's first touch,
+            # so each is a checkpoint the walk executes scalar-verbatim
+            # plus its own bookkeeping — about 2.5 scalar ops' worth.
+            # Past one first touch per four ops the scalar loop is
+            # cheaper (SOR's sweeps, at 0.4, ran 25% slower in bulk),
+            # so the run is declined before its lanes are ever built.
+            uniq = run.uniq
+            n_uniq = (
+                len(uniq)
+                if uniq is not None
+                else len({op[1] for op in run.ops if op[0] != OP_COMPUTE})
+            )
+            if n_uniq * 4 > n:
+                self.demoted.add(run)
+                return start, deadline
         if run.uniq is None:
             run.materialize()
         costed = self._costed(run)
         base = costed.base
-        n = run.n_ops
         clock = thread.clock
         clock0 = clock._now_ns
         node_id = thread.node_id
@@ -188,7 +207,6 @@ class VectorEngine:
         u_wops = run.u_wops
         records: list = [None] * len(uniq)
 
-        hooks = hl.hooks
         interp = self.interp
         # Interval access summaries are observable only through the
         # profiler hooks, any observer, kept interval history, or sampling
@@ -217,29 +235,29 @@ class VectorEngine:
             # checkpoints (the precheck over-approximates: a prefetch
             # bundle may satisfy a later checkpoint, which then probes
             # fresh state and simply skips the fault).
-            ops = run.ops
+            u_first = run.u_first
+            u_firstw = run.u_firstw
             slow: list = []
-            lanes = zip(uniq, u_wops, run.u_first, run.u_firstw)
-            for k, (oid, wo, jf, jw) in enumerate(lanes):
+            for k, (oid, wo) in enumerate(zip(uniq, u_wops)):
                 record = copies.get(oid)
                 if record is None:
-                    obj = objects[oid]
-                    if obj.home_node != node_id:
-                        slow.append((jf, k, True, ops[jf][0] == OP_WRITE))
-                        if jw >= 0 and jw != jf:
-                            slow.append((jw, k, False, True))
-                        continue
-                    # Home copies materialize lazily at zero cost.
-                    record = CopyRecord(oid, _HOME)
-                    copies[oid] = record
+                    if objects[oid].home_node == node_id:
+                        # Home copies materialize lazily at zero cost.
+                        record = CopyRecord(oid, _HOME)
+                        copies[oid] = record
                 elif record.real_state is _INVALID:
-                    slow.append((jf, k, True, ops[jf][0] == OP_WRITE))
-                    if jw >= 0 and jw != jf:
+                    record = None
+                if record is None:
+                    # Must fault: first access, and first write if later.
+                    jf = u_first[k]
+                    jw = u_firstw[k]
+                    slow.append((jf, k, True, jw == jf))
+                    if jw > jf:
                         slow.append((jw, k, False, True))
                     continue
                 records[k] = record
                 if wo and record.real_state is not _HOME and not record.has_twin:
-                    slow.append((jw, k, False, True))
+                    slow.append((u_firstw[k], k, False, True))
 
             if not slow and (deadline < 0 or clock0 + base[n] < deadline):
                 if self._strikes:
@@ -250,8 +268,9 @@ class VectorEngine:
                 # interval bookkeeping one pass over distinct objects
                 # with precomputed timestamps.
                 cpu = thread.cpu
-                cpu.access_ns += costed.abusy[n]
-                cpu.compute_ns += costed.comp[n]
+                abusy_n = costed.abusy[n]
+                cpu.access_ns += abusy_n
+                cpu.compute_ns += base[n] - abusy_n
                 clock._now_ns = clock0 + base[n]
                 interval = thread.current_interval
                 written = interval.written
@@ -274,7 +293,7 @@ class VectorEngine:
                                     record.dirty_bytes + wb, obj.size_bytes
                                 )
                                 record.writers.add(tid)
-                    return run.end, deadline
+                    return start + n, deadline
                 accesses = interval.accesses
                 fast_lanes = zip(
                     uniq,
@@ -308,7 +327,7 @@ class VectorEngine:
                                 record.dirty_bytes + wb, obj.size_bytes
                             )
                             record.writers.add(tid)
-                return run.end, deadline
+                return start + n, deadline
             self._maybe_demote(run, len(slow), len(uniq))
             slow.sort()
             checkpoints = slow
@@ -336,14 +355,12 @@ class VectorEngine:
                 # side cache only; simulated costs are unchanged, so
                 # vector and scalar replay stay byte-identical).
                 prime([objects[oid] for oid in uniq])
-            checkpoints = run.checkpoints
+            checkpoints = run.checkpoints()
             defer = False
 
         # ---- checkpointed walk ---------------------------------------
         abusy = costed.abusy
-        comp = costed.comp
         ops = run.ops
-        start = run.start
         cpu = thread.cpu
         tid = thread.thread_id
         costs = self.costs
@@ -368,14 +385,15 @@ class VectorEngine:
                 if dl >= 0:
                     target = dl - clock0 - extra
                     if base[nxt] >= target:
-                        j = int(np.searchsorted(costed.base_np, target, side="left")) - 1
+                        j = bisect_left(base, target) - 1
                         if j < pos:
                             j = pos
                         if j < nxt:
                             fire_at = j
                 end = nxt if fire_at < 0 else fire_at + 1
-                cpu.access_ns += abusy[end] - abusy[pos]
-                cpu.compute_ns += comp[end] - comp[pos]
+                busy = abusy[end] - abusy[pos]
+                cpu.access_ns += busy
+                cpu.compute_ns += base[end] - base[pos] - busy
                 clock._now_ns = clock0 + extra + base[end]
                 pos = end
                 if fire_at >= 0:
@@ -457,7 +475,7 @@ class VectorEngine:
                 return start + pos, dl
 
         self._finalize(thread, run, costed, records, n, clock0, ev_key, ev_cum, book)
-        return run.end, dl
+        return start + n, dl
 
     # ------------------------------------------------------------------
 

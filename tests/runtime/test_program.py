@@ -183,3 +183,53 @@ class TestCompiledProgramEdgeCases:
         prog._verified = True
         assert compile_program(prog) is prog
         assert compile_program(prog)._verified
+
+
+class TestVectorRunInterning:
+    """``vector_runs()`` keys access runs by content: one shared
+    ``AccessRun`` per distinct body of a compiled program."""
+
+    @staticmethod
+    def burst(base: int, n: int = 8) -> list:
+        return [P.read(base + j) if j % 3 else P.write(base + j) for j in range(n)]
+
+    def compiled(self):
+        from repro.runtime.program import compile_program
+
+        a, b = self.burst(0), self.burst(100)
+        # a | a (fresh op tuples) | b | a: three occurrences of one body
+        # and a singleton, every one its own maximal span.
+        ops = [*a, P.barrier(0), *[(*op,) for op in a], P.barrier(1)]
+        ops += [*b, P.acquire(0), P.release(0), *a, P.barrier(2)]
+        return compile_program(ops), len(a)
+
+    def test_equal_bodies_share_one_run(self):
+        prog, n = self.compiled()
+        runs = prog.vector_runs()
+        assert sorted(runs) == [0, n + 1, 2 * (n + 1), 3 * (n + 1) + 1]
+        first, second, single, third = (runs[pc] for pc in sorted(runs))
+        assert first is second is third
+        assert single is not first
+        assert first.ops == tuple(self.burst(0))
+        assert single.ops == tuple(self.burst(100))
+        assert prog.vector_runs() is runs
+
+    def test_repeated_body_is_born_hot_singleton_cold(self):
+        prog, n = self.compiled()
+        runs = prog.vector_runs()
+        assert runs[0].hot
+        assert not runs[2 * (n + 1)].hot
+        # extraction alone builds no lanes
+        assert all(run.uniq is None for run in runs.values())
+
+    def test_runs_carry_no_position(self):
+        prog, n = self.compiled()
+        run = prog.vector_runs()[0]
+        assert run.n_ops == n
+        assert not hasattr(run, "start") and not hasattr(run, "end")
+
+    def test_programs_do_not_share_runs(self):
+        """The intern table is per compiled program, not global."""
+        one, _ = self.compiled()
+        two, _ = self.compiled()
+        assert one.vector_runs()[0] is not two.vector_runs()[0]

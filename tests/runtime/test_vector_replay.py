@@ -8,16 +8,24 @@ cover the paths the vector engine special-cases: no observers (the
 summary-free fast path), interval history kept, a deadline-API timer
 and a ``fast_on_access`` profiler hook.  The paper workloads (SOR /
 Barnes-Hut / Water-Spatial) run through the same comparison.
+
+Access runs are interned by content per compiled program, so a second
+family of programs repeats each body several times: the shared run is
+born hot and replays in bulk inside one ``DJVM.run`` — with no
+pre-marking — while singleton bodies warm up scalar.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
+from repro.runtime.migration import MigrationPlan
+from repro.runtime.vector import VectorEngine
 from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
@@ -47,13 +55,35 @@ def build_djvm(**kwargs) -> tuple[DJVM, list[int]]:
     return djvm, obj_ids
 
 
+def random_burst(rng: random.Random, obj_ids: list[int], n: int) -> list:
+    """``n`` access/compute ops, three bursts in four over a working set
+    of 2-4 objects."""
+    pool = obj_ids
+    if rng.random() < 0.75:
+        pool = rng.sample(obj_ids, rng.randint(2, 4))
+    ops = []
+    for _ in range(n):
+        oid = rng.choice(pool)
+        if rng.random() < 0.35:
+            ops.append(P.write(oid, n_elems=rng.randint(1, 4)))
+        elif rng.random() < 0.1:
+            ops.append(P.compute(rng.randint(1_000, 60_000)))
+        else:
+            ops.append(
+                P.read(oid, n_elems=rng.randint(1, 8), repeat=rng.randint(1, 3))
+            )
+    return ops
+
+
 def random_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
     """Barrier-separated rounds of random access bursts.
 
     Bursts are long enough (up to 24 consecutive access ops) that most
     cross the vectorizer's minimum-run threshold, with short bursts,
     computes, locks and call/ret mixed in so scalar↔vector transitions
-    and mid-segment sync points are exercised too."""
+    and mid-segment sync points are exercised too.  Most bursts stay
+    inside a small working set: under a profiler hook the engine only
+    takes runs that revisit their objects several times."""
     rng = random.Random(seed)
     programs: dict[int, list] = {}
     rounds = 4
@@ -67,18 +97,40 @@ def random_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
                     ops.append(P.acquire(0))
                     ops.append(P.write(rng.choice(obj_ids)))
                     ops.append(P.release(0))
-                for _ in range(rng.randint(3, 24)):
-                    oid = rng.choice(obj_ids)
-                    if rng.random() < 0.35:
-                        ops.append(P.write(oid, n_elems=rng.randint(1, 4)))
-                    else:
-                        ops.append(
-                            P.read(
-                                oid,
-                                n_elems=rng.randint(1, 8),
-                                repeat=rng.randint(1, 3),
-                            )
-                        )
+                ops.extend(random_burst(rng, obj_ids, rng.randint(3, 24)))
+            ops.append(P.barrier(rnd))
+        ops.append(P.ret())
+        programs[tid] = ops
+    return programs
+
+
+def repeating_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
+    """*body x k* programs: each thread owns a few random bodies and
+    replays each k in 2..5 times, occurrences separated by a barrier or
+    a lock pair (so every occurrence is its own maximal span), with
+    one-shot bursts mixed in.  Some occurrences are rebuilt from fresh
+    op tuples: interning is by content, not by op identity."""
+    rng = random.Random(seed)
+    programs: dict[int, list] = {}
+    rounds = 5
+    for tid in range(N_THREADS):
+        bodies = [
+            (random_burst(rng, obj_ids, rng.randint(6, 24)), rng.randint(2, 5))
+            for _ in range(rng.randint(1, 3))
+        ]
+        ops: list = [P.call("main", 2)]
+        for rnd in range(rounds):
+            for body, k in bodies:
+                if rnd >= k:
+                    continue
+                ops.extend(body if rng.random() < 0.5 else [(*op,) for op in body])
+                ops.append(P.acquire(0))
+                ops.append(P.write(rng.choice(obj_ids)))
+                ops.append(P.release(0))
+                if rng.random() < 0.4:
+                    ops.extend(random_burst(rng, obj_ids, rng.randint(6, 16)))
+                    ops.append(P.acquire(1))
+                    ops.append(P.release(1))
             ops.append(P.barrier(rnd))
         ops.append(P.ret())
         programs[tid] = ops
@@ -121,8 +173,12 @@ def run_replay(
     replay: str,
     *,
     observer: str | None = None,
+    make_programs=random_programs,
+    premark: bool = True,
     **kwargs,
 ):
+    """``premark`` forces every run through the engine (``compile_hot``);
+    without it the programs compile fresh, as a user's do."""
     djvm, obj_ids = build_djvm(replay=replay, **kwargs)
     extra = None
     if observer == "timer":
@@ -131,7 +187,8 @@ def run_replay(
     elif observer == "hook":
         extra = FastHook()
         djvm.add_hook(extra)
-    res = djvm.run(compile_hot(random_programs(seed, obj_ids), replay))
+    programs = make_programs(seed, obj_ids)
+    res = djvm.run(compile_hot(programs, replay) if premark else programs)
     fp = fingerprint(djvm, res)
     if extra is not None:
         fp["observer"] = list(extra.events)
@@ -215,48 +272,218 @@ def test_vector_matches_scalar_with_fast_hook(seed):
     ) == run_replay(seed, "scalar", observer="hook", keep_interval_history=True)
 
 
+def split_runs(cp: P.CompiledProgram) -> tuple[list, list]:
+    """(singleton runs, shared runs) of a compiled program."""
+    occurrences = Counter(map(id, cp.vector_runs().values()))
+    runs = {id(vr): vr for vr in cp.vector_runs().values()}.values()
+    singles = [vr for vr in runs if occurrences[id(vr)] == 1]
+    shared = [vr for vr in runs if occurrences[id(vr)] > 1]
+    return singles, shared
+
+
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_cold_runs_warm_up_scalar_and_stay_identical(seed):
     """Without pre-marking, one-shot runs take the warm-up (scalar)
-    path: results still match, and the engine reports no executions."""
+    path: results still match, and the engine never touched them."""
     djvm, obj_ids = build_djvm(replay="vector", keep_interval_history=True)
     progs = {
         tid: P.compile_program(ops)
         for tid, ops in random_programs(seed, obj_ids).items()
     }
+    singles = [vr for cp in progs.values() for vr in split_runs(cp)[0]]
+    assert singles and not any(vr.hot for vr in singles)
     fp = fingerprint(djvm, djvm.run(progs))
     assert fp == run_replay(seed, "scalar", keep_interval_history=True)
-    # every run was sighted once, so all are marked hot but none ran hot
-    for cp in progs.values():
-        assert all(vr.hot for vr in cp.vector_runs().values())
-        assert all(vr.uniq is None for vr in cp.vector_runs().values())
+    # every singleton was sighted once: marked hot, but none ran hot
+    assert all(vr.hot for vr in singles)
+    assert all(vr.uniq is None for vr in singles)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_hot_runs_materialize_lanes_lazily(seed):
-    """A program run twice (two DJVMs sharing the compiled form, as the
-    bench harness does) vectorizes on the second pass and only then
-    builds lanes."""
+    """Lanes are built only when a run first replays in bulk: a singleton
+    body on the second pass of a reused compiled form (two DJVMs, as the
+    bench harness does), a repeated body — born hot — within the first."""
     fps = []
     progs = None
-    for _ in range(2):
+    for n_pass in range(2):
         djvm, obj_ids = build_djvm(replay="vector", keep_interval_history=True)
         if progs is None:
             progs = {
                 tid: P.compile_program(ops)
-                for tid, ops in random_programs(seed, obj_ids).items()
+                for tid, ops in repeating_programs(seed, obj_ids).items()
             }
+            splits = [split_runs(cp) for cp in progs.values()]
+            singles = [vr for s, _ in splits for vr in s]
+            shared = [vr for _, sh in splits for vr in sh]
+            assert singles and shared
+            assert all(vr.hot for vr in shared)
+            assert all(vr.uniq is None for vr in singles + shared)
         fps.append(fingerprint(djvm, djvm.run(progs)))
+        assert all(vr.uniq is not None for vr in shared)
+        assert all((vr.uniq is not None) == (n_pass == 1) for vr in singles)
     assert fps[0] == fps[1] == run_replay(
-        seed, "scalar", keep_interval_history=True
+        seed,
+        "scalar",
+        make_programs=repeating_programs,
+        keep_interval_history=True,
     )
-    materialized = [
-        vr
-        for cp in progs.values()
-        for vr in cp.vector_runs().values()
-        if vr.uniq is not None
+
+
+REPEAT_CONFIGS = {
+    "bare": {},
+    "history": {"keep_interval_history": True},
+    "timer": {"observer": "timer", "keep_interval_history": True},
+    "hook": {"observer": "hook", "keep_interval_history": True},
+}
+
+
+@pytest.mark.parametrize("config", sorted(REPEAT_CONFIGS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_repeated_bodies_replay_in_bulk_and_match_scalar(seed, config):
+    """Fresh *body x k* programs, no pre-marking: shared runs go through
+    the engine at every occurrence, singletons through the scalar loop,
+    and the result is the scalar oracle's."""
+    kwargs = dict(
+        REPEAT_CONFIGS[config], make_programs=repeating_programs, premark=False
+    )
+    assert run_replay(seed, "vector", **kwargs) == run_replay(
+        seed, "scalar", **kwargs
+    )
+
+
+@pytest.fixture
+def execute_calls(monkeypatch):
+    """Every ``VectorEngine.execute`` call of the test as ``(start pc,
+    run, returned pc)``, recorded by a class-level wrapper (the way
+    ``benchmarks/e2e/tracer.py`` counts them)."""
+    calls: list[tuple[int, object, int]] = []
+    original = VectorEngine.execute
+
+    def recording(self, thread, run, start, deadline):
+        pc, dl = original(self, thread, run, start, deadline)
+        calls.append((start, run, pc))
+        return pc, dl
+
+    monkeypatch.setattr(VectorEngine, "execute", recording)
+    return calls
+
+
+def test_fresh_sor_program_engages_engine_in_one_run(execute_calls):
+    """A user's run — fresh programs, one ``DJVM.run`` — must replay the
+    repeating sweeps in bulk; a silent return to zero engagement (runs
+    keyed by position again) fails here."""
+    rounds = 4
+    djvm = DJVM(N_NODES)
+    workload = SORWorkload(n=128, rounds=rounds, n_threads=N_THREADS, seed=3)
+    workload.build(djvm)
+    djvm.run(workload.programs())
+    assert len(execute_calls) >= N_THREADS * 2 * (rounds - 1)
+
+
+def test_hook_declines_a_run_dense_in_first_touches(execute_calls):
+    """Under a profiler hook every distinct object is a checkpoint, so a
+    run that hardly revisits its objects is handed back unexecuted,
+    demoted for the rest of the run, and builds no lanes."""
+    fps = {}
+    for replay in ("vector", "scalar"):
+        djvm, obj_ids = build_djvm(replay=replay, keep_interval_history=True)
+        hook = FastHook()
+        djvm.add_hook(hook)
+        body = [P.read(oid) for oid in obj_ids[:12]]
+        main = P.compile_program(
+            [P.call("main", 2), *body, P.barrier(0), *body, P.barrier(1), P.ret()]
+        )
+        idle = [P.barrier(0), P.barrier(1)]
+        programs = {0: main, **{tid: list(idle) for tid in range(1, N_THREADS)}}
+        fps[replay] = (fingerprint(djvm, djvm.run(programs)), hook.events)
+    assert fps["vector"] == fps["scalar"]
+    (run,) = set(main.vector_runs().values())
+    assert run.hot and run.uniq is None
+    assert [(start, pc) for start, _, pc in execute_calls] == [(1, 1)]
+
+
+class MigratingTimer(DeadlineTimer):
+    """Records one ``(thread, pc, deadline)`` per firing call; on thread
+    0's ``migrate_at``-th one submits an immediate migration plan, which
+    the engine must honour at the op boundary the scalar loop would."""
+
+    def __init__(self, djvm: DJVM, migrate_at: int | None) -> None:
+        super().__init__()
+        self.djvm = djvm
+        self.migrate_at = migrate_at
+        self.fires = 0
+
+    def maybe_fire(self, thread) -> None:
+        before = len(self.events)
+        super().maybe_fire(thread)
+        fired = self.events[before:]
+        if not fired:
+            return
+        self.events[before:] = [(thread.thread_id, thread.pc, fired[-1][1])]
+        if thread.thread_id == 0:
+            if self.fires == self.migrate_at:
+                self.djvm.migration.schedule(MigrationPlan(0, target_node=1))
+            self.fires += 1
+
+
+def shared_run_program(obj_ids: list[int]) -> tuple[list, int]:
+    """Thread 0's program: one body, three occurrences, barriers between;
+    returns it with the body length.  Few objects are written, so later
+    occurrences need few twins and the engine does not demote the run."""
+    rng = random.Random(7)
+    body = []
+    for n, oid in enumerate(rng.sample(obj_ids, 12)):
+        last = P.write(oid) if n < 3 else P.read(oid)
+        body += [P.read(oid, n_elems=2), P.compute(90_000), last]
+    ops = [P.call("main", 2)]
+    for rnd in range(3):
+        ops += body + [P.barrier(rnd)]
+    return ops + [P.ret()], len(body)
+
+
+def run_shared(replay: str, migrate_at: int | None):
+    djvm, obj_ids = build_djvm(replay=replay, keep_interval_history=True)
+    timer = MigratingTimer(djvm, migrate_at)
+    djvm.add_timer(timer)
+    main, n_body = shared_run_program(obj_ids)
+    idle = [P.barrier(rnd) for rnd in range(3)]
+    programs = {0: main, **{tid: list(idle) for tid in range(1, N_THREADS)}}
+    fp = fingerprint(djvm, djvm.run(programs))
+    fp["fires"] = list(timer.events)
+    fp["migrations"] = list(djvm.migration.results)
+    fp["node"] = djvm.threads[0].node_id
+    return fp, n_body
+
+
+def test_timer_fire_and_migration_inside_a_later_occurrence(execute_calls):
+    """Position enters a shared run only through ``execute``'s ``start``:
+    a timer firing inside the second occurrence must publish that
+    occurrence's pc, and a migration submitted there must bail out to
+    ``start + pos`` of *that* occurrence, not the first one's."""
+    scalar, n_body = run_shared("scalar", None)
+    second = 1 + n_body + 1  # call, first occurrence, barrier
+    inside = [
+        i
+        for i, (tid, pc, _) in enumerate(scalar["fires"])
+        if tid == 0 and second < pc < second + n_body
     ]
-    assert materialized, "second execution should have engaged the engine"
+    assert inside, "timer period must land a fire inside the second occurrence"
+    vector, _ = run_shared("vector", None)
+    assert vector == scalar
+    assert [start for start, _, _ in execute_calls] == [
+        1 + k * (n_body + 1) for k in range(3)
+    ]
+    assert len({id(run) for _, run, _ in execute_calls}) == 1
+
+    migrate_at = sum(1 for tid, _, _ in scalar["fires"][: inside[0]] if tid == 0)
+    del execute_calls[:]
+    vector, _ = run_shared("vector", migrate_at)
+    scalar, _ = run_shared("scalar", migrate_at)
+    assert vector == scalar
+    assert vector["node"] == 1 and len(vector["migrations"]) == 1
+    bailed = [(start, pc) for start, run, pc in execute_calls if pc != start + run.n_ops]
+    assert bailed == [(second, scalar["fires"][inside[0]][1])]
 
 
 WORKLOADS = {
