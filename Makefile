@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint sanitize race static effects obs objprof frontier check bench bench-paper perf examples demo clean
+.PHONY: install test lint sanitize race static obs objprof frontier check bench bench-paper perf examples demo clean
 
 install:
 	pip install -e .
@@ -36,11 +36,6 @@ race:
 static:
 	PYTHONPATH=src python -m repro.checks static
 
-# Interprocedural effect/purity gate: observer purity (EFF1xx) and
-# clock separation (EFF2xx) over the simulator's own source.
-effects:
-	PYTHONPATH=src python -m repro.checks effects
-
 # Telemetry gate: a bench-scale workload with metrics + span tracing,
 # asserting byte-identity against the untraced run, Chrome-trace JSON
 # schema validity, and telemetry wall overhead under 15%.
@@ -56,7 +51,6 @@ objprof:
 
 # The pre-merge gate: lint, tier-1 tests, sanitizer-enabled workloads,
 # the happens-before race gate, the static-analysis soundness gate,
-# the interprocedural effect/purity gate,
 # the telemetry and object-profiler gates, the e2e benchmark's smoke
 # tests (its layer tracer resolves simulator entry points by name, so a
 # rename must fail here, not in a benchmark run), plus the perf
@@ -69,7 +63,6 @@ check: lint
 	PYTHONPATH=src python -m repro.checks sanitize
 	PYTHONPATH=src python -m repro.checks race
 	PYTHONPATH=src python -m repro.checks static
-	PYTHONPATH=src python -m repro.checks effects
 	PYTHONPATH=src python -m repro.obs gate
 	PYTHONPATH=src python -m repro.obs objprof
 	PYTHONPATH=src python benchmarks/perf_harness.py --repeats 3 --scale smoke --frontier smoke --output /tmp/BENCH_perf.check.json

@@ -17,16 +17,14 @@ Subcommands:
   must verify, the racy synthetic must yield a non-empty may-race set,
   and — the soundness cross-check — every dynamic FastTrack report
   must be covered by the static may-race set.
-* ``effects`` — run the interprocedural effect/purity analysis
-  (:mod:`repro.checks.effects`) over the simulator's own source:
-  observer purity (EFF1xx) and clock separation (EFF2xx);
-  ``--json PATH`` dumps the full summary document on demand.
 * ``all`` (default) — run **every** gate (lint, sanitize, race,
-  static, effects), report each failure, and exit with the
-  highest-severity (numerically largest) failing code.
+  static), report each failure, and exit with the highest-severity
+  (numerically largest) failing code.
 
-Each failing subcommand exits with its own code (see ``--help``) so CI
-logs identify the failing gate without scraping stderr.
+Each failing subcommand exits with its own code (see ``--help``; the
+README's gate table is the one exit-code table) so CI logs identify the
+failing gate without scraping stderr.  Code 6 belonged to the deleted
+``effects`` gate and is retired, not reused.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from repro.checks.simlint import check_paths
 
@@ -45,25 +42,12 @@ EXIT_LINT = 2
 EXIT_SANITIZE = 3
 EXIT_RACE = 4
 EXIT_STATIC = 5
-EXIT_EFFECTS = 6
 
 
 def run_lint(paths: list[str] | None = None) -> int:
-    """Lint ``paths``; print findings; return a process exit code.
-
-    Every linted source root (a directory holding the ``repro``
-    package) is also run through the effect analysis, live and in
-    memory, so the interprocedural SIM009 feed sharpens the syntactic
-    pass and cannot go stale."""
-    from repro.checks.effects import analyze_package
-    from repro.checks.effects.summary import counter_writes
-
+    """Lint ``paths``; print findings; return a process exit code."""
     paths = paths or DEFAULT_LINT_PATHS
-    feed: dict[str, list] = {}
-    for root in paths:
-        if (Path(root) / "repro" / "__init__.py").is_file():
-            feed.update(counter_writes(analyze_package(root)))
-    findings = check_paths(paths, counter_writes=feed)
+    findings = check_paths(paths)
     for finding in findings:
         print(finding.render())
     if findings:
@@ -193,49 +177,12 @@ def run_static(json_path: str | None = None, *, verbose: bool = True) -> int:
     return 0
 
 
-def run_effects(
-    src_root: str | None = None,
-    json_path: str | None = None,
-    *,
-    verbose: bool = True,
-) -> int:
-    """Run the interprocedural effect/purity gate.
-
-    ``json_path`` dumps the full summary document (nothing is committed;
-    the dump is on demand).
-    """
-    from repro.checks.effects import analyze_package
-    from repro.checks.effects.rules import render_summary_line
-
-    root = Path(src_root) if src_root else Path(__file__).resolve().parents[2]
-    report = analyze_package(root)
-
-    for finding in report.findings:
-        print(finding.render())
-    if verbose:
-        for finding in report.suppressed:
-            print(f"  suppressed: {finding.render()}")
-        print(render_summary_line(report))
-
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        print(f"effects: wrote {json_path}")
-
-    if report.findings:
-        print(f"effects: {len(report.findings)} finding(s)", file=sys.stderr)
-        return EXIT_EFFECTS
-    print("effects: certified (observer purity, clock separation)")
-    return 0
-
-
 #: gate name -> (runner, exit code), in ``all`` execution order.
 ALL_GATES = (
     ("lint", lambda: run_lint(None), EXIT_LINT),
     ("sanitize", run_sanitize, EXIT_SANITIZE),
     ("race", run_race, EXIT_RACE),
     ("static", run_static, EXIT_STATIC),
-    ("effects", run_effects, EXIT_EFFECTS),
 )
 
 
@@ -270,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
             "exit codes: 0 all clean; "
             f"{EXIT_LINT} lint findings; {EXIT_SANITIZE} sanitizer violation; "
             f"{EXIT_RACE} race gate failed; {EXIT_STATIC} static gate failed; "
-            f"{EXIT_EFFECTS} effects gate failed. "
+            "6 retired (not reused). "
             "`all` runs every gate and exits with the highest failing code."
         ),
     )
@@ -291,16 +238,6 @@ def main(argv: list[str] | None = None) -> int:
     static.add_argument(
         "--json", default=None, metavar="PATH", help="also write per-workload JSON reports"
     )
-    effects = sub.add_parser(
-        "effects",
-        help=f"run the interprocedural effect/purity gate (exit {EXIT_EFFECTS} on findings)",
-    )
-    effects.add_argument(
-        "src_root", nargs="?", default=None, help="source tree to analyze (default: src)"
-    )
-    effects.add_argument(
-        "--json", default=None, metavar="PATH", help="also dump the full JSON report"
-    )
     sub.add_parser("all", help="run every gate, exit max failing code (default)")
     args = parser.parse_args(argv)
 
@@ -312,8 +249,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_race()
     if args.command == "static":
         return run_static(args.json)
-    if args.command == "effects":
-        return run_effects(args.src_root, args.json)
     return run_all()
 
 

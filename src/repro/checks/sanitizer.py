@@ -91,8 +91,7 @@ class SanitizerViolation(AssertionError):
 class ProtocolSanitizer(ProtocolObserver):
     """Observes the protocol engine and raises on invariant violations.
 
-    One instance per DJVM; attach via ``djvm.attach(ProtocolSanitizer())``
-    before building a :class:`~repro.core.profiler.ProfilerSuite`.
+    One instance per DJVM; attach via ``djvm.attach(ProtocolSanitizer())``.
     """
 
     per_op = True

@@ -54,11 +54,6 @@ SIM013    silent exception swallow (``except Exception: pass`` /
           turns a crash into a silent divergence of simulated state
 ========  ==============================================================
 
-Semantic sharpening: given the ``counter_writes`` feed of a live
-effect analysis (see :mod:`repro.checks.effects`),
-:func:`semantic_findings` adds interprocedural SIM009 findings the
-syntactic pass cannot see — alias-tracked ``counters`` mutations.
-
 Escape hatch: append ``# simlint: disable=SIM003`` (comma-separate for
 several codes, or ``disable=all``) to the offending line.  A disable on
 the line of a ``def``/``class`` statement covers that statement's
@@ -78,7 +73,6 @@ __all__ = [
     "check_source",
     "check_file",
     "check_paths",
-    "semantic_findings",
     "RULES",
 ]
 
@@ -920,56 +914,9 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield p
 
 
-def check_paths(
-    paths: Iterable[str | Path], *, counter_writes: dict | None = None
-) -> list[Finding]:
-    """Lint every .py file under ``paths``.
-
-    When ``counter_writes`` (the effect analysis' feed, see
-    :func:`repro.checks.effects.summary.counter_writes`) is given, the
-    interprocedural SIM009 findings are folded in and deduplicated
-    against the syntactic findings.
-    """
-    files = list(iter_python_files(paths))
+def check_paths(paths: Iterable[str | Path]) -> list[Finding]:
+    """Lint every .py file under ``paths``."""
     findings: list[Finding] = []
-    for p in files:
+    for p in iter_python_files(paths):
         findings.extend(check_file(p))
-    if counter_writes:
-        seen = {(Path(f.path).as_posix(), f.line, f.code) for f in findings}
-        for f in semantic_findings(counter_writes, files):
-            if (Path(f.path).as_posix(), f.line, f.code) not in seen:
-                findings.append(f)
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings
-
-
-def semantic_findings(
-    counter_writes: dict, checked_files: Iterable[str | Path]
-) -> list[Finding]:
-    """SIM009 findings sourced from the effect analysis.
-
-    The syntactic rule only sees a mutation spelled at the flagged
-    line; ``counter_writes`` (path -> [[line, qualname], ...]) carries
-    alias-tracked ``counters`` mutations outside the registry proven
-    *through the call graph*.  Findings honor the standard
-    ``# simlint: disable=`` escape hatch on the flagged line.
-    """
-    by_posix = {Path(f).as_posix(): Path(f) for f in checked_files}
-    out: list[Finding] = []
-    for rel, entries in sorted(counter_writes.items()):
-        p = next((p for posix, p in by_posix.items() if posix.endswith(rel)), None)
-        if p is None or not p.is_file():
-            continue
-        disabled = _disabled_lines(p.read_text(encoding="utf-8"))
-        for line, qualname in entries:
-            codes = disabled.get(line, ())
-            if "SIM009" in codes or "ALL" in codes:
-                continue
-            out.append(
-                Finding(
-                    str(p), line, 0, "SIM009",
-                    f"alias-tracked counters[...] mutation in {qualname} outside "
-                    "the metrics registry (interprocedural, via the effect analysis)",
-                )
-            )
-    return out

@@ -99,6 +99,8 @@ class ProfilerSuite:
                 costs, gap_ms=stack_gap_ms, lazy=lazy_extraction
             )
             djvm.add_timer(self.stack_sampler)
+        # Observers attached later get the same call from hlrc.attach.
+        djvm.hlrc.suite = self
         for observer in observers:
             observer.on_suite_attach(self)
         if djvm.telemetry is not None:

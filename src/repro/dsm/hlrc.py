@@ -140,6 +140,9 @@ class HomeBasedLRC:
         self.observers: list[ProtocolObserver] = []
         # The ``per_op`` subset: the only receivers of ``on_access``.
         self._per_op: list[ProtocolObserver] = []
+        #: the ``ProfilerSuite`` wired into this engine, if any (set by
+        #: the suite; announced to observers attached after it).
+        self.suite = None
         #: optional connectivity prefetcher consulted at fault time
         #: (anything with ``bundle_for(thread, obj) -> list[HeapObject]``).
         #: NOT an observer — prefetching changes protocol behaviour.
@@ -188,8 +191,9 @@ class HomeBasedLRC:
 
     def attach(self, observer: ProtocolObserver) -> ProtocolObserver:
         """Add one observer to the run's single list and bind it to this
-        engine; returns it.  Attach before building a ``ProfilerSuite``
-        (which announces itself through ``on_suite_attach``)."""
+        engine; returns it.  A ``ProfilerSuite`` announces itself through
+        ``on_suite_attach`` — to the observers present when it is built,
+        and here to one attached after it."""
         if not isinstance(observer, ProtocolObserver):
             raise TypeError(
                 f"observers must subclass ProtocolObserver, got {type(observer).__name__}"
@@ -200,28 +204,13 @@ class HomeBasedLRC:
         if observer.per_op:
             self._per_op.append(observer)
         observer.bind(self)
+        if self.suite is not None:
+            observer.on_suite_attach(self.suite)
         return observer
 
     # ------------------------------------------------------------------
     # copies & faults
     # ------------------------------------------------------------------
-
-    def _ensure_copy(self, thread, obj: HeapObject) -> tuple[CopyRecord, bool]:
-        """Make the object's copy on the thread's node accessible;
-        returns (record, faulted)."""
-        node_id = thread.node_id
-        record: CopyRecord | None = self.heaps[node_id].copies.get(obj.obj_id)
-        if record is not None and record.real_state is not RealState.INVALID:
-            return record, False
-        if obj.home_node == node_id:
-            # Home copies materialize lazily and are always current.
-            if record is None:
-                record = CopyRecord(obj.obj_id, RealState.HOME)
-                self.heaps[node_id].copies[obj.obj_id] = record
-                return record, False
-            # A home copy can never be INVALID.
-            return record, False
-        return self._fault_remote(thread, obj, record), True
 
     def _fault_remote(self, thread, obj: HeapObject, record: CopyRecord | None) -> CopyRecord:
         """Fault a remotely-homed object in: trap + request/reply round

@@ -9,11 +9,15 @@ each transition at one site with one argument list, and skips the
 whole fan-out behind one ``if observers:`` test when nothing is
 attached.  Attach with ``DJVM.attach(observer)``.
 
-Contract (certified statically by the EFF1xx purity gate, which takes
-every override of a method below as an observer root): an observer only
-*reads* simulated state and writes its own — it never advances a
-simulated clock, charges CPU or sends a message — so results are
-byte-identical with any set of observers attached.  That is the
+Contract: an observer only *reads* simulated state and writes its own —
+it never advances a simulated clock, charges CPU, sends a message or
+touches a copy, a notice or an OAL batch, whether through an argument,
+through the engine ``bind`` hands it, or through a helper — so
+:func:`repro.runtime.djvm.run_fingerprint` is equal with any set of
+observers attached.  The proof is dynamic:
+``tests/dsm/test_observers.py`` runs the shipped observers together on
+three workloads and both replay engines, and shows that each seeded
+violation of this contract changes the fingerprint.  That is the
 difference to :class:`~repro.dsm.hlrc.ProtocolHooks`, the paper's
 profiler interface, whose callbacks carry a cost model.
 

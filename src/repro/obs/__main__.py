@@ -47,6 +47,7 @@ from pathlib import Path
 from repro.analysis import experiments as E
 from repro.obs.export import chrome_trace, prometheus_text, validate_chrome_trace, write_chrome_trace
 from repro.obs.overhead import OverheadReport, measure
+from repro.runtime.djvm import run_fingerprint
 from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
@@ -161,6 +162,14 @@ def cmd_diff(args) -> int:
     return 0
 
 
+def _fingerprint_drift(a, b) -> list[str]:
+    """Names of the :func:`run_fingerprint` components on which two
+    finished ``run_with_correlation`` records differ."""
+    fa = run_fingerprint(a.djvm, a.result, a.suite)
+    fb = run_fingerprint(b.djvm, b.result, b.suite)
+    return [name for name in fa if fa[name] != fb[name]]
+
+
 def run_gate(max_overhead: float, repeats: int, *, verbose: bool = True) -> int:
     """The ``make obs`` gate; returns a process exit code."""
     captured = {}
@@ -169,27 +178,23 @@ def run_gate(max_overhead: float, repeats: int, *, verbose: bool = True) -> int:
         run = E.run_with_correlation(
             GATE_FACTORY, n_nodes=GATE_NODES, rate=4, send_oals=True
         )
-        captured["base"] = run.result
+        captured["base"] = run
         return run
 
     def run_telemetry():
         run = E.run_with_correlation(
             GATE_FACTORY, n_nodes=GATE_NODES, rate=4, send_oals=True, telemetry="full"
         )
-        captured["telemetry"] = run.result
+        captured["telemetry"] = run
         return run.djvm.telemetry
 
     report: OverheadReport = measure(run_base, run_telemetry, repeats=repeats)
     failures = []
 
     # 1. byte-identity: telemetry must not perturb the simulation.
-    base, telem = captured["base"], captured["telemetry"]
-    if (
-        base.execution_time_ms != telem.execution_time_ms
-        or base.counters != telem.counters
-        or base.thread_finish_ms != telem.thread_finish_ms
-    ):
-        failures.append("telemetry-on run is not byte-identical to telemetry-off")
+    moved = _fingerprint_drift(captured["base"], captured["telemetry"])
+    if moved:
+        failures.append(f"telemetry-on run is not byte-identical to telemetry-off: {moved}")
 
     # 2. exported trace must be schema-valid and well-nested.
     telemetry_run = run_telemetry()
@@ -353,13 +358,9 @@ def run_objprof_gate(*, verbose: bool = True) -> int:
         profiled, report = build_objprof_report(
             workload, OBJPROF_GATE_NODES, OBJPROF_GATE_RATE
         )
-        b, p = base.result, profiled.result
-        if (
-            b.execution_time_ms != p.execution_time_ms
-            or b.counters != p.counters
-            or b.thread_finish_ms != p.thread_finish_ms
-        ):
-            failures.append(f"{workload}: profiler-on run is not byte-identical")
+        moved = _fingerprint_drift(base, profiled)
+        if moved:
+            failures.append(f"{workload}: profiler-on run is not byte-identical: {moved}")
         _again, report2 = build_objprof_report(
             workload, OBJPROF_GATE_NODES, OBJPROF_GATE_RATE
         )

@@ -5,11 +5,11 @@ protocol worked; this profiler says *which objects* — and, through the
 allocation-site labels captured at GOS registration, *which workload
 lines* — made it work.  It is a
 :class:`~repro.dsm.observer.ProtocolObserver`
-(``djvm.attach(ObjectProfiler())``), certified ≤ reads-sim-state by the
-EFF1xx gate: its overrides fold the fault/diff/invalidation/OAL event
-stream into per-object :class:`ObjLifetime` records and never advance a
-simulated clock, charge CPU, or send a message, so a profiled run is
-byte-identical to an unprofiled one.
+(``djvm.attach(ObjectProfiler())``): its overrides fold the
+fault/diff/invalidation/OAL event stream into per-object
+:class:`ObjLifetime` records and never advance a simulated clock,
+charge CPU, or send a message, so a profiled run has the same
+:func:`~repro.runtime.djvm.run_fingerprint` as an unprofiled one.
 
 Event sources folded per object:
 

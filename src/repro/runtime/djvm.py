@@ -5,7 +5,8 @@ the simulated counterpart of a booted JESSICA2 instance (paper Fig. 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import astuple, dataclass, field
 
 from repro.dsm.hlrc import HomeBasedLRC
 from repro.heap.heap import GlobalObjectSpace
@@ -56,6 +57,55 @@ class RunResult:
             f"OAL traffic {self.traffic.oal_bytes / 1024:.1f} KB | "
             f"profiling CPU {total.profiling_ns / 1e6:.2f} ms"
         )
+
+
+def _sha(items) -> str:
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+def run_fingerprint(djvm: "DJVM", result: RunResult, suite=None) -> dict[str, object]:
+    """The one definition of "byte-identical": everything a finished run
+    left behind that a paper table, a checksum or a later protocol step
+    could read.  Two runs are identical iff their fingerprints are
+    equal; a pure :class:`~repro.dsm.observer.ProtocolObserver` leaves
+    every component unchanged (``tests/dsm/test_observers.py`` proves
+    each component catches a seeded violator).  ``suite`` adds the TCM
+    of a :class:`~repro.core.profiler.ProfilerSuite`.  The large tables
+    (copies, notice log) are folded to SHA-256 digests so an unequal
+    pair names the component that moved without printing it."""
+    hlrc = djvm.hlrc
+    return {
+        "execution_time_ms": result.execution_time_ms,
+        "thread_finish_ms": tuple(sorted(result.thread_finish_ms.items())),
+        "thread_cpu": tuple(
+            (tid, astuple(cpu)) for tid, cpu in sorted(result.thread_cpu.items())
+        ),
+        "counters": tuple(sorted(result.counters.items())),
+        "ops_executed": result.ops_executed,
+        "traffic_bytes": tuple(
+            (kind.value, n)
+            for kind, n in sorted(
+                result.traffic.bytes_by_kind.items(), key=lambda kv: kv[0].value
+            )
+        ),
+        "tcm_sha256": (
+            hashlib.sha256(suite.tcm().tobytes()).hexdigest() if suite is not None else None
+        ),
+        "copies_sha256": _sha(
+            [
+                (
+                    node_id,
+                    [
+                        (obj_id, r.real_state.value, r.fetched_version, r.has_twin, r.dirty_bytes)
+                        for obj_id, r in sorted(heap.copies.items())
+                    ],
+                )
+                for node_id, heap in sorted(hlrc.heaps.items())
+            ]
+        ),
+        "notices_sha256": _sha(hlrc.notices),
+        "interval_counters": tuple((t.thread_id, t.interval_counter) for t in djvm.threads),
+    }
 
 
 class DJVM:
@@ -203,8 +253,7 @@ class DJVM:
         """Attach one :class:`~repro.dsm.observer.ProtocolObserver`
         (sanitizer, race detector, object profiler, a test recorder …)
         to the run's single observer list; returns it.  Observers are
-        pure, so any set of them leaves simulated results byte-identical.
-        Attach before building a ``ProfilerSuite``."""
+        pure, so any set of them leaves :func:`run_fingerprint` unchanged."""
         return self.hlrc.attach(observer)
 
     @property

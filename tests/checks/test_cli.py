@@ -98,10 +98,23 @@ class TestExitCodes:
     """Each failing gate has its own documented exit code."""
 
     def test_codes_are_distinct(self):
-        from repro.checks.__main__ import EXIT_EFFECTS, EXIT_SANITIZE
+        from repro.checks.__main__ import ALL_GATES
 
-        codes = {EXIT_LINT, EXIT_SANITIZE, EXIT_RACE, EXIT_STATIC, EXIT_EFFECTS}
-        assert codes == {2, 3, 4, 5, 6}
+        # `all` order and codes; 6 was the deleted effects gate: retired,
+        # never reused
+        assert [(name, code) for name, _run, code in ALL_GATES] == [
+            ("lint", 2),
+            ("sanitize", 3),
+            ("race", 4),
+            ("static", 5),
+        ]
+
+    def test_effects_subcommand_is_gone(self, capsys):
+        import pytest
+
+        with pytest.raises(SystemExit):
+            main(["effects"])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_help_documents_exit_codes(self, capsys):
         import pytest
@@ -110,59 +123,8 @@ class TestExitCodes:
             main(["--help"])
         out = capsys.readouterr().out
         assert "exit codes" in out
-        for code in ("2", "3", "4", "5", "6"):
+        for code in ("2", "3", "4", "5", "6 retired"):
             assert code in out
-
-
-class TestEffectsGate:
-    """The ``effects`` subcommand over seeded and clean trees."""
-
-    @staticmethod
-    def _tree(tmp_path, body: str):
-        pkg = tmp_path / "src" / "repro"
-        pkg.mkdir(parents=True)
-        (pkg / "__init__.py").write_text("")
-        (pkg / "clockmod.py").write_text(body)
-        return tmp_path / "src"
-
-    BAD = (
-        "import time\n\n\n"
-        "class Clock:\n"
-        "    def tick(self):\n"
-        "        self.now_ns = time.perf_counter_ns()\n"
-    )
-
-    def test_seeded_violation_exits_6(self, tmp_path, capsys):
-        from repro.checks.__main__ import EXIT_EFFECTS, run_effects
-
-        root = self._tree(tmp_path, self.BAD)
-        assert run_effects(str(root)) == EXIT_EFFECTS
-        out = capsys.readouterr()
-        assert "EFF202" in out.out and "finding(s)" in out.err
-
-    def test_suppressed_violation_exits_0(self, tmp_path, capsys):
-        from repro.checks.__main__ import run_effects
-
-        root = self._tree(
-            tmp_path,
-            self.BAD.replace(
-                "time.perf_counter_ns()",
-                "time.perf_counter_ns()  # effects: disable=EFF202",
-            ),
-        )
-        assert run_effects(str(root)) == 0
-        assert "suppressed" in capsys.readouterr().out
-
-    def test_repo_gate_clean_and_writes_json(self, tmp_path, capsys):
-        from repro.checks.__main__ import run_effects
-
-        out_json = tmp_path / "effects.json"
-        assert main(["effects", "--json", str(out_json)]) == 0
-        assert "certified" in capsys.readouterr().out
-        import json
-
-        doc = json.loads(out_json.read_text())
-        assert doc["version"] == 1 and doc["functions"]
 
 
 class TestAllAggregation:
@@ -189,12 +151,11 @@ class TestAllAggregation:
                 ("sanitize", fake("sanitize", 0), cli.EXIT_SANITIZE),
                 ("race", fake("race", cli.EXIT_RACE), cli.EXIT_RACE),
                 ("static", fake("static", 0), cli.EXIT_STATIC),
-                ("effects", fake("effects", 0), cli.EXIT_EFFECTS),
             ),
         )
         assert cli.run_all() == cli.EXIT_RACE
         # every gate ran despite the early lint failure
-        assert calls == ["lint", "sanitize", "race", "static", "effects"]
+        assert calls == ["lint", "sanitize", "race", "static"]
         err = capsys.readouterr().err
         assert "lint (exit 2)" in err and "race (exit 4)" in err
 
@@ -207,7 +168,7 @@ class TestAllAggregation:
             tuple((n, lambda: 0, c) for n, _r, c in cli.ALL_GATES),
         )
         assert cli.run_all() == 0
-        assert "all 5 gates clean" in capsys.readouterr().out
+        assert "all 4 gates clean" in capsys.readouterr().out
 
     def test_crashing_gate_counts_as_failure(self, monkeypatch, capsys):
         import repro.checks.__main__ as cli

@@ -7,7 +7,7 @@ import pytest
 
 from repro.checks.racedetect import DataRaceError, RaceDetector, replay_trace
 from repro.runtime import program as P
-from repro.runtime.djvm import DJVM
+from repro.runtime.djvm import DJVM, run_fingerprint
 from repro.sim.costs import CostModel
 from repro.workloads import RacyCounterWorkload
 
@@ -28,12 +28,16 @@ def attach_detector(djvm, mode):
     return djvm.attach(detector) if detector is not None else None
 
 
-def run_counter(*, locked: bool, mode="collect", n_threads=2):
-    wl = RacyCounterWorkload(n_threads=n_threads, locked=locked, seed=7)
+def run_workload(wl, mode):
     djvm = DJVM(n_nodes=2)
     detector = attach_detector(djvm, mode)
     wl.build(djvm)
-    result = djvm.run(wl.programs())
+    return djvm, detector, djvm.run(wl.programs())
+
+
+def run_counter(*, locked: bool, mode="collect", n_threads=2):
+    wl = RacyCounterWorkload(n_threads=n_threads, locked=locked, seed=7)
+    _djvm, detector, result = run_workload(wl, mode)
     return wl, detector, result
 
 
@@ -165,33 +169,24 @@ class TestByteIdentity:
     with the detector off, collecting, or recording."""
 
     @staticmethod
-    def fingerprint(result):
-        return (
-            result.execution_time_ms,
-            result.ops_executed,
-            dict(result.counters),
-            dict(result.thread_finish_ms),
-        )
+    def fingerprint(mode, wl=None):
+        wl = wl or RacyCounterWorkload(n_threads=2, locked=False, seed=7)
+        djvm, _detector, result = run_workload(wl, mode)
+        return run_fingerprint(djvm, result)
 
     def test_detector_modes_leave_results_identical(self):
-        baseline = self.fingerprint(run_counter(locked=False, mode=None)[2])
+        baseline = self.fingerprint(None)
         for mode in ("collect", "record"):
-            assert self.fingerprint(run_counter(locked=False, mode=mode)[2]) == baseline
+            assert self.fingerprint(mode) == baseline
 
     def test_detector_off_runs_are_reproducible(self):
-        a = self.fingerprint(run_counter(locked=False, mode=None)[2])
-        b = self.fingerprint(run_counter(locked=False, mode=None)[2])
-        assert a == b
+        assert self.fingerprint(None) == self.fingerprint(None)
 
     def test_tracked_workload_identical_with_detector(self):
         from repro.workloads import SORWorkload
 
         def run(mode):
-            wl = SORWorkload(n=64, rounds=2, n_threads=2, seed=3)
-            djvm = DJVM(n_nodes=2)
-            attach_detector(djvm, mode)
-            wl.build(djvm)
-            return self.fingerprint(djvm.run(wl.programs()))
+            return self.fingerprint(mode, SORWorkload(n=64, rounds=2, n_threads=2, seed=3))
 
         assert run(None) == run("collect")
 

@@ -4,7 +4,6 @@ clean-run and byte-identity guarantees."""
 
 from __future__ import annotations
 
-import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +12,7 @@ from repro.checks.sanitizer import INVARIANTS, ProtocolSanitizer, SanitizerViola
 from repro.core.profiler import ProfilerSuite
 from repro.dsm.intervals import IntervalRecord
 from repro.dsm.states import CopyRecord, RealState
-from repro.runtime.djvm import DJVM
+from repro.runtime.djvm import DJVM, run_fingerprint
 from repro.runtime.migration import MigrationResult
 from repro.runtime.thread import SimThread
 from repro.workloads.sor import SORWorkload
@@ -244,6 +243,32 @@ def test_san006_stray_sticky_candidate():
         san.on_migration(thread, result, 0)
 
 
+@pytest.mark.parametrize("order", ["sanitizer_first", "suite_first"])
+def test_san006_membership_checked_whichever_side_attaches_first(order, monkeypatch):
+    """A sanitizer attached after the ``ProfilerSuite`` used to miss
+    ``on_suite_attach`` and skip the membership half of SAN006 silently."""
+    from repro.checks.runner import _schedule_migration
+    from repro.core.footprint import StickySetFootprinter
+
+    workload = SORWorkload(n=128, rounds=2, n_threads=4, seed=11)
+    djvm = DJVM(n_nodes=4)
+    san = ProtocolSanitizer()
+    if order == "sanitizer_first":
+        djvm.attach(san)
+    workload.build(djvm, placement="round_robin")
+    suite = ProfilerSuite(djvm, correlation=True, footprint=True, stack=True)
+    if order == "suite_first":
+        djvm.attach(san)
+    assert san._footprinter is suite.footprinter
+    suite.set_rate_all(4)
+    _schedule_migration(djvm, suite)
+    monkeypatch.setattr(
+        StickySetFootprinter, "live_sticky_candidates", lambda self, thread: [10**9]
+    )
+    with expect("SAN006"):
+        djvm.run(workload.programs())
+
+
 def test_san006_prefetched_copy_not_valid_at_target():
     djvm, san, obj = _djvm_with_object()
     thread = djvm.spawn_thread(0)
@@ -322,15 +347,6 @@ def _profiled_run(*, sanitize: bool):
     return djvm, result, suite
 
 
-def _fingerprint(djvm, result, suite) -> tuple:
-    return (
-        hashlib.sha256(suite.tcm().tobytes()).hexdigest(),
-        result.execution_time_ms,
-        tuple(sorted(result.thread_finish_ms.items())),
-        tuple(sorted(djvm.hlrc.counters.items())),
-    )
-
-
 def test_sanitized_workload_run_is_clean():
     djvm, _, _ = _profiled_run(sanitize=True)
     (san,) = djvm.hlrc.observers
@@ -341,16 +357,16 @@ def test_sanitized_workload_run_is_clean():
 def test_sanitizer_does_not_perturb_results():
     """TCM checksum, thread clocks and protocol counters must be
     byte-identical with the sanitizer on and off."""
-    on = _fingerprint(*_profiled_run(sanitize=True))
-    off = _fingerprint(*_profiled_run(sanitize=False))
+    on = run_fingerprint(*_profiled_run(sanitize=True))
+    off = run_fingerprint(*_profiled_run(sanitize=False))
     assert on == off
 
 
 def test_run_twice_byte_identity():
     """Two identical runs produce bit-identical results — the contract
     the simlint hazard fixes (sorted set iteration) protect."""
-    first = _fingerprint(*_profiled_run(sanitize=False))
-    second = _fingerprint(*_profiled_run(sanitize=False))
+    first = run_fingerprint(*_profiled_run(sanitize=False))
+    second = run_fingerprint(*_profiled_run(sanitize=False))
     assert first == second
 
 

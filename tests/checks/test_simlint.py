@@ -619,60 +619,6 @@ def test_sim013_disabled():
 
 
 # ---------------------------------------------------------------------------
-# semantic SIM009 feed from the live effect analysis
-# ---------------------------------------------------------------------------
-
-
-def test_semantic_sim009_feed(tmp_path):
-    from repro.checks.simlint import semantic_findings
-
-    target = tmp_path / "engine.py"
-    target.write_text("def f(obj):\n    helper(obj)\n")
-    findings = semantic_findings({"engine.py": [[2, "mod.helper"]]}, [target])
-    assert [f.code for f in findings] == ["SIM009"]
-    assert findings[0].line == 2 and "mod.helper" in findings[0].message
-
-
-def test_semantic_feed_honors_disable_comment(tmp_path):
-    from repro.checks.simlint import semantic_findings
-
-    target = tmp_path / "engine.py"
-    target.write_text("def f(obj):\n    helper(obj)  # simlint: disable=SIM009\n")
-    assert semantic_findings({"engine.py": [[2, "mod.helper"]]}, [target]) == []
-
-
-def test_semantic_feed_dedupes_against_syntactic(tmp_path):
-    """A line the syntactic pass already flags is not double-reported."""
-    sub = tmp_path / "src" / "repro" / "dsm"
-    sub.mkdir(parents=True)
-    target = sub / "engine.py"
-    target.write_text("def f(obj):\n    obj.counters[0] += 1\n")
-    findings = check_paths(
-        [target], counter_writes={"repro/dsm/engine.py": [[2, "mod.f"]]}
-    )
-    assert [f.code for f in findings] == ["SIM009"]
-
-
-def test_run_lint_reports_live_counter_mutation(tmp_path, capsys):
-    """``run_lint`` analyzes the linted source root in memory: a
-    mutator call on a ``counters`` table (invisible to the syntactic
-    rule) is reported with no ``effects.json`` anywhere on disk."""
-    from repro.checks.__main__ import EXIT_LINT, run_lint
-
-    pkg = tmp_path / "src" / "repro"
-    (pkg / "dsm").mkdir(parents=True)
-    (pkg / "__init__.py").write_text("")
-    (pkg / "dsm" / "__init__.py").write_text("")
-    (pkg / "dsm" / "engine.py").write_text(
-        "def bump(hlrc):\n    hlrc.counters.update({'faults': 1})\n"
-    )
-    assert check_paths([tmp_path / "src"]) == []
-    assert run_lint([str(tmp_path / "src")]) == EXIT_LINT
-    out = capsys.readouterr().out
-    assert "engine.py:2:0: SIM009" in out and "repro.dsm.engine.bump" in out
-
-
-# ---------------------------------------------------------------------------
 # engine behaviour
 # ---------------------------------------------------------------------------
 

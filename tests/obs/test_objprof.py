@@ -6,7 +6,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.obs.__main__ import OBJPROF_GATE_NODES, OBJPROF_GATE_RATE, _run, build_objprof_report
+from repro.obs.__main__ import (
+    OBJPROF_GATE_NODES,
+    OBJPROF_GATE_RATE,
+    _fingerprint_drift,
+    _run,
+    build_objprof_report,
+)
 from repro.obs.objprof import ObjectProfiler
 from repro.obs.patterns import PATTERNS, detect_object_patterns
 from repro.placement.candidates import candidates_from_objprof, merge_candidates
@@ -180,9 +186,7 @@ def water_spatial_runs():
 class TestWaterSpatialReport:
     def test_profiler_on_run_is_byte_identical(self, water_spatial_runs):
         base, profiled, _report = water_spatial_runs
-        assert base.result.execution_time_ms == profiled.result.execution_time_ms
-        assert base.result.thread_finish_ms == profiled.result.thread_finish_ms
-        assert base.result.counters == profiled.result.counters
+        assert _fingerprint_drift(base, profiled) == []
 
     def test_ranks_three_distinct_patterns_with_origins(self, water_spatial_runs):
         _base, _profiled, report = water_spatial_runs

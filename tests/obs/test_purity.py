@@ -1,17 +1,15 @@
 """Observer purity: telemetry must never perturb the simulation.
 
-Mirrors the sanitizer/race-detector byte-identity gates: the TCM
-checksum, simulated execution time, per-thread finish times and
-protocol counters must be bit-identical with telemetry off,
-metrics-only, and metrics+tracing — on all three tracked workloads.
+Mirrors the sanitizer/race-detector byte-identity gates: the run
+fingerprint must be equal with telemetry off, metrics-only, and
+metrics+tracing — on all three tracked workloads.
 """
-
-import hashlib
 
 import pytest
 
 from repro.analysis.experiments import run_with_correlation
 from repro.obs.export import chrome_trace, validate_chrome_trace
+from repro.runtime.djvm import run_fingerprint
 from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
@@ -31,13 +29,8 @@ def _run(workload_key: str, telemetry):
     )
 
 
-def _fingerprint(run) -> tuple:
-    return (
-        hashlib.sha256(run.suite.tcm().tobytes()).hexdigest(),
-        run.result.execution_time_ms,
-        tuple(sorted(run.result.thread_finish_ms.items())),
-        tuple(sorted(run.djvm.hlrc.counters.items())),
-    )
+def _fingerprint(run) -> dict:
+    return run_fingerprint(run.djvm, run.result, run.suite)
 
 
 @pytest.mark.parametrize("workload_key", sorted(WORKLOADS))
