@@ -66,12 +66,6 @@ class AccessProfiler:
         self._primed_gen = -1
         #: advertises the decide_batch lane to the vector engine.
         self.wants_batch_prime = not self._backend.memoized
-        if self.wants_batch_prime:
-            # Shadow the bound method with the stateless variant; the
-            # protocol's single-hook fast dispatch resolves the hook via
-            # getattr, so the instance attribute wins and the default
-            # path stays branch-for-branch identical.
-            self.fast_on_access = self._fast_on_access_stateless
         #: destination daemon; anything with a ``deliver(OALBatch)`` method.
         self.collector = collector
         #: when False, OALs are generated and costed but never sent (the
@@ -167,8 +161,8 @@ class AccessProfiler:
     def fast_on_access(self, thread, obj: HeapObject, real_fault: bool) -> None:
         """Positional form of :meth:`on_access` (the sampled-logging
         decision depends only on the object and whether the access
-        really faulted); the protocol's single-hook fast dispatch calls
-        this directly."""
+        really faulted); the protocol's dispatch plan calls this
+        directly, on interval first touches only."""
         if not self.enabled:
             return
         oal = self._current.get(thread.thread_id)
@@ -185,12 +179,18 @@ class AccessProfiler:
             # and the Horvitz-Thompson scale factor is 1.
             scaled = obj.length * jclass.element_size if obj.is_array else jclass.instance_size
         else:
-            # One memoized lookup answers sampled/logged/scaled together
-            # (epoch-cached; see SamplingPolicy.decision).  Probe the
-            # per-class memo inline; fall back to decision() on a miss
-            # or a stale cache.
-            st = self._policy_states[class_id]
-            dec = st.decisions.get(obj_id) if st.cache_epoch == st.epoch else None
+            # One lookup answers sampled/logged/scaled together.  Probe
+            # inline — the per-class epoch memo (SamplingPolicy.decision)
+            # or a stateless backend's run-primed table (prime_batch) —
+            # and fall back to decision() on a miss or a stale cache.
+            if self.wants_batch_prime:
+                if self._primed_gen != self.policy.rate_changes:
+                    self._primed.clear()
+                    self._primed_gen = self.policy.rate_changes
+                dec = self._primed.get(obj_id)
+            else:
+                st = self._policy_states[class_id]
+                dec = st.decisions.get(obj_id) if st.cache_epoch == st.epoch else None
             if dec is None:
                 dec = self.policy.decision(obj)
             sampled, _logged, scaled = dec
@@ -204,46 +204,6 @@ class AccessProfiler:
         # tuple.__new__ skips the generated NamedTuple __new__ (a
         # Python-level function); this is the hottest allocation in a
         # fully-sampled run.
-        oal[obj_id] = _tuple_new(OALEntry, (obj_id, scaled, class_id))
-        self.total_logged += 1
-        if self.observers:
-            for observer in self.observers:
-                observer.on_oal_log(thread, thread.current_interval.interval_id, obj_id)
-
-    def _fast_on_access_stateless(self, thread, obj: HeapObject, real_fault: bool) -> None:
-        """The stateless-backend twin of :meth:`fast_on_access`: probes
-        the run-primed decision table (filled by the vector engine's
-        decide_batch lane) instead of the per-class epoch memo, falling
-        back to a fresh backend decision — a pure function of object
-        identity — on a miss.  Installed as an instance attribute at
-        construction when the policy's backend is not memoized."""
-        if not self.enabled:
-            return
-        oal = self._current.get(thread.thread_id)
-        if oal is None:
-            return
-        obj_id = obj.obj_id
-        if obj_id in oal:
-            return  # at-most-once per interval: fast path, zero extra cost
-        jclass = obj.jclass
-        class_id = jclass.class_id
-        if self._gap_table.get(class_id, 1) == 1:
-            # Fully-sampled class: identical across backends (every
-            # scheme selects everything at gap 1 with scale factor 1).
-            scaled = obj.length * jclass.element_size if obj.is_array else jclass.instance_size
-        else:
-            if self._primed_gen != self.policy.rate_changes:
-                self._primed.clear()
-                self._primed_gen = self.policy.rate_changes
-            dec = self._primed.get(obj_id)
-            if dec is None:
-                dec = self._backend.decide(obj)
-            sampled, _logged, scaled = dec
-            if not sampled:
-                return
-        ns = self._log_ns_fault if real_fault else self._log_ns_trap
-        thread.cpu.oal_logging_ns += ns
-        thread.clock._now_ns += ns
         oal[obj_id] = _tuple_new(OALEntry, (obj_id, scaled, class_id))
         self.total_logged += 1
         if self.observers:

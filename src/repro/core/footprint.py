@@ -25,7 +25,7 @@ logging, two throttles from the paper apply:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.sampling import SamplingPolicy
 from repro.dsm.intervals import IntervalRecord
@@ -39,17 +39,24 @@ NS_PER_MS = 1_000_000
 class _ObjStats:
     """Per-(thread, interval, object) tracking statistics."""
 
-    count: int = 0
-    first_ns: int = 0
-    last_ns: int = 0
-    phases: set[int] = field(default_factory=set)
+    #: tracking phases the object trapped in (not raw accesses).
+    count: int
+    #: the latest of them; phases only grow along a thread's clock, so
+    #: "already trapped in this phase" is one comparison.
+    last_phase: int
 
 
 class StickySetFootprinter:
     """Protocol hook performing repeated sampled access tracking."""
 
+    #: tags are re-armed every tracking phase, so any access of an
+    #: interval may trap: HLRC must call this hook on every access
+    #: (see ``HomeBasedLRC.add_hook``), and vector replay stays off.
+    first_touch_only = False
+
     __slots__ = (
         "policy",
+        "_policy_states",
         "costs",
         "timer_period_ns",
         "duty",
@@ -80,11 +87,13 @@ class StickySetFootprinter:
         if min_accesses < 1:
             raise ValueError(f"min_accesses must be >= 1, got {min_accesses}")
         self.policy = policy
+        self._policy_states = policy._states  # hot-path alias; mutated in place
         self.costs = costs
         #: None = nonstop tracking; otherwise on/off phases of this period.
         self.timer_period_ns = None if timer_period_ms is None else int(timer_period_ms * NS_PER_MS)
         self.duty = duty
-        #: accesses needed within an interval for an object to count as sticky.
+        #: tracking phases an object must trap in within one interval to
+        #: count as sticky.
         self.min_accesses = min_accesses
         self.enabled = enabled
         #: thread_id -> {obj_id: _ObjStats} for the open interval.
@@ -100,23 +109,6 @@ class StickySetFootprinter:
         self.tracked_accesses = 0
         #: attached by the ProfilerSuite (needed to resolve object classes).
         self._gos = None
-
-    # ------------------------------------------------------------------
-
-    def _tracking_on(self, thread_id: int, now_ns: int) -> bool:
-        if self.timer_period_ns is None:
-            return True
-        start = self._interval_start.get(thread_id, 0)
-        phase_pos = ((now_ns - start) % self.timer_period_ns) / self.timer_period_ns
-        return phase_pos < self.duty
-
-    def _phase_id(self, thread_id: int, now_ns: int) -> int:
-        if self.timer_period_ns is None:
-            # Nonstop mode: synthesize phases at 1 ms so the multi-phase
-            # stickiness signal still exists.
-            return now_ns // NS_PER_MS
-        start = self._interval_start.get(thread_id, 0)
-        return (now_ns - start) // self.timer_period_ns
 
     # ------------------------------------------------------------------
     # ProtocolHooks interface
@@ -141,35 +133,55 @@ class StickySetFootprinter:
         real_fault: bool,
     ) -> None:
         """ProtocolHooks: one access op executed (see class docstring)."""
+        self.fast_on_access(thread, obj, real_fault)
+
+    def fast_on_access(self, thread, obj: HeapObject, real_fault: bool) -> None:
+        """Positional form of :meth:`on_access` (tracking depends only
+        on the object and the thread's clock); the protocol's dispatch
+        plan calls this directly, on every access."""
         if not self.enabled:
             return
         tid = thread.thread_id
         stats = self._stats.get(tid)
         if stats is None:
             return
-        now = thread.clock.now_ns
-        if not self._tracking_on(tid, now):
-            return
-        if not self.policy.is_sampled(obj):
+        now = thread.clock._now_ns
+        period = self.timer_period_ns
+        if period is None:
+            # Nonstop mode: synthesize phases at 1 ms so the multi-phase
+            # stickiness signal still exists.
+            phase = now // NS_PER_MS
+        else:
+            since_open = now - self._interval_start[tid]
+            if (since_open % period) / period >= self.duty:
+                return  # tracking-off phase: the access is invisible
+            phase = since_open // period
+        # Sampled?  Probe the per-class epoch memo inline; decision() on
+        # a miss, a stale cache, or a backend that does not memoize.
+        obj_id = obj.obj_id
+        st = self._policy_states.get(obj.jclass.class_id)
+        fresh = st is not None and st.cache_epoch == st.epoch
+        dec = st.decisions.get(obj_id) if fresh else None
+        if dec is None:
+            dec = self.policy.decision(obj)
+        if not dec[0]:
             return
         # Repeated tracking works by re-resetting sampled objects to
         # false-invalid at each tracking phase: the first access of each
         # phase traps (and is what gets counted — the access-frequency
         # signal has phase granularity); later accesses in the same phase
         # run the fast path free of charge.
-        phase = self._phase_id(tid, now)
-        entry = stats.get(obj.obj_id)
+        entry = stats.get(obj_id)
         if entry is None:
-            entry = _ObjStats(first_ns=now)
-            stats[obj.obj_id] = entry
-        entry.last_ns = now
-        if phase in entry.phases:
+            stats[obj_id] = _ObjStats(1, phase)
+        elif entry.last_phase == phase:
             return
-        entry.phases.add(phase)
-        entry.count += 1
+        else:
+            entry.count += 1
+            entry.last_phase = phase
         ns = self.costs.gos_trap_ns + self.costs.footprint_track_ns
         thread.cpu.footprinting_ns += ns
-        thread.clock.advance(ns)
+        thread.clock._now_ns += ns
         self.tracked_accesses += 1
 
     def on_interval_close(self, thread, interval: IntervalRecord, sync_dst: int | None) -> None:
@@ -192,10 +204,16 @@ class StickySetFootprinter:
     # footprint estimation
     # ------------------------------------------------------------------
 
+    def _sticky_ids(self, stats: dict[int, _ObjStats]) -> list[int]:
+        """The sticky predicate, stated once: objects that trapped in at
+        least ``min_accesses`` tracking phases, in recording order."""
+        return [  # simlint: disable=SIM003 (result order must mirror the interval's access-recording order)
+            oid for oid, entry in stats.items() if entry.count >= self.min_accesses
+        ]
+
     def _footprint_from_stats(self, stats: dict[int, _ObjStats]) -> dict[str, int]:
-        """Per-class sticky bytes: sampled objects accessed at least
-        ``min_accesses`` times (or spanning >= 2 tracking phases), scaled
-        by the gap (Horvitz-Thompson) to estimate the class total."""
+        """Per-class sticky bytes: each sticky sampled object, scaled by
+        the gap (Horvitz-Thompson) to estimate the class total."""
         fp: dict[str, int] = {}
         gos = self._gos
         if gos is None:
@@ -206,9 +224,7 @@ class StickySetFootprinter:
                     "ProfilerSuite does this automatically)"
                 )
             return fp
-        for obj_id, entry in stats.items():  # simlint: disable=SIM003 (float footprint accrual; stats follow the deterministic access-recording order)
-            if entry.count < self.min_accesses and len(entry.phases) < 2:
-                continue
+        for obj_id in self._sticky_ids(stats):
             obj = gos.get(obj_id)
             fp[obj.jclass.name] = fp.get(obj.jclass.name, 0) + self.policy.scaled_bytes(obj)
         return fp
@@ -220,19 +236,13 @@ class StickySetFootprinter:
     def live_footprint(self, thread) -> dict[str, int]:
         """Footprint of the thread's *open* interval at the current
         instant — what the load balancer consults when weighing a
-        migration (objects already accessed >= min_accesses times are the
-        predicted re-fetch set)."""
-        stats = self._stats.get(thread.thread_id, {})
-        return self._footprint_from_stats(stats)
+        migration (objects that already trapped in >= min_accesses
+        tracking phases are the predicted re-fetch set)."""
+        return self._footprint_from_stats(self._stats.get(thread.thread_id, {}))
 
     def live_sticky_candidates(self, thread) -> list[int]:
         """Object ids currently qualifying as sticky in the open interval."""
-        stats = self._stats.get(thread.thread_id, {})
-        return [  # simlint: disable=SIM003 (result order must mirror the open interval's access-recording order)
-            oid
-            for oid, entry in stats.items()
-            if entry.count >= self.min_accesses or len(entry.phases) >= 2
-        ]
+        return self._sticky_ids(self._stats.get(thread.thread_id, {}))
 
     def recent_tracked_ids(self, thread, *, window: int = 3) -> set[int]:
         """Sampled object ids the footprinting pass tracked recently —

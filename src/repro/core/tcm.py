@@ -84,23 +84,23 @@ def _batch_arrays(
     batches: Iterable[OALBatch],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decode OAL batches into parallel (tids, oids, sizes, class_ids)
-    arrays with a single buffered pass over all entries."""
-    def gen():
-        for batch in batches:
-            tid = batch.thread_id
-            for entry in batch.entries:
-                yield tid
-                yield entry.obj_id
-                yield entry.scaled_bytes
-                yield entry.class_id
-
-    flat = np.fromiter(gen(), dtype=np.float64)
-    arr = flat.reshape(-1, 4)
+    arrays: entries are already ``(obj_id, scaled_bytes, class_id)``
+    tuples, so they flatten through C iterators in one buffered pass and
+    the thread ids are repeated per batch."""
+    batches = list(batches)
+    lens = [len(batch.entries) for batch in batches]
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(batch.entries for batch in batches)),
+        dtype=np.float64,
+        count=3 * sum(lens),
+    )
+    arr = flat.reshape(-1, 3)
+    tids = np.repeat(np.array([batch.thread_id for batch in batches], dtype=np.int64), lens)
     return (
+        tids,
         arr[:, 0].astype(np.int64),
-        arr[:, 1].astype(np.int64),
-        arr[:, 2],
-        arr[:, 3].astype(np.int64),
+        arr[:, 1],
+        arr[:, 2].astype(np.int64),
     )
 
 

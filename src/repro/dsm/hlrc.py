@@ -20,9 +20,10 @@ Li, OSDI'96), at *object* granularity:
   exploits to bound logging cost.
 
 Profiler integration: the engine accepts *hooks* (see
-:class:`ProtocolHooks`) invoked on interval open/close and on each
-access op.  Hooks do their own cost accounting into the thread's CPU
-buckets, so overhead experiments can attribute every nanosecond.
+:class:`ProtocolHooks`) invoked on interval open/close and on access
+ops (interval first touches or every op: :meth:`HomeBasedLRC.add_hook`).
+Hooks do their own cost accounting into the thread's CPU buckets, so
+overhead experiments can attribute every nanosecond.
 Everything that only *watches* (sanitizer, race detector, tracer,
 object profiler) is a :class:`~repro.dsm.observer.ProtocolObserver` on
 the engine's single ``observers`` list.
@@ -122,17 +123,23 @@ class HomeBasedLRC:
         # notice range last applied — shared by every node draining the
         # same range at a barrier.
         self._latest_notices: tuple[int, int, dict[int, int]] | None = None
-        self.hooks: list[ProtocolHooks] = []
-        # Single-hook fast dispatch: when exactly one hook is attached
-        # and it exposes ``fast_on_access`` (positional form), accesses
-        # call it directly instead of the keyword fan-out.
-        self._fast_src: ProtocolHooks | None = None
-        self._fast_log = None
-        # Companion cache for the vector engine's decide_batch lane: the
-        # hook's ``prime_batch`` when it advertises ``wants_batch_prime``
-        # (stateless sampling backends), else None.  Resolved together
-        # with ``_fast_log`` so both caches always describe ``_fast_src``.
-        self._fast_prime = None
+        #: profiler hooks in registration order; a tuple, so it grows
+        #: only through :meth:`add_hook`, which resolves everything below.
+        self.hooks: tuple[ProtocolHooks, ...] = ()
+        # The dispatch plan: bound ``fast_on_access`` entries to call on
+        # an interval first touch / on every access (both None: keyword
+        # fan-out), and the ``prime_batch`` of hooks on the vector
+        # engine's decide_batch lane.
+        self._on_first_touch: tuple | None = ()
+        self._on_every_access: tuple | None = ()
+        self._batch_primes: tuple = ()
+        #: the plan in words: ``(hook class name, "first_touch" |
+        #: "every_access" | "keyword")`` per hook, in call order.
+        self.dispatch_plan: tuple[tuple[str, str], ...] = ()
+        #: class name of the first hook that is not first-touch — it
+        #: keeps vector replay off, since the engine fires hooks at
+        #: first-touch checkpoints only — or None.
+        self.scalar_only_hook: str | None = None
         #: the run's pure observers, in attach order (see :meth:`attach`).
         #: The migration engine, access profiler, correlation collector
         #: and interpreter emit into this same list object; every
@@ -207,6 +214,44 @@ class HomeBasedLRC:
         if self.suite is not None:
             observer.on_suite_attach(self.suite)
         return observer
+
+    # ------------------------------------------------------------------
+    # profiler hooks
+    # ------------------------------------------------------------------
+
+    def add_hook(self, hook: ProtocolHooks) -> None:
+        """Register a profiler hook and re-resolve the dispatch plan —
+        the one place hook resolution happens.
+
+        A hook with a positional ``fast_on_access(thread, obj,
+        real_fault)`` is called on interval *first touches* only (that
+        access cancels the false-invalid tag, so nothing later in the
+        interval can trap), unless its class declares
+        ``first_touch_only = False`` — the footprinter re-arms its tags
+        every tracking phase — and it gets every access.  If any hook
+        lacks ``fast_on_access``, all fall back to the keyword
+        ``on_access`` fan-out on every op: the oracle the plan is tested
+        against.  Every route calls hooks in registration order."""
+        hooks = self.hooks = (*self.hooks, hook)
+        if all(hasattr(h, "fast_on_access") for h in hooks):
+            modes = [
+                "first_touch" if getattr(h, "first_touch_only", True) else "every_access"
+                for h in hooks
+            ]
+            self._on_first_touch = tuple(h.fast_on_access for h in hooks)
+            self._on_every_access = tuple(
+                h.fast_on_access for h, mode in zip(hooks, modes) if mode == "every_access"
+            )
+        else:
+            modes = ["keyword"] * len(hooks)
+            self._on_first_touch = self._on_every_access = None
+        self.dispatch_plan = tuple((type(h).__name__, m) for h, m in zip(hooks, modes))
+        self.scalar_only_hook = next(
+            (name for name, mode in self.dispatch_plan if mode != "first_touch"), None
+        )
+        self._batch_primes = tuple(
+            h.prime_batch for h in hooks if getattr(h, "wants_batch_prime", False)
+        )
 
     # ------------------------------------------------------------------
     # copies & faults
@@ -365,41 +410,29 @@ class HomeBasedLRC:
         hooks = self.hooks
         if not hooks:
             return
-        if len(hooks) == 1:
-            hook = hooks[0]
-            if hook is self._fast_src:
-                fast = self._fast_log
-            else:
-                self._fast_src = hook
-                fast = self._fast_log = getattr(hook, "fast_on_access", None)
-                self._fast_prime = (
-                    getattr(hook, "prime_batch", None)
-                    if getattr(hook, "wants_batch_prime", False)
-                    else None
+        # Only an object's first touch in an interval can trap for a
+        # first-touch hook (that access cancels the false-invalid tag),
+        # so those fire once per (interval, object); hooks that re-arm
+        # inside the interval see every access (see add_hook).
+        plan = self._on_first_touch if first_touch else self._on_every_access
+        if plan is None:
+            if obj is None:
+                obj = self._objects[obj_id]
+            for hook in hooks:
+                hook.on_access(
+                    thread,
+                    obj,
+                    is_write=is_write,
+                    n_elems=n_elems,
+                    elem_off=elem_off,
+                    repeat=repeat,
+                    real_fault=faulted,
                 )
-            if fast is not None:
-                # Only the first touch of an object in an interval can
-                # trap (the false-invalid tag is cancelled by that first
-                # access; later accesses run the inlined fast path
-                # untouched), so the profiler hook fires once per
-                # (interval, object).
-                if first_touch:
-                    if obj is None:
-                        obj = self._objects[obj_id]
-                    fast(thread, obj, faulted)
-                return
-        if obj is None:
-            obj = self._objects[obj_id]
-        for hook in hooks:
-            hook.on_access(
-                thread,
-                obj,
-                is_write=is_write,
-                n_elems=n_elems,
-                elem_off=elem_off,
-                repeat=repeat,
-                real_fault=faulted,
-            )
+        elif plan:
+            if obj is None:
+                obj = self._objects[obj_id]
+            for fast in plan:
+                fast(thread, obj, faulted)
 
     # ------------------------------------------------------------------
     # intervals

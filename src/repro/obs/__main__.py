@@ -84,12 +84,22 @@ def _run(
     )
 
 
+def dispatch_line(hlrc) -> str:
+    """How the run's profiler hooks are dispatched (the plan
+    ``HomeBasedLRC.add_hook`` resolved) and what it means for replay."""
+    plan = ", ".join(f"{name}={mode}" for name, mode in hlrc.dispatch_plan) or "no hooks"
+    blocker = hlrc.scalar_only_hook
+    replay = "may engage" if blocker is None else f"off ({blocker} needs every access)"
+    return f"# hook dispatch: {plan}; vector replay {replay}"
+
+
 def cmd_summary(args) -> int:
     run = _run(args.workload, args.nodes, args.rate, backend=args.backend)
     telemetry = run.djvm.telemetry
     run.suite.collector.tcm()  # fold pending batches so TCM gauges are final
     print(f"# {args.workload} on {args.nodes} nodes, rate {args.rate}")
     print(f"# sampling backend: {run.suite.policy.backend.name}")
+    print(dispatch_line(run.djvm.hlrc))
     print(f"# simulated execution {run.result.execution_time_ms:.3f} ms")
     print(telemetry.summary())
     print(f"# telemetry self-overhead {telemetry.self_wall_ns / 1e6:.2f} ms wall")

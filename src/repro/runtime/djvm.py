@@ -243,7 +243,7 @@ class DJVM:
 
     def add_hook(self, hook) -> None:
         """Attach a protocol hook (profiler) to the HLRC engine."""
-        self.hlrc.hooks.append(hook)
+        self.hlrc.add_hook(hook)
 
     def add_timer(self, timer: TimerHook) -> None:
         """Attach a timer-driven profiler component."""

@@ -335,21 +335,17 @@ class Interpreter:
         record = self.kernel.record
         timer_fire = EventKind.TIMER_FIRE
         # Vector replay engages per segment: per-op polled timers need
-        # the scalar loop, and profiler hooks must speak the fast
-        # single-hook protocol (the engine fires it at first touches).
+        # the scalar loop, and so does any profiler hook outside the
+        # first-touch plan (the engine fires hooks at first touches only).
         vec = self._vector
         vruns = None
         vec_demoted = ()
-        if vec is not None and not poll_timers:
-            hl_hooks = self.hlrc.hooks
-            if not hl_hooks or (
-                len(hl_hooks) == 1 and hasattr(hl_hooks[0], "fast_on_access")
-            ):
-                vruns = program.vector_runs()
-                if not vruns:
-                    vruns = None
-                else:
-                    vec_demoted = vec.demoted
+        if vec is not None and not poll_timers and self.hlrc.scalar_only_hook is None:
+            vruns = program.vector_runs()
+            if not vruns:
+                vruns = None
+            else:
+                vec_demoted = vec.demoted
         start_i = i
         # Run occurrences are non-overlapping and only an occurrence's
         # start index maps to a run, so once one is taken scalar the

@@ -26,7 +26,7 @@ state, fault traffic, timer-fire points and the kernel trace all come
 out bit-for-bit equal, which the equivalence tests assert over
 randomized programs.  The engine is disengaged whenever an observer
 needs the per-op stream (``per_op`` observers — sanitizer, race detector
-— per-op polled timers, hooks without the ``fast_on_access`` protocol).
+— per-op polled timers, profiler hooks outside hlrc's first-touch plan).
 
 Clock bookkeeping uses one invariant: at fast-lane position ``pos``,
 
@@ -99,8 +99,8 @@ class VectorEngine:
     Created by :meth:`Interpreter.run` when replay mode is ``"vector"``
     and no ``per_op`` observer (sanitizer / race detector) is attached; the
     segment loop additionally disengages it per segment when a timer
-    hook needs legacy per-op polling or a profiler hook lacks the
-    ``fast_on_access`` protocol.
+    hook needs legacy per-op polling or a profiler hook is not
+    first-touch-only (``HomeBasedLRC.scalar_only_hook``).
     """
 
     __slots__ = (
@@ -223,7 +223,9 @@ class VectorEngine:
             or bool(hl.observers)
             or bool(interp.timers)
         )
-        fast = None
+        # The first-touch half of hlrc's dispatch plan (the segment gate
+        # admits no other kind of hook; () without hooks).
+        on_first_touch = hl._on_first_touch
         if not hooks:
             # ---- precheck: classify every distinct object once -------
             # Coherent objects (valid or home copy, twin already in
@@ -333,28 +335,17 @@ class VectorEngine:
             checkpoints = slow
             defer = True
         else:
-            # Single-hook fast dispatch, resolved exactly like
-            # hlrc.access.  The hook must observe every interval-first
-            # touch at its exact access instant, so the full checkpoint
-            # lane stays engaged and summaries are created in-walk.
-            hook = hooks[0]
-            if hook is hl._fast_src:
-                fast = hl._fast_log
-                prime = hl._fast_prime
-            else:
-                hl._fast_src = hook
-                fast = hl._fast_log = getattr(hook, "fast_on_access", None)
-                prime = hl._fast_prime = (
-                    getattr(hook, "prime_batch", None)
-                    if getattr(hook, "wants_batch_prime", False)
-                    else None
-                )
-            if prime is not None:
+            # Hooks must observe every interval-first touch at its exact
+            # access instant, so the full checkpoint lane stays engaged
+            # and summaries are created in-walk.
+            if hl._batch_primes:
                 # decide_batch lane: stateless sampling backends batch
                 # this run's distinct-object decisions up front (host-
                 # side cache only; simulated costs are unchanged, so
                 # vector and scalar replay stay byte-identical).
-                prime([objects[oid] for oid in uniq])
+                run_objs = [objects[oid] for oid in uniq]
+                for prime in hl._batch_primes:
+                    prime(run_objs)
             checkpoints = run.checkpoints()
             defer = False
 
@@ -453,15 +444,15 @@ class VectorEngine:
                 now = clock._now_ns
                 if accesses.get(oid) is None:
                     accesses[oid] = AccessSummary(oid, 0, 0, now, now)
-                    if fast is not None:
-                        if obj is None:
-                            obj = objects[oid]
+                    if obj is None:
+                        obj = objects[oid]
+                    for fast in on_first_touch:
                         fast(thread, obj, faulted)
-                        delta = clock._now_ns - now
-                        if delta:
-                            extra += delta
-                            ev_key.append(2 * c + 1)
-                            ev_cum.append(extra)
+                    delta = clock._now_ns - now
+                    if delta:
+                        extra += delta
+                        ev_key.append(2 * c + 1)
+                        ev_cum.append(extra)
             pos = c + 1
             # Post-op epilogue, mirroring the scalar loop's order:
             # deadline fire first, migration check second.

@@ -1,11 +1,15 @@
 """Tests for sticky-set footprinting (Section III.A step 1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.footprint import StickySetFootprinter
 from repro.core.profiler import ProfilerSuite
+from repro.core.sampling import SamplingPolicy
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
+from repro.runtime.thread import SimThread
 from repro.sim.costs import CostModel
 
 from tests.conftest import simple_class, wrap_main
@@ -176,3 +180,86 @@ class TestLiveQueries:
         assert fp["Obj"] == pytest.approx(128.0)
         # The recent estimator takes the element-wise max of busy intervals.
         assert suite.footprinter.recent_footprint(0)["Obj"] == 256
+
+
+# ---------------------------------------------------------------------------
+# the (count, last_phase) bookkeeping against a set-of-phases reference
+# ---------------------------------------------------------------------------
+
+N_REF_OBJECTS = 6
+REF_GAP = 3  # objects with seq % 3 == 0 are sampled, the rest are not
+
+
+def reference_phases(accesses, start_ns, period_ns, duty):
+    """{obj_id: set of tracking phases it trapped in}, from (clock at
+    the access, obj_id, sampled?) triples — the set-of-phases model the
+    footprinter's ``(count, last_phase)`` pair must agree with."""
+    phases: dict[int, set[int]] = {}
+    for now, obj_id, sampled in accesses:
+        if period_ns is None:
+            phase = now // MS
+        else:
+            if ((now - start_ns) % period_ns) / period_ns >= duty:
+                continue
+            phase = (now - start_ns) // period_ns
+        if sampled:
+            phases.setdefault(obj_id, set()).add(phase)
+    return phases
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    intervals=st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 3 * MS), st.integers(0, N_REF_OBJECTS - 1)),
+            max_size=40,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    period_ms=st.sampled_from([None, 1.0, 2.5]),
+    duty=st.sampled_from([0.3, 0.5, 1.0]),
+    min_accesses=st.integers(1, 4),
+)
+def test_phase_bookkeeping_matches_set_of_phases_reference(
+    intervals, period_ms, duty, min_accesses
+):
+    """Random (time step, object) sequences, a third of the objects
+    sampled: trap count and cost, tracked ids, sticky candidates (in
+    recording order) and the per-class footprint all equal what a plain
+    set of phases per object gives — for every ``min_accesses``,
+    including > 2, which the old ``or len(phases) >= 2`` made inert."""
+    djvm = DJVM(n_nodes=1, costs=CostModel.fast_test())
+    cls = simple_class(djvm, "Obj", 128)
+    objs = [djvm.allocate(cls, 0) for _ in range(N_REF_OBJECTS)]
+    policy = SamplingPolicy()
+    policy.set_nominal_gap(cls, REF_GAP)
+    fp = StickySetFootprinter(
+        policy, djvm.costs, timer_period_ms=period_ms, duty=duty, min_accesses=min_accesses
+    )
+    fp.attach_gos(djvm.gos)
+    thread = SimThread(thread_id=0, node_id=0)
+    clock = thread.clock
+    trap_ns = djvm.costs.gos_trap_ns + djvm.costs.footprint_track_ns
+    period_ns = None if period_ms is None else int(period_ms * MS)
+    expected_traps = 0
+    for steps in intervals:
+        fp.on_interval_open(thread)
+        start_ns = clock.now_ns
+        seen = []
+        for dt, k in steps:
+            clock.advance(dt)
+            seen.append((clock.now_ns, objs[k].obj_id, policy.is_sampled(objs[k])))
+            fp.fast_on_access(thread, objs[k], False)
+        phases = reference_phases(seen, start_ns, period_ns, duty)
+        sticky = [oid for oid, ps in phases.items() if len(ps) >= min_accesses]
+        expected_traps += sum(len(ps) for ps in phases.values())
+        assert fp.live_sticky_candidates(thread) == sticky
+        fp.on_interval_close(thread, thread.current_interval, None)
+        assert fp.interval_tracked[0][-1] == set(phases)
+        # 128-byte objects at gap 3: each sticky sample stands for 3.
+        assert fp.interval_footprints[0][-1] == (
+            {"Obj": 128 * REF_GAP * len(sticky)} if sticky else {}
+        )
+    assert fp.tracked_accesses == expected_traps
+    assert thread.cpu.footprinting_ns == expected_traps * trap_ns

@@ -1,20 +1,27 @@
 """The HLRC access fast path must be observationally transparent.
 
-The engine has two hook-dispatch routes: the single-hook fast dispatch
-(``fast_on_access``, fired once per (interval, object) first touch) and
-the generic keyword fan-out (fired on every access).  Registering a
-second, inert hook forces the generic route, so running the same program
-both ways and comparing protocol counters, per-thread clocks, and
-logging totals pins down that the fast path changes *nothing* the
-simulation can observe — including when prefetch bundles satisfy
-accesses that would otherwise fault.
+The engine has two hook-dispatch routes: the plan resolved by
+``HomeBasedLRC.add_hook`` (positional ``fast_on_access``; first-touch
+hooks fired once per (interval, object), every-access hooks on every
+op) and the generic keyword fan-out (every hook on every access).
+Registering one more, inert hook without ``fast_on_access`` forces the
+generic route, so running the same program both ways and comparing
+everything the run left behind pins down that the plan changes
+*nothing* the simulation can observe — including when prefetch bundles
+satisfy accesses that would otherwise fault.
 """
 
+import pytest
+
+from repro.core.adaptive import AdaptiveRateController
 from repro.core.profiler import ProfilerSuite
 from repro.runtime import program as P
-from repro.runtime.djvm import DJVM
+from repro.runtime.djvm import DJVM, run_fingerprint
 from repro.sim.costs import CostModel
 from repro.sim.network import MessageKind
+from repro.workloads.barnes_hut import BarnesHutWorkload
+from repro.workloads.sor import SORWorkload
+from repro.workloads.water_spatial import WaterSpatialWorkload
 
 from tests.conftest import simple_class, wrap_main
 
@@ -116,3 +123,85 @@ class TestFastDispatchTransparency:
             MessageKind.OBJECT_FETCH_DATA, 0
         )
         assert fetches == 1
+
+
+N_THREADS = 4
+
+WORKLOADS = {
+    "sor": lambda: SORWorkload(n=128, rounds=4, n_threads=N_THREADS, seed=3),
+    "barnes_hut": lambda: BarnesHutWorkload(n_bodies=96, rounds=3, n_threads=N_THREADS, seed=3),
+    "water_spatial": lambda: WaterSpatialWorkload(
+        n_molecules=64, rounds=3, n_threads=N_THREADS, seed=3
+    ),
+}
+
+
+def run_full_suite(name, *, force_fanout, adaptive, timer_ms, backend):
+    """One workload under all three profilers; returns everything the
+    run and the footprinter left behind, plus the engine for asserts."""
+    djvm = DJVM(N_THREADS)
+    workload = WORKLOADS[name]()
+    workload.build(djvm)
+    suite = ProfilerSuite(
+        djvm,
+        correlation=True,
+        footprint=True,
+        stack=True,
+        window_batches=4,
+        footprint_timer_ms=timer_ms,
+        sampling_backend=backend,
+    )
+    if adaptive:
+        suite.set_rate_all(1)
+        suite.attach_controller(
+            AdaptiveRateController(threshold=0.0, ladder=(1, 2, 4, 8, 16, 32))
+        )
+    else:
+        suite.set_rate_all(4)
+    if force_fanout:
+        djvm.add_hook(NullHook())
+    result = djvm.run(workload.programs())
+    footprinter = suite.footprinter
+    left_behind = (
+        run_fingerprint(djvm, result, suite),
+        footprinter.interval_footprints,
+        footprinter.interval_tracked,
+        footprinter.tracked_accesses,
+        suite.access_profiler.total_logged,
+    )
+    return left_behind, djvm.hlrc, suite
+
+
+@pytest.mark.parametrize("backend", [None, "hash"], ids=["prime_gap", "hash"])
+@pytest.mark.parametrize("timer_ms", [None, 0.5], ids=["nonstop", "timer"])
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_plan_matches_keyword_fanout_with_n_hooks(name, adaptive, timer_ms, backend):
+    """Correlation tracker (first touch) + footprinter (every access) +
+    stack sampler: the plan and the forced keyword fan-out leave the
+    same run behind, at fixed rates and while the adaptive controller
+    moves them.
+
+    This is also the proof that gating ``AccessProfiler`` on interval
+    first touches is sound under two hooks.  The fan-out shows it every
+    access, and a later access of an object it skipped re-asks the
+    sampling question; the answer could only differ if the rate changed
+    in between.  It cannot: segments run sync-to-sync, every access of
+    an interval falls inside one segment, and rates change only at an
+    interval close (OAL delivery closes the window the controller
+    observes), when no other thread's open interval has an access yet.
+    """
+    config = dict(adaptive=adaptive, timer_ms=timer_ms, backend=backend)
+    plan, hlrc, suite = run_full_suite(name, force_fanout=False, **config)
+    fanout, fanout_hlrc, _ = run_full_suite(name, force_fanout=True, **config)
+    assert plan == fanout
+    assert hlrc.dispatch_plan == (
+        ("AccessProfiler", "first_touch"),
+        ("StickySetFootprinter", "every_access"),
+    )
+    assert {mode for _, mode in fanout_hlrc.dispatch_plan} == {"keyword"}
+    # The scenario exercises what it claims to.
+    assert suite.footprinter.tracked_accesses > 0
+    assert suite.access_profiler.total_logged > 0
+    if adaptive:
+        assert suite.policy.rate_changes > len(list(suite.djvm.registry))

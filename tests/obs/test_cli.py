@@ -11,6 +11,22 @@ def test_summary_prints_digest(capsys):
     assert "hlrc_faults_total" in out
     assert "# spans recorded:" in out
     assert "self-overhead" in out
+    assert "# hook dispatch: AccessProfiler=first_touch; vector replay may engage" in out
+
+
+def test_dispatch_line_names_the_hook_that_keeps_replay_scalar():
+    from repro.core.profiler import ProfilerSuite
+    from repro.obs.__main__ import dispatch_line
+    from repro.runtime.djvm import DJVM
+
+    djvm = DJVM(2)
+    djvm.spawn_threads(2)
+    assert dispatch_line(djvm.hlrc) == "# hook dispatch: no hooks; vector replay may engage"
+    ProfilerSuite(djvm, correlation=True, footprint=True)
+    assert dispatch_line(djvm.hlrc) == (
+        "# hook dispatch: AccessProfiler=first_touch, StickySetFootprinter=every_access; "
+        "vector replay off (StickySetFootprinter needs every access)"
+    )
 
 
 def test_export_writes_valid_artifacts(tmp_path, capsys):

@@ -22,8 +22,9 @@ from collections import Counter
 
 import pytest
 
+from repro.core.profiler import ProfilerSuite
 from repro.runtime import program as P
-from repro.runtime.djvm import DJVM
+from repro.runtime.djvm import DJVM, run_fingerprint
 from repro.runtime.migration import MigrationPlan
 from repro.runtime.vector import VectorEngine
 from repro.workloads.barnes_hut import BarnesHutWorkload
@@ -184,9 +185,12 @@ def run_replay(
     if observer == "timer":
         extra = DeadlineTimer()
         djvm.add_timer(extra)
-    elif observer == "hook":
+    elif observer in ("hook", "two_hooks"):
         extra = FastHook()
         djvm.add_hook(extra)
+        if observer == "two_hooks":
+            # Shares the event list, so call order shows in it.
+            djvm.add_hook(FastHook(extra.events, tag=1))
     programs = make_programs(seed, obj_ids)
     res = djvm.run(compile_hot(programs, replay) if premark else programs)
     fp = fingerprint(djvm, res)
@@ -221,8 +225,9 @@ class DeadlineTimer:
 class FastHook:
     """A ``fast_on_access`` profiler hook recording first touches."""
 
-    def __init__(self) -> None:
-        self.events: list[tuple[int, int, int, bool]] = []
+    def __init__(self, events: list | None = None, tag: int = 0) -> None:
+        self.events: list[tuple[int, int, int, bool, int]] = [] if events is None else events
+        self.tag = tag
 
     def on_interval_open(self, thread) -> None:
         pass
@@ -235,7 +240,7 @@ class FastHook:
 
     def fast_on_access(self, thread, obj, real_fault) -> None:
         self.events.append(
-            (thread.thread_id, thread.interval_counter, obj.obj_id, real_fault)
+            (thread.thread_id, thread.interval_counter, obj.obj_id, real_fault, self.tag)
         )
 
 
@@ -270,6 +275,15 @@ def test_vector_matches_scalar_with_fast_hook(seed):
     assert run_replay(
         seed, "vector", observer="hook", keep_interval_history=True
     ) == run_replay(seed, "scalar", observer="hook", keep_interval_history=True)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_vector_matches_scalar_with_two_fast_hooks(seed):
+    """Two first-touch hooks: replay still engages, and both engines
+    call them in registration order at every first touch."""
+    vector = run_replay(seed, "vector", observer="two_hooks", keep_interval_history=True)
+    assert vector == run_replay(seed, "scalar", observer="two_hooks", keep_interval_history=True)
+    assert [e[-1] for e in vector["observer"][:4]] == [0, 1, 0, 1]
 
 
 def split_runs(cp: P.CompiledProgram) -> tuple[list, list]:
@@ -401,6 +415,41 @@ def test_hook_declines_a_run_dense_in_first_touches(execute_calls):
     (run,) = set(main.vector_runs().values())
     assert run.hot and run.uniq is None
     assert [(start, pc) for start, _, pc in execute_calls] == [(1, 1)]
+
+
+def test_every_access_hook_keeps_replay_scalar(execute_calls):
+    """The footprinter re-arms its tags every tracking phase, so it must
+    see *every* access; the engine fires hooks at first-touch
+    checkpoints only.  A born-hot body re-reading two objects across
+    1 ms phases would silently lose every re-trap (and its simulated
+    cost) if a hook with ``first_touch_only = False`` let replay engage
+    — the segment gate must read the dispatch plan, not "one hook with
+    ``fast_on_access``"."""
+    outcomes = {}
+    for replay in ("vector", "scalar"):
+        djvm, obj_ids = build_djvm(replay=replay)
+        suite = ProfilerSuite(djvm, correlation=False, footprint=True)
+        suite.set_full_sampling()
+        a, b = obj_ids[:2]
+        body = [P.read(a), P.compute(2_000_000), P.read(b), P.compute(2_000_000)] * 3
+        main = P.compile_program(
+            [P.call("main", 2), *body, P.barrier(0), *body, P.barrier(1), P.ret()]
+        )
+        (run,) = set(main.vector_runs().values())
+        assert run.hot  # born hot: only the gate stands between it and the engine
+        idle = [P.barrier(0), P.barrier(1)]
+        programs = {0: main, **{tid: list(idle) for tid in range(1, N_THREADS)}}
+        result = djvm.run(programs)
+        fp = suite.footprinter
+        outcomes[replay] = (
+            run_fingerprint(djvm, result, suite),
+            fp.tracked_accesses,
+            fp.interval_footprints,
+        )
+    assert outcomes["vector"] == outcomes["scalar"]
+    assert outcomes["vector"][1] == 12  # 2 objects x 3 phases x 2 intervals
+    assert djvm.hlrc.scalar_only_hook == "StickySetFootprinter"
+    assert execute_calls == []
 
 
 class MigratingTimer(DeadlineTimer):
