@@ -5,7 +5,8 @@ Subcommands:
 * ``demo`` — the quickstart in one command: run a workload with the
   correlation profiler and print the TCM heatmap and cost summary.
 * ``run`` — run one of the paper's workloads with chosen profilers and
-  print the paper-style summary.
+  print the paper-style summary, then the host's time by stage
+  (``host: build … s, programs+compile … s, run … s``).
 * ``experiments`` — list the reproduced tables/figures and the pytest
   commands that regenerate them.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from repro._version import __version__
 
@@ -47,10 +49,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     """``repro run``: execute one workload with chosen profilers."""
     from repro import DJVM, ProfilerSuite
     from repro.analysis.heatmap import render_heatmap
+    from repro.runtime.program import compile_program
 
+    clock = time.perf_counter
+    t0 = clock()
     workload = make_workload(args.workload, args.threads, args.seed)
     djvm = DJVM(n_nodes=args.nodes)
     workload.build(djvm)
+    t1 = clock()
+    programs = {tid: compile_program(ops) for tid, ops in workload.programs().items()}
+    t2 = clock()
     suite = ProfilerSuite(
         djvm,
         correlation=not args.no_correlation,
@@ -64,8 +72,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"{spec.name} ({spec.data_set}, {spec.rounds} rounds) on "
         f"{args.nodes} nodes / {args.threads} threads, sampling {args.rate}X"
     )
-    result = djvm.run(workload.programs())
+    t3 = clock()
+    result = djvm.run(programs)
+    t4 = clock()
     print(result.summary())
+    # Where the host's time went, by stage (the simulated times are above).
+    print(
+        f"host: build {t1 - t0:.2f} s, programs+compile {t2 - t1:.2f} s, "
+        f"run {t4 - t3:.2f} s"
+    )
     if not args.no_correlation:
         print()
         print(render_heatmap(suite.tcm(), width=min(args.threads, 32),

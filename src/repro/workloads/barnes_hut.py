@@ -21,6 +21,17 @@ Object model (the classes of the paper's Table IV):
 * ``Cell`` (144 B) — internal octree node; refs its children.
 * ``Leaf`` (56 B) — terminal node; refs a ``Body[]`` with its bodies.
 * ``Body[]`` — reference arrays (the global body list and leaf lists).
+
+The build side works on arrays, not per body: :meth:`_build_tree` splits
+a whole tree level with one stable sort, :meth:`_plan_round` walks the
+tree once for all bodies and derives every thread's access counts from
+one visitor table, :meth:`_generate` emits each phase in bulk.  The
+per-body formulation survives as :meth:`_build_tree_reference` and
+:meth:`_plan_round_reference`: they are the *specifications* — nothing
+at run time selects them, the tests require the array build to match
+them bit for bit (tree geometry, leaf order, Counter insertion order),
+because object ids and op streams — hence every simulated number —
+follow from those orders.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -42,6 +54,16 @@ from repro.workloads.base import Workload, WorkloadSpec
 INTERACTION_NS = 3_000
 #: temp-frame churn: a fresh walk frame every this many emitted reads.
 FRAME_CHURN_READS = 64
+#: force arithmetic is interleaved as one COMPUTE per this many reads
+#: (frames open on chunk boundaries: FRAME_CHURN_READS is a multiple).
+COMPUTE_CHUNK_READS = 16
+#: splits after which a cell is 2**-64 of the root: bodies still sharing
+#: one coincide for every purpose of the tree, and the build gives up.
+MAX_TREE_DEPTH = 64
+#: octant code of a body relative to a cell centre: bit i set when the
+#: body lies above the centre on axis i.
+_OCTANT_BITS = np.array([1, 2, 4])
+_AXES = np.arange(3)
 
 
 @dataclass
@@ -165,19 +187,110 @@ class BarnesHutWorkload(Workload):
     # octree
     # ------------------------------------------------------------------
 
+    def _coincident(self, count: int) -> ValueError:
+        return ValueError(
+            f"{count} bodies coincide (still in one octree cell after "
+            f"{MAX_TREE_DEPTH} splits) but leaf_capacity is "
+            f"{self.leaf_capacity}: raise leaf_capacity or perturb the bodies"
+        )
+
     def _build_tree(self, pos: np.ndarray) -> _TreeNode:
+        """Bounding octree over ``pos``, built one *level* at a time.
+
+        Every body of every over-full cell of a level gets its octant
+        code from one vector comparison; one stable sort on (cell,
+        octant) then lays out the next level — children in ascending
+        octant order, bodies in ascending index inside a child — which is
+        the order :meth:`_build_tree_reference` produces body by body.
+        Centres and halves are the same IEEE operations applied to whole
+        levels; centroids are ``mean(axis=0)`` over cells *of equal
+        population* stacked along a new axis, which numpy reduces row by
+        row exactly as it does a single cell's ``pos[bodies].mean(axis=0)``.
+        """
+        lo, hi = pos.min(axis=0), pos.max(axis=0)
+        centers = ((lo + hi) / 2)[None, :]
+        halves = np.array([float(np.max(hi - lo) / 2) + 1e-9])
+        counts = np.array([len(pos)])
+        ids = np.arange(len(pos))
+        # Per level: its cells' (centers, halves, counts, n_children) and
+        # their bodies back to back, ascending inside a cell.
+        levels = []
+        while True:
+            split = counts > self.leaf_capacity
+            n_children = np.zeros(len(counts), dtype=np.int64)
+            levels.append((centers, halves, counts, n_children, ids))
+            if not split.any():
+                break
+            if len(levels) > MAX_TREE_DEPTH:
+                raise self._coincident(int(counts.max()))
+            parents = np.flatnonzero(split)
+            parent_center = centers[parents]
+            slot = np.repeat(np.arange(len(parents)), counts[parents])
+            inner = ids[np.repeat(split, counts)]
+            above = pos.take(inner, axis=0) > parent_center.take(slot, axis=0)
+            key = slot * 8 + above @ _OCTANT_BITS
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            child_key = key[starts]
+            child_parent = child_key >> 3
+            n_children[parents] = np.bincount(child_parent, minlength=len(parents))
+            halves = (halves[parents] / 2)[child_parent]
+            offset = np.where((child_key[:, None] >> _AXES) & 1, halves[:, None], -halves[:, None])
+            centers = parent_center[child_parent] + offset
+            counts = np.diff(np.append(starts, len(key)))
+            ids = inner[order]
+
+        centers, halves, counts, n_children, ids = (
+            np.concatenate(column) for column in zip(*levels)
+        )
+        # A cell's bodies start where those of the cells before it (in
+        # level order) end.
+        offsets = np.cumsum(counts) - counts
+        centroids = np.empty_like(centers)
+        by_count = np.argsort(counts, kind="stable")
+        cuts = np.flatnonzero(np.diff(counts[by_count])) + 1
+        for group in np.split(by_count, cuts):
+            rows = offsets[group] + np.arange(counts[group[0]])[:, None]
+            centroids[group] = pos.take(ids.take(rows), axis=0).mean(axis=0)
+
+        nodes = [
+            _TreeNode(center=c, half=h, centroid=tuple(m), count=k)
+            for c, h, m, k in zip(centers, halves.tolist(), centroids.tolist(), counts.tolist())
+        ]
+        # Level order puts a cell's children right after the children of
+        # every cell before it.
+        first_child = 1 + np.cumsum(n_children) - n_children
+        bodies = ids.tolist()
+        for node, first, n_kids, start in zip(
+            nodes, first_child.tolist(), n_children.tolist(), offsets.tolist()
+        ):
+            if n_kids:
+                node.is_leaf = False
+                node.children = nodes[first : first + n_kids]
+            else:
+                node.bodies = bodies[start : start + node.count]
+        return nodes[0]
+
+    def _build_tree_reference(self, pos: np.ndarray) -> _TreeNode:
+        """Reference builder: every body classified into its octant one
+        at a time.  Kept as the specification :meth:`_build_tree` must
+        reproduce exactly — shape, child order, body order inside a
+        leaf, and ``center`` / ``half`` / ``centroid`` bit for bit."""
         center = (pos.min(axis=0) + pos.max(axis=0)) / 2
         half = float(np.max(pos.max(axis=0) - pos.min(axis=0)) / 2) + 1e-9
         root = _TreeNode(center=center, half=half, bodies=list(range(len(pos))))
-        stack = [root]
+        stack = [(root, 0)]
         while stack:
-            node = stack.pop()
+            node, depth = stack.pop()
             if len(node.bodies) <= self.leaf_capacity:
                 node.is_leaf = True
                 node.count = len(node.bodies)
                 c = pos[node.bodies].mean(axis=0) if node.bodies else node.center
                 node.centroid = (float(c[0]), float(c[1]), float(c[2]))
                 continue
+            if depth == MAX_TREE_DEPTH:
+                raise self._coincident(len(node.bodies))
             node.is_leaf = False
             node.count = len(node.bodies)
             c = pos[node.bodies].mean(axis=0)
@@ -202,7 +315,7 @@ class BarnesHutWorkload(Workload):
                 )
                 child = _TreeNode(center=node.center + offset, half=h, bodies=members)
                 node.children.append(child)
-                stack.append(child)
+                stack.append((child, depth + 1))
         return root
 
     def _traverse(self, root: _TreeNode, pos: np.ndarray, b: int) -> tuple[list[_TreeNode], list[int]]:
@@ -233,6 +346,8 @@ class BarnesHutWorkload(Workload):
     def build(self, djvm: DJVM, *, placement: str = "block") -> None:
         """Define classes, allocate the object graph, spawn threads."""
         self._spawn(djvm, placement)
+        self.body_ids = []
+        self.vect_ids = []
         reg = djvm.registry
         body_cls = reg.define("Body", 96)
         vect_cls = reg.define("Vect3", 40)
@@ -251,6 +366,7 @@ class BarnesHutWorkload(Workload):
         self._owner = np.zeros(self.n_bodies, dtype=np.int64)
         for t in range(self.n_threads):
             self._owner[self.block_range(self.n_bodies, t, self.n_threads)] = t
+        self._home_of = [self.node_of(t) for t in range(self.n_threads)]
 
         # Allocate bodies in index order (vectors interleaved with the
         # body, as a Java constructor would), homed at the owner's node.
@@ -260,8 +376,8 @@ class BarnesHutWorkload(Workload):
         # 3-cycle (an exact cycle would defeat even a prime sampling gap
         # of 3: every sampled vector would be a position vector).
         alloc_rng = seeded_rng(self.seed, "barnes_hut", "transient_allocs")
-        for i in range(self.n_bodies):
-            node = self.node_of(int(self._owner[i]))
+        for owner in self._owner.tolist():
+            node = self._home_of[owner]
             pv = djvm.allocate(vect_cls, node, site="bh.vect").obj_id
             vv = djvm.allocate(vect_cls, node, site="bh.vect").obj_id
             av = djvm.allocate(vect_cls, node, site="bh.vect").obj_id
@@ -312,105 +428,125 @@ class BarnesHutWorkload(Workload):
         return per_thread
 
     def _plan_round(self, root: _TreeNode, pos: np.ndarray) -> list[Counter]:
-        """Vectorized planner: one tree walk for *all* bodies at once.
+        """Array planner: one tree walk for *all* bodies at once.
 
-        Instead of one pruned traversal per body, each node carries the
-        sorted array of bodies whose traversals visit it; a child
-        inherits the parent's visitors that pass the opening criterion.
+        Instead of one pruned traversal per body, each opened cell hands
+        its children one *visitor set*: the sorted bodies whose
+        traversals pass its opening criterion (evaluated with the same
+        IEEE double operations as :meth:`_traverse`, so the sets are
+        bit-identical).  The walk only records which set reaches which
+        node; everything per thread comes afterwards from one table —
+        each set cut at the thread block boundaries gives, per (set,
+        thread), how many of the thread's bodies visit and the first of
+        them.
+
         Because pruning only removes whole subtrees, every body's visit
         sequence is the global stack-DFS order filtered to the nodes it
-        visits — so sorting each thread's (first visiting body, emission
-        position) pairs reconstructs the reference planner's Counter
-        insertion order exactly, and the per-key counts are the visitor
-        multiplicities.  The opening criterion is evaluated with the
-        same IEEE double operations as :meth:`_traverse`, so the visit
-        sets are bit-identical.
+        visits.  So a thread first meets an object while walking the
+        *first* of its bodies that visits it, at that object's place in
+        the DFS order (leaf partners after all nodes): sorting a
+        thread's entries by (first visiting body, phase, position)
+        reconstructs the reference planner's Counter insertion order
+        exactly, and the counts are the visitor multiplicities.
         """
         n = self.n_bodies
         n_threads = self.n_threads
         theta = self.theta
-        owner = self._owner
-        body_ids = self.body_ids
-        vect_ids = self.vect_ids
-        px, py, pz = pos[:, 0], pos[:, 1], pos[:, 2]
-        # Thread block boundaries over body indices (owner is block-wise
-        # non-decreasing, so visitor arrays split by searchsorted).
-        bounds = np.empty(n_threads + 1, dtype=np.int64)
-        for t in range(n_threads):
-            bounds[t] = self.block_range(n, t, n_threads).start
-        bounds[n_threads] = n
+        coords = np.ascontiguousarray(pos.T)
 
-        #: per-thread (first_body, phase, position, key, count) tuples.
-        entries_of: list[list[tuple[int, int, int, int, int]]] = [
-            [] for _ in range(n_threads)
-        ]
-        dfs_idx = 0
-        member_offset = 0
-        stack: list[tuple[_TreeNode, np.ndarray]] = [
-            (root, np.arange(n, dtype=np.int64))
-        ]
+        # --- the walk: (node, visitor set) in stack-DFS order ------------
+        visitor_sets = [np.arange(n)]
+        visited: list[_TreeNode] = []
+        set_of: list[int] = []
+        stack = [(root, 0)]
         while stack:
-            node, v = stack.pop()
-            j = dfs_idx
-            dfs_idx += 1
-            seg = np.searchsorted(v, bounds)
-            is_leaf = node.is_leaf
-            arr_key = node.arr_id if is_leaf else -1
-            obj_key = node.obj_id
-            for t in range(n_threads):
-                s, e = int(seg[t]), int(seg[t + 1])
-                if s == e:
-                    continue
-                first = int(v[s])
-                cnt = e - s
-                entries = entries_of[t]
-                entries.append((first, 0, 2 * j, obj_key, cnt))
-                if arr_key >= 0:
-                    entries.append((first, 0, 2 * j + 1, arr_key, cnt))
-            if is_leaf:
-                for mi, m in enumerate(node.bodies):
-                    mpos = 2 * (member_offset + mi)
-                    mt = int(owner[m])
-                    k = int(np.searchsorted(v, m))
-                    m_visits = k < v.size and int(v[k]) == m
-                    for t in range(n_threads):
-                        s, e = int(seg[t]), int(seg[t + 1])
-                        cnt = e - s
-                        if cnt == 0:
-                            continue
-                        first = int(v[s])
-                        if t == mt and m_visits:
-                            # The member's own traversal skips itself.
-                            cnt -= 1
-                            if cnt == 0:
-                                continue
-                            if first == m:
-                                first = int(v[s + 1])
-                        entries = entries_of[t]
-                        entries.append((first, 1, mpos, body_ids[m], cnt))
-                        entries.append((first, 1, mpos + 1, vect_ids[m][0], cnt))
-                member_offset += len(node.bodies)
+            node, set_id = stack.pop()
+            visited.append(node)
+            set_of.append(set_id)
+            if node.is_leaf:
                 continue
-            cx, cy, cz = node.centroid
-            dx = px[v] - cx
-            dy = py[v] - cy
-            dz = pz[v] - cz
-            d = np.sqrt(dx * dx + dy * dy + dz * dz) + 1e-12
+            v = visitor_sets[set_id]
+            delta = coords.take(v, axis=1) - np.array(node.centroid)[:, None]
+            delta *= delta
+            d = np.sqrt(delta[0] + delta[1] + delta[2]) + 1e-12
             kept = v[(2 * node.half) / d >= theta]
             if kept.size:
-                for child in node.children:
-                    stack.append((child, kept))
+                kept_id = len(visitor_sets)
+                visitor_sets.append(kept)
+                stack.extend((child, kept_id) for child in node.children)
 
-        per_thread = []
-        for entries in entries_of:
-            entries.sort()
-            counter: Counter = Counter()
-            for _first, _phase, _pos, key, cnt in entries:
-                # Keys are unique across entry slots (each object has one
-                # emission position), so assignment equals accumulation.
-                counter[key] = cnt
-            per_thread.append(counter)
-        return per_thread
+        # --- the visitor table: every set cut at the thread boundaries ---
+        # Owners are block-wise non-decreasing, so keying body b of set s
+        # as s * n + b makes the concatenated sets one sorted array that
+        # answers every (set, boundary) and (set, member) query at once.
+        bounds = np.arange(n_threads + 1) * n // n_threads  # block_range's cuts
+        set_base = np.arange(len(visitor_sets)) * n
+        set_members = np.concatenate(visitor_sets)
+        set_keys = set_members + np.repeat(set_base, [len(v) for v in visitor_sets])
+        # Sentinels keep reads at "one past the end" in range and unmatched.
+        set_members = np.append(set_members, -1)
+        set_keys = np.append(set_keys, len(visitor_sets) * n)
+        cut = np.searchsorted(set_keys, set_base[:, None] + bounds)
+        count = np.diff(cut, axis=1)
+        first = set_members[cut[:, :-1]]
+
+        # --- node entries: the node object, then a leaf's body array -----
+        set_of_node = np.array(set_of)
+        leaf_j = np.array([j for j, node in enumerate(visited) if node.is_leaf], dtype=np.intp)
+        node_j, node_t = np.nonzero(count[set_of_node])
+        node_set = set_of_node[node_j]
+        obj_key = np.array([node.obj_id for node in visited])
+        arr_key = np.full(len(visited), -1)
+        arr_key[leaf_j] = [visited[j].arr_id for j in leaf_j]
+
+        # --- leaf-member entries: partner body, then its position vector -
+        leaf_bodies = [visited[j].bodies for j in leaf_j]
+        member = np.array([b for bodies in leaf_bodies for b in bodies], dtype=np.intp)
+        member_set = np.repeat(set_of_node[leaf_j], [len(bodies) for bodies in leaf_bodies])
+        member_count = count[member_set]
+        member_first = first[member_set]
+        # A member's own traversal skips itself: where it visits its leaf,
+        # its thread has one visitor fewer, and the next one comes first
+        # if the member was the first.
+        member_key = set_base[member_set] + member
+        at = np.searchsorted(set_keys, member_key)
+        own = np.flatnonzero(set_keys[at] == member_key)
+        own_t = self._owner[member[own]]
+        member_count[own, own_t] -= 1
+        was_first = member_first[own, own_t] == member[own]
+        member_first[own[was_first], own_t[was_first]] = set_members[at[own[was_first]] + 1]
+        member_i, member_t = np.nonzero(member_count)
+        body_key = np.array(self.body_ids)[member]
+        vect_key = np.array(self.vect_ids)[member, 0]
+
+        # --- per-thread emission order ------------------------------------
+        # Each entry carries (key, companion key or -1 for none); the
+        # companion (body array / position vector) directly follows.
+        thread = np.concatenate((node_t, member_t))
+        first_body = np.concatenate((first[node_set, node_t], member_first[member_i, member_t]))
+        phase = np.repeat([0, 1], [len(node_t), len(member_t)])
+        position = np.concatenate((node_j, member_i))
+        keys = np.stack(
+            (
+                np.concatenate((obj_key[node_j], body_key[member_i])),
+                np.concatenate((arr_key[node_j], vect_key[member_i])),
+            ),
+            axis=1,
+        )
+        counts = np.concatenate((count[node_set, node_t], member_count[member_i, member_t]))
+        order = np.lexsort((position, phase, first_body, thread))
+        keys = keys[order].ravel()
+        present = keys >= 0
+        keys = keys[present].tolist()
+        counts = np.repeat(counts[order], 2)[present].tolist()
+        entries_of = np.bincount(np.repeat(thread[order], 2)[present], minlength=n_threads)
+        ends = np.cumsum(entries_of).tolist()
+        # Keys are unique across entries (each object has one emission
+        # position), so a plain mapping equals the reference's counting.
+        return [
+            Counter(dict(zip(keys[lo:hi], counts[lo:hi])))
+            for lo, hi in zip([0, *ends[:-1]], ends)
+        ]
 
     def _allocate_tree(self, djvm: DJVM, root: _TreeNode, cell_cls, leaf_cls, arr_cls) -> tuple[int, int]:
         """Allocate heap objects for one round's tree.  Each node is homed
@@ -418,27 +554,29 @@ class BarnesHutWorkload(Workload):
         (the steady state home migration converges to); allocation happens
         in depth-first build order so the page map interleaves subtrees."""
         count = 0
+        owner = self._owner.tolist()
 
         def dominant_thread(node: _TreeNode) -> int:
             if node.is_leaf:
-                owners = [int(self._owner[b]) for b in node.bodies]
+                owners = [owner[b] for b in node.bodies]
             else:
                 owners = []
                 stack = [node]
                 while stack and len(owners) < 64:
                     cur = stack.pop()
                     if cur.is_leaf:
-                        owners.extend(int(self._owner[b]) for b in cur.bodies)
+                        owners += [owner[b] for b in cur.bodies]
                     else:
                         stack.extend(cur.children)
             if not owners:
                 return 0
-            return Counter(owners).most_common(1)[0][0]
+            # Most common owner, the first met winning ties.
+            return max(dict.fromkeys(owners), key=owners.count)
 
         def alloc(node: _TreeNode) -> int:
             nonlocal count
             count += 1
-            home = self.node_of(dominant_thread(node))
+            home = self._home_of[dominant_thread(node)]
             if node.is_leaf:
                 refs = [self.body_ids[b] for b in node.bodies]
                 if refs:
@@ -471,92 +609,81 @@ class BarnesHutWorkload(Workload):
         return self._generate(thread_id)
 
     def _generate(self, thread_id: int):
-        own = list(self.bodies_of(thread_id))
+        own = self.bodies_of(thread_id)
         n_own = len(own)
-        body_ids = self.body_ids
-        vect_ids = self.vect_ids
-        barrier_seq = 0
+        body_ids = self.body_ids[own.start : own.stop]
+        vect_ids = self.vect_ids[own.start : own.stop]
+        bodies_arr_id = self.bodies_arr_id
         tree_lock = 0
-        ops: list[tuple] = []
-        add = ops.append
-        add((P.OP_CALL, "BarnesHut.run", 6, ((0, self.bodies_arr_id),)))
-        add((P.OP_READ, self.bodies_arr_id, n_own, 1, own[0]))
-        for rnd in range(self.rounds):
-            root_id, per_thread, _n_nodes = self._round_plans[rnd]
+        # The per-body parts of every round are the same ops each time.
+        read_own = [(P.OP_READ, body, 1, 1, 0) for body in body_ids]
+        write_acc = [(P.OP_WRITE, av, 1, 1, 0) for _pv, _vv, av in vect_ids]
+        advance = [
+            op
+            for body, (pv, vv, av) in zip(body_ids, vect_ids)
+            for op in (
+                (P.OP_READ, body, 1, 1, 0),
+                (P.OP_READ, av, 1, 1, 0),
+                (P.OP_WRITE, vv, 1, 1, 0),
+                (P.OP_WRITE, pv, 1, 1, 0),
+            )
+        ]
+        ops: list[tuple] = [
+            (P.OP_CALL, "BarnesHut.run", 6, ((0, bodies_arr_id),)),
+            (P.OP_READ, bodies_arr_id, n_own, 1, own[0]),
+        ]
+        for rnd, (root_id, per_thread, _n_nodes) in enumerate(self._round_plans):
             # --- phase A: tree build (lock-serialized insertions) --------
-            add((P.OP_CALL, "BarnesHut.maketree", 4, ((0, root_id),)))
-            for b in own:
-                add((P.OP_READ, body_ids[b], 1, 1, 0))
-            add((P.OP_ACQUIRE, tree_lock))
+            ops.append((P.OP_CALL, "BarnesHut.maketree", 4, ((0, root_id),)))
+            ops += read_own
             # Insertion path writes: the cells along each own body's path;
             # approximated by the nodes this thread's traversals meet
             # (paths share the tree's upper levels).
-            add((P.OP_WRITE, root_id, 1, n_own, 0))
-            add((P.OP_COMPUTE, n_own * INTERACTION_NS))
-            add((P.OP_RELEASE, tree_lock))
-            add((P.OP_RET,))
-            add((P.OP_BARRIER, barrier_seq))
-            barrier_seq += 1
-
-            # --- phase B: force computation ------------------------------
-            add((
-                P.OP_CALL,
-                "BarnesHut.computeForces",
-                6,
-                ((0, root_id), (1, self.bodies_arr_id)),
-            ))
+            ops += (
+                (P.OP_ACQUIRE, tree_lock),
+                (P.OP_WRITE, root_id, 1, n_own, 0),
+                (P.OP_COMPUTE, n_own * INTERACTION_NS),
+                (P.OP_RELEASE, tree_lock),
+                (P.OP_RET,),
+                (P.OP_BARRIER, 3 * rnd),
+                # --- phase B: force computation --------------------------
+                (P.OP_CALL, "BarnesHut.computeForces", 6, ((0, root_id), (1, bodies_arr_id))),
+            )
             # Emit each object's accesses in two interleaved passes so an
             # object visited by many traversals is seen both early and
             # late in the interval — the temporal spread real traversals
             # have, which sticky-set footprinting depends on.  Objects
             # visited once appear in the first pass only.
             reads = per_thread[thread_id]
-            emitted = 0
-            frame_open = False
-            pending_compute = 0
-            for pass_no in (0, 1):
-                for obj_id, cnt in reads.items():
-                    if pass_no == 0:
-                        rep = (cnt + 1) // 2
-                    else:
-                        rep = cnt // 2
-                        if rep == 0:
-                            continue
-                    if emitted % FRAME_CHURN_READS == 0:
-                        if frame_open:
-                            add((P.OP_RET,))
-                        add((P.OP_CALL, "BarnesHut.walkSub", 3, ((0, obj_id),)))
-                        frame_open = True
-                    add((P.OP_READ, obj_id, 1, rep, 0))
-                    # Interleave the force arithmetic with the accesses, as
-                    # the real traversal does (chunked to bound op count).
-                    pending_compute += rep * INTERACTION_NS
-                    emitted += 1
-                    if emitted % 16 == 0:
-                        add((P.OP_COMPUTE, pending_compute))
-                        pending_compute = 0
-            if pending_compute:
-                add((P.OP_COMPUTE, pending_compute))
-            if frame_open:
-                add((P.OP_RET,))
+            objs = [*reads, *(obj_id for obj_id, cnt in reads.items() if cnt > 1)]
+            reps = [(cnt + 1) // 2 for cnt in reads.values()]
+            reps += [cnt // 2 for cnt in reads.values() if cnt > 1]
+            read_ops = list(zip(repeat(P.OP_READ), objs, repeat(1), reps, repeat(0)))
+            for lo in range(0, len(objs), COMPUTE_CHUNK_READS):
+                if lo % FRAME_CHURN_READS == 0:
+                    if lo:
+                        ops.append((P.OP_RET,))
+                    ops.append((P.OP_CALL, "BarnesHut.walkSub", 3, ((0, objs[lo]),)))
+                hi = lo + COMPUTE_CHUNK_READS
+                ops += read_ops[lo:hi]
+                # Interleave the force arithmetic with the accesses, as
+                # the real traversal does (chunked to bound op count).
+                ops.append((P.OP_COMPUTE, sum(reps[lo:hi]) * INTERACTION_NS))
+            if objs:
+                ops.append((P.OP_RET,))
             # Acceleration writes to own bodies' acc vectors.
-            for b in own:
-                add((P.OP_WRITE, vect_ids[b][2], 1, 1, 0))
-            add((P.OP_RET,))
-            add((P.OP_BARRIER, barrier_seq))
-            barrier_seq += 1
-
-            # --- phase C: position integration ---------------------------
-            add((P.OP_CALL, "BarnesHut.advance", 4, ((0, self.bodies_arr_id),)))
-            for b in own:
-                pv, vv, av = vect_ids[b]
-                add((P.OP_READ, body_ids[b], 1, 1, 0))
-                add((P.OP_READ, av, 1, 1, 0))
-                add((P.OP_WRITE, vv, 1, 1, 0))
-                add((P.OP_WRITE, pv, 1, 1, 0))
-            add((P.OP_COMPUTE, n_own * INTERACTION_NS))
-            add((P.OP_RET,))
-            add((P.OP_BARRIER, barrier_seq))
-            barrier_seq += 1
-        add((P.OP_RET,))
+            ops += write_acc
+            ops += (
+                (P.OP_RET,),
+                (P.OP_BARRIER, 3 * rnd + 1),
+                # --- phase C: position integration -----------------------
+                (P.OP_CALL, "BarnesHut.advance", 4, ((0, bodies_arr_id),)),
+            )
+            ops += advance
+            ops += (
+                (P.OP_COMPUTE, n_own * INTERACTION_NS),
+                (P.OP_RET,),
+                (P.OP_BARRIER, 3 * rnd + 2),
+            )
+        ops.append((P.OP_RET,))
         return ops

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import build_parser, main, make_workload
@@ -48,6 +50,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "GroupSharing" in out
         assert "thread correlation map" in out
+
+    @pytest.mark.parametrize("workload", ["group-sharing", "barnes-hut"])
+    def test_run_prints_host_time_by_stage(self, capsys, workload):
+        assert main(["run", workload, "--nodes", "2", "--threads", "4"]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("host:")]
+        assert len(lines) == 1
+        seconds = r"\d+\.\d\d s"
+        assert re.fullmatch(
+            rf"host: build {seconds}, programs\+compile {seconds}, run {seconds}", lines[0]
+        )
 
     def test_run_without_correlation(self, capsys):
         code = main(

@@ -58,6 +58,23 @@ class TestOctree:
             else:
                 stack.extend(node.children)
 
+    def test_coincident_bodies_beyond_leaf_capacity_raise(self):
+        """Nine bodies at one point can never be split into leaves of
+        eight: the build must say so instead of splitting forever."""
+        wl = BarnesHutWorkload(n_bodies=16, rounds=1, n_threads=4, leaf_capacity=8)
+        pos = np.random.default_rng(0).uniform(-1, 1, size=(16, 3))
+        pos[:9] = 0.25
+        with pytest.raises(ValueError, match=r"9 bodies coincide.*leaf_capacity is 8"):
+            wl._build_tree(pos)
+        pos[8] = 0.5  # eight coincident bodies still fit one leaf
+        leaf_sizes = []
+        stack = [wl._build_tree(pos)]
+        while stack:
+            node = stack.pop()
+            leaf_sizes.append(len(node.bodies))
+            stack.extend(node.children)
+        assert max(leaf_sizes) == 8
+
     def test_traversal_visits_fewer_with_larger_theta(self):
         wl = BarnesHutWorkload(n_bodies=256, rounds=1, n_threads=4, theta=0.3)
         pos, _, _ = wl._generate_galaxies()
@@ -94,6 +111,22 @@ class TestSharingProfile:
             BarnesHutWorkload(theta=0)
         with pytest.raises(ValueError):
             BarnesHutWorkload(leaf_capacity=0)
+
+    def test_rebuild_starts_from_a_clean_slate(self):
+        """A second build() on a fresh DJVM allocates the same graph and
+        emits the same ops as the first — no ids carried over."""
+        wl = BarnesHutWorkload(n_bodies=64, rounds=2, n_threads=4)
+        tables, programs = [], []
+        for _build in range(2):
+            djvm = DJVM(n_nodes=4, costs=CostModel.fast_test())
+            wl.build(djvm)
+            assert len(wl.body_ids) == len(wl.vect_ids) == 64
+            tables.append(
+                [(o.jclass.name, o.seq, o.home_node, o.length, o.refs, o.site) for o in djvm.gos]
+            )
+            programs.append(wl.programs())
+        assert tables[0] == tables[1]
+        assert programs[0] == programs[1]
 
     def test_runs_to_completion(self):
         wl, djvm = build()
