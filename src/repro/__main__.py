@@ -5,8 +5,9 @@ Subcommands:
 * ``demo`` — the quickstart in one command: run a workload with the
   correlation profiler and print the TCM heatmap and cost summary.
 * ``run`` — run one of the paper's workloads with chosen profilers and
-  print the paper-style summary, then the host's time by stage
-  (``host: build … s, programs+compile … s, run … s``).
+  print the paper-style summary, then the host's time by stage and what
+  the cyclic collector cost the run stage (``host: build … s,
+  programs+compile … s, run … s, gc N collections (M full) … s``).
 * ``experiments`` — list the reproduced tables/figures and the pytest
   commands that regenerate them.
 """
@@ -14,6 +15,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 
@@ -45,6 +47,33 @@ def make_workload(name: str, n_threads: int, seed: int):
     raise ValueError(f"unknown workload {name!r}; pick one of {WORKLOADS}")
 
 
+class GcProbe:
+    """Counts the cyclic collector's passes, and their wall time, while
+    active.  Read-only: a ``gc.callbacks`` entry runs only when the
+    collector does, and changes nothing about when that is."""
+
+    def __init__(self) -> None:
+        self.collections = 0
+        self.full = 0
+        self.seconds = 0.0
+        self._began = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._began = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._began
+            self.collections += 1
+            self.full += info["generation"] == 2
+
+    def __enter__(self) -> "GcProbe":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """``repro run``: execute one workload with chosen profilers."""
     from repro import DJVM, ProfilerSuite
@@ -73,13 +102,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"{args.nodes} nodes / {args.threads} threads, sampling {args.rate}X"
     )
     t3 = clock()
-    result = djvm.run(programs)
+    with GcProbe() as collector:
+        result = djvm.run(programs)
     t4 = clock()
     print(result.summary())
     # Where the host's time went, by stage (the simulated times are above).
     print(
         f"host: build {t1 - t0:.2f} s, programs+compile {t2 - t1:.2f} s, "
-        f"run {t4 - t3:.2f} s"
+        f"run {t4 - t3:.2f} s, gc {collector.collections} collections "
+        f"({collector.full} full) {collector.seconds:.2f} s"
     )
     if not args.no_correlation:
         print()

@@ -197,7 +197,8 @@ class ProtocolSanitizer(ProtocolObserver):
             )
         # SAN007: every written object must appear in the access summary
         # (the write that dirtied it is an access).
-        missing = [o for o in interval.written if o not in interval.accesses]
+        accessed = interval.accesses.keys()
+        missing = [o for o in interval.written if o not in accessed]
         if missing:
             self._fail(
                 "SAN007",

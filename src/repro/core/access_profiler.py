@@ -24,9 +24,7 @@ for generating OALs) lands in ``cpu.oal_logging_ns`` /
 
 from __future__ import annotations
 
-from repro.core.oal import OALBatch, OALEntry
-
-_tuple_new = tuple.__new__
+from repro.core.oal import OALBatch
 from repro.core.sampling import SamplingPolicy
 from repro.dsm.intervals import IntervalRecord
 from repro.heap.objects import HeapObject
@@ -73,12 +71,13 @@ class AccessProfiler:
         self.send_oals = send_oals
         self.piggyback = piggyback
         self.enabled = enabled
-        #: thread_id -> {obj_id: OALEntry} for the open interval (entries
-        #: are built at log time so interval close ships them verbatim).
-        self._current: dict[int, dict[int, OALEntry]] = {}
-        #: thread_id -> object ids logged in the *previous* interval
+        #: thread_id -> the open interval's OAL as plain-int columns:
+        #: ``{obj_id: scaled_bytes}`` in log order plus the parallel
+        #: class-id list; interval close ships them as the batch's columns.
+        self._current: dict[int, tuple[dict[int, int], list[int]]] = {}
+        #: thread_id -> how many objects the *previous* interval logged
         #: (these are the ones reset to false-invalid at open).
-        self._previous: dict[int, set[int]] = {}
+        self._previous_logged: dict[int, int] = {}
         #: node_id -> class ids with a pending resampling pass.
         self._pending_resample: dict[int, set[int]] = {}
         #: counters for reporting.
@@ -135,12 +134,12 @@ class AccessProfiler:
         if not self.enabled:
             return
         tid = thread.thread_id
-        self._current[tid] = {}
+        self._current[tid] = ({}, [])
         self._charge_pending_resample(thread)
         # Reset last interval's logged objects to false-invalid.
-        prev = self._previous.get(tid)
-        if prev:
-            ns = len(prev) * self.costs.false_invalid_reset_ns
+        n_prev = self._previous_logged.get(tid)
+        if n_prev:
+            ns = n_prev * self.costs.false_invalid_reset_ns
             thread.cpu.oal_logging_ns += ns
             thread.clock.advance(ns)
 
@@ -165,9 +164,10 @@ class AccessProfiler:
         directly, on interval first touches only."""
         if not self.enabled:
             return
-        oal = self._current.get(thread.thread_id)
-        if oal is None:
+        current = self._current.get(thread.thread_id)
+        if current is None:
             return
+        oal, class_ids = current
         obj_id = obj.obj_id
         if obj_id in oal:
             return  # at-most-once per interval: fast path, zero extra cost
@@ -201,10 +201,8 @@ class AccessProfiler:
         ns = self._log_ns_fault if real_fault else self._log_ns_trap
         thread.cpu.oal_logging_ns += ns
         thread.clock._now_ns += ns
-        # tuple.__new__ skips the generated NamedTuple __new__ (a
-        # Python-level function); this is the hottest allocation in a
-        # fully-sampled run.
-        oal[obj_id] = _tuple_new(OALEntry, (obj_id, scaled, class_id))
+        oal[obj_id] = scaled
+        class_ids.append(class_id)
         self.total_logged += 1
         if self.observers:
             for observer in self.observers:
@@ -233,10 +231,11 @@ class AccessProfiler:
         if not self.enabled:
             return
         tid = thread.thread_id
-        oal = self._current.pop(tid, None)
-        if oal is None:
+        current = self._current.pop(tid, None)
+        if current is None:
             return
-        self._previous[tid] = set(oal)
+        oal, class_ids = current
+        self._previous_logged[tid] = len(oal)
         if not oal:
             return
         batch = OALBatch(
@@ -244,8 +243,10 @@ class AccessProfiler:
             interval_id=interval.interval_id,
             start_pc=interval.start_pc,
             end_pc=interval.end_pc,
+            obj_ids=list(oal),
+            scaled_bytes=list(oal.values()),
+            class_ids=class_ids,
         )
-        batch.entries.extend(oal.values())
         flush_begin_ns = thread.clock.now_ns
         # Pack the jumbo message.
         pack_ns = len(batch) * self.costs.oal_pack_ns_per_entry

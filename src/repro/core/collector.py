@@ -123,6 +123,8 @@ class CorrelationCollector:
         self._pending = []
         self._accrued = np.zeros((self.n_threads, self.n_threads), dtype=np.float64)
         self.window_tcms = []
+        self.window_class_tcms = []
         self.batches_received = 0
         self.entries_received = 0
         self.tcm_compute_ns = 0
+        self._last_deliver_ns = 0

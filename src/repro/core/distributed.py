@@ -73,13 +73,13 @@ class DistributedCorrelationCollector(CorrelationCollector):
         scatter_bytes = {k: 0 for k in range(n_nodes)}
         for batch in batches:
             split: dict[int, OALBatch] = {}
-            for entry in batch.entries:
-                owner = self.owner_of(entry.obj_id)
+            for obj_id, scaled, class_id in batch.entries:
+                owner = self.owner_of(obj_id)
                 frag = split.get(owner)
                 if frag is None:
                     frag = OALBatch(batch.thread_id, batch.interval_id)
                     split[owner] = frag
-                frag.entries.append(entry)
+                frag.add(obj_id, scaled, class_id)
             for owner, frag in sorted(split.items()):
                 per_owner_batches[owner].append(frag)
                 scatter_bytes[owner] += len(frag) * ENTRY_WIRE_BYTES

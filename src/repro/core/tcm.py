@@ -84,23 +84,17 @@ def _batch_arrays(
     batches: Iterable[OALBatch],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decode OAL batches into parallel (tids, oids, sizes, class_ids)
-    arrays: entries are already ``(obj_id, scaled_bytes, class_id)``
-    tuples, so they flatten through C iterators in one buffered pass and
-    the thread ids are repeated per batch."""
+    arrays: each batch column chains through C iterators into its array
+    in one buffered pass and the thread ids are repeated per batch."""
     batches = list(batches)
-    lens = [len(batch.entries) for batch in batches]
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(batch.entries for batch in batches)),
-        dtype=np.float64,
-        count=3 * sum(lens),
-    )
-    arr = flat.reshape(-1, 3)
+    lens = [len(batch) for batch in batches]
+    total = sum(lens)
     tids = np.repeat(np.array([batch.thread_id for batch in batches], dtype=np.int64), lens)
     return (
         tids,
-        arr[:, 0].astype(np.int64),
-        arr[:, 1],
-        arr[:, 2].astype(np.int64),
+        np.fromiter(chain.from_iterable(b.obj_ids for b in batches), np.int64, total),
+        np.fromiter(chain.from_iterable(b.scaled_bytes for b in batches), np.float64, total),
+        np.fromiter(chain.from_iterable(b.class_ids for b in batches), np.int64, total),
     )
 
 
@@ -180,8 +174,8 @@ def accrual_pair_count(batches: Iterable[OALBatch]) -> int:
     charges for."""
     threads_per_obj: dict[int, set[int]] = {}
     for batch in batches:
-        for entry in batch.entries:
-            threads_per_obj.setdefault(entry.obj_id, set()).add(batch.thread_id)
+        for obj_id in batch.obj_ids:
+            threads_per_obj.setdefault(obj_id, set()).add(batch.thread_id)
     return sum(len(ts) * len(ts) for ts in threads_per_obj.values())  # simlint: disable=SIM003 (integer sum; order cannot leak)
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.dsm.intervals import AccessSummary, IntervalRecord
+from repro.dsm.intervals import IntervalRecord
 from repro.dsm.observer import ProtocolObserver
 from repro.dsm.states import CopyRecord, RealState
 from repro.dsm.sync import SyncRegistry
@@ -383,24 +383,33 @@ class HomeBasedLRC:
             else:
                 written = obj.jclass.instance_size
             record.dirty_bytes = min(record.dirty_bytes + written, obj.size_bytes)
-            record.writers.add(thread.thread_id)
+            writers = record.writers
+            if writers is None:
+                record.writers = {thread.thread_id}
+            else:
+                writers.add(thread.thread_id)
 
-        # Inlined IntervalRecord.touch (one access-summary upsert per op).
+        # Inlined IntervalRecord.touch (int stores into the summary
+        # columns; nothing is allocated per access or per first touch).
         now = clock._now_ns
         interval: IntervalRecord = thread.current_interval
-        summary = interval.accesses.get(obj_id)
-        if summary is None:
-            first_touch = True
-            summary = AccessSummary(obj_id, 0, 0, now, now)
-            interval.accesses[obj_id] = summary
-        else:
-            first_touch = False
-        if is_write:
-            summary.writes += repeat
+        last_ns = interval.last_ns
+        first_touch = obj_id not in last_ns
+        if first_touch:
+            interval.first_ns[obj_id] = now
+            if is_write:
+                interval.reads[obj_id] = 0
+                interval.writes[obj_id] = repeat
+                interval.written.add(obj_id)
+            else:
+                interval.reads[obj_id] = repeat
+                interval.writes[obj_id] = 0
+        elif is_write:
+            interval.writes[obj_id] += repeat
             interval.written.add(obj_id)
         else:
-            summary.reads += repeat
-        summary.last_ns = now
+            interval.reads[obj_id] += repeat
+        last_ns[obj_id] = now
 
         per_op = self._per_op
         if per_op:
@@ -485,7 +494,8 @@ class HomeBasedLRC:
             obj = objects[obj_id]
             dirty = 0  # stays 0 for a home copy: nothing to flush
             if record.real_state is not _HOME:
-                if tid not in record.writers:
+                writers = record.writers
+                if writers is None or tid not in writers:
                     continue
                 dirty = max(record.dirty_bytes, 1)
                 diff_begin_ns = clock._now_ns

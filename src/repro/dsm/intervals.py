@@ -9,10 +9,17 @@ interval per thread — follows directly from this structure.
 An :class:`IntervalRecord` captures what the profiler ships in the jumbo
 OAL message: the interval context (delimiting "bytecode PCs", which in
 the simulator are op indices) plus the per-object access summary.
+
+The summaries are stored as four ``obj_id -> int`` columns, not as one
+object per touched object: a first touch is four int stores, and a dict
+of ints is never tracked by the cyclic collector (DESIGN, "hot-path data
+layout").  :attr:`IntervalRecord.accesses` is the read-only view that
+builds :class:`AccessSummary` objects for readers off the access path.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, KeysView, Mapping
 from dataclasses import dataclass, field
 
 
@@ -33,6 +40,37 @@ class AccessSummary:
         return self.reads + self.writes
 
 
+class AccessView(Mapping[int, AccessSummary]):
+    """Live read-only ``obj_id -> AccessSummary`` view over an interval's
+    columns, in first-touch order.  Summaries are built per lookup (a
+    copy: writing to one does not reach the interval); membership,
+    iteration and ``keys()`` never build one."""
+
+    __slots__ = ("_interval",)
+
+    def __init__(self, interval: IntervalRecord) -> None:
+        self._interval = interval
+
+    def __getitem__(self, obj_id: int) -> AccessSummary:
+        iv = self._interval
+        return AccessSummary(
+            obj_id, iv.reads[obj_id], iv.writes[obj_id], iv.first_ns[obj_id], iv.last_ns[obj_id]
+        )
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._interval.reads)
+
+    def __len__(self) -> int:
+        return len(self._interval.reads)
+
+    def __contains__(self, obj_id: object) -> bool:
+        return obj_id in self._interval.reads
+
+    def keys(self) -> KeysView[int]:
+        """The ids touched so far (the column's own key view)."""
+        return self._interval.reads.keys()
+
+
 @dataclass(slots=True)
 class IntervalRecord:
     """One closed HLRC interval of one thread."""
@@ -45,12 +83,22 @@ class IntervalRecord:
     #: thread-clock times at open/close.
     start_ns: int = 0
     end_ns: int = 0
-    #: per-object access summaries, in first-access order.
-    accesses: dict[int, AccessSummary] = field(default_factory=dict)
+    #: per-object access summary columns: read / write counts and the
+    #: first / last access time (thread clock, ns).  All four share one
+    #: key set, in first-access order.
+    reads: dict[int, int] = field(default_factory=dict)
+    writes: dict[int, int] = field(default_factory=dict)
+    first_ns: dict[int, int] = field(default_factory=dict)
+    last_ns: dict[int, int] = field(default_factory=dict)
     #: object ids written this interval (for write notices).
     written: set[int] = field(default_factory=set)
     #: what closed the interval ("release", "barrier", "acquire", "end").
     close_reason: str = ""
+
+    @property
+    def accesses(self) -> AccessView:
+        """Per-object access summaries, in first-access order."""
+        return AccessView(self)
 
     def touch(
         self,
@@ -59,19 +107,18 @@ class IntervalRecord:
         is_write: bool,
         count: int,
         now_ns: int,
-    ) -> AccessSummary:
+    ) -> None:
         """Record ``count`` accesses to ``obj_id`` at thread time ``now_ns``."""
-        summary = self.accesses.get(obj_id)
-        if summary is None:
-            summary = AccessSummary(obj_id=obj_id, first_ns=now_ns)
-            self.accesses[obj_id] = summary
+        if obj_id not in self.reads:
+            self.reads[obj_id] = 0
+            self.writes[obj_id] = 0
+            self.first_ns[obj_id] = now_ns
         if is_write:
-            summary.writes += count
+            self.writes[obj_id] += count
             self.written.add(obj_id)
         else:
-            summary.reads += count
-        summary.last_ns = now_ns
-        return summary
+            self.reads[obj_id] += count
+        self.last_ns[obj_id] = now_ns
 
     @property
     def duration_ns(self) -> int:

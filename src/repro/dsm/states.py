@@ -14,7 +14,7 @@ runs one thread per node, where the two notions coincide).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class RealState(enum.Enum):
@@ -42,8 +42,9 @@ class CopyRecord:
     #: whether a twin was already created this interval.
     has_twin: bool = False
     #: thread ids that wrote this copy in the current interval (for
-    #: write-notice attribution when the interval closes).
-    writers: set[int] = field(default_factory=set)
+    #: write-notice attribution when the interval closes); None until
+    #: the first write, so a copy that is only read never owns a set.
+    writers: set[int] | None = None
 
     @property
     def is_home(self) -> bool:
@@ -59,4 +60,4 @@ class CopyRecord:
         """Reset per-interval write bookkeeping (after diff flush)."""
         self.dirty_bytes = 0
         self.has_twin = False
-        self.writers.clear()
+        self.writers = None

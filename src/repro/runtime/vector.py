@@ -46,7 +46,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 
-from repro.dsm.intervals import AccessSummary
 from repro.dsm.states import CopyRecord, RealState
 from repro.runtime.program import OP_COMPUTE, OP_WRITE, AccessRun
 from repro.sim.events import EventKind
@@ -294,9 +293,16 @@ class VectorEngine:
                                 record.dirty_bytes = min(
                                     record.dirty_bytes + wb, obj.size_bytes
                                 )
-                                record.writers.add(tid)
+                                writers = record.writers
+                                if writers is None:
+                                    record.writers = {tid}
+                                else:
+                                    writers.add(tid)
                     return start + n, deadline
-                accesses = interval.accesses
+                reads = interval.reads
+                writes = interval.writes
+                first_ns = interval.first_ns
+                last_ns = interval.last_ns
                 fast_lanes = zip(
                     uniq,
                     run.u_reads,
@@ -308,15 +314,14 @@ class VectorEngine:
                     records,
                 )
                 for oid, r, w, we, wo, fb, lb, record in fast_lanes:
-                    summary = accesses.get(oid)
-                    if summary is None:
-                        accesses[oid] = AccessSummary(
-                            oid, r, w, clock0 + fb, clock0 + lb
-                        )
+                    if oid in last_ns:
+                        reads[oid] += r
+                        writes[oid] += w
                     else:
-                        summary.reads += r
-                        summary.writes += w
-                        summary.last_ns = clock0 + lb
+                        reads[oid] = r
+                        writes[oid] = w
+                        first_ns[oid] = clock0 + fb
+                    last_ns[oid] = clock0 + lb
                     if w:
                         written.add(oid)
                         if record.real_state is not _HOME:
@@ -328,7 +333,11 @@ class VectorEngine:
                             record.dirty_bytes = min(
                                 record.dirty_bytes + wb, obj.size_bytes
                             )
-                            record.writers.add(tid)
+                            writers = record.writers
+                            if writers is None:
+                                record.writers = {tid}
+                            else:
+                                writers.add(tid)
                 return start + n, deadline
             self._maybe_demote(run, len(slow), len(uniq))
             slow.sort()
@@ -355,7 +364,7 @@ class VectorEngine:
         cpu = thread.cpu
         tid = thread.thread_id
         costs = self.costs
-        accesses = thread.current_interval.accesses
+        interval = thread.current_interval
         mig = interp.migration_engine
         mig_pending = mig._pending if mig is not None else None
         publish_pc = mig_pending is not None or deadline >= 0
@@ -442,8 +451,11 @@ class VectorEngine:
                 ev_cum.append(extra)
             if first_access and not defer:
                 now = clock._now_ns
-                if accesses.get(oid) is None:
-                    accesses[oid] = AccessSummary(oid, 0, 0, now, now)
+                if oid not in interval.last_ns:
+                    interval.reads[oid] = 0
+                    interval.writes[oid] = 0
+                    interval.first_ns[oid] = now
+                    interval.last_ns[oid] = now
                     if obj is None:
                         obj = objects[oid]
                     for fast in on_first_touch:
@@ -544,9 +556,16 @@ class VectorEngine:
                         record.dirty_bytes = min(
                             record.dirty_bytes + wb, obj.size_bytes
                         )
-                        record.writers.add(tid)
+                        writers = record.writers
+                        if writers is None:
+                            record.writers = {tid}
+                        else:
+                            writers.add(tid)
             return
-        accesses = interval.accesses
+        reads = interval.reads
+        writes = interval.writes
+        first_ns = interval.first_ns
+        last_ns = interval.last_ns
         if upto >= run.n_ops:
             # Full-run path: one zip pass over the precomputed lanes.
             # Extras are cumulative and keyed ascending, so ops before
@@ -579,9 +598,10 @@ class VectorEngine:
                 else:
                     idx = bisect_right(ev_key, k2) - 1
                     ex = ev_cum[idx] if idx >= 0 else 0
-                last_ns = clock0 + ex + lb
-                summary = accesses.get(oid)
-                if summary is None:
+                if oid in last_ns:
+                    reads[oid] += r
+                    writes[oid] += w
+                else:
                     j2 = 2 * jf
                     if ev_lo is None or j2 < ev_lo:
                         exf = 0
@@ -590,13 +610,10 @@ class VectorEngine:
                     else:
                         idxf = bisect_right(ev_key, j2) - 1
                         exf = ev_cum[idxf] if idxf >= 0 else 0
-                    accesses[oid] = AccessSummary(
-                        oid, r, w, clock0 + exf + fb, last_ns
-                    )
-                else:
-                    summary.reads += r
-                    summary.writes += w
-                    summary.last_ns = last_ns
+                    reads[oid] = r
+                    writes[oid] = w
+                    first_ns[oid] = clock0 + exf + fb
+                last_ns[oid] = clock0 + ex + lb
                 if w:
                     written.add(oid)
                     if record.real_state is not _HOME:
@@ -608,7 +625,11 @@ class VectorEngine:
                         record.dirty_bytes = min(
                             record.dirty_bytes + wb, obj.size_bytes
                         )
-                        record.writers.add(tid)
+                        writers = record.writers
+                        if writers is None:
+                            record.writers = {tid}
+                        else:
+                            writers.add(tid)
             return
         else:
             # Partial (migration bail-out): rescan the executed prefix.
@@ -644,24 +665,21 @@ class VectorEngine:
             n_uniq = len(index)
         for k in range(n_uniq):
             oid = uniq[k]
-            summary = accesses.get(oid)
             w = u_writes[k]
             li = u_last[k]
             idx = bisect_right(ev_key, 2 * li) - 1
             ex = ev_cum[idx] if idx >= 0 else 0
-            last_ns = clock0 + ex + base[li + 1]
-            if summary is None:
+            if oid in last_ns:
+                reads[oid] += u_reads[k]
+                writes[oid] += w
+            else:
                 jf = u_first[k]
                 idxf = bisect_right(ev_key, 2 * jf) - 1
                 exf = ev_cum[idxf] if idxf >= 0 else 0
-                summary = AccessSummary(
-                    oid, u_reads[k], w, clock0 + exf + base[jf + 1], last_ns
-                )
-                accesses[oid] = summary
-            else:
-                summary.reads += u_reads[k]
-                summary.writes += w
-                summary.last_ns = last_ns
+                reads[oid] = u_reads[k]
+                writes[oid] = w
+                first_ns[oid] = clock0 + exf + base[jf + 1]
+            last_ns[oid] = clock0 + ex + base[li + 1]
             if w:
                 written.add(oid)
                 record = records[k]
@@ -672,4 +690,8 @@ class VectorEngine:
                     else:
                         wb = u_wops[k] * obj.jclass.instance_size
                     record.dirty_bytes = min(record.dirty_bytes + wb, obj.size_bytes)
-                    record.writers.add(tid)
+                    writers = record.writers
+                    if writers is None:
+                        record.writers = {tid}
+                    else:
+                        writers.add(tid)

@@ -1,12 +1,15 @@
 """Tests for profile trace recording and offline replay."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.analysis import experiments as E
 from repro.analysis.trace import FORMAT_VERSION, ProfileTrace, record_trace
 from repro.sim.costs import CostModel
-from repro.workloads import GroupSharingWorkload
+from repro.workloads import GroupSharingWorkload, WaterSpatialWorkload
 
 FAST = CostModel.fast_test()
 
@@ -51,6 +54,23 @@ class TestRoundTrip:
         trace.save(packed)
         assert packed.stat().st_size < plain.stat().st_size
         assert np.allclose(ProfileTrace.load(packed).full_tcm(), trace.full_tcm())
+
+    def test_recorded_json_is_pinned(self):
+        """The trace format does not depend on how a batch stores its
+        entries: the digest was taken with per-entry ``OALEntry`` tuples
+        (commit aab533d) and must survive any batch representation."""
+        recorded = record_trace(
+            lambda: WaterSpatialWorkload(n_molecules=64, rounds=2, n_threads=4, seed=3),
+            4,
+            costs=FAST,
+        )
+        payload = json.dumps(recorded.to_dict(), separators=(",", ":"))
+        assert sum(len(b) for b in recorded.batches) == 1305
+        assert (
+            hashlib.sha256(payload.encode()).hexdigest()
+            == "6453f82eba02ad3fbb925ff9955679f43ba4f1ae9fcc605dc5c63c9d106791d3"
+        )
+        assert ProfileTrace.from_dict(json.loads(payload)).to_dict() == recorded.to_dict()
 
     def test_version_check(self, trace):
         data = trace.to_dict()

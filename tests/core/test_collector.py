@@ -95,3 +95,16 @@ class TestCostModelling:
         assert col.batches_received == 0
         assert col.tcm().sum() == 0
         assert col.tcm_compute_ns == 0
+
+    def test_reset_drops_per_class_windows_and_the_delivery_clock(self):
+        """``attach_per_class_controller`` reads ``window_class_tcms[-1]``:
+        a map from before the reset must not be there to hand over."""
+        col, _ = make_collector()
+        col.track_per_class = True
+        col.deliver(batch(0, [(1, 10)]), now_ns=100)
+        col.process_window()
+        assert len(col.window_tcms) == len(col.window_class_tcms) == 1
+        assert col._last_deliver_ns == 100
+        col.reset()
+        assert col.window_tcms == [] and col.window_class_tcms == []
+        assert col._last_deliver_ns == 0

@@ -1,6 +1,13 @@
 """Tests for interval bookkeeping."""
 
-from repro.dsm.intervals import IntervalRecord
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dsm.intervals import AccessSummary, IntervalRecord
+from repro.runtime.djvm import DJVM
+from repro.sim.costs import CostModel
+
+from tests.conftest import simple_class
 
 
 class TestIntervalRecord:
@@ -32,3 +39,63 @@ class TestIntervalRecord:
         assert iv.duration_ns == 200
         iv.end_ns = 50
         assert iv.duration_ns == 0
+
+
+class TestAccessView:
+    def test_view_is_live_and_builds_summaries_on_demand(self):
+        iv = IntervalRecord(0, 1)
+        view = iv.accesses
+        assert len(view) == 0 and 4 not in view and view.get(4) is None
+        iv.touch(4, is_write=True, count=2, now_ns=7)
+        assert list(view.items()) == [(4, AccessSummary(4, 0, 2, 7, 7))]
+        assert 4 in view.keys() and list(view.values())[0].total == 2
+
+    def test_summary_is_a_copy(self):
+        iv = IntervalRecord(0, 1)
+        iv.touch(4, is_write=False, count=1, now_ns=0)
+        iv.accesses[4].reads = 99
+        assert iv.accesses[4].reads == 1
+
+
+N_OBJECTS = 6
+access_ops = st.lists(
+    st.tuples(
+        st.integers(0, N_OBJECTS - 1),  # which object
+        st.booleans(),  # is_write
+        st.integers(1, 9),  # repeat
+    ),
+    max_size=40,
+)
+
+
+def columns(iv: IntervalRecord) -> list[tuple[int, int, int, int, int]]:
+    """The accesses view flattened, in first-touch order; also checks
+    that the four columns agree on that order."""
+    keys = list(iv.reads)
+    assert keys == list(iv.writes) == list(iv.first_ns) == list(iv.last_ns)
+    assert keys == list(iv.accesses)
+    return [
+        (s.obj_id, s.reads, s.writes, s.first_ns, s.last_ns) for s in iv.accesses.values()
+    ]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(ops=access_ops)
+def test_hlrc_access_and_touch_build_the_same_columns(ops):
+    """``HomeBasedLRC.access`` inlines ``IntervalRecord.touch``: random
+    READ/WRITE sequences with repeats (home and remotely-homed objects,
+    so faults and twins move the clock) leave equal summaries, in equal
+    first-touch order, and equal written sets."""
+    djvm = DJVM(n_nodes=2, costs=CostModel.fast_test())
+    cls = simple_class(djvm, "Obj", 64)
+    oids = [djvm.allocate(cls, home_node=i % 2).obj_id for i in range(N_OBJECTS)]
+    thread = djvm.spawn_thread(0)
+    djvm.hlrc.open_interval(thread)
+    reference = IntervalRecord(thread.thread_id, thread.current_interval.interval_id)
+    for k, is_write, repeat in ops:
+        djvm.hlrc.access(thread, oids[k], is_write, 1, repeat)
+        # No hook is attached, so the clock still reads the access instant.
+        reference.touch(oids[k], is_write=is_write, count=repeat, now_ns=thread.clock.now_ns)
+    live = thread.current_interval
+    assert columns(live) == columns(reference)
+    assert live.written == reference.written

@@ -206,7 +206,8 @@ class HostTimeIntoClock(ProtocolObserver):
 
 class OalBatchMutation(ProtocolObserver):
     def on_oal_flush(self, thread, batch, begin_ns):
-        batch.entries.pop()
+        for column in (batch.obj_ids, batch.scaled_bytes, batch.class_ids):
+            column.pop()
 
 
 class _Bound(ProtocolObserver):

@@ -22,8 +22,9 @@ class TestCopyRecord:
 
     def test_clear_interval_state(self):
         r = CopyRecord(0, RealState.VALID, dirty_bytes=100, has_twin=True)
-        r.writers.add(3)
+        assert r.writers is None  # allocated by the first write only
+        r.writers = {3}
         r.clear_interval_state()
         assert r.dirty_bytes == 0
         assert not r.has_twin
-        assert r.writers == set()
+        assert r.writers is None

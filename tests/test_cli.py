@@ -58,7 +58,9 @@ class TestCommands:
         assert len(lines) == 1
         seconds = r"\d+\.\d\d s"
         assert re.fullmatch(
-            rf"host: build {seconds}, programs\+compile {seconds}, run {seconds}", lines[0]
+            rf"host: build {seconds}, programs\+compile {seconds}, run {seconds}, "
+            rf"gc \d+ collections \(\d+ full\) {seconds}",
+            lines[0],
         )
 
     def test_run_without_correlation(self, capsys):
