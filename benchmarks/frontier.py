@@ -10,16 +10,19 @@ reference we publish, per backend x workload:
 * ``e_abs`` / ``e_euc`` — the paper's formulas (2)/(1) of the rate-4
   map against the full-sampling map (``core/accuracy.error_summary``),
 * ``decide_ns`` — cold per-decision cost through the backend's batch
-  lane (fresh policy, so the memoized backend pays its cold computes),
-* ``wall_s`` / ``overhead_frac`` — end-to-end wall of a correlation-
-  tracking run under the backend vs the unprofiled baseline.
+  lane (fresh policy, so the memoized backend pays its cold computes).
+  The one host-time figure here, and the one host-time *gate* in
+  ``make check``: both sides of the comparison are medians of
+  :data:`DECIDE_SAMPLES` calls timed in this process, minutes apart at
+  most — not a number recorded on another day or machine.  What a
+  backend costs a whole run is a ``benchmarks/e2e`` question.
 
 Plus the stateless-bias diagnostics: ``dead_zone_report`` over each
 workload's live heap, and a synthetic small-working-set probe (a class
 whose population x inclusion probability is < 1) that the hash backend
 MUST flag — the PAGE_HASH failure mode.
 
-Hard gates (``main`` exit code, also re-checked by check_regression):
+Hard gates (``main`` exit code):
 
 * the prime-gap backend's replayed TCM is byte-identical to the default
   policy's (the refactor moved code, not behavior),
@@ -30,7 +33,7 @@ Hard gates (``main`` exit code, also re-checked by check_regression):
 Usage::
 
     PYTHONPATH=src python benchmarks/frontier.py [--mode smoke|full]
-        [--repeats N] [--output PATH]
+        [--output PATH]
 """
 
 from __future__ import annotations
@@ -65,31 +68,17 @@ SMOKE_BACKENDS = ("prime_gap", "hash")
 #: is degenerate.
 EABS_SLACK = 0.01
 
-#: fewest timed calls behind a ``decide_ns`` figure.  One call is ~4 ms
-#: and the cheaper-than-prime-gap gate compares two such figures, so a
-#: single sample (smoke mode's ``repeats``) flips it on scheduler noise.
-MIN_DECIDE_SAMPLES = 7
+#: timed calls behind a ``decide_ns`` figure.  One call is ~4 ms and
+#: the cheaper-than-prime-gap gate compares two such figures, so a
+#: single sample flips it on scheduler noise; the median of 7 does not.
+DECIDE_SAMPLES = 7
 
 
-def best_of(fn, repeats: int) -> tuple[float, object]:
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        gc.collect()
-        t0 = time.perf_counter()
-        out = fn()
-        elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best = elapsed
-            result = out
-    return best, result
-
-
-def _decide_cost_ns(backend_name: str, gos, repeats: int) -> float:
+def _decide_cost_ns(backend_name: str, gos) -> float:
     """Cold per-decision cost through the batch lane: a fresh policy per
     timed run, so the memoized backend pays its cold computes and the
     stateless backends their kernel — what a first-touch access costs.
-    Median of at least :data:`MIN_DECIDE_SAMPLES` timed calls."""
+    Median of :data:`DECIDE_SAMPLES` timed calls."""
     objs = list(gos)[:4096]
     if not objs:
         return 0.0
@@ -104,7 +93,7 @@ def _decide_cost_ns(backend_name: str, gos, repeats: int) -> float:
     # paid once per process, not per first-touch access.
     assert len(run()) == len(objs)
     walls = []
-    for _ in range(max(repeats, MIN_DECIDE_SAMPLES)):
+    for _ in range(DECIDE_SAMPLES):
         gc.collect()
         t0 = time.perf_counter()
         run()
@@ -131,17 +120,16 @@ def _dead_zone_probe(backend_name: str) -> dict:
     }
 
 
-def measure_frontier(repeats: int, mode: str = "full") -> dict:
-    """The frontier phase: accuracy, decision cost, wall overhead and
-    dead-zone diagnostics per backend x workload, plus the hard-gate
-    booleans.  ``smoke`` restricts to SOR under prime_gap + hash with
-    one repeat — the make-check / CI configuration."""
+def measure_frontier(mode: str = "full") -> dict:
+    """The frontier: accuracy, decision cost and dead-zone diagnostics
+    per backend x workload, plus the hard-gate booleans.  ``smoke``
+    restricts to SOR under prime_gap + hash — the make-check / CI
+    configuration."""
     factories = workload_factories(N_THREADS)
     backends = FULL_BACKENDS
     if mode == "smoke":
         factories = factories[:1]
         backends = SMOKE_BACKENDS
-        repeats = 1
 
     out: dict[str, object] = {"rate": RATE, "mode": mode, "workloads": {}}
     gate_2x = {}
@@ -151,8 +139,6 @@ def measure_frontier(repeats: int, mode: str = "full") -> dict:
         default_r4 = E.tcm_at_rate(batches, gos, n_threads, RATE)
         default_sha = hashlib.sha256(default_r4.tobytes()).hexdigest()
 
-        base_wall, _ = best_of(lambda: E.run_baseline(factory, n_nodes=N_NODES), repeats)
-
         rows: dict[str, dict] = {}
         for backend_name in backends:
             tcm = E.tcm_at_rate(
@@ -160,22 +146,7 @@ def measure_frontier(repeats: int, mode: str = "full") -> dict:
             )
             row = dict(error_summary(tcm, full))
             row["tcm_sha256"] = hashlib.sha256(tcm.tobytes()).hexdigest()
-            row["decide_ns"] = round(_decide_cost_ns(backend_name, gos, repeats), 1)
-
-            def run_backend(bn=backend_name):
-                run = E.run_with_correlation(
-                    factory,
-                    n_nodes=N_NODES,
-                    rate=RATE,
-                    send_oals=True,
-                    sampling_backend=bn,
-                )
-                run.suite.collector.tcm()
-                return run
-
-            wall, run = best_of(run_backend, repeats)
-            row["wall_s"] = round(wall, 6)
-            row["overhead_frac"] = round((wall - base_wall) / base_wall, 4)
+            row["decide_ns"] = round(_decide_cost_ns(backend_name, gos), 1)
             for key in ("e_abs", "e_euc", "accuracy_abs", "accuracy_euc"):
                 row[key] = round(row[key], 6)
 
@@ -188,8 +159,7 @@ def measure_frontier(repeats: int, mode: str = "full") -> dict:
             rows[backend_name] = row
             print(
                 f"frontier {name:14s} {backend_name:10s} "
-                f"e_abs {row['e_abs']:.4f}  decide {row['decide_ns']:8.1f} ns  "
-                f"wall {row['wall_s']:.4f}s (+{row['overhead_frac'] * 100:.1f}%)",
+                f"e_abs {row['e_abs']:.4f}  decide {row['decide_ns']:8.1f} ns",
                 flush=True,
             )
 
@@ -201,7 +171,6 @@ def measure_frontier(repeats: int, mode: str = "full") -> dict:
             if b != "prime_gap"
         )
         out["workloads"][name] = {
-            "base_wall_s": round(base_wall, 6),
             "backends": rows,
             "prime_gap_matches_default": prime["tcm_sha256"] == default_sha,
         }
@@ -221,13 +190,10 @@ def measure_frontier(repeats: int, mode: str = "full") -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=("smoke", "full"), default="full")
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--output", default=None, help="optional JSON output path")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
 
-    report = measure_frontier(args.repeats, args.mode)
+    report = measure_frontier(args.mode)
     if args.output:
         with open(args.output, "w") as f:
             json.dump(report, f, indent=1, sort_keys=True)

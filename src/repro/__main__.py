@@ -144,6 +144,8 @@ def cmd_experiments(_args: argparse.Namespace) -> int:
         ("ablation", "landmark-guided resolution", "bench_ablation_landmarks.py"),
         ("extension", "distributed TCM computation", "bench_ext_distributed_tcm.py"),
         ("extension", "online load balancing + home migration", "bench_ext_load_balancing.py"),
+        ("extension", "connectivity prefetching of fault replies", "bench_ext_prefetch.py"),
+        ("extension", "scale-out and the TCM daemon's relative cost", "bench_ext_scalability.py"),
     ]
     width = max(len(r[0]) for r in rows)
     for exp, desc, bench in rows:

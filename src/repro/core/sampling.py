@@ -114,19 +114,6 @@ class ClassSamplingState:
     #: while ``cache_epoch == epoch``.
     decisions: dict[int, tuple[bool, int, int]] = field(default_factory=dict)
 
-    def set_nominal(self, nominal: int) -> bool:
-        """Set a new nominal gap; returns True if the real gap changed."""
-        check_positive(nominal, "nominal gap")
-        nominal = max(nominal, self.min_gap)
-        real = prime_gap_for_nominal(nominal)
-        changed = real != self.real_gap
-        self.nominal_gap = nominal
-        if changed:
-            self.real_gap = real
-            self.epoch += 1
-            self.history.append(real)
-        return changed
-
 
 # ---------------------------------------------------------------------------
 # backend protocol
@@ -194,14 +181,18 @@ class SamplingBackend:
         """Deterministically ordered digest of the backend's view: the
         per-class realized parameters plus the decision counters."""
         policy = self.policy
+        # class_stats(), not the raw counters: a composite backend
+        # (hybrid) counts in its sub-backends and merges them there.
+        stats = self.class_stats()
         classes = {}
         for cid in sorted(policy._states):
             st = policy._states[cid]
+            samples, skips = stats.get(cid, (0, 0))
             classes[st.jclass.name] = {
                 "gap": st.real_gap,
                 "epoch": st.epoch,
-                "samples": self.sample_counts.get(cid, 0),
-                "skips": self.skip_counts.get(cid, 0),
+                "samples": samples,
+                "skips": skips,
             }
         return {"backend": self.name, "memoized": self.memoized, "classes": classes}
 

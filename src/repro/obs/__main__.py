@@ -11,11 +11,12 @@ Subcommands:
 * ``diff A.json B.json`` — compare two snapshot JSON files; any metric
   drift between identically-configured runs is a silent behavior
   change, so drift exits 1 (a missing/unreadable snapshot exits 2).
-* ``gate [--max-overhead 0.15] [--repeats 3]`` — the ``make obs`` gate:
-  runs bench-scale SOR base vs telemetry-on, asserts byte-identity of
-  the simulated results, schema-validates the exported Chrome trace,
-  and asserts the telemetry wall overhead (self-overhead accounting)
-  stays under the budget.
+* ``gate`` — the ``make obs`` gate: runs bench-scale SOR once without
+  and once with telemetry, asserts byte-identity of the simulated
+  results and schema-validates the exported Chrome trace.  The
+  telemetry wall overhead and the layer's self-reported host time are
+  printed, not judged (one ~20 ms sample; host-time verdicts are
+  ``benchmarks/e2e``'s job).
 * ``report [--workload W] [--nodes N] [--rate R] [--top K] [--json]`` —
   the object-centric inefficiency report: run with the
   :mod:`repro.obs.objprof` observer attached, fold the
@@ -46,7 +47,7 @@ from pathlib import Path
 
 from repro.analysis import experiments as E
 from repro.obs.export import chrome_trace, prometheus_text, validate_chrome_trace, write_chrome_trace
-from repro.obs.overhead import OverheadReport, measure
+from repro.obs.overhead import measure
 from repro.runtime.djvm import run_fingerprint
 from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
@@ -180,25 +181,23 @@ def _fingerprint_drift(a, b) -> list[str]:
     return [name for name in fa if fa[name] != fb[name]]
 
 
-def run_gate(max_overhead: float, repeats: int, *, verbose: bool = True) -> int:
+def run_gate(*, verbose: bool = True) -> int:
     """The ``make obs`` gate; returns a process exit code."""
     captured = {}
 
     def run_base():
-        run = E.run_with_correlation(
+        captured["base"] = E.run_with_correlation(
             GATE_FACTORY, n_nodes=GATE_NODES, rate=4, send_oals=True
         )
-        captured["base"] = run
-        return run
 
     def run_telemetry():
-        run = E.run_with_correlation(
+        run = captured["telemetry"] = E.run_with_correlation(
             GATE_FACTORY, n_nodes=GATE_NODES, rate=4, send_oals=True, telemetry="full"
         )
-        captured["telemetry"] = run
         return run.djvm.telemetry
 
-    report: OverheadReport = measure(run_base, run_telemetry, repeats=repeats)
+    run_base()  # discarded: first-call costs are the process's, not telemetry's
+    report = measure(run_base, run_telemetry)
     failures = []
 
     # 1. byte-identity: telemetry must not perturb the simulation.
@@ -207,24 +206,16 @@ def run_gate(max_overhead: float, repeats: int, *, verbose: bool = True) -> int:
         failures.append(f"telemetry-on run is not byte-identical to telemetry-off: {moved}")
 
     # 2. exported trace must be schema-valid and well-nested.
-    telemetry_run = run_telemetry()
     with tempfile.TemporaryDirectory() as tmp:
-        doc = write_chrome_trace(Path(tmp) / "trace.json", telemetry_run.tracer)
+        doc = write_chrome_trace(
+            Path(tmp) / "trace.json", captured["telemetry"].djvm.telemetry.tracer
+        )
     problems = validate_chrome_trace(doc)
     for p in problems[:10]:
         failures.append(f"trace schema: {p}")
 
-    # 3. wall overhead under budget.  A 5 ms absolute slack absorbs
-    # scheduler noise on short runs without masking a real regression.
-    budget_s = max(report.base_wall_s * max_overhead, 0.005)
-    if report.telemetry_wall_s - report.base_wall_s > budget_s:
-        failures.append(
-            f"telemetry wall overhead {report.overhead_frac * 100:.1f}% exceeds "
-            f"{max_overhead * 100:.0f}% budget"
-        )
-
     if verbose:
-        print(f"obs gate: {report.render()}")
+        print(f"obs gate: {report.render()} (reported, not gated)")
         print(f"obs gate: trace {len(doc['traceEvents'])} events, "
               f"{len(problems)} schema problem(s)")
     if failures:
@@ -236,7 +227,7 @@ def run_gate(max_overhead: float, repeats: int, *, verbose: bool = True) -> int:
 
 
 def cmd_gate(args) -> int:
-    return run_gate(args.max_overhead, args.repeats)
+    return run_gate()
 
 
 def static_vs_dynamic(workload: str, nodes: int, rate: float | str) -> dict:
@@ -441,8 +432,6 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser("gate", help="the make-obs CI gate")
-    p.add_argument("--max-overhead", type=float, default=0.15)
-    p.add_argument("--repeats", type=int, default=5)
     p.set_defaults(fn=cmd_gate)
 
     p = sub.add_parser(

@@ -12,8 +12,9 @@ Two axes, deliberately kept apart:
   own overhead; here :func:`measure` times a base run against a
   telemetry-on run of the same workload and combines that with the
   layer's self-reported ``self_ns`` (real ns spent inside tracer/
-  registry calls).  The ``make obs`` gate asserts the resulting
-  fraction stays under its budget.
+  registry calls).  The ``make obs`` gate *prints* the result; it is
+  one sample of a ~20 ms run, so nothing passes or fails on it — a
+  host-time verdict takes the paired runs of ``benchmarks/e2e``.
 
 Nothing in this module touches simulated state; it only reads finished
 runs.  (Wall-clock reads are allowed here — ``repro.obs`` sits outside
@@ -66,9 +67,9 @@ def profiling_attribution(cpu) -> dict[str, int]:
 class OverheadReport:
     """Wall-clock cost of running with telemetry attached."""
 
-    #: best-of wall seconds for the telemetry-off run.
+    #: wall seconds of the telemetry-off run.
     base_wall_s: float
-    #: best-of wall seconds for the telemetry-on run.
+    #: wall seconds of the telemetry-on run.
     telemetry_wall_s: float
     #: telemetry's self-reported host ns (tracer + registry internals).
     observer_wall_ns: int = 0
@@ -100,42 +101,28 @@ class OverheadReport:
         )
 
 
-def measure(run_base, run_telemetry, *, repeats: int = 2) -> OverheadReport:
-    """Measure telemetry wall overhead for one workload.
+def measure(run_base, run_telemetry) -> OverheadReport:
+    """Report telemetry wall overhead for one workload.
 
     ``run_base()`` must execute the workload with telemetry off;
     ``run_telemetry()`` with telemetry on, returning the bound
-    :class:`~repro.obs.Telemetry` context of that run.  Both are run
-    ``repeats`` times; best-of wall times are compared (same policy as
-    the perf harness: best-of filters scheduler noise).
+    :class:`~repro.obs.Telemetry` context of that run (or None).  Each
+    runs once.
     """
-    base_wall = min(_timed(run_base) for _ in range(repeats))
-    best_telem_wall = None
-    telemetry = None
-    for _ in range(repeats):
-        wall, ctx = _timed_value(run_telemetry)
-        if best_telem_wall is None or wall < best_telem_wall:
-            best_telem_wall = wall
-            telemetry = ctx
-    snapshot = telemetry.snapshot() if telemetry is not None else {}
+    base_wall = _timed(run_base)[0]
+    telemetry_wall, telemetry = _timed(run_telemetry)
+    if telemetry is None:
+        return OverheadReport(base_wall_s=base_wall, telemetry_wall_s=telemetry_wall)
     return OverheadReport(
         base_wall_s=base_wall,
-        telemetry_wall_s=best_telem_wall,
-        observer_wall_ns=telemetry.self_wall_ns if telemetry is not None else 0,
-        spans=len(telemetry.tracer.spans)
-        if telemetry is not None and telemetry.tracer is not None
-        else 0,
-        samples=len(snapshot),
+        telemetry_wall_s=telemetry_wall,
+        observer_wall_ns=telemetry.self_wall_ns,
+        spans=len(telemetry.tracer.spans) if telemetry.tracer is not None else 0,
+        samples=len(telemetry.snapshot()),
     )
 
 
-def _timed(fn) -> float:
-    t0 = _perf_ns()
-    fn()
-    return (_perf_ns() - t0) / 1e9
-
-
-def _timed_value(fn):
+def _timed(fn):
     t0 = _perf_ns()
     value = fn()
     return (_perf_ns() - t0) / 1e9, value

@@ -57,12 +57,18 @@ class OnlineRebalancer:
     # -- TimerHook interface ------------------------------------------------
 
     def maybe_fire(self, thread: SimThread) -> None:
-        """TimerHook: fire if the thread's clock passed the next deadline."""
+        """TimerHook: rebalance once, at the first op boundary after any
+        thread has closed ``warmup_intervals`` intervals."""
         if self.fired or thread.interval_counter < self.warmup_intervals:
             return
         self.fired = True
         self._c_fired.inc()
         self._rebalance()
+
+    def next_fire_ns(self, thread: SimThread) -> int:
+        """TimerHook: the warm-up condition is not a time, so ask for
+        every op boundary (0) until fired and for none afterwards."""
+        return 1 << 62 if self.fired else 0
 
     def _rebalance(self) -> None:
         djvm = self.suite.djvm

@@ -247,6 +247,12 @@ class DJVM:
 
     def add_timer(self, timer: TimerHook) -> None:
         """Attach a timer-driven profiler component."""
+        for method in ("maybe_fire", "next_fire_ns"):
+            if not callable(getattr(timer, method, None)):
+                raise TypeError(
+                    f"timer hooks must implement {method}(thread), "
+                    f"{type(timer).__name__} does not"
+                )
         self.timers.append(timer)
 
     def attach(self, observer):

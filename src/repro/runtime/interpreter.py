@@ -19,13 +19,13 @@ aligns clocks, distributes write notices, and wakes the waiters.
 Post-synchronization migration checks route through ``MIGRATION_CHECK``
 events chained ahead of the thread's next segment.
 
-Timer hooks (stack sampler, sticky-set footprint tracker) that expose
-the ``next_fire_ns`` deadline API register absolute deadlines: the hot
-loop compares the running thread's clock against the minimum deadline —
-one integer compare per op — and only calls into the hooks when a
-deadline passes (fires are recorded into the kernel trace as
-``TIMER_FIRE`` events).  Hooks without the API (condition-driven hooks
-like the online rebalancer) fall back to legacy per-op polling.
+Timer hooks (stack sampler, online rebalancer) register absolute
+deadlines through ``next_fire_ns``: the hot loop compares the running
+thread's clock against the minimum deadline — one integer compare per
+op — and only calls into the hooks when a deadline passes (fires are
+recorded into the kernel trace as ``TIMER_FIRE`` events).  A
+condition-driven hook answers 0 while it still wants to look at every
+op boundary: a deadline of 0 is always due and records no fire.
 """
 
 from __future__ import annotations
@@ -49,13 +49,19 @@ SETSLOT_NS = 2
 class TimerHook(Protocol):
     """A profiler component driven by per-thread simulated timers.
 
-    Hooks may additionally expose ``next_fire_ns(thread) -> int`` (an
-    absolute deadline in ns); the interpreter then skips per-op calls
-    until the thread's clock passes the deadline.
+    The interpreter calls :meth:`maybe_fire` only at op boundaries where
+    the thread's clock has reached the minimum :meth:`next_fire_ns` over
+    the attached hooks.
     """
 
     def maybe_fire(self, thread: SimThread) -> None:
         """Fire if the thread's clock passed the component's next deadline."""
+        ...
+
+    def next_fire_ns(self, thread: SimThread) -> int:
+        """Absolute simulated deadline (ns) of the next fire for
+        ``thread``: 0 asks for a call at every op boundary, a far-future
+        value (``1 << 62``) for none."""
         ...
 
 
@@ -295,8 +301,8 @@ class Interpreter:
         before), READ/WRITE/COMPUTE are inlined, synchronization ops go
         through a per-opcode dispatch table, and the timer/migration
         poll is skipped entirely unless such hooks are attached.  Timers
-        that expose the ``next_fire_ns`` deadline API cost one integer
-        compare per op; hooks without it are polled per op as before.
+        cost one integer compare per op against their minimum
+        ``next_fire_ns`` deadline.
         """
         program = thread.program
         assert program is not None
@@ -321,26 +327,18 @@ class Interpreter:
         mig = self.migration_engine
         mig_pending = mig._pending if mig is not None else None
         tid = thread.thread_id
-        # Deadline fast path: engaged only when every attached timer
-        # exposes next_fire_ns — a plain hook must keep its legacy
-        # every-op polling contract.
-        deadline_mode = False
-        next_deadline = 0
-        if timers:
-            deadline_mode = all(hasattr(t, "next_fire_ns") for t in timers)
-            if deadline_mode:
-                next_deadline = min(t.next_fire_ns(thread) for t in timers)
-        poll_timers = bool(timers) and not deadline_mode
-        poll_hooks = poll_timers or deadline_mode or mig is not None
+        # -1 = no timers (the value VectorEngine.execute reads as "off").
+        next_deadline = min(t.next_fire_ns(thread) for t in timers) if timers else -1
+        poll_hooks = bool(timers) or mig is not None
         record = self.kernel.record
         timer_fire = EventKind.TIMER_FIRE
-        # Vector replay engages per segment: per-op polled timers need
-        # the scalar loop, and so does any profiler hook outside the
-        # first-touch plan (the engine fires hooks at first touches only).
+        # Vector replay engages per segment: a profiler hook outside the
+        # first-touch plan needs the scalar loop (the engine fires hooks
+        # at first touches only).
         vec = self._vector
         vruns = None
         vec_demoted = ()
-        if vec is not None and not poll_timers and self.hlrc.scalar_only_hook is None:
+        if vec is not None and self.hlrc.scalar_only_hook is None:
             vruns = program.vector_runs()
             if not vruns:
                 vruns = None
@@ -367,11 +365,7 @@ class Interpreter:
                             mig_pending and tid in mig_pending
                         ):
                             if vr.hot:
-                                i, nd = vec.execute(
-                                    thread, vr, i, next_deadline if deadline_mode else -1
-                                )
-                                if deadline_mode:
-                                    next_deadline = nd
+                                i, next_deadline = vec.execute(thread, vr, i, next_deadline)
                                 continue
                             # A body seen once in its program warms up
                             # scalar — a one-shot run never amortizes
@@ -413,10 +407,7 @@ class Interpreter:
                 elif code <= prog.OP_BARRIER:  # ACQUIRE / RELEASE / BARRIER
                     thread.pc = i
                     if sync_dispatch[code](thread, op):
-                        if poll_timers:
-                            for timer in timers:
-                                timer.maybe_fire(thread)
-                        elif deadline_mode and clock._now_ns >= next_deadline:
+                        if timers and clock._now_ns >= next_deadline:
                             for timer in timers:
                                 timer.maybe_fire(thread)
                             if next_deadline > 0:
@@ -427,10 +418,7 @@ class Interpreter:
                     raise ValueError(f"unknown opcode {code} at pc {i}")
                 if poll_hooks:
                     thread.pc = i
-                    if poll_timers:
-                        for timer in timers:
-                            timer.maybe_fire(thread)
-                    elif deadline_mode and clock._now_ns >= next_deadline:
+                    if timers and clock._now_ns >= next_deadline:
                         for timer in timers:
                             timer.maybe_fire(thread)
                         if next_deadline > 0:

@@ -97,9 +97,8 @@ class VectorEngine:
 
     Created by :meth:`Interpreter.run` when replay mode is ``"vector"``
     and no ``per_op`` observer (sanitizer / race detector) is attached; the
-    segment loop additionally disengages it per segment when a timer
-    hook needs legacy per-op polling or a profiler hook is not
-    first-touch-only (``HomeBasedLRC.scalar_only_hook``).
+    segment loop additionally disengages it per segment when a profiler
+    hook is not first-touch-only (``HomeBasedLRC.scalar_only_hook``).
     """
 
     __slots__ = (
@@ -166,7 +165,7 @@ class VectorEngine:
         timer deadline.
 
         ``deadline`` is the interpreter's current minimum timer deadline,
-        or ``-1`` when deadline mode is off.  Normally the whole run
+        or ``-1`` when no timer is attached.  Normally the whole run
         executes and the returned pc is ``start + n``; a migration becoming
         pending mid-run (a timer fire or profiler hook submitted a plan)
         finalizes the executed prefix, evaluates the plan at exactly the

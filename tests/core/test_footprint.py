@@ -154,6 +154,9 @@ class TestLiveQueries:
         seen = {}
 
         class Probe:
+            def next_fire_ns(self, thread):
+                return 0  # every op boundary
+
             def maybe_fire(self, thread):
                 if thread.pc == 8:  # after several spread accesses
                     seen["fp"] = suite.footprinter.live_footprint(thread)

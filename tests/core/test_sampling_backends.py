@@ -55,6 +55,22 @@ class TestResolution:
             assert resolve_backend(name).name == name
             assert ctor.name == name
 
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_snapshot_counters_agree_with_totals(self, name):
+        """The per-class ``samples`` / ``skips`` of ``snapshot()`` are the
+        backend's decision counters — also for the hybrid, which counts
+        in its sub-backends (its own snapshot used to say 0 / 0)."""
+        gos = GlobalObjectSpace()
+        gos.registry.define("Obj", 96)
+        policy = make_policy(name, gos)
+        for _ in range(500):
+            policy.decision(gos.allocate("Obj", home_node=0))
+        samples, skips = policy.backend.totals()
+        assert samples + skips == 500 and samples > 0
+        classes = policy.backend.snapshot()["classes"]
+        assert classes["Obj"]["samples"] == samples
+        assert classes["Obj"]["skips"] == skips
+
     def test_instance_passthrough(self):
         be = HashBackend(seed=7)
         assert resolve_backend(be) is be

@@ -44,6 +44,9 @@ class TestHookFailures:
         djvm, obj = make(n_threads=1)
 
         class BrokenTimer:
+            def next_fire_ns(self, thread):
+                return 0  # every op boundary
+
             def maybe_fire(self, thread):
                 raise ValueError("timer bug")
 

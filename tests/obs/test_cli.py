@@ -106,10 +106,10 @@ def test_diff_snapshots_helper():
     assert diff_snapshots({"a": 1}, {"a": 2}) == ["a: 1 -> 2"]
 
 
-def test_gate_passes_at_relaxed_budget(capsys):
-    """One cheap gate pass: byte-identity + trace schema are the real
-    assertions; the wall budget is relaxed so a loaded CI host cannot
-    flake this test (the strict budget runs in `make obs`)."""
-    rc = run_gate(max_overhead=10.0, repeats=1, verbose=False)
-    assert rc == 0
-    assert "obs gate: OK" in capsys.readouterr().out
+def test_gate_passes(capsys):
+    """Byte-identity + trace schema are the gate's assertions; the wall
+    overhead is a printed line, so a loaded host cannot fail this."""
+    assert run_gate() == 0
+    out = capsys.readouterr().out
+    assert "obs gate: OK" in out
+    assert "overhead" in out and "observer self-report" in out

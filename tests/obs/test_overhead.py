@@ -58,7 +58,7 @@ class TestOverheadReport:
 
 
 class TestMeasure:
-    def test_best_of_and_telemetry_capture(self):
+    def test_one_run_each_and_telemetry_capture(self):
         calls = {"base": 0, "telem": 0}
 
         def run_base():
@@ -71,8 +71,8 @@ class TestMeasure:
             calls["telem"] += 1
             return telemetry
 
-        report = measure(run_base, run_telemetry, repeats=3)
-        assert calls == {"base": 3, "telem": 3}
+        report = measure(run_base, run_telemetry)
+        assert calls == {"base": 1, "telem": 1}
         assert report.base_wall_s > 0
         assert report.telemetry_wall_s > 0
         assert report.samples == 1  # the one counter sample
@@ -82,7 +82,7 @@ class TestMeasure:
         """run_telemetry returning None (telemetry genuinely off) must
         degrade to an all-zero observation, not crash on the missing
         context."""
-        report = measure(lambda: None, lambda: None, repeats=2)
+        report = measure(lambda: None, lambda: None)
         assert report.observer_wall_ns == 0
         assert report.spans == 0
         assert report.samples == 0
@@ -98,7 +98,7 @@ class TestMeasure:
         telemetry.snapshot()  # registry self-times its snapshots
         assert telemetry.tracer.self_ns > 0
         assert telemetry.self_wall_ns == telemetry.tracer.self_ns + telemetry.registry.self_ns
-        report = measure(lambda: None, lambda: telemetry, repeats=1)
+        report = measure(lambda: None, lambda: telemetry)
         assert report.observer_wall_ns >= telemetry.tracer.self_ns
         assert report.spans == 1
 

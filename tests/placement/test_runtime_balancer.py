@@ -10,7 +10,7 @@ from repro.core.profiler import ProfilerSuite
 from repro.dsm.homemigration import DominantWriterPolicy, HomeMigrationEngine
 from repro.placement.balancer import CorrelationAwareBalancer
 from repro.placement.runtime_balancer import OnlineRebalancer
-from repro.runtime.djvm import DJVM
+from repro.runtime.djvm import DJVM, run_fingerprint
 from repro.sim.costs import CostModel
 from repro.workloads import GroupSharingWorkload
 
@@ -20,7 +20,9 @@ def scrambled_placement(n_threads: int, n_nodes: int) -> list[int]:
     return [t % n_nodes for t in range(n_threads)]
 
 
-def run(*, rebalance: bool, home_migration: bool = False, rounds: int = 12):
+def run(
+    *, rebalance: bool, home_migration: bool = False, rounds: int = 12, replay: str = "vector"
+):
     wl = GroupSharingWorkload(
         n_threads=8,
         group_size=2,
@@ -31,7 +33,7 @@ def run(*, rebalance: bool, home_migration: bool = False, rounds: int = 12):
         group_writes=True,  # producer/consumer: placement has recurring value
         seed=4,
     )
-    djvm = DJVM(n_nodes=4, costs=CostModel.fast_test())
+    djvm = DJVM(n_nodes=4, costs=CostModel.fast_test(), replay=replay)
     wl.build(djvm, placement=scrambled_placement(8, 4))
     suite = ProfilerSuite(djvm, correlation=True, send_oals=False)
     suite.set_rate_all(4)
@@ -59,6 +61,30 @@ class TestOnlineRebalancer:
         wl, djvm, result, rb = run(rebalance=True)
         assert rb.fired
         assert rb.proposals, "expected profitable moves from a scrambled start"
+
+    def test_deadline_is_every_op_until_fired_then_never(self):
+        """The warm-up condition is not a time: the hook asks for every
+        op boundary (deadline 0) until it has fired, for none after —
+        so the interpreter's one deadline compare serves it and vector
+        replay is free to engage again."""
+        wl, djvm, result, rb = run(rebalance=True)
+        assert rb.next_fire_ns(djvm.threads[0]) == 1 << 62
+        rb.fired = False
+        assert rb.next_fire_ns(djvm.threads[0]) == 0
+
+    @pytest.mark.parametrize("home_migration", [False, True])
+    def test_vector_replay_matches_scalar_oracle(self, home_migration):
+        """No whole-run replay veto any more: the bulk engine runs
+        before and after the fire and must leave what the per-op oracle
+        leaves, migrations included."""
+        prints = []
+        for replay in ("scalar", "vector"):
+            _, djvm, result, rb = run(
+                rebalance=True, home_migration=home_migration, replay=replay
+            )
+            assert len(djvm.migration.results) == len(rb.proposals) > 0
+            prints.append(run_fingerprint(djvm, result))
+        assert prints[0] == prints[1]
 
     def test_migrations_executed(self):
         wl, djvm, result, rb = run(rebalance=True)

@@ -39,6 +39,19 @@ class TestSetup:
         cls = djvm.define_class("X", 32)
         assert djvm.registry.get("X") is cls
 
+    def test_timer_without_a_deadline_rejected(self):
+        """``next_fire_ns`` is part of the TimerHook contract: a hook
+        that only polls is refused at attach time, not run slowly."""
+
+        class PollOnly:
+            def maybe_fire(self, thread):
+                pass
+
+        djvm = DJVM(n_nodes=1)
+        with pytest.raises(TypeError, match="next_fire_ns"):
+            djvm.add_timer(PollOnly())
+        assert djvm.timers == []
+
 
 class TestRunResult:
     def run_simple(self):

@@ -32,6 +32,9 @@ class TestBasicExecution:
         captured = []
 
         class Spy:
+            def next_fire_ns(self, thread):
+                return 0  # every op boundary
+
             def maybe_fire(self, thread):
                 captured.append(len(thread.stack))
 
@@ -54,6 +57,9 @@ class TestBasicExecution:
         slots = []
 
         class Spy:
+            def next_fire_ns(self, thread):
+                return 0  # every op boundary
+
             def maybe_fire(self, thread):
                 if thread.stack.top is not None:
                     slots.append(tuple(thread.stack.top.slots))
@@ -90,6 +96,9 @@ class TestScheduling:
         order = []
 
         class Spy:
+            def next_fire_ns(self, thread):
+                return 0  # every op boundary
+
             def maybe_fire(self, thread):
                 order.append(thread.thread_id)
 
@@ -160,6 +169,9 @@ class TestTimers:
         fires = []
 
         class Counter:
+            def next_fire_ns(self, thread):
+                return 0  # every op boundary
+
             def maybe_fire(self, thread):
                 fires.append(thread.clock.now_ns)
 

@@ -1,10 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import re
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import build_parser, main, make_workload
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 class TestParser:
@@ -38,9 +41,12 @@ class TestCommands:
     def test_experiments_lists_every_bench(self, capsys):
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
-        assert "bench_fig9_accuracy.py" in out
-        assert "bench_table5_ss_overhead.py" in out
         assert "REPRO_PAPER_SCALE" in out
+        # Every bench script on disk exactly once, and nothing that is
+        # not on disk: adding or deleting one must update the listing.
+        on_disk = sorted(p.name for p in BENCH_DIR.glob("bench_*.py"))
+        assert on_disk
+        assert sorted(re.findall(r"bench_\w+\.py", out)) == on_disk
 
     def test_run_group_sharing(self, capsys):
         code = main(
