@@ -5,7 +5,9 @@ Subcommands:
 * ``demo`` — the quickstart in one command: run a workload with the
   correlation profiler and print the TCM heatmap and cost summary.
 * ``run`` — run one of the paper's workloads with chosen profilers and
-  print the paper-style summary, then the host's time by stage and what
+  print the paper-style summary, how the vector engine routed access
+  runs (``replay: bulk … runs, lean … runs, declined …, demoted …,
+  faults batched …``), then the host's time by stage and what
   the cyclic collector cost the run stage (``host: build … s,
   programs+compile … s, run … s, gc N collections (M full) … s``).
 * ``experiments`` — list the reproduced tables/figures and the pytest
@@ -106,6 +108,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = djvm.run(programs)
     t4 = clock()
     print(result.summary())
+    routing = djvm.replay_routing
+    if routing:
+        print(
+            f"replay: bulk {routing['bulk']} runs, lean {routing['lean']} runs, "
+            f"declined {routing['declined']}, demoted {routing['demoted']}, "
+            f"faults batched {routing['faults_batched']}"
+        )
     # Where the host's time went, by stage (the simulated times are above).
     print(
         f"host: build {t1 - t0:.2f} s, programs+compile {t2 - t1:.2f} s, "

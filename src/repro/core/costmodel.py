@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dsm.hlrc import FETCH_REPLY_OVERHEAD, fetch_wait_ns
 from repro.runtime.migration import MIGRATION_OVERHEAD_BYTES, SLOT_WIRE_BYTES
 from repro.sim.costs import CostModel
 from repro.sim.network import Network
@@ -27,15 +28,25 @@ from repro.sim.network import Network
 FALLBACK_OBJ_BYTES = 256
 
 
-def object_fault_ns(costs: CostModel, network: Network, size_bytes: int) -> int:
+def object_fault_ns(
+    costs: CostModel,
+    network: Network,
+    size_bytes: int,
+    node: int | None = None,
+    home: int | None = None,
+) -> int:
     """Simulated cost of one remote object fault: GOS trap plus the
-    fetch round trip (16-byte request, object + 16-byte reply header).
+    fetch round trip (:func:`~repro.dsm.hlrc.fetch_wait_ns`, the price
+    ``HomeBasedLRC._fault_remote`` pays on an unqueued fabric).
 
     Shared by the migration cost model's indirect-fault pricing and the
     object-centric inefficiency report's pattern scoring, so both layers
-    agree on what one avoidable fault is worth.
+    agree on what one avoidable fault is worth.  Those callers price a
+    fault without endpoints, i.e. at the fabric's flat latency — under
+    a :class:`~repro.sim.network.RackTopology` pass ``node`` and
+    ``home`` for the per-pair figure.
     """
-    return costs.gos_trap_ns + network.round_trip_ns(16, int(size_bytes) + 16)
+    return costs.gos_trap_ns + fetch_wait_ns(network, int(size_bytes), node, home)
 
 
 @dataclass
@@ -110,7 +121,11 @@ class MigrationCostModel:
             count = max(1, int(round(b / size)))
             n_objects += count
             fault_ns += count * object_fault_ns(costs, self.network, size)
-        prefetch = self.network.transfer_time_ns(sticky_bytes + 16 * n_objects) if sticky_bytes else 0
+        prefetch = (
+            self.network.transfer_time_ns(sticky_bytes + FETCH_REPLY_OVERHEAD * n_objects)
+            if sticky_bytes
+            else 0
+        )
         return MigrationCostEstimate(
             direct_ns=direct,
             indirect_fault_ns=fault_ns,

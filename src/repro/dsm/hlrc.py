@@ -36,6 +36,8 @@ with the smallest simulated clock.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import attrgetter
 from typing import Protocol
 
 from repro.dsm.intervals import IntervalRecord
@@ -80,6 +82,10 @@ _HOME = RealState.HOME
 _VALID = RealState.VALID
 _INVALID = RealState.INVALID
 
+#: what fixes a fault's price: home node, class and array length (the
+#: object's size follows from the last two).
+_FAULT_KEY = attrgetter("home_node", "jclass.class_id", "length")
+
 #: request/reply/control message payload sizes (bytes).
 FETCH_REQ_BYTES = 16
 FETCH_REPLY_OVERHEAD = 16
@@ -87,6 +93,18 @@ DIFF_OVERHEAD = 24
 LOCK_MSG_BYTES = 32
 BARRIER_MSG_BYTES = 32
 NOTICE_BYTES = 8
+
+
+def fetch_wait_ns(network, size_bytes: int, node: int | None = None, home: int | None = None) -> int:
+    """Network wait of one object fetch on an idle, unqueued fabric:
+    request (:data:`FETCH_REQ_BYTES`) plus reply (object +
+    :data:`FETCH_REPLY_OVERHEAD`), each priced by
+    :meth:`~repro.sim.network.Network.message_ns` — exactly what
+    :meth:`HomeBasedLRC._fault_remote`'s two sends return there.
+    Without endpoints the latency is the fabric's flat figure."""
+    return network.message_ns(FETCH_REQ_BYTES, node, home) + network.message_ns(
+        size_bytes + FETCH_REPLY_OVERHEAD, home, node
+    )
 
 
 class HomeBasedLRC:
@@ -321,6 +339,56 @@ class HomeBasedLRC:
             for observer in self.observers:
                 observer.on_fault(thread, obj, refault, fault_begin_ns, 1 + len(bundle))
         return record
+
+    def unobserved(self) -> bool:
+        """True when nothing can observe a fault's intermediate clock
+        values or its individual messages: no profiler hook, no
+        observer, no kept interval history, no prefetcher, and a network
+        that neither queues nor keeps a log.  Under this gate (plus no
+        timer and no pending migration, which the interpreter owns) a
+        run's faults may be priced in one pass (:meth:`charge_faults`):
+        every cost is an integer sum and an unqueued fetch's wait does
+        not depend on its send time."""
+        network = self.network
+        return not (
+            self.hooks
+            or self.observers
+            or self.keep_interval_history
+            or self.prefetcher is not None
+            or network.queueing
+            or network.keep_log
+        )
+
+    def charge_faults(self, thread, faulted: list[HeapObject]) -> None:
+        """Charge ``faulted`` remote faults of ``thread`` at once — the
+        trap, request and reply of each, as :meth:`_fault_remote` would
+        one by one — to the clock, the CPU buckets, ``hlrc_faults_total``
+        and the traffic counters.  The caller has already created or
+        refreshed the copies.  Only legal under :meth:`unobserved`.
+
+        Faults are grouped by (home, class, length): each group's
+        per-fault price is one :func:`fetch_wait_ns` (integer-truncated
+        per message, never per sum), times its count."""
+        n = len(faulted)
+        if not n:
+            return
+        node_id = thread.node_id
+        network = self.network
+        keys = list(map(_FAULT_KEY, faulted))
+        sample = dict(zip(keys, faulted))
+        wait = reply_bytes = 0
+        for key, count in Counter(keys).items():  # simlint: disable=SIM003 (integer sums; order cannot leak)
+            size = sample[key].size_bytes
+            wait += count * fetch_wait_ns(network, size, node_id, key[0])
+            reply_bytes += count * (size + FETCH_REPLY_OVERHEAD)
+        trap = n * self.costs.gos_trap_ns
+        thread.cpu.protocol_ns += trap
+        thread.cpu.network_wait_ns += wait
+        thread.clock._now_ns += trap + wait
+        stats = network.stats
+        stats.record_bulk(MessageKind.OBJECT_FETCH_REQ, n, n * FETCH_REQ_BYTES)
+        stats.record_bulk(MessageKind.OBJECT_FETCH_DATA, n, reply_bytes)
+        self._c_faults.inc(n)
 
     # ------------------------------------------------------------------
     # access fast path

@@ -270,6 +270,16 @@ class DJVM:
             return []
         return self._interpreter.kernel.trace
 
+    @property
+    def replay_routing(self) -> dict[str, int]:
+        """How the last run's vector engine routed access runs (see
+        :meth:`~repro.runtime.vector.VectorEngine.routing`); empty when
+        no engine ran (scalar replay, a ``per_op`` observer, no run)."""
+        interp = self._interpreter
+        if interp is None or interp._vector is None:
+            return {}
+        return interp._vector.routing()
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------

@@ -338,12 +338,17 @@ class Interpreter:
         vec = self._vector
         vruns = None
         vec_demoted = ()
+        # With nothing observing the segment (no timer here, nothing on
+        # hlrc's side) a cold run replays through the engine's lean lane
+        # instead of warming up scalar.
+        unobserved = False
         if vec is not None and self.hlrc.scalar_only_hook is None:
             vruns = program.vector_runs()
             if not vruns:
                 vruns = None
             else:
                 vec_demoted = vec.demoted
+                unobserved = not timers and self.hlrc.unobserved()
         start_i = i
         # Run occurrences are non-overlapping and only an occurrence's
         # start index maps to a run, so once one is taken scalar the
@@ -364,13 +369,14 @@ class Interpreter:
                         if vr not in vec_demoted and not (
                             mig_pending and tid in mig_pending
                         ):
-                            if vr.hot:
+                            if vr.hot or unobserved:
                                 i, next_deadline = vec.execute(thread, vr, i, next_deadline)
                                 continue
-                            # A body seen once in its program warms up
-                            # scalar — a one-shot run never amortizes
-                            # the lane build; a later DJVM reusing the
-                            # compiled program replays it in bulk.
+                            # An observed body seen once in its program
+                            # warms up scalar — a one-shot run never
+                            # amortizes the lane build; a later DJVM
+                            # reusing the compiled program replays it in
+                            # bulk.
                             vr.hot = True
                         vr_skip = i + vr.n_ops
                 op = ops[i]

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import re
 from array import array
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 OP_READ = 0
@@ -65,6 +67,15 @@ _ACCESS_RUN_RE = re.compile(rb"[\x00-\x02]+")
 #: C speed for segment splitting (the static CFG builder's boundaries).
 _SYNC_OP_RE = re.compile(rb"[\x06-\x08]")
 
+#: opcode -> selector byte translation tables over a run's opcode bytes
+#: (READ=0, WRITE=1, COMPUTE=2): access ops, write ops, compute ops.
+_ACCESS_MASK = bytes.maketrans(b"\x00\x01\x02", b"\x01\x01\x00")
+_WRITE_MASK = bytes.maketrans(b"\x00\x01\x02", b"\x00\x01\x00")
+_COMPUTE_MASK = bytes.maketrans(b"\x00\x01\x02", b"\x00\x00\x01")
+_OPCODE = itemgetter(0)
+_ARG = itemgetter(1)
+_REPEAT = itemgetter(3)
+
 
 class AccessRun:
     """One distinct READ/WRITE/COMPUTE op sequence of a compiled program.
@@ -88,7 +99,8 @@ class AccessRun:
     Construction only records the body: the lane build is a Python-speed
     pass over every op, which for a one-shot run can cost more than
     executing the ops, so the engine defers it until a run actually
-    vectorizes (the ``hot`` flag).
+    vectorizes (the ``hot`` flag).  A cold run that nothing observes
+    replays from :func:`lean_lane` instead, which caches nothing here.
 
     Cost arrays depend on the :class:`~repro.sim.costs.CostModel` and
     are attached lazily by the engine (``_cost_key`` / ``_costed``).
@@ -121,12 +133,14 @@ class AccessRun:
         self._checkpoints = None
         self._cost_key = None
         self._costed = None
-        #: replay gate: a hot run executes through the engine, a cold
-        #: one through the scalar loop.  A body that occurs at least
-        #: twice in its program is born hot (``vector_runs`` sets it);
-        #: a singleton goes hot after its first, scalar, execution —
-        #: a one-shot run never earns back the lane build, and a
-        #: compiled program reused by a later DJVM replays in bulk.
+        #: replay gate: a hot run executes through the engine, an
+        #: observed cold one through the scalar loop.  A body that
+        #: occurs at least twice in its program is born hot
+        #: (``vector_runs`` sets it); a singleton goes hot after its
+        #: first, scalar, execution — a one-shot run never earns back
+        #: the lane build, and a compiled program reused by a later
+        #: DJVM replays in bulk.  Unobserved, a cold run replays on a
+        #: transient lean lane and stays cold.
         self.hot = False
 
     def materialize(self) -> "AccessRun":
@@ -207,6 +221,47 @@ class AccessRun:
             cps.sort()
             self._checkpoints = cps
         return cps
+
+
+def lean_lane(ops: tuple, costs) -> tuple[int, int, dict, tuple[list, list, list]]:
+    """A run body's totals, built at C speed for one execution and
+    never cached (a one-shot body would keep it alive for nothing):
+    ``(access busy ns, compute ns, distinct object ids in first-touch
+    order, (written object ids, written elements, write ops))``, the
+    written lanes parallel and in first-write order.
+
+    Compute is summed exactly as the scalar loop charges it op by op:
+    the raw value on a unity scale (all non-negative ints), else
+    :meth:`~repro.sim.costs.CostModel.scaled_compute` per op."""
+    codes = bytes(map(_OPCODE, ops))
+    accesses = list(compress(ops, codes.translate(_ACCESS_MASK)))
+    busy = (costs.state_check_ns + costs.access_ns) * sum(map(_REPEAT, accesses))
+    compute = 0
+    if len(accesses) < len(ops):
+        values = list(map(_ARG, compress(ops, codes.translate(_COMPUTE_MASK))))
+        raw = costs.compute_scale == 1.0
+        if raw:
+            compute = sum(values)
+            raw = type(compute) is int and min(values) >= 0
+        if not raw:
+            compute = sum(map(costs.scaled_compute, values))
+    uniq = dict.fromkeys(map(_ARG, accesses))
+    w_oids: list[int] = []
+    w_welems: list[int] = []
+    w_wops: list[int] = []
+    if OP_WRITE in codes:
+        index: dict[int, int] = {}
+        for op in compress(ops, codes.translate(_WRITE_MASK)):
+            k = index.get(op[1])
+            if k is None:
+                index[op[1]] = len(w_oids)
+                w_oids.append(op[1])
+                w_welems.append(op[2])
+                w_wops.append(1)
+            else:
+                w_welems[k] += op[2]
+                w_wops[k] += 1
+    return busy, compute, uniq, (w_oids, w_welems, w_wops)
 
 
 class CompiledProgram:

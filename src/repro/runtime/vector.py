@@ -18,6 +18,13 @@ access of a run every later access is a guaranteed hit, and after its
 * **Cost arrays**: exclusive prefix sums of every op's base cost (access
   busy time, compute time) make "advance the clock across k ops" one
   subtraction, and deadline-timer fires one ``bisect``.
+* **Unobserved runs** (:meth:`HomeBasedLRC.unobserved`, no timer, no
+  pending migration): only end state is visible, so there are no
+  checkpoints and no summaries — one pass over the distinct objects
+  probes, materializes home copies and refreshes faulted copies, the
+  faults are charged in one :meth:`HomeBasedLRC.charge_faults`, and a
+  one-shot body is priced from a transient lean lane instead of warming
+  up scalar.
 
 Byte-identity with the scalar loop is the contract, not an aspiration:
 clock values, CPU accounting buckets, interval summaries (including
@@ -26,7 +33,7 @@ state, fault traffic, timer-fire points and the kernel trace all come
 out bit-for-bit equal, which the equivalence tests assert over
 randomized programs.  The engine is disengaged whenever an observer
 needs the per-op stream (``per_op`` observers — sanitizer, race detector
-— per-op polled timers, profiler hooks outside hlrc's first-touch plan).
+— and profiler hooks outside hlrc's first-touch plan).
 
 Clock bookkeeping uses one invariant: at fast-lane position ``pos``,
 
@@ -47,10 +54,11 @@ from array import array
 from bisect import bisect_left, bisect_right
 
 from repro.dsm.states import CopyRecord, RealState
-from repro.runtime.program import OP_COMPUTE, OP_WRITE, AccessRun
+from repro.runtime.program import OP_COMPUTE, OP_WRITE, AccessRun, lean_lane
 from repro.sim.events import EventKind
 
 _HOME = RealState.HOME
+_VALID = RealState.VALID
 _INVALID = RealState.INVALID
 _TIMER_FIRE = EventKind.TIMER_FIRE
 
@@ -109,6 +117,11 @@ class VectorEngine:
         "costs",
         "demoted",
         "_strikes",
+        "runs_bulk",
+        "runs_lean",
+        "runs_declined",
+        "runs_demoted",
+        "faults_batched",
     )
 
     def __init__(self, interp) -> None:
@@ -132,6 +145,27 @@ class VectorEngine:
         #: consecutive strike means the working set is re-invalidated
         #: every epoch and the run will never go fast.
         self._strikes: dict[AccessRun, int] = {}
+        # Routing counts (host-side only; see routing()).
+        self.runs_bulk = 0
+        self.runs_lean = 0
+        self.runs_declined = 0
+        self.runs_demoted = 0
+        self.faults_batched = 0
+
+    def routing(self) -> dict[str, int]:
+        """How the engine routed this run's access runs: executions
+        replayed on materialized lanes (``bulk``) or on a transient lean
+        lane (``lean``, cold runs under the unobserved gate), executions
+        handed back unexecuted under a profiler hook (``declined``), runs
+        demoted as repeatedly majority-slow (``demoted``), and remote
+        faults priced in one pass (``faults_batched``)."""
+        return {
+            "bulk": self.runs_bulk,
+            "lean": self.runs_lean,
+            "declined": self.runs_declined,
+            "demoted": self.runs_demoted,
+            "faults_batched": self.faults_batched,
+        }
 
     def _maybe_demote(self, run: AccessRun, n_slow: int, n_uniq: int) -> None:
         """Track majority-slow executions; demote after two in a row."""
@@ -139,6 +173,7 @@ class VectorEngine:
             strikes = self._strikes.get(run, 0) + 1
             if strikes >= 2:
                 self.demoted.add(run)
+                self.runs_demoted += 1
             else:
                 self._strikes[run] = strikes
         elif run in self._strikes:
@@ -191,7 +226,12 @@ class VectorEngine:
             )
             if n_uniq * 4 > n:
                 self.demoted.add(run)
+                self.runs_declined += 1
                 return start, deadline
+        elif deadline < 0 and hl.unobserved():
+            self._execute_unobserved(thread, run)
+            return start + n, deadline
+        self.runs_bulk += 1
         if run.uniq is None:
             run.materialize()
         costed = self._costed(run)
@@ -206,21 +246,6 @@ class VectorEngine:
         records: list = [None] * len(uniq)
 
         interp = self.interp
-        # Interval access summaries are observable only through the
-        # profiler hooks, any observer, kept interval history, or sampling
-        # timers (which may inspect the live interval).  With none of
-        # those attached the summaries are dead state: the protocol
-        # consumes just the written set and per-copy dirty/writer state,
-        # so the engine skips summary bookkeeping entirely.  Counters,
-        # clocks and traffic are unaffected — the scalar oracle still
-        # builds summaries, and equivalence tests enable history to
-        # compare them.
-        book = (
-            hl.keep_interval_history
-            or bool(hooks)
-            or bool(hl.observers)
-            or bool(interp.timers)
-        )
         # The first-touch half of hlrc's dispatch plan (the segment gate
         # admits no other kind of hook; () without hooks).
         on_first_touch = hl._on_first_touch
@@ -275,29 +300,6 @@ class VectorEngine:
                 interval = thread.current_interval
                 written = interval.written
                 tid = thread.thread_id
-                if not book:
-                    # Summary-free bookkeeping: written set plus dirty
-                    # state for cache copies, nothing else.
-                    if run.w_ks:
-                        written.update(run.w_oids)
-                        for k in run.w_ks:
-                            record = records[k]
-                            if record.real_state is not _HOME:
-                                oid = uniq[k]
-                                obj = objects[oid]
-                                if obj.is_array:
-                                    wb = run.u_welems[k] * obj.jclass.element_size
-                                else:
-                                    wb = u_wops[k] * obj.jclass.instance_size
-                                record.dirty_bytes = min(
-                                    record.dirty_bytes + wb, obj.size_bytes
-                                )
-                                writers = record.writers
-                                if writers is None:
-                                    record.writers = {tid}
-                                else:
-                                    writers.add(tid)
-                    return start + n, deadline
                 reads = interval.reads
                 writes = interval.writes
                 first_ns = interval.first_ns
@@ -400,7 +402,7 @@ class VectorEngine:
                         thread, start + pos, dl, 2 * fire_at + 1, ev_key, ev_cum, extra
                     )
                     if mig_pending and tid in mig_pending:
-                        self._finalize(thread, run, costed, records, pos, clock0, ev_key, ev_cum, book)
+                        self._finalize(thread, run, costed, records, pos, clock0, ev_key, ev_cum)
                         mig.maybe_migrate(thread)
                         return start + pos, dl
                 continue
@@ -472,14 +474,105 @@ class VectorEngine:
                     thread, start + pos, dl, 2 * c + 1, ev_key, ev_cum, extra
                 )
             if mig_pending and tid in mig_pending:
-                self._finalize(thread, run, costed, records, pos, clock0, ev_key, ev_cum, book)
+                self._finalize(thread, run, costed, records, pos, clock0, ev_key, ev_cum)
                 mig.maybe_migrate(thread)
                 return start + pos, dl
 
-        self._finalize(thread, run, costed, records, n, clock0, ev_key, ev_cum, book)
+        self._finalize(thread, run, costed, records, n, clock0, ev_key, ev_cum)
         return start + n, dl
 
     # ------------------------------------------------------------------
+
+    def _execute_unobserved(self, thread, run: AccessRun) -> None:
+        """Replay a whole run with nothing observing it (no hook,
+        observer, history, timer or pending migration; a plain network;
+        :meth:`HomeBasedLRC.unobserved`).
+
+        Only end state is visible then, and every cost is an integer, so
+        the run is priced as sums: one pass over its distinct objects in
+        first-touch order probes each copy once, materializes lazy home
+        copies and refreshes faulted ones; the faults are charged in one
+        :meth:`HomeBasedLRC.charge_faults`; written cache copies get
+        their twin, dirty bytes and writer; the clock and CPU buckets
+        move once.  A run that is not hot yet (a one-shot body) is
+        priced from a transient :func:`lean_lane` that is never cached;
+        a hot one uses its materialized lanes and cost arrays."""
+        if run.uniq is None and not run.hot:
+            busy, compute, uniq, (w_oids, w_welems, w_wops) = lean_lane(run.ops, self.costs)
+            w_ks = range(len(w_oids))
+            self.runs_lean += 1
+        else:
+            if run.uniq is None:
+                run.materialize()
+            costed = self._costed(run)
+            busy = costed.abusy[-1]
+            compute = costed.base[-1] - busy
+            uniq = run.uniq
+            w_oids, w_ks, w_welems, w_wops = run.w_oids, run.w_ks, run.u_welems, run.u_wops
+            self.runs_bulk += 1
+        node_id = thread.node_id
+        copies = self._copies_by_node[node_id]
+        objects = self._objects
+        get = copies.get
+        faulted = []
+        for oid in uniq:
+            record = get(oid)
+            if record is not None and record.real_state is not _INVALID:
+                continue
+            obj = objects[oid]
+            if obj.home_node == node_id:
+                # Home copies materialize lazily at zero cost.
+                copies[oid] = CopyRecord(oid, _HOME)
+            else:
+                if record is None:
+                    copies[oid] = CopyRecord(oid, _VALID, obj.home_version)
+                else:
+                    record.real_state = _VALID
+                    record.fetched_version = obj.home_version
+                faulted.append(obj)
+        cpu = thread.cpu
+        twin_ns = 0
+        if w_oids:
+            twin_ns = self._apply_writes(thread, copies, w_oids, w_ks, w_welems, w_wops)
+        cpu.access_ns += busy
+        cpu.compute_ns += compute
+        cpu.protocol_ns += twin_ns
+        thread.clock._now_ns += busy + compute + twin_ns
+        if faulted:
+            self.hlrc.charge_faults(thread, faulted)
+            self.faults_batched += len(faulted)
+
+    def _apply_writes(self, thread, copies: dict, w_oids, w_ks, welems, wops) -> int:
+        """Write bookkeeping of an unobserved run: the written set, and
+        for each written cache copy its twin (first write this
+        interval), dirty bytes and writer; returns the twin cost.
+        ``w_oids[i]``'s written elements and write ops are
+        ``welems[w_ks[i]]`` and ``wops[w_ks[i]]``."""
+        objects = self._objects
+        tid = thread.thread_id
+        twin_per_byte = self.costs.twin_ns_per_byte
+        thread.current_interval.written.update(w_oids)
+        twin_ns = 0
+        for oid, k in zip(w_oids, w_ks):
+            record = copies[oid]
+            if record.real_state is _HOME:
+                continue
+            obj = objects[oid]
+            size = obj.size_bytes
+            if not record.has_twin:
+                record.has_twin = True
+                twin_ns += size * twin_per_byte
+            if obj.is_array:
+                wb = welems[k] * obj.jclass.element_size
+            else:
+                wb = wops[k] * obj.jclass.instance_size
+            record.dirty_bytes = min(record.dirty_bytes + wb, size)
+            writers = record.writers
+            if writers is None:
+                record.writers = {tid}
+            else:
+                writers.add(tid)
+        return twin_ns
 
     def _fire_timers(
         self,
@@ -520,7 +613,6 @@ class VectorEngine:
         clock0: int,
         ev_key: list[int],
         ev_cum: list[int],
-        book: bool = True,
     ) -> None:
         """Apply the fast-lane aggregates for ops ``[0, upto)`` to the
         interval state — summary counts, written set, dirty bytes,
@@ -529,38 +621,13 @@ class VectorEngine:
         Summaries the walk did not create (every object in deferred
         mode, i.e. when no hook needed the first-touch instant) are
         created here, iterating uniq order so the access dict gains
-        entries in exactly the scalar loop's first-touch order.  With
-        ``book`` false (summaries unobservable) only the protocol state
-        — written set, dirty bytes, writers — is maintained."""
+        entries in exactly the scalar loop's first-touch order."""
         interval = thread.current_interval
         written = interval.written
         objects = self._objects
         base = costed.base
         tid = thread.thread_id
         uniq = run.uniq
-        if not book and upto >= run.n_ops:
-            if run.w_ks:
-                written.update(run.w_oids)
-                u_welems = run.u_welems
-                u_wops = run.u_wops
-                for k in run.w_ks:
-                    record = records[k]
-                    if record.real_state is not _HOME:
-                        oid = uniq[k]
-                        obj = objects[oid]
-                        if obj.is_array:
-                            wb = u_welems[k] * obj.jclass.element_size
-                        else:
-                            wb = u_wops[k] * obj.jclass.instance_size
-                        record.dirty_bytes = min(
-                            record.dirty_bytes + wb, obj.size_bytes
-                        )
-                        writers = record.writers
-                        if writers is None:
-                            record.writers = {tid}
-                        else:
-                            writers.add(tid)
-            return
         reads = interval.reads
         writes = interval.writes
         first_ns = interval.first_ns

@@ -128,6 +128,21 @@ class TrafficStats:
         if piggybacked:
             self.piggybacked_messages += 1
 
+    def record_bulk(self, kind: MessageKind, count: int, total_bytes: int) -> None:
+        """Fold ``count`` delivered, non-piggybacked messages of one kind
+        carrying ``total_bytes`` together — the same counters as
+        ``count`` :meth:`record_traffic` calls (a zero count records
+        nothing, so no empty kind appears)."""
+        if not count:
+            return
+        self.messages += count
+        rec = self._by_kind.get(kind)
+        if rec is None:
+            self._by_kind[kind] = [total_bytes, count]
+        else:
+            rec[0] += total_bytes
+            rec[1] += count
+
     @property
     def bytes_by_kind(self) -> dict[MessageKind, int]:
         """Total bytes per message kind."""
@@ -283,23 +298,31 @@ class Network:
         for queued sends."""
         self._kernel = kernel
 
-    def latency_between_ns(self, src: int, dst: int) -> int:
-        """One-way latency between two distinct nodes (ns), honouring the
-        topology when one is attached.  O(1): never consults a table."""
-        if self.topology is not None:
-            return self.topology.latency_ns(src, dst)
-        return self.latency_ns
+    def message_ns(self, size_bytes: int, src: int | None = None, dst: int | None = None) -> int:
+        """One-way delivery time of one unqueued, non-piggybacked message
+        carrying ``size_bytes`` of payload: latency + (payload + header)
+        serialization, truncated to whole nanoseconds per message.
+
+        The one pricing formula: :meth:`send` returns it for every
+        unqueued message, and bulk pricing (the vector engine's batched
+        faults) sums it per message.  With both endpoints the latency
+        honours the topology; without them it is the flat
+        ``latency_ns`` figure (a :class:`RackTopology` is then priced as
+        if flat)."""
+        if src is None or self.topology is None:
+            latency = self.latency_ns
+        else:
+            latency = self.topology.latency_ns(src, dst)
+        return latency + int((size_bytes + self.header_bytes) / self.bandwidth_bytes_per_s * NS_PER_S)
 
     def transfer_time_ns(self, size_bytes: int, *, piggybacked: bool = False) -> int:
         """Time to move ``size_bytes`` one way between two distinct nodes
         at the flat (topology-free) latency figure; per-pair pricing goes
-        through :meth:`send` / :meth:`latency_between_ns`."""
+        through :meth:`send` / :meth:`message_ns` with endpoints."""
         check_non_negative(size_bytes, "size_bytes")
-        wire_bytes = size_bytes if piggybacked else size_bytes + self.header_bytes
-        serialization_ns = int(wire_bytes / self.bandwidth_bytes_per_s * NS_PER_S)
         if piggybacked:
-            return serialization_ns
-        return self.latency_ns + serialization_ns
+            return int(size_bytes / self.bandwidth_bytes_per_s * NS_PER_S)
+        return self.message_ns(size_bytes)
 
     def send(
         self,
@@ -367,11 +390,7 @@ class Network:
             return self._send_queued(kind, src, dst, size_bytes, int(time_ns), piggybacked)
         if piggybacked:
             return int(size_bytes / self.bandwidth_bytes_per_s * NS_PER_S)
-        topology = self.topology
-        latency = self.latency_ns if topology is None else topology.latency_ns(src, dst)
-        return latency + int(
-            (size_bytes + self.header_bytes) / self.bandwidth_bytes_per_s * NS_PER_S
-        )
+        return self.message_ns(size_bytes, src, dst)
 
     def _send_queued(
         self,
@@ -414,10 +433,6 @@ class Network:
     def link_busy_until_ns(self, src: int, dst: int) -> int:
         """Time the directed link frees up (0 if never used / no queueing)."""
         return self._link_busy_ns.get((src, dst), 0)
-
-    def round_trip_ns(self, request_bytes: int, reply_bytes: int) -> int:
-        """Time for a request/reply exchange between two distinct nodes."""
-        return self.transfer_time_ns(request_bytes) + self.transfer_time_ns(reply_bytes)
 
     @property
     def log(self) -> list[Message]:

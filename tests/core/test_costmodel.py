@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.costmodel import MigrationCostModel
+from repro.core.costmodel import MigrationCostModel, object_fault_ns
+from repro.runtime.djvm import DJVM
 from repro.sim.costs import CostModel
-from repro.sim.network import Network
+from repro.sim.network import Network, RackTopology
 
 
 def model():
@@ -93,3 +94,36 @@ class TestMigrationGain:
     def test_wrong_placement_rejected(self):
         with pytest.raises(ValueError):
             model().migration_gain_ns(self.tcm(), 0, 1, 2, {0: 0, 1: 1, 2: 2})
+
+
+def real_fault_ns(network: Network, size: int, home: int) -> tuple[int, int]:
+    """(clock advance, protocol + network-wait CPU) of one real
+    ``_fault_remote`` of a ``size``-byte object homed at ``home`` by a
+    thread on node 0."""
+    djvm = DJVM(4, network=network)
+    cls = djvm.define_class("Obj", size)
+    obj = djvm.allocate(cls, home)
+    thread = djvm.spawn_thread(0)
+    djvm.hlrc._fault_remote(thread, obj, None)
+    return thread.clock.now_ns, thread.cpu.protocol_ns + thread.cpu.network_wait_ns
+
+
+class TestObjectFaultPrice:
+    @pytest.mark.parametrize("size", [8, 64, 1000, 4096])
+    def test_equals_a_real_fault_on_a_flat_fabric(self, size):
+        clock, cpu = real_fault_ns(Network(), size, home=1)
+        expected = object_fault_ns(CostModel.gideon300(), Network(), size)
+        assert clock == cpu == expected
+
+    def test_rack_topology_priced_per_pair_only_with_endpoints(self):
+        def rack():
+            return Network(topology=RackTopology(2, intra_ns=40_000, cross_ns=200_000))
+
+        costs = CostModel.gideon300()
+        near, _ = real_fault_ns(rack(), 64, home=1)
+        far, _ = real_fault_ns(rack(), 64, home=3)
+        assert object_fault_ns(costs, rack(), 64, 0, 1) == near
+        assert object_fault_ns(costs, rack(), 64, 0, 3) == far
+        # Without endpoints: the fabric's flat latency figure.
+        assert object_fault_ns(costs, rack(), 64) == object_fault_ns(costs, Network(), 64)
+        assert near < object_fault_ns(costs, rack(), 64) < far

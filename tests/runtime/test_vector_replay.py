@@ -4,9 +4,10 @@ Randomized access programs (seeded) run twice — ``replay="scalar"`` and
 ``replay="vector"`` — and every observable must match: protocol
 counters, thread clocks, network traffic, and the interval history down
 to per-object access summaries in first-touch order.  Configurations
-cover the paths the vector engine special-cases: no observers (the
-summary-free fast path), interval history kept, a deadline-API timer
-and a ``fast_on_access`` profiler hook.  The paper workloads (SOR /
+cover the paths the vector engine special-cases: nothing observing
+(the unobserved gate: lean lanes for one-shot bodies, faults priced in
+one pass), interval history kept, a deadline-API timer and a
+``fast_on_access`` profiler hook.  The paper workloads (SOR /
 Barnes-Hut / Water-Spatial) run through the same comparison.
 
 Access runs are interned by content per compiled program, so a second
@@ -23,10 +24,13 @@ from collections import Counter
 import pytest
 
 from repro.core.profiler import ProfilerSuite
+from repro.dsm.observer import ProtocolObserver
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM, run_fingerprint
 from repro.runtime.migration import MigrationPlan
 from repro.runtime.vector import VectorEngine
+from repro.sim.costs import CostModel
+from repro.sim.network import MessageKind, Network, RackTopology
 from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
@@ -249,7 +253,8 @@ SEEDS = [0, 1, 2, 3, 4]
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_vector_matches_scalar_bare(seed):
-    """No observers: the engine's summary-free fast path."""
+    """No observers, every run pre-marked hot: the unobserved gate on
+    materialized lanes."""
     assert run_replay(seed, "vector") == run_replay(seed, "scalar")
 
 
@@ -558,3 +563,187 @@ def test_vector_replay_matches_scalar_on_workloads(name):
     """The paper workloads, not just random programs: byte-identical
     down to the interval history."""
     assert run_workload(name, "vector") == run_workload(name, "scalar")
+
+
+# -- unobserved runs: faults priced in one pass --------------------------
+#
+# With no hook, observer, history, timer, prefetcher or pending migration
+# and a network that neither queues nor logs, the engine replays every
+# run — one-shot bodies included, on a transient lean lane — and charges
+# its faults in one HomeBasedLRC.charge_faults.  The configurations below
+# are that gate; the disqualifiers after them each leave it.
+
+UNOBSERVED_CONFIGS = {
+    "flat": {},
+    "fast_test_costs": {"costs": CostModel.fast_test()},
+    "rack": {"topology": True},
+}
+
+
+def run_unobserved(seed, replay, *, make_programs, topology=False, **kwargs):
+    """(fingerprint, run_fingerprint, routing, one-shot runs) of a fresh
+    compile — nothing pre-marked — with nothing observing the run."""
+    if topology:
+        kwargs["network"] = Network(topology=RackTopology(2, intra_ns=30_000, cross_ns=150_000))
+    djvm, obj_ids = build_djvm(replay=replay, **kwargs)
+    progs = {
+        tid: P.compile_program(ops) for tid, ops in make_programs(seed, obj_ids).items()
+    }
+    singles = [vr for cp in progs.values() for vr in split_runs(cp)[0]]
+    res = djvm.run(progs)
+    return fingerprint(djvm, res), run_fingerprint(djvm, res), djvm.replay_routing, singles
+
+
+@pytest.mark.parametrize("config", sorted(UNOBSERVED_CONFIGS))
+@pytest.mark.parametrize("make_programs", [random_programs, repeating_programs])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_unobserved_runs_batch_faults_and_match_scalar(seed, make_programs, config):
+    """One-shot bodies go lean, repeated ones bulk; refaults after
+    barrier/lock invalidation, lazy home copies and twins on written
+    cache copies all land as the scalar loop leaves them."""
+    kwargs = dict(UNOBSERVED_CONFIGS[config], make_programs=make_programs)
+    fp, rfp, routing, singles = run_unobserved(seed, "vector", **kwargs)
+    sfp, srfp, _, _ = run_unobserved(seed, "scalar", **kwargs)
+    assert fp == sfp
+    assert rfp == srfp
+    assert routing["faults_batched"] > 0
+    assert routing["lean"] > 0
+    assert routing["declined"] == routing["demoted"] == 0
+    if make_programs is repeating_programs:
+        assert routing["bulk"] > 0
+    # The lean lane is transient: a one-shot body caches nothing and
+    # stays cold for an observed reuse.
+    assert singles and not any(vr.hot or vr.uniq is not None or vr._costed for vr in singles)
+
+
+def test_unobserved_run_refaults_invalidated_copies_and_twins():
+    """Thread 0 re-reads and writes objects homed at node 1 that thread 1
+    rewrites every round: each occurrence refaults every copy the
+    barrier invalidated and re-creates every twin, in one pass."""
+    fps = {}
+    for replay in ("vector", "scalar"):
+        djvm, obj_ids = build_djvm(replay=replay)
+        remote = [oid for oid in obj_ids if djvm.gos.get(oid).home_node == 1][:6]
+        body = [P.read(oid, n_elems=2) for oid in remote] + [P.write(remote[0]), P.write(remote[-1], 3)]
+        rounds = 4
+        main = [P.call("main", 2)]
+        writer = [P.call("main", 2)]
+        for rnd in range(rounds):
+            main += [*body, P.barrier(rnd)]
+            writer += [*(P.write(oid) for oid in remote[1:-1]), P.barrier(rnd)]
+        idle = [P.barrier(rnd) for rnd in range(rounds)]
+        programs = {0: main + [P.ret()], 1: writer + [P.ret()], 2: idle, 3: list(idle)}
+        res = djvm.run(programs)
+        fps[replay] = (fingerprint(djvm, res), run_fingerprint(djvm, res), djvm.replay_routing)
+    assert fps["vector"][:2] == fps["scalar"][:2]
+    counters = fps["vector"][0]["counters"]
+    assert counters["invalidations"] > 0
+    assert fps["vector"][2]["faults_batched"] == counters["faults"] >= 6 + 3 * 4
+
+
+def test_unobserved_majority_faulting_run_is_never_demoted(execute_calls):
+    """Every occurrence of the body faults all of its objects (the writer
+    invalidates them each round).  Observed, the engine demotes such a
+    run after two majority-slow executions; unobserved, its faults are
+    batched and cost no strike, so every occurrence replays in bulk."""
+    rounds = 5
+
+    def run(replay, **kwargs):
+        djvm, obj_ids = build_djvm(replay=replay, **kwargs)
+        remote = [oid for oid in obj_ids if djvm.gos.get(oid).home_node == 1][:8]
+        body = [P.read(oid, repeat=2) for oid in remote]
+        main = [P.call("main", 2)]
+        writer = [P.call("main", 2)]
+        for rnd in range(rounds):
+            main += [*body, P.barrier(rnd)]
+            writer += [*(P.write(oid) for oid in remote), P.barrier(rnd)]
+        idle = [P.barrier(rnd) for rnd in range(rounds)]
+        programs = {0: main + [P.ret()], 1: writer + [P.ret()], 2: idle, 3: list(idle)}
+        res = djvm.run(programs)
+        return fingerprint(djvm, res), djvm.replay_routing
+
+    def reader_calls():
+        return [(start, pc) for start, run_, pc in execute_calls if run_.ops[0][0] == P.OP_READ]
+
+    fp, routing = run("vector")
+    assert fp == run("scalar")[0]
+    # Both bodies (reader and writer) replay in bulk every round.
+    assert routing["demoted"] == 0 and routing["bulk"] == 2 * rounds
+    assert reader_calls() == [(1 + rnd * 9, 9 + rnd * 9) for rnd in range(rounds)]
+    assert routing["faults_batched"] == fp["counters"]["faults"] == 8 * rounds
+    # The same program observed (interval history kept) is demoted.
+    del execute_calls[:]
+    history_fp, history_routing = run("vector", keep_interval_history=True)
+    assert history_fp == run("scalar", keep_interval_history=True)[0]
+    assert history_routing["demoted"] == 1 and history_routing["faults_batched"] == 0
+    assert len(reader_calls()) == 2
+
+
+class NullObserver(ProtocolObserver):
+    """Watches nothing; its presence alone disqualifies the gate."""
+
+    __slots__ = ()
+
+
+class EmptyPrefetcher:
+    """A prefetcher that never bundles anything."""
+
+    def bundle_for(self, thread, obj):
+        return []
+
+
+def _plan_forever(djvm):
+    for thread in djvm.threads:
+        djvm.migration.schedule(MigrationPlan(thread.thread_id, 1, at_interval=10**9))
+
+
+#: each disqualifier alone: (DJVM kwargs factory, setup(djvm) before the run).
+DISQUALIFIERS = {
+    "hook": (dict, lambda djvm: djvm.add_hook(FastHook())),
+    "observer": (dict, lambda djvm: djvm.attach(NullObserver())),
+    "history": (lambda: {"keep_interval_history": True}, None),
+    "timer": (dict, lambda djvm: djvm.add_timer(DeadlineTimer())),
+    "queueing": (lambda: {"network": Network(queueing=True), "keep_event_trace": True}, None),
+    "keep_log": (dict, lambda djvm: setattr(djvm.cluster.network, "keep_log", True)),
+    "prefetcher": (dict, lambda djvm: setattr(djvm.hlrc, "prefetcher", EmptyPrefetcher())),
+    "pending_migration": (dict, _plan_forever),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISQUALIFIERS))
+def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch):
+    """Anything that could see a fault's messages or instants keeps the
+    per-message path: two ``Network.send`` calls per fault, nothing
+    batched, and the scalar oracle's result."""
+    sends = Counter()
+    original = Network.send
+
+    def counting(self, kind, *args, **kwargs):
+        sends[kind] += 1
+        return original(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "send", counting)
+    outcomes = {}
+    for replay in ("vector", "scalar"):
+        make_kwargs, setup = DISQUALIFIERS[name]
+        djvm, obj_ids = build_djvm(replay=replay, **make_kwargs())
+        if setup is not None:
+            setup(djvm)
+        sends.clear()
+        progs = {
+            tid: P.compile_program(ops) for tid, ops in random_programs(3, obj_ids).items()
+        }
+        res = djvm.run(progs)
+        faults = res.counters["faults"]
+        assert faults > 0
+        assert sends[MessageKind.OBJECT_FETCH_REQ] == sends[MessageKind.OBJECT_FETCH_DATA] == faults
+        if name == "keep_log":
+            fetches = [m for m in djvm.cluster.network.log if m.kind.value.startswith("object_fetch")]
+            assert len(fetches) == 2 * faults
+        if name == "queueing":
+            delivered = [e for e in djvm.event_trace if e[1] == "MESSAGE_DELIVER"]
+            assert len(delivered) == res.traffic.messages
+        routing = djvm.replay_routing
+        assert routing.get("faults_batched", 0) == routing.get("lean", 0) == 0
+        outcomes[replay] = (fingerprint(djvm, res), run_fingerprint(djvm, res))
+    assert outcomes["vector"] == outcomes["scalar"]

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.sim.network import GOS_KINDS, Message, MessageKind, Network, TrafficStats
+from repro.sim.network import (
+    GOS_KINDS,
+    Message,
+    MessageKind,
+    Network,
+    RackTopology,
+    TrafficStats,
+)
 
 
 class TestTransferTime:
@@ -65,10 +72,6 @@ class TestSendAccounting:
         net.send(MessageKind.OAL, 0, 1, 100, 0, piggybacked=True)
         assert net.stats.piggybacked_messages == 1
 
-    def test_round_trip(self):
-        net = Network(latency_ns=100, bandwidth_bytes_per_s=1e9, header_bytes=0)
-        assert net.round_trip_ns(100, 900) == 100 + 100 + 100 + 900
-
     def test_reset_stats(self):
         net = Network()
         net.send(MessageKind.DIFF, 0, 1, 10, 0)
@@ -92,3 +95,35 @@ class TestTrafficStats:
         stats.record(Message(MessageKind.LOCK, 0, 1, 20, 0))
         assert stats.bytes_for(MessageKind.DIFF, MessageKind.LOCK) == 30
         assert stats.count_by_kind[MessageKind.DIFF] == 1
+
+    def test_record_bulk_equals_per_message_fold(self):
+        sizes = [16, 80, 80, 4112, 16]
+        one_by_one = TrafficStats()
+        for size in sizes:
+            one_by_one.record_traffic(MessageKind.OBJECT_FETCH_DATA, size)
+        one_by_one.record_traffic(MessageKind.LOCK, 32)
+        bulk = TrafficStats()
+        bulk.record_bulk(MessageKind.OBJECT_FETCH_DATA, len(sizes), sum(sizes))
+        bulk.record_bulk(MessageKind.LOCK, 1, 32)
+        bulk.record_bulk(MessageKind.DIFF, 0, 0)
+        assert bulk.messages == one_by_one.messages == 6
+        assert bulk.bytes_by_kind == one_by_one.bytes_by_kind
+        assert bulk.count_by_kind == one_by_one.count_by_kind
+        # A zero count leaves no empty kind behind.
+        assert MessageKind.DIFF not in bulk.bytes_by_kind
+
+
+class TestMessagePrice:
+    def test_send_returns_message_ns(self):
+        net = Network(latency_ns=1000, bandwidth_bytes_per_s=3e9, header_bytes=7)
+        for size in (0, 1, 16, 333, 4112):
+            assert net.send(MessageKind.OBJECT_FETCH_DATA, 0, 1, size, 0) == net.message_ns(size)
+            # Truncated per message, never over a sum.
+            assert net.message_ns(size) == 1000 + int((size + 7) / 3e9 * 1e9)
+
+    def test_topology_needs_endpoints(self):
+        net = Network(latency_ns=500, topology=RackTopology(2, intra_ns=100, cross_ns=900))
+        wire = net.message_ns(64) - 500
+        assert net.message_ns(64, 0, 1) == 100 + wire
+        assert net.message_ns(64, 1, 2) == 900 + wire
+        assert net.send(MessageKind.DIFF, 1, 2, 64, 0) == net.message_ns(64, 1, 2)

@@ -69,6 +69,26 @@ class TestCommands:
             lines[0],
         )
 
+    def test_run_prints_replay_routing(self, capsys):
+        """One line of routing counts; with no profiler attached nothing
+        observes the run, so Barnes-Hut's one-shot tree walks go lean
+        and their faults are batched."""
+        argv = ["run", "barnes-hut", "--nodes", "2", "--threads", "4", "--no-correlation"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        lines = [ln for ln in out.splitlines() if ln.startswith("replay:")]
+        assert len(lines) == 1
+        match = re.fullmatch(
+            r"replay: bulk (\d+) runs, lean (\d+) runs, declined (\d+), "
+            r"demoted (\d+), faults batched (\d+)",
+            lines[0],
+        )
+        assert match
+        bulk, lean, declined, demoted, batched = map(int, match.groups())
+        faults = int(re.search(r"faults (\d+)", out).group(1))
+        assert lean > 0 and 0 < batched <= faults
+        assert declined == demoted == 0
+
     def test_run_without_correlation(self, capsys):
         code = main(
             ["run", "group-sharing", "--nodes", "2", "--threads", "4", "--no-correlation"]
