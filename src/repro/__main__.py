@@ -6,9 +6,9 @@ Subcommands:
   correlation profiler and print the TCM heatmap and cost summary.
 * ``run`` — run one of the paper's workloads with chosen profilers and
   print the paper-style summary, how the vector engine routed access
-  runs (``replay: bulk … runs, lean … runs, declined …, demoted …,
-  faults batched …``), then the host's time by stage and what
-  the cyclic collector cost the run stage (``host: build … s,
+  runs (``replay: bulk … runs, lean … runs, faults batched …``), then
+  the host's time by stage and what the cyclic collector cost the run
+  stage (``host: build … s,
   programs+compile … s, run … s, gc N collections (M full) … s``).
 * ``experiments`` — list the reproduced tables/figures and the pytest
   commands that regenerate them.
@@ -112,7 +112,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if routing:
         print(
             f"replay: bulk {routing['bulk']} runs, lean {routing['lean']} runs, "
-            f"declined {routing['declined']}, demoted {routing['demoted']}, "
             f"faults batched {routing['faults_batched']}"
         )
     # Where the host's time went, by stage (the simulated times are above).

@@ -55,15 +55,9 @@ class AccessProfiler:
         self._backend = policy.backend
         self._log_ns_fault = self.costs.oal_log_ns
         self._log_ns_trap = self.costs.gos_trap_ns + self.costs.oal_log_ns
-        #: transient decision table for stateless backends, filled by the
-        #: vector engine's decide_batch lane (prime_batch) and keyed to
-        #: the policy's change generation; never consulted by the
-        #: default memoized backend, whose per-class epoch memo already
-        #: serves the same role.
-        self._primed: dict[int, tuple[bool, int, int]] = {}
-        self._primed_gen = -1
-        #: advertises the decide_batch lane to the vector engine.
-        self.wants_batch_prime = not self._backend.memoized
+        #: the backend keeps a per-class epoch memo of its decisions,
+        #: which the hot path probes inline before calling decision().
+        self._memoized = self._backend.memoized
         #: destination daemon; anything with a ``deliver(OALBatch)`` method.
         self.collector = collector
         #: when False, OALs are generated and costed but never sent (the
@@ -98,10 +92,8 @@ class AccessProfiler:
         is charged to each node's next syncing thread (the paper measures
         this at under 0.1% of CPU time).  Stateless backends re-derive
         decisions from immutable object identity, so there are no
-        per-object sample tags to re-tag — only the primed decision
-        table is dropped and no pass is charged."""
+        per-object sample tags to re-tag and no pass is charged."""
         if not self._backend.needs_resample_pass:
-            self._primed.clear()
             return
         for node in self.cluster.nodes:
             self._pending_resample.setdefault(node.node_id, set()).add(jclass.class_id)
@@ -180,18 +172,14 @@ class AccessProfiler:
             scaled = obj.length * jclass.element_size if obj.is_array else jclass.instance_size
         else:
             # One lookup answers sampled/logged/scaled together.  Probe
-            # inline — the per-class epoch memo (SamplingPolicy.decision)
-            # or a stateless backend's run-primed table (prime_batch) —
+            # the per-class epoch memo (SamplingPolicy.decision) inline
             # and fall back to decision() on a miss or a stale cache.
-            if self.wants_batch_prime:
-                if self._primed_gen != self.policy.rate_changes:
-                    self._primed.clear()
-                    self._primed_gen = self.policy.rate_changes
-                dec = self._primed.get(obj_id)
-            else:
+            if self._memoized:
                 st = self._policy_states[class_id]
                 dec = st.decisions.get(obj_id) if st.cache_epoch == st.epoch else None
-            if dec is None:
+                if dec is None:
+                    dec = self.policy.decision(obj)
+            else:
                 dec = self.policy.decision(obj)
             sampled, _logged, scaled = dec
             if not sampled:
@@ -207,22 +195,6 @@ class AccessProfiler:
         if self.observers:
             for observer in self.observers:
                 observer.on_oal_log(thread, thread.current_interval.interval_id, obj_id)
-
-    def prime_batch(self, objs) -> None:
-        """The vector engine's decide_batch lane: pre-compute sampling
-        decisions for a run's distinct objects in one backend batch,
-        cached until the next rate change.  Host-side only — simulated
-        costs are charged where the decisions are consumed, so replay
-        modes stay byte-identical."""
-        if self._primed_gen != self.policy.rate_changes:
-            self._primed.clear()
-            self._primed_gen = self.policy.rate_changes
-        primed = self._primed
-        todo = [obj for obj in objs if obj.obj_id not in primed]
-        if not todo:
-            return
-        for obj, dec in zip(todo, self._backend.decide_batch(todo)):
-            primed[obj.obj_id] = dec
 
     def on_interval_close(
         self, thread, interval: IntervalRecord, sync_dst: int | None

@@ -51,7 +51,7 @@ class StickySetFootprinter:
 
     #: tags are re-armed every tracking phase, so any access of an
     #: interval may trap: HLRC must call this hook on every access
-    #: (see ``HomeBasedLRC.add_hook``), and vector replay stays off.
+    #: (see ``HomeBasedLRC.add_hook``).
     first_touch_only = False
 
     __slots__ = (

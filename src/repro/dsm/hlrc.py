@@ -146,18 +146,12 @@ class HomeBasedLRC:
         self.hooks: tuple[ProtocolHooks, ...] = ()
         # The dispatch plan: bound ``fast_on_access`` entries to call on
         # an interval first touch / on every access (both None: keyword
-        # fan-out), and the ``prime_batch`` of hooks on the vector
-        # engine's decide_batch lane.
+        # fan-out).
         self._on_first_touch: tuple | None = ()
         self._on_every_access: tuple | None = ()
-        self._batch_primes: tuple = ()
         #: the plan in words: ``(hook class name, "first_touch" |
         #: "every_access" | "keyword")`` per hook, in call order.
         self.dispatch_plan: tuple[tuple[str, str], ...] = ()
-        #: class name of the first hook that is not first-touch — it
-        #: keeps vector replay off, since the engine fires hooks at
-        #: first-touch checkpoints only — or None.
-        self.scalar_only_hook: str | None = None
         #: the run's pure observers, in attach order (see :meth:`attach`).
         #: The migration engine, access profiler, correlation collector
         #: and interpreter emit into this same list object; every
@@ -264,12 +258,6 @@ class HomeBasedLRC:
             modes = ["keyword"] * len(hooks)
             self._on_first_touch = self._on_every_access = None
         self.dispatch_plan = tuple((type(h).__name__, m) for h, m in zip(hooks, modes))
-        self.scalar_only_hook = next(
-            (name for name, mode in self.dispatch_plan if mode != "first_touch"), None
-        )
-        self._batch_primes = tuple(
-            h.prime_batch for h in hooks if getattr(h, "wants_batch_prime", False)
-        )
 
     # ------------------------------------------------------------------
     # copies & faults

@@ -35,8 +35,9 @@ class ProtocolObserver:
     __slots__ = ()
 
     #: needs every access: ``on_access`` is dispatched only to per-op
-    #: observers, and one attached forces scalar replay (the vector
-    #: engine replays runs in bulk, with no per-access instant to show).
+    #: observers, and one attached leaves the run without a vector
+    #: engine (any attached observer already keeps replay scalar, see
+    #: ``HomeBasedLRC.unobserved``).
     per_op = False
 
     def bind(self, hlrc) -> None:

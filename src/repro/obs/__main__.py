@@ -87,11 +87,9 @@ def _run(
 
 def dispatch_line(hlrc) -> str:
     """How the run's profiler hooks are dispatched (the plan
-    ``HomeBasedLRC.add_hook`` resolved) and what it means for replay."""
+    ``HomeBasedLRC.add_hook`` resolved)."""
     plan = ", ".join(f"{name}={mode}" for name, mode in hlrc.dispatch_plan) or "no hooks"
-    blocker = hlrc.scalar_only_hook
-    replay = "may engage" if blocker is None else f"off ({blocker} needs every access)"
-    return f"# hook dispatch: {plan}; vector replay {replay}"
+    return f"# hook dispatch: {plan}"
 
 
 def cmd_summary(args) -> int:

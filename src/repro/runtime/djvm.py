@@ -125,8 +125,8 @@ class DJVM:
     ) -> None:
         if replay not in ("vector", "scalar"):
             raise ValueError(f"replay must be 'vector' or 'scalar', got {replay!r}")
-        #: access replay mode handed to the interpreter ("vector" bulk
-        #: replay or the "scalar" per-op oracle).
+        #: access replay mode handed to the interpreter ("vector" one-pass
+        #: replay of unobserved runs or the "scalar" per-op oracle).
         self.replay = replay
         self.cluster = Cluster(
             n_nodes,

@@ -26,6 +26,13 @@ op — and only calls into the hooks when a deadline passes (fires are
 recorded into the kernel trace as ``TIMER_FIRE`` events).  A
 condition-driven hook answers 0 while it still wants to look at every
 op boundary: a deadline of 0 is always due and records no fire.
+
+Access replay has two routes.  The per-op loop here is the oracle and
+runs everything observed.  A segment with no timer, no pending
+migration and nothing observing it on the protocol side
+(:meth:`HomeBasedLRC.unobserved`) hands each access run to
+:class:`~repro.runtime.vector.VectorEngine`, which replays the whole run
+in one pass.
 """
 
 from __future__ import annotations
@@ -82,8 +89,8 @@ class Interpreter:
             raise ValueError("interpreter needs at least one thread")
         if replay not in ("vector", "scalar"):
             raise ValueError(f"replay must be 'vector' or 'scalar', got {replay!r}")
-        #: access replay mode: "vector" engages the bulk replay engine
-        #: (repro.runtime.vector) for eligible segments; "scalar" forces
+        #: access replay mode: "vector" engages the one-pass replay engine
+        #: (repro.runtime.vector) for unobserved segments; "scalar" forces
         #: per-op dispatch everywhere (the correctness oracle).
         self.replay = replay
         self._vector = None
@@ -153,11 +160,11 @@ class Interpreter:
             and not any(o.per_op for o in observers)
         ):
             self._vector = VectorEngine(self)
-            # The bulk replay machinery assumes structurally
-            # well-formed programs (balanced CALL/RET, framed
-            # SETSLOT, paired locks); hard-gate it on the staticflow
-            # IR verifier.  Verification is cached per compiled
-            # program, so reuse across runs pays once.
+            # The replay engine assumes structurally well-formed
+            # programs (balanced CALL/RET, framed SETSLOT, paired
+            # locks); hard-gate it on the staticflow IR verifier.
+            # Verification is cached per compiled program, so reuse
+            # across runs pays once.
             from repro.checks.staticflow.verifier import gate_program
 
             for thread in self.threads:
@@ -327,58 +334,33 @@ class Interpreter:
         mig = self.migration_engine
         mig_pending = mig._pending if mig is not None else None
         tid = thread.thread_id
-        # -1 = no timers (the value VectorEngine.execute reads as "off").
+        # -1 = no timers.
         next_deadline = min(t.next_fire_ns(thread) for t in timers) if timers else -1
         poll_hooks = bool(timers) or mig is not None
         record = self.kernel.record
         timer_fire = EventKind.TIMER_FIRE
-        # Vector replay engages per segment: a profiler hook outside the
-        # first-touch plan needs the scalar loop (the engine fires hooks
-        # at first touches only).
+        # Vector replay engages per segment, and only when nothing can
+        # observe a run's intermediate states: no timer here, nothing on
+        # hlrc's side (hooks, observers, history, prefetcher, a queueing
+        # or logging network).  Everything observed runs on this loop.
         vec = self._vector
         vruns = None
-        vec_demoted = ()
-        # With nothing observing the segment (no timer here, nothing on
-        # hlrc's side) a cold run replays through the engine's lean lane
-        # instead of warming up scalar.
-        unobserved = False
-        if vec is not None and self.hlrc.scalar_only_hook is None:
-            vruns = program.vector_runs()
-            if not vruns:
-                vruns = None
-            else:
-                vec_demoted = vec.demoted
-                unobserved = not timers and self.hlrc.unobserved()
+        if vec is not None and not timers and self.hlrc.unobserved():
+            vruns = program.vector_runs() or None
         start_i = i
-        # Run occurrences are non-overlapping and only an occurrence's
-        # start index maps to a run, so once one is taken scalar the
-        # per-op run lookup can sleep until its end.
-        vr_skip = -1
         try:
             # ``thread.pc`` is only observed at scheduling points (sync
             # dispatch, timer/migration polls, interval close, errors),
             # so the cursor stays in the local ``i`` during straight-line
             # runs and is published right before any of those.
             while i < n_ops:
-                if vruns is not None and i >= vr_skip:
+                if vruns is not None:
                     vr = vruns.get(i)
-                    # A pending migration plan needs per-op pc triggers,
-                    # and runs the engine demoted (repeatedly majority-
-                    # slow) replay cheaper in the scalar loop.
-                    if vr is not None:
-                        if vr not in vec_demoted and not (
-                            mig_pending and tid in mig_pending
-                        ):
-                            if vr.hot or unobserved:
-                                i, next_deadline = vec.execute(thread, vr, i, next_deadline)
-                                continue
-                            # An observed body seen once in its program
-                            # warms up scalar — a one-shot run never
-                            # amortizes the lane build; a later DJVM
-                            # reusing the compiled program replays it in
-                            # bulk.
-                            vr.hot = True
-                        vr_skip = i + vr.n_ops
+                    # A pending migration plan needs per-op pc triggers.
+                    if vr is not None and not (mig_pending and tid in mig_pending):
+                        vec.execute(thread, vr)
+                        i += vr.n_ops
+                        continue
                 op = ops[i]
                 i += 1
                 code = op[0]

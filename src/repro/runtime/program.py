@@ -26,7 +26,6 @@ BARRIER   (OP_BARRIER, barrier_id)
 from __future__ import annotations
 
 import re
-from array import array
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -81,154 +80,38 @@ class AccessRun:
     """One distinct READ/WRITE/COMPUTE op sequence of a compiled program.
 
     The vector replay engine (:mod:`repro.runtime.vector`) executes such
-    a sequence as array passes instead of per-op dispatch.  A run is keyed
-    by **content**: :meth:`CompiledProgram.vector_runs` maps every
+    a sequence in one pass instead of per-op dispatch.  A run is keyed by
+    **content**: :meth:`CompiledProgram.vector_runs` maps every
     occurrence of an equal body to one shared run, so a run knows nothing
-    about where it sits — indexes are run-local, and the occurrence's
-    start pc is an argument of :meth:`VectorEngine.execute`.  Everything
-    that can be decided from the ops alone is computed by
-    :meth:`materialize`, once per run: the per-object aggregate lanes
-    (total reads/writes, written elements, first/last-access position),
-    from which follow the **checkpoints** — the run's slow lane: each
-    object's run-local first access (where a coherence probe, and
-    possibly a fault, must happen) and first write (where a twin may be
-    created).  Every op outside the checkpoint set is guaranteed to be a
-    cache hit or pure compute *given* the checkpoint outcomes, because
-    copy state cannot change inside a segment.
+    about where it sits; the interpreter advances past an occurrence by
+    ``n_ops``.
 
-    Construction only records the body: the lane build is a Python-speed
-    pass over every op, which for a one-shot run can cost more than
-    executing the ops, so the engine defers it until a run actually
-    vectorizes (the ``hot`` flag).  A cold run that nothing observes
-    replays from :func:`lean_lane` instead, which caches nothing here.
-
-    Cost arrays depend on the :class:`~repro.sim.costs.CostModel` and
-    are attached lazily by the engine (``_cost_key`` / ``_costed``).
+    A body that occurs at least twice in its program is born ``hot``
+    and caches its :func:`lean_lane` on its first execution, keyed by
+    the :class:`~repro.sim.costs.CostModel` it was priced under
+    (``_cost_key`` / ``_lane``, kept by the engine).  A singleton stays
+    cold and is priced from a transient lane every time: a one-shot
+    body would keep a cached one alive for nothing.
     """
 
-    __slots__ = (
-        "n_ops",
-        "ops",
-        "uniq",
-        "u_reads",
-        "u_writes",
-        "u_welems",
-        "u_wops",
-        "u_first",
-        "u_firstw",
-        "u_last",
-        "w_ks",
-        "w_oids",
-        "_checkpoints",
-        "_cost_key",
-        "_costed",
-        "hot",
-    )
+    __slots__ = ("n_ops", "ops", "hot", "_cost_key", "_lane")
 
     def __init__(self, body: tuple) -> None:
         self.n_ops = len(body)
         self.ops = body
-        #: lanes are built lazily; ``uniq is None`` marks a stub.
-        self.uniq = None
-        self._checkpoints = None
-        self._cost_key = None
-        self._costed = None
-        #: replay gate: a hot run executes through the engine, an
-        #: observed cold one through the scalar loop.  A body that
-        #: occurs at least twice in its program is born hot
-        #: (``vector_runs`` sets it); a singleton goes hot after its
-        #: first, scalar, execution — a one-shot run never earns back
-        #: the lane build, and a compiled program reused by a later
-        #: DJVM replays in bulk.  Unobserved, a cold run replays on a
-        #: transient lean lane and stays cold.
+        #: the body repeats in its program (set by ``vector_runs``).
         self.hot = False
-
-    def materialize(self) -> "AccessRun":
-        """Build the per-object aggregate lanes (idempotent)."""
-        if self.uniq is not None:
-            return self
-        ops = self.ops
-        uniq: list[int] = []
-        index: dict[int, int] = {}
-        u_reads: list[int] = []
-        u_writes: list[int] = []
-        u_welems: list[int] = []
-        u_wops: list[int] = []
-        u_first: list[int] = []
-        u_firstw: list[int] = []
-        u_last: list[int] = []
-        for j, op in enumerate(ops):
-            code = op[0]
-            if code == OP_COMPUTE:
-                continue
-            oid = op[1]
-            k = index.get(oid)
-            if k is None:
-                k = len(uniq)
-                index[oid] = k
-                uniq.append(oid)
-                u_reads.append(0)
-                u_writes.append(0)
-                u_welems.append(0)
-                u_wops.append(0)
-                u_first.append(j)
-                u_firstw.append(-1)
-                u_last.append(j)
-            else:
-                u_last[k] = j
-            if code == OP_WRITE:
-                if u_wops[k] == 0:
-                    u_firstw[k] = j
-                u_writes[k] += op[3]
-                u_welems[k] += op[2]
-                u_wops[k] += 1
-            else:
-                u_reads[k] += op[3]
-        #: distinct object ids in first-access order (the order the
-        #: interval's access-summary dict must be populated in).
-        self.uniq = uniq
-        #: per-uniq aggregate lanes (total repeats / written elements /
-        #: write ops / run-local indexes of the first and last access).
-        self.u_reads = u_reads
-        self.u_writes = u_writes
-        self.u_welems = u_welems
-        self.u_wops = u_wops
-        # Positions are packed (a list would box an int per entry); the
-        # engine indexes them only where an object needs protocol work.
-        self.u_first = array("q", u_first)
-        self.u_firstw = array("q", u_firstw)
-        self.u_last = array("q", u_last)
-        #: written subset: uniq indexes and object ids with >= 1 write,
-        #: for the engine's summary-free bookkeeping path.
-        self.w_ks = tuple(k for k, wo in enumerate(u_wops) if wo)
-        self.w_oids = tuple(uniq[k] for k in self.w_ks)
-        return self
-
-    def checkpoints(self) -> list[tuple[int, int, bool, bool]]:
-        """The run's complete slow lane, ``(rel_idx, uniq_idx,
-        first_access, check_write)`` in op order: every object's first
-        access, plus its first write when that comes later (the twin
-        point).  Needs the lanes; built on first use, because only
-        replay under a profiler hook walks all of them (hook-free replay
-        keeps just the objects its precheck finds incoherent)."""
-        cps = self._checkpoints
-        if cps is None:
-            cps = []
-            for k, (jf, jw) in enumerate(zip(self.u_first, self.u_firstw)):
-                cps.append((jf, k, True, jw == jf))
-                if jw > jf:
-                    cps.append((jw, k, False, True))
-            cps.sort()
-            self._checkpoints = cps
-        return cps
+        self._cost_key = None
+        self._lane = None
 
 
 def lean_lane(ops: tuple, costs) -> tuple[int, int, dict, tuple[list, list, list]]:
-    """A run body's totals, built at C speed for one execution and
-    never cached (a one-shot body would keep it alive for nothing):
-    ``(access busy ns, compute ns, distinct object ids in first-touch
-    order, (written object ids, written elements, write ops))``, the
-    written lanes parallel and in first-write order.
+    """A run body's totals, built at C speed — everything the vector
+    engine's one pass reads: ``(access busy ns, compute ns, distinct
+    object ids in first-touch order, (written object ids, written
+    elements, write ops))``, the written lanes parallel and in
+    first-write order.  The caller must not mutate it (a hot
+    :class:`AccessRun` caches it).
 
     Compute is summed exactly as the scalar loop charges it op by op:
     the raw value on a unity scale (all non-negative ints), else

@@ -45,16 +45,3 @@ def wrap_main(ops: list, anchor: int | None = None) -> list:
     refs = [(0, anchor)] if anchor is not None else []
     return [P.call("main", n_slots=4, refs=refs), *ops, P.ret()]
 
-
-def compile_hot(programs: dict[int, list], replay: str) -> dict:
-    """Compile ``programs``; under vector replay also pre-mark every
-    run hot.  A body that repeats within its program is born hot, but
-    these programs execute once, so the warm-up gate would keep every
-    singleton body scalar; pre-marking forces the engine through the
-    bulk path the tests are here to check."""
-    progs = {tid: P.compile_program(ops) for tid, ops in programs.items()}
-    if replay == "vector":
-        for cp in progs.values():
-            for vr in cp.vector_runs().values():
-                vr.hot = True
-    return progs

@@ -393,12 +393,6 @@ class TestIntegration:
     def test_djvm_backend_plumbing(self):
         djvm, suite = self._suite("hash")
         assert suite.policy.backend.name == "hash"
-        assert suite.access_profiler.wants_batch_prime is True
-
-    def test_default_backend_has_no_batch_prime_lane(self):
-        djvm, suite = self._suite(None)
-        assert suite.policy.backend.name == "prime_gap"
-        assert suite.access_profiler.wants_batch_prime is False
         assert "fast_on_access" not in vars(suite.access_profiler)
 
     def test_stateless_rate_change_charges_no_resample(self):
@@ -419,21 +413,6 @@ class TestIntegration:
             jclass.class_id in pending
             for pending in ap._pending_resample.values()
         )
-
-    def test_prime_batch_fills_and_invalidates(self):
-        djvm, suite = self._suite("hash")
-        gos = djvm.gos
-        jclass = gos.registry.define("Body", 96)
-        suite.policy.set_rate(jclass, 4)
-        ap = suite.access_profiler
-        objs = [gos.allocate("Body", home_node=0) for _ in range(100)]
-        ap.prime_batch(objs)
-        assert len(ap._primed) == 100
-        assert ap._primed[objs[0].obj_id] == suite.policy.decision(objs[0])
-        # A rate change invalidates the primed table via the generation.
-        suite.policy.set_rate(jclass, 1)
-        ap.notify_rate_change(jclass)
-        assert ap._primed == {}
 
     def test_replay_filter_matches_direct_policy(self):
         """tcm_at_rate under a stateless backend equals filtering with

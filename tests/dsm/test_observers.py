@@ -24,8 +24,6 @@ from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
 
-from tests.conftest import compile_hot
-
 N_NODES = 4
 
 WORKLOADS = {
@@ -98,7 +96,7 @@ def run(name: str, replay: str, observers=(), *, profiled: bool = True, footprin
     if profiled:
         suite = ProfilerSuite(djvm, correlation=True, footprint=footprint)
         suite.set_rate_all(4)
-    result = djvm.run(compile_hot(workload.programs(), replay))
+    result = djvm.run(workload.programs())
     return djvm, result, suite
 
 

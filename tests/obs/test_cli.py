@@ -11,7 +11,7 @@ def test_summary_prints_digest(capsys):
     assert "hlrc_faults_total" in out
     assert "# spans recorded:" in out
     assert "self-overhead" in out
-    assert "# hook dispatch: AccessProfiler=first_touch; vector replay may engage" in out
+    assert "# hook dispatch: AccessProfiler=first_touch\n" in out
 
 
 def test_dispatch_line_names_the_hook_that_keeps_replay_scalar():
@@ -21,11 +21,10 @@ def test_dispatch_line_names_the_hook_that_keeps_replay_scalar():
 
     djvm = DJVM(2)
     djvm.spawn_threads(2)
-    assert dispatch_line(djvm.hlrc) == "# hook dispatch: no hooks; vector replay may engage"
+    assert dispatch_line(djvm.hlrc) == "# hook dispatch: no hooks"
     ProfilerSuite(djvm, correlation=True, footprint=True)
     assert dispatch_line(djvm.hlrc) == (
-        "# hook dispatch: AccessProfiler=first_touch, StickySetFootprinter=every_access; "
-        "vector replay off (StickySetFootprinter needs every access)"
+        "# hook dispatch: AccessProfiler=first_touch, StickySetFootprinter=every_access"
     )
 
 

@@ -219,8 +219,8 @@ class TestVectorRunInterning:
         runs = prog.vector_runs()
         assert runs[0].hot
         assert not runs[2 * (n + 1)].hot
-        # extraction alone builds no lanes
-        assert all(run.uniq is None for run in runs.values())
+        # extraction alone caches no lanes
+        assert all(run._lane is None for run in runs.values())
 
     def test_runs_carry_no_position(self):
         prog, n = self.compiled()

@@ -1,19 +1,20 @@
 """Vectorized access replay vs the scalar oracle.
 
+Replay has two routes: the scalar loop, and the vector engine's one
+pass over a run's distinct objects, taken only when nothing observes
+the run (no hook, observer, kept interval history, timer, prefetcher
+or pending migration, and a network that neither queues nor logs).
+
 Randomized access programs (seeded) run twice — ``replay="scalar"`` and
 ``replay="vector"`` — and every observable must match: protocol
-counters, thread clocks, network traffic, and the interval history down
-to per-object access summaries in first-touch order.  Configurations
-cover the paths the vector engine special-cases: nothing observing
-(the unobserved gate: lean lanes for one-shot bodies, faults priced in
-one pass), interval history kept, a deadline-API timer and a
-``fast_on_access`` profiler hook.  The paper workloads (SOR /
-Barnes-Hut / Water-Spatial) run through the same comparison.
-
-Access runs are interned by content per compiled program, so a second
-family of programs repeats each body several times: the shared run is
-born hot and replays in bulk inside one ``DJVM.run`` — with no
-pre-marking — while singleton bodies warm up scalar.
+counters, thread clocks, network traffic and ``run_fingerprint``.
+Unobserved configurations exercise the one pass: one-shot bodies on a
+transient lean lane, repeated bodies on a cached one, faults priced
+together.  Under every observed configuration the engine must never be
+called, so vector replay *is* scalar replay there; the tests assert
+that rather than compare the scalar loop with itself.  The paper
+workloads (SOR / Barnes-Hut / Water-Spatial) run through the same
+comparison.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from repro.sim.network import MessageKind, Network, RackTopology
 from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
-
-from tests.conftest import compile_hot
 
 N_NODES = 4
 N_THREADS = 4
@@ -173,6 +172,17 @@ def fingerprint(djvm: DJVM, res) -> dict:
     }
 
 
+def compile_hot(programs: dict[int, list]) -> dict:
+    """Compile ``programs`` and pre-mark every run hot, so each one
+    caches its lane on its first execution the way a body that repeats
+    in its program does (these bodies mostly occur once)."""
+    progs = {tid: P.compile_program(ops) for tid, ops in programs.items()}
+    for cp in progs.values():
+        for vr in cp.vector_runs().values():
+            vr.hot = True
+    return progs
+
+
 def run_replay(
     seed: int,
     replay: str,
@@ -182,8 +192,8 @@ def run_replay(
     premark: bool = True,
     **kwargs,
 ):
-    """``premark`` forces every run through the engine (``compile_hot``);
-    without it the programs compile fresh, as a user's do."""
+    """``premark`` caches every run's lane (``compile_hot``); without it
+    the programs compile fresh, as a user's do."""
     djvm, obj_ids = build_djvm(replay=replay, **kwargs)
     extra = None
     if observer == "timer":
@@ -196,8 +206,9 @@ def run_replay(
             # Shares the event list, so call order shows in it.
             djvm.add_hook(FastHook(extra.events, tag=1))
     programs = make_programs(seed, obj_ids)
-    res = djvm.run(compile_hot(programs, replay) if premark else programs)
+    res = djvm.run(compile_hot(programs) if premark else programs)
     fp = fingerprint(djvm, res)
+    fp["run"] = run_fingerprint(djvm, res)
     if extra is not None:
         fp["observer"] = list(extra.events)
     return fp
@@ -251,43 +262,62 @@ class FastHook:
 SEEDS = [0, 1, 2, 3, 4]
 
 
+@pytest.fixture
+def execute_calls(monkeypatch):
+    """The run of every ``VectorEngine.execute`` call of the test, in
+    call order, recorded by a class-level wrapper (the way
+    ``benchmarks/e2e/tracer.py`` counts them)."""
+    calls: list = []
+    original = VectorEngine.execute
+
+    def recording(self, thread, run):
+        calls.append(run)
+        return original(self, thread, run)
+
+    monkeypatch.setattr(VectorEngine, "execute", recording)
+    return calls
+
+
+def observed_matches_scalar(seed, execute_calls, **kwargs) -> dict:
+    """Vector replay under an observed configuration never calls the
+    engine and leaves the scalar oracle's result."""
+    vector = run_replay(seed, "vector", **kwargs)
+    assert execute_calls == []
+    assert vector == run_replay(seed, "scalar", **kwargs)
+    return vector
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_vector_matches_scalar_bare(seed):
-    """No observers, every run pre-marked hot: the unobserved gate on
-    materialized lanes."""
+def test_vector_matches_scalar_bare(seed, execute_calls):
+    """No observers, every run pre-marked hot: the one pass on cached
+    lanes."""
     assert run_replay(seed, "vector") == run_replay(seed, "scalar")
+    assert execute_calls
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_vector_matches_scalar_with_history(seed):
-    """Interval history kept: full per-object summary bookkeeping."""
-    assert run_replay(
-        seed, "vector", keep_interval_history=True
-    ) == run_replay(seed, "scalar", keep_interval_history=True)
+def test_vector_matches_scalar_with_history(seed, execute_calls):
+    """Interval history kept: per-object summaries need the scalar loop."""
+    observed_matches_scalar(seed, execute_calls, keep_interval_history=True)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_vector_matches_scalar_with_timer(seed):
-    """Deadline-API timer: identical fire times through bulk advances."""
-    assert run_replay(
-        seed, "vector", observer="timer", keep_interval_history=True
-    ) == run_replay(seed, "scalar", observer="timer", keep_interval_history=True)
+def test_vector_matches_scalar_with_timer(seed, execute_calls):
+    """Deadline-API timer: fire points need the scalar loop."""
+    observed_matches_scalar(seed, execute_calls, observer="timer")
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_vector_matches_scalar_with_fast_hook(seed):
-    """fast_on_access hook: same first-touch stream from both engines."""
-    assert run_replay(
-        seed, "vector", observer="hook", keep_interval_history=True
-    ) == run_replay(seed, "scalar", observer="hook", keep_interval_history=True)
+def test_vector_matches_scalar_with_fast_hook(seed, execute_calls):
+    """A first-touch hook sees the scalar loop's first-touch stream."""
+    observed_matches_scalar(seed, execute_calls, observer="hook")
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_vector_matches_scalar_with_two_fast_hooks(seed):
-    """Two first-touch hooks: replay still engages, and both engines
-    call them in registration order at every first touch."""
-    vector = run_replay(seed, "vector", observer="two_hooks", keep_interval_history=True)
-    assert vector == run_replay(seed, "scalar", observer="two_hooks", keep_interval_history=True)
+def test_vector_matches_scalar_with_two_fast_hooks(seed, execute_calls):
+    """Two first-touch hooks are called in registration order at every
+    first touch."""
+    vector = observed_matches_scalar(seed, execute_calls, observer="two_hooks")
     assert [e[-1] for e in vector["observer"][:4]] == [0, 1, 0, 1]
 
 
@@ -301,32 +331,16 @@ def split_runs(cp: P.CompiledProgram) -> tuple[list, list]:
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_cold_runs_warm_up_scalar_and_stay_identical(seed):
-    """Without pre-marking, one-shot runs take the warm-up (scalar)
-    path: results still match, and the engine never touched them."""
-    djvm, obj_ids = build_djvm(replay="vector", keep_interval_history=True)
-    progs = {
-        tid: P.compile_program(ops)
-        for tid, ops in random_programs(seed, obj_ids).items()
-    }
-    singles = [vr for cp in progs.values() for vr in split_runs(cp)[0]]
-    assert singles and not any(vr.hot for vr in singles)
-    fp = fingerprint(djvm, djvm.run(progs))
-    assert fp == run_replay(seed, "scalar", keep_interval_history=True)
-    # every singleton was sighted once: marked hot, but none ran hot
-    assert all(vr.hot for vr in singles)
-    assert all(vr.uniq is None for vr in singles)
-
-
-@pytest.mark.parametrize("seed", SEEDS[:3])
 def test_hot_runs_materialize_lanes_lazily(seed):
-    """Lanes are built only when a run first replays in bulk: a singleton
-    body on the second pass of a reused compiled form (two DJVMs, as the
-    bench harness does), a repeated body — born hot — within the first."""
+    """A repeated body — born hot — caches its lane on its first
+    execution, and a second DJVM reusing the compiled form (as the
+    ledger does) with an equal cost model reads the same lane; a
+    singleton body never caches one."""
     fps = []
     progs = None
-    for n_pass in range(2):
-        djvm, obj_ids = build_djvm(replay="vector", keep_interval_history=True)
+    lanes = None
+    for _ in range(2):
+        djvm, obj_ids = build_djvm(replay="vector")
         if progs is None:
             progs = {
                 tid: P.compile_program(ops)
@@ -336,17 +350,18 @@ def test_hot_runs_materialize_lanes_lazily(seed):
             singles = [vr for s, _ in splits for vr in s]
             shared = [vr for _, sh in splits for vr in sh]
             assert singles and shared
-            assert all(vr.hot for vr in shared)
-            assert all(vr.uniq is None for vr in singles + shared)
-        fps.append(fingerprint(djvm, djvm.run(progs)))
-        assert all(vr.uniq is not None for vr in shared)
-        assert all((vr.uniq is not None) == (n_pass == 1) for vr in singles)
-    assert fps[0] == fps[1] == run_replay(
-        seed,
-        "scalar",
-        make_programs=repeating_programs,
-        keep_interval_history=True,
-    )
+            assert all(vr.hot for vr in shared) and not any(vr.hot for vr in singles)
+            assert all(vr._lane is None for vr in singles + shared)
+        res = djvm.run(progs)
+        fps.append(run_fingerprint(djvm, res))
+        assert all(vr._lane is not None for vr in shared)
+        assert all(vr._lane is None for vr in singles)
+        if lanes is None:
+            lanes = [vr._lane for vr in shared]
+        assert all(vr._lane is lane for vr, lane in zip(shared, lanes))
+    djvm, obj_ids = build_djvm(replay="scalar")
+    res = djvm.run(repeating_programs(seed, obj_ids))
+    assert fps[0] == fps[1] == run_fingerprint(djvm, res)
 
 
 REPEAT_CONFIGS = {
@@ -359,33 +374,18 @@ REPEAT_CONFIGS = {
 
 @pytest.mark.parametrize("config", sorted(REPEAT_CONFIGS))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_repeated_bodies_replay_in_bulk_and_match_scalar(seed, config):
-    """Fresh *body x k* programs, no pre-marking: shared runs go through
-    the engine at every occurrence, singletons through the scalar loop,
-    and the result is the scalar oracle's."""
+def test_repeated_bodies_replay_in_bulk_and_match_scalar(seed, config, execute_calls):
+    """Fresh *body x k* programs, no pre-marking: unobserved, every run
+    goes through the engine; observed, none does.  Either way the
+    result is the scalar oracle's."""
     kwargs = dict(
         REPEAT_CONFIGS[config], make_programs=repeating_programs, premark=False
     )
-    assert run_replay(seed, "vector", **kwargs) == run_replay(
-        seed, "scalar", **kwargs
-    )
-
-
-@pytest.fixture
-def execute_calls(monkeypatch):
-    """Every ``VectorEngine.execute`` call of the test as ``(start pc,
-    run, returned pc)``, recorded by a class-level wrapper (the way
-    ``benchmarks/e2e/tracer.py`` counts them)."""
-    calls: list[tuple[int, object, int]] = []
-    original = VectorEngine.execute
-
-    def recording(self, thread, run, start, deadline):
-        pc, dl = original(self, thread, run, start, deadline)
-        calls.append((start, run, pc))
-        return pc, dl
-
-    monkeypatch.setattr(VectorEngine, "execute", recording)
-    return calls
+    if config == "bare":
+        assert run_replay(seed, "vector", **kwargs) == run_replay(seed, "scalar", **kwargs)
+        assert execute_calls
+    else:
+        observed_matches_scalar(seed, execute_calls, **kwargs)
 
 
 def test_fresh_sor_program_engages_engine_in_one_run(execute_calls):
@@ -400,36 +400,11 @@ def test_fresh_sor_program_engages_engine_in_one_run(execute_calls):
     assert len(execute_calls) >= N_THREADS * 2 * (rounds - 1)
 
 
-def test_hook_declines_a_run_dense_in_first_touches(execute_calls):
-    """Under a profiler hook every distinct object is a checkpoint, so a
-    run that hardly revisits its objects is handed back unexecuted,
-    demoted for the rest of the run, and builds no lanes."""
-    fps = {}
-    for replay in ("vector", "scalar"):
-        djvm, obj_ids = build_djvm(replay=replay, keep_interval_history=True)
-        hook = FastHook()
-        djvm.add_hook(hook)
-        body = [P.read(oid) for oid in obj_ids[:12]]
-        main = P.compile_program(
-            [P.call("main", 2), *body, P.barrier(0), *body, P.barrier(1), P.ret()]
-        )
-        idle = [P.barrier(0), P.barrier(1)]
-        programs = {0: main, **{tid: list(idle) for tid in range(1, N_THREADS)}}
-        fps[replay] = (fingerprint(djvm, djvm.run(programs)), hook.events)
-    assert fps["vector"] == fps["scalar"]
-    (run,) = set(main.vector_runs().values())
-    assert run.hot and run.uniq is None
-    assert [(start, pc) for start, _, pc in execute_calls] == [(1, 1)]
-
-
 def test_every_access_hook_keeps_replay_scalar(execute_calls):
     """The footprinter re-arms its tags every tracking phase, so it must
-    see *every* access; the engine fires hooks at first-touch
-    checkpoints only.  A born-hot body re-reading two objects across
+    see *every* access.  A born-hot body re-reading two objects across
     1 ms phases would silently lose every re-trap (and its simulated
-    cost) if a hook with ``first_touch_only = False`` let replay engage
-    — the segment gate must read the dispatch plan, not "one hook with
-    ``fast_on_access``"."""
+    cost) if replay engaged under it."""
     outcomes = {}
     for replay in ("vector", "scalar"):
         djvm, obj_ids = build_djvm(replay=replay)
@@ -453,91 +428,8 @@ def test_every_access_hook_keeps_replay_scalar(execute_calls):
         )
     assert outcomes["vector"] == outcomes["scalar"]
     assert outcomes["vector"][1] == 12  # 2 objects x 3 phases x 2 intervals
-    assert djvm.hlrc.scalar_only_hook == "StickySetFootprinter"
+    assert djvm.hlrc.dispatch_plan == (("StickySetFootprinter", "every_access"),)
     assert execute_calls == []
-
-
-class MigratingTimer(DeadlineTimer):
-    """Records one ``(thread, pc, deadline)`` per firing call; on thread
-    0's ``migrate_at``-th one submits an immediate migration plan, which
-    the engine must honour at the op boundary the scalar loop would."""
-
-    def __init__(self, djvm: DJVM, migrate_at: int | None) -> None:
-        super().__init__()
-        self.djvm = djvm
-        self.migrate_at = migrate_at
-        self.fires = 0
-
-    def maybe_fire(self, thread) -> None:
-        before = len(self.events)
-        super().maybe_fire(thread)
-        fired = self.events[before:]
-        if not fired:
-            return
-        self.events[before:] = [(thread.thread_id, thread.pc, fired[-1][1])]
-        if thread.thread_id == 0:
-            if self.fires == self.migrate_at:
-                self.djvm.migration.schedule(MigrationPlan(0, target_node=1))
-            self.fires += 1
-
-
-def shared_run_program(obj_ids: list[int]) -> tuple[list, int]:
-    """Thread 0's program: one body, three occurrences, barriers between;
-    returns it with the body length.  Few objects are written, so later
-    occurrences need few twins and the engine does not demote the run."""
-    rng = random.Random(7)
-    body = []
-    for n, oid in enumerate(rng.sample(obj_ids, 12)):
-        last = P.write(oid) if n < 3 else P.read(oid)
-        body += [P.read(oid, n_elems=2), P.compute(90_000), last]
-    ops = [P.call("main", 2)]
-    for rnd in range(3):
-        ops += body + [P.barrier(rnd)]
-    return ops + [P.ret()], len(body)
-
-
-def run_shared(replay: str, migrate_at: int | None):
-    djvm, obj_ids = build_djvm(replay=replay, keep_interval_history=True)
-    timer = MigratingTimer(djvm, migrate_at)
-    djvm.add_timer(timer)
-    main, n_body = shared_run_program(obj_ids)
-    idle = [P.barrier(rnd) for rnd in range(3)]
-    programs = {0: main, **{tid: list(idle) for tid in range(1, N_THREADS)}}
-    fp = fingerprint(djvm, djvm.run(programs))
-    fp["fires"] = list(timer.events)
-    fp["migrations"] = list(djvm.migration.results)
-    fp["node"] = djvm.threads[0].node_id
-    return fp, n_body
-
-
-def test_timer_fire_and_migration_inside_a_later_occurrence(execute_calls):
-    """Position enters a shared run only through ``execute``'s ``start``:
-    a timer firing inside the second occurrence must publish that
-    occurrence's pc, and a migration submitted there must bail out to
-    ``start + pos`` of *that* occurrence, not the first one's."""
-    scalar, n_body = run_shared("scalar", None)
-    second = 1 + n_body + 1  # call, first occurrence, barrier
-    inside = [
-        i
-        for i, (tid, pc, _) in enumerate(scalar["fires"])
-        if tid == 0 and second < pc < second + n_body
-    ]
-    assert inside, "timer period must land a fire inside the second occurrence"
-    vector, _ = run_shared("vector", None)
-    assert vector == scalar
-    assert [start for start, _, _ in execute_calls] == [
-        1 + k * (n_body + 1) for k in range(3)
-    ]
-    assert len({id(run) for _, run, _ in execute_calls}) == 1
-
-    migrate_at = sum(1 for tid, _, _ in scalar["fires"][: inside[0]] if tid == 0)
-    del execute_calls[:]
-    vector, _ = run_shared("vector", migrate_at)
-    scalar, _ = run_shared("scalar", migrate_at)
-    assert vector == scalar
-    assert vector["node"] == 1 and len(vector["migrations"]) == 1
-    bailed = [(start, pc) for start, run, pc in execute_calls if pc != start + run.n_ops]
-    assert bailed == [(second, scalar["fires"][inside[0]][1])]
 
 
 WORKLOADS = {
@@ -551,18 +443,20 @@ WORKLOADS = {
 }
 
 
-def run_workload(name: str, replay: str) -> dict:
-    djvm = DJVM(N_NODES, keep_interval_history=True, replay=replay)
+def run_workload(name: str, replay: str) -> tuple[dict, dict]:
+    djvm = DJVM(N_NODES, replay=replay)
     workload = WORKLOADS[name]()
     workload.build(djvm)
-    return fingerprint(djvm, djvm.run(compile_hot(workload.programs(), replay)))
+    return run_fingerprint(djvm, djvm.run(workload.programs())), djvm.replay_routing
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_vector_replay_matches_scalar_on_workloads(name):
-    """The paper workloads, not just random programs: byte-identical
-    down to the interval history."""
-    assert run_workload(name, "vector") == run_workload(name, "scalar")
+    """The paper workloads, not just random programs, on the one pass:
+    byte-identical to the scalar loop."""
+    vector, routing = run_workload(name, "vector")
+    assert vector == run_workload(name, "scalar")[0]
+    assert routing["bulk"] + routing["lean"] > 0
 
 
 # -- unobserved runs: faults priced in one pass --------------------------
@@ -608,12 +502,10 @@ def test_unobserved_runs_batch_faults_and_match_scalar(seed, make_programs, conf
     assert rfp == srfp
     assert routing["faults_batched"] > 0
     assert routing["lean"] > 0
-    assert routing["declined"] == routing["demoted"] == 0
     if make_programs is repeating_programs:
         assert routing["bulk"] > 0
-    # The lean lane is transient: a one-shot body caches nothing and
-    # stays cold for an observed reuse.
-    assert singles and not any(vr.hot or vr.uniq is not None or vr._costed for vr in singles)
+    # The lean lane is transient: a one-shot body caches nothing.
+    assert singles and not any(vr.hot or vr._lane is not None for vr in singles)
 
 
 def test_unobserved_run_refaults_invalidated_copies_and_twins():
@@ -643,13 +535,12 @@ def test_unobserved_run_refaults_invalidated_copies_and_twins():
 
 def test_unobserved_majority_faulting_run_is_never_demoted(execute_calls):
     """Every occurrence of the body faults all of its objects (the writer
-    invalidates them each round).  Observed, the engine demotes such a
-    run after two majority-slow executions; unobserved, its faults are
-    batched and cost no strike, so every occurrence replays in bulk."""
+    invalidates them each round); its faults are batched and every
+    occurrence still replays through the engine."""
     rounds = 5
 
-    def run(replay, **kwargs):
-        djvm, obj_ids = build_djvm(replay=replay, **kwargs)
+    def run(replay):
+        djvm, obj_ids = build_djvm(replay=replay)
         remote = [oid for oid in obj_ids if djvm.gos.get(oid).home_node == 1][:8]
         body = [P.read(oid, repeat=2) for oid in remote]
         main = [P.call("main", 2)]
@@ -662,21 +553,12 @@ def test_unobserved_majority_faulting_run_is_never_demoted(execute_calls):
         res = djvm.run(programs)
         return fingerprint(djvm, res), djvm.replay_routing
 
-    def reader_calls():
-        return [(start, pc) for start, run_, pc in execute_calls if run_.ops[0][0] == P.OP_READ]
-
     fp, routing = run("vector")
     assert fp == run("scalar")[0]
-    # Both bodies (reader and writer) replay in bulk every round.
-    assert routing["demoted"] == 0 and routing["bulk"] == 2 * rounds
-    assert reader_calls() == [(1 + rnd * 9, 9 + rnd * 9) for rnd in range(rounds)]
+    # Both bodies (reader and writer) replay on their cached lane every round.
+    assert routing["bulk"] == 2 * rounds and routing["lean"] == 0
+    assert sum(run_.ops[0][0] == P.OP_READ for run_ in execute_calls) == rounds
     assert routing["faults_batched"] == fp["counters"]["faults"] == 8 * rounds
-    # The same program observed (interval history kept) is demoted.
-    del execute_calls[:]
-    history_fp, history_routing = run("vector", keep_interval_history=True)
-    assert history_fp == run("scalar", keep_interval_history=True)[0]
-    assert history_routing["demoted"] == 1 and history_routing["faults_batched"] == 0
-    assert len(reader_calls()) == 2
 
 
 class NullObserver(ProtocolObserver):
@@ -697,9 +579,15 @@ def _plan_forever(djvm):
         djvm.migration.schedule(MigrationPlan(thread.thread_id, 1, at_interval=10**9))
 
 
+def _two_hooks(djvm):
+    djvm.add_hook(FastHook())
+    djvm.add_hook(FastHook(tag=1))
+
+
 #: each disqualifier alone: (DJVM kwargs factory, setup(djvm) before the run).
 DISQUALIFIERS = {
     "hook": (dict, lambda djvm: djvm.add_hook(FastHook())),
+    "two_hooks": (dict, _two_hooks),
     "observer": (dict, lambda djvm: djvm.attach(NullObserver())),
     "history": (lambda: {"keep_interval_history": True}, None),
     "timer": (dict, lambda djvm: djvm.add_timer(DeadlineTimer())),
@@ -711,10 +599,11 @@ DISQUALIFIERS = {
 
 
 @pytest.mark.parametrize("name", sorted(DISQUALIFIERS))
-def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch):
+def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch, execute_calls):
     """Anything that could see a fault's messages or instants keeps the
-    per-message path: two ``Network.send`` calls per fault, nothing
-    batched, and the scalar oracle's result."""
+    scalar loop: the engine is never called, every fault costs two
+    ``Network.send`` calls, and the result is the scalar oracle's —
+    on one-shot and on repeated bodies."""
     sends = Counter()
     original = Network.send
 
@@ -723,27 +612,24 @@ def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch):
         return original(self, kind, *args, **kwargs)
 
     monkeypatch.setattr(Network, "send", counting)
-    outcomes = {}
-    for replay in ("vector", "scalar"):
-        make_kwargs, setup = DISQUALIFIERS[name]
-        djvm, obj_ids = build_djvm(replay=replay, **make_kwargs())
-        if setup is not None:
-            setup(djvm)
-        sends.clear()
-        progs = {
-            tid: P.compile_program(ops) for tid, ops in random_programs(3, obj_ids).items()
-        }
-        res = djvm.run(progs)
-        faults = res.counters["faults"]
-        assert faults > 0
-        assert sends[MessageKind.OBJECT_FETCH_REQ] == sends[MessageKind.OBJECT_FETCH_DATA] == faults
-        if name == "keep_log":
-            fetches = [m for m in djvm.cluster.network.log if m.kind.value.startswith("object_fetch")]
-            assert len(fetches) == 2 * faults
-        if name == "queueing":
-            delivered = [e for e in djvm.event_trace if e[1] == "MESSAGE_DELIVER"]
-            assert len(delivered) == res.traffic.messages
-        routing = djvm.replay_routing
-        assert routing.get("faults_batched", 0) == routing.get("lean", 0) == 0
-        outcomes[replay] = (fingerprint(djvm, res), run_fingerprint(djvm, res))
-    assert outcomes["vector"] == outcomes["scalar"]
+    for make_programs in (random_programs, repeating_programs):
+        outcomes = {}
+        for replay in ("vector", "scalar"):
+            make_kwargs, setup = DISQUALIFIERS[name]
+            djvm, obj_ids = build_djvm(replay=replay, **make_kwargs())
+            if setup is not None:
+                setup(djvm)
+            sends.clear()
+            res = djvm.run(make_programs(3, obj_ids))
+            faults = res.counters["faults"]
+            assert faults > 0
+            assert sends[MessageKind.OBJECT_FETCH_REQ] == sends[MessageKind.OBJECT_FETCH_DATA] == faults
+            if name == "keep_log":
+                fetches = [m for m in djvm.cluster.network.log if m.kind.value.startswith("object_fetch")]
+                assert len(fetches) == 2 * faults
+            if name == "queueing":
+                delivered = [e for e in djvm.event_trace if e[1] == "MESSAGE_DELIVER"]
+                assert len(delivered) == res.traffic.messages
+            outcomes[replay] = (fingerprint(djvm, res), run_fingerprint(djvm, res))
+        assert outcomes["vector"] == outcomes["scalar"]
+    assert execute_calls == []

@@ -79,15 +79,12 @@ class TestCommands:
         lines = [ln for ln in out.splitlines() if ln.startswith("replay:")]
         assert len(lines) == 1
         match = re.fullmatch(
-            r"replay: bulk (\d+) runs, lean (\d+) runs, declined (\d+), "
-            r"demoted (\d+), faults batched (\d+)",
-            lines[0],
+            r"replay: bulk (\d+) runs, lean (\d+) runs, faults batched (\d+)", lines[0]
         )
         assert match
-        bulk, lean, declined, demoted, batched = map(int, match.groups())
+        bulk, lean, batched = map(int, match.groups())
         faults = int(re.search(r"faults (\d+)", out).group(1))
         assert lean > 0 and 0 < batched <= faults
-        assert declined == demoted == 0
 
     def test_run_without_correlation(self, capsys):
         code = main(
