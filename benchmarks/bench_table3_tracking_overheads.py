@@ -19,6 +19,7 @@ from common import PAPER_SCALE, record_table, workload_factories
 from repro.analysis import experiments as E
 from repro.analysis.paper import TABLE3
 from repro.analysis.report import Table, format_overhead
+from repro.obs import SpanTracer, Telemetry
 from repro.obs.overhead import overhead_frac
 
 RATES: list[object] = [1, 4, 16, "full"]
@@ -56,14 +57,14 @@ def run_experiment():
                 tcm_cells.append("N/A")
                 continue
             run = E.run_with_correlation(
-                factory, n_nodes=8, rate=rate, send_oals=True, telemetry=True
+                factory, n_nodes=8, rate=rate, send_oals=True, observers=(SpanTracer(),)
             )
             run.suite.collector.tcm()  # force window processing / O3 charge
             t = run.result.execution_time_ms
             # Traffic volumes and the daemon's computing time come out of
             # the telemetry snapshot — the registry is the single source
             # for every statistic this table reports.
-            snap = run.djvm.telemetry.snapshot()
+            snap = Telemetry(run.djvm).snapshot()
             gos_kb = snap["network_gos_bytes"] / 1024
             oal_kb = snap["network_oal_bytes"] / 1024
             pct = snap["network_oal_bytes"] / snap["network_gos_bytes"]

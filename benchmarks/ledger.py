@@ -8,7 +8,7 @@ to short digests, so a mismatch names the component that moved:
 * ``workloads``: SOR, Barnes-Hut, Water-Spatial at bench scale, each as
   ``base`` (no profiler), ``r4`` / ``full`` (correlation tracking at
   rate 4 / full sampling, plus the accesses logged) and ``telemetry``
-  (r4 with metrics + tracing, plus the metrics snapshot).
+  (r4 with a span tracer attached, plus the metrics snapshot).
 * ``scale``: the SOR weak-scaling ladder.  Each rung runs four times —
   the ``scalar`` per-op oracle, ``vector`` bulk replay, ``vector`` again
   on the now-warm reused program set, ``vector_fresh`` on a program set
@@ -40,6 +40,7 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from common import PAPER_SCALE, workload_factories
 from repro.analysis import experiments as E
+from repro.obs import SpanTracer, Telemetry
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM, run_fingerprint
 from repro.workloads.sor import SORWorkload
@@ -74,15 +75,16 @@ def workload_section(factory) -> dict:
     phases = {}
     base = E.run_baseline(factory, n_nodes=N_NODES)
     phases["base"] = fingerprint(base.djvm, base.result)
-    profiled = (("r4", 4, None), ("full", "full", None), ("telemetry", 4, "full"))
-    for phase, rate, telemetry in profiled:
+    profiled = (("r4", 4, False), ("full", "full", False), ("telemetry", 4, True))
+    for phase, rate, traced in profiled:
+        observers = (SpanTracer(),) if traced else ()
         run = E.run_with_correlation(
-            factory, n_nodes=N_NODES, rate=rate, send_oals=True, telemetry=telemetry
+            factory, n_nodes=N_NODES, rate=rate, send_oals=True, observers=observers
         )
         phases[phase] = fingerprint(run.djvm, run.result, run.suite)
         phases[phase]["total_logged"] = run.suite.access_profiler.total_logged
-        if telemetry:
-            phases[phase]["snapshot"] = run.djvm.telemetry.snapshot()
+        if traced:
+            phases[phase]["snapshot"] = Telemetry(run.djvm).snapshot()
     return phases
 
 

@@ -17,6 +17,7 @@ Run:  python examples/migration_cost_model.py
 """
 
 from repro import DJVM, MigrationPlan, ProfilerSuite
+from repro.dsm import IntervalHistory
 from repro.workloads import BarnesHutWorkload
 
 MIGRATE_AT_PC = 5200
@@ -27,7 +28,7 @@ def run(mode: str):
     workload = BarnesHutWorkload(n_bodies=1024, rounds=3, n_threads=8, seed=11)
     djvm = DJVM(n_nodes=8)
     workload.build(djvm)
-    djvm.hlrc.keep_interval_history = True
+    history = djvm.attach(IntervalHistory())
     suite = ProfilerSuite(djvm, correlation=False, stack=True, footprint=True)
     suite.set_rate_all(4)
     info = {}
@@ -55,7 +56,7 @@ def run(mode: str):
     result = djvm.run(workload.programs())
 
     interval = next(
-        iv for iv in djvm.hlrc.interval_history[0]
+        iv for iv in history.by_thread[0]
         if iv.start_pc < MIGRATE_AT_PC <= iv.end_pc
     )
     mid = (interval.start_ns + interval.end_ns) // 2

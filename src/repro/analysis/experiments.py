@@ -52,12 +52,11 @@ def build_djvm(
     *,
     costs: CostModel | None = None,
     placement: str = "block",
-    telemetry=None,
     observers=(),
 ) -> DJVM:
     """Boot a DJVM, attach ``observers`` (ProtocolObserver instances)
     and build the workload on it."""
-    djvm = DJVM(n_nodes=n_nodes, costs=costs, telemetry=telemetry)
+    djvm = DJVM(n_nodes=n_nodes, costs=costs)
     for observer in observers:
         djvm.attach(observer)
     workload.build(djvm, placement=placement)
@@ -69,11 +68,10 @@ def run_baseline(
     n_nodes: int,
     *,
     costs: CostModel | None = None,
-    telemetry=None,
 ) -> ProfiledRun:
     """Run a workload with every profiler disabled ("No Correl. Tracking")."""
     workload = workload_factory()
-    djvm = build_djvm(workload, n_nodes, costs=costs, telemetry=telemetry)
+    djvm = build_djvm(workload, n_nodes, costs=costs)
     result = djvm.run(workload.programs())
     return ProfiledRun(workload=workload, djvm=djvm, result=result)
 
@@ -86,7 +84,6 @@ def run_with_correlation(
     send_oals: bool = True,
     piggyback: bool = True,
     costs: CostModel | None = None,
-    telemetry=None,
     sampling_backend=None,
     observers=(),
 ) -> ProfiledRun:
@@ -94,7 +91,7 @@ def run_with_correlation(
     under a non-default sampling backend, optionally with pure
     observers — e.g. the object-centric profiler — attached)."""
     workload = workload_factory()
-    djvm = build_djvm(workload, n_nodes, costs=costs, telemetry=telemetry, observers=observers)
+    djvm = build_djvm(workload, n_nodes, costs=costs, observers=observers)
     suite = ProfilerSuite(
         djvm,
         correlation=True,
@@ -118,13 +115,12 @@ def run_with_sticky_profiling(
     lazy_extraction: bool = True,
     footprint_timer_ms: float | None = None,
     costs: CostModel | None = None,
-    telemetry=None,
 ) -> ProfiledRun:
     """Run with sticky-set profiling (stack sampling and/or footprinting)
     and correlation tracking disabled — the paper's isolation methodology
     for the Table V overhead columns."""
     workload = workload_factory()
-    djvm = build_djvm(workload, n_nodes, costs=costs, telemetry=telemetry)
+    djvm = build_djvm(workload, n_nodes, costs=costs)
     suite = ProfilerSuite(
         djvm,
         correlation=False,

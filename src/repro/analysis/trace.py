@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -29,6 +30,7 @@ from repro.core.oal import OALBatch
 from repro.core.sampling import SamplingPolicy
 from repro.core.tcm import build_tcm
 from repro.heap.heap import GlobalObjectSpace
+from repro.heap.jclass import JClass
 
 FORMAT_VERSION = 1
 
@@ -64,8 +66,7 @@ class ProfileTrace:
         batches = list(batches)
         needed: set[int] = set()
         for batch in batches:
-            for entry in batch.entries:
-                needed.add(entry.obj_id)
+            needed.update(batch.obj_ids)
         objects = {}
         class_ids: set[int] = set()
         for obj_id in sorted(needed):
@@ -151,13 +152,30 @@ class ProfileTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> "ProfileTrace":
-        """Read a trace written by :meth:`save`."""
+        """Read a trace written by :meth:`save`.  A truncated or corrupt
+        gzip stream, text that is not JSON, a missing field and an
+        unsupported format version each raise :class:`ValueError`
+        naming the path and the problem."""
         path = Path(path)
-        if path.suffix == ".gz":
-            payload = gzip.decompress(path.read_bytes()).decode()
-        else:
-            payload = path.read_text()
-        return cls.from_dict(json.loads(payload))
+        try:
+            if path.suffix == ".gz":
+                payload = gzip.decompress(path.read_bytes()).decode()
+            else:
+                payload = path.read_text()
+        except (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError) as exc:
+            raise ValueError(f"trace {path}: unreadable ({exc})") from exc
+        try:
+            data = json.loads(payload)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"trace {path}: not valid JSON ({exc})") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"trace {path}: expected a JSON object, got {type(data).__name__}")
+        try:
+            return cls.from_dict(data)
+        except KeyError as exc:
+            raise ValueError(f"trace {path}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"trace {path}: {exc}") from exc
 
     # ------------------------------------------------------------------
     # offline analysis
@@ -165,19 +183,19 @@ class ProfileTrace:
 
     def _rebuild_policy(
         self, rate: float | str, backend=None
-    ) -> tuple[SamplingPolicy, GlobalObjectSpace]:
+    ) -> tuple[SamplingPolicy, GlobalObjectSpace, dict[int, JClass]]:
         """Reconstruct a registry/GOS skeleton carrying the recorded
-        sequence numbers, and a policy at the requested rate (optionally
-        under a non-default sampling backend)."""
+        classes, a policy at the requested rate (optionally under a
+        non-default sampling backend), and the recorded-id -> class map."""
         gos = GlobalObjectSpace()
-        id_map = {}
+        id_map: dict[int, JClass] = {}
         for cid, (name, inst, is_array, elem) in sorted(self.classes.items()):
             jc = gos.registry.define(name, inst, is_array=is_array, element_size=elem)
             id_map[cid] = jc
         policy = SamplingPolicy(page_size=self.page_size, backend=backend)
         for jc in id_map.values():
             policy.set_rate(jc, rate)
-        return policy, gos, id_map  # type: ignore[return-value]
+        return policy, gos, id_map
 
     def tcm_at_rate(self, rate: float | str, *, backend=None) -> np.ndarray:
         """The TCM a run at ``rate`` would have produced, replayed from
@@ -186,7 +204,7 @@ class ProfileTrace:
         the recorded object identities, so the replay stays exact."""
         from repro.heap.objects import HeapObject
 
-        policy, gos, id_map = self._rebuild_policy(rate, backend)  # type: ignore[misc]
+        policy, _gos, id_map = self._rebuild_policy(rate, backend)
 
         def entries():
             cache: dict[int, HeapObject] = {}

@@ -13,8 +13,7 @@ programs plus the built object graph **before the first op executes**:
   (must-hold locksets);
 * :mod:`~repro.checks.staticflow.sharing` — node-private /
   read-mostly-shared / single-writer / ping-pong classification per
-  object and allocation site, predicted TCM structure, and per-class
-  sampling-rate pre-seeds;
+  object and allocation site, and the predicted TCM structure;
 * :mod:`~repro.checks.staticflow.lockset` — the static may-race set,
   provably a superset of every dynamic FastTrack report (the
   ``python -m repro.checks static`` gate's soundness cross-check);

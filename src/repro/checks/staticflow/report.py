@@ -36,7 +36,6 @@ class StaticReport:
     cfg: WorkloadCFG | None
     sharing: SharingAnalysis | None
     races: list[MayRace]
-    preseeds: dict[str, float]
 
     @property
     def verified(self) -> bool:
@@ -67,9 +66,6 @@ class StaticReport:
                 f"  site {site:<24} {summary.n_objects:>5} obj  "
                 f"{summary.classification:<18} shared {summary.shared_bytes} B"
             )
-        if self.preseeds:
-            seeds = ", ".join(f"{k}={v}" for k, v in sorted(self.preseeds.items()))
-            lines.append(f"rate pre-seeds: {seeds}")
         lines.append(f"may-race set: {len(self.races)} pair(s)")
         lines.extend(f"  {r.render()}" for r in self.races)
         return "\n".join(lines)
@@ -107,7 +103,6 @@ class StaticReport:
                 for site, s in sorted(self.sharing.sites.items())
             },
         }
-        doc["preseeds"] = dict(sorted(self.preseeds.items()))
         doc["may_races"] = [
             {
                 "obj_id": r.obj_id,
@@ -134,7 +129,6 @@ def analyze_ir(ir, name: str = "workload") -> StaticReport:
             cfg=None,
             sharing=None,
             races=[],
-            preseeds={},
         )
     cfg = build_cfg(ir)
     sharing = analyze_sharing(ir, cfg)
@@ -145,7 +139,6 @@ def analyze_ir(ir, name: str = "workload") -> StaticReport:
         cfg=cfg,
         sharing=sharing,
         races=may_races(ir, cfg),
-        preseeds=sharing.rate_preseeds(),
     )
 
 

@@ -2,8 +2,7 @@
 allocation site) from the workload CFG, before the first op executes.
 
 Classification lattice (ordered by how expensive the pattern is for a
-home-based LRC protocol — the order site summaries and rate pre-seeds
-take the worst of):
+home-based LRC protocol — the order site summaries take the worst of):
 
 ==================  =====================================================
 unaccessed          no thread touches the object
@@ -19,11 +18,9 @@ ping-pong           two or more writers (alternating invalidations —
                     placement optimizer's prime target)
 ==================  =====================================================
 
-Outputs feed three consumers: the predicted TCM (same shared-bytes
-structure the dynamic correlation profiler estimates — comparable via
-``repro.obs compare``), per-class sampling-rate pre-seeds
-(:meth:`repro.core.sampling.SamplingPolicy.preseed`, off by default),
-and the placement candidate feed (:mod:`repro.placement.candidates`).
+The outputs are the per-object and per-site classifications and the
+predicted TCM (same shared-bytes structure the dynamic correlation
+profiler estimates — comparable via ``repro.obs compare``).
 """
 
 from __future__ import annotations
@@ -47,18 +44,6 @@ CLASS_ORDER = (
     "ping-pong",
 )
 _RANK = {name: i for i, name in enumerate(CLASS_ORDER)}
-
-#: sampling-rate pre-seed per classification (page-relative nX rates:
-#: higher = finer sampling).  Private data earns the coarse default;
-#: the shared patterns the profilers must resolve quickly get finer
-#: starting rates so the adaptive controller skips its warm-up descent.
-PRESEED_RATES = {
-    "unaccessed": None,
-    "node-private": 1,
-    "read-mostly-shared": 2,
-    "single-writer": 4,
-    "ping-pong": 8,
-}
 
 
 @dataclass(slots=True)
@@ -158,22 +143,6 @@ class SharingAnalysis:
                     if i != j:
                         tcm[i, j] += obj.size_bytes
         return tcm
-
-    def rate_preseeds(self) -> dict[str, float]:
-        """Per-class sampling-rate pre-seeds: each class takes the rate
-        of its worst-classified object (see :data:`PRESEED_RATES`);
-        entirely unaccessed classes are omitted."""
-        worst: dict[str, str] = {}
-        for obj in self.objects.values():
-            prev = worst.get(obj.class_name, "unaccessed")
-            if _RANK[obj.classification] > _RANK[prev]:
-                worst[obj.class_name] = obj.classification
-        out: dict[str, float] = {}
-        for name in sorted(worst):
-            rate = PRESEED_RATES[worst[name]]
-            if rate is not None:
-                out[name] = rate
-        return out
 
     def counts(self) -> dict[str, int]:
         """Objects per classification across the whole workload."""

@@ -99,12 +99,11 @@ class ProfilerSuite:
                 costs, gap_ms=stack_gap_ms, lazy=lazy_extraction
             )
             djvm.add_timer(self.stack_sampler)
-        # Observers attached later get the same call from hlrc.attach.
+        # Observers attached later get the same call from hlrc.attach;
+        # telemetry's suite collector reads hlrc.suite at snapshot time.
         djvm.hlrc.suite = self
         for observer in observers:
             observer.on_suite_attach(self)
-        if djvm.telemetry is not None:
-            djvm.telemetry.attach_suite(self)
 
     # ------------------------------------------------------------------
     # sampling-rate management

@@ -673,8 +673,6 @@ class SamplingPolicy:
         self.gap_table: dict[int, int] = {}
         #: the pluggable decision scheme.
         self.backend: SamplingBackend = resolve_backend(backend).bind(self)
-        #: True once :meth:`preseed` applied static-analysis rates.
-        self.preseeded = False
 
     # ------------------------------------------------------------------
     # configuration
@@ -749,25 +747,6 @@ class SamplingPolicy:
         for jclass in classes:
             if self.set_rate(jclass, rate):
                 changed.append(jclass)
-        return changed
-
-    def preseed(self, rates: dict[str, float], classes) -> list[JClass]:
-        """Pre-seed per-class rates from a static sharing analysis
-        (``StaticReport.preseeds``): ``rates`` maps class *names* to
-        page-relative rates, ``classes`` is the class iterable (e.g. the
-        DJVM's :class:`~repro.core.model.ClassRegistry`).  Classes absent
-        from ``rates`` keep their defaults.  Off by default — nothing in
-        the runtime calls this; opting in replaces the cold-start uniform
-        rate with the statically predicted sharing structure, so the
-        adaptive controller starts its descent from a warmer point.
-        Returns the classes whose gap actually changed."""
-        by_name = {jclass.name: jclass for jclass in classes}
-        changed = []
-        for name in sorted(rates):
-            jclass = by_name.get(name)
-            if jclass is not None and self.set_rate(jclass, rates[name]):
-                changed.append(jclass)
-        self.preseeded = True
         return changed
 
     def set_min_gap(self, jclass: JClass, min_gap: int) -> None:

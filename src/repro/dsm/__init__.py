@@ -4,7 +4,7 @@ engine, distributed locks/barriers, and the page-based DSM baseline used
 to reproduce the false-sharing comparison of Fig. 1."""
 
 from repro.dsm.states import CopyRecord, RealState
-from repro.dsm.intervals import IntervalRecord
+from repro.dsm.intervals import IntervalHistory, IntervalRecord
 from repro.dsm.sync import Barrier, DistributedLock, SyncRegistry
 from repro.dsm.observer import ProtocolObserver
 from repro.dsm.hlrc import HomeBasedLRC
@@ -14,6 +14,7 @@ from repro.dsm.homemigration import DominantWriterPolicy, HomeMigrationEngine
 __all__ = [
     "CopyRecord",
     "RealState",
+    "IntervalHistory",
     "IntervalRecord",
     "Barrier",
     "DistributedLock",

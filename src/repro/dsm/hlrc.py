@@ -110,14 +110,7 @@ def fetch_wait_ns(network, size_bytes: int, node: int | None = None, home: int |
 class HomeBasedLRC:
     """The GOS protocol engine shared by all threads of one DJVM."""
 
-    def __init__(
-        self,
-        gos: GlobalObjectSpace,
-        cluster: Cluster,
-        *,
-        keep_interval_history: bool = False,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, gos: GlobalObjectSpace, cluster: Cluster) -> None:
         self.gos = gos
         self.cluster = cluster
         self.costs = cluster.costs
@@ -166,15 +159,11 @@ class HomeBasedLRC:
         #: (anything with ``bundle_for(thread, obj) -> list[HeapObject]``).
         #: NOT an observer — prefetching changes protocol behaviour.
         self.prefetcher = None
-        self.keep_interval_history = keep_interval_history
-        #: thread_id -> list of closed IntervalRecords (only when history kept).
-        self.interval_history: dict[int, list[IntervalRecord]] = {}
-        # Protocol event counters live in the metrics registry; the
-        # engine keeps bound Counter handles so an increment on the
-        # protocol path is a single attribute add.  Without an external
-        # registry (no telemetry configured) a private one is used —
-        # results always carry the counters either way.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: the run's one metrics registry.  Protocol event counters live
+        #: here as bound Counter handles, so an increment on the protocol
+        #: path is a single attribute add; ``repro.obs.Telemetry`` binds
+        #: its snapshot-time collectors to the same registry.
+        self.metrics = MetricsRegistry()
         self._c_faults = self.metrics.counter(
             "hlrc_faults_total", "remote object faults (fetch round trips)"
         )
@@ -330,21 +319,15 @@ class HomeBasedLRC:
 
     def unobserved(self) -> bool:
         """True when nothing can observe a fault's intermediate clock
-        values or its individual messages: no profiler hook, no
-        observer, no kept interval history, no prefetcher, and a network
-        that neither queues nor keeps a log.  Under this gate (plus no
-        timer and no pending migration, which the interpreter owns) a
-        run's faults may be priced in one pass (:meth:`charge_faults`):
-        every cost is an integer sum and an unqueued fetch's wait does
-        not depend on its send time."""
-        network = self.network
+        values or its individual messages: no profiler hook, no observer
+        (recorders such as :class:`~repro.dsm.intervals.IntervalHistory`
+        included), no prefetcher, and an unqueued network.  Under this
+        gate (plus no timer and no pending migration, which the
+        interpreter owns) a run's faults may be priced in one pass
+        (:meth:`charge_faults`): every cost is an integer sum and an
+        unqueued fetch's wait does not depend on its send time."""
         return not (
-            self.hooks
-            or self.observers
-            or self.keep_interval_history
-            or self.prefetcher is not None
-            or network.queueing
-            or network.keep_log
+            self.hooks or self.observers or self.prefetcher is not None or self.network.queueing
         )
 
     def charge_faults(self, thread, faulted: list[HeapObject]) -> None:
@@ -598,9 +581,6 @@ class HomeBasedLRC:
         if observers:
             for observer in observers:
                 observer.on_interval_close(thread, interval)
-
-        if self.keep_interval_history:
-            self.interval_history.setdefault(thread.thread_id, []).append(interval)
         return interval
 
     # ------------------------------------------------------------------

@@ -15,12 +15,17 @@ object per touched object: a first touch is four int stores, and a dict
 of ints is never tracked by the cyclic collector (DESIGN, "hot-path data
 layout").  :attr:`IntervalRecord.accesses` is the read-only view that
 builds :class:`AccessSummary` objects for readers off the access path.
+
+The engine keeps no closed records; :class:`IntervalHistory` is the
+observer that does, for readers that want every interval of a run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, KeysView, Mapping
 from dataclasses import dataclass, field
+
+from repro.dsm.observer import ProtocolObserver
 
 
 @dataclass(slots=True)
@@ -124,3 +129,19 @@ class IntervalRecord:
     def duration_ns(self) -> int:
         """Interval length in nanoseconds (0 if not yet closed)."""
         return max(0, self.end_ns - self.start_ns)
+
+
+class IntervalHistory(ProtocolObserver):
+    """Every closed interval of a run, per thread in close order.
+    Attach with ``djvm.attach(IntervalHistory())``; like any observer it
+    keeps the run on the scalar loop (the per-object summaries are the
+    scalar loop's)."""
+
+    __slots__ = ("by_thread",)
+
+    def __init__(self) -> None:
+        #: thread_id -> closed IntervalRecords, oldest first.
+        self.by_thread: dict[int, list[IntervalRecord]] = {}
+
+    def on_interval_close(self, thread, interval) -> None:
+        self.by_thread.setdefault(thread.thread_id, []).append(interval)

@@ -4,26 +4,28 @@ Every subsystem of the simulated DJVM emits into one telemetry layer
 with three pillars:
 
 * :mod:`repro.obs.metrics` — a typed metrics registry (Counter / Gauge /
-  Histogram with label sets, deterministic snapshot ordering, zero-cost
-  no-op handles when disabled).  The HLRC protocol counters live here;
-  network traffic, heap occupancy, migration and profiler statistics are
-  folded in through snapshot-time collectors.
-* :mod:`repro.obs.tracing` — a span tracer on the engine's one
-  :class:`~repro.dsm.observer.ProtocolObserver` list, next to the
-  protocol sanitizer and race detector.  Spans begin and end in
-  *simulated* time (interval, barrier wait, fault, diff, migration, OAL
-  flush, TCM window), so traces are bit-deterministic across runs.
+  Histogram with label sets, deterministic snapshot ordering).  Each
+  run has exactly one, ``HomeBasedLRC.metrics``, always on: the HLRC
+  protocol counters live there, and network traffic, heap occupancy,
+  migration and profiler statistics are folded in through
+  snapshot-time collectors.
+* :mod:`repro.obs.tracing` — a span tracer, attached like any other
+  :class:`~repro.dsm.observer.ProtocolObserver` (``djvm.attach(
+  SpanTracer())``).  Spans begin and end in *simulated* time (interval,
+  barrier wait, fault, diff, migration, OAL flush, TCM window), so
+  traces are bit-deterministic across runs.
 * :mod:`repro.obs.overhead` — self-overhead accounting: the telemetry
   layer measures the wall-clock cost of its own observation (Mertz &
   Nunes: an adaptive monitor must know what *it* costs) and offers the
   overhead arithmetic the paper's tables are built from.
 
-:class:`Telemetry` is the facade a :class:`~repro.runtime.djvm.DJVM`
-carries (``DJVM(telemetry=...)``); :mod:`repro.obs.export` renders the
-registry as a Prometheus-style text snapshot and the tracer as
-Chrome-trace / Perfetto JSON.  The contract shared with the sanitizer
-and race-detector gates holds here too: simulated results are
-byte-identical with telemetry off, metrics-only, or metrics+tracing.
+:class:`Telemetry` is the read side over one DJVM: ``Telemetry(djvm)``
+binds the collectors to that run's registry and finds its tracer;
+:mod:`repro.obs.export` renders the registry as a Prometheus-style text
+snapshot and the tracer as Chrome-trace / Perfetto JSON.  The contract
+shared with the sanitizer and race-detector gates holds here too:
+simulated results are byte-identical with or without a tracer, and
+collectors only read.
 """
 
 from __future__ import annotations
@@ -35,68 +37,24 @@ __all__ = ["Telemetry", "MetricsRegistry", "SpanTracer"]
 
 
 class Telemetry:
-    """One telemetry context: a metrics registry, an optional span
-    tracer, and the self-overhead account that both report into."""
+    """The telemetry view of one DJVM: its metrics registry with the
+    snapshot-time collectors bound, its span tracer (if one is
+    attached), and the self-overhead account both report into."""
 
-    def __init__(self, *, metrics: bool = True, tracing: bool = False) -> None:
-        self.registry = MetricsRegistry(enabled=metrics)
-        self.tracer: SpanTracer | None = SpanTracer() if tracing else None
-        #: the DJVM this context is bound to (set by :meth:`bind`).
-        self._djvm = None
-
-    # ------------------------------------------------------------------
-    # configuration
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_config(cls, value) -> "Telemetry | None":
-        """Resolve the ``DJVM(telemetry=...)`` argument.
-
-        ``None``/``False`` → no telemetry; ``True`` or ``"metrics"`` →
-        metrics only; ``"trace"``/``"full"`` → metrics + span tracing;
-        a :class:`Telemetry` instance passes through unchanged.
-        """
-        if value is None or value is False:
-            return None
-        if isinstance(value, cls):
-            return value
-        if value is True or value == "metrics":
-            return cls()
-        if value in ("trace", "tracing", "full"):
-            return cls(tracing=True)
-        raise ValueError(
-            f"telemetry must be None, bool, 'metrics', 'trace'/'full' or a "
-            f"Telemetry instance, got {value!r}"
-        )
-
-    # ------------------------------------------------------------------
-    # wiring
-    # ------------------------------------------------------------------
-
-    def bind(self, djvm) -> None:
-        """Bind to a DJVM: register the snapshot-time collectors that
-        absorb the scattered per-subsystem statistics (network traffic,
-        GOS occupancy, migrations, event-kernel accounting, CPU
-        attribution).  Collectors only *read* simulation state, so
-        binding cannot perturb results."""
+    def __init__(self, djvm) -> None:
         self._djvm = djvm
-        reg = self.registry
-        if not reg.enabled:
-            return
-        reg.register_collector(lambda r, d=djvm: _collect_network(r, d))
-        reg.register_collector(lambda r, d=djvm: _collect_gos(r, d))
-        reg.register_collector(lambda r, d=djvm: _collect_migration(r, d))
-        reg.register_collector(lambda r, d=djvm: _collect_kernel(r, d))
-        reg.register_collector(lambda r, d=djvm: _collect_cpu(r, d))
-        if self.tracer is not None:
-            reg.register_collector(lambda r, t=self.tracer: _collect_tracer(r, t))
+        #: the run's one registry (``djvm.hlrc.metrics``).
+        self.registry: MetricsRegistry = djvm.hlrc.metrics
+        # Collectors only *read* simulation state, so binding cannot
+        # perturb results; the suite and tracer are looked up at
+        # snapshot time, so attach order does not matter.
+        for collect in _COLLECTORS:
+            self.registry.register_collector(lambda reg, fn=collect: fn(reg, djvm))
 
-    def attach_suite(self, suite) -> None:
-        """Attach a :class:`~repro.core.profiler.ProfilerSuite`: register
-        the suite's statistics as snapshot-time collectors (the tracer
-        already sees OAL flushes / TCM windows through the observer list)."""
-        if self.registry.enabled:
-            self.registry.register_collector(lambda r, s=suite: _collect_suite(r, s))
+    @property
+    def tracer(self) -> SpanTracer | None:
+        """The first :class:`SpanTracer` on the DJVM's observer list."""
+        return _tracer(self._djvm)
 
     # ------------------------------------------------------------------
     # outputs
@@ -106,7 +64,8 @@ class Telemetry:
     def self_wall_ns(self) -> int:
         """Real (host) nanoseconds spent inside telemetry observation —
         the layer's own cost, excluded from every simulated result."""
-        tracer_ns = self.tracer.self_ns if self.tracer is not None else 0
+        tracer = self.tracer
+        tracer_ns = tracer.self_ns if tracer is not None else 0
         return tracer_ns + self.registry.self_ns
 
     def snapshot(self) -> dict:
@@ -118,9 +77,14 @@ class Telemetry:
         lines = [f"{name} {value}" for name, value in self.registry.snapshot().items()]
         if limit is not None:
             lines = lines[:limit]
-        if self.tracer is not None:
-            lines.append(f"# spans recorded: {len(self.tracer.spans)}")
+        tracer = self.tracer
+        if tracer is not None:
+            lines.append(f"# spans recorded: {len(tracer.spans)}")
         return "\n".join(lines)
+
+
+def _tracer(djvm) -> SpanTracer | None:
+    return next((o for o in djvm.hlrc.observers if isinstance(o, SpanTracer)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +147,10 @@ def _collect_cpu(reg: MetricsRegistry, djvm) -> None:
     reg.gauge("cpu_network_wait_ns", "simulated ns stalled on the network").set(network_ns)
 
 
-def _collect_suite(reg: MetricsRegistry, suite) -> None:
+def _collect_suite(reg: MetricsRegistry, djvm) -> None:
+    suite = djvm.hlrc.suite
+    if suite is None:
+        return
     if suite.access_profiler is not None:
         ap = suite.access_profiler
         reg.gauge("profiler_oal_logged", "OAL entries logged").set(ap.total_logged)
@@ -230,8 +197,22 @@ def _collect_sampling(reg: MetricsRegistry, suite) -> None:
         realized.labels(**{"backend": backend.name, "class": cname}).set(frac)
 
 
-def _collect_tracer(reg: MetricsRegistry, tracer: SpanTracer) -> None:
+def _collect_tracer(reg: MetricsRegistry, djvm) -> None:
+    tracer = _tracer(djvm)
+    if tracer is None:
+        return
     reg.gauge("trace_spans_total", "spans recorded").set(len(tracer.spans))
     by_name = reg.gauge("trace_spans", "spans recorded by name", labels=("name",))
     for name, count in sorted(tracer.counts.items()):
         by_name.labels(name=name).set(count)
+
+
+_COLLECTORS = (
+    _collect_network,
+    _collect_gos,
+    _collect_migration,
+    _collect_kernel,
+    _collect_cpu,
+    _collect_suite,
+    _collect_tracer,
+)

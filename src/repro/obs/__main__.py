@@ -12,7 +12,7 @@ Subcommands:
   drift between identically-configured runs is a silent behavior
   change, so drift exits 1 (a missing/unreadable snapshot exits 2).
 * ``gate`` — the ``make obs`` gate: runs bench-scale SOR once without
-  and once with telemetry, asserts byte-identity of the simulated
+  and once with a span tracer, asserts byte-identity of the simulated
   results and schema-validates the exported Chrome trace.  The
   telemetry wall overhead and the layer's self-reported host time are
   printed, not judged (one ~20 ms sample; host-time verdicts are
@@ -23,14 +23,14 @@ Subcommands:
   fault/diff/invalidation/OAL stream into per-allocation-site lifetime
   profiles, and print the pattern findings (ping-pong, dead-transfer,
   over-invalidated, contended-home) ranked by estimated wasted
-  simulated time.  ``--json`` emits the machine feed
-  :func:`repro.placement.candidates.candidates_from_objprof` consumes.
+  simulated time.  ``--json`` emits the report as JSON (what the
+  ``objprof`` gate compares run against run).
 * ``compare [--workload W] [--nodes N] [--rate R]`` — run the dynamic
   correlation profiler AND the static sharing analysis
   (:mod:`repro.checks.staticflow`) on the same workload/placement, then
   print the static-vs-dynamic comparison: normalized-TCM structure
   accuracy, nonzero-support precision/recall, the per-site sharing
-  table, the static may-race set size and the placement candidates.
+  table and the static may-race set size.
 * ``objprof`` — the ``make objprof`` gate: for SOR, Barnes-Hut and
   Water-Spatial, asserts profiler-on/off byte-identity, report-twice
   determinism, and (Water-Spatial) that at least three distinct
@@ -46,7 +46,8 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis import experiments as E
-from repro.obs.export import chrome_trace, prometheus_text, validate_chrome_trace, write_chrome_trace
+from repro.obs import SpanTracer, Telemetry
+from repro.obs.export import prometheus_text, validate_chrome_trace, write_chrome_trace
 from repro.obs.overhead import measure
 from repro.runtime.djvm import run_fingerprint
 from repro.workloads.barnes_hut import BarnesHutWorkload
@@ -69,7 +70,6 @@ def _run(
     workload: str,
     nodes: int,
     rate: float | str,
-    telemetry: str = "full",
     backend: str | None = None,
     observers=(),
 ):
@@ -79,10 +79,18 @@ def _run(
         n_nodes=nodes,
         rate=rate,
         send_oals=True,
-        telemetry=telemetry,
         sampling_backend=backend,
         observers=observers,
     )
+
+
+def _run_traced(args):
+    """One run of ``args``' workload with a span tracer attached, and
+    the telemetry view over it."""
+    run = _run(
+        args.workload, args.nodes, args.rate, backend=args.backend, observers=(SpanTracer(),)
+    )
+    return run, Telemetry(run.djvm)
 
 
 def dispatch_line(hlrc) -> str:
@@ -93,8 +101,7 @@ def dispatch_line(hlrc) -> str:
 
 
 def cmd_summary(args) -> int:
-    run = _run(args.workload, args.nodes, args.rate, backend=args.backend)
-    telemetry = run.djvm.telemetry
+    run, telemetry = _run_traced(args)
     run.suite.collector.tcm()  # fold pending batches so TCM gauges are final
     print(f"# {args.workload} on {args.nodes} nodes, rate {args.rate}")
     print(f"# sampling backend: {run.suite.policy.backend.name}")
@@ -106,8 +113,7 @@ def cmd_summary(args) -> int:
 
 
 def cmd_export(args) -> int:
-    run = _run(args.workload, args.nodes, args.rate, backend=args.backend)
-    telemetry = run.djvm.telemetry
+    run, telemetry = _run_traced(args)
     run.suite.collector.tcm()
     doc = write_chrome_trace(args.trace, telemetry.tracer)
     problems = validate_chrome_trace(doc)
@@ -189,10 +195,11 @@ def run_gate(*, verbose: bool = True) -> int:
         )
 
     def run_telemetry():
+        tracer = captured["tracer"] = SpanTracer()
         run = captured["telemetry"] = E.run_with_correlation(
-            GATE_FACTORY, n_nodes=GATE_NODES, rate=4, send_oals=True, telemetry="full"
+            GATE_FACTORY, n_nodes=GATE_NODES, rate=4, send_oals=True, observers=(tracer,)
         )
-        return run.djvm.telemetry
+        return Telemetry(run.djvm)
 
     run_base()  # discarded: first-call costs are the process's, not telemetry's
     report = measure(run_base, run_telemetry)
@@ -205,9 +212,7 @@ def run_gate(*, verbose: bool = True) -> int:
 
     # 2. exported trace must be schema-valid and well-nested.
     with tempfile.TemporaryDirectory() as tmp:
-        doc = write_chrome_trace(
-            Path(tmp) / "trace.json", captured["telemetry"].djvm.telemetry.tracer
-        )
+        doc = write_chrome_trace(Path(tmp) / "trace.json", captured["tracer"])
     problems = validate_chrome_trace(doc)
     for p in problems[:10]:
         failures.append(f"trace schema: {p}")
@@ -238,7 +243,6 @@ def static_vs_dynamic(workload: str, nodes: int, rate: float | str) -> dict:
     from repro.checks.staticflow import analyze
     from repro.core.accuracy import accuracy
     from repro.core.tcm import normalize_tcm
-    from repro.placement.candidates import candidates_from_static
 
     run = _run(workload, nodes, rate)
     measured = run.suite.collector.tcm()
@@ -264,7 +268,6 @@ def static_vs_dynamic(workload: str, nodes: int, rate: float | str) -> dict:
         "structure_accuracy": accuracy(norm_predicted, norm_measured, metric="abs"),
         "support_precision": precision,
         "support_recall": recall,
-        "candidates": candidates_from_static(static),
         "n_pairs_predicted": int(pred_nz.sum()),
         "n_pairs_measured": int(meas_nz.sum()),
     }
@@ -274,13 +277,13 @@ def build_objprof_report(
     workload: str, nodes: int, rate: float | str, backend: str | None = None
 ):
     """Run one workload with the object-centric profiler attached and
-    build its ranked report (telemetry stays off: the objprof observer
-    needs no metrics registry, and the report must not depend on one)."""
+    build its ranked report (no tracer: the report reads the objprof
+    observer alone)."""
     from repro.obs.objprof import ObjectProfiler
     from repro.obs.report import build_report
 
     objprof = ObjectProfiler()
-    run = _run(workload, nodes, rate, telemetry=None, backend=backend, observers=(objprof,))
+    run = _run(workload, nodes, rate, backend=backend, observers=(objprof,))
     djvm = run.djvm
     return run, build_report(
         objprof,
@@ -328,10 +331,6 @@ def cmd_compare(args) -> int:
             f"{s.classification:<18} shared {s.shared_bytes} B"
         )
     print(f"static may-race set: {len(static.races)} pair(s)")
-    candidates = cmp["candidates"]
-    print(f"placement candidates: {len(candidates)}")
-    for cand in candidates:
-        print(f"  {cand.render()}")
     return 0
 
 
@@ -353,7 +352,7 @@ def run_objprof_gate(*, verbose: bool = True) -> int:
     """
     failures = []
     for workload in sorted(WORKLOADS):
-        base = _run(workload, OBJPROF_GATE_NODES, OBJPROF_GATE_RATE, telemetry=None)
+        base = _run(workload, OBJPROF_GATE_NODES, OBJPROF_GATE_RATE)
         profiled, report = build_objprof_report(
             workload, OBJPROF_GATE_NODES, OBJPROF_GATE_RATE
         )
@@ -440,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--json",
         action="store_true",
-        help="emit the JSON feed placement.candidates consumes",
+        help="emit the report as JSON",
     )
     p.set_defaults(fn=cmd_report)
 

@@ -181,8 +181,6 @@ def validate_chrome_trace(doc) -> list[str]:
 
 def prometheus_text(registry: MetricsRegistry) -> str:
     """Prometheus text-exposition snapshot of every metric family."""
-    if not registry.enabled:
-        return ""
     snapshot = registry.snapshot()  # runs collectors; samples are fresh
     lines: list[str] = []
     seen_family: set[str] = set()

@@ -1,9 +1,9 @@
 """Typed metrics registry: Counters, Gauges and Histograms with label
-sets, deterministic snapshot ordering, and zero-cost no-op handles when
-the registry is disabled.
+sets and deterministic snapshot ordering.
 
-The registry is the single sink for every statistic the simulated DJVM
-produces.  Hot paths hold *bound handles* (a :class:`Counter` child
+Each run has one registry, created by the HLRC engine
+(``HomeBasedLRC.metrics``); it is the single sink for every statistic
+the simulated DJVM produces.  Hot paths hold *bound handles* (a :class:`Counter` child
 fetched once at wiring time), so an increment is one attribute add —
 no dict lookup, no label formatting.  Everything cold (traffic, heap
 occupancy, profiler totals) is folded in at snapshot time through
@@ -33,10 +33,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullCounter",
-    "NullGauge",
-    "NullHistogram",
 ]
 
 _perf_ns = time.perf_counter_ns
@@ -134,56 +130,6 @@ class Histogram:
 
 
 # ---------------------------------------------------------------------------
-# no-op instruments (disabled registry)
-# ---------------------------------------------------------------------------
-
-
-class NullCounter:
-    """Zero-cost stand-in handed out by a disabled registry.  Every
-    operation is a no-op; ``labels`` returns the same singleton so call
-    sites never branch on whether telemetry is on."""
-
-    __slots__ = ()
-    kind = "counter"
-    value = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def labels(self, **kv):
-        return self
-
-    def samples(self):
-        return iter(())
-
-
-class NullGauge(NullCounter):
-    __slots__ = ()
-    kind = "gauge"
-
-    def set(self, value) -> None:
-        pass
-
-    def dec(self, n=1) -> None:
-        pass
-
-
-class NullHistogram(NullCounter):
-    __slots__ = ()
-    kind = "histogram"
-    sum = 0
-    count = 0
-
-    def observe(self, value) -> None:
-        pass
-
-
-_NULL_COUNTER = NullCounter()
-_NULL_GAUGE = NullGauge()
-_NULL_HISTOGRAM = NullHistogram()
-
-
-# ---------------------------------------------------------------------------
 # families and registry
 # ---------------------------------------------------------------------------
 
@@ -267,17 +213,9 @@ class MetricFamily:
 
 
 class MetricsRegistry:
-    """Home of every metric family plus the snapshot-time collectors.
+    """Home of every metric family plus the snapshot-time collectors."""
 
-    ``enabled=False`` turns the registry into a sink of no-op handles:
-    ``counter()``/``gauge()``/``histogram()`` return shared null
-    singletons, nothing is stored, and ``snapshot()`` is empty — the
-    zero-cost path for components instrumented unconditionally (e.g.
-    the placement rebalancer).
-    """
-
-    def __init__(self, *, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
         self._collectors: list[Callable[["MetricsRegistry"], None]] = []
         #: real wall ns spent inside snapshot/collector work (self-overhead).
@@ -285,21 +223,15 @@ class MetricsRegistry:
 
     # -- instrument constructors ---------------------------------------
 
-    def counter(self, name, help_text: str = "", labels=()) -> MetricFamily | NullCounter:
-        if not self.enabled:
-            return _NULL_COUNTER
+    def counter(self, name, help_text: str = "", labels=()) -> MetricFamily:
         return self._family(name, help_text, labels, Counter)
 
-    def gauge(self, name, help_text: str = "", labels=()) -> MetricFamily | NullGauge:
-        if not self.enabled:
-            return _NULL_GAUGE
+    def gauge(self, name, help_text: str = "", labels=()) -> MetricFamily:
         return self._family(name, help_text, labels, Gauge)
 
     def histogram(
         self, name, help_text: str = "", labels=(), buckets=DEFAULT_BUCKETS
-    ) -> MetricFamily | NullHistogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM
+    ) -> MetricFamily:
         return self._family(name, help_text, labels, lambda: Histogram(buckets))
 
     def _family(self, name, help_text, labels, make) -> MetricFamily:
@@ -334,14 +266,11 @@ class MetricsRegistry:
         """Register a callback run at every snapshot.  Collectors read
         subsystem state and ``set`` gauges; they must not mutate the
         simulation."""
-        if self.enabled:
-            self._collectors.append(fn)
+        self._collectors.append(fn)
 
     def snapshot(self) -> dict:
         """Run collectors, then return every sample as an ordered dict
         sorted by sample name — deterministic across identical runs."""
-        if not self.enabled:
-            return {}
         t0 = _perf_ns()
         for fn in self._collectors:
             fn(self)
@@ -351,8 +280,3 @@ class MetricsRegistry:
         out = dict(sorted(samples))
         self.self_ns += _perf_ns() - t0
         return out
-
-
-#: shared disabled registry — components not wired to a telemetry
-#: context bind their handles here and pay only a no-op call.
-NULL_REGISTRY = MetricsRegistry(enabled=False)

@@ -4,8 +4,7 @@ Folds an :class:`~repro.obs.objprof.ObjectProfiler`'s per-object
 lifetime records into per-allocation-site statistics, runs the pattern
 detectors (:mod:`repro.obs.patterns`), aggregates findings per
 (pattern, site) and ranks them by estimated wasted simulated time —
-the profiler-as-work-list output the placement layer consumes
-(:func:`repro.placement.candidates.candidates_from_objprof`).
+the profiler-as-work-list output.
 
 Attribution axes:
 
@@ -167,7 +166,8 @@ class ObjprofReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        """The machine feed ``placement.candidates`` consumes."""
+        """JSON form (``python -m repro.obs report --json``; the objprof
+        gate compares two runs' documents)."""
         return {
             "kind": "objprof-report",
             "workload": self.workload,

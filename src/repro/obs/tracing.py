@@ -1,7 +1,7 @@
 """Span tracer: begin/end intervals in *simulated* time.
 
 The tracer is a :class:`~repro.dsm.observer.ProtocolObserver` on the
-engine's one observer list (``DJVM(telemetry="trace")`` attaches it).
+engine's one observer list (attach it with ``djvm.attach(SpanTracer())``).
 Its overrides read timestamps off the simulated clocks — the tracer
 never advances any clock, charges no CPU cost and sends no messages, so
 a traced run is byte-identical to an untraced one.

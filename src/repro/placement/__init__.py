@@ -6,7 +6,6 @@ placement examples and the ablation benchmarks."""
 
 from repro.placement.partition import greedy_partition, refine_partition, partition_quality
 from repro.placement.balancer import CorrelationAwareBalancer, MigrationProposal
-from repro.placement.candidates import PlacementCandidate, candidates_from_static
 from repro.placement.runtime_balancer import OnlineRebalancer
 
 __all__ = [
@@ -16,6 +15,4 @@ __all__ = [
     "CorrelationAwareBalancer",
     "MigrationProposal",
     "OnlineRebalancer",
-    "PlacementCandidate",
-    "candidates_from_static",
 ]

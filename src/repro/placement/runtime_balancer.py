@@ -13,7 +13,6 @@ prefetching each migrant's resolved sticky set.
 from __future__ import annotations
 
 from repro.core.profiler import ProfilerSuite
-from repro.obs.metrics import NULL_REGISTRY
 from repro.placement.balancer import CorrelationAwareBalancer, MigrationProposal
 from repro.runtime.migration import MigrationEngine, MigrationPlan
 from repro.runtime.thread import SimThread
@@ -42,11 +41,7 @@ class OnlineRebalancer:
         self.max_migrations = max_migrations
         self.fired = False
         self.proposals: list[MigrationProposal] = []
-        # Metric handles come from the DJVM's telemetry registry when one
-        # is configured, else the shared no-op registry — the call sites
-        # never branch on whether telemetry is on.
-        telemetry = getattr(suite.djvm, "telemetry", None)
-        registry = telemetry.registry if telemetry is not None else NULL_REGISTRY
+        registry = suite.djvm.hlrc.metrics
         self._c_fired = registry.counter(
             "placement_rebalance_fired_total", "online rebalancer activations"
         )

@@ -12,7 +12,6 @@ from repro.dsm.hlrc import HomeBasedLRC
 from repro.heap.heap import GlobalObjectSpace
 from repro.heap.jclass import JClass
 from repro.heap.objects import HeapObject
-from repro.obs import Telemetry
 from repro.runtime.interpreter import Interpreter, TimerHook
 from repro.runtime.migration import MigrationEngine
 from repro.runtime.thread import SimThread, ThreadState
@@ -117,10 +116,8 @@ class DJVM:
         *,
         costs: CostModel | None = None,
         network: Network | None = None,
-        keep_interval_history: bool = False,
         timeshare_nodes: bool = True,
         keep_event_trace: bool = False,
-        telemetry=None,
         replay: str = "vector",
     ) -> None:
         if replay not in ("vector", "scalar"):
@@ -134,25 +131,8 @@ class DJVM:
             network=network,
         )
         self.gos = GlobalObjectSpace()
-        #: opt-in telemetry context (repro.obs): metrics registry plus,
-        #: for "trace"/"full", the span tracer (attached below like any
-        #: other observer) — simulated results are byte-identical with
-        #: telemetry on or off.
-        self.telemetry = Telemetry.from_config(telemetry)
-        metrics = None
-        if self.telemetry is not None and self.telemetry.registry.enabled:
-            metrics = self.telemetry.registry
-        self.hlrc = HomeBasedLRC(
-            self.gos,
-            self.cluster,
-            keep_interval_history=keep_interval_history,
-            metrics=metrics,
-        )
+        self.hlrc = HomeBasedLRC(self.gos, self.cluster)
         self.migration = MigrationEngine(self.hlrc, self.cluster)
-        if self.telemetry is not None:
-            if self.telemetry.tracer is not None:
-                self.attach(self.telemetry.tracer)
-            self.telemetry.bind(self)
         #: single-core nodes (paper hardware) when True; one core per
         #: thread when False.
         self.timeshare_nodes = timeshare_nodes
@@ -257,8 +237,9 @@ class DJVM:
 
     def attach(self, observer):
         """Attach one :class:`~repro.dsm.observer.ProtocolObserver`
-        (sanitizer, race detector, object profiler, a test recorder …)
-        to the run's single observer list; returns it.  Observers are
+        (sanitizer, race detector, span tracer, object profiler, interval
+        history, a test recorder …) to the run's single observer list;
+        returns it.  Observers are
         pure, so any set of them leaves :func:`run_fingerprint` unchanged."""
         return self.hlrc.attach(observer)
 

@@ -341,8 +341,8 @@ class Interpreter:
         timer_fire = EventKind.TIMER_FIRE
         # Vector replay engages per segment, and only when nothing can
         # observe a run's intermediate states: no timer here, nothing on
-        # hlrc's side (hooks, observers, history, prefetcher, a queueing
-        # or logging network).  Everything observed runs on this loop.
+        # hlrc's side (hooks, observers, prefetcher, a queueing network).
+        # Everything observed runs on this loop.
         vec = self._vector
         vruns = None
         if vec is not None and not timers and self.hlrc.unobserved():

@@ -8,10 +8,10 @@ notices apply only at synchronization), so after an object's *first*
 access of a run every later access is a guaranteed hit, and after its
 *first* write the twin already exists.
 
-When nothing observes the run — no profiler hook, observer, kept
-interval history, prefetcher, timer or pending migration, and a network
-that neither queues nor logs (:meth:`HomeBasedLRC.unobserved`; the
-interpreter owns the timer and migration half of the gate) — only end
+When nothing observes the run — no profiler hook, observer,
+prefetcher, timer or pending migration, and an unqueued network
+(:meth:`HomeBasedLRC.unobserved`; the interpreter owns the timer and
+migration half of the gate) — only end
 state is visible and every simulated cost is an integer sum.  The
 engine then replays a whole run in one pass over its distinct objects in
 first-touch order: each copy is probed once, lazy home copies are

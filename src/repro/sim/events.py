@@ -46,10 +46,11 @@ Ordering guarantees
   tie-break reproduces the legacy scheduler's "first thread in the
   list" rule and two runs of the same workload produce byte-identical
   event traces.
-* ``record()`` inserts an already-dispatched event directly into the
+* ``record()`` appends an already-dispatched event directly to the
   trace (no heap traffic) for components that resolve their timing
-  synchronously; recorded events share the same ``seq`` counter so the
-  trace remains totally ordered by construction order within a time.
+  synchronously.  A recorded event draws no ``seq``: it sits in the
+  trace at the point it was recorded, between the pops around it, and
+  scheduled events' tie-breaks are unaffected by it.
 """
 
 from __future__ import annotations
@@ -172,7 +173,9 @@ class EventLoop:
         Used by components that resolve their timing synchronously
         inside a segment (in-segment timer fires, instantaneous message
         delivery) so the audit trail stays complete without paying heap
-        traffic on the hot path.  No-op unless ``keep_trace`` is set.
+        traffic on the hot path.  Draws no ``seq`` and counts toward
+        neither ``scheduled`` nor ``popped``; its trace position is the
+        order of the call.  No-op unless ``keep_trace`` is set.
         """
         if self.keep_trace:
             self.trace.append((int(time_ns), kind.name, actor))

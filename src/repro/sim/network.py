@@ -87,7 +87,8 @@ GOS_KINDS = frozenset(
 
 @dataclass(frozen=True)
 class Message:
-    """One simulated message (already delivered; kept for accounting)."""
+    """One simulated message: a piggyback carrier, or the payload of a
+    queued delivery event."""
 
     kind: MessageKind
     src: int
@@ -269,8 +270,6 @@ class Network:
         #: default: sends are priced instantly and never contend.
         self.queueing = bool(queueing)
         self.stats = TrafficStats()
-        self._log: list[Message] = []
-        self.keep_log = False
         #: cluster size this network is bound to (None until a Cluster
         #: adopts it); when set, send() validates node ids against it.
         self._n_nodes: int | None = None
@@ -350,8 +349,8 @@ class Network:
         time includes the time spent waiting for the link.
 
         This is the protocol's per-message hot path: the stats fold and
-        the transfer-time arithmetic are inlined, and the Message record
-        is only materialized when the log is kept.
+        the transfer-time arithmetic are inlined, and no Message record
+        is materialized unless a queued send schedules its delivery.
         """
         n_nodes = self._n_nodes
         if n_nodes is not None and not (0 <= src < n_nodes and 0 <= dst < n_nodes):
@@ -384,8 +383,6 @@ class Network:
             rec[1] += 1
         if piggybacked:
             stats.piggybacked_messages += 1
-        if self.keep_log:
-            self._log.append(Message(kind, src, dst, size_bytes, int(time_ns), piggybacked))
         if self.queueing:
             return self._send_queued(kind, src, dst, size_bytes, int(time_ns), piggybacked)
         if piggybacked:
@@ -434,11 +431,6 @@ class Network:
         """Time the directed link frees up (0 if never used / no queueing)."""
         return self._link_busy_ns.get((src, dst), 0)
 
-    @property
-    def log(self) -> list[Message]:
-        """Delivered messages (only populated when ``keep_log`` is set)."""
-        return self._log
-
     def add_ingress_backlog(self, node_id: int, ns: int) -> None:
         """Queue ``ns`` of serialization work at ``node_id``'s NIC."""
         check_non_negative(ns, "backlog ns")
@@ -451,6 +443,5 @@ class Network:
     def reset_stats(self) -> None:
         """Zero traffic counters (e.g. after a warm-up phase)."""
         self.stats = TrafficStats()
-        self._log = []
         self._ingress_backlog_ns = {}
         self._link_busy_ns = {}

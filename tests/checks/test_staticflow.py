@@ -1,5 +1,5 @@
 """The whole-program static analysis: verifier, CFG, sharing lattice,
-may-race soundness, pre-seeds and placement candidates."""
+may-race soundness and report plumbing."""
 
 from __future__ import annotations
 
@@ -344,13 +344,6 @@ class TestSharing:
         assert predicted.shape == truth.shape
         assert np.array_equal(predicted > 0, truth > 0)
 
-    def test_preseed_rates_reflect_worst_class(self):
-        wl = RacyCounterWorkload(n_threads=4, locked=False, seed=11)
-        report = self._report(wl)
-        # Counter/config/scratch share one JClass; the counter's
-        # ping-pong dominates.
-        assert report.preseeds == {"Counter": 8}
-
     def test_single_writer_rows(self):
         from repro.workloads.sor import SORWorkload
 
@@ -440,81 +433,6 @@ class TestReport:
         assert report.cfg is None and report.sharing is None
         assert "VERIFIER" in report.render()
         assert "sharing" not in report.to_json()
-
-
-# ---------------------------------------------------------------------------
-# consumers: sampling pre-seed + placement candidates
-# ---------------------------------------------------------------------------
-
-
-class TestPreseed:
-    def test_preseed_applies_rates_by_class_name(self):
-        from repro.core.sampling import SamplingPolicy
-
-        djvm = DJVM(2)
-        counter = djvm.define_class("Counter", 64)
-        other = djvm.define_class("Other", 64)
-        policy = SamplingPolicy()
-        assert not policy.preseeded
-        default_gap = policy.gap(other)
-        changed = policy.preseed({"Counter": 8}, djvm.registry)
-        assert policy.preseeded
-        assert [c.name for c in changed] == ["Counter"]
-        # The rate routes through the same realization as set_rate.
-        reference = SamplingPolicy()
-        reference.set_rate(counter, 8)
-        assert policy.gap(counter) == reference.gap(counter)
-        assert policy.gap(other) == default_gap
-
-    def test_preseed_off_means_untouched_policy(self):
-        """Nothing in the runtime calls preseed: a fresh policy's state
-        is byte-identical whether or not the method exists."""
-        from repro.core.sampling import SamplingPolicy
-
-        policy = SamplingPolicy()
-        assert policy.rate_changes == 0
-        assert not policy.preseeded
-
-
-class TestPlacementCandidates:
-    def test_mishomed_single_writer_yields_home_migration(self):
-        from repro.placement import candidates_from_static
-
-        # Thread 1 (node 1 under round_robin) writes an object homed on
-        # node 0: a home-migration candidate.
-        wl = RacyCounterWorkload(n_threads=4, locked=False, seed=11)
-        report = analyze(wl, n_nodes=N_NODES, placement="round_robin")
-        # RacyCounter's counter is ping-pong -> colocate candidate.
-        cands = candidates_from_static(report)
-        kinds = {c.kind for c in cands}
-        assert "colocate-threads" in kinds
-        colo = next(c for c in cands if c.kind == "colocate-threads")
-        assert colo.site == "racy.counter"
-        assert colo.threads == (0, 1, 2, 3)
-        assert colo.target_node is None
-
-    def test_home_migration_from_hand_built_ir(self):
-        from repro.placement import candidates_from_static
-
-        # Thread 1 on node 1 is the only writer of object 0 homed on 0.
-        ops_w = [P.write(0), P.barrier(0)]
-        ops_r = [P.read(0), P.barrier(0)]
-        ir = _ir({0: ops_r, 1: ops_w}, n_nodes=2, objects=[0])
-        report = analyze_ir(ir)
-        cands = candidates_from_static(report)
-        assert [c.kind for c in cands] == ["home-migration"]
-        assert cands[0].target_node == 1
-        assert cands[0].obj_ids == (0,)
-
-    def test_candidates_sorted_by_weight(self):
-        from repro.placement.candidates import PlacementCandidate, candidates_from_static
-
-        wl = RacyCounterWorkload(n_threads=4, locked=False, seed=11)
-        report = analyze(wl, n_nodes=N_NODES, placement="round_robin")
-        cands = candidates_from_static(report)
-        weights = [c.weight for c in cands]
-        assert weights == sorted(weights, reverse=True)
-        assert all(isinstance(c, PlacementCandidate) for c in cands)
 
 
 # ---------------------------------------------------------------------------

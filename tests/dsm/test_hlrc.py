@@ -3,6 +3,7 @@ through the DJVM/interpreter."""
 
 import pytest
 
+from repro.dsm.intervals import IntervalHistory
 from repro.dsm.states import RealState
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
@@ -153,14 +154,14 @@ class TestCoherence:
 class TestIntervals:
     def test_at_most_once_summary_per_object(self):
         djvm, obj, t0, t1 = two_node_setup()
-        djvm.hlrc.keep_interval_history = True
+        recorder = djvm.attach(IntervalHistory())
         djvm.run(
             {
                 0: wrap_main([P.read(obj.obj_id, repeat=5), P.read(obj.obj_id, repeat=3), P.barrier(0)]),
                 1: wrap_main([P.barrier(0)]),
             }
         )
-        history = djvm.hlrc.interval_history[0]
+        history = recorder.by_thread[0]
         # Exactly one summary for the object across the interval.
         iv = history[0]
         assert list(iv.accesses) == [obj.obj_id]
@@ -168,7 +169,7 @@ class TestIntervals:
 
     def test_intervals_delimited_by_sync(self):
         djvm, obj, t0, t1 = two_node_setup()
-        djvm.hlrc.keep_interval_history = True
+        history = djvm.attach(IntervalHistory())
         djvm.run(
             {
                 0: wrap_main(
@@ -177,7 +178,7 @@ class TestIntervals:
                 1: wrap_main([P.barrier(0)]),
             }
         )
-        reasons = [iv.close_reason for iv in djvm.hlrc.interval_history[0]]
+        reasons = [iv.close_reason for iv in history.by_thread[0]]
         assert reasons == ["acquire", "release", "barrier", "end"]
 
 

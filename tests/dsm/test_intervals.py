@@ -1,11 +1,17 @@
 """Tests for interval bookkeeping."""
 
+import hashlib
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsm.intervals import AccessSummary, IntervalRecord
+from repro.dsm.intervals import AccessSummary, IntervalHistory, IntervalRecord
 from repro.runtime.djvm import DJVM
 from repro.sim.costs import CostModel
+from repro.workloads.barnes_hut import BarnesHutWorkload
+from repro.workloads.sor import SORWorkload
+from repro.workloads.water_spatial import WaterSpatialWorkload
 
 from tests.conftest import simple_class
 
@@ -99,3 +105,49 @@ def test_hlrc_access_and_touch_build_the_same_columns(ops):
     live = thread.current_interval
     assert columns(live) == columns(reference)
     assert live.written == reference.written
+
+
+#: workload -> (factory, intervals recorded, SHA-256 of the recorded
+#: intervals).  The digests were computed with the engine's former
+#: built-in history (``DJVM(keep_interval_history=True)``) before it
+#: became this observer.
+HISTORY_PARITY = {
+    "sor": (
+        lambda: SORWorkload(n=128, rounds=2, n_threads=4, seed=3),
+        20,
+        "29d70d115f9485777b12b4ac3aa7b55112f41d7a079dee613892d2d1e4a82bc9",
+    ),
+    "barnes_hut": (
+        lambda: BarnesHutWorkload(n_bodies=96, rounds=2, n_threads=4, seed=3),
+        44,
+        "663cc23c0ec8c517d1e418ddaf2e52dd9df0b2bbfd1657588c5301b63f1b2117",
+    ),
+    "water_spatial": (
+        lambda: WaterSpatialWorkload(n_molecules=64, rounds=2, n_threads=4, seed=3),
+        20,
+        "66788c58e00de593d16d52897e07e48481c3e65b4032b39a8a2c69f81a3ab89a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HISTORY_PARITY))
+def test_interval_history_records_what_the_engine_closed(name):
+    """Every closed interval, per thread in close order: thread, id,
+    start/end pc and ns, close reason and the ``reads`` / ``writes``
+    columns hash to the pinned digest."""
+    factory, n_intervals, digest = HISTORY_PARITY[name]
+    djvm = DJVM(4)
+    history = djvm.attach(IntervalHistory())
+    workload = factory()
+    workload.build(djvm)
+    result = djvm.run(workload.programs())
+    rows = [
+        (
+            iv.thread_id, iv.interval_id, iv.start_pc, iv.end_pc, iv.start_ns, iv.end_ns,
+            iv.close_reason, tuple(iv.reads.items()), tuple(iv.writes.items()),
+        )
+        for _tid, intervals in sorted(history.by_thread.items())
+        for iv in intervals
+    ]
+    assert len(rows) == n_intervals == result.counters["intervals"]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest

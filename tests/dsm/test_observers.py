@@ -13,6 +13,7 @@ import pytest
 from repro.checks.racedetect import RaceDetector
 from repro.checks.sanitizer import ProtocolSanitizer
 from repro.core.profiler import ProfilerSuite
+from repro.dsm.intervals import IntervalHistory
 from repro.dsm.observer import ProtocolObserver
 from repro.dsm.states import RealState
 from repro.obs.objprof import ObjectProfiler
@@ -166,14 +167,17 @@ def moved(name: str, observers, replay: str = "vector") -> set[str]:
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_all_shipped_observers_together_are_pure(name):
     for replay in ("vector", "scalar"):
-        shipped = [ProtocolSanitizer(), RaceDetector(), SpanTracer(), ObjectProfiler()]
+        shipped = [
+            ProtocolSanitizer(), RaceDetector(), SpanTracer(), ObjectProfiler(), IntervalHistory()
+        ]
         assert moved(name, shipped, replay) == set()
-        sanitizer, detector, tracer, objprof = shipped
+        sanitizer, detector, tracer, objprof, history = shipped
         # each of them really watched the run
         assert sanitizer.checks_run > 0 and sanitizer.violations == 0
         assert detector.accesses_checked > 0 and detector.reports == []
         assert tracer.by_name("fault") and tracer.open_spans() == []
         assert objprof.records and objprof.intervals > 0
+        assert sum(map(len, history.by_thread.values())) == objprof.intervals
     assert baseline(name, "vector") == baseline(name, "scalar")
 
 
@@ -271,13 +275,13 @@ def test_collector_lambda_writing_engine_state_changes_the_fingerprint():
     too: they run after the event kernel drained, on live engine state."""
 
     def snapshot_run(collector=None) -> dict:
-        djvm = DJVM(N_NODES, telemetry="metrics")
+        djvm = DJVM(N_NODES)
         workload = WORKLOADS["sor"]()
         workload.build(djvm)
         if collector is not None:
-            djvm.telemetry.registry.register_collector(lambda reg: collector(djvm))
+            djvm.hlrc.metrics.register_collector(lambda reg: collector(djvm))
         result = djvm.run(workload.programs())
-        djvm.telemetry.snapshot()
+        djvm.hlrc.metrics.snapshot()
         return run_fingerprint(djvm, result)
 
     dirty = snapshot_run(lambda djvm: djvm.hlrc.notices.append((0, 0)))

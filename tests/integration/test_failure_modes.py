@@ -1,8 +1,11 @@
 """Failure-mode tests: the simulator must fail loudly and precisely, not
 corrupt state or hang, when components misbehave."""
 
+import json
+
 import pytest
 
+from repro.analysis.trace import ProfileTrace
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
 from repro.runtime.migration import MigrationPlan
@@ -119,3 +122,33 @@ class TestRunReuse:
         djvm.run({0: wrap_main([P.read(obj.obj_id)])})
         with pytest.raises(Exception):
             djvm.run({0: wrap_main([P.read(obj.obj_id)])})
+
+
+class TestTraceFailures:
+    """A damaged profile trace is a named ``ValueError`` that names the
+    file, never a bare decoder or lookup error."""
+
+    @staticmethod
+    def _trace() -> ProfileTrace:
+        return ProfileTrace(n_threads=2, page_size=4096, classes={}, objects={}, batches=[])
+
+    def test_truncated_gzip(self, tmp_path):
+        path = tmp_path / "trace.json.gz"
+        self._trace().save(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match=r"trace .*trace\.json\.gz: unreadable"):
+            ProfileTrace.load(path)
+
+    def test_missing_field(self, tmp_path):
+        path = tmp_path / "trace.json"
+        doc = self._trace().to_dict()
+        del doc["batches"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"trace .*trace\.json: missing field 'batches'"):
+            ProfileTrace.load(path)
+
+    def test_garbled_json(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(self._trace().to_dict())[:-5] + "#")
+        with pytest.raises(ValueError, match=r"trace .*trace\.json: not valid JSON"):
+            ProfileTrace.load(path)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import experiments as E
 from repro.core.profiler import ProfilerSuite
+from repro.dsm.intervals import IntervalHistory
 from repro.runtime.migration import MigrationPlan
 from repro.workloads import BarnesHutWorkload
 
@@ -58,7 +59,7 @@ class TestResolutionQuality:
         before and after the migration instant within the interval)."""
         wl = BarnesHutWorkload(n_bodies=1024, rounds=3, n_threads=8, seed=11)
         djvm = E.build_djvm(wl, 8)
-        djvm.hlrc.keep_interval_history = True
+        history = djvm.attach(IntervalHistory())
         suite = ProfilerSuite(djvm, correlation=False, stack=True, footprint=True)
         suite.set_rate_all(4)
         captured = {}
@@ -76,7 +77,7 @@ class TestResolutionQuality:
 
         interval = next(
             iv
-            for iv in djvm.hlrc.interval_history[0]
+            for iv in history.by_thread[0]
             if iv.start_pc < at_pc <= iv.end_pc
         )
         mid = (interval.start_ns + interval.end_ns) // 2

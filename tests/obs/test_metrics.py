@@ -1,17 +1,8 @@
-"""Metrics registry: instruments, label sets, no-op handles, snapshots."""
+"""Metrics registry: instruments, label sets, snapshots."""
 
 import pytest
 
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullCounter,
-    NullGauge,
-    NullHistogram,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestInstruments:
@@ -123,34 +114,3 @@ class TestRegistry:
         assert reg.self_ns > 0
         assert "self_ns" not in snap  # host time never enters the sample space
 
-
-class TestDisabledRegistry:
-    def test_disabled_returns_null_singletons(self):
-        reg = MetricsRegistry(enabled=False)
-        assert isinstance(reg.counter("x"), NullCounter)
-        assert isinstance(reg.gauge("y"), NullGauge)
-        assert isinstance(reg.histogram("z"), NullHistogram)
-        assert reg.counter("a") is reg.counter("b")  # shared singleton
-
-    def test_null_handles_absorb_all_operations(self):
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("x")
-        c.inc()
-        c.labels(kind="anything").inc(5)
-        assert c.value == 0
-        g = reg.gauge("y")
-        g.set(10)
-        g.dec()
-        assert g.value == 0
-        h = reg.histogram("z")
-        h.observe(123)
-        assert h.sum == 0 and h.count == 0
-
-    def test_disabled_snapshot_empty_and_collectors_dropped(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.register_collector(lambda r: (_ for _ in ()).throw(AssertionError))
-        assert reg.snapshot() == {}
-
-    def test_shared_null_registry_is_disabled(self):
-        assert not NULL_REGISTRY.enabled
-        assert NULL_REGISTRY.snapshot() == {}

@@ -1,7 +1,6 @@
 """Object-centric inefficiency profiler: lifetime folding, pattern
-detectors, the ranked report, and the placement feed."""
+detectors and the ranked report."""
 
-import json
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +14,6 @@ from repro.obs.__main__ import (
 )
 from repro.obs.objprof import ObjectProfiler
 from repro.obs.patterns import PATTERNS, detect_object_patterns
-from repro.placement.candidates import candidates_from_objprof, merge_candidates
 from repro.sim.costs import CostModel
 from repro.sim.network import Network
 
@@ -176,7 +174,7 @@ class TestPatternDetectors:
 @pytest.fixture(scope="module")
 def water_spatial_runs():
     """One base run + one profiled run/report of check-scale Water-Spatial."""
-    base = _run("water-spatial", OBJPROF_GATE_NODES, OBJPROF_GATE_RATE, telemetry=None)
+    base = _run("water-spatial", OBJPROF_GATE_NODES, OBJPROF_GATE_RATE)
     profiled, report = build_objprof_report(
         "water-spatial", OBJPROF_GATE_NODES, OBJPROF_GATE_RATE
     )
@@ -211,15 +209,3 @@ class TestWaterSpatialReport:
         assert "object-centric inefficiency report" in text
         assert "ws.coords" in text
         assert "water_spatial.py:" in text
-
-    def test_placement_feed_consumes_report_and_json(self, water_spatial_runs):
-        _base, _profiled, report = water_spatial_runs
-        from_obj = candidates_from_objprof(report)
-        from_json = candidates_from_objprof(json.loads(json.dumps(report.to_json())))
-        assert from_obj == from_json
-        assert from_obj, "expected at least one dynamic candidate"
-        kinds = {c.kind for c in from_obj}
-        assert "home-migration" in kinds  # contended-home maps to a target node
-        # measured candidates lead any merged feed and dedupe statics.
-        merged = merge_candidates(from_obj[:1], from_obj)
-        assert merged == from_obj

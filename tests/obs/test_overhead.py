@@ -2,13 +2,14 @@
 
 from types import SimpleNamespace
 
-from repro.obs import Telemetry
+from repro.obs import SpanTracer, Telemetry
 from repro.obs.overhead import (
     OverheadReport,
     measure,
     overhead_frac,
     profiling_attribution,
 )
+from repro.runtime.djvm import DJVM
 
 
 class TestArithmetic:
@@ -64,8 +65,7 @@ class TestMeasure:
         def run_base():
             calls["base"] += 1
 
-        telemetry = Telemetry()
-        telemetry.registry.counter("x").inc()
+        telemetry = Telemetry(DJVM(2))
 
         def run_telemetry():
             calls["telem"] += 1
@@ -75,8 +75,8 @@ class TestMeasure:
         assert calls == {"base": 1, "telem": 1}
         assert report.base_wall_s > 0
         assert report.telemetry_wall_s > 0
-        assert report.samples == 1  # the one counter sample
-        assert report.spans == 0  # tracing off
+        assert report.samples == len(telemetry.snapshot()) > 0
+        assert report.spans == 0  # no tracer attached
 
     def test_telemetry_off_baseline(self):
         """run_telemetry returning None (telemetry genuinely off) must
@@ -92,9 +92,10 @@ class TestMeasure:
     def test_self_ns_accounting_reaches_report(self):
         """observer_wall_ns must carry the context's self-reported host
         ns (tracer + registry), and tracing-on runs must report spans."""
-        telemetry = Telemetry(tracing=True)
+        djvm = DJVM(2)
+        djvm.attach(SpanTracer())
+        telemetry = Telemetry(djvm)
         telemetry.tracer.add("fault", "dsm", 0, "thread0", 0, 10)
-        telemetry.registry.counter("x").inc()
         telemetry.snapshot()  # registry self-times its snapshots
         assert telemetry.tracer.self_ns > 0
         assert telemetry.self_wall_ns == telemetry.tracer.self_ns + telemetry.registry.self_ns

@@ -190,6 +190,3 @@ class TestPrometheusText:
         assert "# TYPE faults_total counter" in text
         assert "faults_total 3" in text
         assert 'bytes{kind="gos"} 9' in text
-
-    def test_disabled_registry_renders_empty(self):
-        assert prometheus_text(MetricsRegistry(enabled=False)) == ""

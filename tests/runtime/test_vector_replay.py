@@ -2,8 +2,8 @@
 
 Replay has two routes: the scalar loop, and the vector engine's one
 pass over a run's distinct objects, taken only when nothing observes
-the run (no hook, observer, kept interval history, timer, prefetcher
-or pending migration, and a network that neither queues nor logs).
+the run (no hook, observer — an ``IntervalHistory`` recorder included —
+timer, prefetcher or pending migration, and an unqueued network).
 
 Randomized access programs (seeded) run twice — ``replay="scalar"`` and
 ``replay="vector"`` — and every observable must match: protocol
@@ -25,6 +25,7 @@ from collections import Counter
 import pytest
 
 from repro.core.profiler import ProfilerSuite
+from repro.dsm.intervals import IntervalHistory
 from repro.dsm.observer import ProtocolObserver
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM, run_fingerprint
@@ -43,8 +44,13 @@ N_ARRAYS = 8
 ARR_LEN = 64
 
 
-def build_djvm(**kwargs) -> tuple[DJVM, list[int]]:
+def build_djvm(history: bool = False, **kwargs) -> tuple[DJVM, list[int]]:
+    """A small DJVM with scalar and array objects spread over the nodes;
+    ``history`` attaches an :class:`IntervalHistory` (read by
+    :func:`fingerprint`)."""
     djvm = DJVM(N_NODES, **kwargs)
+    if history:
+        djvm.attach(IntervalHistory())
     scalar_cls = djvm.define_class("Obj", 64)
     array_cls = djvm.define_class("Arr", is_array=True, element_size=8)
     obj_ids = [
@@ -142,8 +148,11 @@ def repeating_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
 
 
 def fingerprint(djvm: DJVM, res) -> dict:
+    recorded = next(
+        (o.by_thread for o in djvm.hlrc.observers if isinstance(o, IntervalHistory)), {}
+    )
     history = {}
-    for tid, intervals in sorted(djvm.hlrc.interval_history.items()):
+    for tid, intervals in sorted(recorded.items()):
         history[tid] = [
             (
                 iv.interval_id,
@@ -298,7 +307,7 @@ def test_vector_matches_scalar_bare(seed, execute_calls):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_vector_matches_scalar_with_history(seed, execute_calls):
     """Interval history kept: per-object summaries need the scalar loop."""
-    observed_matches_scalar(seed, execute_calls, keep_interval_history=True)
+    observed_matches_scalar(seed, execute_calls, history=True)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
@@ -366,9 +375,9 @@ def test_hot_runs_materialize_lanes_lazily(seed):
 
 REPEAT_CONFIGS = {
     "bare": {},
-    "history": {"keep_interval_history": True},
-    "timer": {"observer": "timer", "keep_interval_history": True},
-    "hook": {"observer": "hook", "keep_interval_history": True},
+    "history": {"history": True},
+    "timer": {"observer": "timer", "history": True},
+    "hook": {"observer": "hook", "history": True},
 }
 
 
@@ -461,8 +470,8 @@ def test_vector_replay_matches_scalar_on_workloads(name):
 
 # -- unobserved runs: faults priced in one pass --------------------------
 #
-# With no hook, observer, history, timer, prefetcher or pending migration
-# and a network that neither queues nor logs, the engine replays every
+# With no hook, observer, timer, prefetcher or pending migration and an
+# unqueued network, the engine replays every
 # run — one-shot bodies included, on a transient lean lane — and charges
 # its faults in one HomeBasedLRC.charge_faults.  The configurations below
 # are that gate; the disqualifiers after them each leave it.
@@ -589,10 +598,9 @@ DISQUALIFIERS = {
     "hook": (dict, lambda djvm: djvm.add_hook(FastHook())),
     "two_hooks": (dict, _two_hooks),
     "observer": (dict, lambda djvm: djvm.attach(NullObserver())),
-    "history": (lambda: {"keep_interval_history": True}, None),
+    "history": (dict, lambda djvm: djvm.attach(IntervalHistory())),
     "timer": (dict, lambda djvm: djvm.add_timer(DeadlineTimer())),
     "queueing": (lambda: {"network": Network(queueing=True), "keep_event_trace": True}, None),
-    "keep_log": (dict, lambda djvm: setattr(djvm.cluster.network, "keep_log", True)),
     "prefetcher": (dict, lambda djvm: setattr(djvm.hlrc, "prefetcher", EmptyPrefetcher())),
     "pending_migration": (dict, _plan_forever),
 }
@@ -624,9 +632,6 @@ def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch, execute_c
             faults = res.counters["faults"]
             assert faults > 0
             assert sends[MessageKind.OBJECT_FETCH_REQ] == sends[MessageKind.OBJECT_FETCH_DATA] == faults
-            if name == "keep_log":
-                fetches = [m for m in djvm.cluster.network.log if m.kind.value.startswith("object_fetch")]
-                assert len(fetches) == 2 * faults
             if name == "queueing":
                 delivered = [e for e in djvm.event_trace if e[1] == "MESSAGE_DELIVER"]
                 assert len(delivered) == res.traffic.messages

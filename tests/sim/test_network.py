@@ -78,15 +78,6 @@ class TestSendAccounting:
         net.reset_stats()
         assert net.stats.messages == 0
 
-    def test_log_kept_only_when_enabled(self):
-        net = Network()
-        net.send(MessageKind.DIFF, 0, 1, 10, 0)
-        assert net.log == []
-        net.keep_log = True
-        net.send(MessageKind.DIFF, 0, 1, 10, 5)
-        assert len(net.log) == 1
-        assert net.log[0].time_ns == 5
-
 
 class TestTrafficStats:
     def test_bytes_for_multiple_kinds(self):

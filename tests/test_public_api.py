@@ -43,6 +43,17 @@ class TestExports:
         assert repro.__version__ == meta["project"]["version"]
 
 
+def test_djvm_keyword_options_are_pinned():
+    """One way to run a simulation: a recorder or watcher is an observer
+    (``djvm.attach``), not a ``DJVM`` switch.  A new option is a
+    deliberate edit here."""
+    import inspect
+
+    params = inspect.signature(repro.DJVM.__init__).parameters.values()
+    keywords = {p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    assert keywords == {"costs", "network", "timeshare_nodes", "keep_event_trace", "replay"}
+
+
 class TestReadmeQuickstart:
     def test_quickstart_snippet_runs(self):
         """The README's quickstart, verbatim in miniature."""
