@@ -6,7 +6,8 @@ Subcommands:
   correlation profiler and print the TCM heatmap and cost summary.
 * ``run`` — run one of the paper's workloads with chosen profilers and
   print the paper-style summary, how the vector engine routed access
-  runs (``replay: bulk … runs, lean … runs, faults batched …``), then
+  runs (``replay: bulk … runs, lean … runs, faults batched …, first
+  touches batched …``), then
   the host's time by stage and what the cyclic collector cost the run
   stage (``host: build … s,
   programs+compile … s, run … s, gc N collections (M full) … s``).
@@ -112,7 +113,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if routing:
         print(
             f"replay: bulk {routing['bulk']} runs, lean {routing['lean']} runs, "
-            f"faults batched {routing['faults_batched']}"
+            f"faults batched {routing['faults_batched']}, "
+            f"first touches batched {routing['first_touches']}"
         )
     # Where the host's time went, by stage (the simulated times are above).
     print(

@@ -292,11 +292,20 @@ class DJVM:
             if thread.state is not ThreadState.DONE:  # pragma: no cover - guard
                 raise RuntimeError(f"thread {thread.thread_id} did not finish")
         finish = {t.thread_id: t.clock.now_ms for t in self.threads}
+        hl = self.hlrc
         return RunResult(
             execution_time_ms=max(finish.values()),
             thread_cpu={t.thread_id: t.cpu for t in self.threads},
             traffic=self.cluster.network.stats,
-            counters=dict(self.hlrc.counters),
+            # Read off the registry's handles; the key order is the
+            # one every ledger and checksum was recorded in.
+            counters={
+                "faults": hl._c_faults.value,
+                "invalidations": hl._c_invalidations.value,
+                "diffs": hl._c_diffs.value,
+                "notices": hl._c_notices.value,
+                "intervals": hl._c_intervals.value,
+            },
             ops_executed=interp.ops_executed,
             thread_finish_ms=finish,
         )

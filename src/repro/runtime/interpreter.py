@@ -29,10 +29,10 @@ op boundary: a deadline of 0 is always due and records no fire.
 
 Access replay has two routes.  The per-op loop here is the oracle and
 runs everything observed.  A segment with no timer, no pending
-migration and nothing observing it on the protocol side
-(:meth:`HomeBasedLRC.unobserved`) hands each access run to
-:class:`~repro.runtime.vector.VectorEngine`, which replays the whole run
-in one pass.
+migration and nothing on the protocol side observing more than interval
+first touches (:meth:`HomeBasedLRC.unobserved`) hands each access run
+to :class:`~repro.runtime.vector.VectorEngine`, which replays the whole
+run in one pass.
 """
 
 from __future__ import annotations
@@ -341,8 +341,9 @@ class Interpreter:
         timer_fire = EventKind.TIMER_FIRE
         # Vector replay engages per segment, and only when nothing can
         # observe a run's intermediate states: no timer here, nothing on
-        # hlrc's side (hooks, observers, prefetcher, a queueing network).
-        # Everything observed runs on this loop.
+        # hlrc's side (observers, prefetcher, a queueing network, a hook
+        # that is not first_touch_batch).  Batch hooks see each run's
+        # first touches at once.  Everything else runs on this loop.
         vec = self._vector
         vruns = None
         if vec is not None and not timers and self.hlrc.unobserved():

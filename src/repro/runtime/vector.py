@@ -1,4 +1,5 @@
-"""Vectorized access replay: one-pass execution of unobserved access runs.
+"""Vectorized access replay: one-pass execution of access runs that
+nothing observes beyond their interval first touches.
 
 The scalar interpreter dispatches every READ/WRITE/COMPUTE op through
 Python (one :meth:`~repro.dsm.hlrc.HomeBasedLRC.access` call per op).
@@ -8,17 +9,20 @@ notices apply only at synchronization), so after an object's *first*
 access of a run every later access is a guaranteed hit, and after its
 *first* write the twin already exists.
 
-When nothing observes the run — no profiler hook, observer,
-prefetcher, timer or pending migration, and an unqueued network
-(:meth:`HomeBasedLRC.unobserved`; the interpreter owns the timer and
-migration half of the gate) — only end
-state is visible and every simulated cost is an integer sum.  The
+When nothing observes the run's intermediate states — no observer,
+prefetcher, timer or pending migration, an unqueued network, and every
+profiler hook ``first_touch_batch`` (:meth:`HomeBasedLRC.unobserved`;
+the interpreter owns the timer and migration half of the gate) — only
+end state is visible and every simulated cost is an integer sum.  The
 engine then replays a whole run in one pass over its distinct objects in
 first-touch order: each copy is probed once, lazy home copies are
 materialized, invalid or missing cache copies are refreshed and their
 faults charged in one :meth:`HomeBasedLRC.charge_faults`, written cache
 copies get their twin, dirty bytes and writer, and the clock and CPU
-buckets move once.
+buckets move once.  Under batch hooks the run's first touches in the
+current interval (the paper's profiler traps only those) are booked in
+the interval's columns and handed to each hook in one
+``on_first_touches`` call, which charges its logging as one sum.
 
 The pass reads a run's totals from :func:`~repro.runtime.program.
 lean_lane`.  A body that repeats within its program (born ``hot``)
@@ -30,6 +34,8 @@ assert over randomized programs and the paper workloads.
 """
 
 from __future__ import annotations
+
+from itertools import filterfalse
 
 from repro.dsm.states import CopyRecord, RealState
 from repro.runtime.program import AccessRun, lean_lane
@@ -56,6 +62,7 @@ class VectorEngine:
         "runs_bulk",
         "runs_lean",
         "faults_batched",
+        "first_touches",
     )
 
     def __init__(self, interp) -> None:
@@ -68,16 +75,19 @@ class VectorEngine:
         self.runs_bulk = 0
         self.runs_lean = 0
         self.faults_batched = 0
+        self.first_touches = 0
 
     def routing(self) -> dict[str, int]:
         """How the engine routed this run's access runs: executions on a
         cached lane (``bulk``, bodies that repeat in their program) or a
-        transient one (``lean``, one-shot bodies), and remote faults
-        priced in one pass (``faults_batched``)."""
+        transient one (``lean``, one-shot bodies), remote faults priced
+        in one pass (``faults_batched``), and interval first touches
+        handed to batch hooks (``first_touches``)."""
         return {
             "bulk": self.runs_bulk,
             "lean": self.runs_lean,
             "faults_batched": self.faults_batched,
+            "first_touches": self.first_touches,
         }
 
     def _lane(self, run: AccessRun) -> tuple:
@@ -99,7 +109,7 @@ class VectorEngine:
     def execute(self, thread, run: AccessRun) -> None:
         """Replay one whole occurrence of ``run`` for ``thread``, which
         the caller then advances past (``pc += run.n_ops``).  Only legal
-        under the unobserved gate (see the module docstring)."""
+        under the gate of the module docstring."""
         busy, compute, uniq, writes = self._lane(run)
         node_id = thread.node_id
         copies = self._copies_by_node[node_id]
@@ -130,6 +140,33 @@ class VectorEngine:
         if faulted:
             self.hlrc.charge_faults(thread, faulted)
             self.faults_batched += len(faulted)
+        hooks = self.hlrc._on_first_touches
+        if hooks:
+            self._first_touches(thread, uniq, faulted, hooks)
+
+    def _first_touches(self, thread, uniq, faulted: list, hooks: tuple) -> None:
+        """Hand the run's first touches in the current interval — the
+        ``uniq`` ids its columns do not hold yet, in first-touch order —
+        to every batch hook, with the ids among them that faulted, and
+        book them in the four columns so later accesses this interval
+        are not first touches.  The booked counts and times are zeros:
+        under the gate nothing reads them.  A fault outside the new ids
+        (a copy the interval touched before a migration moved the
+        thread) is no first touch, as on the scalar loop."""
+        interval = thread.current_interval
+        last_ns = interval.last_ns
+        zeros = dict.fromkeys(filterfalse(last_ns.__contains__, uniq), 0)
+        if not zeros:
+            return
+        interval.reads.update(zeros)
+        interval.writes.update(zeros)
+        interval.first_ns.update(zeros)
+        last_ns.update(zeros)
+        self.first_touches += len(zeros)
+        objs = list(map(self._objects.__getitem__, zeros))
+        faulted_ids = [obj.obj_id for obj in faulted if obj.obj_id in zeros]
+        for on_first_touches in hooks:
+            on_first_touches(thread, objs, faulted_ids)
 
     def _apply_writes(self, thread, copies: dict, w_oids, w_welems, w_wops) -> int:
         """Write bookkeeping of one run: the written set, and for each

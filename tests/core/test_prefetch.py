@@ -105,17 +105,17 @@ class TestConnectivityPrefetcher:
             ops.append(P.read(p.obj_id))
             ops.append(P.read(h.obj_id))
             ops.append(P.compute(1000))
-        djvm.run({0: wrap_main(ops + [P.barrier(0)])})
-        return djvm
+        result = djvm.run({0: wrap_main(ops + [P.barrier(0)])})
+        return djvm, result
 
     def test_learned_prefetch_cuts_faults(self):
-        base = self.run_chain(enable=False).hlrc.counters["faults"]
-        with_pf = self.run_chain(enable=True)
-        assert with_pf.hlrc.counters["faults"] < base
+        base = self.run_chain(enable=False)[1].counters["faults"]
+        with_pf, result = self.run_chain(enable=True)
+        assert result.counters["faults"] < base
         assert with_pf.hlrc.prefetcher.bundled_objects > 0
 
     def test_cold_fields_never_bundled(self):
-        djvm = self.run_chain(enable=True)
+        djvm, _ = self.run_chain(enable=True)
         # Cold children were never accessed: none may have been installed.
         gos = djvm.gos
         heap = djvm.hlrc.heaps[1]
@@ -170,9 +170,9 @@ class TestConnectivityPrefetcher:
         ops = []
         for pa, ch, gc in chains:
             ops += [P.read(pa.obj_id), P.read(ch.obj_id), P.read(gc.obj_id)]
-        djvm.run({0: wrap_main(ops + [P.barrier(0)])})
+        result = djvm.run({0: wrap_main(ops + [P.barrier(0)])})
         # Late chains ride fully on one fault: 3 objects per 1 fault.
-        assert djvm.hlrc.counters["faults"] < 3 * len(chains)
+        assert result.counters["faults"] < 3 * len(chains)
 
     def test_invalid_config(self):
         from repro.heap.heap import GlobalObjectSpace

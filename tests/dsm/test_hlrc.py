@@ -25,13 +25,13 @@ def two_node_setup():
 class TestFaulting:
     def test_remote_first_access_faults_once(self):
         djvm, obj, t0, t1 = two_node_setup()
-        djvm.run(
+        result = djvm.run(
             {
                 0: wrap_main([P.barrier(0)]),
                 1: wrap_main([P.read(obj.obj_id), P.read(obj.obj_id), P.barrier(0)]),
             }
         )
-        assert djvm.hlrc.counters["faults"] == 1
+        assert result.counters["faults"] == 1
         fetches = djvm.cluster.network.stats.count_by_kind.get(
             MessageKind.OBJECT_FETCH_DATA, 0
         )
@@ -39,13 +39,13 @@ class TestFaulting:
 
     def test_home_access_never_faults(self):
         djvm, obj, t0, t1 = two_node_setup()
-        djvm.run(
+        result = djvm.run(
             {
                 0: wrap_main([P.read(obj.obj_id), P.write(obj.obj_id), P.barrier(0)]),
                 1: wrap_main([P.barrier(0)]),
             }
         )
-        assert djvm.hlrc.counters["faults"] == 0
+        assert result.counters["faults"] == 0
 
     def test_fault_installs_valid_copy(self):
         djvm, obj, t0, t1 = two_node_setup()
@@ -66,7 +66,7 @@ class TestCoherence:
         cached copy must be invalidated and re-fetched (the fundamental
         HLRC guarantee)."""
         djvm, obj, t0, t1 = two_node_setup()
-        djvm.run(
+        result = djvm.run(
             {
                 0: wrap_main([P.barrier(0), P.write(obj.obj_id), P.barrier(1), P.barrier(2)]),
                 1: wrap_main(
@@ -80,14 +80,14 @@ class TestCoherence:
                 ),
             }
         )
-        assert djvm.hlrc.counters["faults"] == 2
-        assert djvm.hlrc.counters["invalidations"] >= 1
+        assert result.counters["faults"] == 2
+        assert result.counters["invalidations"] >= 1
 
     def test_no_invalidation_without_sync(self):
         """Between synchronizations a stale copy stays readable (lazy
         release consistency allows it)."""
         djvm, obj, t0, t1 = two_node_setup()
-        djvm.run(
+        result = djvm.run(
             {
                 0: wrap_main([P.write(obj.obj_id), P.barrier(0)]),
                 1: wrap_main(
@@ -103,13 +103,13 @@ class TestCoherence:
         # Only the initial fetch; the writer's update invalidates nothing
         # until thread 1 synchronizes (which happens at the final barrier,
         # after its last read).
-        assert djvm.hlrc.counters["faults"] == 1
+        assert result.counters["faults"] == 1
 
     def test_own_write_does_not_self_invalidate(self):
         """A writer's own cache copy reflects its applied diff and must
         not be refetched after its own release."""
         djvm, obj, t0, t1 = two_node_setup()
-        djvm.run(
+        result = djvm.run(
             {
                 0: wrap_main([P.barrier(0)]),
                 1: wrap_main(
@@ -123,31 +123,31 @@ class TestCoherence:
                 ),
             }
         )
-        assert djvm.hlrc.counters["faults"] == 1
+        assert result.counters["faults"] == 1
 
     def test_diff_sent_to_home_on_interval_close(self):
         djvm, obj, t0, t1 = two_node_setup()
-        djvm.run(
+        result = djvm.run(
             {
                 0: wrap_main([P.barrier(0)]),
                 1: wrap_main([P.write(obj.obj_id), P.barrier(0)]),
             }
         )
-        assert djvm.hlrc.counters["diffs"] == 1
+        assert result.counters["diffs"] == 1
         diff_bytes = djvm.cluster.network.stats.bytes_by_kind.get(MessageKind.DIFF, 0)
         assert diff_bytes > 0
         assert djvm.gos.get(obj.obj_id).home_version == 1
 
     def test_home_write_publishes_notice_without_diff_message(self):
         djvm, obj, t0, t1 = two_node_setup()
-        djvm.run(
+        result = djvm.run(
             {
                 0: wrap_main([P.write(obj.obj_id), P.barrier(0)]),
                 1: wrap_main([P.barrier(0)]),
             }
         )
-        assert djvm.hlrc.counters["notices"] == 1
-        assert djvm.hlrc.counters["diffs"] == 0
+        assert result.counters["notices"] == 1
+        assert result.counters["diffs"] == 0
         assert MessageKind.DIFF not in djvm.cluster.network.stats.bytes_by_kind
 
 
@@ -207,7 +207,7 @@ class TestLocks:
         next read must fault.
         """
         djvm, obj, t0, t1 = two_node_setup()
-        djvm.run(
+        result = djvm.run(
             {
                 0: wrap_main(
                     [P.acquire(0), P.write(obj.obj_id), P.release(0), P.barrier(0)]
@@ -223,8 +223,8 @@ class TestLocks:
                 ),
             }
         )
-        assert djvm.hlrc.counters["faults"] == 2
-        assert djvm.hlrc.counters["invalidations"] >= 1
+        assert result.counters["faults"] == 2
+        assert result.counters["invalidations"] >= 1
 
     def test_release_without_hold_rejected(self):
         djvm, obj, t0, t1 = two_node_setup()
@@ -257,7 +257,7 @@ class TestBarriers:
         invalidate stale remote copies when the barrier releases.  The
         reader fetches before the writer writes (sequenced by barrier 0)."""
         djvm, obj, t0, t1 = two_node_setup()
-        djvm.run(
+        result = djvm.run(
             {
                 0: wrap_main([P.barrier(0), P.write(obj.obj_id), P.barrier(1), P.barrier(2)]),
                 1: wrap_main(
@@ -271,8 +271,8 @@ class TestBarriers:
                 ),
             }
         )
-        assert djvm.hlrc.counters["invalidations"] >= 1
-        assert djvm.hlrc.counters["faults"] == 2
+        assert result.counters["invalidations"] >= 1
+        assert result.counters["faults"] == 2
 
 
 class TestHomeMaterialization:

@@ -76,9 +76,9 @@ def run_scenario(*, force_fanout: bool, with_prefetch: bool = False):
             + [P.read(ids[0]), P.read(ids[2]), P.barrier(2)]
         ),
     }
-    djvm.run(programs)
+    result = djvm.run(programs)
     return {
-        "counters": dict(djvm.hlrc.counters),
+        "counters": dict(result.counters),
         "clocks": [t.clock.now_ns for t in djvm.threads],
         "cpu_oal_ns": [t.cpu.oal_logging_ns for t in djvm.threads],
         "logged": suite.access_profiler.total_logged,
@@ -112,13 +112,13 @@ class TestFastDispatchTransparency:
         cls = simple_class(djvm, "Obj", 64)
         obj = djvm.allocate(cls, 0)
         djvm.spawn_threads(2)
-        djvm.run(
+        result = djvm.run(
             {
                 0: wrap_main([P.barrier(0)]),
                 1: wrap_main([P.read(obj.obj_id)] * 50 + [P.barrier(0)]),
             }
         )
-        assert djvm.hlrc.counters["faults"] == 1
+        assert result.counters["faults"] == 1
         fetches = djvm.cluster.network.stats.count_by_kind.get(
             MessageKind.OBJECT_FETCH_DATA, 0
         )

@@ -74,13 +74,13 @@ class TestMechanism:
         producing diff messages."""
         djvm, obj, engine = setup()
         engine.migrate_home(obj, 1)
-        djvm.run(
+        result = djvm.run(
             {
                 0: wrap_main([P.barrier(0)]),
                 1: wrap_main([P.write(obj.obj_id), P.barrier(0)]),
             }
         )
-        assert djvm.hlrc.counters["diffs"] == 0
+        assert result.counters["diffs"] == 0
         assert obj.home_version >= 2  # rehome bump + home-write notice
 
 

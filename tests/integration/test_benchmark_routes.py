@@ -1,12 +1,15 @@
 """Which replay route each end-to-end benchmark workload takes.
 
 Besides the scalar loop, replay has one route: the vector engine's one
-pass over runs nothing observes (``VectorEngine.execute``).  This pins,
-at the benchmark's smoke sizes, that the two unprofiled workloads take
-it and batch their faults and that the two profiled ones never call it.
-A second, observed replay route has to come with a workload that uses
-it: add the workload to the benchmark and its route here first.  The
-catalog is loaded by path because ``benchmarks/`` is not a package.
+pass over runs observed at most at interval first touches
+(``VectorEngine.execute``).  This pins, at the benchmark's smoke sizes,
+that the two unprofiled workloads take it and batch their faults, that
+``bh_track_full`` takes it too and hands its first touches to the
+correlation profiler in batches, and that ``ws_adaptive_sticky`` — an
+every-access footprinter and the stack sampler's timer — never calls it.
+A further replay route has to come with a workload that uses it: add
+the workload to the benchmark and its route here first.  The catalog is
+loaded by path because ``benchmarks/`` is not a package.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ CATALOG = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "catalog.
 ROUTES = {
     "sor_base": "one_pass",
     "bh_base": "one_pass",
-    "bh_track_full": "scalar",
+    "bh_track_full": "one_pass",
     "ws_adaptive_sticky": "scalar",
 }
 
@@ -89,6 +92,8 @@ def test_benchmark_workload_takes_its_pinned_route(spec, monkeypatch):
     if ROUTES[spec.name] == "one_pass":
         assert calls
         assert routing["faults_batched"] > 0
+        # Only a profiled run has first touches to hand over.
+        assert (routing["first_touches"] > 0) == (spec.profile is not None)
     else:
         assert calls == []
-        assert routing["bulk"] == routing["lean"] == routing["faults_batched"] == 0
+        assert set(routing.values()) == {0}

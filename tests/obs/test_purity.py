@@ -54,7 +54,7 @@ def test_metrics_agree_with_legacy_counters():
     telemetry = Telemetry(run.djvm)
     reg = run.djvm.hlrc.metrics
     assert telemetry.registry is reg  # one registry per run
-    counters = run.djvm.hlrc.counters
+    counters = run.result.counters
     assert reg.value("hlrc_faults_total") == counters["faults"]
     assert reg.value("hlrc_diffs_total") == counters["diffs"]
     assert reg.value("hlrc_intervals_total") == counters["intervals"]

@@ -36,7 +36,7 @@ class TestContention:
         """The waiter's grant follows the holder's release: the waiter's
         fetch observes the post-release version."""
         djvm, obj = make()
-        djvm.run(
+        result = djvm.run(
             {
                 0: wrap_main([P.acquire(0), P.write(obj.obj_id), P.compute(50_000_000), P.release(0), P.barrier(0)]),
                 1: wrap_main([P.acquire(0), P.read(obj.obj_id), P.release(0), P.barrier(0)]),
@@ -44,7 +44,7 @@ class TestContention:
         )
         # Thread 0 writes its home copy; thread 1's single fault must have
         # fetched the post-release version (grant time > release time).
-        assert djvm.hlrc.counters["faults"] == 1
+        assert result.counters["faults"] == 1
         record = djvm.hlrc.heaps[1].get(obj.obj_id)
         assert record is not None
         assert record.fetched_version == djvm.gos.get(obj.obj_id).home_version == 1

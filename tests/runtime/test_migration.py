@@ -93,8 +93,8 @@ class TestPrefetch:
                 prefetch=[o.obj_id for o in objs] if prefetch else None,
             )
             djvm.migration.schedule(plan)
-            djvm.run({0: wrap_main(read_ops(objs) + read_ops(objs))})
-            return djvm.hlrc.counters["faults"]
+            result = djvm.run({0: wrap_main(read_ops(objs) + read_ops(objs))})
+            return result.counters["faults"]
 
         faults_without = run(prefetch=False)
         faults_with = run(prefetch=True)

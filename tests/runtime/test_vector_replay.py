@@ -2,19 +2,22 @@
 
 Replay has two routes: the scalar loop, and the vector engine's one
 pass over a run's distinct objects, taken only when nothing observes
-the run (no hook, observer — an ``IntervalHistory`` recorder included —
-timer, prefetcher or pending migration, and an unqueued network).
+the run beyond its interval first touches (no observer — an
+``IntervalHistory`` recorder included — timer, prefetcher or pending
+migration, an unqueued network, and no hook without the batch entry
+``on_first_touches``).
 
 Randomized access programs (seeded) run twice — ``replay="scalar"`` and
 ``replay="vector"`` — and every observable must match: protocol
 counters, thread clocks, network traffic and ``run_fingerprint``.
 Unobserved configurations exercise the one pass: one-shot bodies on a
 transient lean lane, repeated bodies on a cached one, faults priced
-together.  Under every observed configuration the engine must never be
-called, so vector replay *is* scalar replay there; the tests assert
-that rather than compare the scalar loop with itself.  The paper
-workloads (SOR / Barnes-Hut / Water-Spatial) run through the same
-comparison.
+together.  Batch hooks ride the same pass and must see the scalar
+loop's first-touch stream.  Under every observed configuration the
+engine must never be called, so vector replay *is* scalar replay there;
+the tests assert that rather than compare the scalar loop with itself.
+The paper workloads (SOR / Barnes-Hut / Water-Spatial) run through the
+same comparison, with and without the correlation profiler.
 """
 
 from __future__ import annotations
@@ -268,6 +271,16 @@ class FastHook:
         )
 
 
+class BatchHook(FastHook):
+    """A :class:`FastHook` with the batch entry: on the one pass it
+    takes each run's first touches at once and records the same
+    tuples."""
+
+    def on_first_touches(self, thread, objs, faulted) -> None:
+        for obj in objs:
+            self.fast_on_access(thread, obj, obj.obj_id in faulted)
+
+
 SEEDS = [0, 1, 2, 3, 4]
 
 
@@ -318,14 +331,16 @@ def test_vector_matches_scalar_with_timer(seed, execute_calls):
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_vector_matches_scalar_with_fast_hook(seed, execute_calls):
-    """A first-touch hook sees the scalar loop's first-touch stream."""
+    """A first-touch hook without the batch entry keeps the scalar loop
+    and sees its first-touch stream."""
     observed_matches_scalar(seed, execute_calls, observer="hook")
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_vector_matches_scalar_with_two_fast_hooks(seed, execute_calls):
-    """Two first-touch hooks are called in registration order at every
-    first touch."""
+    """Two first-touch hooks without the batch entry are called in
+    registration order at every first touch (per object, where batch
+    hooks interleave per run)."""
     vector = observed_matches_scalar(seed, execute_calls, observer="two_hooks")
     assert [e[-1] for e in vector["observer"][:4]] == [0, 1, 0, 1]
 
@@ -474,7 +489,8 @@ def test_vector_replay_matches_scalar_on_workloads(name):
 # unqueued network, the engine replays every
 # run — one-shot bodies included, on a transient lean lane — and charges
 # its faults in one HomeBasedLRC.charge_faults.  The configurations below
-# are that gate; the disqualifiers after them each leave it.
+# are that gate; the disqualifiers after them each leave it.  (Hooks
+# with the batch entry keep it open; their section follows.)
 
 UNOBSERVED_CONFIGS = {
     "flat": {},
@@ -593,10 +609,16 @@ def _two_hooks(djvm):
     djvm.add_hook(FastHook(tag=1))
 
 
+def _batch_beside_fast_hook(djvm):
+    djvm.add_hook(BatchHook())
+    djvm.add_hook(FastHook(tag=1))
+
+
 #: each disqualifier alone: (DJVM kwargs factory, setup(djvm) before the run).
 DISQUALIFIERS = {
     "hook": (dict, lambda djvm: djvm.add_hook(FastHook())),
     "two_hooks": (dict, _two_hooks),
+    "batch_beside_fast_hook": (dict, _batch_beside_fast_hook),
     "observer": (dict, lambda djvm: djvm.attach(NullObserver())),
     "history": (dict, lambda djvm: djvm.attach(IntervalHistory())),
     "timer": (dict, lambda djvm: djvm.add_timer(DeadlineTimer())),
@@ -638,3 +660,149 @@ def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch, execute_c
             outcomes[replay] = (fingerprint(djvm, res), run_fingerprint(djvm, res))
         assert outcomes["vector"] == outcomes["scalar"]
     assert execute_calls == []
+
+
+# -- batch hooks: first touches ride the one pass ------------------------
+#
+# First-touch hooks with ``on_first_touches`` keep the gate open.  The
+# engine books each run's new-in-interval objects in the interval's
+# columns and hands every hook the whole run before the next hook sees
+# it.  Per hook, the first-touch stream — (thread, interval, object,
+# real fault) — must be the scalar loop's.  Across two hooks the
+# interleaving is per run, not per object, so the shared event list is
+# compared hook by hook.
+
+BATCH_CONFIGS = {
+    "flat": dict,
+    "rack": lambda: {
+        "network": Network(topology=RackTopology(2, intra_ns=30_000, cross_ns=150_000))
+    },
+    "scaled_compute": lambda: {"costs": CostModel.fast_test()},
+}
+
+
+def revisiting_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
+    """Per barrier round: a vector run over three objects, then spans
+    shorter than ``MIN_VECTOR_RUN`` (cut by CALL/RET) that re-touch one
+    of them and touch a new one, then a second vector run over both
+    sets.  The short spans run on the scalar loop inside the interval
+    the first run touched: its objects are no first touches there, and
+    the second run may hand over only the objects still new."""
+    rng = random.Random(seed)
+    programs: dict[int, list] = {}
+    for tid in range(N_THREADS):
+        ops: list = [P.call("main", 2)]
+        for rnd in range(3):
+            pool = rng.sample(obj_ids, 6)
+            first, rest = pool[:3], pool[3:]
+            reads = [P.read(oid) for oid in first]
+            ops += [*reads, P.write(rng.choice(first)), *reads]
+            ops += [P.call("f", 1), P.read(first[1]), P.write(rest[0]), P.ret()]
+            ops += [P.call("g", 1), P.read(rng.choice(rest)), P.ret()]
+            ops += [P.read(oid, repeat=2) for oid in (first[2], *rest)] * 2
+            ops.append(P.barrier(rnd))
+        ops.append(P.ret())
+        programs[tid] = ops
+    return programs
+
+
+def run_batch_hooks(seed, replay, *, n_hooks, make_programs, config):
+    """(run_fingerprint, each hook's events, routing) under ``n_hooks``
+    batch hooks sharing one event list."""
+    djvm, obj_ids = build_djvm(replay=replay, **BATCH_CONFIGS[config]())
+    events: list = []
+    for tag in range(n_hooks):
+        djvm.add_hook(BatchHook(events, tag=tag))
+    res = djvm.run(make_programs(seed, obj_ids))
+    per_hook = [[e[:-1] for e in events if e[-1] == tag] for tag in range(n_hooks)]
+    return run_fingerprint(djvm, res), per_hook, djvm.replay_routing
+
+
+@pytest.mark.parametrize("config", sorted(BATCH_CONFIGS))
+@pytest.mark.parametrize(
+    "make_programs", [random_programs, repeating_programs, revisiting_programs]
+)
+@pytest.mark.parametrize("n_hooks", [1, 2], ids=["hook", "two_hooks"])
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_batch_hooks_ride_the_one_pass_and_match_scalar(
+    seed, n_hooks, make_programs, config, execute_calls
+):
+    kwargs = dict(n_hooks=n_hooks, make_programs=make_programs, config=config)
+    fp, events, routing = run_batch_hooks(seed, "vector", **kwargs)
+    assert execute_calls
+    sfp, sevents, _ = run_batch_hooks(seed, "scalar", **kwargs)
+    assert fp == sfp
+    assert events == sevents
+    # Every hook saw the same stream; the batched share of it came
+    # through the engine.
+    assert all(e == events[0] for e in events)
+    assert 0 < routing["first_touches"] <= len(events[0])
+
+
+def test_batch_hooks_after_a_mid_interval_migration(execute_calls):
+    """A migration fired mid-interval moves thread 0 to a node without
+    its copies, so the vector run after it refaults objects the interval
+    already touched.  Those are no first touches: neither hook sees
+    them, and the correlation profiler prices only the new objects'
+    faults as faults — as the scalar loop does."""
+    outcomes = {}
+    for replay in ("vector", "scalar"):
+        djvm, obj_ids = build_djvm(replay=replay)
+        suite = ProfilerSuite(djvm, correlation=True)
+        suite.set_full_sampling()
+        hook = BatchHook()
+        djvm.add_hook(hook)
+        remote = [oid for oid in obj_ids if djvm.gos.get(oid).home_node == 2][:6]
+        before, new = remote[:3], remote[3:]
+        body = [P.read(oid) for oid in before] * 2
+        main = [P.call("main", 2), *body, P.call("f", 1), P.ret()]
+        after_pc = len(main)
+        main += [*(P.read(oid) for oid in before + new)] * 2 + [P.barrier(0), P.ret()]
+        djvm.migration.schedule(MigrationPlan(0, 1, at_pc=after_pc))
+        idle = [P.barrier(0)]
+        res = djvm.run({0: main, **{tid: list(idle) for tid in range(1, N_THREADS)}})
+        outcomes[replay] = (
+            run_fingerprint(djvm, res, suite),
+            hook.events,
+            suite.access_profiler.total_logged,
+            djvm.replay_routing,
+        )
+    vector, scalar = outcomes["vector"], outcomes["scalar"]
+    assert vector[:3] == scalar[:3]
+    assert [run.n_ops for run in execute_calls] == [len(remote) * 2]
+    assert vector[3]["first_touches"] == len(new)
+    assert vector[3]["faults_batched"] == len(remote)  # `before` refaulted
+    assert [e[2] for e in vector[1]] == before + new
+
+
+def run_profiled(name: str, replay: str, rate, backend: str) -> tuple[tuple, dict]:
+    """Everything a correlation-profiled workload leaves behind that
+    sampling could move, and the run's routing."""
+    djvm = DJVM(N_NODES, replay=replay)
+    workload = WORKLOADS[name]()
+    workload.build(djvm)
+    suite = ProfilerSuite(djvm, correlation=True, sampling_backend=backend)
+    suite.set_rate_all(rate)
+    res = djvm.run(workload.programs())
+    left_behind = (
+        run_fingerprint(djvm, res, suite),
+        suite.access_profiler.total_logged,
+        suite.policy.backend.snapshot(),
+    )
+    return left_behind, djvm.replay_routing
+
+
+@pytest.mark.parametrize("backend", ["prime_gap", "hash", "poisson", "hybrid"])
+@pytest.mark.parametrize("rate", [4, "full"])
+@pytest.mark.parametrize("name", ["barnes_hut", "sor"])
+def test_sampled_profiling_on_the_one_pass_matches_scalar(name, rate, backend):
+    """The correlation profiler's batch entry against its per-call
+    oracle (``fast_on_access`` on the scalar loop): the TCM, the
+    logging charge in every thread's CPU buckets, the logged count and
+    the backend's per-class sample / skip counts are equal.  The
+    prime-gap memo is filled in decision order, so this also pins the
+    batch's first-touch order."""
+    vector, routing = run_profiled(name, "vector", rate, backend)
+    assert vector == run_profiled(name, "scalar", rate, backend)[0]
+    assert routing["first_touches"] > 0
+    assert vector[0]["tcm_sha256"] is not None and vector[1] > 0

@@ -70,21 +70,27 @@ class TestCommands:
         )
 
     def test_run_prints_replay_routing(self, capsys):
-        """One line of routing counts; with no profiler attached nothing
+        """One line of routing counts.  With no profiler attached nothing
         observes the run, so Barnes-Hut's one-shot tree walks go lean
-        and their faults are batched."""
-        argv = ["run", "barnes-hut", "--nodes", "2", "--threads", "4", "--no-correlation"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        lines = [ln for ln in out.splitlines() if ln.startswith("replay:")]
-        assert len(lines) == 1
-        match = re.fullmatch(
-            r"replay: bulk (\d+) runs, lean (\d+) runs, faults batched (\d+)", lines[0]
-        )
-        assert match
-        bulk, lean, batched = map(int, match.groups())
-        faults = int(re.search(r"faults (\d+)", out).group(1))
-        assert lean > 0 and 0 < batched <= faults
+        and their faults are batched; the correlation profiler sees
+        first touches only, so it keeps that route and takes them in
+        batches."""
+        for profiler in (["--no-correlation"], []):
+            argv = ["run", "barnes-hut", "--nodes", "2", "--threads", "4", *profiler]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            lines = [ln for ln in out.splitlines() if ln.startswith("replay:")]
+            assert len(lines) == 1
+            match = re.fullmatch(
+                r"replay: bulk (\d+) runs, lean (\d+) runs, faults batched (\d+), "
+                r"first touches batched (\d+)",
+                lines[0],
+            )
+            assert match
+            bulk, lean, batched, first_touches = map(int, match.groups())
+            faults = int(re.search(r"faults (\d+)", out).group(1))
+            assert lean > 0 and 0 < batched <= faults
+            assert (first_touches > 0) == (not profiler)
 
     def test_run_without_correlation(self, capsys):
         code = main(
