@@ -7,7 +7,7 @@ Subcommands:
 * ``run`` — run one of the paper's workloads with chosen profilers and
   print the paper-style summary, how the vector engine routed access
   runs (``replay: bulk … runs, lean … runs, faults batched …, first
-  touches batched …``), then
+  touches …``), then
   the host's time by stage and what the cyclic collector cost the run
   stage (``host: build … s,
   programs+compile … s, run … s, gc N collections (M full) … s``).
@@ -114,7 +114,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(
             f"replay: bulk {routing['bulk']} runs, lean {routing['lean']} runs, "
             f"faults batched {routing['faults_batched']}, "
-            f"first touches batched {routing['first_touches']}"
+            f"first touches {routing['first_touches']}"
         )
     # Where the host's time went, by stage (the simulated times are above).
     print(

@@ -169,7 +169,7 @@ class AccessProfiler:
             # Fully-sampled class (the precomputed gap table answers this
             # without touching per-object state): every object is logged
             # and the Horvitz-Thompson scale factor is 1.
-            scaled = obj.length * jclass.element_size if obj.is_array else jclass.instance_size
+            scaled = obj.length * jclass.element_size if jclass.is_array else jclass.instance_size
         else:
             # One lookup answers sampled/logged/scaled together.  Probe
             # the per-class epoch memo (SamplingPolicy.decision) inline
@@ -195,53 +195,6 @@ class AccessProfiler:
         if self.observers:
             for observer in self.observers:
                 observer.on_oal_log(thread, thread.current_interval.interval_id, obj_id)
-
-    def on_first_touches(self, thread, objs: list[HeapObject], faulted: list[int]) -> None:
-        """Batch form of :meth:`fast_on_access` over one access run's
-        interval first touches (``objs`` in first-touch order,
-        ``faulted`` the ids among them that really faulted): the same
-        decisions in the same order, the OAL columns extended, and the
-        logging charge added once — a trap for each logged object that
-        did not fault.  The vector engine calls it only when no observer
-        is attached, so there is no ``on_oal_log`` to emit."""
-        if not self.enabled:
-            return
-        current = self._current.get(thread.thread_id)
-        if current is None:
-            return
-        oal, class_ids = current
-        log_class = class_ids.append
-        gap_table = self._gap_table
-        memoized = self._memoized
-        states = self._policy_states
-        decision = self.policy.decision
-        n_before = len(oal)
-        for obj in objs:
-            jclass = obj.jclass
-            class_id = jclass.class_id
-            if gap_table.get(class_id, 1) == 1:
-                scaled = obj.length * jclass.element_size if jclass.is_array else jclass.instance_size
-            else:
-                if memoized:
-                    st = states[class_id]
-                    dec = st.decisions.get(obj.obj_id) if st.cache_epoch == st.epoch else None
-                    if dec is None:
-                        dec = decision(obj)
-                else:
-                    dec = decision(obj)
-                sampled, _logged, scaled = dec
-                if not sampled:
-                    continue
-            oal[obj.obj_id] = scaled
-            log_class(class_id)
-        n_logged = len(oal) - n_before
-        if not n_logged:
-            return
-        n_faulted = sum(map(oal.__contains__, faulted))
-        ns = n_faulted * self._log_ns_fault + (n_logged - n_faulted) * self._log_ns_trap
-        thread.cpu.oal_logging_ns += ns
-        thread.clock._now_ns += ns
-        self.total_logged += n_logged
 
     def on_interval_close(
         self, thread, interval: IntervalRecord, sync_dst: int | None

@@ -21,8 +21,7 @@ Li, OSDI'96), at *object* granularity:
 
 Profiler integration: the engine accepts *hooks* (see
 :class:`ProtocolHooks`) invoked on interval open/close and on access
-ops (interval first touches — one by one, or one batch per replayed
-access run — or every op: :meth:`HomeBasedLRC.add_hook`).
+ops (interval first touches or every op: :meth:`HomeBasedLRC.add_hook`).
 Hooks do their own cost accounting into the thread's CPU buckets, so
 overhead experiments can attribute every nanosecond.
 Everything that only *watches* (sanitizer, race detector, tracer,
@@ -55,20 +54,19 @@ from repro.sim.network import MessageKind
 class ProtocolHooks(Protocol):
     """Interface a profiler implements to observe the protocol.
 
-    Two optional entries refine :meth:`on_access` (resolved by
-    :meth:`HomeBasedLRC.add_hook`): positional ``fast_on_access(thread,
-    obj, real_fault)``, called on interval first touches only unless the
-    class sets ``first_touch_only = False``, and the batch entry
-    ``on_first_touches(thread, objs, faulted)``.  When every hook is
-    first-touch and has the batch entry, the vector engine's one pass
-    calls it once per access run with the run's first touches in the
-    current interval: ``objs`` in first-touch order, ``faulted`` the ids
-    among them that really faulted.  Each hook sees the whole run before
-    the next one does, so two hooks interleave per run, not per object.
-    At :meth:`on_interval_close` such a hook may read only the
-    interval's identity (``interval_id``, ``start_pc`` / ``end_pc``,
-    ``written``): the one pass books its objects into the per-object
-    columns with zero counts and times.
+    An optional positional ``fast_on_access(thread, obj, real_fault)``
+    refines :meth:`on_access` (resolved by :meth:`HomeBasedLRC.add_hook`):
+    it is called on interval first touches only, unless the class sets
+    ``first_touch_only = False``.  When every hook is first-touch, the
+    vector engine's one pass calls them after each access run, for the
+    run's first touches in the current interval in first-touch order and
+    the hooks in registration order per object — the scalar loop's
+    sequence.  They see the clock as the whole run left it, and their
+    clock and CPU charges land after the run's own (integer sums, so the
+    totals match).  At :meth:`on_interval_close`
+    such a hook may read only the interval's identity (``interval_id``,
+    ``start_pc`` / ``end_pc``, ``written``): the one pass books its
+    objects into the per-object columns with zero counts and times.
     """
 
     def on_interval_open(self, thread) -> None:
@@ -159,12 +157,8 @@ class HomeBasedLRC:
         # fan-out).
         self._on_first_touch: tuple | None = ()
         self._on_every_access: tuple | None = ()
-        # Bound ``on_first_touches`` batch entries, called once per
-        # access run on the one pass; None when some hook lacks one.
-        self._on_first_touches: tuple | None = ()
-        #: the plan in words: ``(hook class name, "first_touch_batch" |
-        #: "first_touch" | "every_access" | "keyword")`` per hook, in
-        #: call order.
+        #: the plan in words: ``(hook class name, "first_touch" |
+        #: "every_access" | "keyword")`` per hook, in call order.
         self.dispatch_plan: tuple[tuple[str, str], ...] = ()
         #: the run's pure observers, in attach order (see :meth:`attach`).
         #: The migration engine, access profiler, correlation collector
@@ -240,14 +234,11 @@ class HomeBasedLRC:
         every tracking phase — and it gets every access.  If any hook
         lacks ``fast_on_access``, all fall back to the keyword
         ``on_access`` fan-out on every op: the oracle the plan is tested
-        against.  When every hook is first-touch and also has the batch
-        entry ``on_first_touches`` (``ProtocolHooks``), the plan is
-        ``first_touch_batch``: the hooks do not keep a run off the vector
-        engine's one pass (:meth:`unobserved`), which hands them each
-        run's first touches at once.  Every route calls hooks in
-        registration order."""
+        against.  When every hook is first-touch, the hooks do not keep
+        a run off the vector engine's one pass (:meth:`unobserved`),
+        which calls them for each run's first touches.  Every route
+        calls hooks in registration order."""
         hooks = self.hooks = (*self.hooks, hook)
-        self._on_first_touches = None
         if all(hasattr(h, "fast_on_access") for h in hooks):
             modes = [
                 "first_touch" if getattr(h, "first_touch_only", True) else "every_access"
@@ -257,9 +248,6 @@ class HomeBasedLRC:
             self._on_every_access = tuple(
                 h.fast_on_access for h, mode in zip(hooks, modes) if mode == "every_access"
             )
-            if "every_access" not in modes and all(hasattr(h, "on_first_touches") for h in hooks):
-                modes = ["first_touch_batch"] * len(hooks)
-                self._on_first_touches = tuple(h.on_first_touches for h in hooks)
         else:
             modes = ["keyword"] * len(hooks)
             self._on_first_touch = self._on_every_access = None
@@ -337,18 +325,18 @@ class HomeBasedLRC:
     def unobserved(self) -> bool:
         """True when nothing can observe a fault's intermediate clock
         values or its individual messages: every profiler hook (if any)
-        sees only interval first touches and takes them in a batch
-        (``first_touch_batch`` in :attr:`dispatch_plan`), no observer
-        (recorders such as :class:`~repro.dsm.intervals.IntervalHistory`
-        included), no prefetcher, and an unqueued network.  Under this
-        gate (plus no timer and no pending migration, which the
-        interpreter owns) a run's faults may be priced in one pass
-        (:meth:`charge_faults`): every cost is an integer sum and an
-        unqueued fetch's wait does not depend on its send time.  A run's
-        first touches are known before any clock moves, so batch hooks
-        charge their share as one sum too."""
+        sees only interval first touches (``first_touch`` in
+        :attr:`dispatch_plan`), no observer (recorders such as
+        :class:`~repro.dsm.intervals.IntervalHistory` included), no
+        prefetcher, and an unqueued network.  Under this gate (plus no
+        timer and no pending migration, which the interpreter owns) a
+        run's faults may be priced in one pass (:meth:`charge_faults`):
+        every cost is an integer sum and an unqueued fetch's wait does
+        not depend on its send time.  A run's first touches are known
+        before any clock moves, so the hooks may take them after it."""
         return not (
-            self._on_first_touches is None
+            self._on_first_touch is None
+            or self._on_every_access
             or self.observers
             or self.prefetcher is not None
             or self.network.queueing

@@ -19,6 +19,9 @@ from repro.sim.cluster import Cluster
 from repro.sim.costs import CostModel, CpuAccounting
 from repro.sim.network import Network, TrafficStats
 
+#: the keys of :attr:`RunResult.counters`, in order.
+RUN_COUNTERS = ("faults", "invalidations", "diffs", "notices", "intervals")
+
 
 @dataclass
 class RunResult:
@@ -292,20 +295,14 @@ class DJVM:
             if thread.state is not ThreadState.DONE:  # pragma: no cover - guard
                 raise RuntimeError(f"thread {thread.thread_id} did not finish")
         finish = {t.thread_id: t.clock.now_ms for t in self.threads}
-        hl = self.hlrc
+        value = self.hlrc.metrics.value
         return RunResult(
             execution_time_ms=max(finish.values()),
             thread_cpu={t.thread_id: t.cpu for t in self.threads},
             traffic=self.cluster.network.stats,
-            # Read off the registry's handles; the key order is the
-            # one every ledger and checksum was recorded in.
-            counters={
-                "faults": hl._c_faults.value,
-                "invalidations": hl._c_invalidations.value,
-                "diffs": hl._c_diffs.value,
-                "notices": hl._c_notices.value,
-                "intervals": hl._c_intervals.value,
-            },
+            # The registry's ``hlrc_<key>_total`` counters; the key order
+            # is the one every ledger and checksum was recorded in.
+            counters={key: value(f"hlrc_{key}_total") for key in RUN_COUNTERS},
             ops_executed=interp.ops_executed,
             thread_finish_ms=finish,
         )

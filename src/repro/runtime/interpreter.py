@@ -342,8 +342,8 @@ class Interpreter:
         # Vector replay engages per segment, and only when nothing can
         # observe a run's intermediate states: no timer here, nothing on
         # hlrc's side (observers, prefetcher, a queueing network, a hook
-        # that is not first_touch_batch).  Batch hooks see each run's
-        # first touches at once.  Everything else runs on this loop.
+        # that is not first_touch).  First-touch hooks get each run's
+        # first touches after it.  Everything else runs on this loop.
         vec = self._vector
         vruns = None
         if vec is not None and not timers and self.hlrc.unobserved():

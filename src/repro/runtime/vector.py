@@ -11,18 +11,18 @@ access of a run every later access is a guaranteed hit, and after its
 
 When nothing observes the run's intermediate states — no observer,
 prefetcher, timer or pending migration, an unqueued network, and every
-profiler hook ``first_touch_batch`` (:meth:`HomeBasedLRC.unobserved`;
-the interpreter owns the timer and migration half of the gate) — only
-end state is visible and every simulated cost is an integer sum.  The
+profiler hook ``first_touch`` (:meth:`HomeBasedLRC.unobserved`; the
+interpreter owns the timer and migration half of the gate) — only end
+state is visible and every simulated cost is an integer sum.  The
 engine then replays a whole run in one pass over its distinct objects in
 first-touch order: each copy is probed once, lazy home copies are
 materialized, invalid or missing cache copies are refreshed and their
 faults charged in one :meth:`HomeBasedLRC.charge_faults`, written cache
 copies get their twin, dirty bytes and writer, and the clock and CPU
-buckets move once.  Under batch hooks the run's first touches in the
-current interval (the paper's profiler traps only those) are booked in
-the interval's columns and handed to each hook in one
-``on_first_touches`` call, which charges its logging as one sum.
+buckets move once.  Under first-touch hooks the run's first touches in
+the current interval (the paper's profiler traps only those) are then
+booked in the interval's columns and handed to each hook's
+``fast_on_access``, in the scalar loop's order.
 
 The pass reads a run's totals from :func:`~repro.runtime.program.
 lean_lane`.  A body that repeats within its program (born ``hot``)
@@ -82,7 +82,7 @@ class VectorEngine:
         cached lane (``bulk``, bodies that repeat in their program) or a
         transient one (``lean``, one-shot bodies), remote faults priced
         in one pass (``faults_batched``), and interval first touches
-        handed to batch hooks (``first_touches``)."""
+        handed to first-touch hooks (``first_touches``)."""
         return {
             "bulk": self.runs_bulk,
             "lean": self.runs_lean,
@@ -140,19 +140,20 @@ class VectorEngine:
         if faulted:
             self.hlrc.charge_faults(thread, faulted)
             self.faults_batched += len(faulted)
-        hooks = self.hlrc._on_first_touches
+        hooks = self.hlrc._on_first_touch
         if hooks:
             self._first_touches(thread, uniq, faulted, hooks)
 
     def _first_touches(self, thread, uniq, faulted: list, hooks: tuple) -> None:
-        """Hand the run's first touches in the current interval — the
-        ``uniq`` ids its columns do not hold yet, in first-touch order —
-        to every batch hook, with the ids among them that faulted, and
-        book them in the four columns so later accesses this interval
-        are not first touches.  The booked counts and times are zeros:
-        under the gate nothing reads them.  A fault outside the new ids
-        (a copy the interval touched before a migration moved the
-        thread) is no first touch, as on the scalar loop."""
+        """Book the run's first touches in the current interval — the
+        ``uniq`` ids its columns do not hold yet — in the four columns,
+        so later accesses this interval are not first touches, and call
+        every hook on each of them: objects in first-touch order, hooks
+        in registration order, ``real_fault`` true for those that
+        faulted.  The booked counts and times are zeros: under the gate
+        nothing reads them.  A fault outside the new ids (a copy the
+        interval touched before a migration moved the thread) is no
+        first touch, as on the scalar loop."""
         interval = thread.current_interval
         last_ns = interval.last_ns
         zeros = dict.fromkeys(filterfalse(last_ns.__contains__, uniq), 0)
@@ -163,10 +164,13 @@ class VectorEngine:
         interval.first_ns.update(zeros)
         last_ns.update(zeros)
         self.first_touches += len(zeros)
-        objs = list(map(self._objects.__getitem__, zeros))
-        faulted_ids = [obj.obj_id for obj in faulted if obj.obj_id in zeros]
-        for on_first_touches in hooks:
-            on_first_touches(thread, objs, faulted_ids)
+        objects = self._objects
+        faulted_ids = {obj.obj_id for obj in faulted}
+        for oid in zeros:
+            obj = objects[oid]
+            real_fault = oid in faulted_ids
+            for fast in hooks:
+                fast(thread, obj, real_fault)
 
     def _apply_writes(self, thread, copies: dict, w_oids, w_welems, w_wops) -> int:
         """Write bookkeeping of one run: the written set, and for each

@@ -4,8 +4,8 @@ Besides the scalar loop, replay has one route: the vector engine's one
 pass over runs observed at most at interval first touches
 (``VectorEngine.execute``).  This pins, at the benchmark's smoke sizes,
 that the two unprofiled workloads take it and batch their faults, that
-``bh_track_full`` takes it too and hands its first touches to the
-correlation profiler in batches, and that ``ws_adaptive_sticky`` — an
+``bh_track_full`` takes it too and hands each run's first touches to
+the correlation profiler after the run, and that ``ws_adaptive_sticky`` — an
 every-access footprinter and the stack sampler's timer — never calls it.
 A further replay route has to come with a workload that uses it: add
 the workload to the benchmark and its route here first.  The catalog is

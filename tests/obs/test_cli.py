@@ -11,7 +11,7 @@ def test_summary_prints_digest(capsys):
     assert "hlrc_faults_total" in out
     assert "# spans recorded:" in out
     assert "self-overhead" in out
-    assert "# hook dispatch: AccessProfiler=first_touch_batch\n" in out
+    assert "# hook dispatch: AccessProfiler=first_touch\n" in out
 
 
 def test_dispatch_line_names_the_hook_that_keeps_replay_scalar():
@@ -22,8 +22,8 @@ def test_dispatch_line_names_the_hook_that_keeps_replay_scalar():
     djvm = DJVM(2)
     djvm.spawn_threads(2)
     assert dispatch_line(djvm.hlrc) == "# hook dispatch: no hooks"
-    # The footprinter re-arms its tags, so it sees every access and the
-    # correlation profiler beside it loses its batch entry.
+    # The footprinter re-arms its tags, so it sees every access and keeps
+    # the correlation profiler beside it on the scalar loop too.
     ProfilerSuite(djvm, correlation=True, footprint=True)
     assert dispatch_line(djvm.hlrc) == (
         "# hook dispatch: AccessProfiler=first_touch, StickySetFootprinter=every_access"

@@ -4,15 +4,15 @@ Replay has two routes: the scalar loop, and the vector engine's one
 pass over a run's distinct objects, taken only when nothing observes
 the run beyond its interval first touches (no observer — an
 ``IntervalHistory`` recorder included — timer, prefetcher or pending
-migration, an unqueued network, and no hook without the batch entry
-``on_first_touches``).
+migration, an unqueued network, and no hook that sees more than first
+touches).
 
 Randomized access programs (seeded) run twice — ``replay="scalar"`` and
 ``replay="vector"`` — and every observable must match: protocol
 counters, thread clocks, network traffic and ``run_fingerprint``.
 Unobserved configurations exercise the one pass: one-shot bodies on a
 transient lean lane, repeated bodies on a cached one, faults priced
-together.  Batch hooks ride the same pass and must see the scalar
+together.  First-touch hooks ride the same pass and must see the scalar
 loop's first-touch stream.  Under every observed configuration the
 engine must never be called, so vector replay *is* scalar replay there;
 the tests assert that rather than compare the scalar loop with itself.
@@ -271,14 +271,25 @@ class FastHook:
         )
 
 
-class BatchHook(FastHook):
-    """A :class:`FastHook` with the batch entry: on the one pass it
-    takes each run's first touches at once and records the same
-    tuples."""
+class EveryAccessHook(FastHook):
+    """Re-arms inside the interval, as the footprinter does: it sees
+    every access, so it keeps replay on the scalar loop."""
 
-    def on_first_touches(self, thread, objs, faulted) -> None:
-        for obj in objs:
-            self.fast_on_access(thread, obj, obj.obj_id in faulted)
+    first_touch_only = False
+
+
+class KeywordHook:
+    """Only the keyword ``on_access``: every hook falls back to the
+    keyword fan-out on every op."""
+
+    def on_interval_open(self, thread) -> None:
+        pass
+
+    def on_interval_close(self, thread, interval, sync_dst) -> None:
+        pass
+
+    def on_access(self, thread, obj, **kw) -> None:
+        pass
 
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -331,17 +342,21 @@ def test_vector_matches_scalar_with_timer(seed, execute_calls):
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_vector_matches_scalar_with_fast_hook(seed, execute_calls):
-    """A first-touch hook without the batch entry keeps the scalar loop
-    and sees its first-touch stream."""
-    observed_matches_scalar(seed, execute_calls, observer="hook")
+    """A first-touch hook rides the one pass and sees the scalar loop's
+    first-touch stream."""
+    vector = run_replay(seed, "vector", observer="hook")
+    assert execute_calls
+    assert vector == run_replay(seed, "scalar", observer="hook")
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_vector_matches_scalar_with_two_fast_hooks(seed, execute_calls):
-    """Two first-touch hooks without the batch entry are called in
-    registration order at every first touch (per object, where batch
-    hooks interleave per run)."""
-    vector = observed_matches_scalar(seed, execute_calls, observer="two_hooks")
+    """Two first-touch hooks on the one pass are called in registration
+    order at every first touch, as on the scalar loop: their shared
+    event list is the scalar one."""
+    vector = run_replay(seed, "vector", observer="two_hooks")
+    assert execute_calls
+    assert vector == run_replay(seed, "scalar", observer="two_hooks")
     assert [e[-1] for e in vector["observer"][:4]] == [0, 1, 0, 1]
 
 
@@ -489,8 +504,8 @@ def test_vector_replay_matches_scalar_on_workloads(name):
 # unqueued network, the engine replays every
 # run — one-shot bodies included, on a transient lean lane — and charges
 # its faults in one HomeBasedLRC.charge_faults.  The configurations below
-# are that gate; the disqualifiers after them each leave it.  (Hooks
-# with the batch entry keep it open; their section follows.)
+# are that gate; the disqualifiers after them each leave it.  (First-touch
+# hooks keep it open; their section follows.)
 
 UNOBSERVED_CONFIGS = {
     "flat": {},
@@ -605,20 +620,15 @@ def _plan_forever(djvm):
 
 
 def _two_hooks(djvm):
+    # The every-access hook keeps the first-touch one off the pass too.
     djvm.add_hook(FastHook())
-    djvm.add_hook(FastHook(tag=1))
-
-
-def _batch_beside_fast_hook(djvm):
-    djvm.add_hook(BatchHook())
-    djvm.add_hook(FastHook(tag=1))
+    djvm.add_hook(EveryAccessHook(tag=1))
 
 
 #: each disqualifier alone: (DJVM kwargs factory, setup(djvm) before the run).
 DISQUALIFIERS = {
-    "hook": (dict, lambda djvm: djvm.add_hook(FastHook())),
+    "hook": (dict, lambda djvm: djvm.add_hook(KeywordHook())),
     "two_hooks": (dict, _two_hooks),
-    "batch_beside_fast_hook": (dict, _batch_beside_fast_hook),
     "observer": (dict, lambda djvm: djvm.attach(NullObserver())),
     "history": (dict, lambda djvm: djvm.attach(IntervalHistory())),
     "timer": (dict, lambda djvm: djvm.add_timer(DeadlineTimer())),
@@ -662,17 +672,15 @@ def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch, execute_c
     assert execute_calls == []
 
 
-# -- batch hooks: first touches ride the one pass ------------------------
+# -- first-touch hooks ride the one pass ---------------------------------
 #
-# First-touch hooks with ``on_first_touches`` keep the gate open.  The
-# engine books each run's new-in-interval objects in the interval's
-# columns and hands every hook the whole run before the next hook sees
-# it.  Per hook, the first-touch stream — (thread, interval, object,
-# real fault) — must be the scalar loop's.  Across two hooks the
-# interleaving is per run, not per object, so the shared event list is
-# compared hook by hook.
+# First-touch hooks keep the gate open.  The engine books each run's
+# new-in-interval objects in the interval's columns and calls every hook
+# on each, hooks inside objects.  The shared first-touch stream —
+# (thread, interval, object, real fault, hook) — must be the scalar
+# loop's, call for call.
 
-BATCH_CONFIGS = {
+HOOK_CONFIGS = {
     "flat": dict,
     "rack": lambda: {
         "network": Network(topology=RackTopology(2, intra_ns=30_000, cross_ns=150_000))
@@ -706,40 +714,35 @@ def revisiting_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
     return programs
 
 
-def run_batch_hooks(seed, replay, *, n_hooks, make_programs, config):
-    """(run_fingerprint, each hook's events, routing) under ``n_hooks``
-    batch hooks sharing one event list."""
-    djvm, obj_ids = build_djvm(replay=replay, **BATCH_CONFIGS[config]())
+def run_first_touch_hooks(seed, replay, *, n_hooks, make_programs, config):
+    """(run_fingerprint, the hooks' shared events, routing) under
+    ``n_hooks`` first-touch hooks."""
+    djvm, obj_ids = build_djvm(replay=replay, **HOOK_CONFIGS[config]())
     events: list = []
     for tag in range(n_hooks):
-        djvm.add_hook(BatchHook(events, tag=tag))
+        djvm.add_hook(FastHook(events, tag=tag))
     res = djvm.run(make_programs(seed, obj_ids))
-    per_hook = [[e[:-1] for e in events if e[-1] == tag] for tag in range(n_hooks)]
-    return run_fingerprint(djvm, res), per_hook, djvm.replay_routing
+    return run_fingerprint(djvm, res), events, djvm.replay_routing
 
 
-@pytest.mark.parametrize("config", sorted(BATCH_CONFIGS))
+@pytest.mark.parametrize("config", sorted(HOOK_CONFIGS))
 @pytest.mark.parametrize(
     "make_programs", [random_programs, repeating_programs, revisiting_programs]
 )
 @pytest.mark.parametrize("n_hooks", [1, 2], ids=["hook", "two_hooks"])
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_batch_hooks_ride_the_one_pass_and_match_scalar(
+def test_first_touch_hooks_ride_the_one_pass_and_match_scalar(
     seed, n_hooks, make_programs, config, execute_calls
 ):
     kwargs = dict(n_hooks=n_hooks, make_programs=make_programs, config=config)
-    fp, events, routing = run_batch_hooks(seed, "vector", **kwargs)
+    fp, events, routing = run_first_touch_hooks(seed, "vector", **kwargs)
     assert execute_calls
-    sfp, sevents, _ = run_batch_hooks(seed, "scalar", **kwargs)
-    assert fp == sfp
-    assert events == sevents
-    # Every hook saw the same stream; the batched share of it came
-    # through the engine.
-    assert all(e == events[0] for e in events)
-    assert 0 < routing["first_touches"] <= len(events[0])
+    assert (fp, events) == run_first_touch_hooks(seed, "scalar", **kwargs)[:2]
+    # Part of the stream came through the engine.
+    assert 0 < routing["first_touches"] * n_hooks <= len(events)
 
 
-def test_batch_hooks_after_a_mid_interval_migration(execute_calls):
+def test_first_touch_hooks_after_a_mid_interval_migration(execute_calls):
     """A migration fired mid-interval moves thread 0 to a node without
     its copies, so the vector run after it refaults objects the interval
     already touched.  Those are no first touches: neither hook sees
@@ -750,7 +753,7 @@ def test_batch_hooks_after_a_mid_interval_migration(execute_calls):
         djvm, obj_ids = build_djvm(replay=replay)
         suite = ProfilerSuite(djvm, correlation=True)
         suite.set_full_sampling()
-        hook = BatchHook()
+        hook = FastHook()
         djvm.add_hook(hook)
         remote = [oid for oid in obj_ids if djvm.gos.get(oid).home_node == 2][:6]
         before, new = remote[:3], remote[3:]
@@ -796,12 +799,11 @@ def run_profiled(name: str, replay: str, rate, backend: str) -> tuple[tuple, dic
 @pytest.mark.parametrize("rate", [4, "full"])
 @pytest.mark.parametrize("name", ["barnes_hut", "sor"])
 def test_sampled_profiling_on_the_one_pass_matches_scalar(name, rate, backend):
-    """The correlation profiler's batch entry against its per-call
-    oracle (``fast_on_access`` on the scalar loop): the TCM, the
-    logging charge in every thread's CPU buckets, the logged count and
-    the backend's per-class sample / skip counts are equal.  The
-    prime-gap memo is filled in decision order, so this also pins the
-    batch's first-touch order."""
+    """The correlation profiler on the one pass against the scalar loop:
+    the TCM, the logging charge in every thread's CPU buckets, the
+    logged count and the backend's per-class sample / skip counts are
+    equal.  The prime-gap memo is filled in decision order, so this
+    also pins the one pass's first-touch order."""
     vector, routing = run_profiled(name, "vector", rate, backend)
     assert vector == run_profiled(name, "scalar", rate, backend)[0]
     assert routing["first_touches"] > 0

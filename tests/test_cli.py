@@ -73,8 +73,8 @@ class TestCommands:
         """One line of routing counts.  With no profiler attached nothing
         observes the run, so Barnes-Hut's one-shot tree walks go lean
         and their faults are batched; the correlation profiler sees
-        first touches only, so it keeps that route and takes them in
-        batches."""
+        first touches only, so it keeps that route and gets each run's
+        first touches after it."""
         for profiler in (["--no-correlation"], []):
             argv = ["run", "barnes-hut", "--nodes", "2", "--threads", "4", *profiler]
             assert main(argv) == 0
@@ -83,7 +83,7 @@ class TestCommands:
             assert len(lines) == 1
             match = re.fullmatch(
                 r"replay: bulk (\d+) runs, lean (\d+) runs, faults batched (\d+), "
-                r"first touches batched (\d+)",
+                r"first touches (\d+)",
                 lines[0],
             )
             assert match
