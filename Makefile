@@ -55,8 +55,9 @@ objprof:
 # the telemetry and object-profiler gates, the e2e benchmark's smoke
 # tests (its layer tracer resolves simulator entry points by name, so a
 # rename must fail here, not in a benchmark run), the sampling-backend
-# frontier gates, and the determinism ledger (every run fingerprint it
-# produces equals BENCH_perf.json).  Nothing here compares a host time
+# frontier gates, and the determinism ledger in full mode (every
+# workload phase and all four SOR scale rungs; the file must match key
+# for key).  Nothing here compares a host time
 # against a number recorded on another day or machine — that takes
 # benchmarks/e2e/run.py + compare.py.  Does not rewrite the committed
 # ledger — use `make ledger` for that.
@@ -69,7 +70,7 @@ check: lint
 	PYTHONPATH=src python -m repro.obs gate
 	PYTHONPATH=src python -m repro.obs objprof
 	PYTHONPATH=src python benchmarks/frontier.py --mode smoke
-	PYTHONPATH=src python benchmarks/ledger.py --mode smoke
+	PYTHONPATH=src python benchmarks/ledger.py --mode full
 
 # Sampling-backend frontier: accuracy (E_ABS vs full sampling) and cold
 # per-decision cost per backend x workload, plus the dead-zone probe.

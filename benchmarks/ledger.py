@@ -18,9 +18,11 @@ to short digests, so a mismatch names the component that moved:
 Each run happens once and nothing a second machine would not reproduce
 is recorded, so the check is equality: every key this invocation
 produced must be in the committed file with the same value.  ``--mode
-smoke`` (``make check`` / CI) runs the two smallest rungs and is checked
-as a subset; ``--mode full`` must match the file key for key.  Host time
-is measured in one place: ``benchmarks/e2e`` (``run.py``, ``compare.py``).
+full`` (the default; ``make check`` / CI, about 5 s on a 2-vCPU host)
+runs every rung and must match the file key for key; ``--mode smoke``
+stops after the two smallest rungs and is checked as a subset.  Host
+time is measured in one place: ``benchmarks/e2e`` (``run.py``,
+``compare.py``).
 
 Usage::
 

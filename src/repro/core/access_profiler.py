@@ -27,6 +27,7 @@ from __future__ import annotations
 from repro.core.oal import OALBatch
 from repro.core.sampling import SamplingPolicy
 from repro.dsm.intervals import IntervalRecord
+from repro.heap.heap import GlobalObjectSpace
 from repro.heap.objects import HeapObject
 from repro.sim.cluster import Cluster
 from repro.sim.network import MessageKind
@@ -39,6 +40,7 @@ class AccessProfiler:
         self,
         policy: SamplingPolicy,
         cluster: Cluster,
+        gos: GlobalObjectSpace,
         *,
         collector=None,
         send_oals: bool = True,
@@ -48,16 +50,24 @@ class AccessProfiler:
         self.policy = policy
         self.cluster = cluster
         self.costs = cluster.costs
+        self.gos = gos
         # Hot-path aliases (the cost model is frozen; the policy's state
-        # containers are mutated in place, never replaced).
+        # containers and the GOS object list are mutated in place, never
+        # replaced).
+        self._objects = gos._objects
         self._gap_table = policy.gap_table
         self._policy_states = policy._states
         self._backend = policy.backend
-        self._log_ns_fault = self.costs.oal_log_ns
+        self._trap_ns = self.costs.gos_trap_ns
         self._log_ns_trap = self.costs.gos_trap_ns + self.costs.oal_log_ns
         #: the backend keeps a per-class epoch memo of its decisions,
         #: which the hot path probes inline before calling decision().
         self._memoized = self._backend.memoized
+        #: by object id (GOS ids are dense list indices): the gap-1
+        #: scaled bytes and the class id, which is all a fully-sampled
+        #: class logs.  Grown on use to the GOS's length.
+        self._bytes_col: list[int] = []
+        self._class_col: list[int] = []
         #: destination daemon; anything with a ``deliver(OALBatch)`` method.
         self.collector = collector
         #: when False, OALs are generated and costed but never sent (the
@@ -102,15 +112,11 @@ class AccessProfiler:
         pending = self._pending_resample.get(thread.node_id)
         if not pending:
             return
-        gos = getattr(self.collector, "gos", None)
+        gos = self.gos
         n_objects = 0
         # Sorted so the per-class registry walk is deterministic (SIM003).
         for class_id in sorted(pending):
-            if gos is not None:
-                jclass = gos.registry.by_id(class_id)
-                n_objects += len(gos.objects_of_class(jclass))
-            else:
-                n_objects += 1
+            n_objects += len(gos.objects_of_class(gos.registry.by_id(class_id)))
         pending.clear()
         ns = n_objects * self.costs.sample_check_ns
         thread.cpu.resampling_ns += ns
@@ -147,54 +153,89 @@ class AccessProfiler:
         real_fault: bool,
     ) -> None:
         """ProtocolHooks: one access op executed (see class docstring)."""
-        self.fast_on_access(thread, obj, real_fault)
+        ids = [obj.obj_id]
+        self.fast_on_access(thread, ids, ids if real_fault else ())
 
-    def fast_on_access(self, thread, obj: HeapObject, real_fault: bool) -> None:
-        """Positional form of :meth:`on_access` (the sampled-logging
-        decision depends only on the object and whether the access
-        really faulted); the protocol's dispatch plan calls this
-        directly, on interval first touches only."""
+    def fast_on_access(self, thread, ids, faulted) -> None:
+        """The first-touch entry: ``ids`` are object ids first touched
+        in the thread's open interval, in first-touch order, and
+        ``faulted`` the ids among them that really faulted.  The scalar
+        loop and :meth:`on_access` pass one id, the vector engine a
+        whole run's; either way the result equals one call per id."""
         if not self.enabled:
             return
         current = self._current.get(thread.thread_id)
         if current is None:
             return
         oal, class_ids = current
-        obj_id = obj.obj_id
-        if obj_id in oal:
-            return  # at-most-once per interval: fast path, zero extra cost
-        jclass = obj.jclass
-        class_id = jclass.class_id
-        if self._gap_table.get(class_id, 1) == 1:
-            # Fully-sampled class (the precomputed gap table answers this
-            # without touching per-object state): every object is logged
-            # and the Horvitz-Thompson scale factor is 1.
-            scaled = obj.length * jclass.element_size if jclass.is_array else jclass.instance_size
+        if oal and not oal.keys().isdisjoint(ids):
+            # At most once per interval: the keyword route repeats ids.
+            ids = [oid for oid in ids if oid not in oal]
+            if not ids:
+                return
+            faulted = [oid for oid in faulted if oid not in oal]
+        bytes_col = self._bytes_col
+        if len(bytes_col) < len(self._objects):
+            self._grow_columns()
+        if not self.policy.off_gap_one:
+            # Every class is fully sampled: each object is logged with
+            # its own size (Horvitz-Thompson scale 1), read off columns.
+            oal.update(zip(ids, map(bytes_col.__getitem__, ids)))
+            class_ids.extend(map(self._class_col.__getitem__, ids))
+            logged = ids
+            n_faulted = len(faulted)
         else:
-            # One lookup answers sampled/logged/scaled together.  Probe
-            # the per-class epoch memo (SamplingPolicy.decision) inline
-            # and fall back to decision() on a miss or a stale cache.
-            if self._memoized:
-                st = self._policy_states[class_id]
-                dec = st.decisions.get(obj_id) if st.cache_epoch == st.epoch else None
-                if dec is None:
-                    dec = self.policy.decision(obj)
-            else:
-                dec = self.policy.decision(obj)
-            sampled, _logged, scaled = dec
-            if not sampled:
+            logged = []
+            n_faulted = 0
+            objects = self._objects
+            for obj_id in ids:
+                obj = objects[obj_id]
+                class_id = obj.jclass.class_id
+                if self._gap_table.get(class_id, 1) == 1:
+                    scaled = bytes_col[obj_id]
+                else:
+                    # One lookup answers sampled/logged/scaled together:
+                    # the per-class epoch memo probed inline, decision()
+                    # on a miss or a stale cache.
+                    dec = None
+                    if self._memoized:
+                        st = self._policy_states[class_id]
+                        if st.cache_epoch == st.epoch:
+                            dec = st.decisions.get(obj_id)
+                    if dec is None:
+                        dec = self.policy.decision(obj)
+                    sampled, _logged, scaled = dec
+                    if not sampled:
+                        continue
+                oal[obj_id] = scaled
+                class_ids.append(class_id)
+                logged.append(obj_id)
+                if obj_id in faulted:
+                    n_faulted += 1
+            if not logged:
                 return
         # Trap into the GOS service routine.  A real fault already paid
         # the trap on the coherence path; false-invalid pays it here.
-        ns = self._log_ns_fault if real_fault else self._log_ns_trap
+        ns = len(logged) * self._log_ns_trap - n_faulted * self._trap_ns
         thread.cpu.oal_logging_ns += ns
         thread.clock._now_ns += ns
-        oal[obj_id] = scaled
-        class_ids.append(class_id)
-        self.total_logged += 1
+        self.total_logged += len(logged)
         if self.observers:
-            for observer in self.observers:
-                observer.on_oal_log(thread, thread.current_interval.interval_id, obj_id)
+            interval_id = thread.current_interval.interval_id
+            for obj_id in logged:
+                for observer in self.observers:
+                    observer.on_oal_log(thread, interval_id, obj_id)
+
+    def _grow_columns(self) -> None:
+        """Extend the gap-1 byte and class-id columns over the objects
+        allocated since the last call: an array's element payload (its
+        amortized size at gap 1), a scalar's instance size."""
+        for obj in self._objects[len(self._bytes_col) :]:
+            jclass = obj.jclass
+            self._bytes_col.append(
+                obj.length * jclass.element_size if jclass.is_array else jclass.instance_size
+            )
+            self._class_col.append(jclass.class_id)
 
     def on_interval_close(
         self, thread, interval: IntervalRecord, sync_dst: int | None

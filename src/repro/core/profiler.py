@@ -77,6 +77,7 @@ class ProfilerSuite:
             self.access_profiler = AccessProfiler(
                 self.policy,
                 djvm.cluster,
+                djvm.gos,
                 collector=self.collector,
                 send_oals=send_oals,
                 piggyback=piggyback,

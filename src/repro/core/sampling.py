@@ -671,6 +671,9 @@ class SamplingPolicy:
         #: class_id -> current real gap; a precomputed table the hot
         #: profiling path reads instead of re-deriving gaps per access.
         self.gap_table: dict[int, int] = {}
+        #: how many classes have a real gap above 1; zero means every
+        #: class is fully sampled (the profiler's column path).
+        self.off_gap_one = 0
         #: the pluggable decision scheme.
         self.backend: SamplingBackend = resolve_backend(backend).bind(self)
 
@@ -726,14 +729,16 @@ class SamplingPolicy:
     def _realize_gap(self, st: ClassSamplingState, nominal: int) -> bool:
         """Clamp ``nominal`` to the class's min gap and realize it — the
         nearest prime normally, the nominal itself in the prime-gap
-        ablation — updating epoch, history, the gap table, and the
-        policy-wide change counter on an actual change."""
+        ablation — updating epoch, history, the gap table, the count of
+        classes off gap 1 and the policy-wide change counter on an actual
+        change."""
         check_positive(nominal, "nominal gap")
         nominal = max(nominal, st.min_gap)
         real = prime_gap_for_nominal(nominal) if self.use_prime_gaps else nominal
         changed = real != st.real_gap
         st.nominal_gap = nominal
         if changed:
+            self.off_gap_one += (real != 1) - (st.real_gap != 1)
             st.real_gap = real
             st.epoch += 1
             st.history.append(real)

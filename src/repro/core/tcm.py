@@ -218,11 +218,13 @@ def window_accrual(
     if n_objects == 0:
         pair_count = 0
     else:
-        # Distinct (object, thread) pairs, bucketed per object: the
-        # naive daemon accrues |threads(obj)|^2 steps per object.
-        pair_keys = np.unique(rows * np.int64(n_threads) + tids)
-        per_obj = np.bincount(pair_keys // n_threads, minlength=n_objects)
-        pair_count = int((per_obj.astype(np.int64) ** 2).sum())
+        # Distinct (object, thread) pairs, zero-byte entries included,
+        # counted per object: the naive daemon accrues |threads(obj)|^2
+        # steps per object.
+        seen = np.zeros((n_objects, n_threads), dtype=bool)
+        seen[rows, tids] = True
+        per_obj = seen.sum(axis=1, dtype=np.int64)
+        pair_count = int((per_obj**2).sum())
     class_tcms = (
         _per_class_tcms(tids, oids, sizes, cids, n_threads, include_diagonal)
         if per_class

@@ -54,19 +54,26 @@ from repro.sim.network import MessageKind
 class ProtocolHooks(Protocol):
     """Interface a profiler implements to observe the protocol.
 
-    An optional positional ``fast_on_access(thread, obj, real_fault)``
-    refines :meth:`on_access` (resolved by :meth:`HomeBasedLRC.add_hook`):
-    it is called on interval first touches only, unless the class sets
-    ``first_touch_only = False``.  When every hook is first-touch, the
-    vector engine's one pass calls them after each access run, for the
-    run's first touches in the current interval in first-touch order and
-    the hooks in registration order per object — the scalar loop's
-    sequence.  They see the clock as the whole run left it, and their
-    clock and CPU charges land after the run's own (integer sums, so the
-    totals match).  At :meth:`on_interval_close`
-    such a hook may read only the interval's identity (``interval_id``,
-    ``start_pc`` / ``end_pc``, ``written``): the one pass books its
-    objects into the per-object columns with zero counts and times.
+    An optional positional ``fast_on_access`` refines :meth:`on_access`
+    (resolved by :meth:`HomeBasedLRC.add_hook`).  By default the hook is
+    first-touch and the entry is batch-shaped,
+    ``fast_on_access(thread, ids, faulted)``: ``ids`` are object ids
+    first touched in the thread's open interval, in first-touch order,
+    and ``faulted`` (a container supporting ``len`` and ``in``) the ids
+    among them that really faulted.  One call with several ids must
+    leave what one call per id, in order, would.  The scalar loop passes
+    one id per first touch; when every hook is first-touch, the vector
+    engine's one pass passes a run's first touches after the run — in
+    one call when there is one hook, else per object with the hooks in
+    registration order, the scalar loop's sequence.  Such calls see the
+    clock as the whole run left it, and their clock and CPU charges land
+    after the run's own (integer sums, so the totals match).  At
+    :meth:`on_interval_close` a first-touch hook may read only the
+    interval's identity (``interval_id``, ``start_pc`` / ``end_pc``,
+    ``written``): the one pass books its objects into the per-object
+    columns with zero counts and times.  A class setting
+    ``first_touch_only = False`` instead gets every access, through a
+    per-object ``fast_on_access(thread, obj, real_fault)``.
     """
 
     def on_interval_open(self, thread) -> None:
@@ -152,9 +159,9 @@ class HomeBasedLRC:
         #: profiler hooks in registration order; a tuple, so it grows
         #: only through :meth:`add_hook`, which resolves everything below.
         self.hooks: tuple[ProtocolHooks, ...] = ()
-        # The dispatch plan: bound ``fast_on_access`` entries to call on
-        # an interval first touch / on every access (both None: keyword
-        # fan-out).
+        # The dispatch plan: ``(bound fast_on_access, batch-shaped)`` per
+        # hook to call on an interval first touch, and the bound entries
+        # to call on every access (both None: keyword fan-out).
         self._on_first_touch: tuple | None = ()
         self._on_every_access: tuple | None = ()
         #: the plan in words: ``(hook class name, "first_touch" |
@@ -226,25 +233,29 @@ class HomeBasedLRC:
         """Register a profiler hook and re-resolve the dispatch plan —
         the one place hook resolution happens.
 
-        A hook with a positional ``fast_on_access(thread, obj,
-        real_fault)`` is called on interval *first touches* only (that
-        access cancels the false-invalid tag, so nothing later in the
-        interval can trap), unless its class declares
-        ``first_touch_only = False`` — the footprinter re-arms its tags
-        every tracking phase — and it gets every access.  If any hook
-        lacks ``fast_on_access``, all fall back to the keyword
-        ``on_access`` fan-out on every op: the oracle the plan is tested
-        against.  When every hook is first-touch, the hooks do not keep
-        a run off the vector engine's one pass (:meth:`unobserved`),
-        which calls them for each run's first touches.  Every route
-        calls hooks in registration order."""
+        A hook with a positional ``fast_on_access`` is called on
+        interval *first touches* only (that access cancels the
+        false-invalid tag, so nothing later in the interval can trap),
+        with the batch-shaped ``(thread, ids, faulted)`` of
+        :class:`ProtocolHooks`; ``first_touch_only = False`` on its
+        class — the footprinter re-arms its tags every tracking phase —
+        makes it every-access instead, called per object as
+        ``(thread, obj, real_fault)``.  ``first_touch_only`` alone tells
+        the two shapes apart.  If any hook lacks ``fast_on_access``, all
+        fall back to the keyword ``on_access`` fan-out on every op: the
+        oracle the plan is tested against.  When every hook is
+        first-touch, the hooks do not keep a run off the vector engine's
+        one pass (:meth:`unobserved`), which hands them each run's first
+        touches.  Every route calls hooks in registration order."""
         hooks = self.hooks = (*self.hooks, hook)
         if all(hasattr(h, "fast_on_access") for h in hooks):
             modes = [
                 "first_touch" if getattr(h, "first_touch_only", True) else "every_access"
                 for h in hooks
             ]
-            self._on_first_touch = tuple(h.fast_on_access for h in hooks)
+            self._on_first_touch = tuple(
+                (h.fast_on_access, mode == "first_touch") for h, mode in zip(hooks, modes)
+            )
             self._on_every_access = tuple(
                 h.fast_on_access for h, mode in zip(hooks, modes) if mode == "every_access"
             )
@@ -472,8 +483,9 @@ class HomeBasedLRC:
             return
         # Only an object's first touch in an interval can trap for a
         # first-touch hook (that access cancels the false-invalid tag),
-        # so those fire once per (interval, object); hooks that re-arm
-        # inside the interval see every access (see add_hook).
+        # so those fire once per (interval, object), with a one-id batch;
+        # hooks that re-arm inside the interval see every access (see
+        # add_hook).
         plan = self._on_first_touch if first_touch else self._on_every_access
         if plan is None:
             if obj is None:
@@ -491,8 +503,17 @@ class HomeBasedLRC:
         elif plan:
             if obj is None:
                 obj = self._objects[obj_id]
-            for fast in plan:
-                fast(thread, obj, faulted)
+            if first_touch:
+                ids = [obj_id]
+                hit = ids if faulted else ()
+                for fast, batch in plan:
+                    if batch:
+                        fast(thread, ids, hit)
+                    else:
+                        fast(thread, obj, faulted)
+            else:
+                for fast in plan:
+                    fast(thread, obj, faulted)
 
     # ------------------------------------------------------------------
     # intervals

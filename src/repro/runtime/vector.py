@@ -21,8 +21,10 @@ faults charged in one :meth:`HomeBasedLRC.charge_faults`, written cache
 copies get their twin, dirty bytes and writer, and the clock and CPU
 buckets move once.  Under first-touch hooks the run's first touches in
 the current interval (the paper's profiler traps only those) are then
-booked in the interval's columns and handed to each hook's
-``fast_on_access``, in the scalar loop's order.
+booked in the interval's columns and handed, with the ids among them
+that faulted, to the hooks' batch-shaped ``fast_on_access``: one call
+per run for a single hook, per object in the scalar loop's order for
+several.
 
 The pass reads a run's totals from :func:`~repro.runtime.program.
 lean_lane`.  A body that repeats within its program (born ``hot``)
@@ -36,6 +38,7 @@ assert over randomized programs and the paper workloads.
 from __future__ import annotations
 
 from itertools import filterfalse
+from operator import attrgetter
 
 from repro.dsm.states import CopyRecord, RealState
 from repro.runtime.program import AccessRun, lean_lane
@@ -43,6 +46,7 @@ from repro.runtime.program import AccessRun, lean_lane
 _HOME = RealState.HOME
 _VALID = RealState.VALID
 _INVALID = RealState.INVALID
+_OBJ_ID = attrgetter("obj_id")
 
 
 class VectorEngine:
@@ -147,13 +151,14 @@ class VectorEngine:
     def _first_touches(self, thread, uniq, faulted: list, hooks: tuple) -> None:
         """Book the run's first touches in the current interval — the
         ``uniq`` ids its columns do not hold yet — in the four columns,
-        so later accesses this interval are not first touches, and call
-        every hook on each of them: objects in first-touch order, hooks
-        in registration order, ``real_fault`` true for those that
-        faulted.  The booked counts and times are zeros: under the gate
-        nothing reads them.  A fault outside the new ids (a copy the
-        interval touched before a migration moved the thread) is no
-        first touch, as on the scalar loop."""
+        so later accesses this interval are not first touches, and hand
+        them to the hooks with the ids among them that faulted.  One
+        hook takes them in one call; several are called per object,
+        hooks in registration order, as on the scalar loop.  The booked
+        counts and times are zeros: under the gate nothing reads them.
+        A fault outside the new ids (a copy the interval touched before
+        a migration moved the thread) is no first touch, as on the
+        scalar loop."""
         interval = thread.current_interval
         last_ns = interval.last_ns
         zeros = dict.fromkeys(filterfalse(last_ns.__contains__, uniq), 0)
@@ -164,13 +169,15 @@ class VectorEngine:
         interval.first_ns.update(zeros)
         last_ns.update(zeros)
         self.first_touches += len(zeros)
-        objects = self._objects
-        faulted_ids = {obj.obj_id for obj in faulted}
+        hit = zeros.keys() & map(_OBJ_ID, faulted)
+        if len(hooks) == 1:
+            hooks[0][0](thread, list(zeros), hit)
+            return
         for oid in zeros:
-            obj = objects[oid]
-            real_fault = oid in faulted_ids
-            for fast in hooks:
-                fast(thread, obj, real_fault)
+            ids = [oid]
+            ids_hit = ids if oid in hit else ()
+            for fast, _batch in hooks:
+                fast(thread, ids, ids_hit)
 
     def _apply_writes(self, thread, copies: dict, w_oids, w_welems, w_wops) -> int:
         """Write bookkeeping of one run: the written set, and for each

@@ -15,6 +15,26 @@ from repro.sim.network import MessageKind
 from tests.conftest import simple_class, wrap_main
 
 
+class GapSchedule:
+    """A first-touch hook that sets a class's gap at each interval
+    close, between intervals as the adaptive controller does."""
+
+    def __init__(self, policy, jclass, gaps):
+        self.policy = policy
+        self.jclass = jclass
+        self.gaps = list(gaps)
+
+    def on_interval_open(self, thread):
+        pass
+
+    def fast_on_access(self, thread, ids, faulted):
+        pass
+
+    def on_interval_close(self, thread, interval, sync_dst):
+        if self.gaps:
+            self.policy.set_nominal_gap(self.jclass, self.gaps.pop(0))
+
+
 def setup(n_nodes=2, n_threads=2, n_objects=6, **suite_kw):
     djvm = DJVM(n_nodes=n_nodes, costs=CostModel.fast_test())
     cls = simple_class(djvm, "Obj", 64)
@@ -66,6 +86,23 @@ class TestSamplingFilter:
         djvm.run({0: wrap_main(ops + [P.barrier(0)])})
         # seqs 0..9, gap 5 -> seqs 0 and 5 sampled.
         assert suite.access_profiler.total_logged == 2
+
+    def test_gap_changes_move_classes_on_and_off_the_column_path(self):
+        """Full sampling logs every object off the size columns; a gap
+        change made between intervals must send the next interval
+        through the sampling decision, and going back to full sampling
+        must log everything again."""
+        djvm, objs, suite = setup(n_threads=1, n_objects=10)
+        policy = suite.policy
+        suite.set_full_sampling()
+        djvm.add_hook(GapSchedule(policy, djvm.registry.get("Obj"), [5, 1]))
+        reads = [P.read(o.obj_id) for o in objs]
+        djvm.run({0: wrap_main([*reads, P.barrier(0), *reads, P.barrier(1), *reads])})
+        assert policy.off_gap_one == 0
+        # seqs 0..9: all, then 0 and 5 at gap 5, then all again.
+        assert suite.access_profiler.total_logged == 10 + 2 + 10
+        scaled = [batch.scaled_bytes for batch in suite.collector._pending]
+        assert scaled == [[64] * 10, [64 * 5] * 2, [64] * 10]
 
     def test_scaled_bytes_delivered(self):
         djvm, objs, suite = setup(n_threads=1, n_objects=10, send_oals=False)

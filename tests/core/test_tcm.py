@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.oal import OALBatch
-from repro.core.tcm import accrual_pair_count, build_tcm, normalize_tcm, tcm_from_batches
+from repro.core.tcm import (
+    accrual_pair_count,
+    build_tcm,
+    normalize_tcm,
+    tcm_from_batches,
+    window_accrual,
+)
 
 
 class TestBuildTcm:
@@ -115,6 +121,87 @@ class TestBatches:
         ]
         # object 1: 2 threads -> 4 pairs; object 2: 1 thread -> 1 pair.
         assert accrual_pair_count(batches) == 5
+
+
+def reference_accrual(batches, n_threads):
+    """The window fold as the naive daemon does it, over a dict of
+    (object, thread) pairs: each pair keeps its largest logged size, an
+    object weighs its largest size, and every ordered pair of distinct
+    threads that logged it with nonzero bytes accrues that weight.  The
+    daemon steps through every pair, zero-byte ones included."""
+    pairs: dict[int, dict[int, int]] = {}
+    class_of: dict[int, int] = {}
+    for b in batches:
+        for oid, size, cid in zip(b.obj_ids, b.scaled_bytes, b.class_ids):
+            threads = pairs.setdefault(oid, {})
+            threads[b.thread_id] = max(threads.get(b.thread_id, 0), size)
+            class_of[oid] = cid
+
+    def tcm_of(oids):
+        tcm = np.zeros((n_threads, n_threads))
+        for oid in oids:
+            logged = [t for t, size in pairs[oid].items() if size > 0]
+            for i in logged:
+                for j in logged:
+                    if i != j:
+                        tcm[i, j] += max(pairs[oid].values())
+        return tcm
+
+    classes = dict.fromkeys(cid for b in batches for cid in b.class_ids)
+    return (
+        tcm_of(pairs),
+        sum(len(threads) ** 2 for threads in pairs.values()),
+        sum(len(b) for b in batches),
+        {cid: tcm_of([o for o in pairs if class_of[o] == cid]) for cid in classes},
+    )
+
+
+def make_batch(tid, entries):
+    """An OAL batch of ``(object, bytes)`` entries; the class id is a
+    function of the object id, as in a real run."""
+    b = OALBatch(thread_id=tid, interval_id=1)
+    for oid, size in entries:
+        b.add(oid, size, class_id=oid % 3)
+    return b
+
+
+_WINDOWS = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=n - 1),
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=0, max_value=12),
+                        st.sampled_from([0, 8, 64, 320]),
+                    ),
+                    max_size=8,
+                ),
+            ),
+            max_size=6,
+        ),
+    )
+)
+
+
+class TestWindowAccrual:
+    @given(_WINDOWS)
+    @example((3, []))  # an empty window
+    @example((2, [(0, [])]))  # a batch with no entries
+    @example((1, [(0, [(1, 64), (2, 0)]), (0, [(1, 64)])]))  # one thread
+    @example((2, [(0, [(1, 64), (1, 64)]), (1, [(1, 64)]), (0, [(1, 64)])]))  # duplicates
+    @example((2, [(0, [(1, 0)]), (1, [(1, 64)]), (1, [(2, 0)])]))  # zero bytes
+    def test_matches_the_dict_of_pairs_reference(self, window):
+        n_threads, raw = window
+        batches = [make_batch(tid, entries) for tid, entries in raw]
+        acc = window_accrual(batches, n_threads, per_class=True)
+        tcm, pair_count, n_entries, class_tcms = reference_accrual(batches, n_threads)
+        assert np.array_equal(acc.tcm, tcm)
+        assert (acc.pair_count, acc.n_entries) == (pair_count, n_entries)
+        assert list(acc.class_tcms) == list(class_tcms)
+        for cid, ref in class_tcms.items():
+            assert np.array_equal(acc.class_tcms[cid], ref)
 
 
 class TestNormalize:

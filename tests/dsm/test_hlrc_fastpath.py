@@ -106,6 +106,28 @@ class TestFastDispatchTransparency:
         plain = run_scenario(force_fanout=False)
         assert fast["counters"]["faults"] < plain["counters"]["faults"]
 
+    def test_keyword_fanout_logs_each_object_once(self):
+        """The fan-out shows the profiler every access: repeats in the
+        interval must add no OAL entry, class id or charge."""
+        djvm = DJVM(n_nodes=2, costs=CostModel.fast_test())
+        cls = simple_class(djvm, "Obj", 64)
+        home, remote = (djvm.allocate(cls, node).obj_id for node in (0, 1))
+        djvm.spawn_threads(1)
+        suite = ProfilerSuite(djvm, correlation=True)
+        suite.set_full_sampling()
+        djvm.add_hook(NullHook())
+        ops = [P.read(home), P.write(remote), P.read(home), P.read(remote, repeat=3)]
+        djvm.run({0: wrap_main(ops + [P.barrier(0)])})
+        assert suite.access_profiler.total_logged == 2
+        (batch,) = suite.collector._pending
+        assert (batch.obj_ids, batch.class_ids) == ([home, remote], [cls.class_id] * 2)
+        costs = djvm.costs
+        # Two logs, one trap (the remote object faulted), and the
+        # false-invalid reset of both when the next interval opens.
+        assert djvm.threads[0].cpu.oal_logging_ns == (
+            2 * costs.oal_log_ns + costs.gos_trap_ns + 2 * costs.false_invalid_reset_ns
+        )
+
     def test_valid_copy_hit_adds_no_protocol_work(self):
         """Re-reading a valid copy must not fault, invalidate, or send."""
         djvm = DJVM(n_nodes=2, costs=CostModel.fast_test())

@@ -27,6 +27,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.adaptive import AdaptiveRateController
 from repro.core.profiler import ProfilerSuite
 from repro.dsm.intervals import IntervalHistory
 from repro.dsm.observer import ProtocolObserver
@@ -250,7 +251,8 @@ class DeadlineTimer:
 
 
 class FastHook:
-    """A ``fast_on_access`` profiler hook recording first touches."""
+    """A first-touch profiler hook (batch-shaped ``fast_on_access``)
+    recording each first touch."""
 
     def __init__(self, events: list | None = None, tag: int = 0) -> None:
         self.events: list[tuple[int, int, int, bool, int]] = [] if events is None else events
@@ -263,19 +265,27 @@ class FastHook:
         pass
 
     def on_access(self, thread, obj, **kw) -> None:  # pragma: no cover
-        self.fast_on_access(thread, obj, kw.get("real_fault", False))
+        ids = [obj.obj_id]
+        self.fast_on_access(thread, ids, ids if kw.get("real_fault") else ())
+
+    def fast_on_access(self, thread, ids, faulted) -> None:
+        for oid in ids:
+            self.events.append(
+                (thread.thread_id, thread.interval_counter, oid, oid in faulted, self.tag)
+            )
+
+
+class EveryAccessHook(FastHook):
+    """Re-arms inside the interval, as the footprinter does: it sees
+    every access (per-object ``fast_on_access``), so it keeps replay on
+    the scalar loop."""
+
+    first_touch_only = False
 
     def fast_on_access(self, thread, obj, real_fault) -> None:
         self.events.append(
             (thread.thread_id, thread.interval_counter, obj.obj_id, real_fault, self.tag)
         )
-
-
-class EveryAccessHook(FastHook):
-    """Re-arms inside the interval, as the footprinter does: it sees
-    every access, so it keeps replay on the scalar loop."""
-
-    first_touch_only = False
 
 
 class KeywordHook:
@@ -778,33 +788,106 @@ def test_first_touch_hooks_after_a_mid_interval_migration(execute_calls):
     assert [e[2] for e in vector[1]] == before + new
 
 
-def run_profiled(name: str, replay: str, rate, backend: str) -> tuple[tuple, dict]:
+#: the adaptive case's ladder: rate 4 (sampled: the profiler's decision
+#: path), then full sampling (its column path) after the first window,
+#: then back to rate 4 when the two windows agree.
+ADAPTIVE_LADDER = (4, "full")
+
+
+def run_profiled(name: str, replay: str, rate, backend: str) -> tuple[tuple, dict, tuple]:
     """Everything a correlation-profiled workload leaves behind that
-    sampling could move, and the run's routing."""
+    sampling could move, the run's routing, and (``rate="adaptive"``:
+    an :class:`AdaptiveRateController` drives every class) the rates it
+    searched, the rate it settled on and the number of windows."""
     djvm = DJVM(N_NODES, replay=replay)
     workload = WORKLOADS[name]()
     workload.build(djvm)
-    suite = ProfilerSuite(djvm, correlation=True, sampling_backend=backend)
-    suite.set_rate_all(rate)
+    adaptive = rate == "adaptive"
+    suite = ProfilerSuite(
+        djvm,
+        correlation=True,
+        sampling_backend=backend,
+        window_batches=N_THREADS if adaptive else None,
+    )
+    controller = None
+    if adaptive:
+        suite.set_rate_all(ADAPTIVE_LADDER[0])
+        controller = AdaptiveRateController(threshold=1e9, ladder=ADAPTIVE_LADDER)
+        suite.attach_controller(controller)
+    else:
+        suite.set_rate_all(rate)
     res = djvm.run(workload.programs())
     left_behind = (
         run_fingerprint(djvm, res, suite),
         suite.access_profiler.total_logged,
+        suite.policy.rate_changes,
         suite.policy.backend.snapshot(),
     )
-    return left_behind, djvm.replay_routing
+    control = ()
+    if controller is not None:
+        searched = [d.rate for d in controller.decisions]
+        control = (searched, controller.rate, len(suite.collector.window_tcms))
+    return left_behind, djvm.replay_routing, control
 
 
 @pytest.mark.parametrize("backend", ["prime_gap", "hash", "poisson", "hybrid"])
-@pytest.mark.parametrize("rate", [4, "full"])
+@pytest.mark.parametrize("rate", [4, "full", "adaptive"])
 @pytest.mark.parametrize("name", ["barnes_hut", "sor"])
 def test_sampled_profiling_on_the_one_pass_matches_scalar(name, rate, backend):
     """The correlation profiler on the one pass against the scalar loop:
     the TCM, the logging charge in every thread's CPU buckets, the
-    logged count and the backend's per-class sample / skip counts are
-    equal.  The prime-gap memo is filled in decision order, so this
-    also pins the one pass's first-touch order."""
-    vector, routing = run_profiled(name, "vector", rate, backend)
-    assert vector == run_profiled(name, "scalar", rate, backend)[0]
+    logged count, the policy's rate changes and the backend's per-class
+    sample / skip counts are equal.  The prime-gap memo is filled in
+    decision order, so this also pins the one pass's first-touch order.
+    Under the adaptive controller the classes leave the column path and
+    return to it mid-run."""
+    vector, routing, control = run_profiled(name, "vector", rate, backend)
+    scalar, _, scalar_control = run_profiled(name, "scalar", rate, backend)
+    assert vector == scalar
+    assert control == scalar_control
     assert routing["first_touches"] > 0
     assert vector[0]["tcm_sha256"] is not None and vector[1] > 0
+    if rate == "adaptive":
+        # Sampled, full, then sampled again for at least one more window.
+        searched, settled, n_windows = control
+        assert searched == list(ADAPTIVE_LADDER) and settled == 4 and n_windows > 2
+
+
+_SYNC_OPS = (P.OP_ACQUIRE, P.OP_RELEASE, P.OP_BARRIER)
+
+
+def first_interval_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
+    """Each thread's :func:`random_programs` ops up to its first
+    synchronization: the run is every thread's first interval."""
+    programs = {}
+    for tid, ops in random_programs(seed, obj_ids).items():
+        cut = next(i for i, op in enumerate(ops) if op[0] in _SYNC_OPS)
+        programs[tid] = [*ops[:cut], P.ret()]
+    return programs
+
+
+@pytest.mark.parametrize("config", ["flat", "rack"])
+@pytest.mark.parametrize("replay", ["vector", "scalar"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_first_interval_oal_logging_price(seed, replay, config):
+    """The logging charge of a first interval at full sampling, priced
+    from the op list, the object homes and ``CostModel`` constants
+    alone.  Caches are cold (one thread per node), so every remote-homed
+    object the thread touches faults and pays only the log; a home
+    object traps into the GOS routine first."""
+    djvm, obj_ids = build_djvm(replay=replay, **HOOK_CONFIGS[config]())
+    suite = ProfilerSuite(djvm, correlation=True)
+    suite.set_full_sampling()
+    programs = first_interval_programs(seed, obj_ids)
+    res = djvm.run(programs)
+    costs = djvm.costs
+    for thread in djvm.threads:
+        ops = programs[thread.thread_id]
+        touched = {op[1] for op in ops if op[0] in (P.OP_READ, P.OP_WRITE)}
+        n_home = sum(djvm.gos.get(oid).home_node == thread.node_id for oid in touched)
+        n_remote = len(touched) - n_home
+        expected = n_home * (costs.gos_trap_ns + costs.oal_log_ns) + n_remote * costs.oal_log_ns
+        assert thread.cpu.oal_logging_ns == expected
+    assert res.counters["faults"] > 0
+    if replay == "vector":
+        assert djvm.replay_routing["first_touches"] > 0
