@@ -156,37 +156,48 @@ class AccessProfiler:
         ids = [obj.obj_id]
         self.fast_on_access(thread, ids, ids if real_fault else ())
 
-    def fast_on_access(self, thread, ids, faulted) -> None:
+    def fast_on_access(self, thread, ids, faulted) -> list[int] | None:
         """The first-touch entry: ``ids`` are object ids first touched
         in the thread's open interval, in first-touch order, and
         ``faulted`` the ids among them that really faulted.  The scalar
         loop and :meth:`on_access` pass one id, the vector engine a
-        whole run's; either way the result equals one call per id."""
+        whole run's; either way the result equals one call per id.
+        Returns the clock charge made for each id (parallel to ``ids``),
+        or None when nothing was logged."""
         if not self.enabled:
-            return
+            return None
         current = self._current.get(thread.thread_id)
         if current is None:
-            return
+            return None
         oal, class_ids = current
+        asked = None
         if oal and not oal.keys().isdisjoint(ids):
             # At most once per interval: the keyword route repeats ids.
+            asked = ids
             ids = [oid for oid in ids if oid not in oal]
             if not ids:
-                return
+                return None
             faulted = [oid for oid in faulted if oid not in oal]
         bytes_col = self._bytes_col
         if len(bytes_col) < len(self._objects):
             self._grow_columns()
+        # Trap into the GOS service routine.  A real fault already paid
+        # the trap on the coherence path; false-invalid pays it here.
+        log_trap = self._log_ns_trap
+        log_only = log_trap - self._trap_ns
         if not self.policy.off_gap_one:
             # Every class is fully sampled: each object is logged with
             # its own size (Horvitz-Thompson scale 1), read off columns.
             oal.update(zip(ids, map(bytes_col.__getitem__, ids)))
             class_ids.extend(map(self._class_col.__getitem__, ids))
             logged = ids
-            n_faulted = len(faulted)
+            if faulted:
+                charges = [log_only if oid in faulted else log_trap for oid in ids]
+            else:
+                charges = [log_trap] * len(ids)
         else:
             logged = []
-            n_faulted = 0
+            charges = []
             objects = self._objects
             for obj_id in ids:
                 obj = objects[obj_id]
@@ -206,17 +217,15 @@ class AccessProfiler:
                         dec = self.policy.decision(obj)
                     sampled, _logged, scaled = dec
                     if not sampled:
+                        charges.append(0)
                         continue
                 oal[obj_id] = scaled
                 class_ids.append(class_id)
                 logged.append(obj_id)
-                if obj_id in faulted:
-                    n_faulted += 1
+                charges.append(log_only if obj_id in faulted else log_trap)
             if not logged:
-                return
-        # Trap into the GOS service routine.  A real fault already paid
-        # the trap on the coherence path; false-invalid pays it here.
-        ns = len(logged) * self._log_ns_trap - n_faulted * self._trap_ns
+                return None
+        ns = sum(charges)
         thread.cpu.oal_logging_ns += ns
         thread.clock._now_ns += ns
         self.total_logged += len(logged)
@@ -225,6 +234,10 @@ class AccessProfiler:
             for obj_id in logged:
                 for observer in self.observers:
                     observer.on_oal_log(thread, interval_id, obj_id)
+        if asked is not None:
+            by_id = dict(zip(ids, charges))
+            charges = [by_id.get(oid, 0) for oid in asked]
+        return charges
 
     def _grow_columns(self) -> None:
         """Extend the gap-1 byte and class-id columns over the objects

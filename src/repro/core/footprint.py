@@ -34,6 +34,11 @@ from repro.sim.costs import CostModel
 
 NS_PER_MS = 1_000_000
 
+_NO_GOS = (
+    "StickySetFootprinter has no global object space attached — call "
+    "attach_gos() (the ProfilerSuite does this automatically)"
+)
+
 
 @dataclass(slots=True)
 class _ObjStats:
@@ -47,12 +52,15 @@ class _ObjStats:
 
 
 class StickySetFootprinter:
-    """Protocol hook performing repeated sampled access tracking."""
+    """Protocol hook performing repeated sampled access tracking.
 
-    #: tags are re-armed every tracking phase, so any access of an
-    #: interval may trap: HLRC must call this hook on every access
-    #: (see ``HomeBasedLRC.add_hook``).
-    first_touch_only = False
+    A *re-arming* hook (see ``repro.dsm.hlrc.ProtocolHooks``): its
+    first-touch entry decides which objects are sampled and re-arms
+    those for the interval, and the engine then calls its tracking entry
+    :meth:`on_rearmed_access` at every access of a re-armed object.  An
+    unsampled object never re-enters it.  The keyword :meth:`on_access`
+    (the oracle fan-out) decides and tracks at every access instead.
+    """
 
     __slots__ = (
         "policy",
@@ -68,6 +76,8 @@ class StickySetFootprinter:
         "interval_tracked",
         "tracked_accesses",
         "_gos",
+        "_tracking",
+        "_track_ns",
     )
 
     def __init__(
@@ -89,6 +99,7 @@ class StickySetFootprinter:
         self.policy = policy
         self._policy_states = policy._states  # hot-path alias; mutated in place
         self.costs = costs
+        self._track_ns = costs.gos_trap_ns + costs.footprint_track_ns  # the cost model is frozen
         #: None = nonstop tracking; otherwise on/off phases of this period.
         self.timer_period_ns = None if timer_period_ms is None else int(timer_period_ms * NS_PER_MS)
         self.duty = duty
@@ -109,6 +120,8 @@ class StickySetFootprinter:
         self.tracked_accesses = 0
         #: attached by the ProfilerSuite (needed to resolve object classes).
         self._gos = None
+        #: the tracking entries sampled ids are re-armed for.
+        self._tracking = (self.on_rearmed_access,)
 
     # ------------------------------------------------------------------
     # ProtocolHooks interface
@@ -132,17 +145,46 @@ class StickySetFootprinter:
         repeat: int,
         real_fault: bool,
     ) -> None:
-        """ProtocolHooks: one access op executed (see class docstring)."""
-        self.fast_on_access(thread, obj, real_fault)
+        """ProtocolHooks: one access op executed — the keyword fan-out,
+        which decides and tracks at every access."""
+        if self.enabled and thread.thread_id in self._stats and self.policy.decision(obj)[0]:
+            self.on_rearmed_access(thread, obj.obj_id)
 
-    def fast_on_access(self, thread, obj: HeapObject, real_fault: bool) -> None:
-        """Positional form of :meth:`on_access` (tracking depends only
-        on the object and the thread's clock); the protocol's dispatch
-        plan calls this directly, on every access."""
-        if not self.enabled:
-            return
-        tid = thread.thread_id
-        stats = self._stats.get(tid)
+    def fast_on_access(self, thread, ids, faulted) -> None:
+        """The first-touch entry: re-arm the sampled ones among ``ids``
+        for the rest of the interval.  Whether an object is sampled
+        depends on the object and its class's gap epoch, never on the
+        clock, and rates change only at an interval close, so the first
+        touch decides for the whole interval, in any tracking phase.
+        Charges nothing: the tracking entry, called right after for each
+        re-armed id, does."""
+        if not self.enabled or thread.thread_id not in self._stats:
+            return None
+        gos = self._gos
+        if gos is None:
+            raise RuntimeError(_NO_GOS)
+        objects = gos._objects
+        states = self._policy_states
+        decision = self.policy.decision
+        armed = []
+        for oid in ids:
+            # The per-class epoch memo probed inline, decision() on a
+            # miss, a stale cache, or a backend that does not memoize.
+            obj = objects[oid]
+            st = states.get(obj.jclass.class_id)
+            dec = st.decisions.get(oid) if st is not None and st.cache_epoch == st.epoch else None
+            if dec is None:
+                dec = decision(obj)
+            if dec[0]:
+                armed.append(oid)
+        if armed:
+            thread.current_interval.rearm(armed, self._tracking)
+        return None
+
+    def on_rearmed_access(self, thread, obj_id: int) -> None:
+        """The tracking entry: one access of a sampled object, at the
+        thread's clock."""
+        stats = self._stats.get(thread.thread_id)
         if stats is None:
             return
         now = thread.clock._now_ns
@@ -152,20 +194,10 @@ class StickySetFootprinter:
             # stickiness signal still exists.
             phase = now // NS_PER_MS
         else:
-            since_open = now - self._interval_start[tid]
+            since_open = now - self._interval_start[thread.thread_id]
             if (since_open % period) / period >= self.duty:
                 return  # tracking-off phase: the access is invisible
             phase = since_open // period
-        # Sampled?  Probe the per-class epoch memo inline; decision() on
-        # a miss, a stale cache, or a backend that does not memoize.
-        obj_id = obj.obj_id
-        st = self._policy_states.get(obj.jclass.class_id)
-        fresh = st is not None and st.cache_epoch == st.epoch
-        dec = st.decisions.get(obj_id) if fresh else None
-        if dec is None:
-            dec = self.policy.decision(obj)
-        if not dec[0]:
-            return
         # Repeated tracking works by re-resetting sampled objects to
         # false-invalid at each tracking phase: the first access of each
         # phase traps (and is what gets counted — the access-frequency
@@ -179,7 +211,7 @@ class StickySetFootprinter:
         else:
             entry.count += 1
             entry.last_phase = phase
-        ns = self.costs.gos_trap_ns + self.costs.footprint_track_ns
+        ns = self._track_ns
         thread.cpu.footprinting_ns += ns
         thread.clock._now_ns += ns
         self.tracked_accesses += 1
@@ -218,11 +250,7 @@ class StickySetFootprinter:
         gos = self._gos
         if gos is None:
             if stats:
-                raise RuntimeError(
-                    "StickySetFootprinter has tracked accesses but no global "
-                    "object space attached — call attach_gos() (the "
-                    "ProfilerSuite does this automatically)"
-                )
+                raise RuntimeError(_NO_GOS)
             return fp
         for obj_id in self._sticky_ids(stats):
             obj = gos.get(obj_id)

@@ -21,7 +21,8 @@ Li, OSDI'96), at *object* granularity:
 
 Profiler integration: the engine accepts *hooks* (see
 :class:`ProtocolHooks`) invoked on interval open/close and on access
-ops (interval first touches or every op: :meth:`HomeBasedLRC.add_hook`).
+ops (interval first touches and the accesses of ids a hook re-armed, or
+every op for a keyword hook: :meth:`HomeBasedLRC.add_hook`).
 Hooks do their own cost accounting into the thread's CPU buckets, so
 overhead experiments can attribute every nanosecond.
 Everything that only *watches* (sanitizer, race detector, tracer,
@@ -55,25 +56,35 @@ class ProtocolHooks(Protocol):
     """Interface a profiler implements to observe the protocol.
 
     An optional positional ``fast_on_access`` refines :meth:`on_access`
-    (resolved by :meth:`HomeBasedLRC.add_hook`).  By default the hook is
-    first-touch and the entry is batch-shaped,
-    ``fast_on_access(thread, ids, faulted)``: ``ids`` are object ids
-    first touched in the thread's open interval, in first-touch order,
-    and ``faulted`` (a container supporting ``len`` and ``in``) the ids
-    among them that really faulted.  One call with several ids must
-    leave what one call per id, in order, would.  The scalar loop passes
-    one id per first touch; when every hook is first-touch, the vector
-    engine's one pass passes a run's first touches after the run — in
-    one call when there is one hook, else per object with the hooks in
-    registration order, the scalar loop's sequence.  Such calls see the
-    clock as the whole run left it, and their clock and CPU charges land
-    after the run's own (integer sums, so the totals match).  At
-    :meth:`on_interval_close` a first-touch hook may read only the
-    interval's identity (``interval_id``, ``start_pc`` / ``end_pc``,
-    ``written``): the one pass books its objects into the per-object
-    columns with zero counts and times.  A class setting
-    ``first_touch_only = False`` instead gets every access, through a
-    per-object ``fast_on_access(thread, obj, real_fault)``.
+    (resolved by :meth:`HomeBasedLRC.add_hook`): the *first-touch
+    entry*, batch-shaped, ``fast_on_access(thread, ids, faulted)``.
+    ``ids`` are object ids first touched in the thread's open interval,
+    in first-touch order, and ``faulted`` (a container supporting
+    ``len`` and ``in``) the ids among them that really faulted.  One
+    call with several ids must leave what one call per id, in order,
+    would, and the entry must not read the clock.  It returns the clock
+    charge it made for each id, as a list parallel to ``ids``, or
+    ``None`` when it charged nothing: the vector engine places each
+    charge at its id's first-touch op, the scalar loop ignores it.
+
+    The scalar loop passes one id per first touch, hooks in registration
+    order.  The vector engine's one pass calls each hook once per run
+    with the run's first touches, hooks in registration order, before
+    any clock is read — so the first-touch entries of different hooks
+    must not observe one another.  At :meth:`on_interval_close` a hook
+    may read only the interval's identity (``interval_id``, ``start_pc``
+    / ``end_pc``, ``written``): the one pass books its objects into the
+    per-object columns with zero counts and times.
+
+    A *re-arming* hook (it defines ``on_rearmed_access``; the
+    footprinter) may re-arm ids from its first-touch entry with
+    ``thread.current_interval.rearm(ids, entries)``.  Each of
+    ``entries`` — the hook's tracking entries, ``entry(thread,
+    obj_id)`` — is then called at every access of the id for the rest
+    of the interval, the arming first touch included, after every
+    first-touch entry of that access.  Tracking entries see, and may
+    charge, the clock the scalar loop would show at that access: the
+    one pass stops at each re-armed access to give it that clock.
     """
 
     def on_interval_open(self, thread) -> None:
@@ -159,13 +170,15 @@ class HomeBasedLRC:
         #: profiler hooks in registration order; a tuple, so it grows
         #: only through :meth:`add_hook`, which resolves everything below.
         self.hooks: tuple[ProtocolHooks, ...] = ()
-        # The dispatch plan: ``(bound fast_on_access, batch-shaped)`` per
-        # hook to call on an interval first touch, and the bound entries
-        # to call on every access (both None: keyword fan-out).
+        # The dispatch plan: each hook's bound first-touch entry, called
+        # on an interval first touch (None: keyword fan-out on every
+        # access).
         self._on_first_touch: tuple | None = ()
-        self._on_every_access: tuple | None = ()
+        #: some hook in the plan re-arms ids (``"rearming"`` below), so
+        #: the vector engine must stop at re-armed accesses.
+        self.rearming = False
         #: the plan in words: ``(hook class name, "first_touch" |
-        #: "every_access" | "keyword")`` per hook, in call order.
+        #: "rearming" | "keyword")`` per hook, in call order.
         self.dispatch_plan: tuple[tuple[str, str], ...] = ()
         #: the run's pure observers, in attach order (see :meth:`attach`).
         #: The migration engine, access profiler, correlation collector
@@ -237,31 +250,28 @@ class HomeBasedLRC:
         interval *first touches* only (that access cancels the
         false-invalid tag, so nothing later in the interval can trap),
         with the batch-shaped ``(thread, ids, faulted)`` of
-        :class:`ProtocolHooks`; ``first_touch_only = False`` on its
-        class — the footprinter re-arms its tags every tracking phase —
-        makes it every-access instead, called per object as
-        ``(thread, obj, real_fault)``.  ``first_touch_only`` alone tells
-        the two shapes apart.  If any hook lacks ``fast_on_access``, all
-        fall back to the keyword ``on_access`` fan-out on every op: the
-        oracle the plan is tested against.  When every hook is
-        first-touch, the hooks do not keep a run off the vector engine's
-        one pass (:meth:`unobserved`), which hands them each run's first
-        touches.  Every route calls hooks in registration order."""
+        :class:`ProtocolHooks`.  A hook that also defines
+        ``on_rearmed_access`` is ``"rearming"``: the footprinter re-arms
+        the tags of the objects it sampled every tracking phase, so
+        those — and only those — re-enter it at every access
+        (:meth:`IntervalRecord.rearm`).  If any hook lacks
+        ``fast_on_access``, all fall back to the keyword ``on_access``
+        fan-out on every op: the oracle the plan is tested against.
+        Planned hooks do not keep a run off the vector engine's one pass
+        (:meth:`unobserved`), which hands them each run's first touches
+        and stops at re-armed accesses.  Every route calls hooks in
+        registration order."""
         hooks = self.hooks = (*self.hooks, hook)
         if all(hasattr(h, "fast_on_access") for h in hooks):
             modes = [
-                "first_touch" if getattr(h, "first_touch_only", True) else "every_access"
+                "rearming" if hasattr(h, "on_rearmed_access") else "first_touch"
                 for h in hooks
             ]
-            self._on_first_touch = tuple(
-                (h.fast_on_access, mode == "first_touch") for h, mode in zip(hooks, modes)
-            )
-            self._on_every_access = tuple(
-                h.fast_on_access for h, mode in zip(hooks, modes) if mode == "every_access"
-            )
+            self._on_first_touch = tuple(h.fast_on_access for h in hooks)
         else:
             modes = ["keyword"] * len(hooks)
-            self._on_first_touch = self._on_every_access = None
+            self._on_first_touch = None
+        self.rearming = "rearming" in modes
         self.dispatch_plan = tuple((type(h).__name__, m) for h, m in zip(hooks, modes))
 
     # ------------------------------------------------------------------
@@ -335,25 +345,26 @@ class HomeBasedLRC:
 
     def unobserved(self) -> bool:
         """True when nothing can observe a fault's intermediate clock
-        values or its individual messages: every profiler hook (if any)
-        sees only interval first touches (``first_touch`` in
-        :attr:`dispatch_plan`), no observer (recorders such as
-        :class:`~repro.dsm.intervals.IntervalHistory` included), no
-        prefetcher, and an unqueued network.  Under this gate (plus no
-        timer and no pending migration, which the interpreter owns) a
-        run's faults may be priced in one pass (:meth:`charge_faults`):
-        every cost is an integer sum and an unqueued fetch's wait does
-        not depend on its send time.  A run's first touches are known
-        before any clock moves, so the hooks may take them after it."""
+        values or its individual messages, except at the points the
+        vector engine stops at: every profiler hook (if any) is planned
+        (no ``keyword`` in :attr:`dispatch_plan`), no observer
+        (recorders such as :class:`~repro.dsm.intervals.IntervalHistory`
+        included), no prefetcher, and an unqueued network.  Under this
+        gate (plus no condition-driven timer and no pending migration,
+        which the interpreter owns) a run's faults may be priced in one
+        pass (:meth:`charge_faults`): every cost is an integer sum and
+        an unqueued fetch's wait does not depend on its send time.  A
+        run's first touches are known before any clock moves, so the
+        first-touch entries may take them at once; re-armed accesses and
+        timer deadlines are the clock stops the engine walks to."""
         return not (
             self._on_first_touch is None
-            or self._on_every_access
             or self.observers
             or self.prefetcher is not None
             or self.network.queueing
         )
 
-    def charge_faults(self, thread, faulted: list[HeapObject]) -> None:
+    def charge_faults(self, thread, faulted: list[HeapObject]) -> tuple[list, dict]:
         """Charge ``faulted`` remote faults of ``thread`` at once — the
         trap, request and reply of each, as :meth:`_fault_remote` would
         one by one — to the clock, the CPU buckets, ``hlrc_faults_total``
@@ -362,20 +373,25 @@ class HomeBasedLRC:
 
         Faults are grouped by (home, class, length): each group's
         per-fault price is one :func:`fetch_wait_ns` (integer-truncated
-        per message, never per sum), times its count."""
+        per message, never per sum), times its count.  Returns each
+        fault's group key (parallel to ``faulted``) and each group's
+        clock charge per fault (trap plus wait), for a caller that
+        places the faults at their ops."""
         n = len(faulted)
-        if not n:
-            return
         node_id = thread.node_id
         network = self.network
+        trap_ns = self.costs.gos_trap_ns
         keys = list(map(_FAULT_KEY, faulted))
         sample = dict(zip(keys, faulted))
+        prices = {}
         wait = reply_bytes = 0
         for key, count in Counter(keys).items():  # simlint: disable=SIM003 (integer sums; order cannot leak)
             size = sample[key].size_bytes
-            wait += count * fetch_wait_ns(network, size, node_id, key[0])
+            fetch = fetch_wait_ns(network, size, node_id, key[0])
+            prices[key] = trap_ns + fetch
+            wait += count * fetch
             reply_bytes += count * (size + FETCH_REPLY_OVERHEAD)
-        trap = n * self.costs.gos_trap_ns
+        trap = n * trap_ns
         thread.cpu.protocol_ns += trap
         thread.cpu.network_wait_ns += wait
         thread.clock._now_ns += trap + wait
@@ -383,6 +399,7 @@ class HomeBasedLRC:
         stats.record_bulk(MessageKind.OBJECT_FETCH_REQ, n, n * FETCH_REQ_BYTES)
         stats.record_bulk(MessageKind.OBJECT_FETCH_DATA, n, reply_bytes)
         self._c_faults.inc(n)
+        return keys, prices
 
     # ------------------------------------------------------------------
     # access fast path
@@ -481,12 +498,7 @@ class HomeBasedLRC:
         hooks = self.hooks
         if not hooks:
             return
-        # Only an object's first touch in an interval can trap for a
-        # first-touch hook (that access cancels the false-invalid tag),
-        # so those fire once per (interval, object), with a one-id batch;
-        # hooks that re-arm inside the interval see every access (see
-        # add_hook).
-        plan = self._on_first_touch if first_touch else self._on_every_access
+        plan = self._on_first_touch
         if plan is None:
             if obj is None:
                 obj = self._objects[obj_id]
@@ -500,20 +512,23 @@ class HomeBasedLRC:
                     repeat=repeat,
                     real_fault=faulted,
                 )
-        elif plan:
-            if obj is None:
-                obj = self._objects[obj_id]
-            if first_touch:
-                ids = [obj_id]
-                hit = ids if faulted else ()
-                for fast, batch in plan:
-                    if batch:
-                        fast(thread, ids, hit)
-                    else:
-                        fast(thread, obj, faulted)
-            else:
-                for fast in plan:
-                    fast(thread, obj, faulted)
+            return
+        # Only an object's first touch in an interval can trap for a
+        # first-touch entry (that access cancels the false-invalid tag),
+        # so those fire once per (interval, object), with a one-id batch;
+        # then the tracking entries of whatever re-armed the id (see
+        # add_hook), the arming first touch included.
+        if first_touch:
+            ids = [obj_id]
+            hit = ids if faulted else ()
+            for fast in plan:
+                fast(thread, ids, hit)
+        rearmed = interval.rearmed
+        if rearmed:
+            entries = rearmed.get(obj_id)
+            if entries is not None:
+                for track in entries:
+                    track(thread, obj_id)
 
     # ------------------------------------------------------------------
     # intervals

@@ -99,11 +99,28 @@ class IntervalRecord:
     written: set[int] = field(default_factory=set)
     #: what closed the interval ("release", "barrier", "acquire", "end").
     close_reason: str = ""
+    #: ids re-armed this interval -> the tracking entries of the hooks
+    #: that re-armed them (see :meth:`rearm`); a new interval starts
+    #: with none.
+    rearmed: dict[int, tuple] = field(default_factory=dict)
 
     @property
     def accesses(self) -> AccessView:
         """Per-object access summaries, in first-access order."""
         return AccessView(self)
+
+    def rearm(self, ids, entries: tuple) -> None:
+        """Re-arm ``ids`` for a hook's tracking ``entries``: the engine
+        calls each entry as ``entry(thread, obj_id)`` at every later
+        access of the id in this interval, after the first-touch
+        entries at the access that armed it."""
+        rearmed = self.rearmed
+        if rearmed.keys().isdisjoint(ids):
+            rearmed.update(dict.fromkeys(ids, entries))
+            return
+        for oid in ids:
+            prev = rearmed.get(oid)
+            rearmed[oid] = entries if prev is None else prev + entries
 
     def touch(
         self,

@@ -28,11 +28,13 @@ condition-driven hook answers 0 while it still wants to look at every
 op boundary: a deadline of 0 is always due and records no fire.
 
 Access replay has two routes.  The per-op loop here is the oracle and
-runs everything observed.  A segment with no timer, no pending
-migration and nothing on the protocol side observing more than interval
-first touches (:meth:`HomeBasedLRC.unobserved`) hands each access run
-to :class:`~repro.runtime.vector.VectorEngine`, which replays the whole
-run in one pass.
+runs everything observed.  When nothing on the protocol side observes
+more than the points the engine stops at (:meth:`HomeBasedLRC.
+unobserved`), each access run with no condition-driven timer (deadline
+0) and no pending migration for its thread goes to
+:class:`~repro.runtime.vector.VectorEngine`, which replays the whole
+run in one pass and walks to its clock stops: re-armed accesses and
+timer fires, each at the clock and pc the per-op loop would show.
 """
 
 from __future__ import annotations
@@ -58,7 +60,16 @@ class TimerHook(Protocol):
 
     The interpreter calls :meth:`maybe_fire` only at op boundaries where
     the thread's clock has reached the minimum :meth:`next_fire_ns` over
-    the attached hooks.
+    the attached hooks.  Inside an access run the vector engine makes
+    the same calls at the same ops, with the clock and ``thread.pc`` the
+    per-op loop would show, but after the run's first touches have gone
+    to the profiler hooks: a timer must not change what a hook's
+    first-touch entry decides (sampling rates), and one that fires at a
+    positive deadline must not leave a migration pending for its own
+    thread (the per-op loop would migrate inside the run; the engine
+    raises :class:`~repro.runtime.vector.WalkedRunMigrationError`).  A
+    condition-driven timer — deadline 0 — keeps runs on the per-op loop
+    and may do either.
     """
 
     def maybe_fire(self, thread: SimThread) -> None:
@@ -339,14 +350,16 @@ class Interpreter:
         poll_hooks = bool(timers) or mig is not None
         record = self.kernel.record
         timer_fire = EventKind.TIMER_FIRE
-        # Vector replay engages per segment, and only when nothing can
-        # observe a run's intermediate states: no timer here, nothing on
-        # hlrc's side (observers, prefetcher, a queueing network, a hook
-        # that is not first_touch).  First-touch hooks get each run's
-        # first touches after it.  Everything else runs on this loop.
+        # Vector replay engages only when nothing on hlrc's side can
+        # observe a run's intermediate states (observers, prefetcher, a
+        # queueing network, a keyword hook), and then per run: not under
+        # a condition-driven timer (deadline 0) or a pending migration.
+        # The engine hands first-touch entries each run's first touches
+        # and walks to re-armed accesses and timer deadlines.  Everything
+        # else runs on this loop.
         vec = self._vector
         vruns = None
-        if vec is not None and not timers and self.hlrc.unobserved():
+        if vec is not None and self.hlrc.unobserved():
             vruns = program.vector_runs() or None
         start_i = i
         try:
@@ -357,9 +370,15 @@ class Interpreter:
             while i < n_ops:
                 if vruns is not None:
                     vr = vruns.get(i)
-                    # A pending migration plan needs per-op pc triggers.
-                    if vr is not None and not (mig_pending and tid in mig_pending):
-                        vec.execute(thread, vr)
+                    # A deadline of 0 asks for a call at every op
+                    # boundary, and a pending migration plan needs
+                    # per-op pc triggers.
+                    if (
+                        vr is not None
+                        and next_deadline
+                        and not (mig_pending and tid in mig_pending)
+                    ):
+                        next_deadline = vec.execute(thread, vr, i, next_deadline)
                         i += vr.n_ops
                         continue
                 op = ops[i]

@@ -26,8 +26,9 @@ BARRIER   (OP_BARRIER, barrier_id)
 from __future__ import annotations
 
 import re
+from collections import deque
 from itertools import compress
-from operator import itemgetter
+from operator import getitem, itemgetter, mul
 from typing import Iterable, Iterator
 
 OP_READ = 0
@@ -71,6 +72,9 @@ _SYNC_OP_RE = re.compile(rb"[\x06-\x08]")
 _ACCESS_MASK = bytes.maketrans(b"\x00\x01\x02", b"\x01\x01\x00")
 _WRITE_MASK = bytes.maketrans(b"\x00\x01\x02", b"\x00\x01\x00")
 _COMPUTE_MASK = bytes.maketrans(b"\x00\x01\x02", b"\x00\x00\x01")
+#: per-op field holding its static cost factor: READ/WRITE the repeat
+#: count (op[3]), COMPUTE the nanoseconds (op[1]).
+_STATIC_FIELD = bytes.maketrans(b"\x00\x01\x02", b"\x03\x03\x01")
 _OPCODE = itemgetter(0)
 _ARG = itemgetter(1)
 _REPEAT = itemgetter(3)
@@ -89,12 +93,14 @@ class AccessRun:
     A body that occurs at least twice in its program is born ``hot``
     and caches its :func:`lean_lane` on its first execution, keyed by
     the :class:`~repro.sim.costs.CostModel` it was priced under
-    (``_cost_key`` / ``_lane``, kept by the engine).  A singleton stays
-    cold and is priced from a transient lane every time: a one-shot
-    body would keep a cached one alive for nothing.
+    (``_cost_key`` / ``_lane``, kept by the engine), and the walk
+    columns of :func:`walk_lane` (``_cols``) on its first walked
+    execution.  A singleton stays cold and is priced from transient
+    ones every time: a one-shot body would keep cached ones alive for
+    nothing.
     """
 
-    __slots__ = ("n_ops", "ops", "hot", "_cost_key", "_lane")
+    __slots__ = ("n_ops", "ops", "hot", "_cost_key", "_lane", "_cols")
 
     def __init__(self, body: tuple) -> None:
         self.n_ops = len(body)
@@ -103,6 +109,7 @@ class AccessRun:
         self.hot = False
         self._cost_key = None
         self._lane = None
+        self._cols = None
 
 
 def lean_lane(ops: tuple, costs) -> tuple[int, int, dict, tuple[list, list, list]]:
@@ -129,6 +136,12 @@ def lean_lane(ops: tuple, costs) -> tuple[int, int, dict, tuple[list, list, list
         if not raw:
             compute = sum(map(costs.scaled_compute, values))
     uniq = dict.fromkeys(map(_ARG, accesses))
+    return busy, compute, uniq, _write_lanes(ops, codes)
+
+
+def _write_lanes(ops: tuple, codes: bytes) -> tuple[list, list, list]:
+    """(written object ids, written elements, write ops), parallel and
+    in first-write order."""
     w_oids: list[int] = []
     w_welems: list[int] = []
     w_wops: list[int] = []
@@ -144,7 +157,51 @@ def lean_lane(ops: tuple, costs) -> tuple[int, int, dict, tuple[list, list, list
             else:
                 w_welems[k] += op[2]
                 w_wops[k] += 1
-    return busy, compute, uniq, (w_oids, w_welems, w_wops)
+    return w_oids, w_welems, w_wops
+
+
+def walk_lane(ops: tuple, costs) -> tuple[tuple, tuple[list, list, list, dict]]:
+    """A run body's :func:`lean_lane` and its per-op static columns,
+    built together at C speed — what the vector engine reads to walk a
+    run.  The lane's distinct objects map each to its first access op;
+    the columns — ``(static cost of each op, access op indices, their
+    object ids (parallel), {written object: first write op})`` — give
+    each clock stop the clock the scalar loop would show.  An op's
+    static cost is its access busy time or its compute, charged as the
+    scalar loop charges it op by op.  The caller must not mutate them (a
+    hot :class:`AccessRun` caches them)."""
+    n = len(ops)
+    codes = bytes(map(_OPCODE, ops))
+    busy = costs.state_check_ns + costs.access_ns
+    # repeat (op[3]) x busy for an access, ns (op[1]) x 1 for a compute;
+    # the factors as translated opcode bytes while busy fits in one.
+    factors = (busy, busy, 1)
+    if busy < 256:
+        factors = codes.translate(bytes.maketrans(b"\x00\x01\x02", bytes(factors)))
+    else:
+        factors = map(factors.__getitem__, codes)
+    steps = list(map(mul, map(getitem, ops, codes.translate(_STATIC_FIELD)), factors))
+    compute = 0
+    if OP_COMPUTE in codes:
+        compute_mask = codes.translate(_COMPUTE_MASK)
+        values = list(map(_ARG, compress(ops, compute_mask)))
+        raw = costs.compute_scale == 1.0 and type(sum(values)) is int and min(values) >= 0
+        if not raw:
+            for k, v in zip(compress(range(n), compute_mask), values):
+                steps[k] = costs.scaled_compute(v)
+        compute = sum(compress(steps, compute_mask))
+    access_mask = codes.translate(_ACCESS_MASK)
+    acc_ops = list(compress(range(n), access_mask))
+    acc_oids = list(map(_ARG, compress(ops, access_mask)))
+    # setdefault keeps each object's earliest op, keys in first-touch order.
+    first_op: dict[int, int] = {}
+    deque(map(first_op.setdefault, acc_oids, acc_ops), 0)
+    first_write: dict[int, int] = {}
+    if OP_WRITE in codes:
+        write_mask = codes.translate(_WRITE_MASK)
+        deque(map(first_write.setdefault, map(_ARG, compress(ops, write_mask)), compress(range(n), write_mask)), 0)
+    lane = (sum(steps) - compute, compute, first_op, _write_lanes(ops, codes))
+    return lane, (steps, acc_ops, acc_oids, first_write)
 
 
 class CompiledProgram:
@@ -164,7 +221,7 @@ class CompiledProgram:
         decoded = tuple(ops) if not isinstance(ops, tuple) else ops
         # bytes() already rejects non-ints and codes outside 0..255; one
         # C-speed max() catches anything past the opcode range.
-        codes = bytes(op[0] for op in decoded)
+        codes = bytes(map(_OPCODE, decoded))
         if codes and max(codes) > OP_BARRIER:
             i = next(i for i, c in enumerate(codes) if c > OP_BARRIER)
             raise ValueError(f"op {i}: unknown opcode {codes[i]!r}")

@@ -1,5 +1,6 @@
 """Vectorized access replay: one-pass execution of access runs that
-nothing observes beyond their interval first touches.
+nothing observes beyond their interval first touches and their clock
+stops.
 
 The scalar interpreter dispatches every READ/WRITE/COMPUTE op through
 Python (one :meth:`~repro.dsm.hlrc.HomeBasedLRC.access` call per op).
@@ -9,44 +10,63 @@ notices apply only at synchronization), so after an object's *first*
 access of a run every later access is a guaranteed hit, and after its
 *first* write the twin already exists.
 
-When nothing observes the run's intermediate states — no observer,
-prefetcher, timer or pending migration, an unqueued network, and every
-profiler hook ``first_touch`` (:meth:`HomeBasedLRC.unobserved`; the
-interpreter owns the timer and migration half of the gate) — only end
-state is visible and every simulated cost is an integer sum.  The
-engine then replays a whole run in one pass over its distinct objects in
-first-touch order: each copy is probed once, lazy home copies are
-materialized, invalid or missing cache copies are refreshed and their
-faults charged in one :meth:`HomeBasedLRC.charge_faults`, written cache
-copies get their twin, dirty bytes and writer, and the clock and CPU
-buckets move once.  Under first-touch hooks the run's first touches in
-the current interval (the paper's profiler traps only those) are then
-booked in the interval's columns and handed, with the ids among them
-that faulted, to the hooks' batch-shaped ``fast_on_access``: one call
-per run for a single hook, per object in the scalar loop's order for
-several.
+When nothing observes the run's intermediate states except at the
+points below — no observer, prefetcher, keyword hook, condition-driven
+timer or pending migration, and an unqueued network
+(:meth:`HomeBasedLRC.unobserved`; the interpreter owns the timer and
+migration half of the gate) — every simulated cost is an integer sum.
+The engine then replays a whole run in one pass over its distinct
+objects in first-touch order: each copy is probed once, lazy home
+copies are materialized, invalid or missing cache copies are refreshed
+and their faults charged in one :meth:`HomeBasedLRC.charge_faults`,
+written cache copies get their twin, dirty bytes and writer, and the
+clock and CPU buckets move once.  Under profiler hooks the run's first
+touches in the current interval (the paper's profiler traps only those)
+are then booked in the interval's columns and handed, with the ids
+among them that faulted, to each hook's batch-shaped first-touch entry,
+one call per hook.
+
+Two things read the clock mid-run: a re-arming hook's tracking entry at
+every access of an id it re-armed (the footprinter's sampled objects),
+and a timer whose deadline passes.  For those the pass *walks*: it
+places the run's charges at their ops — static costs from
+:func:`~repro.runtime.program.walk_lane`, each fault at its object's
+first access, each twin at its first write, each first-touch charge at
+its first touch — and visits the stops in op order, giving each the
+clock the scalar loop would show there.
 
 The pass reads a run's totals from :func:`~repro.runtime.program.
 lean_lane`.  A body that repeats within its program (born ``hot``)
-caches that tuple per cost model; a one-shot body builds it for the one
-execution and drops it.  Anything observed runs on the scalar loop, the
-correctness oracle (``replay="scalar"`` forces it everywhere); the end
-state of both routes is byte-identical, which the equivalence tests
-assert over randomized programs and the paper workloads.
+caches that tuple, and its walk columns, per cost model; a one-shot
+body builds them for the one execution and drops them.  Anything
+observed runs on the scalar loop, the correctness oracle
+(``replay="scalar"`` forces it everywhere); the end state of both
+routes is byte-identical, which the equivalence tests assert over
+randomized programs and the paper workloads.
 """
 
 from __future__ import annotations
 
-from itertools import filterfalse
-from operator import attrgetter
+from bisect import bisect_left
+from itertools import accumulate, compress, filterfalse
+from operator import add, attrgetter
 
 from repro.dsm.states import CopyRecord, RealState
-from repro.runtime.program import AccessRun, lean_lane
+from repro.runtime.program import AccessRun, lean_lane, walk_lane
+from repro.sim.events import EventKind
 
 _HOME = RealState.HOME
 _VALID = RealState.VALID
 _INVALID = RealState.INVALID
 _OBJ_ID = attrgetter("obj_id")
+_TIMER_FIRE = EventKind.TIMER_FIRE
+
+
+class WalkedRunMigrationError(RuntimeError):
+    """A timer fired inside a walked run left a migration pending for
+    its own thread.  The scalar loop would migrate at the next op
+    boundary, inside the run; the walk cannot split the run there, so it
+    stops instead of diverging (see ``TimerHook``)."""
 
 
 class VectorEngine:
@@ -55,11 +75,13 @@ class VectorEngine:
 
     Created by :meth:`Interpreter.run` when replay mode is ``"vector"``
     and no ``per_op`` observer (sanitizer / race detector) is attached;
-    the segment loop hands it a run only under the unobserved gate.
+    the segment loop hands it a run only under the gate of the module
+    docstring.
     """
 
     __slots__ = (
         "hlrc",
+        "_interp",
         "_objects",
         "_copies_by_node",
         "costs",
@@ -67,11 +89,14 @@ class VectorEngine:
         "runs_lean",
         "faults_batched",
         "first_touches",
+        "stops",
+        "timer_fires",
     )
 
     def __init__(self, interp) -> None:
         hl = interp.hlrc
         self.hlrc = hl
+        self._interp = interp
         self._objects = hl._objects
         self._copies_by_node = hl._copies_by_node
         self.costs = hl.costs
@@ -80,41 +105,62 @@ class VectorEngine:
         self.runs_lean = 0
         self.faults_batched = 0
         self.first_touches = 0
+        self.stops = 0
+        self.timer_fires = 0
 
     def routing(self) -> dict[str, int]:
         """How the engine routed this run's access runs: executions on a
         cached lane (``bulk``, bodies that repeat in their program) or a
         transient one (``lean``, one-shot bodies), remote faults priced
-        in one pass (``faults_batched``), and interval first touches
-        handed to first-touch hooks (``first_touches``)."""
+        in one pass (``faults_batched``), interval first touches handed
+        to first-touch entries (``first_touches``), re-armed accesses
+        given their exact clock for the tracking entries (``stops``),
+        and timer fires inside walked runs (``timer_fires``)."""
         return {
             "bulk": self.runs_bulk,
             "lean": self.runs_lean,
             "faults_batched": self.faults_batched,
             "first_touches": self.first_touches,
+            "stops": self.stops,
+            "timer_fires": self.timer_fires,
         }
 
-    def _lane(self, run: AccessRun) -> tuple:
+    def _lanes(self, run: AccessRun, walk: bool) -> tuple:
+        """``(lane, walk columns)`` for one execution of ``run``; the
+        columns are None unless the run walks (and may be stale then).
+        A one-shot body builds them for this execution; a hot one caches
+        them per cost model."""
         costs = self.costs
         if not run.hot:
             # A one-shot body would keep a cached lane alive for nothing.
             self.runs_lean += 1
-            return lean_lane(run.ops, costs)
+            return walk_lane(run.ops, costs) if walk else (lean_lane(run.ops, costs), None)
         self.runs_bulk += 1
         key = run._cost_key
         # Identity first (same engine re-executing), equality second so a
         # cached lane survives across DJVM instances sharing a cost model
         # by value (the ledger reuses compiled programs).
         if key is not costs and key != costs:
-            run._lane = lean_lane(run.ops, costs)
+            run._lane = run._cols = None
             run._cost_key = costs
-        return run._lane
+        if walk:
+            if run._cols is None:
+                run._lane, run._cols = walk_lane(run.ops, costs)
+        elif run._lane is None:
+            run._lane = lean_lane(run.ops, costs)
+        return run._lane, run._cols
 
-    def execute(self, thread, run: AccessRun) -> None:
-        """Replay one whole occurrence of ``run`` for ``thread``, which
-        the caller then advances past (``pc += run.n_ops``).  Only legal
-        under the gate of the module docstring."""
-        busy, compute, uniq, writes = self._lane(run)
+    def execute(self, thread, run: AccessRun, pc: int, deadline: int) -> int:
+        """Replay one whole occurrence of ``run``, which starts at op
+        ``pc``, for ``thread``; the caller then advances past it
+        (``pc += run.n_ops``).  ``deadline`` is the interpreter's next
+        timer deadline (-1: no timer; never 0, which keeps a run on the
+        scalar loop).  Returns the deadline after the run, recomputed
+        after each fire inside it.  Only legal under the gate of the
+        module docstring."""
+        hlrc = self.hlrc
+        walk = deadline > 0 or hlrc.rearming
+        (busy, compute, uniq, writes), cols = self._lanes(run, walk)
         node_id = thread.node_id
         copies = self._copies_by_node[node_id]
         objects = self._objects
@@ -135,55 +181,159 @@ class VectorEngine:
                     record.real_state = _VALID
                     record.fetched_version = obj.home_version
                 faulted.append(obj)
-        twin_ns = self._apply_writes(thread, copies, *writes) if writes[0] else 0
+        clock = thread.clock
+        base = clock._now_ns
+        twins = {} if walk else None
+        twin_ns = self._apply_writes(thread, copies, *writes, twins) if writes[0] else 0
         cpu = thread.cpu
         cpu.access_ns += busy
         cpu.compute_ns += compute
         cpu.protocol_ns += twin_ns
-        thread.clock._now_ns += busy + compute + twin_ns
+        clock._now_ns += busy + compute + twin_ns
+        prices = None
         if faulted:
-            self.hlrc.charge_faults(thread, faulted)
+            prices = hlrc.charge_faults(thread, faulted)
             self.faults_batched += len(faulted)
-        hooks = self.hlrc._on_first_touch
-        if hooks:
-            self._first_touches(thread, uniq, faulted, hooks)
+        hooks = hlrc._on_first_touch
+        touched = self._first_touches(thread, uniq, faulted, hooks) if hooks else None
+        if walk:
+            deadline = self._walk(
+                thread, run, uniq, cols, base, pc, deadline, faulted, prices, twins, touched
+            )
+        return deadline
 
-    def _first_touches(self, thread, uniq, faulted: list, hooks: tuple) -> None:
+    def _first_touches(self, thread, uniq, faulted: list, hooks: tuple) -> tuple | None:
         """Book the run's first touches in the current interval — the
         ``uniq`` ids its columns do not hold yet — in the four columns,
         so later accesses this interval are not first touches, and hand
-        them to the hooks with the ids among them that faulted.  One
-        hook takes them in one call; several are called per object,
-        hooks in registration order, as on the scalar loop.  The booked
-        counts and times are zeros: under the gate nothing reads them.
-        A fault outside the new ids (a copy the interval touched before
-        a migration moved the thread) is no first touch, as on the
-        scalar loop."""
+        them to each hook's first-touch entry in one call, hooks in
+        registration order, with the ids among them that faulted.  The
+        booked counts and times are zeros: under the gate nothing reads
+        them.  A fault outside the new ids (a copy the interval touched
+        before a migration moved the thread) is no first touch, as on
+        the scalar loop.  Returns the new ids and the hooks' summed
+        per-id clock charges (None: nothing charged), or None."""
         interval = thread.current_interval
         last_ns = interval.last_ns
         zeros = dict.fromkeys(filterfalse(last_ns.__contains__, uniq), 0)
         if not zeros:
-            return
+            return None
         interval.reads.update(zeros)
         interval.writes.update(zeros)
         interval.first_ns.update(zeros)
         last_ns.update(zeros)
         self.first_touches += len(zeros)
+        ids = list(zeros)
         hit = zeros.keys() & map(_OBJ_ID, faulted)
-        if len(hooks) == 1:
-            hooks[0][0](thread, list(zeros), hit)
-            return
-        for oid in zeros:
-            ids = [oid]
-            ids_hit = ids if oid in hit else ()
-            for fast, _batch in hooks:
-                fast(thread, ids, ids_hit)
+        charges = None
+        for fast in hooks:
+            got = fast(thread, ids, hit)
+            if got is not None:
+                charges = got if charges is None else list(map(add, charges, got))
+        return ids, charges
 
-    def _apply_writes(self, thread, copies: dict, w_oids, w_welems, w_wops) -> int:
+    def _walk(
+        self, thread, run, first_op, cols, base, pc, deadline, faulted, prices, twins, touched
+    ) -> int:
+        """Give the run's clock stops the clock the scalar loop would
+        show there: every access of a re-armed id (its tracking entries
+        are called) and every op after which a timer deadline has
+        passed (the timers fire).  The clock after op ``k`` is ``base``
+        plus the prefix sum through ``k`` of each op's static cost (the
+        columns of :func:`walk_lane`; its lane's distinct objects,
+        ``first_op``, map each to its first access op) and dynamic
+        charges — a fault's trap and
+        fetch at the object's first access, a twin at its first write,
+        the first-touch entries' charges at the first touch — plus what
+        earlier stops charged.  A run with no stop keeps the clock the
+        one pass left it.  Returns the deadline after the run."""
+        clock = thread.clock
+        rearmed = thread.current_interval.rearmed
+        stops = first_op.keys() & rearmed.keys() if rearmed else ()
+        if not stops and (deadline < 0 or clock._now_ns < deadline):
+            return deadline
+        steps, acc_ops, acc_oids, first_write = cols
+        if faulted or twins or touched:
+            if run.hot:
+                steps = steps.copy()  # the cached columns stay static
+            if faulted:
+                keys, price = prices
+                for obj, key in zip(faulted, keys):
+                    steps[first_op[obj.obj_id]] += price[key]
+            for oid, ns in twins.items():  # simlint: disable=SIM003 (each adds at its own op; order cannot leak)
+                steps[first_write[oid]] += ns
+            if touched is not None and touched[1] is not None:
+                for oid, ns in zip(*touched):
+                    steps[first_op[oid]] += ns
+        after = list(accumulate(steps))  # clock after each op, less base and stops
+        last = len(after) - 1
+        if clock._now_ns != base + after[last]:
+            raise RuntimeError(
+                "a first-touch entry charged the clock without returning its per-id charges"
+            )
+        # No deadline: a bound no clock reaches.
+        bound = deadline if deadline > 0 else 1 << 62
+        off = base  # the clock less the prefix sum: base plus what stops and fires charged
+        lo = 0  # first op not yet polled for a timer fire
+        if stops:
+            hit = list(map(stops.__contains__, acc_oids))
+            stop_ops = list(compress(acc_ops, hit))
+            self.stops += len(stop_ops)
+            for j, oid in zip(stop_ops, compress(acc_oids, hit)):
+                if after[j - 1] + off >= bound:
+                    off, bound, lo = self._fire(thread, after, off, lo, j, pc, bound)
+                clock._now_ns = after[j] + off
+                for track in rearmed[oid]:
+                    track(thread, oid)
+                off = clock._now_ns - after[j]
+                if clock._now_ns >= bound:
+                    off, bound, lo = self._fire(thread, after, off, j, j + 1, pc, bound)
+                lo = j + 1
+        if after[last] + off >= bound:
+            off, bound, lo = self._fire(thread, after, off, lo, last + 1, pc, bound)
+        clock._now_ns = after[last] + off
+        return bound if deadline > 0 else deadline
+
+    def _fire(self, thread, after, off, lo, hi, pc, deadline) -> tuple[int, int, int]:
+        """Poll the timers as the scalar loop does after each op of
+        ``[lo, hi)`` — a range no stop lies inside — at every op whose
+        clock ``after[k] + off`` has reached the deadline, found by
+        bisection: clock and ``pc`` as after that op, every timer's
+        ``maybe_fire``, a ``TIMER_FIRE`` record for a positive deadline,
+        and the deadline recomputed.  Returns ``(off, deadline, lo)``
+        after the last fire."""
+        interp = self._interp
+        timers = interp.timers
+        mig = interp.migration_engine
+        clock = thread.clock
+        tid = thread.thread_id
+        while lo < hi and after[hi - 1] + off >= deadline:
+            k = bisect_left(after, deadline - off, lo, hi)
+            clock._now_ns = after[k] + off
+            thread.pc = pc + k + 1
+            for timer in timers:
+                timer.maybe_fire(thread)
+            if deadline > 0:
+                interp.kernel.record(_TIMER_FIRE, clock._now_ns, tid)
+            self.timer_fires += 1
+            off = clock._now_ns - after[k]
+            deadline = min(t.next_fire_ns(thread) for t in timers)
+            if mig is not None and mig.has_pending(tid):
+                raise WalkedRunMigrationError(
+                    f"thread {tid}: a timer fired at pc {thread.pc} inside a walked "
+                    "access run left a migration pending for its own thread"
+                )
+            lo = k + 1
+        return off, deadline, lo
+
+    def _apply_writes(
+        self, thread, copies: dict, w_oids, w_welems, w_wops, twins: dict | None = None
+    ) -> int:
         """Write bookkeeping of one run: the written set, and for each
         written cache copy its twin (first write this interval), dirty
         bytes and writer; returns the twin cost.  The three lanes are
-        parallel (written object, elements, write ops)."""
+        parallel (written object, elements, write ops).  ``twins``, if
+        given, receives each twin's cost by object."""
         objects = self._objects
         tid = thread.thread_id
         twin_per_byte = self.costs.twin_ns_per_byte
@@ -197,7 +347,10 @@ class VectorEngine:
             size = obj.size_bytes
             if not record.has_twin:
                 record.has_twin = True
-                twin_ns += size * twin_per_byte
+                ns = size * twin_per_byte
+                twin_ns += ns
+                if twins is not None:
+                    twins[oid] = ns
             if obj.is_array:
                 wb = welems * obj.jclass.element_size
             else:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.footprint import StickySetFootprinter
 from repro.core.profiler import ProfilerSuite
 from repro.core.sampling import SamplingPolicy
+from repro.dsm.intervals import IntervalRecord
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
 from repro.runtime.thread import SimThread
@@ -148,6 +149,84 @@ class TestTimerThrottling:
             StickySetFootprinter(SamplingPolicy(), CostModel(), min_accesses=0)
 
 
+class TestRearming:
+    """The plan's footprinter decides at an interval's first touch and
+    re-arms what it sampled; the keyword fan-out decides at every
+    access.  Rates change only at interval closes, so both agree."""
+
+    class GapAfterFirstInterval:
+        """A first-touch hook that moves the class's gap when the first
+        interval closes — where the adaptive controller moves rates."""
+
+        def __init__(self, policy, jclass):
+            self.policy, self.jclass = policy, jclass
+
+        def on_interval_open(self, thread):
+            pass
+
+        def on_access(self, thread, obj, **kw):
+            pass
+
+        def fast_on_access(self, thread, ids, faulted):
+            return None
+
+        def on_interval_close(self, thread, interval, sync_dst):
+            if interval.interval_id == 1:
+                self.policy.set_nominal_gap(self.jclass, 100)
+
+    class KeywordOnly:
+        def on_interval_open(self, thread):
+            pass
+
+        def on_access(self, thread, obj, **kw):
+            pass
+
+        def on_interval_close(self, thread, interval, sync_dst):
+            pass
+
+    @pytest.mark.parametrize("route", ["vector", "scalar", "keyword"])
+    def test_rearmed_ids_do_not_outlive_their_interval(self, route):
+        """Object seq 1 is sampled in the first interval (full sampling)
+        and not in the second (gap 100): only the first interval's three
+        phases are tracked."""
+        djvm = DJVM(n_nodes=1, costs=CostModel.fast_test(), replay=route.replace("keyword", "vector"))
+        cls = simple_class(djvm, "Obj", 128)
+        objs = [djvm.allocate(cls, 0) for _ in range(4)]
+        djvm.spawn_thread(0)
+        suite = ProfilerSuite(djvm, correlation=False, footprint=True)
+        suite.set_full_sampling()
+        djvm.add_hook(self.GapAfterFirstInterval(suite.policy, cls))
+        if route == "keyword":
+            djvm.add_hook(self.KeywordOnly())
+        twice = spread_accesses(objs[1].obj_id, 3)
+        djvm.run({0: wrap_main(twice + [P.barrier(0)] + twice + [P.barrier(1)])})
+        assert suite.policy.is_sampled(objs[0]) and not suite.policy.is_sampled(objs[1])
+        assert suite.footprinter.tracked_accesses == 3
+        assert [bool(fp) for fp in suite.footprinter.interval_footprints[0]] == [True, False, False]
+
+    @pytest.mark.parametrize("route", ["vector", "scalar", "keyword"])
+    def test_first_touch_in_an_off_phase_still_arms(self, route):
+        """Timer-phased tracking: the object's first touch falls in a
+        tracking-off phase and is invisible, but the first touch decides
+        for the whole interval — its later on-phase accesses are
+        tracked."""
+        djvm = DJVM(n_nodes=1, costs=CostModel.fast_test(), replay=route.replace("keyword", "vector"))
+        cls = simple_class(djvm, "Obj", 128)
+        obj = djvm.allocate(cls, 0)
+        djvm.spawn_thread(0)
+        suite = ProfilerSuite(djvm, correlation=False, footprint=True, footprint_timer_ms=10)
+        suite.set_full_sampling()
+        if route == "keyword":
+            djvm.add_hook(self.KeywordOnly())
+        # Off phase at ~7 ms, then on phases at ~12 ms and ~22 ms.
+        ops = [P.compute(7 * MS * 100), P.read(obj.obj_id)]
+        ops += [P.compute(5 * MS * 100), P.read(obj.obj_id), P.compute(10 * MS * 100), P.read(obj.obj_id)]
+        djvm.run({0: wrap_main(ops + [P.barrier(0)])})
+        assert suite.footprinter.tracked_accesses == 2
+        if route == "vector":
+            assert djvm.replay_routing["stops"] == 3
+
+
 class TestLiveQueries:
     def test_live_footprint_mid_interval(self):
         djvm, objs, suite = setup()
@@ -231,38 +310,57 @@ def test_phase_bookkeeping_matches_set_of_phases_reference(
     sampled: trap count and cost, tracked ids, sticky candidates (in
     recording order) and the per-class footprint all equal what a plain
     set of phases per object gives — for every ``min_accesses``,
-    including > 2, which the old ``or len(phases) >= 2`` made inert."""
+    including > 2, which the old ``or len(phases) >= 2`` made inert.
+    Both routes in lockstep: the keyword ``on_access`` (decide and track
+    at every access) and the plan's re-arming (decide at the interval's
+    first touch, in whatever phase, then track each re-armed access)."""
     djvm = DJVM(n_nodes=1, costs=CostModel.fast_test())
     cls = simple_class(djvm, "Obj", 128)
     objs = [djvm.allocate(cls, 0) for _ in range(N_REF_OBJECTS)]
     policy = SamplingPolicy()
     policy.set_nominal_gap(cls, REF_GAP)
-    fp = StickySetFootprinter(
-        policy, djvm.costs, timer_period_ms=period_ms, duty=duty, min_accesses=min_accesses
-    )
-    fp.attach_gos(djvm.gos)
-    thread = SimThread(thread_id=0, node_id=0)
-    clock = thread.clock
+    routes = []
+    for _ in ("keyword", "plan"):
+        fp = StickySetFootprinter(
+            policy, djvm.costs, timer_period_ms=period_ms, duty=duty, min_accesses=min_accesses
+        )
+        fp.attach_gos(djvm.gos)
+        routes.append((fp, SimThread(thread_id=0, node_id=0)))
     trap_ns = djvm.costs.gos_trap_ns + djvm.costs.footprint_track_ns
     period_ns = None if period_ms is None else int(period_ms * MS)
     expected_traps = 0
-    for steps in intervals:
-        fp.on_interval_open(thread)
-        start_ns = clock.now_ns
+    for n, steps in enumerate(intervals, 1):
+        for fp, thread in routes:
+            thread.current_interval = IntervalRecord(0, n)
+            fp.on_interval_open(thread)
+        start_ns = routes[0][1].clock.now_ns
         seen = []
         for dt, k in steps:
-            clock.advance(dt)
-            seen.append((clock.now_ns, objs[k].obj_id, policy.is_sampled(objs[k])))
-            fp.fast_on_access(thread, objs[k], False)
+            obj = objs[k]
+            for fp, thread in routes:
+                thread.clock.advance(dt)
+            (keyword, kthread), (plan, pthread) = routes
+            seen.append((kthread.clock.now_ns, obj.obj_id, policy.is_sampled(obj)))
+            keyword.on_access(
+                kthread, obj, is_write=False, n_elems=1, elem_off=0, repeat=1, real_fault=False
+            )
+            interval = pthread.current_interval
+            if obj.obj_id not in interval.last_ns:
+                interval.last_ns[obj.obj_id] = 0
+                plan.fast_on_access(pthread, [obj.obj_id], ())
+            for track in interval.rearmed.get(obj.obj_id, ()):
+                track(pthread, obj.obj_id)
         phases = reference_phases(seen, start_ns, period_ns, duty)
         sticky = [oid for oid, ps in phases.items() if len(ps) >= min_accesses]
         expected_traps += sum(len(ps) for ps in phases.values())
-        assert fp.live_sticky_candidates(thread) == sticky
-        fp.on_interval_close(thread, thread.current_interval, None)
-        assert fp.interval_tracked[0][-1] == set(phases)
-        # 128-byte objects at gap 3: each sticky sample stands for 3.
-        assert fp.interval_footprints[0][-1] == (
-            {"Obj": 128 * REF_GAP * len(sticky)} if sticky else {}
-        )
-    assert fp.tracked_accesses == expected_traps
-    assert thread.cpu.footprinting_ns == expected_traps * trap_ns
+        for fp, thread in routes:
+            assert fp.live_sticky_candidates(thread) == sticky
+            fp.on_interval_close(thread, thread.current_interval, None)
+            assert fp.interval_tracked[0][-1] == set(phases)
+            # 128-byte objects at gap 3: each sticky sample stands for 3.
+            assert fp.interval_footprints[0][-1] == (
+                {"Obj": 128 * REF_GAP * len(sticky)} if sticky else {}
+            )
+    for fp, thread in routes:
+        assert fp.tracked_accesses == expected_traps
+        assert thread.cpu.footprinting_ns == expected_traps * trap_ns

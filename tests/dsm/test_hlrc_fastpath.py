@@ -199,19 +199,20 @@ def run_full_suite(name, *, force_fanout, adaptive, timer_ms, backend):
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_plan_matches_keyword_fanout_with_n_hooks(name, adaptive, timer_ms, backend):
-    """Correlation tracker (first touch) + footprinter (every access) +
-    stack sampler: the plan and the forced keyword fan-out leave the
-    same run behind, at fixed rates and while the adaptive controller
-    moves them.
+    """Correlation tracker (first touch) + footprinter (re-arming) +
+    stack sampler: the plan — on the vector engine's walk — and the
+    forced keyword fan-out on the scalar loop leave the same run behind,
+    at fixed rates and while the adaptive controller moves them.
 
     This is also the proof that gating ``AccessProfiler`` on interval
-    first touches is sound under two hooks.  The fan-out shows it every
-    access, and a later access of an object it skipped re-asks the
-    sampling question; the answer could only differ if the rate changed
-    in between.  It cannot: segments run sync-to-sync, every access of
-    an interval falls inside one segment, and rates change only at an
-    interval close (OAL delivery closes the window the controller
-    observes), when no other thread's open interval has an access yet.
+    first touches, and the footprinter's sampling decision on them, is
+    sound.  The fan-out asks both every access, and a later access of an
+    object re-asks the sampling question; the answer could only differ
+    if the rate changed in between.  It cannot: segments run
+    sync-to-sync, every access of an interval falls inside one segment,
+    and rates change only at an interval close (OAL delivery closes the
+    window the controller observes), when no other thread's open
+    interval has an access yet.
     """
     config = dict(adaptive=adaptive, timer_ms=timer_ms, backend=backend)
     plan, hlrc, suite = run_full_suite(name, force_fanout=False, **config)
@@ -219,7 +220,7 @@ def test_plan_matches_keyword_fanout_with_n_hooks(name, adaptive, timer_ms, back
     assert plan == fanout
     assert hlrc.dispatch_plan == (
         ("AccessProfiler", "first_touch"),
-        ("StickySetFootprinter", "every_access"),
+        ("StickySetFootprinter", "rearming"),
     )
     assert {mode for _, mode in fanout_hlrc.dispatch_plan} == {"keyword"}
     # The scenario exercises what it claims to.

@@ -1,14 +1,15 @@
 """Which replay route each end-to-end benchmark workload takes.
 
 Besides the scalar loop, replay has one route: the vector engine's one
-pass over runs observed at most at interval first touches
-(``VectorEngine.execute``).  This pins, at the benchmark's smoke sizes,
-that the two unprofiled workloads take it and batch their faults, that
-``bh_track_full`` takes it too and hands each run's first touches to
-the correlation profiler after the run, and that ``ws_adaptive_sticky`` — an
-every-access footprinter and the stack sampler's timer — never calls it.
-A further replay route has to come with a workload that uses it: add
-the workload to the benchmark and its route here first.  The catalog is
+pass (``VectorEngine.execute``), which walks to its clock stops.  This
+pins, at the benchmark's smoke sizes, that the two unprofiled workloads
+take it and batch their faults, that ``bh_track_full`` takes it too and
+hands each run's first touches to the correlation profiler, and that
+``ws_adaptive_sticky`` takes it as well: the footprinter's re-armed
+(sampled) objects and the stack sampler's timer are clock stops the
+walk visits (``stops`` and ``timer_fires`` in the routing).  A further
+replay route has to come with a workload that uses it: add the
+workload to the benchmark and its route here first.  The catalog is
 loaded by path because ``benchmarks/`` is not a package.
 """
 
@@ -33,7 +34,7 @@ ROUTES = {
     "sor_base": "one_pass",
     "bh_base": "one_pass",
     "bh_track_full": "one_pass",
-    "ws_adaptive_sticky": "scalar",
+    "ws_adaptive_sticky": "one_pass",
 }
 
 
@@ -76,9 +77,9 @@ def test_benchmark_workload_takes_its_pinned_route(spec, monkeypatch):
     calls = []
     original = VectorEngine.execute
 
-    def counting(self, thread, run):
+    def counting(self, thread, run, *args):
         calls.append(run)
-        return original(self, thread, run)
+        return original(self, thread, run, *args)
 
     monkeypatch.setattr(VectorEngine, "execute", counting)
     workload = getattr(repro.workloads, spec.program)(
@@ -92,8 +93,12 @@ def test_benchmark_workload_takes_its_pinned_route(spec, monkeypatch):
     if ROUTES[spec.name] == "one_pass":
         assert calls
         assert routing["faults_batched"] > 0
-        # Only a profiled run has first touches to hand over.
+        # Only a profiled run has first touches to hand over, and only
+        # the adaptive suite's footprinter and stack sampler stop it.
         assert (routing["first_touches"] > 0) == (spec.profile is not None)
+        adaptive = spec.profile == "adaptive"
+        assert (routing["stops"] > 0) == adaptive
+        assert (routing["timer_fires"] > 0) == adaptive
     else:
         assert calls == []
         assert set(routing.values()) == {0}

@@ -9,6 +9,7 @@ from repro.analysis.trace import ProfileTrace
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
 from repro.runtime.migration import MigrationPlan
+from repro.runtime.vector import WalkedRunMigrationError
 from repro.sim.costs import CostModel
 
 from tests.conftest import simple_class, wrap_main
@@ -112,6 +113,43 @@ class TestMigrationFailures:
                     1: wrap_main([P.barrier(0)]),
                 }
             )
+
+
+class TestWalkedRunFailures:
+    def test_timer_leaving_its_own_migration_pending_inside_a_walked_run(self):
+        """A timer with a positive deadline that schedules a migration of
+        the thread it fires on: the scalar loop migrates at the next op,
+        inside the access run; the vector engine's walk cannot split the
+        run there, so it raises a named error rather than diverge."""
+
+        class MigratingTimer:
+            def __init__(self, djvm):
+                self.djvm = djvm
+                self.fired = False
+
+            def next_fire_ns(self, thread):
+                return 1 << 62 if self.fired else 5_000
+
+            def maybe_fire(self, thread):
+                if not self.fired and thread.clock.now_ns >= 5_000:
+                    self.fired = True
+                    self.djvm.migration.schedule(MigrationPlan(thread.thread_id, 1))
+
+        def run(replay):
+            djvm = DJVM(n_nodes=2, costs=CostModel.fast_test(), replay=replay)
+            cls = simple_class(djvm)
+            obj = djvm.allocate(cls, 0)
+            djvm.spawn_thread(0)
+            djvm.add_timer(MigratingTimer(djvm))
+            # 2 us of compute per op at the fast_test scale: the deadline
+            # passes in the middle of the one access run.
+            body = [P.read(obj.obj_id), P.compute(200_000)] * 5
+            djvm.run({0: wrap_main(body)})
+            return djvm.threads[0]
+
+        assert run("scalar").node_id == 1
+        with pytest.raises(WalkedRunMigrationError, match="pending for its own thread"):
+            run("vector")
 
 
 class TestRunReuse:

@@ -14,7 +14,7 @@ def test_summary_prints_digest(capsys):
     assert "# hook dispatch: AccessProfiler=first_touch\n" in out
 
 
-def test_dispatch_line_names_the_hook_that_keeps_replay_scalar():
+def test_dispatch_line_names_each_hooks_mode():
     from repro.core.profiler import ProfilerSuite
     from repro.obs.__main__ import dispatch_line
     from repro.runtime.djvm import DJVM
@@ -22,11 +22,11 @@ def test_dispatch_line_names_the_hook_that_keeps_replay_scalar():
     djvm = DJVM(2)
     djvm.spawn_threads(2)
     assert dispatch_line(djvm.hlrc) == "# hook dispatch: no hooks"
-    # The footprinter re-arms its tags, so it sees every access and keeps
-    # the correlation profiler beside it on the scalar loop too.
+    # The footprinter re-arms the tags of the objects it sampled, so
+    # those re-enter it at every access.
     ProfilerSuite(djvm, correlation=True, footprint=True)
     assert dispatch_line(djvm.hlrc) == (
-        "# hook dispatch: AccessProfiler=first_touch, StickySetFootprinter=every_access"
+        "# hook dispatch: AccessProfiler=first_touch, StickySetFootprinter=rearming"
     )
 
 

@@ -158,6 +158,14 @@ class TestCompiledProgramEdgeCases:
         with pytest.raises(ValueError, match="unknown opcode"):
             compile_program([(P.OP_BARRIER + 1, 0)])
 
+    def test_non_int_opcode_rejected(self):
+        import pytest
+
+        from repro.runtime.program import compile_program
+
+        with pytest.raises(TypeError):
+            compile_program([P.read(1), ("READ", 1, 1, 1, 0)])
+
     def test_sync_points_mixed_stream(self):
         from repro.runtime.program import compile_program
 

@@ -1,11 +1,12 @@
 """Vectorized access replay vs the scalar oracle.
 
 Replay has two routes: the scalar loop, and the vector engine's one
-pass over a run's distinct objects, taken only when nothing observes
-the run beyond its interval first touches (no observer — an
-``IntervalHistory`` recorder included — timer, prefetcher or pending
-migration, an unqueued network, and no hook that sees more than first
-touches).
+pass over a run's distinct objects, taken when nothing observes the run
+beyond the points the engine stops at (no observer — an
+``IntervalHistory`` recorder included — prefetcher, keyword hook,
+condition-driven timer or pending migration, and an unqueued network).
+The one pass walks to its *clock stops*: accesses of ids a hook
+re-armed, and timer fires.
 
 Randomized access programs (seeded) run twice — ``replay="scalar"`` and
 ``replay="vector"`` — and every observable must match: protocol
@@ -13,11 +14,12 @@ counters, thread clocks, network traffic and ``run_fingerprint``.
 Unobserved configurations exercise the one pass: one-shot bodies on a
 transient lean lane, repeated bodies on a cached one, faults priced
 together.  First-touch hooks ride the same pass and must see the scalar
-loop's first-touch stream.  Under every observed configuration the
-engine must never be called, so vector replay *is* scalar replay there;
-the tests assert that rather than compare the scalar loop with itself.
-The paper workloads (SOR / Barnes-Hut / Water-Spatial) run through the
-same comparison, with and without the correlation profiler.
+loop's first-touch stream; re-arming hooks and timers must see the
+scalar loop's clock at every stop.  Under every observed configuration
+the engine must never be called, so vector replay *is* scalar replay
+there; the tests assert that rather than compare the scalar loop with
+itself.  The paper workloads (SOR / Barnes-Hut / Water-Spatial) run
+through the same comparison, with and without the profilers.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.access_profiler import AccessProfiler
 from repro.core.adaptive import AdaptiveRateController
 from repro.core.profiler import ProfilerSuite
 from repro.dsm.intervals import IntervalHistory
@@ -208,35 +211,37 @@ def run_replay(
     """``premark`` caches every run's lane (``compile_hot``); without it
     the programs compile fresh, as a user's do."""
     djvm, obj_ids = build_djvm(replay=replay, **kwargs)
-    extra = None
+    extra = []
     if observer == "timer":
-        extra = DeadlineTimer()
-        djvm.add_timer(extra)
+        extra = [DeadlineTimer()]
+        djvm.add_timer(extra[0])
     elif observer in ("hook", "two_hooks"):
-        extra = FastHook()
-        djvm.add_hook(extra)
+        extra = [FastHook()]
         if observer == "two_hooks":
-            # Shares the event list, so call order shows in it.
-            djvm.add_hook(FastHook(extra.events, tag=1))
+            extra.append(FastHook(tag=1))
+        for hook in extra:
+            djvm.add_hook(hook)
     programs = make_programs(seed, obj_ids)
     res = djvm.run(compile_hot(programs) if premark else programs)
     fp = fingerprint(djvm, res)
     fp["run"] = run_fingerprint(djvm, res)
-    if extra is not None:
-        fp["observer"] = list(extra.events)
+    if extra:
+        fp["observer"] = [list(x.events) for x in extra]
     return fp
 
 
 class DeadlineTimer:
-    """Deadline-API timer: fires every 200 simulated microseconds and
-    records (thread, deadline) — firing order and count must not depend
-    on the replay engine."""
+    """Deadline-API timer: fires every 200 simulated microseconds,
+    records (thread, clock, pc) at each fire and charges a fixed cost,
+    as the stack sampler does — a fire one op early or late shows in the
+    record, and its charge moves every later clock."""
 
     PERIOD_NS = 200_000
+    COST_NS = 7_000
 
     def __init__(self) -> None:
         self._next: dict[int, int] = {}
-        self.events: list[tuple[int, int]] = []
+        self.events: list[tuple[int, int, int]] = []
 
     def next_fire_ns(self, thread) -> int:
         return self._next.setdefault(thread.thread_id, self.PERIOD_NS)
@@ -244,10 +249,28 @@ class DeadlineTimer:
     def maybe_fire(self, thread) -> None:
         now = thread.clock.now_ns
         nxt = self._next.setdefault(thread.thread_id, self.PERIOD_NS)
-        while now >= nxt:
-            self.events.append((thread.thread_id, nxt))
+        if now < nxt:
+            return
+        self.events.append((thread.thread_id, now, thread.pc))
+        while nxt <= now:
             nxt += self.PERIOD_NS
         self._next[thread.thread_id] = nxt
+        thread.cpu.stack_sampling_ns += self.COST_NS
+        thread.clock.advance(self.COST_NS)
+
+
+class ConditionTimer:
+    """A condition-driven timer: deadline 0, a call at every op
+    boundary, never a fire of its own."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def next_fire_ns(self, thread) -> int:
+        return 0
+
+    def maybe_fire(self, thread) -> None:
+        self.calls += 1
 
 
 class FastHook:
@@ -275,17 +298,43 @@ class FastHook:
             )
 
 
-class EveryAccessHook(FastHook):
-    """Re-arms inside the interval, as the footprinter does: it sees
-    every access (per-object ``fast_on_access``), so it keeps replay on
-    the scalar loop."""
+class ChargingHook(FastHook):
+    """A first-touch hook that charges the clock per id — more for an id
+    that did not fault — and returns the charges, as the correlation
+    profiler does: each charge must land at its id's first-touch op."""
 
-    first_touch_only = False
+    CHARGE_NS = 3_000
 
-    def fast_on_access(self, thread, obj, real_fault) -> None:
-        self.events.append(
-            (thread.thread_id, thread.interval_counter, obj.obj_id, real_fault, self.tag)
-        )
+    def fast_on_access(self, thread, ids, faulted):
+        super().fast_on_access(thread, ids, faulted)
+        charges = [self.CHARGE_NS * (1 + (oid not in faulted)) for oid in ids]
+        thread.cpu.oal_logging_ns += sum(charges)
+        thread.clock._now_ns += sum(charges)
+        return charges
+
+
+class RearmingHook(FastHook):
+    """Re-arms the even ids it is shown, as the footprinter re-arms the
+    ids it samples; its tracking entry records every access of a
+    re-armed id with the clock it sees and charges a fixed cost — a stop
+    at the wrong clock shows in the record and moves every later one."""
+
+    TRACK_NS = 2_000
+
+    def __init__(self, events: list | None = None, tag: int = 0) -> None:
+        super().__init__(events, tag)
+        #: (thread, object, clock) per tracking call.
+        self.tracked: list[tuple[int, int, int]] = []
+        self._tracking = (self.on_rearmed_access,)
+
+    def fast_on_access(self, thread, ids, faulted) -> None:
+        super().fast_on_access(thread, ids, faulted)
+        thread.current_interval.rearm([oid for oid in ids if oid % 2 == 0], self._tracking)
+
+    def on_rearmed_access(self, thread, obj_id) -> None:
+        self.tracked.append((thread.thread_id, obj_id, thread.clock.now_ns))
+        thread.cpu.footprinting_ns += self.TRACK_NS
+        thread.clock._now_ns += self.TRACK_NS
 
 
 class KeywordHook:
@@ -313,9 +362,9 @@ def execute_calls(monkeypatch):
     calls: list = []
     original = VectorEngine.execute
 
-    def recording(self, thread, run):
+    def recording(self, thread, run, *args):
         calls.append(run)
-        return original(self, thread, run)
+        return original(self, thread, run, *args)
 
     monkeypatch.setattr(VectorEngine, "execute", recording)
     return calls
@@ -346,8 +395,12 @@ def test_vector_matches_scalar_with_history(seed, execute_calls):
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_vector_matches_scalar_with_timer(seed, execute_calls):
-    """Deadline-API timer: fire points need the scalar loop."""
-    observed_matches_scalar(seed, execute_calls, observer="timer")
+    """Deadline-API timer: the one pass walks to each fire point and
+    fires there, at the scalar loop's clock and pc."""
+    vector = run_replay(seed, "vector", observer="timer")
+    assert execute_calls
+    assert vector == run_replay(seed, "scalar", observer="timer")
+    assert vector["observer"][0]
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
@@ -361,13 +414,14 @@ def test_vector_matches_scalar_with_fast_hook(seed, execute_calls):
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_vector_matches_scalar_with_two_fast_hooks(seed, execute_calls):
-    """Two first-touch hooks on the one pass are called in registration
-    order at every first touch, as on the scalar loop: their shared
-    event list is the scalar one."""
+    """Two first-touch hooks on the one pass: each is called once per
+    run with the run's first touches, in registration order, and each
+    sees the scalar loop's first-touch stream."""
     vector = run_replay(seed, "vector", observer="two_hooks")
     assert execute_calls
     assert vector == run_replay(seed, "scalar", observer="two_hooks")
-    assert [e[-1] for e in vector["observer"][:4]] == [0, 1, 0, 1]
+    first, second = vector["observer"]
+    assert first and [e[:-1] for e in first] == [e[:-1] for e in second]
 
 
 def split_runs(cp: P.CompiledProgram) -> tuple[list, list]:
@@ -449,11 +503,12 @@ def test_fresh_sor_program_engages_engine_in_one_run(execute_calls):
     assert len(execute_calls) >= N_THREADS * 2 * (rounds - 1)
 
 
-def test_every_access_hook_keeps_replay_scalar(execute_calls):
-    """The footprinter re-arms its tags every tracking phase, so it must
-    see *every* access.  A born-hot body re-reading two objects across
-    1 ms phases would silently lose every re-trap (and its simulated
-    cost) if replay engaged under it."""
+def test_rearmed_objects_stop_the_one_pass_at_their_exact_clock(execute_calls):
+    """The footprinter re-arms the tags of the objects it sampled every
+    tracking phase, so each of their accesses re-enters it.  A born-hot
+    body re-reading two objects across 1 ms phases walks: each access is
+    a stop at the scalar loop's clock, and every re-trap (and its
+    simulated cost) lands as on the scalar loop."""
     outcomes = {}
     for replay in ("vector", "scalar"):
         djvm, obj_ids = build_djvm(replay=replay)
@@ -474,11 +529,13 @@ def test_every_access_hook_keeps_replay_scalar(execute_calls):
             run_fingerprint(djvm, result, suite),
             fp.tracked_accesses,
             fp.interval_footprints,
+            djvm.replay_routing.get("stops"),
         )
-    assert outcomes["vector"] == outcomes["scalar"]
+    assert outcomes["vector"][:3] == outcomes["scalar"][:3]
     assert outcomes["vector"][1] == 12  # 2 objects x 3 phases x 2 intervals
-    assert djvm.hlrc.dispatch_plan == (("StickySetFootprinter", "every_access"),)
-    assert execute_calls == []
+    assert outcomes["vector"][3] == 12  # every access of the two is a stop
+    assert djvm.hlrc.dispatch_plan == (("StickySetFootprinter", "rearming"),)
+    assert len(execute_calls) == 2
 
 
 WORKLOADS = {
@@ -630,22 +687,29 @@ def _plan_forever(djvm):
 
 
 def _two_hooks(djvm):
-    # The every-access hook keeps the first-touch one off the pass too.
+    # A first-touch hook beside a re-arming one: both ride the walk.
     djvm.add_hook(FastHook())
-    djvm.add_hook(EveryAccessHook(tag=1))
+    djvm.add_hook(RearmingHook(tag=1))
 
 
 #: each disqualifier alone: (DJVM kwargs factory, setup(djvm) before the run).
+#: ``timer`` (a positive deadline) and ``two_hooks`` (a re-arming hook)
+#: disqualified the one pass before it learnt to walk to clock stops;
+#: they are kept beside the rest to show that they no longer do.
 DISQUALIFIERS = {
     "hook": (dict, lambda djvm: djvm.add_hook(KeywordHook())),
     "two_hooks": (dict, _two_hooks),
     "observer": (dict, lambda djvm: djvm.attach(NullObserver())),
     "history": (dict, lambda djvm: djvm.attach(IntervalHistory())),
     "timer": (dict, lambda djvm: djvm.add_timer(DeadlineTimer())),
+    "condition_timer": (dict, lambda djvm: djvm.add_timer(ConditionTimer())),
     "queueing": (lambda: {"network": Network(queueing=True), "keep_event_trace": True}, None),
     "prefetcher": (dict, lambda djvm: setattr(djvm.hlrc, "prefetcher", EmptyPrefetcher())),
     "pending_migration": (dict, _plan_forever),
 }
+
+#: the entries above that now walk.
+WALKED = {"timer", "two_hooks"}
 
 
 @pytest.mark.parametrize("name", sorted(DISQUALIFIERS))
@@ -653,7 +717,10 @@ def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch, execute_c
     """Anything that could see a fault's messages or instants keeps the
     scalar loop: the engine is never called, every fault costs two
     ``Network.send`` calls, and the result is the scalar oracle's —
-    on one-shot and on repeated bodies."""
+    on one-shot and on repeated bodies.  A condition-driven timer
+    (deadline 0) is one of them.  The ``WALKED`` entries instead walk:
+    the engine is called, faults are batched, and the result is still
+    the scalar oracle's."""
     sends = Counter()
     original = Network.send
 
@@ -662,6 +729,7 @@ def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch, execute_c
         return original(self, kind, *args, **kwargs)
 
     monkeypatch.setattr(Network, "send", counting)
+    walked = name in WALKED
     for make_programs in (random_programs, repeating_programs):
         outcomes = {}
         for replay in ("vector", "scalar"):
@@ -673,22 +741,94 @@ def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch, execute_c
             res = djvm.run(make_programs(3, obj_ids))
             faults = res.counters["faults"]
             assert faults > 0
-            assert sends[MessageKind.OBJECT_FETCH_REQ] == sends[MessageKind.OBJECT_FETCH_DATA] == faults
+            if walked and replay == "vector":
+                assert sends[MessageKind.OBJECT_FETCH_REQ] < faults
+                assert djvm.replay_routing["faults_batched"] > 0
+            else:
+                assert sends[MessageKind.OBJECT_FETCH_REQ] == sends[MessageKind.OBJECT_FETCH_DATA] == faults
             if name == "queueing":
                 delivered = [e for e in djvm.event_trace if e[1] == "MESSAGE_DELIVER"]
                 assert len(delivered) == res.traffic.messages
             outcomes[replay] = (fingerprint(djvm, res), run_fingerprint(djvm, res))
         assert outcomes["vector"] == outcomes["scalar"]
-    assert execute_calls == []
+    assert bool(execute_calls) == walked
+
+
+# -- clock stops: the one pass walks to re-armed accesses and timer fires --
+#
+# A re-arming hook's tracking entry and a timer both read the clock
+# mid-run.  The engine gives each stop the scalar loop's clock: the
+# run's static cost through the op, plus every fault, twin and
+# first-touch charge at or before it, plus what earlier stops charged.
+# The recorders below log clocks (and the timer its pc), and charge
+# fixed costs, so a stop taken at the wrong op or with a charge in the
+# wrong place shows.
+
+WALK_CONFIGS = {
+    "timer": ("timer",),
+    "timer_charging": ("charging", "timer"),
+    "rearming_charging": ("charging", "rearming"),
+    "rearming_first": ("rearming", "charging"),
+    "all": ("charging", "rearming", "timer"),
+    "two_rearming": ("rearming", "charging", "rearming"),
+    "all_scaled_compute": ("charging", "rearming", "timer"),
+}
+
+
+def run_walked(seed, replay, *, config, make_programs):
+    """Everything a walked configuration leaves behind: the test and run
+    fingerprints, every recorder's events, the kernel's ``TIMER_FIRE``
+    trace, and the routing."""
+    kwargs = {"costs": CostModel.fast_test()} if config == "all_scaled_compute" else {}
+    djvm, obj_ids = build_djvm(replay=replay, keep_event_trace=True, **kwargs)
+    recorders = []
+    for tag, part in enumerate(WALK_CONFIGS[config]):
+        if part == "timer":
+            recorder = DeadlineTimer()
+            djvm.add_timer(recorder)
+        else:
+            recorder = (ChargingHook if part == "charging" else RearmingHook)(tag=tag)
+            djvm.add_hook(recorder)
+        recorders.append(recorder)
+    res = djvm.run(make_programs(seed, obj_ids))
+    fires = [e for e in djvm.event_trace if e[1] == "TIMER_FIRE"]
+    left_behind = (
+        fingerprint(djvm, res),
+        run_fingerprint(djvm, res),
+        [r.events for r in recorders],
+        [r.tracked for r in recorders if isinstance(r, RearmingHook)],
+        fires,
+    )
+    return left_behind, djvm.replay_routing
+
+
+@pytest.mark.parametrize("config", sorted(WALK_CONFIGS))
+@pytest.mark.parametrize("make_programs", [random_programs, repeating_programs])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_clock_stops_match_scalar(seed, make_programs, config, execute_calls):
+    """Timers fire at the scalar loop's op, clock and pc; tracking
+    entries see its clock at every re-armed access, the arming first
+    touch included, after the first-touch charges of that access —
+    whichever hook was registered first."""
+    kwargs = dict(config=config, make_programs=make_programs)
+    vector, routing = run_walked(seed, "vector", **kwargs)
+    scalar, _ = run_walked(seed, "scalar", **kwargs)
+    assert vector == scalar
+    assert execute_calls
+    parts = WALK_CONFIGS[config]
+    assert (routing["stops"] > 0) == ("rearming" in parts)
+    if "timer" in parts:
+        assert routing["timer_fires"] > 0
+        assert vector[4]
 
 
 # -- first-touch hooks ride the one pass ---------------------------------
 #
 # First-touch hooks keep the gate open.  The engine books each run's
-# new-in-interval objects in the interval's columns and calls every hook
-# on each, hooks inside objects.  The shared first-touch stream —
-# (thread, interval, object, real fault, hook) — must be the scalar
-# loop's, call for call.
+# new-in-interval objects in the interval's columns and hands them to
+# each hook in one call, hooks in registration order.  Each hook's
+# first-touch stream — (thread, interval, object, real fault) — must be
+# the scalar loop's, call for call.
 
 HOOK_CONFIGS = {
     "flat": dict,
@@ -725,14 +865,14 @@ def revisiting_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
 
 
 def run_first_touch_hooks(seed, replay, *, n_hooks, make_programs, config):
-    """(run_fingerprint, the hooks' shared events, routing) under
-    ``n_hooks`` first-touch hooks."""
+    """(run_fingerprint, each hook's events, routing) under ``n_hooks``
+    first-touch hooks."""
     djvm, obj_ids = build_djvm(replay=replay, **HOOK_CONFIGS[config]())
-    events: list = []
-    for tag in range(n_hooks):
-        djvm.add_hook(FastHook(events, tag=tag))
+    hooks = [FastHook(tag=tag) for tag in range(n_hooks)]
+    for hook in hooks:
+        djvm.add_hook(hook)
     res = djvm.run(make_programs(seed, obj_ids))
-    return run_fingerprint(djvm, res), events, djvm.replay_routing
+    return run_fingerprint(djvm, res), [h.events for h in hooks], djvm.replay_routing
 
 
 @pytest.mark.parametrize("config", sorted(HOOK_CONFIGS))
@@ -748,8 +888,8 @@ def test_first_touch_hooks_ride_the_one_pass_and_match_scalar(
     fp, events, routing = run_first_touch_hooks(seed, "vector", **kwargs)
     assert execute_calls
     assert (fp, events) == run_first_touch_hooks(seed, "scalar", **kwargs)[:2]
-    # Part of the stream came through the engine.
-    assert 0 < routing["first_touches"] * n_hooks <= len(events)
+    # Part of each stream came through the engine.
+    assert all(0 < routing["first_touches"] <= len(e) for e in events)
 
 
 def test_first_touch_hooks_after_a_mid_interval_migration(execute_calls):
@@ -851,6 +991,77 @@ def test_sampled_profiling_on_the_one_pass_matches_scalar(name, rate, backend):
         # Sampled, full, then sampled again for at least one more window.
         searched, settled, n_windows = control
         assert searched == list(ADAPTIVE_LADDER) and settled == 4 and n_windows > 2
+
+
+def run_adaptive_suite(name, replay, *, timer_ms, backend, footprinter_first=False):
+    """A workload under every profiler — correlation, stack sampling and
+    footprinting — with the adaptive controller moving every class's
+    rate several times mid-run: everything the run, the policy, the
+    footprinter and the stack sampler leave behind, and the routing.
+    ``footprinter_first`` registers the footprinter before the
+    correlation profiler (a ``ProfilerSuite`` registers it after)."""
+    djvm = DJVM(N_NODES, replay=replay)
+    workload = WORKLOADS[name]()
+    workload.build(djvm)
+    suite = ProfilerSuite(
+        djvm,
+        correlation=not footprinter_first,
+        stack=True,
+        footprint=True,
+        window_batches=N_THREADS,
+        stack_gap_ms=0.5,
+        footprint_timer_ms=timer_ms,
+        sampling_backend=backend,
+    )
+    if footprinter_first:
+        profiler = AccessProfiler(suite.policy, djvm.cluster, djvm.gos, collector=suite.collector)
+        profiler.observers = djvm.hlrc.observers
+        djvm.add_hook(profiler)
+        suite.access_profiler = profiler
+    suite.set_rate_all(1)
+    suite.attach_controller(AdaptiveRateController(threshold=0.0, ladder=(1, 2, 4, 8, 16, 32)))
+    res = djvm.run(workload.programs())
+    footprinter, sampler = suite.footprinter, suite.stack_sampler
+    left_behind = (
+        run_fingerprint(djvm, res, suite),
+        suite.policy.rate_changes,
+        footprinter.tracked_accesses,
+        footprinter.interval_footprints,
+        sampler.samples_taken,
+        [sampler.invariant_refs(thread) for thread in djvm.threads],
+    )
+    return left_behind, djvm.replay_routing, djvm.hlrc.dispatch_plan
+
+
+@pytest.mark.parametrize("backend", ["prime_gap", "hash"])
+@pytest.mark.parametrize("timer_ms", [None, 0.5], ids=["nonstop", "timer"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_full_adaptive_suite_walks_and_matches_scalar(name, timer_ms, backend):
+    """All three profilers on the one pass against the scalar loop, with
+    nonstop and timer-phased (duty 0.5) footprinting: re-armed accesses
+    and stack-sampler fires are clock stops, the correlation profiler's
+    charges land at their first touches, and rates move between
+    intervals, never inside one."""
+    config = dict(timer_ms=timer_ms, backend=backend)
+    vector, routing, plan = run_adaptive_suite(name, "vector", **config)
+    scalar, _, _ = run_adaptive_suite(name, "scalar", **config)
+    assert vector == scalar
+    assert plan == (("AccessProfiler", "first_touch"), ("StickySetFootprinter", "rearming"))
+    assert routing["stops"] > 0 and routing["timer_fires"] > 0
+    assert routing["first_touches"] > 0
+    rate_changes, tracked, _, samples = vector[1:5]
+    assert rate_changes > 0 and tracked > 0 and samples > 0
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_footprinter_registered_before_the_profiler_matches_scalar(name):
+    """At a first touch every first-touch entry runs before any tracking
+    entry, on both routes, whichever hook was registered first."""
+    config = dict(timer_ms=None, backend="prime_gap", footprinter_first=True)
+    vector, routing, plan = run_adaptive_suite(name, "vector", **config)
+    assert vector == run_adaptive_suite(name, "scalar", **config)[0]
+    assert plan == (("StickySetFootprinter", "rearming"), ("AccessProfiler", "first_touch"))
+    assert routing["stops"] > 0
 
 
 _SYNC_OPS = (P.OP_ACQUIRE, P.OP_RELEASE, P.OP_BARRIER)

@@ -74,8 +74,9 @@ class TestCommands:
         observes the run, so Barnes-Hut's one-shot tree walks go lean
         and their faults are batched; the correlation profiler sees
         first touches only, so it keeps that route and gets each run's
-        first touches after it."""
-        for profiler in (["--no-correlation"], []):
+        first touches; ``--sticky`` adds the footprinter's re-armed
+        accesses and the stack sampler's fires as clock stops."""
+        for profiler in (["--no-correlation"], [], ["--sticky"]):
             argv = ["run", "barnes-hut", "--nodes", "2", "--threads", "4", *profiler]
             assert main(argv) == 0
             out = capsys.readouterr().out
@@ -83,14 +84,15 @@ class TestCommands:
             assert len(lines) == 1
             match = re.fullmatch(
                 r"replay: bulk (\d+) runs, lean (\d+) runs, faults batched (\d+), "
-                r"first touches (\d+)",
+                r"first touches (\d+), stops (\d+), timer fires (\d+)",
                 lines[0],
             )
             assert match
-            bulk, lean, batched, first_touches = map(int, match.groups())
+            bulk, lean, batched, first_touches, stops, fires = map(int, match.groups())
             faults = int(re.search(r"faults (\d+)", out).group(1))
             assert lean > 0 and 0 < batched <= faults
-            assert (first_touches > 0) == (not profiler)
+            assert (first_touches > 0) == (profiler != ["--no-correlation"])
+            assert (stops > 0) == (fires > 0) == (profiler == ["--sticky"])
 
     def test_run_without_correlation(self, capsys):
         code = main(
