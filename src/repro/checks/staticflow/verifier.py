@@ -54,6 +54,7 @@ from repro.runtime.program import (
     OP_WRITE,
     OPCODE_NAMES,
     CompiledProgram,
+    bad_opcode_pc,
 )
 
 try:  # pragma: no cover - numpy is a hard dep of the repo, but the
@@ -179,8 +180,8 @@ def verify_structure(
     codes = program.codes
     if not codes:
         return []
-    if max(codes) > OP_BARRIER:  # unreachable via compile_program; raw safety
-        pc = next(i for i, c in enumerate(codes) if c > OP_BARRIER)
+    pc = bad_opcode_pc(codes)  # unreachable via compile_program; raw safety
+    if pc is not None:
         return [IRProblem("IR001", f"unknown opcode {codes[pc]}", thread_id, pc)]
     if _np is None:
         return _structure_python(program, thread_id)

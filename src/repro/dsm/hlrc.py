@@ -38,6 +38,7 @@ with the smallest simulated clock.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import count
 from operator import attrgetter
 from typing import Protocol
 
@@ -74,7 +75,12 @@ class ProtocolHooks(Protocol):
     must not observe one another.  At :meth:`on_interval_close` a hook
     may read only the interval's identity (``interval_id``, ``start_pc``
     / ``end_pc``, ``written``): the one pass books its objects into the
-    per-object columns with zero counts and times.
+    per-object columns with zero counts and times.  ``written`` holds
+    every written id, home copies included.  A hook may re-home objects
+    there (:meth:`~repro.dsm.homemigration.HomeMigrationEngine.
+    migrate_home`, as a home-migration policy does): that draws a new
+    :attr:`HomeBasedLRC.home_epoch`, which retires the one pass's
+    home-resident splits, so the run stays on the one pass.
 
     A *re-arming* hook (it defines ``on_rearmed_access``; the
     footprinter) may re-arm ids from its first-touch entry with
@@ -119,6 +125,9 @@ _INVALID = RealState.INVALID
 #: object's size follows from the last two).
 _FAULT_KEY = attrgetter("home_node", "jclass.class_id", "length")
 
+#: process-wide source of home epochs (see :attr:`HomeBasedLRC.home_epoch`).
+_HOME_EPOCHS = count()
+
 #: request/reply/control message payload sizes (bytes).
 FETCH_REQ_BYTES = 16
 FETCH_REPLY_OVERHEAD = 16
@@ -159,6 +168,12 @@ class HomeBasedLRC:
         self._objects = gos._objects
         self._copies_by_node = {nid: heap.copies for nid, heap in sorted(self.heaps.items())}
         self._access_busy_ns = self.costs.state_check_ns + self.costs.access_ns
+        #: the placement of homes, as a tag: drawn from a process-wide
+        #: counter here and at every re-homing (:meth:`new_home_epoch`),
+        #: so no two engines, and no two placements of one engine, share
+        #: a value.  Within one epoch a node's ``HOME`` copy stays
+        #: ``HOME``; the vector engine's home-resident splits rely on it.
+        self.home_epoch = next(_HOME_EPOCHS)
         #: global write-notice log: list of (obj_id, version).
         self.notices: list[tuple[int, int]] = []
         #: per-node index of the first unseen notice.
@@ -273,6 +288,11 @@ class HomeBasedLRC:
             self._on_first_touch = None
         self.rearming = "rearming" in modes
         self.dispatch_plan = tuple((type(h).__name__, m) for h, m in zip(hooks, modes))
+
+    def new_home_epoch(self) -> None:
+        """Draw a new :attr:`home_epoch`: some object changed its home,
+        so a ``HOME`` copy may have become a cache copy."""
+        self.home_epoch = next(_HOME_EPOCHS)
 
     # ------------------------------------------------------------------
     # copies & faults

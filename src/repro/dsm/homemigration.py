@@ -62,7 +62,10 @@ class HomeMigrationEngine:
 
         Safe only between the object's write intervals (callers invoke it
         from interval-close hooks); pending dirty state at the old home
-        is already flushed by then.
+        is already flushed by then.  The old home's copy stops being a
+        ``HOME`` copy, so the engine draws a new home epoch
+        (:meth:`HomeBasedLRC.new_home_epoch`): the vector engine's
+        home-resident splits taken before it no longer apply.
         """
         old_home = obj.home_node
         if new_home == old_home:
@@ -97,6 +100,7 @@ class HomeMigrationEngine:
             new_record.clear_interval_state()
 
         obj.home_node = new_home
+        self.hlrc.new_home_epoch()
         # Publish a notice so stale caches revalidate against the new home.
         obj.home_version += 1
         self.hlrc.notices.append((obj.obj_id, obj.home_version))

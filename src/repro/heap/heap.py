@@ -138,7 +138,12 @@ class LocalHeap:
         self.copies[obj_id] = record
 
     def evict(self, obj_id: int) -> None:
-        """Drop the record for ``obj_id`` (no-op when absent)."""
+        """Drop the record for ``obj_id`` (no-op when absent).
+
+        Illegal while a DJVM runs on this heap: the vector engine's
+        home-resident splits assume a node's ``HOME`` copy stays in
+        place for the whole home epoch (no protocol path removes one).
+        Before a run it is harmless, since splits are taken during it."""
         self.copies.pop(obj_id, None)
 
     def __len__(self) -> int:

@@ -5,6 +5,7 @@ the simulated counterpart of a booted JESSICA2 instance (paper Fig. 2).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from dataclasses import astuple, dataclass, field
 
@@ -273,7 +274,14 @@ class DJVM:
 
         A DJVM instance runs once: threads, heaps and protocol state are
         consumed by the run (re-running on spent threads would silently
-        return an empty result, so it is rejected)."""
+        return an empty result, so it is rejected).
+
+        The heap that exists when the run starts — programs, GOS objects
+        and their ref lists, which all live through it — is frozen out
+        of the cyclic collector for the run (``gc.freeze``), so in-run
+        collections scan only what the run allocates.  Only when the
+        collector is enabled and the caller froze nothing: a caller's
+        GC state is left as it was, and is restored if the run raises."""
         spent = [t.thread_id for t in self.threads if t.state is not ThreadState.RUNNABLE]
         if spent:
             raise RuntimeError(
@@ -290,7 +298,15 @@ class DJVM:
         interp.migration_engine = self.migration
         interp.attach_programs(programs)
         self._interpreter = interp
-        interp.run()
+        # Not gc.disable(): cycles the run creates must still be collected.
+        quiet = gc.isenabled() and gc.get_freeze_count() == 0
+        if quiet:
+            gc.freeze()
+        try:
+            interp.run()
+        finally:
+            if quiet:
+                gc.unfreeze()
         for thread in self.threads:
             if thread.state is not ThreadState.DONE:  # pragma: no cover - guard
                 raise RuntimeError(f"thread {thread.thread_id} did not finish")

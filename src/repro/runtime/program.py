@@ -67,6 +67,10 @@ _ACCESS_RUN_RE = re.compile(rb"[\x00-\x02]+")
 #: C speed for segment splitting (the static CFG builder's boundaries).
 _SYNC_OP_RE = re.compile(rb"[\x06-\x08]")
 
+#: every valid opcode byte: ``codes.translate(None, _OPCODES)`` deletes
+#: them at C speed and leaves only the out-of-range ones.
+_OPCODES = bytes(range(OP_BARRIER + 1))
+
 #: opcode -> selector byte translation tables over a run's opcode bytes
 #: (READ=0, WRITE=1, COMPUTE=2): access ops, write ops, compute ops.
 _ACCESS_MASK = bytes.maketrans(b"\x00\x01\x02", b"\x01\x01\x00")
@@ -78,6 +82,14 @@ _STATIC_FIELD = bytes.maketrans(b"\x00\x01\x02", b"\x03\x03\x01")
 _OPCODE = itemgetter(0)
 _ARG = itemgetter(1)
 _REPEAT = itemgetter(3)
+
+
+def bad_opcode_pc(codes: bytes) -> int | None:
+    """The pc of the first opcode outside ``OP_READ..OP_BARRIER`` in a
+    dense opcode array, or None — found at C speed either way: the first
+    byte left after deleting the valid ones is the first bad opcode."""
+    bad = codes.translate(None, _OPCODES)
+    return codes.index(bad[0]) if bad else None
 
 
 class AccessRun:
@@ -98,9 +110,15 @@ class AccessRun:
     execution.  A singleton stays cold and is priced from transient
     ones every time: a one-shot body would keep cached ones alive for
     nothing.
+
+    A hot run also keeps, per node it ran on, its *home-resident split*
+    (``_splits``, kept by the engine): the ids it must still probe
+    there — those homed elsewhere — and their write lanes, tagged with
+    the home epoch it was taken in.  Only ints: a split outlives the
+    DJVM it was taken in without keeping its heaps alive.
     """
 
-    __slots__ = ("n_ops", "ops", "hot", "_cost_key", "_lane", "_cols")
+    __slots__ = ("n_ops", "ops", "hot", "_cost_key", "_lane", "_cols", "_splits")
 
     def __init__(self, body: tuple) -> None:
         self.n_ops = len(body)
@@ -110,6 +128,7 @@ class AccessRun:
         self._cost_key = None
         self._lane = None
         self._cols = None
+        self._splits = None
 
 
 def lean_lane(ops: tuple, costs) -> tuple[int, int, dict, tuple[list, list, list]]:
@@ -219,11 +238,11 @@ class CompiledProgram:
 
     def __init__(self, ops: Iterable[Op]) -> None:
         decoded = tuple(ops) if not isinstance(ops, tuple) else ops
-        # bytes() already rejects non-ints and codes outside 0..255; one
-        # C-speed max() catches anything past the opcode range.
+        # bytes() already rejects non-ints and codes outside 0..255;
+        # bad_opcode_pc catches anything past the opcode range.
         codes = bytes(map(_OPCODE, decoded))
-        if codes and max(codes) > OP_BARRIER:
-            i = next(i for i, c in enumerate(codes) if c > OP_BARRIER)
+        i = bad_opcode_pc(codes)
+        if i is not None:
             raise ValueError(f"op {i}: unknown opcode {codes[i]!r}")
         self.ops = decoded
         #: dense per-op opcode array (one byte per op).
@@ -247,24 +266,40 @@ class CompiledProgram:
         Returns ``{start_pc: AccessRun}`` for every maximal
         READ/WRITE/COMPUTE span of at least ``min_len`` ops.  The regex
         scan over the dense opcode array finds span boundaries at C
-        speed; spans with equal bodies share one :class:`AccessRun`
-        (interned by the body tuple itself, in a table that lives only
-        for this call), and a body found twice is hot from the start.
+        speed; spans with equal bodies share one :class:`AccessRun`,
+        and a body found twice is hot from the start.
+
+        Interning is by content, in a table that lives only for this
+        call.  Hashing a body would hash every op in it, so spans are
+        bucketed by a cheap key — their opcode bytes (hashed at C speed)
+        and their first, middle and last op — and a bucket's runs are
+        told apart by tuple equality, which stops at the first differing
+        op and skips ops shared by identity (a workload that replays one
+        prototype body every round shares all of them).
         """
         runs = self._vruns
         if runs is None:
             runs = {}
-            interned: dict[tuple, AccessRun] = {}
+            buckets: dict[tuple, list[AccessRun]] = {}
             ops = self.ops
-            for m in _ACCESS_RUN_RE.finditer(self.codes):
+            codes = self.codes
+            for m in _ACCESS_RUN_RE.finditer(codes):
                 s, e = m.start(), m.end()
                 if e - s >= min_len:
                     body = ops[s:e]
-                    # setdefault: one hash of the body per span.
-                    new = AccessRun(body)
-                    run = interned.setdefault(body, new)
-                    if run is not new:
-                        run.hot = True
+                    key = (codes[s:e], ops[s], ops[(s + e) // 2], ops[e - 1])
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        run = AccessRun(body)
+                        buckets[key] = [run]
+                    else:
+                        for run in bucket:
+                            if run.ops == body:
+                                run.hot = True
+                                break
+                        else:
+                            run = AccessRun(body)
+                            bucket.append(run)
                     runs[s] = run
             self._vruns = runs
         return runs

@@ -43,6 +43,18 @@ observed runs on the scalar loop, the correctness oracle
 (``replay="scalar"`` forces it everywhere); the end state of both
 routes is byte-identical, which the equivalence tests assert over
 randomized programs and the paper workloads.
+
+A hot run also stops re-checking what its executions cannot change.
+After its first full probe on a node it keeps that node's *home-resident
+split*: the distinct ids homed elsewhere, and their write lanes, tagged
+with the engine's :attr:`~repro.dsm.hlrc.HomeBasedLRC.home_epoch`.
+Later executions there in the same epoch probe and write-book only
+those.  This is exact: the full probe left a ``HOME`` copy of every
+other id on the node, a ``HOME`` copy is always current (it never
+faults, twins or diffs), and only a re-homing turns one into a cache
+copy — which draws a new epoch.  Home writes still enter the
+interval's written set, since they publish notices at close; first
+touches and the walk read the full lane.
 """
 
 from __future__ import annotations
@@ -91,6 +103,7 @@ class VectorEngine:
         "first_touches",
         "stops",
         "timer_fires",
+        "home_resident",
     )
 
     def __init__(self, interp) -> None:
@@ -107,6 +120,7 @@ class VectorEngine:
         self.first_touches = 0
         self.stops = 0
         self.timer_fires = 0
+        self.home_resident = 0
 
     def routing(self) -> dict[str, int]:
         """How the engine routed this run's access runs: executions on a
@@ -115,7 +129,8 @@ class VectorEngine:
         in one pass (``faults_batched``), interval first touches handed
         to first-touch entries (``first_touches``), re-armed accesses
         given their exact clock for the tracking entries (``stops``),
-        and timer fires inside walked runs (``timer_fires``)."""
+        timer fires inside walked runs (``timer_fires``), and probes a
+        home-resident split skipped (``home_resident``)."""
         return {
             "bulk": self.runs_bulk,
             "lean": self.runs_lean,
@@ -123,6 +138,7 @@ class VectorEngine:
             "first_touches": self.first_touches,
             "stops": self.stops,
             "timer_fires": self.timer_fires,
+            "home_resident": self.home_resident,
         }
 
     def _lanes(self, run: AccessRun, walk: bool) -> tuple:
@@ -165,8 +181,16 @@ class VectorEngine:
         copies = self._copies_by_node[node_id]
         objects = self._objects
         get = copies.get
+        w_all = writes[0]
+        probe = uniq
+        splits = run._splits
+        split = splits.get(node_id) if splits else None
+        stale = split is None or split[0] != hlrc.home_epoch
+        if not stale:
+            _, probe, writes = split
+            self.home_resident += len(uniq) - len(probe)
         faulted = []
-        for oid in uniq:
+        for oid in probe:
             record = get(oid)
             if record is not None and record.real_state is not _INVALID:
                 continue
@@ -181,9 +205,16 @@ class VectorEngine:
                     record.real_state = _VALID
                     record.fetched_version = obj.home_version
                 faulted.append(obj)
+        if stale and run.hot:
+            if splits is None:
+                splits = run._splits = {}
+            splits[node_id] = self._split(hlrc.home_epoch, copies, uniq, writes)
         clock = thread.clock
         base = clock._now_ns
         twins = {} if walk else None
+        if w_all:
+            # Home writes too: every written id publishes a notice at close.
+            thread.current_interval.written.update(w_all)
         twin_ns = self._apply_writes(thread, copies, *writes, twins) if writes[0] else 0
         cpu = thread.cpu
         cpu.access_ns += busy
@@ -201,6 +232,24 @@ class VectorEngine:
                 thread, run, uniq, cols, base, pc, deadline, faulted, prices, twins, touched
             )
         return deadline
+
+    @staticmethod
+    def _split(epoch: int, copies: dict, uniq, writes: tuple) -> tuple:
+        """The home-resident split of a hot run just fully probed on the
+        node whose copies are ``copies``: ``(epoch, ids to probe, their
+        write lanes)`` — the ids whose copy there is no ``HOME`` copy,
+        in first-touch order, and the write lanes filtered to them.  A
+        run with no home id keeps its full lane."""
+        foreign = [oid for oid in uniq if copies[oid].real_state is not _HOME]
+        if len(foreign) == len(uniq):
+            return epoch, uniq, writes
+        w_oids, w_welems, w_wops = writes
+        keep = [copies[oid].real_state is not _HOME for oid in w_oids]
+        return epoch, foreign, (
+            list(compress(w_oids, keep)),
+            list(compress(w_welems, keep)),
+            list(compress(w_wops, keep)),
+        )
 
     def _first_touches(self, thread, uniq, faulted: list, hooks: tuple) -> tuple | None:
         """Book the run's first touches in the current interval — the
@@ -329,15 +378,14 @@ class VectorEngine:
     def _apply_writes(
         self, thread, copies: dict, w_oids, w_welems, w_wops, twins: dict | None = None
     ) -> int:
-        """Write bookkeeping of one run: the written set, and for each
-        written cache copy its twin (first write this interval), dirty
-        bytes and writer; returns the twin cost.  The three lanes are
-        parallel (written object, elements, write ops).  ``twins``, if
-        given, receives each twin's cost by object."""
+        """Write bookkeeping of one run's written cache copies (the
+        caller books the written set): for each, its twin (first write
+        this interval), dirty bytes and writer; returns the twin cost.
+        The three lanes are parallel (written object, elements, write
+        ops).  ``twins``, if given, receives each twin's cost by object."""
         objects = self._objects
         tid = thread.thread_id
         twin_per_byte = self.costs.twin_ns_per_byte
-        thread.current_interval.written.update(w_oids)
         twin_ns = 0
         for oid, welems, wops in zip(w_oids, w_welems, w_wops):
             record = copies[oid]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+
 import pytest
 
 from repro.runtime import program as P
@@ -45,3 +48,33 @@ def wrap_main(ops: list, anchor: int | None = None) -> list:
     refs = [(0, anchor)] if anchor is not None else []
     return [P.call("main", n_slots=4, refs=refs), *ops, P.ret()]
 
+
+
+#: the cyclic-collector states a caller may leave when it calls
+#: ``DJVM.run``: untouched, disabled, or its heap frozen.
+GC_STATES = ("enabled", "disabled", "frozen")
+
+
+@contextmanager
+def caller_gc_state(state: str):
+    """Put the cyclic collector in one of :data:`GC_STATES` for the
+    block, as a caller of ``DJVM.run`` might, then restore it."""
+    was_enabled = gc.isenabled()
+    if state == "disabled":
+        gc.disable()
+    elif state == "frozen":
+        gc.freeze()
+    try:
+        yield
+    finally:
+        if state == "frozen":
+            gc.unfreeze()
+        if was_enabled:
+            gc.enable()
+
+
+def gc_state() -> tuple[bool, bool]:
+    """(collector enabled, some heap frozen): what ``DJVM.run`` must
+    leave as it found it.  Not the freeze count itself, which drops
+    whenever a frozen object dies."""
+    return gc.isenabled(), gc.get_freeze_count() > 0

@@ -7,7 +7,9 @@ take it and batch their faults, that ``bh_track_full`` takes it too and
 hands each run's first touches to the correlation profiler, and that
 ``ws_adaptive_sticky`` takes it as well: the footprinter's re-armed
 (sampled) objects and the stack sampler's timer are clock stops the
-walk visits (``stops`` and ``timer_fires`` in the routing).  A further
+walk visits (``stops`` and ``timer_fires`` in the routing).  SOR's
+repeated sweeps skip their home-resident rows after their first full
+probe on a node (``home_resident``).  A further
 replay route has to come with a workload that uses it: add the
 workload to the benchmark and its route here first.  The catalog is
 loaded by path because ``benchmarks/`` is not a package.
@@ -99,6 +101,8 @@ def test_benchmark_workload_takes_its_pinned_route(spec, monkeypatch):
         adaptive = spec.profile == "adaptive"
         assert (routing["stops"] > 0) == adaptive
         assert (routing["timer_fires"] > 0) == adaptive
+        if spec.name == "sor_base":
+            assert routing["home_resident"] > 0
     else:
         assert calls == []
         assert set(routing.values()) == {0}

@@ -12,7 +12,7 @@ from repro.runtime.migration import MigrationPlan
 from repro.runtime.vector import WalkedRunMigrationError
 from repro.sim.costs import CostModel
 
-from tests.conftest import simple_class, wrap_main
+from tests.conftest import GC_STATES, caller_gc_state, gc_state, simple_class, wrap_main
 
 
 def make(n_nodes=2, n_threads=2):
@@ -115,41 +115,54 @@ class TestMigrationFailures:
             )
 
 
+class MigratingTimer:
+    """A timer with a positive deadline that, at its one fire, schedules
+    a migration of the thread it fires on."""
+
+    def __init__(self, djvm):
+        self.djvm = djvm
+        self.fired = False
+
+    def next_fire_ns(self, thread):
+        return 1 << 62 if self.fired else 5_000
+
+    def maybe_fire(self, thread):
+        if not self.fired and thread.clock.now_ns >= 5_000:
+            self.fired = True
+            self.djvm.migration.schedule(MigrationPlan(thread.thread_id, 1))
+
+
+def run_migrating_timer(replay):
+    djvm = DJVM(n_nodes=2, costs=CostModel.fast_test(), replay=replay)
+    cls = simple_class(djvm)
+    obj = djvm.allocate(cls, 0)
+    djvm.spawn_thread(0)
+    djvm.add_timer(MigratingTimer(djvm))
+    # 2 us of compute per op at the fast_test scale: the deadline
+    # passes in the middle of the one access run.
+    body = [P.read(obj.obj_id), P.compute(200_000)] * 5
+    djvm.run({0: wrap_main(body)})
+    return djvm.threads[0]
+
+
 class TestWalkedRunFailures:
     def test_timer_leaving_its_own_migration_pending_inside_a_walked_run(self):
-        """A timer with a positive deadline that schedules a migration of
-        the thread it fires on: the scalar loop migrates at the next op,
-        inside the access run; the vector engine's walk cannot split the
-        run there, so it raises a named error rather than diverge."""
-
-        class MigratingTimer:
-            def __init__(self, djvm):
-                self.djvm = djvm
-                self.fired = False
-
-            def next_fire_ns(self, thread):
-                return 1 << 62 if self.fired else 5_000
-
-            def maybe_fire(self, thread):
-                if not self.fired and thread.clock.now_ns >= 5_000:
-                    self.fired = True
-                    self.djvm.migration.schedule(MigrationPlan(thread.thread_id, 1))
-
-        def run(replay):
-            djvm = DJVM(n_nodes=2, costs=CostModel.fast_test(), replay=replay)
-            cls = simple_class(djvm)
-            obj = djvm.allocate(cls, 0)
-            djvm.spawn_thread(0)
-            djvm.add_timer(MigratingTimer(djvm))
-            # 2 us of compute per op at the fast_test scale: the deadline
-            # passes in the middle of the one access run.
-            body = [P.read(obj.obj_id), P.compute(200_000)] * 5
-            djvm.run({0: wrap_main(body)})
-            return djvm.threads[0]
-
-        assert run("scalar").node_id == 1
+        """The scalar loop migrates at the op after the fire, inside the
+        access run; the vector engine's walk cannot split the run there,
+        so it raises a named error rather than diverge."""
+        assert run_migrating_timer("scalar").node_id == 1
         with pytest.raises(WalkedRunMigrationError, match="pending for its own thread"):
-            run("vector")
+            run_migrating_timer("vector")
+
+    @pytest.mark.parametrize("state", GC_STATES)
+    def test_a_run_that_raises_restores_the_callers_gc_state(self, state):
+        """``DJVM.run`` freezes the pre-run heap for the run; a run that
+        raises still leaves the collector as the caller had it."""
+        with caller_gc_state(state):
+            before = gc_state()
+            with pytest.raises(WalkedRunMigrationError):
+                run_migrating_timer("vector")
+            assert gc_state() == before
 
 
 class TestRunReuse:

@@ -1,12 +1,15 @@
 """Tests for the DJVM facade."""
 
+import gc
+
 import pytest
 
 from repro.runtime import program as P
-from repro.runtime.djvm import DJVM
+from repro.runtime.djvm import DJVM, run_fingerprint
 from repro.sim.costs import CostModel
+from repro.workloads.sor import SORWorkload
 
-from tests.conftest import simple_class, wrap_main
+from tests.conftest import GC_STATES, caller_gc_state, gc_state, simple_class, wrap_main
 
 
 class TestSetup:
@@ -84,3 +87,61 @@ class TestRunResult:
         djvm, res = self.run_simple()
         s = res.summary()
         assert "execution" in s and "GOS traffic" in s
+
+
+class GcProbe:
+    """A first-touch hook (so the run keeps the one pass) recording the
+    collector's state at every interval close, inside the run."""
+
+    def __init__(self) -> None:
+        self.seen: set[tuple[bool, int]] = set()
+
+    def on_interval_open(self, thread) -> None:
+        pass
+
+    def on_interval_close(self, thread, interval, sync_dst) -> None:
+        self.seen.add((gc.isenabled(), gc.get_freeze_count()))
+
+    def on_access(self, thread, obj, **kw) -> None:  # pragma: no cover
+        pass
+
+    def fast_on_access(self, thread, ids, faulted) -> None:
+        return None
+
+
+class TestGcQuietRuns:
+    """``DJVM.run`` freezes the pre-run heap out of the cyclic collector
+    when the caller left the collector enabled and froze nothing, and
+    otherwise leaves the caller's GC state alone; either way the run's
+    result is the same, and the caller's state is back after it."""
+
+    def run_sor(self):
+        djvm = DJVM(4)
+        workload = SORWorkload(n=64, rounds=3, n_threads=4, seed=1)
+        workload.build(djvm)
+        probe = GcProbe()
+        djvm.add_hook(probe)
+        res = djvm.run(workload.programs())
+        assert djvm.replay_routing["home_resident"] > 0
+        return run_fingerprint(djvm, res), probe.seen
+
+    def test_fingerprint_and_caller_state_under_every_gc_state(self):
+        fps = {}
+        for state in GC_STATES:
+            with caller_gc_state(state):
+                before = gc_state()
+                frozen_before = gc.get_freeze_count()
+                fps[state], seen = self.run_sor()
+                assert gc_state() == before
+            enabled = {e for e, _ in seen}
+            frozen = [n for _, n in seen]
+            assert enabled == {state != "disabled"}
+            if state == "enabled":
+                # The run froze the pre-run heap and left the collector on.
+                assert min(frozen) > 0
+            elif state == "disabled":
+                assert set(frozen) == {0}
+            else:
+                # The caller's freeze stands; the run froze nothing more.
+                assert 0 < max(frozen) <= frozen_before
+        assert fps["enabled"] == fps["disabled"] == fps["frozen"]

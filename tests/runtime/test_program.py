@@ -236,6 +236,26 @@ class TestVectorRunInterning:
         assert run.n_ops == n
         assert not hasattr(run, "start") and not hasattr(run, "end")
 
+    def test_bodies_alike_at_their_ends_and_middle_stay_apart(self):
+        """Bodies with the same opcodes and the same first, middle and
+        last op, differing elsewhere, are distinct runs; each repeat,
+        from fresh op tuples too, finds its own."""
+        from repro.runtime.program import compile_program
+
+        a = self.burst(0, 9)
+        b = [*a[:2], P.read(77), *a[3:]]
+        c = [*a[:6], P.write(78), *a[7:]]
+        spans = [a, b, c, [(*op,) for op in b], a]
+        ops = []
+        for k, body in enumerate(spans):
+            ops += [*body, P.barrier(k)]
+        runs = compile_program(ops).vector_runs()
+        got = [runs[pc] for pc in sorted(runs)]
+        assert [run.ops for run in got] == [tuple(body) for body in spans]
+        assert got[0] is got[4] and got[1] is got[3]
+        assert len({id(run) for run in got}) == 3
+        assert [run.hot for run in got] == [True, True, False, True, True]
+
     def test_programs_do_not_share_runs(self):
         """The intern table is per compiled program, not global."""
         one, _ = self.compiled()

@@ -24,7 +24,9 @@ through the same comparison, with and without the profilers.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -32,6 +34,7 @@ import pytest
 from repro.core.access_profiler import AccessProfiler
 from repro.core.adaptive import AdaptiveRateController
 from repro.core.profiler import ProfilerSuite
+from repro.dsm.homemigration import HomeMigrationEngine
 from repro.dsm.intervals import IntervalHistory
 from repro.dsm.observer import ProtocolObserver
 from repro.runtime import program as P
@@ -51,20 +54,27 @@ N_ARRAYS = 8
 ARR_LEN = 64
 
 
-def build_djvm(history: bool = False, **kwargs) -> tuple[DJVM, list[int]]:
-    """A small DJVM with scalar and array objects spread over the nodes;
-    ``history`` attaches an :class:`IntervalHistory` (read by
-    :func:`fingerprint`)."""
+def build_djvm(
+    history: bool = False, homes: str = "cyclic", **kwargs
+) -> tuple[DJVM, list[int]]:
+    """A small DJVM with scalar and array objects spread over the nodes,
+    ``homes`` ``"cyclic"`` (object i at node i mod n) or ``"block"``
+    (contiguous ranges per node); ``history`` attaches an
+    :class:`IntervalHistory` (read by :func:`fingerprint`)."""
     djvm = DJVM(N_NODES, **kwargs)
     if history:
         djvm.attach(IntervalHistory())
     scalar_cls = djvm.define_class("Obj", 64)
     array_cls = djvm.define_class("Arr", is_array=True, element_size=8)
+
+    def home(i: int, n: int) -> int:
+        return i % N_NODES if homes == "cyclic" else i * N_NODES // n
+
     obj_ids = [
-        djvm.allocate(scalar_cls, i % N_NODES).obj_id for i in range(N_SCALARS)
+        djvm.allocate(scalar_cls, home(i, N_SCALARS)).obj_id for i in range(N_SCALARS)
     ]
     obj_ids += [
-        djvm.allocate(array_cls, i % N_NODES, length=ARR_LEN).obj_id
+        djvm.allocate(array_cls, home(i, N_ARRAYS), length=ARR_LEN).obj_id
         for i in range(N_ARRAYS)
     ]
     for t in range(N_THREADS):
@@ -1102,3 +1112,178 @@ def test_first_interval_oal_logging_price(seed, replay, config):
     assert res.counters["faults"] > 0
     if replay == "vector":
         assert djvm.replay_routing["first_touches"] > 0
+
+
+# -- home-resident splits: hot runs skip what their executions cannot change
+#
+# After a hot run's first full probe on a node, every id homed there has
+# a HOME copy on the node, which stays HOME until the object re-homes.
+# Later executions on that node in the same home epoch probe and
+# write-book only the ids homed elsewhere.  Each case below moves what a
+# split depends on — the home of an object, the DJVM, the thread's node
+# — between executions, and must leave the scalar loop's result.
+
+
+class RehomingHook(FastHook):
+    """A first-touch hook that also acts as a home-migration policy:
+    when thread 0 closes an interval named in ``moves``, it re-homes
+    those objects (``{interval_id: [(obj_id, new_home), ...]}``)."""
+
+    def __init__(self, djvm: DJVM, moves: dict) -> None:
+        super().__init__()
+        self.engine = HomeMigrationEngine(djvm.hlrc)
+        self.moves = moves
+
+    def on_interval_close(self, thread, interval, sync_dst) -> None:
+        if thread.thread_id != 0:
+            return
+        gos = self.engine.hlrc.gos
+        for oid, node in self.moves.get(interval.interval_id, ()):
+            self.engine.migrate_home(gos.get(oid), node, now_ns=thread.clock.now_ns)
+
+
+class MigratingHook(FastHook):
+    """A first-touch hook that moves thread 0 to ``moves[interval_id]``
+    when it closes that interval, so no migration is pending while its
+    runs execute."""
+
+    def __init__(self, djvm: DJVM, moves: dict) -> None:
+        super().__init__()
+        self.djvm = djvm
+        self.moves = moves
+
+    def on_interval_close(self, thread, interval, sync_dst) -> None:
+        node = self.moves.get(interval.interval_id) if thread.thread_id == 0 else None
+        if node is not None:
+            plan = MigrationPlan(0, node, at_interval=interval.interval_id + 1)
+            self.djvm.migration.schedule(plan)
+
+
+SPLIT_ROUNDS = 5
+
+
+def split_programs(
+    djvm: DJVM, obj_ids: list[int], rounds: int = SPLIT_ROUNDS
+) -> tuple[dict[int, list], list[int]]:
+    """Thread 0 (node 0) replays one body every round over objects homed
+    at node 0, 1 and 2, reading and writing both kinds; thread 1
+    (node 1) rewrites the node-2 object every round, so thread 0
+    refaults it after each barrier.  Returns the programs and the
+    body's (home 0, home 0, home 1, home 2) objects."""
+    by_home = {n: [o for o in obj_ids if djvm.gos.get(o).home_node == n] for n in range(3)}
+    h0, h1 = by_home[0][:2]
+    f1, f2 = by_home[1][0], by_home[2][0]
+    body = [
+        P.read(h0, 2), P.write(h0), P.read(h1), P.write(h1, 2),
+        P.read(f1), P.write(f1), P.read(f2, repeat=3), P.compute(1_000),
+    ]
+    main, writer = [P.call("main", 2)], [P.call("main", 2)]
+    for rnd in range(rounds):
+        main += [*body, P.barrier(rnd)]
+        writer += [P.write(f2, 4), P.barrier(rnd)]
+    idle = [P.barrier(rnd) for rnd in range(rounds)]
+    programs = {0: main + [P.ret()], 1: writer + [P.ret()], 2: idle, 3: list(idle)}
+    return programs, [h0, h1, f1, f2]
+
+
+def test_split_follows_a_migrate_home_from_an_interval_close(execute_calls):
+    """A first-touch hook re-homes a node-0 object the body writes to
+    node 1, and a node-1 object to node 0, as a policy would from
+    ``on_interval_close``.  The run stays on the one pass; node 0's
+    split from before the move is stale (its HOME copy of the first is
+    now a cache copy that faults, twins and diffs), and the engine must
+    take a new one — as the scalar loop behaves."""
+    outcomes = {}
+    for replay in ("vector", "scalar"):
+        djvm, obj_ids = build_djvm(replay=replay)
+        programs, (h0, _, f1, _) = split_programs(djvm, obj_ids)
+        hook = RehomingHook(djvm, {2: [(h0, 1), (f1, 0)]})
+        djvm.add_hook(hook)
+        res = djvm.run(programs)
+        outcomes[replay] = (
+            run_fingerprint(djvm, res), hook.events, djvm.replay_routing, hook.engine.stats
+        )
+    vector, scalar = outcomes["vector"], outcomes["scalar"]
+    assert vector[:2] == scalar[:2]
+    assert vector[3].migrations == 2
+    body = execute_calls[0]
+    assert body.hot and execute_calls.count(body) == SPLIT_ROUNDS
+    assert vector[2]["home_resident"] > 0
+    # h0 at its new home (node 1) since the move: node 0's copy is a cache.
+    assert djvm.gos.get(h0).home_node == 1
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_one_compiled_program_on_two_placements(seed):
+    """The ledger's reuse pattern: one compiled program runs on a DJVM
+    with block homes, then on one with cyclic homes.  Each DJVM draws
+    its own home epoch, so the second takes its own splits rather than
+    skipping objects the first had at home."""
+    progs = None
+    for homes in ("block", "cyclic"):
+        outcomes = {}
+        for replay in ("vector", "scalar"):
+            djvm, obj_ids = build_djvm(replay=replay, homes=homes)
+            ops = repeating_programs(seed, obj_ids)
+            if replay == "vector":
+                progs = progs or {tid: P.compile_program(o) for tid, o in ops.items()}
+                ops = progs
+            res = djvm.run(ops)
+            outcomes[replay] = (fingerprint(djvm, res), run_fingerprint(djvm, res))
+            if replay == "vector":
+                assert djvm.replay_routing["home_resident"] > 0
+        assert outcomes["vector"] == outcomes["scalar"]
+
+
+def test_a_thread_that_migrates_between_executions(execute_calls):
+    """Thread 0 runs the body twice on node 0, three times on node 3,
+    then twice more on node 0.  The first execution after each move
+    runs on the scalar loop (the migration is pending until it fires
+    there); the engine then takes a split for node 3 and uses it, and
+    node 0's is still good on the way back (nothing re-homed
+    meanwhile)."""
+    rounds = 7
+    outcomes = {}
+    for replay in ("vector", "scalar"):
+        djvm, obj_ids = build_djvm(replay=replay)
+        programs, _ = split_programs(djvm, obj_ids, rounds)
+        hook = MigratingHook(djvm, {2: 3, 5: 0})
+        djvm.add_hook(hook)
+        res = djvm.run(programs)
+        outcomes[replay] = (run_fingerprint(djvm, res), hook.events, djvm.replay_routing)
+    vector, scalar = outcomes["vector"], outcomes["scalar"]
+    assert vector[:2] == scalar[:2]
+    body = execute_calls[0]
+    assert execute_calls.count(body) == rounds - 2
+    assert sorted(body._splits) == [0, 3]
+    assert djvm.threads[0].node_id == 0
+    assert vector[2]["home_resident"] > 0
+
+
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _leaves(item)
+    elif isinstance(value, dict):
+        for item in value.items():
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_a_finished_djvm_is_collectable_while_its_programs_live_on():
+    """Splits hold ints only — an epoch, ids, write counts — so compiled
+    programs that outlive their DJVM (the ledger reuses them) keep
+    neither its engine nor its heaps alive."""
+    djvm, obj_ids = build_djvm()
+    progs = compile_hot(repeating_programs(0, obj_ids))
+    djvm.run(progs)
+    splits = [
+        vr._splits for cp in progs.values() for vr in cp.vector_runs().values() if vr._splits
+    ]
+    assert splits
+    assert {type(leaf) for split in splits for leaf in _leaves(split)} <= {int, type(None)}
+    hlrc, heap = weakref.ref(djvm.hlrc), weakref.ref(djvm.hlrc.heaps[0])
+    del djvm
+    gc.collect()
+    assert hlrc() is None and heap() is None
