@@ -55,12 +55,13 @@ def run(mode: str):
     )
     result = djvm.run(workload.programs())
 
-    interval = next(
-        iv for iv in history.by_thread[0]
+    interval, summaries = next(
+        (iv, summaries)
+        for iv, summaries in zip(history.by_thread[0], history.summaries[0])
         if iv.start_pc < MIGRATE_AT_PC <= iv.end_pc
     )
     mid = (interval.start_ns + interval.end_ns) // 2
-    truth = {o for o, s in interval.accesses.items() if s.first_ns < mid <= s.last_ns}
+    truth = {o for o, s in summaries.items() if s.first_ns < mid <= s.last_ns}
     mig = djvm.migration.results[0]
     info.update(
         result=result,

@@ -23,7 +23,7 @@ from repro.core.accuracy import accuracy
 from repro.core.oal import OALBatch
 from repro.core.profiler import ProfilerSuite
 from repro.core.sampling import SamplingPolicy
-from repro.core.tcm import build_tcm
+from repro.core.tcm import build_tcm, resampled_tcm
 from repro.dsm.pagedsm import PageGrainTracker
 from repro.heap.heap import GlobalObjectSpace
 from repro.heap.pages import PageMap
@@ -191,15 +191,7 @@ def tcm_at_rate(
     )
     for st in gos.registry:
         policy.set_rate(st, rate)
-
-    def gen():
-        for batch in batches:
-            for entry in batch.entries:
-                obj = gos.get(entry.obj_id)
-                if policy.is_sampled(obj):
-                    yield batch.thread_id, entry.obj_id, policy.scaled_bytes(obj)
-
-    return build_tcm(gen(), n_threads)
+    return resampled_tcm(batches, policy, gos.get, n_threads)
 
 
 @dataclass

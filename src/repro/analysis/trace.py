@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.oal import OALBatch
 from repro.core.sampling import SamplingPolicy
-from repro.core.tcm import build_tcm
+from repro.core.tcm import build_tcm, resampled_tcm
 from repro.heap.heap import GlobalObjectSpace
 from repro.heap.jclass import JClass
 
@@ -205,26 +205,18 @@ class ProfileTrace:
         from repro.heap.objects import HeapObject
 
         policy, _gos, id_map = self._rebuild_policy(rate, backend)
+        cache: dict[int, HeapObject] = {}
 
-        def entries():
-            cache: dict[int, HeapObject] = {}
-            for batch in self.batches:
-                for e in batch.entries:
-                    obj = cache.get(e.obj_id)
-                    if obj is None:
-                        cid, seq, length = self.objects[e.obj_id]
-                        obj = HeapObject(
-                            obj_id=e.obj_id,
-                            jclass=id_map[cid],
-                            seq=seq,
-                            home_node=0,
-                            length=length,
-                        )
-                        cache[e.obj_id] = obj
-                    if policy.is_sampled(obj):
-                        yield batch.thread_id, e.obj_id, policy.scaled_bytes(obj)
+        def obj_of(obj_id: int) -> HeapObject:
+            obj = cache.get(obj_id)
+            if obj is None:
+                cid, seq, length = self.objects[obj_id]
+                obj = cache[obj_id] = HeapObject(
+                    obj_id=obj_id, jclass=id_map[cid], seq=seq, home_node=0, length=length
+                )
+            return obj
 
-        return build_tcm(entries(), self.n_threads)
+        return resampled_tcm(self.batches, policy, obj_of, self.n_threads)
 
     def full_tcm(self) -> np.ndarray:
         """The TCM from the recorded (full-sampling) log as-is."""

@@ -438,7 +438,9 @@ class RaceDetector(ProtocolObserver):
     # ProtocolObserver overrides (called by the HLRC engine)
     # ------------------------------------------------------------------
 
-    def on_access(self, thread, obj_id: int, is_write: bool, record, obj, faulted) -> None:
+    def on_access(
+        self, thread, obj_id: int, is_write: bool, repeat: int, record, obj, faulted
+    ) -> None:
         """One access op: run the FastTrack check."""
         vc = self._vc.get(thread.thread_id)
         if vc is None:

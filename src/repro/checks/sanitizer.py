@@ -28,11 +28,11 @@ SAN004    barrier accounting: no double arrivals, arrivals never exceed
 SAN005    event-kernel time: the kernel's clock never goes backwards;
           a barrier releases at/after its last arrival
 SAN006    sticky-set membership: live sticky candidates at migration
-          time are a subset of the open interval's access log, and
+          time are a subset of the ids the thread's intervals touched, and
           every prefetched copy is installed VALID at the target
 SAN007    write-notice/version discipline: per-object home versions in
           the notice log are strictly increasing; a flushed interval's
-          written set is a subset of its access summaries
+          written set is a subset of its touched set
 ========  ==============================================================
 
 The sanitizer is a :class:`~repro.dsm.observer.ProtocolObserver`, not a
@@ -195,15 +195,15 @@ class ProtocolSanitizer(ProtocolObserver):
                 f"thread {tid} interval {interval.interval_id} closed at "
                 f"{interval.end_ns} ns, before its open at {interval.start_ns} ns",
             )
-        # SAN007: every written object must appear in the access summary
-        # (the write that dirtied it is an access).
-        accessed = interval.accesses.keys()
-        missing = [o for o in interval.written if o not in accessed]
+        # SAN007: every written object must be in the touched set (the
+        # write that dirtied it is an access).
+        touched = interval.touched
+        missing = [o for o in interval.written if o not in touched]
         if missing:
             self._fail(
                 "SAN007",
                 f"thread {tid} interval {interval.interval_id} written set "
-                f"contains objects absent from its access log: {sorted(missing)}",
+                f"contains objects absent from its touched set: {sorted(missing)}",
             )
         self._last_interval[tid] = interval.interval_id
         self._logged.pop(tid, None)
@@ -260,6 +260,7 @@ class ProtocolSanitizer(ProtocolObserver):
         thread: SimThread,
         obj_id: int,
         is_write: bool,
+        repeat: int,
         record: CopyRecord,
         obj: HeapObject | None,
         faulted: bool,
@@ -427,7 +428,7 @@ class ProtocolSanitizer(ProtocolObserver):
         )
         fp = self._footprinter
         if fp is not None:
-            accessed = set(thread.current_interval.accesses)
+            accessed = set(thread.current_interval.touched)
             for closed in fp.interval_tracked.get(thread.thread_id, []):
                 accessed |= closed
             candidates = fp.live_sticky_candidates(thread)

@@ -110,7 +110,7 @@ def resolve_sticky_set(
             # for divisibility/hash selection, the inverse inclusion
             # probability for Poisson.
             gap = policy.expected_gap(obj.jclass)
-            sampled = policy.is_sampled(obj)
+            sampled, _logged, scaled = policy.decision(obj)
             landmark = is_landmark(obj, sampled)
 
             class_open = cname in budgets and met[cname] < budgets[cname]
@@ -125,7 +125,7 @@ def resolve_sticky_set(
                         stats.selected_bytes.get(cname, 0) + obj.size_bytes
                     )
                     if landmark:
-                        met[cname] += policy.scaled_bytes(obj)
+                        met[cname] += scaled
 
             # Landmark bookkeeping (applies to every class traced: a long
             # landmark-free stretch of *any* class means the trace has

@@ -133,6 +133,25 @@ def tcm_from_batches(
     return tcm
 
 
+def resampled_tcm(batches: Iterable[OALBatch], policy, obj_of, n_threads: int) -> np.ndarray:
+    """The TCM of the entries of ``batches`` that ``policy`` samples,
+    each at its Horvitz-Thompson bytes — a full-sampling log replayed
+    at ``policy``'s rates.  ``obj_of(obj_id)`` gives the entry's
+    :class:`~repro.heap.objects.HeapObject`; each entry costs one
+    ``policy.decision``, so the backend counts each decision once."""
+    decision = policy.decision
+
+    def entries():
+        for batch in batches:
+            tid = batch.thread_id
+            for oid in batch.obj_ids:
+                sampled, _logged, scaled = decision(obj_of(oid))
+                if sampled:
+                    yield tid, oid, scaled
+
+    return build_tcm(entries(), n_threads)
+
+
 def _per_class_tcms(
     tids: np.ndarray,
     oids: np.ndarray,

@@ -73,10 +73,9 @@ class ProtocolHooks(Protocol):
     with the run's first touches, hooks in registration order, before
     any clock is read — so the first-touch entries of different hooks
     must not observe one another.  At :meth:`on_interval_close` a hook
-    may read only the interval's identity (``interval_id``, ``start_pc``
-    / ``end_pc``, ``written``): the one pass books its objects into the
-    per-object columns with zero counts and times.  ``written`` holds
-    every written id, home copies included.  A hook may re-home objects
+    may read every field of the interval record, on every route:
+    ``touched`` holds every id the interval touched and ``written``
+    every id it wrote, home copies included.  A hook may re-home objects
     there (:meth:`~repro.dsm.homemigration.HomeMigrationEngine.
     migrate_home`, as a home-migration policy does): that draws a new
     :attr:`HomeBasedLRC.home_epoch`, which retires the one pass's
@@ -440,8 +439,8 @@ class HomeBasedLRC:
         This is the protocol's per-op fast path: the common valid-copy /
         home-copy case resolves with one dict probe on the node's local
         heap (no wrapper calls, no fault machinery), the interval touch
-        is inlined, and hook fan-out is skipped when no profiler is
-        attached.
+        is one set probe, and hook fan-out is skipped when no profiler
+        is attached.
         """
         clock = thread.clock
         cpu = thread.cpu
@@ -488,32 +487,18 @@ class HomeBasedLRC:
             else:
                 writers.add(thread.thread_id)
 
-        # Inlined IntervalRecord.touch (int stores into the summary
-        # columns; nothing is allocated per access or per first touch).
-        now = clock._now_ns
         interval: IntervalRecord = thread.current_interval
-        last_ns = interval.last_ns
-        first_touch = obj_id not in last_ns
+        touched = interval.touched
+        first_touch = obj_id not in touched
         if first_touch:
-            interval.first_ns[obj_id] = now
-            if is_write:
-                interval.reads[obj_id] = 0
-                interval.writes[obj_id] = repeat
-                interval.written.add(obj_id)
-            else:
-                interval.reads[obj_id] = repeat
-                interval.writes[obj_id] = 0
-        elif is_write:
-            interval.writes[obj_id] += repeat
+            touched.add(obj_id)
+        if is_write:
             interval.written.add(obj_id)
-        else:
-            interval.reads[obj_id] += repeat
-        last_ns[obj_id] = now
 
         per_op = self._per_op
         if per_op:
             for observer in per_op:
-                observer.on_access(thread, obj_id, is_write, record, obj, faulted)
+                observer.on_access(thread, obj_id, is_write, repeat, record, obj, faulted)
 
         hooks = self.hooks
         if not hooks:

@@ -159,6 +159,12 @@ class DominantWriterPolicy:
         """ProtocolHooks: one access op executed (see class docstring)."""
         pass
 
+    def fast_on_access(self, thread, ids, faulted) -> None:
+        """ProtocolHooks first-touch entry: the policy reads only the
+        written set at close, so first touches cost it nothing and the
+        run keeps the one pass."""
+        return None
+
     def on_interval_close(self, thread, interval: IntervalRecord, sync_dst) -> None:
         """ProtocolHooks: ``thread`` closed ``interval``."""
         node = thread.node_id

@@ -6,23 +6,23 @@ divided into *intervals* delimited by synchronization operations
 profiler exploits — an object needs to be logged at most once per
 interval per thread — follows directly from this structure.
 
-An :class:`IntervalRecord` captures what the profiler ships in the jumbo
-OAL message: the interval context (delimiting "bytecode PCs", which in
-the simulator are op indices) plus the per-object access summary.
+An :class:`IntervalRecord` holds the protocol's own state of one
+interval: its identity (delimiting "bytecode PCs", which in the
+simulator are op indices, and thread-clock times), the set of ids it
+touched (what makes a first touch a first touch), the ids it wrote
+(what publishes write notices at close) and the ids hooks re-armed.
+Sets of ints are never tracked by the cyclic collector (DESIGN,
+"hot-path data layout").
 
-The summaries are stored as four ``obj_id -> int`` columns, not as one
-object per touched object: a first touch is four int stores, and a dict
-of ints is never tracked by the cyclic collector (DESIGN, "hot-path data
-layout").  :attr:`IntervalRecord.accesses` is the read-only view that
-builds :class:`AccessSummary` objects for readers off the access path.
-
-The engine keeps no closed records; :class:`IntervalHistory` is the
-observer that does, for readers that want every interval of a run.
+Per-object access counts and times are an observer's business:
+:class:`AccessSummaries` folds the per-op access stream into one
+:class:`AccessSummary` per touched object and hands them over at close.
+:class:`IntervalHistory` keeps every closed record with its summaries,
+for readers that want every interval of a run.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, KeysView, Mapping
 from dataclasses import dataclass, field
 
 from repro.dsm.observer import ProtocolObserver
@@ -45,40 +45,9 @@ class AccessSummary:
         return self.reads + self.writes
 
 
-class AccessView(Mapping[int, AccessSummary]):
-    """Live read-only ``obj_id -> AccessSummary`` view over an interval's
-    columns, in first-touch order.  Summaries are built per lookup (a
-    copy: writing to one does not reach the interval); membership,
-    iteration and ``keys()`` never build one."""
-
-    __slots__ = ("_interval",)
-
-    def __init__(self, interval: IntervalRecord) -> None:
-        self._interval = interval
-
-    def __getitem__(self, obj_id: int) -> AccessSummary:
-        iv = self._interval
-        return AccessSummary(
-            obj_id, iv.reads[obj_id], iv.writes[obj_id], iv.first_ns[obj_id], iv.last_ns[obj_id]
-        )
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._interval.reads)
-
-    def __len__(self) -> int:
-        return len(self._interval.reads)
-
-    def __contains__(self, obj_id: object) -> bool:
-        return obj_id in self._interval.reads
-
-    def keys(self) -> KeysView[int]:
-        """The ids touched so far (the column's own key view)."""
-        return self._interval.reads.keys()
-
-
 @dataclass(slots=True)
 class IntervalRecord:
-    """One closed HLRC interval of one thread."""
+    """One HLRC interval of one thread."""
 
     thread_id: int
     interval_id: int
@@ -88,13 +57,9 @@ class IntervalRecord:
     #: thread-clock times at open/close.
     start_ns: int = 0
     end_ns: int = 0
-    #: per-object access summary columns: read / write counts and the
-    #: first / last access time (thread clock, ns).  All four share one
-    #: key set, in first-access order.
-    reads: dict[int, int] = field(default_factory=dict)
-    writes: dict[int, int] = field(default_factory=dict)
-    first_ns: dict[int, int] = field(default_factory=dict)
-    last_ns: dict[int, int] = field(default_factory=dict)
+    #: object ids touched this interval: an access to one of them is
+    #: no first touch.
+    touched: set[int] = field(default_factory=set)
     #: object ids written this interval (for write notices).
     written: set[int] = field(default_factory=set)
     #: what closed the interval ("release", "barrier", "acquire", "end").
@@ -103,11 +68,6 @@ class IntervalRecord:
     #: that re-armed them (see :meth:`rearm`); a new interval starts
     #: with none.
     rearmed: dict[int, tuple] = field(default_factory=dict)
-
-    @property
-    def accesses(self) -> AccessView:
-        """Per-object access summaries, in first-access order."""
-        return AccessView(self)
 
     def rearm(self, ids, entries: tuple) -> None:
         """Re-arm ``ids`` for a hook's tracking ``entries``: the engine
@@ -122,43 +82,66 @@ class IntervalRecord:
             prev = rearmed.get(oid)
             rearmed[oid] = entries if prev is None else prev + entries
 
-    def touch(
-        self,
-        obj_id: int,
-        *,
-        is_write: bool,
-        count: int,
-        now_ns: int,
-    ) -> None:
-        """Record ``count`` accesses to ``obj_id`` at thread time ``now_ns``."""
-        if obj_id not in self.reads:
-            self.reads[obj_id] = 0
-            self.writes[obj_id] = 0
-            self.first_ns[obj_id] = now_ns
-        if is_write:
-            self.writes[obj_id] += count
-            self.written.add(obj_id)
-        else:
-            self.reads[obj_id] += count
-        self.last_ns[obj_id] = now_ns
-
     @property
     def duration_ns(self) -> int:
         """Interval length in nanoseconds (0 if not yet closed)."""
         return max(0, self.end_ns - self.start_ns)
 
 
-class IntervalHistory(ProtocolObserver):
-    """Every closed interval of a run, per thread in close order.
-    Attach with ``djvm.attach(IntervalHistory())``; like any observer it
-    keeps the run on the scalar loop (the per-object summaries are the
-    scalar loop's)."""
+class AccessSummaries(ProtocolObserver):
+    """The one fold of per-object access summaries: a ``per_op``
+    observer that sums each access op's ``repeat`` into the reads or
+    writes of its object in the thread's open interval, and stamps the
+    object's first and last access with the thread's clock at the call.
+    At close it hands the finished ``{obj_id: AccessSummary}``, in
+    first-touch order, to :meth:`on_summaries`, which subclasses
+    override."""
 
-    __slots__ = ("by_thread",)
+    __slots__ = ("_open",)
+
+    per_op = True
 
     def __init__(self) -> None:
-        #: thread_id -> closed IntervalRecords, oldest first.
-        self.by_thread: dict[int, list[IntervalRecord]] = {}
+        # thread_id -> the open interval's summaries (created at the
+        # interval's first access, handed over at its close).
+        self._open: dict[int, dict[int, AccessSummary]] = {}
+
+    def on_access(self, thread, obj_id, is_write, repeat, record, obj, faulted) -> None:
+        now = thread.clock._now_ns
+        summaries = self._open.get(thread.thread_id)
+        if summaries is None:
+            summaries = self._open[thread.thread_id] = {}
+        summary = summaries.get(obj_id)
+        if summary is None:
+            summary = summaries[obj_id] = AccessSummary(obj_id, first_ns=now)
+        if is_write:
+            summary.writes += repeat
+        else:
+            summary.reads += repeat
+        summary.last_ns = now
 
     def on_interval_close(self, thread, interval) -> None:
+        self.on_summaries(thread, interval, self._open.pop(thread.thread_id, {}))
+
+    def on_summaries(self, thread, interval, summaries: dict[int, AccessSummary]) -> None:
+        """``interval`` closed; ``summaries`` are its accesses."""
+
+
+class IntervalHistory(AccessSummaries):
+    """Every closed interval of a run, per thread in close order, with
+    its access summaries.  Attach with ``djvm.attach(IntervalHistory())``;
+    like any observer it keeps the run on the scalar loop."""
+
+    __slots__ = ("by_thread", "summaries")
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: thread_id -> closed IntervalRecords, oldest first.
+        self.by_thread: dict[int, list[IntervalRecord]] = {}
+        #: thread_id -> each closed interval's summaries, parallel to
+        #: :attr:`by_thread`.
+        self.summaries: dict[int, list[dict[int, AccessSummary]]] = {}
+
+    def on_summaries(self, thread, interval, summaries) -> None:
         self.by_thread.setdefault(thread.thread_id, []).append(interval)
+        self.summaries.setdefault(thread.thread_id, []).append(summaries)

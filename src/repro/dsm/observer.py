@@ -51,9 +51,12 @@ class ProtocolObserver:
     def on_interval_open(self, thread) -> None:
         """``thread.current_interval`` just opened (hooks already ran)."""
 
-    def on_access(self, thread, obj_id, is_write, record, obj, faulted) -> None:
-        """One access op resolved to ``record`` (``per_op`` observers
-        only; ``obj`` is None on a plain hit that never looked it up)."""
+    def on_access(self, thread, obj_id, is_write, repeat, record, obj, faulted) -> None:
+        """One access op — ``repeat`` accesses of ``obj_id`` — resolved
+        to ``record`` (``per_op`` observers only; ``obj`` is None on a
+        plain hit that never looked it up).  The thread's clock reads
+        the op's access instant: after its access, fault and twin
+        charges, before any hook's."""
 
     def on_fault(self, thread, obj, refault, begin_ns, n_objects) -> None:
         """Remote fetch round trip done (``n_objects`` incl. prefetch

@@ -3,7 +3,7 @@
 DJXPerf-style attribution: the aggregate counters say *how much* the
 protocol worked; this profiler says *which objects* — and, through the
 allocation-site labels captured at GOS registration, *which workload
-lines* — made it work.  It is a
+lines* — made it work.  It is a ``per_op``
 :class:`~repro.dsm.observer.ProtocolObserver`
 (``djvm.attach(ObjectProfiler())``): its overrides fold the
 fault/diff/invalidation/OAL event stream into per-object
@@ -22,7 +22,8 @@ Event sources folded per object:
   application) — closes the node's read epoch; an epoch that saw zero
   reads means the faulted-in copy was never read before dying — a
   *dead transfer*.
-* **interval access summaries** (:meth:`on_interval_close`) — exact
+* **interval access summaries** (:meth:`on_summaries`, folded by the
+  :class:`~repro.dsm.intervals.AccessSummaries` base) — exact
   per-node read/write mass and the writer-node sequence (alternation
   count feeds the ping-pong detector).  Epoch read counts accumulate
   here: invalidations only happen at sync points, so interval epochs
@@ -41,7 +42,7 @@ observer hooks.
 
 from __future__ import annotations
 
-from repro.dsm.observer import ProtocolObserver
+from repro.dsm.intervals import AccessSummaries
 
 __all__ = ["ObjLifetime", "ObjectProfiler"]
 
@@ -87,7 +88,7 @@ class ObjLifetime:
         self._epoch_reads: dict[int, int] = {}
 
 
-class ObjectProfiler(ProtocolObserver):
+class ObjectProfiler(AccessSummaries):
     """Pure observer folding protocol events into per-object lifetimes.
 
     Attach with ``djvm.attach(ObjectProfiler())``; with a
@@ -98,6 +99,7 @@ class ObjectProfiler(ProtocolObserver):
     __slots__ = ("records", "phase", "phase_release_ns", "intervals")
 
     def __init__(self) -> None:
+        super().__init__()
         #: obj_id -> :class:`ObjLifetime`.
         self.records: dict[int, ObjLifetime] = {}
         #: current lifetime phase (barrier releases seen so far).
@@ -150,11 +152,11 @@ class ObjectProfiler(ProtocolObserver):
             if reads == 0:
                 rec.dead_transfers += 1
 
-    def on_interval_close(self, thread, interval) -> None:
+    def on_summaries(self, thread, interval, summaries) -> None:
         """Fold the closed interval's exact access summaries."""
         node = thread.node_id
         tid = thread.thread_id
-        for obj_id, summary in interval.accesses.items():
+        for obj_id, summary in summaries.items():
             rec = self._record(obj_id)
             if summary.reads:
                 rec.reads_by_node[node] = rec.reads_by_node.get(node, 0) + summary.reads

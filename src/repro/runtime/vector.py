@@ -22,7 +22,7 @@ and their faults charged in one :meth:`HomeBasedLRC.charge_faults`,
 written cache copies get their twin, dirty bytes and writer, and the
 clock and CPU buckets move once.  Under profiler hooks the run's first
 touches in the current interval (the paper's profiler traps only those)
-are then booked in the interval's columns and handed, with the ids
+are then booked in the interval's touched set and handed, with the ids
 among them that faulted, to each hook's batch-shaped first-touch entry,
 one call per hook.
 
@@ -253,27 +253,21 @@ class VectorEngine:
 
     def _first_touches(self, thread, uniq, faulted: list, hooks: tuple) -> tuple | None:
         """Book the run's first touches in the current interval — the
-        ``uniq`` ids its columns do not hold yet — in the four columns,
-        so later accesses this interval are not first touches, and hand
-        them to each hook's first-touch entry in one call, hooks in
-        registration order, with the ids among them that faulted.  The
-        booked counts and times are zeros: under the gate nothing reads
-        them.  A fault outside the new ids (a copy the interval touched
-        before a migration moved the thread) is no first touch, as on
-        the scalar loop.  Returns the new ids and the hooks' summed
-        per-id clock charges (None: nothing charged), or None."""
-        interval = thread.current_interval
-        last_ns = interval.last_ns
-        zeros = dict.fromkeys(filterfalse(last_ns.__contains__, uniq), 0)
-        if not zeros:
+        distinct ``uniq`` ids it has not touched yet — in its touched
+        set, so later accesses this interval are not first touches, and
+        hand them to each hook's first-touch entry in one call, hooks in
+        registration order, with the ids among them that faulted.  A
+        fault outside the new ids (a copy the interval touched before a
+        migration moved the thread) is no first touch, as on the scalar
+        loop.  Returns the new ids and the hooks' summed per-id clock
+        charges (None: nothing charged), or None."""
+        touched = thread.current_interval.touched
+        ids = list(filterfalse(touched.__contains__, uniq))
+        if not ids:
             return None
-        interval.reads.update(zeros)
-        interval.writes.update(zeros)
-        interval.first_ns.update(zeros)
-        last_ns.update(zeros)
-        self.first_touches += len(zeros)
-        ids = list(zeros)
-        hit = zeros.keys() & map(_OBJ_ID, faulted)
+        hit = set(filterfalse(touched.__contains__, map(_OBJ_ID, faulted)))
+        touched.update(ids)
+        self.first_touches += len(ids)
         charges = None
         for fast in hooks:
             got = fast(thread, ids, hit)

@@ -345,8 +345,8 @@ def test_phase_bookkeeping_matches_set_of_phases_reference(
                 kthread, obj, is_write=False, n_elems=1, elem_off=0, repeat=1, real_fault=False
             )
             interval = pthread.current_interval
-            if obj.obj_id not in interval.last_ns:
-                interval.last_ns[obj.obj_id] = 0
+            if obj.obj_id not in interval.touched:
+                interval.touched.add(obj.obj_id)
                 plan.fast_on_access(pthread, [obj.obj_id], ())
             for track in interval.rearmed.get(obj.obj_id, ()):
                 track(pthread, obj.obj_id)

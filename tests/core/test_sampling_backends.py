@@ -435,3 +435,28 @@ class TestIntegration:
         )
         assert via_replay[0, 1] == expected == via_replay[1, 0]
         assert expected > 0
+
+    @pytest.mark.parametrize("replay", ["experiments", "trace"])
+    @pytest.mark.parametrize("backend", [HashBackend, PoissonByteBackend])
+    def test_rate_replay_counts_each_decision_once(self, backend, replay):
+        """After a rate replay, ``realized_rates()`` is the sampled
+        fraction of the filtered entries: the replay asks the backend
+        once per entry, so a sampled object is not counted twice."""
+        from repro.analysis.experiments import tcm_at_rate
+        from repro.analysis.trace import ProfileTrace
+        from repro.core.oal import OALBatch
+
+        gos = gos_with_classes()
+        objs = [gos.allocate("Body", home_node=0) for _ in range(2000)]
+        batch = OALBatch(thread_id=0, interval_id=0)
+        for o in objs:
+            batch.add(o.obj_id, o.jclass.instance_size, o.jclass.class_id)
+        replayed = backend(seed=9)
+        if replay == "experiments":
+            tcm_at_rate([batch], gos, 1, 4, backend=replayed)
+        else:
+            ProfileTrace.capture(gos, [batch], 1).tcm_at_rate(4, backend=replayed)
+        probe = make_policy(backend(seed=9), gos, rate=4).backend
+        sampled = sum(probe.sampled_raw(o) for o in objs)
+        assert 0 < sampled < len(objs)
+        assert replayed.realized_rates() == {objs[0].jclass.class_id: sampled / len(objs)}

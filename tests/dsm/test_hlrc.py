@@ -161,11 +161,11 @@ class TestIntervals:
                 1: wrap_main([P.barrier(0)]),
             }
         )
-        history = recorder.by_thread[0]
         # Exactly one summary for the object across the interval.
-        iv = history[0]
-        assert list(iv.accesses) == [obj.obj_id]
-        assert iv.accesses[obj.obj_id].reads == 8
+        assert recorder.by_thread[0][0].touched == {obj.obj_id}
+        summaries = recorder.summaries[0][0]
+        assert list(summaries) == [obj.obj_id]
+        assert summaries[obj.obj_id].reads == 8
 
     def test_intervals_delimited_by_sync(self):
         djvm, obj, t0, t1 = two_node_setup()

@@ -5,7 +5,7 @@ import pytest
 from repro.dsm.homemigration import DominantWriterPolicy, HomeMigrationEngine
 from repro.dsm.states import RealState
 from repro.runtime import program as P
-from repro.runtime.djvm import DJVM
+from repro.runtime.djvm import DJVM, run_fingerprint
 from repro.sim.costs import CostModel
 from repro.sim.network import MessageKind
 
@@ -144,6 +144,34 @@ class TestDominantWriterPolicy:
             DominantWriterPolicy(engine, threshold=0.4)
         with pytest.raises(ValueError):
             DominantWriterPolicy(engine, min_writes=0)
+
+
+def test_policy_rides_the_one_pass():
+    """The policy reads only the written set at close, so it has a
+    first-touch entry and the run keeps the vector engine: re-homings
+    and all, the fingerprint is the scalar loop's."""
+    outcomes = {}
+    for replay in ("vector", "scalar"):
+        djvm = DJVM(n_nodes=2, costs=CostModel.fast_test(), replay=replay)
+        cls = simple_class(djvm, "Obj", 2048)
+        objs = [djvm.allocate(cls, 0) for _ in range(8)]
+        djvm.spawn_thread(0)
+        djvm.spawn_thread(1)
+        engine = HomeMigrationEngine(djvm.hlrc)
+        djvm.add_hook(DominantWriterPolicy(engine, threshold=0.6, min_writes=2))
+        ops0, ops1 = [], []
+        for r in range(10):
+            ops1 += [P.write(o.obj_id) for o in objs]
+            ops1.append(P.barrier(r))
+            ops0.append(P.barrier(r))
+        res = djvm.run({0: wrap_main(ops0), 1: wrap_main(ops1)})
+        outcomes[replay] = (run_fingerprint(djvm, res), engine.stats.migrations)
+        if replay == "vector":
+            assert djvm.hlrc.dispatch_plan == (("DominantWriterPolicy", "first_touch"),)
+            routing = djvm.replay_routing
+            assert routing["bulk"] + routing["lean"] > 0
+    assert outcomes["vector"] == outcomes["scalar"]
+    assert outcomes["vector"][1] >= 1
 
 
 class TestEndToEndBenefit:

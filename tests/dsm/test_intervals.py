@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.dsm.intervals import AccessSummary, IntervalHistory, IntervalRecord
 from repro.runtime.djvm import DJVM
+from repro.runtime.thread import SimThread
 from repro.sim.costs import CostModel
 from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
@@ -16,28 +17,40 @@ from repro.workloads.water_spatial import WaterSpatialWorkload
 from tests.conftest import simple_class
 
 
+def fold(accesses) -> dict[int, AccessSummary]:
+    """Feed ``(obj_id, is_write, repeat, clock)`` accesses of thread 0
+    to an :class:`IntervalHistory` and return the closed interval's
+    summaries."""
+    history = IntervalHistory()
+    thread = SimThread(0, 0)
+    for obj_id, is_write, repeat, now_ns in accesses:
+        thread.clock.advance_to(now_ns)
+        history.on_access(thread, obj_id, is_write, repeat, None, None, False)
+    history.on_interval_close(thread, IntervalRecord(0, 1))
+    return history.summaries[0][-1]
+
+
 class TestIntervalRecord:
     def test_touch_accumulates(self):
-        iv = IntervalRecord(thread_id=0, interval_id=1)
-        iv.touch(5, is_write=False, count=3, now_ns=10)
-        iv.touch(5, is_write=True, count=2, now_ns=20)
-        s = iv.accesses[5]
+        s = fold([(5, False, 3, 10), (5, True, 2, 20)])[5]
         assert s.reads == 3
         assert s.writes == 2
         assert s.total == 5
         assert (s.first_ns, s.last_ns) == (10, 20)
 
     def test_written_set(self):
-        iv = IntervalRecord(0, 1)
-        iv.touch(1, is_write=False, count=1, now_ns=0)
-        iv.touch(2, is_write=True, count=1, now_ns=0)
-        assert iv.written == {2}
+        djvm = DJVM(n_nodes=2, costs=CostModel.fast_test())
+        cls = simple_class(djvm, "Obj", 64)
+        a, b = (djvm.allocate(cls, home_node=0).obj_id for _ in range(2))
+        thread = djvm.spawn_thread(0)
+        djvm.hlrc.open_interval(thread)
+        djvm.hlrc.access(thread, a, False)
+        djvm.hlrc.access(thread, b, True)
+        assert thread.current_interval.written == {b}
+        assert thread.current_interval.touched == {a, b}
 
     def test_first_access_order_preserved(self):
-        iv = IntervalRecord(0, 1)
-        for oid in (9, 3, 7):
-            iv.touch(oid, is_write=False, count=1, now_ns=0)
-        assert list(iv.accesses) == [9, 3, 7]
+        assert list(fold([(oid, False, 1, 0) for oid in (9, 3, 7, 3)])) == [9, 3, 7]
 
     def test_duration(self):
         iv = IntervalRecord(0, 1, start_ns=100)
@@ -45,22 +58,6 @@ class TestIntervalRecord:
         assert iv.duration_ns == 200
         iv.end_ns = 50
         assert iv.duration_ns == 0
-
-
-class TestAccessView:
-    def test_view_is_live_and_builds_summaries_on_demand(self):
-        iv = IntervalRecord(0, 1)
-        view = iv.accesses
-        assert len(view) == 0 and 4 not in view and view.get(4) is None
-        iv.touch(4, is_write=True, count=2, now_ns=7)
-        assert list(view.items()) == [(4, AccessSummary(4, 0, 2, 7, 7))]
-        assert 4 in view.keys() and list(view.values())[0].total == 2
-
-    def test_summary_is_a_copy(self):
-        iv = IntervalRecord(0, 1)
-        iv.touch(4, is_write=False, count=1, now_ns=0)
-        iv.accesses[4].reads = 99
-        assert iv.accesses[4].reads == 1
 
 
 N_OBJECTS = 6
@@ -74,37 +71,64 @@ access_ops = st.lists(
 )
 
 
-def columns(iv: IntervalRecord) -> list[tuple[int, int, int, int, int]]:
-    """The accesses view flattened, in first-touch order; also checks
-    that the four columns agree on that order."""
-    keys = list(iv.reads)
-    assert keys == list(iv.writes) == list(iv.first_ns) == list(iv.last_ns)
-    assert keys == list(iv.accesses)
-    return [
-        (s.obj_id, s.reads, s.writes, s.first_ns, s.last_ns) for s in iv.accesses.values()
-    ]
+class Columns:
+    """Reference fold: four ``obj_id -> int`` columns sharing one key
+    set in first-touch order, written by :meth:`touch`."""
+
+    def __init__(self) -> None:
+        self.reads: dict[int, int] = {}
+        self.writes: dict[int, int] = {}
+        self.first_ns: dict[int, int] = {}
+        self.last_ns: dict[int, int] = {}
+        self.written: set[int] = set()
+
+    def touch(self, obj_id: int, *, is_write: bool, count: int, now_ns: int) -> None:
+        """Record ``count`` accesses to ``obj_id`` at thread time ``now_ns``."""
+        if obj_id not in self.reads:
+            self.reads[obj_id] = 0
+            self.writes[obj_id] = 0
+            self.first_ns[obj_id] = now_ns
+        if is_write:
+            self.writes[obj_id] += count
+            self.written.add(obj_id)
+        else:
+            self.reads[obj_id] += count
+        self.last_ns[obj_id] = now_ns
+
+    def rows(self) -> list[tuple[int, int, int, int, int]]:
+        return [
+            (oid, self.reads[oid], self.writes[oid], self.first_ns[oid], self.last_ns[oid])
+            for oid in self.reads
+        ]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(ops=access_ops)
 def test_hlrc_access_and_touch_build_the_same_columns(ops):
-    """``HomeBasedLRC.access`` inlines ``IntervalRecord.touch``: random
-    READ/WRITE sequences with repeats (home and remotely-homed objects,
-    so faults and twins move the clock) leave equal summaries, in equal
-    first-touch order, and equal written sets."""
+    """The :class:`AccessSummaries` fold equals a reference fold over
+    the same accesses: random READ/WRITE sequences with repeats (home
+    and remotely-homed objects, so faults and twins move the clock)
+    leave equal summaries, in equal first-touch order; the engine's
+    written set equals the reference's and its touched set the
+    summaries' ids."""
     djvm = DJVM(n_nodes=2, costs=CostModel.fast_test())
+    history = djvm.attach(IntervalHistory())
     cls = simple_class(djvm, "Obj", 64)
     oids = [djvm.allocate(cls, home_node=i % 2).obj_id for i in range(N_OBJECTS)]
     thread = djvm.spawn_thread(0)
     djvm.hlrc.open_interval(thread)
-    reference = IntervalRecord(thread.thread_id, thread.current_interval.interval_id)
+    reference = Columns()
     for k, is_write, repeat in ops:
         djvm.hlrc.access(thread, oids[k], is_write, 1, repeat)
         # No hook is attached, so the clock still reads the access instant.
         reference.touch(oids[k], is_write=is_write, count=repeat, now_ns=thread.clock.now_ns)
-    live = thread.current_interval
-    assert columns(live) == columns(reference)
+    live = djvm.hlrc.close_interval(thread, "end")
+    summaries = history.summaries[thread.thread_id][-1]
+    assert [
+        (s.obj_id, s.reads, s.writes, s.first_ns, s.last_ns) for s in summaries.values()
+    ] == reference.rows()
     assert live.written == reference.written
+    assert live.touched == summaries.keys()
 
 
 #: workload -> (factory, intervals recorded, SHA-256 of the recorded
@@ -134,7 +158,8 @@ HISTORY_PARITY = {
 def test_interval_history_records_what_the_engine_closed(name):
     """Every closed interval, per thread in close order: thread, id,
     start/end pc and ns, close reason and the ``reads`` / ``writes``
-    columns hash to the pinned digest."""
+    summaries (from the history, beside each record) hash to the
+    pinned digest."""
     factory, n_intervals, digest = HISTORY_PARITY[name]
     djvm = DJVM(4)
     history = djvm.attach(IntervalHistory())
@@ -144,10 +169,12 @@ def test_interval_history_records_what_the_engine_closed(name):
     rows = [
         (
             iv.thread_id, iv.interval_id, iv.start_pc, iv.end_pc, iv.start_ns, iv.end_ns,
-            iv.close_reason, tuple(iv.reads.items()), tuple(iv.writes.items()),
+            iv.close_reason,
+            tuple((oid, s.reads) for oid, s in summaries.items()),
+            tuple((oid, s.writes) for oid, s in summaries.items()),
         )
-        for _tid, intervals in sorted(history.by_thread.items())
-        for iv in intervals
+        for tid, intervals in sorted(history.by_thread.items())
+        for iv, summaries in zip(intervals, history.summaries[tid])
     ]
     assert len(rows) == n_intervals == result.counters["intervals"]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest

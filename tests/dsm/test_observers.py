@@ -56,7 +56,7 @@ class Recorder(ProtocolObserver):
         self.closed_by_thread[thread.thread_id] += 1
         self.calls["interval_close"] += 1
 
-    def on_access(self, thread, obj_id, is_write, record, obj, faulted):
+    def on_access(self, thread, obj_id, is_write, repeat, record, obj, faulted):
         self.calls["access"] += 1
 
     def on_fault(self, thread, obj, refault, begin_ns, n_objects):

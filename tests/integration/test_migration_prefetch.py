@@ -75,15 +75,15 @@ class TestResolutionQuality:
         )
         djvm.run(wl.programs())
 
-        interval = next(
-            iv
-            for iv in history.by_thread[0]
+        interval, summaries = next(
+            (iv, summaries)
+            for iv, summaries in zip(history.by_thread[0], history.summaries[0])
             if iv.start_pc < at_pc <= iv.end_pc
         )
         mid = (interval.start_ns + interval.end_ns) // 2
         truth = {
             oid
-            for oid, s in interval.accesses.items()
+            for oid, s in summaries.items()
             if s.first_ns < mid <= s.last_ns
         }
         est = set(captured["stats"].selected)

@@ -22,13 +22,9 @@ def _thread(node_id: int, thread_id: int):
     return SimpleNamespace(node_id=node_id, thread_id=thread_id)
 
 
-def _interval(accesses: dict):
+def _summaries(accesses: dict):
     """obj_id -> (reads, writes) into the interval-summary shape."""
-    return SimpleNamespace(
-        accesses={
-            obj_id: SimpleNamespace(reads=r, writes=w) for obj_id, (r, w) in accesses.items()
-        }
-    )
+    return {obj_id: SimpleNamespace(reads=r, writes=w) for obj_id, (r, w) in accesses.items()}
 
 
 def _obj(obj_id=7, size=128, home=0, site="s"):
@@ -63,7 +59,7 @@ class TestLifetimeFolding:
     def test_read_before_invalidation_is_not_dead(self):
         prof = ObjectProfiler()
         prof.on_fault(_thread(1, 0), _obj(), False, 0, 1)
-        prof.on_interval_close(_thread(1, 0), _interval({7: (3, 0)}))
+        prof.on_summaries(_thread(1, 0), None, _summaries({7: (3, 0)}))
         prof.on_invalidations(_thread(1, 0), [7])
         assert prof.records[7].dead_transfers == 0
         assert prof.records[7].reads_by_node == {1: 3}
@@ -77,7 +73,7 @@ class TestLifetimeFolding:
     def test_writer_alternations_count_node_changes(self):
         prof = ObjectProfiler()
         for node, tid in ((0, 0), (1, 1), (0, 0), (0, 0), (2, 2)):
-            prof.on_interval_close(_thread(node, tid), _interval({7: (0, 1)}))
+            prof.on_summaries(_thread(node, tid), None, _summaries({7: (0, 1)}))
         rec = prof.records[7]
         assert rec.writer_nodes == {0, 1, 2}
         assert rec.writer_threads == {0, 1, 2}
@@ -86,10 +82,10 @@ class TestLifetimeFolding:
 
     def test_phases_span_barrier_releases(self):
         prof = ObjectProfiler()
-        prof.on_interval_close(_thread(0, 0), _interval({7: (1, 0)}))
+        prof.on_summaries(_thread(0, 0), None, _summaries({7: (1, 0)}))
         prof.on_barrier_release(0, 2, [0, 1], 1_000, {})
         prof.on_barrier_release(0, 2, [0, 1], 2_000, {})
-        prof.on_interval_close(_thread(0, 0), _interval({7: (1, 0)}))
+        prof.on_summaries(_thread(0, 0), None, _summaries({7: (1, 0)}))
         rec = prof.records[7]
         assert (rec.first_phase, rec.last_phase) == (0, 2)
         assert prof.phase == 2
@@ -115,8 +111,8 @@ class TestPatternDetectors:
     def test_ping_pong_fires_on_one_cross_node_handoff(self):
         prof = ObjectProfiler()
         obj = _obj()
-        prof.on_interval_close(_thread(0, 0), _interval({7: (0, 1)}))
-        prof.on_interval_close(_thread(1, 1), _interval({7: (0, 1)}))
+        prof.on_summaries(_thread(0, 0), None, _summaries({7: (0, 1)}))
+        prof.on_summaries(_thread(1, 1), None, _summaries({7: (0, 1)}))
         found = self._detect(prof, obj)
         assert [f.pattern for f in found] == ["ping-pong"]
         assert found[0].wasted_ns > 0
@@ -125,7 +121,7 @@ class TestPatternDetectors:
         prof = ObjectProfiler()
         obj = _obj()
         for _ in range(4):
-            prof.on_interval_close(_thread(0, 0), _interval({7: (0, 1)}))
+            prof.on_summaries(_thread(0, 0), None, _summaries({7: (0, 1)}))
         assert self._detect(prof, obj) == []
 
     def test_dead_transfer_priced_per_dead_copy(self):
@@ -143,10 +139,10 @@ class TestPatternDetectors:
         prof = ObjectProfiler()
         obj = _obj()
         prof.on_fault(_thread(1, 1), obj, False, 0, 1)
-        prof.on_interval_close(_thread(1, 1), _interval({7: (10, 0)}))
+        prof.on_summaries(_thread(1, 1), None, _summaries({7: (10, 0)}))
         prof.on_invalidations(_thread(1, 0), [7])
         prof.on_fault(_thread(1, 1), obj, True, 0, 1)  # refault
-        prof.on_interval_close(_thread(1, 1), _interval({7: (10, 1)}))
+        prof.on_summaries(_thread(1, 1), None, _summaries({7: (10, 1)}))
         prof.on_invalidations(_thread(1, 0), [7])
         patterns = [f.pattern for f in self._detect(prof, obj)]
         assert "over-invalidated" in patterns
@@ -156,9 +152,9 @@ class TestPatternDetectors:
         obj = _obj(home=0)
         prof.on_fault(_thread(2, 2), obj, False, 0, 1)
         prof.on_fault(_thread(2, 2), obj, True, 0, 1)
-        prof.on_interval_close(_thread(0, 0), _interval({7: (1, 0)}))
-        prof.on_interval_close(_thread(1, 1), _interval({7: (2, 0)}))
-        prof.on_interval_close(_thread(2, 2), _interval({7: (9, 0)}))
+        prof.on_summaries(_thread(0, 0), None, _summaries({7: (1, 0)}))
+        prof.on_summaries(_thread(1, 1), None, _summaries({7: (2, 0)}))
+        prof.on_summaries(_thread(2, 2), None, _summaries({7: (9, 0)}))
         found = [f for f in self._detect(prof, obj) if f.pattern == "contended-home"]
         assert len(found) == 1
         assert found[0].target_node == 2

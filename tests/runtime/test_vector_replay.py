@@ -165,11 +165,11 @@ def repeating_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
 
 
 def fingerprint(djvm: DJVM, res) -> dict:
-    recorded = next(
-        (o.by_thread for o in djvm.hlrc.observers if isinstance(o, IntervalHistory)), {}
+    recorder = next(
+        (o for o in djvm.hlrc.observers if isinstance(o, IntervalHistory)), None
     )
     history = {}
-    for tid, intervals in sorted(recorded.items()):
+    for tid, intervals in sorted(recorder.by_thread.items() if recorder else ()):
         history[tid] = [
             (
                 iv.interval_id,
@@ -180,11 +180,11 @@ def fingerprint(djvm: DJVM, res) -> dict:
                 iv.close_reason,
                 tuple(
                     (s.obj_id, s.reads, s.writes, s.first_ns, s.last_ns)
-                    for s in iv.accesses.values()
+                    for s in summaries.values()
                 ),
                 tuple(sorted(iv.written)),
             )
-            for iv in intervals
+            for iv, summaries in zip(intervals, recorder.summaries[tid])
         ]
     return {
         "counters": dict(sorted(res.counters.items())),
@@ -936,6 +936,48 @@ def test_first_touch_hooks_after_a_mid_interval_migration(execute_calls):
     assert vector[3]["first_touches"] == len(new)
     assert vector[3]["faults_batched"] == len(remote)  # `before` refaulted
     assert [e[2] for e in vector[1]] == before + new
+
+
+class CloseRecorder(FastHook):
+    """A first-touch hook recording, at every interval close, the
+    record's touched and written sets."""
+
+    def on_interval_close(self, thread, interval, sync_dst) -> None:
+        self.events.append(
+            (
+                thread.thread_id,
+                interval.interval_id,
+                sorted(interval.touched),
+                sorted(interval.written),
+            )
+        )
+
+    def fast_on_access(self, thread, ids, faulted) -> None:
+        pass
+
+
+@pytest.mark.parametrize(
+    "make_programs", [random_programs, repeating_programs, revisiting_programs]
+)
+@pytest.mark.parametrize("seed", SEEDS[:2])
+def test_a_hook_reads_the_same_interval_record_on_both_routes(
+    seed, make_programs, execute_calls
+):
+    """A hook may read every field of the record it is handed at close:
+    the touched and written sets the one pass leaves are the scalar
+    loop's."""
+    closes = {}
+    for replay in ("vector", "scalar"):
+        djvm, obj_ids = build_djvm(replay=replay)
+        hook = CloseRecorder()
+        djvm.add_hook(hook)
+        djvm.run(make_programs(seed, obj_ids))
+        closes[replay] = hook.events
+        if replay == "vector":
+            assert djvm.replay_routing["first_touches"] > 0
+    assert execute_calls
+    assert closes["vector"] == closes["scalar"]
+    assert any(written for *_, written in closes["vector"])
 
 
 #: the adaptive case's ladder: rate 4 (sampled: the profiler's decision
