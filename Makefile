@@ -54,16 +54,17 @@ objprof:
 # the happens-before race gate, the static-analysis soundness gate,
 # the telemetry and object-profiler gates, the e2e benchmark's smoke
 # tests (its layer tracer resolves simulator entry points by name, so a
-# rename must fail here, not in a benchmark run), the sampling-backend
-# frontier gates, and the determinism ledger in full mode (every
-# workload phase and all four SOR scale rungs; the file must match key
-# for key).  Nothing here compares a host time
+# rename must fail here, not in a benchmark run), every example, the
+# sampling-backend frontier gates, and the determinism ledger in full
+# mode (every workload phase and all four SOR scale rungs; the file must
+# match key for key).  Nothing here compares a host time
 # against a number recorded on another day or machine — that takes
 # benchmarks/e2e/run.py + compare.py.  Does not rewrite the committed
 # ledger — use `make ledger` for that.
 check: lint
 	PYTHONPATH=src python -m pytest tests/
 	PYTHONPATH=src python -m pytest benchmarks/e2e -q
+	$(MAKE) examples
 	PYTHONPATH=src python -m repro.checks sanitize
 	PYTHONPATH=src python -m repro.checks race
 	PYTHONPATH=src python -m repro.checks static

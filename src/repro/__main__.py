@@ -24,14 +24,13 @@ import time
 
 from repro._version import __version__
 
-WORKLOADS = ("sor", "barnes-hut", "water-spatial", "fft", "group-sharing")
+WORKLOADS = ("sor", "barnes-hut", "water-spatial", "group-sharing")
 
 
 def make_workload(name: str, n_threads: int, seed: int):
     """Construct a CLI workload by name at demo scale."""
     from repro.workloads import (
         BarnesHutWorkload,
-        FFTWorkload,
         GroupSharingWorkload,
         SORWorkload,
         WaterSpatialWorkload,
@@ -43,8 +42,6 @@ def make_workload(name: str, n_threads: int, seed: int):
         return BarnesHutWorkload(n_bodies=1024, rounds=3, n_threads=n_threads, seed=seed)
     if name == "water-spatial":
         return WaterSpatialWorkload(n_molecules=384, rounds=3, n_threads=n_threads, seed=seed)
-    if name == "fft":
-        return FFTWorkload(n_points=16384, rounds=3, n_threads=n_threads, seed=seed)
     if name == "group-sharing":
         return GroupSharingWorkload(n_threads=n_threads, group_size=2, rounds=4, seed=seed)
     raise ValueError(f"unknown workload {name!r}; pick one of {WORKLOADS}")

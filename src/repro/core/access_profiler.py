@@ -288,7 +288,6 @@ class AccessProfiler:
                 thread.node_id,
                 master,
                 batch.wire_bytes,
-                thread.clock.now_ns,
                 piggybacked=piggy,
             )
             # OAL shipping is asynchronous (piggybacked on the outgoing

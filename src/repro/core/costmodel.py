@@ -37,7 +37,7 @@ def object_fault_ns(
 ) -> int:
     """Simulated cost of one remote object fault: GOS trap plus the
     fetch round trip (:func:`~repro.dsm.hlrc.fetch_wait_ns`, the price
-    ``HomeBasedLRC._fault_remote`` pays on an unqueued fabric).
+    ``HomeBasedLRC._fault_remote`` pays).
 
     Shared by the migration cost model's indirect-fault pricing and the
     object-centric inefficiency report's pattern scoring, so both layers

@@ -120,7 +120,7 @@ class DistributedCorrelationCollector(CorrelationCollector):
 
     def network_scatter(self, src: int, dst: int, size: int) -> None:
         """Account one scatter/reduce message (no thread blocks on it)."""
-        self.cluster.network.send(MessageKind.OAL, src, dst, size, 0)
+        self.cluster.network.send(MessageKind.OAL, src, dst, size)
 
     @property
     def tcm_compute_wall_ms(self) -> float:

@@ -137,7 +137,7 @@ NOTICE_BYTES = 8
 
 
 def fetch_wait_ns(network, size_bytes: int, node: int | None = None, home: int | None = None) -> int:
-    """Network wait of one object fetch on an idle, unqueued fabric:
+    """Network wait of one object fetch:
     request (:data:`FETCH_REQ_BYTES`) plus reply (object +
     :data:`FETCH_REPLY_OVERHEAD`), each priced by
     :meth:`~repro.sim.network.Network.message_ns` — exactly what
@@ -323,19 +323,12 @@ class HomeBasedLRC:
                     continue
                 bundle.append(extra)
 
-        now = clock._now_ns
         reply_bytes = obj.size_bytes + FETCH_REPLY_OVERHEAD
         if bundle:
             reply_bytes += sum(o.size_bytes + FETCH_REPLY_OVERHEAD for o in bundle)
         send = self.network.send
-        wait = send(MessageKind.OBJECT_FETCH_REQ, node_id, obj.home_node, FETCH_REQ_BYTES, now)
-        wait += send(
-            MessageKind.OBJECT_FETCH_DATA,
-            obj.home_node,
-            node_id,
-            reply_bytes,
-            now + wait,
-        )
+        wait = send(MessageKind.OBJECT_FETCH_REQ, node_id, obj.home_node, FETCH_REQ_BYTES)
+        wait += send(MessageKind.OBJECT_FETCH_DATA, obj.home_node, node_id, reply_bytes)
         cpu.network_wait_ns += wait
         clock._now_ns += wait
         if record is None:
@@ -368,19 +361,18 @@ class HomeBasedLRC:
         vector engine stops at: every profiler hook (if any) is planned
         (no ``keyword`` in :attr:`dispatch_plan`), no observer
         (recorders such as :class:`~repro.dsm.intervals.IntervalHistory`
-        included), no prefetcher, and an unqueued network.  Under this
-        gate (plus no condition-driven timer and no pending migration,
-        which the interpreter owns) a run's faults may be priced in one
-        pass (:meth:`charge_faults`): every cost is an integer sum and
-        an unqueued fetch's wait does not depend on its send time.  A
-        run's first touches are known before any clock moves, so the
-        first-touch entries may take them at once; re-armed accesses and
-        timer deadlines are the clock stops the engine walks to."""
+        included), and no prefetcher.  Under this gate (plus no
+        condition-driven timer and no pending migration, which the
+        interpreter owns) a run's faults may be priced in one pass
+        (:meth:`charge_faults`): every cost is an integer sum and a
+        fetch's wait does not depend on its send time.  A run's first
+        touches are known before any clock moves, so the first-touch
+        entries may take them at once; re-armed accesses and timer
+        deadlines are the clock stops the engine walks to."""
         return not (
             self._on_first_touch is None
             or self.observers
             or self.prefetcher is not None
-            or self.network.queueing
         )
 
     def charge_faults(self, thread, faulted: list[HeapObject]) -> tuple[list, dict]:
@@ -599,7 +591,6 @@ class HomeBasedLRC:
                     thread.node_id,
                     obj.home_node,
                     dirty + DIFF_OVERHEAD,
-                    clock._now_ns,
                 )
                 cpu.network_wait_ns += wait
                 clock._now_ns += wait
@@ -728,7 +719,7 @@ class HomeBasedLRC:
 
         node_id = thread.node_id
         now = thread.clock.now_ns
-        wait = self.network.send(MessageKind.LOCK, node_id, lock.manager_node, LOCK_MSG_BYTES, now)
+        wait = self.network.send(MessageKind.LOCK, node_id, lock.manager_node, LOCK_MSG_BYTES)
         arrival = now + wait
         if lock.holder is not None:
             lock.waiters.append((thread.thread_id, arrival))
@@ -746,7 +737,6 @@ class HomeBasedLRC:
             lock.manager_node,
             node_id,
             LOCK_MSG_BYTES + notice_payload,
-            granted_ns,
         )
         before = thread.clock.now_ns
         thread.clock.advance_to(granted_ns + wait_back)
@@ -778,7 +768,7 @@ class HomeBasedLRC:
         thread.cpu.protocol_ns += costs.lock_local_ns
         thread.clock.advance(costs.lock_local_ns)
         now = thread.clock.now_ns
-        wait = self.network.send(MessageKind.LOCK, thread.node_id, lock.manager_node, LOCK_MSG_BYTES, now)
+        wait = self.network.send(MessageKind.LOCK, thread.node_id, lock.manager_node, LOCK_MSG_BYTES)
         # Release is one-way: the thread does not block on the ack, but the
         # lock only becomes available when the message reaches the manager.
         lock.available_at_ns = now + wait
@@ -804,7 +794,7 @@ class HomeBasedLRC:
         self.close_interval(thread, "barrier", sync_dst=self.cluster.master_id)
         now = thread.clock.now_ns
         self.network.send(
-            MessageKind.BARRIER, thread.node_id, self.cluster.master_id, BARRIER_MSG_BYTES, now
+            MessageKind.BARRIER, thread.node_id, self.cluster.master_id, BARRIER_MSG_BYTES
         )
         last = barrier.arrive(thread.thread_id, now)
         if self.observers:
@@ -834,7 +824,6 @@ class HomeBasedLRC:
                 self.cluster.master_id,
                 thread.node_id,
                 BARRIER_MSG_BYTES + notice_payload,
-                release_ns,
             )
             arrived_at = thread.clock.now_ns
             thread.clock.advance_to(release_ns + wait_back)

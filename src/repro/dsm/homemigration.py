@@ -57,7 +57,7 @@ class HomeMigrationEngine:
         self.hlrc = hlrc
         self.stats = HomeMigrationStats()
 
-    def migrate_home(self, obj: HeapObject, new_home: int, *, now_ns: int = 0) -> None:
+    def migrate_home(self, obj: HeapObject, new_home: int) -> None:
         """Move ``obj``'s home to ``new_home`` immediately.
 
         Safe only between the object's write intervals (callers invoke it
@@ -79,9 +79,8 @@ class HomeMigrationEngine:
             old_home,
             new_home,
             obj.size_bytes + REHOME_OVERHEAD_BYTES,
-            now_ns,
         )
-        network.send(MessageKind.CONTROL, old_home, new_home, HOME_UPDATE_BYTES, now_ns)
+        network.send(MessageKind.CONTROL, old_home, new_home, HOME_UPDATE_BYTES)
 
         # Old home's copy becomes a plain (valid) cache copy.
         old_heap = self.hlrc.heaps[old_home]
@@ -177,11 +176,11 @@ class DominantWriterPolicy:
                 self._recent[obj_id] = window
             window.append(node)
             self._events[obj_id] += 1
-            self._consider(gos.get(obj_id), thread.clock.now_ns)
+            self._consider(gos.get(obj_id))
 
     # -- decision -----------------------------------------------------------
 
-    def _consider(self, obj: HeapObject, now_ns: int) -> None:
+    def _consider(self, obj: HeapObject) -> None:
         events = self._events[obj.obj_id]
         last = self._migrated_at_event.get(obj.obj_id)
         if last is not None and events - last < self.cooldown_writes:
@@ -195,6 +194,6 @@ class DominantWriterPolicy:
             return
         if top / len(window) >= self.threshold:
             self.proposals += 1
-            self.engine.migrate_home(obj, node, now_ns=now_ns)
+            self.engine.migrate_home(obj, node)
             self._migrated_at_event[obj.obj_id] = events
             window.clear()

@@ -119,8 +119,6 @@ class Interpreter:
         self.timeshare_nodes = timeshare_nodes
         #: the discrete-event kernel every scheduling decision runs through.
         self.kernel = EventLoop(keep_trace=keep_event_trace)
-        # Queued network sends deliver through the same kernel.
-        hlrc.network.attach_kernel(self.kernel)
         #: per-node core schedules (timesharing model), owned by the nodes.
         self._nodes = hlrc.cluster.nodes
         #: thread ids with a SEGMENT_END / MIGRATION_CHECK event in flight.
@@ -352,11 +350,11 @@ class Interpreter:
         timer_fire = EventKind.TIMER_FIRE
         # Vector replay engages only when nothing on hlrc's side can
         # observe a run's intermediate states (observers, prefetcher, a
-        # queueing network, a keyword hook), and then per run: not under
-        # a condition-driven timer (deadline 0) or a pending migration.
-        # The engine hands first-touch entries each run's first touches
-        # and walks to re-armed accesses and timer deadlines.  Everything
-        # else runs on this loop.
+        # keyword hook), and then per run: not under a condition-driven
+        # timer (deadline 0) or a pending migration.  The engine hands
+        # first-touch entries each run's first touches and walks to
+        # re-armed accesses and timer deadlines.  Everything else runs
+        # on this loop.
         vec = self._vector
         vruns = None
         if vec is not None and self.hlrc.unobserved():

@@ -120,9 +120,7 @@ class MigrationEngine:
         thread.clock.advance(freeze_ns)
 
         stack_bytes = MIGRATION_OVERHEAD_BYTES + slots * SLOT_WIRE_BYTES
-        wait = network.send(
-            MessageKind.MIGRATION, src, target_node, stack_bytes, thread.clock.now_ns
-        )
+        wait = network.send(MessageKind.MIGRATION, src, target_node, stack_bytes)
         thread.cpu.network_wait_ns += wait
         thread.clock.advance(wait)
 
@@ -176,12 +174,9 @@ class MigrationEngine:
                 continue  # home copies materialize for free
             by_home.setdefault(obj.home_node, []).append(obj_id)
         longest_wait = 0
-        now = thread.clock.now_ns
         for home, ids in sorted(by_home.items()):
             bundle = sum(gos.get(o).size_bytes + PREFETCH_ENTRY_OVERHEAD for o in ids)
-            wait = self.hlrc.network.send(
-                MessageKind.PREFETCH, home, target_node, bundle, now
-            )
+            wait = self.hlrc.network.send(MessageKind.PREFETCH, home, target_node, bundle)
             longest_wait = max(longest_wait, wait)
             for obj_id in ids:
                 obj = gos.get(obj_id)

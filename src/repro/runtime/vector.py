@@ -12,9 +12,9 @@ access of a run every later access is a guaranteed hit, and after its
 
 When nothing observes the run's intermediate states except at the
 points below — no observer, prefetcher, keyword hook, condition-driven
-timer or pending migration, and an unqueued network
-(:meth:`HomeBasedLRC.unobserved`; the interpreter owns the timer and
-migration half of the gate) — every simulated cost is an integer sum.
+timer or pending migration (:meth:`HomeBasedLRC.unobserved`; the
+interpreter owns the timer and migration half of the gate) — every
+simulated cost is an integer sum.
 The engine then replays a whole run in one pass over its distinct
 objects in first-touch order: each copy is probed once, lazy home
 copies are materialized, invalid or missing cache copies are refreshed

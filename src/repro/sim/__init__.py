@@ -11,7 +11,7 @@ as a percentage of GOS traffic) can be regenerated on a laptop.
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.events import Event, EventKind, EventLoop
-from repro.sim.network import Message, MessageKind, Network, TrafficStats
+from repro.sim.network import MessageKind, Network, TrafficStats
 from repro.sim.node import CoreSchedule, Node
 from repro.sim.cluster import Cluster
 
@@ -21,7 +21,6 @@ __all__ = [
     "Event",
     "EventKind",
     "EventLoop",
-    "Message",
     "MessageKind",
     "Network",
     "TrafficStats",

@@ -4,8 +4,7 @@ Before this module existed, the simulator's notion of time was smeared
 across three private mechanisms: the interpreter's run-to-sync loop
 (pick the runnable thread with the smallest clock), per-op polling of
 every :class:`~repro.runtime.interpreter.TimerHook`, and
-``MigrationEngine`` piggybacking on pending-flag checks — while
-``Network.send`` charged cost instantly with no queueing at all.  The
+``MigrationEngine`` piggybacking on pending-flag checks.  The
 :class:`EventLoop` collapses them into one auditable kernel: every
 scheduling decision is a typed event popped from a single heap, totally
 ordered by ``(time_ns, seq)``.
@@ -23,10 +22,6 @@ Event types
     synchronously inside a segment *record* their fires into the trace
     at the simulated instant they happened, so the trace is complete
     even when no heap scheduling was needed.
-``MESSAGE_DELIVER``
-    A queued network message finished serializing on its link and
-    arrives at the destination (scheduled by :class:`~repro.sim.network.
-    Network` when queueing is enabled).
 ``BARRIER_RELEASE``
     The last participant arrived at a barrier; dispatching the event
     performs the release (clock alignment, write-notice distribution)
@@ -57,7 +52,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 
 class EventKind(enum.IntEnum):
@@ -65,7 +60,6 @@ class EventKind(enum.IntEnum):
 
     SEGMENT_END = 0
     TIMER_FIRE = 1
-    MESSAGE_DELIVER = 2
     BARRIER_RELEASE = 3
     MIGRATION_CHECK = 4
 
@@ -75,13 +69,13 @@ class Event:
 
     ``actor`` identifies the subject — a thread id for ``SEGMENT_END`` /
     ``TIMER_FIRE`` / ``MIGRATION_CHECK``, a barrier id for
-    ``BARRIER_RELEASE``, a destination node id for ``MESSAGE_DELIVER``.
-    ``data`` carries an event-specific payload (the kernel never
-    inspects it).  ``callback``, when set, is invoked by
-    :meth:`EventLoop.dispatch` with the event.
+    ``BARRIER_RELEASE``.  ``data`` carries an event-specific payload
+    (the kernel never inspects it; a ``BARRIER_RELEASE`` carries the
+    last arriver's thread id).  ``callback``, when set, is what the
+    driver invokes with the popped event.
     """
 
-    __slots__ = ("time_ns", "seq", "kind", "actor", "data", "callback", "cancelled")
+    __slots__ = ("time_ns", "seq", "kind", "actor", "data", "callback")
 
     def __init__(
         self,
@@ -98,15 +92,13 @@ class Event:
         self.actor = actor
         self.data = data
         self.callback = callback
-        self.cancelled = False
 
     def trace_entry(self) -> tuple[int, str, int]:
         """The event's canonical trace form: ``(time_ns, kind, actor)``."""
         return (self.time_ns, self.kind.name, self.actor)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        flag = " cancelled" if self.cancelled else ""
-        return f"Event({self.kind.name} t={self.time_ns} actor={self.actor}{flag})"
+        return f"Event({self.kind.name} t={self.time_ns} actor={self.actor})"
 
 
 class EventLoop:
@@ -114,9 +106,8 @@ class EventLoop:
 
     One heap, one sequence counter; every pop advances :attr:`now_ns`
     monotonically over scheduled events.  The loop does not own a
-    dispatch table — the driver (the interpreter) pops events and
-    dispatches on ``kind``, or attaches per-event callbacks for
-    subsystems that manage their own delivery (network queueing).
+    dispatch table: the driver (the interpreter) pops events and invokes
+    each one's callback.
 
     Set ``keep_trace=True`` to accumulate the ``(time_ns, kind, actor)``
     trace of every dispatched *and* recorded event — the audit log the
@@ -144,8 +135,6 @@ class EventLoop:
         self.scheduled = 0
         self.popped = 0
 
-    # ------------------------------------------------------------------
-
     def schedule(
         self,
         kind: EventKind,
@@ -154,7 +143,7 @@ class EventLoop:
         data: Any = None,
         callback: "Callable[[Event], None] | None" = None,
     ) -> Event:
-        """Queue an event; returns it (keep the handle to :meth:`cancel`)."""
+        """Queue an event and return it."""
         if time_ns < 0:
             raise ValueError(f"cannot schedule an event at negative time {time_ns}")
         event = Event(int(time_ns), self._seq, kind, actor, data, callback)
@@ -163,19 +152,15 @@ class EventLoop:
         heapq.heappush(self._heap, (event.time_ns, event.seq, event))
         return event
 
-    def cancel(self, event: Event) -> None:
-        """Lazily cancel a scheduled event (skipped at pop time)."""
-        event.cancelled = True
-
     def record(self, kind: EventKind, time_ns: int, actor: int = -1) -> None:
         """Append an already-dispatched event straight to the trace.
 
         Used by components that resolve their timing synchronously
-        inside a segment (in-segment timer fires, instantaneous message
-        delivery) so the audit trail stays complete without paying heap
-        traffic on the hot path.  Draws no ``seq`` and counts toward
-        neither ``scheduled`` nor ``popped``; its trace position is the
-        order of the call.  No-op unless ``keep_trace`` is set.
+        inside a segment (in-segment timer fires) so the audit trail
+        stays complete without paying heap traffic on the hot path.
+        Draws no ``seq`` and counts toward neither ``scheduled`` nor
+        ``popped``; its trace position is the order of the call.  No-op
+        unless ``keep_trace`` is set.
         """
         if self.keep_trace:
             self.trace.append((int(time_ns), kind.name, actor))
@@ -183,61 +168,16 @@ class EventLoop:
     def pop(self) -> Event | None:
         """Remove and return the next event, or None when idle.
 
-        Cancelled events are dropped silently.  ``now_ns`` snaps to the
-        popped event's time; scheduling an event earlier than ``now_ns``
-        is legal (per-thread clocks are only loosely coupled) — it
-        simply pops next.
+        ``now_ns`` snaps to the popped event's time; scheduling an event
+        earlier than ``now_ns`` is legal (per-thread clocks are only
+        loosely coupled) — it simply pops next.
         """
-        heap = self._heap
-        while heap:
-            _, _, event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            if event.time_ns > self.now_ns:
-                self.now_ns = event.time_ns
-            self.popped += 1
-            if self.keep_trace:
-                self.trace.append(event.trace_entry())
-            return event
-        return None
-
-    def dispatch(self, event: Event) -> None:
-        """Run an event's callback, if any (drivers call this for event
-        kinds they do not handle themselves)."""
-        if event.callback is not None:
-            event.callback(event)
-
-    def run_until_idle(self) -> int:
-        """Pop and dispatch callback events until the heap drains;
-        returns the number of events processed.  Only suitable for
-        self-contained loops where every event carries a callback
-        (e.g. draining queued message deliveries)."""
-        n = 0
-        while True:
-            event = self.pop()
-            if event is None:
-                return n
-            self.dispatch(event)
-            n += 1
-
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return sum(1 for _, _, e in self._heap if not e.cancelled)
-
-    def __bool__(self) -> bool:
-        return any(not e.cancelled for _, _, e in self._heap)
-
-    def peek_time_ns(self) -> int | None:
-        """Time of the next live event, or None when idle."""
-        heap = self._heap
-        while heap:
-            if heap[0][2].cancelled:
-                heapq.heappop(heap)
-                continue
-            return heap[0][0]
-        return None
-
-    def pending(self) -> Iterator[Event]:
-        """Iterate live scheduled events in heap (not sorted) order."""
-        return (e for _, _, e in self._heap if not e.cancelled)
+        if not self._heap:
+            return None
+        _, _, event = heapq.heappop(self._heap)
+        if event.time_ns > self.now_ns:
+            self.now_ns = event.time_ns
+        self.popped += 1
+        if self.keep_trace:
+            self.trace.append(event.trace_entry())
+        return event

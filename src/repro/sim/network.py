@@ -12,22 +12,16 @@ fetches, diffs, lock/barrier control) from profiling traffic (OAL jumbo
 messages) — the split Table III reports.
 
 Piggybacking: the paper piggybacks OAL messages on lock/barrier requests
-headed to the same destination.  :meth:`Network.send` accepts
-``piggyback_on`` naming an already-paid carrier message; a piggybacked
-payload pays only its serialized bytes (no extra latency or header).
-A carrier headed to a different destination is rejected — a payload
-cannot ride a message that will not arrive where the payload must go.
+headed to the same destination.  :meth:`Network.send` with
+``piggybacked=True`` prices a payload riding an already-paid carrier: it
+pays only its serialized bytes (no extra latency or header).
 
-Queueing (opt-in): by default every send is priced instantly with the
-alpha-beta formula, so concurrent transfers on one link overlap for
-free.  With ``queueing=True`` each directed link keeps a busy cursor:
-concurrent sends FIFO-serialize (a message may start serializing no
-earlier than the link frees up), which models the per-link contention of
-bursty traffic — OAL jumbo messages converging on the master, diff
-storms at barriers.  When an :class:`~repro.sim.events.EventLoop` is
-attached, each queued send also schedules a ``MESSAGE_DELIVER`` event at
-its arrival time, so delivery is observable in the kernel's event trace
-and consumable by asynchronous subscribers.
+Contention: every send is priced instantly with the alpha-beta formula,
+so concurrent transfers on one link overlap for free.  The one burst the
+model charges is the *ingress backlog*: asynchronous traffic converging
+on one node (OAL jumbo messages shipped to the master) queues behind
+that node's NIC, and the synchronization that rendezvouses there
+drains it into its latency (:meth:`Network.add_ingress_backlog`).
 
 Topology (opt-in): per-pair latency is an **O(1) formula**, never an
 eagerly allocated O(n²) table — a 256-node cluster costs the same to
@@ -39,13 +33,8 @@ intra-rack hops, expensive cross-rack hops).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
 
 from repro.util.validation import check_non_negative, check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.events import EventLoop
 
 NS_PER_S = 1_000_000_000
 
@@ -85,19 +74,6 @@ GOS_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Message:
-    """One simulated message: a piggyback carrier, or the payload of a
-    queued delivery event."""
-
-    kind: MessageKind
-    src: int
-    dst: int
-    size_bytes: int
-    time_ns: int
-    piggybacked: bool = False
-
-
 class TrafficStats:
     """Aggregated traffic counters.
 
@@ -113,26 +89,10 @@ class TrafficStats:
         self.piggybacked_messages = 0
         self._by_kind: dict[MessageKind, list[int]] = {}
 
-    def record(self, msg: Message) -> None:
-        """Fold one delivered message into the counters."""
-        self.record_traffic(msg.kind, msg.size_bytes, msg.piggybacked)
-
-    def record_traffic(self, kind: MessageKind, size_bytes: int, piggybacked: bool = False) -> None:
-        """Fold one delivered message into the counters (unbundled form)."""
-        self.messages += 1
-        rec = self._by_kind.get(kind)
-        if rec is None:
-            self._by_kind[kind] = [size_bytes, 1]
-        else:
-            rec[0] += size_bytes
-            rec[1] += 1
-        if piggybacked:
-            self.piggybacked_messages += 1
-
     def record_bulk(self, kind: MessageKind, count: int, total_bytes: int) -> None:
         """Fold ``count`` delivered, non-piggybacked messages of one kind
         carrying ``total_bytes`` together — the same counters as
-        ``count`` :meth:`record_traffic` calls (a zero count records
+        ``count`` :meth:`Network.send` calls (a zero count records
         nothing, so no empty kind appears)."""
         if not count:
             return
@@ -255,7 +215,6 @@ class Network:
         bandwidth_bytes_per_s: float = 12.5e6,
         header_bytes: int = 60,
         *,
-        queueing: bool = False,
         topology: Topology | None = None,
     ) -> None:
         check_non_negative(latency_ns, "latency_ns")
@@ -266,19 +225,10 @@ class Network:
         self.header_bytes = int(header_bytes)
         #: optional per-pair latency formula (None = flat fabric).
         self.topology = topology
-        #: FIFO per-link serialization (see module docstring).  Off by
-        #: default: sends are priced instantly and never contend.
-        self.queueing = bool(queueing)
         self.stats = TrafficStats()
         #: cluster size this network is bound to (None until a Cluster
         #: adopts it); when set, send() validates node ids against it.
         self._n_nodes: int | None = None
-        #: directed link (src, dst) -> time the link frees up (queueing).
-        self._link_busy_ns: dict[tuple[int, int], int] = {}
-        #: event kernel for deferred MESSAGE_DELIVER events (optional).
-        self._kernel: "EventLoop | None" = None
-        #: subscriber invoked with each delivered queued Message.
-        self.on_deliver: Callable[[Message], None] | None = None
         #: per-node ingress serialization backlog (ns): bursty asynchronous
         #: traffic (e.g. OAL jumbo messages converging on the master at a
         #: barrier) queues behind the receiver's NIC; synchronization that
@@ -292,18 +242,13 @@ class Network:
         check_positive(n_nodes, "n_nodes")
         self._n_nodes = int(n_nodes)
 
-    def attach_kernel(self, kernel: "EventLoop") -> None:
-        """Attach the event kernel that receives MESSAGE_DELIVER events
-        for queued sends."""
-        self._kernel = kernel
-
     def message_ns(self, size_bytes: int, src: int | None = None, dst: int | None = None) -> int:
-        """One-way delivery time of one unqueued, non-piggybacked message
+        """One-way delivery time of one non-piggybacked message
         carrying ``size_bytes`` of payload: latency + (payload + header)
         serialization, truncated to whole nanoseconds per message.
 
         The one pricing formula: :meth:`send` returns it for every
-        unqueued message, and bulk pricing (the vector engine's batched
+        non-piggybacked message, and bulk pricing (the vector engine's batched
         faults) sums it per message.  With both endpoints the latency
         honours the topology; without them it is the flat
         ``latency_ns`` figure (a :class:`RackTopology` is then priced as
@@ -329,28 +274,18 @@ class Network:
         src: int,
         dst: int,
         size_bytes: int,
-        time_ns: int,
         *,
         piggybacked: bool = False,
-        piggyback_on: Message | None = None,
     ) -> int:
         """Account for one message and return its one-way delivery time.
 
         Local messages (``src == dst``) cost nothing and are not recorded:
-        the GOS never serializes them.
-
-        ``piggyback_on`` names the already-paid carrier message the
-        payload rides on; the carrier must connect the same endpoints
-        (a payload cannot ride a message headed elsewhere).  Passing a
-        carrier implies ``piggybacked=True``.
-
-        With queueing enabled, the message FIFO-serializes behind
-        earlier traffic on its directed link, and the returned delivery
-        time includes the time spent waiting for the link.
+        the GOS never serializes them.  A ``piggybacked`` payload rides
+        an already-paid carrier to the same destination and pays only
+        its serialized bytes.
 
         This is the protocol's per-message hot path: the stats fold and
-        the transfer-time arithmetic are inlined, and no Message record
-        is materialized unless a queued send schedules its delivery.
+        the transfer-time arithmetic are inlined.
         """
         n_nodes = self._n_nodes
         if n_nodes is not None and not (0 <= src < n_nodes and 0 <= dst < n_nodes):
@@ -358,18 +293,6 @@ class Network:
                 f"message endpoints ({src} -> {dst}) outside the bound "
                 f"cluster of {n_nodes} nodes"
             )
-        if piggyback_on is not None:
-            if piggyback_on.dst != dst:
-                raise ValueError(
-                    f"cannot piggyback a message for node {dst} on a "
-                    f"carrier headed to node {piggyback_on.dst}"
-                )
-            if piggyback_on.src != src:
-                raise ValueError(
-                    f"cannot piggyback a message from node {src} on a "
-                    f"carrier sent by node {piggyback_on.src}"
-                )
-            piggybacked = True
         if src == dst:
             return 0
         size_bytes = int(size_bytes)
@@ -383,53 +306,8 @@ class Network:
             rec[1] += 1
         if piggybacked:
             stats.piggybacked_messages += 1
-        if self.queueing:
-            return self._send_queued(kind, src, dst, size_bytes, int(time_ns), piggybacked)
-        if piggybacked:
             return int(size_bytes / self.bandwidth_bytes_per_s * NS_PER_S)
         return self.message_ns(size_bytes, src, dst)
-
-    def _send_queued(
-        self,
-        kind: MessageKind,
-        src: int,
-        dst: int,
-        size_bytes: int,
-        time_ns: int,
-        piggybacked: bool,
-    ) -> int:
-        """Contended-link pricing: serialize behind the link's busy
-        cursor, push the cursor, and schedule the delivery event."""
-        wire_bytes = size_bytes if piggybacked else size_bytes + self.header_bytes
-        serialization_ns = int(wire_bytes / self.bandwidth_bytes_per_s * NS_PER_S)
-        link = (src, dst)
-        busy = self._link_busy_ns.get(link, 0)
-        start_ns = busy if busy > time_ns else time_ns
-        done_ns = start_ns + serialization_ns
-        self._link_busy_ns[link] = done_ns
-        topology = self.topology
-        latency = self.latency_ns if topology is None else topology.latency_ns(src, dst)
-        deliver_ns = done_ns if piggybacked else done_ns + latency
-        kernel = self._kernel
-        if kernel is not None:
-            from repro.sim.events import EventKind
-
-            msg = Message(kind, src, dst, size_bytes, deliver_ns, piggybacked)
-            on_deliver = self.on_deliver
-            callback = (
-                (lambda event, _cb=on_deliver, _m=msg: _cb(_m))
-                if on_deliver is not None
-                else None
-            )
-            kernel.schedule(
-                EventKind.MESSAGE_DELIVER, deliver_ns, actor=dst, data=msg,
-                callback=callback,
-            )
-        return deliver_ns - time_ns
-
-    def link_busy_until_ns(self, src: int, dst: int) -> int:
-        """Time the directed link frees up (0 if never used / no queueing)."""
-        return self._link_busy_ns.get((src, dst), 0)
 
     def add_ingress_backlog(self, node_id: int, ns: int) -> None:
         """Queue ``ns`` of serialization work at ``node_id``'s NIC."""
@@ -444,4 +322,3 @@ class Network:
         """Zero traffic counters (e.g. after a warm-up phase)."""
         self.stats = TrafficStats()
         self._ingress_backlog_ns = {}
-        self._link_busy_ns = {}

@@ -18,7 +18,6 @@ from repro.workloads.base import Workload, WorkloadSpec
 from repro.workloads.sor import SORWorkload
 from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
-from repro.workloads.fft import FFTWorkload
 from repro.workloads.synthetic import (
     GroupSharingWorkload,
     RacyCounterWorkload,
@@ -31,7 +30,6 @@ __all__ = [
     "SORWorkload",
     "BarnesHutWorkload",
     "WaterSpatialWorkload",
-    "FFTWorkload",
     "GroupSharingWorkload",
     "RacyCounterWorkload",
     "UniformSharingWorkload",

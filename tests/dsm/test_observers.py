@@ -316,7 +316,7 @@ COMPONENT_MUTATIONS = {
     "thread_cpu": lambda d, r, s: setattr(r.thread_cpu[1], "footprinting_ns", 1),
     "thread_cpu.extra": _bump_thread_cpu_extra,
     "counters": lambda d, r, s: r.counters.update(faults=r.counters["faults"] + 1),
-    "traffic_bytes": lambda d, r, s: r.traffic.record_traffic(MessageKind.DIFF, 1),
+    "traffic_bytes": lambda d, r, s: r.traffic.record_bulk(MessageKind.DIFF, 1, 1),
     "ops_executed": lambda d, r, s: setattr(r, "ops_executed", r.ops_executed + 1),
     "tcm_sha256": lambda d, r, s: s.collector._accrued.__setitem__((0, 1), -1.0),
     "copies_sha256.state": _bump_copy_state,

@@ -4,7 +4,7 @@ Replay has two routes: the scalar loop, and the vector engine's one
 pass over a run's distinct objects, taken when nothing observes the run
 beyond the points the engine stops at (no observer — an
 ``IntervalHistory`` recorder included — prefetcher, keyword hook,
-condition-driven timer or pending migration, and an unqueued network).
+condition-driven timer or pending migration).
 The one pass walks to its *clock stops*: accesses of ids a hook
 re-armed, and timer fires.
 
@@ -577,12 +577,11 @@ def test_vector_replay_matches_scalar_on_workloads(name):
 
 # -- unobserved runs: faults priced in one pass --------------------------
 #
-# With no hook, observer, timer, prefetcher or pending migration and an
-# unqueued network, the engine replays every
-# run — one-shot bodies included, on a transient lean lane — and charges
-# its faults in one HomeBasedLRC.charge_faults.  The configurations below
-# are that gate; the disqualifiers after them each leave it.  (First-touch
-# hooks keep it open; their section follows.)
+# With no hook, observer, timer, prefetcher or pending migration, the
+# engine replays every run — one-shot bodies included, on a transient
+# lean lane — and charges its faults in one HomeBasedLRC.charge_faults.
+# The configurations below are that gate; the disqualifiers after them
+# each leave it.  (First-touch hooks keep it open; their section follows.)
 
 UNOBSERVED_CONFIGS = {
     "flat": {},
@@ -702,20 +701,19 @@ def _two_hooks(djvm):
     djvm.add_hook(RearmingHook(tag=1))
 
 
-#: each disqualifier alone: (DJVM kwargs factory, setup(djvm) before the run).
+#: each disqualifier alone: setup(djvm) before the run.
 #: ``timer`` (a positive deadline) and ``two_hooks`` (a re-arming hook)
 #: disqualified the one pass before it learnt to walk to clock stops;
 #: they are kept beside the rest to show that they no longer do.
 DISQUALIFIERS = {
-    "hook": (dict, lambda djvm: djvm.add_hook(KeywordHook())),
-    "two_hooks": (dict, _two_hooks),
-    "observer": (dict, lambda djvm: djvm.attach(NullObserver())),
-    "history": (dict, lambda djvm: djvm.attach(IntervalHistory())),
-    "timer": (dict, lambda djvm: djvm.add_timer(DeadlineTimer())),
-    "condition_timer": (dict, lambda djvm: djvm.add_timer(ConditionTimer())),
-    "queueing": (lambda: {"network": Network(queueing=True), "keep_event_trace": True}, None),
-    "prefetcher": (dict, lambda djvm: setattr(djvm.hlrc, "prefetcher", EmptyPrefetcher())),
-    "pending_migration": (dict, _plan_forever),
+    "hook": lambda djvm: djvm.add_hook(KeywordHook()),
+    "two_hooks": _two_hooks,
+    "observer": lambda djvm: djvm.attach(NullObserver()),
+    "history": lambda djvm: djvm.attach(IntervalHistory()),
+    "timer": lambda djvm: djvm.add_timer(DeadlineTimer()),
+    "condition_timer": lambda djvm: djvm.add_timer(ConditionTimer()),
+    "prefetcher": lambda djvm: setattr(djvm.hlrc, "prefetcher", EmptyPrefetcher()),
+    "pending_migration": _plan_forever,
 }
 
 #: the entries above that now walk.
@@ -743,10 +741,8 @@ def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch, execute_c
     for make_programs in (random_programs, repeating_programs):
         outcomes = {}
         for replay in ("vector", "scalar"):
-            make_kwargs, setup = DISQUALIFIERS[name]
-            djvm, obj_ids = build_djvm(replay=replay, **make_kwargs())
-            if setup is not None:
-                setup(djvm)
+            djvm, obj_ids = build_djvm(replay=replay)
+            DISQUALIFIERS[name](djvm)
             sends.clear()
             res = djvm.run(make_programs(3, obj_ids))
             faults = res.counters["faults"]
@@ -756,9 +752,6 @@ def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch, execute_c
                 assert djvm.replay_routing["faults_batched"] > 0
             else:
                 assert sends[MessageKind.OBJECT_FETCH_REQ] == sends[MessageKind.OBJECT_FETCH_DATA] == faults
-            if name == "queueing":
-                delivered = [e for e in djvm.event_trace if e[1] == "MESSAGE_DELIVER"]
-                assert len(delivered) == res.traffic.messages
             outcomes[replay] = (fingerprint(djvm, res), run_fingerprint(djvm, res))
         assert outcomes["vector"] == outcomes["scalar"]
     assert bool(execute_calls) == walked
@@ -1181,7 +1174,7 @@ class RehomingHook(FastHook):
             return
         gos = self.engine.hlrc.gos
         for oid, node in self.moves.get(interval.interval_id, ()):
-            self.engine.migrate_home(gos.get(oid), node, now_ns=thread.clock.now_ns)
+            self.engine.migrate_home(gos.get(oid), node)
 
 
 class MigratingHook(FastHook):

@@ -1,10 +1,10 @@
-"""Tests for the discrete-event kernel and queued network delivery."""
+"""Tests for the discrete-event kernel and network send validation."""
 
 import pytest
 
 from repro.sim.cluster import Cluster
 from repro.sim.events import EventKind, EventLoop
-from repro.sim.network import Message, MessageKind, Network
+from repro.sim.network import MessageKind, Network
 
 
 class TestEventLoopOrdering:
@@ -14,6 +14,7 @@ class TestEventLoopOrdering:
         loop.schedule(EventKind.SEGMENT_END, 10, actor=1)
         loop.schedule(EventKind.SEGMENT_END, 20, actor=2)
         assert [loop.pop().actor for _ in range(3)] == [1, 2, 3]
+        assert loop.pop() is None
 
     def test_equal_times_pop_in_schedule_order(self):
         """The (time_ns, seq) tie-break: producers that schedule several
@@ -32,31 +33,9 @@ class TestEventLoopOrdering:
         loop.pop()
         assert loop.now_ns == 50
 
-    def test_cancelled_events_are_skipped(self):
-        loop = EventLoop()
-        keep = loop.schedule(EventKind.SEGMENT_END, 1, actor=1)
-        drop = loop.schedule(EventKind.SEGMENT_END, 0, actor=2)
-        loop.cancel(drop)
-        assert len(loop) == 1
-        assert loop.pop() is keep
-        assert loop.pop() is None
-
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             EventLoop().schedule(EventKind.SEGMENT_END, -1)
-
-    def test_peek_time_skips_cancelled(self):
-        loop = EventLoop()
-        first = loop.schedule(EventKind.SEGMENT_END, 5)
-        loop.schedule(EventKind.SEGMENT_END, 9)
-        loop.cancel(first)
-        assert loop.peek_time_ns() == 9
-
-    def test_empty_loop_is_falsy(self):
-        loop = EventLoop()
-        assert not loop
-        loop.schedule(EventKind.SEGMENT_END, 0)
-        assert loop
 
 
 class TestEventLoopTrace:
@@ -64,97 +43,23 @@ class TestEventLoopTrace:
         loop = EventLoop(keep_trace=True)
         loop.schedule(EventKind.BARRIER_RELEASE, 40, actor=0)
         loop.schedule(EventKind.SEGMENT_END, 15, actor=2)
-        loop.run_until_idle()
+        while loop.pop() is not None:
+            pass
         assert loop.trace == [(15, "SEGMENT_END", 2), (40, "BARRIER_RELEASE", 0)]
 
     def test_record_bypasses_heap(self):
         loop = EventLoop(keep_trace=True)
         loop.record(EventKind.TIMER_FIRE, 123, actor=4)
-        assert len(loop) == 0
+        assert loop.scheduled == 0
+        assert loop.pop() is None
         assert loop.trace == [(123, "TIMER_FIRE", 4)]
 
     def test_trace_off_by_default(self):
         loop = EventLoop()
         loop.schedule(EventKind.SEGMENT_END, 1)
         loop.record(EventKind.TIMER_FIRE, 2)
-        loop.run_until_idle()
+        loop.pop()
         assert loop.trace == []
-
-    def test_run_until_idle_dispatches_callbacks(self):
-        loop = EventLoop()
-        seen = []
-        loop.schedule(
-            EventKind.MESSAGE_DELIVER, 7, actor=1, callback=lambda e: seen.append(e.time_ns)
-        )
-        assert loop.run_until_idle() == 1
-        assert seen == [7]
-
-
-class TestNetworkQueueing:
-    def net(self, **kw):
-        return Network(
-            latency_ns=1000, bandwidth_bytes_per_s=1e9, header_bytes=0, queueing=True, **kw
-        )
-
-    def test_concurrent_sends_on_one_link_serialize(self):
-        """Two messages entering one directed link at the same instant
-        FIFO-serialize: the second delivers no earlier than the first
-        finishes serializing."""
-        net = self.net()
-        # 1000 bytes at 1 GB/s = 1000 ns serialization each.
-        d1 = net.send(MessageKind.DIFF, 0, 1, 1000, 0)
-        d2 = net.send(MessageKind.DIFF, 0, 1, 1000, 0)
-        first_completion = 1000  # first message clears the link at t=1000
-        assert d1 == 1000 + 1000  # serialization + latency
-        assert d2 >= first_completion + 1000  # queued behind the first
-        assert d2 == 2000 + 1000
-        assert net.link_busy_until_ns(0, 1) == 2000
-
-    def test_distinct_links_do_not_contend(self):
-        net = self.net()
-        d1 = net.send(MessageKind.DIFF, 0, 1, 1000, 0)
-        d2 = net.send(MessageKind.DIFF, 1, 0, 1000, 0)  # reverse direction
-        assert d1 == d2
-
-    def test_no_queueing_overlaps_for_free(self):
-        net = Network(latency_ns=1000, bandwidth_bytes_per_s=1e9, header_bytes=0)
-        d1 = net.send(MessageKind.DIFF, 0, 1, 1000, 0)
-        d2 = net.send(MessageKind.DIFF, 0, 1, 1000, 0)
-        assert d1 == d2
-
-    def test_link_frees_up_over_time(self):
-        net = self.net()
-        net.send(MessageKind.DIFF, 0, 1, 1000, 0)
-        # A send after the link cleared pays no queueing delay.
-        assert net.send(MessageKind.DIFF, 0, 1, 1000, 5000) == 2000
-
-    def test_queued_send_schedules_message_deliver_event(self):
-        net = self.net()
-        kernel = EventLoop(keep_trace=True)
-        net.attach_kernel(kernel)
-        net.send(MessageKind.OAL, 2, 0, 1000, 0)
-        event = next(kernel.pending())
-        assert event.kind is EventKind.MESSAGE_DELIVER
-        assert event.actor == 0
-        assert event.time_ns == 2000
-        assert event.data.kind is MessageKind.OAL
-
-    def test_on_deliver_subscriber_invoked(self):
-        net = self.net()
-        kernel = EventLoop()
-        net.attach_kernel(kernel)
-        delivered = []
-        net.on_deliver = delivered.append
-        net.send(MessageKind.DIFF, 0, 1, 500, 0)
-        kernel.run_until_idle()
-        assert len(delivered) == 1
-        assert delivered[0].src == 0 and delivered[0].dst == 1
-
-    def test_reset_stats_clears_link_cursors(self):
-        net = self.net()
-        net.send(MessageKind.DIFF, 0, 1, 1000, 0)
-        net.reset_stats()
-        assert net.link_busy_until_ns(0, 1) == 0
 
 
 class TestSendValidation:
@@ -162,34 +67,15 @@ class TestSendValidation:
         net = Network()
         net.bind_cluster(4)
         with pytest.raises(ValueError, match="outside the bound cluster"):
-            net.send(MessageKind.DIFF, 0, 7, 100, 0)
+            net.send(MessageKind.DIFF, 0, 7, 100)
         with pytest.raises(ValueError, match="outside the bound cluster"):
-            net.send(MessageKind.DIFF, -1, 2, 100, 0)
+            net.send(MessageKind.DIFF, -1, 2, 100)
 
     def test_cluster_binds_its_network(self):
         cluster = Cluster(2)
         with pytest.raises(ValueError, match="outside the bound cluster"):
-            cluster.network.send(MessageKind.LOCK, 0, 5, 32, 0)
+            cluster.network.send(MessageKind.LOCK, 0, 5, 32)
 
     def test_unbound_network_accepts_any_ids(self):
         net = Network()
-        assert net.send(MessageKind.DIFF, 0, 99, 100, 0) > 0
-
-    def test_carrier_to_other_destination_rejected(self):
-        net = Network()
-        carrier = Message(MessageKind.BARRIER, 2, 1, 64, 0)
-        with pytest.raises(ValueError, match="cannot piggyback"):
-            net.send(MessageKind.OAL, 2, 0, 100, 0, piggyback_on=carrier)
-
-    def test_carrier_from_other_source_rejected(self):
-        net = Network()
-        carrier = Message(MessageKind.BARRIER, 3, 0, 64, 0)
-        with pytest.raises(ValueError, match="cannot piggyback"):
-            net.send(MessageKind.OAL, 2, 0, 100, 0, piggyback_on=carrier)
-
-    def test_matching_carrier_implies_piggyback(self):
-        net = Network(latency_ns=1000, bandwidth_bytes_per_s=1e9, header_bytes=100)
-        carrier = Message(MessageKind.BARRIER, 2, 0, 64, 0)
-        cost = net.send(MessageKind.OAL, 2, 0, 500, 0, piggyback_on=carrier)
-        assert cost == 500  # serialization only: no latency, no header
-        assert net.stats.piggybacked_messages == 1
+        assert net.send(MessageKind.DIFF, 0, 99, 100) > 0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.network import (
     GOS_KINDS,
-    Message,
     MessageKind,
     Network,
     RackTopology,
@@ -44,21 +43,21 @@ class TestTransferTime:
 class TestSendAccounting:
     def test_local_messages_free_and_unrecorded(self):
         net = Network()
-        assert net.send(MessageKind.DIFF, 1, 1, 4096, 0) == 0
+        assert net.send(MessageKind.DIFF, 1, 1, 4096) == 0
         assert net.stats.messages == 0
 
     def test_remote_messages_recorded(self):
         net = Network()
-        t = net.send(MessageKind.DIFF, 0, 1, 4096, 0)
+        t = net.send(MessageKind.DIFF, 0, 1, 4096)
         assert t > 0
         assert net.stats.messages == 1
         assert net.stats.bytes_by_kind[MessageKind.DIFF] == 4096
 
     def test_oal_vs_gos_split(self):
         net = Network()
-        net.send(MessageKind.OBJECT_FETCH_DATA, 0, 1, 1000, 0)
-        net.send(MessageKind.LOCK, 0, 1, 32, 0)
-        net.send(MessageKind.OAL, 1, 0, 500, 0)
+        net.send(MessageKind.OBJECT_FETCH_DATA, 0, 1, 1000)
+        net.send(MessageKind.LOCK, 0, 1, 32)
+        net.send(MessageKind.OAL, 1, 0, 500)
         assert net.stats.gos_bytes == 1032
         assert net.stats.oal_bytes == 500
         assert net.stats.total_bytes == 1532
@@ -68,31 +67,34 @@ class TestSendAccounting:
         assert MessageKind.OAL.is_profiling
 
     def test_piggyback_counted(self):
-        net = Network()
-        net.send(MessageKind.OAL, 0, 1, 100, 0, piggybacked=True)
+        net = Network(latency_ns=1000, bandwidth_bytes_per_s=1e9, header_bytes=100)
+        assert net.send(MessageKind.OAL, 0, 1, 500, piggybacked=True) == 500
         assert net.stats.piggybacked_messages == 1
 
     def test_reset_stats(self):
         net = Network()
-        net.send(MessageKind.DIFF, 0, 1, 10, 0)
+        net.send(MessageKind.DIFF, 0, 1, 10)
         net.reset_stats()
         assert net.stats.messages == 0
 
 
 class TestTrafficStats:
     def test_bytes_for_multiple_kinds(self):
-        stats = TrafficStats()
-        stats.record(Message(MessageKind.DIFF, 0, 1, 10, 0))
-        stats.record(Message(MessageKind.LOCK, 0, 1, 20, 0))
+        net = Network()
+        net.send(MessageKind.DIFF, 0, 1, 10)
+        net.send(MessageKind.LOCK, 0, 1, 20)
+        stats = net.stats
         assert stats.bytes_for(MessageKind.DIFF, MessageKind.LOCK) == 30
         assert stats.count_by_kind[MessageKind.DIFF] == 1
 
     def test_record_bulk_equals_per_message_fold(self):
+        """``record_bulk`` folds what n real sends fold one by one."""
         sizes = [16, 80, 80, 4112, 16]
-        one_by_one = TrafficStats()
+        net = Network()
         for size in sizes:
-            one_by_one.record_traffic(MessageKind.OBJECT_FETCH_DATA, size)
-        one_by_one.record_traffic(MessageKind.LOCK, 32)
+            net.send(MessageKind.OBJECT_FETCH_DATA, 1, 0, size)
+        net.send(MessageKind.LOCK, 0, 1, 32)
+        one_by_one = net.stats
         bulk = TrafficStats()
         bulk.record_bulk(MessageKind.OBJECT_FETCH_DATA, len(sizes), sum(sizes))
         bulk.record_bulk(MessageKind.LOCK, 1, 32)
@@ -108,7 +110,7 @@ class TestMessagePrice:
     def test_send_returns_message_ns(self):
         net = Network(latency_ns=1000, bandwidth_bytes_per_s=3e9, header_bytes=7)
         for size in (0, 1, 16, 333, 4112):
-            assert net.send(MessageKind.OBJECT_FETCH_DATA, 0, 1, size, 0) == net.message_ns(size)
+            assert net.send(MessageKind.OBJECT_FETCH_DATA, 0, 1, size) == net.message_ns(size)
             # Truncated per message, never over a sum.
             assert net.message_ns(size) == 1000 + int((size + 7) / 3e9 * 1e9)
 
@@ -117,4 +119,4 @@ class TestMessagePrice:
         wire = net.message_ns(64) - 500
         assert net.message_ns(64, 0, 1) == 100 + wire
         assert net.message_ns(64, 1, 2) == 900 + wire
-        assert net.send(MessageKind.DIFF, 1, 2, 64, 0) == net.message_ns(64, 1, 2)
+        assert net.send(MessageKind.DIFF, 1, 2, 64) == net.message_ns(64, 1, 2)

@@ -27,7 +27,7 @@ class TestParser:
 
 
 class TestMakeWorkload:
-    @pytest.mark.parametrize("name", ["sor", "barnes-hut", "water-spatial", "fft", "group-sharing"])
+    @pytest.mark.parametrize("name", ["sor", "barnes-hut", "water-spatial", "group-sharing"])
     def test_all_names_construct(self, name):
         wl = make_workload(name, n_threads=4, seed=1)
         assert wl.n_threads == 4

@@ -1,4 +1,4 @@
-"""Property-based tests over workload structure shared by SOR, FFT and
+"""Property-based tests over workload structure shared by SOR and
 Water-Spatial (Barnes-Hut has its own module)."""
 
 from hypothesis import given, settings
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.runtime.djvm import DJVM
 from repro.runtime.program import OP_BARRIER, validate_program
 from repro.sim.costs import CostModel
-from repro.workloads import FFTWorkload, SORWorkload, WaterSpatialWorkload
+from repro.workloads import SORWorkload, WaterSpatialWorkload
 from repro.workloads.base import Workload
 
 
@@ -65,14 +65,6 @@ class TestProgramUniformity:
 
     @given(st.integers(min_value=1, max_value=3), st.sampled_from([2, 4]))
     @settings(max_examples=8, deadline=None)
-    def test_fft(self, rounds, threads):
-        wl = FFTWorkload(n_points=1024, rounds=rounds, n_threads=threads)
-        wl.build(DJVM(threads, costs=CostModel.fast_test()))
-        counts = {barrier_count(list(wl.program(t))) for t in range(threads)}
-        assert counts == {3 * rounds}
-
-    @given(st.integers(min_value=1, max_value=3), st.sampled_from([2, 4]))
-    @settings(max_examples=8, deadline=None)
     def test_water_spatial(self, rounds, threads):
         wl = WaterSpatialWorkload(n_molecules=64, rounds=rounds, n_threads=threads)
         wl.build(DJVM(threads, costs=CostModel.fast_test()))
@@ -84,7 +76,6 @@ class TestProgramUniformity:
     def test_all_programs_structurally_valid(self, rounds, threads):
         for wl in (
             SORWorkload(n=64, rounds=rounds, n_threads=threads),
-            FFTWorkload(n_points=1024, rounds=rounds, n_threads=threads),
             WaterSpatialWorkload(n_molecules=64, rounds=rounds, n_threads=threads),
         ):
             wl.build(DJVM(threads, costs=CostModel.fast_test()))
