@@ -168,6 +168,18 @@ class SamplingBackend:
         decide = self.decide
         return [decide(obj) for obj in objs]
 
+    def peek(self, obj: HeapObject) -> tuple[bool, int, int]:
+        """:meth:`decide` without counting a new decision: a second look
+        at one already made.  A memoized backend hits its memo (and
+        counts a cold compute once, as ever)."""
+        return self.decide(obj)
+
+    def sampled_raw(self, obj: HeapObject) -> bool:
+        """The bare selection bit of :meth:`peek` (used by
+        :meth:`StatelessBackend.dead_zone_report`, so probing a
+        stateless backend is side-effect free)."""
+        return self.peek(obj)[0]
+
     def epoch(self, class_id: int | None = None) -> int:
         """Staleness token for cached decisions: the class's gap epoch,
         or (``class_id=None``) the policy-wide change generation."""
@@ -327,10 +339,8 @@ class StatelessBackend(SamplingBackend):
         self._count(st.jclass.class_id, result[0])
         return result
 
-    def sampled_raw(self, obj: HeapObject) -> bool:
-        """The bare selection bit, without touching the counters (used
-        by :meth:`dead_zone_report` so probing is side-effect free)."""
-        return self._kernel(obj, self.policy.state(obj.jclass))[0]
+    def peek(self, obj: HeapObject) -> tuple[bool, int, int]:
+        return self._kernel(obj, self.policy.state(obj.jclass))
 
     def _kernel(self, obj: HeapObject, st: ClassSamplingState) -> tuple[bool, int, int]:
         raise NotImplementedError
@@ -596,8 +606,8 @@ class HybridBackend(SamplingBackend):
     def decide(self, obj: HeapObject) -> tuple[bool, int, int]:
         return self.route(obj).decide(obj)
 
-    def sampled_raw(self, obj: HeapObject) -> bool:
-        return self.route(obj).sampled_raw(obj)
+    def peek(self, obj: HeapObject) -> tuple[bool, int, int]:
+        return self.route(obj).peek(obj)
 
     def probability(self, obj: HeapObject) -> float:
         return self.route(obj).probability(obj)
@@ -788,6 +798,10 @@ class SamplingPolicy:
         input order (the backend's batch lane)."""
         return self.backend.decide_batch(objs)
 
+    # The three views below re-read a decision (``backend.peek``): only
+    # decision() and decide_batch() count one, so realized_rates() is
+    # the sampled fraction of what the profilers decided.
+
     def is_sampled(self, obj: HeapObject) -> bool:
         """Is this object currently sampled?
 
@@ -795,18 +809,18 @@ class SamplingPolicy:
         at least one element logically sampled (Fig. 3b).  Other
         backends substitute their own selection at the same rate.
         """
-        return self.backend.decide(obj)[0]
+        return self.backend.peek(obj)[0]
 
     def logged_bytes(self, obj: HeapObject) -> int:
         """Bytes recorded in the OAL for one sampled object: the full
         instance size for scalars, the amortized sample size for arrays."""
-        return self.backend.decide(obj)[1]
+        return self.backend.peek(obj)[1]
 
     def scaled_bytes(self, obj: HeapObject) -> int:
         """Horvitz-Thompson estimate this sample contributes: logged
         bytes times the gap (each sample stands for ``gap`` units), or
         the backend's equivalent inverse-probability weight."""
-        return self.backend.decide(obj)[2]
+        return self.backend.peek(obj)[2]
 
     def effective_rate(self, jclass: JClass) -> float:
         """Realized samples-per-page for a class under its current gap."""

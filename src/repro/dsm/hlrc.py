@@ -38,7 +38,7 @@ with the smallest simulated clock.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import count
+from itertools import chain, count
 from operator import attrgetter
 from typing import Protocol
 
@@ -173,14 +173,17 @@ class HomeBasedLRC:
         #: a value.  Within one epoch a node's ``HOME`` copy stays
         #: ``HOME``; the vector engine's home-resident splits rely on it.
         self.home_epoch = next(_HOME_EPOCHS)
-        #: global write-notice log: list of (obj_id, version).
-        self.notices: list[tuple[int, int]] = []
-        #: per-node index of the first unseen notice.
+        #: global write-notice log, one block per closing interval (and
+        #: per re-homing): ``(ids, versions)``, the block's object ids in
+        #: ascending order and the home version each notice published.
+        #: Notice ordinals run through the blocks in order.
+        self.notice_blocks: list[tuple[list[int], list[int]]] = []
+        #: notices published so far (the ordinal after the last one).
+        self.n_notices = 0
+        #: per-node ordinal of the first unseen notice, and the index of
+        #: its block (every apply drains the log to its end).
         self._notice_seen: dict[int, int] = {n.node_id: 0 for n in cluster.nodes}
-        # Memoized (start, end, {obj_id: newest_version}) fold of the
-        # notice range last applied — shared by every node draining the
-        # same range at a barrier.
-        self._latest_notices: tuple[int, int, dict[int, int]] | None = None
+        self._blocks_seen: dict[int, int] = dict.fromkeys(self._notice_seen, 0)
         #: profiler hooks in registration order; a tuple, so it grows
         #: only through :meth:`add_hook`, which resolves everything below.
         self.hooks: tuple[ProtocolHooks, ...] = ()
@@ -334,6 +337,7 @@ class HomeBasedLRC:
         if record is None:
             record = CopyRecord(obj.obj_id, RealState.VALID, fetched_version=obj.home_version)
             heap.copies[obj.obj_id] = record
+            heap.cached.add(obj.obj_id)
         else:
             record.real_state = RealState.VALID
             record.fetched_version = obj.home_version
@@ -346,6 +350,7 @@ class HomeBasedLRC:
                         extra.obj_id, RealState.VALID, fetched_version=extra.home_version
                     ),
                 )
+                heap.cached.add(extra.obj_id)
             else:
                 existing.real_state = RealState.VALID
                 existing.fetched_version = extra.home_version
@@ -552,65 +557,70 @@ class HomeBasedLRC:
 
     def close_interval(self, thread, reason: str, sync_dst: int | None = None) -> IntervalRecord:
         """Close the thread's current interval: flush diffs, publish write
-        notices, then hand the interval record to the profiler hooks."""
+        notices, then hand the interval record to the profiler hooks.
+
+        The written ids split by set algebra against the node's cached
+        index (:attr:`LocalHeap.cached`): a cache copy this thread wrote
+        flushes a diff, a home copy only publishes, and an id with no
+        record here (written before a migration moved the thread)
+        publishes nothing.  The published ids go out as one block
+        (:meth:`publish`)."""
         costs = self.costs
         interval: IntervalRecord = thread.current_interval
         interval.end_pc = thread.pc
         interval.close_reason = reason
 
-        copies = self._copies_by_node[thread.node_id]
+        node_id = thread.node_id
+        heap = self.heaps[node_id]
+        copies = heap.copies
+        cached = heap.cached
         objects = self._objects
         clock = thread.clock
         cpu = thread.cpu
-        notices = self.notices
         observers = self.observers
         tid = thread.thread_id
-        # Flush diffs for cache copies this thread wrote.  Sorted: the
-        # written set is hash-ordered, and diff/notice publication order
-        # feeds network sends and the global notice log — iteration
-        # order must not depend on interning accidents (SIM003).
-        # Counter increments are batched per close, not per object.
-        n_notices = n_diffs = diff_begin_ns = 0
-        for obj_id in sorted(interval.written):
-            record: CopyRecord | None = copies.get(obj_id)
-            if record is None:
-                continue
+        written = interval.written
+        # Sorted: the written set is hash-ordered, and diff/notice
+        # publication order feeds network sends and the global notice
+        # log — iteration order must not depend on interning accidents
+        # (SIM003).  Counter increments are batched per close.
+        diffs = [oid for oid in sorted(written & cached) if tid in (copies[oid].writers or ())]
+        published = written.difference(cached)  # home copies
+        if interval.moved:
+            published = copies.keys() & published  # dropping ids with no record here
+        published.update(diffs)
+        ids = sorted(published)
+        if ids:
+            self.publish(ids)
+            self._c_notices.inc(len(ids))
+        # Observers see every notice in log order, each diff's event
+        # right after its flush.
+        for obj_id in ids if observers else diffs:
             obj = objects[obj_id]
+            record: CopyRecord = copies[obj_id]
             dirty = 0  # stays 0 for a home copy: nothing to flush
             if record.real_state is not _HOME:
-                writers = record.writers
-                if writers is None or tid not in writers:
-                    continue
                 dirty = max(record.dirty_bytes, 1)
                 diff_begin_ns = clock._now_ns
                 diff_ns = dirty * costs.diff_ns_per_byte
                 cpu.protocol_ns += diff_ns
                 clock._now_ns += diff_ns
                 wait = self.network.send(
-                    MessageKind.DIFF,
-                    thread.node_id,
-                    obj.home_node,
-                    dirty + DIFF_OVERHEAD,
+                    MessageKind.DIFF, node_id, obj.home_node, dirty + DIFF_OVERHEAD
                 )
                 cpu.network_wait_ns += wait
                 clock._now_ns += wait
                 # The writer's copy now reflects the applied diff.
-                record.fetched_version = obj.home_version + 1
+                record.fetched_version = obj.home_version
                 record.clear_interval_state()
-                n_diffs += 1
-            obj.home_version += 1
-            notices.append((obj_id, obj.home_version))
-            n_notices += 1
             if observers:
                 for observer in observers:
                     if dirty:
                         observer.on_diff(thread, obj_id, dirty, diff_begin_ns)
                     observer.on_notice(thread, obj_id, obj.home_version)
 
-        if n_diffs:
-            self._c_diffs.inc(n_diffs)
-        if n_notices:
-            self._c_notices.inc(n_notices)
+        if diffs:
+            self._c_diffs.inc(len(diffs))
         cpu.protocol_ns += costs.interval_close_ns
         clock._now_ns += costs.interval_close_ns
         interval.end_ns = clock._now_ns
@@ -628,15 +638,41 @@ class HomeBasedLRC:
         return interval
 
     # ------------------------------------------------------------------
-    # write-notice application
+    # write notices
     # ------------------------------------------------------------------
+
+    def publish(self, ids: list[int]) -> None:
+        """Bump the home version of each object in ``ids`` (distinct, in
+        ascending order) and log a write notice for each, as one block:
+        the one place a home version moves, so every bump has its notice
+        at once."""
+        objects = self._objects
+        versions = []
+        for obj_id in ids:
+            obj = objects[obj_id]
+            obj.home_version += 1
+            versions.append(obj.home_version)
+        self.notice_blocks.append((ids, versions))
+        self.n_notices += len(ids)
 
     def apply_notices(self, thread) -> int:
         """Apply all unseen write notices on the thread's node, invalidating
-        stale cache copies; returns the number of new notices consumed."""
+        stale cache copies; returns the number of new notices consumed.
+
+        A ``VALID`` cache copy is stale iff some unseen notice for its
+        object carries a newer version than the copy's.  Every version
+        bump logs its notice at once (:meth:`publish`) and the unseen
+        range always runs to the end of the log, so an object's newest
+        unseen notice carries its current ``home_version``.  An object
+        with no unseen notice has not moved since this node last
+        applied: a copy of it fetched since holds the current version,
+        and an older copy was invalidated by that apply.  So the test is
+        ``fetched_version < home_version``, over the node's cached ids
+        or the unseen blocks' ids, whichever is shorter (a home copy is
+        never stale)."""
         node_id = thread.node_id
         start = self._notice_seen[node_id]
-        end = len(self.notices)
+        end = self.n_notices
         observers = self.observers
         if observers:
             # Emitted even when no *new* notices are pending: diffs
@@ -649,55 +685,38 @@ class HomeBasedLRC:
         if not n_new:
             return 0
         self._notice_seen[node_id] = end
-        copies = self._copies_by_node[node_id]
-        invalidated = 0
-        inv_ids: list[int] | None = [] if observers else None
-        if len(copies) < n_new:
-            # Few copies, many notices: invert the scan.  Notices are
-            # append-ordered, so dict() keeps each object's newest
-            # version, and invalidating against the newest version flips
-            # exactly the copies the notice-ordered walk would.  At a
-            # barrier every node applies the same range, so the folded
-            # dict is memoized on (start, end) — the list is append-only,
-            # which makes that key sound — and built once per range
-            # instead of once per node.
-            memo = self._latest_notices
-            if memo is not None and memo[0] == start and memo[1] == end:
-                latest = memo[2]
-            else:
-                latest = dict(self.notices[start:end])
-                self._latest_notices = (start, end, latest)
-            for obj_id, record in copies.items():  # simlint: disable=SIM003 (hot path; per-record state flips are independent, order cannot leak)
-                if record.real_state is _VALID:
-                    version = latest.get(obj_id)
-                    if version is not None and record.fetched_version < version:
-                        record.real_state = _INVALID
-                        invalidated += 1
-                        if inv_ids is not None:
-                            inv_ids.append(obj_id)
-        else:
-            for obj_id, version in self.notices[start:end]:
-                record: CopyRecord | None = copies.get(obj_id)
-                if record is None:
-                    continue
-                if record.real_state is _VALID and record.fetched_version < version:
-                    record.real_state = _INVALID
-                    invalidated += 1
-                    if inv_ids is not None:
-                        inv_ids.append(obj_id)
-        if invalidated:
+        blocks = self.notice_blocks
+        first = self._blocks_seen[node_id]
+        self._blocks_seen[node_id] = len(blocks)
+        heap = self.heaps[node_id]
+        candidates = heap.cached
+        if n_new < len(candidates):
+            candidates = candidates.intersection(
+                chain.from_iterable(block[0] for block in blocks[first:])
+            )
+        copies = heap.copies
+        objects = self._objects
+        inv_ids = []
+        for obj_id in candidates:  # simlint: disable=SIM003 (per-record state flips are independent; observers get the ids sorted)
+            record = copies[obj_id]
+            if record.real_state is _VALID and record.fetched_version < objects[obj_id].home_version:
+                record.real_state = _INVALID
+                inv_ids.append(obj_id)
+        if inv_ids:
+            invalidated = len(inv_ids)
             ns = invalidated * self.costs.invalidate_ns
             thread.cpu.protocol_ns += ns
             thread.clock._now_ns += ns
             self._c_invalidations.inc(invalidated)
-            if inv_ids:
+            if observers:
+                inv_ids.sort()
                 for observer in observers:
                     observer.on_invalidations(thread, inv_ids)
         return n_new
 
     def pending_notices(self, node_id: int) -> int:
         """Number of notices the node has not applied yet."""
-        return len(self.notices) - self._notice_seen[node_id]
+        return self.n_notices - self._notice_seen[node_id]
 
     # ------------------------------------------------------------------
     # synchronization operations

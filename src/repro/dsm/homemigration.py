@@ -88,6 +88,7 @@ class HomeMigrationEngine:
         if old_record is not None:
             old_record.real_state = RealState.VALID
             old_record.fetched_version = obj.home_version
+            old_heap.cached.add(obj.obj_id)
 
         # New home gets the authoritative copy.
         new_heap = self.hlrc.heaps[new_home]
@@ -97,12 +98,12 @@ class HomeMigrationEngine:
         else:
             new_record.real_state = RealState.HOME
             new_record.clear_interval_state()
+            new_heap.cached.discard(obj.obj_id)
 
         obj.home_node = new_home
         self.hlrc.new_home_epoch()
         # Publish a notice so stale caches revalidate against the new home.
-        obj.home_version += 1
-        self.hlrc.notices.append((obj.obj_id, obj.home_version))
+        self.hlrc.publish([obj.obj_id])
 
         self.stats.migrations += 1
         self.stats.bytes_shipped += obj.size_bytes

@@ -64,6 +64,9 @@ class IntervalRecord:
     written: set[int] = field(default_factory=set)
     #: what closed the interval ("release", "barrier", "acquire", "end").
     close_reason: str = ""
+    #: the thread changed node during the interval (set by the migration
+    #: engine), so some written ids may have no record where it closes.
+    moved: bool = False
     #: ids re-armed this interval -> the tracking entries of the hooks
     #: that re-armed them (see :meth:`rearm`); a new interval starts
     #: with none.

@@ -119,12 +119,16 @@ class LocalHeap:
     Maps object id to this node's copy record.  The record type is owned
     by the DSM layer (:class:`repro.dsm.states.CopyRecord`); the heap is
     just the container, mirroring how JESSICA2's local heaps hold both
-    home and cache copies.
+    home and cache copies.  Records are never dropped.
     """
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.copies: dict[int, object] = {}
+        #: ids whose record here is a cache copy (not ``HOME``): every
+        #: site that creates such a record or flips one to or from
+        #: ``HOME`` keeps it in step.
+        self.cached: set[int] = set()
 
     def __contains__(self, obj_id: int) -> bool:
         return obj_id in self.copies
@@ -136,15 +140,6 @@ class LocalHeap:
     def put(self, obj_id: int, record: object) -> None:
         """Store a record under ``obj_id``."""
         self.copies[obj_id] = record
-
-    def evict(self, obj_id: int) -> None:
-        """Drop the record for ``obj_id`` (no-op when absent).
-
-        Illegal while a DJVM runs on this heap: the vector engine's
-        home-resident splits assume a node's ``HOME`` copy stays in
-        place for the whole home epoch (no protocol path removes one).
-        Before a run it is harmless, since splits are taken during it."""
-        self.copies.pop(obj_id, None)
 
     def __len__(self) -> int:
         return len(self.copies)

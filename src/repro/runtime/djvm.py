@@ -106,7 +106,9 @@ def run_fingerprint(djvm: "DJVM", result: RunResult, suite=None) -> dict[str, ob
                 for node_id, heap in sorted(hlrc.heaps.items())
             ]
         ),
-        "notices_sha256": _sha(hlrc.notices),
+        "notices_sha256": _sha(
+            [notice for ids, versions in hlrc.notice_blocks for notice in zip(ids, versions)]
+        ),
         "interval_counters": tuple((t.thread_id, t.interval_counter) for t in djvm.threads),
     }
 

@@ -143,6 +143,7 @@ class MigrationEngine:
         self.cluster[src].thread_ids.discard(thread.thread_id)
         self.cluster[target_node].thread_ids.add(thread.thread_id)
         thread.node_id = target_node
+        thread.current_interval.moved = True
         thread.migrations += 1
         self.results.append(result)
         observers = self.hlrc.observers
@@ -186,6 +187,7 @@ class MigrationEngine:
                         obj_id,
                         CopyRecord(obj_id, RealState.VALID, fetched_version=obj.home_version),
                     )
+                    heap.cached.add(obj_id)
                 else:
                     record.real_state = RealState.VALID  # type: ignore[union-attr]
                     record.fetched_version = obj.home_version  # type: ignore[union-attr]

@@ -179,6 +179,7 @@ class VectorEngine:
         (busy, compute, uniq, writes), cols = self._lanes(run, walk)
         node_id = thread.node_id
         copies = self._copies_by_node[node_id]
+        cached = hlrc.heaps[node_id].cached
         objects = self._objects
         get = copies.get
         w_all = writes[0]
@@ -201,6 +202,7 @@ class VectorEngine:
             else:
                 if record is None:
                     copies[oid] = CopyRecord(oid, _VALID, obj.home_version)
+                    cached.add(oid)
                 else:
                     record.real_state = _VALID
                     record.fetched_version = obj.home_version

@@ -476,3 +476,55 @@ class TestIntegration:
         # The trace replay renumbers classes in its own registry (in the
         # same order), so compare the per-class fractions in class order.
         assert list(replayed.realized_rates().values()) == list(expected.values())
+
+
+@pytest.mark.parametrize("backend", ["prime_gap", "hash", "poisson", "hybrid"])
+def test_live_run_counts_each_decision_once(backend):
+    """After a live profiled run — correlation and footprint, whose close
+    re-reads the sticky objects' scaled bytes — ``realized_rates()`` is
+    the sampled fraction of the decisions the policy handed out through
+    ``decision`` / ``decide_batch``.  A memoized backend counts each
+    object once per gap epoch, so its tally does too."""
+    from repro.core.profiler import ProfilerSuite
+    from repro.runtime.djvm import DJVM
+    from repro.workloads.water_spatial import WaterSpatialWorkload
+
+    djvm = DJVM(4)
+    workload = WaterSpatialWorkload(n_molecules=192, rounds=4, n_threads=4, seed=1)
+    workload.build(djvm)
+    suite = ProfilerSuite(djvm, correlation=True, footprint=True, sampling_backend=backend)
+    suite.set_rate_all(4)
+    policy = suite.policy
+    memoized = policy.backend.memoized
+    tally: dict[int, list[int]] = {}
+    seen: set[tuple[int, int, int]] = set()
+
+    def note(obj, dec):
+        cid = obj.jclass.class_id
+        if memoized:
+            key = (cid, policy._states[cid].epoch, obj.obj_id)
+            if key in seen:
+                return
+            seen.add(key)
+        tally.setdefault(cid, [0, 0])[0 if dec[0] else 1] += 1
+
+    decision, decide_batch = policy.decision, policy.decide_batch
+
+    def tallied_decision(obj):
+        dec = decision(obj)
+        note(obj, dec)
+        return dec
+
+    def tallied_batch(objs):
+        objs = list(objs)
+        decs = decide_batch(objs)
+        for obj, dec in zip(objs, decs):
+            note(obj, dec)
+        return decs
+
+    policy.decision, policy.decide_batch = tallied_decision, tallied_batch
+    djvm.run(workload.programs())
+    assert suite.footprinter.interval_footprints
+    expected = {cid: s / (s + k) for cid, (s, k) in sorted(tally.items())}
+    assert len(expected) > 1 and any(0 < r < 1 for r in expected.values())
+    assert policy.backend.realized_rates() == expected

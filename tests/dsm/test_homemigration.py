@@ -58,9 +58,10 @@ class TestMechanism:
 
     def test_rehome_publishes_notice(self):
         djvm, obj, engine = setup()
-        before = len(djvm.hlrc.notices)
+        before = djvm.hlrc.n_notices
         engine.migrate_home(obj, 1)
-        assert len(djvm.hlrc.notices) == before + 1
+        assert djvm.hlrc.n_notices == before + 1
+        assert djvm.hlrc.notice_blocks[-1] == ([obj.obj_id], [obj.home_version])
 
     def test_payload_and_directory_messages_sent(self):
         djvm, obj, engine = setup()

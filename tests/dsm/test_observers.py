@@ -5,6 +5,8 @@
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import time
 from collections import Counter
 
@@ -231,7 +233,7 @@ class CopyViaBoundEngine(_Bound):
 
 class NoticeViaBoundEngine(_Bound):
     def on_notice(self, thread, obj_id, version):
-        self._hlrc.notices.append((obj_id, version))
+        self._hlrc.notice_blocks.append(([obj_id], [version]))
 
 
 def _stale_copies(hlrc, obj_id):
@@ -284,7 +286,7 @@ def test_collector_lambda_writing_engine_state_changes_the_fingerprint():
         djvm.hlrc.metrics.snapshot()
         return run_fingerprint(djvm, result)
 
-    dirty = snapshot_run(lambda djvm: djvm.hlrc.notices.append((0, 0)))
+    dirty = snapshot_run(lambda djvm: djvm.hlrc.notice_blocks.append(([0], [0])))
     assert drift(snapshot_run(), dirty) == {"notices_sha256"}
 
 
@@ -323,7 +325,7 @@ COMPONENT_MUTATIONS = {
     "copies_sha256.version": lambda d, r, s: setattr(_first_cache_copy(d), "fetched_version", -1),
     "copies_sha256.twin": lambda d, r, s: setattr(_first_cache_copy(d), "has_twin", True),
     "copies_sha256.dirty": lambda d, r, s: setattr(_first_cache_copy(d), "dirty_bytes", 7),
-    "notices_sha256": lambda d, r, s: d.hlrc.notices.pop(),
+    "notices_sha256": lambda d, r, s: d.hlrc.notice_blocks.pop(),
     "interval_counters": lambda d, r, s: setattr(d.threads[0], "interval_counter", 0),
 }
 
@@ -336,6 +338,78 @@ def test_each_fingerprint_component_is_load_bearing(component):
     COMPONENT_MUTATIONS[component](djvm, result, suite)
     after = run_fingerprint(djvm, result, suite)
     assert drift(before, after) == {component.split(".")[0]}
+
+
+# ---------------------------------------------------------------------------
+# (b'') the observer streams the gates read are pinned: the fingerprint
+#       sees engine state, these digests see event order and clocks
+# ---------------------------------------------------------------------------
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: ``python -m repro.obs report --workload W --json`` output digests.
+REPORT_DIGESTS = {
+    "sor": "212948d0f59d92a1b669e5e73a37260f12b3db2b16796447ce88c1d67aee0690",
+    "barnes-hut": "7070fe0cf696173e5659084350b771bf3921a6b11791911bb512d671f766ddae",
+    "water-spatial": "10b3f76fa00da0f352d56bdc2a03dd2a974083e1690c2842e140c93bb428b918",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(REPORT_DIGESTS))
+def test_objprof_report_json_is_pinned(workload):
+    """The report folds the fault, diff and invalidation events: their
+    ids, counts and clocks must survive any notice-log representation
+    (digest of the CLI's JSON, newline included)."""
+    from repro.obs.__main__ import build_objprof_report
+
+    _run, report = build_objprof_report(workload, 2, 4)
+    assert _sha256(json.dumps(report.to_json(), indent=1) + "\n") == REPORT_DIGESTS[workload]
+
+
+def test_race_trace_and_diff_spans_are_pinned():
+    """Water-Spatial's closes publish diffs and home notices in one
+    interval: each diff's event comes right after its flush and the
+    notices in log order, so the recorded notice clocks and the diff
+    spans keep their values."""
+    detector = RaceDetector(detect=False, keep_trace=True)
+    tracer = SpanTracer()
+    mixed = MixedCloses()
+    run("water_spatial", "vector", [detector, tracer, mixed])
+    assert mixed.mixed > 0
+    spans = [
+        (s.name, s.cat, s.node, s.track, s.begin_ns, s.end_ns, s.seq, s.args)
+        for s in tracer.spans
+    ]
+    assert (len(detector.trace), len(spans)) == (4305, 501)
+    assert (
+        _sha256(repr(detector.trace))
+        == "0ca5bdb5e5cf0f23b9ea320152164d550421f7876e7f88883f988767090e9041"
+    )
+    assert _sha256(repr(spans)) == "e8bbc14be6bbfb7ba46e3d737b20046c8fba08cbc6a8d6472a0a01a61b2568f4"
+
+
+class MixedCloses(ProtocolObserver):
+    """Counts closes that flushed a diff and also published a notice
+    for an object they did not diff (a home copy)."""
+
+    def __init__(self) -> None:
+        self.diffed: set[int] = set()
+        self.noticed: set[int] = set()
+        self.mixed = 0
+
+    def on_diff(self, thread, obj_id, dirty, begin_ns):
+        self.diffed.add(obj_id)
+
+    def on_notice(self, thread, obj_id, version):
+        self.noticed.add(obj_id)
+
+    def on_interval_close(self, thread, interval):
+        if self.diffed and self.noticed - self.diffed:
+            self.mixed += 1
+        self.diffed, self.noticed = set(), set()
 
 
 # ---------------------------------------------------------------------------

@@ -67,15 +67,12 @@ class TestGlobalObjectSpace:
 
 
 class TestLocalHeap:
-    def test_put_get_evict(self):
+    def test_put_get(self):
         heap = LocalHeap(0)
+        assert heap.get(5) is None
         heap.put(5, "record")
         assert 5 in heap
         assert heap.get(5) == "record"
-        heap.evict(5)
-        assert 5 not in heap
-        assert heap.get(5) is None
-        heap.evict(5)  # idempotent
 
     def test_len(self):
         heap = LocalHeap(0)
