@@ -28,7 +28,6 @@ def run(enable: bool):
         prefetcher = ConnectivityPrefetcher(
             djvm.gos, threshold=0.6, min_faults=3, max_depth=1
         )
-        djvm.hlrc.prefetcher = prefetcher
         djvm.add_hook(prefetcher)
     result = djvm.run(wl.programs())
     return result, prefetcher

@@ -82,7 +82,6 @@ def run_with_correlation(
     rate: float | str,
     *,
     send_oals: bool = True,
-    piggyback: bool = True,
     costs: CostModel | None = None,
     sampling_backend=None,
     observers=(),
@@ -96,7 +95,6 @@ def run_with_correlation(
         djvm,
         correlation=True,
         send_oals=send_oals,
-        piggyback=piggyback,
         sampling_backend=sampling_backend,
     )
     suite.set_rate_all(rate)

@@ -88,10 +88,6 @@ class WorkloadCFG:
         for tid in sorted(self.threads):
             yield from self.threads[tid].segments
 
-    def phase_segments(self, phase: int) -> list[Segment]:
-        """Every thread's segments inside one phase."""
-        return [s for s in self.segments() if s.phase == phase]
-
 
 def _split_thread(thread_id: int, program) -> ThreadCFG:
     """Split one compiled program into its segment chain and summarize

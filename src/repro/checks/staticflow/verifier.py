@@ -1,16 +1,15 @@
 """The workload IR verifier: well-formedness checks over pre-decoded
-thread programs, plus the structural hard gate in front of the
-batched/vectorized replay engines.
+thread programs, plus the structural hard gate every run passes.
 
 Two tiers, two costs:
 
 * :func:`verify_structure` — the **gate tier**: the structural
   invariants the stack machine and the vector replay engine rely on
-  (opcode range, CALL/RET balance, SETSLOT-in-frame, lock pairing),
-  computed over the dense ``codes`` byte array with numpy cumulative
-  sums plus a Python loop over only the (few) sync ops.  The
-  interpreter calls :func:`gate_program` exactly where the vector
-  engine engages; the result is cached on the compiled program
+  (CALL/RET balance, SETSLOT-in-frame, lock pairing), computed over
+  the dense ``codes`` byte array with numpy cumulative sums plus a
+  Python loop over only the (few) sync ops.  The interpreter calls
+  :func:`gate_program` on every compiled program before a run, on
+  both replay routes; the result is cached on the compiled program
   (``CompiledProgram._verified``) so reuse across DJVM instances — the
   bench-harness pattern — verifies once.
 * :func:`verify_ops` / :func:`verify_workload` — the **full tier** for
@@ -42,6 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.runtime.program import (
     OP_ACQUIRE,
     OP_BARRIER,
@@ -54,13 +55,7 @@ from repro.runtime.program import (
     OP_WRITE,
     OPCODE_NAMES,
     CompiledProgram,
-    bad_opcode_pc,
 )
-
-try:  # pragma: no cover - numpy is a hard dep of the repo, but the
-    import numpy as _np  # gate must not be the module that requires it
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
 
 __all__ = [
     "IRProblem",
@@ -119,80 +114,29 @@ class IRVerificationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _structure_python(program: CompiledProgram, thread_id: int | None) -> list[IRProblem]:
-    """Pure-Python structural scan (numpy-less fallback; same findings)."""
-    problems: list[IRProblem] = []
-    depth = 0
-    held: set[int] = set()
-    for pc, op in enumerate(program.ops):
-        code = op[0]
-        if code == OP_CALL:
-            depth += 1
-        elif code == OP_RET:
-            depth -= 1
-            if depth < 0:
-                problems.append(
-                    IRProblem("IR003", "RET with empty stack", thread_id, pc)
-                )
-                depth = 0
-        elif code == OP_SETSLOT:
-            if depth == 0:
-                problems.append(
-                    IRProblem("IR004", "SETSLOT outside any frame", thread_id, pc)
-                )
-        elif code == OP_ACQUIRE:
-            lock = op[1]
-            if lock in held:
-                problems.append(
-                    IRProblem("IR005", f"ACQUIRE of lock {lock} already held", thread_id, pc)
-                )
-            held.add(lock)
-        elif code == OP_RELEASE:
-            lock = op[1]
-            if lock not in held:
-                problems.append(
-                    IRProblem("IR005", f"RELEASE of lock {lock} not held", thread_id, pc)
-                )
-            held.discard(lock)
-    if depth > 0:
-        problems.append(
-            IRProblem("IR003", f"program ends with {depth} unpopped frame(s)", thread_id)
-        )
-    if held:
-        problems.append(
-            IRProblem("IR005", f"program ends holding locks {sorted(held)}", thread_id)
-        )
-    return problems
-
-
 def verify_structure(
     program: CompiledProgram, thread_id: int | None = None
 ) -> list[IRProblem]:
     """Gate-tier structural verification of one compiled program.
 
-    Checks IR001 (opcode range — re-asserted, though compilation already
-    rejects it), IR003 (CALL/RET balance), IR004 (SETSLOT-in-frame) and
-    IR005 (lock pairing).  The frame-depth scan runs as numpy cumulative
-    sums over the dense opcode bytes; only the program's sync ops are
-    touched from Python, so gating a program costs far less than one
-    scalar execution of it.
+    Checks IR003 (CALL/RET balance), IR004 (SETSLOT-in-frame) and IR005
+    (lock pairing); opcode range (IR001) needs no check here, since
+    :class:`CompiledProgram` rejects a bad opcode when it is built.  The
+    frame-depth scan runs as numpy cumulative sums over the dense opcode
+    bytes; only the program's sync ops are touched from Python, so
+    gating a program costs far less than one scalar execution of it.
     """
     codes = program.codes
     if not codes:
         return []
-    pc = bad_opcode_pc(codes)  # unreachable via compile_program; raw safety
-    if pc is not None:
-        return [IRProblem("IR001", f"unknown opcode {codes[pc]}", thread_id, pc)]
-    if _np is None:
-        return _structure_python(program, thread_id)
-    arr = _np.frombuffer(codes, dtype=_np.uint8)
+    arr = np.frombuffer(codes, dtype=np.uint8)
     problems: list[IRProblem] = []
     # Frame depth after each op: +1 per CALL, -1 per RET, cumulative.
-    delta = (arr == OP_CALL).astype(_np.int64)
+    delta = (arr == OP_CALL).astype(np.int64)
     delta -= arr == OP_RET
-    depth = _np.cumsum(delta)
+    depth = np.cumsum(delta)
     if bool((depth < 0).any()):
-        pc = int(_np.argmax(depth < 0))
+        pc = int(np.argmax(depth < 0))
         problems.append(IRProblem("IR003", "RET with empty stack", thread_id, pc))
     elif int(depth[-1]) > 0:
         problems.append(
@@ -204,7 +148,7 @@ def verify_structure(
         )
     # SETSLOT needs an enclosing frame (depth unchanged by SETSLOT, so
     # the cumulative value *at* the op is the depth it executes under).
-    slots = _np.flatnonzero(arr == OP_SETSLOT)
+    slots = np.flatnonzero(arr == OP_SETSLOT)
     if slots.size:
         bad = slots[depth[slots] == 0]
         if bad.size:
@@ -214,7 +158,7 @@ def verify_structure(
     # Lock pairing: Python loop over only the sync ops.
     held: set[int] = set()
     ops = program.ops
-    for pc in _np.flatnonzero((arr == OP_ACQUIRE) | (arr == OP_RELEASE)).tolist():
+    for pc in np.flatnonzero((arr == OP_ACQUIRE) | (arr == OP_RELEASE)).tolist():
         op = ops[pc]
         lock = op[1]
         if op[0] == OP_ACQUIRE:
@@ -237,12 +181,12 @@ def verify_structure(
 
 
 def gate_program(program: CompiledProgram) -> None:
-    """The vector-engine hard gate: verify once, cache on the program.
+    """The run's hard gate: verify once, cache on the program.
 
     Raises :class:`IRVerificationError` when the program's structure
-    would break the batched/vectorized replay machinery; a clean result
-    is memoized on the compiled program so every later run (including
-    other DJVM instances reusing it) skips straight through.
+    would break the stack machine or the vector replay engine; a clean
+    result is memoized on the compiled program so every later run
+    (including other DJVM instances reusing it) skips straight through.
     """
     if program._verified:
         return
@@ -315,7 +259,9 @@ def verify_ops(ops, thread_id: int | None = None) -> list[IRProblem]:
     Adds the per-op checks the gate tier skips: IR001 on raw (possibly
     uncompilable) streams, IR002 arity/field domains, and IR006
     (barrier crossed while holding a lock).  Structure (IR003/IR004/
-    IR005) is re-derived in the same pass.
+    IR005) is re-derived in the same pass; on a well-typed stream it
+    agrees with :func:`verify_structure` on validity and on the
+    earliest finding (``tests/checks/test_staticflow.py`` checks it).
     """
     problems: list[IRProblem] = []
     depth = 0

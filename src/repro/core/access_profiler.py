@@ -44,8 +44,6 @@ class AccessProfiler:
         *,
         collector=None,
         send_oals: bool = True,
-        piggyback: bool = True,
-        enabled: bool = True,
     ) -> None:
         self.policy = policy
         self.cluster = cluster
@@ -73,8 +71,6 @@ class AccessProfiler:
         #: when False, OALs are generated and costed but never sent (the
         #: paper's O1-isolation methodology for Table II).
         self.send_oals = send_oals
-        self.piggyback = piggyback
-        self.enabled = enabled
         #: thread_id -> the open interval's OAL as plain-int columns:
         #: ``{obj_id: scaled_bytes}`` in log order plus the parallel
         #: class-id list; interval close ships them as the batch's columns.
@@ -129,8 +125,6 @@ class AccessProfiler:
 
     def on_interval_open(self, thread) -> None:
         """ProtocolHooks: a new HLRC interval just opened for ``thread``."""
-        if not self.enabled:
-            return
         tid = thread.thread_id
         self._current[tid] = ({}, [])
         self._charge_pending_resample(thread)
@@ -164,8 +158,6 @@ class AccessProfiler:
         whole run's; either way the result equals one call per id.
         Returns the clock charge made for each id (parallel to ``ids``),
         or None when nothing was logged."""
-        if not self.enabled:
-            return None
         current = self._current.get(thread.thread_id)
         if current is None:
             return None
@@ -254,8 +246,6 @@ class AccessProfiler:
         self, thread, interval: IntervalRecord, sync_dst: int | None
     ) -> None:
         """ProtocolHooks: ``thread`` closed ``interval``."""
-        if not self.enabled:
-            return
         tid = thread.thread_id
         current = self._current.pop(tid, None)
         if current is None:
@@ -282,13 +272,12 @@ class AccessProfiler:
 
         if self.send_oals:
             master = self.cluster.master_id
-            piggy = self.piggyback and sync_dst == master
             self.cluster.network.send(
                 MessageKind.OAL,
                 thread.node_id,
                 master,
                 batch.wire_bytes,
-                piggybacked=piggy,
+                piggybacked=sync_dst == master,
             )
             # OAL shipping is asynchronous (piggybacked on the outgoing
             # sync message when possible); the sender pays only the

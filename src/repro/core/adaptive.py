@@ -150,10 +150,6 @@ class PerClassRateController:
             self._controllers[class_id] = ctrl
         return ctrl
 
-    def rate_of(self, class_id: int) -> float:
-        """Current rate of one class."""
-        return self.controller_for(class_id).rate
-
     def observe(self, class_tcms: dict[int, np.ndarray]) -> dict[int, float]:
         """Digest one window's per-class maps; returns {class_id: new
         rate} for classes whose rate changed this window."""

@@ -39,11 +39,6 @@ def sampled_element_count(seq_start: int, length: int, gap: int) -> int:
     return last // gap - (seq_start - 1) // gap
 
 
-def is_array_sampled(seq_start: int, length: int, gap: int) -> bool:
-    """True iff at least one element of the array is logically sampled."""
-    return sampled_element_count(seq_start, length, gap) > 0
-
-
 def amortized_sample_bytes(obj: HeapObject, gap: int) -> int:
     """Amortized logged size of a sampled array: sampled elements times
     element size.

@@ -61,22 +61,6 @@ class MigrationCostEstimate:
     sticky_bytes: int
     sticky_objects: int
 
-    @property
-    def total_without_prefetch_ns(self) -> int:
-        """Direct cost plus every post-migration fault."""
-        return self.direct_ns + self.indirect_fault_ns
-
-    @property
-    def total_with_prefetch_ns(self) -> int:
-        """Direct cost plus the bulk prefetch transfer."""
-        return self.direct_ns + self.prefetch_ns
-
-    @property
-    def prefetch_saving_ns(self) -> int:
-        """How much prefetching the sticky set saves (can be negative for
-        tiny sticky sets where the bundle overhead loses)."""
-        return self.indirect_fault_ns - self.prefetch_ns
-
 
 class MigrationCostModel:
     """Prices migrations from profiling output."""

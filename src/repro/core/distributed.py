@@ -126,9 +126,3 @@ class DistributedCorrelationCollector(CorrelationCollector):
     def tcm_compute_wall_ms(self) -> float:
         """Critical-path daemon time (what replaces Table III's column)."""
         return self.tcm_compute_wall_ns / 1e6
-
-    def speedup_vs_centralized(self) -> float:
-        """Aggregate-compute / critical-path ratio achieved so far."""
-        if self.tcm_compute_wall_ns == 0:
-            return 1.0
-        return self.tcm_compute_ns / self.tcm_compute_wall_ns

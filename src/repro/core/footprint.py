@@ -69,7 +69,6 @@ class StickySetFootprinter:
         "timer_period_ns",
         "duty",
         "min_accesses",
-        "enabled",
         "_stats",
         "_interval_start",
         "interval_footprints",
@@ -88,7 +87,6 @@ class StickySetFootprinter:
         timer_period_ms: float | None = None,
         duty: float = 0.5,
         min_accesses: int = 2,
-        enabled: bool = True,
     ) -> None:
         if timer_period_ms is not None and timer_period_ms <= 0:
             raise ValueError(f"timer period must be > 0 ms, got {timer_period_ms}")
@@ -106,7 +104,6 @@ class StickySetFootprinter:
         #: tracking phases an object must trap in within one interval to
         #: count as sticky.
         self.min_accesses = min_accesses
-        self.enabled = enabled
         #: thread_id -> {obj_id: _ObjStats} for the open interval.
         self._stats: dict[int, dict[int, _ObjStats]] = {}
         #: thread_id -> interval start time (phase reference).
@@ -129,8 +126,6 @@ class StickySetFootprinter:
 
     def on_interval_open(self, thread) -> None:
         """ProtocolHooks: a new HLRC interval just opened for ``thread``."""
-        if not self.enabled:
-            return
         self._stats[thread.thread_id] = {}
         self._interval_start[thread.thread_id] = thread.clock.now_ns
 
@@ -147,7 +142,7 @@ class StickySetFootprinter:
     ) -> None:
         """ProtocolHooks: one access op executed — the keyword fan-out,
         which decides and tracks at every access."""
-        if self.enabled and thread.thread_id in self._stats and self.policy.decision(obj)[0]:
+        if thread.thread_id in self._stats and self.policy.decision(obj)[0]:
             self.on_rearmed_access(thread, obj.obj_id)
 
     def fast_on_access(self, thread, ids, faulted) -> None:
@@ -158,7 +153,7 @@ class StickySetFootprinter:
         touch decides for the whole interval, in any tracking phase.
         Charges nothing: the tracking entry, called right after for each
         re-armed id, does."""
-        if not self.enabled or thread.thread_id not in self._stats:
+        if thread.thread_id not in self._stats:
             return None
         gos = self._gos
         if gos is None:
@@ -218,8 +213,6 @@ class StickySetFootprinter:
 
     def on_interval_close(self, thread, interval: IntervalRecord, sync_dst: int | None) -> None:
         """ProtocolHooks: ``thread`` closed ``interval``."""
-        if not self.enabled:
-            return
         tid = thread.thread_id
         stats = self._stats.pop(tid, None)
         self._interval_start.pop(tid, None)

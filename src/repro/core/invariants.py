@@ -84,13 +84,3 @@ def frame_lifetimes(snapshots: list[Snapshot]) -> dict[int, int]:
         for frame_uid, _method, _slots in snap:
             counts[frame_uid] += 1
     return dict(counts)
-
-
-def stable_frames(snapshots: list[Snapshot], *, min_fraction: float = 0.5) -> set[int]:
-    """Frame uids present in at least ``min_fraction`` of the snapshots."""
-    if not snapshots:
-        return set()
-    if not 0 < min_fraction <= 1:
-        raise ValueError(f"min_fraction must be in (0, 1], got {min_fraction}")
-    need = min_fraction * len(snapshots)
-    return {uid for uid, n in frame_lifetimes(snapshots).items() if n >= need}  # simlint: disable=SIM003 (builds a set; iteration order cannot leak)

@@ -19,8 +19,10 @@ natural realization over this reproduction's substrate:
   reply.  One round trip replaces several; mispredictions only cost
   reply bytes, never extra latency.
 
-The engine consults :attr:`HomeBasedLRC.prefetcher` at fault time, so
-enabling this is one assignment on a built DJVM.
+Enabling this is one registration on a built DJVM,
+``djvm.add_hook(ConnectivityPrefetcher(djvm.gos))``: the hook feeds the
+learner, and the engine consults it (as :attr:`HomeBasedLRC.prefetcher`)
+at fault time.
 """
 
 from __future__ import annotations

@@ -42,12 +42,10 @@ class ProfilerSuite:
         footprint: bool = False,
         stack: bool = False,
         send_oals: bool = True,
-        piggyback: bool = True,
         window_batches: int | None = None,
         stack_gap_ms: float = 16.0,
         lazy_extraction: bool = True,
         footprint_timer_ms: float | None = None,
-        footprint_min_gap: int = 1,
         use_prime_gaps: bool = True,
         sampling_backend=None,
     ) -> None:
@@ -80,7 +78,6 @@ class ProfilerSuite:
                 djvm.gos,
                 collector=self.collector,
                 send_oals=send_oals,
-                piggyback=piggyback,
             )
             self.access_profiler.observers = observers
             djvm.add_hook(self.access_profiler)
@@ -91,9 +88,6 @@ class ProfilerSuite:
                 timer_period_ms=footprint_timer_ms,
             )
             self.footprinter.attach_gos(djvm.gos)
-            if footprint_min_gap > 1:
-                for jclass in djvm.registry:
-                    self.policy.set_min_gap(jclass, footprint_min_gap)
             djvm.add_hook(self.footprinter)
         if stack:
             self.stack_sampler = StackSampler(

@@ -822,11 +822,6 @@ class SamplingPolicy:
         the backend's equivalent inverse-probability weight."""
         return self.backend.peek(obj)[2]
 
-    def effective_rate(self, jclass: JClass) -> float:
-        """Realized samples-per-page for a class under its current gap."""
-        unit = self._sampling_unit_size(jclass)
-        return self.page_size / (unit * self.gap(jclass))
-
     def classes(self) -> list[ClassSamplingState]:
         """All per-class sampling states created so far."""
         return list(self._states.values())

@@ -58,7 +58,6 @@ class StackSampler:
         *,
         gap_ms: float = 16.0,
         lazy: bool = True,
-        enabled: bool = True,
     ) -> None:
         if gap_ms <= 0:
             raise ValueError(f"sampling gap must be > 0 ms, got {gap_ms}")
@@ -67,7 +66,6 @@ class StackSampler:
         #: lazy extraction on first visit (the paper's optimization 3);
         #: False reproduces the "Immediate Extraction" baseline column.
         self.lazy = lazy
-        self.enabled = enabled
         #: thread_id -> frame_uid -> FrameSample.
         self._samples: dict[int, dict[int, FrameSample]] = {}
         #: thread_id -> next fire time (ns).
@@ -82,8 +80,6 @@ class StackSampler:
 
     def maybe_fire(self, thread: SimThread) -> None:
         """TimerHook: fire if the thread's clock passed the next deadline."""
-        if not self.enabled:
-            return
         now = thread.clock.now_ns
         nxt = self._next_fire.get(thread.thread_id)
         if nxt is None:
@@ -102,11 +98,8 @@ class StackSampler:
         compares the running thread's clock against the minimum deadline
         instead of calling :meth:`maybe_fire` after every op.  Returns 0
         while the thread's deadline is uninitialized (forcing one poll,
-        which initializes it exactly like the legacy first call did) and
-        a far-future sentinel when sampling is disabled.
+        which initializes it exactly like the legacy first call did).
         """
-        if not self.enabled:
-            return 1 << 62
         nxt = self._next_fire.get(thread.thread_id)
         return 0 if nxt is None else nxt
 

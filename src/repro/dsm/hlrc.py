@@ -207,9 +207,10 @@ class HomeBasedLRC:
         #: the ``ProfilerSuite`` wired into this engine, if any (set by
         #: the suite; announced to observers attached after it).
         self.suite = None
-        #: optional connectivity prefetcher consulted at fault time
-        #: (anything with ``bundle_for(thread, obj) -> list[HeapObject]``).
-        #: NOT an observer — prefetching changes protocol behaviour.
+        #: the connectivity prefetcher consulted at fault time: the one
+        #: hook with ``bundle_for(thread, obj) -> list[HeapObject]``, set
+        #: by :meth:`add_hook`.  NOT an observer — prefetching changes
+        #: protocol behaviour.
         self.prefetcher = None
         #: the run's one metrics registry.  Protocol event counters live
         #: here as bound Counter handles, so an increment on the protocol
@@ -277,7 +278,17 @@ class HomeBasedLRC:
         Planned hooks do not keep a run off the vector engine's one pass
         (:meth:`unobserved`), which hands them each run's first touches
         and stops at re-armed accesses.  Every route calls hooks in
-        registration order."""
+        registration order.
+
+        A hook that defines ``bundle_for`` is also the run's
+        :attr:`prefetcher` (its access hook feeds the learner, its
+        ``bundle_for`` acts at fault time); a second one is rejected."""
+        if hasattr(hook, "bundle_for"):
+            if self.prefetcher is not None:
+                raise ValueError(
+                    f"a prefetcher ({type(self.prefetcher).__name__}) is already attached"
+                )
+            self.prefetcher = hook
         hooks = self.hooks = (*self.hooks, hook)
         if all(hasattr(h, "fast_on_access") for h in hooks):
             modes = [

@@ -23,7 +23,7 @@ from repro.util.validation import check_positive
 
 class PageMap:
     """Assigns every object a half-open byte range in its node's heap and
-    exposes object -> pages and page -> objects mappings."""
+    exposes the object -> pages mapping."""
 
     def __init__(self, page_size: int = 4096) -> None:
         check_positive(page_size, "page_size")
@@ -32,8 +32,6 @@ class PageMap:
         self._cursor: dict[int, int] = {}
         #: obj_id -> (home_node, start_offset, size)
         self._extent: dict[int, tuple[int, int, int]] = {}
-        #: (home_node, page_index) -> list of obj_ids overlapping the page
-        self._page_objects: dict[tuple[int, int], list[int]] = {}
 
     def place(self, obj: HeapObject) -> tuple[int, int]:
         """Place one object at the node's current bump pointer.
@@ -47,11 +45,7 @@ class PageMap:
         size = max(obj.size_bytes, 1)
         self._cursor[node] = start + size
         self._extent[obj.obj_id] = (node, start, size)
-        first = start // self.page_size
-        last = (start + size - 1) // self.page_size
-        for page in range(first, last + 1):
-            self._page_objects.setdefault((node, page), []).append(obj.obj_id)
-        return first, last
+        return start // self.page_size, (start + size - 1) // self.page_size
 
     def place_all(self, gos: GlobalObjectSpace) -> None:
         """Place every object of a global object space in allocation order."""
@@ -77,15 +71,6 @@ class PageMap:
         first = (start + byte_off) // self.page_size
         last = (start + end - 1) // self.page_size
         return [(node, p) for p in range(first, last + 1)]
-
-    def objects_on(self, node: int, page: int) -> list[int]:
-        """Object ids overlapping one page."""
-        return list(self._page_objects.get((node, page), []))
-
-    def n_pages(self, node: int) -> int:
-        """Number of pages the node's heap spans."""
-        used = self._cursor.get(node, 0)
-        return (used + self.page_size - 1) // self.page_size
 
     def __contains__(self, obj_id: int) -> bool:
         return obj_id in self._extent

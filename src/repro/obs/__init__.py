@@ -3,8 +3,8 @@
 Every subsystem of the simulated DJVM emits into one telemetry layer
 with three pillars:
 
-* :mod:`repro.obs.metrics` — a typed metrics registry (Counter / Gauge /
-  Histogram with label sets, deterministic snapshot ordering).  Each
+* :mod:`repro.obs.metrics` — a typed metrics registry (Counter / Gauge
+  with label sets, deterministic snapshot ordering).  Each
   run has exactly one, ``HomeBasedLRC.metrics``, always on: the HLRC
   protocol counters live there, and network traffic, heap occupancy,
   migration and profiler statistics are folded in through

@@ -1,5 +1,5 @@
-"""Typed metrics registry: Counters, Gauges and Histograms with label
-sets and deterministic snapshot ordering.
+"""Typed metrics registry: Counters and Gauges with label sets and
+deterministic snapshot ordering.
 
 Each run has one registry, created by the HLRC engine
 (``HomeBasedLRC.metrics``); it is the single sink for every statistic
@@ -31,23 +31,10 @@ from typing import Callable
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
 ]
 
 _perf_ns = time.perf_counter_ns
-
-#: default histogram bucket upper bounds (generic size/latency scale).
-DEFAULT_BUCKETS = (
-    64,
-    256,
-    1_024,
-    4_096,
-    16_384,
-    65_536,
-    262_144,
-    1_048_576,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +53,6 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
-
-    def samples(self):
-        yield ("", self.value)
 
 
 class Gauge:
@@ -89,45 +73,6 @@ class Gauge:
     def dec(self, n=1) -> None:
         self.value -= n
 
-    def samples(self):
-        yield ("", self.value)
-
-
-class Histogram:
-    """Cumulative-bucket distribution (Prometheus-style ``le`` bounds)."""
-
-    __slots__ = ("bounds", "bucket_counts", "sum", "count")
-    kind = "histogram"
-
-    def __init__(self, bounds=DEFAULT_BUCKETS) -> None:
-        self.bounds = tuple(bounds)
-        self.bucket_counts = [0] * (len(self.bounds) + 1)  # +inf overflow
-        self.sum = 0
-        self.count = 0
-
-    def observe(self, value) -> None:
-        self.count += 1
-        self.sum += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    @property
-    def value(self):
-        """Histogram "value" is its sum (keeps the handle API uniform)."""
-        return self.sum
-
-    def samples(self):
-        cumulative = 0
-        for bound, n in zip(self.bounds, self.bucket_counts):
-            cumulative += n
-            yield (f"_bucket{{le=\"{bound}\"}}", cumulative)
-        yield ("_bucket{le=\"+Inf\"}", self.count)
-        yield ("_sum", self.sum)
-        yield ("_count", self.count)
-
 
 # ---------------------------------------------------------------------------
 # families and registry
@@ -138,8 +83,8 @@ class MetricFamily:
     """One named metric with zero or more label dimensions.
 
     An unlabeled family proxies the instrument API directly (``inc`` /
-    ``set`` / ``observe`` hit a default child), so simple metrics need
-    no ``labels()`` call.
+    ``set`` / ``dec`` hit a default child), so simple metrics need no
+    ``labels()`` call.
     """
 
     __slots__ = ("name", "help", "kind", "label_names", "_make", "_children", "_default")
@@ -180,9 +125,6 @@ class MetricFamily:
     def dec(self, n=1):
         self._default.dec(n)
 
-    def observe(self, value):
-        self._default.observe(value)
-
     @property
     def value(self):
         return self._default.value
@@ -195,21 +137,9 @@ class MetricFamily:
                 label_str = ",".join(
                     f'{name}="{val}"' for name, val in zip(self.label_names, key)
                 )
-                base = f"{self.name}{{{label_str}}}"
-                for suffix, value in child.samples():
-                    # histograms carry their own suffix braces; merge labels
-                    if suffix.startswith("_bucket{"):
-                        yield (
-                            f"{self.name}_bucket{{{label_str},{suffix[8:]}",
-                            value,
-                        )
-                    elif suffix:
-                        yield (f"{self.name}{suffix}{{{label_str}}}", value)
-                    else:
-                        yield (base, value)
+                yield (f"{self.name}{{{label_str}}}", child.value)
             else:
-                for suffix, value in child.samples():
-                    yield (f"{self.name}{suffix}", value)
+                yield (self.name, child.value)
 
 
 class MetricsRegistry:
@@ -228,11 +158,6 @@ class MetricsRegistry:
 
     def gauge(self, name, help_text: str = "", labels=()) -> MetricFamily:
         return self._family(name, help_text, labels, Gauge)
-
-    def histogram(
-        self, name, help_text: str = "", labels=(), buckets=DEFAULT_BUCKETS
-    ) -> MetricFamily:
-        return self._family(name, help_text, labels, lambda: Histogram(buckets))
 
     def _family(self, name, help_text, labels, make) -> MetricFamily:
         family = self._families.get(name)

@@ -122,7 +122,6 @@ class DJVM:
         *,
         costs: CostModel | None = None,
         network: Network | None = None,
-        timeshare_nodes: bool = True,
         keep_event_trace: bool = False,
         replay: str = "vector",
     ) -> None:
@@ -139,9 +138,6 @@ class DJVM:
         self.gos = GlobalObjectSpace()
         self.hlrc = HomeBasedLRC(self.gos, self.cluster)
         self.migration = MigrationEngine(self.hlrc, self.cluster)
-        #: single-core nodes (paper hardware) when True; one core per
-        #: thread when False.
-        self.timeshare_nodes = timeshare_nodes
         #: keep the event kernel's (time_ns, kind, actor) audit trace.
         self.keep_event_trace = keep_event_trace
         self.threads: list[SimThread] = []
@@ -292,7 +288,6 @@ class DJVM:
         interp = Interpreter(
             self.hlrc,
             self.threads,
-            timeshare_nodes=self.timeshare_nodes,
             keep_event_trace=self.keep_event_trace,
             replay=self.replay,
         )

@@ -92,7 +92,6 @@ class Interpreter:
         threads: list[SimThread],
         *,
         barrier_parties: int | None = None,
-        timeshare_nodes: bool = True,
         keep_event_trace: bool = False,
         replay: str = "vector",
     ) -> None:
@@ -112,14 +111,12 @@ class Interpreter:
             raise ValueError("duplicate thread ids")
         self.parties = barrier_parties if barrier_parties is not None else len(threads)
         self.costs = hlrc.costs
-        #: single-core nodes (the paper's P4s): threads co-located on a
-        #: node serialize their execution segments on its one core — the
-        #: non-preemptive user-level threading regime of Kaffe.  Off =
-        #: one core per thread (an idealized SMP node).
-        self.timeshare_nodes = timeshare_nodes
         #: the discrete-event kernel every scheduling decision runs through.
         self.kernel = EventLoop(keep_trace=keep_event_trace)
-        #: per-node core schedules (timesharing model), owned by the nodes.
+        #: per-node core schedules, owned by the nodes: nodes are single
+        #: core (the paper's P4s), so threads co-located on a node
+        #: serialize their execution segments on its one core — the
+        #: non-preemptive user-level threading regime of Kaffe.
         self._nodes = hlrc.cluster.nodes
         #: thread ids with a SEGMENT_END / MIGRATION_CHECK event in flight.
         self._scheduled: set[int] = set()
@@ -152,10 +149,21 @@ class Interpreter:
             thread.program = prog.compile_program(programs[thread.thread_id])
 
     def run(self) -> None:
-        """Execute every thread to completion by draining the event kernel."""
+        """Execute every thread to completion by draining the event kernel.
+
+        Every compiled program passes the staticflow IR verifier's
+        structural gate first (balanced CALL/RET, framed SETSLOT, paired
+        locks), on both replay routes, so a malformed program fails the
+        same way whichever route would run it.  Verification is cached
+        per compiled program, so reuse across runs pays once."""
+        from repro.checks.staticflow.verifier import gate_program
+
         for thread in self.threads:
             if thread.program is None:
                 raise RuntimeError(f"thread {thread.thread_id} has no program attached")
+            if isinstance(thread.program, prog.CompiledProgram):
+                gate_program(thread.program)
+        for thread in self.threads:
             self.hlrc.open_interval(thread)
         kernel = self.kernel
         observers = self.hlrc.observers
@@ -169,15 +177,6 @@ class Interpreter:
             and not any(o.per_op for o in observers)
         ):
             self._vector = VectorEngine(self)
-            # The replay engine assumes structurally well-formed
-            # programs (balanced CALL/RET, framed SETSLOT, paired
-            # locks); hard-gate it on the staticflow IR verifier.
-            # Verification is cached per compiled program, so reuse
-            # across runs pays once.
-            from repro.checks.staticflow.verifier import gate_program
-
-            for thread in self.threads:
-                gate_program(thread.program)
         self._schedule_runnable()
         while True:
             event = kernel.pop()
@@ -265,7 +264,7 @@ class Interpreter:
         mig = self.migration_engine
         if mig is not None and thread.state is ThreadState.RUNNABLE:
             result = mig.maybe_migrate(thread)
-            if result is not None and self.timeshare_nodes:
+            if result is not None:
                 # The handoff occupied the (destination) core, exactly as
                 # the legacy inline path charged it at segment end.
                 self._nodes[thread.node_id].core.occupy_until(thread.clock.now_ns)
@@ -286,27 +285,24 @@ class Interpreter:
                 other.waiting_barrier_id = None
         for timer in self.timers:
             timer.maybe_fire(last)
-        if self.timeshare_nodes:
-            # The release processing ran on the last arriver's core.
-            self._nodes[last.node_id].core.occupy_until(last.clock.now_ns)
+        # The release processing ran on the last arriver's core.
+        self._nodes[last.node_id].core.occupy_until(last.clock.now_ns)
         self._chain_migration_then_schedule(last)
 
     # ------------------------------------------------------------------
 
     def _run_until_sync(self, thread: SimThread) -> None:
         """Run one thread until it blocks, syncs, or finishes —
-        serialized on its node's single core when timesharing is on."""
-        if self.timeshare_nodes:
-            # The node's core is busy until the cursor: the thread's
-            # segment cannot start earlier.
-            thread.clock.advance_to(self._nodes[thread.node_id].core.busy_until_ns)
+        serialized on its node's single core."""
+        # The node's core is busy until the cursor: the thread's segment
+        # cannot start earlier.
+        thread.clock.advance_to(self._nodes[thread.node_id].core.busy_until_ns)
         try:
             self._run_segment(thread)
         finally:
-            if self.timeshare_nodes:
-                # The segment occupied the core (a migration mid-segment
-                # charges the remainder to the destination node).
-                self._nodes[thread.node_id].core.occupy_until(thread.clock.now_ns)
+            # The segment occupied the core (a migration mid-segment
+            # charges the remainder to the destination node).
+            self._nodes[thread.node_id].core.occupy_until(thread.clock.now_ns)
 
     def _run_segment(self, thread: SimThread) -> None:
         """Execute ops until the next scheduling point.

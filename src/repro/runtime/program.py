@@ -311,13 +311,6 @@ class CompiledProgram:
         codes = self.codes
         return [(m.start(), codes[m.start()]) for m in _SYNC_OP_RE.finditer(codes)]
 
-    def opcode_counts(self) -> dict[int, int]:
-        """Histogram {opcode: occurrences} (for reporting/tooling)."""
-        counts: dict[int, int] = {}
-        for code in self.codes:
-            counts[code] = counts.get(code, 0) + 1
-        return counts
-
 
 def compile_program(ops: Iterable[Op]) -> CompiledProgram:
     """Pre-decode an op iterable (idempotent on compiled programs)."""
@@ -441,38 +434,3 @@ class ProgramBuilder:
     def __len__(self) -> int:
         return len(self._ops)
 
-
-def validate_program(ops: Iterable[Op]) -> list[str]:
-    """Static well-formedness check: balanced CALL/RET, SETSLOT only
-    inside a frame, ACQUIRE/RELEASE pairing per lock.  Returns a list of
-    problem descriptions (empty = valid)."""
-    problems: list[str] = []
-    depth = 0
-    held: set[int] = set()
-    for i, op in enumerate(ops):
-        code = op[0]
-        if code == OP_CALL:
-            depth += 1
-        elif code == OP_RET:
-            depth -= 1
-            if depth < 0:
-                problems.append(f"op {i}: RET with empty stack")
-                depth = 0
-        elif code == OP_SETSLOT:
-            if depth == 0:
-                problems.append(f"op {i}: SETSLOT outside any frame")
-        elif code == OP_ACQUIRE:
-            lock = op[1]
-            if lock in held:
-                problems.append(f"op {i}: ACQUIRE of lock {lock} already held")
-            held.add(lock)
-        elif code == OP_RELEASE:
-            lock = op[1]
-            if lock not in held:
-                problems.append(f"op {i}: RELEASE of lock {lock} not held")
-            held.discard(lock)
-    if depth != 0:
-        problems.append(f"program ends with {depth} unpopped frame(s)")
-    if held:
-        problems.append(f"program ends holding locks {sorted(held)}")
-    return problems

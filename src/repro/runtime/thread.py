@@ -73,11 +73,6 @@ class SimThread:
         #: detector owns and mutates the mapping).
         self.vc: dict[int, int] | None = None
 
-    @property
-    def is_runnable(self) -> bool:
-        """True when the thread can be scheduled."""
-        return self.state is ThreadState.RUNNABLE
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"SimThread(#{self.thread_id} on node {self.node_id}, "

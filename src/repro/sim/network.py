@@ -53,11 +53,6 @@ class MessageKind(enum.Enum):
     PREFETCH = "prefetch"
     CONTROL = "control"
 
-    @property
-    def is_profiling(self) -> bool:
-        """True for traffic generated by the profiler rather than the GOS."""
-        return self is MessageKind.OAL
-
 
 #: Kinds that count towards "GOS message volume" in Table III (everything
 #: the base protocol sends; profiling traffic is reported separately).

@@ -39,11 +39,6 @@ class CoreSchedule:
         #: number of execution segments charged to this core.
         self.segments = 0
 
-    def earliest_start_ns(self, ready_ns: int) -> int:
-        """Earliest time a segment ready at ``ready_ns`` can begin."""
-        busy = self.busy_until_ns
-        return busy if busy > ready_ns else ready_ns
-
     def occupy_until(self, end_ns: int) -> None:
         """Charge a completed segment: the core is busy through ``end_ns``."""
         if end_ns > self.busy_until_ns:

@@ -4,7 +4,10 @@ may-race soundness and report plumbing."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.checks import ProtocolSanitizer
 from repro.checks.staticflow import (
     IRVerificationError,
     analyze,
@@ -18,7 +21,6 @@ from repro.checks.staticflow import (
     verify_structure,
     verify_workload,
 )
-from repro.checks.staticflow.verifier import _structure_python
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
 from repro.runtime.ir import ObjectInfo, WorkloadIR
@@ -53,6 +55,26 @@ def _ir(programs: dict[int, list], *, n_nodes: int = 2, objects=(), nodes=None):
 # ---------------------------------------------------------------------------
 # verifier: structural tier
 # ---------------------------------------------------------------------------
+
+
+#: every structural case in a few ops: frames, slots, two locks, and the
+#: ops that pass through the structure checks untouched.
+STRUCTURE_ALPHABET = [
+    P.call("m", 2),
+    P.ret(),
+    P.setslot(0, 1),
+    P.acquire(0),
+    P.release(0),
+    P.acquire(1),
+    P.release(1),
+    P.barrier(0),
+    P.read(0),
+]
+
+
+def _earliest(finding):
+    pc = finding[1]
+    return (pc is None, pc or 0)
 
 
 class TestVerifyStructure:
@@ -97,22 +119,21 @@ class TestVerifyStructure:
     def test_empty_program(self):
         assert verify_structure(compile_program([])) == []
 
-    def test_python_fallback_matches_numpy(self):
-        """The numpy-less scan must report the same codes and pcs."""
-        cases = [
-            [P.call("m", 2), P.read(0), P.ret()],
-            [P.ret()],
-            [P.call("m", 2)],
-            [P.setslot(0, 1)],
-            [P.acquire(1), P.acquire(1), P.release(1), P.release(1)],
-            [P.acquire(2)],
-            [P.release(3)],
+    @given(st.lists(st.sampled_from(STRUCTURE_ALPHABET), max_size=8))
+    def test_gate_tier_agrees_with_full_tier(self, ops):
+        """On a well-typed stream the numpy gate and the full tier's
+        structural findings (IR003/IR004/IR005) agree on validity and
+        name the same earliest ``(code, pc)`` (an end-of-program finding,
+        pc None, sorts last)."""
+        gate = [(p.code, p.pc) for p in verify_structure(compile_program(ops), 0)]
+        full = [
+            (p.code, p.pc)
+            for p in verify_ops(ops, 0)
+            if p.code in ("IR003", "IR004", "IR005")
         ]
-        for ops in cases:
-            prog = compile_program(ops)
-            np_probs = [(p.code, p.pc) for p in verify_structure(prog, 0)]
-            py_probs = [(p.code, p.pc) for p in _structure_python(prog, 0)]
-            assert np_probs == py_probs, ops
+        assert bool(gate) == bool(full)
+        if gate:
+            assert min(gate, key=_earliest) == min(full, key=_earliest)
 
 
 class TestGateProgram:
@@ -141,14 +162,42 @@ class TestGateProgram:
         with pytest.raises(IRVerificationError):
             djvm.run({0: bad})
 
-    def test_scalar_run_is_not_gated(self):
-        """The scalar oracle keeps accepting what it always accepted."""
+    @pytest.mark.parametrize("route", ["scalar", "sanitized"])
+    def test_every_route_gates_malformed_program(self, route):
+        """The scalar oracle, and a vector run that a ``per_op`` observer
+        keeps on the per-op loop, refuse the same CALL-without-RET
+        program the vector path refuses."""
+        djvm = DJVM(2, replay="scalar" if route == "scalar" else "vector")
+        if route == "sanitized":
+            djvm.attach(ProtocolSanitizer())
+        cls = djvm.define_class("Obj", 64)
+        oid = djvm.allocate(cls, 0).obj_id
+        djvm.spawn_thread(0)
+        bad = [P.call("m", 2)] + [P.read(oid) for _ in range(16)]
+        with pytest.raises(IRVerificationError):
+            djvm.run({0: bad})
+
+    def test_scalar_run_accepts_clean_program(self):
         djvm = DJVM(2, replay="scalar")
         cls = djvm.define_class("Obj", 64)
         oid = djvm.allocate(cls, 0).obj_id
         djvm.spawn_thread(0)
         ok = [P.call("m", 2)] + [P.read(oid) for _ in range(16)] + [P.ret()]
         djvm.run({0: ok})
+
+    def test_scalar_run_caches_verification(self, monkeypatch):
+        """A program verified on the scalar route is not verified again
+        when a vector run reuses it."""
+        from repro.checks.staticflow import verifier
+
+        ok = compile_program([P.call("m", 2), P.read(0), P.ret()])
+        for replay in ("scalar", "vector"):
+            djvm = DJVM(2, replay=replay)
+            djvm.allocate(djvm.define_class("Obj", 64), 0)
+            djvm.spawn_thread(0)
+            djvm.run({0: ok})
+            assert ok._verified
+            monkeypatch.setattr(verifier, "verify_structure", None)
 
     def test_vector_run_accepts_clean_program(self):
         djvm = DJVM(2, replay="vector")

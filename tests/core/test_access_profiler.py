@@ -40,7 +40,7 @@ def setup(n_nodes=2, n_threads=2, n_objects=6, **suite_kw):
     cls = simple_class(djvm, "Obj", 64)
     objs = [djvm.allocate(cls, i % n_nodes) for i in range(n_objects)]
     djvm.spawn_threads(n_threads)
-    suite = ProfilerSuite(djvm, correlation=True, **suite_kw)
+    suite = ProfilerSuite(djvm, **suite_kw)
     return djvm, objs, suite
 
 
@@ -161,11 +161,14 @@ class TestCosts:
         assert cpu.oal_logging_ns >= djvm.costs.false_invalid_reset_ns
 
     def test_disabled_profiler_adds_nothing(self):
-        djvm, objs, suite = setup(n_threads=1)
-        suite.access_profiler.enabled = False
+        """A profiler is off iff it is not attached: a suite built
+        without correlation tracking charges nothing."""
+        djvm, objs, suite = setup(n_threads=1, correlation=False)
+        suite.set_full_sampling()
         djvm.run({0: wrap_main([P.read(objs[0].obj_id), P.barrier(0)])})
+        assert suite.access_profiler is None
+        assert djvm.hlrc.hooks == ()
         assert djvm.threads[0].cpu.profiling_ns == 0
-        assert suite.access_profiler.total_logged == 0
 
 
 class TestOALShipping:
@@ -196,7 +199,7 @@ class TestOALShipping:
         assert suite.collector.batches_received >= 1
 
     def test_piggyback_on_barrier_to_master(self):
-        djvm, objs, suite = setup(piggyback=True)
+        djvm, objs, suite = setup()
         suite.set_full_sampling()
         djvm.run(
             {
@@ -205,6 +208,22 @@ class TestOALShipping:
             }
         )
         assert djvm.cluster.network.stats.piggybacked_messages >= 1
+
+    def test_oal_rides_only_syncs_bound_for_the_master(self):
+        """A lock managed off the master closes the interval without a
+        ride: the OAL still ships, as a message of its own."""
+        djvm, objs, suite = setup()
+        suite.set_full_sampling()
+        djvm.hlrc.sync.lock(5, manager_node=1)
+        djvm.run(
+            {
+                0: wrap_main([P.compute(10)]),
+                1: wrap_main([P.read(objs[1].obj_id), P.acquire(5), P.release(5)]),
+            }
+        )
+        stats = djvm.cluster.network.stats
+        assert stats.count_by_kind[MessageKind.OAL] == 1
+        assert stats.piggybacked_messages == 0
 
     def test_empty_oal_not_sent(self):
         djvm, objs, suite = setup(n_threads=1)

@@ -49,8 +49,6 @@ class TestEstimate:
             object_sizes={"Body": 100},
         )
         assert est.prefetch_ns < est.indirect_fault_ns
-        assert est.prefetch_saving_ns > 0
-        assert est.total_with_prefetch_ns < est.total_without_prefetch_ns
 
     def test_negative_stack_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ property the sampling-based miner must satisfy relative to it."""
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.invariants import frame_lifetimes, mine_invariants, stable_frames
+from repro.core.invariants import frame_lifetimes, mine_invariants
 from repro.core.stack_sampler import StackSampler
 from repro.runtime.stack import Frame
 from repro.runtime.thread import SimThread
@@ -62,18 +62,6 @@ class TestFrameClassification:
             snap((1, "run", {})),
         ]
         assert frame_lifetimes(snaps) == {1: 3, 2: 1}
-
-    def test_stable_frames(self):
-        snaps = [
-            snap((1, "run", {})),
-            snap((1, "run", {}), (2, "tmp", {})),
-        ]
-        assert stable_frames(snaps, min_fraction=0.9) == {1}
-        assert stable_frames([], min_fraction=0.5) == set()
-
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            stable_frames([snap((1, "m", {}))], min_fraction=0)
 
 
 class TestSamplerSoundness:

@@ -55,8 +55,8 @@ class TestPerClassRateController:
         ctrl.observe({0: self.flat(100), 1: self.flat(200)})
         assert ctrl.controller_for(0).settled
         assert not ctrl.controller_for(1).settled
-        assert ctrl.rate_of(0) == 1
-        assert ctrl.rate_of(1) > 1
+        assert ctrl.controller_for(0).rate == 1
+        assert ctrl.controller_for(1).rate > 1
 
     def test_changes_reported_only_when_rate_moves(self):
         ctrl = PerClassRateController(threshold=0.05, ladder=(1, 2, 4))

@@ -97,7 +97,6 @@ class TestConnectivityPrefetcher:
             prefetcher = ConnectivityPrefetcher(
                 djvm.gos, threshold=0.5, min_faults=2, max_depth=1
             )
-            djvm.hlrc.prefetcher = prefetcher
             djvm.add_hook(prefetcher)
         ops = []
         # Always fault the parent then read its hot child (field 0).
@@ -113,6 +112,26 @@ class TestConnectivityPrefetcher:
         with_pf, result = self.run_chain(enable=True)
         assert result.counters["faults"] < base
         assert with_pf.hlrc.prefetcher.bundled_objects > 0
+
+    def test_add_hook_alone_makes_the_chain_bundle(self):
+        """One registration does both halves: the hook feeds the learner
+        and the engine consults it at fault time."""
+        djvm, cls, parents, hot, cold = linked_chain_djvm()
+        prefetcher = ConnectivityPrefetcher(djvm.gos, threshold=0.5, min_faults=2, max_depth=1)
+        djvm.add_hook(prefetcher)
+        assert djvm.hlrc.prefetcher is prefetcher
+        ops = []
+        for p, h in zip(parents, hot):
+            ops += [P.read(p.obj_id), P.read(h.obj_id), P.compute(1000)]
+        result = djvm.run({0: wrap_main(ops + [P.barrier(0)])})
+        assert prefetcher.bundled_objects > 0
+        assert result.counters["faults"] < 2 * len(parents)
+
+    def test_second_prefetcher_rejected(self):
+        djvm = linked_chain_djvm()[0]
+        djvm.add_hook(ConnectivityPrefetcher(djvm.gos))
+        with pytest.raises(ValueError, match="already attached"):
+            djvm.add_hook(ConnectivityPrefetcher(djvm.gos))
 
     def test_cold_fields_never_bundled(self):
         djvm, _ = self.run_chain(enable=True)
@@ -140,7 +159,6 @@ class TestConnectivityPrefetcher:
         ]
         djvm.spawn_thread(1)
         prefetcher = ConnectivityPrefetcher(djvm.gos, threshold=0.5, min_faults=2)
-        djvm.hlrc.prefetcher = prefetcher
         djvm.add_hook(prefetcher)
         ops = []
         for p in parents:
@@ -165,7 +183,6 @@ class TestConnectivityPrefetcher:
         prefetcher = ConnectivityPrefetcher(
             djvm.gos, threshold=0.5, min_faults=2, max_depth=2
         )
-        djvm.hlrc.prefetcher = prefetcher
         djvm.add_hook(prefetcher)
         ops = []
         for pa, ch, gc in chains:

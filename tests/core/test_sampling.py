@@ -158,9 +158,12 @@ class TestSamplingDecisions:
         gos = gos_with_classes()
         policy = SamplingPolicy(page_size=4096)
         body = gos.registry.get("Body")
+        bodies = [gos.allocate(body, 0) for _ in range(4096)]
         policy.set_rate(body, 4)
-        # Should realize roughly 4 samples per page.
-        assert policy.effective_rate(body) == pytest.approx(4, rel=0.35)
+        # Should realize roughly 4 samples per page of Body instances.
+        pages = len(bodies) * body.instance_size / 4096
+        sampled = sum(policy.is_sampled(o) for o in bodies)
+        assert sampled / pages == pytest.approx(4, rel=0.35)
 
 
 class TestDecisionCacheStaleness:

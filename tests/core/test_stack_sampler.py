@@ -44,15 +44,6 @@ class TestTimer:
         s.maybe_fire(t)
         assert s.samples_taken == 1
 
-    def test_disabled_never_fires(self):
-        s = sampler(enabled=False)
-        t = make_thread()
-        t.stack.push(Frame("m", 2))
-        for _ in range(5):
-            t.clock.advance(100 * MS)
-            s.maybe_fire(t)
-        assert s.samples_taken == 0
-
 
 class TestTwoPhaseScan:
     def test_first_sample_is_raw_under_lazy(self):

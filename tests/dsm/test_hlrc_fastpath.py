@@ -41,13 +41,26 @@ class NullHook:
 
 
 class StubPrefetcher:
-    """Always bundles a fixed set of objects into any fault reply."""
+    """Always bundles a fixed set of objects into any fault reply; its
+    hook entries do nothing, so it leaves the dispatch plan planned."""
 
     def __init__(self, extras):
         self.extras = extras
 
     def bundle_for(self, thread, obj):
         return [e for e in self.extras if e.obj_id != obj.obj_id]
+
+    def on_interval_open(self, thread):
+        pass
+
+    def on_access(self, thread, obj, **kwargs):
+        pass
+
+    def fast_on_access(self, thread, ids, faulted):
+        pass
+
+    def on_interval_close(self, thread, interval, sync_dst):
+        pass
 
 
 def run_scenario(*, force_fanout: bool, with_prefetch: bool = False):
@@ -62,7 +75,7 @@ def run_scenario(*, force_fanout: bool, with_prefetch: bool = False):
     if force_fanout:
         djvm.add_hook(NullHook())
     if with_prefetch:
-        djvm.hlrc.prefetcher = StubPrefetcher(objs)
+        djvm.add_hook(StubPrefetcher(objs))
     ids = [o.obj_id for o in objs]
     programs = {
         0: wrap_main(

@@ -23,7 +23,6 @@ def setup():
     reader = djvm.spawn_thread(1)
     writer = djvm.spawn_thread(0)
     prefetcher = ConnectivityPrefetcher(djvm.gos, threshold=0.5, min_faults=2)
-    djvm.hlrc.prefetcher = prefetcher
     djvm.add_hook(prefetcher)
     return djvm, pairs, prefetcher
 
@@ -84,7 +83,6 @@ class TestPrefetchedCopyCoherence:
             djvm.spawn_thread(1)
             if enable:
                 prefetcher = ConnectivityPrefetcher(djvm.gos, threshold=0.5, min_faults=2)
-                djvm.hlrc.prefetcher = prefetcher
                 djvm.add_hook(prefetcher)
             ops = []
             for parent, child in pairs:

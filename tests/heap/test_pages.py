@@ -26,7 +26,7 @@ class TestPlacement:
         for o in objs:
             first, last = pm.place(o)
             assert first == last == 0
-        assert set(pm.objects_on(0, 0)) == {0, 1, 2}
+        assert {page for o in objs for page in pm.pages_of(o.obj_id)} == {(0, 0)}
 
     def test_large_object_spans_pages(self):
         gos, objs = gos_with([10_000])
@@ -55,13 +55,6 @@ class TestPlacement:
         pm.place(objs[0])
         pm.place_all(gos)  # must not re-place object 0
         assert 1 in pm
-
-    def test_n_pages(self):
-        gos, objs = gos_with([4096, 100])
-        pm = PageMap(page_size=4096)
-        pm.place_all(gos)
-        assert pm.n_pages(0) == 2
-        assert pm.n_pages(3) == 0
 
 
 class TestPagesOfRange:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 
 
 class TestInstruments:
@@ -18,20 +18,6 @@ class TestInstruments:
         g.inc(3)
         g.dec()
         assert g.value == 12
-
-    def test_histogram_buckets_cumulative(self):
-        h = Histogram(bounds=(10, 100))
-        for v in (1, 5, 50, 500):
-            h.observe(v)
-        assert h.count == 4
-        assert h.sum == 556
-        assert h.value == 556  # value == sum keeps the handle API uniform
-        samples = dict(h.samples())
-        assert samples['_bucket{le="10"}'] == 2
-        assert samples['_bucket{le="100"}'] == 3
-        assert samples["_bucket{le=\"+Inf\"}"] == 4
-        assert samples["_sum"] == 556
-        assert samples["_count"] == 4
 
 
 class TestLabels:

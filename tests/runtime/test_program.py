@@ -1,7 +1,13 @@
 """Tests for the op-stream format and builder."""
 
+from repro.checks.staticflow import verify_ops
 from repro.runtime import program as P
-from repro.runtime.program import ProgramBuilder, validate_program
+from repro.runtime.program import ProgramBuilder
+
+
+def messages(ops) -> list[str]:
+    """The full-tier IR verifier's findings on ``ops``, as messages."""
+    return [p.message for p in verify_ops(ops)]
 
 
 class TestConstructors:
@@ -55,28 +61,31 @@ class TestProgramBuilder:
 
 
 class TestValidateProgram:
+    """Structural well-formedness, as the IR verifier's full tier
+    reports it."""
+
     def test_valid_program(self):
         ops = ProgramBuilder().call("m", 2).read(0).ret().ops()
-        assert validate_program(ops) == []
+        assert verify_ops(ops) == []
 
     def test_unbalanced_ret(self):
-        assert any("RET" in p for p in validate_program([P.ret()]))
+        assert any("RET" in p for p in messages([P.ret()]))
 
     def test_unpopped_frames(self):
-        assert any("unpopped" in p for p in validate_program([P.call("m", 2)]))
+        assert any("unpopped" in p for p in messages([P.call("m", 2)]))
 
     def test_setslot_outside_frame(self):
-        assert any("SETSLOT" in p for p in validate_program([P.setslot(0, 1)]))
+        assert any("SETSLOT" in p for p in messages([P.setslot(0, 1)]))
 
     def test_double_acquire(self):
-        probs = validate_program([P.acquire(1), P.acquire(1), P.release(1), P.release(1)])
+        probs = messages([P.acquire(1), P.acquire(1), P.release(1), P.release(1)])
         assert any("already held" in p for p in probs)
 
     def test_unreleased_lock(self):
-        assert any("holding locks" in p for p in validate_program([P.acquire(2)]))
+        assert any("holding locks" in p for p in messages([P.acquire(2)]))
 
     def test_release_unheld(self):
-        assert any("not held" in p for p in validate_program([P.release(9)]))
+        assert any("not held" in p for p in messages([P.release(9)]))
 
 
 class TestWorkloadProgramsAreValid:
@@ -90,7 +99,7 @@ class TestWorkloadProgramsAreValid:
         wl = SORWorkload(n=64, rounds=2, n_threads=4)
         wl.build(DJVM(4, costs=CostModel.fast_test()))
         for t in range(4):
-            assert validate_program(list(wl.program(t))) == []
+            assert verify_ops(list(wl.program(t))) == []
 
     def test_barnes_hut(self):
         from repro.runtime.djvm import DJVM
@@ -100,7 +109,7 @@ class TestWorkloadProgramsAreValid:
         wl = BarnesHutWorkload(n_bodies=128, rounds=2, n_threads=4)
         wl.build(DJVM(4, costs=CostModel.fast_test()))
         for t in range(4):
-            assert validate_program(list(wl.program(t))) == []
+            assert verify_ops(list(wl.program(t))) == []
 
     def test_water_spatial(self):
         from repro.runtime.djvm import DJVM
@@ -110,7 +119,7 @@ class TestWorkloadProgramsAreValid:
         wl = WaterSpatialWorkload(n_molecules=64, rounds=2, n_threads=4)
         wl.build(DJVM(4, costs=CostModel.fast_test()))
         for t in range(4):
-            assert validate_program(list(wl.program(t))) == []
+            assert verify_ops(list(wl.program(t))) == []
 
 
 class TestCompiledProgramEdgeCases:
@@ -124,7 +133,7 @@ class TestCompiledProgramEdgeCases:
         assert prog.codes == b""
         assert prog.sync_points() == []
         assert prog.vector_runs() == {}
-        assert validate_program(prog) == []
+        assert verify_ops(prog) == []
 
     def test_single_segment_thread(self):
         """A thread with no sync ops at all is one segment."""
@@ -133,7 +142,7 @@ class TestCompiledProgramEdgeCases:
         ops = ProgramBuilder().call("m", 2).read(0).write(0).ret().ops()
         prog = compile_program(ops)
         assert prog.sync_points() == []
-        assert validate_program(prog) == []
+        assert verify_ops(prog) == []
 
     def test_back_to_back_barriers(self):
         """Adjacent barriers produce empty segments, not bogus ones."""

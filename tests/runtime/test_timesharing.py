@@ -1,7 +1,5 @@
 """Tests for the single-core-per-node timesharing model."""
 
-import pytest
-
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
 from repro.sim.costs import CostModel
@@ -11,10 +9,8 @@ from tests.conftest import simple_class, wrap_main
 WORK = 500_000_000  # 5 ms at fast_test scale
 
 
-def run(n_nodes: int, n_threads: int, *, timeshare: bool):
-    djvm = DJVM(
-        n_nodes=n_nodes, costs=CostModel.fast_test(), timeshare_nodes=timeshare
-    )
+def run(n_nodes: int, n_threads: int):
+    djvm = DJVM(n_nodes=n_nodes, costs=CostModel.fast_test())
     simple_class(djvm)
     djvm.spawn_threads(n_threads, placement="block")
     programs = {
@@ -27,26 +23,13 @@ class TestTimesharing:
     def test_colocated_threads_serialize(self):
         """Two compute-bound threads on one single-core node take ~2x one
         thread's time; on two nodes they overlap."""
-        one_node = run(1, 2, timeshare=True).execution_time_ms
-        two_nodes = run(2, 2, timeshare=True).execution_time_ms
+        one_node = run(1, 2).execution_time_ms
+        two_nodes = run(2, 2).execution_time_ms
         assert one_node > 1.8 * two_nodes
 
-    def test_smp_mode_overlaps(self):
-        """With timesharing off, co-located threads run concurrently."""
-        shared = run(1, 2, timeshare=False).execution_time_ms
-        spread = run(2, 2, timeshare=False).execution_time_ms
-        assert shared == pytest.approx(spread, rel=0.05)
-
-    def test_one_thread_per_node_unaffected(self):
-        """The paper's measurement configuration (1 thread/node) is
-        identical under both models — the calibration anchor."""
-        a = run(4, 4, timeshare=True).execution_time_ms
-        b = run(4, 4, timeshare=False).execution_time_ms
-        assert a == b
-
     def test_four_way_sharing_scales(self):
-        quad = run(1, 4, timeshare=True).execution_time_ms
-        solo = run(4, 4, timeshare=True).execution_time_ms
+        quad = run(1, 4).execution_time_ms
+        solo = run(4, 4).execution_time_ms
         assert quad > 3.5 * solo
 
     def test_migrated_thread_contends_at_destination(self):
@@ -55,7 +38,7 @@ class TestTimesharing:
         from repro.runtime.migration import MigrationPlan
 
         def finish(migrate: bool) -> float:
-            djvm = DJVM(n_nodes=2, costs=CostModel.fast_test(), timeshare_nodes=True)
+            djvm = DJVM(n_nodes=2, costs=CostModel.fast_test())
             simple_class(djvm)
             djvm.spawn_thread(0)
             djvm.spawn_thread(1)

@@ -684,10 +684,23 @@ class NullObserver(ProtocolObserver):
 
 
 class EmptyPrefetcher:
-    """A prefetcher that never bundles anything."""
+    """A prefetcher that never bundles anything; its hook entries do
+    nothing, so being the prefetcher is all that disqualifies it."""
 
     def bundle_for(self, thread, obj):
         return []
+
+    def on_interval_open(self, thread):
+        pass
+
+    def on_access(self, thread, obj, **kwargs):
+        pass
+
+    def fast_on_access(self, thread, ids, faulted):
+        pass
+
+    def on_interval_close(self, thread, interval, sync_dst):
+        pass
 
 
 def _plan_forever(djvm):
@@ -712,7 +725,7 @@ DISQUALIFIERS = {
     "history": lambda djvm: djvm.attach(IntervalHistory()),
     "timer": lambda djvm: djvm.add_timer(DeadlineTimer()),
     "condition_timer": lambda djvm: djvm.add_timer(ConditionTimer()),
-    "prefetcher": lambda djvm: setattr(djvm.hlrc, "prefetcher", EmptyPrefetcher()),
+    "prefetcher": lambda djvm: djvm.add_hook(EmptyPrefetcher()),
     "pending_migration": _plan_forever,
 }
 

@@ -64,7 +64,6 @@ class TestSendAccounting:
 
     def test_oal_not_in_gos_kinds(self):
         assert MessageKind.OAL not in GOS_KINDS
-        assert MessageKind.OAL.is_profiling
 
     def test_piggyback_counted(self):
         net = Network(latency_ns=1000, bandwidth_bytes_per_s=1e9, header_bytes=100)

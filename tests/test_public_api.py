@@ -43,15 +43,45 @@ class TestExports:
         assert repro.__version__ == meta["project"]["version"]
 
 
-def test_djvm_keyword_options_are_pinned():
-    """One way to run a simulation: a recorder or watcher is an observer
-    (``djvm.attach``), not a ``DJVM`` switch.  A new option is a
-    deliberate edit here."""
+def _keywords(cls) -> set[str]:
     import inspect
 
-    params = inspect.signature(repro.DJVM.__init__).parameters.values()
-    keywords = {p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
-    assert keywords == {"costs", "network", "timeshare_nodes", "keep_event_trace", "replay"}
+    params = inspect.signature(cls.__init__).parameters.values()
+    return {p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
+
+
+def test_djvm_keyword_options_are_pinned():
+    """One way to run a simulation: a recorder or watcher is an observer
+    (``djvm.attach``), not a ``DJVM`` switch, and nodes always timeshare
+    one core (the paper's hardware).  A new option is a deliberate edit
+    here."""
+    assert _keywords(repro.DJVM) == {"costs", "network", "keep_event_trace", "replay"}
+
+
+def test_profiler_keyword_options_are_pinned():
+    """A profiler component is on iff it is attached (no ``enabled``
+    switch), and an OAL rides a sync message iff that message targets
+    the master (no ``piggyback`` switch).  A new option is a deliberate
+    edit here."""
+    from repro.core.access_profiler import AccessProfiler
+    from repro.core.footprint import StickySetFootprinter
+    from repro.core.stack_sampler import StackSampler
+
+    assert _keywords(repro.ProfilerSuite) == {
+        "correlation",
+        "footprint",
+        "stack",
+        "send_oals",
+        "window_batches",
+        "stack_gap_ms",
+        "lazy_extraction",
+        "footprint_timer_ms",
+        "use_prime_gaps",
+        "sampling_backend",
+    }
+    assert _keywords(AccessProfiler) == {"collector", "send_oals"}
+    assert _keywords(StickySetFootprinter) == {"timer_period_ms", "duty", "min_accesses"}
+    assert _keywords(StackSampler) == {"gap_ms", "lazy"}
 
 
 class TestReadmeQuickstart:

@@ -4,8 +4,9 @@ Water-Spatial (Barnes-Hut has its own module)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.checks.staticflow import verify_ops
 from repro.runtime.djvm import DJVM
-from repro.runtime.program import OP_BARRIER, validate_program
+from repro.runtime.program import OP_BARRIER
 from repro.sim.costs import CostModel
 from repro.workloads import SORWorkload, WaterSpatialWorkload
 from repro.workloads.base import Workload
@@ -80,7 +81,7 @@ class TestProgramUniformity:
         ):
             wl.build(DJVM(threads, costs=CostModel.fast_test()))
             for t in range(threads):
-                assert validate_program(list(wl.program(t))) == []
+                assert verify_ops(list(wl.program(t))) == []
 
 
 class TestDeterministicBuilds:
