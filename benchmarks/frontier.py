@@ -10,7 +10,9 @@ reference we publish, per backend x workload:
 * ``e_abs`` / ``e_euc`` — the paper's formulas (2)/(1) of the rate-4
   map against the full-sampling map (``core/accuracy.error_summary``),
 * ``decide_ns`` — cold per-decision cost through the backend's batch
-  lane (fresh policy, so the memoized backend pays its cold computes).
+  lane (fresh policy, so the memoized backend pays its cold computes):
+  ``SamplingPolicy.decide_batch``, the lane a run's first touches of
+  classes off gap 1 are decided through (``SamplingPolicy.first_touches``).
   The one host-time figure here, and the one host-time *gate* in
   ``make check``: both sides of the comparison are medians of
   :data:`DECIDE_SAMPLES` calls timed in this process, minutes apart at

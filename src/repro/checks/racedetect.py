@@ -63,7 +63,7 @@ plain one (under scalar replay, which a ``per_op`` observer forces).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.dsm.observer import ProtocolObserver

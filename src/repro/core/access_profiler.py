@@ -24,6 +24,8 @@ for generating OALs) lands in ``cpu.oal_logging_ns`` /
 
 from __future__ import annotations
 
+from itertools import compress
+
 from repro.core.oal import OALBatch
 from repro.core.sampling import SamplingPolicy
 from repro.dsm.intervals import IntervalRecord
@@ -49,23 +51,12 @@ class AccessProfiler:
         self.cluster = cluster
         self.costs = cluster.costs
         self.gos = gos
-        # Hot-path aliases (the cost model is frozen; the policy's state
-        # containers and the GOS object list are mutated in place, never
-        # replaced).
+        # Hot-path aliases (the cost model is frozen; the GOS object list
+        # is mutated in place, never replaced).
         self._objects = gos._objects
-        self._gap_table = policy.gap_table
-        self._policy_states = policy._states
         self._backend = policy.backend
         self._trap_ns = self.costs.gos_trap_ns
         self._log_ns_trap = self.costs.gos_trap_ns + self.costs.oal_log_ns
-        #: the backend keeps a per-class epoch memo of its decisions,
-        #: which the hot path probes inline before calling decision().
-        self._memoized = self._backend.memoized
-        #: by object id (GOS ids are dense list indices): the gap-1
-        #: scaled bytes and the class id, which is all a fully-sampled
-        #: class logs.  Grown on use to the GOS's length.
-        self._bytes_col: list[int] = []
-        self._class_col: list[int] = []
         #: destination daemon; anything with a ``deliver(OALBatch)`` method.
         self.collector = collector
         #: when False, OALs are generated and costed but never sent (the
@@ -170,53 +161,30 @@ class AccessProfiler:
             if not ids:
                 return None
             faulted = [oid for oid in faulted if oid not in oal]
-        bytes_col = self._bytes_col
-        if len(bytes_col) < len(self._objects):
-            self._grow_columns()
-        # Trap into the GOS service routine.  A real fault already paid
-        # the trap on the coherence path; false-invalid pays it here.
+        # One decision per first touch, shared with every other
+        # first-touch entry handed the same ids (SamplingPolicy.first_touches).
+        sampled, scaled = self.policy.first_touches(ids, self._objects)
+        # Trap into the GOS service routine and log.
         log_trap = self._log_ns_trap
-        log_only = log_trap - self._trap_ns
-        if not self.policy.off_gap_one:
-            # Every class is fully sampled: each object is logged with
-            # its own size (Horvitz-Thompson scale 1), read off columns.
-            oal.update(zip(ids, map(bytes_col.__getitem__, ids)))
-            class_ids.extend(map(self._class_col.__getitem__, ids))
+        if sampled is None:
             logged = ids
-            if faulted:
-                charges = [log_only if oid in faulted else log_trap for oid in ids]
-            else:
-                charges = [log_trap] * len(ids)
         else:
-            logged = []
-            charges = []
-            objects = self._objects
-            for obj_id in ids:
-                obj = objects[obj_id]
-                class_id = obj.jclass.class_id
-                if self._gap_table.get(class_id, 1) == 1:
-                    scaled = bytes_col[obj_id]
-                else:
-                    # One lookup answers sampled/logged/scaled together:
-                    # the per-class epoch memo probed inline, decision()
-                    # on a miss or a stale cache.
-                    dec = None
-                    if self._memoized:
-                        st = self._policy_states[class_id]
-                        if st.cache_epoch == st.epoch:
-                            dec = st.decisions.get(obj_id)
-                    if dec is None:
-                        dec = self.policy.decision(obj)
-                    sampled, _logged, scaled = dec
-                    if not sampled:
-                        charges.append(0)
-                        continue
-                oal[obj_id] = scaled
-                class_ids.append(class_id)
-                logged.append(obj_id)
-                charges.append(log_only if obj_id in faulted else log_trap)
+            logged = list(compress(ids, sampled))
             if not logged:
                 return None
+            scaled = compress(scaled, sampled)
+        oal.update(zip(logged, scaled))
+        class_ids.extend(map(self.policy.class_col.__getitem__, logged))
+        if sampled is None:
+            charges = [log_trap] * len(ids)
+        else:
+            charges = list(map(log_trap.__mul__, sampled))
+        if faulted:
+            # A real fault already paid the trap on the coherence path.
+            trap_ns = self._trap_ns
+            for k in compress(range(len(ids)), map(faulted.__contains__, ids)):
+                if charges[k]:
+                    charges[k] -= trap_ns
         ns = sum(charges)
         thread.cpu.oal_logging_ns += ns
         thread.clock._now_ns += ns
@@ -230,17 +198,6 @@ class AccessProfiler:
             by_id = dict(zip(ids, charges))
             charges = [by_id.get(oid, 0) for oid in asked]
         return charges
-
-    def _grow_columns(self) -> None:
-        """Extend the gap-1 byte and class-id columns over the objects
-        allocated since the last call: an array's element payload (its
-        amortized size at gap 1), a scalar's instance size."""
-        for obj in self._objects[len(self._bytes_col) :]:
-            jclass = obj.jclass
-            self._bytes_col.append(
-                obj.length * jclass.element_size if jclass.is_array else jclass.instance_size
-            )
-            self._class_col.append(jclass.class_id)
 
     def on_interval_close(
         self, thread, interval: IntervalRecord, sync_dst: int | None

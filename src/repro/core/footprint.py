@@ -25,10 +25,13 @@ logging, two throttles from the paper apply:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections import Counter
+from itertools import compress, repeat
+from operator import add, floordiv, mod, sub
 
 from repro.core.sampling import SamplingPolicy
-from repro.dsm.intervals import IntervalRecord
+from repro.dsm.intervals import NO_BOUND, IntervalRecord
 from repro.heap.objects import HeapObject
 from repro.sim.costs import CostModel
 
@@ -40,42 +43,36 @@ _NO_GOS = (
 )
 
 
-@dataclass(slots=True)
-class _ObjStats:
-    """Per-(thread, interval, object) tracking statistics."""
-
-    #: tracking phases the object trapped in (not raw accesses).
-    count: int
-    #: the latest of them; phases only grow along a thread's clock, so
-    #: "already trapped in this phase" is one comparison.
-    last_phase: int
-
-
 class StickySetFootprinter:
     """Protocol hook performing repeated sampled access tracking.
 
-    A *re-arming* hook (see ``repro.dsm.hlrc.ProtocolHooks``): its
-    first-touch entry decides which objects are sampled and re-arms
-    those for the interval, and the engine then calls its tracking entry
-    :meth:`on_rearmed_access` at every access of a re-armed object.  An
-    unsampled object never re-enters it.  The keyword :meth:`on_access`
-    (the oracle fan-out) decides and tracks at every access instead.
+    The *re-arming* hook (see ``repro.dsm.hlrc.ProtocolHooks``): its
+    first-touch entry re-arms the sampled objects for the interval, and
+    the engine then hands its tracking entry :meth:`on_rearmed_access`
+    every access of a re-armed object, a run's at a time.  An unsampled
+    object never re-enters it.  The keyword :meth:`on_access` (the
+    oracle fan-out) decides and tracks at every access instead.
+
+    Per thread, the open interval's tracking state is two dicts
+    over the objects tracked so far, in first-tracked order: the
+    tracking phase each last trapped in (phases only grow along a
+    thread's clock, so "already trapped in this phase" is one
+    comparison) and how many phases each trapped in.
     """
 
     __slots__ = (
         "policy",
-        "_policy_states",
         "costs",
         "timer_period_ns",
         "duty",
         "min_accesses",
-        "_stats",
+        "_last_phase",
+        "_count",
         "_interval_start",
         "interval_footprints",
         "interval_tracked",
         "tracked_accesses",
         "_gos",
-        "_tracking",
         "_track_ns",
     )
 
@@ -95,7 +92,6 @@ class StickySetFootprinter:
         if min_accesses < 1:
             raise ValueError(f"min_accesses must be >= 1, got {min_accesses}")
         self.policy = policy
-        self._policy_states = policy._states  # hot-path alias; mutated in place
         self.costs = costs
         self._track_ns = costs.gos_trap_ns + costs.footprint_track_ns  # the cost model is frozen
         #: None = nonstop tracking; otherwise on/off phases of this period.
@@ -104,8 +100,10 @@ class StickySetFootprinter:
         #: tracking phases an object must trap in within one interval to
         #: count as sticky.
         self.min_accesses = min_accesses
-        #: thread_id -> {obj_id: _ObjStats} for the open interval.
-        self._stats: dict[int, dict[int, _ObjStats]] = {}
+        #: thread_id -> {obj_id: latest tracking phase} for the open interval.
+        self._last_phase: dict[int, dict[int, int]] = {}
+        #: thread_id -> {obj_id: tracking phases trapped in}, parallel.
+        self._count: dict[int, Counter] = {}
         #: thread_id -> interval start time (phase reference).
         self._interval_start: dict[int, int] = {}
         #: completed-interval footprints kept for averaging:
@@ -117,8 +115,6 @@ class StickySetFootprinter:
         self.tracked_accesses = 0
         #: attached by the ProfilerSuite (needed to resolve object classes).
         self._gos = None
-        #: the tracking entries sampled ids are re-armed for.
-        self._tracking = (self.on_rearmed_access,)
 
     # ------------------------------------------------------------------
     # ProtocolHooks interface
@@ -126,8 +122,10 @@ class StickySetFootprinter:
 
     def on_interval_open(self, thread) -> None:
         """ProtocolHooks: a new HLRC interval just opened for ``thread``."""
-        self._stats[thread.thread_id] = {}
-        self._interval_start[thread.thread_id] = thread.clock.now_ns
+        tid = thread.thread_id
+        self._last_phase[tid] = {}
+        self._count[tid] = Counter()
+        self._interval_start[tid] = thread.clock.now_ns
 
     def on_access(
         self,
@@ -142,110 +140,153 @@ class StickySetFootprinter:
     ) -> None:
         """ProtocolHooks: one access op executed — the keyword fan-out,
         which decides and tracks at every access."""
-        if thread.thread_id in self._stats and self.policy.decision(obj)[0]:
-            self.on_rearmed_access(thread, obj.obj_id)
+        if thread.thread_id in self._count and self.policy.decision(obj)[0]:
+            self.on_rearmed_access(thread, (obj.obj_id,), (thread.clock._now_ns,), NO_BOUND)
 
     def fast_on_access(self, thread, ids, faulted) -> None:
         """The first-touch entry: re-arm the sampled ones among ``ids``
         for the rest of the interval.  Whether an object is sampled
         depends on the object and its class's gap epoch, never on the
         clock, and rates change only at an interval close, so the first
-        touch decides for the whole interval, in any tracking phase.
-        Charges nothing: the tracking entry, called right after for each
-        re-armed id, does."""
-        if thread.thread_id not in self._stats:
+        touch decides for the whole interval, in any tracking phase —
+        the decision the policy made for these ids once
+        (:meth:`SamplingPolicy.first_touches`).  Charges nothing: the
+        tracking entry, handed each re-armed access, the arming first
+        touch included, does."""
+        if thread.thread_id not in self._count:
             return None
         gos = self._gos
         if gos is None:
             raise RuntimeError(_NO_GOS)
-        objects = gos._objects
-        states = self._policy_states
-        decision = self.policy.decision
-        armed = []
-        for oid in ids:
-            # The per-class epoch memo probed inline, decision() on a
-            # miss, a stale cache, or a backend that does not memoize.
-            obj = objects[oid]
-            st = states.get(obj.jclass.class_id)
-            dec = st.decisions.get(oid) if st is not None and st.cache_epoch == st.epoch else None
-            if dec is None:
-                dec = decision(obj)
-            if dec[0]:
-                armed.append(oid)
-        if armed:
-            thread.current_interval.rearm(armed, self._tracking)
+        sampled, _ = self.policy.first_touches(ids, gos._objects)
+        armed = ids if sampled is None else compress(ids, sampled)
+        thread.current_interval.rearmed.update(armed)
         return None
 
-    def on_rearmed_access(self, thread, obj_id: int) -> None:
-        """The tracking entry: one access of a sampled object, at the
-        thread's clock."""
-        stats = self._stats.get(thread.thread_id)
-        if stats is None:
-            return
-        now = thread.clock._now_ns
+    def on_rearmed_access(self, thread, ids, clocks, bound: int) -> tuple[int, int]:
+        """The tracking entry (the batch contract of ``ProtocolHooks``):
+        accesses of sampled objects ``ids``, in order, ``clocks[k]``
+        the thread's clock at the k-th before this call's charges.  Each
+        sees its clock plus what the call charged before it.  Tracks the
+        accesses up to the first whose clock so computed has reached
+        ``bound``, charges the clock and the footprinting bucket, and
+        returns ``(accesses tracked, ns charged)``.
+
+        Repeated tracking works by re-resetting sampled objects to
+        false-invalid at each tracking phase: the first access of each
+        phase traps (and is what gets counted — the access-frequency
+        signal has phase granularity); later accesses in the same phase
+        run the fast path free of charge, and accesses in a timer's
+        tracking-off phase are invisible."""
+        tid = thread.thread_id
+        last_phase = self._last_phase.get(tid)
+        if last_phase is None:
+            return len(ids), 0
+        bulk = self._all_trap(tid, last_phase, ids, clocks, bound) if len(ids) > 1 else None
+        if bulk is not None:
+            ids, phases = bulk
+            last_phase.update(zip(ids, phases))
+            self._count[tid].update(ids)
+            done = tracked = len(ids)
+        else:
+            done, tracked = self._track_each(tid, last_phase, ids, clocks, bound)
+        ns = tracked * self._track_ns
+        thread.cpu.footprinting_ns += ns
+        thread.clock._now_ns += ns
+        self.tracked_accesses += tracked
+        return done, ns
+
+    def _all_trap(self, tid, last_phase, ids, clocks, bound) -> tuple | None:
+        """Nearly every access traps.  Assume that all of them up to
+        ``bound`` do, and check it: ``(ids tracked, their phases)`` when
+        it holds, None when some access repeats its object's phase or
+        falls in a tracking-off phase."""
+        n = len(ids)
+        track_ns = self._track_ns
+        charged = range(0, n * track_ns, track_ns) if track_ns else repeat(0)
+        if clocks[-1] + (n - 1) * track_ns >= bound:
+            now = list(map(add, clocks, charged))
+            n = bisect_left(now, bound)
+            if not n:
+                return ids[:0], []
+            ids, clocks, charged = ids[:n], now[:n], repeat(0)
         period = self.timer_period_ns
         if period is None:
             # Nonstop mode: synthesize phases at 1 ms so the multi-phase
             # stickiness signal still exists.
-            phase = now // NS_PER_MS
+            phases = list(map(floordiv, map(add, clocks, charged), repeat(NS_PER_MS)))
         else:
-            since_open = now - self._interval_start[thread.thread_id]
-            if (since_open % period) / period >= self.duty:
-                return  # tracking-off phase: the access is invisible
-            phase = since_open // period
-        # Repeated tracking works by re-resetting sampled objects to
-        # false-invalid at each tracking phase: the first access of each
-        # phase traps (and is what gets counted — the access-frequency
-        # signal has phase granularity); later accesses in the same phase
-        # run the fast path free of charge.
-        entry = stats.get(obj_id)
-        if entry is None:
-            stats[obj_id] = _ObjStats(1, phase)
-        elif entry.last_phase == phase:
-            return
-        else:
-            entry.count += 1
-            entry.last_phase = phase
-        ns = self._track_ns
-        thread.cpu.footprinting_ns += ns
-        thread.clock._now_ns += ns
-        self.tracked_accesses += 1
+            since = list(map(sub, map(add, clocks, charged), repeat(self._interval_start[tid])))
+            if max(map(mod, since, repeat(period))) / period >= self.duty:
+                return None
+            phases = list(map(floordiv, since, repeat(period)))
+        if len(set(ids)) < n and len(set(zip(ids, phases))) < n:
+            return None
+        if not last_phase.items().isdisjoint(zip(ids, phases)):
+            return None
+        return ids, phases
+
+    def _track_each(self, tid, last_phase, ids, clocks, bound) -> tuple[int, int]:
+        """The exact loop: ``(accesses tracked, accesses that trapped)``."""
+        count = self._count[tid]
+        track_ns = self._track_ns
+        period = self.timer_period_ns
+        start = self._interval_start[tid]
+        trapped = 0
+        for k, (oid, clock) in enumerate(zip(ids, clocks)):
+            now = clock + trapped * track_ns
+            if now >= bound:
+                return k, trapped
+            if period is None:
+                phase = now // NS_PER_MS
+            else:
+                since_open = now - start
+                if (since_open % period) / period >= self.duty:
+                    continue  # tracking-off phase: the access is invisible
+                phase = since_open // period
+            if last_phase.get(oid) == phase:
+                continue
+            last_phase[oid] = phase
+            count[oid] = count.get(oid, 0) + 1
+            trapped += 1
+        return len(ids), trapped
 
     def on_interval_close(self, thread, interval: IntervalRecord, sync_dst: int | None) -> None:
         """ProtocolHooks: ``thread`` closed ``interval``."""
         tid = thread.thread_id
-        stats = self._stats.pop(tid, None)
+        count = self._count.pop(tid, None)
+        self._last_phase.pop(tid, None)
         self._interval_start.pop(tid, None)
-        if stats is None:
+        if count is None:
             return
-        fp = self._footprint_from_stats(stats)
+        fp = self._footprint_from_counts(count)
         # Record even empty footprints: the average must be taken over
         # *all* intervals or estimates at different sampling rates get
         # different denominators and stop being comparable.
         self.interval_footprints.setdefault(tid, []).append(fp)
-        self.interval_tracked.setdefault(tid, []).append(set(stats))
+        self.interval_tracked.setdefault(tid, []).append(set(count))
 
     # ------------------------------------------------------------------
     # footprint estimation
     # ------------------------------------------------------------------
 
-    def _sticky_ids(self, stats: dict[int, _ObjStats]) -> list[int]:
+    def _sticky_ids(self, count: dict[int, int]) -> list[int]:
         """The sticky predicate, stated once: objects that trapped in at
         least ``min_accesses`` tracking phases, in recording order."""
         return [  # simlint: disable=SIM003 (result order must mirror the interval's access-recording order)
-            oid for oid, entry in stats.items() if entry.count >= self.min_accesses
+            oid for oid, n in count.items() if n >= self.min_accesses
         ]
 
-    def _footprint_from_stats(self, stats: dict[int, _ObjStats]) -> dict[str, int]:
+    def _footprint_from_counts(self, count: dict[int, int]) -> dict[str, int]:
         """Per-class sticky bytes: each sticky sampled object, scaled by
         the gap (Horvitz-Thompson) to estimate the class total."""
         fp: dict[str, int] = {}
         gos = self._gos
         if gos is None:
-            if stats:
+            if count:
                 raise RuntimeError(_NO_GOS)
             return fp
-        for obj_id in self._sticky_ids(stats):
+        for obj_id in self._sticky_ids(count):
             obj = gos.get(obj_id)
             fp[obj.jclass.name] = fp.get(obj.jclass.name, 0) + self.policy.scaled_bytes(obj)
         return fp
@@ -259,18 +300,18 @@ class StickySetFootprinter:
         instant — what the load balancer consults when weighing a
         migration (objects that already trapped in >= min_accesses
         tracking phases are the predicted re-fetch set)."""
-        return self._footprint_from_stats(self._stats.get(thread.thread_id, {}))
+        return self._footprint_from_counts(self._count.get(thread.thread_id, {}))
 
     def live_sticky_candidates(self, thread) -> list[int]:
         """Object ids currently qualifying as sticky in the open interval."""
-        return self._sticky_ids(self._stats.get(thread.thread_id, {}))
+        return self._sticky_ids(self._count.get(thread.thread_id, {}))
 
     def recent_tracked_ids(self, thread, *, window: int = 3) -> set[int]:
         """Sampled object ids the footprinting pass tracked recently —
         the landmark candidates resolution should trust.  Combines the
         live open-interval stats with the last ``window`` non-empty
         closed-interval sets."""
-        out: set[int] = set(self._stats.get(thread.thread_id, {}))
+        out: set[int] = set(self._count.get(thread.thread_id, {}))
         closed = [s for s in self.interval_tracked.get(thread.thread_id, []) if s]
         for s in closed[-window:]:
             out |= s

@@ -4,8 +4,7 @@ The :class:`~repro.core.stack_sampler.StackSampler` already maintains
 per-frame samples whose surviving slots are invariant candidates.  This
 module offers a standalone miner over an explicit sequence of stack
 snapshots — used by tests (ground truth for the sampler) and by offline
-analysis of recorded runs — plus helpers for classifying frames as
-stable or temporary.
+analysis of recorded runs.
 """
 
 from __future__ import annotations
@@ -75,12 +74,3 @@ def mine_invariants(
         )
     return out
 
-
-def frame_lifetimes(snapshots: list[Snapshot]) -> dict[int, int]:
-    """Number of snapshots each frame uid appears in — the paper's
-    stable-vs-temporary frame distinction made quantitative."""
-    counts: Counter[int] = Counter()
-    for snap in snapshots:
-        for frame_uid, _method, _slots in snap:
-            counts[frame_uid] += 1
-    return dict(counts)

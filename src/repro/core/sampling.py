@@ -51,12 +51,20 @@ a hash over immutable identities excludes a fixed subset of objects
 forever, so a class whose live population times its inclusion
 probability is below ~1 can be *entirely* unsampled.
 :meth:`StatelessBackend.dead_zone_report` flags such classes.
+
+The profilers decide at interval first touches through
+:meth:`SamplingPolicy.first_touches`: one answer per batch of ids,
+shared by every first-touch entry handed that batch, with the backend
+asked through :meth:`SamplingPolicy.decide_batch` only for classes off
+gap 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import is_, ne
 
 import numpy as np
 
@@ -686,6 +694,20 @@ class SamplingPolicy:
         self.off_gap_one = 0
         #: the pluggable decision scheme.
         self.backend: SamplingBackend = resolve_backend(backend).bind(self)
+        #: by object id of the GOS object list last handed to
+        #: :meth:`first_touches` (ids are dense list indices): the
+        #: object's size at gap 1 (an array's element payload, a
+        #: scalar's instance size) and its class id.  Grown on use.
+        self.size_col: list[int] = []
+        self.class_col: list[int] = []
+        self._col_objects = None
+        #: (ids, rate_changes, answer) of the last first-touch batch.
+        self._first_touch = None
+        #: obj_id -> first-touch selection flag / scaled bytes, valid
+        #: while ``rate_changes`` is ``_known_gen`` (memoized backends).
+        self._known_sampled: dict[int, bool] = {}
+        self._known_scaled: dict[int, int] = {}
+        self._known_gen = -1
 
     # ------------------------------------------------------------------
     # configuration
@@ -821,6 +843,78 @@ class SamplingPolicy:
         bytes times the gap (each sample stands for ``gap`` units), or
         the backend's equivalent inverse-probability weight."""
         return self.backend.peek(obj)[2]
+
+    def first_touches(self, ids, objects) -> tuple[list[bool] | None, list[int]]:
+        """The sampling decision of one batch of interval first touches,
+        made once for every first-touch entry that asks: ``(sampled,
+        scaled)``, parallel to ``ids`` — the selection flags (None: all
+        sampled) and each id's Horvitz-Thompson scaled bytes.
+        ``objects`` is the GOS object list the ids index.
+
+        An id of a class at gap 1 is sampled at its own size and is no
+        backend decision; the rest go through :meth:`decide_batch`.
+        Both routes call the first-touch entries of one access or run
+        back to back with the same ``ids`` list, and rates change only
+        at an interval close, so a second call with that list and no
+        rate change since returns the first answer: each first touch is
+        decided, and counted, once.  Under a memoized backend the
+        answers are also kept by id until the next rate change, so an
+        object first touched again in a later interval is read back at
+        C speed (the backend's memo would answer it, uncounted, too)."""
+        last = self._first_touch
+        if last is not None and last[0] is ids and last[1] == self.rate_changes:
+            return last[2]
+        if objects is not self._col_objects or len(self.size_col) < len(objects):
+            self._grow_columns(objects)
+        if not self.off_gap_one:
+            answer = None, list(map(self.size_col.__getitem__, ids))
+        elif self.backend.memoized:
+            if self._known_gen != self.rate_changes:
+                self._known_sampled, self._known_scaled = {}, {}
+                self._known_gen = self.rate_changes
+            known_sampled = self._known_sampled
+            sampled = list(map(known_sampled.get, ids))
+            if None in sampled:
+                miss = list(compress(ids, map(is_, sampled, repeat(None))))
+                got, scaled = self._decide(miss, objects)
+                known_sampled.update(zip(miss, repeat(True) if got is None else got))
+                self._known_scaled.update(zip(miss, scaled))
+                sampled = list(map(known_sampled.__getitem__, ids))
+            answer = sampled, list(map(self._known_scaled.__getitem__, ids))
+        else:
+            answer = self._decide(ids, objects)
+        self._first_touch = (ids, self.rate_changes, answer)
+        return answer
+
+    def _decide(self, ids, objects) -> tuple[list[bool] | None, list[int]]:
+        """:meth:`first_touches`' answer computed: gap-1 ids from the
+        columns, the rest through one :meth:`decide_batch`."""
+        scaled = list(map(self.size_col.__getitem__, ids))
+        gaps = map(self.gap_table.get, map(self.class_col.__getitem__, ids), repeat(1))
+        off = list(map(ne, gaps, repeat(1)))
+        if not any(off):
+            return None, scaled
+        sampled = [True] * len(ids)
+        decisions = self.decide_batch(list(map(objects.__getitem__, compress(ids, off))))
+        for k, dec in zip(compress(range(len(ids)), off), decisions):
+            sampled[k] = dec[0]
+            scaled[k] = dec[2]
+        return sampled, scaled
+
+    def _grow_columns(self, objects) -> None:
+        """Extend :attr:`size_col` and :attr:`class_col` over ``objects``
+        allocated since the last call (restarting them for a new list)."""
+        if objects is not self._col_objects:
+            self._col_objects = objects
+            self.size_col, self.class_col = [], []
+            self._known_gen = -1  # ids name other objects now
+        size_col, class_col = self.size_col, self.class_col
+        for obj in objects[len(size_col) :]:
+            jclass = obj.jclass
+            size_col.append(
+                obj.length * jclass.element_size if jclass.is_array else jclass.instance_size
+            )
+            class_col.append(jclass.class_id)
 
     def classes(self) -> list[ClassSamplingState]:
         """All per-class sampling states created so far."""

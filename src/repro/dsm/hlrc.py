@@ -42,7 +42,7 @@ from itertools import chain, count
 from operator import attrgetter
 from typing import Protocol
 
-from repro.dsm.intervals import IntervalRecord
+from repro.dsm.intervals import NO_BOUND, IntervalRecord
 from repro.dsm.observer import ProtocolObserver
 from repro.dsm.states import CopyRecord, RealState
 from repro.dsm.sync import SyncRegistry
@@ -81,15 +81,30 @@ class ProtocolHooks(Protocol):
     :attr:`HomeBasedLRC.home_epoch`, which retires the one pass's
     home-resident splits, so the run stays on the one pass.
 
-    A *re-arming* hook (it defines ``on_rearmed_access``; the
-    footprinter) may re-arm ids from its first-touch entry with
-    ``thread.current_interval.rearm(ids, entries)``.  Each of
-    ``entries`` — the hook's tracking entries, ``entry(thread,
-    obj_id)`` — is then called at every access of the id for the rest
-    of the interval, the arming first touch included, after every
-    first-touch entry of that access.  Tracking entries see, and may
-    charge, the clock the scalar loop would show at that access: the
-    one pass stops at each re-armed access to give it that clock.
+    A run has at most one *re-arming* hook (it defines
+    ``on_rearmed_access``; the footprinter).  Its first-touch entry may
+    re-arm ids by adding them to ``thread.current_interval.rearmed``.
+    Every access of a re-armed id for the rest of the interval, the
+    arming first touch included, then goes to its *tracking entry*,
+    after every first-touch entry of that access.  The tracking entry
+    is batch-shaped, ``on_rearmed_access(thread, ids, clocks, bound) ->
+    (done, charged)``:
+
+    - ``ids`` are accesses of re-armed ids (a *stop* each), in op
+      order, and ``clocks[k]`` is the clock the scalar loop shows at the
+      k-th stop, less what this call charges;
+    - the entry takes the stops in order, each at ``clocks[k]`` plus
+      what it charged so far, and charges the clock and its CPU bucket
+      itself;
+    - it returns before the first stop whose clock, so computed, has
+      reached ``bound``, with the number of stops it took (``done``)
+      and the nanoseconds it charged (``charged``).
+
+    The scalar loop calls it with one stop and
+    :data:`~repro.dsm.intervals.NO_BOUND`.  The vector engine's one pass
+    hands it a run's stops at once, bounded by the next timer deadline;
+    at the stop it returns before, the pass fires the timers as the
+    scalar loop would, takes that stop alone and resumes with the rest.
     """
 
     def on_interval_open(self, thread) -> None:
@@ -191,9 +206,10 @@ class HomeBasedLRC:
         # on an interval first touch (None: keyword fan-out on every
         # access).
         self._on_first_touch: tuple | None = ()
-        #: some hook in the plan re-arms ids (``"rearming"`` below), so
-        #: the vector engine must stop at re-armed accesses.
-        self.rearming = False
+        #: the re-arming hook's tracking entry when the plan has one
+        #: (``"rearming"`` below); the vector engine then stops at
+        #: re-armed accesses.
+        self.tracker = None
         #: the plan in words: ``(hook class name, "first_touch" |
         #: "rearming" | "keyword")`` per hook, in call order.
         self.dispatch_plan: tuple[tuple[str, str], ...] = ()
@@ -271,8 +287,9 @@ class HomeBasedLRC:
         :class:`ProtocolHooks`.  A hook that also defines
         ``on_rearmed_access`` is ``"rearming"``: the footprinter re-arms
         the tags of the objects it sampled every tracking phase, so
-        those — and only those — re-enter it at every access
-        (:meth:`IntervalRecord.rearm`).  If any hook lacks
+        those — and only those — re-enter its tracking entry at every
+        access (the batch contract of :class:`ProtocolHooks`); a second
+        re-arming hook is rejected.  If any hook lacks
         ``fast_on_access``, all fall back to the keyword ``on_access``
         fan-out on every op: the oracle the plan is tested against.
         Planned hooks do not keep a run off the vector engine's one pass
@@ -283,6 +300,12 @@ class HomeBasedLRC:
         A hook that defines ``bundle_for`` is also the run's
         :attr:`prefetcher` (its access hook feeds the learner, its
         ``bundle_for`` acts at fault time); a second one is rejected."""
+        if hasattr(hook, "on_rearmed_access"):
+            held = next((h for h in self.hooks if hasattr(h, "on_rearmed_access")), None)
+            if held is not None:
+                raise ValueError(
+                    f"a re-arming hook ({type(held).__name__}) is already attached"
+                )
         if hasattr(hook, "bundle_for"):
             if self.prefetcher is not None:
                 raise ValueError(
@@ -299,7 +322,9 @@ class HomeBasedLRC:
         else:
             modes = ["keyword"] * len(hooks)
             self._on_first_touch = None
-        self.rearming = "rearming" in modes
+        self.tracker = next(
+            (h.on_rearmed_access for h, m in zip(hooks, modes) if m == "rearming"), None
+        )
         self.dispatch_plan = tuple((type(h).__name__, m) for h, m in zip(hooks, modes))
 
     def new_home_epoch(self) -> None:
@@ -529,19 +554,15 @@ class HomeBasedLRC:
         # Only an object's first touch in an interval can trap for a
         # first-touch entry (that access cancels the false-invalid tag),
         # so those fire once per (interval, object), with a one-id batch;
-        # then the tracking entries of whatever re-armed the id (see
-        # add_hook), the arming first touch included.
+        # then the tracking entry, if the id is re-armed (see add_hook),
+        # the arming first touch included.
         if first_touch:
             ids = [obj_id]
             hit = ids if faulted else ()
             for fast in plan:
                 fast(thread, ids, hit)
-        rearmed = interval.rearmed
-        if rearmed:
-            entries = rearmed.get(obj_id)
-            if entries is not None:
-                for track in entries:
-                    track(thread, obj_id)
+        if obj_id in interval.rearmed:
+            self.tracker(thread, (obj_id,), (clock._now_ns,), NO_BOUND)
 
     # ------------------------------------------------------------------
     # intervals

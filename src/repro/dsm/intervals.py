@@ -10,7 +10,7 @@ An :class:`IntervalRecord` holds the protocol's own state of one
 interval: its identity (delimiting "bytecode PCs", which in the
 simulator are op indices, and thread-clock times), the set of ids it
 touched (what makes a first touch a first touch), the ids it wrote
-(what publishes write notices at close) and the ids hooks re-armed.
+(what publishes write notices at close) and the ids a hook re-armed.
 Sets of ints are never tracked by the cyclic collector (DESIGN,
 "hot-path data layout").
 
@@ -26,6 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dsm.observer import ProtocolObserver
+
+#: the bound a tracking entry is handed where no timer deadline can fall
+#: among its stops: no clock reaches it.
+NO_BOUND = 1 << 62
 
 
 @dataclass(slots=True)
@@ -67,23 +71,11 @@ class IntervalRecord:
     #: the thread changed node during the interval (set by the migration
     #: engine), so some written ids may have no record where it closes.
     moved: bool = False
-    #: ids re-armed this interval -> the tracking entries of the hooks
-    #: that re-armed them (see :meth:`rearm`); a new interval starts
-    #: with none.
-    rearmed: dict[int, tuple] = field(default_factory=dict)
-
-    def rearm(self, ids, entries: tuple) -> None:
-        """Re-arm ``ids`` for a hook's tracking ``entries``: the engine
-        calls each entry as ``entry(thread, obj_id)`` at every later
-        access of the id in this interval, after the first-touch
-        entries at the access that armed it."""
-        rearmed = self.rearmed
-        if rearmed.keys().isdisjoint(ids):
-            rearmed.update(dict.fromkeys(ids, entries))
-            return
-        for oid in ids:
-            prev = rearmed.get(oid)
-            rearmed[oid] = entries if prev is None else prev + entries
+    #: ids the run's one re-arming hook re-armed this interval: every
+    #: access of one, the arming first touch included, goes to its
+    #: tracking entry (``ProtocolHooks``); a new interval starts with
+    #: none.
+    rearmed: set[int] = field(default_factory=set)
 
     @property
     def duration_ns(self) -> int:

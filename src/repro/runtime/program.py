@@ -179,7 +179,7 @@ def _write_lanes(ops: tuple, codes: bytes) -> tuple[list, list, list]:
     return w_oids, w_welems, w_wops
 
 
-def walk_lane(ops: tuple, costs) -> tuple[tuple, tuple[list, list, list, dict]]:
+def walk_lane(ops: tuple, codes: bytes, costs) -> tuple[tuple, tuple[list, list, list, dict]]:
     """A run body's :func:`lean_lane` and its per-op static columns,
     built together at C speed — what the vector engine reads to walk a
     run.  The lane's distinct objects map each to its first access op;
@@ -187,10 +187,10 @@ def walk_lane(ops: tuple, costs) -> tuple[tuple, tuple[list, list, list, dict]]:
     object ids (parallel), {written object: first write op})`` — give
     each clock stop the clock the scalar loop would show.  An op's
     static cost is its access busy time or its compute, charged as the
-    scalar loop charges it op by op.  The caller must not mutate them (a
-    hot :class:`AccessRun` caches them)."""
+    scalar loop charges it op by op.  ``codes`` are the ops' opcode
+    bytes (a slice of the compiled program's).  The caller must not
+    mutate the result (a hot :class:`AccessRun` caches it)."""
     n = len(ops)
-    codes = bytes(map(_OPCODE, ops))
     busy = costs.state_check_ns + costs.access_ns
     # repeat (op[3]) x busy for an access, ns (op[1]) x 1 for a compute;
     # the factors as translated opcode bytes while busy fits in one.

@@ -26,14 +26,16 @@ are then booked in the interval's touched set and handed, with the ids
 among them that faulted, to each hook's batch-shaped first-touch entry,
 one call per hook.
 
-Two things read the clock mid-run: a re-arming hook's tracking entry at
-every access of an id it re-armed (the footprinter's sampled objects),
-and a timer whose deadline passes.  For those the pass *walks*: it
-places the run's charges at their ops — static costs from
+Two things read the clock mid-run: the re-arming hook's tracking entry
+at every access of an id it re-armed (the footprinter's sampled
+objects), and a timer whose deadline passes.  For those the pass
+*walks*: it places the run's charges at their ops — static costs from
 :func:`~repro.runtime.program.walk_lane`, each fault at its object's
-first access, each twin at its first write, each first-touch charge at
-its first touch — and visits the stops in op order, giving each the
-clock the scalar loop would show there.
+first access, each twin at its first write, each non-zero first-touch
+charge at its first touch — and hands the tracking entry the run's
+stops in one call, each with the clock the scalar loop would show
+there, bounded by the next timer deadline; where that bound cuts the
+stops short the timers fire at their op, and the entry resumes.
 
 The pass reads a run's totals from :func:`~repro.runtime.program.
 lean_lane`.  A body that repeats within its program (born ``hot``)
@@ -60,9 +62,11 @@ touches and the walk read the full lane.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from itertools import accumulate, compress, filterfalse
 from operator import add, attrgetter
 
+from repro.dsm.intervals import NO_BOUND
 from repro.dsm.states import CopyRecord, RealState
 from repro.runtime.program import AccessRun, lean_lane, walk_lane
 from repro.sim.events import EventKind
@@ -72,6 +76,12 @@ _VALID = RealState.VALID
 _INVALID = RealState.INVALID
 _OBJ_ID = attrgetter("obj_id")
 _TIMER_FIRE = EventKind.TIMER_FIRE
+
+
+def _add_at(steps: list, ops: list, ns) -> None:
+    """``steps[op] += charge`` for each op of ``ops`` (distinct op
+    indices) and charge of ``ns``, at C speed."""
+    deque(map(steps.__setitem__, ops, map(add, map(steps.__getitem__, ops), ns)), 0)
 
 
 class WalkedRunMigrationError(RuntimeError):
@@ -141,16 +151,19 @@ class VectorEngine:
             "home_resident": self.home_resident,
         }
 
-    def _lanes(self, run: AccessRun, walk: bool) -> tuple:
-        """``(lane, walk columns)`` for one execution of ``run``; the
-        columns are None unless the run walks (and may be stale then).
-        A one-shot body builds them for this execution; a hot one caches
-        them per cost model."""
+    def _lanes(self, thread, run: AccessRun, pc: int, walk: bool) -> tuple:
+        """``(lane, walk columns)`` for one execution of ``run`` at op
+        ``pc`` of ``thread``'s program, whose opcode bytes a walk reads;
+        the columns are None unless the run walks (and may be stale
+        then).  A one-shot body builds them for this execution; a hot
+        one caches them per cost model."""
         costs = self.costs
         if not run.hot:
             # A one-shot body would keep a cached lane alive for nothing.
             self.runs_lean += 1
-            return walk_lane(run.ops, costs) if walk else (lean_lane(run.ops, costs), None)
+            if walk:
+                return walk_lane(run.ops, thread.program.codes[pc : pc + run.n_ops], costs)
+            return lean_lane(run.ops, costs), None
         self.runs_bulk += 1
         key = run._cost_key
         # Identity first (same engine re-executing), equality second so a
@@ -161,7 +174,8 @@ class VectorEngine:
             run._cost_key = costs
         if walk:
             if run._cols is None:
-                run._lane, run._cols = walk_lane(run.ops, costs)
+                codes = thread.program.codes[pc : pc + run.n_ops]
+                run._lane, run._cols = walk_lane(run.ops, codes, costs)
         elif run._lane is None:
             run._lane = lean_lane(run.ops, costs)
         return run._lane, run._cols
@@ -175,8 +189,8 @@ class VectorEngine:
         after each fire inside it.  Only legal under the gate of the
         module docstring."""
         hlrc = self.hlrc
-        walk = deadline > 0 or hlrc.rearming
-        (busy, compute, uniq, writes), cols = self._lanes(run, walk)
+        walk = deadline > 0 or hlrc.tracker is not None
+        (busy, compute, uniq, writes), cols = self._lanes(thread, run, pc, walk)
         node_id = thread.node_id
         copies = self._copies_by_node[node_id]
         cached = hlrc.heaps[node_id].cached
@@ -281,59 +295,80 @@ class VectorEngine:
         self, thread, run, first_op, cols, base, pc, deadline, faulted, prices, twins, touched
     ) -> int:
         """Give the run's clock stops the clock the scalar loop would
-        show there: every access of a re-armed id (its tracking entries
-        are called) and every op after which a timer deadline has
+        show there: every access of a re-armed id (the tracking entry
+        takes them) and every op after which a timer deadline has
         passed (the timers fire).  The clock after op ``k`` is ``base``
         plus the prefix sum through ``k`` of each op's static cost (the
         columns of :func:`walk_lane`; its lane's distinct objects,
         ``first_op``, map each to its first access op) and dynamic
-        charges — a fault's trap and
-        fetch at the object's first access, a twin at its first write,
-        the first-touch entries' charges at the first touch — plus what
-        earlier stops charged.  A run with no stop keeps the clock the
-        one pass left it.  Returns the deadline after the run."""
+        charges — a fault's trap and fetch at the object's first
+        access, a twin at its first write, the first-touch entries'
+        non-zero charges at the first touch — plus what earlier stops
+        and fires charged.  The stops go to the tracking entry in one
+        call bounded by the deadline (the batch contract of
+        ``ProtocolHooks``); where it stops short, the timers fire where
+        the scalar loop polls them, the stop it stopped at is taken
+        alone, and the rest follow.  A run with no stop keeps the clock
+        the one pass left it.  Returns the deadline after the run."""
         clock = thread.clock
         rearmed = thread.current_interval.rearmed
-        stops = first_op.keys() & rearmed.keys() if rearmed else ()
+        stops = not rearmed.isdisjoint(first_op)
         if not stops and (deadline < 0 or clock._now_ns < deadline):
             return deadline
         steps, acc_ops, acc_oids, first_write = cols
-        if faulted or twins or touched:
-            if run.hot:
-                steps = steps.copy()  # the cached columns stay static
-            if faulted:
-                keys, price = prices
-                for obj, key in zip(faulted, keys):
-                    steps[first_op[obj.obj_id]] += price[key]
-            for oid, ns in twins.items():  # simlint: disable=SIM003 (each adds at its own op; order cannot leak)
-                steps[first_write[oid]] += ns
-            if touched is not None and touched[1] is not None:
-                for oid, ns in zip(*touched):
-                    steps[first_op[oid]] += ns
-        after = list(accumulate(steps))  # clock after each op, less base and stops
+        if run.hot:
+            steps = steps.copy()  # the cached columns stay static
+        steps[0] += base
+        if faulted:
+            keys, price = prices
+            fault_ops = list(map(first_op.__getitem__, map(_OBJ_ID, faulted)))
+            _add_at(steps, fault_ops, map(price.__getitem__, keys))
+        if twins:
+            _add_at(steps, list(map(first_write.__getitem__, twins)), twins.values())
+        if touched is not None and touched[1] is not None:
+            ids, charges = touched
+            charged_ops = list(map(first_op.__getitem__, compress(ids, charges)))
+            _add_at(steps, charged_ops, compress(charges, charges))
+        # The clock after each op, less what stops and fires charged.
+        after = list(accumulate(steps))
         last = len(after) - 1
-        if clock._now_ns != base + after[last]:
+        if clock._now_ns != after[last]:
             raise RuntimeError(
                 "a first-touch entry charged the clock without returning its per-id charges"
             )
-        # No deadline: a bound no clock reaches.
-        bound = deadline if deadline > 0 else 1 << 62
-        off = base  # the clock less the prefix sum: base plus what stops and fires charged
+        bound = deadline if deadline > 0 else NO_BOUND
+        off = 0  # what stops and fires charged so far
         lo = 0  # first op not yet polled for a timer fire
         if stops:
-            hit = list(map(stops.__contains__, acc_oids))
+            hit = list(map(rearmed.__contains__, acc_oids))
             stop_ops = list(compress(acc_ops, hit))
+            stop_ids = list(compress(acc_oids, hit))
             self.stops += len(stop_ops)
-            for j, oid in zip(stop_ops, compress(acc_oids, hit)):
-                if after[j - 1] + off >= bound:
-                    off, bound, lo = self._fire(thread, after, off, lo, j, pc, bound)
-                clock._now_ns = after[j] + off
-                for track in rearmed[oid]:
-                    track(thread, oid)
-                off = clock._now_ns - after[j]
-                if clock._now_ns >= bound:
-                    off, bound, lo = self._fire(thread, after, off, j, j + 1, pc, bound)
+            track = self.hlrc.tracker
+            k = 0
+            while k < len(stop_ops):
+                # The stops from k on, up to the first whose clock
+                # reaches the deadline; none before it fires a timer.
+                rest = stop_ops[k:] if k else stop_ops
+                clocks = list(map(after.__getitem__, rest))
+                if off:
+                    clocks = list(map(off.__add__, clocks))
+                done, charged = track(thread, stop_ids[k:] if k else stop_ids, clocks, bound)
+                off += charged
+                if done:
+                    lo = rest[done - 1]  # polled from the last stop taken, after its charge
+                    k += done
+                    if k == len(stop_ops):
+                        break
+                # Stop k's clock has reached the deadline: the timers fire
+                # where the scalar loop polls them before it, then the
+                # stop is taken alone, then polled after.
+                j = stop_ops[k]
+                off, bound, lo = self._fire(thread, after, off, lo, j, pc, bound)
+                off += track(thread, stop_ids[k : k + 1], [after[j] + off], NO_BOUND)[1]
+                off, bound, lo = self._fire(thread, after, off, j, j + 1, pc, bound)
                 lo = j + 1
+                k += 1
         if after[last] + off >= bound:
             off, bound, lo = self._fire(thread, after, off, lo, last + 1, pc, bound)
         clock._now_ns = after[last] + off
@@ -341,7 +376,7 @@ class VectorEngine:
 
     def _fire(self, thread, after, off, lo, hi, pc, deadline) -> tuple[int, int, int]:
         """Poll the timers as the scalar loop does after each op of
-        ``[lo, hi)`` — a range no stop lies inside — at every op whose
+        ``[lo, hi)`` — a range with no stop left to take — at every op whose
         clock ``after[k] + off`` has reached the deadline, found by
         bisection: clock and ``pc`` as after that op, every timer's
         ``maybe_fire``, a ``TIMER_FIRE`` record for a positive deadline,

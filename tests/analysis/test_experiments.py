@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import experiments as E
-from repro.core.accuracy import accuracy
 from repro.sim.costs import CostModel
-from repro.workloads import GroupSharingWorkload, SORWorkload
+from repro.workloads import GroupSharingWorkload
 
 
 def group_factory():

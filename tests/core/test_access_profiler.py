@@ -1,12 +1,6 @@
 """Tests for fine-grained active correlation tracking (Section II.A)."""
 
-import pytest
-
-from repro.core.access_profiler import AccessProfiler
-from repro.core.collector import CorrelationCollector
-from repro.core.oal import OALBatch
 from repro.core.profiler import ProfilerSuite
-from repro.core.sampling import SamplingPolicy
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
 from repro.sim.costs import CostModel

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.footprint import StickySetFootprinter
 from repro.core.profiler import ProfilerSuite
 from repro.core.sampling import SamplingPolicy
-from repro.dsm.intervals import IntervalRecord
+from repro.dsm.intervals import NO_BOUND, IntervalRecord
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
 from repro.runtime.thread import SimThread
@@ -302,25 +302,30 @@ def reference_phases(accesses, start_ns, period_ns, duty):
     period_ms=st.sampled_from([None, 1.0, 2.5]),
     duty=st.sampled_from([0.3, 0.5, 1.0]),
     min_accesses=st.integers(1, 4),
+    cut=st.floats(0, 1.2),
 )
 def test_phase_bookkeeping_matches_set_of_phases_reference(
-    intervals, period_ms, duty, min_accesses
+    intervals, period_ms, duty, min_accesses, cut
 ):
     """Random (time step, object) sequences, a third of the objects
     sampled: trap count and cost, tracked ids, sticky candidates (in
     recording order) and the per-class footprint all equal what a plain
     set of phases per object gives — for every ``min_accesses``,
     including > 2, which the old ``or len(phases) >= 2`` made inert.
-    Both routes in lockstep: the keyword ``on_access`` (decide and track
-    at every access) and the plan's re-arming (decide at the interval's
-    first touch, in whatever phase, then track each re-armed access)."""
+    Three routes in lockstep: the keyword ``on_access`` (decide and track
+    at every access), the plan's re-arming (decide at the interval's
+    first touch, in whatever phase, then track each re-armed access, one
+    by one), and the same in bulk, as the one pass hands them over: the
+    interval's stops in two calls, the first bounded at ``cut`` of the
+    interval's span, the rest resumed after it with the charges the
+    first made."""
     djvm = DJVM(n_nodes=1, costs=CostModel.fast_test())
     cls = simple_class(djvm, "Obj", 128)
     objs = [djvm.allocate(cls, 0) for _ in range(N_REF_OBJECTS)]
     policy = SamplingPolicy()
     policy.set_nominal_gap(cls, REF_GAP)
     routes = []
-    for _ in ("keyword", "plan"):
+    for _ in ("keyword", "plan", "bulk"):
         fp = StickySetFootprinter(
             policy, djvm.costs, timer_period_ms=period_ms, duty=duty, min_accesses=min_accesses
         )
@@ -335,21 +340,32 @@ def test_phase_bookkeeping_matches_set_of_phases_reference(
             fp.on_interval_open(thread)
         start_ns = routes[0][1].clock.now_ns
         seen = []
+        stops: list[tuple[int, int]] = []  # the bulk route's (object, clock less charges)
         for dt, k in steps:
             obj = objs[k]
             for fp, thread in routes:
                 thread.clock.advance(dt)
-            (keyword, kthread), (plan, pthread) = routes
+            (keyword, kthread), (plan, pthread), (bulk, bthread) = routes
             seen.append((kthread.clock.now_ns, obj.obj_id, policy.is_sampled(obj)))
             keyword.on_access(
                 kthread, obj, is_write=False, n_elems=1, elem_off=0, repeat=1, real_fault=False
             )
-            interval = pthread.current_interval
-            if obj.obj_id not in interval.touched:
-                interval.touched.add(obj.obj_id)
-                plan.fast_on_access(pthread, [obj.obj_id], ())
-            for track in interval.rearmed.get(obj.obj_id, ()):
-                track(pthread, obj.obj_id)
+            for fp, thread in ((plan, pthread), (bulk, bthread)):
+                interval = thread.current_interval
+                if obj.obj_id not in interval.touched:
+                    interval.touched.add(obj.obj_id)
+                    fp.fast_on_access(thread, [obj.obj_id], ())
+            if obj.obj_id in pthread.current_interval.rearmed:
+                clock = pthread.clock.now_ns
+                plan.on_rearmed_access(pthread, (obj.obj_id,), (clock,), NO_BOUND)
+                stops.append((obj.obj_id, bthread.clock.now_ns))
+        if stops:
+            ids, clocks = map(list, zip(*stops))
+            bound = start_ns + int(cut * (clocks[-1] - start_ns))
+            done, charged = bulk.on_rearmed_access(bthread, ids, clocks, bound)
+            assert done == len(ids) or clocks[done] + charged >= bound
+            rest = [c + charged for c in clocks[done:]]
+            assert bulk.on_rearmed_access(bthread, ids[done:], rest, NO_BOUND)[0] == len(rest)
         phases = reference_phases(seen, start_ns, period_ns, duty)
         sticky = [oid for oid, ps in phases.items() if len(ps) >= min_accesses]
         expected_traps += sum(len(ps) for ps in phases.values())

@@ -4,7 +4,7 @@ property the sampling-based miner must satisfy relative to it."""
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.invariants import frame_lifetimes, mine_invariants
+from repro.core.invariants import mine_invariants
 from repro.core.stack_sampler import StackSampler
 from repro.runtime.stack import Frame
 from repro.runtime.thread import SimThread
@@ -52,16 +52,6 @@ class TestMineInvariants:
         assert mine_invariants(snaps, min_occurrences=3) == []
         with pytest.raises(ValueError):
             mine_invariants(snaps, min_occurrences=1)
-
-
-class TestFrameClassification:
-    def test_lifetimes(self):
-        snaps = [
-            snap((1, "run", {})),
-            snap((1, "run", {}), (2, "tmp", {})),
-            snap((1, "run", {})),
-        ]
-        assert frame_lifetimes(snaps) == {1: 3, 2: 1}
 
 
 class TestSamplerSoundness:

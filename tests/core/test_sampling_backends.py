@@ -528,3 +528,30 @@ def test_live_run_counts_each_decision_once(backend):
     expected = {cid: s / (s + k) for cid, (s, k) in sorted(tally.items())}
     assert len(expected) > 1 and any(0 < r < 1 for r in expected.values())
     assert policy.backend.realized_rates() == expected
+
+
+@pytest.mark.parametrize("backend", ["prime_gap", "hash", "poisson", "hybrid"])
+def test_the_footprinter_adds_no_decisions(backend):
+    """The correlation profiler and the footprinter share one decision
+    per first touch, so attaching the footprinter leaves the backend's
+    (samples, skips) totals as they are — under a stateless backend too,
+    which counts every evaluation.  ``realized_rates()`` cannot show a
+    double count: it doubles both sides of its ratio."""
+    from repro.core.profiler import ProfilerSuite
+    from repro.runtime.djvm import DJVM
+    from repro.workloads.water_spatial import WaterSpatialWorkload
+
+    def totals(footprint: bool) -> tuple[int, int]:
+        djvm = DJVM(4)
+        workload = WaterSpatialWorkload(n_molecules=192, rounds=4, n_threads=4, seed=1)
+        workload.build(djvm)
+        suite = ProfilerSuite(
+            djvm, correlation=True, footprint=footprint, sampling_backend=backend
+        )
+        suite.set_rate_all(4)
+        djvm.run(workload.programs())
+        return suite.policy.backend.totals()
+
+    alone = totals(False)
+    assert alone[0] > 0 and alone[1] > 0
+    assert totals(True) == alone

@@ -1,8 +1,6 @@
 """Integration: the online adaptive rate controller driving a windowed
 collector over a live run."""
 
-import numpy as np
-
 from repro.analysis import experiments as E
 from repro.core.adaptive import AdaptiveRateController, OfflineRateSearch
 from repro.core.profiler import ProfilerSuite

@@ -2,8 +2,6 @@
 estimation, resolution, and prefetching migration — reduces the indirect
 migration cost on a real workload."""
 
-import pytest
-
 from repro.analysis import experiments as E
 from repro.core.profiler import ProfilerSuite
 from repro.dsm.intervals import IntervalHistory

@@ -1,8 +1,6 @@
 """Integration: profiler accuracy against known ground truth, and the
 profile-to-placement pipeline."""
 
-import numpy as np
-
 from repro.analysis import experiments as E
 from repro.core.accuracy import accuracy
 from repro.placement.partition import greedy_partition, partition_quality, refine_partition

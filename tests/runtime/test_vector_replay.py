@@ -33,7 +33,9 @@ import pytest
 
 from repro.core.access_profiler import AccessProfiler
 from repro.core.adaptive import AdaptiveRateController
+from repro.core.footprint import StickySetFootprinter
 from repro.core.profiler import ProfilerSuite
+from repro.core.sampling import SamplingPolicy
 from repro.dsm.homemigration import HomeMigrationEngine
 from repro.dsm.intervals import IntervalHistory
 from repro.dsm.observer import ProtocolObserver
@@ -327,7 +329,8 @@ class RearmingHook(FastHook):
     """Re-arms the even ids it is shown, as the footprinter re-arms the
     ids it samples; its tracking entry records every access of a
     re-armed id with the clock it sees and charges a fixed cost — a stop
-    at the wrong clock shows in the record and moves every later one."""
+    at the wrong clock shows in the record and moves every later one.
+    It takes its stops one by one, as the batch contract states it."""
 
     TRACK_NS = 2_000
 
@@ -335,16 +338,23 @@ class RearmingHook(FastHook):
         super().__init__(events, tag)
         #: (thread, object, clock) per tracking call.
         self.tracked: list[tuple[int, int, int]] = []
-        self._tracking = (self.on_rearmed_access,)
 
     def fast_on_access(self, thread, ids, faulted) -> None:
         super().fast_on_access(thread, ids, faulted)
-        thread.current_interval.rearm([oid for oid in ids if oid % 2 == 0], self._tracking)
+        thread.current_interval.rearmed.update(oid for oid in ids if oid % 2 == 0)
 
-    def on_rearmed_access(self, thread, obj_id) -> None:
-        self.tracked.append((thread.thread_id, obj_id, thread.clock.now_ns))
-        thread.cpu.footprinting_ns += self.TRACK_NS
-        thread.clock._now_ns += self.TRACK_NS
+    def on_rearmed_access(self, thread, ids, clocks, bound):
+        charged = 0
+        done = 0
+        for oid, clock in zip(ids, clocks):
+            if clock + charged >= bound:
+                break
+            self.tracked.append((thread.thread_id, oid, clock + charged))
+            charged += self.TRACK_NS
+            done += 1
+        thread.cpu.footprinting_ns += charged
+        thread.clock._now_ns += charged
+        return done, charged
 
 
 class KeywordHook:
@@ -827,15 +837,140 @@ def test_clock_stops_match_scalar(seed, make_programs, config, execute_calls):
     touch included, after the first-touch charges of that access —
     whichever hook was registered first."""
     kwargs = dict(config=config, make_programs=make_programs)
+    parts = WALK_CONFIGS[config]
+    if parts.count("rearming") > 1:
+        # A run has at most one re-arming hook: its tracking entry takes
+        # a run's stops at once, so two could not interleave theirs.
+        for replay in ("vector", "scalar"):
+            with pytest.raises(ValueError, match="re-arming hook .*RearmingHook"):
+                run_walked(seed, replay, **kwargs)
+        return
     vector, routing = run_walked(seed, "vector", **kwargs)
     scalar, _ = run_walked(seed, "scalar", **kwargs)
     assert vector == scalar
     assert execute_calls
-    parts = WALK_CONFIGS[config]
     assert (routing["stops"] > 0) == ("rearming" in parts)
     if "timer" in parts:
         assert routing["timer_fires"] > 0
         assert vector[4]
+
+
+# -- the bulk tracking contract at its edges --------------------------------
+#
+# The one pass hands the tracking entry a run's stops in one call,
+# bounded by the next timer deadline.  A deadline placed from a scalar
+# dry run's clocks lands exactly where each edge case needs it.
+
+
+class OnceTimer:
+    """Fires once, on thread 0, at the first op boundary whose clock has
+    reached ``deadline``: records (clock, pc) and charges a fixed cost."""
+
+    COST_NS = 7_000
+
+    def __init__(self, deadline: int) -> None:
+        self.deadline = deadline
+        self.events: list[tuple[int, int]] = []
+
+    def next_fire_ns(self, thread) -> int:
+        return self.deadline if thread.thread_id == 0 and not self.events else 1 << 62
+
+    def maybe_fire(self, thread) -> None:
+        if thread.thread_id == 0 and not self.events and thread.clock.now_ns >= self.deadline:
+            self.events.append((thread.clock.now_ns, thread.pc))
+            thread.cpu.stack_sampling_ns += self.COST_NS
+            thread.clock.advance(self.COST_NS)
+
+
+def one_run_programs(body: list) -> dict[int, list]:
+    """Thread 0 runs ``body`` as one access run; the others idle."""
+    idle = [P.call("main", 2), P.ret()]
+    programs = {0: [P.call("main", 2), *body, P.ret()]}
+    programs.update((t, list(idle)) for t in range(1, N_THREADS))
+    return programs
+
+
+def run_once_timed(replay, body_of, deadline, hook_cls=RearmingHook) -> tuple:
+    """What a one-run program leaves behind under ``hook_cls`` and a
+    :class:`OnceTimer` at ``deadline`` (None: no timer)."""
+    djvm, obj_ids = build_djvm(replay=replay)
+    hook = hook_cls()
+    djvm.add_hook(hook)
+    timer = None
+    if deadline is not None:
+        timer = OnceTimer(deadline)
+        djvm.add_timer(timer)
+    res = djvm.run(one_run_programs(body_of(obj_ids)))
+    left = (run_fingerprint(djvm, res), hook.tracked, timer and timer.events)
+    return left, djvm.replay_routing
+
+
+def even_odd_reads(obj_ids) -> list:
+    """Reads alternating re-armed (even) and plain (odd) ids."""
+    evens = [oid for oid in obj_ids if oid % 2 == 0][:6]
+    odds = [oid for oid in obj_ids if oid % 2][:6]
+    return [P.read(oid) for pair in zip(evens, odds) for oid in pair]
+
+
+def stop_clocks() -> list[int]:
+    """The clock each stop of :func:`even_odd_reads` sees, timer-free."""
+    (_, tracked, _), _ = run_once_timed("scalar", even_odd_reads, None)
+    return [clock for tid, _, clock in tracked if tid == 0]
+
+
+@pytest.mark.parametrize("case", ["charge_crosses", "between_stops"])
+def test_a_deadline_inside_one_tracking_window_matches_scalar(case, execute_calls):
+    """``charge_crosses``: the deadline lies inside the third stop's own
+    tracking charge, so the timer fires right after that stop, its charge
+    taken.  ``between_stops``: it lies between the third stop's charged
+    clock and the fourth stop, so the timer fires at the plain access in
+    between.  Either way the one pass's window is cut there, and the
+    stops, the fire's clock and pc, and the run equal the scalar loop's."""
+    clocks = stop_clocks()
+    track_ns = RearmingHook.TRACK_NS
+    deadline = clocks[2] + 1 if case == "charge_crosses" else clocks[2] + track_ns + 1
+    assert deadline < clocks[3] + 2 * track_ns
+    vector, routing = run_once_timed("vector", even_odd_reads, deadline)
+    scalar, _ = run_once_timed("scalar", even_odd_reads, deadline)
+    assert vector == scalar
+    assert routing["stops"] == len(clocks) and routing["timer_fires"] == 1
+    (fire_clock, fire_pc), = vector[2]
+    # op 0 is the CALL, read k is op k + 1: the fire follows the third
+    # stop (read 5) or the plain read after it (read 6).
+    assert fire_pc == (6 if case == "charge_crosses" else 7)
+    assert fire_clock >= deadline
+    assert len(execute_calls) == 1
+
+
+def test_a_phase_repeat_inside_one_tracking_window_matches_scalar(execute_calls):
+    """Re-reading an object within the same 1 ms phase repeats its phase:
+    that stop traps nothing, so the footprinter's bulk window cannot
+    assume every stop traps and takes the exact loop — with the same
+    tracked count, clock and footprints as the scalar loop."""
+
+    def reread(obj_ids) -> list:
+        a, b, c = obj_ids[:3]
+        ops = [P.read(a), P.read(b), P.read(a), P.read(c), P.compute(2_000_000)]
+        return [*ops, P.read(a), P.read(b)]
+
+    outcomes = {}
+    for replay in ("vector", "scalar"):
+        djvm, obj_ids = build_djvm(replay=replay)
+        fp = StickySetFootprinter(SamplingPolicy(), djvm.costs)  # every class at gap 1
+        fp.attach_gos(djvm.gos)
+        djvm.add_hook(fp)
+        res = djvm.run(one_run_programs(reread(obj_ids)))
+        outcomes[replay] = (
+            run_fingerprint(djvm, res),
+            fp.tracked_accesses,
+            fp.interval_footprints,
+            fp.interval_tracked,
+            djvm.replay_routing.get("stops"),
+        )
+    assert outcomes["vector"][:4] == outcomes["scalar"][:4]
+    # Six stops; the second read of ``a`` repeats its phase.
+    assert outcomes["vector"][1:] == (5, *outcomes["vector"][2:4], 6)
+    assert len(execute_calls) == 1
 
 
 # -- first-touch hooks ride the one pass ---------------------------------

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis import experiments as E
 from repro.core.profiler import ProfilerSuite
 from repro.runtime.djvm import DJVM
 from repro.sim.costs import CostModel
