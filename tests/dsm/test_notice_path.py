@@ -14,20 +14,33 @@ Beside it runs a reference GOS (:class:`ReferenceGOS`): one version
 history per object, advanced by each closing interval's writes as the
 program states them, with no caches, twins or diffs.  On data-race-free
 programs every read must see the version that history holds.
+
+The reference also keeps a running cost per thread, priced straight
+from the :class:`~repro.sim.costs.CostModel` and the network's
+latency, bandwidth and topology constants (:class:`Prices`): each op's
+access and compute, and for each fault a trap plus a request and a
+reply.  Between opening an interval and closing it a thread only runs
+its ops, so its clock must move by exactly what the reference prices
+them at, and every re-armed access must see the reference's clock.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dsm.hlrc import FETCH_REPLY_OVERHEAD, FETCH_REQ_BYTES
 from repro.dsm.homemigration import HomeMigrationEngine
 from repro.dsm.states import RealState
 from repro.runtime import program as P
+from repro.sim.network import NS_PER_S, Network, RackTopology
 from tests.runtime.test_vector_replay import (
     HOOK_CONFIGS,
+    ChargingHook,
+    RearmingHook,
     build_djvm,
     compile_hot,
     random_programs,
@@ -58,8 +71,9 @@ class Rehome:
         self.engine = HomeMigrationEngine(hlrc)
         self.moves = moves
         self.closes = 0
-        #: ids re-homed so far, in order (a re-homing publishes a notice).
-        self.rehomed: list[int] = []
+        #: (id, new home) of each re-homing so far, in order (a re-homing
+        #: publishes a notice).
+        self.rehomed: list[tuple[int, int]] = []
 
     def on_interval_open(self, thread) -> None:
         pass
@@ -78,7 +92,7 @@ class Rehome:
             obj_id, node = move
             obj = self.hlrc.gos.get(obj_id)
             if obj.home_node != node:
-                self.rehomed.append(obj_id)
+                self.rehomed.append((obj_id, node))
             self.engine.migrate_home(obj, node)
             check_cached_index(self.hlrc)
 
@@ -204,16 +218,77 @@ def race_free(programs: dict[int, list], obj_ids: list[int]) -> dict[int, list]:
     return out
 
 
-def program_intervals(ops: list) -> list[tuple[set[int], set[int]]]:
-    """(objects read, objects written) of each interval of one thread's
-    program, in order: a sync op closes one, and so does the end."""
-    intervals = [(set(), set())]
+def program_intervals(ops: list) -> list[tuple[set[int], set[int], list]]:
+    """(objects read, objects written, ops) of each interval of one
+    thread's program, in order: a sync op closes one, and so does the
+    end."""
+    intervals = [(set(), set(), [])]
     for op in ops:
         if op[0] in _SYNC:
-            intervals.append((set(), set()))
-        elif op[0] in _ACCESS:
-            intervals[-1][op[0]].add(op[1])
+            intervals.append((set(), set(), []))
+        else:
+            intervals[-1][2].append(op)
+            if op[0] in _ACCESS:
+                intervals[-1][op[0]].add(op[1])
     return intervals
+
+
+#: a bandwidth at which a byte takes no whole number of nanoseconds, so
+#: truncating a sum of message times instead of each one shows.
+ODD_BANDWIDTH = 11.7e6
+
+#: the replay configurations, plus one whose messages do not price to
+#: whole nanoseconds.
+PRICE_CONFIGS = {
+    **HOOK_CONFIGS,
+    "odd_bandwidth": lambda: {"network": Network(bandwidth_bytes_per_s=ODD_BANDWIDTH)},
+}
+
+
+class Prices:
+    """What each op costs, straight from the :class:`~repro.sim.costs.
+    CostModel` and the network's constants (flat latency, bandwidth,
+    header, and a :class:`RackTopology`'s rack size and hop latencies),
+    never from ``fetch_wait_ns`` or ``Network.message_ns``: an access's
+    busy time per repeat, a compute's scaled time, a frame push or pop,
+    a fault's trap plus request plus reply (each message serialized
+    whole, truncated to nanoseconds on its own), a twin per byte, and
+    what the test hooks charge — a :class:`ChargingHook` at each first
+    touch, a :class:`RearmingHook` at each re-armed access."""
+
+    def __init__(self, djvm, *, charging: bool, rearming: bool) -> None:
+        self.costs = djvm.costs
+        self.network = djvm.hlrc.network
+        self.busy = self.costs.state_check_ns + self.costs.access_ns
+        self.size = {}
+        for obj in djvm.gos:
+            cls = obj.jclass
+            self.size[obj.obj_id] = cls.instance_size + cls.is_array * obj.length * cls.element_size
+        self.charging = charging
+        self.rearming = rearming
+
+    def latency(self, src: int, dst: int) -> int:
+        topology = self.network.topology
+        if topology is None:
+            return self.network.latency_ns
+        assert type(topology) is RackTopology
+        if src // topology.rack_size == dst // topology.rack_size:
+            return topology.intra_ns
+        return topology.cross_ns
+
+    def message(self, payload: int, src: int, dst: int) -> int:
+        serialized = (payload + self.network.header_bytes) / self.network.bandwidth_bytes_per_s
+        return self.latency(src, dst) + int(serialized * NS_PER_S)
+
+    def fault(self, node: int, home: int, obj_id: int) -> int:
+        request = self.message(FETCH_REQ_BYTES, node, home)
+        reply = self.message(self.size[obj_id] + FETCH_REPLY_OVERHEAD, home, node)
+        return self.costs.gos_trap_ns + request + reply
+
+
+#: a node's copy of an object that is its home copy (a cache copy holds
+#: the version it was fetched at, a stale or missing one None).
+HOME_COPY = "home"
 
 
 class ReferenceGOS:
@@ -222,13 +297,28 @@ class ReferenceGOS:
     close order.  A re-homing publishes a version with the data of the
     one before, so it repeats that writer (None: the initial value).
     What each interval reads and writes comes from the program, not from
-    the engine."""
+    the engine.
 
-    def __init__(self, programs: dict[int, list]) -> None:
+    Priced (``prices``), it also runs each interval's ops in program
+    order when the interval closes — a thread runs them all between
+    opening and closing it, with nothing else running — and keeps a
+    running cost per thread.  Which accesses fault follows from a plain
+    per-node copy table: a home copy never faults, a missing or stale
+    cache copy does and is then current, and a node applying notices
+    makes stale every cache copy fetched before its object's latest
+    version."""
+
+    def __init__(self, programs: dict[int, list], homes=None, prices=None) -> None:
         self.intervals = {tid: program_intervals(ops) for tid, ops in programs.items()}
         self.history: dict[int, list[tuple[int, int]]] = {}
         self.closed: Counter = Counter()
         self.reads_checked = 0
+        #: each object's home node, and each node's copies (see HOME_COPY).
+        self.home = dict(homes or {})
+        self.held: dict[int, dict] = {}
+        self.prices = prices
+        #: the running cost per thread: what its intervals' ops cost.
+        self.spent: Counter = Counter()
 
     def version(self, obj_id: int) -> int:
         return len(self.history.get(obj_id, ()))
@@ -240,13 +330,77 @@ class ReferenceGOS:
     def reads(self, tid: int) -> set[int]:
         return self.intervals[tid][self.closed[tid]][P.OP_READ]
 
-    def close(self, tid: int, rehomed=()) -> None:
-        """``tid`` closed its next interval, whose close hooks re-homed
-        ``rehomed``."""
+    def price(self, tid: int, node: int, clock: int) -> tuple[int, list[tuple[int, int]]]:
+        """Run ``tid``'s open interval on ``node`` from ``clock``: the
+        clock after its last op, and (object, clock) at each re-armed
+        access, before its tracking charge.  Within an op the scalar
+        loop's order holds: busy time, fault, twin (first write of an
+        interval to a cache copy), first-touch charge, stop."""
+        p = self.prices
+        costs = p.costs
+        held = self.held.setdefault(node, {})
+        touched: set[int] = set()
+        twinned: set[int] = set()
+        stops = []
+        start = clock
+        for op in self.intervals[tid][self.closed[tid]][2]:
+            code = op[0]
+            if code == P.OP_COMPUTE:
+                clock += int(op[1] * costs.compute_scale)
+            elif code == P.OP_CALL:
+                clock += costs.frame_push_ns
+            elif code == P.OP_RET:
+                clock += costs.frame_pop_ns
+            else:
+                assert code in _ACCESS, f"no price for opcode {code}"
+                obj_id = op[1]
+                home = self.home[obj_id]
+                clock += p.busy * op[3]
+                faulted = False
+                if home == node:
+                    held[obj_id] = HOME_COPY
+                elif held.get(obj_id) is None:
+                    held[obj_id] = self.version(obj_id)
+                    clock += p.fault(node, home, obj_id)
+                    faulted = True
+                if code == P.OP_WRITE and home != node and obj_id not in twinned:
+                    twinned.add(obj_id)
+                    clock += p.size[obj_id] * costs.twin_ns_per_byte
+                if obj_id not in touched:
+                    touched.add(obj_id)
+                    if p.charging:
+                        clock += ChargingHook.CHARGE_NS * (1 + (not faulted))
+                if p.rearming and obj_id % 2 == 0:
+                    stops.append((obj_id, clock))
+                    clock += RearmingHook.TRACK_NS
+        self.spent[tid] += clock - start
+        return clock, stops
+
+    def apply(self, node: int) -> None:
+        """``node`` applies every notice published so far."""
+        held = self.held.setdefault(node, {})
+        for obj_id, fetched in held.items():
+            if fetched not in (None, HOME_COPY) and fetched < self.version(obj_id):
+                held[obj_id] = None
+
+    def close(self, tid: int, node: int, rehomed=()) -> None:
+        """``tid`` closed its next interval on ``node``, whose close hooks
+        re-homed ``rehomed`` ((object, new home) pairs).  A cache copy
+        the interval wrote holds the version its diff made; the old
+        home's copy, if it has one, becomes a cache copy of the version
+        before the re-homing's."""
         k = self.closed[tid]
+        held = self.held.setdefault(node, {})
         for obj_id in sorted(self.intervals[tid][k][P.OP_WRITE]):
             self.history.setdefault(obj_id, []).append((tid, k))
-        for obj_id in rehomed:
+            if held.get(obj_id) not in (None, HOME_COPY):
+                held[obj_id] = self.version(obj_id)
+        for obj_id, node in rehomed:
+            old = self.held.setdefault(self.home[obj_id], {})
+            if old.get(obj_id) == HOME_COPY:
+                old[obj_id] = self.version(obj_id)
+            self.held.setdefault(node, {})[obj_id] = HOME_COPY
+            self.home[obj_id] = node
             writer = self.writer(obj_id, self.version(obj_id))
             self.history.setdefault(obj_id, []).append(writer)
         self.closed[tid] += 1
@@ -264,15 +418,24 @@ def version_seen(hlrc, node_id: int, obj_id: int) -> int:
     return record.fetched_version
 
 
-def checked_sync(hlrc, reference: ReferenceGOS, rehome: Rehome) -> None:
-    """Wrap the engine's close and notice application.  Before a close,
-    every object the closing interval read must show, on the thread's
-    node, a version by the writer of the reference's latest; after it,
-    the reference takes the interval's writes and the re-homings its
-    close made.  After an application, every valid cache copy on the
-    node — what any read there would see — must do the same."""
+def checked_sync(hlrc, reference: ReferenceGOS, rehome: Rehome, tracker=None) -> None:
+    """Wrap the engine's interval open and close and its notice
+    application.  Before a close, every object the closing interval read
+    must show, on the thread's node, a version by the writer of the
+    reference's latest; after it, the reference takes the interval's
+    writes and the re-homings its close made.  After an application,
+    every valid cache copy on the node — what any read there would see —
+    must do the same.
+
+    Prices: at a close, the thread's clock must equal its clock when the
+    interval opened plus what the reference prices the interval's ops
+    at, and ``tracker`` (a :class:`RearmingHook`), if given, must have
+    seen the reference's clock at each of the interval's stops."""
+    real_open = hlrc.open_interval
     real_close = hlrc.close_interval
     real_apply = hlrc.apply_notices
+    opened: dict[int, int] = {}
+    stops_seen: Counter = Counter()
 
     def check(thread, obj_ids, what: str) -> None:
         for obj_id in obj_ids:
@@ -284,40 +447,72 @@ def checked_sync(hlrc, reference: ReferenceGOS, rehome: Rehome) -> None:
             )
             reference.reads_checked += 1
 
+    def check_price(thread) -> None:
+        tid = thread.thread_id
+        clock, stops = reference.price(tid, thread.node_id, opened[tid])
+        where = f"thread {tid} interval {reference.closed[tid]}"
+        assert thread.clock.now_ns == clock, (
+            f"{where} closes at {thread.clock.now_ns} ns; the reference prices it at {clock}"
+        )
+        if tracker is not None:
+            mine = [(oid, ns) for t, oid, ns in tracker.tracked if t == tid]
+            assert mine[stops_seen[tid] :] == stops, f"{where}: stops at the wrong clock"
+            stops_seen[tid] = len(mine)
+
+    def open_interval(thread) -> None:
+        real_open(thread)
+        opened[thread.thread_id] = thread.clock.now_ns
+
     def close(thread, reason, sync_dst=None):
         tid = thread.thread_id
         check(thread, sorted(reference.reads(tid)), f"interval {reference.closed[tid]} read")
+        check_price(thread)
         moved = len(rehome.rehomed)
         interval = real_close(thread, reason, sync_dst)
-        reference.close(tid, rehome.rehomed[moved:])
+        reference.close(tid, thread.node_id, rehome.rehomed[moved:])
         return interval
 
     def apply(thread):
         n_new = real_apply(thread)
+        reference.apply(thread.node_id)
         copies = hlrc.heaps[thread.node_id].copies
         valid = [oid for oid in sorted(copies) if copies[oid].real_state is RealState.VALID]
         check(thread, valid, "holds a valid copy of")
         return n_new
 
+    hlrc.open_interval = open_interval
     hlrc.close_interval = close
     hlrc.apply_notices = apply
 
 
-def run_beside_reference(seed, maker, replay, config, homes, hot, moves) -> None:
+def run_beside_reference(
+    seed, maker, replay, config, homes, hot, moves, *, charging=False, rearming=False
+) -> dict[str, int]:
     """One race-free program under HLRC and the reference, with a close
-    hook re-homing ``moves`` ({close: (object index, node)})."""
-    djvm, obj_ids = build_djvm(replay=replay, homes=homes, **HOOK_CONFIGS[config]())
+    hook re-homing ``moves`` ({close: (object index, node)}) and, when
+    asked, a :class:`ChargingHook` and a :class:`RearmingHook` after it.
+    Returns the run's replay routing."""
+    djvm, obj_ids = build_djvm(replay=replay, homes=homes, **PRICE_CONFIGS[config]())
     hlrc = djvm.hlrc
     programs = race_free(MAKERS[maker](seed, obj_ids), obj_ids)
     rehome = Rehome(hlrc, {k: (obj_ids[i], node) for k, (i, node) in moves.items()})
     djvm.add_hook(rehome)
-    reference = ReferenceGOS(programs)
-    checked_sync(hlrc, reference, rehome)
+    if charging:
+        djvm.add_hook(ChargingHook())
+    tracker = RearmingHook() if rearming else None
+    if tracker is not None:
+        djvm.add_hook(tracker)
+    homes_at_start = {obj.obj_id: obj.home_node for obj in hlrc.gos}
+    prices = Prices(djvm, charging=charging, rearming=rearming)
+    reference = ReferenceGOS(programs, homes_at_start, prices)
+    checked_sync(hlrc, reference, rehome, tracker)
     djvm.run(compile_hot(programs) if hot else programs)
     assert reference.reads_checked > 0
     assert reference.closed == {tid: len(iv) for tid, iv in reference.intervals.items()}
+    assert all(reference.spent[tid] > 0 for tid in reference.intervals)
     for obj in hlrc.gos:
         assert obj.home_version == reference.version(obj.obj_id)
+    return djvm.replay_routing
 
 
 MOVES = st.dictionaries(
@@ -330,24 +525,25 @@ MOVES = st.dictionaries(
     seed=st.integers(0, 10_000),
     maker=st.sampled_from(sorted(MAKERS)),
     replay=st.sampled_from(["scalar", "vector"]),
-    config=st.sampled_from(sorted(HOOK_CONFIGS)),
+    config=st.sampled_from(sorted(PRICE_CONFIGS)),
     homes=st.sampled_from(["cyclic", "block"]),
     hot=st.booleans(),
     moves=MOVES,
 )
 def test_every_read_sees_the_reference_version(seed, maker, replay, config, homes, hot, moves):
     """Data-race-free programs with lock pairs and re-homed objects, on
-    flat, rack and scaled-compute configurations, both routes: every
-    read sees the version the reference history holds, every interval
-    closes once in each model, and every home version equals its
-    object's history length."""
+    flat, rack, scaled-compute and odd-bandwidth configurations, both
+    routes: every read sees the version the reference history holds,
+    every interval closes once in each model, every home version equals
+    its object's history length, and every interval costs what the
+    reference prices it at."""
     run_beside_reference(seed, maker, replay, config, homes, hot, moves)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
-    config=st.sampled_from(sorted(HOOK_CONFIGS)),
+    config=st.sampled_from(sorted(PRICE_CONFIGS)),
     homes=st.sampled_from(["cyclic", "block"]),
     moves=MOVES,
 )
@@ -358,3 +554,59 @@ def test_hot_bodies_revisited_after_rehoming_see_the_reference_version(
     repeat, on cached lanes, revisit their nodes after objects they
     touch were re-homed."""
     run_beside_reference(seed, "repeating", "vector", config, homes, True, moves)
+
+
+# -- the reference GOS: prices -------------------------------------------
+#
+# The clock of each thread against the reference's running cost, with a
+# first-touch hook charging the clock at every first touch (more for one
+# that did not fault) and, walked, a re-arming hook whose stops must see
+# the reference's clock.  The routes: the scalar loop; the one pass on
+# cached lanes (every body pre-marked hot) or on transient lean ones (a
+# fresh compile: only bodies that repeat are hot); and the walk to the
+# re-armed accesses, on either.
+
+ROUTES = {
+    "scalar": ("scalar", True, False),
+    "cached": ("vector", True, False),
+    "lean": ("vector", False, False),
+    "walked": ("vector", True, True),
+    "walked_lean": ("vector", False, True),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    maker=st.sampled_from(sorted(MAKERS)),
+    route=st.sampled_from(sorted(ROUTES)),
+    config=st.sampled_from(sorted(PRICE_CONFIGS)),
+    homes=st.sampled_from(["cyclic", "block"]),
+    moves=MOVES,
+)
+def test_thread_clocks_match_the_reference_prices(seed, maker, route, config, homes, moves):
+    """Every interval of every thread moves its clock by exactly what the
+    reference prices its ops at, and every re-armed access sees the
+    reference's clock: faults at their trap, request and reply (their
+    arrays' payload included, each message truncated on its own),
+    first-touch charges at their first touch, stops at their op."""
+    replay, hot, rearming = ROUTES[route]
+    run_beside_reference(
+        seed, maker, replay, config, homes, hot, moves, charging=True, rearming=rearming
+    )
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("config", sorted(PRICE_CONFIGS))
+def test_each_route_is_priced(route, config):
+    """Each route of the price test takes the path it names — lean lanes,
+    cached lanes, walked stops — under every configuration."""
+    replay, hot, rearming = ROUTES[route]
+    routing = run_beside_reference(
+        2, "repeating", replay, config, "cyclic", hot, {3: (1, 2), 9: (30, 0)},
+        charging=True, rearming=rearming,
+    )
+    if replay == "vector":
+        assert routing["faults_batched"] > 0 and routing["first_touches"] > 0
+        assert routing["bulk" if hot else "lean"] > 0
+        assert (routing["stops"] > 0) == rearming
