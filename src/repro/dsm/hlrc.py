@@ -37,7 +37,6 @@ with the smallest simulated clock.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain, count
 from operator import attrgetter
 from typing import Protocol
@@ -135,8 +134,8 @@ _HOME = RealState.HOME
 _VALID = RealState.VALID
 _INVALID = RealState.INVALID
 
-#: what fixes a fault's price: home node, class and array length (the
-#: object's size follows from the last two).
+#: what fixes a fault's price at a node: home node, class and array
+#: length (the payload follows from the last two).
 _FAULT_KEY = attrgetter("home_node", "jclass.class_id", "length")
 
 #: process-wide source of home epochs (see :attr:`HomeBasedLRC.home_epoch`).
@@ -182,6 +181,11 @@ class HomeBasedLRC:
         self._objects = gos._objects
         self._copies_by_node = {nid: heap.copies for nid, heap in sorted(self.heaps.items())}
         self._access_busy_ns = self.costs.state_check_ns + self.costs.access_ns
+        #: the fault price table (see :meth:`charge_faults`): per node,
+        #: trap plus fetch wait by :data:`_FAULT_KEY`, and each key's
+        #: reply payload.
+        self._fault_ns: dict[int, dict[tuple, int]] = {nid: {} for nid in self.heaps}
+        self._reply_bytes: dict[tuple, int] = {}
         #: the placement of homes, as a tag: drawn from a process-wide
         #: counter here and at every re-homing (:meth:`new_home_epoch`),
         #: so no two engines, and no two placements of one engine, share
@@ -416,42 +420,47 @@ class HomeBasedLRC:
             or self.prefetcher is not None
         )
 
-    def charge_faults(self, thread, faulted: list[HeapObject]) -> tuple[list, dict]:
+    def charge_faults(self, thread, faulted: list[HeapObject]) -> list[int]:
         """Charge ``faulted`` remote faults of ``thread`` at once — the
         trap, request and reply of each, as :meth:`_fault_remote` would
         one by one — to the clock, the CPU buckets, ``hlrc_faults_total``
         and the traffic counters.  The caller has already created or
         refreshed the copies.  Only legal under :meth:`unobserved`.
 
-        Faults are grouped by (home, class, length): each group's
-        per-fault price is one :func:`fetch_wait_ns` (integer-truncated
-        per message, never per sum), times its count.  Returns each
-        fault's group key (parallel to ``faulted``) and each group's
-        clock charge per fault (trap plus wait), for a caller that
-        places the faults at their ops."""
-        n = len(faulted)
+        Each fault is priced from the engine's table: per node, trap plus
+        fetch wait by (home, class, array length), filled from
+        :func:`fetch_wait_ns` (integer-truncated per message, never per
+        sum) the first time a key is seen, and never stale — a price
+        depends only on the key and the frozen cost model and network.
+        The batch then costs the sum of its faults' prices, at C speed.
+        Returns each fault's clock charge (trap plus wait), parallel to
+        ``faulted``, for a caller that places the faults at their ops."""
         node_id = thread.node_id
-        network = self.network
-        trap_ns = self.costs.gos_trap_ns
         keys = list(map(_FAULT_KEY, faulted))
-        sample = dict(zip(keys, faulted))
-        prices = {}
-        wait = reply_bytes = 0
-        for key, count in Counter(keys).items():  # simlint: disable=SIM003 (integer sums; order cannot leak)
-            size = sample[key].size_bytes
-            fetch = fetch_wait_ns(network, size, node_id, key[0])
-            prices[key] = trap_ns + fetch
-            wait += count * fetch
-            reply_bytes += count * (size + FETCH_REPLY_OVERHEAD)
-        trap = n * trap_ns
+        table = self._fault_ns[node_id]
+        try:
+            prices = list(map(table.__getitem__, keys))
+        except KeyError:
+            trap_ns = self.costs.gos_trap_ns
+            for key, obj in zip(keys, faulted):
+                if key not in table:
+                    size = obj.size_bytes
+                    table[key] = trap_ns + fetch_wait_ns(self.network, size, node_id, key[0])
+                    self._reply_bytes[key] = size + FETCH_REPLY_OVERHEAD
+            prices = list(map(table.__getitem__, keys))
+        n = len(faulted)
+        charge = sum(prices)
+        trap = n * self.costs.gos_trap_ns
         thread.cpu.protocol_ns += trap
-        thread.cpu.network_wait_ns += wait
-        thread.clock._now_ns += trap + wait
-        stats = network.stats
+        thread.cpu.network_wait_ns += charge - trap
+        thread.clock._now_ns += charge
+        stats = self.network.stats
         stats.record_bulk(MessageKind.OBJECT_FETCH_REQ, n, n * FETCH_REQ_BYTES)
-        stats.record_bulk(MessageKind.OBJECT_FETCH_DATA, n, reply_bytes)
+        stats.record_bulk(
+            MessageKind.OBJECT_FETCH_DATA, n, sum(map(self._reply_bytes.__getitem__, keys))
+        )
         self._c_faults.inc(n)
-        return keys, prices
+        return prices
 
     # ------------------------------------------------------------------
     # access fast path

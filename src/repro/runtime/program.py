@@ -131,18 +131,20 @@ class AccessRun:
         self._splits = None
 
 
-def lean_lane(ops: tuple, costs) -> tuple[int, int, dict, tuple[list, list, list]]:
+def lean_lane(ops: tuple, codes: bytes, costs) -> tuple[int, int, list, tuple[list, list, list]]:
     """A run body's totals, built at C speed — everything the vector
-    engine's one pass reads: ``(access busy ns, compute ns, distinct
-    object ids in first-touch order, (written object ids, written
+    engine's one pass reads: ``(access busy ns, compute ns, the object
+    id of each access in op order, (written object ids, written
     elements, write ops))``, the written lanes parallel and in
-    first-write order.  The caller must not mutate it (a hot
-    :class:`AccessRun` caches it).
+    first-write order.  The ids keep their repeats: probing a copy and
+    booking a first touch are idempotent, so the engine dedupes only
+    where it hands ids on.  ``codes`` are the ops' opcode bytes (a slice of
+    the compiled program's).  The caller must not mutate the result (a
+    hot :class:`AccessRun` caches it).
 
     Compute is summed exactly as the scalar loop charges it op by op:
     the raw value on a unity scale (all non-negative ints), else
     :meth:`~repro.sim.costs.CostModel.scaled_compute` per op."""
-    codes = bytes(map(_OPCODE, ops))
     accesses = list(compress(ops, codes.translate(_ACCESS_MASK)))
     busy = (costs.state_check_ns + costs.access_ns) * sum(map(_REPEAT, accesses))
     compute = 0
@@ -154,8 +156,7 @@ def lean_lane(ops: tuple, costs) -> tuple[int, int, dict, tuple[list, list, list
             raw = type(compute) is int and min(values) >= 0
         if not raw:
             compute = sum(map(costs.scaled_compute, values))
-    uniq = dict.fromkeys(map(_ARG, accesses))
-    return busy, compute, uniq, _write_lanes(ops, codes)
+    return busy, compute, list(map(_ARG, accesses)), _write_lanes(ops, codes)
 
 
 def _write_lanes(ops: tuple, codes: bytes) -> tuple[list, list, list]:

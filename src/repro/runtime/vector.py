@@ -161,9 +161,10 @@ class VectorEngine:
         if not run.hot:
             # A one-shot body would keep a cached lane alive for nothing.
             self.runs_lean += 1
+            codes = thread.program.codes[pc : pc + run.n_ops]
             if walk:
-                return walk_lane(run.ops, thread.program.codes[pc : pc + run.n_ops], costs)
-            return lean_lane(run.ops, costs), None
+                return walk_lane(run.ops, codes, costs)
+            return lean_lane(run.ops, codes, costs), None
         self.runs_bulk += 1
         key = run._cost_key
         # Identity first (same engine re-executing), equality second so a
@@ -177,7 +178,7 @@ class VectorEngine:
                 codes = thread.program.codes[pc : pc + run.n_ops]
                 run._lane, run._cols = walk_lane(run.ops, codes, costs)
         elif run._lane is None:
-            run._lane = lean_lane(run.ops, costs)
+            run._lane = lean_lane(run.ops, thread.program.codes[pc : pc + run.n_ops], costs)
         return run._lane, run._cols
 
     def execute(self, thread, run: AccessRun, pc: int, deadline: int) -> int:
@@ -190,20 +191,21 @@ class VectorEngine:
         module docstring."""
         hlrc = self.hlrc
         walk = deadline > 0 or hlrc.tracker is not None
-        (busy, compute, uniq, writes), cols = self._lanes(thread, run, pc, walk)
+        (busy, compute, ids, writes), cols = self._lanes(thread, run, pc, walk)
         node_id = thread.node_id
         copies = self._copies_by_node[node_id]
         cached = hlrc.heaps[node_id].cached
         objects = self._objects
         get = copies.get
         w_all = writes[0]
-        probe = uniq
+        probe = ids
         splits = run._splits
         split = splits.get(node_id) if splits else None
         stale = split is None or split[0] != hlrc.home_epoch
         if not stale:
-            _, probe, writes = split
-            self.home_resident += len(uniq) - len(probe)
+            _, probe, writes, resident = split
+            self.home_resident += resident
+        # An id's second probe finds the copy its first one left current.
         faulted = []
         for oid in probe:
             record = get(oid)
@@ -224,7 +226,7 @@ class VectorEngine:
         if stale and run.hot:
             if splits is None:
                 splits = run._splits = {}
-            splits[node_id] = self._split(hlrc.home_epoch, copies, uniq, writes)
+            splits[node_id] = self._split(hlrc.home_epoch, copies, ids, writes)
         clock = thread.clock
         base = clock._now_ns
         twins = {} if walk else None
@@ -242,35 +244,38 @@ class VectorEngine:
             prices = hlrc.charge_faults(thread, faulted)
             self.faults_batched += len(faulted)
         hooks = hlrc._on_first_touch
-        touched = self._first_touches(thread, uniq, faulted, hooks) if hooks else None
+        touched = self._first_touches(thread, ids, faulted, hooks) if hooks else None
         if walk:
             deadline = self._walk(
-                thread, run, uniq, cols, base, pc, deadline, faulted, prices, twins, touched
+                thread, run, ids, cols, base, pc, deadline, faulted, prices, twins, touched
             )
         return deadline
 
     @staticmethod
-    def _split(epoch: int, copies: dict, uniq, writes: tuple) -> tuple:
+    def _split(epoch: int, copies: dict, ids, writes: tuple) -> tuple:
         """The home-resident split of a hot run just fully probed on the
         node whose copies are ``copies``: ``(epoch, ids to probe, their
-        write lanes)`` — the ids whose copy there is no ``HOME`` copy,
-        in first-touch order, and the write lanes filtered to them.  A
-        run with no home id keeps its full lane."""
-        foreign = [oid for oid in uniq if copies[oid].real_state is not _HOME]
-        if len(foreign) == len(uniq):
-            return epoch, uniq, writes
+        write lanes, how many ids that skips)`` — the distinct ids whose
+        copy there is no ``HOME`` copy, in first-touch order, and the
+        write lanes filtered to them.  A run with no home id keeps its
+        full lane."""
+        distinct = dict.fromkeys(ids)
+        foreign = [oid for oid in distinct if copies[oid].real_state is not _HOME]
+        if len(foreign) == len(distinct):
+            return epoch, ids, writes, 0
         w_oids, w_welems, w_wops = writes
         keep = [copies[oid].real_state is not _HOME for oid in w_oids]
         return epoch, foreign, (
             list(compress(w_oids, keep)),
             list(compress(w_welems, keep)),
             list(compress(w_wops, keep)),
-        )
+        ), len(distinct) - len(foreign)
 
-    def _first_touches(self, thread, uniq, faulted: list, hooks: tuple) -> tuple | None:
+    def _first_touches(self, thread, accessed, faulted: list, hooks: tuple) -> tuple | None:
         """Book the run's first touches in the current interval — the
-        distinct ``uniq`` ids it has not touched yet — in its touched
-        set, so later accesses this interval are not first touches, and
+        ``accessed`` ids it has not touched yet, each once, in first-touch
+        order — in its touched set, so later accesses this interval are
+        not first touches, and
         hand them to each hook's first-touch entry in one call, hooks in
         registration order, with the ids among them that faulted.  A
         fault outside the new ids (a copy the interval touched before a
@@ -278,7 +283,7 @@ class VectorEngine:
         loop.  Returns the new ids and the hooks' summed per-id clock
         charges (None: nothing charged), or None."""
         touched = thread.current_interval.touched
-        ids = list(filterfalse(touched.__contains__, uniq))
+        ids = list(dict.fromkeys(filterfalse(touched.__contains__, accessed)))
         if not ids:
             return None
         hit = set(filterfalse(touched.__contains__, map(_OBJ_ID, faulted)))
@@ -320,9 +325,8 @@ class VectorEngine:
             steps = steps.copy()  # the cached columns stay static
         steps[0] += base
         if faulted:
-            keys, price = prices
             fault_ops = list(map(first_op.__getitem__, map(_OBJ_ID, faulted)))
-            _add_at(steps, fault_ops, map(price.__getitem__, keys))
+            _add_at(steps, fault_ops, prices)
         if twins:
             _add_at(steps, list(map(first_write.__getitem__, twins)), twins.values())
         if touched is not None and touched[1] is not None:
