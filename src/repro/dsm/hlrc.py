@@ -43,7 +43,7 @@ from typing import Protocol
 
 from repro.dsm.intervals import NO_BOUND, IntervalRecord
 from repro.dsm.observer import ProtocolObserver
-from repro.dsm.states import CopyRecord, RealState
+from repro.dsm.states import HOME_COPY, CopyRecord, RealState
 from repro.dsm.sync import SyncRegistry
 from repro.heap.heap import GlobalObjectSpace, LocalHeap
 from repro.heap.objects import HeapObject
@@ -138,6 +138,10 @@ _INVALID = RealState.INVALID
 #: length (the payload follows from the last two).
 _FAULT_KEY = attrgetter("home_node", "jclass.class_id", "length")
 
+#: what one cached id's staleness check in Python costs, in set probes
+#: at C speed (see :meth:`HomeBasedLRC.apply_notices`).
+_PROBES_PER_CHECK = 4
+
 #: process-wide source of home epochs (see :attr:`HomeBasedLRC.home_epoch`).
 _HOME_EPOCHS = count()
 
@@ -182,10 +186,10 @@ class HomeBasedLRC:
         self._copies_by_node = {nid: heap.copies for nid, heap in sorted(self.heaps.items())}
         self._access_busy_ns = self.costs.state_check_ns + self.costs.access_ns
         #: the fault price table (see :meth:`charge_faults`): per node,
-        #: trap plus fetch wait by :data:`_FAULT_KEY`, and each key's
-        #: reply payload.
-        self._fault_ns: dict[int, dict[tuple, int]] = {nid: {} for nid in self.heaps}
-        self._reply_bytes: dict[tuple, int] = {}
+        #: ``(trap plus fetch wait, reply bytes)`` by :data:`_FAULT_KEY`.
+        self._fault_prices: dict[int, dict[tuple, tuple[int, int]]] = {
+            nid: {} for nid in self.heaps
+        }
         #: the placement of homes, as a tag: drawn from a process-wide
         #: counter here and at every re-homing (:meth:`new_home_epoch`),
         #: so no two engines, and no two placements of one engine, share
@@ -420,7 +424,7 @@ class HomeBasedLRC:
             or self.prefetcher is not None
         )
 
-    def charge_faults(self, thread, faulted: list[HeapObject]) -> list[int]:
+    def charge_faults(self, thread, faulted: list[HeapObject]) -> tuple[int, ...]:
         """Charge ``faulted`` remote faults of ``thread`` at once — the
         trap, request and reply of each, as :meth:`_fault_remote` would
         one by one — to the clock, the CPU buckets, ``hlrc_faults_total``
@@ -436,18 +440,18 @@ class HomeBasedLRC:
         Returns each fault's clock charge (trap plus wait), parallel to
         ``faulted``, for a caller that places the faults at their ops."""
         node_id = thread.node_id
+        table = self._fault_prices[node_id]
         keys = list(map(_FAULT_KEY, faulted))
-        table = self._fault_ns[node_id]
         try:
-            prices = list(map(table.__getitem__, keys))
+            prices, replies = zip(*map(table.__getitem__, keys))
         except KeyError:
             trap_ns = self.costs.gos_trap_ns
             for key, obj in zip(keys, faulted):
                 if key not in table:
                     size = obj.size_bytes
-                    table[key] = trap_ns + fetch_wait_ns(self.network, size, node_id, key[0])
-                    self._reply_bytes[key] = size + FETCH_REPLY_OVERHEAD
-            prices = list(map(table.__getitem__, keys))
+                    fetch = fetch_wait_ns(self.network, size, node_id, key[0])
+                    table[key] = trap_ns + fetch, size + FETCH_REPLY_OVERHEAD
+            prices, replies = zip(*map(table.__getitem__, keys))
         n = len(faulted)
         charge = sum(prices)
         trap = n * self.costs.gos_trap_ns
@@ -456,9 +460,7 @@ class HomeBasedLRC:
         thread.clock._now_ns += charge
         stats = self.network.stats
         stats.record_bulk(MessageKind.OBJECT_FETCH_REQ, n, n * FETCH_REQ_BYTES)
-        stats.record_bulk(
-            MessageKind.OBJECT_FETCH_DATA, n, sum(map(self._reply_bytes.__getitem__, keys))
-        )
+        stats.record_bulk(MessageKind.OBJECT_FETCH_DATA, n, sum(replies))
         self._c_faults.inc(n)
         return prices
 
@@ -503,8 +505,7 @@ class HomeBasedLRC:
                 # Home copies materialize lazily and are always current
                 # (a home copy can never be INVALID).
                 if record is None:
-                    record = CopyRecord(obj_id, _HOME)
-                    copies[obj_id] = record
+                    record = copies[obj_id] = HOME_COPY
                 faulted = False
             else:
                 record = self._fault_remote(thread, obj, record)
@@ -709,8 +710,10 @@ class HomeBasedLRC:
         applied: a copy of it fetched since holds the current version,
         and an older copy was invalidated by that apply.  So the test is
         ``fetched_version < home_version``, over the node's cached ids
-        or the unseen blocks' ids, whichever is shorter (a home copy is
-        never stale)."""
+        or the unseen blocks' ids found among them, whichever is cheaper
+        (a home copy is never stale): each cached id costs one check in
+        Python, each unseen notice one set probe at C speed, about a
+        quarter of that (:data:`_PROBES_PER_CHECK`)."""
         node_id = thread.node_id
         start = self._notice_seen[node_id]
         end = self.n_notices
@@ -731,7 +734,7 @@ class HomeBasedLRC:
         self._blocks_seen[node_id] = len(blocks)
         heap = self.heaps[node_id]
         candidates = heap.cached
-        if n_new < len(candidates):
+        if n_new < _PROBES_PER_CHECK * len(candidates):
             candidates = candidates.intersection(
                 chain.from_iterable(block[0] for block in blocks[first:])
             )

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.dsm.hlrc import HomeBasedLRC
 from repro.dsm.intervals import IntervalRecord
-from repro.dsm.states import CopyRecord, RealState
+from repro.dsm.states import HOME_COPY, CopyRecord, RealState
 from repro.heap.objects import HeapObject
 from repro.sim.network import MessageKind
 
@@ -82,19 +82,21 @@ class HomeMigrationEngine:
         )
         network.send(MessageKind.CONTROL, old_home, new_home, HOME_UPDATE_BYTES)
 
-        # Old home's copy becomes a plain (valid) cache copy.
+        # Old home's copy becomes a plain (valid) cache copy: a new
+        # record, since a home copy's may be the shared HOME_COPY.
         old_heap = self.hlrc.heaps[old_home]
-        old_record: CopyRecord | None = old_heap.get(obj.obj_id)  # type: ignore[assignment]
-        if old_record is not None:
-            old_record.real_state = RealState.VALID
-            old_record.fetched_version = obj.home_version
+        if old_heap.get(obj.obj_id) is not None:
+            old_heap.put(
+                obj.obj_id,
+                CopyRecord(obj.obj_id, RealState.VALID, fetched_version=obj.home_version),
+            )
             old_heap.cached.add(obj.obj_id)
 
         # New home gets the authoritative copy.
         new_heap = self.hlrc.heaps[new_home]
         new_record: CopyRecord | None = new_heap.get(obj.obj_id)  # type: ignore[assignment]
         if new_record is None:
-            new_heap.put(obj.obj_id, CopyRecord(obj.obj_id, RealState.HOME))
+            new_heap.put(obj.obj_id, HOME_COPY)
         else:
             new_record.real_state = RealState.HOME
             new_record.clear_interval_state()

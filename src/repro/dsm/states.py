@@ -61,3 +61,26 @@ class CopyRecord:
         self.dirty_bytes = 0
         self.has_twin = False
         self.writers = None
+
+
+class _SharedHomeCopy(CopyRecord):
+    """A read-only :class:`CopyRecord`: writing any field raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(
+            "HOME_COPY is shared by every materialized home copy: replace it, do not write it"
+        )
+
+
+#: the record of every home copy materialized on first access, shared by
+#: all of them (its ``obj_id`` is -1): a home copy is always current and
+#: never twins, diffs or goes stale, so it carries no per-object state.
+#: A re-homing that turns one into a cache copy puts a new record in its
+#: place; a copy that becomes a home copy by re-homing keeps its own.
+HOME_COPY: CopyRecord = object.__new__(_SharedHomeCopy)
+_template = CopyRecord(-1, RealState.HOME)
+for _name in CopyRecord.__slots__:
+    object.__setattr__(HOME_COPY, _name, getattr(_template, _name))
+del _template, _name

@@ -67,7 +67,7 @@ from itertools import accumulate, compress, filterfalse
 from operator import add, attrgetter
 
 from repro.dsm.intervals import NO_BOUND
-from repro.dsm.states import CopyRecord, RealState
+from repro.dsm.states import HOME_COPY, CopyRecord, RealState
 from repro.runtime.program import AccessRun, lean_lane, walk_lane
 from repro.sim.events import EventKind
 
@@ -214,7 +214,7 @@ class VectorEngine:
             obj = objects[oid]
             if obj.home_node == node_id:
                 # Home copies materialize lazily at zero cost.
-                copies[oid] = CopyRecord(oid, _HOME)
+                copies[oid] = HOME_COPY
             else:
                 if record is None:
                     copies[oid] = CopyRecord(oid, _VALID, obj.home_version)

@@ -225,9 +225,13 @@ class _Bound(ProtocolObserver):
 
 
 class CopyViaBoundEngine(_Bound):
+    """Writes every cache copy of a noticed object.  (Home copies share
+    the read-only ``HOME_COPY``: writing one raises, see
+    :func:`test_an_observer_writing_a_home_copy_raises`.)"""
+
     def on_notice(self, thread, obj_id, version):
         for copies in self._hlrc._copies_by_node.values():
-            if obj_id in copies:
+            if obj_id in copies and not copies[obj_id].is_home:
                 copies[obj_id].fetched_version -= 1
 
 
@@ -238,7 +242,7 @@ class NoticeViaBoundEngine(_Bound):
 
 def _stale_copies(hlrc, obj_id):
     for copies in hlrc._copies_by_node.values():
-        if obj_id in copies:
+        if obj_id in copies and not copies[obj_id].is_home:
             copies[obj_id].fetched_version -= 1
 
 
@@ -264,6 +268,21 @@ VIOLATORS = {
 def test_seeded_violator_changes_the_fingerprint(violator):
     name, must_move = VIOLATORS[violator]
     assert must_move <= moved(name, [violator()])
+
+
+class HomeCopyViaBoundEngine(_Bound):
+    def on_notice(self, thread, obj_id, version):
+        for copies in self._hlrc._copies_by_node.values():
+            if obj_id in copies and copies[obj_id].is_home:
+                copies[obj_id].fetched_version -= 1
+
+
+def test_an_observer_writing_a_home_copy_raises():
+    """Materialized home copies share one read-only record, so a
+    violator that writes one stops the run instead of moving the
+    fingerprint."""
+    with pytest.raises(AttributeError, match="HOME_COPY is shared"):
+        moved("water_spatial", [HomeCopyViaBoundEngine()])
 
 
 def test_cpu_bucket_violator_is_seen_by_thread_cpu_alone():
