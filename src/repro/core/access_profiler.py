@@ -137,7 +137,12 @@ class AccessProfiler:
         repeat: int,
         real_fault: bool,
     ) -> None:
-        """ProtocolHooks: one access op executed (see class docstring)."""
+        """ProtocolHooks: one access op executed (see class docstring).
+        The keyword route calls it on every access, so it skips an id
+        the open interval already logged (at most once per interval)."""
+        current = self._current.get(thread.thread_id)
+        if current is None or obj.obj_id in current[0]:
+            return
         ids = [obj.obj_id]
         self.fast_on_access(thread, ids, ids if real_fault else ())
 
@@ -146,21 +151,15 @@ class AccessProfiler:
         in the thread's open interval, in first-touch order, and
         ``faulted`` the ids among them that really faulted.  The scalar
         loop and :meth:`on_access` pass one id, the vector engine a
-        whole run's; either way the result equals one call per id.
-        Returns the clock charge made for each id (parallel to ``ids``),
-        or None when nothing was logged."""
+        whole run's; either way the result equals one call per id.  Ids
+        new to the interval's touched set cannot be in its OAL (a subset
+        of that set), so nothing here checks for a repeat.  Returns the
+        clock charge made for each id (parallel to ``ids``), or None
+        when nothing was logged."""
         current = self._current.get(thread.thread_id)
         if current is None:
             return None
         oal, class_ids = current
-        asked = None
-        if oal and not oal.keys().isdisjoint(ids):
-            # At most once per interval: the keyword route repeats ids.
-            asked = ids
-            ids = [oid for oid in ids if oid not in oal]
-            if not ids:
-                return None
-            faulted = [oid for oid in faulted if oid not in oal]
         # One decision per first touch, shared with every other
         # first-touch entry handed the same ids (SamplingPolicy.first_touches).
         sampled, scaled = self.policy.first_touches(ids, self._objects)
@@ -194,9 +193,6 @@ class AccessProfiler:
             for obj_id in logged:
                 for observer in self.observers:
                     observer.on_oal_log(thread, interval_id, obj_id)
-        if asked is not None:
-            by_id = dict(zip(ids, charges))
-            charges = [by_id.get(oid, 0) for oid in asked]
         return charges
 
     def on_interval_close(

@@ -57,6 +57,39 @@ class TestAtMostOnceLogging:
         )
         assert suite.access_profiler.total_logged == 2
 
+    def test_keyword_route_logs_each_object_once_per_interval(self):
+        """A hook without a first-touch entry puts every hook on the
+        keyword ``on_access`` fan-out, called on every access: the
+        profiler still logs, charges and ships each object once per
+        interval, exactly as on the first-touch plan."""
+
+        class KeywordOnly:
+            def on_interval_open(self, thread):
+                pass
+
+            def on_access(self, thread, obj, **kw):
+                pass
+
+            def on_interval_close(self, thread, interval, sync_dst):
+                pass
+
+        def run(keyword):
+            djvm, objs, suite = setup(n_threads=1)
+            suite.set_full_sampling()
+            if keyword:
+                djvm.add_hook(KeywordOnly())
+            a, b, c = (o.obj_id for o in objs[:3])
+            body = [P.read(a), P.write(b), P.read(a, repeat=3), P.read(c), P.write(a), P.read(b)]
+            res = djvm.run({0: wrap_main(body * 2 + [P.barrier(0)] + body + [P.barrier(1)])})
+            plan = [mode for _, mode in djvm.hlrc.dispatch_plan]
+            prof = suite.access_profiler
+            return plan, (prof.total_logged, prof.total_batches, res.thread_finish_ms, res.traffic.oal_bytes)
+
+        (keyword_plan, keyword), (planned_plan, planned) = run(True), run(False)
+        assert keyword_plan == ["keyword", "keyword"] and planned_plan == ["first_touch"]
+        assert keyword == planned
+        assert keyword[0] == 6  # three objects in each of two intervals
+
     def test_per_thread_logging(self):
         """Both threads log the same object independently (per-thread
         OALs, the fix over per-node passive tracking)."""
