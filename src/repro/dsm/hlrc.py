@@ -432,11 +432,12 @@ class HomeBasedLRC:
         refreshed the copies.  Only legal under :meth:`unobserved`.
 
         Each fault is priced from the engine's table: per node, trap plus
-        fetch wait by (home, class, array length), filled from
-        :func:`fetch_wait_ns` (integer-truncated per message, never per
-        sum) the first time a key is seen, and never stale — a price
-        depends only on the key and the frozen cost model and network.
-        The batch then costs the sum of its faults' prices, at C speed.
+        fetch wait and the reply's bytes by (home, class, array length),
+        filled from :func:`fetch_wait_ns` (integer-truncated per message,
+        never per sum) the first time a key is seen, and never stale — an
+        entry depends only on its key (a re-homing changes an object's)
+        and the frozen cost model and network.  The batch then costs the
+        sum of its faults' prices, one lookup each and C-speed sums.
         Returns each fault's clock charge (trap plus wait), parallel to
         ``faulted``, for a caller that places the faults at their ops."""
         node_id = thread.node_id

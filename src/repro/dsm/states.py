@@ -64,9 +64,14 @@ class CopyRecord:
 
 
 class _SharedHomeCopy(CopyRecord):
-    """A read-only :class:`CopyRecord`: writing any field raises."""
+    """A read-only home-copy :class:`CopyRecord`: writing a field raises."""
 
     __slots__ = ()
+
+    def __init__(self) -> None:
+        template = CopyRecord(-1, RealState.HOME)
+        for name in CopyRecord.__slots__:
+            object.__setattr__(self, name, getattr(template, name))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(
@@ -79,8 +84,4 @@ class _SharedHomeCopy(CopyRecord):
 #: never twins, diffs or goes stale, so it carries no per-object state.
 #: A re-homing that turns one into a cache copy puts a new record in its
 #: place; a copy that becomes a home copy by re-homing keeps its own.
-HOME_COPY: CopyRecord = object.__new__(_SharedHomeCopy)
-_template = CopyRecord(-1, RealState.HOME)
-for _name in CopyRecord.__slots__:
-    object.__setattr__(HOME_COPY, _name, getattr(_template, _name))
-del _template, _name
+HOME_COPY: CopyRecord = _SharedHomeCopy()

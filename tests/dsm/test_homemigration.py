@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dsm.homemigration import DominantWriterPolicy, HomeMigrationEngine
-from repro.dsm.states import RealState
+from repro.dsm.states import HOME_COPY, RealState
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM, run_fingerprint
 from repro.sim.costs import CostModel
@@ -41,10 +41,16 @@ class TestMechanism:
                 1: wrap_main([P.barrier(0)]),
             }
         )
+        assert djvm.hlrc.heaps[0].get(obj.obj_id) is HOME_COPY
+        version = obj.home_version
         engine.migrate_home(obj, 1)
         old_rec = djvm.hlrc.heaps[0].get(obj.obj_id)
         assert old_rec is not None
         assert old_rec.real_state is RealState.VALID
+        # A new record takes the shared one's place, which stays as it was.
+        assert old_rec is not HOME_COPY and old_rec.fetched_version == version
+        assert obj.obj_id in djvm.hlrc.heaps[0].cached
+        assert HOME_COPY.is_home and HOME_COPY.fetched_version == 0
 
     def test_noop_when_already_home(self):
         djvm, obj, engine = setup()

@@ -1,6 +1,8 @@
 """Tests for copy-state records."""
 
-from repro.dsm.states import CopyRecord, RealState
+import pytest
+
+from repro.dsm.states import HOME_COPY, CopyRecord, RealState
 
 
 class TestCopyRecord:
@@ -28,3 +30,17 @@ class TestCopyRecord:
         assert r.dirty_bytes == 0
         assert not r.has_twin
         assert r.writers is None
+
+
+def test_the_shared_home_copy_is_read_only():
+    """Every materialized home copy is ``HOME_COPY``: a plain home record
+    that no write can change."""
+    assert HOME_COPY.is_home and HOME_COPY.real_state is RealState.HOME
+    assert (HOME_COPY.fetched_version, HOME_COPY.dirty_bytes) == (0, 0)
+    assert not HOME_COPY.has_twin and HOME_COPY.writers is None
+    with pytest.raises(AttributeError, match="HOME_COPY is shared"):
+        HOME_COPY.has_twin = True
+    with pytest.raises(AttributeError, match="HOME_COPY is shared"):
+        HOME_COPY.clear_interval_state()
+    HOME_COPY.invalidate()  # a home copy never goes stale: a no-op
+    assert HOME_COPY.real_state is RealState.HOME
