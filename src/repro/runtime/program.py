@@ -138,9 +138,9 @@ def lean_lane(ops: tuple, codes: bytes, costs) -> tuple[int, int, list, tuple[li
     elements, write ops))``, the written lanes parallel and in
     first-write order.  The ids keep their repeats: probing a copy and
     booking a first touch are idempotent, so the engine dedupes only
-    where it hands ids on.  ``codes`` are the ops' opcode bytes (a slice of
-    the compiled program's).  The caller must not mutate the result (a
-    hot :class:`AccessRun` caches it).
+    where it hands ids on.  ``codes`` are the ops' opcode bytes (a slice
+    of the compiled program's).  The caller must not mutate the result
+    (a hot :class:`AccessRun` caches it).
 
     Compute is summed exactly as the scalar loop charges it op by op:
     the raw value on a unity scale (all non-negative ints), else

@@ -15,10 +15,10 @@ points below — no observer, prefetcher, keyword hook, condition-driven
 timer or pending migration (:meth:`HomeBasedLRC.unobserved`; the
 interpreter owns the timer and migration half of the gate) — every
 simulated cost is an integer sum.
-The engine then replays a whole run in one pass over its distinct
-objects in first-touch order: each copy is probed once, lazy home
-copies are materialized, invalid or missing cache copies are refreshed
-and their faults charged in one :meth:`HomeBasedLRC.charge_faults`,
+The engine then replays a whole run in one pass over its accesses in
+op order: each object's copy is probed (a repeat finds it current),
+lazy home copies are materialized, invalid or missing cache copies are
+refreshed and their faults charged in one :meth:`HomeBasedLRC.charge_faults`,
 written cache copies get their twin, dirty bytes and writer, and the
 clock and CPU buckets move once.  Under profiler hooks the run's first
 touches in the current interval (the paper's profiler traps only those)
@@ -258,11 +258,11 @@ class VectorEngine:
         write lanes, how many ids that skips)`` — the distinct ids whose
         copy there is no ``HOME`` copy, in first-touch order, and the
         write lanes filtered to them.  A run with no home id keeps its
-        full lane."""
+        write lanes."""
         distinct = dict.fromkeys(ids)
         foreign = [oid for oid in distinct if copies[oid].real_state is not _HOME]
         if len(foreign) == len(distinct):
-            return epoch, ids, writes, 0
+            return epoch, foreign, writes, 0
         w_oids, w_welems, w_wops = writes
         keep = [copies[oid].real_state is not _HOME for oid in w_oids]
         return epoch, foreign, (
@@ -273,11 +273,11 @@ class VectorEngine:
 
     def _first_touches(self, thread, accessed, faulted: list, hooks: tuple) -> tuple | None:
         """Book the run's first touches in the current interval — the
-        ``accessed`` ids it has not touched yet, each once, in first-touch
-        order — in its touched set, so later accesses this interval are
-        not first touches, and
-        hand them to each hook's first-touch entry in one call, hooks in
-        registration order, with the ids among them that faulted.  A
+        ``accessed`` ids it has not touched yet, each once, in
+        first-touch order — in its touched set, so later accesses this
+        interval are not first touches, and hand them to each hook's
+        first-touch entry in one call, hooks in registration order, with
+        the ids among them that faulted.  A
         fault outside the new ids (a copy the interval touched before a
         migration moved the thread) is no first touch, as on the scalar
         loop.  Returns the new ids and the hooks' summed per-id clock
