@@ -263,7 +263,8 @@ class Prices:
         self.size = {}
         for obj in djvm.gos:
             cls = obj.jclass
-            self.size[obj.obj_id] = cls.instance_size + cls.is_array * obj.length * cls.element_size
+            payload = obj.length * cls.element_size if cls.is_array else 0
+            self.size[obj.obj_id] = cls.instance_size + payload
         self.charging = charging
         self.rearming = rearming
 
@@ -288,7 +289,7 @@ class Prices:
 
 #: a node's copy of an object that is its home copy (a cache copy holds
 #: the version it was fetched at, a stale or missing one None).
-HOME_COPY = "home"
+AT_HOME = "home"
 
 
 class ReferenceGOS:
@@ -313,7 +314,7 @@ class ReferenceGOS:
         self.history: dict[int, list[tuple[int, int]]] = {}
         self.closed: Counter = Counter()
         self.reads_checked = 0
-        #: each object's home node, and each node's copies (see HOME_COPY).
+        #: each object's home node, and each node's copies (see AT_HOME).
         self.home = dict(homes or {})
         self.held: dict[int, dict] = {}
         self.prices = prices
@@ -358,7 +359,7 @@ class ReferenceGOS:
                 clock += p.busy * op[3]
                 faulted = False
                 if home == node:
-                    held[obj_id] = HOME_COPY
+                    held[obj_id] = AT_HOME
                 elif held.get(obj_id) is None:
                     held[obj_id] = self.version(obj_id)
                     clock += p.fault(node, home, obj_id)
@@ -380,7 +381,7 @@ class ReferenceGOS:
         """``node`` applies every notice published so far."""
         held = self.held.setdefault(node, {})
         for obj_id, fetched in held.items():
-            if fetched not in (None, HOME_COPY) and fetched < self.version(obj_id):
+            if fetched not in (None, AT_HOME) and fetched < self.version(obj_id):
                 held[obj_id] = None
 
     def close(self, tid: int, node: int, rehomed=()) -> None:
@@ -393,13 +394,13 @@ class ReferenceGOS:
         held = self.held.setdefault(node, {})
         for obj_id in sorted(self.intervals[tid][k][P.OP_WRITE]):
             self.history.setdefault(obj_id, []).append((tid, k))
-            if held.get(obj_id) not in (None, HOME_COPY):
+            if held.get(obj_id) not in (None, AT_HOME):
                 held[obj_id] = self.version(obj_id)
         for obj_id, node in rehomed:
             old = self.held.setdefault(self.home[obj_id], {})
-            if old.get(obj_id) == HOME_COPY:
+            if old.get(obj_id) == AT_HOME:
                 old[obj_id] = self.version(obj_id)
-            self.held.setdefault(node, {})[obj_id] = HOME_COPY
+            self.held.setdefault(node, {})[obj_id] = AT_HOME
             self.home[obj_id] = node
             writer = self.writer(obj_id, self.version(obj_id))
             self.history.setdefault(obj_id, []).append(writer)
