@@ -11,6 +11,7 @@ on those copies lives in :mod:`repro.dsm.states`.
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from typing import Iterable, Iterator
 
 from repro.heap.jclass import ClassRegistry, JClass
@@ -44,7 +45,7 @@ class GlobalObjectSpace:
     def __init__(self, registry: ClassRegistry | None = None) -> None:
         self.registry = registry if registry is not None else ClassRegistry()
         self._objects: list[HeapObject] = []
-        self._by_class: dict[int, list[int]] = {}
+        self._by_class: defaultdict[int, list[int]] = defaultdict(list)
         #: site label -> ``file:line`` of the first allocation carrying
         #: it (the object-centric report's source attribution).
         self.site_origins: dict[str, str] = {}
@@ -74,22 +75,19 @@ class GlobalObjectSpace:
         if jclass.is_array:
             if length < 1:
                 raise ValueError(f"array of class {jclass.name} needs length >= 1, got {length}")
-            seq = jclass.issue_seq(length)
+            n_seqs = length
+        elif length:
+            raise ValueError(f"scalar class {jclass.name} cannot take a length")
         else:
-            if length:
-                raise ValueError(f"scalar class {jclass.name} cannot take a length")
-            seq = jclass.issue_seq(1)
-        obj = HeapObject(
-            obj_id=len(self._objects),
-            jclass=jclass,
-            seq=seq,
-            home_node=home_node,
-            length=length,
-            refs=list(refs),
-            site=site,
-        )
-        self._objects.append(obj)
-        self._by_class.setdefault(jclass.class_id, []).append(obj.obj_id)
+            n_seqs = 1
+        # JClass.issue_seq inlined: the count is validated above.
+        seq = jclass.next_seq
+        jclass.next_seq = seq + n_seqs
+        objects = self._objects
+        obj_id = len(objects)
+        obj = HeapObject(obj_id, jclass, seq, home_node, length, list(refs), 0, site)
+        objects.append(obj)
+        self._by_class[jclass.class_id].append(obj_id)
         return obj
 
     def get(self, obj_id: int) -> HeapObject:
