@@ -65,6 +65,10 @@ MAX_TREE_DEPTH = 64
 _OCTANT_BITS = np.array([1, 2, 4])
 _AXES = np.arange(3)
 
+#: one thread's reads in one round: the object ids in emission order and
+#: how many of the thread's traversals visit each.
+Plan = tuple[np.ndarray, np.ndarray]
+
 
 @dataclass
 class _TreeNode:
@@ -117,8 +121,8 @@ class BarnesHutWorkload(Workload):
         self.vect_ids: list[tuple[int, int, int]] = []  # (pos, vel, acc) per body
         self.bodies_arr_id: int = -1
         self.galaxy_of: np.ndarray | None = None
-        #: per-round: (root_obj_id, per-thread read Counters, tree node count)
-        self._round_plans: list[tuple[int, list[Counter], int]] = []
+        #: per-round: (root_obj_id, per-thread plans, tree node count)
+        self._round_plans: list[tuple[int, list[Plan], int]] = []
 
     def spec(self) -> WorkloadSpec:
         """Descriptive characteristics (Table I row)."""
@@ -406,11 +410,12 @@ class BarnesHutWorkload(Workload):
     # round planning (traversal aggregation)
     # ------------------------------------------------------------------
 
-    def _plan_round_reference(self, root: _TreeNode, pos: np.ndarray) -> list[Counter]:
+    def _plan_round_reference(self, root: _TreeNode, pos: np.ndarray) -> list[Plan]:
         """Reference planner: one :meth:`_traverse` per body, accumulated
-        into per-thread access Counters.  Kept as the specification that
-        the vectorized :meth:`_plan_round` must reproduce exactly
-        (including Counter insertion order, which fixes the op-stream
+        into per-thread access Counters and handed over in the planner's
+        form (the Counter's keys and counts, in insertion order).  Kept as
+        the specification that the vectorized :meth:`_plan_round` must
+        reproduce exactly (including the order, which fixes the op-stream
         order :meth:`_generate` emits)."""
         per_thread = [Counter() for _ in range(self.n_threads)]
         for b in range(self.n_bodies):
@@ -425,9 +430,12 @@ class BarnesHutWorkload(Workload):
                 counter[self.body_ids[i]] += 1
                 # The interaction reads the partner's position vector.
                 counter[self.vect_ids[i][0]] += 1
-        return per_thread
+        return [
+            (np.array(list(counter), dtype=np.int64), np.array(list(counter.values()), dtype=np.int64))
+            for counter in per_thread
+        ]
 
-    def _plan_round(self, root: _TreeNode, pos: np.ndarray) -> list[Counter]:
+    def _plan_round(self, root: _TreeNode, pos: np.ndarray) -> list[Plan]:
         """Array planner: one tree walk for *all* bodies at once.
 
         Instead of one pruned traversal per body, each opened cell hands
@@ -537,16 +545,10 @@ class BarnesHutWorkload(Workload):
         order = np.lexsort((position, phase, first_body, thread))
         keys = keys[order].ravel()
         present = keys >= 0
-        keys = keys[present].tolist()
-        counts = np.repeat(counts[order], 2)[present].tolist()
-        entries_of = np.bincount(np.repeat(thread[order], 2)[present], minlength=n_threads)
-        ends = np.cumsum(entries_of).tolist()
-        # Keys are unique across entries (each object has one emission
-        # position), so a plain mapping equals the reference's counting.
-        return [
-            Counter(dict(zip(keys[lo:hi], counts[lo:hi])))
-            for lo, hi in zip([0, *ends[:-1]], ends)
-        ]
+        ids = keys[present]
+        counts = np.repeat(counts[order], 2)[present]
+        ends = np.cumsum(np.bincount(np.repeat(thread[order], 2)[present], minlength=n_threads))
+        return list(zip(np.split(ids, ends[:-1]), np.split(counts, ends[:-1])))
 
     def _allocate_tree(self, djvm: DJVM, root: _TreeNode, cell_cls, leaf_cls, arr_cls) -> tuple[int, int]:
         """Allocate heap objects for one round's tree.  Each node is homed
@@ -654,21 +656,24 @@ class BarnesHutWorkload(Workload):
             # late in the interval — the temporal spread real traversals
             # have, which sticky-set footprinting depends on.  Objects
             # visited once appear in the first pass only.
-            reads = per_thread[thread_id]
-            objs = [*reads, *(obj_id for obj_id, cnt in reads.items() if cnt > 1)]
-            reps = [(cnt + 1) // 2 for cnt in reads.values()]
-            reps += [cnt // 2 for cnt in reads.values() if cnt > 1]
-            read_ops = list(zip(repeat(P.OP_READ), objs, repeat(1), reps, repeat(0)))
-            for lo in range(0, len(objs), COMPUTE_CHUNK_READS):
+            ids, counts = per_thread[thread_id]
+            again = counts > 1
+            reps = np.concatenate(((counts + 1) // 2, (counts // 2)[again]))
+            objs = np.concatenate((ids, ids[again])).tolist()
+            if objs:
+                # The force arithmetic of each chunk of reads.
+                work = np.add.reduceat(reps, range(0, len(objs), COMPUTE_CHUNK_READS))
+                work = (work * INTERACTION_NS).tolist()
+            read_ops = list(zip(repeat(P.OP_READ), objs, repeat(1), reps.tolist(), repeat(0)))
+            for chunk, lo in enumerate(range(0, len(objs), COMPUTE_CHUNK_READS)):
                 if lo % FRAME_CHURN_READS == 0:
                     if lo:
                         ops.append((P.OP_RET,))
                     ops.append((P.OP_CALL, "BarnesHut.walkSub", 3, ((0, objs[lo]),)))
-                hi = lo + COMPUTE_CHUNK_READS
-                ops += read_ops[lo:hi]
+                ops += read_ops[lo : lo + COMPUTE_CHUNK_READS]
                 # Interleave the force arithmetic with the accesses, as
                 # the real traversal does (chunked to bound op count).
-                ops.append((P.OP_COMPUTE, sum(reps[lo:hi]) * INTERACTION_NS))
+                ops.append((P.OP_COMPUTE, work[chunk]))
             if objs:
                 ops.append((P.OP_RET,))
             # Acceleration writes to own bodies' acc vectors.
