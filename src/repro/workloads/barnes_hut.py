@@ -68,6 +68,10 @@ _AXES = np.arange(3)
 #: one thread's reads in one round: the object ids in emission order and
 #: how many of the thread's traversals visit each.
 Plan = tuple[np.ndarray, np.ndarray]
+#: one round: (root object id, every thread's plan, tree node count).
+RoundPlan = tuple[int, list[Plan], int]
+#: a node is homed by the owners of the first this many bodies beneath it.
+HOME_SAMPLE_BODIES = 64
 
 
 @dataclass
@@ -86,6 +90,76 @@ class _TreeNode:
     #: kept as a plain tuple so the traversal hot loop avoids numpy calls.
     centroid: tuple[float, float, float] = (0.0, 0.0, 0.0)
     count: int = 0
+
+
+@dataclass
+class _Octree:
+    """One round's octree as level-order arrays (what :meth:`_build_tree`
+    returns).
+
+    Node 0 is the root.  Node ``i``'s children are the ``n_children[i]``
+    nodes from ``first_child[i]`` on, in ascending octant order; the
+    bodies beneath it, ascending, are ``bodies[offsets[i] : offsets[i] +
+    counts[i]]`` (a leaf's are its own).
+    """
+
+    centers: np.ndarray
+    halves: np.ndarray
+    centroids: np.ndarray
+    counts: np.ndarray
+    n_children: np.ndarray
+    first_child: np.ndarray
+    offsets: np.ndarray
+    bodies: np.ndarray
+    #: filled at allocation: each node's heap object id, and each leaf's
+    #: body-array id (-1 for a cell).
+    obj_id: np.ndarray | None = None
+    arr_id: np.ndarray | None = None
+
+    def stack_order(self) -> np.ndarray:
+        """Node indices in stack-DFS order, last child first — the order
+        :meth:`BarnesHutWorkload._traverse` meets them.  Reversed, it is
+        the post-order (children left to right, then the parent)."""
+        first = self.first_child.tolist()
+        kids = self.n_children.tolist()
+        order = []
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            stack.extend(range(first[i], first[i] + kids[i]))
+        return np.array(order)
+
+    def root(self) -> _TreeNode:
+        """The same tree as linked :class:`_TreeNode` objects (what the
+        per-body reference functions walk), with the allocated ids."""
+        nodes = [
+            _TreeNode(center=c, half=h, centroid=tuple(m), count=k)
+            for c, h, m, k in zip(
+                self.centers, self.halves.tolist(), self.centroids.tolist(), self.counts.tolist()
+            )
+        ]
+        bodies = self.bodies.tolist()
+        for node, first, n_kids, start in zip(
+            nodes, self.first_child.tolist(), self.n_children.tolist(), self.offsets.tolist()
+        ):
+            if n_kids:
+                node.is_leaf = False
+                node.children = nodes[first : first + n_kids]
+            else:
+                node.bodies = bodies[start : start + node.count]
+        if self.obj_id is not None:
+            for node, obj_id, arr_id in zip(nodes, self.obj_id.tolist(), self.arr_id.tolist()):
+                node.obj_id, node.arr_id = obj_id, arr_id
+        return nodes[0]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``
+    in one pass."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
 
 
 class BarnesHutWorkload(Workload):
@@ -121,8 +195,7 @@ class BarnesHutWorkload(Workload):
         self.vect_ids: list[tuple[int, int, int]] = []  # (pos, vel, acc) per body
         self.bodies_arr_id: int = -1
         self.galaxy_of: np.ndarray | None = None
-        #: per-round: (root_obj_id, per-thread plans, tree node count)
-        self._round_plans: list[tuple[int, list[Plan], int]] = []
+        self._round_plans: list[RoundPlan] = []
 
     def spec(self) -> WorkloadSpec:
         """Descriptive characteristics (Table I row)."""
@@ -198,7 +271,7 @@ class BarnesHutWorkload(Workload):
             f"{self.leaf_capacity}: raise leaf_capacity or perturb the bodies"
         )
 
-    def _build_tree(self, pos: np.ndarray) -> _TreeNode:
+    def _build_tree(self, pos: np.ndarray) -> _Octree:
         """Bounding octree over ``pos``, built one *level* at a time.
 
         Every body of every over-full cell of a level gets its octant
@@ -210,6 +283,8 @@ class BarnesHutWorkload(Workload):
         levels; centroids are ``mean(axis=0)`` over cells *of equal
         population* stacked along a new axis, which numpy reduces row by
         row exactly as it does a single cell's ``pos[bodies].mean(axis=0)``.
+        The levels stay arrays (:class:`_Octree`); :meth:`_Octree.root`
+        links them into nodes for the reference functions.
         """
         lo, hi = pos.min(axis=0), pos.max(axis=0)
         centers = ((lo + hi) / 2)[None, :]
@@ -257,29 +332,15 @@ class BarnesHutWorkload(Workload):
         for group in np.split(by_count, cuts):
             rows = offsets[group] + np.arange(counts[group[0]])[:, None]
             centroids[group] = pos.take(ids.take(rows), axis=0).mean(axis=0)
-
-        nodes = [
-            _TreeNode(center=c, half=h, centroid=tuple(m), count=k)
-            for c, h, m, k in zip(centers, halves.tolist(), centroids.tolist(), counts.tolist())
-        ]
         # Level order puts a cell's children right after the children of
         # every cell before it.
         first_child = 1 + np.cumsum(n_children) - n_children
-        bodies = ids.tolist()
-        for node, first, n_kids, start in zip(
-            nodes, first_child.tolist(), n_children.tolist(), offsets.tolist()
-        ):
-            if n_kids:
-                node.is_leaf = False
-                node.children = nodes[first : first + n_kids]
-            else:
-                node.bodies = bodies[start : start + node.count]
-        return nodes[0]
+        return _Octree(centers, halves, centroids, counts, n_children, first_child, offsets, ids)
 
     def _build_tree_reference(self, pos: np.ndarray) -> _TreeNode:
         """Reference builder: every body classified into its octant one
-        at a time.  Kept as the specification :meth:`_build_tree` must
-        reproduce exactly — shape, child order, body order inside a
+        at a time.  Kept as the specification :meth:`_build_tree` (seen
+        through :meth:`_Octree.root`) must reproduce exactly — shape, child order, body order inside a
         leaf, and ``center`` / ``half`` / ``centroid`` bit for bit."""
         center = (pos.min(axis=0) + pos.max(axis=0)) / 2
         half = float(np.max(pos.max(axis=0) - pos.min(axis=0)) / 2) + 1e-9
@@ -396,15 +457,29 @@ class BarnesHutWorkload(Workload):
         )
         self.bodies_arr_id = bodies_arr.obj_id
 
+        self._body_obj = np.array(self.body_ids)
+        self._pos_obj = np.array([pv for pv, _vv, _av in self.vect_ids])
+
         # Precompute every round: integrate, rebuild the tree, allocate
         # its nodes, and aggregate each thread's traversal accesses.
         self._round_plans = []
         for _round in range(self.rounds):
-            root = self._build_tree(pos)
-            root_id, n_nodes = self._allocate_tree(djvm, root, cell_cls, leaf_cls, arr_cls)
-            per_thread = self._plan_round(root, pos)
-            self._round_plans.append((root_id, per_thread, n_nodes))
+            self._round_plans.append(self._round(djvm, pos, cell_cls, leaf_cls, arr_cls))
             pos = pos + vel * self.dt
+
+    def _round(self, djvm: DJVM, pos: np.ndarray, cell_cls, leaf_cls, arr_cls) -> RoundPlan:
+        """One round: its tree, allocated, and every thread's reads of it."""
+        tree = self._build_tree(pos)
+        order = tree.stack_order()
+        root_id = self._allocate_tree(djvm, tree, order, cell_cls, leaf_cls, arr_cls)
+        return root_id, self._plan_round(tree, pos), len(tree.counts)
+
+    def _round_reference(self, djvm: DJVM, pos: np.ndarray, cell_cls, leaf_cls, arr_cls) -> RoundPlan:
+        """:meth:`_round` from the per-body and per-node specifications
+        (test-only, like each function it calls)."""
+        root = self._build_tree_reference(pos)
+        root_id, n_nodes = self._allocate_tree_reference(djvm, root, cell_cls, leaf_cls, arr_cls)
+        return root_id, self._plan_round_reference(root, pos), n_nodes
 
     # ------------------------------------------------------------------
     # round planning (traversal aggregation)
@@ -435,7 +510,7 @@ class BarnesHutWorkload(Workload):
             for counter in per_thread
         ]
 
-    def _plan_round(self, root: _TreeNode, pos: np.ndarray) -> list[Plan]:
+    def _plan_round(self, tree: _Octree, pos: np.ndarray) -> list[Plan]:
         """Array planner: one tree walk for *all* bodies at once.
 
         Instead of one pruned traversal per body, each opened cell hands
@@ -443,10 +518,10 @@ class BarnesHutWorkload(Workload):
         traversals pass its opening criterion (evaluated with the same
         IEEE double operations as :meth:`_traverse`, so the sets are
         bit-identical).  The walk only records which set reaches which
-        node; everything per thread comes afterwards from one table —
-        each set cut at the thread block boundaries gives, per (set,
-        thread), how many of the thread's bodies visit and the first of
-        them.
+        node; everything per thread
+        comes afterwards from one table — each set cut at the thread
+        block boundaries gives, per (set, thread), how many of the
+        thread's bodies visit and the first of them.
 
         Because pruning only removes whole subtrees, every body's visit
         sequence is the global stack-DFS order filtered to the nodes it
@@ -461,27 +536,31 @@ class BarnesHutWorkload(Workload):
         n_threads = self.n_threads
         theta = self.theta
         coords = np.ascontiguousarray(pos.T)
+        centroids = tree.centroids[:, :, None]
+        spans = (2 * tree.halves).tolist()
+        kids = tree.n_children.tolist()
+        first_child = tree.first_child.tolist()
 
         # --- the walk: (node, visitor set) in stack-DFS order ------------
         visitor_sets = [np.arange(n)]
-        visited: list[_TreeNode] = []
-        set_of: list[int] = []
-        stack = [(root, 0)]
+        visited, set_of = [], []
+        stack = [(0, 0)]
         while stack:
-            node, set_id = stack.pop()
-            visited.append(node)
+            i, set_id = stack.pop()
+            visited.append(i)
             set_of.append(set_id)
-            if node.is_leaf:
+            if not kids[i]:
                 continue
             v = visitor_sets[set_id]
-            delta = coords.take(v, axis=1) - np.array(node.centroid)[:, None]
+            delta = coords.take(v, axis=1) - centroids[i]
             delta *= delta
             d = np.sqrt(delta[0] + delta[1] + delta[2]) + 1e-12
-            kept = v[(2 * node.half) / d >= theta]
+            kept = v[spans[i] / d >= theta]
             if kept.size:
                 kept_id = len(visitor_sets)
                 visitor_sets.append(kept)
-                stack.extend((child, kept_id) for child in node.children)
+                stack.extend((child, kept_id) for child in range(first_child[i], first_child[i] + kids[i]))
+        visited = np.array(visited)
 
         # --- the visitor table: every set cut at the thread boundaries ---
         # Owners are block-wise non-decreasing, so keying body b of set s
@@ -500,17 +579,16 @@ class BarnesHutWorkload(Workload):
 
         # --- node entries: the node object, then a leaf's body array -----
         set_of_node = np.array(set_of)
-        leaf_j = np.array([j for j, node in enumerate(visited) if node.is_leaf], dtype=np.intp)
+        leaf_j = np.flatnonzero(tree.n_children[visited] == 0)
         node_j, node_t = np.nonzero(count[set_of_node])
         node_set = set_of_node[node_j]
-        obj_key = np.array([node.obj_id for node in visited])
-        arr_key = np.full(len(visited), -1)
-        arr_key[leaf_j] = [visited[j].arr_id for j in leaf_j]
+        obj_key = tree.obj_id[visited]
+        arr_key = tree.arr_id[visited]
 
         # --- leaf-member entries: partner body, then its position vector -
-        leaf_bodies = [visited[j].bodies for j in leaf_j]
-        member = np.array([b for bodies in leaf_bodies for b in bodies], dtype=np.intp)
-        member_set = np.repeat(set_of_node[leaf_j], [len(bodies) for bodies in leaf_bodies])
+        leaves = visited[leaf_j]
+        member = tree.bodies[_ranges(tree.offsets[leaves], tree.counts[leaves])]
+        member_set = np.repeat(set_of_node[leaf_j], tree.counts[leaves])
         member_count = count[member_set]
         member_first = first[member_set]
         # A member's own traversal skips itself: where it visits its leaf,
@@ -524,8 +602,8 @@ class BarnesHutWorkload(Workload):
         was_first = member_first[own, own_t] == member[own]
         member_first[own[was_first], own_t[was_first]] = set_members[at[own[was_first]] + 1]
         member_i, member_t = np.nonzero(member_count)
-        body_key = np.array(self.body_ids)[member]
-        vect_key = np.array(self.vect_ids)[member, 0]
+        body_key = self._body_obj[member]
+        vect_key = self._pos_obj[member]
 
         # --- per-thread emission order ------------------------------------
         # Each entry carries (key, companion key or -1 for none); the
@@ -542,43 +620,111 @@ class BarnesHutWorkload(Workload):
             axis=1,
         )
         counts = np.concatenate((count[node_set, node_t], member_count[member_i, member_t]))
-        order = np.lexsort((position, phase, first_body, thread))
-        keys = keys[order].ravel()
+        emit = np.lexsort((position, phase, first_body, thread))
+        keys = keys[emit].ravel()
         present = keys >= 0
         ids = keys[present]
-        counts = np.repeat(counts[order], 2)[present]
-        ends = np.cumsum(np.bincount(np.repeat(thread[order], 2)[present], minlength=n_threads))
+        counts = np.repeat(counts[emit], 2)[present]
+        ends = np.cumsum(np.bincount(np.repeat(thread[emit], 2)[present], minlength=n_threads))
         return list(zip(np.split(ids, ends[:-1]), np.split(counts, ends[:-1])))
 
-    def _allocate_tree(self, djvm: DJVM, root: _TreeNode, cell_cls, leaf_cls, arr_cls) -> tuple[int, int]:
-        """Allocate heap objects for one round's tree.  Each node is homed
-        at the node of the thread owning the majority of bodies beneath it
-        (the steady state home migration converges to); allocation happens
-        in depth-first build order so the page map interleaves subtrees."""
-        count = 0
-        owner = self._owner.tolist()
+    # ------------------------------------------------------------------
+    # tree allocation
+    # ------------------------------------------------------------------
 
-        def dominant_thread(node: _TreeNode) -> int:
-            if node.is_leaf:
-                owners = [owner[b] for b in node.bodies]
+    def _allocate_tree(self, djvm: DJVM, tree: _Octree, order: np.ndarray, cell_cls, leaf_cls, arr_cls) -> int:
+        """Allocate heap objects for one round's tree and return the
+        root's id.  Allocation runs in post-order — the reverse of
+        ``order`` — with a leaf's body array just before the leaf, so
+        the page map interleaves subtrees.  Each node is homed at the
+        node of its :meth:`_cell_owners` thread."""
+        homes = np.array(self._home_of)[self._cell_owners(tree, order)].tolist()
+        first = tree.first_child.tolist()
+        kids = tree.n_children.tolist()
+        offsets = tree.offsets.tolist()
+        counts = tree.counts.tolist()
+        members = self._body_obj[tree.bodies].tolist()
+        obj_id = [-1] * len(kids)
+        arr_id = [-1] * len(kids)
+        allocate = djvm.allocate
+        for i in order[::-1].tolist():
+            home = homes[i]
+            if kids[i]:
+                refs = obj_id[first[i] : first[i] + kids[i]]
+                obj_id[i] = allocate(cell_cls, home, refs=refs, site="bh.tree").obj_id
             else:
-                owners = []
-                stack = [node]
-                while stack and len(owners) < 64:
-                    cur = stack.pop()
-                    if cur.is_leaf:
-                        owners += [owner[b] for b in cur.bodies]
-                    else:
-                        stack.extend(cur.children)
-            if not owners:
-                return 0
-            # Most common owner, the first met winning ties.
-            return max(dict.fromkeys(owners), key=owners.count)
+                lo, n = offsets[i], counts[i]
+                arr = allocate(arr_cls, home, length=n, refs=members[lo : lo + n], site="bh.tree")
+                arr_id[i] = arr.obj_id
+                obj_id[i] = allocate(leaf_cls, home, refs=[arr.obj_id], site="bh.tree").obj_id
+        tree.obj_id = np.array(obj_id)
+        tree.arr_id = np.array(arr_id)
+        return obj_id[0]
+
+    def _cell_owners(self, tree: _Octree, order: np.ndarray) -> np.ndarray:
+        """Each node's home thread (level order): the one owning most of
+        the first >= :data:`HOME_SAMPLE_BODIES` bodies a stack walk from
+        the node meets, the first met winning ties —
+        :meth:`_dominant_thread_reference`'s rule for all nodes at once.
+
+        The walk meets whole leaves in stack ``order`` and a leaf's
+        bodies ascending.  Lined up that way (``walk``), the bodies
+        beneath any node are one contiguous run, and its sample is the
+        run's shortest whole-leaf prefix of at least that many bodies.
+        """
+        counts = tree.counts
+        is_leaf = tree.n_children == 0
+        leaves = order[is_leaf[order]]
+        walk = tree.bodies[_ranges(tree.offsets[leaves], counts[leaves])]
+        met = np.where(is_leaf[order], counts[order], 0)
+        start = np.empty_like(counts)
+        start[order] = np.cumsum(met) - met
+        leaf_end = np.cumsum(counts[leaves])
+        stop = np.append(leaf_end, walk.size)[np.searchsorted(leaf_end, start + HOME_SAMPLE_BODIES)]
+        size = np.minimum(stop, start + counts) - start
+        # One vote per sampled body, keyed (node, owner).
+        n_threads = self.n_threads
+        key = np.repeat(np.arange(len(counts)) * n_threads, size)
+        key += self._owner[walk[_ranges(start, size)]]
+        votes = np.bincount(key, minlength=len(counts) * n_threads)
+        first_met = np.full(votes.size, key.size)
+        np.minimum.at(first_met, key, np.arange(key.size))
+        # More votes win; among equals the smaller first position does.
+        score = votes * (key.size + 1) - first_met
+        return score.reshape(-1, n_threads).argmax(axis=1)
+
+    def _dominant_thread_reference(self, node: _TreeNode) -> int:
+        """Reference home rule, one node at a time: the most common owner
+        among a leaf's bodies, or among the first >= 64 bodies a stack
+        walk from a cell meets, the first met winning ties.  Kept as the
+        specification of :meth:`_cell_owners`."""
+        owner = self._owner.tolist()
+        if node.is_leaf:
+            owners = [owner[b] for b in node.bodies]
+        else:
+            owners = []
+            stack = [node]
+            while stack and len(owners) < HOME_SAMPLE_BODIES:
+                cur = stack.pop()
+                if cur.is_leaf:
+                    owners += [owner[b] for b in cur.bodies]
+                else:
+                    stack.extend(cur.children)
+        if not owners:
+            return 0
+        return max(dict.fromkeys(owners), key=owners.count)
+
+    def _allocate_tree_reference(self, djvm: DJVM, root: _TreeNode, cell_cls, leaf_cls, arr_cls) -> tuple[int, int]:
+        """Reference allocation: a recursive post-order walk homing each
+        node by :meth:`_dominant_thread_reference`.  Kept as the
+        specification of :meth:`_allocate_tree`; returns (root id, node
+        count)."""
+        count = 0
 
         def alloc(node: _TreeNode) -> int:
             nonlocal count
             count += 1
-            home = self._home_of[dominant_thread(node)]
+            home = self._home_of[self._dominant_thread_reference(node)]
             if node.is_leaf:
                 refs = [self.body_ids[b] for b in node.bodies]
                 if refs:

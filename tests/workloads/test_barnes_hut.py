@@ -49,7 +49,7 @@ class TestOctree:
     def test_leaf_capacity_respected(self):
         wl = BarnesHutWorkload(n_bodies=128, rounds=1, n_threads=4, leaf_capacity=4)
         pos, _, _ = wl._generate_galaxies()
-        root = wl._build_tree(pos)
+        root = wl._build_tree(pos).root()
         stack = [root]
         while stack:
             node = stack.pop()
@@ -68,7 +68,7 @@ class TestOctree:
             wl._build_tree(pos)
         pos[8] = 0.5  # eight coincident bodies still fit one leaf
         leaf_sizes = []
-        stack = [wl._build_tree(pos)]
+        stack = [wl._build_tree(pos).root()]
         while stack:
             node = stack.pop()
             leaf_sizes.append(len(node.bodies))
@@ -78,7 +78,7 @@ class TestOctree:
     def test_traversal_visits_fewer_with_larger_theta(self):
         wl = BarnesHutWorkload(n_bodies=256, rounds=1, n_threads=4, theta=0.3)
         pos, _, _ = wl._generate_galaxies()
-        root = wl._build_tree(pos)
+        root = wl._build_tree(pos).root()
         tight, _ = wl._traverse(root, pos, 0)
         wl.theta = 1.2
         loose, _ = wl._traverse(root, pos, 0)
@@ -89,7 +89,7 @@ class TestOctree:
         (the traversal degenerates to all-pairs)."""
         wl = BarnesHutWorkload(n_bodies=64, rounds=1, n_threads=4, theta=1e-6)
         pos, _, _ = wl._generate_galaxies()
-        root = wl._build_tree(pos)
+        root = wl._build_tree(pos).root()
         _, partners = wl._traverse(root, pos, 0)
         assert sorted(partners) == [i for i in range(64) if i != 0]
 
@@ -147,21 +147,14 @@ class TestVectorizedPlanner:
         order = np.lexsort((wl._morton_order(pos).argsort(), labels))
         pos, vel = pos[order], vel[order]
         for _round in range(wl.rounds):
-            root = wl._build_tree(pos)
+            tree = wl._build_tree(pos)
             # Stand in for _allocate_tree: give every node a distinct id
-            # (DFS order) so the Counters key on real, unique objects.
-            next_id = 10_000_000
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                node.obj_id = next_id
-                next_id += 1
-                if node.is_leaf and node.bodies:
-                    node.arr_id = next_id
-                    next_id += 1
-                stack.extend(node.children)
-            fast = wl._plan_round(root, pos)
-            ref = wl._plan_round_reference(root, pos)
+            # so the plans key on real, unique objects.
+            n_nodes = len(tree.counts)
+            tree.obj_id = 10_000_000 + np.arange(n_nodes)
+            tree.arr_id = np.where(tree.n_children == 0, 20_000_000 + np.arange(n_nodes), -1)
+            fast = wl._plan_round(tree, pos)
+            ref = wl._plan_round_reference(tree.root(), pos)
             assert len(fast) == len(ref) == wl.n_threads
             for (ids, counts), (ref_ids, ref_counts) in zip(fast, ref):
                 assert ids.tolist() == ref_ids.tolist()

@@ -44,11 +44,10 @@ def same_tree(fast, ref):
 
 def build(reference, *, galaxies=None, n_nodes=4, **kw):
     """Build a workload on a fresh DJVM, through the array build or with
-    the two reference functions standing in for it."""
+    the per-body and per-node reference functions standing in for it."""
     wl = BarnesHutWorkload(**kw)
     if reference:
-        wl._build_tree = wl._build_tree_reference
-        wl._plan_round = wl._plan_round_reference
+        wl._round = wl._round_reference
     if galaxies is not None:
         wl._generate_galaxies = lambda: galaxies
     djvm = DJVM(n_nodes=n_nodes, costs=CostModel.fast_test())
@@ -62,6 +61,14 @@ def object_table(djvm):
         (o.obj_id, o.jclass.name, o.seq, o.home_node, o.length, tuple(o.refs), o.site)
         for o in djvm.gos
     ]
+
+
+def level_order(root):
+    """The nodes under ``root`` level by level, children in order."""
+    nodes = [root]
+    for node in nodes:
+        nodes.extend(node.children)
+    return nodes
 
 
 def plain(round_plans):
@@ -94,7 +101,7 @@ class TestArrayBuildMatchesReference:
             theta=theta, leaf_capacity=leaf_capacity,
         )
         probe = BarnesHutWorkload(**kw)
-        same_tree(probe._build_tree(pos), probe._build_tree_reference(pos))
+        same_tree(probe._build_tree(pos).root(), probe._build_tree_reference(pos))
 
         rng = np.random.default_rng(len(pos) * n_threads)
         galaxies = (pos, rng.normal(0, 2, size=pos.shape), np.arange(len(pos)) % 2)
@@ -103,6 +110,11 @@ class TestArrayBuildMatchesReference:
         assert object_table(fast_djvm) == object_table(ref_djvm)
         assert plain(fast._round_plans) == plain(ref._round_plans)
         assert fast.programs() == ref.programs()
+
+        # Every node's home thread, against the per-node rule.
+        tree = fast._build_tree(pos)
+        homes = fast._cell_owners(tree, tree.stack_order()).tolist()
+        assert homes == [fast._dominant_thread_reference(node) for node in level_order(tree.root())]
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_whole_workload_digest(self, seed):
@@ -123,7 +135,7 @@ class TestOctreeProperties:
     @settings(max_examples=25, deadline=None)
     def test_every_body_in_exactly_one_leaf(self, pos):
         wl = workload(n_bodies=len(pos))
-        root = wl._build_tree(pos)
+        root = wl._build_tree(pos).root()
         seen: list[int] = []
         stack = [root]
         while stack:
@@ -139,7 +151,7 @@ class TestOctreeProperties:
     @settings(max_examples=25, deadline=None)
     def test_children_inside_parent_bounds(self, pos):
         wl = workload(n_bodies=len(pos))
-        root = wl._build_tree(pos)
+        root = wl._build_tree(pos).root()
         stack = [root]
         while stack:
             node = stack.pop()
@@ -156,7 +168,7 @@ class TestOctreeProperties:
     @settings(max_examples=25, deadline=None)
     def test_bodies_inside_root_bounds(self, pos):
         wl = workload(n_bodies=len(pos))
-        root = wl._build_tree(pos)
+        root = wl._build_tree(pos).root()
         for axis in range(3):
             assert (pos[:, axis] >= root.center[axis] - root.half - 1e-6).all()
             assert (pos[:, axis] <= root.center[axis] + root.half + 1e-6).all()
@@ -165,7 +177,7 @@ class TestOctreeProperties:
     @settings(max_examples=25, deadline=None)
     def test_traversal_partners_unique_and_exclude_self(self, pos, body):
         wl = workload(n_bodies=len(pos))
-        root = wl._build_tree(pos)
+        root = wl._build_tree(pos).root()
         _visited, partners = wl._traverse(root, pos, body)
         assert body not in partners
         assert len(partners) == len(set(partners))
