@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -441,16 +441,20 @@ class BarnesHutWorkload(Workload):
         # 3-cycle (an exact cycle would defeat even a prime sampling gap
         # of 3: every sampled vector would be a position vector).
         alloc_rng = seeded_rng(self.seed, "barnes_hut", "transient_allocs")
-        for owner in self._owner.tolist():
+        # One draw per body, in body order (the stream one draw at a time
+        # would give).
+        transients = alloc_rng.integers(0, 3, size=self.n_bodies).tolist()
+        allocate = djvm.allocate
+        for owner, n_transient in zip(self._owner.tolist(), transients):
             node = self._home_of[owner]
-            pv = djvm.allocate(vect_cls, node, site="bh.vect").obj_id
-            vv = djvm.allocate(vect_cls, node, site="bh.vect").obj_id
-            av = djvm.allocate(vect_cls, node, site="bh.vect").obj_id
-            body = djvm.allocate(body_cls, node, refs=[pv, vv, av], site="bh.body")
+            pv = allocate(vect_cls, node, site="bh.vect").obj_id
+            vv = allocate(vect_cls, node, site="bh.vect").obj_id
+            av = allocate(vect_cls, node, site="bh.vect").obj_id
+            body = allocate(body_cls, node, refs=[pv, vv, av], site="bh.body")
             self.body_ids.append(body.obj_id)
             self.vect_ids.append((pv, vv, av))
-            for _ in range(int(alloc_rng.integers(0, 3))):
-                djvm.allocate(vect_cls, node, site="bh.transient")  # transient, never accessed
+            for _ in range(n_transient):
+                allocate(vect_cls, node, site="bh.transient")  # transient, never accessed
         bodies_arr = djvm.allocate(
             arr_cls, self.node_of(0), length=self.n_bodies, refs=self.body_ids,
             site="bh.bodies",
@@ -805,7 +809,9 @@ class BarnesHutWorkload(Workload):
             ids, counts = per_thread[thread_id]
             again = counts > 1
             reps = np.concatenate(((counts + 1) // 2, (counts // 2)[again]))
-            objs = np.concatenate((ids, ids[again])).tolist()
+            # The second pass shares the first pass's int objects.
+            first_pass = ids.tolist()
+            objs = first_pass + list(compress(first_pass, again.tolist()))
             if objs:
                 # The force arithmetic of each chunk of reads.
                 work = np.add.reduceat(reps, range(0, len(objs), COMPUTE_CHUNK_READS))
