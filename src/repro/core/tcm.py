@@ -45,12 +45,18 @@ def _tcm_from_arrays(
     if bad.any():
         tid = int(tids[int(np.argmax(bad))])
         raise ValueError(f"thread id {tid} out of range 0..{n_threads - 1}")
-    uniq, first_idx, inv = np.unique(oids, return_index=True, return_inverse=True)
-    n_objects = int(uniq.size)
-    # np.unique sorts by object id; re-rank rows by first occurrence.
-    rank = np.empty(n_objects, dtype=np.int64)
-    rank[np.argsort(first_idx, kind="stable")] = np.arange(n_objects)
-    rows = rank[inv]
+    if oids.min() < 0:
+        raise ValueError(f"object id {int(oids.min())} is negative")
+    # Object ids are dense heap indices, so a table over them is no
+    # longer than the heap: each id's first entry, then the present ids
+    # ranked by it.
+    first = np.full(int(oids.max()) + 1, oids.size)
+    np.minimum.at(first, oids, np.arange(oids.size))
+    present = np.flatnonzero(first < oids.size)
+    n_objects = int(present.size)
+    rank = np.empty_like(first)
+    rank[present[np.argsort(first[present])]] = np.arange(n_objects)
+    rows = rank[oids]
     bytes_mat = np.zeros((n_objects, n_threads), dtype=np.float64)
     np.maximum.at(bytes_mat, (rows, tids), sizes)
     # An object's size is logged identically by every accessor (the

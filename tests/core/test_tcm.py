@@ -52,6 +52,10 @@ class TestBuildTcm:
         with pytest.raises(ValueError):
             build_tcm([], 0)
 
+    def test_negative_object_id_rejected(self):
+        with pytest.raises(ValueError, match="object id -3 is negative"):
+            build_tcm([(0, 1, 1.0), (1, -3, 1.0)], 2)
+
     def test_empty(self):
         tcm = build_tcm([], 4)
         assert tcm.shape == (4, 4)
