@@ -340,8 +340,9 @@ class BarnesHutWorkload(Workload):
     def _build_tree_reference(self, pos: np.ndarray) -> _TreeNode:
         """Reference builder: every body classified into its octant one
         at a time.  Kept as the specification :meth:`_build_tree` (seen
-        through :meth:`_Octree.root`) must reproduce exactly — shape, child order, body order inside a
-        leaf, and ``center`` / ``half`` / ``centroid`` bit for bit."""
+        through :meth:`_Octree.root`) must reproduce exactly — shape,
+        child order, body order inside a leaf, and ``center`` / ``half``
+        / ``centroid`` bit for bit."""
         center = (pos.min(axis=0) + pos.max(axis=0)) / 2
         half = float(np.max(pos.max(axis=0) - pos.min(axis=0)) / 2) + 1e-9
         root = _TreeNode(center=center, half=half, bodies=list(range(len(pos))))
@@ -474,8 +475,7 @@ class BarnesHutWorkload(Workload):
     def _round(self, djvm: DJVM, pos: np.ndarray, cell_cls, leaf_cls, arr_cls) -> RoundPlan:
         """One round: its tree, allocated, and every thread's reads of it."""
         tree = self._build_tree(pos)
-        order = tree.stack_order()
-        root_id = self._allocate_tree(djvm, tree, order, cell_cls, leaf_cls, arr_cls)
+        root_id = self._allocate_tree(djvm, tree, cell_cls, leaf_cls, arr_cls)
         return root_id, self._plan_round(tree, pos), len(tree.counts)
 
     def _round_reference(self, djvm: DJVM, pos: np.ndarray, cell_cls, leaf_cls, arr_cls) -> RoundPlan:
@@ -522,10 +522,10 @@ class BarnesHutWorkload(Workload):
         traversals pass its opening criterion (evaluated with the same
         IEEE double operations as :meth:`_traverse`, so the sets are
         bit-identical).  The walk only records which set reaches which
-        node; everything per thread
-        comes afterwards from one table — each set cut at the thread
-        block boundaries gives, per (set, thread), how many of the
-        thread's bodies visit and the first of them.
+        node; everything per thread comes afterwards from one table —
+        each set cut at the thread block boundaries gives, per (set,
+        thread), how many of the thread's bodies visit and the first of
+        them.
 
         Because pruning only removes whole subtrees, every body's visit
         sequence is the global stack-DFS order filtered to the nodes it
@@ -636,12 +636,14 @@ class BarnesHutWorkload(Workload):
     # tree allocation
     # ------------------------------------------------------------------
 
-    def _allocate_tree(self, djvm: DJVM, tree: _Octree, order: np.ndarray, cell_cls, leaf_cls, arr_cls) -> int:
+    def _allocate_tree(self, djvm: DJVM, tree: _Octree, cell_cls, leaf_cls, arr_cls) -> int:
         """Allocate heap objects for one round's tree and return the
-        root's id.  Allocation runs in post-order — the reverse of
-        ``order`` — with a leaf's body array just before the leaf, so
+        root's id.  Allocation runs in post-order — the reverse of the
+        stack order — with a leaf's body array just before the leaf, so
         the page map interleaves subtrees.  Each node is homed at the
-        node of its :meth:`_cell_owners` thread."""
+        node of its :meth:`_cell_owners` thread (the steady state home
+        migration converges to)."""
+        order = tree.stack_order()
         homes = np.array(self._home_of)[self._cell_owners(tree, order)].tolist()
         first = tree.first_child.tolist()
         kids = tree.n_children.tolist()

@@ -1,8 +1,11 @@
 """Tests for the global object space and local heaps."""
 
+import sys
+
 import pytest
 
 from repro.heap.heap import GlobalObjectSpace, LocalHeap
+from repro.runtime.djvm import DJVM
 
 
 def make_gos():
@@ -30,13 +33,62 @@ class TestGlobalObjectSpace:
 
     def test_array_without_length_rejected(self):
         gos = make_gos()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"array of class double\[\] needs length >= 1, got 0"):
             gos.allocate("double[]", 0)
+        with pytest.raises(ValueError, match=r"needs length >= 1, got -2"):
+            gos.allocate("double[]", 0, length=-2)
 
     def test_scalar_with_length_rejected(self):
         gos = make_gos()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="scalar class Obj cannot take a length"):
             gos.allocate("Obj", 0, length=4)
+
+    def test_unknown_class_name_rejected(self):
+        gos = make_gos()
+        with pytest.raises(KeyError, match="class 'Nope' is not defined"):
+            gos.allocate("Nope", 0)
+
+    def test_rejected_allocations_leave_no_trace(self):
+        gos = make_gos()
+        for bad in (dict(jclass="Obj", length=1), dict(jclass="double[]"), dict(jclass="Nope")):
+            with pytest.raises((ValueError, KeyError)):
+                gos.allocate(home_node=0, **bad)
+        assert len(gos) == 0
+        assert [c.next_seq for c in gos.registry] == [0, 0]
+
+    def test_sequence_numbers_per_class(self):
+        gos = make_gos()
+        objs = [
+            gos.allocate("Obj", 0),
+            gos.allocate("double[]", 0, length=4),
+            gos.allocate("Obj", 1),
+            gos.allocate("double[]", 1, length=1),
+            gos.allocate("Obj", 0),
+        ]
+        assert [(o.obj_id, o.seq) for o in objs] == [(0, 0), (1, 0), (2, 1), (3, 4), (4, 2)]
+        assert [c.next_seq for c in gos.registry] == [3, 5]
+
+    def test_refs_are_copied(self):
+        gos = make_gos()
+        refs = [0]
+        obj = gos.allocate("Obj", 0, refs=refs)
+        refs.append(1)
+        assert obj.refs == [0]
+
+    def test_site_origin_names_the_allocating_line(self):
+        gos = make_gos()
+        gos.allocate("Obj", 0, site="first")
+        line = sys._getframe().f_lineno - 1
+        gos.allocate("Obj", 0, site="first")  # a later line keeps the first one
+        assert list(gos.site_origins) == ["first"]
+        assert gos.site_origins["first"].endswith(f"test_heap.py:{line}")
+
+    def test_site_origin_skips_the_djvm_facade(self):
+        djvm = DJVM(2)
+        cls = djvm.registry.define("Obj", 64)
+        djvm.allocate(cls, 1, site="via-djvm")
+        line = sys._getframe().f_lineno - 1
+        assert djvm.gos.site_origins["via-djvm"].endswith(f"test_heap.py:{line}")
 
     def test_refs_stored(self):
         gos = make_gos()

@@ -1,5 +1,7 @@
 """Tests for the Barnes-Hut workload."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.analysis.heatmap import block_contrast
 from repro.core.profiler import ProfilerSuite
 from repro.runtime.djvm import DJVM
 from repro.sim.costs import CostModel
-from repro.workloads import BarnesHutWorkload
+from repro.workloads import BarnesHutWorkload, barnes_hut
 
 
 def build(n_bodies=256, rounds=2, n_threads=4, n_nodes=4, **kw):
@@ -127,6 +129,16 @@ class TestSharingProfile:
             programs.append(wl.programs())
         assert tables[0] == tables[1]
         assert programs[0] == programs[1]
+
+    def test_site_origins_name_the_allocating_lines(self):
+        _wl, djvm = build()
+        lines = Path(barnes_hut.__file__).read_text().splitlines()
+        origins = djvm.gos.site_origins
+        assert sorted(origins) == ["bh.bodies", "bh.body", "bh.transient", "bh.tree", "bh.vect"]
+        for origin in origins.values():
+            path, line = origin.rsplit(":", 1)
+            assert path == "repro/workloads/barnes_hut.py"
+            assert "allocate(" in lines[int(line) - 1]
 
     def test_runs_to_completion(self):
         wl, djvm = build()
