@@ -80,9 +80,7 @@ class GlobalObjectSpace:
             raise ValueError(f"scalar class {jclass.name} cannot take a length")
         else:
             n_seqs = 1
-        # JClass.issue_seq inlined: the count is validated above.
-        seq = jclass.next_seq
-        jclass.next_seq = seq + n_seqs
+        seq = jclass.issue_seq(n_seqs)
         objects = self._objects
         obj_id = len(objects)
         obj = HeapObject(obj_id, jclass, seq, home_node, length, list(refs), 0, site)

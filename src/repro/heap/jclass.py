@@ -45,7 +45,8 @@ class JClass:
         consecutive numbers (one per element, Section II.B.3), of which
         only the first is stored on the instance.
         """
-        check_positive(count, "sequence count")
+        if not count > 0:  # check_positive, inlined: one call per allocation
+            raise ValueError(f"sequence count must be > 0, got {count!r}")
         first = self.next_seq
         self.next_seq += count
         return first
