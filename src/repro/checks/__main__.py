@@ -6,8 +6,9 @@ Subcommands:
   ``src tests benchmarks``); prints ``path:line:col: CODE message`` per
   finding and exits non-zero when any undisabled finding remains.
 * ``sanitize`` — run the three tracked bench workloads at test scale
-  with a ``ProtocolSanitizer`` attached; exits non-zero on any
-  :class:`~repro.checks.sanitizer.SanitizerViolation`.
+  with a ``ProtocolSanitizer`` attached, printing each run's replay
+  routing; exits non-zero on any :class:`~repro.checks.sanitizer.
+  SanitizerViolation` or a run with no one-pass (``bulk``/``lean``) run.
 * ``race`` — run the tracked workloads plus the seeded racy/locked
   synthetic pair with a collecting ``RaceDetector`` attached; exits non-zero
   when a tracked (race-free) workload reports any race, or when the
@@ -67,8 +68,12 @@ def run_sanitize() -> int:
     except SanitizerViolation as violation:
         print(f"sanitizer: {violation}", file=sys.stderr)
         return EXIT_SANITIZE
-    total = sum(checks for _, checks, _ in report)
-    print(f"sanitizer: clean ({total} checks across {len(report)} workloads)")
+    scalar = [name for name, _, _, routing in report if not (routing["bulk"] or routing["lean"])]
+    if scalar:
+        print(f"sanitizer: no one-pass execution on {', '.join(scalar)}", file=sys.stderr)
+        return EXIT_SANITIZE
+    total = sum(checks for _, checks, _, _ in report)
+    print(f"sanitizer: clean ({total} checks across {len(report)} workloads, one pass)")
     return 0
 
 
@@ -215,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Determinism lint + protocol sanitizer + race + static gates.",
         epilog=(
             "exit codes: 0 all clean; "
-            f"{EXIT_LINT} lint findings; {EXIT_SANITIZE} sanitizer violation; "
+            f"{EXIT_LINT} lint findings; {EXIT_SANITIZE} sanitizer violation or no one-pass run; "
             f"{EXIT_RACE} race gate failed; {EXIT_STATIC} static gate failed; "
             "6 retired (not reused). "
             "`all` runs every gate and exits with the highest failing code."

@@ -55,10 +55,11 @@ Modes
   re-runs the analysis over a recorded trace without re-executing the
   workload and produces identical reports.
 
-Like the sanitizer, the detector is a ``per_op``
+Like the sanitizer, the detector is a
 :class:`~repro.dsm.observer.ProtocolObserver`: it observes, never
 advances simulated clocks, so a race-checked run is byte-identical to a
-plain one (under scalar replay, which a ``per_op`` observer forces).
+plain one.  It overrides ``on_access`` (the vector clocks need every
+access), so a race-checked run stays on the scalar loop.
 """
 
 from __future__ import annotations
@@ -188,8 +189,6 @@ class RaceDetector(ProtocolObserver):
     can drive them from a recorded trace; the ``on_*`` methods are the
     thread-facing :class:`ProtocolObserver` overrides the engine calls.
     """
-
-    per_op = True
 
     def __init__(
         self,

@@ -11,7 +11,8 @@ covers the sanitizer's sticky-set/prefetch invariant (SAN006).
 * :func:`run_checked` builds a DJVM with the given checker attached,
   runs one workload, and returns ``(result, djvm)``.
 * :func:`run_sanitize_all` runs every tracked workload under the
-  protocol sanitizer (violations raise).
+  protocol sanitizer (violations raise) and reports how each run's
+  access runs were routed.
 * :func:`run_race_all` runs every tracked workload plus the seeded
   racy/locked synthetic pair under the happens-before race detector
   and returns the collected reports for the CLI to gate on.
@@ -85,19 +86,22 @@ def _schedule_migration(djvm: DJVM, suite: ProfilerSuite) -> None:
     )
 
 
-def run_sanitize_all(*, verbose: bool = True) -> list[tuple[str, int, int]]:
+def run_sanitize_all(*, verbose: bool = True) -> list[tuple[str, int, int, dict[str, int]]]:
     """Run every tracked workload sanitized; returns
-    ``[(name, checks_run, violations), ...]``.  Violations raise."""
+    ``[(name, checks_run, violations, DJVM.replay_routing), ...]``.
+    Violations raise."""
     report = []
     for name, workload in tracked_workloads():
         sanitizer = ProtocolSanitizer()
-        run_checked(workload, sanitizer, migrate=(name == "SOR"))
-        report.append((name, sanitizer.checks_run, sanitizer.violations))
+        _, djvm = run_checked(workload, sanitizer, migrate=(name == "SOR"))
+        routing = djvm.replay_routing
+        report.append((name, sanitizer.checks_run, sanitizer.violations, routing))
         if verbose:
             print(
                 f"  sanitize {name:<14} {sanitizer.checks_run:>7} checks, "
                 f"{sanitizer.violations} violations"
             )
+            print("    replay: " + ", ".join(f"{k} {v}" for k, v in routing.items()))
     return report
 
 

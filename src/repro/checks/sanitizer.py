@@ -40,8 +40,9 @@ The sanitizer is a :class:`~repro.dsm.observer.ProtocolObserver`, not a
 a cost model attached (and a single-hook fast path the profiler relies
 on), while observer callbacks are free — they observe, never advance
 simulated clocks — so a sanitized run produces byte-identical simulated
-results, which ``tests/checks`` asserts.  It is ``per_op`` (SAN003
-checks every access), so it forces scalar replay.
+results, which ``tests/checks`` asserts.  It overrides neither
+``on_access`` nor ``on_fault``, so a sanitized run takes the vector
+engine's one pass: SAN003 checks each closing interval's touched ids.
 """
 
 from __future__ import annotations
@@ -94,8 +95,6 @@ class ProtocolSanitizer(ProtocolObserver):
     One instance per DJVM; attach via ``djvm.attach(ProtocolSanitizer())``.
     """
 
-    per_op = True
-
     def __init__(self, *, trace_limit: int = 64) -> None:
         #: ring buffer of observed protocol events: (time_ns, description).
         self.events: deque[tuple[int, str]] = deque(maxlen=trace_limit)
@@ -114,6 +113,8 @@ class ProtocolSanitizer(ProtocolObserver):
         self._kernel_ns = 0
         # SAN007: obj_id -> last notice version seen.
         self._notice_version: dict[int, int] = {}
+        # SAN003: thread_id -> ids touched before a migration moved it.
+        self._left: dict[int, set[int]] = {}
         #: heap/GOS visibility for the sweep checks (set by :meth:`bind`).
         self._hlrc: HomeBasedLRC | None = None
         #: sticky-set footprinter, when the suite has one (enables
@@ -205,6 +206,23 @@ class ProtocolSanitizer(ProtocolObserver):
                 f"thread {tid} interval {interval.interval_id} written set "
                 f"contains objects absent from its touched set: {sorted(missing)}",
             )
+        # SAN003: no copy state changes inside an interval but by the
+        # thread's own accesses, so each id it touched must have a VALID
+        # or HOME copy here, unless touched before a migration moved it.
+        left = self._left.pop(tid, ())
+        for obj_id in sorted(touched):
+            record = self._hlrc.heaps[thread.node_id].get(obj_id)
+            if record is None or record.real_state is RealState.INVALID:
+                if obj_id in left:
+                    continue
+                self._fail(
+                    "SAN003",
+                    f"thread {tid} touched obj {obj_id} in interval "
+                    f"{interval.interval_id}, but node {thread.node_id} holds it "
+                    f"{'absent' if record is None else 'INVALID'} at close",
+                )
+            self._check_copy(thread.node_id, self._hlrc.gos.get(obj_id), record)
+        self.checks_run += len(touched)
         self._last_interval[tid] = interval.interval_id
         self._logged.pop(tid, None)
 
@@ -254,29 +272,6 @@ class ProtocolSanitizer(ProtocolObserver):
     # ------------------------------------------------------------------
     # SAN003: copy-state legality
     # ------------------------------------------------------------------
-
-    def on_access(
-        self,
-        thread: SimThread,
-        obj_id: int,
-        is_write: bool,
-        repeat: int,
-        record: CopyRecord,
-        obj: HeapObject | None,
-        faulted: bool,
-    ) -> None:
-        """One access resolved on ``thread``'s node (post state-check)."""
-        self.checks_run += 1
-        if record.real_state is RealState.INVALID:
-            self._fail(
-                "SAN003",
-                f"access to obj {obj_id} on node {thread.node_id} resolved with "
-                "the copy still INVALID (fault machinery skipped)",
-            )
-        if obj is not None:
-            self._check_copy(thread.node_id, obj, record)
-        if faulted:
-            self.note(thread.clock.now_ns, f"fault t{thread.thread_id} obj{obj_id}")
 
     def _check_copy(self, node_id: int, obj: HeapObject, record: CopyRecord) -> None:
         if obj.home_node == node_id and record.real_state is not RealState.HOME:
@@ -426,6 +421,7 @@ class ProtocolSanitizer(ProtocolObserver):
             f"migrate t{thread.thread_id} n{result.from_node}->n{result.to_node} "
             f"prefetch={result.prefetched_objects}",
         )
+        self._left[thread.thread_id] = set(thread.current_interval.touched)
         fp = self._footprinter
         if fp is not None:
             accessed = set(thread.current_interval.touched)

@@ -46,18 +46,13 @@ class ProfilerSuite:
         stack_gap_ms: float = 16.0,
         lazy_extraction: bool = True,
         footprint_timer_ms: float | None = None,
-        use_prime_gaps: bool = True,
         sampling_backend=None,
     ) -> None:
         if not djvm.threads:
             raise ValueError("spawn threads before constructing the ProfilerSuite")
         self.djvm = djvm
         costs = djvm.costs
-        self.policy = SamplingPolicy(
-            page_size=costs.page_size,
-            use_prime_gaps=use_prime_gaps,
-            backend=sampling_backend,
-        )
+        self.policy = SamplingPolicy(page_size=costs.page_size, backend=sampling_backend)
         self.collector = CorrelationCollector(
             n_threads=len(djvm.threads),
             cluster=djvm.cluster,

@@ -226,8 +226,10 @@ class HomeBasedLRC:
         #: and interpreter emit into this same list object; every
         #: emission site guards the fan-out with one ``if observers:``.
         self.observers: list[ProtocolObserver] = []
-        # The ``per_op`` subset: the only receivers of ``on_access``.
-        self._per_op: list[ProtocolObserver] = []
+        # Resolved at attach: the observers overriding ``on_access``, and
+        # those overriding it or ``on_fault`` (see unobserved()).
+        self._on_access: list[ProtocolObserver] = []
+        self._per_access: list[ProtocolObserver] = []
         #: the ``ProfilerSuite`` wired into this engine, if any (set by
         #: the suite; announced to observers attached after it).
         self.suite = None
@@ -263,7 +265,8 @@ class HomeBasedLRC:
 
     def attach(self, observer: ProtocolObserver) -> ProtocolObserver:
         """Add one observer to the run's single list and bind it to this
-        engine; returns it.  A ``ProfilerSuite`` announces itself through
+        engine; returns it.  ``on_access`` goes only to an observer whose
+        class overrides it.  A ``ProfilerSuite`` announces itself through
         ``on_suite_attach`` — to the observers present when it is built,
         and here to one attached after it."""
         if not isinstance(observer, ProtocolObserver):
@@ -273,8 +276,12 @@ class HomeBasedLRC:
         if any(o is observer for o in self.observers):
             raise ValueError(f"{type(observer).__name__} is already attached")
         self.observers.append(observer)
-        if observer.per_op:
-            self._per_op.append(observer)
+        cls = type(observer)
+        on_access = cls.on_access is not ProtocolObserver.on_access
+        if on_access:
+            self._on_access.append(observer)
+        if on_access or cls.on_fault is not ProtocolObserver.on_fault:
+            self._per_access.append(observer)
         observer.bind(self)
         if self.suite is not None:
             observer.on_suite_attach(self.suite)
@@ -408,9 +415,10 @@ class HomeBasedLRC:
         """True when nothing can observe a fault's intermediate clock
         values or its individual messages, except at the points the
         vector engine stops at: every profiler hook (if any) is planned
-        (no ``keyword`` in :attr:`dispatch_plan`), no observer
-        (recorders such as :class:`~repro.dsm.intervals.IntervalHistory`
-        included), and no prefetcher.  Under this gate (plus no
+        (no ``keyword`` in :attr:`dispatch_plan`), no observer of
+        ``on_access`` or ``on_fault`` (recorders such as
+        :class:`~repro.dsm.intervals.IntervalHistory` included), and no
+        prefetcher.  Under this gate (plus no
         condition-driven timer and no pending migration, which the
         interpreter owns) a run's faults may be priced in one pass
         (:meth:`charge_faults`): every cost is an integer sum and a
@@ -420,7 +428,7 @@ class HomeBasedLRC:
         deadlines are the clock stops the engine walks to."""
         return not (
             self._on_first_touch is None
-            or self.observers
+            or self._per_access
             or self.prefetcher is not None
         )
 
@@ -539,9 +547,9 @@ class HomeBasedLRC:
         if is_write:
             interval.written.add(obj_id)
 
-        per_op = self._per_op
-        if per_op:
-            for observer in per_op:
+        on_access = self._on_access
+        if on_access:
+            for observer in on_access:
                 observer.on_access(thread, obj_id, is_write, repeat, record, obj, faulted)
 
         hooks = self.hooks
@@ -600,19 +608,42 @@ class HomeBasedLRC:
 
     def close_interval(self, thread, reason: str, sync_dst: int | None = None) -> IntervalRecord:
         """Close the thread's current interval: flush diffs, publish write
-        notices, then hand the interval record to the profiler hooks.
-
-        The written ids split by set algebra against the node's cached
-        index (:attr:`LocalHeap.cached`): a cache copy this thread wrote
-        flushes a diff, a home copy only publishes, and an id with no
-        record here (written before a migration moved the thread)
-        publishes nothing.  The published ids go out as one block
-        (:meth:`publish`)."""
-        costs = self.costs
+        notices (:meth:`flush_writes`), then hand the interval record to
+        the profiler hooks.  The ids written on nodes a migration left
+        (:attr:`IntervalRecord.flushed`, flushed at each move) join the
+        written set again first, so a hook reads every id written."""
         interval: IntervalRecord = thread.current_interval
         interval.end_pc = thread.pc
         interval.close_reason = reason
+        self.flush_writes(thread)
+        if interval.flushed:
+            interval.written |= interval.flushed
+        close_ns = self.costs.interval_close_ns
+        thread.cpu.protocol_ns += close_ns
+        thread.clock._now_ns += close_ns
+        interval.end_ns = thread.clock._now_ns
+        self._c_intervals.inc()
 
+        for hook in self.hooks:
+            hook.on_interval_close(thread, interval, sync_dst)
+        # Observers see the close after the hooks, so close-time work
+        # (the profiler's OAL flush) nests inside the tracer's interval
+        # span; the interval *record*'s end_ns above stays the
+        # protocol-close instant.
+        if self.observers:
+            for observer in self.observers:
+                observer.on_interval_close(thread, interval)
+        return interval
+
+    def flush_writes(self, thread) -> None:
+        """Flush what the thread's open interval wrote on its node: at
+        its close, and at a migration before the thread leaves.
+
+        The written ids split by set algebra against the node's cached
+        index (:attr:`LocalHeap.cached`): a cache copy this thread wrote
+        flushes a diff and a home copy only publishes.  The published
+        ids go out as one block (:meth:`publish`)."""
+        costs = self.costs
         node_id = thread.node_id
         heap = self.heaps[node_id]
         copies = heap.copies
@@ -622,15 +653,13 @@ class HomeBasedLRC:
         cpu = thread.cpu
         observers = self.observers
         tid = thread.thread_id
-        written = interval.written
+        written = thread.current_interval.written
         # Sorted: the written set is hash-ordered, and diff/notice
         # publication order feeds network sends and the global notice
         # log — iteration order must not depend on interning accidents
-        # (SIM003).  Counter increments are batched per close.
+        # (SIM003).  Counter increments are batched per flush.
         diffs = [oid for oid in sorted(written & cached) if tid in (copies[oid].writers or ())]
         published = written.difference(cached)  # home copies
-        if interval.moved:
-            published = copies.keys() & published  # dropping ids with no record here
         published.update(diffs)
         ids = sorted(published)
         if ids:
@@ -661,24 +690,8 @@ class HomeBasedLRC:
                     if dirty:
                         observer.on_diff(thread, obj_id, dirty, diff_begin_ns)
                     observer.on_notice(thread, obj_id, obj.home_version)
-
         if diffs:
             self._c_diffs.inc(len(diffs))
-        cpu.protocol_ns += costs.interval_close_ns
-        clock._now_ns += costs.interval_close_ns
-        interval.end_ns = clock._now_ns
-        self._c_intervals.inc()
-
-        for hook in self.hooks:
-            hook.on_interval_close(thread, interval, sync_dst)
-        # Observers see the close after the hooks, so close-time work
-        # (the profiler's OAL flush) nests inside the tracer's interval
-        # span; the interval *record*'s end_ns above stays the
-        # protocol-close instant.
-        if observers:
-            for observer in observers:
-                observer.on_interval_close(thread, interval)
-        return interval
 
     # ------------------------------------------------------------------
     # write notices

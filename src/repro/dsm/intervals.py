@@ -68,9 +68,11 @@ class IntervalRecord:
     written: set[int] = field(default_factory=set)
     #: what closed the interval ("release", "barrier", "acquire", "end").
     close_reason: str = ""
-    #: the thread changed node during the interval (set by the migration
-    #: engine), so some written ids may have no record where it closes.
-    moved: bool = False
+    #: None, or — once the thread changed node during the interval —
+    #: the ids it wrote on the nodes it left.  Each move flushes them
+    #: there (``MigrationEngine.migrate``) and takes them out of
+    #: ``written``; the close adds them back before any hook reads it.
+    flushed: set[int] | None = None
     #: ids the run's one re-arming hook re-armed this interval: every
     #: access of one, the arming first touch included, goes to its
     #: tracking entry (``ProtocolHooks``); a new interval starts with
@@ -84,17 +86,15 @@ class IntervalRecord:
 
 
 class AccessSummaries(ProtocolObserver):
-    """The one fold of per-object access summaries: a ``per_op``
-    observer that sums each access op's ``repeat`` into the reads or
+    """The one fold of per-object access summaries: an observer whose
+    ``on_access`` sums each access op's ``repeat`` into the reads or
     writes of its object in the thread's open interval, and stamps the
-    object's first and last access with the thread's clock at the call.
-    At close it hands the finished ``{obj_id: AccessSummary}``, in
-    first-touch order, to :meth:`on_summaries`, which subclasses
-    override."""
+    object's first and last access with the thread's clock at the call
+    (so its runs stay on the scalar loop).  At close it hands the
+    finished ``{obj_id: AccessSummary}``, in first-touch order, to
+    :meth:`on_summaries`, which subclasses override."""
 
     __slots__ = ("_open",)
-
-    per_op = True
 
     def __init__(self) -> None:
         # thread_id -> the open interval's summaries (created at the
@@ -125,7 +125,8 @@ class AccessSummaries(ProtocolObserver):
 class IntervalHistory(AccessSummaries):
     """Every closed interval of a run, per thread in close order, with
     its access summaries.  Attach with ``djvm.attach(IntervalHistory())``;
-    like any observer it keeps the run on the scalar loop."""
+    like any :class:`AccessSummaries` it keeps the run on the scalar
+    loop."""
 
     __slots__ = ("by_thread", "summaries")
 

@@ -9,6 +9,12 @@ each transition at one site with one argument list, and skips the
 whole fan-out behind one ``if observers:`` test when nothing is
 attached.  Attach with ``DJVM.attach(observer)``.
 
+``HomeBasedLRC.attach`` resolves an observer's dispatch from what its
+class overrides.  ``on_access`` and ``on_fault`` are the two events the
+vector engine's one pass does not emit, so an observer overriding
+either keeps the run on the scalar loop; every other event is emitted
+the same way on both routes.
+
 Contract: an observer only *reads* simulated state and writes its own —
 it never advances a simulated clock, charges CPU, sends a message or
 touches a copy, a notice or an OAL batch, whether through an argument,
@@ -34,12 +40,6 @@ class ProtocolObserver:
 
     __slots__ = ()
 
-    #: needs every access: ``on_access`` is dispatched only to per-op
-    #: observers, and one attached leaves the run without a vector
-    #: engine (any attached observer already keeps replay scalar, see
-    #: ``HomeBasedLRC.unobserved``).
-    per_op = False
-
     def bind(self, hlrc) -> None:
         """Attached to ``hlrc`` (once, from ``HomeBasedLRC.attach``)."""
 
@@ -53,10 +53,10 @@ class ProtocolObserver:
 
     def on_access(self, thread, obj_id, is_write, repeat, record, obj, faulted) -> None:
         """One access op — ``repeat`` accesses of ``obj_id`` — resolved
-        to ``record`` (``per_op`` observers only; ``obj`` is None on a
-        plain hit that never looked it up).  The thread's clock reads
-        the op's access instant: after its access, fault and twin
-        charges, before any hook's."""
+        to ``record`` (dispatched only to observers that override it;
+        ``obj`` is None on a plain hit that never looked it up).  The
+        thread's clock reads the op's access instant: after its access,
+        fault and twin charges, before any hook's."""
 
     def on_fault(self, thread, obj, refault, begin_ns, n_objects) -> None:
         """Remote fetch round trip done (``n_objects`` incl. prefetch

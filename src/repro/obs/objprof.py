@@ -3,7 +3,7 @@
 DJXPerf-style attribution: the aggregate counters say *how much* the
 protocol worked; this profiler says *which objects* — and, through the
 allocation-site labels captured at GOS registration, *which workload
-lines* — made it work.  It is a ``per_op``
+lines* — made it work.  It is a scalar-loop (``on_access``)
 :class:`~repro.dsm.observer.ProtocolObserver`
 (``djvm.attach(ObjectProfiler())``): its overrides fold the
 fault/diff/invalidation/OAL event stream into per-object

@@ -256,8 +256,9 @@ class DJVM:
     @property
     def replay_routing(self) -> dict[str, int]:
         """How the last run's vector engine routed access runs (see
-        :meth:`~repro.runtime.vector.VectorEngine.routing`); empty when
-        no engine ran (scalar replay, a ``per_op`` observer, no run)."""
+        :meth:`~repro.runtime.vector.VectorEngine.routing`); empty under
+        scalar replay or before a run, all zeros when nothing took the
+        one pass (an observer of accesses or faults, say)."""
         interp = self._interpreter
         if interp is None or interp._vector is None:
             return {}

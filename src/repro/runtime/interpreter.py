@@ -99,11 +99,6 @@ class Interpreter:
             raise ValueError("interpreter needs at least one thread")
         if replay not in ("vector", "scalar"):
             raise ValueError(f"replay must be 'vector' or 'scalar', got {replay!r}")
-        #: access replay mode: "vector" engages the one-pass replay engine
-        #: (repro.runtime.vector) for unobserved segments; "scalar" forces
-        #: per-op dispatch everywhere (the correctness oracle).
-        self.replay = replay
-        self._vector = None
         self.hlrc = hlrc
         self.threads = threads
         self.threads_by_id = {t.thread_id: t for t in threads}
@@ -132,6 +127,9 @@ class Interpreter:
             prog.OP_RELEASE: self._do_release,
             prog.OP_BARRIER: self._do_barrier,
         }
+        # "vector" engages the one-pass replay engine for unobserved
+        # segments; "scalar" runs every op on the per-op loop (the oracle).
+        self._vector = VectorEngine(self) if replay == "vector" else None
 
     # ------------------------------------------------------------------
 
@@ -167,16 +165,6 @@ class Interpreter:
             self.hlrc.open_interval(thread)
         kernel = self.kernel
         observers = self.hlrc.observers
-        # Vector replay engages only when nothing observes the per-op
-        # stream: a ``per_op`` observer (sanitizer, race detector)
-        # consumes every access, so its presence forces the scalar
-        # oracle path.
-        if (
-            self._vector is None
-            and self.replay == "vector"
-            and not any(o.per_op for o in observers)
-        ):
-            self._vector = VectorEngine(self)
         self._schedule_runnable()
         while True:
             event = kernel.pop()
@@ -345,12 +333,12 @@ class Interpreter:
         record = self.kernel.record
         timer_fire = EventKind.TIMER_FIRE
         # Vector replay engages only when nothing on hlrc's side can
-        # observe a run's intermediate states (observers, prefetcher, a
-        # keyword hook), and then per run: not under a condition-driven
-        # timer (deadline 0) or a pending migration.  The engine hands
-        # first-touch entries each run's first touches and walks to
-        # re-armed accesses and timer deadlines.  Everything else runs
-        # on this loop.
+        # observe a run's intermediate states (an observer of accesses
+        # or faults, a prefetcher, a keyword hook), and then per run:
+        # not under a condition-driven timer (deadline 0) or a pending
+        # migration.  The engine hands first-touch entries each run's
+        # first touches and walks to re-armed accesses and timer
+        # deadlines.  Everything else runs on this loop.
         vec = self._vector
         vruns = None
         if vec is not None and self.hlrc.unobserved():

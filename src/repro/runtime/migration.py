@@ -113,6 +113,13 @@ class MigrationEngine:
         costs = self.hlrc.costs
         network = self.hlrc.network
 
+        # What the thread wrote here is diffed and published before it
+        # leaves: the copies it dirtied stay behind.
+        interval = thread.current_interval
+        self.hlrc.flush_writes(thread)
+        interval.flushed = interval.written | (interval.flushed or set())
+        interval.written = set()
+
         migrate_begin_ns = thread.clock.now_ns
         slots = thread.stack.total_slots()
         freeze_ns = costs.migration_fixed_ns + slots * costs.migration_ns_per_slot
@@ -143,7 +150,6 @@ class MigrationEngine:
         self.cluster[src].thread_ids.discard(thread.thread_id)
         self.cluster[target_node].thread_ids.add(thread.thread_id)
         thread.node_id = target_node
-        thread.current_interval.moved = True
         thread.migrations += 1
         self.results.append(result)
         observers = self.hlrc.observers

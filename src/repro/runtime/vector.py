@@ -11,10 +11,10 @@ access of a run every later access is a guaranteed hit, and after its
 *first* write the twin already exists.
 
 When nothing observes the run's intermediate states except at the
-points below — no observer, prefetcher, keyword hook, condition-driven
-timer or pending migration (:meth:`HomeBasedLRC.unobserved`; the
-interpreter owns the timer and migration half of the gate) — every
-simulated cost is an integer sum.
+points below — no observer of accesses or faults, prefetcher, keyword
+hook, condition-driven timer or pending migration
+(:meth:`HomeBasedLRC.unobserved`; the interpreter owns the timer and
+migration half of the gate) — every simulated cost is an integer sum.
 The engine then replays a whole run in one pass over its accesses in
 op order: each object's copy is probed (a repeat finds it current),
 lazy home copies are materialized, invalid or missing cache copies are
@@ -24,7 +24,8 @@ clock and CPU buckets move once.  Under profiler hooks the run's first
 touches in the current interval (the paper's profiler traps only those)
 are then booked in the interval's touched set and handed, with the ids
 among them that faulted, to each hook's batch-shaped first-touch entry,
-one call per hook.
+one call per hook.  With no hook and no observer, nothing reads the
+touched set, and the pass skips booking it.
 
 Two things read the clock mid-run: the re-arming hook's tracking entry
 at every access of an id it re-armed (the footprinter's sampled
@@ -95,10 +96,9 @@ class VectorEngine:
     """Executes :class:`AccessRun` occurrences in one pass for one
     interpreter.
 
-    Created by :meth:`Interpreter.run` when replay mode is ``"vector"``
-    and no ``per_op`` observer (sanitizer / race detector) is attached;
-    the segment loop hands it a run only under the gate of the module
-    docstring.
+    Created with its :class:`Interpreter` when replay mode is
+    ``"vector"``; the segment loop hands it a run only under the gate of
+    the module docstring.
     """
 
     __slots__ = (
@@ -136,8 +136,8 @@ class VectorEngine:
         """How the engine routed this run's access runs: executions on a
         cached lane (``bulk``, bodies that repeat in their program) or a
         transient one (``lean``, one-shot bodies), remote faults priced
-        in one pass (``faults_batched``), interval first touches handed
-        to first-touch entries (``first_touches``), re-armed accesses
+        in one pass (``faults_batched``), interval first touches booked
+        for hooks or observers (``first_touches``), re-armed accesses
         given their exact clock for the tracking entries (``stops``),
         timer fires inside walked runs (``timer_fires``), and probes a
         home-resident split skipped (``home_resident``)."""
@@ -244,7 +244,9 @@ class VectorEngine:
             prices = hlrc.charge_faults(thread, faulted)
             self.faults_batched += len(faulted)
         hooks = hlrc._on_first_touch
-        touched = self._first_touches(thread, ids, faulted, hooks) if hooks else None
+        # Observers read the touched set at close (the sanitizer's SAN003).
+        observed = hooks or hlrc.observers
+        touched = self._first_touches(thread, ids, faulted, hooks) if observed else None
         if walk:
             deadline = self._walk(
                 thread, run, ids, cols, base, pc, deadline, faulted, prices, twins, touched

@@ -154,19 +154,6 @@ class Topology:
         raise NotImplementedError
 
 
-class UniformTopology(Topology):
-    """Flat fabric: every distinct pair sees the same latency."""
-
-    __slots__ = ("_latency_ns",)
-
-    def __init__(self, latency_ns: int = 120_000) -> None:
-        check_non_negative(latency_ns, "latency_ns")
-        self._latency_ns = int(latency_ns)
-
-    def latency_ns(self, src: int, dst: int) -> int:
-        return self._latency_ns
-
-
 class RackTopology(Topology):
     """Two-tier switch hierarchy: nodes ``[k*rack_size, (k+1)*rack_size)``
     share a rack switch; same-rack hops pay ``intra_ns``, cross-rack hops

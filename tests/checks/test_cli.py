@@ -215,3 +215,25 @@ class TestStaticGate:
         monkeypatch.setattr(runner, "run_race_all", spiked)
         assert run_static(verbose=False) == EXIT_STATIC
         assert "UNSOUND" in capsys.readouterr().err
+
+
+def test_sanitize_gate_prints_routing_and_runs_the_one_pass(capsys):
+    from repro.checks.__main__ import run_sanitize
+
+    assert run_sanitize() == 0
+    out = capsys.readouterr().out
+    assert out.count("    replay: bulk ") == 3 and "one pass" in out
+
+
+def test_sanitize_gate_fails_a_run_with_no_one_pass_execution(monkeypatch, capsys):
+    import repro.checks.runner as runner
+    from repro.checks.__main__ import EXIT_SANITIZE, run_sanitize
+
+    zeros = {"bulk": 0, "lean": 0, "faults_batched": 0}
+    monkeypatch.setattr(
+        runner,
+        "run_sanitize_all",
+        lambda verbose=True: [("SOR", 10, 0, {**zeros, "bulk": 1}), ("Barnes-Hut", 10, 0, zeros)],
+    )
+    assert run_sanitize() == EXIT_SANITIZE
+    assert "no one-pass execution on Barnes-Hut" in capsys.readouterr().err

@@ -379,3 +379,87 @@ def test_sanitized_migration_run_is_clean():
     run_checked(workload, san, migrate=True)
     assert san.violations == 0
     assert san.checks_run > 0
+
+
+# ---------------------------------------------------------------------------
+# SAN003 at interval close, on the route that ships
+# ---------------------------------------------------------------------------
+
+
+def test_san003_touched_copy_invalid_at_close():
+    djvm, san = sanitized_djvm()
+    cls = djvm.define_class("Obj", 64)
+    obj = djvm.allocate(cls, 1)
+    thread = djvm.spawn_thread(0)
+    djvm.hlrc.open_interval(thread)
+    djvm.hlrc.access(thread, obj.obj_id)
+    djvm.hlrc.heaps[0].get(obj.obj_id).real_state = RealState.INVALID
+    with expect("SAN003"):
+        djvm.hlrc.close_interval(thread, "end")
+
+
+def test_san003_ids_touched_before_a_migration_need_no_copy_where_it_closes():
+    """After a move the interval's earlier ids may be absent or invalid
+    on the new node; the ones touched there are checked."""
+    djvm, san = sanitized_djvm(n_nodes=3)
+    cls = djvm.define_class("Obj", 64)
+    before, after = djvm.allocate(cls, 2), djvm.allocate(cls, 2)
+    thread = djvm.spawn_thread(0)
+    djvm.hlrc.open_interval(thread)
+    djvm.hlrc.access(thread, before.obj_id)
+    djvm.hlrc.heaps[1].put(
+        before.obj_id, CopyRecord(before.obj_id, RealState.INVALID, fetched_version=-1)
+    )
+    djvm.hlrc.heaps[1].cached.add(before.obj_id)
+    djvm.migration.migrate(thread, 1)
+    djvm.hlrc.access(thread, after.obj_id)
+    djvm.hlrc.close_interval(thread, "barrier")
+    assert san.violations == 0
+    djvm.hlrc.open_interval(thread)
+    djvm.hlrc.access(thread, after.obj_id)
+    djvm.hlrc.heaps[1].get(after.obj_id).real_state = RealState.INVALID
+    with expect("SAN003"):
+        djvm.hlrc.close_interval(thread, "end")
+
+
+def test_sanitize_gate_counts_are_equal_on_both_routes(monkeypatch):
+    """The gate's runs take the one pass, and the sanitizer counts the
+    same checks there as on the scalar loop."""
+    import functools
+
+    from repro.checks import runner
+
+    vector = runner.run_sanitize_all(verbose=False)
+    monkeypatch.setattr(runner, "DJVM", functools.partial(DJVM, replay="scalar"))
+    scalar = runner.run_sanitize_all(verbose=False)
+    assert all(routing == {} for *_, routing in scalar)
+    assert [r[:3] for r in vector] == [r[:3] for r in scalar]
+    for name, checks, violations, routing in vector:
+        assert routing["bulk"] + routing["lean"] > 0, name
+        assert checks > 0 and violations == 0
+
+
+@pytest.mark.parametrize("mutate", [False, True], ids=["intact", "split_epoch_bug"])
+def test_seeded_split_epoch_bug_is_caught_on_the_vector_route(mutate, monkeypatch):
+    """A re-homing that draws no new home epoch leaves the one pass's
+    home-resident splits in use: a hot body then skips probing a copy
+    that stopped being HOME, and reads it INVALID.  SAN003's close-time
+    check catches it on the one pass."""
+    from repro.dsm.hlrc import HomeBasedLRC
+    from tests.dsm.test_notice_path import MAKERS, Rehome
+    from tests.runtime.test_vector_replay import build_djvm, compile_hot
+
+    if mutate:
+        monkeypatch.setattr(HomeBasedLRC, "new_home_epoch", lambda self: None)
+    djvm, obj_ids = build_djvm(replay="vector")
+    san = djvm.attach(ProtocolSanitizer())
+    moves = {3: (0, 1), 5: (1, 2), 8: (2, 3), 12: (3, 0)}
+    djvm.add_hook(Rehome(djvm.hlrc, {k: (obj_ids[i], n) for k, (i, n) in moves.items()}))
+    programs = compile_hot(MAKERS["repeating"](1, obj_ids))
+    if mutate:
+        with expect("SAN003"):
+            djvm.run(programs)
+        return
+    djvm.run(programs)
+    assert san.violations == 0
+    assert djvm.replay_routing["home_resident"] > 0

@@ -164,9 +164,9 @@ class TestGateProgram:
 
     @pytest.mark.parametrize("route", ["scalar", "sanitized"])
     def test_every_route_gates_malformed_program(self, route):
-        """The scalar oracle, and a vector run that a ``per_op`` observer
-        keeps on the per-op loop, refuse the same CALL-without-RET
-        program the vector path refuses."""
+        """The scalar oracle, and a vector run with an observer attached,
+        refuse the same CALL-without-RET program the bare vector path
+        refuses."""
         djvm = DJVM(2, replay="scalar" if route == "scalar" else "vector")
         if route == "sanitized":
             djvm.attach(ProtocolSanitizer())

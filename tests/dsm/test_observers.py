@@ -38,8 +38,9 @@ WORKLOADS = {
 }
 
 
-class Recorder(ProtocolObserver):
-    """Counts every transition it is shown."""
+class SyncRecorder(ProtocolObserver):
+    """Counts every sync-point transition it is shown.  It overrides
+    neither ``on_access`` nor ``on_fault``, so it watches the one pass."""
 
     def __init__(self) -> None:
         self.calls: Counter = Counter()
@@ -57,13 +58,6 @@ class Recorder(ProtocolObserver):
         self.open_intervals.remove((thread.thread_id, interval.interval_id))
         self.closed_by_thread[thread.thread_id] += 1
         self.calls["interval_close"] += 1
-
-    def on_access(self, thread, obj_id, is_write, repeat, record, obj, faulted):
-        self.calls["access"] += 1
-
-    def on_fault(self, thread, obj, refault, begin_ns, n_objects):
-        assert begin_ns <= thread.clock.now_ns
-        self.calls["fault"] += 1
 
     def on_diff(self, thread, obj_id, dirty, begin_ns):
         assert dirty > 0 and begin_ns <= thread.clock.now_ns
@@ -85,8 +79,27 @@ class Recorder(ProtocolObserver):
         self.calls["run_end"] += 1
 
 
-class PerOpRecorder(Recorder):
-    per_op = True
+class Recorder(SyncRecorder):
+    """Also counts accesses and faults, which keeps the run on the
+    scalar loop."""
+
+    def on_access(self, thread, obj_id, is_write, repeat, record, obj, faulted):
+        self.calls["access"] += 1
+
+    def on_fault(self, thread, obj, refault, begin_ns, n_objects):
+        assert begin_ns <= thread.clock.now_ns
+        self.calls["fault"] += 1
+
+
+def access_ops(djvm) -> int:
+    return sum(
+        1 for t in djvm.threads for op in t.program.ops if op[0] in (P.OP_READ, P.OP_WRITE)
+    )
+
+
+def one_pass_runs(djvm) -> int:
+    routing = djvm.replay_routing
+    return routing["bulk"] + routing["lean"] if routing else 0
 
 
 def run(name: str, replay: str, observers=(), *, profiled: bool = True, footprint: bool = False):
@@ -112,11 +125,17 @@ def run(name: str, replay: str, observers=(), *, profiled: bool = True, footprin
 @pytest.mark.parametrize("replay", ["vector", "scalar"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_counters_are_traceable_to_events(name, replay, profiled):
-    rec = Recorder()
+    """On the scalar loop a recorder of accesses and faults too; on the
+    one pass (which emits neither) the sync-point half."""
+    rec = Recorder() if replay == "scalar" else SyncRecorder()
     djvm, result, suite = run(name, replay, [rec], profiled=profiled)
     counters = result.counters
     assert counters["faults"] > 0 and counters["intervals"] > 0
-    assert rec.calls["fault"] == counters["faults"]
+    if replay == "scalar":
+        assert rec.calls["fault"] == counters["faults"]
+        assert rec.calls["access"] == access_ops(djvm) > 0
+    else:
+        assert one_pass_runs(djvm) > 0
     assert rec.calls["diff"] == counters["diffs"]
     assert rec.calls["notice"] == counters["notices"]
     assert rec.calls["interval_close"] == counters["intervals"]
@@ -124,25 +143,129 @@ def test_counters_are_traceable_to_events(name, replay, profiled):
     assert rec.calls["interval_open"] == rec.calls["interval_close"]
     assert rec.open_intervals == set()
     assert rec.calls["run_end"] == 1
-    # not per_op: no per-access call, and vector replay stays eligible
-    assert rec.calls["access"] == 0
-    assert (djvm._interpreter._vector is not None) == (replay == "vector")
     if profiled:
         assert rec.calls["oal_log"] == suite.access_profiler.total_logged > 0
         assert rec.calls["oal_flush"] == suite.access_profiler.total_batches > 0
 
 
-def test_per_op_observer_sees_every_access_and_forces_scalar():
-    rec = PerOpRecorder()
-    djvm, result, _ = run("sor", "vector", [rec], profiled=False)
-    access_ops = sum(
-        1
-        for t in djvm.threads
-        for op in t.program.ops
-        if op[0] in (P.OP_READ, P.OP_WRITE)
-    )
-    assert rec.calls["access"] == access_ops > 0
-    assert djvm._interpreter._vector is None
+def test_access_observer_sees_every_access_and_keeps_scalar():
+    """Dispatch is derived from what the class overrides: ``on_access``
+    reaches an observer that overrides it, and no one else, and such an
+    observer keeps the run off the one pass (as one of ``on_fault``
+    does)."""
+    rec, sync = Recorder(), SyncRecorder()
+    djvm, result, _ = run("sor", "vector", [rec, sync], profiled=False)
+    assert rec.calls["access"] == access_ops(djvm) > 0
+    assert rec.calls["fault"] == result.counters["faults"] > 0
+    assert "access" not in sync.calls
+    assert djvm.hlrc._on_access == [rec]
+    assert djvm.replay_routing == dict.fromkeys(djvm.replay_routing, 0)
+
+    class FaultsOnly(ProtocolObserver):
+        def on_fault(self, thread, obj, refault, begin_ns, n_objects):
+            pass
+
+    djvm, _result, _ = run("sor", "vector", [FaultsOnly()], profiled=False)
+    assert djvm.hlrc._on_access == []
+    assert one_pass_runs(djvm) == 0
+    djvm, _result, _ = run("sor", "vector", [SyncRecorder()], profiled=False)
+    assert one_pass_runs(djvm) > 0
+
+
+class EventLog(ProtocolObserver):
+    """Logs every event but ``on_access`` and ``on_fault`` — the ones
+    the one pass emits where the scalar loop does — by name, with its
+    arguments less the clock readings."""
+
+    def __init__(self) -> None:
+        self.log: list[tuple] = []
+
+    def on_suite_attach(self, suite):
+        self.log.append(("suite_attach",))
+
+    def on_interval_open(self, thread):
+        self.log.append(("interval_open", thread.thread_id, thread.current_interval.interval_id))
+
+    def on_diff(self, thread, obj_id, dirty, begin_ns):
+        self.log.append(("diff", thread.thread_id, obj_id, dirty))
+
+    def on_notice(self, thread, obj_id, version):
+        self.log.append(("notice", thread.thread_id, obj_id, version))
+
+    def on_interval_close(self, thread, interval):
+        sets = sorted(interval.touched), sorted(interval.written)
+        ends = interval.start_pc, interval.end_pc, interval.close_reason
+        self.log.append(("interval_close", thread.thread_id, interval.interval_id, sets, ends))
+
+    def on_apply_notices(self, thread, start, end):
+        self.log.append(("apply_notices", thread.thread_id, start, end))
+
+    def on_invalidations(self, thread, obj_ids):
+        self.log.append(("invalidations", thread.thread_id, list(obj_ids)))
+
+    def on_lock_acquire(self, thread, lock_id):
+        self.log.append(("lock_acquire", thread.thread_id, lock_id))
+
+    def on_lock_release(self, thread, lock_id):
+        self.log.append(("lock_release", thread.thread_id, lock_id))
+
+    def on_barrier_arrive(self, thread, barrier_id, parties):
+        self.log.append(("barrier_arrive", thread.thread_id, barrier_id, parties))
+
+    def on_barrier_resume(self, thread, barrier_id):
+        self.log.append(("barrier_resume", thread.thread_id, barrier_id))
+
+    def on_barrier_release(self, barrier_id, parties, waiters, release_ns, threads_by_id):
+        self.log.append(("barrier_release", barrier_id, parties, list(waiters)))
+
+    def on_migration(self, thread, result, begin_ns):
+        self.log.append(("migration", thread.thread_id, result.to_node))
+
+    def on_event_pop(self, kernel_now_ns, event):
+        self.log.append(("event_pop", event.kind.name, event.actor))
+
+    def on_run_end(self, threads):
+        self.log.append(("run_end", [t.thread_id for t in threads]))
+
+    def on_oal_log(self, thread, interval_id, obj_id):
+        self.log.append(("oal_log", thread.thread_id, interval_id, obj_id))
+
+    def on_oal_flush(self, thread, batch, begin_ns):
+        columns = list(batch.obj_ids), list(batch.scaled_bytes), list(batch.class_ids)
+        self.log.append(("oal_flush", thread.thread_id, batch.interval_id, columns))
+
+    def on_tcm_window(self, master_node, begin_ns, duration_ns, entries, window_index):
+        self.log.append(("tcm_window", master_node, duration_ns, entries, window_index))
+
+
+@pytest.mark.parametrize("profiled", [False, True], ids=["bare", "profiled"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_sync_point_events_are_the_same_on_both_routes(name, profiled):
+    """An observer of everything but accesses and faults keeps the run
+    on the one pass, and sees there the scalar loop's event sequence —
+    closed intervals' touched sets included — bare (no hook books the
+    touched set then), and with correlation, footprint and stack
+    profiling attached."""
+    logs = {}
+    for replay in ("vector", "scalar"):
+        log = EventLog()
+        djvm = DJVM(N_NODES, replay=replay)
+        djvm.attach(log)
+        workload = WORKLOADS[name]()
+        workload.build(djvm)
+        if profiled:
+            suite = ProfilerSuite(
+                djvm, correlation=True, footprint=True, stack=True, window_batches=N_NODES
+            )
+            suite.set_rate_all(4)
+        djvm.run(workload.programs())
+        logs[replay] = log.log
+        if replay == "vector":
+            assert one_pass_runs(djvm) > 0
+    kinds = {event[0] for event in logs["scalar"]}
+    assert {"notice", "invalidations", "interval_close", "barrier_release"} <= kinds
+    assert profiled == ({"oal_log", "oal_flush", "tcm_window"} <= kinds)
+    assert logs["vector"] == logs["scalar"]
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +492,20 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-#: ``python -m repro.obs report --workload W --json`` output digests.  The
-#: report names each allocation site by ``file:line``, so moving a
-#: workload's allocating line moves its digest.
+#: ``python -m repro.obs report --workload W --json`` output digests, each
+#: site ``origin`` cut to its file: moving a workload's allocating line
+#: moves no event, count or clock, so it moves no digest.
 REPORT_DIGESTS = {
-    "sor": "212948d0f59d92a1b669e5e73a37260f12b3db2b16796447ce88c1d67aee0690",
-    "barnes-hut": "bf43956579e3e969c144ec4469d1e6a4ae95d44105f86b61b324fe2ba63c5e9a",
-    "water-spatial": "10b3f76fa00da0f352d56bdc2a03dd2a974083e1690c2842e140c93bb428b918",
+    "sor": "6597b82d31263be868ddda28a9ba90f74e2e09ddf8138667065cbfd8943f7c91",
+    "barnes-hut": "c6cde89fd1af9175c986636014d954162ed5c3ec8521905507cd100756e27d8c",
+    "water-spatial": "384fcdfc344ec285e0e5a8a0f418a8e09a486052a0801a2f7a9388145c081d12",
+}
+
+#: the file each workload's report must attribute its sites to.
+WORKLOAD_FILES = {
+    "sor": "repro/workloads/sor.py",
+    "barnes-hut": "repro/workloads/barnes_hut.py",
+    "water-spatial": "repro/workloads/water_spatial.py",
 }
 
 
@@ -383,11 +513,19 @@ REPORT_DIGESTS = {
 def test_objprof_report_json_is_pinned(workload):
     """The report folds the fault, diff and invalidation events: their
     ids, counts and clocks must survive any notice-log representation
-    (digest of the CLI's JSON, newline included)."""
+    (digest of the CLI's JSON with each origin's line cut, newline
+    included).  Every origin names a line of the workload's file."""
     from repro.obs.__main__ import build_objprof_report
 
     _run, report = build_objprof_report(workload, 2, 4)
-    assert _sha256(json.dumps(report.to_json(), indent=1) + "\n") == REPORT_DIGESTS[workload]
+    doc = report.to_json()
+    rows = doc["sites"] + doc["findings"]
+    assert rows
+    for row in rows:
+        path, line = row["origin"].rsplit(":", 1)
+        assert path == WORKLOAD_FILES[workload] and int(line) > 0
+        row["origin"] = path
+    assert _sha256(json.dumps(doc, indent=1) + "\n") == REPORT_DIGESTS[workload]
 
 
 def test_race_trace_and_diff_spans_are_pinned():
@@ -443,7 +581,7 @@ class MixedCloses(ProtocolObserver):
 def test_footprinter_hook_identities(name):
     fingerprints = {}
     for replay in ("vector", "scalar"):
-        rec = Recorder()
+        rec = SyncRecorder()
         djvm, result, suite = run(name, replay, [rec], footprint=True)
         footprinter, costs = suite.footprinter, djvm.costs
         assert footprinter.tracked_accesses > 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dsm.observer import ProtocolObserver
 from repro.dsm.states import RealState
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
@@ -134,3 +135,82 @@ class TestScheduledPlans:
         djvm.run({0: wrap_main([P.read(objs[0].obj_id), P.read(objs[1].obj_id)])})
         assert seen["pc"] >= 2
         assert djvm.migration.results[0].prefetched_objects == 1
+
+
+class TestMidIntervalWrites:
+    """A thread migrated mid-interval flushes what it wrote on the node
+    it leaves: each object written before the move gets one diff from
+    the old node's copy and one write notice, and what it writes after
+    the move is flushed where the interval closes."""
+
+    @staticmethod
+    def run(replay, ops_before, ops_after=()):
+        djvm = DJVM(n_nodes=3, costs=CostModel.fast_test(), replay=replay)
+        cls = simple_class(djvm, "Obj", 64)
+        remote = djvm.allocate(cls, 2)  # cached on node 0, homed on node 2
+        local = djvm.allocate(cls, 0)  # a home copy on node 0
+        djvm.spawn_thread(0)
+        before = ops_before(remote, local)
+        # pc counts the main frame's CALL: migrate after the writes, in
+        # the same interval as them and as what follows.
+        djvm.migration.schedule(MigrationPlan(thread_id=0, target_node=1, at_pc=1 + len(before)))
+        after = ops_after(remote, local) if ops_after else []
+        notices = []
+
+        class Notices(ProtocolObserver):
+            def on_notice(self, thread, obj_id, version):
+                notices.append((thread.node_id, obj_id, version))
+
+        djvm.attach(Notices())
+        result = djvm.run({0: wrap_main([*before, *after, P.barrier(0)])})
+        assert djvm.threads[0].node_id == 1
+        return djvm, result, remote, local, notices
+
+    @pytest.mark.parametrize("replay", ["vector", "scalar"])
+    def test_writes_before_the_move_are_diffed_and_published_once(self, replay):
+        djvm, result, remote, local, notices = self.run(
+            replay,
+            lambda r, h: [P.write(r.obj_id), P.write(h.obj_id), P.read(r.obj_id)],
+        )
+        assert result.counters["diffs"] == 1
+        assert result.counters["notices"] == 2
+        assert (remote.home_version, local.home_version) == (1, 1)
+        # both notices went out from node 0, before the thread left
+        assert notices == [(0, remote.obj_id, 1), (0, local.obj_id, 1)]
+        old = djvm.hlrc.heaps[0].get(remote.obj_id)
+        assert (old.dirty_bytes, old.has_twin, old.writers) == (0, False, None)
+        assert old.fetched_version == 1
+        assert result.traffic.count_by_kind[MessageKind.DIFF] == 1
+
+    @pytest.mark.parametrize("replay", ["vector", "scalar"])
+    def test_a_write_after_the_move_is_flushed_again_at_close(self, replay):
+        djvm, result, remote, local, notices = self.run(
+            replay,
+            lambda r, h: [P.write(r.obj_id), P.write(h.obj_id)],
+            lambda r, h: [P.write(r.obj_id)],
+        )
+        assert result.counters["diffs"] == 2  # one from each node's copy
+        assert notices == [
+            (0, remote.obj_id, 1),
+            (0, local.obj_id, 1),
+            (1, remote.obj_id, 2),
+        ]
+        for node in (0, 1):
+            record = djvm.hlrc.heaps[node].get(remote.obj_id)
+            assert (record.dirty_bytes, record.writers) == (0, None)
+
+    def test_the_closed_interval_still_lists_every_write(self):
+        closed = []
+
+        class Closes(ProtocolObserver):
+            def on_interval_close(self, thread, interval):
+                closed.append((set(interval.written), interval.flushed))
+
+        djvm = DJVM(n_nodes=3, costs=CostModel.fast_test())
+        cls = simple_class(djvm, "Obj", 64)
+        a, b = djvm.allocate(cls, 2), djvm.allocate(cls, 2)
+        djvm.spawn_thread(0)
+        djvm.attach(Closes())
+        djvm.migration.schedule(MigrationPlan(thread_id=0, target_node=1, at_pc=2))
+        djvm.run({0: wrap_main([P.write(a.obj_id), P.write(b.obj_id), P.barrier(0)])})
+        assert closed[0] == ({a.obj_id, b.obj_id}, {a.obj_id})

@@ -688,9 +688,20 @@ def test_unobserved_majority_faulting_run_is_never_demoted(execute_calls):
 
 
 class NullObserver(ProtocolObserver):
-    """Watches nothing; its presence alone disqualifies the gate."""
+    """Watches nothing: an observer of sync points alone keeps the one
+    pass."""
 
     __slots__ = ()
+
+
+class FaultObserver(ProtocolObserver):
+    """Overrides ``on_fault``, which the one pass does not emit: that
+    alone disqualifies the gate."""
+
+    __slots__ = ()
+
+    def on_fault(self, thread, obj, refault, begin_ns, n_objects):
+        pass
 
 
 class EmptyPrefetcher:
@@ -726,12 +737,15 @@ def _two_hooks(djvm):
 
 #: each disqualifier alone: setup(djvm) before the run.
 #: ``timer`` (a positive deadline) and ``two_hooks`` (a re-arming hook)
-#: disqualified the one pass before it learnt to walk to clock stops;
-#: they are kept beside the rest to show that they no longer do.
+#: disqualified the one pass before it learnt to walk to clock stops,
+#: and ``sync_observer`` before observer dispatch was derived from what
+#: an observer overrides; they are kept beside the rest to show that
+#: they no longer do.
 DISQUALIFIERS = {
     "hook": lambda djvm: djvm.add_hook(KeywordHook()),
     "two_hooks": _two_hooks,
-    "observer": lambda djvm: djvm.attach(NullObserver()),
+    "observer": lambda djvm: djvm.attach(FaultObserver()),
+    "sync_observer": lambda djvm: djvm.attach(NullObserver()),
     "history": lambda djvm: djvm.attach(IntervalHistory()),
     "timer": lambda djvm: djvm.add_timer(DeadlineTimer()),
     "condition_timer": lambda djvm: djvm.add_timer(ConditionTimer()),
@@ -739,8 +753,8 @@ DISQUALIFIERS = {
     "pending_migration": _plan_forever,
 }
 
-#: the entries above that now walk.
-WALKED = {"timer", "two_hooks"}
+#: the entries above that now take the one pass (the first two walk).
+ONE_PASS = {"timer", "two_hooks", "sync_observer"}
 
 
 @pytest.mark.parametrize("name", sorted(DISQUALIFIERS))
@@ -749,9 +763,9 @@ def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch, execute_c
     scalar loop: the engine is never called, every fault costs two
     ``Network.send`` calls, and the result is the scalar oracle's —
     on one-shot and on repeated bodies.  A condition-driven timer
-    (deadline 0) is one of them.  The ``WALKED`` entries instead walk:
-    the engine is called, faults are batched, and the result is still
-    the scalar oracle's."""
+    (deadline 0) is one of them.  The ``ONE_PASS`` entries instead take
+    the one pass: the engine is called, faults are batched, and the
+    result is still the scalar oracle's."""
     sends = Counter()
     original = Network.send
 
@@ -760,7 +774,7 @@ def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch, execute_c
         return original(self, kind, *args, **kwargs)
 
     monkeypatch.setattr(Network, "send", counting)
-    walked = name in WALKED
+    one_pass = name in ONE_PASS
     for make_programs in (random_programs, repeating_programs):
         outcomes = {}
         for replay in ("vector", "scalar"):
@@ -770,14 +784,14 @@ def test_each_disqualifier_keeps_per_message_faults(name, monkeypatch, execute_c
             res = djvm.run(make_programs(3, obj_ids))
             faults = res.counters["faults"]
             assert faults > 0
-            if walked and replay == "vector":
+            if one_pass and replay == "vector":
                 assert sends[MessageKind.OBJECT_FETCH_REQ] < faults
                 assert djvm.replay_routing["faults_batched"] > 0
             else:
                 assert sends[MessageKind.OBJECT_FETCH_REQ] == sends[MessageKind.OBJECT_FETCH_DATA] == faults
             outcomes[replay] = (fingerprint(djvm, res), run_fingerprint(djvm, res))
         assert outcomes["vector"] == outcomes["scalar"]
-    assert bool(execute_calls) == walked
+    assert bool(execute_calls) == one_pass
 
 
 # -- clock stops: the one pass walks to re-armed accesses and timer fires --

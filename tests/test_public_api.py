@@ -76,7 +76,6 @@ def test_profiler_keyword_options_are_pinned():
         "stack_gap_ms",
         "lazy_extraction",
         "footprint_timer_ms",
-        "use_prime_gaps",
         "sampling_backend",
     }
     assert _keywords(AccessProfiler) == {"collector", "send_oals"}
