@@ -5,14 +5,16 @@ exercise the same tracked bench workloads (SOR, Barnes-Hut,
 Water-Spatial) at the same small test scale — big enough to generate
 faults, diffs, barriers and OAL traffic on every node, small enough for
 CI.  This module owns that shared harness: workload construction, the
-profiler-suite attachment, and the optional mid-run migration that
-covers the sanitizer's sticky-set/prefetch invariant (SAN006).
+profiler-suite attachment, the optional mid-run migration that covers
+the sanitizer's sticky-set/prefetch invariant (SAN006), and the optional
+dominant-writer home migration that re-homes objects mid-run.
 
 * :func:`run_checked` builds a DJVM with the given checker attached,
   runs one workload, and returns ``(result, djvm)``.
-* :func:`run_sanitize_all` runs every tracked workload under the
-  protocol sanitizer (violations raise) and reports how each run's
-  access runs were routed.
+* :func:`run_sanitize_all` runs every tracked workload, plus one
+  re-homing run (:func:`rehoming_workload`), under the protocol
+  sanitizer (violations raise) and reports how each run's access runs
+  were routed.
 * :func:`run_race_all` runs every tracked workload plus the seeded
   racy/locked synthetic pair under the happens-before race detector
   and returns the collected reports for the CLI to gate on.
@@ -23,6 +25,7 @@ from __future__ import annotations
 from repro.checks.racedetect import RaceDetector
 from repro.checks.sanitizer import ProtocolSanitizer
 from repro.core.profiler import ProfilerSuite
+from repro.dsm.homemigration import DominantWriterPolicy, HomeMigrationEngine
 from repro.runtime.djvm import DJVM, RunResult
 from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
@@ -43,25 +46,52 @@ def tracked_workloads():
     ]
 
 
-def run_checked(workload, checker, *, migrate: bool = False) -> tuple[RunResult, DJVM]:
+def rehoming_workload():
+    """The sanitize gate's re-homing run: SOR with two threads per node
+    (block placement), so a thread's block-boundary row is read on its
+    home node by the neighbour sharing that node.  Thread 0 migrates
+    away mid-run; its rows, now written from the new node, re-home there
+    under a dominant-writer policy, and the neighbour left behind reads
+    them through cache copies — the case a stale home-resident split
+    would get wrong."""
+    return "SOR re-homing", SORWorkload(n=256, rounds=3, n_threads=2 * N_THREADS, seed=11)
+
+
+def run_checked(
+    workload, checker, *, migrate: bool = False, rehome: bool = False
+) -> tuple[RunResult, DJVM]:
     """Execute one workload with ``checker`` (a ProtocolObserver: the
     sanitizer or a race detector) attached; the checker carries the
     check outcome.
 
     The full profiler suite rides along (rate 4) so the checker sees
     realistic protocol + profiling traffic; ``migrate=True`` also queues
-    a mid-run prefetching migration of thread 0.  Returns the run result
-    and the spent DJVM.
+    a mid-run prefetching migration of thread 0, and ``rehome=True``
+    builds with block placement and re-homes objects to their dominant
+    writer's node (a :class:`DominantWriterPolicy` among
+    ``djvm.hlrc.hooks``).  Returns the run result and the spent DJVM.
     """
     djvm = DJVM(n_nodes=N_NODES)
     djvm.attach(checker)
-    workload.build(djvm, placement="round_robin")
+    workload.build(djvm, placement="block" if rehome else "round_robin")
     suite = ProfilerSuite(djvm, correlation=True, footprint=True, stack=True)
     suite.set_rate_all(4)
     if migrate:
         _schedule_migration(djvm, suite)
+    if rehome:
+        engine = HomeMigrationEngine(djvm.hlrc)
+        djvm.add_hook(DominantWriterPolicy(engine, min_writes=2, cooldown_writes=4))
     result = djvm.run(workload.programs())
     return result, djvm
+
+
+def rehomed_objects(djvm: DJVM) -> int:
+    """Objects the run's dominant-writer policies re-homed."""
+    return sum(
+        hook.engine.stats.migrations
+        for hook in djvm.hlrc.hooks
+        if isinstance(hook, DominantWriterPolicy)
+    )
 
 
 def _schedule_migration(djvm: DJVM, suite: ProfilerSuite) -> None:
@@ -91,15 +121,18 @@ def run_sanitize_all(*, verbose: bool = True) -> list[tuple[str, int, int, dict[
     ``[(name, checks_run, violations, DJVM.replay_routing), ...]``.
     Violations raise."""
     report = []
-    for name, workload in tracked_workloads():
+    runs = [(name, workload, False) for name, workload in tracked_workloads()]
+    runs.append((*rehoming_workload(), True))
+    for name, workload, rehome in runs:
         sanitizer = ProtocolSanitizer()
-        _, djvm = run_checked(workload, sanitizer, migrate=(name == "SOR"))
+        _, djvm = run_checked(workload, sanitizer, migrate=name.startswith("SOR"), rehome=rehome)
         routing = djvm.replay_routing
         report.append((name, sanitizer.checks_run, sanitizer.violations, routing))
         if verbose:
+            rehomed = f", {rehomed_objects(djvm)} re-homed" if rehome else ""
             print(
                 f"  sanitize {name:<14} {sanitizer.checks_run:>7} checks, "
-                f"{sanitizer.violations} violations"
+                f"{sanitizer.violations} violations{rehomed}"
             )
             print("    replay: " + ", ".join(f"{k} {v}" for k, v in routing.items()))
     return report

@@ -92,15 +92,17 @@ class WorkloadCFG:
 def _split_thread(thread_id: int, program) -> ThreadCFG:
     """Split one compiled program into its segment chain and summarize
     each segment's accesses."""
-    ops = program.ops
     sync = program.sync_points()
-    bounds = [pc for pc, _code in sync] + [len(ops)]
+    n_ops = len(program)
+    bounds = [pc for pc, _code in sync] + [n_ops]
+    codes = program.codes
+    args, _elems, reps, _offs = program._views
     segments: list[Segment] = []
     barrier_ids: list[int] = []
     start = 0
     phase = 0
     for index, end in enumerate(bounds):
-        terminator = ops[end] if end < len(ops) else None
+        terminator = program.op(end) if end < n_ops else None
         seg = Segment(
             thread_id=thread_id,
             index=index,
@@ -110,12 +112,11 @@ def _split_thread(thread_id: int, program) -> ThreadCFG:
             terminator=terminator,
         )
         for pc in range(start, end):
-            op = ops[pc]
-            code = op[0]
+            code = codes[pc]
             if code == OP_READ:
-                seg.reads[op[1]] = seg.reads.get(op[1], 0) + op[3]
+                seg.reads[args[pc]] = seg.reads.get(args[pc], 0) + reps[pc]
             elif code == OP_WRITE:
-                seg.writes[op[1]] = seg.writes.get(op[1], 0) + op[3]
+                seg.writes[args[pc]] = seg.writes.get(args[pc], 0) + reps[pc]
         segments.append(seg)
         if terminator is not None and terminator[0] == OP_BARRIER:
             barrier_ids.append(terminator[1])

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.runtime.program import (
+    ARITY,
     OP_ACQUIRE,
     OP_BARRIER,
     OP_CALL,
@@ -65,19 +66,6 @@ __all__ = [
     "verify_workload",
     "gate_program",
 ]
-
-#: expected tuple arity per opcode (see repro.runtime.program docstring).
-_ARITY = {
-    OP_READ: 5,
-    OP_WRITE: 5,
-    OP_COMPUTE: 2,
-    OP_CALL: 4,
-    OP_RET: 1,
-    OP_SETSLOT: 3,
-    OP_ACQUIRE: 2,
-    OP_RELEASE: 2,
-    OP_BARRIER: 2,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,23 +110,24 @@ def verify_structure(
     Checks IR003 (CALL/RET balance), IR004 (SETSLOT-in-frame) and IR005
     (lock pairing); opcode range (IR001) needs no check here, since
     :class:`CompiledProgram` rejects a bad opcode when it is built.  The
-    frame-depth scan runs as numpy cumulative sums over the dense opcode
-    bytes; only the program's sync ops are touched from Python, so
-    gating a program costs far less than one scalar execution of it.
+    frame-depth scan runs as a numpy cumulative sum over the program's
+    CALL and RET ops, found in the dense opcode bytes; only the
+    program's sync ops are touched from Python, so gating a program
+    costs far less than one scalar execution of it.
     """
     codes = program.codes
     if not codes:
         return []
     arr = np.frombuffer(codes, dtype=np.uint8)
     problems: list[IRProblem] = []
-    # Frame depth after each op: +1 per CALL, -1 per RET, cumulative.
-    delta = (arr == OP_CALL).astype(np.int64)
-    delta -= arr == OP_RET
-    depth = np.cumsum(delta)
+    # Frame depth after each CALL (+1) and RET (-1), cumulative: only
+    # those ops move it, so the scan never allocates per op.
+    frames = np.flatnonzero((arr == OP_CALL) | (arr == OP_RET))
+    depth = np.cumsum(np.where(arr[frames] == OP_CALL, 1, -1))
     if bool((depth < 0).any()):
-        pc = int(np.argmax(depth < 0))
+        pc = int(frames[np.argmax(depth < 0)])
         problems.append(IRProblem("IR003", "RET with empty stack", thread_id, pc))
-    elif int(depth[-1]) > 0:
+    elif depth.size and int(depth[-1]) > 0:
         problems.append(
             IRProblem(
                 "IR003",
@@ -146,22 +135,21 @@ def verify_structure(
                 thread_id,
             )
         )
-    # SETSLOT needs an enclosing frame (depth unchanged by SETSLOT, so
-    # the cumulative value *at* the op is the depth it executes under).
+    # SETSLOT needs an enclosing frame: the depth after the last CALL or
+    # RET before it (0 before the first).
     slots = np.flatnonzero(arr == OP_SETSLOT)
     if slots.size:
-        bad = slots[depth[slots] == 0]
+        under = np.concatenate(([0], depth))[np.searchsorted(frames, slots)]
+        bad = slots[under == 0]
         if bad.size:
             problems.append(
                 IRProblem("IR004", "SETSLOT outside any frame", thread_id, int(bad[0]))
             )
     # Lock pairing: Python loop over only the sync ops.
     held: set[int] = set()
-    ops = program.ops
-    for pc in np.flatnonzero((arr == OP_ACQUIRE) | (arr == OP_RELEASE)).tolist():
-        op = ops[pc]
-        lock = op[1]
-        if op[0] == OP_ACQUIRE:
+    lock_ops = np.flatnonzero((arr == OP_ACQUIRE) | (arr == OP_RELEASE))
+    for pc, lock in zip(lock_ops.tolist(), program.args[lock_ops].tolist()):
+        if codes[pc] == OP_ACQUIRE:
             if lock in held:
                 problems.append(
                     IRProblem("IR005", f"ACQUIRE of lock {lock} already held", thread_id, pc)
@@ -273,14 +261,14 @@ def verify_ops(ops, thread_id: int | None = None) -> list[IRProblem]:
             )
             continue
         code = op[0]
-        if code not in _ARITY:
+        if code not in ARITY:
             problems.append(IRProblem("IR001", f"unknown opcode {code}", thread_id, pc))
             continue
-        if len(op) != _ARITY[code]:
+        if len(op) != ARITY[code]:
             problems.append(
                 IRProblem(
                     "IR002",
-                    f"{OPCODE_NAMES[code]} op has {len(op)} fields, expected {_ARITY[code]}",
+                    f"{OPCODE_NAMES[code]} op has {len(op)} fields, expected {ARITY[code]}",
                     thread_id,
                     pc,
                 )
@@ -352,9 +340,10 @@ def verify_workload(ir) -> list[IRProblem]:
     barrier_seqs: dict[int, tuple] = {}
     for tid in ir.thread_ids():
         program = ir.programs[tid]
-        problems.extend(verify_ops(program.ops, tid))
+        ops = list(program)
+        problems.extend(verify_ops(ops, tid))
         reported: set[int] = set()
-        for pc, op in enumerate(program.ops):
+        for pc, op in enumerate(ops):
             for obj_id in _object_ids_of(op):
                 if isinstance(obj_id, int) and obj_id not in ir.objects and obj_id not in reported:
                     reported.add(obj_id)
@@ -364,7 +353,7 @@ def verify_workload(ir) -> list[IRProblem]:
                         )
                     )
         barrier_seqs[tid] = tuple(
-            program.ops[pc][1] for pc, code in program.sync_points() if code == OP_BARRIER
+            ops[pc][1] for pc, code in program.sync_points() if code == OP_BARRIER
         )
         node = ir.node_of_thread.get(tid)
         if node is None or not 0 <= node < ir.n_nodes:

@@ -137,7 +137,7 @@ class Interpreter:
         """Attach and pre-decode an op iterable per thread id.
 
         Programs are compiled once into :class:`~repro.runtime.program.
-        CompiledProgram` (dense op tuples + opcode array); the thread's
+        CompiledProgram` (opcode bytes + int columns); the thread's
         ``pc`` then doubles as the resume cursor across scheduling
         points, replacing per-op generator resumption.
         """
@@ -309,7 +309,9 @@ class Interpreter:
         if not isinstance(program, prog.CompiledProgram):
             # Direct attachment (tests poke thread.program): decode lazily.
             program = thread.program = prog.compile_program(program)
-        ops = program.ops
+        codes = program.codes
+        args, n_elems, repeat, elem_off = program._views
+        side = program.side
         n_ops = program.n_ops
         i = thread.pc
         # Hot-path locals: attribute lookups hoisted out of the loop.
@@ -363,49 +365,51 @@ class Interpreter:
                         next_deadline = vec.execute(thread, vr, i, next_deadline)
                         i += vr.n_ops
                         continue
-                op = ops[i]
-                i += 1
-                code = op[0]
+                code = codes[i]
                 if code <= prog.OP_WRITE:  # READ / WRITE
-                    access(thread, op[1], code == prog.OP_WRITE, op[2], op[3], op[4])
+                    access(thread, args[i], code == prog.OP_WRITE, n_elems[i], repeat[i], elem_off[i])
+                    i += 1
                 elif code == prog.OP_COMPUTE:
-                    v = op[1]
-                    if scale_is_unity and type(v) is int and v >= 0:
-                        ns = v
-                    else:
-                        ns = scaled_compute(v)
+                    v = args[i]
+                    i += 1
+                    ns = v if scale_is_unity and v >= 0 else scaled_compute(v)
                     cpu.compute_ns += ns
                     clock._now_ns += ns
                 elif code == prog.OP_CALL:
-                    stack.push(Frame(op[1], op[2], dict(op[3])))
+                    method, refs = side[i]
+                    stack.push(Frame(method, n_elems[i], dict(refs)))
+                    i += 1
                     cpu.access_ns += frame_push_ns
                     clock._now_ns += frame_push_ns
                 elif code == prog.OP_RET:
+                    i += 1
                     stack.pop()
                     cpu.access_ns += frame_pop_ns
                     clock._now_ns += frame_pop_ns
                 elif code == prog.OP_SETSLOT:
                     top = stack.top
+                    slot = args[i]
+                    obj_id = None if i in side else n_elems[i]
+                    i += 1
                     if top is None:
                         thread.pc = i
                         raise RuntimeError(
                             f"thread {tid}: SETSLOT at pc {i} with empty stack"
                         )
-                    top.set_slot(op[1], op[2])
+                    top.set_slot(slot, obj_id)
                     cpu.access_ns += SETSLOT_NS
                     clock._now_ns += SETSLOT_NS
-                elif code <= prog.OP_BARRIER:  # ACQUIRE / RELEASE / BARRIER
+                else:  # ACQUIRE / RELEASE / BARRIER (the opcodes were checked at compile)
+                    ident = args[i]
+                    i += 1
                     thread.pc = i
-                    if sync_dispatch[code](thread, op):
+                    if sync_dispatch[code](thread, ident):
                         if timers and clock._now_ns >= next_deadline:
                             for timer in timers:
                                 timer.maybe_fire(thread)
                             if next_deadline > 0:
                                 record(timer_fire, clock._now_ns, tid)
                     return  # yield so sync ordering tracks simulated time
-                else:
-                    thread.pc = i
-                    raise ValueError(f"unknown opcode {code} at pc {i}")
                 if poll_hooks:
                     thread.pc = i
                     if timers and clock._now_ns >= next_deadline:
@@ -427,23 +431,22 @@ class Interpreter:
     # Each returns True when the post-op hooks should run for the
     # synchronizing thread (i.e. the op completed without blocking it).
 
-    def _do_acquire(self, thread: SimThread, op: tuple) -> bool:
-        if self.hlrc.acquire(thread, op[1]):
+    def _do_acquire(self, thread: SimThread, lock_id: int) -> bool:
+        if self.hlrc.acquire(thread, lock_id):
             return True
         thread.state = ThreadState.WAITING_LOCK
-        thread.waiting_lock_id = op[1]
+        thread.waiting_lock_id = lock_id
         return False
 
-    def _do_release(self, thread: SimThread, op: tuple) -> bool:
-        unblocked = self.hlrc.release(thread, op[1], self.threads_by_id)
+    def _do_release(self, thread: SimThread, lock_id: int) -> bool:
+        unblocked = self.hlrc.release(thread, lock_id, self.threads_by_id)
         if unblocked is not None:
             other = self.threads_by_id[unblocked]
             other.state = ThreadState.RUNNABLE
             other.waiting_lock_id = None
         return True
 
-    def _do_barrier(self, thread: SimThread, op: tuple) -> bool:
-        barrier_id = op[1]
+    def _do_barrier(self, thread: SimThread, barrier_id: int) -> bool:
         last = self.hlrc.barrier_arrive(thread, barrier_id, self.parties)
         # Every participant parks — the last arriver too; the episode
         # completes when its BARRIER_RELEASE event dispatches.

@@ -1,14 +1,39 @@
 """Thread programs: the op-stream format workloads compile to.
 
-A thread program is an iterable of small tuples — the simulator's
-"bytecode".  Access ops are *aggregated*: one READ op can stand for
-``repeat`` accesses touching ``n_elems`` distinct elements of an object,
-which keeps op streams tractable while preserving exactly what the
-protocol and the profilers observe (object identity, access counts,
-element coverage, interval structure, stack shape).
+A thread program is the simulator's "bytecode": a stream of ops, each an
+opcode and a few int fields.  Access ops are *aggregated*: one READ op
+can stand for ``repeat`` accesses touching ``n_elems`` distinct elements
+of an object, which keeps op streams tractable while preserving exactly
+what the protocol and the profilers observe (object identity, access
+counts, element coverage, interval structure, stack shape).
 
-Opcodes
--------
+Column layout
+-------------
+
+A :class:`CompiledProgram` holds its ops as parallel columns, one entry
+per op (the op's index is its ``pc``).  Each int column is a numpy array
+of the narrowest signed dtype that holds its values; a field an opcode
+does not have reads 0.
+
+==========  =============================================================
+column      holds, per opcode
+==========  =============================================================
+codes       the opcode, one byte per op (``bytes``)
+args        READ/WRITE object id, COMPUTE nanoseconds, SETSLOT slot,
+            ACQUIRE/RELEASE lock id, BARRIER barrier id
+n_elems     READ/WRITE elements touched, CALL slot count, SETSLOT
+            object id
+repeat      READ/WRITE repeat count
+elem_off    READ/WRITE first element
+==========  =============================================================
+
+The side table ``side`` holds what is not an int: the pc of every CALL
+maps to ``(method, ((slot, obj_id), ...))``, and the pc of every SETSLOT
+that clears its slot maps to None.  RET has no field.
+
+Workloads emit the columns directly; :func:`compile_program` also takes
+an iterable of op tuples — the form the op constructors below build and
+``iter(program)`` decodes:
 
 ========  =======================================================
 READ      (OP_READ, obj_id, n_elems, repeat, elem_off)
@@ -28,8 +53,12 @@ from __future__ import annotations
 import re
 from collections import deque
 from itertools import compress
-from operator import getitem, itemgetter, mul
+from operator import itemgetter
 from typing import Iterable, Iterator
+
+import numpy as np
+
+from repro.util.arrays import ranges
 
 OP_READ = 0
 OP_WRITE = 1
@@ -53,6 +82,19 @@ OPCODE_NAMES = {
     OP_BARRIER: "BARRIER",
 }
 
+#: tuple arity per opcode (the opcode included).
+ARITY = {
+    OP_READ: 5,
+    OP_WRITE: 5,
+    OP_COMPUTE: 2,
+    OP_CALL: 4,
+    OP_RET: 1,
+    OP_SETSLOT: 3,
+    OP_ACQUIRE: 2,
+    OP_RELEASE: 2,
+    OP_BARRIER: 2,
+}
+
 Op = tuple
 
 #: shortest READ/WRITE/COMPUTE span worth replaying in bulk — below this
@@ -72,16 +114,28 @@ _SYNC_OP_RE = re.compile(rb"[\x06-\x08]")
 _OPCODES = bytes(range(OP_BARRIER + 1))
 
 #: opcode -> selector byte translation tables over a run's opcode bytes
-#: (READ=0, WRITE=1, COMPUTE=2): access ops, write ops, compute ops.
-_ACCESS_MASK = bytes.maketrans(b"\x00\x01\x02", b"\x01\x01\x00")
+#: (READ=0, WRITE=1, COMPUTE=2): write ops, compute ops.
 _WRITE_MASK = bytes.maketrans(b"\x00\x01\x02", b"\x00\x01\x00")
 _COMPUTE_MASK = bytes.maketrans(b"\x00\x01\x02", b"\x00\x00\x01")
-#: per-op field holding its static cost factor: READ/WRITE the repeat
-#: count (op[3]), COMPUTE the nanoseconds (op[1]).
-_STATIC_FIELD = bytes.maketrans(b"\x00\x01\x02", b"\x03\x03\x01")
 _OPCODE = itemgetter(0)
-_ARG = itemgetter(1)
-_REPEAT = itemgetter(3)
+
+#: signed dtypes from narrowest to widest.
+_INT_DTYPES = tuple(np.iinfo(t) for t in (np.int8, np.int16, np.int32, np.int64))
+
+
+def int_column(values) -> np.ndarray:
+    """``values`` (an int array or sequence) as a contiguous array of the
+    narrowest signed dtype that holds them."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iub":
+        if arr.size:
+            raise ValueError(f"column of dtype {arr.dtype} is not an int column")
+        arr = arr.astype(np.int8)
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+    for info in _INT_DTYPES:
+        if info.min <= lo and hi <= info.max:
+            return np.ascontiguousarray(arr, dtype=info.dtype)
+    raise ValueError(f"column values {lo}..{hi} do not fit in int64")
 
 
 def bad_opcode_pc(codes: bytes) -> int | None:
@@ -99,8 +153,9 @@ class AccessRun:
     a sequence in one pass instead of per-op dispatch.  A run is keyed by
     **content**: :meth:`CompiledProgram.vector_runs` maps every
     occurrence of an equal body to one shared run, so a run knows nothing
-    about where it sits; the interpreter advances past an occurrence by
-    ``n_ops``.
+    about where it sits and holds no ops: the engine reads an
+    occurrence's columns at the pc it executes, and the interpreter
+    advances past it by ``n_ops``.
 
     A body that occurs at least twice in its program is born ``hot``
     and caches its :func:`lean_lane` on its first execution, keyed by
@@ -118,11 +173,10 @@ class AccessRun:
     DJVM it was taken in without keeping its heaps alive.
     """
 
-    __slots__ = ("n_ops", "ops", "hot", "_cost_key", "_lane", "_cols", "_splits")
+    __slots__ = ("n_ops", "hot", "_cost_key", "_lane", "_cols", "_splits")
 
-    def __init__(self, body: tuple) -> None:
-        self.n_ops = len(body)
-        self.ops = body
+    def __init__(self, n_ops: int) -> None:
+        self.n_ops = n_ops
         #: the body repeats in its program (set by ``vector_runs``).
         self.hot = False
         self._cost_key = None
@@ -131,125 +185,276 @@ class AccessRun:
         self._splits = None
 
 
-def lean_lane(ops: tuple, codes: bytes, costs) -> tuple[int, int, list, tuple[list, list, list]]:
-    """A run body's totals, built at C speed — everything the vector
-    engine's one pass reads: ``(access busy ns, compute ns, the object
-    id of each access in op order, (written object ids, written
-    elements, write ops))``, the written lanes parallel and in
-    first-write order.  The ids keep their repeats: probing a copy and
-    booking a first touch are idempotent, so the engine dedupes only
-    where it hands ids on.  ``codes`` are the ops' opcode bytes (a slice
-    of the compiled program's).  The caller must not mutate the result
-    (a hot :class:`AccessRun` caches it).
+class _LaneTable:
+    """The columns of a program's distinct access runs, built in one
+    numpy pass over all of them: what :func:`lean_lane` and
+    :func:`walk_lane` slice.
+
+    Row ``k`` is the ``k``-th distinct run in program order, ``row``
+    maps every run start (each occurrence) to its row, and ``starts``
+    holds each row's first occurrence.  Access ops of all rows are
+    concatenated: ``acc_ids[bounds[k]:bounds[k + 1]]`` are row ``k``'s
+    object ids in op order (a list, so a lane is a list slice), ``acc_rel``
+    their op offsets in the run and ``acc_write`` a byte per access, 1
+    for a write.  The ids are the int objects of ``ints`` where it
+    covers them — the heap's own ``obj_id`` objects, so the protocol's
+    dicts and sets find an id by identity rather than by comparing.
+    ``rep_sum`` is each row's summed access repeats, ``compute_sum`` its
+    summed compute nanoseconds and ``raw`` whether it has no negative
+    compute (then a unity cost scale charges the sum as it stands);
+    ``writes`` whether it writes at all.  Those are cost-independent;
+    the per-op static costs of a walk (:meth:`static`) are kept for the
+    last cost model asked.
+    """
+
+    __slots__ = (
+        "row",
+        "starts",
+        "lengths",
+        "offsets",
+        "bounds",
+        "acc_ids",
+        "acc_rel",
+        "acc_write",
+        "rep_sum",
+        "compute_sum",
+        "raw",
+        "writes",
+        "_static_key",
+        "_static",
+    )
+
+    def __init__(self, program: "CompiledProgram", ints: np.ndarray | None) -> None:
+        self.row: dict[int, int] = {}
+        seen: dict[AccessRun, int] = {}
+        starts: list[int] = []
+        lengths: list[int] = []
+        for pc, run in sorted(program.vector_runs().items()):
+            k = seen.get(run)
+            if k is None:
+                k = seen[run] = len(starts)
+                starts.append(pc)
+                lengths.append(run.n_ops)
+            self.row[pc] = k
+        self.starts = starts
+        self.lengths = lengths
+        #: each row's first op in the concatenation of all rows' ops.
+        self.offsets = (np.cumsum(lengths, dtype=np.int64) - lengths).tolist()
+        n_rows = len(starts)
+        pos = self._positions()
+        codes = np.frombuffer(program.codes, dtype=np.uint8)[pos]
+        row_of = np.repeat(np.arange(n_rows), lengths)
+        access = codes <= OP_WRITE
+        acc_pos = pos[access]
+        bounds = _bounds(row_of[access], n_rows)
+        self.bounds = bounds.tolist()
+        acc_ids = program.args[acc_pos]
+        if ints is not None and acc_ids.size and 0 <= acc_ids.min() and acc_ids.max() < len(ints):
+            acc_ids = ints[acc_ids]
+        self.acc_ids = acc_ids.tolist()
+        self.acc_write = (codes[access] == OP_WRITE).tobytes()
+        self.acc_rel = int_column(acc_pos - np.array(starts, dtype=np.int64)[row_of[access]])
+        self.rep_sum = _segment_sums(program.repeat[acc_pos], bounds)
+        compute = codes == OP_COMPUTE
+        values = program.args[pos[compute]]
+        compute_bounds = _bounds(row_of[compute], n_rows)
+        self.compute_sum = _segment_sums(values, compute_bounds)
+        self.raw = [n == 0 for n in _segment_sums(values < 0, compute_bounds)]
+        self.writes = [n > 0 for n in _segment_sums(codes == OP_WRITE, _bounds(row_of, n_rows))]
+        self._static_key = None
+        self._static: np.ndarray | None = None
+
+    def _positions(self) -> np.ndarray:
+        """The op index of every op of every row, rows in order."""
+        return ranges(np.array(self.starts, dtype=np.int64), np.array(self.lengths, dtype=np.int64))
+
+    def static(self, program: "CompiledProgram", costs) -> np.ndarray:
+        """Every row's per-op static cost under ``costs``, rows
+        concatenated: an access's repeat x busy time, a compute's
+        nanoseconds on a unity scale (0 otherwise: the walk charges
+        those op by op, as it does a row that is not ``raw``)."""
+        key = self._static_key
+        if key is not costs and key != costs:
+            pos = self._positions()
+            busy = costs.state_check_ns + costs.access_ns
+            steps = _exact(program.repeat[pos], busy) * busy
+            compute = np.frombuffer(program.codes, dtype=np.uint8)[pos] == OP_COMPUTE
+            steps[compute] = program.args[pos[compute]] if costs.compute_scale == 1.0 else 0
+            self._static_key = costs
+            self._static = steps
+        return self._static
+
+
+def _bounds(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Segment bounds (``n_rows + 1``) of the non-decreasing row labels
+    ``rows``."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+
+
+def _exact(values: np.ndarray, scale: int = 1) -> np.ndarray:
+    """``values`` as int64, or as Python ints where ``scale`` times a sum
+    of them could wrap int64 (the scalar loop's arithmetic never does)."""
+    if values.size:
+        peak = max(-int(values.min()), int(values.max()))
+        if peak * scale * values.size >= 1 << 63:
+            return values.astype(object)
+    return values.astype(np.int64)
+
+
+def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> list[int]:
+    """Exact int sums of ``values`` over each segment of ``bounds``."""
+    total = np.concatenate(([0], np.cumsum(_exact(values))))
+    return (total[bounds[1:]] - total[bounds[:-1]]).tolist()
+
+
+def _compute_charges(program: "CompiledProgram", s: int, e: int, codes: bytes, costs) -> list:
+    """The compute ops of ops ``[s, e)`` charged op by op through
+    :meth:`~repro.sim.costs.CostModel.scaled_compute` (which rejects a
+    negative one), as the scalar loop charges them off a unity scale."""
+    values = compress(program._views[0][s:e], codes.translate(_COMPUTE_MASK))
+    return list(map(costs.scaled_compute, values))
+
+
+def lean_lane(
+    program: "CompiledProgram", pc: int, costs, ints: np.ndarray | None = None
+) -> tuple[int, int, list, tuple[list, list, list]]:
+    """The totals of the run body at op ``pc`` of ``program``, read from
+    its lane table's slices — everything the vector engine's one pass
+    reads: ``(access busy ns, compute ns, the object id of each access
+    in op order, (written object ids, written elements, write ops))``,
+    the written lanes parallel and in first-write order.  The ids keep
+    their repeats: probing a copy and booking a first touch are
+    idempotent, so the engine dedupes only where it hands ids on.  The
+    caller must not mutate the result (a hot :class:`AccessRun` caches
+    it).  ``ints`` (the heap's ``obj_id`` objects by id) canonicalizes
+    the ids when the program's lane table is built.
 
     Compute is summed exactly as the scalar loop charges it op by op:
-    the raw value on a unity scale (all non-negative ints), else
+    the raw values on a unity scale when none is negative, else
     :meth:`~repro.sim.costs.CostModel.scaled_compute` per op."""
-    accesses = list(compress(ops, codes.translate(_ACCESS_MASK)))
-    busy = (costs.state_check_ns + costs.access_ns) * sum(map(_REPEAT, accesses))
-    compute = 0
-    if len(accesses) < len(ops):
-        values = list(map(_ARG, compress(ops, codes.translate(_COMPUTE_MASK))))
-        raw = costs.compute_scale == 1.0
-        if raw:
-            compute = sum(values)
-            raw = type(compute) is int and min(values) >= 0
-        if not raw:
-            compute = sum(map(costs.scaled_compute, values))
-    return busy, compute, list(map(_ARG, accesses)), _write_lanes(ops, codes)
+    table = program._lane_table(ints)
+    k = table.row[pc]
+    s = table.starts[k]
+    e = s + table.lengths[k]
+    busy = (costs.state_check_ns + costs.access_ns) * table.rep_sum[k]
+    compute = table.compute_sum[k]
+    if not (table.raw[k] and costs.compute_scale == 1.0):
+        compute = sum(_compute_charges(program, s, e, program.codes[s:e], costs))
+    a, b = table.bounds[k], table.bounds[k + 1]
+    ids = table.acc_ids[a:b]
+    writes = ([], [], [])
+    if table.writes[k]:
+        written = compress(ids, table.acc_write[a:b])
+        writes = _write_lanes(written, program, s, e, program.codes[s:e])
+    return busy, compute, ids, writes
 
 
-def _write_lanes(ops: tuple, codes: bytes) -> tuple[list, list, list]:
-    """(written object ids, written elements, write ops), parallel and
-    in first-write order."""
+def _write_lanes(written, program: "CompiledProgram", s: int, e: int, codes: bytes) -> tuple[list, list, list]:
+    """(written object ids, written elements, write ops) of ops
+    ``[s, e)``, parallel and in first-write order, from ``written`` (the
+    object id of each of their write ops, in op order); ``codes`` are
+    their opcode bytes."""
     w_oids: list[int] = []
     w_welems: list[int] = []
     w_wops: list[int] = []
-    if OP_WRITE in codes:
-        index: dict[int, int] = {}
-        for op in compress(ops, codes.translate(_WRITE_MASK)):
-            k = index.get(op[1])
-            if k is None:
-                index[op[1]] = len(w_oids)
-                w_oids.append(op[1])
-                w_welems.append(op[2])
-                w_wops.append(1)
-            else:
-                w_welems[k] += op[2]
-                w_wops[k] += 1
+    index: dict[int, int] = {}
+    for oid, welems in zip(written, compress(program._views[1][s:e], codes.translate(_WRITE_MASK))):
+        k = index.get(oid)
+        if k is None:
+            index[oid] = len(w_oids)
+            w_oids.append(oid)
+            w_welems.append(welems)
+            w_wops.append(1)
+        else:
+            w_welems[k] += welems
+            w_wops[k] += 1
     return w_oids, w_welems, w_wops
 
 
-def walk_lane(ops: tuple, codes: bytes, costs) -> tuple[tuple, tuple[list, list, list, dict]]:
-    """A run body's :func:`lean_lane` and its per-op static columns,
-    built together at C speed — what the vector engine reads to walk a
-    run.  The lane's distinct objects map each to its first access op;
-    the columns — ``(static cost of each op, access op indices, their
-    object ids (parallel), {written object: first write op})`` — give
-    each clock stop the clock the scalar loop would show.  An op's
-    static cost is its access busy time or its compute, charged as the
-    scalar loop charges it op by op.  ``codes`` are the ops' opcode
-    bytes (a slice of the compiled program's).  The caller must not
-    mutate the result (a hot :class:`AccessRun` caches it)."""
-    n = len(ops)
-    busy = costs.state_check_ns + costs.access_ns
-    # repeat (op[3]) x busy for an access, ns (op[1]) x 1 for a compute;
-    # the factors as translated opcode bytes while busy fits in one.
-    factors = (busy, busy, 1)
-    if busy < 256:
-        factors = codes.translate(bytes.maketrans(b"\x00\x01\x02", bytes(factors)))
-    else:
-        factors = map(factors.__getitem__, codes)
-    steps = list(map(mul, map(getitem, ops, codes.translate(_STATIC_FIELD)), factors))
-    compute = 0
-    if OP_COMPUTE in codes:
-        compute_mask = codes.translate(_COMPUTE_MASK)
-        values = list(map(_ARG, compress(ops, compute_mask)))
-        raw = costs.compute_scale == 1.0 and type(sum(values)) is int and min(values) >= 0
-        if not raw:
-            for k, v in zip(compress(range(n), compute_mask), values):
-                steps[k] = costs.scaled_compute(v)
-        compute = sum(compress(steps, compute_mask))
-    access_mask = codes.translate(_ACCESS_MASK)
-    acc_ops = list(compress(range(n), access_mask))
-    acc_oids = list(map(_ARG, compress(ops, access_mask)))
-    # setdefault keeps each object's earliest op, keys in first-touch order.
-    first_op: dict[int, int] = {}
-    deque(map(first_op.setdefault, acc_oids, acc_ops), 0)
+def walk_lane(
+    program: "CompiledProgram", pc: int, costs, ints: np.ndarray | None = None
+) -> tuple[tuple, tuple[list, list, list, dict, dict]]:
+    """The :func:`lean_lane` of the run body at op ``pc`` of ``program``
+    and its per-op static columns, sliced from the program's lane table
+    — what the vector engine reads to walk a run.  The columns — ``(static
+    cost of each op, access op indices, their object ids (parallel),
+    {written object: first write op}, {accessed object: first access
+    op})`` — give each clock stop the clock the scalar loop would show.
+    An op's static cost is its access busy time or its compute, charged
+    as the scalar loop charges it op by op.  The caller must not mutate
+    the result (a hot :class:`AccessRun` caches it)."""
+    lane = lean_lane(program, pc, costs, ints)
+    table = program._lane_table(ints)
+    k = table.row[pc]
+    s = table.starts[k]
+    e = s + table.lengths[k]
+    at = table.offsets[k]
+    steps = table.static(program, costs)[at : at + e - s].tolist()
+    codes = program.codes[s:e]
+    if OP_COMPUTE in codes and not (table.raw[k] and costs.compute_scale == 1.0):
+        charges = _compute_charges(program, s, e, codes, costs)
+        deque(map(steps.__setitem__, compress(range(e - s), codes.translate(_COMPUTE_MASK)), charges), 0)
+    acc_ops = table.acc_rel[table.bounds[k] : table.bounds[k + 1]].tolist()
+    acc_oids = lane[2]
+    # Reversed, the last value kept per object is its first access op.
+    first_op = dict(zip(reversed(acc_oids), reversed(acc_ops)))
     first_write: dict[int, int] = {}
-    if OP_WRITE in codes:
-        write_mask = codes.translate(_WRITE_MASK)
-        deque(map(first_write.setdefault, map(_ARG, compress(ops, write_mask)), compress(range(n), write_mask)), 0)
-    lane = (sum(steps) - compute, compute, first_op, _write_lanes(ops, codes))
-    return lane, (steps, acc_ops, acc_oids, first_write)
+    if lane[3][0]:
+        written = compress(acc_oids, table.acc_write[table.bounds[k] : table.bounds[k + 1]])
+        ops = compress(range(e - s), codes.translate(_WRITE_MASK))
+        deque(map(first_write.setdefault, written, ops), 0)
+    return lane, (steps, acc_ops, acc_oids, first_write, first_op)
 
 
 class CompiledProgram:
-    """A pre-decoded thread program: the dense form the interpreter runs.
+    """A thread program as columns: the dense form the interpreter runs.
 
-    Workloads hand the interpreter arbitrary op iterables (usually
-    generators).  Compiling materializes the stream once into a flat
-    tuple of ops plus a parallel ``bytes`` opcode array, so the hot
-    execution loop indexes dense arrays instead of resuming a generator
-    per op, and segment resumption after a synchronization yield is a
-    plain cursor (the thread's ``pc``) rather than iterator state.
+    The opcode bytes, four int columns and the side table of the module
+    docstring.  The scalar loop indexes the columns per op, the vector
+    engine reads a run's slices, and segment resumption after a
+    synchronization yield is a plain cursor (the thread's ``pc``).
+    Iterating a program decodes its ops as tuples.
     """
 
-    __slots__ = ("ops", "codes", "n_ops", "_vruns", "_verified")
+    __slots__ = (
+        "codes",
+        "args",
+        "n_elems",
+        "repeat",
+        "elem_off",
+        "side",
+        "n_ops",
+        "_views",
+        "_vruns",
+        "_lanes",
+        "_verified",
+    )
 
-    def __init__(self, ops: Iterable[Op]) -> None:
-        decoded = tuple(ops) if not isinstance(ops, tuple) else ops
-        # bytes() already rejects non-ints and codes outside 0..255;
-        # bad_opcode_pc catches anything past the opcode range.
-        codes = bytes(map(_OPCODE, decoded))
+    def __init__(self, codes: bytes, args, n_elems, repeat, elem_off, side: dict | None = None) -> None:
+        codes = bytes(codes)
         i = bad_opcode_pc(codes)
         if i is not None:
             raise ValueError(f"op {i}: unknown opcode {codes[i]!r}")
-        self.ops = decoded
+        columns = tuple(map(int_column, (args, n_elems, repeat, elem_off)))
+        n = len(codes)
+        if any(len(col) != n for col in columns):
+            raise ValueError(f"columns of {[len(col) for col in columns]} ops for {n} opcodes")
+        side = {} if side is None else side
+        calls = codes.count(OP_CALL)
+        if sum(codes[pc] == OP_CALL for pc in side) != calls:
+            raise ValueError(f"the side table must hold every CALL's method and refs ({calls} CALLs)")
         #: dense per-op opcode array (one byte per op).
         self.codes = codes
-        self.n_ops = len(decoded)
+        self.args, self.n_elems, self.repeat, self.elem_off = columns
+        #: pc -> (method, refs) of each CALL; pc -> None of each SETSLOT
+        #: that clears its slot.
+        self.side = side
+        self.n_ops = n
+        #: the int columns as memoryviews: indexing and iterating one
+        #: yields Python ints.
+        self._views = tuple(map(memoryview, columns))
         self._vruns: dict[int, AccessRun] | None = None
+        self._lanes: _LaneTable | None = None
         #: set by the staticflow IR verifier's structural gate after the
         #: program passes, so reuse across DJVM instances (the bench
         #: harness pattern) verifies once.
@@ -259,7 +464,43 @@ class CompiledProgram:
         return self.n_ops
 
     def __iter__(self) -> Iterator[Op]:
-        return iter(self.ops)
+        return self.decode(0, self.n_ops)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CompiledProgram):
+            return NotImplemented
+        return (
+            self.codes == other.codes
+            and self.side == other.side
+            and all(map(np.array_equal, self._columns(), other._columns()))
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _columns(self) -> tuple:
+        return self.args, self.n_elems, self.repeat, self.elem_off
+
+    def decode(self, lo: int, hi: int) -> Iterator[Op]:
+        """The ops at ``[lo, hi)`` as tuples, in the form the op
+        constructors build (fields as Python ints)."""
+        args, elems, reps, offs = (col[lo:hi].tolist() for col in self._columns())
+        side = self.side
+        for k, code in enumerate(self.codes[lo:hi]):
+            if code <= OP_WRITE:
+                yield (code, args[k], elems[k], reps[k], offs[k])
+            elif code == OP_CALL:
+                method, refs = side[lo + k]
+                yield (code, method, elems[k], refs)
+            elif code == OP_RET:
+                yield (code,)
+            elif code == OP_SETSLOT:
+                yield (code, args[k], None if lo + k in side else elems[k])
+            else:
+                yield (code, args[k])
+
+    def op(self, pc: int) -> Op:
+        """The op at ``pc`` as a tuple."""
+        return next(self.decode(pc, pc + 1))
 
     def vector_runs(self, min_len: int = MIN_VECTOR_RUN) -> dict[int, AccessRun]:
         """Extract (and cache) the program's vectorizable access runs.
@@ -270,40 +511,47 @@ class CompiledProgram:
         speed; spans with equal bodies share one :class:`AccessRun`,
         and a body found twice is hot from the start.
 
-        Interning is by content, in a table that lives only for this
-        call.  Hashing a body would hash every op in it, so spans are
-        bucketed by a cheap key — their opcode bytes (hashed at C speed)
-        and their first, middle and last op — and a bucket's runs are
-        told apart by tuple equality, which stops at the first differing
-        op and skips ops shared by identity (a workload that replays one
-        prototype body every round shares all of them).
+        Interning is by content — the span's opcode bytes and the bytes
+        of its slice of every int column — in a table that lives only
+        for this call.  Spans are bucketed by a cheap key (their opcode
+        bytes and their first, middle and last object or argument), and
+        a bucket's runs are told apart by comparing the column bytes,
+        which hashes nothing more.
         """
         runs = self._vruns
         if runs is None:
             runs = {}
-            buckets: dict[tuple, list[AccessRun]] = {}
-            ops = self.ops
+            buckets: dict[tuple, list[tuple[AccessRun, list]]] = {}
             codes = self.codes
+            views = self._views
+            args = views[0]
             for m in _ACCESS_RUN_RE.finditer(codes):
-                s, e = m.start(), m.end()
+                s, e = m.span()
                 if e - s >= min_len:
-                    body = ops[s:e]
-                    key = (codes[s:e], ops[s], ops[(s + e) // 2], ops[e - 1])
+                    key = (codes[s:e], args[s], args[(s + e) // 2], args[e - 1])
+                    body = [view[s:e].tobytes() for view in views]
                     bucket = buckets.get(key)
                     if bucket is None:
-                        run = AccessRun(body)
-                        buckets[key] = [run]
+                        run = AccessRun(e - s)
+                        buckets[key] = [(run, body)]
                     else:
-                        for run in bucket:
-                            if run.ops == body:
+                        for run, other in bucket:
+                            if other == body:
                                 run.hot = True
                                 break
                         else:
-                            run = AccessRun(body)
-                            bucket.append(run)
+                            run = AccessRun(e - s)
+                            bucket.append((run, body))
                     runs[s] = run
             self._vruns = runs
         return runs
+
+    def _lane_table(self, ints: np.ndarray | None = None) -> _LaneTable:
+        """The program's lane table, built on first use with ``ints``
+        (see :func:`lean_lane`)."""
+        if self._lanes is None:
+            self._lanes = _LaneTable(self, ints)
+        return self._lanes
 
     def sync_points(self) -> list[tuple[int, int]]:
         """``(pc, opcode)`` of every ACQUIRE/RELEASE/BARRIER op, in
@@ -313,11 +561,98 @@ class CompiledProgram:
         return [(m.start(), codes[m.start()]) for m in _SYNC_OP_RE.finditer(codes)]
 
 
+class ColumnEmitter:
+    """Builds a :class:`CompiledProgram` from chunks of columns: what
+    workloads emit instead of op tuples.
+
+    :meth:`ops` appends a chunk of ops — their opcodes and each int
+    column, an array or sequence as long as the opcodes or one value
+    for all of them — and :meth:`call` one CALL with its side-table
+    entry; :meth:`program` concatenates the chunks once.
+    """
+
+    __slots__ = ("_chunks", "n_ops", "side")
+
+    def __init__(self) -> None:
+        self._chunks: tuple[list, ...] = ([], [], [], [], [])
+        #: ops emitted so far (the pc of the next op).
+        self.n_ops = 0
+        self.side: dict[int, tuple | None] = {}
+
+    def ops(self, codes, args=0, n_elems=0, repeat=0, elem_off=0) -> None:
+        """Append ops with these opcodes and fields."""
+        codes = np.asarray(codes, dtype=np.uint8)
+        n = len(codes)
+        self._chunks[0].append(codes)
+        for chunk, col in zip(self._chunks[1:], (args, n_elems, repeat, elem_off)):
+            chunk.append(np.full(n, col, dtype=np.int64) if np.ndim(col) == 0 else np.asarray(col, dtype=np.int64))
+        self.n_ops += n
+
+    def call(self, method: str, n_slots: int, refs: tuple) -> None:
+        """Append a CALL of ``method`` with ``n_slots`` slots, ``refs``
+        preset."""
+        self.side[self.n_ops] = (method, refs)
+        self.ops((OP_CALL,), n_elems=n_slots)
+
+    def program(self) -> CompiledProgram:
+        """The program of every op emitted so far."""
+        codes, *columns = (np.concatenate(chunk) if chunk else np.zeros(0, np.int8) for chunk in self._chunks)
+        return CompiledProgram(codes.tobytes(), *columns, dict(sorted(self.side.items())))
+
+
+def _is_int64(value) -> bool:
+    return isinstance(value, (int, np.integer)) and -(1 << 63) <= value < (1 << 63)
+
+
+def _encode(ops: Iterable[Op]) -> CompiledProgram:
+    """Columns and side table of an op-tuple stream.  A non-int opcode
+    raises ``TypeError`` and one outside ``OP_READ..OP_BARRIER`` a
+    ``ValueError``, as does an op of the wrong arity or a field that is
+    not an int; each names the op's pc."""
+    ops = ops if isinstance(ops, (list, tuple)) else list(ops)
+    # bytes() rejects non-ints and codes outside 0..255; bad_opcode_pc
+    # catches anything past the opcode range.
+    codes = bytes(map(_OPCODE, ops))
+    i = bad_opcode_pc(codes)
+    if i is not None:
+        raise ValueError(f"op {i}: unknown opcode {codes[i]!r}")
+    n = len(ops)
+    columns = ([0] * n, [0] * n, [0] * n, [0] * n)
+    side: dict[int, tuple | None] = {}
+    for pc, op in enumerate(ops):
+        code = op[0]
+        if len(op) != ARITY[code]:
+            raise ValueError(
+                f"op {pc}: {OPCODE_NAMES[code]} has {len(op)} fields, expected {ARITY[code]}"
+            )
+        if code == OP_CALL:
+            side[pc] = (op[1], op[3])
+            columns[1][pc] = op[2]
+        elif code == OP_SETSLOT and op[2] is None:
+            side[pc] = None
+            columns[0][pc] = op[1]
+        else:
+            for col, value in zip(columns, op[1:]):
+                col[pc] = value
+    arrays = []
+    for col in columns:
+        try:
+            arr = np.array(col)
+        except (OverflowError, TypeError, ValueError):
+            arr = None
+        if arr is None or (arr.size and arr.dtype.kind not in "ib"):
+            pc = next(pc for pc, v in enumerate(col) if not _is_int64(v))
+            raise ValueError(f"op {pc}: {OPCODE_NAMES[codes[pc]]} field {col[pc]!r} is not an int64")
+        arrays.append(arr)
+    return CompiledProgram(codes, *arrays, side)
+
+
 def compile_program(ops: Iterable[Op]) -> CompiledProgram:
-    """Pre-decode an op iterable (idempotent on compiled programs)."""
+    """A program as columns: a :class:`CompiledProgram` as it is, an
+    iterable of op tuples encoded."""
     if isinstance(ops, CompiledProgram):
         return ops
-    return CompiledProgram(ops)
+    return _encode(ops)
 
 
 def read(obj_id: int, n_elems: int = 1, repeat: int = 1, elem_off: int = 0) -> Op:

@@ -39,9 +39,11 @@ there, bounded by the next timer deadline; where that bound cuts the
 stops short the timers fire at their op, and the entry resumes.
 
 The pass reads a run's totals from :func:`~repro.runtime.program.
-lean_lane`.  A body that repeats within its program (born ``hot``)
-caches that tuple, and its walk columns, per cost model; a one-shot
-body builds them for the one execution and drops them.  Anything
+lean_lane`, slices of the lane table its program builds for all its
+distinct runs in one numpy pass.  A body that repeats within its
+program (born ``hot``) caches its lane, and its walk columns, per cost
+model; a one-shot body slices them for the one execution and drops
+them.  Anything
 observed runs on the scalar loop, the correctness oracle
 (``replay="scalar"`` forces it everywhere); the end state of both
 routes is byte-identical, which the equivalence tests assert over
@@ -66,6 +68,8 @@ from bisect import bisect_left
 from collections import deque
 from itertools import accumulate, compress, filterfalse
 from operator import add, attrgetter
+
+import numpy as np
 
 from repro.dsm.intervals import NO_BOUND
 from repro.dsm.states import HOME_COPY, CopyRecord, RealState
@@ -105,6 +109,7 @@ class VectorEngine:
         "hlrc",
         "_interp",
         "_objects",
+        "_ints",
         "_copies_by_node",
         "costs",
         "runs_bulk",
@@ -121,6 +126,9 @@ class VectorEngine:
         self.hlrc = hl
         self._interp = interp
         self._objects = hl._objects
+        #: each object's ``obj_id`` int object, by id (built with the
+        #: first lane): lanes hand the protocol these very objects.
+        self._ints = None
         self._copies_by_node = hl._copies_by_node
         self.costs = hl.costs
         # Routing counts (host-side only; see routing()).
@@ -153,18 +161,21 @@ class VectorEngine:
 
     def _lanes(self, thread, run: AccessRun, pc: int, walk: bool) -> tuple:
         """``(lane, walk columns)`` for one execution of ``run`` at op
-        ``pc`` of ``thread``'s program, whose opcode bytes a walk reads;
-        the columns are None unless the run walks (and may be stale
-        then).  A one-shot body builds them for this execution; a hot
-        one caches them per cost model."""
+        ``pc`` of ``thread``'s program, sliced from the program's lane
+        table; the columns are None unless the run walks (and may be
+        stale then).  A one-shot body builds them for this execution; a
+        hot one caches them per cost model."""
         costs = self.costs
+        program = thread.program
+        ints = self._ints
+        if ints is None:
+            ints = self._ints = np.array([obj.obj_id for obj in self._objects], dtype=object)
         if not run.hot:
             # A one-shot body would keep a cached lane alive for nothing.
             self.runs_lean += 1
-            codes = thread.program.codes[pc : pc + run.n_ops]
             if walk:
-                return walk_lane(run.ops, codes, costs)
-            return lean_lane(run.ops, codes, costs), None
+                return walk_lane(program, pc, costs, ints)
+            return lean_lane(program, pc, costs, ints), None
         self.runs_bulk += 1
         key = run._cost_key
         # Identity first (same engine re-executing), equality second so a
@@ -175,10 +186,9 @@ class VectorEngine:
             run._cost_key = costs
         if walk:
             if run._cols is None:
-                codes = thread.program.codes[pc : pc + run.n_ops]
-                run._lane, run._cols = walk_lane(run.ops, codes, costs)
+                run._lane, run._cols = walk_lane(program, pc, costs, ints)
         elif run._lane is None:
-            run._lane = lean_lane(run.ops, thread.program.codes[pc : pc + run.n_ops], costs)
+            run._lane = lean_lane(program, pc, costs, ints)
         return run._lane, run._cols
 
     def execute(self, thread, run: AccessRun, pc: int, deadline: int) -> int:
@@ -249,7 +259,7 @@ class VectorEngine:
         touched = self._first_touches(thread, ids, faulted, hooks) if observed else None
         if walk:
             deadline = self._walk(
-                thread, run, ids, cols, base, pc, deadline, faulted, prices, twins, touched
+                thread, run, cols, base, pc, deadline, faulted, prices, twins, touched
             )
         return deadline
 
@@ -299,15 +309,15 @@ class VectorEngine:
         return ids, charges
 
     def _walk(
-        self, thread, run, first_op, cols, base, pc, deadline, faulted, prices, twins, touched
+        self, thread, run, cols, base, pc, deadline, faulted, prices, twins, touched
     ) -> int:
         """Give the run's clock stops the clock the scalar loop would
         show there: every access of a re-armed id (the tracking entry
         takes them) and every op after which a timer deadline has
         passed (the timers fire).  The clock after op ``k`` is ``base``
         plus the prefix sum through ``k`` of each op's static cost (the
-        columns of :func:`walk_lane`; its lane's distinct objects,
-        ``first_op``, map each to its first access op) and dynamic
+        columns of :func:`walk_lane`, whose ``first_op`` maps each
+        accessed object to its first access op) and dynamic
         charges — a fault's trap and fetch at the object's first
         access, a twin at its first write, the first-touch entries'
         non-zero charges at the first touch — plus what earlier stops
@@ -319,10 +329,10 @@ class VectorEngine:
         the one pass left it.  Returns the deadline after the run."""
         clock = thread.clock
         rearmed = thread.current_interval.rearmed
+        steps, acc_ops, acc_oids, first_write, first_op = cols
         stops = not rearmed.isdisjoint(first_op)
         if not stops and (deadline < 0 or clock._now_ns < deadline):
             return deadline
-        steps, acc_ops, acc_oids, first_write = cols
         if run.hot:
             steps = steps.copy()  # the cached columns stay static
         steps[0] += base

@@ -39,12 +39,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, repeat
 
 import numpy as np
 
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
+from repro.util.arrays import ranges
 from repro.util.rng import seeded_rng
 from repro.workloads.base import Workload, WorkloadSpec
 
@@ -152,14 +152,6 @@ class _Octree:
             for node, obj_id, arr_id in zip(nodes, self.obj_id.tolist(), self.arr_id.tolist()):
                 node.obj_id, node.arr_id = obj_id, arr_id
         return nodes[0]
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``
-    in one pass."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if ends.size else 0
-    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
 
 
 class BarnesHutWorkload(Workload):
@@ -591,7 +583,7 @@ class BarnesHutWorkload(Workload):
 
         # --- leaf-member entries: partner body, then its position vector -
         leaves = visited[leaf_j]
-        member = tree.bodies[_ranges(tree.offsets[leaves], tree.counts[leaves])]
+        member = tree.bodies[ranges(tree.offsets[leaves], tree.counts[leaves])]
         member_set = np.repeat(set_of_node[leaf_j], tree.counts[leaves])
         member_count = count[member_set]
         member_first = first[member_set]
@@ -681,7 +673,7 @@ class BarnesHutWorkload(Workload):
         counts = tree.counts
         is_leaf = tree.n_children == 0
         leaves = order[is_leaf[order]]
-        walk = tree.bodies[_ranges(tree.offsets[leaves], counts[leaves])]
+        walk = tree.bodies[ranges(tree.offsets[leaves], counts[leaves])]
         met = np.where(is_leaf[order], counts[order], 0)
         start = np.empty_like(counts)
         start[order] = np.cumsum(met) - met
@@ -691,7 +683,7 @@ class BarnesHutWorkload(Workload):
         # One vote per sampled body, keyed (node, owner).
         n_threads = self.n_threads
         key = np.repeat(np.arange(len(counts)) * n_threads, size)
-        key += self._owner[walk[_ranges(start, size)]]
+        key += self._owner[walk[ranges(start, size)]]
         votes = np.bincount(key, minlength=len(counts) * n_threads)
         first_met = np.full(votes.size, key.size)
         np.minimum.at(first_met, key, np.arange(key.size))
@@ -757,92 +749,98 @@ class BarnesHutWorkload(Workload):
         """Body indices owned by one thread."""
         return self.block_range(self.n_bodies, thread_id, self.n_threads)
 
-    def program(self, thread_id: int):
-        """The thread's op list (pre-built; op tuples are emitted inline
-        so repeated builds avoid per-op constructor calls)."""
+    def program(self, thread_id: int) -> P.CompiledProgram:
+        """The thread's program, emitted as columns."""
         return self._generate(thread_id)
 
-    def _generate(self, thread_id: int):
+    def _generate(self, thread_id: int) -> P.CompiledProgram:
         own = self.bodies_of(thread_id)
         n_own = len(own)
-        body_ids = self.body_ids[own.start : own.stop]
-        vect_ids = self.vect_ids[own.start : own.stop]
-        bodies_arr_id = self.bodies_arr_id
+        vect = np.asarray(self.vect_ids[own.start : own.stop], dtype=np.int64).reshape(n_own, 3)
+        body_ids = np.asarray(self.body_ids[own.start : own.stop], dtype=np.int64)
+        bodies_ref = ((0, self.bodies_arr_id),)
         tree_lock = 0
-        # The per-body parts of every round are the same ops each time.
-        read_own = [(P.OP_READ, body, 1, 1, 0) for body in body_ids]
-        write_acc = [(P.OP_WRITE, av, 1, 1, 0) for _pv, _vv, av in vect_ids]
-        advance = [
-            op
-            for body, (pv, vv, av) in zip(body_ids, vect_ids)
-            for op in (
-                (P.OP_READ, body, 1, 1, 0),
-                (P.OP_READ, av, 1, 1, 0),
-                (P.OP_WRITE, vv, 1, 1, 0),
-                (P.OP_WRITE, pv, 1, 1, 0),
-            )
-        ]
-        ops: list[tuple] = [
-            (P.OP_CALL, "BarnesHut.run", 6, ((0, bodies_arr_id),)),
-            (P.OP_READ, bodies_arr_id, n_own, 1, own[0]),
-        ]
+        # Phase C's per-body reads and writes are the same ops every round.
+        advance = np.stack((body_ids, vect[:, 2], vect[:, 1], vect[:, 0]), axis=1).ravel()
+        advance_codes = np.tile(np.array((P.OP_READ, P.OP_READ, P.OP_WRITE, P.OP_WRITE), dtype=np.uint8), n_own)
+        out = P.ColumnEmitter()
+        out.call("BarnesHut.run", 6, bodies_ref)
+        out.ops((P.OP_READ,), args=self.bodies_arr_id, n_elems=n_own, repeat=1, elem_off=own[0])
         for rnd, (root_id, per_thread, _n_nodes) in enumerate(self._round_plans):
             # --- phase A: tree build (lock-serialized insertions) --------
-            ops.append((P.OP_CALL, "BarnesHut.maketree", 4, ((0, root_id),)))
-            ops += read_own
+            out.call("BarnesHut.maketree", 4, ((0, root_id),))
+            out.ops(np.zeros(n_own, dtype=np.uint8), args=body_ids, n_elems=1, repeat=1)
             # Insertion path writes: the cells along each own body's path;
             # approximated by the nodes this thread's traversals meet
             # (paths share the tree's upper levels).
-            ops += (
-                (P.OP_ACQUIRE, tree_lock),
-                (P.OP_WRITE, root_id, 1, n_own, 0),
-                (P.OP_COMPUTE, n_own * INTERACTION_NS),
-                (P.OP_RELEASE, tree_lock),
-                (P.OP_RET,),
-                (P.OP_BARRIER, 3 * rnd),
-                # --- phase B: force computation --------------------------
-                (P.OP_CALL, "BarnesHut.computeForces", 6, ((0, root_id), (1, bodies_arr_id))),
+            out.ops(
+                (P.OP_ACQUIRE, P.OP_WRITE, P.OP_COMPUTE, P.OP_RELEASE, P.OP_RET, P.OP_BARRIER),
+                args=(tree_lock, root_id, n_own * INTERACTION_NS, tree_lock, 0, 3 * rnd),
+                n_elems=(0, 1, 0, 0, 0, 0),
+                repeat=(0, n_own, 0, 0, 0, 0),
             )
-            # Emit each object's accesses in two interleaved passes so an
-            # object visited by many traversals is seen both early and
-            # late in the interval — the temporal spread real traversals
-            # have, which sticky-set footprinting depends on.  Objects
-            # visited once appear in the first pass only.
-            ids, counts = per_thread[thread_id]
-            again = counts > 1
-            reps = np.concatenate(((counts + 1) // 2, (counts // 2)[again]))
-            # The second pass shares the first pass's int objects.
-            first_pass = ids.tolist()
-            objs = first_pass + list(compress(first_pass, again.tolist()))
-            if objs:
-                # The force arithmetic of each chunk of reads.
-                work = np.add.reduceat(reps, range(0, len(objs), COMPUTE_CHUNK_READS))
-                work = (work * INTERACTION_NS).tolist()
-            read_ops = list(zip(repeat(P.OP_READ), objs, repeat(1), reps.tolist(), repeat(0)))
-            for chunk, lo in enumerate(range(0, len(objs), COMPUTE_CHUNK_READS)):
-                if lo % FRAME_CHURN_READS == 0:
-                    if lo:
-                        ops.append((P.OP_RET,))
-                    ops.append((P.OP_CALL, "BarnesHut.walkSub", 3, ((0, objs[lo]),)))
-                ops += read_ops[lo : lo + COMPUTE_CHUNK_READS]
-                # Interleave the force arithmetic with the accesses, as
-                # the real traversal does (chunked to bound op count).
-                ops.append((P.OP_COMPUTE, work[chunk]))
-            if objs:
-                ops.append((P.OP_RET,))
+            # --- phase B: force computation ------------------------------
+            out.call("BarnesHut.computeForces", 6, ((0, root_id), (1, self.bodies_arr_id)))
+            self._force_reads(out, *per_thread[thread_id])
             # Acceleration writes to own bodies' acc vectors.
-            ops += write_acc
-            ops += (
-                (P.OP_RET,),
-                (P.OP_BARRIER, 3 * rnd + 1),
-                # --- phase C: position integration -----------------------
-                (P.OP_CALL, "BarnesHut.advance", 4, ((0, bodies_arr_id),)),
+            out.ops(np.ones(n_own, dtype=np.uint8), args=vect[:, 2], n_elems=1, repeat=1)
+            out.ops((P.OP_RET, P.OP_BARRIER), args=(0, 3 * rnd + 1))
+            # --- phase C: position integration ---------------------------
+            out.call("BarnesHut.advance", 4, bodies_ref)
+            out.ops(advance_codes, args=advance, n_elems=1, repeat=1)
+            out.ops(
+                (P.OP_COMPUTE, P.OP_RET, P.OP_BARRIER),
+                args=(n_own * INTERACTION_NS, 0, 3 * rnd + 2),
             )
-            ops += advance
-            ops += (
-                (P.OP_COMPUTE, n_own * INTERACTION_NS),
-                (P.OP_RET,),
-                (P.OP_BARRIER, 3 * rnd + 2),
-            )
-        ops.append((P.OP_RET,))
-        return ops
+        out.ops((P.OP_RET,))
+        return out.program()
+
+    @staticmethod
+    def _force_reads(out: P.ColumnEmitter, ids: np.ndarray, counts: np.ndarray) -> None:
+        """Emit one thread-round's force reads: each object the thread's
+        traversals visit, read ``count`` times in all.
+
+        Each object's accesses come in two interleaved passes so an
+        object visited by many traversals is seen both early and late in
+        the interval — the temporal spread real traversals have, which
+        sticky-set footprinting depends on.  Objects visited once appear
+        in the first pass only.  Every ``COMPUTE_CHUNK_READS`` reads are
+        followed by their force arithmetic (interleaved with the
+        accesses, as the real traversal does, chunked to bound op
+        count), and every ``FRAME_CHURN_READS`` reads open a new
+        ``walkSub`` frame."""
+        again = counts > 1
+        reps = np.concatenate(((counts + 1) // 2, (counts // 2)[again]))
+        objs = np.concatenate((ids, ids[again]))
+        n_reads = len(objs)
+        if not n_reads:
+            return
+        lo = np.arange(0, n_reads, COMPUTE_CHUNK_READS)
+        size = np.minimum(n_reads - lo, COMPUTE_CHUNK_READS)
+        frames = lo % FRAME_CHURN_READS == 0
+        # Before a chunk: a frame's RET (not the first) and CALL.
+        head = frames * (1 + (lo > 0))
+        chunk_len = head + size + 1
+        chunk_at = np.cumsum(chunk_len) - chunk_len
+        n = int(chunk_len.sum()) + 1  # the last frame's RET
+        codes = np.zeros(n, dtype=np.uint8)  # READ
+        args = np.zeros(n, dtype=np.int64)
+        elems = np.zeros(n, dtype=np.int64)
+        repeat = np.zeros(n, dtype=np.int64)
+        chunk = np.arange(n_reads) // COMPUTE_CHUNK_READS
+        at = np.arange(n_reads) + (chunk_at + head - lo)[chunk]
+        args[at] = objs
+        elems[at] = 1
+        repeat[at] = reps
+        compute_at = chunk_at + head + size
+        codes[compute_at] = P.OP_COMPUTE
+        args[compute_at] = np.add.reduceat(reps, lo) * INTERACTION_NS
+        call_at = chunk_at[frames] + head[frames] - 1
+        codes[call_at] = P.OP_CALL
+        elems[call_at] = 3
+        codes[call_at[1:] - 1] = P.OP_RET
+        codes[-1] = P.OP_RET
+        base = out.n_ops
+        for k, oid in zip(call_at.tolist(), objs[lo[frames]].tolist()):
+            out.side[base + k] = ("BarnesHut.walkSub", ((0, oid),))
+        out.ops(codes, args, elems, repeat)

@@ -7,7 +7,9 @@ A workload owns three responsibilities:
    JESSICA2's home-migration optimization: data lives with its dominant
    writer, matching the paper's experimental configuration where home
    migration is enabled), and spawn the threads.
-2. :meth:`Workload.program` — produce each thread's op stream.
+2. :meth:`Workload.program` — produce each thread's program: a
+   :class:`~repro.runtime.program.CompiledProgram` emitted as columns, or
+   an iterable of op tuples.
 3. Describe itself (:class:`WorkloadSpec`) for Table I-style reporting.
 """
 
@@ -60,10 +62,11 @@ class Workload(abc.ABC):
 
     @abc.abstractmethod
     def program(self, thread_id: int):
-        """The op stream for one thread (an iterable of ops)."""
+        """The program of one thread (a compiled program or an iterable of
+        op tuples)."""
 
     def programs(self) -> dict[int, object]:
-        """Op streams for every thread."""
+        """Programs of every thread."""
         return {t: self.program(t) for t in range(self.n_threads)}
 
     # ------------------------------------------------------------------

@@ -19,6 +19,8 @@ rows with threads t-1 and t+1 — a tridiagonal TCM.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
 from repro.workloads.base import Workload, WorkloadSpec
@@ -88,49 +90,60 @@ class SORWorkload(Workload):
         """Row indices owned by one thread."""
         return self.block_range(self.n, thread_id, self.n_threads)
 
-    def program(self, thread_id: int):
-        """The thread's op list (pre-built; op tuples are emitted inline
-        so repeated builds avoid per-op constructor calls)."""
+    def program(self, thread_id: int) -> P.CompiledProgram:
+        """The thread's program, emitted as columns."""
         return self._generate(thread_id)
 
-    def _generate(self, thread_id: int):
+    def _generate(self, thread_id: int) -> P.CompiledProgram:
         assert self.matrix_id is not None, "build() must run first"
         rows = self.rows_of(thread_id)
         n = self.n
         half = n // 2
         row_ids = self.row_ids
         compute_ns = half * CELL_COMPUTE_NS
-        barrier_seq = 0
-        ops: list[tuple] = []
-        add = ops.append
-        # run() frame: the matrix reference lives here for the whole run —
-        # the canonical stack invariant.
-        add((P.OP_CALL, "SOR.run", 6, ((0, self.matrix_id),)))
-        add((P.OP_READ, self.matrix_id, len(rows), 1, 0))
-        # Each round replays the same red/black sweep (op tuples are
-        # immutable, so one prototype body per color is shared across
-        # rounds); only the trailing barrier sequence number changes.
-        bodies: list[list[tuple]] = []
+        refs = ((0, self.matrix_id),)
+        # Each round replays the same red/black sweep: one body per
+        # color (a phase frame around the rows of that color), tiled
+        # over the rounds; only the barrier after each body changes.
+        codes: list[int] = []
+        args: list[int] = []
+        elems: list[int] = []
         for color in (0, 1):  # red, black
-            body: list[tuple] = [(P.OP_CALL, "SOR.phase", 4, ((0, self.matrix_id),))]
-            badd = body.append
+            codes.append(P.OP_CALL)
+            args.append(0)
+            elems.append(4)
             for r in rows:
                 if r % 2 != color:
                     continue
                 # Near-neighbour stencil: rows r-1 and r+1 are read.
-                if r > 0:
-                    badd((P.OP_READ, row_ids[r - 1], half, 1, 0))
-                badd((P.OP_READ, row_ids[r], half, 1, 0))
+                stencil = [row_ids[r - 1]] if r > 0 else []
+                stencil.append(row_ids[r])
                 if r < n - 1:
-                    badd((P.OP_READ, row_ids[r + 1], half, 1, 0))
-                badd((P.OP_COMPUTE, compute_ns))
-                badd((P.OP_WRITE, row_ids[r], half, 1, 0))
-            badd((P.OP_RET,))
-            bodies.append(body)
-        for _round in range(self.rounds):
-            for body in bodies:
-                ops += body
-                add((P.OP_BARRIER, barrier_seq))
-                barrier_seq += 1
-        add((P.OP_RET,))
-        return ops
+                    stencil.append(row_ids[r + 1])
+                codes += [P.OP_READ] * len(stencil) + [P.OP_COMPUTE, P.OP_WRITE]
+                args += stencil + [compute_ns, row_ids[r]]
+                elems += [half] * len(stencil) + [0, half]
+            codes += (P.OP_RET, P.OP_BARRIER)
+            args += (0, 0)
+            elems += (0, 0)
+        # The run() frame holds the matrix reference for the whole run
+        # (the canonical stack invariant) and reads the row table first.
+        head = ((P.OP_CALL, 0, 6), (P.OP_READ, self.matrix_id, len(rows)))
+        n_barriers = 2 * self.rounds
+        columns = []
+        for k, body in enumerate((codes, args, elems)):
+            first = [op[k] for op in head]
+            dtype = np.uint8 if k == 0 else P.int_column([*first, *body, n_barriers]).dtype
+            col = np.empty(2 + self.rounds * len(body) + 1, dtype=dtype)
+            col[:2] = first
+            col[2:-1].reshape(self.rounds, len(body))[:] = body
+            col[-1] = P.OP_RET if k == 0 else 0
+            columns.append(col)
+        codes_col, args_col, elems_col = columns
+        args_col[np.flatnonzero(codes_col == P.OP_BARRIER)] = np.arange(n_barriers)
+        repeat = (codes_col <= P.OP_WRITE).view(np.int8)
+        elem_off = np.zeros(len(codes_col), dtype=np.int8)
+        calls = np.flatnonzero(codes_col == P.OP_CALL).tolist()
+        side = {pc: ("SOR.phase", refs) for pc in calls}
+        side[0] = ("SOR.run", refs)
+        return P.CompiledProgram(codes_col.tobytes(), args_col, elems_col, repeat, elem_off, side)

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM
+from repro.util.arrays import ranges
 from repro.util.rng import seeded_rng
 from repro.workloads.base import Workload, WorkloadSpec
 
@@ -79,14 +80,15 @@ class WaterSpatialWorkload(Workload):
         #: — membership arrays are only ever written by their owning
         #: thread, so cross-slab moves stay race-free.
         self._rounds_arrivals: list[dict[int, list[int]]] = []
-        #: round-invariant op prototypes, precomputed by build() and
-        #: shared across rounds/threads (op tuples are immutable).
-        self._neighbour_lists: list[list[int]] = []
-        self._op_cell_read: list[tuple] = []
-        self._op_mol_read1: list[tuple] = []
-        self._op_mol_write1: list[tuple] = []
-        self._op_coord_write: list[tuple] = []
-        self._op_cell_arr_write1: list[tuple] = []
+        #: per-round cell membership as arrays: the molecules in cell
+        #: order (ascending within a cell) and each cell's first index
+        #: and count in it.
+        self._rounds_flat: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        #: the 26-neighbourhoods, concatenated, with each cell's first
+        #: index and count.
+        self._neighbours: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        #: each cell's ``cellPairs`` frame refs.
+        self._cell_refs: list[tuple] = []
 
     def spec(self) -> WorkloadSpec:
         """Descriptive characteristics (Table I row)."""
@@ -134,10 +136,11 @@ class WaterSpatialWorkload(Workload):
     def owner_of_cell(self, idx: int) -> int:
         """Thread owning a grid cell."""
         n_cells = self.grid**3
-        for t in range(self.n_threads):
-            if idx in self.cells_of(t):
-                return t
-        raise IndexError(f"cell {idx} out of range 0..{n_cells - 1}")
+        if not 0 <= idx < n_cells:
+            raise IndexError(f"cell {idx} out of range 0..{n_cells - 1}")
+        # The last thread whose block starts (t * n_cells // n_threads,
+        # as block_range cuts) at or below idx.
+        return ((idx + 1) * self.n_threads - 1) // n_cells
 
     # ------------------------------------------------------------------
     # build
@@ -161,14 +164,19 @@ class WaterSpatialWorkload(Workload):
         drift = np.array([DRIFT_STEP, 0.0, 0.0])
         jitter_rng = seeded_rng(self.seed, "water_spatial", "jitter")
 
-        def membership(p: np.ndarray) -> list[list[int]]:
-            cells: list[list[int]] = [[] for _ in range(n_cells)]
+        def cell_of(p: np.ndarray) -> np.ndarray:
             idx = np.clip(p.astype(np.int64), 0, self.grid - 1)
-            for m in range(self.n_molecules):
-                cells[self.cell_index((int(idx[m, 0]), int(idx[m, 1]), int(idx[m, 2])))].append(m)
-            return cells
+            return (idx[:, 0] * self.grid + idx[:, 1]) * self.grid + idx[:, 2]
 
-        members0 = membership(pos)
+        def membership(cells: np.ndarray) -> tuple[list[list[int]], tuple]:
+            """Each cell's molecules, ascending, as lists and flattened."""
+            flat = np.argsort(cells, kind="stable")
+            count = np.bincount(cells, minlength=n_cells)
+            start = np.cumsum(count) - count
+            return [part.tolist() for part in np.split(flat, start[1:])], (flat, start, count)
+
+        cells = cell_of(pos)
+        members0, flat0 = membership(cells)
 
         # Molecules homed at the node of the thread owning their initial
         # cell; allocated in cell order (a locality-aware initialization).
@@ -200,120 +208,149 @@ class WaterSpatialWorkload(Workload):
 
         # Precompute per-round membership and inter-cell moves.
         self._rounds_members = []
+        self._rounds_flat = []
         self._rounds_moves = []
         self._rounds_arrivals = []
-        members = members0
+        members, flat = members0, flat0
         for _round in range(self.rounds):
-            self._rounds_members.append([list(ms) for ms in members])
+            self._rounds_members.append(members)
+            self._rounds_flat.append(flat)
             pos = pos + drift + 0.05 * jitter_rng.standard_normal(pos.shape)
             pos = np.clip(pos, 0.0, self.grid - 1e-9)
-            new_members = membership(pos)
-            cell_of_old = {m: c for c, ms in enumerate(members) for m in ms}
-            cell_of_new = {m: c for c, ms in enumerate(new_members) for m in ms}
+            new_cells = cell_of(pos)
             moves: dict[int, list[tuple[int, int, int]]] = {}
             arrivals: dict[int, list[int]] = {}
-            for m in range(self.n_molecules):
-                old_c, new_c = cell_of_old[m], cell_of_new[m]
-                if old_c != new_c:
-                    owner = self.owner_of_cell(old_c)
-                    moves.setdefault(owner, []).append((m, old_c, new_c))
-                    receiver = self.owner_of_cell(new_c)
-                    arrivals.setdefault(receiver, []).append(new_c)
+            moved = np.flatnonzero(new_cells != cells)
+            for m, old_c, new_c in zip(moved.tolist(), cells[moved].tolist(), new_cells[moved].tolist()):
+                moves.setdefault(self.owner_of_cell(old_c), []).append((m, old_c, new_c))
+                arrivals.setdefault(self.owner_of_cell(new_c), []).append(new_c)
             self._rounds_moves.append(moves)
             self._rounds_arrivals.append(arrivals)
-            members = new_members
+            members, flat = membership(new_cells)
+            cells = new_cells
 
-        # Round-invariant prototypes for _generate.
-        self._neighbour_lists = [self.neighbours(c) for c in range(n_cells)]
-        self._op_cell_read = [(P.OP_READ, cid, 1, 1, 0) for cid in self.cell_obj_ids]
-        self._op_mol_read1 = [(P.OP_READ, mid, 1, 1, 0) for mid in self.mol_ids]
-        self._op_mol_write1 = [(P.OP_WRITE, mid, 1, 1, 0) for mid in self.mol_ids]
-        self._op_coord_write = [(P.OP_WRITE, cid, 9, 1, 0) for cid in self.coord_ids]
-        self._op_cell_arr_write1 = [(P.OP_WRITE, aid, 1, 1, 0) for aid in self.cell_arr_ids]
+        # The neighbourhoods as arrays for _generate.
+        self._neighbours = _flatten([self.neighbours(c) for c in range(n_cells)])
+        self._cell_refs = [((0, cid),) for cid in self.cell_obj_ids]
 
     # ------------------------------------------------------------------
     # programs
     # ------------------------------------------------------------------
 
-    def program(self, thread_id: int):
-        """The thread's op list (pre-built; op tuples are emitted inline
-        so repeated builds avoid per-op constructor calls)."""
+    def program(self, thread_id: int) -> P.CompiledProgram:
+        """The thread's program, emitted as columns."""
         return self._generate(thread_id)
 
-    def _generate(self, thread_id: int):
-        own_cells = list(self.cells_of(thread_id))
-        barrier_seq = 0
-        anchor_cell = self.cell_obj_ids[own_cells[0]]
-        cell_obj_ids = self.cell_obj_ids
+    def _generate(self, thread_id: int) -> P.CompiledProgram:
+        own_cells = np.asarray(self.cells_of(thread_id))
+        anchor = ((0, self.cell_obj_ids[int(own_cells[0])]),)
+        mol_ids = np.asarray(self.mol_ids)
+        coord_ids = np.asarray(self.coord_ids)
         cell_arr_ids = self.cell_arr_ids
-        mol_ids = self.mol_ids
-        coord_ids = self.coord_ids
-        neighbour_lists = self._neighbour_lists
-        cell_read = self._op_cell_read
-        mol_read1 = self._op_mol_read1
-        mol_write1 = self._op_mol_write1
-        coord_write = self._op_coord_write
-        cell_arr_write1 = self._op_cell_arr_write1
-        ops: list[tuple] = []
-        add = ops.append
-        add((P.OP_CALL, "Water.run", 6, ((0, anchor_cell),)))
+        out = P.ColumnEmitter()
+        out.call("Water.run", 6, anchor)
         for rnd in range(self.rounds):
-            members = self._rounds_members[rnd]
             # --- force phase -------------------------------------------
-            add((P.OP_CALL, "Water.interf", 5, ((0, anchor_cell),)))
-            for c in own_cells:
-                own_mols = members[c]
-                if not own_mols:
-                    continue
-                n_own = len(own_mols)
-                add((P.OP_CALL, "Water.cellPairs", 3, ((0, cell_obj_ids[c]),)))
-                add(cell_read[c])
-                add((P.OP_READ, cell_arr_ids[c], max(n_own, 1), 1, 0))
-                pair_count = 0
-                for nb in neighbour_lists[c]:
-                    nb_mols = members[nb]
-                    if not nb_mols:
-                        continue
-                    if nb != c:
-                        add(cell_read[nb])
-                        add((P.OP_READ, cell_arr_ids[nb], max(len(nb_mols), 1), 1, 0))
-                        reps = n_own
-                    else:
-                        reps = max(n_own - 1, 1)
-                    for m in nb_mols:
-                        # Each neighbour molecule is read (scalar + coords)
-                        # once per own molecule pairing; aggregate repeats.
-                        add((P.OP_READ, mol_ids[m], 1, reps, 0))
-                        add((P.OP_READ, coord_ids[m], 9, reps, 0))
-                        pair_count += reps
-                # Forces accumulate into thread-private storage (owner
-                # computes all of its molecules' terms), so the force
-                # phase performs no shared writes: neighbour coordinate
-                # reads here race-freely precede the integrate-phase
-                # writes on the other side of the barrier.
-                add((P.OP_COMPUTE, pair_count * PAIR_COMPUTE_NS))
-                add((P.OP_RET,))
-            add((P.OP_RET,))
-            add((P.OP_BARRIER, barrier_seq))
-            barrier_seq += 1
+            out.call("Water.interf", 5, anchor)
+            self._force_phase(out, own_cells, rnd, mol_ids, coord_ids)
+            out.ops((P.OP_RET, P.OP_BARRIER), args=(0, 2 * rnd))
 
             # --- integration + cell reassignment -------------------------
-            add((P.OP_CALL, "Water.advance", 4, ((0, anchor_cell),)))
-            for c in own_cells:
-                for m in members[c]:
-                    add(mol_read1[m])
-                    add(coord_write[m])
+            out.call("Water.advance", 4, anchor)
+            flat, start, count = self._rounds_flat[rnd]
+            mols = flat[ranges(start[own_cells], count[own_cells])]
+            out.ops(
+                np.tile(np.array((P.OP_READ, P.OP_WRITE), dtype=np.uint8), len(mols)),
+                args=np.stack((mol_ids[mols], coord_ids[mols]), axis=1).ravel(),
+                n_elems=np.tile((1, 9), len(mols)),
+                repeat=1,
+            )
             # Membership arrays are written only by their owning thread:
             # the departing side drops the molecule from its own cell's
             # array, the receiving side appends it to its own — two
             # single-owner writes instead of one thread writing both.
+            writes = []
             for m, old_c, _new_c in self._rounds_moves[rnd].get(thread_id, []):
-                add(cell_arr_write1[old_c])
-                add(mol_write1[m])
-            for new_c in self._rounds_arrivals[rnd].get(thread_id, []):
-                add(cell_arr_write1[new_c])
-            add((P.OP_RET,))
-            add((P.OP_BARRIER, barrier_seq))
-            barrier_seq += 1
-        add((P.OP_RET,))
-        return ops
+                writes += (cell_arr_ids[old_c], self.mol_ids[m])
+            writes += [cell_arr_ids[c] for c in self._rounds_arrivals[rnd].get(thread_id, [])]
+            out.ops([P.OP_WRITE] * len(writes), args=writes, n_elems=1, repeat=1)
+            out.ops((P.OP_RET, P.OP_BARRIER), args=(0, 2 * rnd + 1))
+        out.ops((P.OP_RET,))
+        return out.program()
+
+    def _force_phase(self, out: P.ColumnEmitter, own_cells: np.ndarray, rnd: int, mol_ids, coord_ids) -> None:
+        """Emit one thread-round's force phase in one vectorized pass.
+
+        Per own cell with molecules: a ``cellPairs`` frame reading the
+        cell and its membership array, then per non-empty neighbour cell
+        (itself included, in neighbourhood order) the neighbour's cell
+        and membership array (not for itself) and each of its molecules
+        (scalar part + coordinates), read once per own molecule pairing
+        (aggregated into ``repeat``), then the pair arithmetic.  Forces
+        accumulate into thread-private storage (owner computes all of
+        its molecules' terms), so the force phase performs no shared
+        writes: neighbour coordinate reads here race-freely precede the
+        integrate-phase writes on the other side of the barrier."""
+        flat, start, count = self._rounds_flat[rnd]
+        nb_flat, nb_start, nb_count = self._neighbours
+        cells = own_cells[count[own_cells] > 0]
+        # (cell, neighbour) pairs in emission order, empty neighbours dropped.
+        pair_nb = nb_flat[ranges(nb_start[cells], nb_count[cells])]
+        pair_k = np.repeat(np.arange(len(cells)), nb_count[cells])
+        keep = count[pair_nb] > 0
+        pair_nb, pair_k = pair_nb[keep], pair_k[keep]
+        own = pair_nb == cells[pair_k]
+        n_own = count[cells][pair_k]
+        reps = np.where(own, np.maximum(n_own - 1, 1), n_own)
+        n_mols = count[pair_nb]
+        head = np.where(own, 0, 2)
+        pair_len = head + 2 * n_mols
+        # Each cell: CALL, its cell and array reads, its pairs, COMPUTE, RET.
+        first_pair = np.flatnonzero(np.diff(pair_k, prepend=-1))
+        cell_len = 5 + np.add.reduceat(pair_len, first_pair)
+        cell_at = np.cumsum(cell_len) - cell_len
+        pair_at = np.cumsum(pair_len) - pair_len
+        pair_at += cell_at[pair_k] + 3 - pair_at[first_pair][pair_k]
+        n = int(cell_len.sum())
+        codes = np.zeros(n, dtype=np.uint8)  # READ
+        args = np.zeros(n, dtype=np.int64)
+        elems = np.ones(n, dtype=np.int64)
+        repeat = np.ones(n, dtype=np.int64)
+        cell_obj = np.asarray(self.cell_obj_ids)
+        cell_arr = np.asarray(self.cell_arr_ids)
+        codes[cell_at] = P.OP_CALL
+        elems[cell_at] = 3
+        repeat[cell_at] = 0
+        args[cell_at + 1] = cell_obj[cells]
+        args[cell_at + 2] = cell_arr[cells]
+        elems[cell_at + 2] = count[cells]
+        other = np.flatnonzero(~own)
+        args[pair_at[other]] = cell_obj[pair_nb[other]]
+        args[pair_at[other] + 1] = cell_arr[pair_nb[other]]
+        elems[pair_at[other] + 1] = n_mols[other]
+        # Each neighbour molecule is read (scalar + coords) once per own
+        # molecule pairing; aggregate repeats.
+        mols = flat[ranges(start[pair_nb], n_mols)]
+        mol_pair = np.repeat(np.arange(len(pair_nb)), n_mols)
+        at = (pair_at + head)[mol_pair] + 2 * ranges(np.zeros_like(n_mols), n_mols)
+        args[at] = mol_ids[mols]
+        args[at + 1] = coord_ids[mols]
+        elems[at + 1] = 9
+        repeat[at] = repeat[at + 1] = reps[mol_pair]
+        end = cell_at + cell_len
+        codes[end - 2] = P.OP_COMPUTE
+        args[end - 2] = np.add.reduceat(reps * n_mols, first_pair) * PAIR_COMPUTE_NS
+        codes[end - 1] = P.OP_RET
+        elems[end - 2] = elems[end - 1] = 0
+        repeat[end - 2] = repeat[end - 1] = 0
+        side = self._cell_refs
+        for k, c in zip((cell_at + out.n_ops).tolist(), cells.tolist()):
+            out.side[k] = ("Water.cellPairs", side[c])
+        out.ops(codes, args, elems, repeat)
+
+
+def _flatten(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lists as one array plus each list's first index and length."""
+    count = np.array([len(x) for x in lists], dtype=np.int64)
+    flat = np.array([v for x in lists for v in x], dtype=np.int64)
+    return flat, np.cumsum(count) - count, count

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from repro.checks.__main__ import (
     EXIT_LINT,
     EXIT_RACE,
@@ -222,7 +224,9 @@ def test_sanitize_gate_prints_routing_and_runs_the_one_pass(capsys):
 
     assert run_sanitize() == 0
     out = capsys.readouterr().out
-    assert out.count("    replay: bulk ") == 3 and "one pass" in out
+    assert out.count("    replay: bulk ") == 4 and "one pass" in out
+    rehomed = re.search(r"sanitize SOR re-homing .* (\d+) re-homed", out)
+    assert rehomed and int(rehomed.group(1)) > 0
 
 
 def test_sanitize_gate_fails_a_run_with_no_one_pass_execution(monkeypatch, capsys):

@@ -93,7 +93,7 @@ class Recorder(SyncRecorder):
 
 def access_ops(djvm) -> int:
     return sum(
-        1 for t in djvm.threads for op in t.program.ops if op[0] in (P.OP_READ, P.OP_WRITE)
+        1 for t in djvm.threads for code in t.program.codes if code in (P.OP_READ, P.OP_WRITE)
     )
 
 

@@ -224,11 +224,12 @@ class TestVectorRunInterning:
         prog, n = self.compiled()
         runs = prog.vector_runs()
         assert sorted(runs) == [0, n + 1, 2 * (n + 1), 3 * (n + 1) + 1]
-        first, second, single, third = (runs[pc] for pc in sorted(runs))
+        starts = sorted(runs)
+        first, second, single, third = (runs[pc] for pc in starts)
         assert first is second is third
         assert single is not first
-        assert first.ops == tuple(self.burst(0))
-        assert single.ops == tuple(self.burst(100))
+        assert tuple(prog.decode(starts[0], starts[0] + first.n_ops)) == tuple(self.burst(0))
+        assert tuple(prog.decode(starts[2], starts[2] + single.n_ops)) == tuple(self.burst(100))
         assert prog.vector_runs() is runs
 
     def test_repeated_body_is_born_hot_singleton_cold(self):
@@ -258,9 +259,11 @@ class TestVectorRunInterning:
         ops = []
         for k, body in enumerate(spans):
             ops += [*body, P.barrier(k)]
-        runs = compile_program(ops).vector_runs()
+        prog = compile_program(ops)
+        runs = prog.vector_runs()
         got = [runs[pc] for pc in sorted(runs)]
-        assert [run.ops for run in got] == [tuple(body) for body in spans]
+        bodies = [tuple(prog.decode(pc, pc + runs[pc].n_ops)) for pc in sorted(runs)]
+        assert bodies == [tuple(body) for body in spans]
         assert got[0] is got[4] and got[1] is got[3]
         assert len({id(run) for run in got}) == 3
         assert [run.hot for run in got] == [True, True, False, True, True]

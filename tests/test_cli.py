@@ -64,7 +64,7 @@ class TestCommands:
         assert len(lines) == 1
         seconds = r"\d+\.\d\d s"
         assert re.fullmatch(
-            rf"host: build {seconds}, programs\+compile {seconds}, run {seconds}, "
+            rf"host: build {seconds}, emit {seconds}, compile {seconds}, run {seconds}, "
             rf"gc \d+ collections \(\d+ full\) {seconds}",
             lines[0],
         )

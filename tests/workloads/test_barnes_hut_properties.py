@@ -82,7 +82,7 @@ def plain(round_plans):
 def digest(wl, djvm):
     h = hashlib.sha256(repr(object_table(djvm)).encode())
     for ops in wl.programs().values():
-        h.update(repr(ops).encode())
+        h.update(repr(list(ops)).encode())
     return h.hexdigest()
 
 
