@@ -24,15 +24,16 @@ lint:
 sanitize:
 	PYTHONPATH=src python -m repro.checks sanitize
 
-# Happens-before race gate: tracked workloads must report zero races,
-# the seeded racy synthetic must be caught, its locked twin must stay
-# silent.
+# Happens-before race gate, one check per interval close: tracked
+# workloads must report zero races and run on the vector engine's one
+# pass (each run's replay routing is printed), the seeded racy
+# synthetic must be caught, its locked twin must stay silent.
 race:
 	PYTHONPATH=src python -m repro.checks race
 
 # Whole-program static analysis gate: IR verification, sharing/escape
 # classification, and the static may-race set — which must contain every
-# dynamic FastTrack report on the same run matrix (soundness).
+# dynamic race report on the same run matrix (soundness).
 static:
 	PYTHONPATH=src python -m repro.checks static
 

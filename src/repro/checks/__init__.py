@@ -22,9 +22,11 @@ contract ("bit-identical simulated results"):
 
 * :mod:`repro.checks.racedetect` — an opt-in happens-before data race
   detector (``djvm.attach(RaceDetector())``) over the global object space:
-  FastTrack-style vector clocks with release->acquire, barrier and
-  diff-propagation edges, online (raise/collect) and offline
-  (record + :func:`~repro.checks.racedetect.replay_trace`) analysis.
+  vector clocks with release->acquire, barrier and diff-propagation
+  edges, and one check per interval close of its touched and written
+  sets against concurrent intervals', online (raise/collect) and
+  offline (record + :func:`~repro.checks.racedetect.replay_trace`)
+  analysis.
 
 All three are wired into the ``make check`` gate via the
 ``python -m repro.checks`` CLI (see :mod:`repro.checks.__main__`);

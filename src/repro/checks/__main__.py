@@ -10,14 +10,16 @@ Subcommands:
   routing; exits non-zero on any :class:`~repro.checks.sanitizer.
   SanitizerViolation` or a run with no one-pass (``bulk``/``lean``) run.
 * ``race`` — run the tracked workloads plus the seeded racy/locked
-  synthetic pair with a collecting ``RaceDetector`` attached; exits non-zero
-  when a tracked (race-free) workload reports any race, or when the
-  seeded race in ``RacyCounterWorkload(locked=False)`` goes undetected.
+  synthetic pair with a collecting ``RaceDetector`` attached (it checks
+  each interval at its close), printing each run's replay routing;
+  exits non-zero when a tracked (race-free) workload reports any race
+  or has no one-pass (``bulk``/``lean``) run, or when the seeded race
+  in ``RacyCounterWorkload(locked=False)`` goes undetected.
 * ``static`` — run the whole-program static analysis
   (:mod:`repro.checks.staticflow`) over the same run matrix: the IR
   must verify, the racy synthetic must yield a non-empty may-race set,
-  and — the soundness cross-check — every dynamic FastTrack report
-  must be covered by the static may-race set.
+  and — the soundness cross-check — every dynamic race report must be
+  covered by the static may-race set.
 * ``all`` (default) — run **every** gate (lint, sanitize, race,
   static), report each failure, and exit with the highest-severity
   (numerically largest) failing code.
@@ -79,13 +81,15 @@ def run_sanitize() -> int:
 
 def run_race() -> int:
     """Run the happens-before race gate; return a process exit code."""
-    from repro.checks.runner import run_race_all
+    from repro.checks.runner import SYNTHETIC_PAIR, run_race_all
 
     report = run_race_all(verbose=True)
     failures = []
     checked = 0
-    for name, accesses, reports, expected_racy in report:
-        checked += accesses
+    for name, intervals, reports, expected_racy, routing in report:
+        checked += intervals
+        if name not in SYNTHETIC_PAIR and not (routing["bulk"] or routing["lean"]):
+            failures.append(f"{name}: no one-pass execution")
         if expected_racy:
             if not reports:
                 failures.append(f"{name}: seeded race NOT detected")
@@ -103,7 +107,7 @@ def run_race() -> int:
         for failure in failures:
             print(f"racecheck: {failure}", file=sys.stderr)
         return EXIT_RACE
-    print(f"racecheck: clean ({checked} accesses across {len(report)} runs)")
+    print(f"racecheck: clean ({checked} intervals across {len(report)} runs, one pass)")
     return 0
 
 
@@ -115,7 +119,7 @@ def run_static(json_path: str | None = None, *, verbose: bool = True) -> int:
     1. every workload's IR passes full verification (IR001–IR009);
     2. the seeded racy synthetic yields a non-empty static may-race set
        (the analysis is not vacuously silent);
-    3. soundness — re-running the matrix under the *dynamic* FastTrack
+    3. soundness — re-running the matrix under the *dynamic* race
        detector, every dynamic report is covered by the static may-race
        set (``may_races ⊇ dynamic reports``).
     """
@@ -149,7 +153,7 @@ def run_static(json_path: str | None = None, *, verbose: bool = True) -> int:
     # Soundness cross-check: dynamic ⊆ static on every workload.
     dynamic = run_race_all(verbose=False)
     covered = 0
-    for name, _accesses, reports, _expected in dynamic:
+    for name, _intervals, reports, _expected, _routing in dynamic:
         report = static_reports.get(name)
         if report is None or not report.verified:
             continue
@@ -221,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         epilog=(
             "exit codes: 0 all clean; "
             f"{EXIT_LINT} lint findings; {EXIT_SANITIZE} sanitizer violation or no one-pass run; "
-            f"{EXIT_RACE} race gate failed; {EXIT_STATIC} static gate failed; "
+            f"{EXIT_RACE} race gate failed or no one-pass run; {EXIT_STATIC} static gate failed; "
             "6 retired (not reused). "
             "`all` runs every gate and exits with the highest failing code."
         ),
@@ -234,7 +238,8 @@ def main(argv: list[str] | None = None) -> int:
         help=f"run sanitizer-enabled bench workloads (exit {EXIT_SANITIZE} on violation)",
     )
     sub.add_parser(
-        "race", help=f"run the happens-before race gate (exit {EXIT_RACE} on failure)"
+        "race",
+        help=f"run the happens-before race gate (exit {EXIT_RACE} on a race or no one-pass run)",
     )
     static = sub.add_parser(
         "static",

@@ -1,4 +1,4 @@
-"""FastTrack-style happens-before data race detector for the GOS
+"""Happens-before data race detector for the GOS at interval grain
 (``djvm.attach(RaceDetector(...))``).
 
 The sanitizer (:mod:`repro.checks.sanitizer`) validates *protocol*
@@ -7,16 +7,16 @@ unsynchronized still passes SAN001–SAN007.  This module closes that gap
 with a vector-clock happens-before analysis at object granularity (the
 granularity the whole runtime operates at, and the one DJXPerf-style
 object-centric profiling argues is the right level for managed
-runtimes): two accesses to one GOS object, at least one a write, by two
-different threads, race unless a chain of synchronization edges orders
-them.
+runtimes): two intervals of different threads race on a GOS object when
+one writes it, the other touches it, and no chain of synchronization
+edges orders them.
 
 Happens-before edges tracked
 ----------------------------
 
 ========================  ==================================================
-program order             every op of one thread is ordered by its issue
-                          sequence (per-thread epoch ``(tid, clock)``)
+program order             a thread's intervals are ordered by its own
+                          clock entry (per-thread epoch ``(tid, clock)``)
 release -> acquire        ``DistributedLock``: the releaser's vector clock
                           is stored on the lock; the next grantee joins it
 barrier release           a ``Barrier`` episode joins *all* participants'
@@ -37,20 +37,28 @@ is visible), trading a little detection strength for zero false
 positives on protocol-ordered data.  Truly unsynchronized sharing never
 publishes a notice between the accesses, so real races are unaffected.
 
-Detection state per object is classic FastTrack (Flanagan & Freund,
-PLDI'09): a last-write *epoch*, and a last-read epoch that escalates to
-a read vector clock only while reads are concurrent — O(1) per access
-on the overwhelmingly common same-epoch paths.
+Every edge sits at a sync point, and an interval closes at every
+acquire, release, barrier and thread end, so a thread's clock cannot
+move inside an interval.  One check per closing interval therefore sees
+what a per-access check would (Perković & Keleher, OSDI'96: compare the
+read and write sets of concurrent intervals of a lazy-release-consistent
+DSM).  At close, with the thread's clock then, the interval's
+``written`` ids are checked against every other thread's last interval
+that wrote or touched them, and its ``touched`` ids against every other
+thread's last interval that wrote them; an entry whose epoch the clock
+does not cover is a race.  A thread's epochs only grow, so its last
+entry per object is uncovered whenever any earlier one is: the last
+entry finds every racing (object, thread pair, kind).
 
 Modes
 -----
 
 * **online** — ``RaceDetector(raise_on_race=True)`` raises a structured
-  :class:`DataRaceError` at the second racing access; a plain
+  :class:`DataRaceError` at the close that finds the first race; a plain
   ``RaceDetector()`` collects :class:`RaceReport`\\ s in ``reports``
   instead.
 * **offline** — ``RaceDetector(detect=False, keep_trace=True)`` only
-  records the compact race-relevant operation trace (``trace``, the
+  records the compact race-relevant event trace (``trace``, the
   serialised form of the protocol-event stream); :func:`replay_trace`
   re-runs the analysis over a recorded trace without re-executing the
   workload and produces identical reports.
@@ -58,8 +66,8 @@ Modes
 Like the sanitizer, the detector is a
 :class:`~repro.dsm.observer.ProtocolObserver`: it observes, never
 advances simulated clocks, so a race-checked run is byte-identical to a
-plain one.  It overrides ``on_access`` (the vector clocks need every
-access), so a race-checked run stays on the scalar loop.
+plain one.  It reads only interval closes and sync points, so a
+race-checked run keeps the one pass.
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ __all__ = [
     "DataRaceError",
     "RaceDetector",
     "replay_trace",
-    "TR_ACCESS",
+    "TR_CLOSE",
     "TR_ACQUIRE",
     "TR_RELEASE",
     "TR_BARRIER",
@@ -84,7 +92,7 @@ __all__ = [
 ]
 
 #: trace op codes (first field after time_ns in a trace tuple).
-TR_ACCESS = 0  # (t, TR_ACCESS, tid, obj_id, is_write, interval_id)
+TR_CLOSE = 0  # (end_ns, TR_CLOSE, tid, interval_id, start_ns, touched, written)
 TR_ACQUIRE = 1  # (t, TR_ACQUIRE, tid, lock_id)
 TR_RELEASE = 2  # (t, TR_RELEASE, tid, lock_id)
 TR_BARRIER = 3  # (t, TR_BARRIER, barrier_id, waiter_tids)
@@ -94,27 +102,26 @@ TR_APPLY = 5  # (t, TR_APPLY, tid, node_id, start, end)
 
 @dataclass(frozen=True, slots=True)
 class AccessSite:
-    """Where one racing access happened in the simulated execution."""
+    """The interval one side of a race happened in."""
 
     thread_id: int
     kind: str  # "read" | "write"
     interval_id: int
-    time_ns: int
-    #: detector-global operation sequence number (total order of
-    #: observed operations — stable across online/offline analysis).
-    seq: int
+    #: the interval's open and close instants on its thread's clock.
+    start_ns: int
+    end_ns: int
 
     def render(self) -> str:
         """One-line human form of the site."""
         return (
             f"{self.kind} by thread {self.thread_id} "
-            f"(interval {self.interval_id}, t={self.time_ns} ns, op #{self.seq})"
+            f"(interval {self.interval_id}, t={self.start_ns}..{self.end_ns} ns)"
         )
 
 
 @dataclass(frozen=True, slots=True)
 class RaceReport:
-    """One detected data race: two conflicting accesses unordered by
+    """One detected data race: two conflicting intervals unordered by
     happens-before, with the evidence of *why* they are unordered."""
 
     obj_id: int
@@ -123,11 +130,11 @@ class RaceReport:
     kind: str
     first: AccessSite
     second: AccessSite
-    #: vector-clock evidence: the first access's epoch vs. the second
-    #: thread's knowledge of that thread at the moment of the access.
+    #: vector-clock evidence: the first interval's epoch vs. the second
+    #: thread's knowledge of that thread when its interval closed.
     evidence: str
     #: last synchronization op each involved thread performed before the
-    #: racing access (the ops that *failed* to order the pair).
+    #: second interval closed (the ops that *failed* to order the pair).
     first_sync: str = "<no sync op yet>"
     second_sync: str = "<no sync op yet>"
 
@@ -144,42 +151,15 @@ class RaceReport:
 
 
 class DataRaceError(AssertionError):
-    """Raised by the online detector at the second racing access."""
+    """Raised by the online detector at the close that finds a race."""
 
     def __init__(self, report: RaceReport) -> None:
         self.report = report
         super().__init__(report.render())
 
 
-class _ObjState:
-    """FastTrack per-object metadata: last-write epoch + adaptive
-    last-read representation (epoch, escalated to a vector clock only
-    while reads are concurrent)."""
-
-    __slots__ = (
-        "write_tid",
-        "write_clk",
-        "write_site",
-        "read_tid",
-        "read_clk",
-        "read_vc",
-        "read_sites",
-    )
-
-    def __init__(self) -> None:
-        self.write_tid: int | None = None
-        self.write_clk = 0
-        self.write_site: AccessSite | None = None
-        self.read_tid: int | None = None
-        self.read_clk = 0
-        #: tid -> clock; non-None only while reads are concurrent.
-        self.read_vc: dict[int, int] | None = None
-        #: tid -> site of that thread's last tracked read (reporting only).
-        self.read_sites: dict[int, AccessSite] = {}
-
-
 class RaceDetector(ProtocolObserver):
-    """Happens-before race analysis over the DJVM's operation stream.
+    """Happens-before race analysis over the DJVM's interval closes.
 
     The same instance serves three roles, selected by construction
     flags: online raising detector (``raise_on_race=True``), online
@@ -206,7 +186,7 @@ class RaceDetector(ProtocolObserver):
         self._resolver = resolver
         #: detected races (collect mode; raise mode stops at the first).
         self.reports: list[RaceReport] = []
-        #: recorded operation trace (``keep_trace=True`` only).
+        #: recorded event trace (``keep_trace=True`` only).
         self.trace: list[tuple] = []
         #: thread_id -> vector clock (dict tid -> clock).
         self._vc: dict[int, dict[int, int]] = {}
@@ -217,15 +197,16 @@ class RaceDetector(ProtocolObserver):
         #: publisher clock snapshot per write notice, parallel to the
         #: HLRC global notice log (index-aligned).
         self._notice_vc: list[dict[int, int]] = []
-        #: per-object FastTrack metadata.
-        self._meta: dict[int, _ObjState] = {}
+        #: obj_id -> tid -> (epoch, interval id, start_ns, end_ns) of that
+        #: thread's last closed interval that wrote / touched the object.
+        self._writes: dict[int, dict[int, tuple]] = {}
+        self._touches: dict[int, dict[int, tuple]] = {}
         #: last sync-op description per thread (report evidence).
         self._last_sync: dict[int, str] = {}
         #: (obj_id, first_tid, second_tid, kind) already reported.
         self._reported: set[tuple[int, int, int, str]] = set()
-        #: total operations observed / accesses race-checked.
-        self.ops_observed = 0
-        self.accesses_checked = 0
+        #: interval closes race-checked.
+        self.intervals_checked = 0
 
     # ------------------------------------------------------------------
     # wiring
@@ -258,33 +239,27 @@ class RaceDetector(ProtocolObserver):
     # ------------------------------------------------------------------
 
     def _race(
-        self,
-        obj_id: int,
-        kind: str,
-        first: AccessSite,
-        first_clk: int,
-        known_clk: int,
-        second: AccessSite,
+        self, obj_id: int, kind: str, first_tid: int, first: tuple, second: AccessSite
     ) -> None:
-        key = (obj_id, first.thread_id, second.thread_id, kind)
+        key = (obj_id, first_tid, second.thread_id, kind)
         if key in self._reported:
             return
         self._reported.add(key)
+        epoch, interval_id, start_ns, end_ns = first
+        known = self._vc[second.thread_id].get(first_tid, 0)
         report = RaceReport(
             obj_id=obj_id,
             class_name=self._class_of(obj_id),
             kind=kind,
-            first=first,
+            first=AccessSite(first_tid, kind.split("-")[0], interval_id, start_ns, end_ns),
             second=second,
             evidence=(
-                f"thread {first.thread_id}'s {first.kind} has epoch "
-                f"{first_clk}@T{first.thread_id} but thread "
-                f"{second.thread_id}'s vector clock only covers "
-                f"T{first.thread_id} up to {known_clk} — no "
-                "release->acquire, barrier, or diff-propagation chain "
-                "connects the two accesses"
+                f"thread {first_tid}'s interval has epoch {epoch}@T{first_tid} but "
+                f"thread {second.thread_id}'s vector clock only covers T{first_tid} "
+                f"up to {known} — no release->acquire, barrier, or "
+                "diff-propagation chain connects the two intervals"
             ),
-            first_sync=self._last_sync.get(first.thread_id, "<no sync op yet>"),
+            first_sync=self._last_sync.get(first_tid, "<no sync op yet>"),
             second_sync=self._last_sync.get(second.thread_id, "<no sync op yet>"),
         )
         self.reports.append(report)
@@ -292,95 +267,61 @@ class RaceDetector(ProtocolObserver):
             raise DataRaceError(report)
 
     # ------------------------------------------------------------------
-    # primitive operation stream (shared by online hooks and replay)
+    # primitive event stream (shared by online hooks and replay)
     # ------------------------------------------------------------------
 
-    def record_access(
-        self, time_ns: int, tid: int, obj_id: int, is_write: bool, interval_id: int
+    def record_close(
+        self, end_ns: int, tid: int, interval_id: int, start_ns: int, touched, written
     ) -> None:
-        """One GOS access by ``tid``; runs the FastTrack state machine."""
-        self.ops_observed += 1
+        """``tid`` closed an interval that touched the ids ``touched``
+        and wrote ``written`` (both ascending): check it against every
+        other thread's last interval per object, then become this
+        thread's last interval for those objects."""
         if self.keep_trace:
-            self.trace.append((time_ns, TR_ACCESS, tid, obj_id, is_write, interval_id))
+            self.trace.append((end_ns, TR_CLOSE, tid, interval_id, start_ns, touched, written))
         if not self.detect:
             return
-        self.accesses_checked += 1
+        self.intervals_checked += 1
         vc = self._clock_of(tid)
-        clk = vc[tid]
-        st = self._meta.get(obj_id)
-        if st is None:
-            st = self._meta[obj_id] = _ObjState()
-        if is_write:
-            if st.write_tid == tid and st.write_clk == clk:
-                return  # same-epoch write: already checked
-            site = AccessSite(tid, "write", interval_id, time_ns, self.ops_observed)
-            wt = st.write_tid
-            if wt is not None and wt != tid and st.write_clk > vc.get(wt, 0):
-                self._race(obj_id, "write-write", st.write_site, st.write_clk, vc.get(wt, 0), site)
-            if st.read_vc is not None:
-                for rt, rc in st.read_vc.items():  # insertion-ordered dict
-                    if rt != tid and rc > vc.get(rt, 0):
-                        self._race(
-                            obj_id, "read-write", st.read_sites[rt], rc, vc.get(rt, 0), site
-                        )
-            elif st.read_tid is not None and st.read_tid != tid and st.read_clk > vc.get(st.read_tid, 0):
-                self._race(
-                    obj_id,
-                    "read-write",
-                    st.read_sites[st.read_tid],
-                    st.read_clk,
-                    vc.get(st.read_tid, 0),
-                    site,
-                )
-            # The write dominates: subsequent conflicts need only be
-            # checked against it (FastTrack's O(1) steady state).
-            st.write_tid, st.write_clk, st.write_site = tid, clk, site
-            st.read_tid = None
-            st.read_vc = None
-            st.read_sites = {}
-            return
-        # read
-        if st.read_tid == tid and st.read_clk == clk:
-            return  # same-epoch read
-        if st.read_vc is not None and st.read_vc.get(tid) == clk:
-            return
-        site = AccessSite(tid, "read", interval_id, time_ns, self.ops_observed)
-        wt = st.write_tid
-        if wt is not None and wt != tid and st.write_clk > vc.get(wt, 0):
-            self._race(obj_id, "write-read", st.write_site, st.write_clk, vc.get(wt, 0), site)
-        if st.read_vc is not None:
-            st.read_vc[tid] = clk
-            st.read_sites[tid] = site
-        elif (
-            st.read_tid is None
-            or st.read_tid == tid
-            or st.read_clk <= vc.get(st.read_tid, 0)
-        ):
-            # Previous read epoch happens-before us: collapse to epoch.
-            st.read_tid, st.read_clk = tid, clk
-            st.read_sites = {tid: site}
-        else:
-            # Concurrent readers: escalate to a read vector clock.
-            st.read_vc = {st.read_tid: st.read_clk, tid: clk}
-            st.read_sites[tid] = site
-            st.read_tid = None
+        entry = (vc[tid], interval_id, start_ns, end_ns)
+        reader = AccessSite(tid, "read", interval_id, start_ns, end_ns)
+        writer = AccessSite(tid, "write", interval_id, start_ns, end_ns)
+        writes, touches = self._writes, self._touches
+        is_written = set(written).__contains__
+        for obj_id in touched:
+            wrote = is_written(obj_id)
+            last_writes = writes.get(obj_id)
+            if last_writes is not None:
+                for u, other in last_writes.items():  # insertion-ordered dict
+                    if u != tid and other[0] > vc.get(u, 0):
+                        if wrote:
+                            self._race(obj_id, "write-write", u, other, writer)
+                        self._race(obj_id, "write-read", u, other, reader)
+            last_touches = touches.get(obj_id)
+            if last_touches is None:
+                last_touches = touches[obj_id] = {}
+            if wrote:
+                for u, other in last_touches.items():
+                    if u != tid and other[0] > vc.get(u, 0):
+                        self._race(obj_id, "read-write", u, other, writer)
+                if last_writes is None:
+                    last_writes = writes[obj_id] = {}
+                last_writes[tid] = entry
+            last_touches[tid] = entry
 
     def record_acquire(self, time_ns: int, tid: int, lock_id: int) -> None:
         """Lock grant to ``tid``: join the lock's release clock."""
-        self.ops_observed += 1
         if self.keep_trace:
             self.trace.append((time_ns, TR_ACQUIRE, tid, lock_id))
         self._last_sync[tid] = f"acquire(lock {lock_id}) at t={time_ns} ns"
         if not self.detect:
             return
-        vc = self._clock_of(tid)
         released = self._lock_vc.get(lock_id)
         if released is not None:
-            self._join(vc, released)
+            self._join(self._clock_of(tid), released)
 
     def record_release(self, time_ns: int, tid: int, lock_id: int) -> None:
         """Lock release by ``tid``: publish its clock on the lock."""
-        self.ops_observed += 1
         if self.keep_trace:
             self.trace.append((time_ns, TR_RELEASE, tid, lock_id))
         self._last_sync[tid] = f"release(lock {lock_id}) at t={time_ns} ns"
@@ -392,7 +333,6 @@ class RaceDetector(ProtocolObserver):
 
     def record_barrier(self, time_ns: int, barrier_id: int, waiters: tuple[int, ...]) -> None:
         """Barrier episode release: total synchronization of ``waiters``."""
-        self.ops_observed += 1
         if self.keep_trace:
             self.trace.append((time_ns, TR_BARRIER, barrier_id, tuple(waiters)))
         for tid in waiters:
@@ -410,7 +350,6 @@ class RaceDetector(ProtocolObserver):
     def record_notice(self, time_ns: int, tid: int, obj_id: int, version: int) -> None:
         """Write-notice published by ``tid``: snapshot its clock on the
         notice (index-aligned with the HLRC global notice log)."""
-        self.ops_observed += 1
         if self.keep_trace:
             self.trace.append((time_ns, TR_NOTICE, tid, obj_id, version))
         if not self.detect:
@@ -420,7 +359,6 @@ class RaceDetector(ProtocolObserver):
     def record_apply(self, time_ns: int, tid: int, node_id: int, start: int, end: int) -> None:
         """Notices ``[start, end)`` applied at ``node_id`` on behalf of
         ``tid``: diff-propagation edges publisher -> node -> thread."""
-        self.ops_observed += 1
         if self.keep_trace:
             self.trace.append((time_ns, TR_APPLY, tid, node_id, start, end))
         if not self.detect:
@@ -437,49 +375,40 @@ class RaceDetector(ProtocolObserver):
     # ProtocolObserver overrides (called by the HLRC engine)
     # ------------------------------------------------------------------
 
-    def on_access(
-        self, thread, obj_id: int, is_write: bool, repeat: int, record, obj, faulted
-    ) -> None:
-        """One access op: run the FastTrack check."""
-        vc = self._vc.get(thread.thread_id)
-        if vc is None:
-            vc = self._vc[thread.thread_id] = {thread.thread_id: 1}
-            # The thread carries its vector clock (introspection only;
-            # the detector owns and mutates the mapping in place).
-            thread.vc = vc
-        self.record_access(
-            thread.clock._now_ns,
+    def on_interval_close(self, thread, interval) -> None:
+        """``thread`` closed ``interval``: its notices are out, and its
+        clock is the one every access of the interval ran under."""
+        self.record_close(
+            interval.end_ns,
             thread.thread_id,
-            obj_id,
-            is_write,
-            thread.current_interval.interval_id,
+            interval.interval_id,
+            interval.start_ns,
+            tuple(sorted(interval.touched)),
+            tuple(sorted(interval.written)),
         )
 
     def on_lock_acquire(self, thread, lock_id: int) -> None:
         """A lock grant completed for ``thread``: the release->acquire
         edge joins the last releaser's clock."""
         self.record_acquire(thread.clock._now_ns, thread.thread_id, lock_id)
-        thread.vc = self._vc[thread.thread_id]
 
     def on_lock_release(self, thread, lock_id: int) -> None:
-        """``thread`` released a lock (clock already past the interval
-        close, so published notices carry the pre-increment clock)."""
+        """``thread`` released a lock (its interval already closed, so
+        the closed interval keeps the pre-increment epoch)."""
         self.record_release(thread.clock._now_ns, thread.thread_id, lock_id)
-        thread.vc = self._vc[thread.thread_id]
 
     def on_barrier_release(
         self, barrier_id: int, parties: int, waiters, release_ns: int, threads_by_id
     ) -> None:
         """A barrier episode completed, waking ``waiters``: join every
         participant's clock (per-waiter diff-propagation joins already
-        ran via :meth:`on_apply_notices`)."""
+        ran via :meth:`on_apply_notices`).  The waiters' new intervals
+        opened before this call, which is why a clock is read at close."""
         self.record_barrier(release_ns, barrier_id, tuple(waiters))
-        if self.detect:
-            for tid in waiters:
-                threads_by_id[tid].vc = self._vc[tid]
 
     def on_notice(self, thread, obj_id: int, version: int) -> None:
-        """``thread`` published a write notice during interval close."""
+        """``thread`` published a write notice (at its interval's close,
+        or at a migration)."""
         self.record_notice(thread.clock._now_ns, thread.thread_id, obj_id, version)
 
     def on_apply_notices(self, thread, start: int, end: int) -> None:
@@ -497,9 +426,9 @@ def replay_trace(
     raise_on_race: bool = False,
     resolver: "Callable[[int], str] | None" = None,
 ) -> RaceDetector:
-    """Re-run the happens-before analysis over a recorded operation
-    trace (a ``RaceDetector(detect=False, keep_trace=True)``'s
-    ``trace``) without re-executing the workload.
+    """Re-run the happens-before analysis over a recorded event trace
+    (a ``RaceDetector(detect=False, keep_trace=True)``'s ``trace``)
+    without re-executing the workload.
 
     Returns the detector; its ``reports`` hold the races found, in the
     same order (and with the same sites) the online detector would have
@@ -507,20 +436,17 @@ def replay_trace(
     observation order.
     """
     det = RaceDetector(raise_on_race=raise_on_race, resolver=resolver)
+    record = {
+        TR_CLOSE: det.record_close,
+        TR_ACQUIRE: det.record_acquire,
+        TR_RELEASE: det.record_release,
+        TR_BARRIER: det.record_barrier,
+        TR_NOTICE: det.record_notice,
+        TR_APPLY: det.record_apply,
+    }
     for entry in trace:
-        code = entry[1]
-        if code == TR_ACCESS:
-            det.record_access(entry[0], entry[2], entry[3], entry[4], entry[5])
-        elif code == TR_ACQUIRE:
-            det.record_acquire(entry[0], entry[2], entry[3])
-        elif code == TR_RELEASE:
-            det.record_release(entry[0], entry[2], entry[3])
-        elif code == TR_BARRIER:
-            det.record_barrier(entry[0], entry[2], entry[3])
-        elif code == TR_NOTICE:
-            det.record_notice(entry[0], entry[2], entry[3], entry[4])
-        elif code == TR_APPLY:
-            det.record_apply(entry[0], entry[2], entry[3], entry[4], entry[5])
-        else:
-            raise ValueError(f"unknown race-trace op code {code!r} in {entry!r}")
+        replay = record.get(entry[1])
+        if replay is None:
+            raise ValueError(f"unknown race-trace op code {entry[1]!r} in {entry!r}")
+        replay(entry[0], *entry[2:])
     return det

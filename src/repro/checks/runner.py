@@ -17,7 +17,8 @@ dominant-writer home migration that re-homes objects mid-run.
   were routed.
 * :func:`run_race_all` runs every tracked workload plus the seeded
   racy/locked synthetic pair under the happens-before race detector
-  and returns the collected reports for the CLI to gate on.
+  and returns the collected reports and each run's access-run routing
+  for the CLI to gate on.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from repro.workloads.water_spatial import WaterSpatialWorkload
 #: test-scale configuration shared by every check gate run.
 N_THREADS = 4
 N_NODES = 4
+#: the race gate's seeded synthetic pair (the locked twin's access spans
+#: are too short for a one-pass run, so the one-pass requirement exempts
+#: the pair).
+SYNTHETIC_PAIR = ("RacyCounter[racy]", "RacyCounter[locked]")
 
 
 def tracked_workloads():
@@ -53,8 +58,10 @@ def rehoming_workload():
     away mid-run; its rows, now written from the new node, re-home there
     under a dominant-writer policy, and the neighbour left behind reads
     them through cache copies — the case a stale home-resident split
-    would get wrong."""
-    return "SOR re-homing", SORWorkload(n=256, rounds=3, n_threads=2 * N_THREADS, seed=11)
+    would get wrong.  Four rounds, so that a re-homed row is written at
+    its new home and then read by that neighbour again: a re-homing
+    itself invalidates no copy."""
+    return "SOR re-homing", SORWorkload(n=256, rounds=4, n_threads=2 * N_THREADS, seed=11)
 
 
 def run_checked(
@@ -143,38 +150,31 @@ def race_workloads():
     race-free) plus the seeded racy/locked synthetic pair (the racy
     variant is the ground-truth positive the gate must catch)."""
     entries = [(name, wl, False) for name, wl in tracked_workloads()]
-    entries.append(
-        (
-            "RacyCounter[racy]",
-            RacyCounterWorkload(n_threads=N_THREADS, locked=False, seed=11),
-            True,
+    for name, locked in zip(SYNTHETIC_PAIR, (False, True)):
+        entries.append(
+            (name, RacyCounterWorkload(n_threads=N_THREADS, locked=locked, seed=11), not locked)
         )
-    )
-    entries.append(
-        (
-            "RacyCounter[locked]",
-            RacyCounterWorkload(n_threads=N_THREADS, locked=True, seed=11),
-            False,
-        )
-    )
     return entries
 
 
-def run_race_all(*, verbose: bool = True) -> list[tuple[str, int, list, bool]]:
+def run_race_all(*, verbose: bool = True) -> list[tuple[str, int, list, bool, dict[str, int]]]:
     """Run the race-gate matrix under the happens-before detector.
 
-    Returns ``[(name, accesses_checked, reports, expected_racy), ...]``
-    — the CLI decides pass/fail (zero reports where ``expected_racy``
-    is False, at least one report on the shared counter where True).
+    Returns ``[(name, intervals_checked, reports, expected_racy,
+    DJVM.replay_routing), ...]`` — the CLI decides pass/fail (zero
+    reports where ``expected_racy`` is False, at least one report on the
+    shared counter where True, one-pass runs on every tracked workload).
     """
     out = []
     for name, workload, expected in race_workloads():
         detector = RaceDetector()
-        run_checked(workload, detector)
-        out.append((name, detector.accesses_checked, list(detector.reports), expected))
+        _, djvm = run_checked(workload, detector)
+        routing = djvm.replay_routing
+        out.append((name, detector.intervals_checked, list(detector.reports), expected, routing))
         if verbose:
             print(
-                f"  race     {name:<18} {detector.accesses_checked:>7} accesses, "
+                f"  race     {name:<19} {detector.intervals_checked:>5} intervals, "
                 f"{len(detector.reports)} race(s)"
             )
+            print("    replay: " + ", ".join(f"{k} {v}" for k, v in routing.items()))
     return out

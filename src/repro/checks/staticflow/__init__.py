@@ -15,7 +15,7 @@ programs plus the built object graph **before the first op executes**:
   read-mostly-shared / single-writer / ping-pong classification per
   object and allocation site, and the predicted TCM structure;
 * :mod:`~repro.checks.staticflow.lockset` — the static may-race set,
-  provably a superset of every dynamic FastTrack report (the
+  provably a superset of every dynamic race report (the
   ``python -m repro.checks static`` gate's soundness cross-check);
 * :mod:`~repro.checks.staticflow.report` — the :func:`analyze` driver
   with text/JSON rendering.

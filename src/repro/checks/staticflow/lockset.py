@@ -2,11 +2,13 @@
 
 The claim this module maintains (and the ``static`` check gate proves
 against the dynamic detector on every bundled workload): the static
-may-race set is a **superset** of every report the FastTrack-style
+may-race set is a **superset** of every report the interval-grain
 happens-before detector (:mod:`repro.checks.racedetect`) can produce on
-the same workload.  The argument rests on the only two exclusions the
-analysis makes, both of which correspond to *guaranteed* happens-before
-edges in the dynamic semantics:
+the same workload.  Like the detector's interval ``touched`` set, a
+thread's touches of an object include its writes, so a read-write pair
+is any touch against a write.  The argument rests on the only two
+exclusions the analysis makes, both of which correspond to *guaranteed*
+happens-before edges in the dynamic semantics:
 
 * **Different phases** — a barrier episode joins *all* participants'
   vector clocks (the detector's "barrier release" edge), so any two
@@ -88,7 +90,7 @@ def may_races(ir, cfg) -> list[MayRace]:
     across phases — one entry per distinct race, like the dynamic
     detector's report dedup.
     """
-    # (phase, obj_id) -> tid -> (read locksets, write locksets)
+    # (phase, obj_id) -> tid -> (touch locksets, write locksets)
     acc: dict[tuple[int, int], dict[int, tuple[set, set]]] = {}
     for seg in cfg.segments():
         for obj_id in seg.reads:
@@ -96,7 +98,9 @@ def may_races(ir, cfg) -> list[MayRace]:
             per_tid.setdefault(seg.thread_id, (set(), set()))[0].add(seg.locks)
         for obj_id in seg.writes:
             per_tid = acc.setdefault((seg.phase, obj_id), {})
-            per_tid.setdefault(seg.thread_id, (set(), set()))[1].add(seg.locks)
+            touches, writes = per_tid.setdefault(seg.thread_id, (set(), set()))
+            touches.add(seg.locks)
+            writes.add(seg.locks)
     found: dict[tuple, MayRace] = {}
     for phase, obj_id in sorted(acc):
         per_tid = acc[(phase, obj_id)]

@@ -10,10 +10,12 @@ by the same per-interval access statistics the profiler already gathers.
 
 Mechanism (:meth:`HomeMigrationEngine.migrate_home`): re-homing an
 object ships its current payload to the new home (one message), flips
-the old home's copy into a cache copy, installs a HOME copy at the new
-node, and publishes a write notice so every other cache revalidates
-against the new authority.  A small control message updates the object's
-home directory entry (the GOS is the directory in this simulation).
+the old home's copy into a valid cache copy and installs a HOME copy at
+the new node.  A small control message updates the object's home
+directory entry (the GOS is the directory in this simulation).  The
+data does not change, so no write notice goes out: every valid copy
+stays valid, and a fault or diff flush reads the object's home at the
+time it happens.
 
 Policy (:class:`DominantWriterPolicy`): per closed interval, count each
 node's writes per object; when one remote node's share of recent writes
@@ -104,8 +106,6 @@ class HomeMigrationEngine:
 
         obj.home_node = new_home
         self.hlrc.new_home_epoch()
-        # Publish a notice so stale caches revalidate against the new home.
-        self.hlrc.publish([obj.obj_id])
 
         self.stats.migrations += 1
         self.stats.bytes_shipped += obj.size_bytes

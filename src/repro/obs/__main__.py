@@ -147,7 +147,8 @@ class SnapshotError(Exception):
 
 def load_snapshot(path: str) -> dict:
     """Read one snapshot JSON file; :class:`SnapshotError` with a
-    human-readable message on a missing/unreadable/invalid file."""
+    human-readable message on a missing/unreadable/invalid file or one
+    that holds no JSON object."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -155,9 +156,12 @@ def load_snapshot(path: str) -> dict:
             f"cannot read snapshot {path}: {exc.strerror or exc}"
         ) from exc
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except ValueError as exc:
         raise SnapshotError(f"snapshot {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SnapshotError(f"snapshot {path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def cmd_diff(args) -> int:

@@ -44,7 +44,6 @@ class SimThread:
         "waiting_barrier_id",
         "waiting_lock_id",
         "migrations",
-        "vc",
     )
 
     def __init__(self, thread_id: int, node_id: int) -> None:
@@ -68,10 +67,6 @@ class SimThread:
         self.waiting_lock_id: int | None = None
         #: number of completed migrations.
         self.migrations = 0
-        #: happens-before vector clock ({thread_id: clock}), assigned by
-        #: an attached ``RaceDetector``; None in plain runs (the
-        #: detector owns and mutates the mapping).
-        self.vc: dict[int, int] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -233,9 +233,9 @@ class RacyCounterWorkload(Workload):
     already contains a write-write (and write-read) race — the seeded
     ground truth the ``race`` check gate asserts the detector catches.
 
-    Each thread also reads a shared read-only config object (exercising
-    the detector's concurrent-reader escalation without a race) and
-    writes a private scratch object (never shared, never reported).
+    Each thread also reads a shared read-only config object (concurrent
+    reads, which are no race) and writes a private scratch object
+    (never shared, never reported).
     """
 
     def __init__(

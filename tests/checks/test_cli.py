@@ -43,8 +43,8 @@ def test_main_lint_defaults_to_repo_tree():
 def _fake_report():
     from repro.checks.racedetect import AccessSite, RaceReport
 
-    first = AccessSite(thread_id=0, kind="write", interval_id=1, time_ns=10, seq=1)
-    second = AccessSite(thread_id=1, kind="read", interval_id=1, time_ns=20, seq=2)
+    first = AccessSite(thread_id=0, kind="write", interval_id=1, start_ns=5, end_ns=10)
+    second = AccessSite(thread_id=1, kind="read", interval_id=1, start_ns=15, end_ns=20)
     return RaceReport(
         obj_id=5,
         class_name="Obj",
@@ -55,6 +55,11 @@ def _fake_report():
     )
 
 
+#: a run's replay routing with no one-pass execution, and with one.
+SCALAR = {"bulk": 0, "lean": 0, "faults_batched": 0}
+ONE_PASS = {**SCALAR, "bulk": 1}
+
+
 def test_race_gate_passes_when_expectations_met(monkeypatch, capsys):
     import repro.checks.runner as runner
 
@@ -62,9 +67,9 @@ def test_race_gate_passes_when_expectations_met(monkeypatch, capsys):
         runner,
         "run_race_all",
         lambda verbose=True: [
-            ("SOR", 100, [], False),
-            ("RacyCounter[racy]", 50, [_fake_report()], True),
-            ("RacyCounter[locked]", 50, [], False),
+            ("SOR", 100, [], False, ONE_PASS),
+            ("RacyCounter[racy]", 50, [_fake_report()], True, SCALAR),
+            ("RacyCounter[locked]", 50, [], False, SCALAR),
         ],
     )
     assert run_race() == 0
@@ -78,7 +83,7 @@ def test_race_gate_fails_on_unexpected_race(monkeypatch, capsys):
     monkeypatch.setattr(
         runner,
         "run_race_all",
-        lambda verbose=True: [("SOR", 100, [_fake_report()], False)],
+        lambda verbose=True: [("SOR", 100, [_fake_report()], False, ONE_PASS)],
     )
     assert run_race() == EXIT_RACE
     assert "unexpected race" in capsys.readouterr().err
@@ -90,7 +95,7 @@ def test_race_gate_fails_when_seeded_race_missed(monkeypatch, capsys):
     monkeypatch.setattr(
         runner,
         "run_race_all",
-        lambda verbose=True: [("RacyCounter[racy]", 50, [], True)],
+        lambda verbose=True: [("RacyCounter[racy]", 50, [], True, SCALAR)],
     )
     assert run_race() == EXIT_RACE
     assert "seeded race NOT detected" in capsys.readouterr().err
@@ -210,8 +215,8 @@ class TestStaticGate:
         def spiked(*, verbose=True):
             out = real(verbose=verbose)
             return [
-                (name, acc, reports + [_fake_report()] if name == "SOR" else reports, exp)
-                for name, acc, reports, exp in out
+                (name, n, reports + [_fake_report()] if name == "SOR" else reports, exp, routing)
+                for name, n, reports, exp, routing in out
             ]
 
         monkeypatch.setattr(runner, "run_race_all", spiked)
@@ -241,3 +246,30 @@ def test_sanitize_gate_fails_a_run_with_no_one_pass_execution(monkeypatch, capsy
     )
     assert run_sanitize() == EXIT_SANITIZE
     assert "no one-pass execution on Barnes-Hut" in capsys.readouterr().err
+
+
+def test_race_gate_prints_routing_and_runs_the_one_pass(capsys):
+    assert run_race() == 0
+    out = capsys.readouterr().out
+    assert out.count("    replay: bulk ") == 5 and "one pass" in out
+    assert "seeded race detected in RacyCounter[racy]" in out
+    for name in ("SOR", "Barnes-Hut", "Water-Spatial"):
+        routing = re.search(rf"race     {name} .*\n    replay: bulk (\d+)", out)
+        assert routing and int(routing.group(1)) > 0, name
+
+
+def test_race_gate_fails_a_tracked_run_with_no_one_pass_execution(monkeypatch, capsys):
+    import repro.checks.runner as runner
+
+    monkeypatch.setattr(
+        runner,
+        "run_race_all",
+        lambda verbose=True: [
+            ("SOR", 10, [], False, ONE_PASS),
+            ("Barnes-Hut", 10, [], False, SCALAR),
+            ("RacyCounter[locked]", 5, [], False, SCALAR),
+        ],
+    )
+    assert run_race() == EXIT_RACE
+    err = capsys.readouterr().err
+    assert "Barnes-Hut: no one-pass execution" in err and "RacyCounter" not in err

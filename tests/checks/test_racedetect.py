@@ -89,7 +89,7 @@ class TestLockOrdering:
     def test_locked_counter_is_silent(self):
         _, detector, _ = run_counter(locked=True)
         assert detector.reports == []
-        assert detector.accesses_checked > 0
+        assert detector.intervals_checked > 0
 
     def test_locked_counter_raise_mode_completes(self):
         _, detector, result = run_counter(locked=True, mode="raise")
@@ -161,7 +161,7 @@ class TestOfflineReplay:
         _, recorder, _ = run_counter(locked=True, mode="record")
         replayed = replay_trace(recorder.trace)
         assert replayed.reports == []
-        assert replayed.accesses_checked > 0
+        assert replayed.intervals_checked > 0
 
 
 class TestByteIdentity:

@@ -437,10 +437,11 @@ class TestMayRaceSoundness:
         b = [P.acquire(1), P.write(5), P.release(1)]
         ir = _ir({0: a, 1: b}, objects=[5])
         races = may_races(ir, build_cfg(ir))
-        assert [r.kind for r in races] == ["write-write"]
+        # a write is a touch too: the pair conflicts both ways
+        assert [r.kind for r in races] == ["read-write", "write-write"]
 
     def test_static_superset_of_dynamic_on_all_bundled_workloads(self):
-        """The soundness cross-check: every FastTrack report on the
+        """The soundness cross-check: every dynamic race report on the
         race-gate matrix is in the static may-race set."""
         from repro.checks.runner import race_workloads, run_race_all
 
@@ -452,7 +453,7 @@ class TestMayRaceSoundness:
             assert report.verified, name
         dynamic = run_race_all(verbose=False)
         any_dynamic = False
-        for name, _accesses, reports, expected in dynamic:
+        for name, _intervals, reports, _expected, _routing in dynamic:
             missing = uncovered_dynamic(static[name].races, reports)
             assert missing == [], f"{name}: static set misses dynamic races"
             any_dynamic = any_dynamic or bool(reports)

@@ -62,12 +62,13 @@ class TestMechanism:
         with pytest.raises(ValueError):
             engine.migrate_home(obj, 9)
 
-    def test_rehome_publishes_notice(self):
+    def test_rehome_publishes_no_notice(self):
+        """The data does not move, so no version does: a re-homing
+        leaves the notice log and the home version as they were."""
         djvm, obj, engine = setup()
-        before = djvm.hlrc.n_notices
+        before = (djvm.hlrc.n_notices, list(djvm.hlrc.notice_blocks), obj.home_version)
         engine.migrate_home(obj, 1)
-        assert djvm.hlrc.n_notices == before + 1
-        assert djvm.hlrc.notice_blocks[-1] == ([obj.obj_id], [obj.home_version])
+        assert (djvm.hlrc.n_notices, djvm.hlrc.notice_blocks, obj.home_version) == before
 
     def test_payload_and_directory_messages_sent(self):
         djvm, obj, engine = setup()
@@ -88,7 +89,7 @@ class TestMechanism:
             }
         )
         assert result.counters["diffs"] == 0
-        assert obj.home_version >= 2  # rehome bump + home-write notice
+        assert obj.home_version == 1  # the home write's notice alone
 
 
 class TestDominantWriterPolicy:

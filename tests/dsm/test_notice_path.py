@@ -32,6 +32,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.checks.racedetect import RaceDetector
+from repro.checks.sanitizer import ProtocolSanitizer
+from repro.checks.staticflow import analyze_ir, uncovered_dynamic
 from repro.dsm.hlrc import FETCH_REPLY_OVERHEAD, FETCH_REQ_BYTES
 from repro.dsm.homemigration import HomeMigrationEngine
 from repro.dsm.states import RealState
@@ -72,7 +75,7 @@ class Rehome:
         self.moves = moves
         self.closes = 0
         #: (id, new home) of each re-homing so far, in order (a re-homing
-        #: publishes a notice).
+        #: publishes no notice: the data did not change).
         self.rehomed: list[tuple[int, int]] = []
 
     def on_interval_open(self, thread) -> None:
@@ -295,10 +298,9 @@ AT_HOME = "home"
 class ReferenceGOS:
     """Sequential consistency at sync points: each object's history
     holds, per version, the (thread, interval) close that wrote it, in
-    close order.  A re-homing publishes a version with the data of the
-    one before, so it repeats that writer (None: the initial value).
-    What each interval reads and writes comes from the program, not from
-    the engine.
+    close order.  A re-homing moves the home and makes no version: the
+    data did not change.  What each interval reads and writes comes from
+    the program, not from the engine.
 
     Priced (``prices``), it also runs each interval's ops in program
     order when the interval closes — a thread runs them all between
@@ -388,8 +390,8 @@ class ReferenceGOS:
         """``tid`` closed its next interval on ``node``, whose close hooks
         re-homed ``rehomed`` ((object, new home) pairs).  A cache copy
         the interval wrote holds the version its diff made; the old
-        home's copy, if it has one, becomes a cache copy of the version
-        before the re-homing's."""
+        home's copy, if it has one, becomes a cache copy of the current
+        version, and every other copy keeps what it holds."""
         k = self.closed[tid]
         held = self.held.setdefault(node, {})
         for obj_id in sorted(self.intervals[tid][k][P.OP_WRITE]):
@@ -402,8 +404,6 @@ class ReferenceGOS:
                 old[obj_id] = self.version(obj_id)
             self.held.setdefault(node, {})[obj_id] = AT_HOME
             self.home[obj_id] = node
-            writer = self.writer(obj_id, self.version(obj_id))
-            self.history.setdefault(obj_id, []).append(writer)
         self.closed[tid] += 1
 
 
@@ -555,6 +555,78 @@ def test_hot_bodies_revisited_after_rehoming_see_the_reference_version(
     repeat, on cached lanes, revisit their nodes after objects they
     touch were re-homed."""
     run_beside_reference(seed, "repeating", "vector", config, homes, True, moves)
+
+
+# -- the detectors on the reference's programs ---------------------------
+#
+# The programs the reference checks values on are data-race free, so the
+# protocol sanitizer, the race detector and the static may-race analysis
+# must stay silent on them, on both routes.  Seeded with an unlocked write of one object in two
+# threads, each in its first interval (which no sync op, and so no
+# happens-before edge, can order against another thread's first
+# interval), they race: the detector must say so, and the static
+# may-race set must hold every report.
+
+
+def seeded(programs: dict[int, list], obj_id: int) -> dict[int, list]:
+    """``programs`` with an unlocked write of ``obj_id`` opening the
+    body of threads 0 and 1."""
+    out = dict(programs)
+    for tid in (0, 1):
+        head, *rest = programs[tid]
+        out[tid] = [head, P.write(obj_id), *rest]
+    return out
+
+
+def run_detectors(programs, replay: str, homes: str, hot: bool):
+    """Run ``programs`` with a sanitizer and a race detector attached;
+    returns the detector, the run's replay routing and the static
+    analysis of the same programs on the same (unrun) object space."""
+    djvm, _ = build_djvm(replay=replay, homes=homes)
+    static = analyze_ir(djvm.export_ir(programs))
+    sanitizer = djvm.attach(ProtocolSanitizer())
+    detector = djvm.attach(RaceDetector())
+    djvm.run(compile_hot(programs) if hot else programs)
+    assert sanitizer.checks_run > 0 and sanitizer.violations == 0
+    assert detector.intervals_checked > 0
+    return detector, djvm.replay_routing, static
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    maker=st.sampled_from(sorted(MAKERS)),
+    replay=st.sampled_from(["scalar", "vector"]),
+    homes=st.sampled_from(["cyclic", "block"]),
+    hot=st.booleans(),
+)
+def test_detectors_are_silent_on_race_free_programs(seed, maker, replay, homes, hot):
+    _, obj_ids = build_djvm(homes=homes)
+    programs = race_free(MAKERS[maker](seed, obj_ids), obj_ids)
+    detector, routing, static = run_detectors(programs, replay, homes, hot)
+    assert detector.reports == [] and static.races == []
+    if replay == "vector":
+        assert routing["bulk"] + routing["lean"] > 0
+
+
+@pytest.mark.parametrize("replay", ["scalar", "vector"])
+@pytest.mark.parametrize("maker", sorted(MAKERS))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_seeded_unlocked_write_is_flagged_by_both_detectors(seed, maker, replay):
+    _, obj_ids = build_djvm()
+    target = obj_ids[5]
+    programs = seeded(race_free(MAKERS[maker](seed, obj_ids), obj_ids), target)
+    detector, _, static = run_detectors(programs, replay, "cyclic", True)
+    ww = {
+        (r.first.thread_id, r.second.thread_id)
+        for r in detector.reports
+        if r.kind == "write-write"
+    }
+    assert ww & {(0, 1), (1, 0)}
+    # every report is a seeded write against some access of the target
+    for r in detector.reports:
+        assert r.obj_id == target and {0, 1} & {r.first.thread_id, r.second.thread_id}
+    assert uncovered_dynamic(static.races, detector.reports) == []
 
 
 # -- the reference GOS: prices -------------------------------------------

@@ -203,3 +203,19 @@ class TestTraceFailures:
         path.write_text(json.dumps(self._trace().to_dict())[:-5] + "#")
         with pytest.raises(ValueError, match=r"trace .*trace\.json: not valid JSON"):
             ProfileTrace.load(path)
+
+
+class TestSnapshotFailures:
+    """``python -m repro.obs diff`` on a snapshot that parses but is no
+    JSON object exits 2 with a message naming the file, as on an
+    unreadable or invalid one."""
+
+    @pytest.mark.parametrize("doc", [[1, 2], "text", 3, None])
+    def test_diff_rejects_a_snapshot_that_is_not_an_object(self, tmp_path, capsys, doc):
+        from repro.obs.__main__ import main
+
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(doc))
+        assert main(["diff", str(path), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "snap.json: expected a JSON object" in err and "Traceback" not in err
