@@ -7,7 +7,7 @@ Subcommands:
 * ``run`` — run one of the paper's workloads with chosen profilers and
   print the paper-style summary, how the vector engine routed access
   runs (``replay: bulk … runs, lean … runs, faults batched …, first
-  touches …, stops …, timer fires …, home resident …``), then
+  touches …, stops …, timer fires …``), then
   the host's time by stage and what the cyclic collector cost the run
   stage (``host: build … s, emit … s,
   compile … s, run … s, gc N collections (M full) … s``; emit is the
@@ -116,8 +116,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"replay: bulk {routing['bulk']} runs, lean {routing['lean']} runs, "
             f"faults batched {routing['faults_batched']}, "
             f"first touches {routing['first_touches']}, "
-            f"stops {routing['stops']}, timer fires {routing['timer_fires']}, "
-            f"home resident {routing['home_resident']}"
+            f"stops {routing['stops']}, timer fires {routing['timer_fires']}"
         )
     # Where the host's time went, by stage (the simulated times are above).
     print(

@@ -57,8 +57,8 @@ def rehoming_workload():
     home node by the neighbour sharing that node.  Thread 0 migrates
     away mid-run; its rows, now written from the new node, re-home there
     under a dominant-writer policy, and the neighbour left behind reads
-    them through cache copies — the case a stale home-resident split
-    would get wrong.  Four rounds, so that a re-homed row is written at
+    them through cache copies, whose state the one pass must read
+    afresh at every run.  Four rounds, so that a re-homed row is written at
     its new home and then read by that neighbour again: a re-homing
     itself invalidates no copy."""
     return "SOR re-homing", SORWorkload(n=256, rounds=4, n_threads=2 * N_THREADS, seed=11)

@@ -50,13 +50,14 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.dsm.observer import ProtocolObserver
-from repro.dsm.states import CopyRecord, RealState
+from repro.dsm.states import HOME, INVALID, VALID, RealState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dsm.hlrc import HomeBasedLRC
     from repro.dsm.intervals import IntervalRecord
-    from repro.heap.objects import HeapObject
     from repro.runtime.migration import MigrationResult
     from repro.runtime.thread import SimThread
 
@@ -209,19 +210,23 @@ class ProtocolSanitizer(ProtocolObserver):
         # SAN003: no copy state changes inside an interval but by the
         # thread's own accesses, so each id it touched must have a VALID
         # or HOME copy here, unless touched before a migration moved it.
-        left = self._left.pop(tid, ())
-        for obj_id in sorted(touched):
-            record = self._hlrc.heaps[thread.node_id].get(obj_id)
-            if record is None or record.real_state is RealState.INVALID:
-                if obj_id in left:
-                    continue
-                self._fail(
-                    "SAN003",
-                    f"thread {tid} touched obj {obj_id} in interval "
-                    f"{interval.interval_id}, but node {thread.node_id} holds it "
-                    f"{'absent' if record is None else 'INVALID'} at close",
-                )
-            self._check_copy(thread.node_id, self._hlrc.gos.get(obj_id), record)
+        if touched:
+            node_id = thread.node_id
+            left = self._left.pop(tid, ())
+            ids = np.array(sorted(touched), dtype=np.intp)
+            current = self._hlrc.heaps[node_id].state_np[ids] >= VALID
+            if not current.all():
+                stray = [o for o in ids[~current].tolist() if o not in left]
+                if stray:
+                    copy = self._hlrc.copy(node_id, stray[0])
+                    self._fail(
+                        "SAN003",
+                        f"thread {tid} touched obj {stray[0]} in interval "
+                        f"{interval.interval_id}, but node {node_id} holds it "
+                        f"{'absent' if copy is None else copy.real_state.name} at close",
+                    )
+                ids = ids[current]
+            self._check_copies(node_id, ids)
         self.checks_run += len(touched)
         self._last_interval[tid] = interval.interval_id
         self._logged.pop(tid, None)
@@ -273,33 +278,72 @@ class ProtocolSanitizer(ProtocolObserver):
     # SAN003: copy-state legality
     # ------------------------------------------------------------------
 
-    def _check_copy(self, node_id: int, obj: HeapObject, record: CopyRecord) -> None:
-        if obj.home_node == node_id and record.real_state is not RealState.HOME:
+    def _check_copies(self, node_id: int, ids: np.ndarray, *, sweep: bool = False) -> None:
+        """SAN003 over node ``node_id``'s copies of ``ids`` (an ``intp``
+        array of ids it holds), one gather per column; the first id with
+        a violation is then checked alone (:meth:`_check_copy`), which
+        names it."""
+        hlrc = self._hlrc
+        heap = hlrc.heaps[node_id]
+        objects = hlrc.gos._objects
+        id_list = ids.tolist()
+        state = heap.state_np[ids]
+        fetched = heap.fetched_np[ids]
+        home = hlrc.home_version_np[ids]
+        homed_here = np.array([objects[o].home_node == node_id for o in id_list], dtype=bool)
+        bad = ((state == HOME) != homed_here) | (fetched > home)
+        if sweep:
+            bad |= (state == INVALID) & (fetched >= home)
+        if heap.twins:
+            twins = heap.twins
+            bad |= np.array(
+                [o in twins and twins[o][0] > objects[o].size_bytes for o in id_list], dtype=bool
+            )
+        if bad.any():
+            self._check_copy(node_id, id_list[int(bad.argmax())], sweep)
+
+    def _check_copy(self, node_id: int, obj_id: int, sweep: bool) -> None:
+        """SAN003 over one copy, read through the accessor: a copy is
+        HOME iff the node is the object's home, its fetched version is
+        no newer than the home's, its dirty bytes fit the object, and —
+        on a ``sweep`` — an INVALID copy is stale."""
+        hlrc = self._hlrc
+        obj = hlrc.gos.get(obj_id)
+        copy = hlrc.copy(node_id, obj_id)
+        home_version = hlrc.home_version[obj_id]
+        if obj.home_node == node_id and not copy.is_home:
             self._fail(
                 "SAN003",
-                f"node {node_id} holds obj {obj.obj_id} in state "
-                f"{record.real_state.name}, but the node is the object's home "
+                f"node {node_id} holds obj {obj_id} in state "
+                f"{copy.real_state.name}, but the node is the object's home "
                 "(home copies are always HOME)",
             )
-        if obj.home_node != node_id and record.real_state is RealState.HOME:
+        if obj.home_node != node_id and copy.is_home:
             self._fail(
                 "SAN003",
-                f"node {node_id} holds obj {obj.obj_id} in state HOME, but the "
+                f"node {node_id} holds obj {obj_id} in state HOME, but the "
                 f"object is homed at node {obj.home_node}",
             )
-        if record.fetched_version > obj.home_version:
+        if copy.fetched_version > home_version:
             self._fail(
                 "SAN003",
-                f"node {node_id} copy of obj {obj.obj_id} claims fetched version "
-                f"{record.fetched_version}, newer than the home's "
-                f"{obj.home_version} (versions only move forward at the home)",
+                f"node {node_id} copy of obj {obj_id} claims fetched version "
+                f"{copy.fetched_version}, newer than the home's "
+                f"{home_version} (versions only move forward at the home)",
             )
-        if record.dirty_bytes > obj.size_bytes:
+        if copy.dirty_bytes > obj.size_bytes:
             self._fail(
                 "SAN003",
-                f"node {node_id} copy of obj {obj.obj_id} accumulated "
-                f"{record.dirty_bytes} dirty bytes, more than the object's "
+                f"node {node_id} copy of obj {obj_id} accumulated "
+                f"{copy.dirty_bytes} dirty bytes, more than the object's "
                 f"{obj.size_bytes}-byte payload",
+            )
+        if sweep and copy.real_state is RealState.INVALID and copy.fetched_version >= home_version:
+            self._fail(
+                "SAN003",
+                f"node {node_id} copy of obj {obj_id} is INVALID but "
+                f"up to date (fetched {copy.fetched_version} >= home "
+                f"{home_version}): spurious invalidation",
             )
 
     def sweep_heaps(self) -> int:
@@ -311,22 +355,9 @@ class ProtocolSanitizer(ProtocolObserver):
             return 0
         checked = 0
         for node_id in sorted(hlrc.heaps):
-            copies = hlrc.heaps[node_id].copies
-            for obj_id in sorted(copies):
-                record = copies[obj_id]
-                obj = hlrc.gos.get(obj_id)
-                self._check_copy(node_id, obj, record)
-                if (
-                    record.real_state is RealState.INVALID
-                    and record.fetched_version >= obj.home_version
-                ):
-                    self._fail(
-                        "SAN003",
-                        f"node {node_id} copy of obj {obj_id} is INVALID but "
-                        f"up to date (fetched {record.fetched_version} >= home "
-                        f"{obj.home_version}): spurious invalidation",
-                    )
-                checked += 1
+            ids = np.flatnonzero(hlrc.heaps[node_id].state_np)
+            self._check_copies(node_id, ids, sweep=True)
+            checked += len(ids)
         self.checks_run += checked
         return checked
 
@@ -438,11 +469,10 @@ class ProtocolSanitizer(ProtocolObserver):
                 )
         hlrc = self._hlrc
         if hlrc is not None:
-            heap = hlrc.heaps[result.to_node]
             for obj_id in result.prefetched_ids:
-                record = heap.get(obj_id)
-                if record is None or record.real_state is not RealState.VALID:
-                    state = "absent" if record is None else record.real_state.name
+                copy = hlrc.copy(result.to_node, obj_id)
+                if copy is None or copy.real_state is not RealState.VALID:
+                    state = "absent" if copy is None else copy.real_state.name
                     self._fail(
                         "SAN006",
                         f"prefetched obj {obj_id} is {state} at target node "

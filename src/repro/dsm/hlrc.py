@@ -37,13 +37,16 @@ with the smallest simulated clock.
 
 from __future__ import annotations
 
-from itertools import chain, count
-from operator import attrgetter
+from array import array
+from itertools import compress
+from operator import attrgetter, not_
 from typing import Protocol
+
+import numpy as np
 
 from repro.dsm.intervals import NO_BOUND, IntervalRecord
 from repro.dsm.observer import ProtocolObserver
-from repro.dsm.states import HOME_COPY, CopyRecord, RealState
+from repro.dsm.states import ABSENT, HOME, INVALID, STATE_OF, VALID, CopyState
 from repro.dsm.sync import SyncRegistry
 from repro.heap.heap import GlobalObjectSpace, LocalHeap
 from repro.heap.objects import HeapObject
@@ -76,9 +79,8 @@ class ProtocolHooks(Protocol):
     ``touched`` holds every id the interval touched and ``written``
     every id it wrote, home copies included.  A hook may re-home objects
     there (:meth:`~repro.dsm.homemigration.HomeMigrationEngine.
-    migrate_home`, as a home-migration policy does): that draws a new
-    :attr:`HomeBasedLRC.home_epoch`, which retires the one pass's
-    home-resident splits, so the run stays on the one pass.
+    migrate_home`, as a home-migration policy does); the one pass reads
+    every copy's state at each run, so the run stays on it.
 
     A run has at most one *re-arming* hook (it defines
     ``on_rearmed_access``; the footprinter).  Its first-touch entry may
@@ -129,21 +131,12 @@ class ProtocolHooks(Protocol):
         ...
 
 
-#: coherence states hoisted to module level for the access fast path.
-_HOME = RealState.HOME
-_VALID = RealState.VALID
-_INVALID = RealState.INVALID
-
 #: what fixes a fault's price at a node: home node, class and array
 #: length (the payload follows from the last two).
 _FAULT_KEY = attrgetter("home_node", "jclass.class_id", "length")
 
-#: what one cached id's staleness check in Python costs, in set probes
-#: at C speed (see :meth:`HomeBasedLRC.apply_notices`).
-_PROBES_PER_CHECK = 4
-
-#: process-wide source of home epochs (see :attr:`HomeBasedLRC.home_epoch`).
-_HOME_EPOCHS = count()
+#: the twin entry of a copy no thread wrote this interval.
+_UNWRITTEN = (0, frozenset())
 
 #: request/reply/control message payload sizes (bytes).
 FETCH_REQ_BYTES = 16
@@ -180,33 +173,37 @@ class HomeBasedLRC:
             heap = LocalHeap(node.node_id)
             node.heap = heap
             self.heaps[node.node_id] = heap
-        # Hot-path aliases (the cost model is frozen and the heap/GOS
-        # containers are mutated in place, never replaced).
+        # Hot-path aliases (the cost model is frozen and the GOS object
+        # list is mutated in place, never replaced).
         self._objects = gos._objects
-        self._copies_by_node = {nid: heap.copies for nid, heap in sorted(self.heaps.items())}
         self._access_busy_ns = self.costs.state_check_ns + self.costs.access_ns
-        #: the fault price table (see :meth:`charge_faults`): per node,
-        #: ``(trap plus fetch wait, reply bytes)`` by :data:`_FAULT_KEY`.
-        self._fault_prices: dict[int, dict[tuple, tuple[int, int]]] = {
-            nid: {} for nid in self.heaps
-        }
-        #: the placement of homes, as a tag: drawn from a process-wide
-        #: counter here and at every re-homing (:meth:`new_home_epoch`),
-        #: so no two engines, and no two placements of one engine, share
-        #: a value.  Within one epoch a node's ``HOME`` copy stays
-        #: ``HOME``; the vector engine's home-resident splits rely on it.
-        self.home_epoch = next(_HOME_EPOCHS)
-        #: global write-notice log, one block per closing interval (and
-        #: per re-homing): ``(ids, versions)``, the block's object ids in
+        # The fault price tables (see :meth:`charge_faults`): each
+        # object's price class (0: none yet), the class of each key of
+        # :data:`_FAULT_KEY` (each class's key and reply bytes by class,
+        # class 0 unused), and per node each class's trap plus fetch
+        # wait there (0: not priced there yet).
+        self._price_class = array("q")
+        self._class_of: dict[tuple, int] = {}
+        self._class_keys: list[tuple | None] = [None]
+        self._class_reply: list[int] = [0]
+        self._class_prices: dict[int, list[int]] = {nid: [0] for nid in self.heaps}
+        #: each object's home version (``array('q')`` by object id, and
+        #: ``home_version_np`` a numpy view of it): bumped by
+        #: :meth:`publish` alone.  Like the heaps' columns it is replaced
+        #: when the space grows (:meth:`resize`).
+        self.home_version = array("q")
+        self.home_version_np = np.frombuffer(self.home_version, dtype=np.int64)
+        gos.add_columns(self)
+        #: global write-notice log, one block per closing interval (or
+        #: per flush at a migration): ``(ids, versions)``, the block's object ids in
         #: ascending order and the home version each notice published.
         #: Notice ordinals run through the blocks in order.
         self.notice_blocks: list[tuple[list[int], list[int]]] = []
         #: notices published so far (the ordinal after the last one).
         self.n_notices = 0
-        #: per-node ordinal of the first unseen notice, and the index of
-        #: its block (every apply drains the log to its end).
+        #: per-node ordinal of the first unseen notice (every apply
+        #: drains the log to its end).
         self._notice_seen: dict[int, int] = {n.node_id: 0 for n in cluster.nodes}
-        self._blocks_seen: dict[int, int] = dict.fromkeys(self._notice_seen, 0)
         #: profiler hooks in registration order; a tuple, so it grows
         #: only through :meth:`add_hook`, which resolves everything below.
         self.hooks: tuple[ProtocolHooks, ...] = ()
@@ -342,24 +339,54 @@ class HomeBasedLRC:
         )
         self.dispatch_plan = tuple((type(h).__name__, m) for h, m in zip(hooks, modes))
 
-    def new_home_epoch(self) -> None:
-        """Draw a new :attr:`home_epoch`: some object changed its home,
-        so a ``HOME`` copy may have become a cache copy."""
-        self.home_epoch = next(_HOME_EPOCHS)
-
     # ------------------------------------------------------------------
     # copies & faults
     # ------------------------------------------------------------------
 
-    def _fault_remote(self, thread, obj: HeapObject, record: CopyRecord | None) -> CopyRecord:
+    def resize(self, capacity: int) -> None:
+        """Lengthen the per-object columns (this engine's and every
+        heap's) to ``capacity``: the GOS calls it as it grows
+        (:meth:`~repro.heap.heap.GlobalObjectSpace.add_columns`)."""
+        grow = capacity - len(self.home_version)
+        for name in ("home_version", "_price_class"):
+            column = array("q", getattr(self, name))
+            column.frombytes(bytes(8 * grow))
+            setattr(self, name, column)
+        self.home_version_np = np.frombuffer(self.home_version, dtype=np.int64)
+        for node_id in sorted(self.heaps):
+            self.heaps[node_id].resize(capacity)
+
+    def copy(self, node_id: int, obj_id: int) -> CopyState | None:
+        """Node ``node_id``'s copy of ``obj_id`` read off the columns —
+        the one accessor of copy state for everything but the protocol's
+        own paths — or None when the node holds none."""
+        heap = self.heaps[node_id]
+        code = heap.state[obj_id]
+        if code == ABSENT:
+            return None
+        twin = heap.twins.get(obj_id)
+        return CopyState(
+            STATE_OF[code],
+            heap.fetched[obj_id],
+            twin is not None,
+            0 if twin is None else twin[0],
+            None if twin is None else frozenset(twin[1]),
+        )
+
+    def copy_ids(self, node_id: int) -> list[int]:
+        """The ids node ``node_id`` holds a copy of, ascending."""
+        return np.flatnonzero(self.heaps[node_id].state_np).tolist()
+
+    def _fault_remote(self, thread, obj: HeapObject, refault: bool) -> None:
         """Fault a remotely-homed object in: trap + request/reply round
-        trip to the home (optionally bundling prefetched objects)."""
+        trip to the home (optionally bundling prefetched objects), and a
+        ``VALID`` copy of each at the thread's node.  ``refault``: an
+        invalidated copy is being replaced."""
         node_id = thread.node_id
         heap = self.heaps[node_id]
         costs = self.costs
         clock = thread.clock
         cpu = thread.cpu
-        refault = record is not None  # an invalidated copy is being replaced
         fault_begin_ns = clock._now_ns
         cpu.protocol_ns += costs.gos_trap_ns
         clock._now_ns += costs.gos_trap_ns
@@ -369,11 +396,11 @@ class HomeBasedLRC:
         # one round trip, bigger payload, fewer future faults.
         bundle: list[HeapObject] = []
         if self.prefetcher is not None:
+            state = heap.state
             for extra in self.prefetcher.bundle_for(thread, obj):
                 if extra.home_node != obj.home_node:
                     continue  # a different home cannot ride this reply
-                existing: CopyRecord | None = heap.get(extra.obj_id)  # type: ignore[assignment]
-                if existing is not None and existing.real_state is not RealState.INVALID:
+                if state[extra.obj_id] >= VALID:
                     continue
                 bundle.append(extra)
 
@@ -385,31 +412,15 @@ class HomeBasedLRC:
         wait += send(MessageKind.OBJECT_FETCH_DATA, obj.home_node, node_id, reply_bytes)
         cpu.network_wait_ns += wait
         clock._now_ns += wait
-        if record is None:
-            record = CopyRecord(obj.obj_id, RealState.VALID, fetched_version=obj.home_version)
-            heap.copies[obj.obj_id] = record
-            heap.cached.add(obj.obj_id)
-        else:
-            record.real_state = RealState.VALID
-            record.fetched_version = obj.home_version
-        for extra in bundle:
-            existing = heap.get(extra.obj_id)  # type: ignore[assignment]
-            if existing is None:
-                heap.put(
-                    extra.obj_id,
-                    CopyRecord(
-                        extra.obj_id, RealState.VALID, fetched_version=extra.home_version
-                    ),
-                )
-                heap.cached.add(extra.obj_id)
-            else:
-                existing.real_state = RealState.VALID
-                existing.fetched_version = extra.home_version
+        state, fetched, home_version = heap.state, heap.fetched, self.home_version
+        for fetched_obj in (obj, *bundle):
+            obj_id = fetched_obj.obj_id
+            state[obj_id] = VALID
+            fetched[obj_id] = home_version[obj_id]
         self._c_faults.inc()
         if self.observers:
             for observer in self.observers:
                 observer.on_fault(thread, obj, refault, fault_begin_ns, 1 + len(bundle))
-        return record
 
     def unobserved(self) -> bool:
         """True when nothing can observe a fault's intermediate clock
@@ -432,35 +443,39 @@ class HomeBasedLRC:
             or self.prefetcher is not None
         )
 
-    def charge_faults(self, thread, faulted: list[HeapObject]) -> tuple[int, ...]:
-        """Charge ``faulted`` remote faults of ``thread`` at once — the
-        trap, request and reply of each, as :meth:`_fault_remote` would
-        one by one — to the clock, the CPU buckets, ``hlrc_faults_total``
-        and the traffic counters.  The caller has already created or
-        refreshed the copies.  Only legal under :meth:`unobserved`.
+    def charge_faults(self, thread, faulted: list[int]) -> list[int]:
+        """Charge the remote faults of the ids ``faulted`` (distinct) of
+        ``thread`` at once — the trap, request and reply of each, as
+        :meth:`_fault_remote` would one by one — to the clock, the CPU
+        buckets, ``hlrc_faults_total`` and the traffic counters.  The
+        caller has already created or refreshed the copies.  Only legal
+        under :meth:`unobserved`.
 
-        Each fault is priced from the engine's table: per node, trap plus
-        fetch wait and the reply's bytes by (home, class, array length),
-        filled from :func:`fetch_wait_ns` (integer-truncated per message,
-        never per sum) the first time a key is seen, and never stale — an
-        entry depends only on its key (a re-homing changes an object's)
-        and the frozen cost model and network.  The batch then costs the
-        sum of its faults' prices, one lookup each and C-speed sums.
-        Returns each fault's clock charge (trap plus wait), parallel to
-        ``faulted``, for a caller that places the faults at their ops."""
+        A fault's price (trap plus fetch wait) and reply bytes follow
+        from the object's home, class and array length
+        (:data:`_FAULT_KEY`).  Each object's *price class* — its key's
+        index — is a column, set at the object's first fault and cleared
+        by a re-homing; each node prices a class the first time it
+        faults one, from :func:`fetch_wait_ns` (integer-truncated per
+        message, never per sum).  So a fault costs two indexed reads,
+        and only an object's first fault looks at the object.  Returns
+        each fault's clock charge, parallel to ``faulted``, for a caller
+        that places the faults at their ops."""
         node_id = thread.node_id
-        table = self._fault_prices[node_id]
-        keys = list(map(_FAULT_KEY, faulted))
-        try:
-            prices, replies = zip(*map(table.__getitem__, keys))
-        except KeyError:
+        classes = list(map(self._price_class.__getitem__, faulted))
+        if 0 in classes:
+            classes = self._classify(faulted)
+        table = self._class_prices[node_id]
+        if len(table) < len(self._class_keys):
+            table.extend([0] * (len(self._class_keys) - len(table)))
+        prices = list(map(table.__getitem__, classes))
+        if 0 in prices:
             trap_ns = self.costs.gos_trap_ns
-            for key, obj in zip(keys, faulted):
-                if key not in table:
-                    size = obj.size_bytes
-                    fetch = fetch_wait_ns(self.network, size, node_id, key[0])
-                    table[key] = trap_ns + fetch, size + FETCH_REPLY_OVERHEAD
-            prices, replies = zip(*map(table.__getitem__, keys))
+            for c in sorted(set(compress(classes, map(not_, prices)))):
+                size = self._class_reply[c] - FETCH_REPLY_OVERHEAD
+                home = self._class_keys[c][0]
+                table[c] = trap_ns + fetch_wait_ns(self.network, size, node_id, home)
+            prices = list(map(table.__getitem__, classes))
         n = len(faulted)
         charge = sum(prices)
         trap = n * self.costs.gos_trap_ns
@@ -469,9 +484,33 @@ class HomeBasedLRC:
         thread.clock._now_ns += charge
         stats = self.network.stats
         stats.record_bulk(MessageKind.OBJECT_FETCH_REQ, n, n * FETCH_REQ_BYTES)
-        stats.record_bulk(MessageKind.OBJECT_FETCH_DATA, n, sum(replies))
+        replies = sum(map(self._class_reply.__getitem__, classes))
+        stats.record_bulk(MessageKind.OBJECT_FETCH_DATA, n, replies)
         self._c_faults.inc(n)
         return prices
+
+    def _classify(self, faulted: list[int]) -> list[int]:
+        """Give each id of ``faulted`` without one its price class (a
+        new class for a new key); returns the classes of ``faulted``."""
+        column = self._price_class
+        objects = self._objects
+        for obj_id in faulted:
+            if column[obj_id]:
+                continue
+            obj = objects[obj_id]
+            key = _FAULT_KEY(obj)
+            c = self._class_of.get(key)
+            if c is None:
+                c = self._class_of[key] = len(self._class_keys)
+                self._class_keys.append(key)
+                self._class_reply.append(obj.size_bytes + FETCH_REPLY_OVERHEAD)
+            column[obj_id] = c
+        return list(map(column.__getitem__, faulted))
+
+    def forget_price(self, obj_id: int) -> None:
+        """Clear ``obj_id``'s price class: its home moved, and a fault's
+        price depends on the home."""
+        self._price_class[obj_id] = 0
 
     # ------------------------------------------------------------------
     # access fast path
@@ -490,10 +529,10 @@ class HomeBasedLRC:
         elements of one object (the interpreter's READ/WRITE op).
 
         This is the protocol's per-op fast path: the common valid-copy /
-        home-copy case resolves with one dict probe on the node's local
-        heap (no wrapper calls, no fault machinery), the interval touch
-        is one set probe, and hook fan-out is skipped when no profiler
-        is attached.
+        home-copy case resolves with one read of the node's state byte
+        (no wrapper calls, no fault machinery), the interval touch is
+        one set probe, and hook fan-out is skipped when no profiler is
+        attached.
         """
         clock = thread.clock
         cpu = thread.cpu
@@ -503,9 +542,9 @@ class HomeBasedLRC:
         clock._now_ns += busy
 
         node_id = thread.node_id
-        copies = self._copies_by_node[node_id]
-        record: CopyRecord | None = copies.get(obj_id)
-        if record is not None and record.real_state is not _INVALID:
+        heap = self.heaps[node_id]
+        code = heap.state[obj_id]
+        if code >= VALID:
             faulted = False  # valid cache copy or home copy: no coherence work
             obj = None  # resolved lazily; a plain hit never needs it
         else:
@@ -513,31 +552,29 @@ class HomeBasedLRC:
             if obj.home_node == node_id:
                 # Home copies materialize lazily and are always current
                 # (a home copy can never be INVALID).
-                if record is None:
-                    record = copies[obj_id] = HOME_COPY
+                code = heap.state[obj_id] = HOME
                 faulted = False
             else:
-                record = self._fault_remote(thread, obj, record)
+                self._fault_remote(thread, obj, code == INVALID)
+                code = VALID
                 faulted = True
 
-        if is_write and record.real_state is not _HOME:
+        if is_write and code != HOME:
             if obj is None:
                 obj = self._objects[obj_id]
-            if not record.has_twin:
+            twin = heap.twins.get(obj_id)
+            if twin is None:
+                twin = heap.twins[obj_id] = [0, {thread.thread_id}]
                 twin_ns = obj.size_bytes * self.costs.twin_ns_per_byte
-                record.has_twin = True
                 cpu.protocol_ns += twin_ns
                 clock._now_ns += twin_ns
+            else:
+                twin[1].add(thread.thread_id)
             if obj.is_array:
                 written = n_elems * obj.jclass.element_size
             else:
                 written = obj.jclass.instance_size
-            record.dirty_bytes = min(record.dirty_bytes + written, obj.size_bytes)
-            writers = record.writers
-            if writers is None:
-                record.writers = {thread.thread_id}
-            else:
-                writers.add(thread.thread_id)
+            twin[0] = min(twin[0] + written, obj.size_bytes)
 
         interval: IntervalRecord = thread.current_interval
         touched = interval.touched
@@ -550,7 +587,7 @@ class HomeBasedLRC:
         on_access = self._on_access
         if on_access:
             for observer in on_access:
-                observer.on_access(thread, obj_id, is_write, repeat, record, obj, faulted)
+                observer.on_access(thread, obj_id, is_write, repeat, STATE_OF[code], obj, faulted)
 
         hooks = self.hooks
         if not hooks:
@@ -639,57 +676,65 @@ class HomeBasedLRC:
         """Flush what the thread's open interval wrote on its node: at
         its close, and at a migration before the thread leaves.
 
-        The written ids split by set algebra against the node's cached
-        index (:attr:`LocalHeap.cached`): a cache copy this thread wrote
-        flushes a diff and a home copy only publishes.  The published
-        ids go out as one block (:meth:`publish`)."""
+        The written ids, ascending, split by one gather of their state
+        bytes: a cache copy this thread wrote (its twin lists the
+        thread) flushes a diff and a home copy only publishes.  The
+        published ids go out as one block (:meth:`publish`)."""
+        written = thread.current_interval.written
+        if not written:
+            return
         costs = self.costs
         node_id = thread.node_id
         heap = self.heaps[node_id]
-        copies = heap.copies
-        cached = heap.cached
         objects = self._objects
         clock = thread.clock
         cpu = thread.cpu
         observers = self.observers
         tid = thread.thread_id
-        written = thread.current_interval.written
+        twins = heap.twins
         # Sorted: the written set is hash-ordered, and diff/notice
         # publication order feeds network sends and the global notice
         # log — iteration order must not depend on interning accidents
         # (SIM003).  Counter increments are batched per flush.
-        diffs = [oid for oid in sorted(written & cached) if tid in (copies[oid].writers or ())]
-        published = written.difference(cached)  # home copies
-        published.update(diffs)
-        ids = sorted(published)
+        ids = sorted(written)
+        block = np.array(ids, dtype=np.intp)
+        published = heap.state_np[block] == HOME
+        diffs = []
+        if not published.all():
+            at = np.flatnonzero(~published).tolist()
+            at = [k for k in at if tid in twins.get(ids[k], _UNWRITTEN)[1]]
+            published[at] = True
+            block = block[published]
+            diffs = list(map(ids.__getitem__, at))
+            ids = list(compress(ids, published.tobytes()))
         if ids:
-            self.publish(ids)
+            self.publish(block, ids)
             self._c_notices.inc(len(ids))
         # Observers see every notice in log order, each diff's event
         # right after its flush.
+        home_version = self.home_version
+        fetched = heap.fetched
         for obj_id in ids if observers else diffs:
-            obj = objects[obj_id]
-            record: CopyRecord = copies[obj_id]
+            twin = twins.pop(obj_id, None) if heap.state[obj_id] != HOME else None
             dirty = 0  # stays 0 for a home copy: nothing to flush
-            if record.real_state is not _HOME:
-                dirty = max(record.dirty_bytes, 1)
+            if twin is not None:
+                dirty = max(twin[0], 1)
                 diff_begin_ns = clock._now_ns
                 diff_ns = dirty * costs.diff_ns_per_byte
                 cpu.protocol_ns += diff_ns
                 clock._now_ns += diff_ns
                 wait = self.network.send(
-                    MessageKind.DIFF, node_id, obj.home_node, dirty + DIFF_OVERHEAD
+                    MessageKind.DIFF, node_id, objects[obj_id].home_node, dirty + DIFF_OVERHEAD
                 )
                 cpu.network_wait_ns += wait
                 clock._now_ns += wait
                 # The writer's copy now reflects the applied diff.
-                record.fetched_version = obj.home_version
-                record.clear_interval_state()
+                fetched[obj_id] = home_version[obj_id]
             if observers:
                 for observer in observers:
                     if dirty:
                         observer.on_diff(thread, obj_id, dirty, diff_begin_ns)
-                    observer.on_notice(thread, obj_id, obj.home_version)
+                    observer.on_notice(thread, obj_id, home_version[obj_id])
         if diffs:
             self._c_diffs.inc(len(diffs))
 
@@ -697,18 +742,14 @@ class HomeBasedLRC:
     # write notices
     # ------------------------------------------------------------------
 
-    def publish(self, ids: list[int]) -> None:
-        """Bump the home version of each object in ``ids`` (distinct, in
-        ascending order) and log a write notice for each, as one block:
-        the one place a home version moves, so every bump has its notice
-        at once."""
-        objects = self._objects
-        versions = []
-        for obj_id in ids:
-            obj = objects[obj_id]
-            obj.home_version += 1
-            versions.append(obj.home_version)
-        self.notice_blocks.append((ids, versions))
+    def publish(self, block: np.ndarray, ids: list[int]) -> None:
+        """Bump the home version of each object of ``block`` (distinct
+        ids ascending, as an ``intp`` array; ``ids`` the same as a list)
+        and log a write notice for each, as one block: the one place a
+        home version moves, so every bump has its notice at once."""
+        home_version = self.home_version_np
+        home_version[block] += 1
+        self.notice_blocks.append((ids, home_version[block].tolist()))
         self.n_notices += len(ids)
 
     def apply_notices(self, thread) -> int:
@@ -719,15 +760,12 @@ class HomeBasedLRC:
         object carries a newer version than the copy's.  Every version
         bump logs its notice at once (:meth:`publish`) and the unseen
         range always runs to the end of the log, so an object's newest
-        unseen notice carries its current ``home_version``.  An object
-        with no unseen notice has not moved since this node last
-        applied: a copy of it fetched since holds the current version,
-        and an older copy was invalidated by that apply.  So the test is
-        ``fetched_version < home_version``, over the node's cached ids
-        or the unseen blocks' ids found among them, whichever is cheaper
-        (a home copy is never stale): each cached id costs one check in
-        Python, each unseen notice one set probe at C speed, about a
-        quarter of that (:data:`_PROBES_PER_CHECK`)."""
+        unseen notice carries its current home version.  An object with
+        no unseen notice has not moved since this node last applied: a
+        copy of it fetched since holds the current version, and an older
+        copy was invalidated by that apply.  So the test is one compare
+        of the node's fetched-version column against the home versions,
+        over its ``VALID`` copies."""
         node_id = thread.node_id
         start = self._notice_seen[node_id]
         end = self.n_notices
@@ -743,31 +781,19 @@ class HomeBasedLRC:
         if not n_new:
             return 0
         self._notice_seen[node_id] = end
-        blocks = self.notice_blocks
-        first = self._blocks_seen[node_id]
-        self._blocks_seen[node_id] = len(blocks)
         heap = self.heaps[node_id]
-        candidates = heap.cached
-        if n_new < _PROBES_PER_CHECK * len(candidates):
-            candidates = candidates.intersection(
-                chain.from_iterable(block[0] for block in blocks[first:])
-            )
-        copies = heap.copies
-        objects = self._objects
-        inv_ids = []
-        for obj_id in candidates:  # simlint: disable=SIM003 (per-record state flips are independent; observers get the ids sorted)
-            record = copies[obj_id]
-            if record.real_state is _VALID and record.fetched_version < objects[obj_id].home_version:
-                record.real_state = _INVALID
-                inv_ids.append(obj_id)
-        if inv_ids:
-            invalidated = len(inv_ids)
+        state = heap.state_np
+        valid = (state == VALID).nonzero()[0]
+        stale = valid[heap.fetched_np[valid] < self.home_version_np[valid]]
+        if stale.size:
+            state[stale] = INVALID
+            invalidated = len(stale)
             ns = invalidated * self.costs.invalidate_ns
             thread.cpu.protocol_ns += ns
             thread.clock._now_ns += ns
             self._c_invalidations.inc(invalidated)
             if observers:
-                inv_ids.sort()
+                inv_ids = stale.tolist()
                 for observer in observers:
                     observer.on_invalidations(thread, inv_ids)
         return n_new

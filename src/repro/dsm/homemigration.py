@@ -10,8 +10,8 @@ by the same per-interval access statistics the profiler already gathers.
 
 Mechanism (:meth:`HomeMigrationEngine.migrate_home`): re-homing an
 object ships its current payload to the new home (one message), flips
-the old home's copy into a valid cache copy and installs a HOME copy at
-the new node.  A small control message updates the object's home
+the old home's state byte to a valid cache copy's and the new node's to
+HOME.  A small control message updates the object's home
 directory entry (the GOS is the directory in this simulation).  The
 data does not change, so no write notice goes out: every valid copy
 stays valid, and a fault or diff flush reads the object's home at the
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.dsm.hlrc import HomeBasedLRC
 from repro.dsm.intervals import IntervalRecord
-from repro.dsm.states import HOME_COPY, CopyRecord, RealState
+from repro.dsm.states import ABSENT, HOME, VALID
 from repro.heap.objects import HeapObject
 from repro.sim.network import MessageKind
 
@@ -64,10 +64,8 @@ class HomeMigrationEngine:
 
         Safe only between the object's write intervals (callers invoke it
         from interval-close hooks); pending dirty state at the old home
-        is already flushed by then.  The old home's copy stops being a
-        ``HOME`` copy, so the engine draws a new home epoch
-        (:meth:`HomeBasedLRC.new_home_epoch`): the vector engine's
-        home-resident splits taken before it no longer apply.
+        is already flushed by then.  The object's price class is
+        cleared: a fault's price depends on the home.
         """
         old_home = obj.home_node
         if new_home == old_home:
@@ -84,28 +82,22 @@ class HomeMigrationEngine:
         )
         network.send(MessageKind.CONTROL, old_home, new_home, HOME_UPDATE_BYTES)
 
-        # Old home's copy becomes a plain (valid) cache copy: a new
-        # record, since a home copy's may be the shared HOME_COPY.
-        old_heap = self.hlrc.heaps[old_home]
-        if old_heap.get(obj.obj_id) is not None:
-            old_heap.put(
-                obj.obj_id,
-                CopyRecord(obj.obj_id, RealState.VALID, fetched_version=obj.home_version),
-            )
-            old_heap.cached.add(obj.obj_id)
+        obj_id = obj.obj_id
+        heaps = self.hlrc.heaps
+        # Old home's copy becomes a plain (valid) cache copy.
+        old_heap = heaps[old_home]
+        if old_heap.state[obj_id] != ABSENT:
+            old_heap.state[obj_id] = VALID
+            old_heap.fetched[obj_id] = self.hlrc.home_version[obj_id]
 
-        # New home gets the authoritative copy.
-        new_heap = self.hlrc.heaps[new_home]
-        new_record: CopyRecord | None = new_heap.get(obj.obj_id)  # type: ignore[assignment]
-        if new_record is None:
-            new_heap.put(obj.obj_id, HOME_COPY)
-        else:
-            new_record.real_state = RealState.HOME
-            new_record.clear_interval_state()
-            new_heap.cached.discard(obj.obj_id)
+        # New home gets the authoritative copy; a cache copy it held
+        # keeps its fetched version and drops its twin.
+        new_heap = heaps[new_home]
+        new_heap.state[obj_id] = HOME
+        new_heap.twins.pop(obj_id, None)
 
         obj.home_node = new_home
-        self.hlrc.new_home_epoch()
+        self.hlrc.forget_price(obj_id)
 
         self.stats.migrations += 1
         self.stats.bytes_shipped += obj.size_bytes

@@ -101,7 +101,7 @@ class AccessSummaries(ProtocolObserver):
         # interval's first access, handed over at its close).
         self._open: dict[int, dict[int, AccessSummary]] = {}
 
-    def on_access(self, thread, obj_id, is_write, repeat, record, obj, faulted) -> None:
+    def on_access(self, thread, obj_id, is_write, repeat, state, obj, faulted) -> None:
         now = thread.clock._now_ns
         summaries = self._open.get(thread.thread_id)
         if summaries is None:

@@ -51,9 +51,10 @@ class ProtocolObserver:
     def on_interval_open(self, thread) -> None:
         """``thread.current_interval`` just opened (hooks already ran)."""
 
-    def on_access(self, thread, obj_id, is_write, repeat, record, obj, faulted) -> None:
-        """One access op — ``repeat`` accesses of ``obj_id`` — resolved
-        to ``record`` (dispatched only to observers that override it;
+    def on_access(self, thread, obj_id, is_write, repeat, state, obj, faulted) -> None:
+        """One access op — ``repeat`` accesses of ``obj_id`` — that found
+        (or left) the node's copy in ``state``, a
+        :class:`~repro.dsm.states.RealState` (dispatched only to observers that override it;
         ``obj`` is None on a plain hit that never looked it up).  The
         thread's clock reads the op's access instant: after its access,
         fault and twin charges, before any hook's."""

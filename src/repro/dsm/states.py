@@ -1,20 +1,33 @@
-"""Per-node object copy state.
+"""Per-node object copy state, as state bits.
 
 JESSICA2 keeps a 2-bit object state in each header, checked by
 JIT-inlined software checks on every access.  The profiler overlays a
 *false-invalid* state on top: the real state moves to a separate field
 and the visible state is forced invalid so the next access traps into
 the GOS service routine for logging (Section II.A).  We model exactly
-that split: :attr:`CopyRecord.real_state` is the coherence truth and
-false-invalidation is a per-thread overlay maintained by the access
-profiler (per-thread because OALs are per-thread; the paper's evaluation
-runs one thread per node, where the two notions coincide).
+that split: the *real* state is the coherence truth, held per node as a
+byte column indexed by object id (:class:`repro.heap.heap.LocalHeap`),
+and false-invalidation is a per-thread overlay maintained by the access
+profiler (per-thread because OALs are per-thread; the paper's
+evaluation runs one thread per node, where the two notions coincide).
+
+A state byte is one of :data:`ABSENT`, :data:`INVALID`, :data:`VALID`
+or :data:`HOME`, ordered so that one compare splits them: a copy is
+current (an access needs no coherence work) iff its byte is at least
+:data:`VALID`.  :class:`RealState` names the three present states for
+readers; :meth:`repro.dsm.hlrc.HomeBasedLRC.copy`, the one accessor,
+returns a :class:`CopyState` snapshot of one copy.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
+
+#: state bytes: no copy on the node; a stale cache copy (a write notice
+#: was applied); a cache copy current since its fetch; the home copy,
+#: always current.  The column starts all :data:`ABSENT`.
+ABSENT, INVALID, VALID, HOME = 0, 1, 2, 3
 
 
 class RealState(enum.Enum):
@@ -28,60 +41,27 @@ class RealState(enum.Enum):
     INVALID = "invalid"
 
 
-@dataclass(slots=True)
-class CopyRecord:
-    """One node's copy of a shared object."""
+#: :class:`RealState` by state byte (None for :data:`ABSENT`).
+STATE_OF: tuple[RealState | None, ...] = (None, RealState.INVALID, RealState.VALID, RealState.HOME)
 
-    obj_id: int
+
+class CopyState(NamedTuple):
+    """One node's copy of a shared object, read off the node's columns
+    (:meth:`repro.dsm.hlrc.HomeBasedLRC.copy`): a snapshot, not a
+    handle — writing the copy goes through the columns."""
+
     real_state: RealState
-    #: home version the cached data corresponds to (meaningless for HOME).
-    fetched_version: int = 0
-    #: dirty byte count accumulated by local writes this interval
-    #: (cache copies only; flushed as a diff at release/barrier).
-    dirty_bytes: int = 0
-    #: whether a twin was already created this interval.
-    has_twin: bool = False
-    #: thread ids that wrote this copy in the current interval (for
-    #: write-notice attribution when the interval closes); None until
-    #: the first write, so a copy that is only read never owns a set.
-    writers: set[int] | None = None
+    #: home version the cached data corresponds to (for a home copy: 0,
+    #: or the version it held when a re-homing made it the home copy).
+    fetched_version: int
+    #: whether a twin was created this interval (a written cache copy).
+    has_twin: bool
+    #: dirty bytes accumulated by local writes this interval.
+    dirty_bytes: int
+    #: thread ids that wrote the copy this interval (None: unwritten).
+    writers: frozenset[int] | None
 
     @property
     def is_home(self) -> bool:
         """True when this copy is the object's home copy."""
         return self.real_state is RealState.HOME
-
-    def invalidate(self) -> None:
-        """Apply a write notice: only cache copies can become invalid."""
-        if self.real_state is RealState.VALID:
-            self.real_state = RealState.INVALID
-
-    def clear_interval_state(self) -> None:
-        """Reset per-interval write bookkeeping (after diff flush)."""
-        self.dirty_bytes = 0
-        self.has_twin = False
-        self.writers = None
-
-
-class _SharedHomeCopy(CopyRecord):
-    """A read-only home-copy :class:`CopyRecord`: writing a field raises."""
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        template = CopyRecord(-1, RealState.HOME)
-        for name in CopyRecord.__slots__:
-            object.__setattr__(self, name, getattr(template, name))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(
-            "HOME_COPY is shared by every materialized home copy: replace it, do not write it"
-        )
-
-
-#: the record of every home copy materialized on first access, shared by
-#: all of them (its ``obj_id`` is -1): a home copy is always current and
-#: never twins, diffs or goes stale, so it carries no per-object state.
-#: A re-homing that turns one into a cache copy puts a new record in its
-#: place; a copy that becomes a home copy by re-homing keeps its own.
-HOME_COPY: CopyRecord = _SharedHomeCopy()

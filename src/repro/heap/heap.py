@@ -11,8 +11,11 @@ on those copies lives in :mod:`repro.dsm.states`.
 from __future__ import annotations
 
 import sys
+from array import array
 from collections import defaultdict
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.heap.jclass import ClassRegistry, JClass
 from repro.heap.objects import HeapObject
@@ -49,6 +52,23 @@ class GlobalObjectSpace:
         #: site label -> ``file:line`` of the first allocation carrying
         #: it (the object-centric report's source attribution).
         self.site_origins: dict[str, str] = {}
+        #: the length of every per-object column kept over the space,
+        #: grown ahead of allocation (see :meth:`add_columns`).
+        self.capacity = 0
+        self._column_owners: list = []
+
+    def add_columns(self, owner) -> None:
+        """Keep ``owner``'s per-object columns as long as the space's
+        capacity: ``owner.resize(capacity)`` is called now and whenever
+        an allocation outgrows it (by a quarter and then some, so
+        resizes are rare and a column's slack stays small)."""
+        self._column_owners.append(owner)
+        owner.resize(self.capacity)
+
+    def _grow(self, needed: int) -> None:
+        self.capacity = max(needed, self.capacity + self.capacity // 4 + 1024)
+        for owner in self._column_owners:
+            owner.resize(self.capacity)
 
     def allocate(
         self,
@@ -83,8 +103,10 @@ class GlobalObjectSpace:
         seq = jclass.issue_seq(n_seqs)
         objects = self._objects
         obj_id = len(objects)
-        obj = HeapObject(obj_id, jclass, seq, home_node, length, list(refs), 0, site)
+        obj = HeapObject(obj_id, jclass, seq, home_node, length, list(refs), site)
         objects.append(obj)
+        if obj_id >= self.capacity:
+            self._grow(obj_id + 1)
         self._by_class[jclass.class_id].append(obj_id)
         return obj
 
@@ -110,32 +132,49 @@ class GlobalObjectSpace:
 
 
 class LocalHeap:
-    """Per-node view of the global object space.
+    """One node's copies of the global object space, as columns indexed
+    by object id, as JESSICA2's local heaps hold home and cache copies
+    alike.
 
-    Maps object id to this node's copy record.  The record type is owned
-    by the DSM layer (:class:`repro.dsm.states.CopyRecord`); the heap is
-    just the container, mirroring how JESSICA2's local heaps hold both
-    home and cache copies.  Records are never dropped.
+    ``state`` (a ``bytearray``) holds each object's state byte and
+    ``fetched`` (an ``array('q')``) the home version its cached data
+    corresponds to; ``state_np`` and ``fetched_np`` are numpy views of
+    the same memory.  So there is one representation with two read
+    paths: the protocol's per-op path indexes the ``bytearray`` or
+    ``array`` and gets a plain ``int``, its batch paths gather and
+    compare through the views at C speed.  What the bytes mean is the
+    DSM layer's (:mod:`repro.dsm.states`).  Twin state is
+    sparse: ``twins`` maps each cache copy written this interval to
+    ``[dirty bytes, writer thread ids]``.
+
+    The columns are as long as the space's capacity
+    (:meth:`GlobalObjectSpace.add_columns`) and replaced, not resized,
+    when it grows: read them off the heap, never across an allocation.
+    Copies are never dropped.
     """
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
-        self.copies: dict[int, object] = {}
-        #: ids whose record here is a cache copy (not ``HOME``): every
-        #: site that creates such a record or flips one to or from
-        #: ``HOME`` keeps it in step.
-        self.cached: set[int] = set()
+        self.state = bytearray()
+        self.fetched = array("q")
+        #: cache copy id -> ``[dirty bytes, writer thread ids]``, for the
+        #: copies written this interval (the entry is the twin).
+        self.twins: dict[int, list] = {}
+        self.resize(0)
+
+    def resize(self, capacity: int) -> None:
+        """Lengthen every column to ``capacity`` (new ids absent)."""
+        grow = capacity - len(self.state)
+        self.state = self.state + bytes(grow)
+        self.fetched = array("q", self.fetched)
+        self.fetched.frombytes(bytes(8 * grow))
+        self.state_np = np.frombuffer(self.state, dtype=np.uint8)
+        self.fetched_np = np.frombuffer(self.fetched, dtype=np.int64)
 
     def __contains__(self, obj_id: int) -> bool:
-        return obj_id in self.copies
-
-    def get(self, obj_id: int):
-        """Look up by key; returns None / raises per container semantics."""
-        return self.copies.get(obj_id)
-
-    def put(self, obj_id: int, record: object) -> None:
-        """Store a record under ``obj_id``."""
-        self.copies[obj_id] = record
+        return self.state[obj_id] != 0
 
     def __len__(self) -> int:
-        return len(self.copies)
+        """Copies held: ids whose state byte is not absent (0)."""
+        return int(np.count_nonzero(self.state_np))
+

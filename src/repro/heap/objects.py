@@ -6,7 +6,9 @@ Each object header carries what the paper's scheme needs:
 * a per-class **sequence number** (half-word in the paper) — for arrays
   this is the first element's number and elements are numbered
   consecutively (Section II.B.3, Fig. 3b),
-* the **home node** of the HLRC protocol,
+* the **home node** of the HLRC protocol (its one source; the home's
+  version is the protocol's, a column of
+  :class:`~repro.dsm.hlrc.HomeBasedLRC`),
 * outgoing **reference edges**, which form the object graph that
   sticky-set resolution traces from stack-invariant entry points.
 """
@@ -30,8 +32,6 @@ class HeapObject:
     length: int = 0
     #: ids of objects this object references (graph edges).
     refs: list[int] = field(default_factory=list)
-    #: version bumped by the home on every applied write (HLRC bookkeeping).
-    home_version: int = field(default=0, repr=False)
     #: optional allocation-site label (workload-provided; the static
     #: sharing analysis aggregates per site, falling back to the class
     #: name when unset).

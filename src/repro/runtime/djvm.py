@@ -99,11 +99,12 @@ def run_fingerprint(djvm: "DJVM", result: RunResult, suite=None) -> dict[str, ob
                 (
                     node_id,
                     [
-                        (obj_id, r.real_state.value, r.fetched_version, r.has_twin, r.dirty_bytes)
-                        for obj_id, r in sorted(heap.copies.items())
+                        (obj_id, c.real_state.value, c.fetched_version, c.has_twin, c.dirty_bytes)
+                        for obj_id in hlrc.copy_ids(node_id)
+                        for c in (hlrc.copy(node_id, obj_id),)
                     ],
                 )
-                for node_id, heap in sorted(hlrc.heaps.items())
+                for node_id in sorted(hlrc.heaps)
             ]
         ),
         "notices_sha256": _sha(

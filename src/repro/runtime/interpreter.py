@@ -310,7 +310,6 @@ class Interpreter:
             # Direct attachment (tests poke thread.program): decode lazily.
             program = thread.program = prog.compile_program(program)
         codes = program.codes
-        args, n_elems, repeat, elem_off = program._views
         side = program.side
         n_ops = program.n_ops
         i = thread.pc
@@ -345,6 +344,9 @@ class Interpreter:
         vruns = None
         if vec is not None and self.hlrc.unobserved():
             vruns = program.vector_runs() or None
+        # Ops read per op: from memoryviews when the one pass takes the
+        # runs, from the program's lists when every op runs here.
+        args, n_elems, repeat, elem_off = program._views if vruns else program.lists()
         start_i = i
         try:
             # ``thread.pc`` is only observed at scheduling points (sync

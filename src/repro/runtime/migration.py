@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.dsm.hlrc import HomeBasedLRC
-from repro.dsm.states import CopyRecord, RealState
+from repro.dsm.states import VALID
 from repro.runtime.thread import SimThread
 from repro.sim.cluster import Cluster
 from repro.sim.network import MessageKind
@@ -170,13 +170,13 @@ class MigrationEngine:
         """
         gos = self.hlrc.gos
         heap = self.hlrc.heaps[target_node]
+        state = heap.state
         by_home: dict[int, list[int]] = {}
         installed: list[int] = []
         for obj_id in obj_ids:
             obj = gos.get(obj_id)
-            record = heap.get(obj_id)
-            if record is not None and record.real_state is not RealState.INVALID:  # type: ignore[union-attr]
-                continue  # already present and valid at the target
+            if state[obj_id] >= VALID:
+                continue  # already present and current at the target
             if obj.home_node == target_node:
                 continue  # home copies materialize for free
             by_home.setdefault(obj.home_node, []).append(obj_id)
@@ -186,17 +186,8 @@ class MigrationEngine:
             wait = self.hlrc.network.send(MessageKind.PREFETCH, home, target_node, bundle)
             longest_wait = max(longest_wait, wait)
             for obj_id in ids:
-                obj = gos.get(obj_id)
-                record = heap.get(obj_id)
-                if record is None:
-                    heap.put(
-                        obj_id,
-                        CopyRecord(obj_id, RealState.VALID, fetched_version=obj.home_version),
-                    )
-                    heap.cached.add(obj_id)
-                else:
-                    record.real_state = RealState.VALID  # type: ignore[union-attr]
-                    record.fetched_version = obj.home_version  # type: ignore[union-attr]
+                state[obj_id] = VALID
+                heap.fetched[obj_id] = self.hlrc.home_version[obj_id]
                 installed.append(obj_id)
         thread.cpu.network_wait_ns += longest_wait
         thread.clock.advance(longest_wait)

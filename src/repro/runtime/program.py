@@ -164,16 +164,11 @@ class AccessRun:
     columns of :func:`walk_lane` (``_cols``) on its first walked
     execution.  A singleton stays cold and is priced from transient
     ones every time: a one-shot body would keep cached ones alive for
-    nothing.
-
-    A hot run also keeps, per node it ran on, its *home-resident split*
-    (``_splits``, kept by the engine): the ids it must still probe
-    there — those homed elsewhere — and their write lanes, tagged with
-    the home epoch it was taken in.  Only ints: a split outlives the
-    DJVM it was taken in without keeping its heaps alive.
+    nothing.  A lane holds ints and int arrays only: it outlives the
+    DJVM it was priced in without keeping its heaps alive.
     """
 
-    __slots__ = ("n_ops", "hot", "_cost_key", "_lane", "_cols", "_splits")
+    __slots__ = ("n_ops", "hot", "_cost_key", "_lane", "_cols")
 
     def __init__(self, n_ops: int) -> None:
         self.n_ops = n_ops
@@ -182,7 +177,6 @@ class AccessRun:
         self._cost_key = None
         self._lane = None
         self._cols = None
-        self._splits = None
 
 
 class _LaneTable:
@@ -194,7 +188,10 @@ class _LaneTable:
     maps every run start (each occurrence) to its row, and ``starts``
     holds each row's first occurrence.  Access ops of all rows are
     concatenated: ``acc_ids[bounds[k]:bounds[k + 1]]`` are row ``k``'s
-    object ids in op order (a list, so a lane is a list slice), ``acc_rel``
+    object ids in op order (a list, so a lane is a list slice), ``acc_idx``
+    the same ids as one array in the program's own narrow int dtype (a
+    lane's is a view, which the engine's probe gathers copy states
+    with; an ``intp`` copy would cost 8 bytes per access), ``acc_rel``
     their op offsets in the run and ``acc_write`` a byte per access, 1
     for a write.  The ids are the int objects of ``ints`` where it
     covers them — the heap's own ``obj_id`` objects, so the protocol's
@@ -214,6 +211,7 @@ class _LaneTable:
         "offsets",
         "bounds",
         "acc_ids",
+        "acc_idx",
         "acc_rel",
         "acc_write",
         "rep_sum",
@@ -248,7 +246,7 @@ class _LaneTable:
         acc_pos = pos[access]
         bounds = _bounds(row_of[access], n_rows)
         self.bounds = bounds.tolist()
-        acc_ids = program.args[acc_pos]
+        acc_ids = self.acc_idx = program.args[acc_pos]
         if ints is not None and acc_ids.size and 0 <= acc_ids.min() and acc_ids.max() < len(ints):
             acc_ids = ints[acc_ids]
         self.acc_ids = acc_ids.tolist()
@@ -317,12 +315,13 @@ def _compute_charges(program: "CompiledProgram", s: int, e: int, codes: bytes, c
 
 def lean_lane(
     program: "CompiledProgram", pc: int, costs, ints: np.ndarray | None = None
-) -> tuple[int, int, list, tuple[list, list, list]]:
+) -> tuple[int, int, list, np.ndarray, tuple[list, list, list, np.ndarray]]:
     """The totals of the run body at op ``pc`` of ``program``, read from
     its lane table's slices — everything the vector engine's one pass
     reads: ``(access busy ns, compute ns, the object id of each access
-    in op order, (written object ids, written elements, write ops))``,
-    the written lanes parallel and in first-write order.  The ids keep
+    in op order, the same as an int array, (written object ids, written
+    elements, write ops, the written ids as an intp array))``, the
+    written lanes parallel and in first-write order.  The ids keep
     their repeats: probing a copy and booking a first touch are
     idempotent, so the engine dedupes only where it hands ids on.  The
     caller must not mutate the result (a hot :class:`AccessRun` caches
@@ -342,18 +341,24 @@ def lean_lane(
         compute = sum(_compute_charges(program, s, e, program.codes[s:e], costs))
     a, b = table.bounds[k], table.bounds[k + 1]
     ids = table.acc_ids[a:b]
-    writes = ([], [], [])
+    writes = _NO_WRITES
     if table.writes[k]:
         written = compress(ids, table.acc_write[a:b])
         writes = _write_lanes(written, program, s, e, program.codes[s:e])
-    return busy, compute, ids, writes
+    return busy, compute, ids, table.acc_idx[a:b], writes
 
 
-def _write_lanes(written, program: "CompiledProgram", s: int, e: int, codes: bytes) -> tuple[list, list, list]:
-    """(written object ids, written elements, write ops) of ops
-    ``[s, e)``, parallel and in first-write order, from ``written`` (the
-    object id of each of their write ops, in op order); ``codes`` are
-    their opcode bytes."""
+#: the write lanes of a run that writes nothing.
+_NO_WRITES = ([], [], [], np.zeros(0, dtype=np.intp))
+
+
+def _write_lanes(
+    written, program: "CompiledProgram", s: int, e: int, codes: bytes
+) -> tuple[list, list, list, np.ndarray]:
+    """(written object ids, written elements, write ops, the written ids
+    as an intp array) of ops ``[s, e)``, parallel and in first-write
+    order, from ``written`` (the object id of each of their write ops,
+    in op order); ``codes`` are their opcode bytes."""
     w_oids: list[int] = []
     w_welems: list[int] = []
     w_wops: list[int] = []
@@ -368,7 +373,7 @@ def _write_lanes(written, program: "CompiledProgram", s: int, e: int, codes: byt
         else:
             w_welems[k] += welems
             w_wops[k] += 1
-    return w_oids, w_welems, w_wops
+    return w_oids, w_welems, w_wops, np.array(w_oids, dtype=np.intp)
 
 
 def walk_lane(
@@ -399,7 +404,7 @@ def walk_lane(
     # Reversed, the last value kept per object is its first access op.
     first_op = dict(zip(reversed(acc_oids), reversed(acc_ops)))
     first_write: dict[int, int] = {}
-    if lane[3][0]:
+    if lane[4][0]:
         written = compress(acc_oids, table.acc_write[table.bounds[k] : table.bounds[k + 1]])
         ops = compress(range(e - s), codes.translate(_WRITE_MASK))
         deque(map(first_write.setdefault, written, ops), 0)
@@ -425,6 +430,7 @@ class CompiledProgram:
         "side",
         "n_ops",
         "_views",
+        "_lists",
         "_vruns",
         "_lanes",
         "_verified",
@@ -453,6 +459,8 @@ class CompiledProgram:
         #: the int columns as memoryviews: indexing and iterating one
         #: yields Python ints.
         self._views = tuple(map(memoryview, columns))
+        #: the int columns as lists, decoded on first use (see :meth:`lists`).
+        self._lists: tuple[list, list, list, list] | None = None
         self._vruns: dict[int, AccessRun] | None = None
         self._lanes: _LaneTable | None = None
         #: set by the staticflow IR verifier's structural gate after the
@@ -479,6 +487,15 @@ class CompiledProgram:
 
     def _columns(self) -> tuple:
         return self.args, self.n_elems, self.repeat, self.elem_off
+
+    def lists(self) -> tuple[list, list, list, list]:
+        """The four int columns decoded to lists once and kept: what the
+        scalar loop indexes per op when no run of the segment takes the
+        one pass (a list index is cheaper than a memoryview's).  A
+        program that only runs on the one pass never builds them."""
+        if self._lists is None:
+            self._lists = tuple(col.tolist() for col in self._columns())
+        return self._lists
 
     def decode(self, lo: int, hi: int) -> Iterator[Op]:
         """The ops at ``[lo, hi)`` as tuples, in the form the op

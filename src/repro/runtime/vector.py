@@ -15,12 +15,15 @@ points below — no observer of accesses or faults, prefetcher, keyword
 hook, condition-driven timer or pending migration
 (:meth:`HomeBasedLRC.unobserved`; the interpreter owns the timer and
 migration half of the gate) — every simulated cost is an integer sum.
-The engine then replays a whole run in one pass over its accesses in
-op order: each object's copy is probed (a repeat finds it current),
-lazy home copies are materialized, invalid or missing cache copies are
-refreshed and their faults charged in one :meth:`HomeBasedLRC.charge_faults`,
-written cache copies get their twin, dirty bytes and writer, and the
-clock and CPU buckets move once.  Under profiler hooks the run's first
+The engine then replays a whole run in one pass.  The probe is one
+gather of the node's state-byte column (:class:`~repro.heap.heap.
+LocalHeap`) at the run's ids and one compare, which leaves the ids
+whose copy is absent or ``INVALID``; a loop over those misses alone
+materializes lazy home copies and refreshes the cache copies, whose
+faults are charged in one :meth:`HomeBasedLRC.charge_faults`.  One more
+gather over the written ids finds the written cache copies, which get
+their twin, dirty bytes and writer, and the clock and CPU buckets move
+once.  Under profiler hooks the run's first
 touches in the current interval (the paper's profiler traps only those)
 are then booked in the interval's touched set and handed, with the ids
 among them that faulted, to each hook's batch-shaped first-touch entry,
@@ -42,24 +45,13 @@ The pass reads a run's totals from :func:`~repro.runtime.program.
 lean_lane`, slices of the lane table its program builds for all its
 distinct runs in one numpy pass.  A body that repeats within its
 program (born ``hot``) caches its lane, and its walk columns, per cost
-model; a one-shot body slices them for the one execution and drops
-them.  Anything
+model, with its probe ids distinct and ``intp``; a one-shot body
+slices them for the one execution and drops them, its probe gathering
+with the lane table's own narrow ids.  Anything
 observed runs on the scalar loop, the correctness oracle
 (``replay="scalar"`` forces it everywhere); the end state of both
 routes is byte-identical, which the equivalence tests assert over
 randomized programs and the paper workloads.
-
-A hot run also stops re-checking what its executions cannot change.
-After its first full probe on a node it keeps that node's *home-resident
-split*: the distinct ids homed elsewhere, and their write lanes, tagged
-with the engine's :attr:`~repro.dsm.hlrc.HomeBasedLRC.home_epoch`.
-Later executions there in the same epoch probe and write-book only
-those.  This is exact: the full probe left a ``HOME`` copy of every
-other id on the node, a ``HOME`` copy is always current (it never
-faults, twins or diffs), and only a re-homing turns one into a cache
-copy — which draws a new epoch.  Home writes still enter the
-interval's written set, since they publish notices at close; first
-touches and the walk read the full lane.
 """
 
 from __future__ import annotations
@@ -67,19 +59,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from itertools import accumulate, compress, filterfalse
-from operator import add, attrgetter
+from operator import add
 
 import numpy as np
 
 from repro.dsm.intervals import NO_BOUND
-from repro.dsm.states import HOME_COPY, CopyRecord, RealState
+from repro.dsm.states import HOME, VALID
 from repro.runtime.program import AccessRun, lean_lane, walk_lane
 from repro.sim.events import EventKind
 
-_HOME = RealState.HOME
-_VALID = RealState.VALID
-_INVALID = RealState.INVALID
-_OBJ_ID = attrgetter("obj_id")
 _TIMER_FIRE = EventKind.TIMER_FIRE
 
 
@@ -87,6 +75,13 @@ def _add_at(steps: list, ops: list, ns) -> None:
     """``steps[op] += charge`` for each op of ``ops`` (distinct op
     indices) and charge of ``ns``, at C speed."""
     deque(map(steps.__setitem__, ops, map(add, map(steps.__getitem__, ops), ns)), 0)
+
+
+def _distinct_probe(lane: tuple) -> tuple:
+    """``lane`` with the ids its probe gathers made distinct and
+    ``intp``: what a hot run caches."""
+    busy, compute, ids, idx, writes = lane
+    return busy, compute, ids, np.unique(idx).astype(np.intp), writes
 
 
 class WalkedRunMigrationError(RuntimeError):
@@ -110,7 +105,7 @@ class VectorEngine:
         "_interp",
         "_objects",
         "_ints",
-        "_copies_by_node",
+        "_heaps",
         "costs",
         "runs_bulk",
         "runs_lean",
@@ -118,7 +113,6 @@ class VectorEngine:
         "first_touches",
         "stops",
         "timer_fires",
-        "home_resident",
     )
 
     def __init__(self, interp) -> None:
@@ -129,7 +123,7 @@ class VectorEngine:
         #: each object's ``obj_id`` int object, by id (built with the
         #: first lane): lanes hand the protocol these very objects.
         self._ints = None
-        self._copies_by_node = hl._copies_by_node
+        self._heaps = hl.heaps
         self.costs = hl.costs
         # Routing counts (host-side only; see routing()).
         self.runs_bulk = 0
@@ -138,7 +132,6 @@ class VectorEngine:
         self.first_touches = 0
         self.stops = 0
         self.timer_fires = 0
-        self.home_resident = 0
 
     def routing(self) -> dict[str, int]:
         """How the engine routed this run's access runs: executions on a
@@ -147,8 +140,7 @@ class VectorEngine:
         in one pass (``faults_batched``), interval first touches booked
         for hooks or observers (``first_touches``), re-armed accesses
         given their exact clock for the tracking entries (``stops``),
-        timer fires inside walked runs (``timer_fires``), and probes a
-        home-resident split skipped (``home_resident``)."""
+        and timer fires inside walked runs (``timer_fires``)."""
         return {
             "bulk": self.runs_bulk,
             "lean": self.runs_lean,
@@ -156,7 +148,6 @@ class VectorEngine:
             "first_touches": self.first_touches,
             "stops": self.stops,
             "timer_fires": self.timer_fires,
-            "home_resident": self.home_resident,
         }
 
     def _lanes(self, thread, run: AccessRun, pc: int, walk: bool) -> tuple:
@@ -164,7 +155,9 @@ class VectorEngine:
         ``pc`` of ``thread``'s program, sliced from the program's lane
         table; the columns are None unless the run walks (and may be
         stale then).  A one-shot body builds them for this execution; a
-        hot one caches them per cost model."""
+        hot one caches them per cost model, with the ids its probe
+        gathers made distinct and ``intp`` once (a one-shot lane's are a
+        view of the lane table in the program's own int dtype)."""
         costs = self.costs
         program = thread.program
         ints = self._ints
@@ -186,9 +179,10 @@ class VectorEngine:
             run._cost_key = costs
         if walk:
             if run._cols is None:
-                run._lane, run._cols = walk_lane(program, pc, costs, ints)
+                lane, run._cols = walk_lane(program, pc, costs, ints)
+                run._lane = _distinct_probe(lane)
         elif run._lane is None:
-            run._lane = lean_lane(program, pc, costs, ints)
+            run._lane = _distinct_probe(lean_lane(program, pc, costs, ints))
         return run._lane, run._cols
 
     def execute(self, thread, run: AccessRun, pc: int, deadline: int) -> int:
@@ -201,49 +195,38 @@ class VectorEngine:
         module docstring."""
         hlrc = self.hlrc
         walk = deadline > 0 or hlrc.tracker is not None
-        (busy, compute, ids, writes), cols = self._lanes(thread, run, pc, walk)
+        (busy, compute, ids, idx, writes), cols = self._lanes(thread, run, pc, walk)
         node_id = thread.node_id
-        copies = self._copies_by_node[node_id]
-        cached = hlrc.heaps[node_id].cached
-        objects = self._objects
-        get = copies.get
-        w_all = writes[0]
-        probe = ids
-        splits = run._splits
-        split = splits.get(node_id) if splits else None
-        stale = split is None or split[0] != hlrc.home_epoch
-        if not stale:
-            _, probe, writes, resident = split
-            self.home_resident += resident
-        # An id's second probe finds the copy its first one left current.
+        heap = self._heaps[node_id]
+        # The probe: one gather of the run's state bytes finds the ids
+        # whose copy here is absent or INVALID.
+        miss = idx[heap.state_np[idx] < VALID]
         faulted = []
-        for oid in probe:
-            record = get(oid)
-            if record is not None and record.real_state is not _INVALID:
-                continue
-            obj = objects[oid]
-            if obj.home_node == node_id:
-                # Home copies materialize lazily at zero cost.
-                copies[oid] = HOME_COPY
-            else:
-                if record is None:
-                    copies[oid] = CopyRecord(oid, _VALID, obj.home_version)
-                    cached.add(oid)
+        if miss.size:
+            objects = self._objects
+            state = heap.state
+            fetched = heap.fetched
+            home_version = hlrc.home_version
+            for oid in miss.tolist():
+                if state[oid] >= VALID:
+                    continue  # a repeat of an id this probe made current
+                if objects[oid].home_node == node_id:
+                    # Home copies materialize lazily at zero cost.
+                    state[oid] = HOME
                 else:
-                    record.real_state = _VALID
-                    record.fetched_version = obj.home_version
-                faulted.append(obj)
-        if stale and run.hot:
-            if splits is None:
-                splits = run._splits = {}
-            splits[node_id] = self._split(hlrc.home_epoch, copies, ids, writes)
+                    state[oid] = VALID
+                    fetched[oid] = home_version[oid]
+                    faulted.append(oid)
         clock = thread.clock
         base = clock._now_ns
         twins = {} if walk else None
-        if w_all:
+        twin_ns = 0
+        if writes[0]:
             # Home writes too: every written id publishes a notice at close.
-            thread.current_interval.written.update(w_all)
-        twin_ns = self._apply_writes(thread, copies, *writes, twins) if writes[0] else 0
+            thread.current_interval.written.update(writes[0])
+            cached = (heap.state_np[writes[3]] != HOME).nonzero()[0]
+            if cached.size:
+                twin_ns = self._apply_writes(thread, heap, writes, cached.tolist(), twins)
         cpu = thread.cpu
         cpu.access_ns += busy
         cpu.compute_ns += compute
@@ -263,27 +246,7 @@ class VectorEngine:
             )
         return deadline
 
-    @staticmethod
-    def _split(epoch: int, copies: dict, ids, writes: tuple) -> tuple:
-        """The home-resident split of a hot run just fully probed on the
-        node whose copies are ``copies``: ``(epoch, ids to probe, their
-        write lanes, how many ids that skips)`` — the distinct ids whose
-        copy there is no ``HOME`` copy, in first-touch order, and the
-        write lanes filtered to them.  A run with no home id keeps its
-        write lanes."""
-        distinct = dict.fromkeys(ids)
-        foreign = [oid for oid in distinct if copies[oid].real_state is not _HOME]
-        if len(foreign) == len(distinct):
-            return epoch, foreign, writes, 0
-        w_oids, w_welems, w_wops = writes
-        keep = [copies[oid].real_state is not _HOME for oid in w_oids]
-        return epoch, foreign, (
-            list(compress(w_oids, keep)),
-            list(compress(w_welems, keep)),
-            list(compress(w_wops, keep)),
-        ), len(distinct) - len(foreign)
-
-    def _first_touches(self, thread, accessed, faulted: list, hooks: tuple) -> tuple | None:
+    def _first_touches(self, thread, accessed, faulted: list[int], hooks: tuple) -> tuple | None:
         """Book the run's first touches in the current interval — the
         ``accessed`` ids it has not touched yet, each once, in
         first-touch order — in its touched set, so later accesses this
@@ -298,7 +261,7 @@ class VectorEngine:
         ids = list(dict.fromkeys(filterfalse(touched.__contains__, accessed)))
         if not ids:
             return None
-        hit = set(filterfalse(touched.__contains__, map(_OBJ_ID, faulted)))
+        hit = set(filterfalse(touched.__contains__, faulted))
         touched.update(ids)
         self.first_touches += len(ids)
         charges = None
@@ -337,7 +300,7 @@ class VectorEngine:
             steps = steps.copy()  # the cached columns stay static
         steps[0] += base
         if faulted:
-            fault_ops = list(map(first_op.__getitem__, map(_OBJ_ID, faulted)))
+            fault_ops = list(map(first_op.__getitem__, faulted))
             _add_at(steps, fault_ops, prices)
         if twins:
             _add_at(steps, list(map(first_write.__getitem__, twins)), twins.values())
@@ -422,38 +385,36 @@ class VectorEngine:
             lo = k + 1
         return off, deadline, lo
 
-    def _apply_writes(
-        self, thread, copies: dict, w_oids, w_welems, w_wops, twins: dict | None = None
-    ) -> int:
+    def _apply_writes(self, thread, heap, writes: tuple, at: list[int], twins: dict | None) -> int:
         """Write bookkeeping of one run's written cache copies (the
         caller books the written set): for each, its twin (first write
         this interval), dirty bytes and writer; returns the twin cost.
-        The three lanes are parallel (written object, elements, write
-        ops).  ``twins``, if given, receives each twin's cost by object."""
+        ``writes`` are the run's parallel write lanes (written object,
+        elements, write ops) and ``at`` the positions in them of the
+        cache copies, ascending.  ``twins``, if given, receives each
+        twin's cost by object."""
+        w_oids, w_welems, w_wops, _ = writes
         objects = self._objects
+        heap_twins = heap.twins
         tid = thread.thread_id
         twin_per_byte = self.costs.twin_ns_per_byte
         twin_ns = 0
-        for oid, welems, wops in zip(w_oids, w_welems, w_wops):
-            record = copies[oid]
-            if record.real_state is _HOME:
-                continue
+        for k in at:
+            oid = w_oids[k]
             obj = objects[oid]
             size = obj.size_bytes
-            if not record.has_twin:
-                record.has_twin = True
+            twin = heap_twins.get(oid)
+            if twin is None:
+                twin = heap_twins[oid] = [0, {tid}]
                 ns = size * twin_per_byte
                 twin_ns += ns
                 if twins is not None:
                     twins[oid] = ns
+            else:
+                twin[1].add(tid)
             if obj.is_array:
-                wb = welems * obj.jclass.element_size
+                wb = w_welems[k] * obj.jclass.element_size
             else:
-                wb = wops * obj.jclass.instance_size
-            record.dirty_bytes = min(record.dirty_bytes + wb, size)
-            writers = record.writers
-            if writers is None:
-                record.writers = {tid}
-            else:
-                writers.add(tid)
+                wb = w_wops[k] * obj.jclass.instance_size
+            twin[0] = min(twin[0] + wb, size)
         return twin_ns

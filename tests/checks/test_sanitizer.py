@@ -11,7 +11,7 @@ import pytest
 from repro.checks.sanitizer import INVARIANTS, ProtocolSanitizer, SanitizerViolation
 from repro.core.profiler import ProfilerSuite
 from repro.dsm.intervals import IntervalRecord
-from repro.dsm.states import CopyRecord, RealState
+from repro.dsm.states import HOME, INVALID, VALID
 from repro.runtime.djvm import DJVM, run_fingerprint
 from repro.runtime.migration import MigrationResult
 from repro.runtime.thread import SimThread
@@ -106,43 +106,48 @@ def _djvm_with_object():
     return djvm, san, obj
 
 
+def plant(djvm, node_id, obj, state, fetched=0, dirty=None):
+    """Write node ``node_id``'s copy of ``obj`` into its columns behind
+    the protocol's back: a state byte, a fetched version and, with
+    ``dirty``, a twin."""
+    heap = djvm.hlrc.heaps[node_id]
+    heap.state[obj.obj_id] = state
+    heap.fetched[obj.obj_id] = fetched
+    if dirty is not None:
+        heap.twins[obj.obj_id] = [dirty, {0}]
+
+
 def test_san003_cache_copy_claiming_home():
     djvm, san, obj = _djvm_with_object()
-    djvm.hlrc.heaps[1].copies[obj.obj_id] = CopyRecord(obj.obj_id, RealState.HOME)
+    plant(djvm, 1, obj, HOME)
     with expect("SAN003"):
         san.sweep_heaps()
 
 
 def test_san003_home_copy_invalidated():
     djvm, san, obj = _djvm_with_object()
-    djvm.hlrc.heaps[0].copies[obj.obj_id] = CopyRecord(obj.obj_id, RealState.INVALID)
+    plant(djvm, 0, obj, INVALID)
     with expect("SAN003"):
         san.sweep_heaps()
 
 
 def test_san003_spurious_invalidation():
     djvm, san, obj = _djvm_with_object()
-    djvm.hlrc.heaps[1].copies[obj.obj_id] = CopyRecord(
-        obj.obj_id, RealState.INVALID, fetched_version=obj.home_version
-    )
+    plant(djvm, 1, obj, INVALID, fetched=djvm.hlrc.home_version[obj.obj_id])
     with expect("SAN003"):
         san.sweep_heaps()
 
 
 def test_san003_dirty_bytes_exceed_size():
     djvm, san, obj = _djvm_with_object()
-    djvm.hlrc.heaps[1].copies[obj.obj_id] = CopyRecord(
-        obj.obj_id, RealState.VALID, dirty_bytes=obj.size_bytes + 1
-    )
+    plant(djvm, 1, obj, VALID, dirty=obj.size_bytes + 1)
     with expect("SAN003"):
         san.sweep_heaps()
 
 
 def test_san003_clean_sweep_counts_copies():
     djvm, san, obj = _djvm_with_object()
-    djvm.hlrc.heaps[1].copies[obj.obj_id] = CopyRecord(
-        obj.obj_id, RealState.VALID, fetched_version=obj.home_version
-    )
+    plant(djvm, 1, obj, VALID, fetched=djvm.hlrc.home_version[obj.obj_id])
     assert san.sweep_heaps() >= 1
 
 
@@ -155,7 +160,7 @@ def test_san003_corrupt_copy_caught_at_run_end_of_a_bare_interpreter():
 
     djvm, san, obj = _djvm_with_object()
     djvm.spawn_thread(0)
-    djvm.hlrc.heaps[1].copies[obj.obj_id] = CopyRecord(obj.obj_id, RealState.HOME)
+    plant(djvm, 1, obj, HOME)
     interp = Interpreter(djvm.hlrc, djvm.threads)
     interp.attach_programs({0: [P.compute(100)]})
     with expect("SAN003"):
@@ -393,7 +398,7 @@ def test_san003_touched_copy_invalid_at_close():
     thread = djvm.spawn_thread(0)
     djvm.hlrc.open_interval(thread)
     djvm.hlrc.access(thread, obj.obj_id)
-    djvm.hlrc.heaps[0].get(obj.obj_id).real_state = RealState.INVALID
+    djvm.hlrc.heaps[0].state[obj.obj_id] = INVALID
     with expect("SAN003"):
         djvm.hlrc.close_interval(thread, "end")
 
@@ -407,17 +412,14 @@ def test_san003_ids_touched_before_a_migration_need_no_copy_where_it_closes():
     thread = djvm.spawn_thread(0)
     djvm.hlrc.open_interval(thread)
     djvm.hlrc.access(thread, before.obj_id)
-    djvm.hlrc.heaps[1].put(
-        before.obj_id, CopyRecord(before.obj_id, RealState.INVALID, fetched_version=-1)
-    )
-    djvm.hlrc.heaps[1].cached.add(before.obj_id)
+    plant(djvm, 1, before, INVALID, fetched=-1)
     djvm.migration.migrate(thread, 1)
     djvm.hlrc.access(thread, after.obj_id)
     djvm.hlrc.close_interval(thread, "barrier")
     assert san.violations == 0
     djvm.hlrc.open_interval(thread)
     djvm.hlrc.access(thread, after.obj_id)
-    djvm.hlrc.heaps[1].get(after.obj_id).real_state = RealState.INVALID
+    djvm.hlrc.heaps[1].state[after.obj_id] = INVALID
     with expect("SAN003"):
         djvm.hlrc.close_interval(thread, "end")
 
@@ -439,22 +441,32 @@ def test_sanitize_gate_counts_are_equal_on_both_routes(monkeypatch):
         assert checks > 0 and violations == 0
 
 
-@pytest.mark.parametrize("mutate", [False, True], ids=["intact", "split_epoch_bug"])
-def test_seeded_split_epoch_bug_is_caught_on_the_vector_route(mutate, monkeypatch):
-    """A re-homing that draws no new home epoch leaves the one pass's
-    home-resident splits in use: a hot body then skips probing a copy
-    that stopped being HOME, and reads it INVALID.  SAN003's close-time
-    check catches it on the one pass."""
-    from repro.dsm.hlrc import HomeBasedLRC
+@pytest.mark.parametrize("mutate", [False, True], ids=["intact", "stale_home_byte"])
+def test_seeded_rehoming_bug_is_caught_on_the_vector_route(mutate, monkeypatch):
+    """A re-homing that leaves the old home's HOME state byte in place
+    lets the one pass's probe take that node's copy for current forever
+    (it never faults the object again).  SAN003 catches it on the one
+    pass."""
+    from repro.dsm.homemigration import HomeMigrationEngine
     from tests.dsm.test_notice_path import MAKERS, Rehome
     from tests.runtime.test_vector_replay import build_djvm, compile_hot
 
     if mutate:
-        monkeypatch.setattr(HomeBasedLRC, "new_home_epoch", lambda self: None)
+        migrate_home = HomeMigrationEngine.migrate_home
+
+        def stale_home_byte(self, obj, new_home):
+            old_heap = self.hlrc.heaps[obj.home_node]
+            held = old_heap.state[obj.obj_id]
+            migrate_home(self, obj, new_home)
+            old_heap.state[obj.obj_id] = held
+
+        monkeypatch.setattr(HomeMigrationEngine, "migrate_home", stale_home_byte)
     djvm, obj_ids = build_djvm(replay="vector")
     san = djvm.attach(ProtocolSanitizer())
     moves = {3: (0, 1), 5: (1, 2), 8: (2, 3), 12: (3, 0)}
-    djvm.add_hook(Rehome(djvm.hlrc, {k: (obj_ids[i], n) for k, (i, n) in moves.items()}))
+    rehome = Rehome(djvm.hlrc, {k: (obj_ids[i], n) for k, (i, n) in moves.items()})
+    rehome.check = lambda: None  # the seeded bug must reach the sanitizer
+    djvm.add_hook(rehome)
     programs = compile_hot(MAKERS["repeating"](1, obj_ids))
     if mutate:
         with expect("SAN003"):
@@ -462,4 +474,4 @@ def test_seeded_split_epoch_bug_is_caught_on_the_vector_route(mutate, monkeypatc
         return
     djvm.run(programs)
     assert san.violations == 0
-    assert djvm.replay_routing["home_resident"] > 0
+    assert djvm.replay_routing["bulk"] > 0

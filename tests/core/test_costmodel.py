@@ -102,7 +102,7 @@ def real_fault_ns(network: Network, size: int, home: int) -> tuple[int, int]:
     cls = djvm.define_class("Obj", size)
     obj = djvm.allocate(cls, home)
     thread = djvm.spawn_thread(0)
-    djvm.hlrc._fault_remote(thread, obj, None)
+    djvm.hlrc._fault_remote(thread, obj, False)
     return thread.clock.now_ns, thread.cpu.protocol_ns + thread.cpu.network_wait_ns
 
 

@@ -1,8 +1,9 @@
 """Batched fault pricing against one fault at a time.
 
 The vector engine's one pass charges a run's remote faults in one
-:meth:`HomeBasedLRC.charge_faults`, pricing each from a per-node table
-that is filled the first time a (home, class, length) key is seen.  The
+:meth:`HomeBasedLRC.charge_faults`, pricing each by its object's price
+class (its (home, class, length) key, set at its first fault) from a
+per-node table filled the first time the node faults the class.  The
 scalar loop charges each fault with :meth:`HomeBasedLRC._fault_remote`:
 a trap and two ``Network.send`` calls.  For any sequence of batches —
 several homes, classes of equal size, arrays of different lengths,
@@ -17,7 +18,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsm.states import CopyRecord, RealState
+from repro.dsm.homemigration import HomeMigrationEngine
+from repro.dsm.states import ABSENT, INVALID
 from repro.runtime.djvm import DJVM
 from repro.sim.network import Network, RackTopology
 
@@ -84,18 +86,11 @@ def fault_batches(draw):
     return homes, kinds, batches
 
 
-def stage(djvm, obj, refault: bool):
+def stage(djvm, obj, refault: bool) -> bool:
     """Leave ``obj``'s copy on node 0 invalidated (a refault) or absent
-    (a new copy); returns the record a fault replaces."""
-    heap = djvm.hlrc.heaps[0]
-    if not refault:
-        heap.copies.pop(obj.obj_id, None)
-        heap.cached.discard(obj.obj_id)
-        return None
-    record = CopyRecord(obj.obj_id, RealState.INVALID)
-    heap.copies[obj.obj_id] = record
-    heap.cached.add(obj.obj_id)
-    return record
+    (a new copy), through its state byte; returns ``refault``."""
+    djvm.hlrc.heaps[0].state[obj.obj_id] = INVALID if refault else ABSENT
+    return refault
 
 
 @settings(max_examples=150, deadline=None)
@@ -107,14 +102,15 @@ def test_a_batch_charges_what_one_fault_at_a_time_does(batch, network):
     for faults in batches:
         one_by_one = []
         for k, refault in faults:
-            record = stage(scalar, scalar_objs[k], refault)
+            stage(scalar, scalar_objs[k], refault)
             before = scalar_thread.clock.now_ns
-            scalar.hlrc._fault_remote(scalar_thread, scalar_objs[k], record)
+            scalar.hlrc._fault_remote(scalar_thread, scalar_objs[k], refault)
             one_by_one.append(scalar_thread.clock.now_ns - before)
         for k, refault in faults:
             stage(batched, batched_objs[k], refault)
-        prices = batched.hlrc.charge_faults(batched_thread, [batched_objs[k] for k, _ in faults])
-        assert list(prices) == one_by_one
+        ids = [batched_objs[k].obj_id for k, _ in faults]
+        prices = batched.hlrc.charge_faults(batched_thread, ids)
+        assert prices == one_by_one
         assert left_behind(batched, batched_thread) == left_behind(scalar, scalar_thread)
     assert left_behind(batched, batched_thread)[-1] == sum(map(len, batches))
 
@@ -123,6 +119,17 @@ def test_classes_of_one_size_fault_at_one_price():
     """Two scalar classes of one size, homed alike, cost the same fault;
     arrays of different lengths do not."""
     djvm, objs, thread = build("rack", [1, 1, 1, 1, 3], [0, 1, 3, 4, 0])
-    prices = djvm.hlrc.charge_faults(thread, objs)
+    prices = djvm.hlrc.charge_faults(thread, [obj.obj_id for obj in objs])
     assert prices[0] == prices[1] and prices[2] < prices[3]
     assert prices[4] > prices[0]  # node 3 is in the other rack
+
+
+def test_a_rehomed_object_faults_at_its_new_homes_price():
+    """A re-homing clears the object's price class: its next fault is
+    priced from its new home, as the scalar loop's sends are."""
+    djvm, objs, thread = build("rack", [1, 3], [0, 0])
+    near, far = objs
+    before = djvm.hlrc.charge_faults(thread, [near.obj_id])
+    HomeMigrationEngine(djvm.hlrc).migrate_home(near, 3)
+    after = djvm.hlrc.charge_faults(thread, [near.obj_id])
+    assert after == djvm.hlrc.charge_faults(thread, [far.obj_id]) and after != before

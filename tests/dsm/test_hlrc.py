@@ -55,9 +55,9 @@ class TestFaulting:
                 1: wrap_main([P.read(obj.obj_id), P.barrier(0)]),
             }
         )
-        record = djvm.hlrc.heaps[1].get(obj.obj_id)
-        assert record is not None
-        assert record.real_state is RealState.VALID
+        copy = djvm.hlrc.copy(1, obj.obj_id)
+        assert copy is not None
+        assert copy.real_state is RealState.VALID
 
 
 class TestCoherence:
@@ -136,7 +136,7 @@ class TestCoherence:
         assert result.counters["diffs"] == 1
         diff_bytes = djvm.cluster.network.stats.bytes_by_kind.get(MessageKind.DIFF, 0)
         assert diff_bytes > 0
-        assert djvm.gos.get(obj.obj_id).home_version == 1
+        assert djvm.hlrc.home_version[obj.obj_id] == 1
 
     def test_home_write_publishes_notice_without_diff_message(self):
         djvm, obj, t0, t1 = two_node_setup()
@@ -278,12 +278,12 @@ class TestBarriers:
 class TestHomeMaterialization:
     def test_home_copy_created_lazily(self):
         djvm, obj, t0, t1 = two_node_setup()
-        assert djvm.hlrc.heaps[0].get(obj.obj_id) is None
+        assert djvm.hlrc.copy(0, obj.obj_id) is None
         djvm.run(
             {
                 0: wrap_main([P.read(obj.obj_id), P.barrier(0)]),
                 1: wrap_main([P.barrier(0)]),
             }
         )
-        record = djvm.hlrc.heaps[0].get(obj.obj_id)
-        assert record is not None and record.is_home
+        copy = djvm.hlrc.copy(0, obj.obj_id)
+        assert copy is not None and copy.is_home

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dsm.homemigration import DominantWriterPolicy, HomeMigrationEngine
-from repro.dsm.states import HOME_COPY, RealState
+from repro.dsm.states import RealState
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM, run_fingerprint
 from repro.sim.costs import CostModel
@@ -27,8 +27,8 @@ class TestMechanism:
         djvm, obj, engine = setup()
         engine.migrate_home(obj, 1)
         assert obj.home_node == 1
-        new_rec = djvm.hlrc.heaps[1].get(obj.obj_id)
-        assert new_rec is not None and new_rec.is_home
+        new_copy = djvm.hlrc.copy(1, obj.obj_id)
+        assert new_copy is not None and new_copy.is_home
         assert engine.stats.migrations == 1
         assert engine.stats.bytes_shipped == obj.size_bytes
 
@@ -41,16 +41,27 @@ class TestMechanism:
                 1: wrap_main([P.barrier(0)]),
             }
         )
-        assert djvm.hlrc.heaps[0].get(obj.obj_id) is HOME_COPY
-        version = obj.home_version
+        assert djvm.hlrc.copy(0, obj.obj_id).is_home
+        assert djvm.hlrc.copy(0, obj.obj_id).fetched_version == 0
+        version = djvm.hlrc.home_version[obj.obj_id]
         engine.migrate_home(obj, 1)
-        old_rec = djvm.hlrc.heaps[0].get(obj.obj_id)
-        assert old_rec is not None
-        assert old_rec.real_state is RealState.VALID
-        # A new record takes the shared one's place, which stays as it was.
-        assert old_rec is not HOME_COPY and old_rec.fetched_version == version
-        assert obj.obj_id in djvm.hlrc.heaps[0].cached
-        assert HOME_COPY.is_home and HOME_COPY.fetched_version == 0
+        old_copy = djvm.hlrc.copy(0, obj.obj_id)
+        assert old_copy is not None
+        assert old_copy.real_state is RealState.VALID
+        assert old_copy.fetched_version == version
+        # The new home had no copy: one materializes there, fetched 0.
+        assert djvm.hlrc.copy(1, obj.obj_id) == (RealState.HOME, 0, False, 0, None)
+
+    def test_a_written_cache_copy_rehomed_to_its_node_drops_its_twin(self):
+        """The new home's cache copy becomes the home copy: it keeps its
+        fetched version and its twin state goes."""
+        djvm, obj, engine = setup()
+        writer = djvm.threads[1]
+        djvm.hlrc.open_interval(writer)
+        djvm.hlrc.access(writer, obj.obj_id, is_write=True)
+        assert djvm.hlrc.copy(1, obj.obj_id).has_twin
+        engine.migrate_home(obj, 1)
+        assert djvm.hlrc.copy(1, obj.obj_id) == (RealState.HOME, 0, False, 0, None)
 
     def test_noop_when_already_home(self):
         djvm, obj, engine = setup()
@@ -66,9 +77,10 @@ class TestMechanism:
         """The data does not move, so no version does: a re-homing
         leaves the notice log and the home version as they were."""
         djvm, obj, engine = setup()
-        before = (djvm.hlrc.n_notices, list(djvm.hlrc.notice_blocks), obj.home_version)
+        hlrc = djvm.hlrc
+        before = (hlrc.n_notices, list(hlrc.notice_blocks), hlrc.home_version[obj.obj_id])
         engine.migrate_home(obj, 1)
-        assert (djvm.hlrc.n_notices, djvm.hlrc.notice_blocks, obj.home_version) == before
+        assert (hlrc.n_notices, hlrc.notice_blocks, hlrc.home_version[obj.obj_id]) == before
 
     def test_payload_and_directory_messages_sent(self):
         djvm, obj, engine = setup()
@@ -89,7 +101,7 @@ class TestMechanism:
             }
         )
         assert result.counters["diffs"] == 0
-        assert obj.home_version == 1  # the home write's notice alone
+        assert djvm.hlrc.home_version[obj.obj_id] == 1  # the home write's notice alone
 
 
 class TestDominantWriterPolicy:

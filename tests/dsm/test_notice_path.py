@@ -5,8 +5,8 @@ revisited bodies) run on both replay routes while a close hook re-homes
 objects between body executions.  At every notice application the
 copies the engine invalidates must be exactly the ones a plain walk of
 the unseen notices, in log order, invalidates: a ``VALID`` copy whose
-fetched version is below a notice's version.  At every sync point each
-node's cached index must equal its non-``HOME`` records, and the log
+fetched version is below a notice's version.  At every close a node
+holds a ``HOME`` state byte exactly for the objects homed there, and the log
 must stay what the engine's apply relies on: ascending blocks, one
 notice per version bump.
 
@@ -58,21 +58,27 @@ MAKERS = {
 }
 
 
-def check_cached_index(hlrc) -> None:
-    for node_id, heap in hlrc.heaps.items():
-        expected = {oid for oid, r in heap.copies.items() if r.real_state is not RealState.HOME}
-        assert heap.cached == expected, f"node {node_id}: cached index out of step"
+def check_home_bytes(hlrc) -> None:
+    """A node holds an object's HOME state byte iff it is the object's
+    home and holds a copy."""
+    for node_id in hlrc.heaps:
+        for oid in hlrc.copy_ids(node_id):
+            at_home = hlrc.gos.get(oid).home_node == node_id
+            assert hlrc.copy(node_id, oid).is_home == at_home, f"node {node_id}: obj {oid}"
 
 
 class Rehome:
     """A planned hook that re-homes objects at chosen interval closes
-    (as a home-migration policy does), checking the cached index at
-    every close."""
+    (as a home-migration policy does), checking the HOME state bytes
+    at every close."""
 
     def __init__(self, hlrc, moves: dict[int, tuple[int, int]]) -> None:
         self.hlrc = hlrc
         self.engine = HomeMigrationEngine(hlrc)
         self.moves = moves
+        #: the check run at every close (a test seeding a re-homing bug
+        #: for another checker to find replaces it).
+        self.check = lambda: check_home_bytes(hlrc)
         self.closes = 0
         #: (id, new home) of each re-homing so far, in order (a re-homing
         #: publishes no notice: the data did not change).
@@ -88,7 +94,7 @@ class Rehome:
         return None
 
     def on_interval_close(self, thread, interval, sync_dst) -> None:
-        check_cached_index(self.hlrc)
+        self.check()
         self.closes += 1
         move = self.moves.get(self.closes)
         if move is not None:
@@ -97,7 +103,7 @@ class Rehome:
             if obj.home_node != node:
                 self.rehomed.append((obj_id, node))
             self.engine.migrate_home(obj, node)
-            check_cached_index(self.hlrc)
+            self.check()
 
 
 def notices(hlrc):
@@ -112,10 +118,10 @@ def checked_apply(hlrc):
     applies = []
 
     def apply(thread):
-        check_cached_index(hlrc)
-        copies = hlrc.heaps[thread.node_id].copies
-        start = hlrc._notice_seen[thread.node_id]
-        before = {oid: (r.real_state, r.fetched_version) for oid, r in copies.items()}
+        check_home_bytes(hlrc)
+        node_id = thread.node_id
+        start = hlrc._notice_seen[node_id]
+        before = {oid: hlrc.copy(node_id, oid)[:2] for oid in hlrc.copy_ids(node_id)}
         valid = {oid for oid, (state, _) in before.items() if state is RealState.VALID}
         expected = set()
         for obj_id, version in notices(hlrc)[start:]:
@@ -126,7 +132,7 @@ def checked_apply(hlrc):
         assert n_new == hlrc.n_notices - start
         for obj_id in expected:
             before[obj_id] = (RealState.INVALID, before[obj_id][1])
-        assert {oid: (r.real_state, r.fetched_version) for oid, r in copies.items()} == before
+        assert {oid: hlrc.copy(node_id, oid)[:2] for oid in hlrc.copy_ids(node_id)} == before
         applies.append(len(expected))
         return n_new
 
@@ -151,7 +157,7 @@ def test_notice_application_matches_the_reference_fold(seed, maker, replay, home
     djvm.add_hook(hook)
     applies = checked_apply(hlrc)
     djvm.run(compile_hot(MAKERS[maker](seed, obj_ids)))
-    check_cached_index(hlrc)
+    check_home_bytes(hlrc)
     assert applies and hook.closes
     # Every block is ascending and distinct, and every version bump has
     # its notice: an object's versions are 1, 2, ... in log order.
@@ -162,7 +168,7 @@ def test_notice_application_matches_the_reference_fold(seed, maker, replay, home
         seen[obj_id] += 1
         assert version == seen[obj_id]
     for obj in hlrc.gos:
-        assert obj.home_version == seen[obj.obj_id]
+        assert hlrc.home_version[obj.obj_id] == seen[obj.obj_id]
 
 
 # -- the reference GOS: values -------------------------------------------
@@ -410,13 +416,13 @@ class ReferenceGOS:
 def version_seen(hlrc, node_id: int, obj_id: int) -> int:
     """The version a read on ``node_id`` sees: the home's for a home copy
     (always current), the fetched one for a cache copy."""
-    record = hlrc.heaps[node_id].copies.get(obj_id)
-    assert record is not None and record.real_state is not RealState.INVALID, (
+    copy = hlrc.copy(node_id, obj_id)
+    assert copy is not None and copy.real_state is not RealState.INVALID, (
         f"object {obj_id} read on node {node_id} without a valid copy"
     )
-    if record.real_state is RealState.HOME:
-        return hlrc.gos.get(obj_id).home_version
-    return record.fetched_version
+    if copy.is_home:
+        return hlrc.home_version[obj_id]
+    return copy.fetched_version
 
 
 def checked_sync(hlrc, reference: ReferenceGOS, rehome: Rehome, tracker=None) -> None:
@@ -476,8 +482,12 @@ def checked_sync(hlrc, reference: ReferenceGOS, rehome: Rehome, tracker=None) ->
     def apply(thread):
         n_new = real_apply(thread)
         reference.apply(thread.node_id)
-        copies = hlrc.heaps[thread.node_id].copies
-        valid = [oid for oid in sorted(copies) if copies[oid].real_state is RealState.VALID]
+        node_id = thread.node_id
+        valid = [
+            oid
+            for oid in hlrc.copy_ids(node_id)
+            if hlrc.copy(node_id, oid).real_state is RealState.VALID
+        ]
         check(thread, valid, "holds a valid copy of")
         return n_new
 
@@ -512,7 +522,7 @@ def run_beside_reference(
     assert reference.closed == {tid: len(iv) for tid, iv in reference.intervals.items()}
     assert all(reference.spent[tid] > 0 for tid in reference.intervals)
     for obj in hlrc.gos:
-        assert obj.home_version == reference.version(obj.obj_id)
+        assert hlrc.home_version[obj.obj_id] == reference.version(obj.obj_id)
     return djvm.replay_routing
 
 

@@ -17,7 +17,7 @@ from repro.checks.sanitizer import ProtocolSanitizer
 from repro.core.profiler import ProfilerSuite
 from repro.dsm.intervals import IntervalHistory
 from repro.dsm.observer import ProtocolObserver
-from repro.dsm.states import RealState
+from repro.dsm.states import HOME, INVALID, VALID
 from repro.obs.objprof import ObjectProfiler
 from repro.obs.tracing import SpanTracer
 from repro.runtime import program as P
@@ -83,7 +83,7 @@ class Recorder(SyncRecorder):
     """Also counts accesses and faults, which keeps the run on the
     scalar loop."""
 
-    def on_access(self, thread, obj_id, is_write, repeat, record, obj, faulted):
+    def on_access(self, thread, obj_id, is_write, repeat, state, obj, faulted):
         self.calls["access"] += 1
 
     def on_fault(self, thread, obj, refault, begin_ns, n_objects):
@@ -348,14 +348,13 @@ class _Bound(ProtocolObserver):
 
 
 class CopyViaBoundEngine(_Bound):
-    """Writes every cache copy of a noticed object.  (Home copies share
-    the read-only ``HOME_COPY``: writing one raises, see
-    :func:`test_an_observer_writing_a_home_copy_raises`.)"""
+    """Writes every cache copy of a noticed object (its fetched-version
+    column)."""
 
     def on_notice(self, thread, obj_id, version):
-        for copies in self._hlrc._copies_by_node.values():
-            if obj_id in copies and not copies[obj_id].is_home:
-                copies[obj_id].fetched_version -= 1
+        for heap in self._hlrc.heaps.values():
+            if heap.state[obj_id] in (VALID, INVALID):
+                heap.fetched[obj_id] -= 1
 
 
 class NoticeViaBoundEngine(_Bound):
@@ -364,9 +363,9 @@ class NoticeViaBoundEngine(_Bound):
 
 
 def _stale_copies(hlrc, obj_id):
-    for copies in hlrc._copies_by_node.values():
-        if obj_id in copies and not copies[obj_id].is_home:
-            copies[obj_id].fetched_version -= 1
+    for heap in hlrc.heaps.values():
+        if heap.state[obj_id] in (VALID, INVALID):
+            heap.fetched[obj_id] -= 1
 
 
 class CopyViaHelper(_Bound):
@@ -395,17 +394,30 @@ def test_seeded_violator_changes_the_fingerprint(violator):
 
 class HomeCopyViaBoundEngine(_Bound):
     def on_notice(self, thread, obj_id, version):
-        for copies in self._hlrc._copies_by_node.values():
-            if obj_id in copies and copies[obj_id].is_home:
-                copies[obj_id].fetched_version -= 1
+        for heap in self._hlrc.heaps.values():
+            if heap.state[obj_id] == HOME:
+                heap.fetched[obj_id] -= 1
 
 
-def test_an_observer_writing_a_home_copy_raises():
-    """Materialized home copies share one read-only record, so a
-    violator that writes one stops the run instead of moving the
-    fingerprint."""
-    with pytest.raises(AttributeError, match="HOME_COPY is shared"):
-        moved("water_spatial", [HomeCopyViaBoundEngine()])
+class StateByteViaBoundEngine(_Bound):
+    """Flips the state byte of every valid cache copy of a noticed
+    object to INVALID, as a stray notice apply would."""
+
+    def on_notice(self, thread, obj_id, version):
+        for heap in self._hlrc.heaps.values():
+            if heap.state[obj_id] == VALID:
+                heap.state[obj_id] = INVALID
+
+
+def test_an_observer_writing_a_home_copy_changes_the_fingerprint():
+    """Home copies are columns like cache copies: a violator that writes
+    one moves the copy fold (which reads every copy's fetched version),
+    and one that invalidates copies behind the protocol's back moves the
+    faults it causes, and trips the sanitizer."""
+    assert "copies_sha256" in moved("water_spatial", [HomeCopyViaBoundEngine()])
+    assert "counters" in moved("sor", [StateByteViaBoundEngine()])
+    with pytest.raises(AssertionError, match="SAN003"):
+        run("barnes_hut", "vector", [StateByteViaBoundEngine(), ProtocolSanitizer()])
 
 
 def test_cpu_bucket_violator_is_seen_by_thread_cpu_alone():
@@ -435,11 +447,12 @@ def test_collector_lambda_writing_engine_state_changes_the_fingerprint():
 # one mutation per fingerprint component, applied to a finished run: a
 # future trim of the fingerprint fails the matching case
 def _first_cache_copy(djvm):
+    """``(heap, obj_id)`` of the first cache copy, by node then id."""
     return next(
-        r
-        for _node, heap in sorted(djvm.hlrc.heaps.items())
-        for _oid, r in sorted(heap.copies.items())
-        if not r.is_home
+        (heap, obj_id)
+        for node_id, heap in sorted(djvm.hlrc.heaps.items())
+        for obj_id in djvm.hlrc.copy_ids(node_id)
+        if heap.state[obj_id] != HOME
     )
 
 
@@ -448,10 +461,18 @@ def _bump_thread_cpu_extra(djvm, result, suite):
 
 
 def _bump_copy_state(djvm, result, suite):
-    record = _first_cache_copy(djvm)
-    record.real_state = (
-        RealState.INVALID if record.real_state is RealState.VALID else RealState.VALID
-    )
+    heap, obj_id = _first_cache_copy(djvm)
+    heap.state[obj_id] = INVALID if heap.state[obj_id] == VALID else VALID
+
+
+def _set_cache_copy(column: str, value):
+    def mutate(djvm, result, suite):
+        heap, obj_id = _first_cache_copy(djvm)
+        if column == "fetched":
+            heap.fetched[obj_id] = value
+        else:
+            heap.twins[obj_id] = value
+    return mutate
 
 
 COMPONENT_MUTATIONS = {
@@ -464,9 +485,9 @@ COMPONENT_MUTATIONS = {
     "ops_executed": lambda d, r, s: setattr(r, "ops_executed", r.ops_executed + 1),
     "tcm_sha256": lambda d, r, s: s.collector._accrued.__setitem__((0, 1), -1.0),
     "copies_sha256.state": _bump_copy_state,
-    "copies_sha256.version": lambda d, r, s: setattr(_first_cache_copy(d), "fetched_version", -1),
-    "copies_sha256.twin": lambda d, r, s: setattr(_first_cache_copy(d), "has_twin", True),
-    "copies_sha256.dirty": lambda d, r, s: setattr(_first_cache_copy(d), "dirty_bytes", 7),
+    "copies_sha256.version": _set_cache_copy("fetched", -1),
+    "copies_sha256.twin": _set_cache_copy("twins", [0, set()]),
+    "copies_sha256.dirty": _set_cache_copy("twins", [7, {0}]),
     "notices_sha256": lambda d, r, s: d.hlrc.notice_blocks.pop(),
     "interval_counters": lambda d, r, s: setattr(d.threads[0], "interval_counter", 0),
 }

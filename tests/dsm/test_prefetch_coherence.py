@@ -46,11 +46,11 @@ class TestPrefetchedCopyCoherence:
         ]
         result = djvm.run({0: wrap_main(reader_ops), 1: wrap_main(writer_ops)})
         assert prefetcher.bundled_objects > 0  # the path was learned
-        record = djvm.hlrc.heaps[1].get(last_child.obj_id)
-        assert record is not None
+        copy = djvm.hlrc.copy(1, last_child.obj_id)
+        assert copy is not None
         # The reader refetched after invalidation: version is current.
-        assert record.fetched_version == djvm.gos.get(last_child.obj_id).home_version
-        assert record.fetched_version >= 1
+        assert copy.fetched_version == djvm.hlrc.home_version[last_child.obj_id]
+        assert copy.fetched_version >= 1
         assert result.counters["invalidations"] >= 1
 
     def test_bundled_copies_carry_fault_time_version(self):
@@ -61,13 +61,11 @@ class TestPrefetchedCopyCoherence:
         for parent, child in pairs:
             ops += [P.read(parent.obj_id), P.read(child.obj_id)]
         djvm.run({0: wrap_main(ops + [P.barrier(0)]), 1: wrap_main([P.barrier(0)])})
-        heap = djvm.hlrc.heaps[1]
         for parent, child in pairs:
-            record = heap.get(child.obj_id)
-            assert record is not None
-            obj = djvm.gos.get(child.obj_id)
-            assert record.fetched_version == obj.home_version
-            assert record.real_state is RealState.VALID
+            copy = djvm.hlrc.copy(1, child.obj_id)
+            assert copy is not None
+            assert copy.fetched_version == djvm.hlrc.home_version[child.obj_id]
+            assert copy.real_state is RealState.VALID
 
     def test_prefetching_changes_no_protocol_outcomes(self):
         """Faults drop, but diffs/notices/intervals (schedule-independent

@@ -120,14 +120,29 @@ class TestGlobalObjectSpace:
 
 class TestLocalHeap:
     def test_put_get(self):
+        """A copy is a state byte in the node's column; the numpy view
+        reads the same memory."""
         heap = LocalHeap(0)
-        assert heap.get(5) is None
-        heap.put(5, "record")
+        heap.resize(8)
+        assert 5 not in heap and heap.state[5] == 0
+        heap.state[5] = 2
+        heap.fetched[5] = 7
         assert 5 in heap
-        assert heap.get(5) == "record"
+        assert (heap.state_np[5], heap.fetched_np[5]) == (2, 7)
 
     def test_len(self):
         heap = LocalHeap(0)
-        heap.put(1, "a")
-        heap.put(2, "b")
+        heap.resize(8)
+        heap.state[1] = 3
+        heap.state[2] = 1
         assert len(heap) == 2
+        heap.resize(2048)
+        assert len(heap) == 2 and heap.state[1] == 3 and len(heap.fetched_np) == 2048
+
+    def test_columns_follow_the_space(self):
+        """A heap registered with the space grows with its allocations."""
+        gos = make_gos()
+        heap = LocalHeap(0)
+        gos.add_columns(heap)
+        objs = [gos.allocate("Obj", 0) for _ in range(1500)]
+        assert len(heap.state) == gos.capacity >= len(objs)

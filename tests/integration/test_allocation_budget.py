@@ -30,7 +30,7 @@ def test_tracked_objects_do_not_scale_with_logged_entries():
     gc.collect()
     growth = len(gc.get_objects()) - before
 
-    n_copies = sum(len(heap.copies) for heap in djvm.hlrc.heaps.values())
+    n_copies = sum(len(djvm.hlrc.copy_ids(node_id)) for node_id in djvm.hlrc.heaps)
     profiler = suite.access_profiler
     budget = n_copies + PER_BATCH * profiler.total_batches + FIXED_SLACK
     # The budget is tighter than one object per logged entry, and a

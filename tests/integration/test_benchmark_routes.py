@@ -8,8 +8,7 @@ hands each run's first touches to the correlation profiler, and that
 ``ws_adaptive_sticky`` takes it as well: the footprinter's re-armed
 (sampled) objects and the stack sampler's timer are clock stops the
 walk visits (``stops`` and ``timer_fires`` in the routing).  SOR's
-repeated sweeps skip their home-resident rows after their first full
-probe on a node (``home_resident``).  A further
+repeated sweeps cache their lanes (``bulk``).  A further
 replay route has to come with a workload that uses it: add the
 workload to the benchmark and its route here first.  The catalog is
 loaded by path because ``benchmarks/`` is not a package.
@@ -102,7 +101,7 @@ def test_benchmark_workload_takes_its_pinned_route(spec, monkeypatch):
         assert (routing["stops"] > 0) == adaptive
         assert (routing["timer_fires"] > 0) == adaptive
         if spec.name == "sor_base":
-            assert routing["home_resident"] > 0
+            assert routing["bulk"] > 0
     else:
         assert calls == []
         assert set(routing.values()) == {0}

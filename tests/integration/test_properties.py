@@ -76,11 +76,12 @@ class TestProtocolConservation:
     @settings(max_examples=30, deadline=None)
     def test_cached_versions_never_exceed_home(self, shape):
         djvm, result, _ = build_and_run(shape)
-        for node_id, heap in djvm.hlrc.heaps.items():
-            for obj_id, record in heap.copies.items():
-                obj = djvm.gos.get(obj_id)
-                if not record.is_home:
-                    assert record.fetched_version <= obj.home_version
+        hlrc = djvm.hlrc
+        for node_id in hlrc.heaps:
+            for obj_id in hlrc.copy_ids(node_id):
+                copy = hlrc.copy(node_id, obj_id)
+                if not copy.is_home:
+                    assert copy.fetched_version <= hlrc.home_version[obj_id]
 
     @given(program_shape)
     @settings(max_examples=30, deadline=None)

@@ -45,9 +45,9 @@ class TestContention:
         # Thread 0 writes its home copy; thread 1's single fault must have
         # fetched the post-release version (grant time > release time).
         assert result.counters["faults"] == 1
-        record = djvm.hlrc.heaps[1].get(obj.obj_id)
-        assert record is not None
-        assert record.fetched_version == djvm.gos.get(obj.obj_id).home_version == 1
+        copy = djvm.hlrc.copy(1, obj.obj_id)
+        assert copy is not None
+        assert copy.fetched_version == djvm.hlrc.home_version[obj.obj_id] == 1
 
     def test_three_way_fifo_handover(self):
         djvm, obj = make(n_threads=3, n_nodes=3)

@@ -66,8 +66,8 @@ class TestPrefetch:
         result = djvm.migration.migrate(djvm.threads[0], 1, prefetch=ids)
         assert result.prefetched_objects == len(ids)
         for oid in ids:
-            rec = djvm.hlrc.heaps[1].get(oid)
-            assert rec is not None and rec.real_state is RealState.VALID
+            copy = djvm.hlrc.copy(1, oid)
+            assert copy is not None and copy.real_state is RealState.VALID
 
     def test_prefetch_skips_target_homed_objects(self):
         djvm = DJVM(n_nodes=2, costs=CostModel.fast_test())
@@ -174,10 +174,11 @@ class TestMidIntervalWrites:
         )
         assert result.counters["diffs"] == 1
         assert result.counters["notices"] == 2
-        assert (remote.home_version, local.home_version) == (1, 1)
+        home_version = djvm.hlrc.home_version
+        assert (home_version[remote.obj_id], home_version[local.obj_id]) == (1, 1)
         # both notices went out from node 0, before the thread left
         assert notices == [(0, remote.obj_id, 1), (0, local.obj_id, 1)]
-        old = djvm.hlrc.heaps[0].get(remote.obj_id)
+        old = djvm.hlrc.copy(0, remote.obj_id)
         assert (old.dirty_bytes, old.has_twin, old.writers) == (0, False, None)
         assert old.fetched_version == 1
         assert result.traffic.count_by_kind[MessageKind.DIFF] == 1
@@ -196,8 +197,8 @@ class TestMidIntervalWrites:
             (1, remote.obj_id, 2),
         ]
         for node in (0, 1):
-            record = djvm.hlrc.heaps[node].get(remote.obj_id)
-            assert (record.dirty_bytes, record.writers) == (0, None)
+            copy = djvm.hlrc.copy(node, remote.obj_id)
+            assert (copy.dirty_bytes, copy.writers) == (0, None)
 
     def test_the_closed_interval_still_lists_every_write(self):
         closed = []

@@ -29,6 +29,7 @@ import random
 import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.access_profiler import AccessProfiler
@@ -1312,14 +1313,12 @@ def test_first_interval_oal_logging_price(seed, replay, config):
         assert djvm.replay_routing["first_touches"] > 0
 
 
-# -- home-resident splits: hot runs skip what their executions cannot change
+# -- hot runs across homes, DJVMs and nodes
 #
-# After a hot run's first full probe on a node, every id homed there has
-# a HOME copy on the node, which stays HOME until the object re-homes.
-# Later executions on that node in the same home epoch probe and
-# write-book only the ids homed elsewhere.  Each case below moves what a
-# split depends on — the home of an object, the DJVM, the thread's node
-# — between executions, and must leave the scalar loop's result.
+# A hot run caches its lane, but its probe reads every copy's state byte
+# at each execution.  Each case below moves what a cached lane must not
+# depend on — the home of an object, the DJVM, the thread's node —
+# between executions, and must leave the scalar loop's result.
 
 
 class RehomingHook(FastHook):
@@ -1384,13 +1383,13 @@ def split_programs(
     return programs, [h0, h1, f1, f2]
 
 
-def test_split_follows_a_migrate_home_from_an_interval_close(execute_calls):
+def test_the_one_pass_follows_a_migrate_home_from_an_interval_close(execute_calls):
     """A first-touch hook re-homes a node-0 object the body writes to
     node 1, and a node-1 object to node 0, as a policy would from
-    ``on_interval_close``.  The run stays on the one pass; node 0's
-    split from before the move is stale (its HOME copy of the first is
-    now a cache copy that faults, twins and diffs), and the engine must
-    take a new one — as the scalar loop behaves."""
+    ``on_interval_close``.  The run stays on the one pass; node 0's HOME
+    copy of the first is a cache copy after the move (it faults, twins
+    and diffs), which the next execution's probe reads — as the scalar
+    loop behaves."""
     outcomes = {}
     for replay in ("vector", "scalar"):
         djvm, obj_ids = build_djvm(replay=replay)
@@ -1406,7 +1405,7 @@ def test_split_follows_a_migrate_home_from_an_interval_close(execute_calls):
     assert vector[3].migrations == 2
     body = execute_calls[0]
     assert body.hot and execute_calls.count(body) == SPLIT_ROUNDS
-    assert vector[2]["home_resident"] > 0
+    assert vector[2]["faults_batched"] > 0
     # h0 at its new home (node 1) since the move: node 0's copy is a cache.
     assert djvm.gos.get(h0).home_node == 1
 
@@ -1414,9 +1413,9 @@ def test_split_follows_a_migrate_home_from_an_interval_close(execute_calls):
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_one_compiled_program_on_two_placements(seed):
     """The ledger's reuse pattern: one compiled program runs on a DJVM
-    with block homes, then on one with cyclic homes.  Each DJVM draws
-    its own home epoch, so the second takes its own splits rather than
-    skipping objects the first had at home."""
+    with block homes, then on one with cyclic homes.  The lanes the
+    first cached hold nothing of its homes, so the second reuses them
+    and probes its own copies."""
     progs = None
     for homes in ("block", "cyclic"):
         outcomes = {}
@@ -1429,7 +1428,7 @@ def test_one_compiled_program_on_two_placements(seed):
             res = djvm.run(ops)
             outcomes[replay] = (fingerprint(djvm, res), run_fingerprint(djvm, res))
             if replay == "vector":
-                assert djvm.replay_routing["home_resident"] > 0
+                assert djvm.replay_routing["bulk"] > 0
         assert outcomes["vector"] == outcomes["scalar"]
 
 
@@ -1437,9 +1436,8 @@ def test_a_thread_that_migrates_between_executions(execute_calls):
     """Thread 0 runs the body twice on node 0, three times on node 3,
     then twice more on node 0.  The first execution after each move
     runs on the scalar loop (the migration is pending until it fires
-    there); the engine then takes a split for node 3 and uses it, and
-    node 0's is still good on the way back (nothing re-homed
-    meanwhile)."""
+    there); the cached lane then probes node 3's copies, and node 0's
+    again on the way back."""
     rounds = 7
     outcomes = {}
     for replay in ("vector", "scalar"):
@@ -1453,9 +1451,8 @@ def test_a_thread_that_migrates_between_executions(execute_calls):
     assert vector[:2] == scalar[:2]
     body = execute_calls[0]
     assert execute_calls.count(body) == rounds - 2
-    assert sorted(body._splits) == [0, 3]
     assert djvm.threads[0].node_id == 0
-    assert vector[2]["home_resident"] > 0
+    assert vector[2]["bulk"] > 0
 
 
 def _leaves(value):
@@ -1470,17 +1467,15 @@ def _leaves(value):
 
 
 def test_a_finished_djvm_is_collectable_while_its_programs_live_on():
-    """Splits hold ints only — an epoch, ids, write counts — so compiled
-    programs that outlive their DJVM (the ledger reuses them) keep
-    neither its engine nor its heaps alive."""
+    """Cached lanes hold ints and int arrays only — totals, ids, write
+    counts — so compiled programs that outlive their DJVM (the ledger
+    reuses them) keep neither its engine nor its heaps alive."""
     djvm, obj_ids = build_djvm()
     progs = compile_hot(repeating_programs(0, obj_ids))
     djvm.run(progs)
-    splits = [
-        vr._splits for cp in progs.values() for vr in cp.vector_runs().values() if vr._splits
-    ]
-    assert splits
-    assert {type(leaf) for split in splits for leaf in _leaves(split)} <= {int, type(None)}
+    lanes = [vr._lane for cp in progs.values() for vr in cp.vector_runs().values() if vr._lane]
+    assert lanes
+    assert {type(leaf) for lane in lanes for leaf in _leaves(lane)} <= {int, np.ndarray}
     hlrc, heap = weakref.ref(djvm.hlrc), weakref.ref(djvm.hlrc.heaps[0])
     del djvm
     gc.collect()
