@@ -6,7 +6,7 @@ Subcommands:
   correlation profiler and print the TCM heatmap and cost summary.
 * ``run`` — run one of the paper's workloads with chosen profilers and
   print the paper-style summary, how the vector engine routed access
-  runs (``replay: bulk … runs, lean … runs, faults batched …, first
+  runs (``replay: … runs, faults batched …, first
   touches …, stops …, timer fires …``), then
   the host's time by stage and what the cyclic collector cost the run
   stage (``host: build … s, emit … s,
@@ -113,7 +113,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     routing = djvm.replay_routing
     if routing:
         print(
-            f"replay: bulk {routing['bulk']} runs, lean {routing['lean']} runs, "
+            f"replay: {routing['runs']} runs, "
             f"faults batched {routing['faults_batched']}, "
             f"first touches {routing['first_touches']}, "
             f"stops {routing['stops']}, timer fires {routing['timer_fires']}"

@@ -8,12 +8,12 @@ Subcommands:
 * ``sanitize`` — run the three tracked bench workloads at test scale
   with a ``ProtocolSanitizer`` attached, printing each run's replay
   routing; exits non-zero on any :class:`~repro.checks.sanitizer.
-  SanitizerViolation` or a run with no one-pass (``bulk``/``lean``) run.
+  SanitizerViolation` or a run with no one-pass run (``runs`` 0).
 * ``race`` — run the tracked workloads plus the seeded racy/locked
   synthetic pair with a collecting ``RaceDetector`` attached (it checks
   each interval at its close), printing each run's replay routing;
   exits non-zero when a tracked (race-free) workload reports any race
-  or has no one-pass (``bulk``/``lean``) run, or when the seeded race
+  or has no one-pass run (``runs`` 0), or when the seeded race
   in ``RacyCounterWorkload(locked=False)`` goes undetected.
 * ``static`` — run the whole-program static analysis
   (:mod:`repro.checks.staticflow`) over the same run matrix: the IR
@@ -70,7 +70,7 @@ def run_sanitize() -> int:
     except SanitizerViolation as violation:
         print(f"sanitizer: {violation}", file=sys.stderr)
         return EXIT_SANITIZE
-    scalar = [name for name, _, _, routing in report if not (routing["bulk"] or routing["lean"])]
+    scalar = [name for name, _, _, routing in report if not routing["runs"]]
     if scalar:
         print(f"sanitizer: no one-pass execution on {', '.join(scalar)}", file=sys.stderr)
         return EXIT_SANITIZE
@@ -88,7 +88,7 @@ def run_race() -> int:
     checked = 0
     for name, intervals, reports, expected_racy, routing in report:
         checked += intervals
-        if name not in SYNTHETIC_PAIR and not (routing["bulk"] or routing["lean"]):
+        if name not in SYNTHETIC_PAIR and not routing["runs"]:
             failures.append(f"{name}: no one-pass execution")
         if expected_racy:
             if not reports:

@@ -355,17 +355,17 @@ class Interpreter:
             # runs and is published right before any of those.
             while i < n_ops:
                 if vruns is not None:
-                    vr = vruns.get(i)
+                    run = vruns.get(i)
                     # A deadline of 0 asks for a call at every op
                     # boundary, and a pending migration plan needs
                     # per-op pc triggers.
                     if (
-                        vr is not None
+                        run is not None
                         and next_deadline
                         and not (mig_pending and tid in mig_pending)
                     ):
-                        next_deadline = vec.execute(thread, vr, i, next_deadline)
-                        i += vr.n_ops
+                        next_deadline = vec.execute(thread, run[0], i, next_deadline)
+                        i += run[1]
                         continue
                 code = codes[i]
                 if code <= prog.OP_WRITE:  # READ / WRITE

@@ -46,6 +46,15 @@ ACQUIRE   (OP_ACQUIRE, lock_id)
 RELEASE   (OP_RELEASE, lock_id)
 BARRIER   (OP_BARRIER, barrier_id)
 ========  =======================================================
+
+Access runs
+-----------
+
+:meth:`CompiledProgram.vector_runs` interns the program's maximal
+READ/WRITE/COMPUTE spans by content: every occurrence of a body maps to
+its row of the program's one lane table, which holds every row's
+columns concatenated (ids, write lanes, sums), built in one numpy pass
+on the vector engine's first execution.  A run's lane is slices of it.
 """
 
 from __future__ import annotations
@@ -113,9 +122,8 @@ _SYNC_OP_RE = re.compile(rb"[\x06-\x08]")
 #: them at C speed and leaves only the out-of-range ones.
 _OPCODES = bytes(range(OP_BARRIER + 1))
 
-#: opcode -> selector byte translation tables over a run's opcode bytes
-#: (READ=0, WRITE=1, COMPUTE=2): write ops, compute ops.
-_WRITE_MASK = bytes.maketrans(b"\x00\x01\x02", b"\x00\x01\x00")
+#: opcode -> selector byte translation table over a run's opcode bytes
+#: (READ=0, WRITE=1, COMPUTE=2) that selects its compute ops.
 _COMPUTE_MASK = bytes.maketrans(b"\x00\x01\x02", b"\x00\x00\x01")
 _OPCODE = itemgetter(0)
 
@@ -146,94 +154,65 @@ def bad_opcode_pc(codes: bytes) -> int | None:
     return codes.index(bad[0]) if bad else None
 
 
-class AccessRun:
-    """One distinct READ/WRITE/COMPUTE op sequence of a compiled program.
-
-    The vector replay engine (:mod:`repro.runtime.vector`) executes such
-    a sequence in one pass instead of per-op dispatch.  A run is keyed by
-    **content**: :meth:`CompiledProgram.vector_runs` maps every
-    occurrence of an equal body to one shared run, so a run knows nothing
-    about where it sits and holds no ops: the engine reads an
-    occurrence's columns at the pc it executes, and the interpreter
-    advances past it by ``n_ops``.
-
-    A body that occurs at least twice in its program is born ``hot``
-    and caches its :func:`lean_lane` on its first execution, keyed by
-    the :class:`~repro.sim.costs.CostModel` it was priced under
-    (``_cost_key`` / ``_lane``, kept by the engine), and the walk
-    columns of :func:`walk_lane` (``_cols``) on its first walked
-    execution.  A singleton stays cold and is priced from transient
-    ones every time: a one-shot body would keep cached ones alive for
-    nothing.  A lane holds ints and int arrays only: it outlives the
-    DJVM it was priced in without keeping its heaps alive.
-    """
-
-    __slots__ = ("n_ops", "hot", "_cost_key", "_lane", "_cols")
-
-    def __init__(self, n_ops: int) -> None:
-        self.n_ops = n_ops
-        #: the body repeats in its program (set by ``vector_runs``).
-        self.hot = False
-        self._cost_key = None
-        self._lane = None
-        self._cols = None
-
-
 class _LaneTable:
     """The columns of a program's distinct access runs, built in one
-    numpy pass over all of them: what :func:`lean_lane` and
-    :func:`walk_lane` slice.
+    numpy pass over all of them: what a lane is sliced from.
 
-    Row ``k`` is the ``k``-th distinct run in program order, ``row``
-    maps every run start (each occurrence) to its row, and ``starts``
-    holds each row's first occurrence.  Access ops of all rows are
-    concatenated: ``acc_ids[bounds[k]:bounds[k + 1]]`` are row ``k``'s
-    object ids in op order (a list, so a lane is a list slice), ``acc_idx``
-    the same ids as one array in the program's own narrow int dtype (a
-    lane's is a view, which the engine's probe gathers copy states
-    with; an ``intp`` copy would cost 8 bytes per access), ``acc_rel``
-    their op offsets in the run and ``acc_write`` a byte per access, 1
-    for a write.  The ids are the int objects of ``ints`` where it
-    covers them — the heap's own ``obj_id`` objects, so the protocol's
-    dicts and sets find an id by identity rather than by comparing.
+    Row ``k`` is the ``k``-th distinct run body in program order
+    (:meth:`CompiledProgram.vector_runs` numbers them while interning),
+    ``starts`` holds each row's first occurrence and ``lengths`` its op
+    count.  Access ops of all rows are concatenated:
+    ``acc_idx[bounds[k]:bounds[k + 1]]`` are row ``k``'s object ids in
+    op order, in the program's own narrow int dtype (a lane's is a view,
+    which the engine's probe gathers copy states with; an ``intp`` copy
+    would cost 8 bytes per access), :meth:`ids` the same as a list and
+    ``acc_rel`` their op offsets in the run.  The ids keep their
+    repeats: probing a copy and booking a first touch are idempotent, so
+    the engine dedupes only where it hands ids on.
+
+    The write lanes are concatenated the same way:
+    ``w_ids[w_bounds[k]:w_bounds[k + 1]]`` are the objects row ``k``
+    writes, each once in first-write order, parallel to ``w_idx`` (the
+    same ids as an ``intp`` array), ``w_elems`` (summed written
+    elements), ``w_ops`` (write ops) and ``w_rel`` (first write's op
+    offset in the run).  The ids handed out as lists are the int
+    objects of ``ints`` where it covers them — the heap's own ``obj_id``
+    objects, so the protocol's dicts and sets find an id by identity
+    rather than by comparing.
+
     ``rep_sum`` is each row's summed access repeats, ``compute_sum`` its
     summed compute nanoseconds and ``raw`` whether it has no negative
-    compute (then a unity cost scale charges the sum as it stands);
-    ``writes`` whether it writes at all.  Those are cost-independent;
-    the per-op static costs of a walk (:meth:`static`) are kept for the
-    last cost model asked.
+    compute (then a unity cost scale charges the sum as it stands).
+    Those are cost-independent; the per-op static costs of a walk
+    (:meth:`static`) are kept for the last cost model asked.  A table
+    holds ints and int arrays only: it outlives the DJVM it was built in
+    without keeping its heaps alive.
     """
 
     __slots__ = (
-        "row",
         "starts",
         "lengths",
         "offsets",
         "bounds",
-        "acc_ids",
         "acc_idx",
         "acc_rel",
-        "acc_write",
+        "w_bounds",
+        "w_ids",
+        "w_idx",
+        "w_elems",
+        "w_ops",
+        "w_rel",
         "rep_sum",
         "compute_sum",
         "raw",
-        "writes",
+        "_ints",
+        "_ids",
         "_static_key",
         "_static",
     )
 
     def __init__(self, program: "CompiledProgram", ints: np.ndarray | None) -> None:
-        self.row: dict[int, int] = {}
-        seen: dict[AccessRun, int] = {}
-        starts: list[int] = []
-        lengths: list[int] = []
-        for pc, run in sorted(program.vector_runs().items()):
-            k = seen.get(run)
-            if k is None:
-                k = seen[run] = len(starts)
-                starts.append(pc)
-                lengths.append(run.n_ops)
-            self.row[pc] = k
+        _, starts, lengths = program._interned()
         self.starts = starts
         self.lengths = lengths
         #: each row's first op in the concatenation of all rows' ops.
@@ -244,23 +223,56 @@ class _LaneTable:
         row_of = np.repeat(np.arange(n_rows), lengths)
         access = codes <= OP_WRITE
         acc_pos = pos[access]
-        bounds = _bounds(row_of[access], n_rows)
+        acc_row = row_of[access]
+        bounds = _bounds(acc_row, n_rows)
         self.bounds = bounds.tolist()
-        acc_ids = self.acc_idx = program.args[acc_pos]
-        if ints is not None and acc_ids.size and 0 <= acc_ids.min() and acc_ids.max() < len(ints):
-            acc_ids = ints[acc_ids]
-        self.acc_ids = acc_ids.tolist()
-        self.acc_write = (codes[access] == OP_WRITE).tobytes()
-        self.acc_rel = int_column(acc_pos - np.array(starts, dtype=np.int64)[row_of[access]])
+        acc_idx = self.acc_idx = program.args[acc_pos]
+        if not (ints is not None and acc_idx.size and 0 <= acc_idx.min() and acc_idx.max() < len(ints)):
+            ints = None
+        self._ints = ints
+        self._ids: list | None = None
+        acc_rel = acc_pos - np.array(starts, dtype=np.int64)[acc_row]
+        self.acc_rel = int_column(acc_rel)
         self.rep_sum = _segment_sums(program.repeat[acc_pos], bounds)
         compute = codes == OP_COMPUTE
         values = program.args[pos[compute]]
         compute_bounds = _bounds(row_of[compute], n_rows)
         self.compute_sum = _segment_sums(values, compute_bounds)
         self.raw = [n == 0 for n in _segment_sums(values < 0, compute_bounds)]
-        self.writes = [n > 0 for n in _segment_sums(codes == OP_WRITE, _bounds(row_of, n_rows))]
+        # Write lanes: group the write accesses by (row, object) — a
+        # stable sort keeps each group's ops in op order — then put the
+        # groups in first-write order, which keeps rows ascending.
+        writes = np.flatnonzero(codes[access] == OP_WRITE)
+        order = writes[np.lexsort((acc_idx[writes], acc_row[writes]))]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (acc_row[order[1:]] != acc_row[order[:-1]]) | (acc_idx[order[1:]] != acc_idx[order[:-1]])
+        edges = np.append(np.flatnonzero(new), order.size)
+        lo, hi = edges[:-1], edges[1:]
+        first = order[lo]
+        lane = np.argsort(first)
+        elems = np.concatenate(([0], np.cumsum(_exact(program.n_elems[acc_pos[order]]))))
+        first = first[lane]
+        self.w_bounds = _bounds(acc_row[first], n_rows).tolist()
+        self.w_ids = self._canonical(acc_idx[first]).tolist()
+        self.w_idx = acc_idx[first].astype(np.intp)
+        self.w_elems = (elems[hi] - elems[lo])[lane].tolist()
+        self.w_ops = (hi - lo)[lane].tolist()
+        self.w_rel = acc_rel[first].tolist()
         self._static_key = None
         self._static: np.ndarray | None = None
+
+    def _canonical(self, idx: np.ndarray) -> np.ndarray:
+        """``idx`` as the canonical int objects, where there are some."""
+        return idx if self._ints is None else self._ints[idx]
+
+    def ids(self, k: int) -> list:
+        """Row ``k``'s access ids in op order, as a list: a slice of one
+        list of every row's, built on first use — a program whose runs
+        nothing observes and nothing walks never builds it."""
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = self._canonical(self.acc_idx).tolist()
+        return ids[self.bounds[k] : self.bounds[k + 1]]
 
     def _positions(self) -> np.ndarray:
         """The op index of every op of every row, rows in order."""
@@ -281,6 +293,41 @@ class _LaneTable:
             self._static_key = costs
             self._static = steps
         return self._static
+
+    def totals(self, program: "CompiledProgram", k: int, costs) -> tuple[int, int]:
+        """Row ``k``'s access busy and compute nanoseconds under
+        ``costs``: its summed repeats times the busy time of one access,
+        and its compute summed exactly as the scalar loop charges it op
+        by op — the raw values on a unity scale when none is negative,
+        else :meth:`~repro.sim.costs.CostModel.scaled_compute` per op."""
+        busy = (costs.state_check_ns + costs.access_ns) * self.rep_sum[k]
+        if self.raw[k] and costs.compute_scale == 1.0:
+            return busy, self.compute_sum[k]
+        s = self.starts[k]
+        e = s + self.lengths[k]
+        return busy, sum(_compute_charges(program, s, e, program.codes[s:e], costs))
+
+    def walk(self, program: "CompiledProgram", k: int, costs, ids: list) -> tuple[list, list, dict, dict]:
+        """Row ``k``'s walk columns, given its access ids ``ids`` (its
+        :meth:`ids`): ``(static cost of each op, access op
+        indices, {written object: first write op}, {accessed object:
+        first access op})``, which give each clock stop the clock the
+        scalar loop would show.  An op's static cost is its access busy
+        time or its compute, charged as the scalar loop charges it op by
+        op."""
+        s = self.starts[k]
+        n = self.lengths[k]
+        at = self.offsets[k]
+        steps = self.static(program, costs)[at : at + n].tolist()
+        codes = program.codes[s : s + n]
+        if OP_COMPUTE in codes and not (self.raw[k] and costs.compute_scale == 1.0):
+            charges = _compute_charges(program, s, s + n, codes, costs)
+            deque(map(steps.__setitem__, compress(range(n), codes.translate(_COMPUTE_MASK)), charges), 0)
+        acc_ops = self.acc_rel[self.bounds[k] : self.bounds[k + 1]].tolist()
+        # Reversed, the last value kept per object is its first access op.
+        first_op = dict(zip(reversed(ids), reversed(acc_ops)))
+        a, b = self.w_bounds[k], self.w_bounds[k + 1]
+        return steps, acc_ops, dict(zip(self.w_ids[a:b], self.w_rel[a:b])), first_op
 
 
 def _bounds(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -311,104 +358,6 @@ def _compute_charges(program: "CompiledProgram", s: int, e: int, codes: bytes, c
     negative one), as the scalar loop charges them off a unity scale."""
     values = compress(program._views[0][s:e], codes.translate(_COMPUTE_MASK))
     return list(map(costs.scaled_compute, values))
-
-
-def lean_lane(
-    program: "CompiledProgram", pc: int, costs, ints: np.ndarray | None = None
-) -> tuple[int, int, list, np.ndarray, tuple[list, list, list, np.ndarray]]:
-    """The totals of the run body at op ``pc`` of ``program``, read from
-    its lane table's slices — everything the vector engine's one pass
-    reads: ``(access busy ns, compute ns, the object id of each access
-    in op order, the same as an int array, (written object ids, written
-    elements, write ops, the written ids as an intp array))``, the
-    written lanes parallel and in first-write order.  The ids keep
-    their repeats: probing a copy and booking a first touch are
-    idempotent, so the engine dedupes only where it hands ids on.  The
-    caller must not mutate the result (a hot :class:`AccessRun` caches
-    it).  ``ints`` (the heap's ``obj_id`` objects by id) canonicalizes
-    the ids when the program's lane table is built.
-
-    Compute is summed exactly as the scalar loop charges it op by op:
-    the raw values on a unity scale when none is negative, else
-    :meth:`~repro.sim.costs.CostModel.scaled_compute` per op."""
-    table = program._lane_table(ints)
-    k = table.row[pc]
-    s = table.starts[k]
-    e = s + table.lengths[k]
-    busy = (costs.state_check_ns + costs.access_ns) * table.rep_sum[k]
-    compute = table.compute_sum[k]
-    if not (table.raw[k] and costs.compute_scale == 1.0):
-        compute = sum(_compute_charges(program, s, e, program.codes[s:e], costs))
-    a, b = table.bounds[k], table.bounds[k + 1]
-    ids = table.acc_ids[a:b]
-    writes = _NO_WRITES
-    if table.writes[k]:
-        written = compress(ids, table.acc_write[a:b])
-        writes = _write_lanes(written, program, s, e, program.codes[s:e])
-    return busy, compute, ids, table.acc_idx[a:b], writes
-
-
-#: the write lanes of a run that writes nothing.
-_NO_WRITES = ([], [], [], np.zeros(0, dtype=np.intp))
-
-
-def _write_lanes(
-    written, program: "CompiledProgram", s: int, e: int, codes: bytes
-) -> tuple[list, list, list, np.ndarray]:
-    """(written object ids, written elements, write ops, the written ids
-    as an intp array) of ops ``[s, e)``, parallel and in first-write
-    order, from ``written`` (the object id of each of their write ops,
-    in op order); ``codes`` are their opcode bytes."""
-    w_oids: list[int] = []
-    w_welems: list[int] = []
-    w_wops: list[int] = []
-    index: dict[int, int] = {}
-    for oid, welems in zip(written, compress(program._views[1][s:e], codes.translate(_WRITE_MASK))):
-        k = index.get(oid)
-        if k is None:
-            index[oid] = len(w_oids)
-            w_oids.append(oid)
-            w_welems.append(welems)
-            w_wops.append(1)
-        else:
-            w_welems[k] += welems
-            w_wops[k] += 1
-    return w_oids, w_welems, w_wops, np.array(w_oids, dtype=np.intp)
-
-
-def walk_lane(
-    program: "CompiledProgram", pc: int, costs, ints: np.ndarray | None = None
-) -> tuple[tuple, tuple[list, list, list, dict, dict]]:
-    """The :func:`lean_lane` of the run body at op ``pc`` of ``program``
-    and its per-op static columns, sliced from the program's lane table
-    — what the vector engine reads to walk a run.  The columns — ``(static
-    cost of each op, access op indices, their object ids (parallel),
-    {written object: first write op}, {accessed object: first access
-    op})`` — give each clock stop the clock the scalar loop would show.
-    An op's static cost is its access busy time or its compute, charged
-    as the scalar loop charges it op by op.  The caller must not mutate
-    the result (a hot :class:`AccessRun` caches it)."""
-    lane = lean_lane(program, pc, costs, ints)
-    table = program._lane_table(ints)
-    k = table.row[pc]
-    s = table.starts[k]
-    e = s + table.lengths[k]
-    at = table.offsets[k]
-    steps = table.static(program, costs)[at : at + e - s].tolist()
-    codes = program.codes[s:e]
-    if OP_COMPUTE in codes and not (table.raw[k] and costs.compute_scale == 1.0):
-        charges = _compute_charges(program, s, e, codes, costs)
-        deque(map(steps.__setitem__, compress(range(e - s), codes.translate(_COMPUTE_MASK)), charges), 0)
-    acc_ops = table.acc_rel[table.bounds[k] : table.bounds[k + 1]].tolist()
-    acc_oids = lane[2]
-    # Reversed, the last value kept per object is its first access op.
-    first_op = dict(zip(reversed(acc_oids), reversed(acc_ops)))
-    first_write: dict[int, int] = {}
-    if lane[4][0]:
-        written = compress(acc_oids, table.acc_write[table.bounds[k] : table.bounds[k + 1]])
-        ops = compress(range(e - s), codes.translate(_WRITE_MASK))
-        deque(map(first_write.setdefault, written, ops), 0)
-    return lane, (steps, acc_ops, acc_oids, first_write, first_op)
 
 
 class CompiledProgram:
@@ -461,7 +410,7 @@ class CompiledProgram:
         self._views = tuple(map(memoryview, columns))
         #: the int columns as lists, decoded on first use (see :meth:`lists`).
         self._lists: tuple[list, list, list, list] | None = None
-        self._vruns: dict[int, AccessRun] | None = None
+        self._vruns: tuple[dict[int, tuple[int, int]], list[int], list[int]] | None = None
         self._lanes: _LaneTable | None = None
         #: set by the staticflow IR verifier's structural gate after the
         #: program passes, so reuse across DJVM instances (the bench
@@ -519,53 +468,66 @@ class CompiledProgram:
         """The op at ``pc`` as a tuple."""
         return next(self.decode(pc, pc + 1))
 
-    def vector_runs(self, min_len: int = MIN_VECTOR_RUN) -> dict[int, AccessRun]:
-        """Extract (and cache) the program's vectorizable access runs.
-
-        Returns ``{start_pc: AccessRun}`` for every maximal
-        READ/WRITE/COMPUTE span of at least ``min_len`` ops.  The regex
-        scan over the dense opcode array finds span boundaries at C
-        speed; spans with equal bodies share one :class:`AccessRun`,
-        and a body found twice is hot from the start.
+    def vector_runs(self) -> dict[int, tuple[int, int]]:
+        """The program's vectorizable access runs, interned once:
+        ``{start_pc: (row, n_ops)}`` for every maximal READ/WRITE/COMPUTE
+        span of at least :data:`MIN_VECTOR_RUN` ops, where ``row``
+        numbers the distinct bodies in order of first occurrence — the
+        span's row of the lane table.  The regex scan over the dense
+        opcode array finds span boundaries at C speed.
 
         Interning is by content — the span's opcode bytes and the bytes
         of its slice of every int column — in a table that lives only
-        for this call.  Spans are bucketed by a cheap key (their opcode
+        for the scan.  Spans are bucketed by a cheap key (their opcode
         bytes and their first, middle and last object or argument), and
-        a bucket's runs are told apart by comparing the column bytes,
+        a bucket's bodies are told apart by comparing the column bytes,
         which hashes nothing more.
         """
-        runs = self._vruns
-        if runs is None:
-            runs = {}
-            buckets: dict[tuple, list[tuple[AccessRun, list]]] = {}
+        return self._interned()[0]
+
+    def _interned(self) -> tuple[dict[int, tuple[int, int]], list[int], list[int]]:
+        """``(vector_runs(), each row's first occurrence, each row's op
+        count)``, computed once."""
+        if self._vruns is None:
+            runs: dict[int, tuple[int, int]] = {}
+            starts: list[int] = []
+            lengths: list[int] = []
+            buckets: dict[tuple, list[int]] = {}
+            bodies: dict[int, list[bytes]] = {}
             codes = self.codes
             views = self._views
             args = views[0]
+
+            def same(row: int, s: int, e: int) -> bool:
+                # A row's column bytes are taken only once a second span
+                # shares its bucket: most buckets hold one span.
+                other = bodies.get(row)
+                if other is None:
+                    t = starts[row]
+                    other = bodies[row] = [view[t : t + e - s].tobytes() for view in views]
+                return other == [view[s:e].tobytes() for view in views]
+
             for m in _ACCESS_RUN_RE.finditer(codes):
                 s, e = m.span()
-                if e - s >= min_len:
+                if e - s >= MIN_VECTOR_RUN:
                     key = (codes[s:e], args[s], args[(s + e) // 2], args[e - 1])
-                    body = [view[s:e].tobytes() for view in views]
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        run = AccessRun(e - s)
-                        buckets[key] = [(run, body)]
+                    rows = buckets.setdefault(key, [])
+                    for row in rows:
+                        if same(row, s, e):
+                            break
                     else:
-                        for run, other in bucket:
-                            if other == body:
-                                run.hot = True
-                                break
-                        else:
-                            run = AccessRun(e - s)
-                            bucket.append((run, body))
-                    runs[s] = run
-            self._vruns = runs
-        return runs
+                        row = len(starts)
+                        rows.append(row)
+                        starts.append(s)
+                        lengths.append(e - s)
+                    runs[s] = (row, e - s)
+            self._vruns = (runs, starts, lengths)
+        return self._vruns
 
     def _lane_table(self, ints: np.ndarray | None = None) -> _LaneTable:
         """The program's lane table, built on first use with ``ints``
-        (see :func:`lean_lane`)."""
+        (the heap's ``obj_id`` objects by id, which canonicalize the
+        ids it hands out)."""
         if self._lanes is None:
             self._lanes = _LaneTable(self, ints)
         return self._lanes

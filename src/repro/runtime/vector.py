@@ -34,24 +34,24 @@ Two things read the clock mid-run: the re-arming hook's tracking entry
 at every access of an id it re-armed (the footprinter's sampled
 objects), and a timer whose deadline passes.  For those the pass
 *walks*: it places the run's charges at their ops — static costs from
-:func:`~repro.runtime.program.walk_lane`, each fault at its object's
-first access, each twin at its first write, each non-zero first-touch
-charge at its first touch — and hands the tracking entry the run's
-stops in one call, each with the clock the scalar loop would show
-there, bounded by the next timer deadline; where that bound cuts the
-stops short the timers fire at their op, and the entry resumes.
+the run's walk columns, each fault at its object's first access, each
+twin at its first write, each non-zero first-touch charge at its first
+touch — and hands the tracking entry the run's stops in one call, each
+with the clock the scalar loop would show there, bounded by the next
+timer deadline; where that bound cuts the stops short the timers fire
+at their op, and the entry resumes.
 
-The pass reads a run's totals from :func:`~repro.runtime.program.
-lean_lane`, slices of the lane table its program builds for all its
-distinct runs in one numpy pass.  A body that repeats within its
-program (born ``hot``) caches its lane, and its walk columns, per cost
-model, with its probe ids distinct and ``intp``; a one-shot body
-slices them for the one execution and drops them, its probe gathering
-with the lane table's own narrow ids.  Anything
-observed runs on the scalar loop, the correctness oracle
-(``replay="scalar"`` forces it everywhere); the end state of both
-routes is byte-identical, which the equivalence tests assert over
-randomized programs and the paper workloads.
+A run is a row of the lane table its program builds, in one numpy pass,
+for all its distinct run bodies (:meth:`~repro.runtime.program.
+CompiledProgram.vector_runs` interns them), and its lane is slices of
+that table: the probe's ids and the write lanes always; the ids as a
+list only where a hook, an observer or the walk reads them; the walk
+columns only where a stop or a timer deadline falls in the run.  Its
+totals are its summed repeats times the busy time of one access and its
+compute sum.  Anything observed runs on the scalar loop, the
+correctness oracle (``replay="scalar"`` forces it everywhere); the end
+state of both routes is byte-identical, which the equivalence tests
+assert over randomized programs and the paper workloads.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ import numpy as np
 
 from repro.dsm.intervals import NO_BOUND
 from repro.dsm.states import HOME, VALID
-from repro.runtime.program import AccessRun, lean_lane, walk_lane
 from repro.sim.events import EventKind
 
 _TIMER_FIRE = EventKind.TIMER_FIRE
@@ -77,13 +76,6 @@ def _add_at(steps: list, ops: list, ns) -> None:
     deque(map(steps.__setitem__, ops, map(add, map(steps.__getitem__, ops), ns)), 0)
 
 
-def _distinct_probe(lane: tuple) -> tuple:
-    """``lane`` with the ids its probe gathers made distinct and
-    ``intp``: what a hot run caches."""
-    busy, compute, ids, idx, writes = lane
-    return busy, compute, ids, np.unique(idx).astype(np.intp), writes
-
-
 class WalkedRunMigrationError(RuntimeError):
     """A timer fired inside a walked run left a migration pending for
     its own thread.  The scalar loop would migrate at the next op
@@ -92,8 +84,7 @@ class WalkedRunMigrationError(RuntimeError):
 
 
 class VectorEngine:
-    """Executes :class:`AccessRun` occurrences in one pass for one
-    interpreter.
+    """Executes access runs in one pass for one interpreter.
 
     Created with its :class:`Interpreter` when replay mode is
     ``"vector"``; the segment loop hands it a run only under the gate of
@@ -107,8 +98,7 @@ class VectorEngine:
         "_ints",
         "_heaps",
         "costs",
-        "runs_bulk",
-        "runs_lean",
+        "runs",
         "faults_batched",
         "first_touches",
         "stops",
@@ -121,86 +111,55 @@ class VectorEngine:
         self._interp = interp
         self._objects = hl._objects
         #: each object's ``obj_id`` int object, by id (built with the
-        #: first lane): lanes hand the protocol these very objects.
+        #: first lane table): lanes hand the protocol these very objects.
         self._ints = None
         self._heaps = hl.heaps
         self.costs = hl.costs
         # Routing counts (host-side only; see routing()).
-        self.runs_bulk = 0
-        self.runs_lean = 0
+        self.runs = 0
         self.faults_batched = 0
         self.first_touches = 0
         self.stops = 0
         self.timer_fires = 0
 
     def routing(self) -> dict[str, int]:
-        """How the engine routed this run's access runs: executions on a
-        cached lane (``bulk``, bodies that repeat in their program) or a
-        transient one (``lean``, one-shot bodies), remote faults priced
-        in one pass (``faults_batched``), interval first touches booked
-        for hooks or observers (``first_touches``), re-armed accesses
-        given their exact clock for the tracking entries (``stops``),
-        and timer fires inside walked runs (``timer_fires``)."""
+        """How the engine routed this run's access runs: executions in
+        one pass (``runs``), remote faults priced in one pass
+        (``faults_batched``), interval first touches booked for hooks or
+        observers (``first_touches``), re-armed accesses given their
+        exact clock for the tracking entries (``stops``), and timer
+        fires inside walked runs (``timer_fires``)."""
         return {
-            "bulk": self.runs_bulk,
-            "lean": self.runs_lean,
+            "runs": self.runs,
             "faults_batched": self.faults_batched,
             "first_touches": self.first_touches,
             "stops": self.stops,
             "timer_fires": self.timer_fires,
         }
 
-    def _lanes(self, thread, run: AccessRun, pc: int, walk: bool) -> tuple:
-        """``(lane, walk columns)`` for one execution of ``run`` at op
-        ``pc`` of ``thread``'s program, sliced from the program's lane
-        table; the columns are None unless the run walks (and may be
-        stale then).  A one-shot body builds them for this execution; a
-        hot one caches them per cost model, with the ids its probe
-        gathers made distinct and ``intp`` once (a one-shot lane's are a
-        view of the lane table in the program's own int dtype)."""
-        costs = self.costs
+    def execute(self, thread, row: int, pc: int, deadline: int) -> int:
+        """Replay, for ``thread``, one whole occurrence of the run body
+        that is ``row`` of its program's lane table, starting at op
+        ``pc``; the caller then advances past it.  ``deadline`` is the
+        interpreter's next timer deadline (-1: no timer; never 0, which
+        keeps a run on the scalar loop).  Returns the deadline after the
+        run, recomputed after each fire inside it.  Only legal under the
+        gate of the module docstring."""
+        self.runs += 1
+        hlrc = self.hlrc
         program = thread.program
         ints = self._ints
         if ints is None:
             ints = self._ints = np.array([obj.obj_id for obj in self._objects], dtype=object)
-        if not run.hot:
-            # A one-shot body would keep a cached lane alive for nothing.
-            self.runs_lean += 1
-            if walk:
-                return walk_lane(program, pc, costs, ints)
-            return lean_lane(program, pc, costs, ints), None
-        self.runs_bulk += 1
-        key = run._cost_key
-        # Identity first (same engine re-executing), equality second so a
-        # cached lane survives across DJVM instances sharing a cost model
-        # by value (the ledger reuses compiled programs).
-        if key is not costs and key != costs:
-            run._lane = run._cols = None
-            run._cost_key = costs
-        if walk:
-            if run._cols is None:
-                lane, run._cols = walk_lane(program, pc, costs, ints)
-                run._lane = _distinct_probe(lane)
-        elif run._lane is None:
-            run._lane = _distinct_probe(lean_lane(program, pc, costs, ints))
-        return run._lane, run._cols
-
-    def execute(self, thread, run: AccessRun, pc: int, deadline: int) -> int:
-        """Replay one whole occurrence of ``run``, which starts at op
-        ``pc``, for ``thread``; the caller then advances past it
-        (``pc += run.n_ops``).  ``deadline`` is the interpreter's next
-        timer deadline (-1: no timer; never 0, which keeps a run on the
-        scalar loop).  Returns the deadline after the run, recomputed
-        after each fire inside it.  Only legal under the gate of the
-        module docstring."""
-        hlrc = self.hlrc
-        walk = deadline > 0 or hlrc.tracker is not None
-        (busy, compute, ids, idx, writes), cols = self._lanes(thread, run, pc, walk)
+        table = program._lane_table(ints)
+        a, b = table.bounds[row], table.bounds[row + 1]
         node_id = thread.node_id
         heap = self._heaps[node_id]
         # The probe: one gather of the run's state bytes finds the ids
-        # whose copy here is absent or INVALID.
-        miss = idx[heap.state_np[idx] < VALID]
+        # whose copy here is absent or INVALID (``take`` gathers with a
+        # narrow index several times faster than indexing does).
+        idx = table.acc_idx[a:b]
+        miss = idx[heap.state_np.take(idx) < VALID]
         faulted = []
         if miss.size:
             objects = self._objects
@@ -219,14 +178,17 @@ class VectorEngine:
                     faulted.append(oid)
         clock = thread.clock
         base = clock._now_ns
+        walk = deadline > 0 or hlrc.tracker is not None
         twins = {} if walk else None
         twin_ns = 0
-        if writes[0]:
+        wa, wb = table.w_bounds[row], table.w_bounds[row + 1]
+        if wa < wb:
             # Home writes too: every written id publishes a notice at close.
-            thread.current_interval.written.update(writes[0])
-            cached = (heap.state_np[writes[3]] != HOME).nonzero()[0]
+            thread.current_interval.written.update(table.w_ids[wa:wb])
+            cached = (heap.state_np.take(table.w_idx[wa:wb]) != HOME).nonzero()[0]
             if cached.size:
-                twin_ns = self._apply_writes(thread, heap, writes, cached.tolist(), twins)
+                twin_ns = self._apply_writes(thread, heap, table, (cached + wa).tolist(), twins)
+        busy, compute = table.totals(program, row, self.costs)
         cpu = thread.cpu
         cpu.access_ns += busy
         cpu.compute_ns += compute
@@ -239,10 +201,13 @@ class VectorEngine:
         hooks = hlrc._on_first_touch
         # Observers read the touched set at close (the sanitizer's SAN003).
         observed = hooks or hlrc.observers
+        if not (observed or walk):
+            return deadline
+        ids = table.ids(row)
         touched = self._first_touches(thread, ids, faulted, hooks) if observed else None
         if walk:
             deadline = self._walk(
-                thread, run, cols, base, pc, deadline, faulted, prices, twins, touched
+                thread, table, row, ids, base, pc, deadline, faulted, prices, twins, touched
             )
         return deadline
 
@@ -272,15 +237,16 @@ class VectorEngine:
         return ids, charges
 
     def _walk(
-        self, thread, run, cols, base, pc, deadline, faulted, prices, twins, touched
+        self, thread, table, row, acc_oids, base, pc, deadline, faulted, prices, twins, touched
     ) -> int:
         """Give the run's clock stops the clock the scalar loop would
         show there: every access of a re-armed id (the tracking entry
         takes them) and every op after which a timer deadline has
         passed (the timers fire).  The clock after op ``k`` is ``base``
         plus the prefix sum through ``k`` of each op's static cost (the
-        columns of :func:`walk_lane`, whose ``first_op`` maps each
-        accessed object to its first access op) and dynamic
+        walk columns of row ``row`` of the lane ``table``, whose
+        ``first_op`` maps each accessed object to its first access op;
+        ``acc_oids`` are the row's access ids) and dynamic
         charges — a fault's trap and fetch at the object's first
         access, a twin at its first write, the first-touch entries'
         non-zero charges at the first touch — plus what earlier stops
@@ -292,12 +258,10 @@ class VectorEngine:
         the one pass left it.  Returns the deadline after the run."""
         clock = thread.clock
         rearmed = thread.current_interval.rearmed
-        steps, acc_ops, acc_oids, first_write, first_op = cols
-        stops = not rearmed.isdisjoint(first_op)
+        stops = not rearmed.isdisjoint(acc_oids)
         if not stops and (deadline < 0 or clock._now_ns < deadline):
             return deadline
-        if run.hot:
-            steps = steps.copy()  # the cached columns stay static
+        steps, acc_ops, first_write, first_op = table.walk(thread.program, row, self.costs, acc_oids)
         steps[0] += base
         if faulted:
             fault_ops = list(map(first_op.__getitem__, faulted))
@@ -385,22 +349,21 @@ class VectorEngine:
             lo = k + 1
         return off, deadline, lo
 
-    def _apply_writes(self, thread, heap, writes: tuple, at: list[int], twins: dict | None) -> int:
+    def _apply_writes(self, thread, heap, table, at: list[int], twins: dict | None) -> int:
         """Write bookkeeping of one run's written cache copies (the
         caller books the written set): for each, its twin (first write
         this interval), dirty bytes and writer; returns the twin cost.
-        ``writes`` are the run's parallel write lanes (written object,
-        elements, write ops) and ``at`` the positions in them of the
-        cache copies, ascending.  ``twins``, if given, receives each
-        twin's cost by object."""
-        w_oids, w_welems, w_wops, _ = writes
+        ``at`` are the positions of the cache copies in the lane
+        ``table``'s write lanes, ascending.  ``twins``, if given,
+        receives each twin's cost by object."""
+        w_ids, w_elems, w_ops = table.w_ids, table.w_elems, table.w_ops
         objects = self._objects
         heap_twins = heap.twins
         tid = thread.thread_id
         twin_per_byte = self.costs.twin_ns_per_byte
         twin_ns = 0
         for k in at:
-            oid = w_oids[k]
+            oid = w_ids[k]
             obj = objects[oid]
             size = obj.size_bytes
             twin = heap_twins.get(oid)
@@ -413,8 +376,8 @@ class VectorEngine:
             else:
                 twin[1].add(tid)
             if obj.is_array:
-                wb = w_welems[k] * obj.jclass.element_size
+                wb = w_elems[k] * obj.jclass.element_size
             else:
-                wb = w_wops[k] * obj.jclass.instance_size
+                wb = w_ops[k] * obj.jclass.instance_size
             twin[0] = min(twin[0] + wb, size)
         return twin_ns

@@ -53,6 +53,11 @@ class MessageKind(enum.Enum):
     PREFETCH = "prefetch"
     CONTROL = "control"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with equality; it runs at C speed where ``Enum.__hash__``
+    # (a hash of the name) is a Python call per dict lookup.
+    __hash__ = object.__hash__
+
 
 #: Kinds that count towards "GOS message volume" in Table III (everything
 #: the base protocol sends; profiling traffic is reported separately).
@@ -73,8 +78,8 @@ class TrafficStats:
     """Aggregated traffic counters.
 
     Internally one ``{kind: [bytes, count]}`` accumulator so the per-send
-    hot path pays a single enum hash; the public per-kind dicts are
-    materialized on demand.
+    hot path pays a single (identity) hash; the public per-kind dicts
+    are materialized on demand.
     """
 
     __slots__ = ("messages", "piggybacked_messages", "_by_kind")

@@ -56,8 +56,8 @@ def _fake_report():
 
 
 #: a run's replay routing with no one-pass execution, and with one.
-SCALAR = {"bulk": 0, "lean": 0, "faults_batched": 0}
-ONE_PASS = {**SCALAR, "bulk": 1}
+SCALAR = {"runs": 0, "faults_batched": 0}
+ONE_PASS = {**SCALAR, "runs": 1}
 
 
 def test_race_gate_passes_when_expectations_met(monkeypatch, capsys):
@@ -229,7 +229,7 @@ def test_sanitize_gate_prints_routing_and_runs_the_one_pass(capsys):
 
     assert run_sanitize() == 0
     out = capsys.readouterr().out
-    assert out.count("    replay: bulk ") == 4 and "one pass" in out
+    assert out.count("    replay: runs ") == 4 and "one pass" in out
     rehomed = re.search(r"sanitize SOR re-homing .* (\d+) re-homed", out)
     assert rehomed and int(rehomed.group(1)) > 0
 
@@ -238,11 +238,10 @@ def test_sanitize_gate_fails_a_run_with_no_one_pass_execution(monkeypatch, capsy
     import repro.checks.runner as runner
     from repro.checks.__main__ import EXIT_SANITIZE, run_sanitize
 
-    zeros = {"bulk": 0, "lean": 0, "faults_batched": 0}
     monkeypatch.setattr(
         runner,
         "run_sanitize_all",
-        lambda verbose=True: [("SOR", 10, 0, {**zeros, "bulk": 1}), ("Barnes-Hut", 10, 0, zeros)],
+        lambda verbose=True: [("SOR", 10, 0, ONE_PASS), ("Barnes-Hut", 10, 0, SCALAR)],
     )
     assert run_sanitize() == EXIT_SANITIZE
     assert "no one-pass execution on Barnes-Hut" in capsys.readouterr().err
@@ -251,10 +250,10 @@ def test_sanitize_gate_fails_a_run_with_no_one_pass_execution(monkeypatch, capsy
 def test_race_gate_prints_routing_and_runs_the_one_pass(capsys):
     assert run_race() == 0
     out = capsys.readouterr().out
-    assert out.count("    replay: bulk ") == 5 and "one pass" in out
+    assert out.count("    replay: runs ") == 5 and "one pass" in out
     assert "seeded race detected in RacyCounter[racy]" in out
     for name in ("SOR", "Barnes-Hut", "Water-Spatial"):
-        routing = re.search(rf"race     {name} .*\n    replay: bulk (\d+)", out)
+        routing = re.search(rf"race     {name} .*\n    replay: runs (\d+)", out)
         assert routing and int(routing.group(1)) > 0, name
 
 

@@ -437,7 +437,7 @@ def test_sanitize_gate_counts_are_equal_on_both_routes(monkeypatch):
     assert all(routing == {} for *_, routing in scalar)
     assert [r[:3] for r in vector] == [r[:3] for r in scalar]
     for name, checks, violations, routing in vector:
-        assert routing["bulk"] + routing["lean"] > 0, name
+        assert routing["runs"] > 0, name
         assert checks > 0 and violations == 0
 
 
@@ -449,7 +449,7 @@ def test_seeded_rehoming_bug_is_caught_on_the_vector_route(mutate, monkeypatch):
     pass."""
     from repro.dsm.homemigration import HomeMigrationEngine
     from tests.dsm.test_notice_path import MAKERS, Rehome
-    from tests.runtime.test_vector_replay import build_djvm, compile_hot
+    from tests.runtime.test_vector_replay import build_djvm
 
     if mutate:
         migrate_home = HomeMigrationEngine.migrate_home
@@ -467,11 +467,11 @@ def test_seeded_rehoming_bug_is_caught_on_the_vector_route(mutate, monkeypatch):
     rehome = Rehome(djvm.hlrc, {k: (obj_ids[i], n) for k, (i, n) in moves.items()})
     rehome.check = lambda: None  # the seeded bug must reach the sanitizer
     djvm.add_hook(rehome)
-    programs = compile_hot(MAKERS["repeating"](1, obj_ids))
+    programs = MAKERS["repeating"](1, obj_ids)
     if mutate:
         with expect("SAN003"):
             djvm.run(programs)
         return
     djvm.run(programs)
     assert san.violations == 0
-    assert djvm.replay_routing["bulk"] > 0
+    assert djvm.replay_routing["runs"] > 0

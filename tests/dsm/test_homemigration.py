@@ -189,7 +189,7 @@ def test_policy_rides_the_one_pass():
         if replay == "vector":
             assert djvm.hlrc.dispatch_plan == (("DominantWriterPolicy", "first_touch"),)
             routing = djvm.replay_routing
-            assert routing["bulk"] + routing["lean"] > 0
+            assert routing["runs"] > 0
     assert outcomes["vector"] == outcomes["scalar"]
     assert outcomes["vector"][1] >= 1
 

@@ -45,7 +45,6 @@ from tests.runtime.test_vector_replay import (
     ChargingHook,
     RearmingHook,
     build_djvm,
-    compile_hot,
     random_programs,
     repeating_programs,
     revisiting_programs,
@@ -156,7 +155,7 @@ def test_notice_application_matches_the_reference_fold(seed, maker, replay, home
     hook = Rehome(hlrc, {k: (obj_ids[i], node) for k, (i, node) in moves.items()})
     djvm.add_hook(hook)
     applies = checked_apply(hlrc)
-    djvm.run(compile_hot(MAKERS[maker](seed, obj_ids)))
+    djvm.run(MAKERS[maker](seed, obj_ids))
     check_home_bytes(hlrc)
     assert applies and hook.closes
     # Every block is ascending and distinct, and every version bump has
@@ -497,7 +496,7 @@ def checked_sync(hlrc, reference: ReferenceGOS, rehome: Rehome, tracker=None) ->
 
 
 def run_beside_reference(
-    seed, maker, replay, config, homes, hot, moves, *, charging=False, rearming=False
+    seed, maker, replay, config, homes, moves, *, charging=False, rearming=False
 ) -> dict[str, int]:
     """One race-free program under HLRC and the reference, with a close
     hook re-homing ``moves`` ({close: (object index, node)}) and, when
@@ -517,7 +516,7 @@ def run_beside_reference(
     prices = Prices(djvm, charging=charging, rearming=rearming)
     reference = ReferenceGOS(programs, homes_at_start, prices)
     checked_sync(hlrc, reference, rehome, tracker)
-    djvm.run(compile_hot(programs) if hot else programs)
+    djvm.run(programs)
     assert reference.reads_checked > 0
     assert reference.closed == {tid: len(iv) for tid, iv in reference.intervals.items()}
     assert all(reference.spent[tid] > 0 for tid in reference.intervals)
@@ -538,17 +537,16 @@ MOVES = st.dictionaries(
     replay=st.sampled_from(["scalar", "vector"]),
     config=st.sampled_from(sorted(PRICE_CONFIGS)),
     homes=st.sampled_from(["cyclic", "block"]),
-    hot=st.booleans(),
     moves=MOVES,
 )
-def test_every_read_sees_the_reference_version(seed, maker, replay, config, homes, hot, moves):
+def test_every_read_sees_the_reference_version(seed, maker, replay, config, homes, moves):
     """Data-race-free programs with lock pairs and re-homed objects, on
     flat, rack, scaled-compute and odd-bandwidth configurations, both
     routes: every read sees the version the reference history holds,
     every interval closes once in each model, every home version equals
     its object's history length, and every interval costs what the
     reference prices it at."""
-    run_beside_reference(seed, maker, replay, config, homes, hot, moves)
+    run_beside_reference(seed, maker, replay, config, homes, moves)
 
 
 @settings(max_examples=30, deadline=None)
@@ -561,10 +559,9 @@ def test_every_read_sees_the_reference_version(seed, maker, replay, config, home
 def test_hot_bodies_revisited_after_rehoming_see_the_reference_version(
     seed, config, homes, moves
 ):
-    """The same on the one pass's home-resident splits: bodies that
-    repeat, on cached lanes, revisit their nodes after objects they
-    touch were re-homed."""
-    run_beside_reference(seed, "repeating", "vector", config, homes, True, moves)
+    """The same on the one pass: bodies that repeat revisit their nodes
+    after objects they touch were re-homed."""
+    run_beside_reference(seed, "repeating", "vector", config, homes, moves)
 
 
 # -- the detectors on the reference's programs ---------------------------
@@ -588,7 +585,7 @@ def seeded(programs: dict[int, list], obj_id: int) -> dict[int, list]:
     return out
 
 
-def run_detectors(programs, replay: str, homes: str, hot: bool):
+def run_detectors(programs, replay: str, homes: str):
     """Run ``programs`` with a sanitizer and a race detector attached;
     returns the detector, the run's replay routing and the static
     analysis of the same programs on the same (unrun) object space."""
@@ -596,7 +593,7 @@ def run_detectors(programs, replay: str, homes: str, hot: bool):
     static = analyze_ir(djvm.export_ir(programs))
     sanitizer = djvm.attach(ProtocolSanitizer())
     detector = djvm.attach(RaceDetector())
-    djvm.run(compile_hot(programs) if hot else programs)
+    djvm.run(programs)
     assert sanitizer.checks_run > 0 and sanitizer.violations == 0
     assert detector.intervals_checked > 0
     return detector, djvm.replay_routing, static
@@ -608,15 +605,14 @@ def run_detectors(programs, replay: str, homes: str, hot: bool):
     maker=st.sampled_from(sorted(MAKERS)),
     replay=st.sampled_from(["scalar", "vector"]),
     homes=st.sampled_from(["cyclic", "block"]),
-    hot=st.booleans(),
 )
-def test_detectors_are_silent_on_race_free_programs(seed, maker, replay, homes, hot):
+def test_detectors_are_silent_on_race_free_programs(seed, maker, replay, homes):
     _, obj_ids = build_djvm(homes=homes)
     programs = race_free(MAKERS[maker](seed, obj_ids), obj_ids)
-    detector, routing, static = run_detectors(programs, replay, homes, hot)
+    detector, routing, static = run_detectors(programs, replay, homes)
     assert detector.reports == [] and static.races == []
     if replay == "vector":
-        assert routing["bulk"] + routing["lean"] > 0
+        assert routing["runs"] > 0
 
 
 @pytest.mark.parametrize("replay", ["scalar", "vector"])
@@ -626,7 +622,7 @@ def test_a_seeded_unlocked_write_is_flagged_by_both_detectors(seed, maker, repla
     _, obj_ids = build_djvm()
     target = obj_ids[5]
     programs = seeded(race_free(MAKERS[maker](seed, obj_ids), obj_ids), target)
-    detector, _, static = run_detectors(programs, replay, "cyclic", True)
+    detector, _, static = run_detectors(programs, replay, "cyclic")
     ww = {
         (r.first.thread_id, r.second.thread_id)
         for r in detector.reports
@@ -644,17 +640,14 @@ def test_a_seeded_unlocked_write_is_flagged_by_both_detectors(seed, maker, repla
 # The clock of each thread against the reference's running cost, with a
 # first-touch hook charging the clock at every first touch (more for one
 # that did not fault) and, walked, a re-arming hook whose stops must see
-# the reference's clock.  The routes: the scalar loop; the one pass on
-# cached lanes (every body pre-marked hot) or on transient lean ones (a
-# fresh compile: only bodies that repeat are hot); and the walk to the
-# re-armed accesses, on either.
+# the reference's clock.  The routes: the scalar loop; the one pass
+# (``lean``: every run's lane sliced from its program's lane table); and
+# the one pass walking to the re-armed accesses.
 
 ROUTES = {
-    "scalar": ("scalar", True, False),
-    "cached": ("vector", True, False),
-    "lean": ("vector", False, False),
-    "walked": ("vector", True, True),
-    "walked_lean": ("vector", False, True),
+    "scalar": ("scalar", False),
+    "lean": ("vector", False),
+    "walked": ("vector", True),
 }
 
 
@@ -673,23 +666,23 @@ def test_thread_clocks_match_the_reference_prices(seed, maker, route, config, ho
     reference's clock: faults at their trap, request and reply (their
     arrays' payload included, each message truncated on its own),
     first-touch charges at their first touch, stops at their op."""
-    replay, hot, rearming = ROUTES[route]
+    replay, rearming = ROUTES[route]
     run_beside_reference(
-        seed, maker, replay, config, homes, hot, moves, charging=True, rearming=rearming
+        seed, maker, replay, config, homes, moves, charging=True, rearming=rearming
     )
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 @pytest.mark.parametrize("config", sorted(PRICE_CONFIGS))
 def test_each_route_is_priced(route, config):
-    """Each route of the price test takes the path it names — lean lanes,
-    cached lanes, walked stops — under every configuration."""
-    replay, hot, rearming = ROUTES[route]
+    """Each route of the price test takes the path it names — the one
+    pass, walked stops — under every configuration."""
+    replay, rearming = ROUTES[route]
     routing = run_beside_reference(
-        2, "repeating", replay, config, "cyclic", hot, {3: (1, 2), 9: (30, 0)},
+        2, "repeating", replay, config, "cyclic", {3: (1, 2), 9: (30, 0)},
         charging=True, rearming=rearming,
     )
     if replay == "vector":
         assert routing["faults_batched"] > 0 and routing["first_touches"] > 0
-        assert routing["bulk" if hot else "lean"] > 0
+        assert routing["runs"] > 0
         assert (routing["stops"] > 0) == rearming

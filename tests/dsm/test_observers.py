@@ -99,7 +99,7 @@ def access_ops(djvm) -> int:
 
 def one_pass_runs(djvm) -> int:
     routing = djvm.replay_routing
-    return routing["bulk"] + routing["lean"] if routing else 0
+    return routing["runs"] if routing else 0
 
 
 def run(name: str, replay: str, observers=(), *, profiled: bool = True, footprint: bool = False):

@@ -8,7 +8,7 @@ hands each run's first touches to the correlation profiler, and that
 ``ws_adaptive_sticky`` takes it as well: the footprinter's re-armed
 (sampled) objects and the stack sampler's timer are clock stops the
 walk visits (``stops`` and ``timer_fires`` in the routing).  SOR's
-repeated sweeps cache their lanes (``bulk``).  A further
+repeated sweeps execute the same rows of its lane tables again.  A further
 replay route has to come with a workload that uses it: add the
 workload to the benchmark and its route here first.  The catalog is
 loaded by path because ``benchmarks/`` is not a package.
@@ -78,9 +78,9 @@ def test_benchmark_workload_takes_its_pinned_route(spec, monkeypatch):
     calls = []
     original = VectorEngine.execute
 
-    def counting(self, thread, run, *args):
-        calls.append(run)
-        return original(self, thread, run, *args)
+    def counting(self, thread, row, *args):
+        calls.append((thread.thread_id, row))
+        return original(self, thread, row, *args)
 
     monkeypatch.setattr(VectorEngine, "execute", counting)
     workload = getattr(repro.workloads, spec.program)(
@@ -92,7 +92,7 @@ def test_benchmark_workload_takes_its_pinned_route(spec, monkeypatch):
     djvm.run(workload.programs())
     routing = djvm.replay_routing
     if ROUTES[spec.name] == "one_pass":
-        assert calls
+        assert calls and routing["runs"] == len(calls)
         assert routing["faults_batched"] > 0
         # Only a profiled run has first touches to hand over, and only
         # the adaptive suite's footprinter and stack sampler stop it.
@@ -101,7 +101,7 @@ def test_benchmark_workload_takes_its_pinned_route(spec, monkeypatch):
         assert (routing["stops"] > 0) == adaptive
         assert (routing["timer_fires"] > 0) == adaptive
         if spec.name == "sor_base":
-            assert routing["bulk"] > 0
+            assert len(set(calls)) < len(calls)
     else:
         assert calls == []
         assert set(routing.values()) == {0}

@@ -122,7 +122,7 @@ class TestGcQuietRuns:
         probe = GcProbe()
         djvm.add_hook(probe)
         res = djvm.run(workload.programs())
-        assert djvm.replay_routing["bulk"] > 0
+        assert djvm.replay_routing["runs"] > 0
         return run_fingerprint(djvm, res), probe.seen
 
     def test_fingerprint_and_caller_state_under_every_gc_state(self):

@@ -1,19 +1,21 @@
 """Pinned vector-run interning of the three benchmark workloads.
 
 ``CompiledProgram.vector_runs()`` maps every maximal READ/WRITE/COMPUTE
-span of at least ``MIN_VECTOR_RUN`` ops to a shared :class:`AccessRun`,
-one per distinct body, and marks a body that occurs twice ``hot``.  That
-interning decides which runs cache their lanes and their home-resident
-splits, so it must not move when the way bodies are compared changes.
-The digests below were recorded when bodies were op tuples compared by
-tuple equality; the column form compares byte slices.
+span of at least ``MIN_VECTOR_RUN`` ops to its row of the program's lane
+table, one row per distinct body.  That interning decides how many rows
+the table holds (SOR's 960 spans are 16 rows), so it must not move when
+the way bodies are compared changes.  The digests below were recorded
+when bodies were op tuples compared by tuple equality; the column form
+compares byte slices.
 
 Each digest hashes, for one thread at the end-to-end benchmark's sizes
 (8 nodes, block placement, seed 0), every run start in order with its
-``n_ops``, its ``hot`` flag and the first start sharing its run.
+``n_ops``, whether its body occurs more than once (``hot``, as bodies
+were once flagged) and the first start sharing its row.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -69,10 +71,11 @@ def interning_digests(name: str) -> list[str]:
     digests = []
     for _tid, ops in sorted(workload.programs().items()):
         runs = compile_program(ops).vector_runs()
+        count = Counter(row for row, _ in runs.values())
         owner: dict[int, int] = {}
         rows = [
-            (start, runs[start].n_ops, runs[start].hot, owner.setdefault(id(runs[start]), start))
-            for start in sorted(runs)
+            (start, n_ops, count[row] > 1, owner.setdefault(row, start))
+            for start, (row, n_ops) in sorted(runs.items())
         ]
         digests.append(hashlib.sha256(repr(rows).encode()).hexdigest())
     return digests

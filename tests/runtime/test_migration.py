@@ -215,3 +215,48 @@ class TestMidIntervalWrites:
         djvm.migration.schedule(MigrationPlan(thread_id=0, target_node=1, at_pc=2))
         djvm.run({0: wrap_main([P.write(a.obj_id), P.write(b.obj_id), P.barrier(0)])})
         assert closed[0] == ({a.obj_id, b.obj_id}, {a.obj_id})
+
+
+class TestMigrationInsideAnInternedRun:
+    """A migration requested at a pc inside the second occurrence of a
+    body the program interns once.  The first occurrence takes the one
+    pass before the request exists; the request then keeps the second
+    on the scalar loop, which moves the thread at that pc, mid-run.  The
+    result is the scalar route's."""
+
+    @staticmethod
+    def run(replay):
+        djvm = DJVM(n_nodes=2, costs=CostModel.fast_test(), replay=replay)
+        cls = simple_class(djvm, "Obj", 64)
+        a, b, c = (djvm.allocate(cls, home).obj_id for home in (1, 1, 0))
+        djvm.spawn_thread(0)
+        body = [P.read(a), P.write(b), P.read(c, repeat=2), P.compute(500), P.write(a), P.read(b)]
+        program = P.compile_program(wrap_main([*body, P.barrier(0), *body, P.barrier(1)]))
+        second = 1 + len(body) + 1  # after the CALL, the first body and its barrier
+        at_pc = second + 3
+
+        moved_at = []
+
+        class RequestAtFirstClose(ProtocolObserver):
+            def on_interval_close(self, thread, interval):
+                if not djvm.migration.results and not djvm.migration.has_pending(0):
+                    djvm.migration.schedule(MigrationPlan(thread_id=0, target_node=1, at_pc=at_pc))
+
+            def on_migration(self, thread, result, begin_ns):
+                moved_at.append(thread.pc)
+
+        djvm.attach(RequestAtFirstClose())
+        result = djvm.run({0: program})
+        assert moved_at == [at_pc] and djvm.threads[0].node_id == 1
+        return djvm, result, program, second, at_pc
+
+    def test_both_routes_agree_and_the_first_occurrence_took_the_one_pass(self):
+        from repro.runtime.djvm import run_fingerprint
+
+        vector, v_result, program, second, at_pc = self.run("vector")
+        scalar, s_result, *_ = self.run("scalar")
+        runs = program.vector_runs()
+        assert runs[1] == runs[second]  # one interned body, twice
+        assert run_fingerprint(vector, v_result) == run_fingerprint(scalar, s_result)
+        assert vector.replay_routing["runs"] == 1
+        assert second < at_pc < second + runs[second][1]

@@ -203,8 +203,9 @@ class TestCompiledProgramEdgeCases:
 
 
 class TestVectorRunInterning:
-    """``vector_runs()`` keys access runs by content: one shared
-    ``AccessRun`` per distinct body of a compiled program."""
+    """``vector_runs()`` keys access runs by content: every occurrence
+    of a distinct body of a compiled program maps to its one row of the
+    program's lane table, rows numbered in order of first occurrence."""
 
     @staticmethod
     def burst(base: int, n: int = 8) -> list:
@@ -226,25 +227,17 @@ class TestVectorRunInterning:
         assert sorted(runs) == [0, n + 1, 2 * (n + 1), 3 * (n + 1) + 1]
         starts = sorted(runs)
         first, second, single, third = (runs[pc] for pc in starts)
-        assert first is second is third
-        assert single is not first
-        assert tuple(prog.decode(starts[0], starts[0] + first.n_ops)) == tuple(self.burst(0))
-        assert tuple(prog.decode(starts[2], starts[2] + single.n_ops)) == tuple(self.burst(100))
+        assert first == second == third == (0, n)
+        assert single == (1, n)
+        assert tuple(prog.decode(starts[0], starts[0] + n)) == tuple(self.burst(0))
+        assert tuple(prog.decode(starts[2], starts[2] + n)) == tuple(self.burst(100))
         assert prog.vector_runs() is runs
-
-    def test_repeated_body_is_born_hot_singleton_cold(self):
-        prog, n = self.compiled()
-        runs = prog.vector_runs()
-        assert runs[0].hot
-        assert not runs[2 * (n + 1)].hot
-        # extraction alone caches no lanes
-        assert all(run._lane is None for run in runs.values())
+        # extraction alone builds no lane table
+        assert prog._lanes is None
 
     def test_runs_carry_no_position(self):
         prog, n = self.compiled()
-        run = prog.vector_runs()[0]
-        assert run.n_ops == n
-        assert not hasattr(run, "start") and not hasattr(run, "end")
+        assert prog.vector_runs()[0] == (0, n)
 
     def test_bodies_alike_at_their_ends_and_middle_stay_apart(self):
         """Bodies with the same opcodes and the same first, middle and
@@ -261,15 +254,17 @@ class TestVectorRunInterning:
             ops += [*body, P.barrier(k)]
         prog = compile_program(ops)
         runs = prog.vector_runs()
-        got = [runs[pc] for pc in sorted(runs)]
-        bodies = [tuple(prog.decode(pc, pc + runs[pc].n_ops)) for pc in sorted(runs)]
+        bodies = [tuple(prog.decode(pc, pc + runs[pc][1])) for pc in sorted(runs)]
         assert bodies == [tuple(body) for body in spans]
-        assert got[0] is got[4] and got[1] is got[3]
-        assert len({id(run) for run in got}) == 3
-        assert [run.hot for run in got] == [True, True, False, True, True]
+        assert [runs[pc][0] for pc in sorted(runs)] == [0, 1, 2, 1, 0]
 
     def test_programs_do_not_share_runs(self):
-        """The intern table is per compiled program, not global."""
-        one, _ = self.compiled()
-        two, _ = self.compiled()
-        assert one.vector_runs()[0] is not two.vector_runs()[0]
+        """The intern table is per compiled program, not global: each
+        numbers its own bodies from row 0."""
+        from repro.runtime.program import compile_program
+
+        one, n = self.compiled()
+        two = compile_program([*self.burst(100), P.barrier(0), *self.burst(0), P.barrier(1)])
+        assert one.vector_runs()[0] == two.vector_runs()[0] == (0, n)
+        assert two.vector_runs()[n + 1] == (1, n)  # one's row 0 body
+        assert one._lane_table() is not two._lane_table()

@@ -11,9 +11,8 @@ re-armed, and timer fires.
 Randomized access programs (seeded) run twice — ``replay="scalar"`` and
 ``replay="vector"`` — and every observable must match: protocol
 counters, thread clocks, network traffic and ``run_fingerprint``.
-Unobserved configurations exercise the one pass: one-shot bodies on a
-transient lean lane, repeated bodies on a cached one, faults priced
-together.  First-touch hooks ride the same pass and must see the scalar
+Unobserved configurations exercise the one pass: every run's lane
+sliced from its program's lane table, faults priced together.  First-touch hooks ride the same pass and must see the scalar
 loop's first-touch stream; re-arming hooks and timers must see the
 scalar loop's clock at every stop.  Under every observed configuration
 the engine must never be called, so vector replay *is* scalar replay
@@ -201,28 +200,14 @@ def fingerprint(djvm: DJVM, res) -> dict:
     }
 
 
-def compile_hot(programs: dict[int, list]) -> dict:
-    """Compile ``programs`` and pre-mark every run hot, so each one
-    caches its lane on its first execution the way a body that repeats
-    in its program does (these bodies mostly occur once)."""
-    progs = {tid: P.compile_program(ops) for tid, ops in programs.items()}
-    for cp in progs.values():
-        for vr in cp.vector_runs().values():
-            vr.hot = True
-    return progs
-
-
 def run_replay(
     seed: int,
     replay: str,
     *,
     observer: str | None = None,
     make_programs=random_programs,
-    premark: bool = True,
     **kwargs,
 ):
-    """``premark`` caches every run's lane (``compile_hot``); without it
-    the programs compile fresh, as a user's do."""
     djvm, obj_ids = build_djvm(replay=replay, **kwargs)
     extra = []
     if observer == "timer":
@@ -235,7 +220,7 @@ def run_replay(
         for hook in extra:
             djvm.add_hook(hook)
     programs = make_programs(seed, obj_ids)
-    res = djvm.run(compile_hot(programs) if premark else programs)
+    res = djvm.run(programs)
     fp = fingerprint(djvm, res)
     fp["run"] = run_fingerprint(djvm, res)
     if extra:
@@ -377,15 +362,15 @@ SEEDS = [0, 1, 2, 3, 4]
 
 @pytest.fixture
 def execute_calls(monkeypatch):
-    """The run of every ``VectorEngine.execute`` call of the test, in
-    call order, recorded by a class-level wrapper (the way
+    """The ``(thread, lane table row)`` of every ``VectorEngine.execute``
+    call of the test, in call order, recorded by a class-level wrapper (the way
     ``benchmarks/e2e/tracer.py`` counts them)."""
     calls: list = []
     original = VectorEngine.execute
 
-    def recording(self, thread, run, *args):
-        calls.append(run)
-        return original(self, thread, run, *args)
+    def recording(self, thread, row, *args):
+        calls.append((thread.thread_id, row))
+        return original(self, thread, row, *args)
 
     monkeypatch.setattr(VectorEngine, "execute", recording)
     return calls
@@ -402,8 +387,7 @@ def observed_matches_scalar(seed, execute_calls, **kwargs) -> dict:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_vector_matches_scalar_bare(seed, execute_calls):
-    """No observers, every run pre-marked hot: the one pass on cached
-    lanes."""
+    """No observers: every run on the one pass."""
     assert run_replay(seed, "vector") == run_replay(seed, "scalar")
     assert execute_calls
 
@@ -445,24 +429,15 @@ def test_vector_matches_scalar_with_two_fast_hooks(seed, execute_calls):
     assert first and [e[:-1] for e in first] == [e[:-1] for e in second]
 
 
-def split_runs(cp: P.CompiledProgram) -> tuple[list, list]:
-    """(singleton runs, shared runs) of a compiled program."""
-    occurrences = Counter(map(id, cp.vector_runs().values()))
-    runs = {id(vr): vr for vr in cp.vector_runs().values()}.values()
-    singles = [vr for vr in runs if occurrences[id(vr)] == 1]
-    shared = [vr for vr in runs if occurrences[id(vr)] > 1]
-    return singles, shared
-
-
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_hot_runs_materialize_lanes_lazily(seed):
-    """A repeated body — born hot — caches its lane on its first
-    execution, and a second DJVM reusing the compiled form (as the
-    ledger does) with an equal cost model reads the same lane; a
-    singleton body never caches one."""
+    """Programs whose bodies repeat build their lane table on their first
+    execution, not at compile, and a second DJVM reusing the compiled
+    form (as the ledger does) reads the same table: nothing in it
+    belongs to the DJVM that built it."""
     fps = []
     progs = None
-    lanes = None
+    tables = None
     for _ in range(2):
         djvm, obj_ids = build_djvm(replay="vector")
         if progs is None:
@@ -470,19 +445,15 @@ def test_hot_runs_materialize_lanes_lazily(seed):
                 tid: P.compile_program(ops)
                 for tid, ops in repeating_programs(seed, obj_ids).items()
             }
-            splits = [split_runs(cp) for cp in progs.values()]
-            singles = [vr for s, _ in splits for vr in s]
-            shared = [vr for _, sh in splits for vr in sh]
-            assert singles and shared
-            assert all(vr.hot for vr in shared) and not any(vr.hot for vr in singles)
-            assert all(vr._lane is None for vr in singles + shared)
+            rows = [Counter(row for row, _ in cp.vector_runs().values()) for cp in progs.values()]
+            assert any(n > 1 for count in rows for n in count.values())
+            assert all(cp._lanes is None for cp in progs.values())
         res = djvm.run(progs)
         fps.append(run_fingerprint(djvm, res))
-        assert all(vr._lane is not None for vr in shared)
-        assert all(vr._lane is None for vr in singles)
-        if lanes is None:
-            lanes = [vr._lane for vr in shared]
-        assert all(vr._lane is lane for vr, lane in zip(shared, lanes))
+        if tables is None:
+            tables = [cp._lanes for cp in progs.values()]
+            assert all(t is not None for t in tables)
+        assert all(cp._lanes is t for cp, t in zip(progs.values(), tables))
     djvm, obj_ids = build_djvm(replay="scalar")
     res = djvm.run(repeating_programs(seed, obj_ids))
     assert fps[0] == fps[1] == run_fingerprint(djvm, res)
@@ -499,12 +470,10 @@ REPEAT_CONFIGS = {
 @pytest.mark.parametrize("config", sorted(REPEAT_CONFIGS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_repeated_bodies_replay_in_bulk_and_match_scalar(seed, config, execute_calls):
-    """Fresh *body x k* programs, no pre-marking: unobserved, every run
-    goes through the engine; observed, none does.  Either way the
-    result is the scalar oracle's."""
-    kwargs = dict(
-        REPEAT_CONFIGS[config], make_programs=repeating_programs, premark=False
-    )
+    """Fresh *body x k* programs: unobserved, every run goes through
+    the engine; observed, none does.  Either way the result is the
+    scalar oracle's."""
+    kwargs = dict(REPEAT_CONFIGS[config], make_programs=repeating_programs)
     if config == "bare":
         assert run_replay(seed, "vector", **kwargs) == run_replay(seed, "scalar", **kwargs)
         assert execute_calls
@@ -526,7 +495,7 @@ def test_fresh_sor_program_engages_engine_in_one_run(execute_calls):
 
 def test_rearmed_objects_stop_the_one_pass_at_their_exact_clock(execute_calls):
     """The footprinter re-arms the tags of the objects it sampled every
-    tracking phase, so each of their accesses re-enters it.  A born-hot
+    tracking phase, so each of their accesses re-enters it.  A repeated
     body re-reading two objects across 1 ms phases walks: each access is
     a stop at the scalar loop's clock, and every re-trap (and its
     simulated cost) lands as on the scalar loop."""
@@ -540,8 +509,8 @@ def test_rearmed_objects_stop_the_one_pass_at_their_exact_clock(execute_calls):
         main = P.compile_program(
             [P.call("main", 2), *body, P.barrier(0), *body, P.barrier(1), P.ret()]
         )
-        (run,) = set(main.vector_runs().values())
-        assert run.hot  # born hot: only the gate stands between it and the engine
+        runs = main.vector_runs()
+        assert len(runs) == 2 and len(set(runs.values())) == 1  # one body, twice
         idle = [P.barrier(0), P.barrier(1)]
         programs = {0: main, **{tid: list(idle) for tid in range(1, N_THREADS)}}
         result = djvm.run(programs)
@@ -583,14 +552,14 @@ def test_vector_replay_matches_scalar_on_workloads(name):
     byte-identical to the scalar loop."""
     vector, routing = run_workload(name, "vector")
     assert vector == run_workload(name, "scalar")[0]
-    assert routing["bulk"] + routing["lean"] > 0
+    assert routing["runs"] > 0
 
 
 # -- unobserved runs: faults priced in one pass --------------------------
 #
 # With no hook, observer, timer, prefetcher or pending migration, the
-# engine replays every run — one-shot bodies included, on a transient
-# lean lane — and charges its faults in one HomeBasedLRC.charge_faults.
+# engine replays every run — one-shot bodies and repeated ones alike —
+# and charges its faults in one HomeBasedLRC.charge_faults.
 # The configurations below are that gate; the disqualifiers after them
 # each leave it.  (First-touch hooks keep it open; their section follows.)
 
@@ -602,37 +571,32 @@ UNOBSERVED_CONFIGS = {
 
 
 def run_unobserved(seed, replay, *, make_programs, topology=False, **kwargs):
-    """(fingerprint, run_fingerprint, routing, one-shot runs) of a fresh
-    compile — nothing pre-marked — with nothing observing the run."""
+    """(fingerprint, run_fingerprint, routing) of a fresh compile with
+    nothing observing the run."""
     if topology:
         kwargs["network"] = Network(topology=RackTopology(2, intra_ns=30_000, cross_ns=150_000))
     djvm, obj_ids = build_djvm(replay=replay, **kwargs)
     progs = {
         tid: P.compile_program(ops) for tid, ops in make_programs(seed, obj_ids).items()
     }
-    singles = [vr for cp in progs.values() for vr in split_runs(cp)[0]]
     res = djvm.run(progs)
-    return fingerprint(djvm, res), run_fingerprint(djvm, res), djvm.replay_routing, singles
+    return fingerprint(djvm, res), run_fingerprint(djvm, res), djvm.replay_routing
 
 
 @pytest.mark.parametrize("config", sorted(UNOBSERVED_CONFIGS))
 @pytest.mark.parametrize("make_programs", [random_programs, repeating_programs])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_unobserved_runs_batch_faults_and_match_scalar(seed, make_programs, config):
-    """One-shot bodies go lean, repeated ones bulk; refaults after
+    """One-shot and repeated bodies take the one pass; refaults after
     barrier/lock invalidation, lazy home copies and twins on written
     cache copies all land as the scalar loop leaves them."""
     kwargs = dict(UNOBSERVED_CONFIGS[config], make_programs=make_programs)
-    fp, rfp, routing, singles = run_unobserved(seed, "vector", **kwargs)
-    sfp, srfp, _, _ = run_unobserved(seed, "scalar", **kwargs)
+    fp, rfp, routing = run_unobserved(seed, "vector", **kwargs)
+    sfp, srfp, _ = run_unobserved(seed, "scalar", **kwargs)
     assert fp == sfp
     assert rfp == srfp
     assert routing["faults_batched"] > 0
-    assert routing["lean"] > 0
-    if make_programs is repeating_programs:
-        assert routing["bulk"] > 0
-    # The lean lane is transient: a one-shot body caches nothing.
-    assert singles and not any(vr.hot or vr._lane is not None for vr in singles)
+    assert routing["runs"] > 0
 
 
 def test_unobserved_run_refaults_invalidated_copies_and_twins():
@@ -678,14 +642,14 @@ def test_unobserved_majority_faulting_run_is_never_demoted(execute_calls):
         idle = [P.barrier(rnd) for rnd in range(rounds)]
         programs = {0: main + [P.ret()], 1: writer + [P.ret()], 2: idle, 3: list(idle)}
         res = djvm.run(programs)
-        reader = djvm.threads[0].program.vector_runs()[1]
+        reader = djvm.threads[0].program.vector_runs()[1][0]
         return fingerprint(djvm, res), djvm.replay_routing, reader
 
     fp, routing, reader = run("vector")
     assert fp == run("scalar")[0]
-    # Both bodies (reader and writer) replay on their cached lane every round.
-    assert routing["bulk"] == 2 * rounds and routing["lean"] == 0
-    assert execute_calls.count(reader) == rounds
+    # Both bodies (reader and writer) replay in one pass every round.
+    assert routing["runs"] == 2 * rounds
+    assert execute_calls.count((0, reader)) == rounds
     assert routing["faults_batched"] == fp["counters"]["faults"] == 8 * rounds
 
 
@@ -1089,7 +1053,8 @@ def test_first_touch_hooks_after_a_mid_interval_migration(execute_calls):
         )
     vector, scalar = outcomes["vector"], outcomes["scalar"]
     assert vector[:3] == scalar[:3]
-    assert [run.n_ops for run in execute_calls] == [len(remote) * 2]
+    runs = djvm.threads[0].program.vector_runs()
+    assert execute_calls == [(0, runs[after_pc][0])] and runs[after_pc][1] == len(remote) * 2
     assert vector[3]["first_touches"] == len(new)
     assert vector[3]["faults_batched"] == len(remote)  # `before` refaulted
     assert [e[2] for e in vector[1]] == before + new
@@ -1313,11 +1278,11 @@ def test_first_interval_oal_logging_price(seed, replay, config):
         assert djvm.replay_routing["first_touches"] > 0
 
 
-# -- hot runs across homes, DJVMs and nodes
+# -- repeated runs across homes, DJVMs and nodes
 #
-# A hot run caches its lane, but its probe reads every copy's state byte
-# at each execution.  Each case below moves what a cached lane must not
-# depend on — the home of an object, the DJVM, the thread's node —
+# A program's lane table is built once, but the probe reads every copy's
+# state byte at each execution.  Each case below moves what a lane must
+# not depend on — the home of an object, the DJVM, the thread's node —
 # between executions, and must leave the scalar loop's result.
 
 
@@ -1404,7 +1369,7 @@ def test_the_one_pass_follows_a_migrate_home_from_an_interval_close(execute_call
     assert vector[:2] == scalar[:2]
     assert vector[3].migrations == 2
     body = execute_calls[0]
-    assert body.hot and execute_calls.count(body) == SPLIT_ROUNDS
+    assert execute_calls.count(body) == SPLIT_ROUNDS
     assert vector[2]["faults_batched"] > 0
     # h0 at its new home (node 1) since the move: node 0's copy is a cache.
     assert djvm.gos.get(h0).home_node == 1
@@ -1414,8 +1379,8 @@ def test_the_one_pass_follows_a_migrate_home_from_an_interval_close(execute_call
 def test_one_compiled_program_on_two_placements(seed):
     """The ledger's reuse pattern: one compiled program runs on a DJVM
     with block homes, then on one with cyclic homes.  The lanes the
-    first cached hold nothing of its homes, so the second reuses them
-    and probes its own copies."""
+    first built holds nothing of its homes, so the second reuses it and
+    probes its own copies."""
     progs = None
     for homes in ("block", "cyclic"):
         outcomes = {}
@@ -1428,7 +1393,7 @@ def test_one_compiled_program_on_two_placements(seed):
             res = djvm.run(ops)
             outcomes[replay] = (fingerprint(djvm, res), run_fingerprint(djvm, res))
             if replay == "vector":
-                assert djvm.replay_routing["bulk"] > 0
+                assert djvm.replay_routing["runs"] > 0
         assert outcomes["vector"] == outcomes["scalar"]
 
 
@@ -1436,8 +1401,8 @@ def test_a_thread_that_migrates_between_executions(execute_calls):
     """Thread 0 runs the body twice on node 0, three times on node 3,
     then twice more on node 0.  The first execution after each move
     runs on the scalar loop (the migration is pending until it fires
-    there); the cached lane then probes node 3's copies, and node 0's
-    again on the way back."""
+    there); the lane then probes node 3's copies, and node 0's again on
+    the way back."""
     rounds = 7
     outcomes = {}
     for replay in ("vector", "scalar"):
@@ -1452,7 +1417,7 @@ def test_a_thread_that_migrates_between_executions(execute_calls):
     body = execute_calls[0]
     assert execute_calls.count(body) == rounds - 2
     assert djvm.threads[0].node_id == 0
-    assert vector[2]["bulk"] > 0
+    assert vector[2]["runs"] > 0
 
 
 def _leaves(value):
@@ -1467,15 +1432,16 @@ def _leaves(value):
 
 
 def test_a_finished_djvm_is_collectable_while_its_programs_live_on():
-    """Cached lanes hold ints and int arrays only — totals, ids, write
+    """Lane tables hold ints and int arrays only — totals, ids, write
     counts — so compiled programs that outlive their DJVM (the ledger
     reuses them) keep neither its engine nor its heaps alive."""
     djvm, obj_ids = build_djvm()
-    progs = compile_hot(repeating_programs(0, obj_ids))
+    progs = {tid: P.compile_program(ops) for tid, ops in repeating_programs(0, obj_ids).items()}
     djvm.run(progs)
-    lanes = [vr._lane for cp in progs.values() for vr in cp.vector_runs().values() if vr._lane]
-    assert lanes
-    assert {type(leaf) for lane in lanes for leaf in _leaves(lane)} <= {int, np.ndarray}
+    tables = [cp._lanes for cp in progs.values() if cp._lanes is not None]
+    assert tables
+    columns = [getattr(t, slot) for t in tables for slot in t.__slots__ if not slot.startswith("_")]
+    assert {type(leaf) for leaf in _leaves(columns)} <= {int, bool, np.ndarray}
     hlrc, heap = weakref.ref(djvm.hlrc), weakref.ref(djvm.hlrc.heaps[0])
     del djvm
     gc.collect()

@@ -84,17 +84,16 @@ class TestCommands:
             lines = [ln for ln in out.splitlines() if ln.startswith("replay:")]
             assert len(lines) == 1
             match = re.fullmatch(
-                r"replay: bulk (\d+) runs, lean (\d+) runs, faults batched (\d+), "
+                r"replay: (\d+) runs, faults batched (\d+), "
                 r"first touches (\d+), stops (\d+), timer fires (\d+)",
                 lines[0],
             )
             assert match
-            bulk, lean, batched, first_touches, stops, fires = map(int, match.groups())
+            runs, batched, first_touches, stops, fires = map(int, match.groups())
             faults = int(re.search(r"faults (\d+)", out).group(1))
-            assert lean > 0 and 0 < batched <= faults
+            assert runs > 0 and 0 < batched <= faults
             assert (first_touches > 0) == (profiler != ["--no-correlation"])
             assert (stops > 0) == (fires > 0) == (profiler == ["--sticky"])
-            assert bulk > 0
 
     def test_run_without_correlation(self, capsys):
         code = main(
