@@ -1,12 +1,13 @@
 """The master-side correlation collector daemon.
 
-Receives OAL batches from every worker, and — once enough intervals are
-gathered — reorganizes them into per-object thread lists and builds the
-thread correlation map (paper Section II.A, the "correlation computing
-daemon" of Fig. 2).  The CPU cost of that computation (overhead class
-O3, the dominant one in Table III) is modelled from the daemon's actual
-work: O(MN) reorganization over OAL entries plus O(M N^2) pair accrual,
-and charged to the master node's CPU account.
+Receives OAL batches from every worker, folds each into the open
+window's per-object thread lists as it arrives (keeping no batch), and —
+once enough intervals are gathered — builds the window's thread
+correlation map from them (paper Section II.A, the "correlation
+computing daemon" of Fig. 2).  The CPU cost of that computation
+(overhead class O3, the dominant one in Table III) is modelled from the
+daemon's actual work: O(MN) reorganization over OAL entries plus
+O(M N^2) pair accrual, and charged to the master node's CPU account.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.oal import OALBatch
-from repro.core.tcm import window_accrual
+from repro.core.tcm import TCMAccumulator, window_accrual
 from repro.heap.heap import GlobalObjectSpace
 from repro.sim.cluster import Cluster
 
 
 class CorrelationCollector:
-    """Accumulates OAL batches and computes TCMs on demand or per window."""
+    """Folds OAL batches into the open window and computes TCMs on
+    demand or per window."""
 
     def __init__(
         self,
@@ -40,7 +42,8 @@ class CorrelationCollector:
         #: when set, a TCM is built automatically every ``window_batches``
         #: delivered batches (windowed accrual); otherwise on demand.
         self.window_batches = window_batches
-        self._pending: list[OALBatch] = []
+        #: the open window, folded batch by batch at delivery.
+        self._acc = TCMAccumulator(n_threads)
         self.batches_received = 0
         self.entries_received = 0
         #: cumulative TCM accrued over completed windows.
@@ -48,7 +51,8 @@ class CorrelationCollector:
         #: per-window TCMs (kept for adaptive-controller consumption).
         self.window_tcms: list[np.ndarray] = []
         #: when True, each processed window also yields per-class maps
-        #: (consumed by the per-class adaptive controller).
+        #: (consumed by the per-class adaptive controller); set it
+        #: before a window's first delivery.
         self.track_per_class = False
         #: per-window {class_id: tcm} dicts (only when track_per_class).
         self.window_class_tcms: list[dict[int, np.ndarray]] = []
@@ -68,20 +72,18 @@ class CorrelationCollector:
         delivery time, used only to anchor trace spans)."""
         if now_ns is not None and now_ns > self._last_deliver_ns:
             self._last_deliver_ns = now_ns
-        self._pending.append(batch)
+        self._acc.fold_batch(batch, per_class=self.track_per_class)
         self.batches_received += 1
         self.entries_received += len(batch)
-        if self.window_batches is not None and len(self._pending) >= self.window_batches:
+        if self.window_batches is not None and self._acc.n_batches >= self.window_batches:
             self.process_window()
 
     def process_window(self) -> np.ndarray:
-        """Fold all pending batches into the accrued TCM; returns the
-        window's own TCM.  Charges the modelled daemon cost."""
-        batches = self._pending
-        self._pending = []
-        # One traversal computes the window TCM, the naive-daemon pair
-        # count, and (when tracked) per-class maps together.
-        acc = window_accrual(batches, self.n_threads, per_class=self.track_per_class)
+        """Finish the open window and add its TCM to the accrued one;
+        returns the window's own TCM.  Charges the modelled daemon cost."""
+        # The batches are folded already: this computes the window TCM,
+        # the naive-daemon pair count and (when tracked) per-class maps.
+        acc = window_accrual((), self.n_threads, per_class=self.track_per_class, acc=self._acc)
         cost = (
             acc.n_entries * self.costs.tcm_reorg_ns_per_entry
             + acc.pair_count * self.costs.tcm_accrue_ns_per_pair
@@ -108,8 +110,8 @@ class CorrelationCollector:
         return window
 
     def tcm(self) -> np.ndarray:
-        """The full accrued TCM (processing any pending batches first)."""
-        if self._pending:
+        """The full accrued TCM (finishing the open window first)."""
+        if self._acc.n_batches:
             self.process_window()
         return self._accrued.copy()
 
@@ -120,7 +122,7 @@ class CorrelationCollector:
 
     def reset(self) -> None:
         """Drop all state (e.g. between measurement phases)."""
-        self._pending = []
+        self._acc.reset()
         self._accrued = np.zeros((self.n_threads, self.n_threads), dtype=np.float64)
         self.window_tcms = []
         self.window_class_tcms = []

@@ -10,7 +10,9 @@ owner reorganizes and accrues the pairs of *its* objects into a partial
 N x N map, and the master reduces the ``n_nodes`` partials.  Per-object
 partitioning is exact — an object's pairwise contributions depend only
 on its own accessor set — so the distributed map equals the centralized
-one bit for bit, while the wall-clock compute drops to the slowest
+one bit for bit (the simulator folds each delivered batch once, counting
+its entries per owner, and reads each owner's pairs off the window's
+object rows), while the wall-clock compute drops to the slowest
 owner's share plus a small reduce.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from repro.core.collector import CorrelationCollector
 from repro.core.oal import ENTRY_WIRE_BYTES, OALBatch
-from repro.core.tcm import accrual_pair_count, tcm_from_batches
+from repro.core.tcm import window_accrual
 from repro.heap.heap import GlobalObjectSpace
 from repro.sim.cluster import Cluster
 from repro.sim.network import MessageKind
@@ -55,41 +57,37 @@ class DistributedCorrelationCollector(CorrelationCollector):
         self.tcm_compute_wall_ns = 0
         #: per-node compute shares of the last processed window.
         self.last_window_node_ns: dict[int, int] = {}
+        #: the open window's OAL entries per owner node.
+        self._owner_entries = np.zeros(len(cluster), dtype=np.int64)
 
     def owner_of(self, obj_id: int) -> int:
         """Owner node for an object's correlation work (hash partition)."""
         return obj_id % len(self.cluster)
 
+    def deliver(self, batch: OALBatch, *, now_ns: int | None = None) -> None:
+        """Count the batch's entries per owner, then fold it."""
+        if batch.obj_ids:
+            owners = np.array(batch.obj_ids, dtype=np.int64) % len(self.cluster)
+            self._owner_entries += np.bincount(owners, minlength=len(self.cluster))
+        super().deliver(batch, now_ns=now_ns)
+
     def process_window(self) -> np.ndarray:
-        """Process pending batches with the distributed cost model."""
-        batches = self._pending
-        self._pending = []
+        """Finish the open window with the distributed cost model."""
         n_nodes = len(self.cluster)
         costs = self.costs
         master = self.cluster.master_id
 
-        # Partition entries (and hence work) by owner.
-        per_owner_batches: dict[int, list[OALBatch]] = {k: [] for k in range(n_nodes)}
-        scatter_bytes = {k: 0 for k in range(n_nodes)}
-        for batch in batches:
-            split: dict[int, OALBatch] = {}
-            for obj_id, scaled, class_id in batch.entries:
-                owner = self.owner_of(obj_id)
-                frag = split.get(owner)
-                if frag is None:
-                    frag = OALBatch(batch.thread_id, batch.interval_id)
-                    split[owner] = frag
-                frag.add(obj_id, scaled, class_id)
-            for owner, frag in sorted(split.items()):
-                per_owner_batches[owner].append(frag)
-                scatter_bytes[owner] += len(frag) * ENTRY_WIRE_BYTES
+        # Each owner reorganizes its objects' entries and accrues their
+        # pairs: |threads(obj)|^2 steps per object, summed per owner.
+        objs, sharers = self._acc.row_sharers()
+        owner_pairs = np.zeros(n_nodes, dtype=np.int64)
+        np.add.at(owner_pairs, objs % n_nodes, sharers * sharers)
+        owner_entries = self._owner_entries.tolist()
+        self._owner_entries[:] = 0
 
         # Scatter (master -> owners), owner-local compute, reduce back.
         node_ns: dict[int, int] = {}
-        for owner in range(n_nodes):
-            owned = per_owner_batches[owner]
-            n_entries = sum(len(b) for b in owned)
-            pairs = accrual_pair_count(owned)
+        for owner, n_entries, pairs in zip(range(n_nodes), owner_entries, owner_pairs.tolist()):
             compute = (
                 n_entries * costs.tcm_reorg_ns_per_entry
                 + pairs * costs.tcm_accrue_ns_per_pair
@@ -98,9 +96,8 @@ class DistributedCorrelationCollector(CorrelationCollector):
             self.cluster[owner].cpu.extra["tcm_compute_ns"] = (
                 self.cluster[owner].cpu.extra.get("tcm_compute_ns", 0) + compute
             )
-            if scatter_bytes[owner]:
-                self.network_scatter(master, owner, scatter_bytes[owner])
             if n_entries:
+                self.network_scatter(master, owner, n_entries * ENTRY_WIRE_BYTES)
                 # Partial map back to the master (dense N x N).
                 self.network_scatter(owner, master, self.n_threads**2 * CELL_WIRE_BYTES)
 
@@ -113,10 +110,15 @@ class DistributedCorrelationCollector(CorrelationCollector):
         self.tcm_compute_ns += sum(node_ns.values()) + merge_ns
         self.last_window_node_ns = node_ns
 
-        window = tcm_from_batches(batches, self.n_threads)
+        window = window_accrual((), self.n_threads, acc=self._acc).tcm
         self._accrued += window
         self.window_tcms.append(window)
         return window
+
+    def reset(self) -> None:
+        """Drop all state, the open window's per-owner counts included."""
+        super().reset()
+        self._owner_entries[:] = 0
 
     def network_scatter(self, src: int, dst: int, size: int) -> None:
         """Account one scatter/reduce message (no thread blocks on it)."""

@@ -57,7 +57,12 @@ class StickySetFootprinter:
     over the objects tracked so far, in first-tracked order: the
     tracking phase each last trapped in (phases only grow along a
     thread's clock, so "already trapped in this phase" is one
-    comparison) and how many phases each trapped in.
+    comparison) and how many phases each trapped in; and a third over
+    the sampled objects: the Horvitz-Thompson bytes the sampling
+    decision gave each at its first touch, which is what the interval's
+    footprint weighs it by — a rate moved at this interval's close
+    (the adaptive controller, on an earlier hook's delivery) must not
+    reweigh what was sampled under the old one.
     """
 
     __slots__ = (
@@ -68,6 +73,7 @@ class StickySetFootprinter:
         "min_accesses",
         "_last_phase",
         "_count",
+        "_scaled",
         "_interval_start",
         "interval_footprints",
         "interval_tracked",
@@ -104,6 +110,8 @@ class StickySetFootprinter:
         self._last_phase: dict[int, dict[int, int]] = {}
         #: thread_id -> {obj_id: tracking phases trapped in}, parallel.
         self._count: dict[int, Counter] = {}
+        #: thread_id -> {obj_id: scaled bytes at its first touch}.
+        self._scaled: dict[int, dict[int, int]] = {}
         #: thread_id -> interval start time (phase reference).
         self._interval_start: dict[int, int] = {}
         #: completed-interval footprints kept for averaging:
@@ -125,6 +133,7 @@ class StickySetFootprinter:
         tid = thread.thread_id
         self._last_phase[tid] = {}
         self._count[tid] = Counter()
+        self._scaled[tid] = {}
         self._interval_start[tid] = thread.clock.now_ns
 
     def on_access(
@@ -140,7 +149,11 @@ class StickySetFootprinter:
     ) -> None:
         """ProtocolHooks: one access op executed — the keyword fan-out,
         which decides and tracks at every access."""
-        if thread.thread_id in self._count and self.policy.decision(obj)[0]:
+        if thread.thread_id not in self._count:
+            return
+        sampled, _, scaled = self.policy.decision(obj)
+        if sampled:
+            self._scaled[thread.thread_id].setdefault(obj.obj_id, scaled)
             self.on_rearmed_access(thread, (obj.obj_id,), (thread.clock._now_ns,), NO_BOUND)
 
     def fast_on_access(self, thread, ids, faulted) -> None:
@@ -150,7 +163,8 @@ class StickySetFootprinter:
         clock, and rates change only at an interval close, so the first
         touch decides for the whole interval, in any tracking phase —
         the decision the policy made for these ids once
-        (:meth:`SamplingPolicy.first_touches`).  Charges nothing: the
+        (:meth:`SamplingPolicy.first_touches`), which also gives each
+        its footprint weight.  Charges nothing: the
         tracking entry, handed each re-armed access, the arming first
         touch included, does."""
         if thread.thread_id not in self._count:
@@ -158,9 +172,12 @@ class StickySetFootprinter:
         gos = self._gos
         if gos is None:
             raise RuntimeError(_NO_GOS)
-        sampled, _ = self.policy.first_touches(ids, gos._objects)
-        armed = ids if sampled is None else compress(ids, sampled)
-        thread.current_interval.rearmed.update(armed)
+        sampled, scaled = self.policy.first_touches(ids, gos._objects)
+        weights = zip(ids, scaled)
+        if sampled is not None:
+            ids, weights = compress(ids, sampled), compress(weights, sampled)
+        thread.current_interval.rearmed.update(ids)
+        self._scaled[thread.thread_id].update(weights)
         return None
 
     def on_rearmed_access(self, thread, ids, clocks, bound: int) -> tuple[int, int]:
@@ -255,11 +272,12 @@ class StickySetFootprinter:
         """ProtocolHooks: ``thread`` closed ``interval``."""
         tid = thread.thread_id
         count = self._count.pop(tid, None)
+        scaled = self._scaled.pop(tid, None)
         self._last_phase.pop(tid, None)
         self._interval_start.pop(tid, None)
         if count is None:
             return
-        fp = self._footprint_from_counts(count)
+        fp = self._footprint_from_counts(count, scaled)
         # Record even empty footprints: the average must be taken over
         # *all* intervals or estimates at different sampling rates get
         # different denominators and stop being comparable.
@@ -277,9 +295,12 @@ class StickySetFootprinter:
             oid for oid, n in count.items() if n >= self.min_accesses
         ]
 
-    def _footprint_from_counts(self, count: dict[int, int]) -> dict[str, int]:
-        """Per-class sticky bytes: each sticky sampled object, scaled by
-        the gap (Horvitz-Thompson) to estimate the class total."""
+    def _footprint_from_counts(
+        self, count: dict[int, int], scaled: dict[int, int]
+    ) -> dict[str, int]:
+        """Per-class sticky bytes: each sticky sampled object at the
+        scaled bytes (Horvitz-Thompson) it was sampled under, to
+        estimate the class total."""
         fp: dict[str, int] = {}
         gos = self._gos
         if gos is None:
@@ -287,8 +308,8 @@ class StickySetFootprinter:
                 raise RuntimeError(_NO_GOS)
             return fp
         for obj_id in self._sticky_ids(count):
-            obj = gos.get(obj_id)
-            fp[obj.jclass.name] = fp.get(obj.jclass.name, 0) + self.policy.scaled_bytes(obj)
+            name = gos.get(obj_id).jclass.name
+            fp[name] = fp.get(name, 0) + scaled[obj_id]
         return fp
 
     def attach_gos(self, gos) -> None:
@@ -300,7 +321,8 @@ class StickySetFootprinter:
         instant — what the load balancer consults when weighing a
         migration (objects that already trapped in >= min_accesses
         tracking phases are the predicted re-fetch set)."""
-        return self._footprint_from_counts(self._count.get(thread.thread_id, {}))
+        tid = thread.thread_id
+        return self._footprint_from_counts(self._count.get(tid, {}), self._scaled.get(tid, {}))
 
     def live_sticky_candidates(self, thread) -> list[int]:
         """Object ids currently qualifying as sticky in the open interval."""

@@ -7,10 +7,13 @@ lists, then accrues each object's bytes into every co-accessing thread
 pair — O(MN) reorganization plus O(MN^2) accrual, the scalability
 bottleneck sampling attacks.
 
-The builder is vectorized per the hpc guides: with an (M x N) indicator
-matrix ``X`` of co-access and the per-object byte vector ``s``, the
-accrual is one rank-M update ``TCM += (X * s).T @ X`` instead of a
-Python triple loop.
+Every TCM goes through one :class:`TCMAccumulator`.  It folds the
+window's OAL batches as they arrive — the collector folds each at its
+delivery and keeps no batch — into an (M x N) table of each object's
+largest logged bytes per thread, and finishing the window is one rank-M
+update ``TCM = (X * s).T @ X`` over the indicator matrix ``X`` of
+co-access and the per-object byte vector ``s``, instead of a Python
+triple loop.
 """
 
 from __future__ import annotations
@@ -24,50 +27,210 @@ import numpy as np
 from repro.core.oal import OALBatch
 
 
-def _tcm_from_arrays(
-    tids: np.ndarray,
-    oids: np.ndarray,
-    sizes: np.ndarray,
-    n_threads: int,
-    include_diagonal: bool,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized TCM core over parallel entry arrays.
+def _accrue(bytes_mat: np.ndarray, n_threads: int, include_diagonal: bool) -> np.ndarray:
+    """The accrual over object rows of largest logged bytes per thread.
 
-    Returns ``(tcm, rows, n_objects)`` where ``rows`` maps each entry to
-    its dense object row in first-occurrence order (the order the old
-    dict-of-pairs pass produced, kept so the accrual matmul sums rows in
-    the identical sequence).
+    An object's size is logged identically by every accessor (the
+    amortized sample size is a property of the object, not the thread),
+    so the row-wise max is the object's byte weight, accrued into every
+    pair of threads that logged it with nonzero bytes.
     """
-    tcm = np.zeros((n_threads, n_threads), dtype=np.float64)
-    if tids.size == 0:
-        return tcm, tids, 0
-    bad = (tids < 0) | (tids >= n_threads)
-    if bad.any():
-        tid = int(tids[int(np.argmax(bad))])
-        raise ValueError(f"thread id {tid} out of range 0..{n_threads - 1}")
-    if oids.min() < 0:
-        raise ValueError(f"object id {int(oids.min())} is negative")
-    # Object ids are dense heap indices, so a table over them is no
-    # longer than the heap: each id's first entry, then the present ids
-    # ranked by it.
-    first = np.full(int(oids.max()) + 1, oids.size)
-    np.minimum.at(first, oids, np.arange(oids.size))
-    present = np.flatnonzero(first < oids.size)
-    n_objects = int(present.size)
-    rank = np.empty_like(first)
-    rank[present[np.argsort(first[present])]] = np.arange(n_objects)
-    rows = rank[oids]
-    bytes_mat = np.zeros((n_objects, n_threads), dtype=np.float64)
-    np.maximum.at(bytes_mat, (rows, tids), sizes)
-    # An object's size is logged identically by every accessor (the
-    # amortized sample size is a property of the object, not the thread),
-    # so take the row-wise max as the object's byte weight.
+    if not bytes_mat.shape[0]:
+        return np.zeros((n_threads, n_threads), dtype=np.float64)
     obj_sizes = bytes_mat.max(axis=1)
     indicator = (bytes_mat > 0).astype(np.float64)
     tcm = (indicator * obj_sizes[:, None]).T @ indicator
     if not include_diagonal:
         np.fill_diagonal(tcm, 0.0)
-    return tcm, rows, n_objects
+    return tcm
+
+
+@dataclass
+class WindowAccrual:
+    """Everything the collector needs from one processing window."""
+
+    #: the window's TCM.
+    tcm: np.ndarray
+    #: naive-daemon accrual steps (drives the O3 cost model).
+    pair_count: int
+    #: OAL entries in the window (drives the reorganization cost).
+    n_entries: int
+    #: class_id -> per-class TCM (only when requested).
+    class_tcms: dict[int, np.ndarray] | None = None
+
+
+class TCMAccumulator:
+    """One processing window's TCM, folded one batch at a time.
+
+    Rows are the window's objects ranked by first occurrence, so the
+    accrual matmul sums them in the order a build over the whole window
+    at once would.  Per (row, thread) it keeps the largest bytes logged
+    and whether the thread logged the object at all (zero-byte entries
+    included: the naive daemon steps through them too), and per row the
+    object's class.  :meth:`finish` turns that into the window's
+    :class:`WindowAccrual` and empties the accumulator.  Its arrays are
+    kept at their size, so one accumulator serves every window of a run.
+    """
+
+    def __init__(self, n_threads: int) -> None:
+        if n_threads < 1:
+            raise ValueError(f"need at least one thread, got {n_threads}")
+        self.n_threads = n_threads
+        #: object id -> row, -1 when not in the window; grown to the
+        #: largest id folded (ids are dense heap indices).
+        self._row_of = np.full(0, -1, dtype=np.int64)
+        #: scratch over object ids for the distinct-ids check.
+        self._stamp = np.zeros(0, dtype=np.int64)
+        #: row -> object id and class id.
+        self._obj = np.zeros(0, dtype=np.int64)
+        self._cls = np.zeros(0, dtype=np.int64)
+        #: (row, thread) -> largest bytes logged, and logged at all.
+        self._bytes = np.zeros((0, n_threads), dtype=np.float64)
+        self._seen = np.zeros((0, n_threads), dtype=bool)
+        #: rows, entries and batches folded since the last finish.
+        self.n_rows = 0
+        self.n_entries = 0
+        self.n_batches = 0
+        #: why this window can have no per-class maps, if it cannot.
+        self._classless: str | None = None
+
+    def fold_batch(self, batch: OALBatch, *, per_class: bool = False) -> None:
+        """Fold one OAL batch, with its class ids when ``per_class``.
+        The at-most-once rule makes its ids distinct, which lets it skip
+        a sort; a batch that repeats an id is still folded exactly."""
+        n = len(batch.obj_ids)
+        if n:
+            tid = batch.thread_id
+            if not 0 <= tid < self.n_threads:
+                raise ValueError(f"thread id {tid} out of range 0..{self.n_threads - 1}")
+            self._fold(
+                tid,
+                np.fromiter(batch.obj_ids, np.int64, n),
+                np.fromiter(batch.scaled_bytes, np.float64, n),
+                np.fromiter(batch.class_ids, np.int64, n) if per_class else None,
+            )
+        self.n_batches += 1
+
+    def fold(self, tids: np.ndarray, oids: np.ndarray, sizes: np.ndarray) -> None:
+        """Fold parallel entry arrays of any threads, ids repeating or
+        not, without classes."""
+        bad = (tids < 0) | (tids >= self.n_threads)
+        if bad.any():
+            tid = int(tids[int(np.argmax(bad))])
+            raise ValueError(f"thread id {tid} out of range 0..{self.n_threads - 1}")
+        self._fold(tids, oids, sizes, None)
+
+    def _fold(self, tids, oids: np.ndarray, sizes: np.ndarray, cids: np.ndarray | None) -> None:
+        """Rank the new ids after the window's rows, then take the max
+        of each (row, thread) cell and mark it seen.  ``tids`` is one
+        thread id (a batch) or an array parallel to ``oids``; ``cids``
+        the class ids, or None."""
+        if not oids.size:
+            return
+        low = int(oids.min())
+        if low < 0:
+            raise ValueError(f"object id {low} is negative")
+        top = int(oids.max()) + 1
+        if top > self._row_of.size:
+            self._grow_ids(top)
+        row_of = self._row_of
+        rows = row_of[oids]
+        # One thread and distinct ids: each (row, thread) cell once.
+        distinct = isinstance(tids, int) and self._distinct(oids)
+        new = rows < 0
+        if new.any():
+            new_ids = oids[new]
+            # Where ids repeat: each new id's first position, in order.
+            new_at = None if distinct else np.sort(np.unique(new_ids, return_index=True)[1])
+            if new_at is not None:
+                new_ids = new_ids[new_at]
+            start = self.n_rows
+            stop = start + new_ids.size
+            if stop > self._obj.size:
+                self._grow_rows(stop)
+            row_of[new_ids] = np.arange(start, stop)
+            self._obj[start:stop] = new_ids
+            if cids is not None:
+                new_cls = cids[new]
+                self._cls[start:stop] = new_cls if new_at is None else new_cls[new_at]
+            self.n_rows = stop
+            rows = row_of[oids]
+        if cids is None:
+            self._classless = "a batch of the window was folded without its class ids"
+        elif self._classless is None and (self._cls[rows] != cids).any():
+            self._classless = "an object was logged under two class ids in one window"
+        if distinct:
+            self._bytes[rows, tids] = np.maximum(self._bytes[rows, tids], sizes)
+        else:
+            np.maximum.at(self._bytes, (rows, tids), sizes)
+        self._seen[rows, tids] = True
+        self.n_entries += int(oids.size)
+
+    def _distinct(self, oids: np.ndarray) -> bool:
+        """Are the ids pairwise distinct?  Each writes its position into
+        the stamp table; a repeated id loses one of its writes."""
+        pos = np.arange(oids.size)
+        self._stamp[oids] = pos
+        return bool((self._stamp[oids] == pos).all())
+
+    def _grow_ids(self, top: int) -> None:
+        size = max(top, 2 * self._row_of.size)
+        row_of = np.full(size, -1, dtype=np.int64)
+        row_of[: self._row_of.size] = self._row_of
+        self._row_of = row_of
+        self._stamp = np.zeros(size, dtype=np.int64)
+
+    def _grow_rows(self, need: int) -> None:
+        size = max(need, 2 * self._obj.size)
+        n = self.n_rows
+        for name in ("_obj", "_cls", "_bytes", "_seen"):
+            old = getattr(self, name)
+            grown = np.zeros((size, *old.shape[1:]), dtype=old.dtype)
+            grown[:n] = old[:n]
+            setattr(self, name, grown)
+
+    def row_sharers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's object id and how many threads logged it."""
+        n = self.n_rows
+        return self._obj[:n], self._seen[:n].sum(axis=1, dtype=np.int64)
+
+    def finish(
+        self, *, per_class: bool = False, include_diagonal: bool = False
+    ) -> WindowAccrual:
+        """The window's TCM, its naive-daemon pair count (the daemon
+        accrues ``|threads(obj)|^2`` steps per object), its entry count
+        and, with ``per_class``, one TCM per class in the order the
+        classes first appeared; then empty the accumulator."""
+        n = self.n_rows
+        bytes_mat = self._bytes[:n]
+        _, sharers = self.row_sharers()
+        class_tcms = None
+        if per_class:
+            if self._classless is not None:
+                raise ValueError(self._classless)
+            cls = self._cls[:n]
+            uniq, first = np.unique(cls, return_index=True)
+            class_tcms = {
+                int(cid): _accrue(bytes_mat[cls == cid], self.n_threads, include_diagonal)
+                for cid in uniq[np.argsort(first)]
+            }
+        acc = WindowAccrual(
+            tcm=_accrue(bytes_mat, self.n_threads, include_diagonal),
+            pair_count=int((sharers * sharers).sum()),
+            n_entries=self.n_entries,
+            class_tcms=class_tcms,
+        )
+        self.reset()
+        return acc
+
+    def reset(self) -> None:
+        """Empty the window, keeping the arrays for the next one."""
+        n = self.n_rows
+        self._row_of[self._obj[:n]] = -1
+        self._bytes[:n] = 0.0
+        self._seen[:n] = False
+        self.n_rows = self.n_entries = self.n_batches = 0
+        self._classless = None
 
 
 def _entry_arrays(
@@ -86,22 +249,23 @@ def _entry_arrays(
     )
 
 
-def _batch_arrays(
+def window_accrual(
     batches: Iterable[OALBatch],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Decode OAL batches into parallel (tids, oids, sizes, class_ids)
-    arrays: each batch column chains through C iterators into its array
-    in one buffered pass and the thread ids are repeated per batch."""
-    batches = list(batches)
-    lens = [len(batch) for batch in batches]
-    total = sum(lens)
-    tids = np.repeat(np.array([batch.thread_id for batch in batches], dtype=np.int64), lens)
-    return (
-        tids,
-        np.fromiter(chain.from_iterable(b.obj_ids for b in batches), np.int64, total),
-        np.fromiter(chain.from_iterable(b.scaled_bytes for b in batches), np.float64, total),
-        np.fromiter(chain.from_iterable(b.class_ids for b in batches), np.int64, total),
-    )
+    n_threads: int,
+    *,
+    per_class: bool = False,
+    include_diagonal: bool = False,
+    acc: TCMAccumulator | None = None,
+) -> WindowAccrual:
+    """Fold ``batches`` into ``acc`` (a fresh accumulator over
+    ``n_threads`` when None) and finish the window.  The collector has
+    folded each batch at its delivery, so it passes none and only
+    finishes."""
+    if acc is None:
+        acc = TCMAccumulator(n_threads)
+    for batch in batches:
+        acc.fold_batch(batch, per_class=per_class)
+    return acc.finish(per_class=per_class, include_diagonal=include_diagonal)
 
 
 def build_tcm(
@@ -118,11 +282,9 @@ def build_tcm(
     processing window, and callers wanting per-window accrual call this
     once per window and sum).
     """
-    if n_threads < 1:
-        raise ValueError(f"need at least one thread, got {n_threads}")
-    tids, oids, sizes = _entry_arrays(entries)
-    tcm, _rows, _n = _tcm_from_arrays(tids, oids, sizes, n_threads, include_diagonal)
-    return tcm
+    acc = TCMAccumulator(n_threads)
+    acc.fold(*_entry_arrays(entries))
+    return acc.finish(include_diagonal=include_diagonal).tcm
 
 
 def tcm_from_batches(
@@ -132,52 +294,26 @@ def tcm_from_batches(
     include_diagonal: bool = False,
 ) -> np.ndarray:
     """Build a TCM from collected OAL batches (one processing window)."""
-    if n_threads < 1:
-        raise ValueError(f"need at least one thread, got {n_threads}")
-    tids, oids, sizes, _cids = _batch_arrays(batches)
-    tcm, _rows, _n = _tcm_from_arrays(tids, oids, sizes, n_threads, include_diagonal)
-    return tcm
+    return window_accrual(batches, n_threads, include_diagonal=include_diagonal).tcm
 
 
 def resampled_tcm(batches: Iterable[OALBatch], policy, obj_of, n_threads: int) -> np.ndarray:
     """The TCM of the entries of ``batches`` that ``policy`` samples,
     each at its Horvitz-Thompson bytes — a full-sampling log replayed
-    at ``policy``'s rates.  ``obj_of(obj_id)`` gives the entry's
+    at ``policy``'s rates, folded one batch at a time.
+    ``obj_of(obj_id)`` gives the entry's
     :class:`~repro.heap.objects.HeapObject`; each entry costs one
     ``policy.decision``, so the backend counts each decision once."""
     decision = policy.decision
-
-    def entries():
-        for batch in batches:
-            tid = batch.thread_id
-            for oid in batch.obj_ids:
-                sampled, _logged, scaled = decision(obj_of(oid))
-                if sampled:
-                    yield tid, oid, scaled
-
-    return build_tcm(entries(), n_threads)
-
-
-def _per_class_tcms(
-    tids: np.ndarray,
-    oids: np.ndarray,
-    sizes: np.ndarray,
-    cids: np.ndarray,
-    n_threads: int,
-    include_diagonal: bool,
-) -> dict[int, np.ndarray]:
-    """Per-class TCMs keyed in first-appearance order of the class ids."""
-    by_class: dict[int, np.ndarray] = {}
-    if cids.size == 0:
-        return by_class
-    uniq, first_idx = np.unique(cids, return_index=True)
-    for cid in uniq[np.argsort(first_idx, kind="stable")]:
-        mask = cids == cid
-        tcm, _rows, _n = _tcm_from_arrays(
-            tids[mask], oids[mask], sizes[mask], n_threads, include_diagonal
-        )
-        by_class[int(cid)] = tcm
-    return by_class
+    acc = TCMAccumulator(n_threads)
+    for batch in batches:
+        picked = OALBatch(batch.thread_id, batch.interval_id)
+        for oid, cid in zip(batch.obj_ids, batch.class_ids):
+            sampled, _logged, scaled = decision(obj_of(oid))
+            if sampled:
+                picked.add(oid, scaled, cid)
+        acc.fold_batch(picked)
+    return acc.finish().tcm
 
 
 def tcm_by_class(
@@ -187,80 +323,11 @@ def tcm_by_class(
     include_diagonal: bool = False,
 ) -> dict[int, np.ndarray]:
     """Per-class TCMs from one window's batches: class_id -> map built
-    from only that class's entries.  The full map is their sum; per-class
+    from only that class's objects.  The full map is their sum; per-class
     maps are what per-class rate adaptation compares across windows."""
-    tids, oids, sizes, cids = _batch_arrays(batches)
-    return _per_class_tcms(tids, oids, sizes, cids, n_threads, include_diagonal)
-
-
-def accrual_pair_count(batches: Iterable[OALBatch]) -> int:
-    """Number of (object, thread-pair) accrual steps the naive O(MN^2)
-    daemon would execute — the quantity the TCM-computing cost model
-    charges for."""
-    threads_per_obj: dict[int, set[int]] = {}
-    for batch in batches:
-        for obj_id in batch.obj_ids:
-            threads_per_obj.setdefault(obj_id, set()).add(batch.thread_id)
-    return sum(len(ts) * len(ts) for ts in threads_per_obj.values())  # simlint: disable=SIM003 (integer sum; order cannot leak)
-
-
-@dataclass
-class WindowAccrual:
-    """Everything the collector needs from one processing window,
-    computed in a single traversal of the window's batches."""
-
-    #: the window's TCM.
-    tcm: np.ndarray
-    #: naive-daemon accrual steps (drives the O3 cost model).
-    pair_count: int
-    #: OAL entries in the window (drives the reorganization cost).
-    n_entries: int
-    #: class_id -> per-class TCM (only when requested).
-    class_tcms: dict[int, np.ndarray] | None = None
-
-
-def window_accrual(
-    batches: Iterable[OALBatch],
-    n_threads: int,
-    *,
-    per_class: bool = False,
-    include_diagonal: bool = False,
-) -> WindowAccrual:
-    """Fold one window's batches into TCM + accrual statistics at once.
-
-    Replaces the collector's separate ``accrual_pair_count`` +
-    ``tcm_from_batches`` (+ optional ``tcm_by_class``) traversals with
-    one decode pass and shared index arrays.
-    """
-    if n_threads < 1:
-        raise ValueError(f"need at least one thread, got {n_threads}")
-    if not isinstance(batches, (list, tuple)):
-        batches = list(batches)
-    tids, oids, sizes, cids = _batch_arrays(batches)
-    tcm, rows, n_objects = _tcm_from_arrays(
-        tids, oids, sizes, n_threads, include_diagonal
-    )
-    if n_objects == 0:
-        pair_count = 0
-    else:
-        # Distinct (object, thread) pairs, zero-byte entries included,
-        # counted per object: the naive daemon accrues |threads(obj)|^2
-        # steps per object.
-        seen = np.zeros((n_objects, n_threads), dtype=bool)
-        seen[rows, tids] = True
-        per_obj = seen.sum(axis=1, dtype=np.int64)
-        pair_count = int((per_obj**2).sum())
-    class_tcms = (
-        _per_class_tcms(tids, oids, sizes, cids, n_threads, include_diagonal)
-        if per_class
-        else None
-    )
-    return WindowAccrual(
-        tcm=tcm,
-        pair_count=pair_count,
-        n_entries=int(tids.size),
-        class_tcms=class_tcms,
-    )
+    return window_accrual(
+        batches, n_threads, per_class=True, include_diagonal=include_diagonal
+    ).class_tcms
 
 
 def normalize_tcm(tcm: np.ndarray) -> np.ndarray:

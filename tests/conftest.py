@@ -43,6 +43,20 @@ def run_program(djvm: DJVM, ops_by_thread: dict[int, list]) -> None:
     djvm.run({tid: list(ops) for tid, ops in ops_by_thread.items()})
 
 
+def record_deliveries(collector) -> list:
+    """The OAL batches delivered to ``collector`` from now on, in order:
+    the collector folds each at its delivery and keeps none."""
+    delivered = []
+    deliver = collector.deliver
+
+    def recording(batch, **kw):
+        delivered.append(batch)
+        deliver(batch, **kw)
+
+    collector.deliver = recording
+    return delivered
+
+
 def wrap_main(ops: list, anchor: int | None = None) -> list:
     """Wrap an op list in a main() frame (with an optional anchor ref)."""
     refs = [(0, anchor)] if anchor is not None else []

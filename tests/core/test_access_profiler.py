@@ -6,7 +6,7 @@ from repro.runtime.djvm import DJVM
 from repro.sim.costs import CostModel
 from repro.sim.network import MessageKind
 
-from tests.conftest import simple_class, wrap_main
+from tests.conftest import record_deliveries, simple_class, wrap_main
 
 
 class GapSchedule:
@@ -123,12 +123,13 @@ class TestSamplingFilter:
         policy = suite.policy
         suite.set_full_sampling()
         djvm.add_hook(GapSchedule(policy, djvm.registry.get("Obj"), [5, 1]))
+        delivered = record_deliveries(suite.collector)
         reads = [P.read(o.obj_id) for o in objs]
         djvm.run({0: wrap_main([*reads, P.barrier(0), *reads, P.barrier(1), *reads])})
         assert policy.off_gap_one == 0
         # seqs 0..9: all, then 0 and 5 at gap 5, then all again.
         assert suite.access_profiler.total_logged == 10 + 2 + 10
-        scaled = [batch.scaled_bytes for batch in suite.collector._pending]
+        scaled = [batch.scaled_bytes for batch in delivered]
         assert scaled == [[64] * 10, [64 * 5] * 2, [64] * 10]
 
     def test_scaled_bytes_delivered(self):

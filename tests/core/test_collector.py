@@ -1,8 +1,12 @@
 """Tests for the master-side correlation collector."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.collector import CorrelationCollector
+from repro.core.distributed import DistributedCorrelationCollector
 from repro.core.oal import OALBatch
 from repro.sim.cluster import Cluster
 
@@ -108,3 +112,34 @@ class TestCostModelling:
         col.reset()
         assert col.window_tcms == [] and col.window_class_tcms == []
         assert col._last_deliver_ns == 0
+
+
+class WeakBatch(OALBatch):
+    """An OAL batch a weak reference can point at."""
+
+    __slots__ = ("__weakref__",)
+
+
+class TestRetention:
+    """A collector folds each batch at its delivery and keeps no
+    reference to it: only its sender may."""
+
+    @pytest.mark.parametrize("per_class", [False, True])
+    @pytest.mark.parametrize("kind", [CorrelationCollector, DistributedCorrelationCollector])
+    def test_a_delivered_batch_dies_with_its_last_outside_reference(self, kind, per_class):
+        col = kind(2, Cluster(2), window_batches=3)
+        col.track_per_class = per_class
+        refs = []
+        for tid in (0, 1):
+            b = WeakBatch(thread_id=tid, interval_id=1)
+            b.add(1, 10, class_id=0)
+            b.add(tid + 2, 20, class_id=1)
+            refs.append(weakref.ref(b))
+            col.deliver(b)
+            del b
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert col.window_tcms == []
+        assert col.tcm()[0, 1] == 10
+        per_class_maps = per_class and kind is CorrelationCollector
+        assert len(col.window_class_tcms) == int(per_class_maps)

@@ -44,6 +44,58 @@ class TestEquivalence:
         assert np.allclose(central.tcm(), distributed.tcm())
 
 
+class TestFoldedEquivalence:
+    def test_byte_identical_window_maps_and_costs(self):
+        """Batches of many threads sharing objects, in several windows:
+        every window map equals the centralized one byte for byte, and
+        the per-owner entries and pairs are those of the window's
+        entries split by owner."""
+        rng = np.random.default_rng(7)
+        central = CorrelationCollector(6, Cluster(3), window_batches=5)
+        distributed = DistributedCorrelationCollector(6, Cluster(3), window_batches=5)
+        windows = []
+        for k in range(12):
+            objs = rng.choice(400, size=int(rng.integers(0, 40)), replace=False)
+            sizes = rng.choice([0, 8, 64, 4096], size=objs.size)
+            b = batch(k % 6, [(int(o), int(s)) for o, s in zip(objs, sizes)], interval=k)
+            if k % 5 == 0:
+                windows.append([])
+            windows[-1].append(b)
+            central.deliver(b)
+            distributed.deliver(b)
+        assert central.tcm().tobytes() == distributed.tcm().tobytes()
+        assert len(distributed.window_tcms) == len(windows) == 3
+        for ours, theirs in zip(distributed.window_tcms, central.window_tcms):
+            assert ours.tobytes() == theirs.tobytes()
+        last = windows[-1]
+        entries = [sum(o % 3 == owner for b in last for o in b.obj_ids) for owner in range(3)]
+        threads = {}
+        for b in last:
+            for o in b.obj_ids:
+                threads.setdefault(o, set()).add(b.thread_id)
+        pairs = [
+            sum(len(t) ** 2 for o, t in threads.items() if o % 3 == owner) for owner in range(3)
+        ]
+        costs = distributed.costs
+        assert distributed.last_window_node_ns == {
+            owner: entries[owner] * costs.tcm_reorg_ns_per_entry
+            + pairs[owner] * costs.tcm_accrue_ns_per_pair
+            for owner in range(3)
+        }
+
+    def test_reset_forgets_the_open_window(self):
+        col = DistributedCorrelationCollector(2, Cluster(2))
+        col.deliver(batch(0, [(1, 10), (2, 10)]))
+        col.reset()
+        col.deliver(batch(1, [(3, 10)]))
+        col.tcm()
+        costs = col.costs
+        assert col.last_window_node_ns == {
+            0: 0,
+            1: costs.tcm_reorg_ns_per_entry + costs.tcm_accrue_ns_per_pair,
+        }
+
+
 class TestCostModel:
     def test_wall_time_below_aggregate(self):
         distributed = DistributedCorrelationCollector(8, Cluster(8))

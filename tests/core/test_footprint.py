@@ -205,6 +205,30 @@ class TestRearming:
         assert [bool(fp) for fp in suite.footprinter.interval_footprints[0]] == [True, False, False]
 
     @pytest.mark.parametrize("route", ["vector", "scalar", "keyword"])
+    def test_a_rate_moved_at_the_close_does_not_reweigh_the_interval(self, route):
+        """A hook ahead of the footprinter moves the gap to 100 (101,
+        prime) at the first interval's close, as the adaptive controller
+        does on the profiler's delivery.  Object seq 0 is sampled at
+        every gap; its footprint for that interval is still the 128
+        bytes it was sampled under at gap 1, not 128 x 101."""
+        djvm = DJVM(n_nodes=1, costs=CostModel.fast_test(), replay=route.replace("keyword", "vector"))
+        cls = simple_class(djvm, "Obj", 128)
+        objs = [djvm.allocate(cls, 0) for _ in range(4)]
+        djvm.spawn_thread(0)
+        ahead = self.GapAfterFirstInterval(None, cls)
+        djvm.add_hook(ahead)
+        suite = ProfilerSuite(djvm, correlation=False, footprint=True)
+        suite.set_full_sampling()
+        ahead.policy = policy = suite.policy
+        if route == "keyword":
+            djvm.add_hook(self.KeywordOnly())
+        twice = spread_accesses(objs[0].obj_id, 3)
+        djvm.run({0: wrap_main(twice + [P.barrier(0)] + twice + [P.barrier(1)])})
+        assert policy.gap(cls) == 101
+        first, second = suite.footprinter.interval_footprints[0][:2]
+        assert (first, second) == ({"Obj": 128}, {"Obj": 128 * 101})
+
+    @pytest.mark.parametrize("route", ["vector", "scalar", "keyword"])
     def test_first_touch_in_an_off_phase_still_arms(self, route):
         """Timer-phased tracking: the object's first touch falls in a
         tracking-off phase and is invisible, but the first touch decides

@@ -1,15 +1,19 @@
 """Tests for thread correlation map construction."""
 
+from itertools import chain
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.oal import OALBatch
 from repro.core.tcm import (
-    accrual_pair_count,
+    TCMAccumulator,
     build_tcm,
     normalize_tcm,
+    resampled_tcm,
     tcm_from_batches,
     window_accrual,
 )
@@ -124,7 +128,7 @@ class TestBatches:
             self.batch(1, [(1, 10)]),
         ]
         # object 1: 2 threads -> 4 pairs; object 2: 1 thread -> 1 pair.
-        assert accrual_pair_count(batches) == 5
+        assert window_accrual(batches, 2).pair_count == 5
 
 
 def reference_accrual(batches, n_threads):
@@ -206,6 +210,213 @@ class TestWindowAccrual:
         assert list(acc.class_tcms) == list(class_tcms)
         for cid, ref in class_tcms.items():
             assert np.array_equal(acc.class_tcms[cid], ref)
+
+
+def whole_window_reference(batches, n_threads):
+    """The window build as it was before batches were folded one at a
+    time: decode every batch of the window into parallel arrays, rank
+    the objects by first occurrence, and accrue once; per class, the
+    same over that class's entries.  Returns ``(tcm, pair_count,
+    n_entries, class_tcms)``."""
+    lens = [len(b) for b in batches]
+    tids = np.repeat(np.array([b.thread_id for b in batches], dtype=np.int64), lens)
+    def column(name, dtype):
+        values = chain.from_iterable(getattr(b, name) for b in batches)
+        return np.fromiter(values, dtype, sum(lens))
+
+    oids = column("obj_ids", np.int64)
+    sizes = column("scaled_bytes", np.float64)
+    cids = column("class_ids", np.int64)
+
+    def tcm_from_arrays(tids, oids, sizes):
+        tcm = np.zeros((n_threads, n_threads), dtype=np.float64)
+        if tids.size == 0:
+            return tcm, tids, 0
+        first = np.full(int(oids.max()) + 1, oids.size)
+        np.minimum.at(first, oids, np.arange(oids.size))
+        present = np.flatnonzero(first < oids.size)
+        n_objects = int(present.size)
+        rank = np.empty_like(first)
+        rank[present[np.argsort(first[present])]] = np.arange(n_objects)
+        rows = rank[oids]
+        bytes_mat = np.zeros((n_objects, n_threads), dtype=np.float64)
+        np.maximum.at(bytes_mat, (rows, tids), sizes)
+        obj_sizes = bytes_mat.max(axis=1)
+        indicator = (bytes_mat > 0).astype(np.float64)
+        tcm = (indicator * obj_sizes[:, None]).T @ indicator
+        np.fill_diagonal(tcm, 0.0)
+        return tcm, rows, n_objects
+
+    tcm, rows, n_objects = tcm_from_arrays(tids, oids, sizes)
+    seen = np.zeros((n_objects, n_threads), dtype=bool)
+    seen[rows, tids] = True
+    pair_count = int((seen.sum(axis=1, dtype=np.int64) ** 2).sum())
+    class_tcms = {}
+    uniq, first_idx = np.unique(cids, return_index=True)
+    for cid in uniq[np.argsort(first_idx, kind="stable")]:
+        mask = cids == cid
+        class_tcms[int(cid)] = tcm_from_arrays(tids[mask], oids[mask], sizes[mask])[0]
+    return tcm, pair_count, int(tids.size), class_tcms
+
+
+def assert_same_window(acc, batches, n_threads):
+    """``acc`` (a finished window) is bit for bit the whole-window build."""
+    tcm, pair_count, n_entries, class_tcms = whole_window_reference(batches, n_threads)
+    assert acc.tcm.tobytes() == tcm.tobytes()
+    assert (acc.pair_count, acc.n_entries) == (pair_count, n_entries)
+    assert list(acc.class_tcms) == list(class_tcms)
+    for cid, ref in class_tcms.items():
+        assert acc.class_tcms[cid].tobytes() == ref.tobytes()
+
+
+def oal_batch(tid, oids, sizes):
+    """An OAL batch as a profiler ships it: distinct ids, the class id a
+    function of the object id."""
+    b = OALBatch(thread_id=tid, interval_id=1)
+    for oid, size in zip(oids, sizes):
+        b.add(oid, size, class_id=oid % 3)
+    return b
+
+
+_STREAMS = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        # windows of batches of (thread, distinct ids, their sizes)
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=n - 1),
+                    st.lists(st.integers(min_value=0, max_value=300), unique=True, max_size=12),
+                    st.randoms(use_true_random=False),
+                ),
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+)
+
+
+class TestFoldOneBatchAtATime:
+    """Folding each batch as it arrives equals the whole-window build, bit
+    for bit, on one accumulator reused across windows."""
+
+    def fold_windows(self, n_threads, windows):
+        acc = TCMAccumulator(n_threads)
+        for batches in windows:
+            for batch in batches:
+                acc.fold_batch(batch, per_class=True)
+            assert acc.n_batches == len(batches)
+            assert_same_window(acc.finish(per_class=True), batches, n_threads)
+            assert (acc.n_rows, acc.n_entries, acc.n_batches) == (0, 0, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_STREAMS)
+    def test_generated_streams(self, stream):
+        n_threads, raw = stream
+        windows = [
+            [
+                # Sizes whose float sums depend on their order: the rows
+                # must be ranked exactly as the whole-window build ranks them.
+                oal_batch(tid, oids, [rnd.choice([0, 8, 64, 0.1, 1 / 3, 1e17]) for _ in oids])
+                for tid, oids, rnd in window
+            ]
+            for window in raw
+        ]
+        self.fold_windows(n_threads, windows)
+
+    def test_zero_byte_entries(self):
+        """A zero-byte entry counts as a pair step but accrues nothing."""
+        window = [
+            oal_batch(0, [1, 2], [0, 64]),
+            oal_batch(1, [1, 2], [0, 0]),
+            oal_batch(2, [1], [64]),
+        ]
+        self.fold_windows(3, [window])
+
+    def test_one_object_in_many_batches_and_threads(self):
+        window = [oal_batch(t % 4, [7, 100 + t], [64, 8]) for t in range(12)]
+        self.fold_windows(4, [window])
+
+    def test_ids_beyond_the_tables_grow_them(self):
+        small = [oal_batch(0, [0, 1], [8, 8]), oal_batch(1, [1], [8])]
+        large = [oal_batch(1, [5000, 1], [64, 8]), oal_batch(0, [70_000, 5000, 3], [8, 64, 8])]
+        self.fold_windows(2, [small, large, small])
+
+    def test_reuse_across_windows_forgets_the_last(self):
+        acc = TCMAccumulator(2)
+        acc.fold_batch(oal_batch(0, [1, 2], [64, 64]))
+        acc.fold_batch(oal_batch(1, [1, 2], [64, 64]))
+        assert acc.finish().tcm[0, 1] == 128
+        acc.fold_batch(oal_batch(0, [2], [64]))
+        acc.fold_batch(oal_batch(1, [3], [64]))
+        assert acc.finish().tcm[0, 1] == 0
+
+    def test_a_batch_that_repeats_an_id_still_folds_exactly(self):
+        window = [oal_batch(0, [4, 4, 1], [8, 64, 8]), oal_batch(1, [1, 4], [8, 64])]
+        self.fold_windows(2, [window])
+
+    def test_errors_keep_their_messages(self):
+        acc = TCMAccumulator(2)
+        with pytest.raises(ValueError, match=r"thread id 2 out of range 0\.\.1"):
+            acc.fold_batch(oal_batch(2, [1], [8]))
+        with pytest.raises(ValueError, match="object id -3 is negative"):
+            acc.fold_batch(oal_batch(0, [1, -3], [8, 8]))
+        with pytest.raises(ValueError, match=r"thread id 5 out of range 0\.\.1"):
+            build_tcm([(0, 1, 1.0), (5, 1, 1.0)], 2)
+        with pytest.raises(ValueError, match="need at least one thread, got 0"):
+            TCMAccumulator(0)
+        assert (acc.n_rows, acc.n_entries, acc.n_batches) == (0, 0, 0)
+
+    def test_per_class_maps_need_one_class_per_object(self):
+        acc = TCMAccumulator(2)
+        b = OALBatch(thread_id=0, interval_id=1)
+        b.add(1, 8, class_id=0)
+        acc.fold_batch(b, per_class=True)
+        b = OALBatch(thread_id=1, interval_id=1)
+        b.add(1, 8, class_id=1)
+        acc.fold_batch(b, per_class=True)
+        with pytest.raises(ValueError, match="two class ids"):
+            acc.finish(per_class=True)
+
+    def test_per_class_maps_need_every_batch_folded_with_its_classes(self):
+        acc = TCMAccumulator(2)
+        acc.fold_batch(oal_batch(0, [1], [8]), per_class=True)
+        acc.fold_batch(oal_batch(1, [1], [8]))
+        with pytest.raises(ValueError, match="without its class ids"):
+            acc.finish(per_class=True)
+        assert acc.finish().tcm[0, 1] == 8
+
+
+class TestResampled:
+    @settings(max_examples=60, deadline=None)
+    @given(_STREAMS, st.sampled_from([1, 2, 3, 7]))
+    def test_equals_the_entry_stream_build(self, stream, gap):
+        """Replaying a log at a rate folds each batch's sampled entries:
+        bit for bit the build over the same entries as one stream, with
+        one decision per entry, in log order."""
+        n_threads, raw = stream
+        batches = [
+            oal_batch(tid, oids, [64] * len(oids)) for window in raw for tid, oids, _ in window
+        ]
+        objects = {oid: SimpleNamespace(obj_id=oid) for b in batches for oid in b.obj_ids}
+
+        class Policy:
+            def __init__(self):
+                self.decided = []
+
+            def decision(self, obj):
+                self.decided.append(obj.obj_id)
+                return obj.obj_id % gap == 0, 8, 8 * gap + obj.obj_id
+
+        policy = Policy()
+        tcm = resampled_tcm(batches, policy, objects.__getitem__, n_threads)
+        entries = [
+            (b.thread_id, oid, 8 * gap + oid) for b in batches for oid in b.obj_ids if oid % gap == 0
+        ]
+        assert tcm.tobytes() == build_tcm(entries, n_threads).tobytes()
+        assert policy.decided == [oid for b in batches for oid in b.obj_ids]
 
 
 class TestNormalize:

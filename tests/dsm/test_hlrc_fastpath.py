@@ -23,7 +23,7 @@ from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
 
-from tests.conftest import simple_class, wrap_main
+from tests.conftest import record_deliveries, simple_class, wrap_main
 
 
 class NullHook:
@@ -129,10 +129,11 @@ class TestFastDispatchTransparency:
         suite = ProfilerSuite(djvm, correlation=True)
         suite.set_full_sampling()
         djvm.add_hook(NullHook())
+        delivered = record_deliveries(suite.collector)
         ops = [P.read(home), P.write(remote), P.read(home), P.read(remote, repeat=3)]
         djvm.run({0: wrap_main(ops + [P.barrier(0)])})
         assert suite.access_profiler.total_logged == 2
-        (batch,) = suite.collector._pending
+        (batch,) = delivered
         assert (batch.obj_ids, batch.class_ids) == ([home, remote], [cls.class_id] * 2)
         costs = djvm.costs
         # Two logs, one trap (the remote object faulted), and the
