@@ -9,10 +9,12 @@ reference we publish, per backend x workload:
 
 * ``e_abs`` / ``e_euc`` — the paper's formulas (2)/(1) of the rate-4
   map against the full-sampling map (``core/accuracy.error_summary``),
-* ``decide_ns`` — cold per-decision cost through the backend's batch
-  lane (fresh policy, so the memoized backend pays its cold computes):
-  ``SamplingPolicy.decide_batch``, the lane a run's first touches of
-  classes off gap 1 are decided through (``SamplingPolicy.first_touches``).
+* ``decide_ns`` — per-decision cost through the backend's batch lane
+  (a fresh policy per timed call): ``SamplingPolicy.decide_batch``, the
+  lane a run's first touches of classes off gap 1 are decided through
+  (``SamplingPolicy.first_touches``) and a rate replay decides a log's
+  distinct objects through (``resampled_tcm``).  Prime-gap loops over
+  its Python kernel; hash takes its numpy lane (4096 objects).
   The one host-time figure here, and the one host-time *gate* in
   ``make check``: both sides of the comparison are medians of
   :data:`DECIDE_SAMPLES` calls timed in this process, minutes apart at
@@ -77,9 +79,9 @@ DECIDE_SAMPLES = 7
 
 
 def _decide_cost_ns(backend_name: str, gos) -> float:
-    """Cold per-decision cost through the batch lane: a fresh policy per
-    timed run, so the memoized backend pays its cold computes and the
-    stateless backends their kernel — what a first-touch access costs.
+    """Per-decision cost through the batch lane: a fresh policy per
+    timed run, each object decided once by the backend's kernel (or the
+    hash backend's numpy lane) — what a first-touch access costs.
     Median of :data:`DECIDE_SAMPLES` timed calls."""
     objs = list(gos)[:4096]
     if not objs:

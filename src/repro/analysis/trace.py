@@ -115,13 +115,29 @@ class ProfileTrace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProfileTrace":
-        """Inverse of :meth:`to_dict`; validates the format version."""
+        """Inverse of :meth:`to_dict`.  Validates the format version and
+        the object metadata a replay decides from — every logged object
+        is described, of a described class, with a seq that is not
+        negative and a length the GOS would have allocated (at least 1
+        for an array, none for a scalar) — raising :class:`ValueError`."""
         version = data.get("format_version")
         if version != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported trace format version {version!r} "
                 f"(this build reads {FORMAT_VERSION})"
             )
+        classes = {int(k): tuple(v) for k, v in data["classes"].items()}
+        objects = {int(k): tuple(v) for k, v in data["objects"].items()}
+        for obj_id, (class_id, seq, length) in objects.items():
+            meta = classes.get(class_id)
+            if meta is None:
+                raise ValueError(f"object {obj_id}: class {class_id} is not in classes")
+            if seq < 0:
+                raise ValueError(f"object {obj_id}: negative seq {seq}")
+            if meta[2] and length < 1:
+                raise ValueError(f"object {obj_id}: array needs length >= 1, got {length}")
+            if not meta[2] and length:
+                raise ValueError(f"object {obj_id}: scalar cannot take a length, got {length}")
         batches = []
         for raw in data["batches"]:
             batch = OALBatch(
@@ -131,13 +147,15 @@ class ProfileTrace:
                 end_pc=raw.get("end_pc", 0),
             )
             for obj_id, scaled, class_id in raw["entries"]:
+                if obj_id not in objects:
+                    raise ValueError(f"batch entry: object {obj_id} is not in objects")
                 batch.add(obj_id, scaled, class_id)
             batches.append(batch)
         return cls(
             n_threads=data["n_threads"],
             page_size=data["page_size"],
-            classes={int(k): tuple(v) for k, v in data["classes"].items()},
-            objects={int(k): tuple(v) for k, v in data["objects"].items()},
+            classes=classes,
+            objects=objects,
             batches=batches,
         )
 

@@ -38,8 +38,7 @@ SIM010    wall-clock/OS-level process API (``multiprocessing``,
           deterministic core — the simulation is one process on one
           deterministic event stream
 SIM011    direct mutation of sampling state (``gap_table[...]``,
-          per-class decision memos/counters, ``real_gap``/``epoch``
-          fields) outside ``repro/core/sampling.py`` — rate changes
+          backend decision counters, ``real_gap``/``epoch`` fields) outside ``repro/core/sampling.py`` — rate changes
           flow through ``SamplingPolicy.set_rate``/``set_min_gap`` so
           every backend observes a consistent epoch
 SIM012    write to a shared-annotated object outside a lock region: a
@@ -245,16 +244,12 @@ METRICS_HOME_PREFIX = "repro/obs/"
 SAMPLING_HOME = "repro/core/sampling.py"
 
 #: container names SIM011 guards against subscript mutation: the policy
-#: gap table, the per-class decision memo, and the backend counters.
-SAMPLING_CONTAINERS = frozenset(
-    {"gap_table", "decisions", "sample_counts", "skip_counts"}
-)
+#: gap table and the backend counters.
+SAMPLING_CONTAINERS = frozenset({"gap_table", "sample_counts", "skip_counts"})
 
 #: per-class state fields SIM011 guards against attribute assignment —
 #: mutating these bypasses the epoch bump backends rely on.
-SAMPLING_STATE_ATTRS = frozenset(
-    {"real_gap", "nominal_gap", "cache_epoch", "epoch", "min_gap"}
-)
+SAMPLING_STATE_ATTRS = frozenset({"real_gap", "nominal_gap", "epoch", "min_gap"})
 
 #: dict/list mutator methods covered by the SIM011 call check.
 SAMPLING_MUTATORS = frozenset({"clear", "update", "pop", "popitem", "setdefault"})
@@ -836,11 +831,12 @@ class _Checker(ast.NodeVisitor):
         return self.testish or self.mod == SAMPLING_HOME
 
     def _check_sampling_mutation(self, target: ast.AST, node: ast.AST) -> None:
-        """Flag writes to the policy gap table, per-class decision memos
-        or backend counters (``gap_table[...] = ``, ``st.real_gap = ``)
-        outside :data:`SAMPLING_HOME`: gap/epoch consistency is what lets
-        every backend trust its memo and threshold derivations, so rate
-        changes must flow through ``set_rate``/``set_min_gap``."""
+        """Flag writes to the policy gap table or backend counters
+        (``gap_table[...] = ``, ``st.real_gap = ``) outside
+        :data:`SAMPLING_HOME`: gap/epoch consistency is what lets every
+        backend and the policy's first-touch answers trust their
+        threshold derivations, so rate changes must flow through
+        ``set_rate``/``set_min_gap``."""
         if self._sampling_exempt():
             return
         if isinstance(target, ast.Subscript):

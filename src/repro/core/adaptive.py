@@ -52,10 +52,10 @@ def describe_rate_update(policy, jclass) -> str:
     st = policy.state(jclass)
     backend = policy.backend
     gap = st.real_gap
-    if backend.memoized:
+    if backend.needs_resample_pass:
         return f"gap={gap} (epoch {st.epoch}, resample pass due on change)"
-    unit = policy._sampling_unit_size(jclass)
-    if backend.name == "poisson" and unit > 0:
+    if backend.name == "poisson":
+        unit = policy._sampling_unit_size(jclass)
         return f"lambda=1/{gap * unit}B (epoch {st.epoch}, no resample pass)"
     return f"threshold=1/{gap} (epoch {st.epoch}, no resample pass)"
 

@@ -21,17 +21,18 @@ Sampling backends
 
 The *decision* — given an object and the class's current gap, is it
 sampled, how many bytes are logged, and what Horvitz-Thompson weight do
-they carry — is pluggable through :class:`SamplingBackend`
-(``decide`` / ``decide_batch`` / ``epoch`` / ``snapshot``).  The
+they carry — is pluggable through :class:`SamplingBackend`: each backend is one
+uncounted kernel, a pure function of the object's identity (class, seq
+or id, length) and its class's current gap.  The
 :class:`SamplingPolicy` keeps owning the per-class *configuration*
 (rate ladder -> nominal gap -> realized prime gap, min-gap clamps,
 epochs) so every backend answers the same page-relative rate semantics;
 backends differ only in how they select objects at that rate:
 
 * :class:`PrimeGapBackend` (default) — the paper's scheme: sequence
-  divisibility, memoized per class and keyed by the gap epoch.  Needs
-  the per-class allocation sequence counter and a cluster resampling
-  pass on every rate change.
+  divisibility.  Needs the per-class allocation sequence counter and a
+  cluster resampling pass on every rate change (charged in simulated
+  time by the access profiler).
 * :class:`HashBackend` — a pure function of the object id (xorshift
   mix), matching the prime-gap inclusion probability per class with no
   mutable per-class decision state and no resampling passes.  Rate
@@ -56,7 +57,10 @@ The profilers decide at interval first touches through
 :meth:`SamplingPolicy.first_touches`: one answer per batch of ids,
 shared by every first-touch entry handed that batch, with the backend
 asked through :meth:`SamplingPolicy.decide_batch` only for classes off
-gap 1.
+gap 1, and at most once per object and rate generation.  That answer is
+the one cache of decisions; a backend counts every decision it is asked
+for (``decide`` / ``decide_batch``), and the policy's views
+(``is_sampled`` / ``logged_bytes`` / ``scaled_bytes``) count none.
 """
 
 from __future__ import annotations
@@ -110,17 +114,11 @@ class ClassSamplingState:
     jclass: JClass
     nominal_gap: int = 1
     real_gap: int = 1
-    #: bumped on every gap change; lets caches detect staleness.
+    #: bumped on every gap change.
     epoch: int = 0
     #: lower bound on the gap (used by sticky-set footprinting).
     min_gap: int = 1
     history: list[int] = field(default_factory=list)
-    #: epoch the memoized decisions below were computed under; any
-    #: mismatch with ``epoch`` invalidates the whole cache.
-    cache_epoch: int = -1
-    #: obj_id -> (sampled, logged_bytes, scaled_bytes) memo, valid only
-    #: while ``cache_epoch == epoch``.
-    decisions: dict[int, tuple[bool, int, int]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -131,25 +129,19 @@ class ClassSamplingState:
 class SamplingBackend:
     """One sampling-decision scheme, pluggable under a SamplingPolicy.
 
-    The protocol is four methods — :meth:`decide`, :meth:`decide_batch`,
-    :meth:`epoch`, :meth:`snapshot` — plus two capability flags:
-
-    * ``memoized`` — decisions are cached in the per-class state
-      (``ClassSamplingState.decisions``) keyed by the gap epoch; hot
-      paths may probe that memo directly.
-    * ``needs_resample_pass`` — a gap change requires the cluster-wide
-      object re-tagging pass the paper charges (stateless backends
-      recompute decisions from immutable identity instead and skip it).
-
-    Every backend observes its own sample/skip counters per class
-    (evaluated decisions only: the memoized backend counts each cold
-    compute once; stateless backends count every evaluation).  Those
-    feed the obs registry's ``sampling_decisions_total`` /
-    ``sampling_realized_rate`` families.
+    A backend implements one method, :meth:`_kernel`: the uncounted
+    ``(sampled, logged_bytes, scaled_bytes)`` of one object under its
+    class's current gap, a pure function of the object's identity.
+    :meth:`decide` and :meth:`decide_batch` are that kernel plus the
+    backend's per-class sample/skip counters, which count every decision
+    they make; those feed the obs registry's
+    ``sampling_decisions_total`` / ``sampling_realized_rate`` families.
+    ``needs_resample_pass`` says whether a gap change requires the
+    cluster-wide object re-tagging pass the paper charges (stateless
+    backends select from immutable identity and skip it).
     """
 
     name = "abstract"
-    memoized = False
     needs_resample_pass = False
 
     def __init__(self) -> None:
@@ -166,43 +158,34 @@ class SamplingBackend:
 
     # -- protocol ------------------------------------------------------
 
-    def decide(self, obj: HeapObject) -> tuple[bool, int, int]:
-        """``(sampled, logged_bytes, scaled_bytes)`` for one object."""
+    def _kernel(self, obj: HeapObject, st: ClassSamplingState) -> tuple[bool, int, int]:
+        """``(sampled, logged_bytes, scaled_bytes)`` for one object of
+        the class whose state is ``st``; counts nothing."""
         raise NotImplementedError
+
+    def decide(self, obj: HeapObject) -> tuple[bool, int, int]:
+        """:meth:`_kernel` for one object, counted."""
+        st = self.policy.state(obj.jclass)
+        result = self._kernel(obj, st)
+        self._count(st.jclass.class_id, result[0])
+        return result
 
     def decide_batch(self, objs) -> list[tuple[bool, int, int]]:
         """:meth:`decide` over an iterable, in input order.  Backends
         override when a batch can be computed cheaper than a loop."""
-        decide = self.decide
-        return [decide(obj) for obj in objs]
-
-    def peek(self, obj: HeapObject) -> tuple[bool, int, int]:
-        """:meth:`decide` without counting a new decision: a second look
-        at one already made.  A memoized backend hits its memo (and
-        counts a cold compute once, as ever)."""
-        return self.decide(obj)
-
-    def sampled_raw(self, obj: HeapObject) -> bool:
-        """The bare selection bit of :meth:`peek` (used by
-        :meth:`StatelessBackend.dead_zone_report`, so probing a
-        stateless backend is side-effect free)."""
-        return self.peek(obj)[0]
-
-    def epoch(self, class_id: int | None = None) -> int:
-        """Staleness token for cached decisions: the class's gap epoch,
-        or (``class_id=None``) the policy-wide change generation."""
-        policy = self.policy
-        if class_id is None:
-            return policy.rate_changes
-        st = policy._states.get(class_id)
-        return -1 if st is None else st.epoch
+        state, kernel, count = self.policy.state, self._kernel, self._count
+        out = []
+        for obj in objs:
+            st = state(obj.jclass)
+            result = kernel(obj, st)
+            count(st.jclass.class_id, result[0])
+            out.append(result)
+        return out
 
     def snapshot(self) -> dict:
         """Deterministically ordered digest of the backend's view: the
         per-class realized parameters plus the decision counters."""
         policy = self.policy
-        # class_stats(), not the raw counters: a composite backend
-        # (hybrid) counts in its sub-backends and merges them there.
         stats = self.class_stats()
         classes = {}
         for cid in sorted(policy._states):
@@ -214,25 +197,16 @@ class SamplingBackend:
                 "samples": samples,
                 "skips": skips,
             }
-        return {"backend": self.name, "memoized": self.memoized, "classes": classes}
+        return {"backend": self.name, "classes": classes}
 
     # -- shared helpers ------------------------------------------------
-
-    def _fresh_memo(self, st: ClassSamplingState) -> dict[int, tuple[bool, int, int]]:
-        """The one epoch-check/memo helper shared by the scalar and batch
-        decision paths: validate the class's decision cache against its
-        gap epoch, clearing a stale cache, and return it."""
-        if st.cache_epoch != st.epoch:
-            st.decisions.clear()
-            st.cache_epoch = st.epoch
-        return st.decisions
 
     def _count(self, class_id: int, sampled: bool) -> None:
         counts = self.sample_counts if sampled else self.skip_counts
         counts[class_id] = counts.get(class_id, 0) + 1
 
     def class_stats(self) -> dict[int, tuple[int, int]]:
-        """class_id -> (samples, skips) over evaluated decisions."""
+        """class_id -> (samples, skips) over counted decisions."""
         out: dict[int, tuple[int, int]] = {}
         for cid in sorted(set(self.sample_counts) | set(self.skip_counts)):
             out[cid] = (self.sample_counts.get(cid, 0), self.skip_counts.get(cid, 0))
@@ -247,7 +221,7 @@ class SamplingBackend:
         )
 
     def realized_rates(self) -> dict[int, float]:
-        """class_id -> sampled fraction among evaluated decisions."""
+        """class_id -> sampled fraction among counted decisions."""
         return {  # simlint: disable=SIM003 (class_stats() builds its dict in sorted-class_id order)
             cid: s / (s + k)
             for cid, (s, k) in self.class_stats().items()
@@ -262,53 +236,12 @@ class SamplingBackend:
 
 class PrimeGapBackend(SamplingBackend):
     """The paper's per-class prime-gap scheme (the default): sequence
-    divisibility for scalars, any-element divisibility for arrays,
-    memoized per class under the gap epoch."""
+    divisibility for scalars, any-element divisibility for arrays."""
 
     name = "prime_gap"
-    memoized = True
     needs_resample_pass = True
 
-    def decide(self, obj: HeapObject) -> tuple[bool, int, int]:
-        policy = self.policy
-        st = policy._states.get(obj.jclass.class_id)
-        if st is None:
-            st = policy.state(obj.jclass)
-        memo = self._fresh_memo(st)
-        cached = memo.get(obj.obj_id)
-        if cached is not None:
-            return cached
-        result = self._compute(st, obj)
-        memo[obj.obj_id] = result
-        return result
-
-    def decide_batch(self, objs) -> list[tuple[bool, int, int]]:
-        """Hoists the per-class state lookup and epoch check out of the
-        per-object loop: consecutive objects of the same class pay one
-        dict probe each.  The memo is shared with the scalar path, so
-        mixing the two APIs stays coherent."""
-        policy = self.policy
-        states = policy._states
-        out: list[tuple[bool, int, int]] = []
-        st = None
-        class_id = -1
-        memo: dict[int, tuple[bool, int, int]] = {}
-        for obj in objs:
-            cid = obj.jclass.class_id
-            if cid != class_id:
-                st = states.get(cid)
-                if st is None:
-                    st = policy.state(obj.jclass)
-                memo = self._fresh_memo(st)
-                class_id = cid
-            cached = memo.get(obj.obj_id)
-            if cached is None:
-                cached = self._compute(st, obj)
-                memo[obj.obj_id] = cached
-            out.append(cached)
-        return out
-
-    def _compute(self, st: ClassSamplingState, obj: HeapObject) -> tuple[bool, int, int]:
+    def _kernel(self, obj: HeapObject, st: ClassSamplingState) -> tuple[bool, int, int]:
         gap = st.real_gap
         if obj.is_array:
             if gap == 1:
@@ -319,14 +252,13 @@ class PrimeGapBackend(SamplingBackend):
         else:
             sampled = True if gap == 1 else obj.seq % gap == 0
             logged = obj.jclass.instance_size
-        self._count(st.jclass.class_id, sampled)
         return (sampled, logged, logged * gap)
 
 
 class StatelessBackend(SamplingBackend):
     """Base for backends whose decision is a pure function of the
-    object's immutable identity and the class's current gap — no memo,
-    no per-object tags, no cluster resampling passes.  The selection
+    object's immutable identity and the class's current gap — no
+    per-object tags, no cluster resampling passes.  The selection
     key is derived from :func:`repro.util.rng.seeded_rng`, so runs and
     processes agree on which objects are selected."""
 
@@ -340,18 +272,6 @@ class StatelessBackend(SamplingBackend):
                 0, _ONE64, dtype=np.uint64
             )
         )
-
-    def decide(self, obj: HeapObject) -> tuple[bool, int, int]:
-        st = self.policy.state(obj.jclass)
-        result = self._kernel(obj, st)
-        self._count(st.jclass.class_id, result[0])
-        return result
-
-    def peek(self, obj: HeapObject) -> tuple[bool, int, int]:
-        return self._kernel(obj, self.policy.state(obj.jclass))
-
-    def _kernel(self, obj: HeapObject, st: ClassSamplingState) -> tuple[bool, int, int]:
-        raise NotImplementedError
 
     def probability(self, obj: HeapObject) -> float:
         """The object's inclusion probability under the current gap."""
@@ -373,21 +293,23 @@ class StatelessBackend(SamplingBackend):
         objects) falls under ``min_expected``, or no live object hashes
         into the selection at all, the class's TCM contribution is
         structurally biased (possibly zero) rather than noisy.  Returns
-        one record per flagged class, definition order.
+        one record per flagged class, definition order.  Probing counts
+        no decision.
         """
         out: list[dict] = []
         for jclass in gos.registry:
             objs = gos.objects_of_class(jclass)
             if not objs:
                 continue
-            gap = self.policy.state(jclass).real_gap
+            st = self.policy.state(jclass)
+            gap = st.real_gap
             if gap == 1:
                 continue
             expected = 0.0
             actual = 0
             for obj in objs:
                 expected += self.probability(obj)
-                if self.sampled_raw(obj):
+                if self._kernel(obj, st)[0]:
                     actual += 1
             if expected < min_expected or actual == 0:
                 out.append(
@@ -461,7 +383,7 @@ class HashBackend(StatelessBackend):
         objs = objs if isinstance(objs, list) else list(objs)
         n = len(objs)
         if n < 64:
-            return [self.decide(o) for o in objs]
+            return super().decide_batch(objs)
         policy = self.policy
         ids = np.fromiter((o.obj_id for o in objs), dtype=np.uint64, count=n)
         cids = np.fromiter((o.jclass.class_id for o in objs), dtype=np.int64, count=n)
@@ -552,12 +474,10 @@ class PoissonByteBackend(StatelessBackend):
             logged = jclass.instance_size
         if gap == 1:
             return (True, logged, logged)
-        h = _mix64((obj.obj_id * _GOLDEN) ^ self._key)
-        if size <= 0 or unit <= 0:
-            # Degenerate zero-byte class: fall back to plain 1/gap
-            # selection; there is no byte extent to weigh.
-            return (h * gap < _ONE64, 0, 0)
+        # size and unit are positive: JClass checks a class's sizes, the
+        # GOS and ProfileTrace an array's length.
         p = -math.expm1(-size / (gap * unit))
+        h = _mix64((obj.obj_id * _GOLDEN) ^ self._key)
         sampled = h < int(p * 18446744073709551616.0)  # p * 2^64
         return (sampled, logged, int(round(size / p)))
 
@@ -570,8 +490,6 @@ class PoissonByteBackend(StatelessBackend):
             size, unit = obj.length * jclass.element_size, jclass.element_size
         else:
             size = unit = jclass.instance_size
-        if size <= 0 or unit <= 0:
-            return 1.0 / gap
         return -math.expm1(-size / (gap * unit))
 
     def expected_gap(self, st: ClassSamplingState) -> int:
@@ -585,7 +503,8 @@ class HybridBackend(SamplingBackend):
     """Poisson for small scalars, hash for arrays and large objects (the
     snippet's HYBRID): header-byte Poisson keeps small-object estimates
     low-variance while big, coarse-grained objects take the cheaper
-    hash test.  ``split_bytes`` is the routing boundary for scalars."""
+    hash test.  ``split_bytes`` is the routing boundary for scalars.
+    The sub-backends only compute; the hybrid counts its decisions."""
 
     name = "hybrid"
     needs_resample_pass = False
@@ -611,11 +530,8 @@ class HybridBackend(SamplingBackend):
             return self.hash
         return self.poisson
 
-    def decide(self, obj: HeapObject) -> tuple[bool, int, int]:
-        return self.route(obj).decide(obj)
-
-    def peek(self, obj: HeapObject) -> tuple[bool, int, int]:
-        return self.route(obj).peek(obj)
+    def _kernel(self, obj: HeapObject, st: ClassSamplingState) -> tuple[bool, int, int]:
+        return self.route(obj)._kernel(obj, st)
 
     def probability(self, obj: HeapObject) -> float:
         return self.route(obj).probability(obj)
@@ -623,20 +539,10 @@ class HybridBackend(SamplingBackend):
     def dead_zone_report(self, gos, *, min_expected: float = 2.0):
         return StatelessBackend.dead_zone_report(self, gos, min_expected=min_expected)
 
-    def class_stats(self) -> dict[int, tuple[int, int]]:
-        out: dict[int, tuple[int, int]] = {}
-        for sub in (self.poisson, self.hash):
-            for cid, (s, k) in sub.class_stats().items():  # simlint: disable=SIM003 (sub class_stats() is sorted-key; merge re-sorts below)
-                ps, pk = out.get(cid, (0, 0))
-                out[cid] = (ps + s, pk + k)
-        return dict(sorted(out.items()))
-
     def snapshot(self) -> dict:
         snap = super().snapshot()
         snap["seed"] = self.seed
         snap["split_bytes"] = self.split_bytes
-        snap["poisson"] = self.poisson.snapshot()
-        snap["hash"] = self.hash.snapshot()
         return snap
 
 
@@ -682,9 +588,9 @@ class SamplingPolicy:
         #: disable to ablate the prime-gap design choice.
         self.use_prime_gaps = use_prime_gaps
         self._states: dict[int, ClassSamplingState] = {}
-        #: total gap-change events (each triggers cluster-wide resampling
-        #: under the memoized backend; stateless backends treat it as a
-        #: λ / threshold update generation).
+        #: total gap-change events, the policy's rate generation (each
+        #: triggers cluster-wide resampling under the prime-gap backend;
+        #: stateless backends treat it as a λ / threshold update).
         self.rate_changes = 0
         #: class_id -> current real gap; a precomputed table the hot
         #: profiling path reads instead of re-deriving gaps per access.
@@ -704,7 +610,7 @@ class SamplingPolicy:
         #: (ids, rate_changes, answer) of the last first-touch batch.
         self._first_touch = None
         #: obj_id -> first-touch selection flag / scaled bytes, valid
-        #: while ``rate_changes`` is ``_known_gen`` (memoized backends).
+        #: while ``rate_changes`` is ``_known_gen``.
         self._known_sampled: dict[int, bool] = {}
         self._known_scaled: dict[int, int] = {}
         self._known_gen = -1
@@ -750,7 +656,7 @@ class SamplingPolicy:
     def set_rate(self, jclass: JClass, rate: float | str) -> bool:
         """Set a class's gap from a page-relative rate; returns True when
         the real gap changed (a cluster resampling pass is then due
-        under the memoized backend; stateless backends just see a new
+        under the prime-gap backend; stateless backends just see a new
         λ / threshold through the gap)."""
         return self.set_nominal_gap(jclass, self.nominal_gap_for_rate(jclass, rate))
 
@@ -806,12 +712,8 @@ class SamplingPolicy:
         ``(sampled, logged_bytes, scaled_bytes)``.
 
         Decisions are pure functions of the object's immutable identity
-        (class, seq/id, length) and the class's current gap, delegated
-        to the active :class:`SamplingBackend`.  The default memoized
-        backend caches them per class keyed by the gap *epoch*: any gap
-        change bumps :attr:`ClassSamplingState.epoch`, which invalidates
-        the whole class cache on the next lookup, so between rate
-        changes the hot profiling path pays one dict probe per object.
+        (class, seq/id, length) and the class's current gap, computed by
+        the active :class:`SamplingBackend`, which counts each one.
         """
         return self.backend.decide(obj)
 
@@ -820,9 +722,10 @@ class SamplingPolicy:
         input order (the backend's batch lane)."""
         return self.backend.decide_batch(objs)
 
-    # The three views below re-read a decision (``backend.peek``): only
-    # decision() and decide_batch() count one, so realized_rates() is
-    # the sampled fraction of what the profilers decided.
+    # The three views below call the backend's kernel and count
+    # nothing: only decision() and decide_batch() count, so
+    # realized_rates() is the sampled fraction of what the profilers
+    # decided.
 
     def is_sampled(self, obj: HeapObject) -> bool:
         """Is this object currently sampled?
@@ -831,18 +734,18 @@ class SamplingPolicy:
         at least one element logically sampled (Fig. 3b).  Other
         backends substitute their own selection at the same rate.
         """
-        return self.backend.peek(obj)[0]
+        return self.backend._kernel(obj, self.state(obj.jclass))[0]
 
     def logged_bytes(self, obj: HeapObject) -> int:
         """Bytes recorded in the OAL for one sampled object: the full
         instance size for scalars, the amortized sample size for arrays."""
-        return self.backend.peek(obj)[1]
+        return self.backend._kernel(obj, self.state(obj.jclass))[1]
 
     def scaled_bytes(self, obj: HeapObject) -> int:
         """Horvitz-Thompson estimate this sample contributes: logged
         bytes times the gap (each sample stands for ``gap`` units), or
         the backend's equivalent inverse-probability weight."""
-        return self.backend.peek(obj)[2]
+        return self.backend._kernel(obj, self.state(obj.jclass))[2]
 
     def first_touches(self, ids, objects) -> tuple[list[bool] | None, list[int]]:
         """The sampling decision of one batch of interval first touches,
@@ -856,11 +759,11 @@ class SamplingPolicy:
         Both routes call the first-touch entries of one access or run
         back to back with the same ``ids`` list, and rates change only
         at an interval close, so a second call with that list and no
-        rate change since returns the first answer: each first touch is
-        decided, and counted, once.  Under a memoized backend the
-        answers are also kept by id until the next rate change, so an
-        object first touched again in a later interval is read back at
-        C speed (the backend's memo would answer it, uncounted, too)."""
+        rate change since returns the first answer.  The answers are
+        also kept by id until the next rate change, so an object first
+        touched again in a later interval is read back at C speed: each
+        object is decided, and counted, at most once per rate
+        generation, under every backend."""
         last = self._first_touch
         if last is not None and last[0] is ids and last[1] == self.rate_changes:
             return last[2]
@@ -868,7 +771,7 @@ class SamplingPolicy:
             self._grow_columns(objects)
         if not self.off_gap_one:
             answer = None, list(map(self.size_col.__getitem__, ids))
-        elif self.backend.memoized:
+        else:
             if self._known_gen != self.rate_changes:
                 self._known_sampled, self._known_scaled = {}, {}
                 self._known_gen = self.rate_changes
@@ -881,8 +784,6 @@ class SamplingPolicy:
                 self._known_scaled.update(zip(miss, scaled))
                 sampled = list(map(known_sampled.__getitem__, ids))
             answer = sampled, list(map(self._known_scaled.__getitem__, ids))
-        else:
-            answer = self._decide(ids, objects)
         self._first_touch = (ids, self.rate_changes, answer)
         return answer
 

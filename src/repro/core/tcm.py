@@ -19,7 +19,7 @@ triple loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable
 
 import numpy as np
@@ -302,16 +302,24 @@ def resampled_tcm(batches: Iterable[OALBatch], policy, obj_of, n_threads: int) -
     each at its Horvitz-Thompson bytes — a full-sampling log replayed
     at ``policy``'s rates, folded one batch at a time.
     ``obj_of(obj_id)`` gives the entry's
-    :class:`~repro.heap.objects.HeapObject`; each entry costs one
-    ``policy.decision``, so the backend counts each decision once."""
-    decision = policy.decision
+    :class:`~repro.heap.objects.HeapObject`.  The log's distinct objects
+    are decided in one ``policy.decide_batch``, so the backend counts
+    each object once however many entries log it."""
+    batches = list(batches)
+    ids = sorted(set(chain.from_iterable(batch.obj_ids for batch in batches)))
+    decisions = policy.decide_batch([obj_of(oid) for oid in ids])
+    scaled_of = {oid: dec[2] for oid, dec in zip(ids, decisions) if dec[0]}
     acc = TCMAccumulator(n_threads)
     for batch in batches:
-        picked = OALBatch(batch.thread_id, batch.interval_id)
-        for oid, cid in zip(batch.obj_ids, batch.class_ids):
-            sampled, _logged, scaled = decision(obj_of(oid))
-            if sampled:
-                picked.add(oid, scaled, cid)
+        keep = list(map(scaled_of.__contains__, batch.obj_ids))
+        obj_ids = list(compress(batch.obj_ids, keep))
+        picked = OALBatch(
+            batch.thread_id,
+            batch.interval_id,
+            obj_ids=obj_ids,
+            scaled_bytes=list(map(scaled_of.__getitem__, obj_ids)),
+            class_ids=list(compress(batch.class_ids, keep)),
+        )
         acc.fold_batch(picked)
     return acc.finish().tcm
 

@@ -168,11 +168,14 @@ def _collect_suite(reg: MetricsRegistry, djvm) -> None:
 
 
 def _collect_sampling(reg: MetricsRegistry, suite) -> None:
-    """Per-backend sampling decision statistics: evaluated decisions by
+    """Per-backend sampling decision statistics: counted decisions by
     outcome and the realized per-class sampled fraction.  Host-side
-    observability only — counters track *evaluated* decisions (the
-    memoized prime-gap backend evaluates once per epoch per object; the
-    gap==1 fast path bypasses decision evaluation entirely)."""
+    observability only.  The counting rule is the same on every
+    backend: each ``decision`` / ``decide_batch`` answer counts once,
+    and the profilers' first touches ask at most once per object and
+    rate generation (``SamplingPolicy.first_touches``), never for a
+    class at gap 1; ``is_sampled`` / ``logged_bytes`` / ``scaled_bytes``
+    count nothing."""
     policy = getattr(suite, "policy", None)
     backend = getattr(policy, "backend", None)
     if backend is None:

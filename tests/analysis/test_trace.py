@@ -79,6 +79,79 @@ class TestRoundTrip:
             ProfileTrace.from_dict(data)
 
 
+def small_trace_dict() -> dict:
+    """A well-formed two-thread trace: a scalar class and an array
+    class, one object of each, both logged by both threads."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "n_threads": 2,
+        "page_size": 4096,
+        "classes": {"0": ["Body", 96, False, 0], "1": ["double[]", 16, True, 8]},
+        "objects": {"0": [0, 0, 0], "1": [1, 0, 40]},
+        "batches": [
+            {"thread": t, "interval": 0, "entries": [[0, 96, 0], [1, 320, 1]]} for t in (0, 1)
+        ],
+    }
+
+
+def _unknown_object(data):
+    data["batches"][0]["entries"].append([7, 96, 0])
+
+
+def _unknown_class(data):
+    data["objects"]["0"][0] = 5
+
+
+def _negative_array_length(data):
+    data["objects"]["1"][2] = -5
+
+
+def _empty_array(data):
+    data["objects"]["1"][2] = 0
+
+
+def _scalar_with_length(data):
+    data["objects"]["0"][2] = 3
+
+
+def _negative_seq(data):
+    data["objects"]["0"][1] = -1
+
+
+class TestMalformedMetadata:
+    """Object metadata a replay cannot decide from is refused at load,
+    not met later as a bare KeyError or a silent replay."""
+
+    def test_well_formed_trace_replays(self):
+        trace = ProfileTrace.from_dict(small_trace_dict())
+        for backend in ("prime_gap", "hash", "poisson", "hybrid"):
+            assert trace.tcm_at_rate(4, backend=backend).shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            pytest.param(corrupt, message, id=corrupt.__name__.strip("_"))
+            for corrupt, message in (
+                (_unknown_object, "object 7 is not in objects"),
+                (_unknown_class, "class 5 is not in classes"),
+                (_negative_array_length, "array needs length >= 1, got -5"),
+                (_empty_array, "array needs length >= 1, got 0"),
+                (_scalar_with_length, "scalar cannot take a length, got 3"),
+                (_negative_seq, "negative seq -1"),
+            )
+        ],
+    )
+    def test_rejected(self, corrupt, message, tmp_path):
+        data = small_trace_dict()
+        corrupt(data)
+        with pytest.raises(ValueError, match=message):
+            ProfileTrace.from_dict(data)
+        path = tmp_path / "bad.trace"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"trace {path}: .*{message}"):
+            ProfileTrace.load(path)
+
+
 class TestOfflineReplay:
     def test_replay_at_rate_matches_live_rerun(self, trace):
         offline = trace.tcm_at_rate(2)

@@ -422,8 +422,8 @@ def test_sim011_positive_state_attr_assign():
     assert codes(src, CORE) == ["SIM011"]
 
 
-def test_sim011_positive_memo_clear_call():
-    src = "def f(st):\n    st.decisions.clear()\n"
+def test_sim011_positive_counter_clear_call():
+    src = "def f(backend):\n    backend.skip_counts.clear()\n"
     assert codes(src, CORE) == ["SIM011"]
 
 

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.adaptive import AdaptiveRateController, OfflineRateSearch, RateDecision
+from repro.core.adaptive import (
+    AdaptiveRateController,
+    OfflineRateSearch,
+    RateDecision,
+    describe_rate_update,
+)
+from repro.core.sampling import SamplingPolicy
+from repro.heap.heap import GlobalObjectSpace
 
 
 def map_family(noise_by_rate):
@@ -98,3 +105,23 @@ class TestAdaptiveRateController:
         assert isinstance(ctrl.decisions[0], RateDecision)
         assert ctrl.decisions[0].relative_error is None
         assert ctrl.decisions[1].converged
+
+
+@pytest.mark.parametrize(
+    "backend, expected",
+    [
+        ("prime_gap", "gap=11 (epoch 1, resample pass due on change)"),
+        ("hash", "threshold=1/11 (epoch 1, no resample pass)"),
+        ("poisson", "lambda=1/1056B (epoch 1, no resample pass)"),
+        ("hybrid", "threshold=1/11 (epoch 1, no resample pass)"),
+    ],
+)
+def test_describe_rate_update_names_what_each_backend_realized(backend, expected):
+    """A 96-byte class at rate 4 (nominal gap 10, prime gap 11): the
+    backend that needs a resample pass reports its gap, Poisson its λ
+    over the class's bytes, hash and hybrid their threshold."""
+    gos = GlobalObjectSpace()
+    body = gos.registry.define("Body", 96)
+    policy = SamplingPolicy(backend=backend)
+    policy.set_rate(body, 4)
+    assert describe_rate_update(policy, body) == expected

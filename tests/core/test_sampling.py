@@ -167,31 +167,38 @@ class TestSamplingDecisions:
 
 
 class TestDecisionCacheStaleness:
-    """Gap changes must bump the epoch and invalidate memoized decisions
-    (the hot path serves cached tuples only while cache_epoch == epoch)."""
+    """A gap change is seen by every decision path: ``decision``,
+    ``decide_batch`` and the first-touch answers the policy keeps for
+    one rate generation (its one cache of decisions)."""
 
     def test_gap_change_bumps_epoch_and_invalidates_cache(self):
         gos = gos_with_classes()
         policy = SamplingPolicy()
         body_cls = gos.registry.get("Body")
         objs = [gos.allocate(body_cls, 0) for _ in range(20)]
+        ids = [o.obj_id for o in objs]
+
+        def first_touch_view(decisions):
+            return [d[0] for d in decisions], [d[2] for d in decisions]
+
         policy.set_nominal_gap(body_cls, 5)
         before = [policy.decision(o) for o in objs]
-        st_ = policy.state(body_cls)
-        assert st_.cache_epoch == st_.epoch
-        assert len(st_.decisions) == len(objs)
+        assert policy.decide_batch(objs) == before
+        assert policy.first_touches(ids, gos._objects) == first_touch_view(before)
 
+        st_ = policy.state(body_cls)
         epoch_before = st_.epoch
         assert policy.set_nominal_gap(body_cls, 13)
         assert st_.epoch == epoch_before + 1
-        # The stale cache is dropped on the next lookup, not served.
-        after = [policy.decision(o) for o in objs]
-        assert st_.cache_epoch == st_.epoch
-        assert after != before
-        # Recomputed decisions match a cache-free policy at the new gap.
         fresh = SamplingPolicy()
         fresh.set_nominal_gap(body_cls, 13)
-        assert after == [fresh.decision(o) for o in objs]
+        after = [fresh.decision(o) for o in objs]
+        assert after != before
+        assert [policy.decision(o) for o in objs] == after
+        assert policy.decide_batch(objs) == after
+        # The same ids list again: the last batch's answer is not served
+        # across the rate change.
+        assert policy.first_touches(ids, gos._objects) == first_touch_view(after)
 
     def test_unchanged_gap_keeps_cache_warm(self):
         gos = gos_with_classes()
@@ -199,14 +206,17 @@ class TestDecisionCacheStaleness:
         body_cls = gos.registry.get("Body")
         obj = gos.allocate(body_cls, 0)
         policy.set_nominal_gap(body_cls, 13)
-        policy.decision(obj)
+        answer = policy.first_touches([obj.obj_id], gos._objects)
+        assert sum(policy.backend.totals()) == 1
         st_ = policy.state(body_cls)
-        epoch = st_.epoch
+        epoch, changes = st_.epoch, policy.rate_changes
         # Re-realizing the same real gap is not a change: no epoch bump,
-        # memo retained.
+        # no new rate generation, and the first-touch answer stays valid
+        # (read back, not decided and counted again).
         assert not policy.set_nominal_gap(body_cls, 13)
-        assert st_.epoch == epoch
-        assert obj.obj_id in st_.decisions
+        assert (st_.epoch, policy.rate_changes) == (epoch, changes)
+        assert policy.first_touches([obj.obj_id], gos._objects) == answer
+        assert sum(policy.backend.totals()) == 1
 
     def test_gap_table_tracks_changes(self):
         gos = gos_with_classes()
@@ -218,7 +228,7 @@ class TestDecisionCacheStaleness:
         assert policy.gap_table[body_cls.class_id] == policy.gap(body_cls) == 29
 
     def test_array_amortization_recomputed_after_gap_change(self):
-        """The cached (sampled, logged, scaled) of an array must follow
+        """The (sampled, logged, scaled) of an array must follow
         sampled_element_count/amortized_sample_bytes across gap changes."""
         from repro.core.array_sampling import (
             amortized_sample_bytes,
@@ -246,7 +256,7 @@ class TestDecisionCacheStaleness:
 
 
 class TestBatchDecisions:
-    """decide_batch mirrors decision() exactly and shares its memo."""
+    """decide_batch mirrors decision() exactly."""
 
     def test_batch_matches_scalar_in_order(self):
         gos = gos_with_classes()
@@ -257,7 +267,7 @@ class TestBatchDecisions:
         policy.set_nominal_gap(arr, 7)
         objs = [gos.allocate(body, 0) for _ in range(30)]
         objs += [gos.allocate(arr, 0, length=40) for _ in range(10)]
-        objs += objs[:7]  # repeats exercise the memo
+        objs += objs[:7]  # repeats are decided again, identically
         assert policy.decide_batch(objs) == [policy.decision(o) for o in objs]
 
     def test_batch_respects_epoch_invalidation(self):

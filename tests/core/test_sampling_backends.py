@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.sampling import (
     BACKENDS,
@@ -59,7 +61,7 @@ class TestResolution:
     def test_snapshot_counters_agree_with_totals(self, name):
         """The per-class ``samples`` / ``skips`` of ``snapshot()`` are the
         backend's decision counters — also for the hybrid, which counts
-        in its sub-backends (its own snapshot used to say 0 / 0)."""
+        its decisions itself."""
         gos = GlobalObjectSpace()
         gos.registry.define("Obj", 96)
         policy = make_policy(name, gos)
@@ -102,17 +104,18 @@ class TestPrimeGapIdentity:
                 assert logged == body.instance_size
                 assert scaled == logged * gap
 
-    def test_memo_shared_between_scalar_and_batch(self):
+    def test_scalar_and_batch_agree_and_both_count(self):
         gos = gos_with_classes()
         policy = make_policy("prime_gap", gos, rate=1)
         objs = [gos.allocate("Body", home_node=0) for _ in range(200)]
         batch = policy.decide_batch(objs)
         scalar = [policy.decision(o) for o in objs]
         assert batch == scalar
-        # Each object was evaluated exactly once (the scalar pass hit the
-        # memo the batch pass filled).
+        # No memo: each call decides, and counts, every object; the
+        # policy's views count nothing.
+        assert [policy.scaled_bytes(o) for o in objs] == [d[2] for d in scalar]
         samples, skips = policy.backend.totals()
-        assert samples + skips == len(objs)
+        assert samples + skips == 2 * len(objs)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +297,8 @@ class TestHybridBackend:
             HybridBackend(split_bytes=0)
 
     def test_class_stats_merged(self):
+        """The hybrid counts the decisions of both routes itself; its
+        sub-backends only compute."""
         gos = GlobalObjectSpace()
         tiny = gos.registry.define("Tiny", 48)
         big = gos.registry.define("Big", 512)
@@ -307,6 +312,7 @@ class TestHybridBackend:
         stats = backend.class_stats()
         assert set(stats) == {tiny.class_id, big.class_id}
         assert all(s + k == 20 for s, k in stats.values())
+        assert backend.poisson.class_stats() == backend.hash.class_stats() == {}
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +356,7 @@ class TestDeadZone:
         counts_before = policy.backend.totals()
         for _ in range(50):
             report = policy.backend.dead_zone_report(gos)
-            assert [policy.backend.sampled_raw(o) for o in objs] == first
+            assert [policy.is_sampled(o) for o in objs] == first
         assert policy.backend.totals() == counts_before
         assert {r["class"] for r in report} == {"Rare"}
 
@@ -403,7 +409,7 @@ class TestIntegration:
         ap.notify_rate_change(jclass)
         assert ap._pending_resample == {}
 
-    def test_memoized_rate_change_schedules_resample(self):
+    def test_prime_gap_rate_change_schedules_resample(self):
         djvm, suite = self._suite(None)
         jclass = djvm.gos.registry.define("Body", 96)
         ap = suite.access_profiler
@@ -442,11 +448,11 @@ class TestIntegration:
     )
     def test_rate_replay_counts_each_decision_once(self, backend, replay):
         """After a rate replay, ``realized_rates()`` is the sampled
-        fraction of the filtered entries on every backend: the replay
-        asks the backend once per entry, so a sampled object is not
-        counted twice.  The expected fraction is a fresh policy's
+        fraction of the logged objects on every backend: the replay
+        asks the backend once per distinct object, so a sampled object
+        is not counted twice.  The expected fraction is a fresh policy's
         decisions at the same rate.  Two classes, so the hybrid routes
-        one to each sub-backend and merges their counters."""
+        one to each sub-backend and counts both."""
         from repro.analysis.experiments import tcm_at_rate
         from repro.analysis.trace import ProfileTrace
         from repro.core.oal import OALBatch
@@ -480,11 +486,10 @@ class TestIntegration:
 
 @pytest.mark.parametrize("backend", ["prime_gap", "hash", "poisson", "hybrid"])
 def test_live_run_counts_each_decision_once(backend):
-    """After a live profiled run — correlation and footprint, whose close
-    re-reads the sticky objects' scaled bytes — ``realized_rates()`` is
-    the sampled fraction of the decisions the policy handed out through
-    ``decision`` / ``decide_batch``.  A memoized backend counts each
-    object once per gap epoch, so its tally does too."""
+    """After a live profiled run — correlation and footprint —
+    ``realized_rates()`` is the sampled fraction of the decisions the
+    policy handed out through ``decision`` / ``decide_batch``: every
+    backend counts each decision it makes, once."""
     from repro.core.profiler import ProfilerSuite
     from repro.runtime.djvm import DJVM
     from repro.workloads.water_spatial import WaterSpatialWorkload
@@ -495,18 +500,10 @@ def test_live_run_counts_each_decision_once(backend):
     suite = ProfilerSuite(djvm, correlation=True, footprint=True, sampling_backend=backend)
     suite.set_rate_all(4)
     policy = suite.policy
-    memoized = policy.backend.memoized
     tally: dict[int, list[int]] = {}
-    seen: set[tuple[int, int, int]] = set()
 
     def note(obj, dec):
-        cid = obj.jclass.class_id
-        if memoized:
-            key = (cid, policy._states[cid].epoch, obj.obj_id)
-            if key in seen:
-                return
-            seen.add(key)
-        tally.setdefault(cid, [0, 0])[0 if dec[0] else 1] += 1
+        tally.setdefault(obj.jclass.class_id, [0, 0])[0 if dec[0] else 1] += 1
 
     decision, decide_batch = policy.decision, policy.decide_batch
 
@@ -555,3 +552,95 @@ def test_the_footprinter_adds_no_decisions(backend):
     alone = totals(False)
     assert alone[0] > 0 and alone[1] > 0
     assert totals(True) == alone
+
+
+# ---------------------------------------------------------------------------
+# the one cache: first-touch answers, kept for one rate generation
+# ---------------------------------------------------------------------------
+
+_CLASS_SPECS = st.lists(
+    st.one_of(
+        st.tuples(st.just(False), st.sampled_from([8, 48, 96, 512, 5000])),
+        st.tuples(st.just(True), st.sampled_from([4, 8])),
+    ),
+    min_size=1,
+    max_size=3,
+)
+_RATES = st.sampled_from([1, 2, 4, 16, "full"])
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_first_touches_is_the_one_cache(backend, data):
+    """Over generated classes, objects and a sequence of first-touch
+    batches and rate changes (a rate change to one class between
+    batches that touch another class's objects again), each batch is
+    handed to two first-touch entries with the same ids list, and:
+
+    * the answer equals a fresh policy's ``decision`` for each id at
+      the rates then in force;
+    * the backend has counted exactly one decision per distinct
+      (object, rate generation) pair whose class was off gap 1."""
+    gos = GlobalObjectSpace()
+    classes = []
+    for k, (is_array, size) in enumerate(data.draw(_CLASS_SPECS, label="classes")):
+        if is_array:
+            classes.append(gos.registry.define(f"A{k}", is_array=True, element_size=size))
+        else:
+            classes.append(gos.registry.define(f"S{k}", size))
+    n_objects = data.draw(st.integers(1, 90), label="n_objects")
+    for _ in range(n_objects):
+        jclass = classes[data.draw(st.integers(0, len(classes) - 1))]
+        length = data.draw(st.integers(1, 300)) if jclass.is_array else 0
+        gos.allocate(jclass, home_node=0, length=length)
+    objects = gos._objects
+    policy = SamplingPolicy(backend=backend)
+    rates = {jclass.class_id: "full" for jclass in classes}
+    decided: set[tuple[int, int]] = set()
+    steps = st.one_of(
+        st.tuples(st.just("rate"), st.integers(0, len(classes) - 1), _RATES),
+        st.tuples(
+            st.just("touch"),
+            st.lists(st.integers(0, n_objects - 1), unique=True, min_size=1),
+        ),
+    )
+    for step in data.draw(st.lists(steps, min_size=1, max_size=12), label="steps"):
+        if step[0] == "rate":
+            jclass = classes[step[1]]
+            policy.set_rate(jclass, step[2])
+            rates[jclass.class_id] = step[2]
+            continue
+        ids = step[1]
+        answer = policy.first_touches(ids, objects)
+        assert policy.first_touches(ids, objects) == answer
+        fresh = SamplingPolicy(backend=backend)
+        for jclass in classes:
+            fresh.set_rate(jclass, rates[jclass.class_id])
+        expected = [fresh.decision(objects[i]) for i in ids]
+        sampled, scaled = answer
+        assert (sampled or [True] * len(ids)) == [d[0] for d in expected]
+        assert scaled == [d[2] for d in expected]
+        decided.update(
+            (i, policy.rate_changes) for i in ids if policy.gap(objects[i].jclass) != 1
+        )
+    assert sum(policy.backend.totals()) == len(decided)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_a_rate_change_starts_a_new_generation_for_every_class(backend):
+    """A rate change to one class is a new rate generation: objects of
+    another class, unchanged, are decided (and counted) again at their
+    next first touch, and agree with their earlier answer."""
+    gos = GlobalObjectSpace()
+    body = gos.registry.define("Body", 96)
+    row = gos.registry.define("double[]", is_array=True, element_size=8)
+    policy = make_policy(backend, gos, rate=4)
+    ids = [gos.allocate(body, home_node=0).obj_id for _ in range(40)]
+    first = policy.first_touches(list(ids), gos._objects)
+    assert sum(policy.backend.totals()) == 40
+    assert policy.first_touches(list(ids), gos._objects) == first
+    assert sum(policy.backend.totals()) == 40
+    policy.set_rate(row, 16)
+    assert policy.first_touches(list(ids), gos._objects) == first
+    assert sum(policy.backend.totals()) == 80

@@ -395,7 +395,7 @@ class TestResampled:
     def test_equals_the_entry_stream_build(self, stream, gap):
         """Replaying a log at a rate folds each batch's sampled entries:
         bit for bit the build over the same entries as one stream, with
-        one decision per entry, in log order."""
+        one decision per distinct object, made in one batch."""
         n_threads, raw = stream
         batches = [
             oal_batch(tid, oids, [64] * len(oids)) for window in raw for tid, oids, _ in window
@@ -406,9 +406,9 @@ class TestResampled:
             def __init__(self):
                 self.decided = []
 
-            def decision(self, obj):
-                self.decided.append(obj.obj_id)
-                return obj.obj_id % gap == 0, 8, 8 * gap + obj.obj_id
+            def decide_batch(self, objs):
+                self.decided.append([obj.obj_id for obj in objs])
+                return [(obj.obj_id % gap == 0, 8, 8 * gap + obj.obj_id) for obj in objs]
 
         policy = Policy()
         tcm = resampled_tcm(batches, policy, objects.__getitem__, n_threads)
@@ -416,7 +416,7 @@ class TestResampled:
             (b.thread_id, oid, 8 * gap + oid) for b in batches for oid in b.obj_ids if oid % gap == 0
         ]
         assert tcm.tobytes() == build_tcm(entries, n_threads).tobytes()
-        assert policy.decided == [oid for b in batches for oid in b.obj_ids]
+        assert policy.decided == [sorted({oid for b in batches for oid in b.obj_ids})]
 
 
 class TestNormalize:
