@@ -10,16 +10,20 @@ reference we publish, per backend x workload:
 * ``e_abs`` / ``e_euc`` — the paper's formulas (2)/(1) of the rate-4
   map against the full-sampling map (``core/accuracy.error_summary``),
 * ``decide_ns`` — per-decision cost through the backend's batch lane
-  (a fresh policy per timed call): ``SamplingPolicy.decide_batch``, the
+  (a fresh policy per timed call): ``SamplingPolicy.decide_batch`` over
+  the first 4096 object ids of the space, read off its columns — the
   lane a run's first touches of classes off gap 1 are decided through
   (``SamplingPolicy.first_touches``) and a rate replay decides a log's
   distinct objects through (``resampled_tcm``).  Prime-gap loops over
-  its Python kernel; hash takes its numpy lane (4096 objects).
+  its Python kernel; hash takes its numpy lane.
+* ``decide_ratio`` — a stateless backend's cost over prime-gap's: the
+  two are timed in alternation (prime-gap, backend, prime-gap, ...,
+  :data:`DECIDE_SAMPLES` calls each), and this is the median of the
+  ratios of the calls paired that way, so a slow spell of the host
+  weighs on both sides of a pair instead of on one backend.
   The one host-time figure here, and the one host-time *gate* in
-  ``make check``: both sides of the comparison are medians of
-  :data:`DECIDE_SAMPLES` calls timed in this process, minutes apart at
-  most — not a number recorded on another day or machine.  What a
-  backend costs a whole run is a ``benchmarks/e2e`` question.
+  ``make check`` — not a number recorded on another day or machine.
+  What a backend costs a whole run is a ``benchmarks/e2e`` question.
 
 Plus the stateless-bias diagnostics: ``dead_zone_report`` over each
 workload's live heap, and a synthetic small-working-set probe (a class
@@ -31,7 +35,7 @@ Hard gates (``main`` exit code):
 * the prime-gap backend's replayed TCM is byte-identical to the default
   policy's (the refactor moved code, not behavior),
 * at least one stateless backend reaches E_ABS within 2x of prime-gap
-  while deciding cheaper per access,
+  while deciding cheaper per access (``decide_ratio`` below 1),
 * the dead-zone probe is flagged.
 
 Usage::
@@ -72,37 +76,42 @@ SMOKE_BACKENDS = ("prime_gap", "hash")
 #: is degenerate.
 EABS_SLACK = 0.01
 
-#: timed calls behind a ``decide_ns`` figure.  One call is ~4 ms and
-#: the cheaper-than-prime-gap gate compares two such figures, so a
-#: single sample flips it on scheduler noise; the median of 7 does not.
+#: timed calls per backend behind a ``decide_ns`` figure.  One call is
+#: ~4 ms and the cheaper-than-prime-gap gate compares two backends, so a
+#: single sample flips it on scheduler noise; the median of 7 pairs does
+#: not.
 DECIDE_SAMPLES = 7
 
 
-def _decide_cost_ns(backend_name: str, gos) -> float:
+def _decide_walls(backend_names: tuple[str, ...], gos) -> tuple[int, list[list[float]]]:
     """Per-decision cost through the batch lane: a fresh policy per
-    timed run, each object decided once by the backend's kernel (or the
-    hash backend's numpy lane) — what a first-touch access costs.
-    Median of :data:`DECIDE_SAMPLES` timed calls."""
-    objs = list(gos)[:4096]
-    if not objs:
-        return 0.0
+    timed call deciding the space's first 4096 ids once, by the
+    backend's kernel (or the hash backend's numpy lane) — what a
+    first-touch access costs.  The backends take turns, one call each
+    per round, for :data:`DECIDE_SAMPLES` rounds.  Returns the number of
+    ids and each backend's walls (seconds), in round order."""
+    ids = list(range(min(len(gos), 4096)))
+    if not ids:
+        return 0, [[] for _ in backend_names]
 
-    def run():
-        policy = SamplingPolicy(backend=resolve_backend(backend_name))
+    def call(name: str):
+        policy = SamplingPolicy(backend=resolve_backend(name))
         for jclass in gos.registry:
             policy.set_rate(jclass, RATE)
-        return policy.decide_batch(objs)
+        return policy.decide_batch(ids, gos)
 
-    # Discarded call: the backend's imports and first-call warm-up are
+    # Discarded calls: the backends' imports and first-call warm-up are
     # paid once per process, not per first-touch access.
-    assert len(run()) == len(objs)
-    walls = []
+    for name in backend_names:
+        assert len(call(name)) == len(ids)
+    walls: list[list[float]] = [[] for _ in backend_names]
     for _ in range(DECIDE_SAMPLES):
-        gc.collect()
-        t0 = time.perf_counter()
-        run()
-        walls.append(time.perf_counter() - t0)
-    return statistics.median(walls) * 1e9 / len(objs)
+        for k, name in enumerate(backend_names):
+            gc.collect()
+            t0 = time.perf_counter()
+            call(name)
+            walls[k].append(time.perf_counter() - t0)
+    return len(ids), walls
 
 
 def _dead_zone_probe(backend_name: str) -> dict:
@@ -150,7 +159,13 @@ def measure_frontier(mode: str = "full") -> dict:
             )
             row = dict(error_summary(tcm, full))
             row["tcm_sha256"] = hashlib.sha256(tcm.tobytes()).hexdigest()
-            row["decide_ns"] = round(_decide_cost_ns(backend_name, gos), 1)
+            if backend_name == "prime_gap":
+                n_ids, (walls,) = _decide_walls(("prime_gap",), gos)
+            else:
+                n_ids, (prime_walls, walls) = _decide_walls(("prime_gap", backend_name), gos)
+                ratios = [w / p for p, w in zip(prime_walls, walls)]
+                row["decide_ratio"] = round(statistics.median(ratios), 4) if ratios else 0.0
+            row["decide_ns"] = round(statistics.median(walls) * 1e9 / n_ids, 1) if n_ids else 0.0
             for key in ("e_abs", "e_euc", "accuracy_abs", "accuracy_euc"):
                 row[key] = round(row[key], 6)
 
@@ -163,14 +178,15 @@ def measure_frontier(mode: str = "full") -> dict:
             rows[backend_name] = row
             print(
                 f"frontier {name:14s} {backend_name:10s} "
-                f"e_abs {row['e_abs']:.4f}  decide {row['decide_ns']:8.1f} ns",
+                f"e_abs {row['e_abs']:.4f}  decide {row['decide_ns']:8.1f} ns"
+                + (f"  x{row['decide_ratio']:.3f} prime-gap" if "decide_ratio" in row else ""),
                 flush=True,
             )
 
         prime = rows["prime_gap"]
         gate_2x[name] = any(
             rows[b]["e_abs"] <= 2.0 * prime["e_abs"] + EABS_SLACK
-            and rows[b]["decide_ns"] < prime["decide_ns"]
+            and rows[b]["decide_ratio"] < 1.0
             for b in backends
             if b != "prime_gap"
         )

@@ -189,7 +189,7 @@ def tcm_at_rate(
     )
     for st in gos.registry:
         policy.set_rate(st, rate)
-    return resampled_tcm(batches, policy, gos.get, n_threads)
+    return resampled_tcm(batches, policy, gos, n_threads)
 
 
 @dataclass

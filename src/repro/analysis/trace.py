@@ -21,6 +21,7 @@ import gzip
 import json
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -30,9 +31,11 @@ from repro.core.oal import OALBatch
 from repro.core.sampling import SamplingPolicy
 from repro.core.tcm import build_tcm, resampled_tcm
 from repro.heap.heap import GlobalObjectSpace
-from repro.heap.jclass import JClass
 
 FORMAT_VERSION = 1
+
+#: the class of the replay table's ids the log never names.
+UNLOGGED = "<unlogged>"
 
 
 @dataclass
@@ -67,12 +70,9 @@ class ProfileTrace:
         needed: set[int] = set()
         for batch in batches:
             needed.update(batch.obj_ids)
-        objects = {}
-        class_ids: set[int] = set()
-        for obj_id in sorted(needed):
-            obj = gos.get(obj_id)
-            objects[obj_id] = (obj.jclass.class_id, obj.seq, obj.length)
-            class_ids.add(obj.jclass.class_id)
+        class_col, seq, length = gos.cls, gos.seq, gos.length
+        objects = {i: (class_col[i], seq[i], length[i]) for i in sorted(needed)}
+        class_ids = {cid for cid, _seq, _length in objects.values()}
         classes = {}
         for cid in sorted(class_ids):
             jc = gos.registry.by_id(cid)
@@ -199,42 +199,46 @@ class ProfileTrace:
     # offline analysis
     # ------------------------------------------------------------------
 
-    def _rebuild_policy(
-        self, rate: float | str, backend=None
-    ) -> tuple[SamplingPolicy, GlobalObjectSpace, dict[int, JClass]]:
-        """Reconstruct a registry/GOS skeleton carrying the recorded
-        classes, a policy at the requested rate (optionally under a
-        non-default sampling backend), and the recorded-id -> class map."""
+    @cached_property
+    def space(self) -> GlobalObjectSpace:
+        """The recorded object table as a GOS, built once with one
+        ``allocate_many`` over ids 0 up to the largest recorded id, so
+        every recorded object keeps its id (the stateless backends hash
+        it): each recorded object with its class (defined in recorded
+        class-id order) and length, every id the log never names as one
+        object of the filler class :data:`UNLOGGED`, which no replay
+        decides.  The recorded seqs then replace the issued ones in the
+        ``seq`` column."""
         gos = GlobalObjectSpace()
-        id_map: dict[int, JClass] = {}
-        for cid, (name, inst, is_array, elem) in sorted(self.classes.items()):
-            jc = gos.registry.define(name, inst, is_array=is_array, element_size=elem)
-            id_map[cid] = jc
-        policy = SamplingPolicy(page_size=self.page_size, backend=backend)
-        for jc in id_map.values():
-            policy.set_rate(jc, rate)
-        return policy, gos, id_map
+        define = gos.registry.define
+        class_of = {
+            cid: define(name, inst, is_array=is_array, element_size=elem).class_id
+            for cid, (name, inst, is_array, elem) in sorted(self.classes.items())
+        }
+        filler = define(UNLOGGED, 1)
+        ids = sorted(self.objects)
+        cids, seqs, lengths = zip(*map(self.objects.__getitem__, ids)) if ids else ((), (), ())
+        n = ids[-1] + 1 if ids else 0
+        classes = np.full(n, filler.class_id, dtype=np.int64)
+        classes[ids] = list(map(class_of.__getitem__, cids))
+        length = np.zeros(n, dtype=np.int64)
+        length[ids] = lengths
+        gos.allocate_many(classes, 0, lengths=length)
+        gos.seq_np[ids] = seqs
+        return gos
 
     def tcm_at_rate(self, rate: float | str, *, backend=None) -> np.ndarray:
         """The TCM a run at ``rate`` would have produced, replayed from
-        the recorded full-sampling log.  ``backend`` substitutes a
-        non-default sampling backend; decisions are pure functions of
-        the recorded object identities, so the replay stays exact."""
-        from repro.heap.objects import HeapObject
-
-        policy, _gos, id_map = self._rebuild_policy(rate, backend)
-        cache: dict[int, HeapObject] = {}
-
-        def obj_of(obj_id: int) -> HeapObject:
-            obj = cache.get(obj_id)
-            if obj is None:
-                cid, seq, length = self.objects[obj_id]
-                obj = cache[obj_id] = HeapObject(
-                    obj_id=obj_id, jclass=id_map[cid], seq=seq, home_node=0, length=length
-                )
-            return obj
-
-        return resampled_tcm(self.batches, policy, obj_of, self.n_threads)
+        the recorded full-sampling log over :attr:`space`.  ``backend``
+        substitutes a non-default sampling backend; decisions are pure
+        functions of the recorded object identities, so the replay stays
+        exact."""
+        gos = self.space
+        policy = SamplingPolicy(page_size=self.page_size, backend=backend)
+        for jclass in gos.registry:
+            if jclass.name != UNLOGGED:
+                policy.set_rate(jclass, rate)
+        return resampled_tcm(self.batches, policy, gos, self.n_threads)
 
     def full_tcm(self) -> np.ndarray:
         """The TCM from the recorded (full-sampling) log as-is."""

@@ -285,19 +285,19 @@ class ProtocolSanitizer(ProtocolObserver):
         names it."""
         hlrc = self._hlrc
         heap = hlrc.heaps[node_id]
-        objects = hlrc.gos._objects
+        gos = hlrc.gos
         id_list = ids.tolist()
         state = heap.state_np[ids]
         fetched = heap.fetched_np[ids]
         home = hlrc.home_version_np[ids]
-        homed_here = np.array([objects[o].home_node == node_id for o in id_list], dtype=bool)
+        homed_here = gos.home_np[ids] == node_id
         bad = ((state == HOME) != homed_here) | (fetched > home)
         if sweep:
             bad |= (state == INVALID) & (fetched >= home)
         if heap.twins:
             twins = heap.twins
             bad |= np.array(
-                [o in twins and twins[o][0] > objects[o].size_bytes for o in id_list], dtype=bool
+                [o in twins and twins[o][0] > gos.size_bytes(o) for o in id_list], dtype=bool
             )
         if bad.any():
             self._check_copy(node_id, id_list[int(bad.argmax())], sweep)

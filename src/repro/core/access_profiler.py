@@ -51,9 +51,7 @@ class AccessProfiler:
         self.cluster = cluster
         self.costs = cluster.costs
         self.gos = gos
-        # Hot-path aliases (the cost model is frozen; the GOS object list
-        # is mutated in place, never replaced).
-        self._objects = gos._objects
+        # Hot-path aliases (the cost model is frozen).
         self._backend = policy.backend
         self._trap_ns = self.costs.gos_trap_ns
         self._log_ns_trap = self.costs.gos_trap_ns + self.costs.oal_log_ns
@@ -62,10 +60,10 @@ class AccessProfiler:
         #: when False, OALs are generated and costed but never sent (the
         #: paper's O1-isolation methodology for Table II).
         self.send_oals = send_oals
-        #: thread_id -> the open interval's OAL as plain-int columns:
-        #: ``{obj_id: scaled_bytes}`` in log order plus the parallel
-        #: class-id list; interval close ships them as the batch's columns.
-        self._current: dict[int, tuple[dict[int, int], list[int]]] = {}
+        #: thread_id -> the open interval's OAL, ``{obj_id: scaled_bytes}``
+        #: in log order; interval close ships it as the batch's columns,
+        #: with the class ids read off the GOS's class column.
+        self._current: dict[int, dict[int, int]] = {}
         #: thread_id -> how many objects the *previous* interval logged
         #: (these are the ones reset to false-invalid at open).
         self._previous_logged: dict[int, int] = {}
@@ -103,7 +101,7 @@ class AccessProfiler:
         n_objects = 0
         # Sorted so the per-class registry walk is deterministic (SIM003).
         for class_id in sorted(pending):
-            n_objects += len(gos.objects_of_class(gos.registry.by_id(class_id)))
+            n_objects += len(gos.ids_of_class(gos.registry.by_id(class_id)))
         pending.clear()
         ns = n_objects * self.costs.sample_check_ns
         thread.cpu.resampling_ns += ns
@@ -117,7 +115,7 @@ class AccessProfiler:
     def on_interval_open(self, thread) -> None:
         """ProtocolHooks: a new HLRC interval just opened for ``thread``."""
         tid = thread.thread_id
-        self._current[tid] = ({}, [])
+        self._current[tid] = {}
         self._charge_pending_resample(thread)
         # Reset last interval's logged objects to false-invalid.
         n_prev = self._previous_logged.get(tid)
@@ -141,7 +139,7 @@ class AccessProfiler:
         The keyword route calls it on every access, so it skips an id
         the open interval already logged (at most once per interval)."""
         current = self._current.get(thread.thread_id)
-        if current is None or obj.obj_id in current[0]:
+        if current is None or obj.obj_id in current:
             return
         ids = [obj.obj_id]
         self.fast_on_access(thread, ids, ids if real_fault else ())
@@ -156,13 +154,12 @@ class AccessProfiler:
         of that set), so nothing here checks for a repeat.  Returns the
         clock charge made for each id (parallel to ``ids``), or None
         when nothing was logged."""
-        current = self._current.get(thread.thread_id)
-        if current is None:
+        oal = self._current.get(thread.thread_id)
+        if oal is None:
             return None
-        oal, class_ids = current
         # One decision per first touch, shared with every other
         # first-touch entry handed the same ids (SamplingPolicy.first_touches).
-        sampled, scaled = self.policy.first_touches(ids, self._objects)
+        sampled, scaled = self.policy.first_touches(ids, self.gos)
         # Trap into the GOS service routine and log.
         log_trap = self._log_ns_trap
         if sampled is None:
@@ -173,7 +170,6 @@ class AccessProfiler:
                 return None
             scaled = compress(scaled, sampled)
         oal.update(zip(logged, scaled))
-        class_ids.extend(map(self.policy.class_col.__getitem__, logged))
         if sampled is None:
             charges = [log_trap] * len(ids)
         else:
@@ -200,21 +196,21 @@ class AccessProfiler:
     ) -> None:
         """ProtocolHooks: ``thread`` closed ``interval``."""
         tid = thread.thread_id
-        current = self._current.pop(tid, None)
-        if current is None:
+        oal = self._current.pop(tid, None)
+        if oal is None:
             return
-        oal, class_ids = current
         self._previous_logged[tid] = len(oal)
         if not oal:
             return
+        obj_ids = list(oal)
         batch = OALBatch(
             thread_id=tid,
             interval_id=interval.interval_id,
             start_pc=interval.start_pc,
             end_pc=interval.end_pc,
-            obj_ids=list(oal),
+            obj_ids=obj_ids,
             scaled_bytes=list(oal.values()),
-            class_ids=class_ids,
+            class_ids=self.gos.cls_np.take(obj_ids).tolist(),
         )
         flush_begin_ns = thread.clock.now_ns
         # Pack the jumbo message.

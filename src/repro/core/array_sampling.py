@@ -55,11 +55,17 @@ def amortized_sample_bytes(obj: HeapObject, gap: int) -> int:
     """
     if not obj.is_array:
         raise TypeError(f"object {obj.obj_id} is not an array")
+    return amortized_elements(obj.length, gap) * obj.jclass.element_size
+
+
+def amortized_elements(length: int, gap: int) -> int:
+    """The element count :func:`amortized_sample_bytes` logs for an
+    array of ``length`` elements at gap ``gap``: all of them at gap 1,
+    else ``round(length / gap)`` floored at one (none for length 0)."""
     if gap < 1:
         raise ValueError(f"gap must be >= 1, got {gap}")
-    if obj.length == 0:
+    if length == 0:
         return 0
     if gap == 1:
-        return obj.length * obj.jclass.element_size
-    count = max(1, round(obj.length / gap))
-    return count * obj.jclass.element_size
+        return length
+    return max(1, round(length / gap))

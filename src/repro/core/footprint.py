@@ -172,7 +172,7 @@ class StickySetFootprinter:
         gos = self._gos
         if gos is None:
             raise RuntimeError(_NO_GOS)
-        sampled, scaled = self.policy.first_touches(ids, gos._objects)
+        sampled, scaled = self.policy.first_touches(ids, gos)
         weights = zip(ids, scaled)
         if sampled is not None:
             ids, weights = compress(ids, sampled), compress(weights, sampled)
@@ -307,8 +307,10 @@ class StickySetFootprinter:
             if count:
                 raise RuntimeError(_NO_GOS)
             return fp
+        names = [jclass.name for jclass in gos.registry]
+        cls = gos.cls
         for obj_id in self._sticky_ids(count):
-            name = gos.get(obj_id).jclass.name
+            name = names[cls[obj_id]]
             fp[name] = fp.get(name, 0) + scaled[obj_id]
         return fp
 

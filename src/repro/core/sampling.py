@@ -53,6 +53,8 @@ forever, so a class whose live population times its inclusion
 probability is below ~1 can be *entirely* unsampled.
 :meth:`StatelessBackend.dead_zone_report` flags such classes.
 
+Every decision reads the global object space's columns (class, seq,
+length) by object id: a backend's kernel takes ``(gos, obj_id, st)``.
 The profilers decide at interval first touches through
 :meth:`SamplingPolicy.first_touches`: one answer per batch of ids,
 shared by every first-touch entry handed that batch, with the backend
@@ -66,13 +68,14 @@ for (``decide`` / ``decide_batch``), and the policy's views
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import is_, ne
+from operator import is_, itemgetter, ne, not_
 
 import numpy as np
 
-from repro.core.array_sampling import amortized_sample_bytes, sampled_element_count
+from repro.core.array_sampling import amortized_elements, sampled_element_count
 from repro.heap.jclass import JClass
 from repro.heap.objects import HeapObject
 from repro.util.primes import prime_gap_for_nominal
@@ -106,6 +109,14 @@ def _mix64_array(ids: np.ndarray, key: int) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+class _Interned(dict):
+    """Maps each int to the first equal int object it was given."""
+
+    def __missing__(self, key: int) -> int:
+        self[key] = key
+        return key
+
+
 @dataclass
 class ClassSamplingState:
     """Per-class sampling metadata (the paper stores this "as close to
@@ -130,11 +141,13 @@ class SamplingBackend:
     """One sampling-decision scheme, pluggable under a SamplingPolicy.
 
     A backend implements one method, :meth:`_kernel`: the uncounted
-    ``(sampled, logged_bytes, scaled_bytes)`` of one object under its
-    class's current gap, a pure function of the object's identity.
-    :meth:`decide` and :meth:`decide_batch` are that kernel plus the
-    backend's per-class sample/skip counters, which count every decision
-    they make; those feed the obs registry's
+    ``(sampled, logged_bytes, scaled_bytes)`` of one object of a global
+    object space under its class's current gap, a pure function of the
+    object's identity read off the space's columns.  :meth:`_kernels` is
+    the same over a list of ids (a loop, or a numpy lane where a backend
+    has one).  :meth:`decide` and :meth:`decide_batch` are those plus
+    the backend's per-class sample/skip counters, which count every
+    decision they make; those feed the obs registry's
     ``sampling_decisions_total`` / ``sampling_realized_rate`` families.
     ``needs_resample_pass`` says whether a gap change requires the
     cluster-wide object re-tagging pass the paper charges (stateless
@@ -158,29 +171,44 @@ class SamplingBackend:
 
     # -- protocol ------------------------------------------------------
 
-    def _kernel(self, obj: HeapObject, st: ClassSamplingState) -> tuple[bool, int, int]:
-        """``(sampled, logged_bytes, scaled_bytes)`` for one object of
-        the class whose state is ``st``; counts nothing."""
+    def _kernel(self, gos, obj_id: int, st: ClassSamplingState) -> tuple[bool, int, int]:
+        """``(sampled, logged_bytes, scaled_bytes)`` for object
+        ``obj_id`` of ``gos``, of the class whose state is ``st``;
+        counts nothing."""
         raise NotImplementedError
 
     def decide(self, obj: HeapObject) -> tuple[bool, int, int]:
         """:meth:`_kernel` for one object, counted."""
         st = self.policy.state(obj.jclass)
-        result = self._kernel(obj, st)
+        result = self._kernel(obj.space, obj.obj_id, st)
         self._count(st.jclass.class_id, result[0])
         return result
 
-    def decide_batch(self, objs) -> list[tuple[bool, int, int]]:
-        """:meth:`decide` over an iterable, in input order.  Backends
-        override when a batch can be computed cheaper than a loop."""
-        state, kernel, count = self.policy.state, self._kernel, self._count
-        out = []
-        for obj in objs:
-            st = state(obj.jclass)
-            result = kernel(obj, st)
-            count(st.jclass.class_id, result[0])
-            out.append(result)
+    def decide_batch(self, gos, ids) -> list[tuple[bool, int, int]]:
+        """:meth:`decide` over the objects ``ids`` (a list) of ``gos``,
+        in input order: :meth:`_kernels`, then each class's samples and
+        skips counted at once."""
+        out = self._kernels(gos, ids)
+        cids = list(map(gos.cls.__getitem__, ids))
+        total = Counter(cids)
+        hits = Counter(compress(cids, map(itemgetter(0), out)))
+        for cid in sorted(total):
+            if hits[cid]:
+                self.sample_counts[cid] = self.sample_counts.get(cid, 0) + hits[cid]
+            if hits[cid] < total[cid]:
+                self.skip_counts[cid] = self.skip_counts.get(cid, 0) + total[cid] - hits[cid]
         return out
+
+    def _kernels(self, gos, ids) -> list[tuple[bool, int, int]]:
+        """:meth:`_kernel` over the objects ``ids`` of ``gos``; counts
+        nothing.  Backends override when a batch can be computed cheaper
+        than a loop."""
+        states, state, by_id = self.policy._states, self.policy.state, gos.registry.by_id
+        kernel, cls = self._kernel, gos.cls
+        return [
+            kernel(gos, obj_id, states.get(cid) or state(by_id(cid)))
+            for obj_id, cid in zip(ids, map(cls.__getitem__, ids))
+        ]
 
     def snapshot(self) -> dict:
         """Deterministically ordered digest of the backend's view: the
@@ -241,17 +269,19 @@ class PrimeGapBackend(SamplingBackend):
     name = "prime_gap"
     needs_resample_pass = True
 
-    def _kernel(self, obj: HeapObject, st: ClassSamplingState) -> tuple[bool, int, int]:
+    def _kernel(self, gos, obj_id: int, st: ClassSamplingState) -> tuple[bool, int, int]:
         gap = st.real_gap
-        if obj.is_array:
+        jclass = st.jclass
+        if jclass.is_array:
+            length = gos.length[obj_id]
             if gap == 1:
                 sampled = True
             else:
-                sampled = sampled_element_count(obj.seq, obj.length, gap) > 0
-            logged = amortized_sample_bytes(obj, gap)
+                sampled = sampled_element_count(gos.seq[obj_id], length, gap) > 0
+            logged = amortized_elements(length, gap) * jclass.element_size
         else:
-            sampled = True if gap == 1 else obj.seq % gap == 0
-            logged = obj.jclass.instance_size
+            sampled = True if gap == 1 else gos.seq[obj_id] % gap == 0
+            logged = jclass.instance_size
         return (sampled, logged, logged * gap)
 
 
@@ -276,6 +306,47 @@ class StatelessBackend(SamplingBackend):
     def probability(self, obj: HeapObject) -> float:
         """The object's inclusion probability under the current gap."""
         raise NotImplementedError
+
+    def _kernel(self, gos, obj_id: int, st: ClassSamplingState) -> tuple[bool, int, int]:
+        threshold, logged, scaled = self._terms(st, gos.length[obj_id])
+        if threshold is None:
+            return (True, logged, scaled)
+        return (_mix64((obj_id * _GOLDEN) ^ self._key) < threshold, logged, scaled)
+
+    def _terms(self, st: ClassSamplingState, length: int) -> tuple[int | None, int, int]:
+        """What a decision needs besides the object's id, a function of
+        its class state and array length: the threshold its id's mix
+        must fall under (None at gap 1: always sampled; at 2^64 or more
+        every id falls under it), logged and scaled bytes."""
+        raise NotImplementedError
+
+    def _kernels(self, gos, ids) -> list[tuple[bool, int, int]]:
+        """The batch lane: :meth:`_terms` once per distinct (class,
+        length) of the batch, in Python, then the mix and the threshold
+        comparison of every id in one uint64 numpy pass — bit-identical
+        to the scalar kernel."""
+        if len(ids) < 64:
+            return super()._kernels(gos, ids)
+        idx = np.asarray(ids, dtype=np.intp)
+        cids = gos.cls_np[idx]
+        lengths = gos.length_np[idx]
+        _keys, first, inv = np.unique(
+            cids * (int(lengths.max()) + 1) + lengths, return_index=True, return_inverse=True
+        )
+        states, state, by_id = self.policy._states, self.policy.state, gos.registry.by_id
+        terms = [
+            self._terms(states.get(cid) or state(by_id(cid)), length)
+            for cid, length in zip(cids[first].tolist(), lengths[first].tolist())
+        ]
+        # A threshold of 2^64 or more (or gap 1) samples every id.
+        always = np.array([t is None or t >= _ONE64 for t, _, _ in terms])[inv]
+        threshold = np.array(
+            [0 if t is None or t >= _ONE64 else t for t, _, _ in terms], dtype=np.uint64
+        )[inv]
+        sampled = always | (_mix64_array(idx.astype(np.uint64), self._key) < threshold)
+        logged = np.array([t[1] for t in terms], dtype=np.int64)[inv]
+        scaled = np.array([t[2] for t in terms], dtype=np.int64)[inv]
+        return list(zip(sampled.tolist(), logged.tolist(), scaled.tolist()))
 
     def snapshot(self) -> dict:
         snap = super().snapshot()
@@ -309,7 +380,7 @@ class StatelessBackend(SamplingBackend):
             actual = 0
             for obj in objs:
                 expected += self.probability(obj)
-                if self._kernel(obj, st)[0]:
+                if self._kernel(gos, obj.obj_id, st)[0]:
                     actual += 1
             if expected < min_expected or actual == 0:
                 out.append(
@@ -333,29 +404,26 @@ class HashBackend(StatelessBackend):
     the element-wise scheme's any-element-sampled probability), with the
     same amortized logged bytes and Horvitz-Thompson weights as the
     default backend.  Rate changes are a pure threshold update — no
-    per-class decision state, no resampling pass.  All comparisons are
-    exact integer arithmetic (``h * gap < length << 64``), so scalar and
-    vectorized batch decisions agree bit-for-bit.
+    per-class decision state, no resampling pass.  The test
+    ``h · gap < L · 2^64`` (``L`` = 1 for scalars, the length for
+    arrays) is the exact integer threshold ``⌈L · 2^64 / gap⌉`` on the
+    mix ``h``, so the stateless kernel and its numpy lane agree
+    bit-for-bit.
     """
 
     name = "hash"
 
-    def _kernel(self, obj: HeapObject, st: ClassSamplingState) -> tuple[bool, int, int]:
-        jclass = obj.jclass
+    def _terms(self, st: ClassSamplingState, length: int) -> tuple[int | None, int, int]:
+        jclass = st.jclass
         gap = st.real_gap
-        if obj.is_array:
-            logged = amortized_sample_bytes(obj, gap)
-            if gap == 1:
-                return (True, logged, logged)
-            h = _mix64((obj.obj_id * _GOLDEN) ^ self._key)
-            sampled = obj.length >= gap or h * gap < (obj.length << 64)
+        if jclass.is_array:
+            logged = amortized_elements(length, gap) * jclass.element_size
         else:
-            logged = jclass.instance_size
-            if gap == 1:
-                return (True, logged, logged)
-            h = _mix64((obj.obj_id * _GOLDEN) ^ self._key)
-            sampled = h * gap < _ONE64
-        return (sampled, logged, logged * gap)
+            length, logged = 1, jclass.instance_size
+        if gap == 1:
+            return (None, logged, logged)
+        # h·gap < L·2^64 ⟺ h < ⌈L·2^64 / gap⌉ for an integer h.
+        return (-(-(length << 64) // gap), logged, logged * gap)
 
     def probability(self, obj: HeapObject) -> float:
         gap = self.policy.state(obj.jclass).real_gap
@@ -364,85 +432,6 @@ class HashBackend(StatelessBackend):
         if obj.is_array:
             return min(1.0, obj.length / gap)
         return 1.0 / gap
-
-    def decide_batch(self, objs) -> list[tuple[bool, int, int]]:
-        """The decide_batch lane: one Python pass gathers per-object
-        (id, gap, length, unit) arrays, then numpy does the rest — the
-        splitmix mix, an exact 128-bit threshold comparison, and the
-        amortized logged/scaled byte arithmetic — bit-identical to the
-        scalar kernel.
-
-        The selection test unifies scalars and arrays: with ``L = 1``
-        for scalars and the element count for arrays,
-        ``h·gap < L·2^64  ⟺  floor(h·gap / 2^64) < L``, and the high
-        word of the 64x32-bit product is computed exactly in uint64
-        (``gap`` is far below 2^32).  The ``length >= gap`` and
-        ``gap == 1`` scalar-path short-circuits are subsumed: both make
-        the high word smaller than ``L`` for every hash.
-        """
-        objs = objs if isinstance(objs, list) else list(objs)
-        n = len(objs)
-        if n < 64:
-            return super().decide_batch(objs)
-        policy = self.policy
-        ids = np.fromiter((o.obj_id for o in objs), dtype=np.uint64, count=n)
-        cids = np.fromiter((o.jclass.class_id for o in objs), dtype=np.int64, count=n)
-        raw_len = np.fromiter((o.length for o in objs), dtype=np.uint64, count=n)
-
-        # Per-class metadata goes through small class-id-indexed tables
-        # so the per-object work stays in C-level gathers no matter how
-        # classes interleave in the stream.
-        classes = {o.jclass.class_id: o.jclass for o in objs}
-        top = max(classes) + 1
-        gap_table = np.ones(top, dtype=np.uint64)
-        unit_table = np.zeros(top, dtype=np.int64)
-        arr_table = np.zeros(top, dtype=bool)
-        for cid, jclass in classes.items():  # simlint: disable=SIM003 (each cid writes its own table slot exactly once; order cannot matter)
-            st = policy.state(jclass)
-            gap_table[cid] = st.real_gap
-            arr_table[cid] = jclass.is_array
-            unit_table[cid] = (
-                jclass.element_size if jclass.is_array else jclass.instance_size
-            )
-        gaps = gap_table[cids]
-        units = unit_table[cids]
-        is_arr = arr_table[cids]
-        # Effective count L in the unified test h*gap < L*2^64: one for
-        # scalars, the element count for arrays (zero-length arrays are
-        # never sampled, matching the scalar kernel).
-        lengths = np.where(is_arr, raw_len, np.uint64(1))
-        h = _mix64_array(ids, self._key)
-        # High 64 bits of h*gap, exactly: h*gap = (h>>32)*gap*2^32 + lo.
-        lo = (h & np.uint64(0xFFFFFFFF)) * gaps
-        high64 = (((h >> np.uint64(32)) * gaps) + (lo >> np.uint64(32))) >> np.uint64(32)
-        sampled = high64 < lengths
-        # Amortized logged bytes: round-half-even element count for
-        # arrays at gap > 1 (np.rint matches round()), floored at one
-        # element; the element payload at gap 1; the instance size for
-        # scalars.
-        flen = lengths.astype(np.float64)
-        counts = np.where(
-            gaps == np.uint64(1),
-            flen,
-            np.where(
-                flen == 0.0,
-                0.0,
-                np.maximum(1.0, np.rint(flen / gaps.astype(np.float64))),
-            ),
-        ).astype(np.int64)
-        logged = np.where(is_arr, counts * units, units)
-        scaled = logged * gaps.astype(np.int64)
-        # Fold the decision counters in per class (identical totals to
-        # per-object _count calls).
-        uniq, inv = np.unique(cids, return_inverse=True)
-        per_class = np.bincount(inv, weights=sampled)
-        per_total = np.bincount(inv)
-        for j, cid in enumerate(uniq.tolist()):
-            s = int(per_class[j])
-            t = int(per_total[j])
-            self.sample_counts[cid] = self.sample_counts.get(cid, 0) + s
-            self.skip_counts[cid] = self.skip_counts.get(cid, 0) + (t - s)
-        return list(zip(sampled.tolist(), logged.tolist(), scaled.tolist()))
 
 
 class PoissonByteBackend(StatelessBackend):
@@ -461,25 +450,23 @@ class PoissonByteBackend(StatelessBackend):
 
     name = "poisson"
 
-    def _kernel(self, obj: HeapObject, st: ClassSamplingState) -> tuple[bool, int, int]:
-        jclass = obj.jclass
+    def _terms(self, st: ClassSamplingState, length: int) -> tuple[int | None, int, int]:
+        jclass = st.jclass
         gap = st.real_gap
-        if obj.is_array:
-            size = obj.length * jclass.element_size
+        if jclass.is_array:
+            size = length * jclass.element_size
             unit = jclass.element_size
-            logged = amortized_sample_bytes(obj, gap)
+            logged = amortized_elements(length, gap) * unit
         else:
             size = jclass.instance_size
             unit = jclass.instance_size
             logged = jclass.instance_size
         if gap == 1:
-            return (True, logged, logged)
+            return (None, logged, logged)
         # size and unit are positive: JClass checks a class's sizes, the
         # GOS and ProfileTrace an array's length.
         p = -math.expm1(-size / (gap * unit))
-        h = _mix64((obj.obj_id * _GOLDEN) ^ self._key)
-        sampled = h < int(p * 18446744073709551616.0)  # p * 2^64
-        return (sampled, logged, int(round(size / p)))
+        return (int(p * 18446744073709551616.0), logged, int(round(size / p)))  # p * 2^64
 
     def probability(self, obj: HeapObject) -> float:
         jclass = obj.jclass
@@ -525,13 +512,27 @@ class HybridBackend(SamplingBackend):
 
     def route(self, obj: HeapObject) -> StatelessBackend:
         """Which sub-backend decides this object."""
-        jclass = obj.jclass
+        return self._route(obj.jclass)
+
+    def _route(self, jclass: JClass) -> StatelessBackend:
         if jclass.is_array or jclass.instance_size >= self.split_bytes:
             return self.hash
         return self.poisson
 
-    def _kernel(self, obj: HeapObject, st: ClassSamplingState) -> tuple[bool, int, int]:
-        return self.route(obj)._kernel(obj, st)
+    def _kernel(self, gos, obj_id: int, st: ClassSamplingState) -> tuple[bool, int, int]:
+        return self._route(st.jclass)._kernel(gos, obj_id, st)
+
+    def _kernels(self, gos, ids) -> list[tuple[bool, int, int]]:
+        """Each sub-backend's batch lane over the ids it routes, merged
+        back in input order."""
+        cls, by_id = gos.cls, gos.registry.by_id
+        to_hash = {
+            cid: self._route(by_id(cid)) is self.hash for cid in sorted(set(map(cls.__getitem__, ids)))
+        }
+        hashed = list(map(to_hash.__getitem__, map(cls.__getitem__, ids)))
+        by_hash = iter(self.hash._kernels(gos, list(compress(ids, hashed))))
+        by_poisson = iter(self.poisson._kernels(gos, list(compress(ids, map(not_, hashed)))))
+        return [next(by_hash) if h else next(by_poisson) for h in hashed]
 
     def probability(self, obj: HeapObject) -> float:
         return self.route(obj).probability(obj)
@@ -600,20 +601,17 @@ class SamplingPolicy:
         self.off_gap_one = 0
         #: the pluggable decision scheme.
         self.backend: SamplingBackend = resolve_backend(backend).bind(self)
-        #: by object id of the GOS object list last handed to
-        #: :meth:`first_touches` (ids are dense list indices): the
-        #: object's size at gap 1 (an array's element payload, a
-        #: scalar's instance size) and its class id.  Grown on use.
-        self.size_col: list[int] = []
-        self.class_col: list[int] = []
-        self._col_objects = None
         #: (ids, rate_changes, answer) of the last first-touch batch.
         self._first_touch = None
         #: obj_id -> first-touch selection flag / scaled bytes, valid
-        #: while ``rate_changes`` is ``_known_gen``.
+        #: while ``(rate_changes, space)`` is ``_known_gen``.
         self._known_sampled: dict[int, bool] = {}
         self._known_scaled: dict[int, int] = {}
-        self._known_gen = -1
+        self._known_gen: tuple | None = None
+        #: every gap-1 size handed out, keyed by itself: answers carry
+        #: these int objects, so a kept log holds one per distinct size
+        #: rather than one per entry.
+        self._sizes = _Interned()
 
     # ------------------------------------------------------------------
     # configuration
@@ -717,10 +715,17 @@ class SamplingPolicy:
         """
         return self.backend.decide(obj)
 
-    def decide_batch(self, objs) -> list[tuple[bool, int, int]]:
+    def decide_batch(self, objs, gos=None) -> list[tuple[bool, int, int]]:
         """Vectorized :meth:`decision` over an iterable of objects, in
-        input order (the backend's batch lane)."""
-        return self.backend.decide_batch(objs)
+        input order (the backend's batch lane); with ``gos``, ``objs``
+        are ids of its objects."""
+        if gos is None:
+            objs = list(objs)
+            if not objs:
+                return []
+            gos = objs[0].space
+            objs = [obj.obj_id for obj in objs]
+        return self.backend.decide_batch(gos, objs)
 
     # The three views below call the backend's kernel and count
     # nothing: only decision() and decide_batch() count, so
@@ -734,28 +739,29 @@ class SamplingPolicy:
         at least one element logically sampled (Fig. 3b).  Other
         backends substitute their own selection at the same rate.
         """
-        return self.backend._kernel(obj, self.state(obj.jclass))[0]
+        return self.backend._kernel(obj.space, obj.obj_id, self.state(obj.jclass))[0]
 
     def logged_bytes(self, obj: HeapObject) -> int:
         """Bytes recorded in the OAL for one sampled object: the full
         instance size for scalars, the amortized sample size for arrays."""
-        return self.backend._kernel(obj, self.state(obj.jclass))[1]
+        return self.backend._kernel(obj.space, obj.obj_id, self.state(obj.jclass))[1]
 
     def scaled_bytes(self, obj: HeapObject) -> int:
         """Horvitz-Thompson estimate this sample contributes: logged
         bytes times the gap (each sample stands for ``gap`` units), or
         the backend's equivalent inverse-probability weight."""
-        return self.backend._kernel(obj, self.state(obj.jclass))[2]
+        return self.backend._kernel(obj.space, obj.obj_id, self.state(obj.jclass))[2]
 
-    def first_touches(self, ids, objects) -> tuple[list[bool] | None, list[int]]:
+    def first_touches(self, ids, gos) -> tuple[list[bool] | None, list[int]]:
         """The sampling decision of one batch of interval first touches,
         made once for every first-touch entry that asks: ``(sampled,
         scaled)``, parallel to ``ids`` — the selection flags (None: all
         sampled) and each id's Horvitz-Thompson scaled bytes.
-        ``objects`` is the GOS object list the ids index.
+        ``ids`` are object ids of the global object space ``gos``.
 
-        An id of a class at gap 1 is sampled at its own size and is no
-        backend decision; the rest go through :meth:`decide_batch`.
+        An id of a class at gap 1 is sampled at its own size (its
+        ``payload`` column) and is no backend decision; the rest go
+        through :meth:`decide_batch`.
         Both routes call the first-touch entries of one access or run
         back to back with the same ``ids`` list, and rates change only
         at an interval close, so a second call with that list and no
@@ -767,19 +773,17 @@ class SamplingPolicy:
         last = self._first_touch
         if last is not None and last[0] is ids and last[1] == self.rate_changes:
             return last[2]
-        if objects is not self._col_objects or len(self.size_col) < len(objects):
-            self._grow_columns(objects)
         if not self.off_gap_one:
-            answer = None, list(map(self.size_col.__getitem__, ids))
+            answer = None, self._gap_one_bytes(ids, gos)
         else:
-            if self._known_gen != self.rate_changes:
+            if self._known_gen != (self.rate_changes, gos):
                 self._known_sampled, self._known_scaled = {}, {}
-                self._known_gen = self.rate_changes
+                self._known_gen = (self.rate_changes, gos)
             known_sampled = self._known_sampled
             sampled = list(map(known_sampled.get, ids))
             if None in sampled:
                 miss = list(compress(ids, map(is_, sampled, repeat(None))))
-                got, scaled = self._decide(miss, objects)
+                got, scaled = self._decide(miss, gos)
                 known_sampled.update(zip(miss, repeat(True) if got is None else got))
                 self._known_scaled.update(zip(miss, scaled))
                 sampled = list(map(known_sampled.__getitem__, ids))
@@ -787,35 +791,26 @@ class SamplingPolicy:
         self._first_touch = (ids, self.rate_changes, answer)
         return answer
 
-    def _decide(self, ids, objects) -> tuple[list[bool] | None, list[int]]:
+    def _decide(self, ids, gos) -> tuple[list[bool] | None, list[int]]:
         """:meth:`first_touches`' answer computed: gap-1 ids from the
-        columns, the rest through one :meth:`decide_batch`."""
-        scaled = list(map(self.size_col.__getitem__, ids))
-        gaps = map(self.gap_table.get, map(self.class_col.__getitem__, ids), repeat(1))
+        space's columns, the rest through one :meth:`decide_batch`."""
+        scaled = self._gap_one_bytes(ids, gos)
+        gaps = map(self.gap_table.get, map(gos.cls.__getitem__, ids), repeat(1))
         off = list(map(ne, gaps, repeat(1)))
         if not any(off):
             return None, scaled
         sampled = [True] * len(ids)
-        decisions = self.decide_batch(list(map(objects.__getitem__, compress(ids, off))))
+        decisions = self.decide_batch(list(compress(ids, off)), gos)
         for k, dec in zip(compress(range(len(ids)), off), decisions):
             sampled[k] = dec[0]
             scaled[k] = dec[2]
         return sampled, scaled
 
-    def _grow_columns(self, objects) -> None:
-        """Extend :attr:`size_col` and :attr:`class_col` over ``objects``
-        allocated since the last call (restarting them for a new list)."""
-        if objects is not self._col_objects:
-            self._col_objects = objects
-            self.size_col, self.class_col = [], []
-            self._known_gen = -1  # ids name other objects now
-        size_col, class_col = self.size_col, self.class_col
-        for obj in objects[len(size_col) :]:
-            jclass = obj.jclass
-            size_col.append(
-                obj.length * jclass.element_size if jclass.is_array else jclass.instance_size
-            )
-            class_col.append(jclass.class_id)
+    def _gap_one_bytes(self, ids, gos) -> list[int]:
+        """Each id's scaled bytes at gap 1: its ``payload`` column, one
+        gather per batch."""
+        payload = gos.payload_np.take(np.fromiter(ids, np.intp, len(ids))).tolist()
+        return list(map(self._sizes.__getitem__, payload))
 
     def classes(self) -> list[ClassSamplingState]:
         """All per-class sampling states created so far."""

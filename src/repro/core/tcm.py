@@ -297,17 +297,17 @@ def tcm_from_batches(
     return window_accrual(batches, n_threads, include_diagonal=include_diagonal).tcm
 
 
-def resampled_tcm(batches: Iterable[OALBatch], policy, obj_of, n_threads: int) -> np.ndarray:
+def resampled_tcm(batches: Iterable[OALBatch], policy, gos, n_threads: int) -> np.ndarray:
     """The TCM of the entries of ``batches`` that ``policy`` samples,
     each at its Horvitz-Thompson bytes — a full-sampling log replayed
-    at ``policy``'s rates, folded one batch at a time.
-    ``obj_of(obj_id)`` gives the entry's
-    :class:`~repro.heap.objects.HeapObject`.  The log's distinct objects
-    are decided in one ``policy.decide_batch``, so the backend counts
-    each object once however many entries log it."""
+    at ``policy``'s rates, folded one batch at a time.  Entry ids are
+    object ids of the global object space ``gos``.  The log's distinct
+    objects are decided in one ``policy.decide_batch`` over those ids,
+    so the backend counts each object once however many entries log
+    it."""
     batches = list(batches)
     ids = sorted(set(chain.from_iterable(batch.obj_ids for batch in batches)))
-    decisions = policy.decide_batch([obj_of(oid) for oid in ids])
+    decisions = policy.decide_batch(ids, gos)
     scaled_of = {oid: dec[2] for oid, dec in zip(ids, decisions) if dec[0]}
     acc = TCMAccumulator(n_threads)
     for batch in batches:

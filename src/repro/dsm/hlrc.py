@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from operator import attrgetter, not_
+from operator import not_
 from typing import Protocol
 
 import numpy as np
@@ -133,8 +133,6 @@ class ProtocolHooks(Protocol):
 
 #: what fixes a fault's price at a node: home node, class and array
 #: length (the payload follows from the last two).
-_FAULT_KEY = attrgetter("home_node", "jclass.class_id", "length")
-
 #: the twin entry of a copy no thread wrote this interval.
 _UNWRITTEN = (0, frozenset())
 
@@ -173,13 +171,10 @@ class HomeBasedLRC:
             heap = LocalHeap(node.node_id)
             node.heap = heap
             self.heaps[node.node_id] = heap
-        # Hot-path aliases (the cost model is frozen and the GOS object
-        # list is mutated in place, never replaced).
-        self._objects = gos._objects
         self._access_busy_ns = self.costs.state_check_ns + self.costs.access_ns
         # The fault price tables (see :meth:`charge_faults`): each
-        # object's price class (0: none yet), the class of each key of
-        # :data:`_FAULT_KEY` (each class's key and reply bytes by class,
+        # object's price class (0: none yet), the class of each fault
+        # key (each class's key and reply bytes by class,
         # class 0 unused), and per node each class's trap plus fetch
         # wait there (0: not priced there yet).
         self._price_class = array("q")
@@ -394,22 +389,24 @@ class HomeBasedLRC:
         # Connectivity prefetching (inter-object affinity): bundle
         # hot-path successors homed at the same node into the reply —
         # one round trip, bigger payload, fewer future faults.
+        gos = self.gos
+        home = gos.home[obj.obj_id]
         bundle: list[HeapObject] = []
         if self.prefetcher is not None:
             state = heap.state
             for extra in self.prefetcher.bundle_for(thread, obj):
-                if extra.home_node != obj.home_node:
+                if gos.home[extra.obj_id] != home:
                     continue  # a different home cannot ride this reply
                 if state[extra.obj_id] >= VALID:
                     continue
                 bundle.append(extra)
 
-        reply_bytes = obj.size_bytes + FETCH_REPLY_OVERHEAD
+        reply_bytes = gos.size_bytes(obj.obj_id) + FETCH_REPLY_OVERHEAD
         if bundle:
-            reply_bytes += sum(o.size_bytes + FETCH_REPLY_OVERHEAD for o in bundle)
+            reply_bytes += sum(gos.size_bytes(o.obj_id) + FETCH_REPLY_OVERHEAD for o in bundle)
         send = self.network.send
-        wait = send(MessageKind.OBJECT_FETCH_REQ, node_id, obj.home_node, FETCH_REQ_BYTES)
-        wait += send(MessageKind.OBJECT_FETCH_DATA, obj.home_node, node_id, reply_bytes)
+        wait = send(MessageKind.OBJECT_FETCH_REQ, node_id, home, FETCH_REQ_BYTES)
+        wait += send(MessageKind.OBJECT_FETCH_DATA, home, node_id, reply_bytes)
         cpu.network_wait_ns += wait
         clock._now_ns += wait
         state, fetched, home_version = heap.state, heap.fetched, self.home_version
@@ -452,8 +449,7 @@ class HomeBasedLRC:
         under :meth:`unobserved`.
 
         A fault's price (trap plus fetch wait) and reply bytes follow
-        from the object's home, class and array length
-        (:data:`_FAULT_KEY`).  Each object's *price class* — its key's
+        from the object's home, class and array length (its fault key).  Each object's *price class* — its key's
         index — is a column, set at the object's first fault and cleared
         by a re-homing; each node prices a class the first time it
         faults one, from :func:`fetch_wait_ns` (integer-truncated per
@@ -493,17 +489,17 @@ class HomeBasedLRC:
         """Give each id of ``faulted`` without one its price class (a
         new class for a new key); returns the classes of ``faulted``."""
         column = self._price_class
-        objects = self._objects
+        gos = self.gos
+        home, cls, length = gos.home, gos.cls, gos.length
         for obj_id in faulted:
             if column[obj_id]:
                 continue
-            obj = objects[obj_id]
-            key = _FAULT_KEY(obj)
+            key = (home[obj_id], cls[obj_id], length[obj_id])
             c = self._class_of.get(key)
             if c is None:
                 c = self._class_of[key] = len(self._class_keys)
                 self._class_keys.append(key)
-                self._class_reply.append(obj.size_bytes + FETCH_REPLY_OVERHEAD)
+                self._class_reply.append(gos.size_bytes(obj_id) + FETCH_REPLY_OVERHEAD)
             column[obj_id] = c
         return list(map(column.__getitem__, faulted))
 
@@ -548,8 +544,8 @@ class HomeBasedLRC:
             faulted = False  # valid cache copy or home copy: no coherence work
             obj = None  # resolved lazily; a plain hit never needs it
         else:
-            obj = self._objects[obj_id]
-            if obj.home_node == node_id:
+            obj = HeapObject(self.gos, obj_id)
+            if self.gos.home[obj_id] == node_id:
                 # Home copies materialize lazily and are always current
                 # (a home copy can never be INVALID).
                 code = heap.state[obj_id] = HOME
@@ -560,21 +556,23 @@ class HomeBasedLRC:
                 faulted = True
 
         if is_write and code != HOME:
-            if obj is None:
-                obj = self._objects[obj_id]
+            gos = self.gos
+            jclass = gos.registry.by_id(gos.cls[obj_id])
+            size = gos.payload[obj_id]
+            if jclass.is_array:
+                written = n_elems * jclass.element_size
+                size += jclass.instance_size
+            else:
+                written = size
             twin = heap.twins.get(obj_id)
             if twin is None:
                 twin = heap.twins[obj_id] = [0, {thread.thread_id}]
-                twin_ns = obj.size_bytes * self.costs.twin_ns_per_byte
+                twin_ns = size * self.costs.twin_ns_per_byte
                 cpu.protocol_ns += twin_ns
                 clock._now_ns += twin_ns
             else:
                 twin[1].add(thread.thread_id)
-            if obj.is_array:
-                written = n_elems * obj.jclass.element_size
-            else:
-                written = obj.jclass.instance_size
-            twin[0] = min(twin[0] + written, obj.size_bytes)
+            twin[0] = min(twin[0] + written, size)
 
         interval: IntervalRecord = thread.current_interval
         touched = interval.touched
@@ -595,7 +593,7 @@ class HomeBasedLRC:
         plan = self._on_first_touch
         if plan is None:
             if obj is None:
-                obj = self._objects[obj_id]
+                obj = HeapObject(self.gos, obj_id)
             for hook in hooks:
                 hook.on_access(
                     thread,
@@ -686,7 +684,7 @@ class HomeBasedLRC:
         costs = self.costs
         node_id = thread.node_id
         heap = self.heaps[node_id]
-        objects = self._objects
+        home = self.gos.home
         clock = thread.clock
         cpu = thread.cpu
         observers = self.observers
@@ -724,7 +722,7 @@ class HomeBasedLRC:
                 cpu.protocol_ns += diff_ns
                 clock._now_ns += diff_ns
                 wait = self.network.send(
-                    MessageKind.DIFF, node_id, objects[obj_id].home_node, dirty + DIFF_OVERHEAD
+                    MessageKind.DIFF, node_id, home[obj_id], dirty + DIFF_OVERHEAD
                 )
                 cpu.network_wait_ns += wait
                 clock._now_ns += wait

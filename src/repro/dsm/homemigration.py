@@ -96,7 +96,7 @@ class HomeMigrationEngine:
         new_heap.state[obj_id] = HOME
         new_heap.twins.pop(obj_id, None)
 
-        obj.home_node = new_home
+        self.hlrc.gos.home[obj_id] = new_home
         self.hlrc.forget_price(obj_id)
 
         self.stats.migrations += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import defaultdict
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -32,7 +32,7 @@ def _caller_origin() -> str:
     package root down (host-prefix-free, so origins are stable across
     checkouts).  Host-side introspection only — never touches simulated
     state."""
-    frame = sys._getframe(2)  # skip _caller_origin and allocate itself
+    frame = sys._getframe(1)
     while frame is not None:
         filename = frame.f_code.co_filename.replace("\\", "/")
         if not filename.endswith(_ALLOC_WRAPPERS):
@@ -43,19 +43,46 @@ def _caller_origin() -> str:
 
 
 class GlobalObjectSpace:
-    """Cluster-wide object registry (ids, homes, sequence numbers)."""
+    """Cluster-wide object registry (ids, homes, sequence numbers), held
+    as columns by object id, as the paper's fixed-width header fields.
+
+    ``cls`` (class id), ``seq``, ``home``, ``length``, ``payload`` (an
+    array's element bytes, a scalar's instance bytes: the object's
+    logged size at sampling gap 1) and ``site`` (an index into
+    :attr:`sites`) are ``array('q')`` columns, each with a numpy view
+    ``<name>_np`` of the same memory; reads through the ``array`` give
+    plain ints, gathers through the views run at C speed.  Reference
+    edges are CSR: object ``i``'s targets are ``ref_ids[ref_end[i - 1]
+    : ref_end[i]]`` (from 0 for object 0), then any edge added after
+    allocation (:meth:`add_ref`).  The columns are as long as
+    :attr:`capacity` and replaced, not resized, when the space grows
+    (:meth:`add_columns`): read them off the space, never across an
+    allocation.  :class:`~repro.heap.objects.HeapObject` is a view of
+    one row, made only where a caller asks for one.
+    """
+
+    #: the per-object ``array('q')`` columns (each with a ``<name>_np`` view).
+    COLUMNS = ("cls", "seq", "home", "length", "payload", "site", "ref_end")
 
     def __init__(self, registry: ClassRegistry | None = None) -> None:
         self.registry = registry if registry is not None else ClassRegistry()
-        self._objects: list[HeapObject] = []
-        self._by_class: defaultdict[int, list[int]] = defaultdict(list)
+        #: objects allocated (ids run 0 .. n - 1).
+        self.n = 0
+        #: site labels by site id; id 0 is "no label".
+        self.sites: list[str | None] = [None]
+        self._site_id: dict[str, int] = {}
         #: site label -> ``file:line`` of the first allocation carrying
         #: it (the object-centric report's source attribution).
         self.site_origins: dict[str, str] = {}
+        #: every object's allocation-time reference targets, in id order.
+        self.ref_ids = array("q")
+        #: edges added after allocation, by object id.
+        self._added_refs: dict[int, list[int]] = {}
         #: the length of every per-object column kept over the space,
         #: grown ahead of allocation (see :meth:`add_columns`).
         self.capacity = 0
         self._column_owners: list = []
+        self.add_columns(self)
 
     def add_columns(self, owner) -> None:
         """Keep ``owner``'s per-object columns as long as the space's
@@ -70,6 +97,18 @@ class GlobalObjectSpace:
         for owner in self._column_owners:
             owner.resize(self.capacity)
 
+    def resize(self, capacity: int) -> None:
+        """Lengthen the object table's columns to ``capacity``."""
+        for name in self.COLUMNS:
+            column = array("q", getattr(self, name, ()))
+            column.frombytes(bytes(8 * (capacity - len(column))))
+            setattr(self, name, column)
+            setattr(self, name + "_np", np.frombuffer(column, dtype=np.int64))
+
+    # ------------------------------------------------------------------
+    # allocation
+    # ------------------------------------------------------------------
+
     def allocate(
         self,
         jclass: JClass | str,
@@ -79,56 +118,182 @@ class GlobalObjectSpace:
         refs: Iterable[int] = (),
         site: str | None = None,
     ) -> HeapObject:
-        """Allocate a new shared object homed at ``home_node``.
+        """Allocate one shared object homed at ``home_node``: the
+        one-object case of :meth:`allocate_many`.
 
         Arrays consume ``length`` consecutive per-class sequence numbers
         (one per element); scalar objects consume one.  ``site`` is an
         optional allocation-site label for per-site static/profiling
         reports (defaults to the class name downstream).
         """
-        if isinstance(jclass, str):
-            jclass = self.registry.get(jclass)
-        if site is not None and site not in self.site_origins:
-            # Capture once per distinct label — cheap, and every later
-            # allocation at the label shares the first caller's line.
-            self.site_origins[site] = _caller_origin()
-        if jclass.is_array:
-            if length < 1:
-                raise ValueError(f"array of class {jclass.name} needs length >= 1, got {length}")
-            n_seqs = length
-        elif length:
-            raise ValueError(f"scalar class {jclass.name} cannot take a length")
+        ids = self.allocate_many(
+            (jclass,), (home_node,), lengths=(length,), refs=(refs,), sites=site
+        )
+        return HeapObject(self, ids.start)
+
+    def allocate_many(self, classes, homes, *, lengths=None, refs=None, sites=None) -> range:
+        """Allocate ``len(classes)`` objects in order; returns their ids
+        (consecutive).  Every argument is per object, in allocation
+        order:
+
+        * ``classes`` — :class:`JClass` objects or names, or an integer
+          array of this registry's class ids;
+        * ``homes`` — home nodes (or one node for all);
+        * ``lengths`` — array lengths, 0 for a scalar (None: all 0);
+        * ``refs`` — one iterable of target ids per object, or
+          ``(targets, counts)``, a pair of integer numpy arrays: every
+          object's targets in one flat array and each object's count
+          (None: no edges);
+        * ``sites`` — labels (or one label, or None, for all).
+
+        Each class's sequence numbers are issued by one ``issue_seq``
+        per call, in allocation order, and every column owner grows at
+        most once.  A bad object — an unknown class name, an array
+        shorter than 1, a scalar with a length — raises the error it
+        would raise alone (unknown names are checked first), before
+        anything is written.
+        """
+        registry = self.registry
+        cids = self._class_ids(classes)
+        n = len(cids)
+        lengths = np.zeros(n, np.int64) if lengths is None else _column(lengths, n)
+        table = registry.table()
+        is_array = table.is_array[cids]
+        bad = np.flatnonzero(np.where(is_array, lengths < 1, lengths != 0))
+        if bad.size:
+            k = int(bad[0])
+            name = registry.by_id(int(cids[k])).name
+            if is_array[k]:
+                raise ValueError(
+                    f"array of class {name} needs length >= 1, got {int(lengths[k])}"
+                )
+            raise ValueError(f"scalar class {name} cannot take a length")
+        homes = _column(homes, n)
+        if refs is None:
+            targets, counts = np.zeros(0, np.int64), np.zeros(n, np.int64)
+        elif isinstance(refs, tuple) and len(refs) == 2 and isinstance(refs[0], np.ndarray):
+            targets, counts = np.asarray(refs[0], np.int64), _column(refs[1], n)
         else:
-            n_seqs = 1
-        seq = jclass.issue_seq(n_seqs)
-        objects = self._objects
-        obj_id = len(objects)
-        obj = HeapObject(obj_id, jclass, seq, home_node, length, list(refs), site)
-        objects.append(obj)
-        if obj_id >= self.capacity:
-            self._grow(obj_id + 1)
-        self._by_class[jclass.class_id].append(obj_id)
-        return obj
+            lists = [list(r) for r in refs]
+            targets = np.array(list(chain.from_iterable(lists)), dtype=np.int64)
+            counts = np.array(list(map(len, lists)), dtype=np.int64)
+        if isinstance(sites, str) or sites is None:
+            sites = repeat(sites, n)
+        labels = list(sites)
+        if len(labels) != n or len(counts) != n or int(counts.sum()) != len(targets):
+            raise ValueError(f"allocate_many: per-object arguments disagree with {n} classes")
+
+        # Valid: write.  Labels first seen here take the caller's line.
+        site_id = self._site_id
+        new = [s for s in dict.fromkeys(labels) if s is not None and s not in site_id]
+        if new:
+            origin = _caller_origin()
+            for label in new:
+                site_id[label] = len(self.sites)
+                self.sites.append(label)
+                self.site_origins[label] = origin
+        site_id = {None: 0, **site_id}
+        n_seqs = np.where(is_array, lengths, 1)
+        seqs = np.empty(n, np.int64)
+        for cid in sorted(set(cids.tolist())):
+            at = cids == cid
+            count = n_seqs[at]
+            first = registry.by_id(cid).issue_seq(int(count.sum()))
+            seqs[at] = np.cumsum(count) - count + first
+        lo = self.n
+        hi = lo + n
+        if hi > self.capacity:
+            self._grow(hi)
+        ref_base = len(self.ref_ids)
+        self.ref_ids.frombytes(targets.tobytes())
+        self.cls_np[lo:hi] = cids
+        self.seq_np[lo:hi] = seqs
+        self.home_np[lo:hi] = homes
+        self.length_np[lo:hi] = lengths
+        self.payload_np[lo:hi] = np.where(
+            is_array, lengths * table.element_size[cids], table.instance_size[cids]
+        )
+        self.site_np[lo:hi] = list(map(site_id.__getitem__, labels))
+        self.ref_end_np[lo:hi] = np.cumsum(counts) + ref_base
+        self.n = hi
+        return range(lo, hi)
+
+    def _class_ids(self, classes) -> np.ndarray:
+        """``classes`` as an int64 array of this registry's class ids."""
+        registry = self.registry
+        if isinstance(classes, np.ndarray) and classes.dtype.kind in "iu":
+            cids = classes.astype(np.int64)
+            if cids.size and not 0 <= int(cids.min()) <= int(cids.max()) < len(registry):
+                raise ValueError("allocate_many: class id out of range")
+            return cids
+        out = []
+        for jclass in classes:
+            if isinstance(jclass, str):
+                jclass = registry.get(jclass)
+            elif registry.by_id(jclass.class_id) is not jclass:
+                raise ValueError(f"class {jclass.name} is not in this space's registry")
+            out.append(jclass.class_id)
+        return np.array(out, dtype=np.int64)
+
+    # ------------------------------------------------------------------
+    # rows
+    # ------------------------------------------------------------------
 
     def get(self, obj_id: int) -> HeapObject:
-        """Look up by key; returns None / raises per container semantics."""
-        return self._objects[obj_id]
+        """The object with id ``obj_id`` (a view of its row); raises
+        IndexError for an id never allocated."""
+        if not 0 <= obj_id < self.n:
+            raise IndexError(f"object id {obj_id} out of range ({self.n} objects)")
+        return HeapObject(self, obj_id)
 
     def __len__(self) -> int:
-        return len(self._objects)
+        return self.n
 
     def __iter__(self) -> Iterator[HeapObject]:
-        return iter(self._objects)
+        return (HeapObject(self, i) for i in range(self.n))
+
+    def size_bytes(self, obj_id: int) -> int:
+        """Object ``obj_id``'s total size: its payload plus, for an
+        array, the class's header bytes."""
+        jclass = self.registry.by_id(self.cls[obj_id])
+        return self.payload[obj_id] + (jclass.instance_size if jclass.is_array else 0)
+
+    def refs_of(self, obj_id: int) -> list[int]:
+        """Object ``obj_id``'s reference targets, in the order added."""
+        ref_end = self.ref_end
+        out = self.ref_ids[ref_end[obj_id - 1] if obj_id else 0 : ref_end[obj_id]].tolist()
+        added = self._added_refs.get(obj_id)
+        return out + added if added else out
+
+    def add_ref(self, obj_id: int, target_id: int) -> None:
+        """Add a reference edge from ``obj_id`` after its allocation."""
+        self._added_refs.setdefault(obj_id, []).append(target_id)
+
+    def ids_of_class(self, jclass: JClass | str) -> list[int]:
+        """The ids of one class's objects, ascending."""
+        if isinstance(jclass, str):
+            jclass = self.registry.get(jclass)
+        return np.flatnonzero(self.cls_np[: self.n] == jclass.class_id).tolist()
 
     def objects_of_class(self, jclass: JClass | str) -> list[HeapObject]:
         """All objects of one class, in allocation order."""
-        if isinstance(jclass, str):
-            jclass = self.registry.get(jclass)
-        return [self._objects[i] for i in self._by_class.get(jclass.class_id, [])]
+        return [HeapObject(self, i) for i in self.ids_of_class(jclass)]
 
     def total_bytes(self) -> int:
-        """Total payload bytes in the global object space."""
-        return sum(o.size_bytes for o in self._objects)
+        """Total bytes (payload plus array headers) in the global object space."""
+        header = self.registry.table().header
+        n = self.n
+        return int(self.payload_np[:n].sum()) + int(header[self.cls_np[:n]].sum())
+
+
+def _column(values, n: int) -> np.ndarray:
+    """``values`` (one int or ``n`` of them) as an int64 array of ``n``."""
+    out = np.asarray(values, dtype=np.int64)
+    if out.ndim == 0:
+        return np.full(n, out, dtype=np.int64)
+    if out.shape != (n,):
+        raise ValueError(f"allocate_many: expected {n} values, got shape {out.shape}")
+    return out
 
 
 class LocalHeap:

@@ -10,6 +10,9 @@ sampling gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.util.validation import check_positive
 
@@ -52,12 +55,24 @@ class JClass:
         return first
 
 
+class ClassTable(NamedTuple):
+    """Every class's shape as numpy columns by class id (for gathers
+    over an object table's class column)."""
+
+    is_array: np.ndarray
+    instance_size: np.ndarray
+    element_size: np.ndarray
+    #: an array's header bytes (its ``instance_size``), 0 for a scalar.
+    header: np.ndarray
+
+
 class ClassRegistry:
     """Registry of all classes loaded in the simulated DJVM."""
 
     def __init__(self) -> None:
         self._by_name: dict[str, JClass] = {}
         self._by_id: list[JClass] = []
+        self._table: ClassTable | None = None
 
     def define(
         self,
@@ -79,10 +94,26 @@ class ClassRegistry:
         )
         self._by_name[name] = jclass
         self._by_id.append(jclass)
+        self._table = None
         return jclass
 
+    def table(self) -> ClassTable:
+        """The classes' :class:`ClassTable` (rebuilt after a define)."""
+        if self._table is None:
+            classes = self._by_id
+            instance = np.array([c.instance_size for c in classes], dtype=np.int64)
+            is_array = np.array([c.is_array for c in classes], dtype=bool)
+            self._table = ClassTable(
+                is_array,
+                instance,
+                np.array([c.element_size for c in classes], dtype=np.int64),
+                np.where(is_array, instance, 0),
+            )
+        return self._table
+
     def get(self, name: str) -> JClass:
-        """Look up by key; returns None / raises per container semantics."""
+        """The class named ``name``; raises KeyError naming it when no
+        class of that name is defined."""
         try:
             return self._by_name[name]
         except KeyError:

@@ -94,7 +94,7 @@ class VectorEngine:
     __slots__ = (
         "hlrc",
         "_interp",
-        "_objects",
+        "_gos",
         "_ints",
         "_heaps",
         "costs",
@@ -109,8 +109,8 @@ class VectorEngine:
         hl = interp.hlrc
         self.hlrc = hl
         self._interp = interp
-        self._objects = hl._objects
-        #: each object's ``obj_id`` int object, by id (built with the
+        self._gos = hl.gos
+        #: each object id as a Python int object, by id (built with the
         #: first lane table): lanes hand the protocol these very objects.
         self._ints = None
         self._heaps = hl.heaps
@@ -150,7 +150,7 @@ class VectorEngine:
         program = thread.program
         ints = self._ints
         if ints is None:
-            ints = self._ints = np.array([obj.obj_id for obj in self._objects], dtype=object)
+            ints = self._ints = np.arange(len(self._gos)).astype(object)
         table = program._lane_table(ints)
         a, b = table.bounds[row], table.bounds[row + 1]
         node_id = thread.node_id
@@ -162,14 +162,14 @@ class VectorEngine:
         miss = idx[heap.state_np.take(idx) < VALID]
         faulted = []
         if miss.size:
-            objects = self._objects
+            home = self._gos.home
             state = heap.state
             fetched = heap.fetched
             home_version = hlrc.home_version
             for oid in miss.tolist():
                 if state[oid] >= VALID:
                     continue  # a repeat of an id this probe made current
-                if objects[oid].home_node == node_id:
+                if home[oid] == node_id:
                     # Home copies materialize lazily at zero cost.
                     state[oid] = HOME
                 else:
@@ -357,15 +357,21 @@ class VectorEngine:
         ``table``'s write lanes, ascending.  ``twins``, if given,
         receives each twin's cost by object."""
         w_ids, w_elems, w_ops = table.w_ids, table.w_elems, table.w_ops
-        objects = self._objects
+        gos = self._gos
+        cls, payload, by_id = gos.cls, gos.payload, gos.registry.by_id
         heap_twins = heap.twins
         tid = thread.thread_id
         twin_per_byte = self.costs.twin_ns_per_byte
         twin_ns = 0
         for k in at:
             oid = w_ids[k]
-            obj = objects[oid]
-            size = obj.size_bytes
+            jclass = by_id(cls[oid])
+            size = payload[oid]
+            if jclass.is_array:
+                wb = w_elems[k] * jclass.element_size
+                size += jclass.instance_size
+            else:
+                wb = w_ops[k] * size
             twin = heap_twins.get(oid)
             if twin is None:
                 twin = heap_twins[oid] = [0, {tid}]
@@ -375,9 +381,5 @@ class VectorEngine:
                     twins[oid] = ns
             else:
                 twin[1].add(tid)
-            if obj.is_array:
-                wb = w_elems[k] * obj.jclass.element_size
-            else:
-                wb = w_ops[k] * obj.jclass.instance_size
             twin[0] = min(twin[0] + wb, size)
         return twin_ns

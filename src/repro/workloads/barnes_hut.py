@@ -404,8 +404,6 @@ class BarnesHutWorkload(Workload):
     def build(self, djvm: DJVM, *, placement: str = "block") -> None:
         """Define classes, allocate the object graph, spawn threads."""
         self._spawn(djvm, placement)
-        self.body_ids = []
-        self.vect_ids = []
         reg = djvm.registry
         body_cls = reg.define("Body", 96)
         vect_cls = reg.define("Vect3", 40)
@@ -436,26 +434,34 @@ class BarnesHutWorkload(Workload):
         alloc_rng = seeded_rng(self.seed, "barnes_hut", "transient_allocs")
         # One draw per body, in body order (the stream one draw at a time
         # would give).
-        transients = alloc_rng.integers(0, 3, size=self.n_bodies).tolist()
-        allocate = djvm.allocate
-        for owner, n_transient in zip(self._owner.tolist(), transients):
-            node = self._home_of[owner]
-            pv = allocate(vect_cls, node, site="bh.vect").obj_id
-            vv = allocate(vect_cls, node, site="bh.vect").obj_id
-            av = allocate(vect_cls, node, site="bh.vect").obj_id
-            body = allocate(body_cls, node, refs=[pv, vv, av], site="bh.body")
-            self.body_ids.append(body.obj_id)
-            self.vect_ids.append((pv, vv, av))
-            for _ in range(n_transient):
-                allocate(vect_cls, node, site="bh.transient")  # transient, never accessed
+        transients = alloc_rng.integers(0, 3, size=self.n_bodies)
+        # Per body: position, velocity and acceleration vectors, the body
+        # (referencing the three), then its transients — one batch.
+        per_body = transients + 4
+        at = np.cumsum(per_body) - per_body  # each body's first object
+        vects = at[:, None] + np.arange(3)
+        kind = np.full(int(per_body.sum()), 2)  # 0 vector, 1 body, 2 transient
+        kind[vects] = 0
+        kind[at + 3] = 1
+        counts = np.zeros(kind.size, dtype=np.int64)
+        counts[at + 3] = 3
+        base = len(djvm.gos)
+        djvm.gos.allocate_many(
+            np.array([vect_cls.class_id, body_cls.class_id, vect_cls.class_id])[kind],
+            np.repeat(np.array(self._home_of)[self._owner], per_body),
+            refs=((vects + base).ravel(), counts),
+            sites=[("bh.vect", "bh.body", "bh.transient")[k] for k in kind.tolist()],
+        )
+        self.body_ids = (at + base + 3).tolist()
+        self.vect_ids = list(map(tuple, (vects + base).tolist()))
         bodies_arr = djvm.allocate(
             arr_cls, self.node_of(0), length=self.n_bodies, refs=self.body_ids,
             site="bh.bodies",
         )
         self.bodies_arr_id = bodies_arr.obj_id
 
-        self._body_obj = np.array(self.body_ids)
-        self._pos_obj = np.array([pv for pv, _vv, _av in self.vect_ids])
+        self._body_obj = at + base + 3
+        self._pos_obj = vects[:, 0] + base
 
         # Precompute every round: integrate, rebuild the tree, allocate
         # its nodes, and aggregate each thread's traversal accesses.
@@ -634,30 +640,48 @@ class BarnesHutWorkload(Workload):
         stack order — with a leaf's body array just before the leaf, so
         the page map interleaves subtrees.  Each node is homed at the
         node of its :meth:`_cell_owners` thread (the steady state home
-        migration converges to)."""
+        migration converges to).  The ids follow from that order before
+        anything is allocated, so the tree is one ``allocate_many``."""
         order = tree.stack_order()
-        homes = np.array(self._home_of)[self._cell_owners(tree, order)].tolist()
-        first = tree.first_child.tolist()
-        kids = tree.n_children.tolist()
-        offsets = tree.offsets.tolist()
-        counts = tree.counts.tolist()
-        members = self._body_obj[tree.bodies].tolist()
-        obj_id = [-1] * len(kids)
-        arr_id = [-1] * len(kids)
-        allocate = djvm.allocate
-        for i in order[::-1].tolist():
-            home = homes[i]
-            if kids[i]:
-                refs = obj_id[first[i] : first[i] + kids[i]]
-                obj_id[i] = allocate(cell_cls, home, refs=refs, site="bh.tree").obj_id
-            else:
-                lo, n = offsets[i], counts[i]
-                arr = allocate(arr_cls, home, length=n, refs=members[lo : lo + n], site="bh.tree")
-                arr_id[i] = arr.obj_id
-                obj_id[i] = allocate(leaf_cls, home, refs=[arr.obj_id], site="bh.tree").obj_id
-        tree.obj_id = np.array(obj_id)
-        tree.arr_id = np.array(arr_id)
-        return obj_id[0]
+        post = order[::-1]
+        kids = tree.n_children
+        leaf = kids[post] == 0
+        size = np.where(leaf, 2, 1)  # a leaf's body array, then the leaf
+        start = np.cumsum(size) - size + len(djvm.gos)
+        n_nodes = len(kids)
+        obj_id = np.empty(n_nodes, dtype=np.int64)
+        obj_id[post] = start + size - 1
+        arr_id = np.full(n_nodes, -1, dtype=np.int64)
+        arr_id[post[leaf]] = start[leaf]
+        # Per object, in allocation order: a cell, or a leaf's array and
+        # the leaf.  Each one's refs are a run of ``pool``: the children's
+        # ids (level order), the bodies' ids (tree order), the arrays' ids.
+        n_bodies = len(tree.bodies)
+        node = np.repeat(post, size)
+        is_arr = np.zeros(node.size, dtype=bool)
+        is_arr[(start - start[0])[leaf]] = True
+        is_leaf = np.repeat(leaf, size) & ~is_arr
+        counts = np.where(is_arr, tree.counts[node], np.where(is_leaf, 1, kids[node]))
+        pool = np.concatenate((obj_id, self._body_obj[tree.bodies], arr_id))
+        first = np.where(
+            is_arr,
+            n_nodes + tree.offsets[node],
+            np.where(is_leaf, n_nodes + n_bodies + node, tree.first_child[node]),
+        )
+        classes = np.where(
+            is_arr, arr_cls.class_id, np.where(is_leaf, leaf_cls.class_id, cell_cls.class_id)
+        )
+        homes = np.array(self._home_of)[self._cell_owners(tree, order)]
+        djvm.gos.allocate_many(
+            classes,
+            homes[node],
+            lengths=np.where(is_arr, counts, 0),
+            refs=(pool[ranges(first, counts)], counts),
+            sites="bh.tree",
+        )
+        tree.obj_id = obj_id
+        tree.arr_id = arr_id
+        return int(obj_id[0])
 
     def _cell_owners(self, tree: _Octree, order: np.ndarray) -> np.ndarray:
         """Each node's home thread (level order): the one owning most of

@@ -75,10 +75,11 @@ class SORWorkload(Workload):
         for t in range(self.n_threads):
             for r in self.block_range(self.n, t, self.n_threads):
                 owner_of_row[r] = self.node_of(t)
-        self.row_ids = [
-            djvm.allocate(row_cls, owner_of_row[r], length=self.n, site="sor.rows").obj_id
-            for r in range(self.n)
-        ]
+        self.row_ids = list(
+            djvm.gos.allocate_many(
+                np.full(self.n, row_cls.class_id), owner_of_row, lengths=self.n, sites="sor.rows"
+            )
+        )
         matrix = djvm.allocate(
             matrix_cls, self.node_of(0), length=self.n, refs=self.row_ids, site="sor.matrix"
         )

@@ -90,28 +90,26 @@ class GroupSharingWorkload(Workload):
         """Define classes, allocate the object graph, spawn threads."""
         self._spawn(djvm, placement)
         cls = djvm.registry.define("SynObject", self.object_size)
-        self.group_pool = []
-        for g in range(self.n_groups):
-            home = self.node_of(g * self.group_size)
-            self.group_pool.append(
-                [
-                    djvm.allocate(cls, home, site="syn.group").obj_id
-                    for _ in range(self.objects_per_group)
-                ]
+        allocate_many = djvm.gos.allocate_many
+        self.group_pool = [
+            list(
+                allocate_many(
+                    [cls] * self.objects_per_group,
+                    self.node_of(g * self.group_size),
+                    sites="syn.group",
+                )
             )
-        self.private_pool = []
-        for t in range(self.n_threads):
-            home = self.node_of(t)
-            self.private_pool.append(
-                [
-                    djvm.allocate(cls, home, site="syn.private").obj_id
-                    for _ in range(self.private_per_thread)
-                ]
-            )
-        self.global_pool = [
-            djvm.allocate(cls, self.node_of(0), site="syn.global").obj_id
-            for _ in range(self.global_objects)
+            for g in range(self.n_groups)
         ]
+        self.private_pool = [
+            list(
+                allocate_many([cls] * self.private_per_thread, self.node_of(t), sites="syn.private")
+            )
+            for t in range(self.n_threads)
+        ]
+        self.global_pool = list(
+            allocate_many([cls] * self.global_objects, self.node_of(0), sites="syn.global")
+        )
 
     def program(self, thread_id: int):
         """The op stream for one thread."""
@@ -193,9 +191,11 @@ class UniformSharingWorkload(Workload):
         """Define classes, allocate the object graph, spawn threads."""
         self._spawn(djvm, placement)
         cls = djvm.registry.define("UniObject", self.object_size)
-        self.pool = [
-            djvm.allocate(cls, i % len(djvm.cluster)).obj_id for i in range(self.n_objects)
-        ]
+        self.pool = list(
+            djvm.gos.allocate_many(
+                [cls] * self.n_objects, np.arange(self.n_objects) % len(djvm.cluster)
+            )
+        )
 
     def program(self, thread_id: int):
         """The op stream for one thread."""

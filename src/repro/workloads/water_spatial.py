@@ -185,26 +185,41 @@ class WaterSpatialWorkload(Workload):
             owner = self.owner_of_cell(c)
             for m in members0[c]:
                 mol_home[m] = self.node_of(owner)
-        self.mol_ids = [0] * self.n_molecules
-        self.coord_ids = [0] * self.n_molecules
-        for c in range(n_cells):
-            for m in members0[c]:
-                coords = djvm.allocate(coord_cls, mol_home[m], length=9, site="ws.coords")
-                mol = djvm.allocate(mol_cls, mol_home[m], refs=[coords.obj_id], site="ws.mol")
-                self.mol_ids[m] = mol.obj_id
-                self.coord_ids[m] = coords.obj_id
-        for c in range(n_cells):
-            home = self.node_of(self.owner_of_cell(c))
-            arr = djvm.allocate(
-                marr_cls,
-                home,
-                length=max(len(members0[c]), 1),
-                refs=[self.mol_ids[m] for m in members0[c]],
-                site="ws.cell",
-            )
-            cell = djvm.allocate(cell_cls, home, refs=[arr.obj_id], site="ws.cell")
-            self.cell_arr_ids.append(arr.obj_id)
-            self.cell_obj_ids.append(cell.obj_id)
+        # Per molecule, in cell order: its coordinates, then the molecule
+        # (referencing them).
+        gos = djvm.gos
+        order = flat0[0]
+        pairs = np.arange(2 * self.n_molecules).reshape(-1, 2) + len(gos)
+        mol_ids = np.empty(self.n_molecules, dtype=np.int64)
+        mol_ids[order] = pairs[:, 1]
+        coord_ids = np.empty(self.n_molecules, dtype=np.int64)
+        coord_ids[order] = pairs[:, 0]
+        gos.allocate_many(
+            np.tile([coord_cls.class_id, mol_cls.class_id], self.n_molecules),
+            np.repeat(np.array(mol_home)[order], 2),
+            lengths=np.tile([9, 0], self.n_molecules),
+            refs=(pairs[:, 0], np.tile([0, 1], self.n_molecules)),
+            sites=["ws.coords", "ws.mol"] * self.n_molecules,
+        )
+        self.mol_ids = mol_ids.tolist()
+        self.coord_ids = coord_ids.tolist()
+        # Per cell: its molecule array, then the cell (referencing it).
+        count = flat0[2]
+        cell_pairs = np.arange(2 * n_cells).reshape(-1, 2) + len(gos)
+        homes = [self.node_of(self.owner_of_cell(c)) for c in range(n_cells)]
+        gos.allocate_many(
+            np.tile([marr_cls.class_id, cell_cls.class_id], n_cells),
+            np.repeat(homes, 2),
+            lengths=np.stack((np.maximum(count, 1), np.zeros(n_cells, np.int64)), 1).ravel(),
+            refs=(
+                # each cell's molecules (ascending), then its array
+                np.insert(pairs[:, 1], np.cumsum(count), cell_pairs[:, 0]),
+                np.stack((count, np.ones(n_cells, np.int64)), 1).ravel(),
+            ),
+            sites="ws.cell",
+        )
+        self.cell_arr_ids = cell_pairs[:, 0].tolist()
+        self.cell_obj_ids = cell_pairs[:, 1].tolist()
 
         # Precompute per-round membership and inter-cell moves.
         self._rounds_members = []

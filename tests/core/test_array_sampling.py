@@ -8,8 +8,7 @@ from repro.core.array_sampling import (
     amortized_sample_bytes,
     sampled_element_count,
 )
-from repro.heap.jclass import JClass
-from repro.heap.objects import HeapObject
+from repro.heap.heap import GlobalObjectSpace
 
 
 class TestSampledElementCount:
@@ -65,8 +64,11 @@ class TestSampledElementCount:
 
 class TestAmortizedBytes:
     def arr(self, seq=0, length=10, elem=8):
-        cls = JClass(0, "double[]", 16, is_array=True, element_size=elem)
-        return HeapObject(0, cls, seq=seq, home_node=0, length=length)
+        gos = GlobalObjectSpace()
+        cls = gos.registry.define("double[]", 16, is_array=True, element_size=elem)
+        obj = gos.allocate(cls, home_node=0, length=length)
+        gos.seq[obj.obj_id] = seq
+        return obj
 
     def test_full_sampling_equals_payload(self):
         obj = self.arr(length=10, elem=8)
@@ -77,8 +79,8 @@ class TestAmortizedBytes:
         assert amortized_sample_bytes(obj, 10) < amortized_sample_bytes(obj, 2)
 
     def test_scalar_rejected(self):
-        cls = JClass(0, "Obj", 64)
-        obj = HeapObject(0, cls, seq=0, home_node=0)
+        gos = GlobalObjectSpace()
+        obj = gos.allocate(gos.registry.define("Obj", 64), home_node=0)
         with pytest.raises(TypeError):
             amortized_sample_bytes(obj, 2)
 

@@ -184,7 +184,7 @@ class TestDecisionCacheStaleness:
         policy.set_nominal_gap(body_cls, 5)
         before = [policy.decision(o) for o in objs]
         assert policy.decide_batch(objs) == before
-        assert policy.first_touches(ids, gos._objects) == first_touch_view(before)
+        assert policy.first_touches(ids, gos) == first_touch_view(before)
 
         st_ = policy.state(body_cls)
         epoch_before = st_.epoch
@@ -198,7 +198,7 @@ class TestDecisionCacheStaleness:
         assert policy.decide_batch(objs) == after
         # The same ids list again: the last batch's answer is not served
         # across the rate change.
-        assert policy.first_touches(ids, gos._objects) == first_touch_view(after)
+        assert policy.first_touches(ids, gos) == first_touch_view(after)
 
     def test_unchanged_gap_keeps_cache_warm(self):
         gos = gos_with_classes()
@@ -206,7 +206,7 @@ class TestDecisionCacheStaleness:
         body_cls = gos.registry.get("Body")
         obj = gos.allocate(body_cls, 0)
         policy.set_nominal_gap(body_cls, 13)
-        answer = policy.first_touches([obj.obj_id], gos._objects)
+        answer = policy.first_touches([obj.obj_id], gos)
         assert sum(policy.backend.totals()) == 1
         st_ = policy.state(body_cls)
         epoch, changes = st_.epoch, policy.rate_changes
@@ -215,7 +215,7 @@ class TestDecisionCacheStaleness:
         # (read back, not decided and counted again).
         assert not policy.set_nominal_gap(body_cls, 13)
         assert (st_.epoch, policy.rate_changes) == (epoch, changes)
-        assert policy.first_touches([obj.obj_id], gos._objects) == answer
+        assert policy.first_touches([obj.obj_id], gos) == answer
         assert sum(policy.backend.totals()) == 1
 
     def test_gap_table_tracks_changes(self):

@@ -118,6 +118,29 @@ class TestPrimeGapIdentity:
         assert samples + skips == 2 * len(objs)
 
 
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("rate", [0.25, 1, 4, "full"])
+def test_batch_lanes_equal_the_kernel_and_count_alike(backend, rate):
+    """Every backend's batch lane (numpy from 64 ids for hash and
+    Poisson, the hybrid's split) answers what one ``decision`` per
+    object does and counts the same samples and skips per class —
+    mixed classes, repeated ids, and arrays long enough that a Poisson
+    inclusion probability rounds to 1."""
+    gos = gos_with_classes()
+    ids = []
+    for i in range(240):
+        if i % 4 == 0:
+            ids.append(gos.allocate("double[]", home_node=0, length=1 + (i * 37) % 6000).obj_id)
+        else:
+            ids.append(gos.allocate(("Body", "Small", "Body")[i % 4 - 1], home_node=0).obj_id)
+    ids = ids + ids[::7]
+    batched, single = make_policy(backend, gos, rate), make_policy(backend, gos, rate)
+    assert batched.decide_batch(ids, gos) == [single.decision(gos.get(i)) for i in ids]
+    assert batched.backend.class_stats() == single.backend.class_stats()
+    assert batched.backend.sample_counts == single.backend.sample_counts
+    assert batched.backend.skip_counts == single.backend.skip_counts
+
+
 # ---------------------------------------------------------------------------
 # hash backend
 # ---------------------------------------------------------------------------
@@ -512,8 +535,8 @@ def test_live_run_counts_each_decision_once(backend):
         note(obj, dec)
         return dec
 
-    def tallied_batch(objs):
-        objs = list(objs)
+    def tallied_batch(objs, gos=None):
+        objs = list(objs) if gos is None else [gos.get(i) for i in objs]
         decs = decide_batch(objs)
         for obj, dec in zip(objs, decs):
             note(obj, dec)
@@ -594,7 +617,7 @@ def test_first_touches_is_the_one_cache(backend, data):
         jclass = classes[data.draw(st.integers(0, len(classes) - 1))]
         length = data.draw(st.integers(1, 300)) if jclass.is_array else 0
         gos.allocate(jclass, home_node=0, length=length)
-    objects = gos._objects
+    objects = list(gos)
     policy = SamplingPolicy(backend=backend)
     rates = {jclass.class_id: "full" for jclass in classes}
     decided: set[tuple[int, int]] = set()
@@ -612,8 +635,8 @@ def test_first_touches_is_the_one_cache(backend, data):
             rates[jclass.class_id] = step[2]
             continue
         ids = step[1]
-        answer = policy.first_touches(ids, objects)
-        assert policy.first_touches(ids, objects) == answer
+        answer = policy.first_touches(ids, gos)
+        assert policy.first_touches(ids, gos) == answer
         fresh = SamplingPolicy(backend=backend)
         for jclass in classes:
             fresh.set_rate(jclass, rates[jclass.class_id])
@@ -637,10 +660,10 @@ def test_a_rate_change_starts_a_new_generation_for_every_class(backend):
     row = gos.registry.define("double[]", is_array=True, element_size=8)
     policy = make_policy(backend, gos, rate=4)
     ids = [gos.allocate(body, home_node=0).obj_id for _ in range(40)]
-    first = policy.first_touches(list(ids), gos._objects)
+    first = policy.first_touches(list(ids), gos)
     assert sum(policy.backend.totals()) == 40
-    assert policy.first_touches(list(ids), gos._objects) == first
+    assert policy.first_touches(list(ids), gos) == first
     assert sum(policy.backend.totals()) == 40
     policy.set_rate(row, 16)
-    assert policy.first_touches(list(ids), gos._objects) == first
+    assert policy.first_touches(list(ids), gos) == first
     assert sum(policy.backend.totals()) == 80

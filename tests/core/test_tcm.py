@@ -1,7 +1,6 @@
 """Tests for thread correlation map construction."""
 
 from itertools import chain
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -400,18 +399,19 @@ class TestResampled:
         batches = [
             oal_batch(tid, oids, [64] * len(oids)) for window in raw for tid, oids, _ in window
         ]
-        objects = {oid: SimpleNamespace(obj_id=oid) for b in batches for oid in b.obj_ids}
+        space = object()
 
         class Policy:
             def __init__(self):
                 self.decided = []
 
-            def decide_batch(self, objs):
-                self.decided.append([obj.obj_id for obj in objs])
-                return [(obj.obj_id % gap == 0, 8, 8 * gap + obj.obj_id) for obj in objs]
+            def decide_batch(self, ids, gos):
+                assert gos is space
+                self.decided.append(list(ids))
+                return [(oid % gap == 0, 8, 8 * gap + oid) for oid in ids]
 
         policy = Policy()
-        tcm = resampled_tcm(batches, policy, objects.__getitem__, n_threads)
+        tcm = resampled_tcm(batches, policy, space, n_threads)
         entries = [
             (b.thread_id, oid, 8 * gap + oid) for b in batches for oid in b.obj_ids if oid % gap == 0
         ]

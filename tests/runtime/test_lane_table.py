@@ -119,7 +119,7 @@ def smoke_programs(spec) -> tuple[dict, np.ndarray]:
     )
     djvm = DJVM(catalog.N_NODES)
     workload.build(djvm, placement="block")
-    ints = np.array([obj.obj_id for obj in djvm.hlrc._objects], dtype=object)
+    ints = np.arange(len(djvm.gos)).astype(object)
     return {tid: P.compile_program(ops) for tid, ops in workload.programs().items()}, ints
 
 

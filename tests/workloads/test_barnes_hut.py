@@ -1,5 +1,6 @@
 """Tests for the Barnes-Hut workload."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +139,7 @@ class TestSharingProfile:
         for origin in origins.values():
             path, line = origin.rsplit(":", 1)
             assert path == "repro/workloads/barnes_hut.py"
-            assert "allocate(" in lines[int(line) - 1]
+            assert re.search(r"\ballocate(_many)?\(", lines[int(line) - 1])
 
     def test_runs_to_completion(self):
         wl, djvm = build()
