@@ -456,8 +456,7 @@ class ProtocolSanitizer(ProtocolObserver):
         fp = self._footprinter
         if fp is not None:
             accessed = set(thread.current_interval.touched)
-            for closed in fp.interval_tracked.get(thread.thread_id, []):
-                accessed |= closed
+            accessed |= fp.tracked_ever.get(thread.thread_id, set())
             candidates = fp.live_sticky_candidates(thread)
             stray = [o for o in candidates if o not in accessed]
             if stray:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator
 
 from repro.runtime.program import (
+    NO_SYNC,
     OP_ACQUIRE,
     OP_BARRIER,
     OP_READ,
@@ -91,37 +92,45 @@ class WorkloadCFG:
 
 def _split_thread(thread_id: int, program) -> ThreadCFG:
     """Split one compiled program into its segment chain and summarize
-    each segment's accesses."""
-    sync = program.sync_points()
-    n_ops = len(program)
-    bounds = [pc for pc, _code in sync] + [n_ops]
-    codes = program.codes
+    each segment's accesses — once per distinct body, copied to every
+    segment that runs it."""
+    codes = program._codes
     args, _elems, reps, _offs = program._views
+    summaries: dict[int, tuple[dict, dict]] = {}
     segments: list[Segment] = []
     barrier_ids: list[int] = []
-    start = 0
     phase = 0
-    for index, end in enumerate(bounds):
-        terminator = program.op(end) if end < n_ops else None
-        seg = Segment(
-            thread_id=thread_id,
-            index=index,
-            start=start,
-            end=end,
-            phase=phase,
-            terminator=terminator,
+    for index, (base, b, code, ident) in enumerate(
+        zip(program.seg_base, program.seg_body, program.seg_code, program.seg_arg)
+    ):
+        lo, hi = program.body_lo[b], program.body_hi[b]
+        summary = summaries.get(b)
+        if summary is None:
+            reads: dict[int, int] = {}
+            writes: dict[int, int] = {}
+            for pc in range(lo, hi):
+                op = codes[pc]
+                if op == OP_READ:
+                    reads[args[pc]] = reads.get(args[pc], 0) + reps[pc]
+                elif op == OP_WRITE:
+                    writes[args[pc]] = writes.get(args[pc], 0) + reps[pc]
+            summary = summaries[b] = (reads, writes)
+        terminator = (code, ident) if code != NO_SYNC else None
+        segments.append(
+            Segment(
+                thread_id=thread_id,
+                index=index,
+                start=base,
+                end=base + hi - lo,
+                phase=phase,
+                terminator=terminator,
+                reads=dict(summary[0]),
+                writes=dict(summary[1]),
+            )
         )
-        for pc in range(start, end):
-            code = codes[pc]
-            if code == OP_READ:
-                seg.reads[args[pc]] = seg.reads.get(args[pc], 0) + reps[pc]
-            elif code == OP_WRITE:
-                seg.writes[args[pc]] = seg.writes.get(args[pc], 0) + reps[pc]
-        segments.append(seg)
-        if terminator is not None and terminator[0] == OP_BARRIER:
-            barrier_ids.append(terminator[1])
+        if code == OP_BARRIER:
+            barrier_ids.append(ident)
             phase += 1
-        start = end + 1
     return ThreadCFG(thread_id=thread_id, segments=segments, barrier_ids=tuple(barrier_ids))
 
 

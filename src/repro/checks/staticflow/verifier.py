@@ -5,9 +5,10 @@ Two tiers, two costs:
 
 * :func:`verify_structure` — the **gate tier**: the structural
   invariants the stack machine and the vector replay engine rely on
-  (CALL/RET balance, SETSLOT-in-frame, lock pairing), computed over
-  the dense ``codes`` byte array with numpy cumulative sums plus a
-  Python loop over only the (few) sync ops.  The interpreter calls
+  (CALL/RET balance, SETSLOT-in-frame, lock pairing), computed once
+  per distinct segment body over the program's store with numpy
+  cumulative sums, then by a Python walk over the segment sequence
+  alone — never over the whole op stream.  The interpreter calls
   :func:`gate_program` on every compiled program before a run, on
   both replay routes; the result is cached on the compiled program
   (``CompiledProgram._verified``) so reuse across DJVM instances — the
@@ -109,63 +110,82 @@ def verify_structure(
 
     Checks IR003 (CALL/RET balance), IR004 (SETSLOT-in-frame) and IR005
     (lock pairing); opcode range (IR001) needs no check here, since
-    :class:`CompiledProgram` rejects a bad opcode when it is built.  The
-    frame-depth scan runs as a numpy cumulative sum over the program's
-    CALL and RET ops, found in the dense opcode bytes; only the
-    program's sync ops are touched from Python, so gating a program
-    costs far less than one scalar execution of it.
+    :class:`CompiledProgram` rejects a bad opcode when it is built.  Each
+    distinct body is summarized once (:func:`_body_frames`) from a numpy
+    cumulative sum over the store's CALL and RET ops; the walk over the
+    segment sequence then carries the frame depth and the held locks
+    from segment to segment, so gating a program costs far less than
+    one scalar execution of it, and a body that repeats costs once.
     """
-    codes = program.codes
-    if not codes:
+    if not program.n_ops:
         return []
-    arr = np.frombuffer(codes, dtype=np.uint8)
-    problems: list[IRProblem] = []
-    # Frame depth after each CALL (+1) and RET (-1), cumulative: only
-    # those ops move it, so the scan never allocates per op.
-    frames = np.flatnonzero((arr == OP_CALL) | (arr == OP_RET))
-    depth = np.cumsum(np.where(arr[frames] == OP_CALL, 1, -1))
-    if bool((depth < 0).any()):
-        pc = int(frames[np.argmax(depth < 0)])
-        problems.append(IRProblem("IR003", "RET with empty stack", thread_id, pc))
-    elif depth.size and int(depth[-1]) > 0:
-        problems.append(
-            IRProblem(
-                "IR003",
-                f"program ends with {int(depth[-1])} unpopped frame(s)",
-                thread_id,
-            )
-        )
-    # SETSLOT needs an enclosing frame: the depth after the last CALL or
-    # RET before it (0 before the first).
-    slots = np.flatnonzero(arr == OP_SETSLOT)
-    if slots.size:
-        under = np.concatenate(([0], depth))[np.searchsorted(frames, slots)]
-        bad = slots[under == 0]
-        if bad.size:
-            problems.append(
-                IRProblem("IR004", "SETSLOT outside any frame", thread_id, int(bad[0]))
-            )
-    # Lock pairing: Python loop over only the sync ops.
+    bodies = _body_frames(program)
+    lo, hi = program.body_lo, program.body_hi
+    frames: list[IRProblem] = []
+    slots: list[IRProblem] = []
+    locks: list[IRProblem] = []
     held: set[int] = set()
-    lock_ops = np.flatnonzero((arr == OP_ACQUIRE) | (arr == OP_RELEASE))
-    for pc, lock in zip(lock_ops.tolist(), program.args[lock_ops].tolist()):
-        if codes[pc] == OP_ACQUIRE:
+    depth = 0
+    for base, b, code, lock in zip(program.seg_base, program.seg_body, program.seg_code, program.seg_arg):
+        low, delta, first_at_depth, rel = bodies[b]
+        if not frames and depth + low < 0:
+            # The first frame op of the body that takes the depth below 0.
+            at = int(rel[0][int(np.argmax(rel[1] < -depth))])
+            frames.append(IRProblem("IR003", "RET with empty stack", thread_id, base + at))
+        if not slots and -depth in first_at_depth:
+            at = first_at_depth[-depth]
+            slots.append(IRProblem("IR004", "SETSLOT outside any frame", thread_id, base + at))
+        depth += delta
+        pc = base + hi[b] - lo[b]
+        if code == OP_ACQUIRE:
             if lock in held:
-                problems.append(
-                    IRProblem("IR005", f"ACQUIRE of lock {lock} already held", thread_id, pc)
-                )
+                locks.append(IRProblem("IR005", f"ACQUIRE of lock {lock} already held", thread_id, pc))
             held.add(lock)
-        else:
+        elif code == OP_RELEASE:
             if lock not in held:
-                problems.append(
-                    IRProblem("IR005", f"RELEASE of lock {lock} not held", thread_id, pc)
-                )
+                locks.append(IRProblem("IR005", f"RELEASE of lock {lock} not held", thread_id, pc))
             held.discard(lock)
-    if held:
-        problems.append(
-            IRProblem("IR005", f"program ends holding locks {sorted(held)}", thread_id)
+    if not frames and depth > 0:
+        frames.append(
+            IRProblem("IR003", f"program ends with {depth} unpopped frame(s)", thread_id)
         )
-    return problems
+    if held:
+        locks.append(IRProblem("IR005", f"program ends holding locks {sorted(held)}", thread_id))
+    return frames + slots + locks
+
+
+def _body_frames(program: CompiledProgram) -> list[tuple]:
+    """Per distinct body of ``program``: ``(lowest frame depth, net frame
+    depth, {depth before a SETSLOT: its first offset}, (offsets of the
+    frame ops, depth after each))``, depths relative to the body's
+    entry, offsets into the body — from one cumulative sum over the
+    store's CALL (+1) and RET (-1) ops, which never allocates per op."""
+    arr = np.frombuffer(program._codes, dtype=np.uint8)
+    frames = np.flatnonzero((arr == OP_CALL) | (arr == OP_RET))
+    depth = np.concatenate(([0], np.cumsum(np.where(arr[frames] == OP_CALL, 1, -1))))
+    slots = np.flatnonzero(arr == OP_SETSLOT)
+    lo = np.array(program.body_lo, dtype=np.int64)
+    hi = np.array(program.body_hi, dtype=np.int64)
+    f_lo, f_hi = np.searchsorted(frames, lo), np.searchsorted(frames, hi)
+    s_lo, s_hi = np.searchsorted(slots, lo), np.searchsorted(slots, hi)
+    # Depth before each SETSLOT: after the last frame op before it.
+    under = depth[np.searchsorted(frames, slots)]
+    out = []
+    for b, start in enumerate(program.body_lo):
+        fa, fb = int(f_lo[b]), int(f_hi[b])
+        entry = depth[fa]
+        rel = depth[fa + 1 : fb + 1] - entry
+        at = slots[s_lo[b] : s_hi[b]] - start
+        at_depth = (under[s_lo[b] : s_hi[b]] - entry).tolist()
+        out.append(
+            (
+                int(rel.min()) if rel.size else 0,
+                int(rel[-1]) if rel.size else 0,
+                dict(zip(reversed(at_depth), reversed(at.tolist()))),
+                (frames[fa:fb] - start, rel),
+            )
+        )
+    return out
 
 
 def gate_program(program: CompiledProgram) -> None:

@@ -26,7 +26,7 @@ logging, two throttles from the paper apply:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, deque
 from itertools import compress, repeat
 from operator import add, floordiv, mod, sub
 
@@ -36,6 +36,10 @@ from repro.heap.objects import HeapObject
 from repro.sim.costs import CostModel
 
 NS_PER_MS = 1_000_000
+
+#: closed intervals whose tracked sets a footprinter keeps per thread
+#: (the landmark window resolution reads).
+RECENT_TRACKED = 3
 
 _NO_GOS = (
     "StickySetFootprinter has no global object space attached — call "
@@ -76,7 +80,8 @@ class StickySetFootprinter:
         "_scaled",
         "_interval_start",
         "interval_footprints",
-        "interval_tracked",
+        "recent_tracked",
+        "tracked_ever",
         "tracked_accesses",
         "_gos",
         "_track_ns",
@@ -117,9 +122,14 @@ class StickySetFootprinter:
         #: completed-interval footprints kept for averaging:
         #: thread_id -> list of {class_name: bytes}.
         self.interval_footprints: dict[int, list[dict[str, int]]] = {}
-        #: completed-interval tracked sampled object ids (landmark
-        #: candidates for resolution): thread_id -> list of sets.
-        self.interval_tracked: dict[int, list[set[int]]] = {}
+        #: the tracked sampled object ids of the thread's last
+        #: :data:`RECENT_TRACKED` non-empty closed intervals (landmark
+        #: candidates for resolution): thread_id -> deque of sets.
+        self.recent_tracked: dict[int, deque[set[int]]] = {}
+        #: thread_id -> every sampled object id tracked in its closed
+        #: intervals (their union): kept instead of one set per interval,
+        #: so the footprinter's state does not grow with run length.
+        self.tracked_ever: dict[int, set[int]] = {}
         self.tracked_accesses = 0
         #: attached by the ProfilerSuite (needed to resolve object classes).
         self._gos = None
@@ -282,7 +292,10 @@ class StickySetFootprinter:
         # *all* intervals or estimates at different sampling rates get
         # different denominators and stop being comparable.
         self.interval_footprints.setdefault(tid, []).append(fp)
-        self.interval_tracked.setdefault(tid, []).append(set(count))
+        if count:
+            tracked = set(count)
+            self.recent_tracked.setdefault(tid, deque(maxlen=RECENT_TRACKED)).append(tracked)
+            self.tracked_ever.setdefault(tid, set()).update(tracked)
 
     # ------------------------------------------------------------------
     # footprint estimation
@@ -334,10 +347,11 @@ class StickySetFootprinter:
         """Sampled object ids the footprinting pass tracked recently —
         the landmark candidates resolution should trust.  Combines the
         live open-interval stats with the last ``window`` non-empty
-        closed-interval sets."""
+        closed-interval sets (at most :data:`RECENT_TRACKED` are kept)."""
+        if window > RECENT_TRACKED:
+            raise ValueError(f"only the last {RECENT_TRACKED} tracked sets are kept, asked for {window}")
         out: set[int] = set(self._count.get(thread.thread_id, {}))
-        closed = [s for s in self.interval_tracked.get(thread.thread_id, []) if s]
-        for s in closed[-window:]:
+        for s in list(self.recent_tracked.get(thread.thread_id, ()))[-window:]:
             out |= s
         return out
 

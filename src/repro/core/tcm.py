@@ -19,7 +19,7 @@ triple loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -99,16 +99,20 @@ class TCMAccumulator:
         The at-most-once rule makes its ids distinct, which lets it skip
         a sort; a batch that repeats an id is still folded exactly."""
         n = len(batch.obj_ids)
-        if n:
-            tid = batch.thread_id
+        self.fold_thread(
+            batch.thread_id,
+            np.fromiter(batch.obj_ids, np.int64, n),
+            np.fromiter(batch.scaled_bytes, np.float64, n),
+            np.fromiter(batch.class_ids, np.int64, n) if per_class and n else None,
+        )
+
+    def fold_thread(self, tid: int, oids: np.ndarray, sizes: np.ndarray, cids: np.ndarray | None = None) -> None:
+        """Fold one batch of thread ``tid`` given as entry arrays (object
+        ids, bytes and optionally class ids)."""
+        if oids.size:
             if not 0 <= tid < self.n_threads:
                 raise ValueError(f"thread id {tid} out of range 0..{self.n_threads - 1}")
-            self._fold(
-                tid,
-                np.fromiter(batch.obj_ids, np.int64, n),
-                np.fromiter(batch.scaled_bytes, np.float64, n),
-                np.fromiter(batch.class_ids, np.int64, n) if per_class else None,
-            )
+            self._fold(tid, oids, sizes, cids)
         self.n_batches += 1
 
     def fold(self, tids: np.ndarray, oids: np.ndarray, sizes: np.ndarray) -> None:
@@ -304,23 +308,22 @@ def resampled_tcm(batches: Iterable[OALBatch], policy, gos, n_threads: int) -> n
     object ids of the global object space ``gos``.  The log's distinct
     objects are decided in one ``policy.decide_batch`` over those ids,
     so the backend counts each object once however many entries log
-    it."""
+    it; their scaled bytes form one column by id (NaN: not sampled),
+    which each batch gathers at its ids."""
     batches = list(batches)
     ids = sorted(set(chain.from_iterable(batch.obj_ids for batch in batches)))
     decisions = policy.decide_batch(ids, gos)
-    scaled_of = {oid: dec[2] for oid, dec in zip(ids, decisions) if dec[0]}
+    scaled = np.full(ids[-1] + 1 if ids else 0, np.nan)
+    picked = [(oid, dec[2]) for oid, dec in zip(ids, decisions) if dec[0]]
+    if picked:
+        at, values = zip(*picked)
+        scaled[list(at)] = np.array(values, dtype=np.float64)
     acc = TCMAccumulator(n_threads)
     for batch in batches:
-        keep = list(map(scaled_of.__contains__, batch.obj_ids))
-        obj_ids = list(compress(batch.obj_ids, keep))
-        picked = OALBatch(
-            batch.thread_id,
-            batch.interval_id,
-            obj_ids=obj_ids,
-            scaled_bytes=list(map(scaled_of.__getitem__, obj_ids)),
-            class_ids=list(compress(batch.class_ids, keep)),
-        )
-        acc.fold_batch(picked)
+        oids = np.fromiter(batch.obj_ids, np.int64, len(batch.obj_ids))
+        sizes = scaled[oids]
+        keep = ~np.isnan(sizes)
+        acc.fold_thread(batch.thread_id, oids[keep], sizes[keep])
     return acc.finish().tcm
 
 

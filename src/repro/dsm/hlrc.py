@@ -37,6 +37,7 @@ with the smallest simulated clock.
 
 from __future__ import annotations
 
+import hashlib
 from array import array
 from itertools import compress
 from operator import not_
@@ -189,11 +190,13 @@ class HomeBasedLRC:
         self.home_version = array("q")
         self.home_version_np = np.frombuffer(self.home_version, dtype=np.int64)
         gos.add_columns(self)
-        #: global write-notice log, one block per closing interval (or
-        #: per flush at a migration): ``(ids, versions)``, the block's object ids in
-        #: ascending order and the home version each notice published.
-        #: Notice ordinals run through the blocks in order.
-        self.notice_blocks: list[tuple[list[int], list[int]]] = []
+        #: the global write-notice log as a running SHA-256: each block
+        #: (one per closing interval, or per flush at a migration) folds
+        #: in its length, its object ids ascending and the home version
+        #: each notice published, as little-endian int64 bytes
+        #: (:meth:`publish`).  Notice ordinals run through the blocks in
+        #: order; nothing reads a past notice back, so none is kept.
+        self._notice_digest = hashlib.sha256()
         #: notices published so far (the ordinal after the last one).
         self.n_notices = 0
         #: per-node ordinal of the first unseen notice (every apply
@@ -706,7 +709,7 @@ class HomeBasedLRC:
             diffs = list(map(ids.__getitem__, at))
             ids = list(compress(ids, published.tobytes()))
         if ids:
-            self.publish(block, ids)
+            self.publish(block)
             self._c_notices.inc(len(ids))
         # Observers see every notice in log order, each diff's event
         # right after its flush.
@@ -740,15 +743,23 @@ class HomeBasedLRC:
     # write notices
     # ------------------------------------------------------------------
 
-    def publish(self, block: np.ndarray, ids: list[int]) -> None:
+    def publish(self, block: np.ndarray) -> None:
         """Bump the home version of each object of ``block`` (distinct
-        ids ascending, as an ``intp`` array; ``ids`` the same as a list)
-        and log a write notice for each, as one block: the one place a
-        home version moves, so every bump has its notice at once."""
+        ids ascending, as an ``intp`` array) and log a write notice for
+        each, as one block folded into the log's digest: the one place
+        a home version moves, so every bump has its notice at once."""
         home_version = self.home_version_np
         home_version[block] += 1
-        self.notice_blocks.append((ids, home_version[block].tolist()))
-        self.n_notices += len(ids)
+        n = len(block)
+        digest = self._notice_digest
+        digest.update(n.to_bytes(8, "little"))
+        digest.update(block.astype("<i8", copy=False).tobytes())
+        digest.update(home_version[block].astype("<i8", copy=False).tobytes())
+        self.n_notices += n
+
+    def notice_digest(self) -> str:
+        """The hex SHA-256 of every notice block published so far."""
+        return self._notice_digest.hexdigest()
 
     def apply_notices(self, thread) -> int:
         """Apply all unseen write notices on the thread's node, invalidating

@@ -75,7 +75,8 @@ def run_fingerprint(djvm: "DJVM", result: RunResult, suite=None) -> dict[str, ob
     each component catches a seeded violator).  ``suite`` adds the TCM
     of a :class:`~repro.core.profiler.ProfilerSuite`.  The large tables
     (copies, notice log) are folded to SHA-256 digests so an unequal
-    pair names the component that moved without printing it."""
+    pair names the component that moved without printing it; the
+    notice log is kept only as its running digest."""
     hlrc = djvm.hlrc
     return {
         "execution_time_ms": result.execution_time_ms,
@@ -107,9 +108,7 @@ def run_fingerprint(djvm: "DJVM", result: RunResult, suite=None) -> dict[str, ob
                 for node_id in sorted(hlrc.heaps)
             ]
         ),
-        "notices_sha256": _sha(
-            [notice for ids, versions in hlrc.notice_blocks for notice in zip(ids, versions)]
-        ),
+        "notices_sha256": hlrc.notice_digest(),
         "interval_counters": tuple((t.thread_id, t.interval_counter) for t in djvm.threads),
     }
 

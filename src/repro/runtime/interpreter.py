@@ -293,26 +293,32 @@ class Interpreter:
             self._nodes[thread.node_id].core.occupy_until(thread.clock.now_ns)
 
     def _run_segment(self, thread: SimThread) -> None:
-        """Execute ops until the next scheduling point.
+        """Execute the thread's current segment: its body, then its sync
+        op — the next scheduling point — or, for the last segment, the
+        close of the final interval.
 
         This is the simulator's innermost loop.  Everything touched per
-        op is hoisted into locals, the thread's ``pc`` is the cursor
-        into the compiled program (incremented before an op executes, as
-        before), READ/WRITE/COMPUTE are inlined, synchronization ops go
-        through a per-opcode dispatch table, and the timer/migration
-        poll is skipped entirely unless such hooks are attached.  Timers
-        cost one integer compare per op against their minimum
-        ``next_fire_ns`` deadline.
+        op is hoisted into locals, the cursor ``i`` runs over the body's
+        span of the program's store (the global pc is ``i + delta``;
+        incremented before an op executes, as before), READ/WRITE/COMPUTE
+        are inlined, synchronization ops go through a per-opcode
+        dispatch table, and the timer/migration poll is skipped entirely
+        unless such hooks are attached.  Timers cost one integer compare
+        per op against their minimum ``next_fire_ns`` deadline.
         """
         program = thread.program
         assert program is not None
         if not isinstance(program, prog.CompiledProgram):
             # Direct attachment (tests poke thread.program): decode lazily.
             program = thread.program = prog.compile_program(program)
-        codes = program.codes
-        side = program.side
-        n_ops = program.n_ops
-        i = thread.pc
+        seg = program.segment_at(thread.pc)
+        lo = program.body_lo[program.seg_body[seg]]
+        end = program.body_hi[program.seg_body[seg]]
+        # store position + delta = pc
+        delta = program.seg_base[seg] - lo
+        codes = program._codes
+        side = program._side
+        i = thread.pc - delta
         # Hot-path locals: attribute lookups hoisted out of the loop.
         costs = self.costs
         access = self.hlrc.access
@@ -323,7 +329,6 @@ class Interpreter:
         frame_pop_ns = costs.frame_pop_ns
         scale_is_unity = costs.compute_scale == 1.0
         scaled_compute = costs.scaled_compute
-        sync_dispatch = self._sync_dispatch
         timers = self.timers
         mig = self.migration_engine
         mig_pending = mig._pending if mig is not None else None
@@ -343,7 +348,7 @@ class Interpreter:
         vec = self._vector
         vruns = None
         if vec is not None and self.hlrc.unobserved():
-            vruns = program.vector_runs() or None
+            vruns = program.store_runs() or None
         # Ops read per op: from memoryviews when the one pass takes the
         # runs, from the program's lists when every op runs here.
         args, n_elems, repeat, elem_off = program._views if vruns else program.lists()
@@ -353,7 +358,7 @@ class Interpreter:
             # dispatch, timer/migration polls, interval close, errors),
             # so the cursor stays in the local ``i`` during straight-line
             # runs and is published right before any of those.
-            while i < n_ops:
+            while i < end:
                 if vruns is not None:
                     run = vruns.get(i)
                     # A deadline of 0 asks for a call at every op
@@ -364,7 +369,7 @@ class Interpreter:
                         and next_deadline
                         and not (mig_pending and tid in mig_pending)
                     ):
-                        next_deadline = vec.execute(thread, run[0], i, next_deadline)
+                        next_deadline = vec.execute(thread, run[0], i + delta, next_deadline)
                         i += run[1]
                         continue
                 code = codes[i]
@@ -388,32 +393,21 @@ class Interpreter:
                     stack.pop()
                     cpu.access_ns += frame_pop_ns
                     clock._now_ns += frame_pop_ns
-                elif code == prog.OP_SETSLOT:
+                else:  # SETSLOT (a body holds no sync op)
                     top = stack.top
                     slot = args[i]
                     obj_id = None if i in side else n_elems[i]
                     i += 1
                     if top is None:
-                        thread.pc = i
+                        thread.pc = i + delta
                         raise RuntimeError(
-                            f"thread {tid}: SETSLOT at pc {i} with empty stack"
+                            f"thread {tid}: SETSLOT at pc {thread.pc} with empty stack"
                         )
                     top.set_slot(slot, obj_id)
                     cpu.access_ns += SETSLOT_NS
                     clock._now_ns += SETSLOT_NS
-                else:  # ACQUIRE / RELEASE / BARRIER (the opcodes were checked at compile)
-                    ident = args[i]
-                    i += 1
-                    thread.pc = i
-                    if sync_dispatch[code](thread, ident):
-                        if timers and clock._now_ns >= next_deadline:
-                            for timer in timers:
-                                timer.maybe_fire(thread)
-                            if next_deadline > 0:
-                                record(timer_fire, clock._now_ns, tid)
-                    return  # yield so sync ordering tracks simulated time
                 if poll_hooks:
-                    thread.pc = i
+                    thread.pc = i + delta
                     if timers and clock._now_ns >= next_deadline:
                         for timer in timers:
                             timer.maybe_fire(thread)
@@ -422,8 +416,19 @@ class Interpreter:
                         next_deadline = min(t.next_fire_ns(thread) for t in timers)
                     if mig_pending and tid in mig_pending:
                         mig.maybe_migrate(thread)
+            code = program.seg_code[seg]
+            if code != prog.NO_SYNC:  # ACQUIRE / RELEASE / BARRIER
+                i += 1
+                thread.pc = i + delta
+                if self._sync_dispatch[code](thread, program.seg_arg[seg]):
+                    if timers and clock._now_ns >= next_deadline:
+                        for timer in timers:
+                            timer.maybe_fire(thread)
+                        if next_deadline > 0:
+                            record(timer_fire, clock._now_ns, tid)
+                return  # yield so sync ordering tracks simulated time
         finally:
-            thread.pc = i
+            thread.pc = i + delta
             self.ops_executed += i - start_i
         # Program exhausted: close the final interval.
         self.hlrc.close_interval(thread, "end")

@@ -7,13 +7,32 @@ of an object, which keeps op streams tractable while preserving exactly
 what the protocol and the profilers observe (object identity, access
 counts, element coverage, interval structure, stack shape).
 
+Segments and bodies
+-------------------
+
+A program is a sequence of *segments*: the ops between two
+synchronization ops (ACQUIRE, RELEASE, BARRIER), each followed by the
+sync op that ends it — all but the last, which runs to the program's
+end.  A :class:`CompiledProgram` holds each distinct segment *body* (a
+segment's ops without its sync op) once, and one small sequence with an
+entry per segment: the body it runs, its trailing sync opcode and id,
+and its *pc base* — the pc of its first op in the whole program.  A pc
+is always global (base + offset into the body); an op's index in the
+whole program is its ``pc``.  So a program whose rounds repeat a few
+bodies (SOR's red/black sweeps) holds those bodies, not its rounds.
+
+The bodies live in one *store*: parallel columns holding every body
+once, each body a span of it, in order of first occurrence.  A store
+emitted flat (every segment its own body, the sync ops in place between
+them) is the whole program; :meth:`ColumnEmitter.repeat` adds a segment
+that runs an emitted body again by reference.
+
 Column layout
 -------------
 
-A :class:`CompiledProgram` holds its ops as parallel columns, one entry
-per op (the op's index is its ``pc``).  Each int column is a numpy array
-of the narrowest signed dtype that holds its values; a field an opcode
-does not have reads 0.
+The store holds its ops as parallel columns, one entry per op.  Each
+int column is a numpy array of the narrowest signed dtype that holds
+its values; a field an opcode does not have reads 0.
 
 ==========  =============================================================
 column      holds, per opcode
@@ -27,9 +46,9 @@ repeat      READ/WRITE repeat count
 elem_off    READ/WRITE first element
 ==========  =============================================================
 
-The side table ``side`` holds what is not an int: the pc of every CALL
-maps to ``(method, ((slot, obj_id), ...))``, and the pc of every SETSLOT
-that clears its slot maps to None.  RET has no field.
+The side table holds what is not an int: the store position of every
+CALL maps to ``(method, ((slot, obj_id), ...))``, and that of every
+SETSLOT that clears its slot maps to None.  RET has no field.
 
 Workloads emit the columns directly; :func:`compile_program` also takes
 an iterable of op tuples — the form the op constructors below build and
@@ -55,11 +74,14 @@ READ/WRITE/COMPUTE spans by content: every occurrence of a body maps to
 its row of the program's one lane table, which holds every row's
 columns concatenated (ids, write lanes, sums), built in one numpy pass
 on the vector engine's first execution.  A run's lane is slices of it.
+Interning and the lane table read the store, so a run in a body that
+repeats is one row however often its segment runs.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import deque
 from itertools import compress
 from operator import itemgetter
@@ -115,7 +137,7 @@ MIN_VECTOR_RUN = 6
 _ACCESS_RUN_RE = re.compile(rb"[\x00-\x02]+")
 
 #: synchronization opcodes (ACQUIRE=6, RELEASE=7, BARRIER=8) located at
-#: C speed for segment splitting (the static CFG builder's boundaries).
+#: C speed to split a store into its segment bodies.
 _SYNC_OP_RE = re.compile(rb"[\x06-\x08]")
 
 #: every valid opcode byte: ``codes.translate(None, _OPCODES)`` deletes
@@ -158,10 +180,10 @@ class _LaneTable:
     """The columns of a program's distinct access runs, built in one
     numpy pass over all of them: what a lane is sliced from.
 
-    Row ``k`` is the ``k``-th distinct run body in program order
+    Row ``k`` is the ``k``-th distinct run body in store order
     (:meth:`CompiledProgram.vector_runs` numbers them while interning),
-    ``starts`` holds each row's first occurrence and ``lengths`` its op
-    count.  Access ops of all rows are concatenated:
+    ``starts`` holds each row's first occurrence (a store position) and
+    ``lengths`` its op count.  Access ops of all rows are concatenated:
     ``acc_idx[bounds[k]:bounds[k + 1]]`` are row ``k``'s object ids in
     op order, in the program's own narrow int dtype (a lane's is a view,
     which the engine's probe gathers copy states with; an ``intp`` copy
@@ -219,23 +241,23 @@ class _LaneTable:
         self.offsets = (np.cumsum(lengths, dtype=np.int64) - lengths).tolist()
         n_rows = len(starts)
         pos = self._positions()
-        codes = np.frombuffer(program.codes, dtype=np.uint8)[pos]
+        codes = np.frombuffer(program._codes, dtype=np.uint8)[pos]
         row_of = np.repeat(np.arange(n_rows), lengths)
         access = codes <= OP_WRITE
         acc_pos = pos[access]
         acc_row = row_of[access]
         bounds = _bounds(acc_row, n_rows)
         self.bounds = bounds.tolist()
-        acc_idx = self.acc_idx = program.args[acc_pos]
+        acc_idx = self.acc_idx = program._args[acc_pos]
         if not (ints is not None and acc_idx.size and 0 <= acc_idx.min() and acc_idx.max() < len(ints)):
             ints = None
         self._ints = ints
         self._ids: list | None = None
         acc_rel = acc_pos - np.array(starts, dtype=np.int64)[acc_row]
         self.acc_rel = int_column(acc_rel)
-        self.rep_sum = _segment_sums(program.repeat[acc_pos], bounds)
+        self.rep_sum = _segment_sums(program._repeat[acc_pos], bounds)
         compute = codes == OP_COMPUTE
-        values = program.args[pos[compute]]
+        values = program._args[pos[compute]]
         compute_bounds = _bounds(row_of[compute], n_rows)
         self.compute_sum = _segment_sums(values, compute_bounds)
         self.raw = [n == 0 for n in _segment_sums(values < 0, compute_bounds)]
@@ -250,7 +272,7 @@ class _LaneTable:
         lo, hi = edges[:-1], edges[1:]
         first = order[lo]
         lane = np.argsort(first)
-        elems = np.concatenate(([0], np.cumsum(_exact(program.n_elems[acc_pos[order]]))))
+        elems = np.concatenate(([0], np.cumsum(_exact(program._n_elems[acc_pos[order]]))))
         first = first[lane]
         self.w_bounds = _bounds(acc_row[first], n_rows).tolist()
         self.w_ids = self._canonical(acc_idx[first]).tolist()
@@ -275,7 +297,7 @@ class _LaneTable:
         return ids[self.bounds[k] : self.bounds[k + 1]]
 
     def _positions(self) -> np.ndarray:
-        """The op index of every op of every row, rows in order."""
+        """The store position of every op of every row, rows in order."""
         return ranges(np.array(self.starts, dtype=np.int64), np.array(self.lengths, dtype=np.int64))
 
     def static(self, program: "CompiledProgram", costs) -> np.ndarray:
@@ -287,9 +309,9 @@ class _LaneTable:
         if key is not costs and key != costs:
             pos = self._positions()
             busy = costs.state_check_ns + costs.access_ns
-            steps = _exact(program.repeat[pos], busy) * busy
-            compute = np.frombuffer(program.codes, dtype=np.uint8)[pos] == OP_COMPUTE
-            steps[compute] = program.args[pos[compute]] if costs.compute_scale == 1.0 else 0
+            steps = _exact(program._repeat[pos], busy) * busy
+            compute = np.frombuffer(program._codes, dtype=np.uint8)[pos] == OP_COMPUTE
+            steps[compute] = program._args[pos[compute]] if costs.compute_scale == 1.0 else 0
             self._static_key = costs
             self._static = steps
         return self._static
@@ -305,7 +327,7 @@ class _LaneTable:
             return busy, self.compute_sum[k]
         s = self.starts[k]
         e = s + self.lengths[k]
-        return busy, sum(_compute_charges(program, s, e, program.codes[s:e], costs))
+        return busy, sum(_compute_charges(program, s, e, program._codes[s:e], costs))
 
     def walk(self, program: "CompiledProgram", k: int, costs, ids: list) -> tuple[list, list, dict, dict]:
         """Row ``k``'s walk columns, given its access ids ``ids`` (its
@@ -319,7 +341,7 @@ class _LaneTable:
         n = self.lengths[k]
         at = self.offsets[k]
         steps = self.static(program, costs)[at : at + n].tolist()
-        codes = program.codes[s : s + n]
+        codes = program._codes[s : s + n]
         if OP_COMPUTE in codes and not (self.raw[k] and costs.compute_scale == 1.0):
             charges = _compute_charges(program, s, s + n, codes, costs)
             deque(map(steps.__setitem__, compress(range(n), codes.translate(_COMPUTE_MASK)), charges), 0)
@@ -353,30 +375,53 @@ def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> list[int]:
 
 
 def _compute_charges(program: "CompiledProgram", s: int, e: int, codes: bytes, costs) -> list:
-    """The compute ops of ops ``[s, e)`` charged op by op through
+    """The compute ops of store ops ``[s, e)`` charged op by op through
     :meth:`~repro.sim.costs.CostModel.scaled_compute` (which rejects a
     negative one), as the scalar loop charges them off a unity scale."""
     values = compress(program._views[0][s:e], codes.translate(_COMPUTE_MASK))
     return list(map(costs.scaled_compute, values))
 
 
-class CompiledProgram:
-    """A thread program as columns: the dense form the interpreter runs.
+#: the sequence's sync opcode of a segment that runs to the program's end.
+NO_SYNC = -1
 
-    The opcode bytes, four int columns and the side table of the module
-    docstring.  The scalar loop indexes the columns per op, the vector
-    engine reads a run's slices, and segment resumption after a
-    synchronization yield is a plain cursor (the thread's ``pc``).
-    Iterating a program decodes its ops as tuples.
+
+class CompiledProgram:
+    """A thread program as a store of distinct segment bodies and a
+    sequence of segments: the dense form the interpreter runs.
+
+    The store is the opcode bytes, four int columns and the side table
+    of the module docstring, indexed by store position.  Body ``b`` is
+    the store span ``[body_lo[b], body_hi[b])``; bodies are the store
+    split at its sync ops, so a store sync op ends a body but is not part
+    of one.  Segment ``s`` runs body ``seg_body[s]`` from pc
+    ``seg_base[s]`` and then its sync op ``seg_code[s]`` with id
+    ``seg_arg[s]`` (:data:`NO_SYNC` for the last segment, which ends the
+    program).  The scalar loop indexes the store per op, the vector
+    engine reads a run's slices of it, and segment resumption after a
+    synchronization yield is the thread's global ``pc``.  Iterating a
+    program decodes its ops as tuples.
+
+    ``repeats`` (what :meth:`ColumnEmitter.repeat` records) adds the
+    segments that run a body again: ``(at, body, code, ident)`` inserts,
+    right after the store's sync op at ``at - 1``, a segment running
+    body ``body`` — one already emitted — ended by sync op ``code`` with
+    id ``ident``.
     """
 
     __slots__ = (
-        "codes",
-        "args",
-        "n_elems",
-        "repeat",
-        "elem_off",
-        "side",
+        "_codes",
+        "_args",
+        "_n_elems",
+        "_repeat",
+        "_elem_off",
+        "_side",
+        "body_lo",
+        "body_hi",
+        "seg_body",
+        "seg_code",
+        "seg_arg",
+        "seg_base",
         "n_ops",
         "_views",
         "_lists",
@@ -385,7 +430,7 @@ class CompiledProgram:
         "_verified",
     )
 
-    def __init__(self, codes: bytes, args, n_elems, repeat, elem_off, side: dict | None = None) -> None:
+    def __init__(self, codes: bytes, args, n_elems, repeat, elem_off, side: dict | None = None, repeats=()) -> None:
         codes = bytes(codes)
         i = bad_opcode_pc(codes)
         if i is not None:
@@ -398,16 +443,19 @@ class CompiledProgram:
         calls = codes.count(OP_CALL)
         if sum(codes[pc] == OP_CALL for pc in side) != calls:
             raise ValueError(f"the side table must hold every CALL's method and refs ({calls} CALLs)")
-        #: dense per-op opcode array (one byte per op).
-        self.codes = codes
-        self.args, self.n_elems, self.repeat, self.elem_off = columns
-        #: pc -> (method, refs) of each CALL; pc -> None of each SETSLOT
-        #: that clears its slot.
-        self.side = side
-        self.n_ops = n
+        #: the store's opcodes (one byte per op).
+        self._codes = codes
+        self._args, self._n_elems, self._repeat, self._elem_off = columns
+        #: store position -> (method, refs) of each CALL, -> None of each
+        #: SETSLOT that clears its slot.
+        self._side = side
         #: the int columns as memoryviews: indexing and iterating one
         #: yields Python ints.
         self._views = tuple(map(memoryview, columns))
+        syncs = [m.start() for m in _SYNC_OP_RE.finditer(codes)]
+        self.body_lo = [0, *(pc + 1 for pc in syncs)]
+        self.body_hi = [*syncs, n]
+        self._sequence(syncs, list(repeats))
         #: the int columns as lists, decoded on first use (see :meth:`lists`).
         self._lists: tuple[list, list, list, list] | None = None
         self._vruns: tuple[dict[int, tuple[int, int]], list[int], list[int]] | None = None
@@ -416,6 +464,44 @@ class CompiledProgram:
         #: program passes, so reuse across DJVM instances (the bench
         #: harness pattern) verifies once.
         self._verified = False
+
+    def _sequence(self, syncs: list[int], repeats: list) -> None:
+        """One segment per stored body, each repeat after the stored
+        body whose sync op it follows; sets the sequence and ``n_ops``."""
+        seg_body: list[int] = []
+        seg_code: list[int] = []
+        seg_arg: list[int] = []
+        seg_base: list[int] = []
+        args = self._views[0]
+        lo, hi = self.body_lo, self.body_hi
+        pc = 0
+        r = 0
+        for b, end in enumerate(hi):
+            stored = b < len(syncs)
+            seg_body.append(b)
+            seg_code.append(self._codes[end] if stored else NO_SYNC)
+            seg_arg.append(args[end] if stored else 0)
+            seg_base.append(pc)
+            pc += end - lo[b] + stored
+            while r < len(repeats) and repeats[r][0] == end + 1 and stored:
+                _, body, code, ident = repeats[r]
+                if not 0 <= body <= b:
+                    raise ValueError(f"segment {len(seg_body)}: body {body} is not emitted before it")
+                if code not in (OP_ACQUIRE, OP_RELEASE, OP_BARRIER):
+                    raise ValueError(f"segment {len(seg_body)}: opcode {code!r} is not a sync op")
+                seg_body.append(body)
+                seg_code.append(code)
+                seg_arg.append(ident)
+                seg_base.append(pc)
+                pc += hi[body] - lo[body] + 1
+                r += 1
+        if r < len(repeats):
+            raise ValueError(f"repeat at store position {repeats[r][0]} does not follow a sync op")
+        self.seg_body = seg_body
+        self.seg_code = seg_code
+        self.seg_arg = seg_arg
+        self.seg_base = seg_base
+        self.n_ops = pc
 
     def __len__(self) -> int:
         return self.n_ops
@@ -426,32 +512,63 @@ class CompiledProgram:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompiledProgram):
             return NotImplemented
-        return (
-            self.codes == other.codes
-            and self.side == other.side
-            and all(map(np.array_equal, self._columns(), other._columns()))
-        )
+        return self.n_ops == other.n_ops and list(self) == list(other)
 
     __hash__ = None  # type: ignore[assignment]
 
     def _columns(self) -> tuple:
-        return self.args, self.n_elems, self.repeat, self.elem_off
+        return self._args, self._n_elems, self._repeat, self._elem_off
+
+    @property
+    def codes(self) -> bytes:
+        """The whole program's opcodes, one byte per op, assembled from
+        the bodies and the sequence on each read: for inspection, never
+        read by a run."""
+        store, lo, hi = self._codes, self.body_lo, self.body_hi
+        parts = []
+        for b, code in zip(self.seg_body, self.seg_code):
+            parts.append(store[lo[b] : hi[b]])
+            if code != NO_SYNC:
+                parts.append(bytes((code,)))
+        return b"".join(parts)
 
     def lists(self) -> tuple[list, list, list, list]:
-        """The four int columns decoded to lists once and kept: what the
-        scalar loop indexes per op when no run of the segment takes the
-        one pass (a list index is cheaper than a memoryview's).  A
-        program that only runs on the one pass never builds them."""
+        """The store's four int columns decoded to lists once and kept:
+        what the scalar loop indexes per op when no run of the segment
+        takes the one pass (a list index is cheaper than a
+        memoryview's).  A program that only runs on the one pass never
+        builds them."""
         if self._lists is None:
             self._lists = tuple(col.tolist() for col in self._columns())
         return self._lists
 
+    def segment_at(self, pc: int) -> int:
+        """The segment holding pc ``pc`` (its body or its sync op)."""
+        return bisect_right(self.seg_base, pc) - 1
+
     def decode(self, lo: int, hi: int) -> Iterator[Op]:
-        """The ops at ``[lo, hi)`` as tuples, in the form the op
+        """The ops at pcs ``[lo, hi)`` as tuples, in the form the op
         constructors build (fields as Python ints)."""
+        bases = self.seg_base
+        s = max(self.segment_at(lo), 0)
+        while s < len(bases) and bases[s] < hi:
+            base = bases[s]
+            b = self.seg_body[s]
+            start = self.body_lo[b]
+            sync = base + self.body_hi[b] - start
+            a, e = max(lo, base), min(hi, sync)
+            if a < e:
+                yield from self._decode_store(start + a - base, start + e - base)
+            code = self.seg_code[s]
+            if code != NO_SYNC and lo <= sync < hi:
+                yield (code, self.seg_arg[s])
+            s += 1
+
+    def _decode_store(self, lo: int, hi: int) -> Iterator[Op]:
+        """The store's ops at ``[lo, hi)`` as tuples."""
         args, elems, reps, offs = (col[lo:hi].tolist() for col in self._columns())
-        side = self.side
-        for k, code in enumerate(self.codes[lo:hi]):
+        side = self._side
+        for k, code in enumerate(self._codes[lo:hi]):
             if code <= OP_WRITE:
                 yield (code, args[k], elems[k], reps[k], offs[k])
             elif code == OP_CALL:
@@ -469,12 +586,12 @@ class CompiledProgram:
         return next(self.decode(pc, pc + 1))
 
     def vector_runs(self) -> dict[int, tuple[int, int]]:
-        """The program's vectorizable access runs, interned once:
-        ``{start_pc: (row, n_ops)}`` for every maximal READ/WRITE/COMPUTE
-        span of at least :data:`MIN_VECTOR_RUN` ops, where ``row``
-        numbers the distinct bodies in order of first occurrence — the
-        span's row of the lane table.  The regex scan over the dense
-        opcode array finds span boundaries at C speed.
+        """The program's vectorizable access runs: ``{start_pc: (row,
+        n_ops)}`` for every maximal READ/WRITE/COMPUTE span of at least
+        :data:`MIN_VECTOR_RUN` ops, where ``row`` numbers the distinct
+        bodies in order of first occurrence — the span's row of the lane
+        table.  Derived on each call from the store's run index
+        (:meth:`store_runs`) and the sequence.
 
         Interning is by content — the span's opcode bytes and the bytes
         of its slice of every int column — in a table that lives only
@@ -483,18 +600,32 @@ class CompiledProgram:
         a bucket's bodies are told apart by comparing the column bytes,
         which hashes nothing more.
         """
+        lo = self.body_lo
+        by_body: list[list] = [[] for _ in lo]
+        for start, run in sorted(self.store_runs().items()):
+            b = bisect_right(lo, start) - 1
+            by_body[b].append((start - lo[b], run))
+        return {
+            base + off: run
+            for base, b in zip(self.seg_base, self.seg_body)
+            for off, run in by_body[b]
+        }
+
+    def store_runs(self) -> dict[int, tuple[int, int]]:
+        """:meth:`vector_runs` keyed by store position: each body's run
+        index, what the interpreter looks a run up in."""
         return self._interned()[0]
 
     def _interned(self) -> tuple[dict[int, tuple[int, int]], list[int], list[int]]:
-        """``(vector_runs(), each row's first occurrence, each row's op
-        count)``, computed once."""
+        """``(store_runs(), each row's first occurrence, each row's op
+        count)``, computed once over the store."""
         if self._vruns is None:
             runs: dict[int, tuple[int, int]] = {}
             starts: list[int] = []
             lengths: list[int] = []
             buckets: dict[tuple, list[int]] = {}
             bodies: dict[int, list[bytes]] = {}
-            codes = self.codes
+            codes = self._codes
             views = self._views
             args = views[0]
 
@@ -535,9 +666,13 @@ class CompiledProgram:
     def sync_points(self) -> list[tuple[int, int]]:
         """``(pc, opcode)`` of every ACQUIRE/RELEASE/BARRIER op, in
         program order — the segment boundaries the static CFG builder
-        splits at, found at C speed over the dense opcode array."""
-        codes = self.codes
-        return [(m.start(), codes[m.start()]) for m in _SYNC_OP_RE.finditer(codes)]
+        splits at, read off the sequence."""
+        lo, hi = self.body_lo, self.body_hi
+        return [
+            (base + hi[b] - lo[b], code)
+            for base, b, code in zip(self.seg_base, self.seg_body, self.seg_code)
+            if code != NO_SYNC
+        ]
 
 
 class ColumnEmitter:
@@ -547,16 +682,26 @@ class ColumnEmitter:
     :meth:`ops` appends a chunk of ops — their opcodes and each int
     column, an array or sequence as long as the opcodes or one value
     for all of them — and :meth:`call` one CALL with its side-table
-    entry; :meth:`program` concatenates the chunks once.
+    entry; :meth:`repeat` appends a segment that runs an emitted body
+    again, held once; :meth:`program` concatenates the chunks once.
+    Side-table keys are pcs (``n_ops`` is the pc of the next op).
     """
 
-    __slots__ = ("_chunks", "n_ops", "side")
+    __slots__ = ("_chunks", "n_ops", "side", "_stored", "_ends", "_scanned", "_repeats")
 
     def __init__(self) -> None:
         self._chunks: tuple[list, ...] = ([], [], [], [], [])
         #: ops emitted so far (the pc of the next op).
         self.n_ops = 0
         self.side: dict[int, tuple | None] = {}
+        #: ops in the chunks (the store position of the next op).
+        self._stored = 0
+        #: store position of each sync op in the chunks scanned so far.
+        self._ends: list[int] = []
+        self._scanned = 0
+        #: ``(store position, pc after it, body, code, ident)`` of each
+        #: repeat.
+        self._repeats: list[tuple[int, int, int, int, int]] = []
 
     def ops(self, codes, args=0, n_elems=0, repeat=0, elem_off=0) -> None:
         """Append ops with these opcodes and fields."""
@@ -566,6 +711,7 @@ class ColumnEmitter:
         for chunk, col in zip(self._chunks[1:], (args, n_elems, repeat, elem_off)):
             chunk.append(np.full(n, col, dtype=np.int64) if np.ndim(col) == 0 else np.asarray(col, dtype=np.int64))
         self.n_ops += n
+        self._stored += n
 
     def call(self, method: str, n_slots: int, refs: tuple) -> None:
         """Append a CALL of ``method`` with ``n_slots`` slots, ``refs``
@@ -573,10 +719,49 @@ class ColumnEmitter:
         self.side[self.n_ops] = (method, refs)
         self.ops((OP_CALL,), n_elems=n_slots)
 
+    def repeat(self, body: int, code: int, ident: int) -> None:
+        """Append a segment that runs body ``body`` again — the ops
+        emitted between the ``body``-th sync op and the one before it —
+        ended by sync op ``code`` with id ``ident``.  Only right after a
+        sync op (or another repeat): a segment starts there.  The body
+        is held once however often it repeats."""
+        chunks = self._chunks[0]
+        at = self._stored - sum(map(len, chunks[self._scanned :]))
+        for chunk in chunks[self._scanned :]:
+            self._ends += (np.flatnonzero((chunk >= OP_ACQUIRE) & (chunk <= OP_BARRIER)) + at).tolist()
+            at += len(chunk)
+        self._scanned = len(chunks)
+        ends = self._ends
+        if not ends or ends[-1] != self._stored - 1:
+            raise ValueError("a repeated body must follow a sync op")
+        if not 0 <= body < len(ends):
+            raise ValueError(f"body {body} is not emitted yet ({len(ends)} bodies)")
+        lo = ends[body - 1] + 1 if body else 0
+        self.n_ops += ends[body] - lo + 1
+        self._repeats.append((self._stored, self.n_ops, body, code, ident))
+
     def program(self) -> CompiledProgram:
         """The program of every op emitted so far."""
         codes, *columns = (np.concatenate(chunk) if chunk else np.zeros(0, np.int8) for chunk in self._chunks)
-        return CompiledProgram(codes.tobytes(), *columns, dict(sorted(self.side.items())))
+        side = self.side
+        repeats = self._repeats
+        if repeats:
+            # Side keys are pcs; the store holds no op of a repeat, so a
+            # pc after one is its store position plus what the repeats
+            # up to it added.
+            ends = [end for _, end, *_ in repeats]
+
+            def store_position(pc: int) -> int:
+                k = bisect_right(ends, pc) - 1
+                return pc if k < 0 else pc - ends[k] + repeats[k][0]
+
+            side = {store_position(pc): entry for pc, entry in sorted(side.items())}
+        return CompiledProgram(
+            codes.tobytes(),
+            *columns,
+            dict(sorted(side.items())),
+            [(at, body, code, ident) for at, _, body, code, ident in repeats],
+        )
 
 
 def _is_int64(value) -> bool:

@@ -103,16 +103,20 @@ class SORWorkload(Workload):
         row_ids = self.row_ids
         compute_ns = half * CELL_COMPUTE_NS
         refs = ((0, self.matrix_id),)
+        out = P.ColumnEmitter()
+        # The run() frame holds the matrix reference for the whole run
+        # (the canonical stack invariant) and reads the row table first.
+        out.call("SOR.run", 6, refs)
+        out.ops((P.OP_READ,), self.matrix_id, len(rows), 1)
         # Each round replays the same red/black sweep: one body per
-        # color (a phase frame around the rows of that color), tiled
-        # over the rounds; only the barrier after each body changes.
-        codes: list[int] = []
-        args: list[int] = []
-        elems: list[int] = []
-        for color in (0, 1):  # red, black
-            codes.append(P.OP_CALL)
-            args.append(0)
-            elems.append(4)
+        # color (a phase frame around the rows of that color), emitted
+        # once and repeated by reference; only the barrier after each
+        # body changes.  Bodies: 0 = head + red, 1 = black, 2 = red.
+        for barrier in range(min(3, 2 * self.rounds)):
+            color = barrier % 2
+            codes: list[int] = []
+            args: list[int] = []
+            elems: list[int] = []
             for r in rows:
                 if r % 2 != color:
                     continue
@@ -124,27 +128,11 @@ class SORWorkload(Workload):
                 codes += [P.OP_READ] * len(stencil) + [P.OP_COMPUTE, P.OP_WRITE]
                 args += stencil + [compute_ns, row_ids[r]]
                 elems += [half] * len(stencil) + [0, half]
-            codes += (P.OP_RET, P.OP_BARRIER)
-            args += (0, 0)
-            elems += (0, 0)
-        # The run() frame holds the matrix reference for the whole run
-        # (the canonical stack invariant) and reads the row table first.
-        head = ((P.OP_CALL, 0, 6), (P.OP_READ, self.matrix_id, len(rows)))
-        n_barriers = 2 * self.rounds
-        columns = []
-        for k, body in enumerate((codes, args, elems)):
-            first = [op[k] for op in head]
-            dtype = np.uint8 if k == 0 else P.int_column([*first, *body, n_barriers]).dtype
-            col = np.empty(2 + self.rounds * len(body) + 1, dtype=dtype)
-            col[:2] = first
-            col[2:-1].reshape(self.rounds, len(body))[:] = body
-            col[-1] = P.OP_RET if k == 0 else 0
-            columns.append(col)
-        codes_col, args_col, elems_col = columns
-        args_col[np.flatnonzero(codes_col == P.OP_BARRIER)] = np.arange(n_barriers)
-        repeat = (codes_col <= P.OP_WRITE).view(np.int8)
-        elem_off = np.zeros(len(codes_col), dtype=np.int8)
-        calls = np.flatnonzero(codes_col == P.OP_CALL).tolist()
-        side = {pc: ("SOR.phase", refs) for pc in calls}
-        side[0] = ("SOR.run", refs)
-        return P.CompiledProgram(codes_col.tobytes(), args_col, elems_col, repeat, elem_off, side)
+            codes = np.array(codes, dtype=np.uint8)
+            out.call("SOR.phase", 4, refs)
+            out.ops(codes, args, elems, (codes <= P.OP_WRITE).view(np.int8))
+            out.ops((P.OP_RET, P.OP_BARRIER), (0, barrier))
+        for barrier in range(3, 2 * self.rounds):
+            out.repeat(2 - barrier % 2, P.OP_BARRIER, barrier)
+        out.ops((P.OP_RET,))
+        return out.program()

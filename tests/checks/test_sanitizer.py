@@ -230,7 +230,7 @@ def test_san005_release_before_last_arrival():
 
 class _StubFootprinter:
     def __init__(self, candidates):
-        self.interval_tracked = {}
+        self.tracked_ever = {}
         self._candidates = candidates
 
     def live_sticky_candidates(self, thread):

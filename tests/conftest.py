@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
+from unittest.mock import patch
 
 import pytest
 
@@ -55,6 +56,28 @@ def record_deliveries(collector) -> list:
 
     collector.deliver = recording
     return delivered
+
+
+@contextmanager
+def tracked_per_interval():
+    """Inside the block, every :class:`~repro.core.footprint.
+    StickySetFootprinter` interval close records its tracked sampled ids
+    (one set per closed interval, by thread id, in close order) into the
+    dict yielded: the per-interval history a footprinter keeps only a
+    window and a union of."""
+    from repro.core.footprint import StickySetFootprinter
+
+    closed: dict[int, list[set[int]]] = {}
+    close = StickySetFootprinter.on_interval_close
+
+    def recording(self, thread, interval, sync_dst):
+        count = self._count.get(thread.thread_id)
+        if count is not None:
+            closed.setdefault(thread.thread_id, []).append(set(count))
+        close(self, thread, interval, sync_dst)
+
+    with patch.object(StickySetFootprinter, "on_interval_close", recording):
+        yield closed
 
 
 def wrap_main(ops: list, anchor: int | None = None) -> list:

@@ -13,7 +13,7 @@ from repro.runtime.djvm import DJVM
 from repro.runtime.thread import SimThread
 from repro.sim.costs import CostModel
 
-from tests.conftest import simple_class, wrap_main
+from tests.conftest import simple_class, tracked_per_interval, wrap_main
 
 MS = 1_000_000
 
@@ -395,8 +395,9 @@ def test_phase_bookkeeping_matches_set_of_phases_reference(
         expected_traps += sum(len(ps) for ps in phases.values())
         for fp, thread in routes:
             assert fp.live_sticky_candidates(thread) == sticky
-            fp.on_interval_close(thread, thread.current_interval, None)
-            assert fp.interval_tracked[0][-1] == set(phases)
+            with tracked_per_interval() as tracked:
+                fp.on_interval_close(thread, thread.current_interval, None)
+            assert tracked[0] == [set(phases)]
             # 128-byte objects at gap 3: each sticky sample stands for 3.
             assert fp.interval_footprints[0][-1] == (
                 {"Obj": 128 * REF_GAP * len(sticky)} if sticky else {}

@@ -23,7 +23,7 @@ from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
 
-from tests.conftest import record_deliveries, simple_class, wrap_main
+from tests.conftest import record_deliveries, simple_class, tracked_per_interval, wrap_main
 
 
 class NullHook:
@@ -196,12 +196,13 @@ def run_full_suite(name, *, force_fanout, adaptive, timer_ms, backend):
         suite.set_rate_all(4)
     if force_fanout:
         djvm.add_hook(NullHook())
-    result = djvm.run(workload.programs())
+    with tracked_per_interval() as tracked:
+        result = djvm.run(workload.programs())
     footprinter = suite.footprinter
     left_behind = (
         run_fingerprint(djvm, result, suite),
         footprinter.interval_footprints,
-        footprinter.interval_tracked,
+        tracked,
         footprinter.tracked_accesses,
         suite.access_profiler.total_logged,
     )

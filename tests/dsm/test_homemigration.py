@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dsm.homemigration import DominantWriterPolicy, HomeMigrationEngine
+from repro.dsm.observer import ProtocolObserver
 from repro.dsm.states import RealState
 from repro.runtime import program as P
 from repro.runtime.djvm import DJVM, run_fingerprint
@@ -10,6 +11,16 @@ from repro.sim.costs import CostModel
 from repro.sim.network import MessageKind
 
 from tests.conftest import simple_class, wrap_main
+
+
+class NoticeRecorder(ProtocolObserver):
+    """Records every ``(obj_id, version)`` notice observers are shown."""
+
+    def __init__(self) -> None:
+        self.notices: list[tuple[int, int]] = []
+
+    def on_notice(self, thread, obj_id, version):
+        self.notices.append((obj_id, version))
 
 
 def setup(n_nodes=2):
@@ -74,13 +85,16 @@ class TestMechanism:
             engine.migrate_home(obj, 9)
 
     def test_rehome_publishes_no_notice(self):
-        """The data does not move, so no version does: a re-homing
-        leaves the notice log and the home version as they were."""
+        """The data does not move, so no version does: a re-homing shows
+        observers no notice and leaves the notice log and the home
+        version as they were."""
         djvm, obj, engine = setup()
         hlrc = djvm.hlrc
-        before = (hlrc.n_notices, list(hlrc.notice_blocks), hlrc.home_version[obj.obj_id])
+        log = djvm.attach(NoticeRecorder())
+        before = (hlrc.n_notices, hlrc.notice_digest(), hlrc.home_version[obj.obj_id])
         engine.migrate_home(obj, 1)
-        assert (hlrc.n_notices, hlrc.notice_blocks, hlrc.home_version[obj.obj_id]) == before
+        assert (hlrc.n_notices, hlrc.notice_digest(), hlrc.home_version[obj.obj_id]) == before
+        assert log.notices == []
 
     def test_payload_and_directory_messages_sent(self):
         djvm, obj, engine = setup()

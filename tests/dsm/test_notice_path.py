@@ -37,6 +37,7 @@ from repro.checks.sanitizer import ProtocolSanitizer
 from repro.checks.staticflow import analyze_ir, uncovered_dynamic
 from repro.dsm.hlrc import FETCH_REPLY_OVERHEAD, FETCH_REQ_BYTES
 from repro.dsm.homemigration import HomeMigrationEngine
+from repro.dsm.observer import ProtocolObserver
 from repro.dsm.states import RealState
 from repro.runtime import program as P
 from repro.sim.network import NS_PER_S, Network, RackTopology
@@ -105,14 +106,29 @@ class Rehome:
             self.check()
 
 
-def notices(hlrc):
-    """The log as ``(obj_id, version)`` in ordinal order."""
-    return [n for ids, versions in hlrc.notice_blocks for n in zip(ids, versions)]
+class NoticeLog(ProtocolObserver):
+    """The notice log as ``(obj_id, version)`` in ordinal order, recorded
+    from the notices observers see (every one, in log order), and each
+    published block's ids, recorded by wrapping the engine's publish."""
+
+    def __init__(self, hlrc) -> None:
+        self.notices: list[tuple[int, int]] = []
+        self.blocks: list[list[int]] = []
+        real_publish = hlrc.publish
+
+        def publish(block):
+            self.blocks.append(block.tolist())
+            real_publish(block)
+
+        hlrc.publish = publish
+
+    def on_notice(self, thread, obj_id, version) -> None:
+        self.notices.append((obj_id, version))
 
 
-def checked_apply(hlrc):
+def checked_apply(hlrc, log: NoticeLog):
     """Wrap the engine's apply: compare its invalidations with the
-    reference fold over the same unseen notices."""
+    reference fold over the same unseen notices of ``log``."""
     real_apply = hlrc.apply_notices
     applies = []
 
@@ -123,7 +139,7 @@ def checked_apply(hlrc):
         before = {oid: hlrc.copy(node_id, oid)[:2] for oid in hlrc.copy_ids(node_id)}
         valid = {oid for oid, (state, _) in before.items() if state is RealState.VALID}
         expected = set()
-        for obj_id, version in notices(hlrc)[start:]:
+        for obj_id, version in log.notices[start:]:
             if obj_id in valid and before[obj_id][1] < version:
                 valid.discard(obj_id)
                 expected.add(obj_id)
@@ -154,16 +170,18 @@ def test_notice_application_matches_the_reference_fold(seed, maker, replay, home
     hlrc = djvm.hlrc
     hook = Rehome(hlrc, {k: (obj_ids[i], node) for k, (i, node) in moves.items()})
     djvm.add_hook(hook)
-    applies = checked_apply(hlrc)
+    log = djvm.attach(NoticeLog(hlrc))
+    applies = checked_apply(hlrc, log)
     djvm.run(MAKERS[maker](seed, obj_ids))
     check_home_bytes(hlrc)
     assert applies and hook.closes
     # Every block is ascending and distinct, and every version bump has
     # its notice: an object's versions are 1, 2, ... in log order.
-    for ids, versions in hlrc.notice_blocks:
-        assert ids == sorted(set(ids)) and len(versions) == len(ids)
+    for ids in log.blocks:
+        assert ids == sorted(set(ids))
+    assert sum(map(len, log.blocks)) == len(log.notices) == hlrc.n_notices
     seen: Counter = Counter()
-    for obj_id, version in notices(hlrc):
+    for obj_id, version in log.notices:
         seen[obj_id] += 1
         assert version == seen[obj_id]
     for obj in hlrc.gos:

@@ -10,6 +10,7 @@ import json
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.checks.racedetect import RaceDetector
@@ -358,8 +359,12 @@ class CopyViaBoundEngine(_Bound):
 
 
 class NoticeViaBoundEngine(_Bound):
+    """Publishes one extra notice block, of the first noticed object."""
+
     def on_notice(self, thread, obj_id, version):
-        self._hlrc.notice_blocks.append(([obj_id], [version]))
+        if self._hlrc is not None:
+            self._hlrc.publish(np.array([obj_id], dtype=np.intp))
+            self._hlrc = None
 
 
 def _stale_copies(hlrc, obj_id):
@@ -440,7 +445,7 @@ def test_collector_lambda_writing_engine_state_changes_the_fingerprint():
         djvm.hlrc.metrics.snapshot()
         return run_fingerprint(djvm, result)
 
-    dirty = snapshot_run(lambda djvm: djvm.hlrc.notice_blocks.append(([0], [0])))
+    dirty = snapshot_run(lambda djvm: djvm.hlrc.publish(np.array([0], dtype=np.intp)))
     assert drift(snapshot_run(), dirty) == {"notices_sha256"}
 
 
@@ -488,7 +493,7 @@ COMPONENT_MUTATIONS = {
     "copies_sha256.version": _set_cache_copy("fetched", -1),
     "copies_sha256.twin": _set_cache_copy("twins", [0, set()]),
     "copies_sha256.dirty": _set_cache_copy("twins", [7, {0}]),
-    "notices_sha256": lambda d, r, s: d.hlrc.notice_blocks.pop(),
+    "notices_sha256": lambda d, r, s: d.hlrc.publish(np.array([0], dtype=np.intp)),
     "interval_counters": lambda d, r, s: setattr(d.threads[0], "interval_counter", 0),
 }
 

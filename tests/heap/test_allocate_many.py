@@ -3,11 +3,15 @@
 same object table, and bad input raises the one-object error and leaves
 the space as it was."""
 
+from contextlib import nullcontext
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.heap.heap as heap_module
 from repro.heap.heap import GlobalObjectSpace
 
 #: (name, is_array, size): scalars take an instance size, arrays an element size.
@@ -178,3 +182,50 @@ def test_bulk_build_creates_no_heap_object(monkeypatch):
         # matrix arrays), none per bulk-allocated object.
         assert len(made) <= 1, (cls.__name__, len(made))
         made.clear()
+
+
+def numpy_route():
+    """Every batch on the numpy route, however short (the plain-int
+    route takes batches of at most ``PLAIN_BATCH`` plain values)."""
+    return patch.object(heap_module, "PLAIN_BATCH", -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(STEPS, max_size=12))
+def test_both_sides_of_the_plain_batch_cutoff_leave_the_same_columns(steps):
+    plain, vector = make_gos(), make_gos()
+    for step in steps:
+        for gos, route in ((plain, nullcontext()), (vector, numpy_route())):
+            with route:
+                if step[0] == "one":
+                    allocate_one(gos, step[1])
+                elif step[0] == "many":
+                    allocate_batch(gos, *step[1:])
+                elif len(gos):
+                    gos.get(step[1] % len(gos)).add_ref(step[2])
+    assert snapshot(plain) == snapshot(vector)
+    for name in GlobalObjectSpace.COLUMNS:
+        assert getattr(plain, name)[: plain.n] == getattr(vector, name)[: vector.n], name
+    assert plain.ref_ids == vector.ref_ids
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(specs(), max_size=5), st.data())
+def test_both_sides_of_the_plain_batch_cutoff_raise_the_same_error(batch, data):
+    name, length, error, _ = data.draw(BAD)
+    at = data.draw(st.integers(0, len(batch)))
+    classes = [CLASSES[k][0] for k, *_ in batch]
+    lengths = [spec[2] for spec in batch]
+    sites: object = "s.new"
+    if data.draw(st.booleans()):
+        classes.insert(at, name)
+        lengths.insert(at, length)
+    else:
+        error, sites = ValueError, ["s.new"] * (len(batch) + 1)
+    outcomes = []
+    for route in (nullcontext(), numpy_route()):
+        gos = make_gos()
+        with route, pytest.raises(error) as info:
+            gos.allocate_many(classes, 0, lengths=lengths, sites=sites)
+        outcomes.append((type(info.value), str(info.value), snapshot(gos)))
+    assert outcomes[0] == outcomes[1]

@@ -231,7 +231,10 @@ class TestVectorRunInterning:
         assert single == (1, n)
         assert tuple(prog.decode(starts[0], starts[0] + n)) == tuple(self.burst(0))
         assert tuple(prog.decode(starts[2], starts[2] + n)) == tuple(self.burst(100))
-        assert prog.vector_runs() is runs
+        # The store's run index is interned once; the global map is
+        # derived from it and the segment sequence on each call.
+        assert prog.store_runs() is prog.store_runs()
+        assert prog.vector_runs() == runs
         # extraction alone builds no lane table
         assert prog._lanes is None
 

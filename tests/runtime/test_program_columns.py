@@ -97,9 +97,9 @@ def test_emitted_columns_equal_the_adapter_and_intern_alike(seed):
 
 def test_columns_take_the_narrowest_dtype():
     program = compile_program([P.read(5, 300, 1, 0), P.compute(1 << 40), P.barrier(1)])
-    assert program.args.dtype == np.int64
-    assert program.n_elems.dtype == np.int16
-    assert program.repeat.dtype == np.int8 and program.elem_off.dtype == np.int8
+    assert program._args.dtype == np.int64
+    assert program._n_elems.dtype == np.int16
+    assert program._repeat.dtype == np.int8 and program._elem_off.dtype == np.int8
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -49,6 +49,8 @@ from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
 
+from tests.conftest import tracked_per_interval
+
 N_NODES = 4
 N_THREADS = 4
 N_SCALARS = 24
@@ -939,12 +941,13 @@ def test_a_phase_repeat_inside_one_tracking_window_matches_scalar(execute_calls)
         fp = StickySetFootprinter(SamplingPolicy(), djvm.costs)  # every class at gap 1
         fp.attach_gos(djvm.gos)
         djvm.add_hook(fp)
-        res = djvm.run(one_run_programs(reread(obj_ids)))
+        with tracked_per_interval() as tracked:
+            res = djvm.run(one_run_programs(reread(obj_ids)))
         outcomes[replay] = (
             run_fingerprint(djvm, res),
             fp.tracked_accesses,
             fp.interval_footprints,
-            fp.interval_tracked,
+            tracked,
             djvm.replay_routing.get("stops"),
         )
     assert outcomes["vector"][:4] == outcomes["scalar"][:4]
