@@ -343,15 +343,13 @@ class StickySetFootprinter:
         """Object ids currently qualifying as sticky in the open interval."""
         return self._sticky_ids(self._count.get(thread.thread_id, {}))
 
-    def recent_tracked_ids(self, thread, *, window: int = 3) -> set[int]:
+    def recent_tracked_ids(self, thread) -> set[int]:
         """Sampled object ids the footprinting pass tracked recently —
         the landmark candidates resolution should trust.  Combines the
-        live open-interval stats with the last ``window`` non-empty
-        closed-interval sets (at most :data:`RECENT_TRACKED` are kept)."""
-        if window > RECENT_TRACKED:
-            raise ValueError(f"only the last {RECENT_TRACKED} tracked sets are kept, asked for {window}")
+        live open-interval stats with the kept sets of the last
+        :data:`RECENT_TRACKED` non-empty closed intervals."""
         out: set[int] = set(self._count.get(thread.thread_id, {}))
-        for s in list(self.recent_tracked.get(thread.thread_id, ()))[-window:]:
+        for s in self.recent_tracked.get(thread.thread_id, ()):
             out |= s
         return out
 

@@ -162,13 +162,13 @@ class GlobalObjectSpace:
         Python values (a list or tuple of classes, ints, lists) is
         validated and written with Python ints through the ``array``
         columns (:meth:`_allocate_plain`): numpy's per-call cost would
-        dominate it.  Both routes leave the same columns and raise the
-        same errors.
+        dominate it.  Both routes share the error messages, the site
+        registration and the seq issuing; only the column writes differ.
         """
         if isinstance(classes, (list, tuple)) and len(classes) <= PLAIN_BATCH:
-            plain = self._allocate_plain(classes, homes, lengths, refs, sites)
+            plain = _plain_args(len(classes), homes, lengths, refs)
             if plain is not None:
-                return plain
+                return self._allocate_plain(classes, *plain, sites)
         registry = self.registry
         cids = self._class_ids(classes)
         n = len(cids)
@@ -178,12 +178,7 @@ class GlobalObjectSpace:
         bad = np.flatnonzero(np.where(is_array, lengths < 1, lengths != 0))
         if bad.size:
             k = int(bad[0])
-            name = registry.by_id(int(cids[k])).name
-            if is_array[k]:
-                raise ValueError(
-                    f"array of class {name} needs length >= 1, got {int(lengths[k])}"
-                )
-            raise ValueError(f"scalar class {name} cannot take a length")
+            raise _length_error(registry.by_id(int(cids[k])), int(lengths[k]))
         homes = _column(homes, n)
         if refs is None:
             targets, counts = np.zeros(0, np.int64), np.zeros(n, np.int64)
@@ -193,29 +188,18 @@ class GlobalObjectSpace:
             lists = [list(r) for r in refs]
             targets = np.array(list(chain.from_iterable(lists)), dtype=np.int64)
             counts = np.array(list(map(len, lists)), dtype=np.int64)
-        if isinstance(sites, str) or sites is None:
-            sites = repeat(sites, n)
-        labels = list(sites)
-        if len(labels) != n or len(counts) != n or int(counts.sum()) != len(targets):
-            raise ValueError(f"allocate_many: per-object arguments disagree with {n} classes")
+        labels = _labels(sites, n)
+        _check_agree(n, labels, counts, int(counts.sum()), len(targets))
 
-        # Valid: write.  Labels first seen here take the caller's line.
-        site_id = self._site_id
-        new = [s for s in dict.fromkeys(labels) if s is not None and s not in site_id]
-        if new:
-            origin = _caller_origin()
-            for label in new:
-                site_id[label] = len(self.sites)
-                self.sites.append(label)
-                self.site_origins[label] = origin
-        site_id = {None: 0, **site_id}
+        # Valid: write.
+        site_ids = self._site_ids(labels)
         n_seqs = np.where(is_array, lengths, 1)
         seqs = np.empty(n, np.int64)
-        for cid in sorted(set(cids.tolist())):
-            at = cids == cid
+        at_class = {cid: cids == cid for cid in set(cids.tolist())}
+        first = self._issue_seqs({cid: int(n_seqs[at].sum()) for cid, at in at_class.items()})
+        for cid, at in at_class.items():
             count = n_seqs[at]
-            first = registry.by_id(cid).issue_seq(int(count.sum()))
-            seqs[at] = np.cumsum(count) - count + first
+            seqs[at] = np.cumsum(count) - count + first[cid]
         lo = self.n
         hi = lo + n
         if hi > self.capacity:
@@ -229,43 +213,55 @@ class GlobalObjectSpace:
         self.payload_np[lo:hi] = np.where(
             is_array, lengths * table.element_size[cids], table.instance_size[cids]
         )
-        self.site_np[lo:hi] = list(map(site_id.__getitem__, labels))
+        self.site_np[lo:hi] = site_ids
         self.ref_end_np[lo:hi] = np.cumsum(counts) + ref_base
         self.n = hi
         return range(lo, hi)
 
-    def _allocate_plain(self, classes, homes, lengths, refs, sites) -> range | None:
-        """:meth:`allocate_many` of a short batch of plain values, in
-        Python ints; None (nothing done) when an argument is not plain
-        — one int or a list/tuple of them per object, ref targets as
-        lists/tuples of ints — so the numpy route handles it."""
+    def _allocate_plain(self, classes, homes, lengths, targets, counts, sites) -> range:
+        """:meth:`allocate_many` of a short batch whose per-object
+        arguments :func:`_plain_args` turned into lists of ints: the
+        same checks and issuing, written row by row with Python ints."""
         n = len(classes)
-        per = (list, tuple)
-        if not (
-            (lengths is None or type(lengths) is int or (isinstance(lengths, per) and len(lengths) == n))
-            and (type(homes) is int or (isinstance(homes, per) and len(homes) == n))
-            and (refs is None or (isinstance(refs, per) and all(isinstance(r, per) for r in refs)))
-            and (sites is None or isinstance(sites, (str, list, tuple)))
-        ):
-            return None
-        lengths = [0] * n if lengths is None else [lengths] * n if type(lengths) is int else list(lengths)
-        homes = [homes] * n if type(homes) is int else list(homes)
-        targets = [] if refs is None else [t for r in refs for t in r]
-        if not all(type(v) is int for v in chain(lengths, homes, targets)):
-            return None
-        registry = self.registry
         cids = self._class_id_list(classes)
-        jclasses = list(map(registry.by_id, cids))
+        jclasses = list(map(self.registry.by_id, cids))
         for jclass, length in zip(jclasses, lengths):
-            if jclass.is_array and length < 1:
-                raise ValueError(f"array of class {jclass.name} needs length >= 1, got {length}")
-            if not jclass.is_array and length != 0:
-                raise ValueError(f"scalar class {jclass.name} cannot take a length")
-        counts = [0] * n if refs is None else list(map(len, refs))
-        labels = [sites] * n if isinstance(sites, str) or sites is None else list(sites)
-        if len(labels) != n or len(counts) != n:
-            raise ValueError(f"allocate_many: per-object arguments disagree with {n} classes")
+            if (length < 1) if jclass.is_array else (length != 0):
+                raise _length_error(jclass, length)
+        labels = _labels(sites, n)
+        _check_agree(n, labels, counts, sum(counts), len(targets))
 
+        site_ids = self._site_ids(labels)
+        n_seqs = [length if jclass.is_array else 1 for jclass, length in zip(jclasses, lengths)]
+        totals = dict.fromkeys(cids, 0)
+        for cid, count in zip(cids, n_seqs):
+            totals[cid] += count
+        next_seq = self._issue_seqs(totals)
+        lo = self.n
+        hi = lo + n
+        if hi > self.capacity:
+            self._grow(hi)
+        ref_end = len(self.ref_ids)
+        self.ref_ids.extend(targets)
+        cls, seq, home, length_col = self.cls, self.seq, self.home, self.length
+        payload, site, ref_end_col = self.payload, self.site, self.ref_end
+        for i, cid, jclass, count in zip(range(lo, hi), cids, jclasses, n_seqs):
+            k = i - lo
+            cls[i] = cid
+            seq[i] = next_seq[cid]
+            next_seq[cid] += count
+            home[i] = homes[k]
+            length_col[i] = lengths[k]
+            payload[i] = lengths[k] * jclass.element_size if jclass.is_array else jclass.instance_size
+            site[i] = site_ids[k]
+            ref_end += counts[k]
+            ref_end_col[i] = ref_end
+        self.n = hi
+        return range(lo, hi)
+
+    def _site_ids(self, labels: list) -> list[int]:
+        """Each label's site id (0 for None); a label first seen here is
+        registered with the requesting workload line as its origin."""
         site_id = self._site_id
         new = [s for s in dict.fromkeys(labels) if s is not None and s not in site_id]
         if new:
@@ -274,34 +270,13 @@ class GlobalObjectSpace:
                 site_id[label] = len(self.sites)
                 self.sites.append(label)
                 self.site_origins[label] = origin
-        n_seqs = [length if jclass.is_array else 1 for jclass, length in zip(jclasses, lengths)]
-        seqs = [0] * n
-        for cid in sorted(set(cids)):
-            at = [k for k, c in enumerate(cids) if c == cid]
-            seq = registry.by_id(cid).issue_seq(sum(n_seqs[k] for k in at))
-            for k in at:
-                seqs[k] = seq
-                seq += n_seqs[k]
-        lo = self.n
-        hi = lo + n
-        if hi > self.capacity:
-            self._grow(hi)
-        ref_end = len(self.ref_ids)
-        self.ref_ids.extend(targets)
-        cls, seq_col, home, length_col = self.cls, self.seq, self.home, self.length
-        payload, site, ref_end_col = self.payload, self.site, self.ref_end
-        for k, jclass in enumerate(jclasses):
-            i = lo + k
-            cls[i] = cids[k]
-            seq_col[i] = seqs[k]
-            home[i] = homes[k]
-            length_col[i] = lengths[k]
-            payload[i] = lengths[k] * jclass.element_size if jclass.is_array else jclass.instance_size
-            site[i] = 0 if labels[k] is None else site_id[labels[k]]
-            ref_end += counts[k]
-            ref_end_col[i] = ref_end
-        self.n = hi
-        return range(lo, hi)
+        return [0 if s is None else site_id[s] for s in labels]
+
+    def _issue_seqs(self, totals: dict[int, int]) -> dict[int, int]:
+        """The first sequence number of each class's run in a batch,
+        issued by one ``issue_seq(total)`` per class, in class-id order."""
+        by_id = self.registry.by_id
+        return {cid: by_id(cid).issue_seq(totals[cid]) for cid in sorted(totals)}
 
     def _class_ids(self, classes) -> np.ndarray:
         """``classes`` as an int64 array of this registry's class ids."""
@@ -375,6 +350,46 @@ class GlobalObjectSpace:
         header = self.registry.table().header
         n = self.n
         return int(self.payload_np[:n].sum()) + int(header[self.cls_np[:n]].sum())
+
+
+def _plain_args(n: int, homes, lengths, refs):
+    """A short batch's homes, lengths, ref targets and ref counts as
+    lists of Python ints, or None when an argument is not plain — one
+    int or a list/tuple of ``n`` per object, ref targets as lists/tuples
+    of ints — so the numpy route handles it."""
+    per = (list, tuple)
+    if not (
+        (lengths is None or type(lengths) is int or (isinstance(lengths, per) and len(lengths) == n))
+        and (type(homes) is int or (isinstance(homes, per) and len(homes) == n))
+        and (refs is None or (isinstance(refs, per) and all(isinstance(r, per) for r in refs)))
+    ):
+        return None
+    lengths = [0] * n if lengths is None else [lengths] * n if type(lengths) is int else list(lengths)
+    homes = [homes] * n if type(homes) is int else list(homes)
+    targets = [] if refs is None else [t for r in refs for t in r]
+    if not all(type(v) is int for v in chain(lengths, homes, targets)):
+        return None
+    counts = [0] * n if refs is None else list(map(len, refs))
+    return homes, lengths, targets, counts
+
+
+def _labels(sites, n: int) -> list:
+    """``sites`` (one label or None for all, or one per object) as a list."""
+    return [sites] * n if isinstance(sites, str) or sites is None else list(sites)
+
+
+def _length_error(jclass: JClass, length: int) -> ValueError:
+    """The error of an array shorter than 1 or a scalar with a length."""
+    if jclass.is_array:
+        return ValueError(f"array of class {jclass.name} needs length >= 1, got {length}")
+    return ValueError(f"scalar class {jclass.name} cannot take a length")
+
+
+def _check_agree(n: int, labels: list, counts, n_counted: int, n_targets: int) -> None:
+    """Raise unless there is one label and one ref count per object and
+    the counts add up to the targets given."""
+    if len(labels) != n or len(counts) != n or n_counted != n_targets:
+        raise ValueError(f"allocate_many: per-object arguments disagree with {n} classes")
 
 
 def _column(values, n: int) -> np.ndarray:

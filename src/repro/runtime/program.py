@@ -136,10 +136,6 @@ MIN_VECTOR_RUN = 6
 #: found at C speed over the dense opcode array.
 _ACCESS_RUN_RE = re.compile(rb"[\x00-\x02]+")
 
-#: synchronization opcodes (ACQUIRE=6, RELEASE=7, BARRIER=8) located at
-#: C speed to split a store into its segment bodies.
-_SYNC_OP_RE = re.compile(rb"[\x06-\x08]")
-
 #: every valid opcode byte: ``codes.translate(None, _OPCODES)`` deletes
 #: them at C speed and leaves only the out-of-range ones.
 _OPCODES = bytes(range(OP_BARRIER + 1))
@@ -452,7 +448,9 @@ class CompiledProgram:
         #: the int columns as memoryviews: indexing and iterating one
         #: yields Python ints.
         self._views = tuple(map(memoryview, columns))
-        syncs = [m.start() for m in _SYNC_OP_RE.finditer(codes)]
+        # The sync opcodes (ACQUIRE, RELEASE, BARRIER) end the bodies.
+        code_np = np.frombuffer(codes, dtype=np.uint8)
+        syncs = np.flatnonzero((code_np >= OP_ACQUIRE) & (code_np <= OP_BARRIER)).tolist()
         self.body_lo = [0, *(pc + 1 for pc in syncs)]
         self.body_hi = [*syncs, n]
         self._sequence(syncs, list(repeats))
@@ -684,24 +682,19 @@ class ColumnEmitter:
     for all of them — and :meth:`call` one CALL with its side-table
     entry; :meth:`repeat` appends a segment that runs an emitted body
     again, held once; :meth:`program` concatenates the chunks once.
-    Side-table keys are pcs (``n_ops`` is the pc of the next op).
+    Side-table keys are store positions (``n_ops`` is the position of
+    the next op; the pc too while nothing has been repeated).
     """
 
-    __slots__ = ("_chunks", "n_ops", "side", "_stored", "_ends", "_scanned", "_repeats")
+    __slots__ = ("_chunks", "n_ops", "side", "_repeats")
 
     def __init__(self) -> None:
         self._chunks: tuple[list, ...] = ([], [], [], [], [])
-        #: ops emitted so far (the pc of the next op).
+        #: ops in the chunks (the store position of the next op).
         self.n_ops = 0
         self.side: dict[int, tuple | None] = {}
-        #: ops in the chunks (the store position of the next op).
-        self._stored = 0
-        #: store position of each sync op in the chunks scanned so far.
-        self._ends: list[int] = []
-        self._scanned = 0
-        #: ``(store position, pc after it, body, code, ident)`` of each
-        #: repeat.
-        self._repeats: list[tuple[int, int, int, int, int]] = []
+        #: ``(store position, body, code, ident)`` of each repeat.
+        self._repeats: list[tuple[int, int, int, int]] = []
 
     def ops(self, codes, args=0, n_elems=0, repeat=0, elem_off=0) -> None:
         """Append ops with these opcodes and fields."""
@@ -711,7 +704,6 @@ class ColumnEmitter:
         for chunk, col in zip(self._chunks[1:], (args, n_elems, repeat, elem_off)):
             chunk.append(np.full(n, col, dtype=np.int64) if np.ndim(col) == 0 else np.asarray(col, dtype=np.int64))
         self.n_ops += n
-        self._stored += n
 
     def call(self, method: str, n_slots: int, refs: tuple) -> None:
         """Append a CALL of ``method`` with ``n_slots`` slots, ``refs``
@@ -723,45 +715,15 @@ class ColumnEmitter:
         """Append a segment that runs body ``body`` again — the ops
         emitted between the ``body``-th sync op and the one before it —
         ended by sync op ``code`` with id ``ident``.  Only right after a
-        sync op (or another repeat): a segment starts there.  The body
-        is held once however often it repeats."""
-        chunks = self._chunks[0]
-        at = self._stored - sum(map(len, chunks[self._scanned :]))
-        for chunk in chunks[self._scanned :]:
-            self._ends += (np.flatnonzero((chunk >= OP_ACQUIRE) & (chunk <= OP_BARRIER)) + at).tolist()
-            at += len(chunk)
-        self._scanned = len(chunks)
-        ends = self._ends
-        if not ends or ends[-1] != self._stored - 1:
-            raise ValueError("a repeated body must follow a sync op")
-        if not 0 <= body < len(ends):
-            raise ValueError(f"body {body} is not emitted yet ({len(ends)} bodies)")
-        lo = ends[body - 1] + 1 if body else 0
-        self.n_ops += ends[body] - lo + 1
-        self._repeats.append((self._stored, self.n_ops, body, code, ident))
+        sync op (or another repeat): a segment starts there, which
+        :meth:`program` checks.  The body is held once however often it
+        repeats."""
+        self._repeats.append((self.n_ops, body, code, ident))
 
     def program(self) -> CompiledProgram:
         """The program of every op emitted so far."""
         codes, *columns = (np.concatenate(chunk) if chunk else np.zeros(0, np.int8) for chunk in self._chunks)
-        side = self.side
-        repeats = self._repeats
-        if repeats:
-            # Side keys are pcs; the store holds no op of a repeat, so a
-            # pc after one is its store position plus what the repeats
-            # up to it added.
-            ends = [end for _, end, *_ in repeats]
-
-            def store_position(pc: int) -> int:
-                k = bisect_right(ends, pc) - 1
-                return pc if k < 0 else pc - ends[k] + repeats[k][0]
-
-            side = {store_position(pc): entry for pc, entry in sorted(side.items())}
-        return CompiledProgram(
-            codes.tobytes(),
-            *columns,
-            dict(sorted(side.items())),
-            [(at, body, code, ident) for at, _, body, code, ident in repeats],
-        )
+        return CompiledProgram(codes.tobytes(), *columns, dict(sorted(self.side.items())), self._repeats)
 
 
 def _is_int64(value) -> bool:

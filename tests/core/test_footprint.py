@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.footprint import StickySetFootprinter
+from repro.core.footprint import RECENT_TRACKED, StickySetFootprinter
 from repro.core.profiler import ProfilerSuite
 from repro.core.sampling import SamplingPolicy
 from repro.dsm.intervals import NO_BOUND, IntervalRecord
@@ -286,6 +286,20 @@ class TestLiveQueries:
         assert fp["Obj"] == pytest.approx(128.0)
         # The recent estimator takes the element-wise max of busy intervals.
         assert suite.footprinter.recent_footprint(0)["Obj"] == 256
+
+    def test_only_the_last_non_empty_tracked_sets_are_kept(self):
+        djvm, objs, suite = setup()
+        ops = []
+        for k, obj in enumerate(objs[:5]):
+            # A busy interval tracking one object, then an empty one.
+            ops += spread_accesses(obj.obj_id, 2) + [P.barrier(2 * k), P.barrier(2 * k + 1)]
+        djvm.run({0: wrap_main(ops)})
+        fp = suite.footprinter
+        ids = [obj.obj_id for obj in objs[:5]]
+        assert RECENT_TRACKED < len(ids)
+        assert list(fp.recent_tracked[0]) == [{i} for i in ids[-RECENT_TRACKED:]]
+        assert fp.tracked_ever[0] == set(ids)
+        assert fp.recent_tracked_ids(djvm.threads[0]) == set(ids[-RECENT_TRACKED:])
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,34 @@ def test_side_table_must_cover_every_call():
         CompiledProgram(bytes([P.OP_CALL, P.OP_RET]), [0, 0], [2, 0], [0, 0], [0, 0], {})
 
 
+def test_a_repeat_runs_its_body_again_and_side_keys_stay_store_positions():
+    out = ColumnEmitter()
+    out.call("m", 2, ((0, 5),))
+    out.ops((P.OP_READ, P.OP_RET, P.OP_BARRIER), (5, 0, 0), (1, 0, 0), (1, 0, 0))
+    out.repeat(0, P.OP_BARRIER, 1)
+    out.call("n", 3, ())
+    out.ops((P.OP_RET,))
+    body = [P.call("m", 2, ((0, 5),)), P.read(5), P.ret()]
+    ops = [*body, P.barrier(0), *body, P.barrier(1), P.call("n", 3, ()), P.ret()]
+    program = out.program()
+    assert list(program) == ops and program == compile_program(ops)
+    assert len(program.body_lo) == 2 and program.seg_body == [0, 0, 1]
+
+
+def test_a_repeat_must_follow_a_sync_op_and_name_an_emitted_body():
+    early = ColumnEmitter()
+    early.ops((P.OP_COMPUTE, P.OP_BARRIER), (1, 0))
+    early.ops((P.OP_COMPUTE,), 1)
+    early.repeat(0, P.OP_BARRIER, 1)
+    with pytest.raises(ValueError, match="does not follow a sync op"):
+        early.program()
+    ahead = ColumnEmitter()
+    ahead.ops((P.OP_COMPUTE, P.OP_BARRIER), (1, 0))
+    ahead.repeat(1, P.OP_BARRIER, 1)
+    with pytest.raises(ValueError, match="not emitted before it"):
+        ahead.program()
+
+
 def test_workload_programs_decode_without_numpy_scalars():
     from repro.workloads import WaterSpatialWorkload
 
