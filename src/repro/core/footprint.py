@@ -37,8 +37,9 @@ from repro.sim.costs import CostModel
 
 NS_PER_MS = 1_000_000
 
-#: closed intervals whose tracked sets a footprinter keeps per thread
-#: (the landmark window resolution reads).
+#: non-empty closed intervals whose tracked sets and footprints a
+#: footprinter keeps per thread (the landmark window and the budget
+#: resolution reads).
 RECENT_TRACKED = 3
 
 _NO_GOS = (
@@ -79,7 +80,9 @@ class StickySetFootprinter:
         "_count",
         "_scaled",
         "_interval_start",
-        "interval_footprints",
+        "footprint_sums",
+        "footprint_intervals",
+        "recent_footprints",
         "recent_tracked",
         "tracked_ever",
         "tracked_accesses",
@@ -119,9 +122,16 @@ class StickySetFootprinter:
         self._scaled: dict[int, dict[int, int]] = {}
         #: thread_id -> interval start time (phase reference).
         self._interval_start: dict[int, int] = {}
-        #: completed-interval footprints kept for averaging:
-        #: thread_id -> list of {class_name: bytes}.
-        self.interval_footprints: dict[int, list[dict[str, int]]] = {}
+        #: thread_id -> {class_name: bytes summed over every closed
+        #: interval's footprint} and thread_id -> closed intervals: what
+        #: the average needs, kept instead of one footprint per interval,
+        #: so the footprinter's state does not grow with run length.
+        self.footprint_sums: dict[int, dict[str, int]] = {}
+        self.footprint_intervals: dict[int, int] = {}
+        #: the thread's last :data:`RECENT_TRACKED` non-empty closed
+        #: interval footprints (the budget resolution reads):
+        #: thread_id -> deque of {class_name: bytes}.
+        self.recent_footprints: dict[int, deque[dict[str, int]]] = {}
         #: the tracked sampled object ids of the thread's last
         #: :data:`RECENT_TRACKED` non-empty closed intervals (landmark
         #: candidates for resolution): thread_id -> deque of sets.
@@ -288,10 +298,15 @@ class StickySetFootprinter:
         if count is None:
             return
         fp = self._footprint_from_counts(count, scaled)
-        # Record even empty footprints: the average must be taken over
+        # Count even empty footprints: the average must be taken over
         # *all* intervals or estimates at different sampling rates get
         # different denominators and stop being comparable.
-        self.interval_footprints.setdefault(tid, []).append(fp)
+        self.footprint_intervals[tid] = self.footprint_intervals.get(tid, 0) + 1
+        sums = self.footprint_sums.setdefault(tid, {})
+        for name, nbytes in sorted(fp.items()):
+            sums[name] = sums.get(name, 0) + nbytes
+        if fp:
+            self.recent_footprints.setdefault(tid, deque(maxlen=RECENT_TRACKED)).append(fp)
         if count:
             tracked = set(count)
             self.recent_tracked.setdefault(tid, deque(maxlen=RECENT_TRACKED)).append(tracked)
@@ -356,25 +371,21 @@ class StickySetFootprinter:
     def average_footprint(self, thread_id: int) -> dict[str, float]:
         """Average per-class footprint over *all* of the thread's closed
         intervals (the quantity Table IV's accuracy comparison uses)."""
-        fps = self.interval_footprints.get(thread_id, [])
-        if not fps:
+        n = self.footprint_intervals.get(thread_id)
+        if not n:
             return {}
-        classes: set[str] = set()
-        for fp in fps:
-            classes.update(fp)
-        return {c: sum(fp.get(c, 0) for fp in fps) / len(fps) for c in sorted(classes)}
+        sums = self.footprint_sums[thread_id]
+        return {c: sums[c] / n for c in sorted(sums)}
 
-    def recent_footprint(self, thread_id: int, *, window: int = 3) -> dict[str, float]:
-        """Per-class element-wise maximum over the last ``window``
-        non-empty interval footprints — the budget estimator sticky-set
-        resolution uses.  A migrating thread's re-fetch cost is governed
-        by the interval it is *in* (typically a heavy compute phase), so
-        short synchronization-only intervals must not dilute the budget
-        the way they do in a lifetime average."""
-        fps = [fp for fp in self.interval_footprints.get(thread_id, []) if fp]
-        if not fps:
-            return {}
-        recent = fps[-window:]
+    def recent_footprint(self, thread_id: int) -> dict[str, float]:
+        """Per-class element-wise maximum over the last
+        :data:`RECENT_TRACKED` non-empty interval footprints — the budget
+        estimator sticky-set resolution uses.  A migrating thread's
+        re-fetch cost is governed by the interval it is *in* (typically a
+        heavy compute phase), so short synchronization-only intervals
+        must not dilute the budget the way they do in a lifetime
+        average."""
+        recent = self.recent_footprints.get(thread_id, ())
         classes: set[str] = set()
         for fp in recent:
             classes.update(fp)

@@ -490,21 +490,31 @@ class HomeBasedLRC:
 
     def _classify(self, faulted: list[int]) -> list[int]:
         """Give each id of ``faulted`` without one its price class (a
-        new class for a new key); returns the classes of ``faulted``."""
-        column = self._price_class
-        gos = self.gos
-        home, cls, length = gos.home, gos.cls, gos.length
-        for obj_id in faulted:
-            if column[obj_id]:
-                continue
-            key = (home[obj_id], cls[obj_id], length[obj_id])
-            c = self._class_of.get(key)
-            if c is None:
-                c = self._class_of[key] = len(self._class_keys)
-                self._class_keys.append(key)
-                self._class_reply.append(gos.size_bytes(obj_id) + FETCH_REPLY_OVERHEAD)
-            column[obj_id] = c
-        return list(map(column.__getitem__, faulted))
+        new class for a new key, numbered in first-fault order); returns
+        the classes of ``faulted``.  The ids are grouped by one int64
+        key per (home, class, length), so only a distinct key reaches
+        the class table."""
+        column = np.frombuffer(self._price_class, dtype=np.int64)
+        ids = np.array(faulted, dtype=np.intp)
+        new = ids[column.take(ids) == 0]
+        if new.size:
+            gos = self.gos
+            home, cls, length = gos.home_np.take(new), gos.cls_np.take(new), gos.length_np.take(new)
+            n_homes, n_cls = int(home.max()) + 1, int(cls.max()) + 1
+            key = (length * n_cls + cls) * n_homes + home
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            classes = np.empty(first.size, dtype=np.int64)
+            for u in np.argsort(first).tolist():
+                obj_id = int(new[first[u]])
+                key = (gos.home[obj_id], gos.cls[obj_id], gos.length[obj_id])
+                c = self._class_of.get(key)
+                if c is None:
+                    c = self._class_of[key] = len(self._class_keys)
+                    self._class_keys.append(key)
+                    self._class_reply.append(gos.size_bytes(obj_id) + FETCH_REPLY_OVERHEAD)
+                classes[u] = c
+            column[new] = classes[inverse.ravel()]
+        return column.take(ids).tolist()
 
     def forget_price(self, obj_id: int) -> None:
         """Clear ``obj_id``'s price class: its home moved, and a fault's

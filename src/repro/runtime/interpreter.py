@@ -30,11 +30,12 @@ op boundary: a deadline of 0 is always due and records no fire.
 Access replay has two routes.  The per-op loop here is the oracle and
 runs everything observed.  When nothing on the protocol side observes
 more than the points the engine stops at (:meth:`HomeBasedLRC.
-unobserved`), each access run with no condition-driven timer (deadline
-0) and no pending migration for its thread goes to
+unobserved`), each segment body with no condition-driven timer
+(deadline 0) and no pending migration for its thread goes to
 :class:`~repro.runtime.vector.VectorEngine`, which replays the whole
-run in one pass and walks to its clock stops: re-armed accesses and
-timer fires, each at the clock and pc the per-op loop would show.
+body, frame ops included, in one pass and walks to its clock stops:
+re-armed accesses and timer fires, each at the clock, pc and stack the
+per-op loop would show.
 """
 
 from __future__ import annotations
@@ -51,25 +52,22 @@ from repro.sim.events import Event, EventKind, EventLoop
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.migration import MigrationEngine
 
-#: cost of a SETSLOT (a store to the current frame), nanoseconds.
-SETSLOT_NS = 2
-
 
 class TimerHook(Protocol):
     """A profiler component driven by per-thread simulated timers.
 
     The interpreter calls :meth:`maybe_fire` only at op boundaries where
     the thread's clock has reached the minimum :meth:`next_fire_ns` over
-    the attached hooks.  Inside an access run the vector engine makes
-    the same calls at the same ops, with the clock and ``thread.pc`` the
-    per-op loop would show, but after the run's first touches have gone
-    to the profiler hooks: a timer must not change what a hook's
-    first-touch entry decides (sampling rates), and one that fires at a
-    positive deadline must not leave a migration pending for its own
-    thread (the per-op loop would migrate inside the run; the engine
+    the attached hooks.  Inside a segment body the vector engine makes
+    the same calls at the same ops, with the clock, ``thread.pc`` and
+    stack the per-op loop would show, but after the body's first touches
+    have gone to the profiler hooks: a timer must not change what a
+    hook's first-touch entry decides (sampling rates), and one that fires
+    at a positive deadline must not leave a migration pending for its own
+    thread (the per-op loop would migrate inside the body; the engine
     raises :class:`~repro.runtime.vector.WalkedRunMigrationError`).  A
-    condition-driven timer — deadline 0 — keeps runs on the per-op loop
-    and may do either.
+    condition-driven timer — deadline 0 — keeps segments on the per-op
+    loop and may do either.
     """
 
     def maybe_fire(self, thread: SimThread) -> None:
@@ -338,20 +336,22 @@ class Interpreter:
         poll_hooks = bool(timers) or mig is not None
         record = self.kernel.record
         timer_fire = EventKind.TIMER_FIRE
-        # Vector replay engages only when nothing on hlrc's side can
-        # observe a run's intermediate states (an observer of accesses
-        # or faults, a prefetcher, a keyword hook), and then per run:
-        # not under a condition-driven timer (deadline 0) or a pending
-        # migration.  The engine hands first-touch entries each run's
-        # first touches and walks to re-armed accesses and timer
-        # deadlines.  Everything else runs on this loop.
+        # Vector replay takes the body when nothing on hlrc's side can
+        # observe its intermediate states (an observer of accesses or
+        # faults, a prefetcher, a keyword hook), no condition-driven
+        # timer asks for every op boundary (deadline 0) and no migration
+        # is pending for the thread.  Until one of the last two clears,
+        # the body's leading frame and compute ops run here, and the
+        # engine takes the rest; once an access has run here, the body
+        # stays on this loop.  The engine hands first-touch entries the
+        # body's first touches and walks to re-armed accesses and timer
+        # deadlines.
         vec = self._vector
-        vruns = None
-        if vec is not None and self.hlrc.unobserved():
-            vruns = program.store_runs() or None
+        one_pass = vec is not None and self.hlrc.unobserved()
+        peel = one_pass and i == lo
         # Ops read per op: from memoryviews when the one pass takes the
-        # runs, from the program's lists when every op runs here.
-        args, n_elems, repeat, elem_off = program._views if vruns else program.lists()
+        # bodies, from the program's lists when every op runs here.
+        args, n_elems, repeat, elem_off = program._views if one_pass else program.lists()
         start_i = i
         try:
             # ``thread.pc`` is only observed at scheduling points (sync
@@ -359,21 +359,17 @@ class Interpreter:
             # so the cursor stays in the local ``i`` during straight-line
             # runs and is published right before any of those.
             while i < end:
-                if vruns is not None:
-                    run = vruns.get(i)
-                    # A deadline of 0 asks for a call at every op
-                    # boundary, and a pending migration plan needs
-                    # per-op pc triggers.
-                    if (
-                        run is not None
-                        and next_deadline
-                        and not (mig_pending and tid in mig_pending)
-                    ):
-                        next_deadline = vec.execute(thread, run[0], i + delta, next_deadline)
-                        i += run[1]
-                        continue
+                if peel and next_deadline and not (mig_pending and tid in mig_pending):
+                    try:
+                        next_deadline = vec.execute(thread, program.seg_body[seg], lo + delta, next_deadline, i - lo)
+                    except BaseException:
+                        i = thread.pc - delta  # where the engine stopped, as this loop would
+                        raise
+                    i = end
+                    break
                 code = codes[i]
                 if code <= prog.OP_WRITE:  # READ / WRITE
+                    peel = False
                     access(thread, args[i], code == prog.OP_WRITE, n_elems[i], repeat[i], elem_off[i])
                     i += 1
                 elif code == prog.OP_COMPUTE:
@@ -404,8 +400,8 @@ class Interpreter:
                             f"thread {tid}: SETSLOT at pc {thread.pc} with empty stack"
                         )
                     top.set_slot(slot, obj_id)
-                    cpu.access_ns += SETSLOT_NS
-                    clock._now_ns += SETSLOT_NS
+                    cpu.access_ns += prog.SETSLOT_NS
+                    clock._now_ns += prog.SETSLOT_NS
                 if poll_hooks:
                     thread.pc = i + delta
                     if timers and clock._now_ns >= next_deadline:

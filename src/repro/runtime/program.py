@@ -66,25 +66,24 @@ RELEASE   (OP_RELEASE, lock_id)
 BARRIER   (OP_BARRIER, barrier_id)
 ========  =======================================================
 
-Access runs
------------
+Lane table
+----------
 
-:meth:`CompiledProgram.vector_runs` interns the program's maximal
-READ/WRITE/COMPUTE spans by content: every occurrence of a body maps to
-its row of the program's one lane table, which holds every row's
-columns concatenated (ids, write lanes, sums), built in one numpy pass
-on the vector engine's first execution.  A run's lane is slices of it.
-Interning and the lane table read the store, so a run in a body that
-repeats is one row however often its segment runs.
+The vector engine's unit is a segment body: every op between two sync
+ops, frame ops included (under HLRC copy state changes only at
+synchronization).  Each body of the store is one row of the program's
+lane table, which holds every row's columns concatenated (ids, frame
+ops, write lanes, sums), built in one numpy pass on the vector engine's
+first execution; a row's lane is slices of it.  A body that repeats is
+one row however often its segment runs.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
 from collections import deque
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -128,21 +127,16 @@ ARITY = {
 
 Op = tuple
 
-#: shortest READ/WRITE/COMPUTE span worth replaying in bulk — below this
-#: the vector engine's fixed per-run overhead beats the scalar loop.
-MIN_VECTOR_RUN = 6
-
-#: maximal spans of access-stream opcodes (READ=0, WRITE=1, COMPUTE=2)
-#: found at C speed over the dense opcode array.
-_ACCESS_RUN_RE = re.compile(rb"[\x00-\x02]+")
+#: cost of a SETSLOT (a store to the current frame), nanoseconds.
+SETSLOT_NS = 2
 
 #: every valid opcode byte: ``codes.translate(None, _OPCODES)`` deletes
 #: them at C speed and leaves only the out-of-range ones.
 _OPCODES = bytes(range(OP_BARRIER + 1))
 
-#: opcode -> selector byte translation table over a run's opcode bytes
-#: (READ=0, WRITE=1, COMPUTE=2) that selects its compute ops.
-_COMPUTE_MASK = bytes.maketrans(b"\x00\x01\x02", b"\x00\x00\x01")
+#: opcode -> selector byte translation table over a body's opcode bytes
+#: that selects its compute ops.
+_COMPUTE_MASK = bytes(code == OP_COMPUTE for code in range(256))
 _OPCODE = itemgetter(0)
 
 #: signed dtypes from narrowest to widest.
@@ -173,36 +167,39 @@ def bad_opcode_pc(codes: bytes) -> int | None:
 
 
 class _LaneTable:
-    """The columns of a program's distinct access runs, built in one
-    numpy pass over all of them: what a lane is sliced from.
+    """The columns of a program's segment bodies, built in one numpy pass
+    over all of them: what a lane is sliced from.
 
-    Row ``k`` is the ``k``-th distinct run body in store order
-    (:meth:`CompiledProgram.vector_runs` numbers them while interning),
-    ``starts`` holds each row's first occurrence (a store position) and
-    ``lengths`` its op count.  Access ops of all rows are concatenated:
-    ``acc_idx[bounds[k]:bounds[k + 1]]`` are row ``k``'s object ids in
-    op order, in the program's own narrow int dtype (a lane's is a view,
-    which the engine's probe gathers copy states with; an ``intp`` copy
-    would cost 8 bytes per access), :meth:`ids` the same as a list and
-    ``acc_rel`` their op offsets in the run.  The ids keep their
-    repeats: probing a copy and booking a first touch are idempotent, so
-    the engine dedupes only where it hands ids on.
+    Row ``k`` is body ``k`` of the store (``starts`` holds each row's
+    first store position, ``lengths`` its op count): every op between
+    two sync ops, frame ops included.  Access ops of all rows are
+    concatenated: ``acc_idx[bounds[k]:bounds[k + 1]]`` are row ``k``'s
+    object ids in op order, in the program's own narrow int dtype (a
+    lane's is a view, which the engine's probe gathers copy states with;
+    an ``intp`` copy would cost 8 bytes per access), :meth:`ids` the
+    same as a list and ``acc_rel`` their op offsets in the row.  The ids
+    keep their repeats: probing a copy and booking a first touch are
+    idempotent, so the engine dedupes only where it hands ids on.  The
+    frame ops (CALL, RET, SETSLOT) are concatenated the same way:
+    ``f_rel[f_bounds[k]:f_bounds[k + 1]]`` are row ``k``'s frame-op
+    offsets, which the engine applies in op order.
 
     The write lanes are concatenated the same way:
     ``w_ids[w_bounds[k]:w_bounds[k + 1]]`` are the objects row ``k``
     writes, each once in first-write order, parallel to ``w_idx`` (the
     same ids as an ``intp`` array), ``w_elems`` (summed written
     elements), ``w_ops`` (write ops) and ``w_rel`` (first write's op
-    offset in the run).  The ids handed out as lists are the int
+    offset in the row).  The ids handed out as lists are the int
     objects of ``ints`` where it covers them — the heap's own ``obj_id``
     objects, so the protocol's dicts and sets find an id by identity
     rather than by comparing.
 
-    ``rep_sum`` is each row's summed access repeats, ``compute_sum`` its
-    summed compute nanoseconds and ``raw`` whether it has no negative
-    compute (then a unity cost scale charges the sum as it stands).
-    Those are cost-independent; the per-op static costs of a walk
-    (:meth:`static`) are kept for the last cost model asked.  A table
+    ``rep_sum`` is each row's summed access repeats, ``calls``,
+    ``rets`` and ``sets`` its CALL, RET and SETSLOT counts,
+    ``compute_sum`` its summed compute nanoseconds and ``raw`` whether
+    it has no negative compute (then a unity cost scale charges the sum
+    as it stands).  Those are cost-independent; the per-op static costs
+    of a walk are built for the one row walked (:meth:`walk`).  A table
     holds ints and int arrays only: it outlives the DJVM it was built in
     without keeping its heaps alive.
     """
@@ -210,10 +207,11 @@ class _LaneTable:
     __slots__ = (
         "starts",
         "lengths",
-        "offsets",
         "bounds",
         "acc_idx",
         "acc_rel",
+        "f_bounds",
+        "f_rel",
         "w_bounds",
         "w_ids",
         "w_idx",
@@ -221,24 +219,22 @@ class _LaneTable:
         "w_ops",
         "w_rel",
         "rep_sum",
+        "calls",
+        "rets",
+        "sets",
         "compute_sum",
         "raw",
         "_ints",
-        "_ids",
-        "_static_key",
-        "_static",
     )
 
     def __init__(self, program: "CompiledProgram", ints: np.ndarray | None) -> None:
-        _, starts, lengths = program._interned()
-        self.starts = starts
-        self.lengths = lengths
-        #: each row's first op in the concatenation of all rows' ops.
-        self.offsets = (np.cumsum(lengths, dtype=np.int64) - lengths).tolist()
+        starts = self.starts = program.body_lo
+        lengths = self.lengths = list(map(sub, program.body_hi, starts))
         n_rows = len(starts)
-        pos = self._positions()
+        start_of = np.array(starts, dtype=np.int64)
+        pos = ranges(start_of, np.array(lengths, dtype=np.int64))
         codes = np.frombuffer(program._codes, dtype=np.uint8)[pos]
-        row_of = np.repeat(np.arange(n_rows), lengths)
+        row_of = np.repeat(np.arange(n_rows, dtype=np.int32), lengths)
         access = codes <= OP_WRITE
         acc_pos = pos[access]
         acc_row = row_of[access]
@@ -248,10 +244,16 @@ class _LaneTable:
         if not (ints is not None and acc_idx.size and 0 <= acc_idx.min() and acc_idx.max() < len(ints)):
             ints = None
         self._ints = ints
-        self._ids: list | None = None
-        acc_rel = acc_pos - np.array(starts, dtype=np.int64)[acc_row]
-        self.acc_rel = int_column(acc_rel)
+        self.acc_rel = int_column(acc_pos - start_of[acc_row])
         self.rep_sum = _segment_sums(program._repeat[acc_pos], bounds)
+        frame = codes >= OP_CALL
+        f_row = row_of[frame]
+        f_bounds = _bounds(f_row, n_rows)
+        self.f_bounds = f_bounds.tolist()
+        self.f_rel = int_column(pos[frame] - start_of[f_row])
+        self.calls, self.rets, self.sets = (
+            _segment_sums(codes[frame] == code, f_bounds) for code in (OP_CALL, OP_RET, OP_SETSLOT)
+        )
         compute = codes == OP_COMPUTE
         values = program._args[pos[compute]]
         compute_bounds = _bounds(row_of[compute], n_rows)
@@ -273,79 +275,82 @@ class _LaneTable:
         self.w_bounds = _bounds(acc_row[first], n_rows).tolist()
         self.w_ids = self._canonical(acc_idx[first]).tolist()
         self.w_idx = acc_idx[first].astype(np.intp)
-        self.w_elems = (elems[hi] - elems[lo])[lane].tolist()
-        self.w_ops = (hi - lo)[lane].tolist()
-        self.w_rel = acc_rel[first].tolist()
-        self._static_key = None
-        self._static: np.ndarray | None = None
+        self.w_elems = int_column((elems[hi] - elems[lo])[lane])
+        self.w_ops = int_column((hi - lo)[lane])
+        self.w_rel = self.acc_rel[first]
 
     def _canonical(self, idx: np.ndarray) -> np.ndarray:
         """``idx`` as the canonical int objects, where there are some."""
         return idx if self._ints is None else self._ints[idx]
 
     def ids(self, k: int) -> list:
-        """Row ``k``'s access ids in op order, as a list: a slice of one
-        list of every row's, built on first use — a program whose runs
-        nothing observes and nothing walks never builds it."""
-        ids = self._ids
-        if ids is None:
-            ids = self._ids = self._canonical(self.acc_idx).tolist()
-        return ids[self.bounds[k] : self.bounds[k + 1]]
-
-    def _positions(self) -> np.ndarray:
-        """The store position of every op of every row, rows in order."""
-        return ranges(np.array(self.starts, dtype=np.int64), np.array(self.lengths, dtype=np.int64))
-
-    def static(self, program: "CompiledProgram", costs) -> np.ndarray:
-        """Every row's per-op static cost under ``costs``, rows
-        concatenated: an access's repeat x busy time, a compute's
-        nanoseconds on a unity scale (0 otherwise: the walk charges
-        those op by op, as it does a row that is not ``raw``)."""
-        key = self._static_key
-        if key is not costs and key != costs:
-            pos = self._positions()
-            busy = costs.state_check_ns + costs.access_ns
-            steps = _exact(program._repeat[pos], busy) * busy
-            compute = np.frombuffer(program._codes, dtype=np.uint8)[pos] == OP_COMPUTE
-            steps[compute] = program._args[pos[compute]] if costs.compute_scale == 1.0 else 0
-            self._static_key = costs
-            self._static = steps
-        return self._static
+        """Row ``k``'s access ids in op order, as a list, built for this
+        call alone: a row nothing observes and nothing walks never
+        builds it."""
+        return self._canonical(self.acc_idx[self.bounds[k] : self.bounds[k + 1]]).tolist()
 
     def totals(self, program: "CompiledProgram", k: int, costs) -> tuple[int, int]:
-        """Row ``k``'s access busy and compute nanoseconds under
-        ``costs``: its summed repeats times the busy time of one access,
-        and its compute summed exactly as the scalar loop charges it op
-        by op — the raw values on a unity scale when none is negative,
-        else :meth:`~repro.sim.costs.CostModel.scaled_compute` per op."""
-        busy = (costs.state_check_ns + costs.access_ns) * self.rep_sum[k]
+        """Row ``k``'s access and frame busy time and its compute
+        nanoseconds under ``costs``: its summed repeats times the busy
+        time of one access plus each frame op's cost, and its compute
+        summed exactly as the scalar loop charges it op by op — the raw
+        values on a unity scale when none is negative, else
+        :meth:`~repro.sim.costs.CostModel.scaled_compute` per op."""
+        busy = (
+            (costs.state_check_ns + costs.access_ns) * self.rep_sum[k]
+            + costs.frame_push_ns * self.calls[k]
+            + costs.frame_pop_ns * self.rets[k]
+            + SETSLOT_NS * self.sets[k]
+        )
         if self.raw[k] and costs.compute_scale == 1.0:
             return busy, self.compute_sum[k]
         s = self.starts[k]
         e = s + self.lengths[k]
         return busy, sum(_compute_charges(program, s, e, program._codes[s:e], costs))
 
+    def head(self, program: "CompiledProgram", k: int, n: int, costs) -> tuple[int, int]:
+        """The frame and compute nanoseconds of row ``k``'s first ``n``
+        ops, none of them an access, charged as the scalar loop charges
+        them op by op."""
+        s = self.starts[k]
+        codes = program._codes[s : s + n]
+        busy = (
+            costs.frame_push_ns * codes.count(OP_CALL)
+            + costs.frame_pop_ns * codes.count(OP_RET)
+            + SETSLOT_NS * codes.count(OP_SETSLOT)
+        )
+        unity = costs.compute_scale == 1.0
+        values = compress(program._views[0][s : s + n], codes.translate(_COMPUTE_MASK))
+        return busy, sum(v if unity and v >= 0 else costs.scaled_compute(v) for v in values)
+
     def walk(self, program: "CompiledProgram", k: int, costs, ids: list) -> tuple[list, list, dict, dict]:
         """Row ``k``'s walk columns, given its access ids ``ids`` (its
-        :meth:`ids`): ``(static cost of each op, access op
-        indices, {written object: first write op}, {accessed object:
-        first access op})``, which give each clock stop the clock the
-        scalar loop would show.  An op's static cost is its access busy
-        time or its compute, charged as the scalar loop charges it op by
-        op."""
+        :meth:`ids`), built for this call alone: ``(static cost of each
+        op, access op indices, {written object: first write op},
+        {accessed object: first access op})``, which give each clock
+        stop the clock the scalar loop would show.  An op's static cost
+        is its access busy time, its compute or its frame op's cost,
+        each charged as the scalar loop charges it op by op."""
         s = self.starts[k]
-        n = self.lengths[k]
-        at = self.offsets[k]
-        steps = self.static(program, costs)[at : at + n].tolist()
-        codes = program._codes[s : s + n]
-        if OP_COMPUTE in codes and not (self.raw[k] and costs.compute_scale == 1.0):
-            charges = _compute_charges(program, s, s + n, codes, costs)
-            deque(map(steps.__setitem__, compress(range(n), codes.translate(_COMPUTE_MASK)), charges), 0)
+        e = s + self.lengths[k]
+        busy = costs.state_check_ns + costs.access_ns
+        steps = _exact(program._repeat[s:e], busy) * busy
+        codes = np.frombuffer(program._codes, dtype=np.uint8)[s:e]
+        steps[codes == OP_CALL] = costs.frame_push_ns
+        steps[codes == OP_RET] = costs.frame_pop_ns
+        steps[codes == OP_SETSLOT] = SETSLOT_NS
+        compute = codes == OP_COMPUTE
+        unity = self.raw[k] and costs.compute_scale == 1.0
+        steps[compute] = program._args[s:e][compute] if unity else 0
+        steps = steps.tolist()
+        if not unity and compute.any():
+            charges = _compute_charges(program, s, e, program._codes[s:e], costs)
+            deque(map(steps.__setitem__, np.flatnonzero(compute).tolist(), charges), 0)
         acc_ops = self.acc_rel[self.bounds[k] : self.bounds[k + 1]].tolist()
         # Reversed, the last value kept per object is its first access op.
         first_op = dict(zip(reversed(ids), reversed(acc_ops)))
         a, b = self.w_bounds[k], self.w_bounds[k + 1]
-        return steps, acc_ops, dict(zip(self.w_ids[a:b], self.w_rel[a:b])), first_op
+        return steps, acc_ops, dict(zip(self.w_ids[a:b], self.w_rel[a:b].tolist())), first_op
 
 
 def _bounds(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -421,7 +426,6 @@ class CompiledProgram:
         "n_ops",
         "_views",
         "_lists",
-        "_vruns",
         "_lanes",
         "_verified",
     )
@@ -456,7 +460,6 @@ class CompiledProgram:
         self._sequence(syncs, list(repeats))
         #: the int columns as lists, decoded on first use (see :meth:`lists`).
         self._lists: tuple[list, list, list, list] | None = None
-        self._vruns: tuple[dict[int, tuple[int, int]], list[int], list[int]] | None = None
         self._lanes: _LaneTable | None = None
         #: set by the staticflow IR verifier's structural gate after the
         #: program passes, so reuse across DJVM instances (the bench
@@ -584,74 +587,13 @@ class CompiledProgram:
         return next(self.decode(pc, pc + 1))
 
     def vector_runs(self) -> dict[int, tuple[int, int]]:
-        """The program's vectorizable access runs: ``{start_pc: (row,
-        n_ops)}`` for every maximal READ/WRITE/COMPUTE span of at least
-        :data:`MIN_VECTOR_RUN` ops, where ``row`` numbers the distinct
-        bodies in order of first occurrence — the span's row of the lane
-        table.  Derived on each call from the store's run index
-        (:meth:`store_runs`) and the sequence.
-
-        Interning is by content — the span's opcode bytes and the bytes
-        of its slice of every int column — in a table that lives only
-        for the scan.  Spans are bucketed by a cheap key (their opcode
-        bytes and their first, middle and last object or argument), and
-        a bucket's bodies are told apart by comparing the column bytes,
-        which hashes nothing more.
-        """
-        lo = self.body_lo
-        by_body: list[list] = [[] for _ in lo]
-        for start, run in sorted(self.store_runs().items()):
-            b = bisect_right(lo, start) - 1
-            by_body[b].append((start - lo[b], run))
-        return {
-            base + off: run
-            for base, b in zip(self.seg_base, self.seg_body)
-            for off, run in by_body[b]
-        }
-
-    def store_runs(self) -> dict[int, tuple[int, int]]:
-        """:meth:`vector_runs` keyed by store position: each body's run
-        index, what the interpreter looks a run up in."""
-        return self._interned()[0]
-
-    def _interned(self) -> tuple[dict[int, tuple[int, int]], list[int], list[int]]:
-        """``(store_runs(), each row's first occurrence, each row's op
-        count)``, computed once over the store."""
-        if self._vruns is None:
-            runs: dict[int, tuple[int, int]] = {}
-            starts: list[int] = []
-            lengths: list[int] = []
-            buckets: dict[tuple, list[int]] = {}
-            bodies: dict[int, list[bytes]] = {}
-            codes = self._codes
-            views = self._views
-            args = views[0]
-
-            def same(row: int, s: int, e: int) -> bool:
-                # A row's column bytes are taken only once a second span
-                # shares its bucket: most buckets hold one span.
-                other = bodies.get(row)
-                if other is None:
-                    t = starts[row]
-                    other = bodies[row] = [view[t : t + e - s].tobytes() for view in views]
-                return other == [view[s:e].tobytes() for view in views]
-
-            for m in _ACCESS_RUN_RE.finditer(codes):
-                s, e = m.span()
-                if e - s >= MIN_VECTOR_RUN:
-                    key = (codes[s:e], args[s], args[(s + e) // 2], args[e - 1])
-                    rows = buckets.setdefault(key, [])
-                    for row in rows:
-                        if same(row, s, e):
-                            break
-                    else:
-                        row = len(starts)
-                        rows.append(row)
-                        starts.append(s)
-                        lengths.append(e - s)
-                    runs[s] = (row, e - s)
-            self._vruns = (runs, starts, lengths)
-        return self._vruns
+        """The one pass's unit by pc: ``{pc: (row, n_ops)}`` for every
+        segment whose body has ops, where ``pc`` is the body's first pc
+        and ``row`` is the body, its row of the lane table — so every
+        segment that runs a body again maps to that body's one row.
+        Derived from the sequence on each call."""
+        lo, hi = self.body_lo, self.body_hi
+        return {base: (b, hi[b] - lo[b]) for base, b in zip(self.seg_base, self.seg_body) if hi[b] > lo[b]}
 
     def _lane_table(self, ints: np.ndarray | None = None) -> _LaneTable:
         """The program's lane table, built on first use with ``ints``

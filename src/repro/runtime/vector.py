@@ -1,57 +1,61 @@
-"""Vectorized access replay: one-pass execution of access runs that
-nothing observes beyond their interval first touches and their clock
-stops.
+"""Vectorized replay: one-pass execution of segment bodies that nothing
+observes beyond their interval first touches and their clock stops.
 
-The scalar interpreter dispatches every READ/WRITE/COMPUTE op through
-Python (one :meth:`~repro.dsm.hlrc.HomeBasedLRC.access` call per op).
+The scalar interpreter dispatches every op through Python (one
+:meth:`~repro.dsm.hlrc.HomeBasedLRC.access` call per READ/WRITE op).
 For the dominant access streams of real workloads that is almost pure
-overhead: inside one execution segment copy state cannot change (write
-notices apply only at synchronization), so after an object's *first*
-access of a run every later access is a guaranteed hit, and after its
-*first* write the twin already exists.
+overhead: under HLRC copy state changes only at synchronization (write
+notices apply there), so inside a segment — every op between two sync
+ops — after an object's *first* access every later access is a
+guaranteed hit, and after its *first* write the twin already exists.
+The segment body is therefore the engine's unit, frame ops included.
 
-When nothing observes the run's intermediate states except at the
+When nothing observes the body's intermediate states except at the
 points below — no observer of accesses or faults, prefetcher, keyword
 hook, condition-driven timer or pending migration
 (:meth:`HomeBasedLRC.unobserved`; the interpreter owns the timer and
 migration half of the gate) — every simulated cost is an integer sum.
-The engine then replays a whole run in one pass.  The probe is one
+The engine then replays a whole body in one pass.  The probe is one
 gather of the node's state-byte column (:class:`~repro.heap.heap.
-LocalHeap`) at the run's ids and one compare, which leaves the ids
-whose copy is absent or ``INVALID``; a loop over those misses alone
-materializes lazy home copies and refreshes the cache copies, whose
-faults are charged in one :meth:`HomeBasedLRC.charge_faults`.  One more
-gather over the written ids finds the written cache copies, which get
-their twin, dirty bytes and writer, and the clock and CPU buckets move
-once.  Under profiler hooks the run's first
-touches in the current interval (the paper's profiler traps only those)
-are then booked in the interval's touched set and handed, with the ids
-among them that faulted, to each hook's batch-shaped first-touch entry,
-one call per hook.  With no hook and no observer, nothing reads the
-touched set, and the pass skips booking it.
+LocalHeap`) at the body's ids and one compare, which leaves the ids
+whose copy is absent or ``INVALID``; those misses alone materialize
+lazy home copies and refresh the cache copies (a Python loop for a
+few, numpy past :data:`_NUMPY_MISSES`), whose faults are charged in one
+:meth:`HomeBasedLRC.charge_faults`.  One more gather over the written
+ids finds the written cache copies, which get their twin, dirty bytes
+and writer, and the clock and CPU buckets move once, frame-op costs
+included.  Under profiler hooks the body's first touches in the
+current interval (the paper's profiler traps only those) are then
+booked in the interval's touched set and handed, with the ids among
+them that faulted, to each hook's batch-shaped first-touch entry, one
+call per hook.  With no hook and no observer, nothing reads the touched
+set, and the pass skips booking it.  The frame ops (CALL, RET, SETSLOT)
+go to the thread's stack in op order at the end of the pass.
 
-Two things read the clock mid-run: the re-arming hook's tracking entry
+Two things read the clock mid-body: the re-arming hook's tracking entry
 at every access of an id it re-armed (the footprinter's sampled
 objects), and a timer whose deadline passes.  For those the pass
-*walks*: it places the run's charges at their ops — static costs from
-the run's walk columns, each fault at its object's first access, each
+*walks*: it places the body's charges at their ops — static costs from
+the row's walk columns, each fault at its object's first access, each
 twin at its first write, each non-zero first-touch charge at its first
-touch — and hands the tracking entry the run's stops in one call, each
+touch — and hands the tracking entry the body's stops in one call, each
 with the clock the scalar loop would show there, bounded by the next
 timer deadline; where that bound cuts the stops short the timers fire
-at their op, and the entry resumes.
+at their op, after the frame ops before it (a stack sampler reads the
+stack), and the entry resumes.
 
-A run is a row of the lane table its program builds, in one numpy pass,
-for all its distinct run bodies (:meth:`~repro.runtime.program.
-CompiledProgram.vector_runs` interns them), and its lane is slices of
-that table: the probe's ids and the write lanes always; the ids as a
+A body is a row of the lane table its program builds, in one numpy
+pass, for all its bodies (:meth:`~repro.runtime.program.CompiledProgram.
+vector_runs` lists them by pc), and its lane is slices of that table:
+the probe's ids, the frame ops and the write lanes always; the ids as a
 list only where a hook, an observer or the walk reads them; the walk
-columns only where a stop or a timer deadline falls in the run.  Its
-totals are its summed repeats times the busy time of one access and its
-compute sum.  Anything observed runs on the scalar loop, the
-correctness oracle (``replay="scalar"`` forces it everywhere); the end
-state of both routes is byte-identical, which the equivalence tests
-assert over randomized programs and the paper workloads.
+columns only where a stop or a timer deadline falls in the body.  Its
+totals are its summed repeats times the busy time of one access, its
+frame ops' costs and its compute sum.  Anything observed runs on the
+scalar loop, the correctness oracle (``replay="scalar"`` forces it
+everywhere); the end state of both routes is byte-identical, which the
+equivalence tests assert over randomized programs and the paper
+workloads.
 """
 
 from __future__ import annotations
@@ -65,9 +69,15 @@ import numpy as np
 
 from repro.dsm.intervals import NO_BOUND
 from repro.dsm.states import HOME, VALID
+from repro.runtime.program import OP_CALL, OP_RET
+from repro.runtime.stack import Frame
 from repro.sim.events import EventKind
 
 _TIMER_FIRE = EventKind.TIMER_FIRE
+
+#: misses from which the probe's copies are made current with numpy
+#: rather than a Python loop (numpy's per-call cost wins only past it).
+_NUMPY_MISSES = 32
 
 
 def _add_at(steps: list, ops: list, ns) -> None:
@@ -77,18 +87,66 @@ def _add_at(steps: list, ops: list, ns) -> None:
 
 
 class WalkedRunMigrationError(RuntimeError):
-    """A timer fired inside a walked run left a migration pending for
+    """A timer fired inside a walked body left a migration pending for
     its own thread.  The scalar loop would migrate at the next op
-    boundary, inside the run; the walk cannot split the run there, so it
-    stops instead of diverging (see ``TimerHook``)."""
+    boundary, inside the body; the walk cannot split the body there, so
+    it stops instead of diverging (see ``TimerHook``)."""
+
+
+class _Frames:
+    """A row's frame ops (CALL, RET, SETSLOT), applied to the thread's
+    stack in op order as the scalar loop applies them, ``thread.pc``
+    where the scalar loop has it when one fails: :meth:`through` applies
+    the ones before a row offset not applied yet."""
+
+    __slots__ = ("thread", "start", "pc", "rels", "done")
+
+    def __init__(self, thread, start: int, pc: int, rels: list[int], skip: int) -> None:
+        self.thread = thread
+        self.start = start  # the row's store position
+        self.pc = pc  # the row's pc
+        self.rels = rels  # the frame ops' row offsets, ascending
+        self.done = bisect_left(rels, skip)  # frame ops applied: the scalar loop ran the first skip ops
+
+    def through(self, k: int) -> None:
+        """Apply the frame ops at row offsets below ``k``."""
+        rels, j = self.rels, self.done
+        n = len(rels)
+        if j == n or rels[j] >= k:
+            return
+        thread = self.thread
+        program = thread.program
+        codes, side = program._codes, program._side
+        args, n_elems = program._views[0], program._views[1]
+        stack = thread.stack
+        start, pc = self.start, self.pc
+        while j < n and rels[j] < k:
+            rel = rels[j]
+            i = start + rel
+            code = codes[i]
+            j += 1
+            if code == OP_CALL:
+                method, refs = side[i]
+                thread.pc = pc + rel
+                stack.push(Frame(method, n_elems[i], dict(refs)))
+                continue
+            thread.pc = pc + rel + 1
+            if code == OP_RET:
+                stack.pop()
+                continue
+            top = stack.top  # SETSLOT
+            if top is None:
+                raise RuntimeError(f"thread {thread.thread_id}: SETSLOT at pc {thread.pc} with empty stack")
+            top.set_slot(args[i], None if i in side else n_elems[i])
+        self.done = j
 
 
 class VectorEngine:
-    """Executes access runs in one pass for one interpreter.
+    """Executes segment bodies in one pass for one interpreter.
 
     Created with its :class:`Interpreter` when replay mode is
-    ``"vector"``; the segment loop hands it a run only under the gate of
-    the module docstring.
+    ``"vector"``; the segment loop hands it a body only under the gate
+    of the module docstring.
     """
 
     __slots__ = (
@@ -123,12 +181,12 @@ class VectorEngine:
         self.timer_fires = 0
 
     def routing(self) -> dict[str, int]:
-        """How the engine routed this run's access runs: executions in
-        one pass (``runs``), remote faults priced in one pass
+        """How the engine routed this run's segment bodies: executions
+        in one pass (``runs``), remote faults priced in one pass
         (``faults_batched``), interval first touches booked for hooks or
         observers (``first_touches``), re-armed accesses given their
         exact clock for the tracking entries (``stops``), and timer
-        fires inside walked runs (``timer_fires``)."""
+        fires inside walked bodies (``timer_fires``)."""
         return {
             "runs": self.runs,
             "faults_batched": self.faults_batched,
@@ -137,14 +195,17 @@ class VectorEngine:
             "timer_fires": self.timer_fires,
         }
 
-    def execute(self, thread, row: int, pc: int, deadline: int) -> int:
-        """Replay, for ``thread``, one whole occurrence of the run body
-        that is ``row`` of its program's lane table, starting at op
-        ``pc``; the caller then advances past it.  ``deadline`` is the
-        interpreter's next timer deadline (-1: no timer; never 0, which
-        keeps a run on the scalar loop).  Returns the deadline after the
-        run, recomputed after each fire inside it.  Only legal under the
-        gate of the module docstring."""
+    def execute(self, thread, row: int, pc: int, deadline: int, skip: int = 0) -> int:
+        """Replay, for ``thread``, one whole occurrence of the segment
+        body that is ``row`` of its program's lane table, whose first op
+        is at pc ``pc``, but for its first ``skip`` ops, which the scalar
+        loop ran (frame and compute ops only); the caller then advances
+        past it.  ``deadline`` is the interpreter's next timer deadline
+        (-1: no timer; never 0, which keeps an op on the scalar loop).
+        Returns the deadline after the body, recomputed after each fire
+        inside it.  Only legal under the gate of the module docstring.
+        An op that fails raises the scalar loop's error with
+        ``thread.pc`` where the scalar loop leaves it."""
         self.runs += 1
         hlrc = self.hlrc
         program = thread.program
@@ -155,27 +216,12 @@ class VectorEngine:
         a, b = table.bounds[row], table.bounds[row + 1]
         node_id = thread.node_id
         heap = self._heaps[node_id]
-        # The probe: one gather of the run's state bytes finds the ids
+        # The probe: one gather of the body's state bytes finds the ids
         # whose copy here is absent or INVALID (``take`` gathers with a
         # narrow index several times faster than indexing does).
         idx = table.acc_idx[a:b]
         miss = idx[heap.state_np.take(idx) < VALID]
-        faulted = []
-        if miss.size:
-            home = self._gos.home
-            state = heap.state
-            fetched = heap.fetched
-            home_version = hlrc.home_version
-            for oid in miss.tolist():
-                if state[oid] >= VALID:
-                    continue  # a repeat of an id this probe made current
-                if home[oid] == node_id:
-                    # Home copies materialize lazily at zero cost.
-                    state[oid] = HOME
-                else:
-                    state[oid] = VALID
-                    fetched[oid] = home_version[oid]
-                    faulted.append(oid)
+        faulted = self._materialize(heap, miss, node_id) if miss.size else []
         clock = thread.clock
         base = clock._now_ns
         walk = deadline > 0 or hlrc.tracker is not None
@@ -187,8 +233,12 @@ class VectorEngine:
             thread.current_interval.written.update(table.w_ids[wa:wb])
             cached = (heap.state_np.take(table.w_idx[wa:wb]) != HOME).nonzero()[0]
             if cached.size:
-                twin_ns = self._apply_writes(thread, heap, table, (cached + wa).tolist(), twins)
+                twin_ns = self._apply_writes(thread, heap, table, cached + wa, twins)
         busy, compute = table.totals(program, row, self.costs)
+        if skip:
+            ran = table.head(program, row, skip, self.costs)
+            busy -= ran[0]
+            compute -= ran[1]
         cpu = thread.cpu
         cpu.access_ns += busy
         cpu.compute_ns += compute
@@ -198,18 +248,52 @@ class VectorEngine:
         if faulted:
             prices = hlrc.charge_faults(thread, faulted)
             self.faults_batched += len(faulted)
+        fa, fb = table.f_bounds[row], table.f_bounds[row + 1]
+        frames = _Frames(thread, table.starts[row], pc, table.f_rel[fa:fb].tolist(), skip) if fa < fb else None
         hooks = hlrc._on_first_touch
         # Observers read the touched set at close (the sanitizer's SAN003).
         observed = hooks or hlrc.observers
-        if not (observed or walk):
-            return deadline
-        ids = table.ids(row)
-        touched = self._first_touches(thread, ids, faulted, hooks) if observed else None
-        if walk:
-            deadline = self._walk(
-                thread, table, row, ids, base, pc, deadline, faulted, prices, twins, touched
-            )
+        if observed or walk:
+            ids = table.ids(row)
+            touched = self._first_touches(thread, ids, faulted, hooks) if observed else None
+            if walk:
+                deadline = self._walk(
+                    thread, table, row, ids, base, pc, skip, deadline, faulted, prices, twins, touched, frames
+                )
+        if frames is not None:
+            frames.through(table.lengths[row])
         return deadline
+
+    def _materialize(self, heap, miss: np.ndarray, node_id: int) -> list[int]:
+        """Make the copies of ``miss`` (the probe's ids, repeats kept)
+        current at ``heap``: a home copy materializes lazily at zero
+        cost, the rest become ``VALID`` cache copies at the home's
+        version.  Returns the faulted ids, each once, in first-access
+        order.  A few misses (SOR's rows have about one) take a Python
+        loop; more take numpy, where the assignments are idempotent
+        over repeats."""
+        if miss.size < _NUMPY_MISSES:
+            home = self._gos.home
+            state = heap.state
+            fetched = heap.fetched
+            home_version = self.hlrc.home_version
+            faulted = []
+            for oid in miss.tolist():
+                if state[oid] >= VALID:
+                    continue  # a repeat of an id this probe made current
+                if home[oid] == node_id:
+                    state[oid] = HOME
+                else:
+                    state[oid] = VALID
+                    fetched[oid] = home_version[oid]
+                    faulted.append(oid)
+            return faulted
+        local = self._gos.home_np.take(miss) == node_id
+        heap.state_np[miss[local]] = HOME
+        remote = miss[~local]
+        heap.state_np[remote] = VALID
+        heap.fetched_np[remote] = self.hlrc.home_version_np.take(remote)
+        return remote[np.sort(np.unique(remote, return_index=True)[1])].tolist()
 
     def _first_touches(self, thread, accessed, faulted: list[int], hooks: tuple) -> tuple | None:
         """Book the run's first touches in the current interval — the
@@ -237,7 +321,7 @@ class VectorEngine:
         return ids, charges
 
     def _walk(
-        self, thread, table, row, acc_oids, base, pc, deadline, faulted, prices, twins, touched
+        self, thread, table, row, acc_oids, base, pc, skip, deadline, faulted, prices, twins, touched, frames
     ) -> int:
         """Give the run's clock stops the clock the scalar loop would
         show there: every access of a re-armed id (the tracking entry
@@ -262,6 +346,8 @@ class VectorEngine:
         if not stops and (deadline < 0 or clock._now_ns < deadline):
             return deadline
         steps, acc_ops, first_write, first_op = table.walk(thread.program, row, self.costs, acc_oids)
+        if skip:
+            steps[:skip] = [0] * skip  # the scalar loop ran them
         steps[0] += base
         if faulted:
             fault_ops = list(map(first_op.__getitem__, faulted))
@@ -281,7 +367,7 @@ class VectorEngine:
             )
         bound = deadline if deadline > 0 else NO_BOUND
         off = 0  # what stops and fires charged so far
-        lo = 0  # first op not yet polled for a timer fire
+        lo = skip  # first op not yet polled for a timer fire
         if stops:
             hit = list(map(rearmed.__contains__, acc_oids))
             stop_ops = list(compress(acc_ops, hit))
@@ -289,35 +375,40 @@ class VectorEngine:
             self.stops += len(stop_ops)
             track = self.hlrc.tracker
             k = 0
-            while k < len(stop_ops):
+            n = len(stop_ops)
+            while k < n:
                 # The stops from k on, up to the first whose clock
                 # reaches the deadline; none before it fires a timer.
-                rest = stop_ops[k:] if k else stop_ops
-                clocks = list(map(after.__getitem__, rest))
-                if off:
-                    clocks = list(map(off.__add__, clocks))
-                done, charged = track(thread, stop_ids[k:] if k else stop_ids, clocks, bound)
-                off += charged
-                if done:
-                    lo = rest[done - 1]  # polled from the last stop taken, after its charge
-                    k += done
-                    if k == len(stop_ops):
-                        break
+                # Charges only move clocks later, so the stops whose
+                # clock before them has reached it are left out.
+                e = bisect_left(stop_ops, bisect_left(after, bound - off), k)
+                if e > k:
+                    rest = stop_ops[k:e]
+                    clocks = list(map(after.__getitem__, rest))
+                    if off:
+                        clocks = list(map(off.__add__, clocks))
+                    done, charged = track(thread, stop_ids[k:e], clocks, bound)
+                    off += charged
+                    if done:
+                        lo = rest[done - 1]  # polled from the last stop taken, after its charge
+                        k += done
+                        if k == n:
+                            break
                 # Stop k's clock has reached the deadline: the timers fire
                 # where the scalar loop polls them before it, then the
                 # stop is taken alone, then polled after.
                 j = stop_ops[k]
-                off, bound, lo = self._fire(thread, after, off, lo, j, pc, bound)
+                off, bound, lo = self._fire(thread, after, off, lo, j, pc, bound, frames)
                 off += track(thread, stop_ids[k : k + 1], [after[j] + off], NO_BOUND)[1]
-                off, bound, lo = self._fire(thread, after, off, j, j + 1, pc, bound)
+                off, bound, lo = self._fire(thread, after, off, j, j + 1, pc, bound, frames)
                 lo = j + 1
                 k += 1
         if after[last] + off >= bound:
-            off, bound, lo = self._fire(thread, after, off, lo, last + 1, pc, bound)
+            off, bound, lo = self._fire(thread, after, off, lo, last + 1, pc, bound, frames)
         clock._now_ns = after[last] + off
         return bound if deadline > 0 else deadline
 
-    def _fire(self, thread, after, off, lo, hi, pc, deadline) -> tuple[int, int, int]:
+    def _fire(self, thread, after, off, lo, hi, pc, deadline, frames) -> tuple[int, int, int]:
         """Poll the timers as the scalar loop does after each op of
         ``[lo, hi)`` — a range with no stop left to take — at every op whose
         clock ``after[k] + off`` has reached the deadline, found by
@@ -333,6 +424,8 @@ class VectorEngine:
         while lo < hi and after[hi - 1] + off >= deadline:
             k = bisect_left(after, deadline - off, lo, hi)
             clock._now_ns = after[k] + off
+            if frames is not None:
+                frames.through(k + 1)  # a stack sampler reads the stack
             thread.pc = pc + k + 1
             for timer in timers:
                 timer.maybe_fire(thread)
@@ -349,29 +442,28 @@ class VectorEngine:
             lo = k + 1
         return off, deadline, lo
 
-    def _apply_writes(self, thread, heap, table, at: list[int], twins: dict | None) -> int:
-        """Write bookkeeping of one run's written cache copies (the
+    def _apply_writes(self, thread, heap, table, at: np.ndarray, twins: dict | None) -> int:
+        """Write bookkeeping of one body's written cache copies (the
         caller books the written set): for each, its twin (first write
         this interval), dirty bytes and writer; returns the twin cost.
         ``at`` are the positions of the cache copies in the lane
         ``table``'s write lanes, ascending.  ``twins``, if given,
         receives each twin's cost by object."""
-        w_ids, w_elems, w_ops = table.w_ids, table.w_elems, table.w_ops
+        ids = list(map(table.w_ids.__getitem__, at.tolist()))
         gos = self._gos
         cls, payload, by_id = gos.cls, gos.payload, gos.registry.by_id
         heap_twins = heap.twins
         tid = thread.thread_id
         twin_per_byte = self.costs.twin_ns_per_byte
         twin_ns = 0
-        for k in at:
-            oid = w_ids[k]
+        for oid, elems, ops in zip(ids, table.w_elems.take(at).tolist(), table.w_ops.take(at).tolist()):
             jclass = by_id(cls[oid])
             size = payload[oid]
             if jclass.is_array:
-                wb = w_elems[k] * jclass.element_size
+                wb = elems * jclass.element_size
                 size += jclass.instance_size
             else:
-                wb = w_ops[k] * size
+                wb = ops * size
             twin = heap_twins.get(oid)
             if twin is None:
                 twin = heap_twins[oid] = [0, {tid}]

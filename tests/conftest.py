@@ -80,6 +80,30 @@ def tracked_per_interval():
         yield closed
 
 
+@contextmanager
+def footprints_per_interval():
+    """Inside the block, every :class:`~repro.core.footprint.
+    StickySetFootprinter` interval close records the interval's
+    per-class footprint (one dict per closed interval, empty ones
+    included, by thread id, in close order) into the dict yielded: the
+    per-interval history a footprinter keeps only sums and a window
+    of."""
+    from repro.core.footprint import StickySetFootprinter
+
+    closed: dict[int, list[dict[str, int]]] = {}
+    close = StickySetFootprinter.on_interval_close
+
+    def recording(self, thread, interval, sync_dst):
+        count = self._count.get(thread.thread_id)
+        if count is not None:
+            fp = self._footprint_from_counts(count, self._scaled[thread.thread_id])
+            closed.setdefault(thread.thread_id, []).append(fp)
+        close(self, thread, interval, sync_dst)
+
+    with patch.object(StickySetFootprinter, "on_interval_close", recording):
+        yield closed
+
+
 def wrap_main(ops: list, anchor: int | None = None) -> list:
     """Wrap an op list in a main() frame (with an optional anchor ref)."""
     refs = [(0, anchor)] if anchor is not None else []

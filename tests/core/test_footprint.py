@@ -13,7 +13,7 @@ from repro.runtime.djvm import DJVM
 from repro.runtime.thread import SimThread
 from repro.sim.costs import CostModel
 
-from tests.conftest import simple_class, tracked_per_interval, wrap_main
+from tests.conftest import footprints_per_interval, simple_class, tracked_per_interval, wrap_main
 
 MS = 1_000_000
 
@@ -74,8 +74,10 @@ class TestStickyCriterion:
             + [P.barrier(0)]
             + [P.read(objs[0].obj_id), P.barrier(1)]
         )
-        djvm.run({0: wrap_main(ops)})
-        fps = suite.footprinter.interval_footprints[0]
+        with footprints_per_interval() as footprints:
+            djvm.run({0: wrap_main(ops)})
+        fps = footprints[0]
+        assert suite.footprinter.footprint_intervals[0] == len(fps) == 3
         # Every closed interval is recorded; only the first qualifies the
         # object as sticky (non-empty footprint).
         assert len([fp for fp in fps if fp]) == 1
@@ -199,10 +201,11 @@ class TestRearming:
         if route == "keyword":
             djvm.add_hook(self.KeywordOnly())
         twice = spread_accesses(objs[1].obj_id, 3)
-        djvm.run({0: wrap_main(twice + [P.barrier(0)] + twice + [P.barrier(1)])})
+        with footprints_per_interval() as footprints:
+            djvm.run({0: wrap_main(twice + [P.barrier(0)] + twice + [P.barrier(1)])})
         assert suite.policy.is_sampled(objs[0]) and not suite.policy.is_sampled(objs[1])
         assert suite.footprinter.tracked_accesses == 3
-        assert [bool(fp) for fp in suite.footprinter.interval_footprints[0]] == [True, False, False]
+        assert [bool(fp) for fp in footprints[0]] == [True, False, False]
 
     @pytest.mark.parametrize("route", ["vector", "scalar", "keyword"])
     def test_a_rate_moved_at_the_close_does_not_reweigh_the_interval(self, route):
@@ -223,9 +226,10 @@ class TestRearming:
         if route == "keyword":
             djvm.add_hook(self.KeywordOnly())
         twice = spread_accesses(objs[0].obj_id, 3)
-        djvm.run({0: wrap_main(twice + [P.barrier(0)] + twice + [P.barrier(1)])})
+        with footprints_per_interval() as footprints:
+            djvm.run({0: wrap_main(twice + [P.barrier(0)] + twice + [P.barrier(1)])})
         assert policy.gap(cls) == 101
-        first, second = suite.footprinter.interval_footprints[0][:2]
+        first, second = footprints[0][:2]
         assert (first, second) == ({"Obj": 128}, {"Obj": 128 * 101})
 
     @pytest.mark.parametrize("route", ["vector", "scalar", "keyword"])
@@ -409,13 +413,11 @@ def test_phase_bookkeeping_matches_set_of_phases_reference(
         expected_traps += sum(len(ps) for ps in phases.values())
         for fp, thread in routes:
             assert fp.live_sticky_candidates(thread) == sticky
-            with tracked_per_interval() as tracked:
+            with tracked_per_interval() as tracked, footprints_per_interval() as footprints:
                 fp.on_interval_close(thread, thread.current_interval, None)
             assert tracked[0] == [set(phases)]
             # 128-byte objects at gap 3: each sticky sample stands for 3.
-            assert fp.interval_footprints[0][-1] == (
-                {"Obj": 128 * REF_GAP * len(sticky)} if sticky else {}
-            )
+            assert footprints[0] == [{"Obj": 128 * REF_GAP * len(sticky)} if sticky else {}]
     for fp, thread in routes:
         assert fp.tracked_accesses == expected_traps
         assert thread.cpu.footprinting_ns == expected_traps * trap_ns

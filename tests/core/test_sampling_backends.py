@@ -544,7 +544,7 @@ def test_live_run_counts_each_decision_once(backend):
 
     policy.decision, policy.decide_batch = tallied_decision, tallied_batch
     djvm.run(workload.programs())
-    assert suite.footprinter.interval_footprints
+    assert suite.footprinter.footprint_intervals
     expected = {cid: s / (s + k) for cid, (s, k) in sorted(tally.items())}
     assert len(expected) > 1 and any(0 < r < 1 for r in expected.values())
     assert policy.backend.realized_rates() == expected

@@ -46,6 +46,7 @@ from tests.runtime.test_vector_replay import (
     ChargingHook,
     RearmingHook,
     build_djvm,
+    held_once,
     random_programs,
     repeating_programs,
     revisiting_programs,
@@ -205,7 +206,8 @@ SPAN_LOCK = 2
 
 def race_free(programs: dict[int, list], obj_ids: list[int]) -> dict[int, list]:
     """``programs`` made data-race free with their bodies kept, so a
-    body that repeats still repeats: lock ``l``'s pairs (l = 0, 1) guard
+    body that repeats still repeats (each held once, as
+    :func:`held_once` emits it): lock ``l``'s pairs (l = 0, 1) guard
     ``obj_ids[l]`` alone — every access inside one goes there, every
     access outside one goes elsewhere — and every access span between
     sync points runs under :data:`SPAN_LOCK`.  The outer CALL/RET stay
@@ -240,7 +242,7 @@ def race_free(programs: dict[int, list], obj_ids: list[int]) -> dict[int, list]:
                 span.append(op)
         flush()
         new.append(tail)
-        out[tid] = new
+        out[tid] = held_once(new)
     return out
 
 

@@ -616,7 +616,7 @@ def test_footprinter_hook_identities(name):
         )
         for thread in djvm.threads:
             closed = rec.closed_by_thread[thread.thread_id]
-            assert len(footprinter.interval_footprints[thread.thread_id]) == closed > 0
+            assert footprinter.footprint_intervals[thread.thread_id] == closed > 0
         fingerprints[replay] = run_fingerprint(djvm, result, suite)
     assert fingerprints["vector"] == fingerprints["scalar"]
 

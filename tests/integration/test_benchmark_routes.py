@@ -8,7 +8,9 @@ hands each run's first touches to the correlation profiler, and that
 ``ws_adaptive_sticky`` takes it as well: the footprinter's re-armed
 (sampled) objects and the stack sampler's timer are clock stops the
 walk visits (``stops`` and ``timer_fires`` in the routing).  SOR's
-repeated sweeps execute the same rows of its lane tables again.  A further
+repeated sweeps execute the same rows of its lane tables again.  Every
+segment body of all four takes the one pass, so none makes a per-op
+``HomeBasedLRC.access`` call.  A further
 replay route has to come with a workload that uses it: add the
 workload to the benchmark and its route here first.  The catalog is
 loaded by path because ``benchmarks/`` is not a package.
@@ -25,6 +27,7 @@ import pytest
 import repro.workloads
 from repro.core.adaptive import AdaptiveRateController
 from repro.core.profiler import ProfilerSuite
+from repro.dsm.hlrc import HomeBasedLRC
 from repro.runtime.djvm import DJVM
 from repro.runtime.vector import VectorEngine
 
@@ -83,6 +86,14 @@ def test_benchmark_workload_takes_its_pinned_route(spec, monkeypatch):
         return original(self, thread, row, *args)
 
     monkeypatch.setattr(VectorEngine, "execute", counting)
+    accesses = []
+    access = HomeBasedLRC.access
+
+    def counting_access(self, *args, **kwargs):
+        accesses.append(args[1])
+        return access(self, *args, **kwargs)
+
+    monkeypatch.setattr(HomeBasedLRC, "access", counting_access)
     workload = getattr(repro.workloads, spec.program)(
         n_threads=catalog.N_THREADS, seed=0, **spec.smoke_sizes
     )
@@ -102,6 +113,7 @@ def test_benchmark_workload_takes_its_pinned_route(spec, monkeypatch):
         assert (routing["timer_fires"] > 0) == adaptive
         if spec.name == "sor_base":
             assert len(set(calls)) < len(calls)
+        assert accesses == []
     else:
         assert calls == []
         assert set(routing.values()) == {0}

@@ -1,9 +1,10 @@
 """The lane table against a plain-Python reference, row by row.
 
 A program's lane table (``CompiledProgram._lane_table``) computes every
-distinct run body's lane in one numpy pass: its access ids, its write
-lanes (each written object once, in first-write order, with its summed
-written elements and its write ops), its totals and its walk columns.
+segment body's lane in one numpy pass: its access ids, its frame ops,
+its write lanes (each written object once, in first-write order, with
+its summed written elements and its write ops), its totals, the cost of
+its leading frame and compute ops and its walk columns.
 The reference below reads the same things off one occurrence's decoded
 ops in a loop, the write lanes with the merge loop the engine once ran
 at every execution.  Every occurrence of every row must match: on the
@@ -46,10 +47,11 @@ catalog = load_catalog()
 
 
 def reference_lane(ops: list, costs) -> dict:
-    """One run's lane from its op tuples, op by op."""
+    """One body's lane from its op tuples, op by op."""
     busy = costs.state_check_ns + costs.access_ns
     unity = costs.compute_scale == 1.0
-    ids, acc_ops, steps = [], [], []
+    frame_ns = {P.OP_CALL: costs.frame_push_ns, P.OP_RET: costs.frame_pop_ns, P.OP_SETSLOT: P.SETSLOT_NS}
+    ids, acc_ops, steps, frames = [], [], [], []
     first_op: dict[int, int] = {}
     w_oids: list[int] = []
     w_welems: list[int] = []
@@ -60,6 +62,10 @@ def reference_lane(ops: list, costs) -> dict:
         if op[0] == P.OP_COMPUTE:
             ns = op[1]
             steps.append(ns if unity and ns >= 0 else costs.scaled_compute(ns))
+            continue
+        if op[0] in frame_ns:
+            steps.append(frame_ns[op[0]])
+            frames.append(rel)
             continue
         oid, n_elems, repeat = op[1], op[2], op[3]
         ids.append(oid)
@@ -82,6 +88,7 @@ def reference_lane(ops: list, costs) -> dict:
     return {
         "totals": (sum(steps) - compute, compute),
         "ids": ids,
+        "frames": frames,
         "writes": (w_oids, w_welems, w_wops, w_oids),
         "walk": (steps, acc_ops, first_write, first_op),
     }
@@ -94,7 +101,13 @@ def table_lane(table, program, k: int, costs) -> dict:
     return {
         "totals": table.totals(program, k, costs),
         "ids": ids,
-        "writes": (table.w_ids[a:b], table.w_elems[a:b], table.w_ops[a:b], table.w_idx[a:b].tolist()),
+        "frames": table.f_rel[table.f_bounds[k] : table.f_bounds[k + 1]].tolist(),
+        "writes": (
+            table.w_ids[a:b],
+            table.w_elems[a:b].tolist(),
+            table.w_ops[a:b].tolist(),
+            table.w_idx[a:b].tolist(),
+        ),
         "walk": table.walk(program, k, costs, ids),
     }
 
@@ -105,7 +118,13 @@ def check_program(program: P.CompiledProgram, costs, ints=None) -> int:
     runs = program.vector_runs()
     for pc, (k, n_ops) in runs.items():
         got = table_lane(table, program, k, costs)
-        assert got == reference_lane(list(program.decode(pc, pc + n_ops)), costs), (pc, k)
+        ops = list(program.decode(pc, pc + n_ops))
+        want = reference_lane(ops, costs)
+        assert got == want, (pc, k)
+        # The ops before the first access, as the scalar loop charges them.
+        lead = next((rel for rel, op in enumerate(ops) if op[0] <= P.OP_WRITE), n_ops)
+        compute = sum(s for s, op in zip(want["walk"][0][:lead], ops) if op[0] == P.OP_COMPUTE)
+        assert table.head(program, k, lead, costs) == (sum(want["walk"][0][:lead]) - compute, compute)
         assert table.acc_idx[table.bounds[k] : table.bounds[k + 1]].tolist() == got["ids"]
         if ints is not None:
             # The ids handed out are the heap's own int objects.

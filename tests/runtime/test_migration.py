@@ -219,10 +219,10 @@ class TestMidIntervalWrites:
 
 class TestMigrationInsideAnInternedRun:
     """A migration requested at a pc inside the second occurrence of a
-    body the program interns once.  The first occurrence takes the one
-    pass before the request exists; the request then keeps the second
-    on the scalar loop, which moves the thread at that pc, mid-run.  The
-    result is the scalar route's."""
+    body.  The first segment takes the one pass before the request
+    exists; the request then keeps the second on the scalar loop, which
+    moves the thread at that pc, mid-body.  The result is the scalar
+    route's."""
 
     @staticmethod
     def run(replay):
@@ -256,7 +256,7 @@ class TestMigrationInsideAnInternedRun:
         vector, v_result, program, second, at_pc = self.run("vector")
         scalar, s_result, *_ = self.run("scalar")
         runs = program.vector_runs()
-        assert runs[1] == runs[second]  # one interned body, twice
+        assert runs[second] == (1, second - 2)  # the second segment's body
         assert run_fingerprint(vector, v_result) == run_fingerprint(scalar, s_result)
-        assert vector.replay_routing["runs"] == 1
+        assert vector.replay_routing["runs"] == 2  # the first segment and the closing RET
         assert second < at_pc < second + runs[second][1]

@@ -203,23 +203,31 @@ class TestCompiledProgramEdgeCases:
 
 
 class TestVectorRunInterning:
-    """``vector_runs()`` keys access runs by content: every occurrence
-    of a distinct body of a compiled program maps to its one row of the
-    program's lane table, rows numbered in order of first occurrence."""
+    """``vector_runs()`` lists the one pass's unit, segment bodies, by
+    pc: every segment that runs a body again (``ColumnEmitter.repeat``)
+    maps to that body's one row of the program's lane table, rows
+    numbered in store order."""
 
     @staticmethod
     def burst(base: int, n: int = 8) -> list:
         return [P.read(base + j) if j % 3 else P.write(base + j) for j in range(n)]
 
-    def compiled(self):
-        from repro.runtime.program import compile_program
+    @staticmethod
+    def emit(out, ops) -> None:
+        """Append op tuples of the access opcodes and sync ops to ``out``."""
+        for op in ops:
+            out.ops((op[0],), *op[1:])
 
+    def compiled(self):
         a, b = self.burst(0), self.burst(100)
-        # a | a (fresh op tuples) | b | a: three occurrences of one body
-        # and a singleton, every one its own maximal span.
-        ops = [*a, P.barrier(0), *[(*op,) for op in a], P.barrier(1)]
-        ops += [*b, P.acquire(0), P.release(0), *a, P.barrier(2)]
-        return compile_program(ops), len(a)
+        # a | a (by reference) | b | a (by reference): three occurrences
+        # of one body and a singleton.
+        out = P.ColumnEmitter()
+        self.emit(out, [*a, P.barrier(0)])
+        out.repeat(0, P.OP_BARRIER, 1)
+        self.emit(out, [*b, P.acquire(0), P.release(0)])
+        out.repeat(0, P.OP_BARRIER, 2)
+        return out.program(), len(a)
 
     def test_equal_bodies_share_one_run(self):
         prog, n = self.compiled()
@@ -231,11 +239,8 @@ class TestVectorRunInterning:
         assert single == (1, n)
         assert tuple(prog.decode(starts[0], starts[0] + n)) == tuple(self.burst(0))
         assert tuple(prog.decode(starts[2], starts[2] + n)) == tuple(self.burst(100))
-        # The store's run index is interned once; the global map is
-        # derived from it and the segment sequence on each call.
-        assert prog.store_runs() is prog.store_runs()
-        assert prog.vector_runs() == runs
-        # extraction alone builds no lane table
+        assert tuple(prog.decode(starts[3], starts[3] + n)) == tuple(self.burst(0))
+        # listing the bodies builds no lane table
         assert prog._lanes is None
 
     def test_runs_carry_no_position(self):
@@ -243,9 +248,9 @@ class TestVectorRunInterning:
         assert prog.vector_runs()[0] == (0, n)
 
     def test_bodies_alike_at_their_ends_and_middle_stay_apart(self):
-        """Bodies with the same opcodes and the same first, middle and
-        last op, differing elsewhere, are distinct runs; each repeat,
-        from fresh op tuples too, finds its own."""
+        """Flat emission makes every segment its own body: bodies with
+        the same opcodes and the same first, middle and last op, and
+        equal ones from fresh op tuples, are distinct rows."""
         from repro.runtime.program import compile_program
 
         a = self.burst(0, 9)
@@ -259,7 +264,7 @@ class TestVectorRunInterning:
         runs = prog.vector_runs()
         bodies = [tuple(prog.decode(pc, pc + runs[pc][1])) for pc in sorted(runs)]
         assert bodies == [tuple(body) for body in spans]
-        assert [runs[pc][0] for pc in sorted(runs)] == [0, 1, 2, 1, 0]
+        assert [runs[pc][0] for pc in sorted(runs)] == [0, 1, 2, 3, 4]
 
     def test_programs_do_not_share_runs(self):
         """The intern table is per compiled program, not global: each

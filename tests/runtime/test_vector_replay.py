@@ -1,8 +1,8 @@
 """Vectorized access replay vs the scalar oracle.
 
 Replay has two routes: the scalar loop, and the vector engine's one
-pass over a run's distinct objects, taken when nothing observes the run
-beyond the points the engine stops at (no observer — an
+pass over a segment body (every op between two sync ops), taken when
+nothing observes the body beyond the points the engine stops at (no observer — an
 ``IntervalHistory`` recorder included — prefetcher, keyword hook,
 condition-driven timer or pending migration).
 The one pass walks to its *clock stops*: accesses of ids a hook
@@ -11,7 +11,7 @@ re-armed, and timer fires.
 Randomized access programs (seeded) run twice — ``replay="scalar"`` and
 ``replay="vector"`` — and every observable must match: protocol
 counters, thread clocks, network traffic and ``run_fingerprint``.
-Unobserved configurations exercise the one pass: every run's lane
+Unobserved configurations exercise the one pass: every body's lane
 sliced from its program's lane table, faults priced together.  First-touch hooks ride the same pass and must see the scalar
 loop's first-touch stream; re-arming hooks and timers must see the
 scalar loop's clock at every stop.  Under every observed configuration
@@ -49,7 +49,7 @@ from repro.workloads.barnes_hut import BarnesHutWorkload
 from repro.workloads.sor import SORWorkload
 from repro.workloads.water_spatial import WaterSpatialWorkload
 
-from tests.conftest import tracked_per_interval
+from tests.conftest import footprints_per_interval, tracked_per_interval
 
 N_NODES = 4
 N_THREADS = 4
@@ -109,12 +109,10 @@ def random_burst(rng: random.Random, obj_ids: list[int], n: int) -> list:
 def random_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
     """Barrier-separated rounds of random access bursts.
 
-    Bursts are long enough (up to 24 consecutive access ops) that most
-    cross the vectorizer's minimum-run threshold, with short bursts,
-    computes, locks and call/ret mixed in so scalar↔vector transitions
-    and mid-segment sync points are exercised too.  Most bursts stay
-    inside a small working set: under a profiler hook the engine only
-    takes runs that revisit their objects several times."""
+    Bursts of up to 24 consecutive access ops, with short bursts,
+    computes and locks mixed in so mid-round sync points cut the bodies
+    too.  Most bursts stay inside a small working set, so a body
+    revisits its objects several times."""
     rng = random.Random(seed)
     programs: dict[int, list] = {}
     rounds = 4
@@ -135,14 +133,50 @@ def random_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
     return programs
 
 
-def repeating_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
+def emit_op(out: P.ColumnEmitter, op: tuple) -> None:
+    """Append one op tuple to ``out``."""
+    if op[0] == P.OP_CALL:
+        out.call(op[1], op[2], op[3])
+    elif op[0] == P.OP_SETSLOT and op[2] is None:
+        out.side[out.n_ops] = None
+        out.ops((P.OP_SETSLOT,), op[1])
+    else:
+        out.ops((op[0],), *op[1:])
+
+
+def held_once(ops: list) -> P.CompiledProgram:
+    """``ops`` emitted with every segment whose body equals an earlier
+    one's run again by reference (``ColumnEmitter.repeat``): the form a
+    workload that repeats its bodies emits, each body held once."""
+    out = P.ColumnEmitter()
+    stored: dict[tuple, int] = {}
+    body: list = []
+    for op in ops:
+        if op[0] not in (P.OP_ACQUIRE, P.OP_RELEASE, P.OP_BARRIER):
+            body.append(op)
+            continue
+        b = stored.get(tuple(body))
+        if b is None:
+            stored[tuple(body)] = len(stored)  # the store's next body
+            for held in (*body, op):
+                emit_op(out, held)
+        else:
+            out.repeat(b, op[0], op[1])
+        body = []
+    for held in body:
+        emit_op(out, held)
+    program = out.program()
+    assert list(program) == ops
+    return program
+
+
+def repeating_programs(seed: int, obj_ids: list[int]) -> dict[int, P.CompiledProgram]:
     """*body x k* programs: each thread owns a few random bodies and
     replays each k in 2..5 times, occurrences separated by a barrier or
-    a lock pair (so every occurrence is its own maximal span), with
-    one-shot bursts mixed in.  Some occurrences are rebuilt from fresh
-    op tuples: interning is by content, not by op identity."""
+    a lock pair (so every occurrence is its own segment), with one-shot
+    bursts mixed in, each body held once (:func:`held_once`)."""
     rng = random.Random(seed)
-    programs: dict[int, list] = {}
+    programs: dict[int, P.CompiledProgram] = {}
     rounds = 5
     for tid in range(N_THREADS):
         bodies = [
@@ -154,7 +188,7 @@ def repeating_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
             for body, k in bodies:
                 if rnd >= k:
                     continue
-                ops.extend(body if rng.random() < 0.5 else [(*op,) for op in body])
+                ops.extend(body)
                 ops.append(P.acquire(0))
                 ops.append(P.write(rng.choice(obj_ids)))
                 ops.append(P.release(0))
@@ -164,7 +198,7 @@ def repeating_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
                     ops.append(P.release(1))
             ops.append(P.barrier(rnd))
         ops.append(P.ret())
-        programs[tid] = ops
+        programs[tid] = held_once(ops)
     return programs
 
 
@@ -497,10 +531,10 @@ def test_fresh_sor_program_engages_engine_in_one_run(execute_calls):
 
 def test_rearmed_objects_stop_the_one_pass_at_their_exact_clock(execute_calls):
     """The footprinter re-arms the tags of the objects it sampled every
-    tracking phase, so each of their accesses re-enters it.  A repeated
-    body re-reading two objects across 1 ms phases walks: each access is
-    a stop at the scalar loop's clock, and every re-trap (and its
-    simulated cost) lands as on the scalar loop."""
+    tracking phase, so each of their accesses re-enters it.  A body held
+    once, re-reading two objects across 1 ms phases, runs twice and
+    walks: each access is a stop at the scalar loop's clock, and every
+    re-trap (and its simulated cost) lands as on the scalar loop."""
     outcomes = {}
     for replay in ("vector", "scalar"):
         djvm, obj_ids = build_djvm(replay=replay)
@@ -508,26 +542,25 @@ def test_rearmed_objects_stop_the_one_pass_at_their_exact_clock(execute_calls):
         suite.set_full_sampling()
         a, b = obj_ids[:2]
         body = [P.read(a), P.compute(2_000_000), P.read(b), P.compute(2_000_000)] * 3
-        main = P.compile_program(
-            [P.call("main", 2), *body, P.barrier(0), *body, P.barrier(1), P.ret()]
-        )
+        main = held_once([P.call("main", 2), P.barrier(0), *body, P.barrier(1), *body, P.barrier(2), P.ret()])
         runs = main.vector_runs()
-        assert len(runs) == 2 and len(set(runs.values())) == 1  # one body, twice
-        idle = [P.barrier(0), P.barrier(1)]
+        assert [row for row, _ in runs.values()] == [0, 1, 1, 2]  # one body, twice
+        idle = [P.barrier(0), P.barrier(1), P.barrier(2)]
         programs = {0: main, **{tid: list(idle) for tid in range(1, N_THREADS)}}
-        result = djvm.run(programs)
+        with footprints_per_interval() as footprints:
+            result = djvm.run(programs)
         fp = suite.footprinter
         outcomes[replay] = (
             run_fingerprint(djvm, result, suite),
             fp.tracked_accesses,
-            fp.interval_footprints,
+            footprints,
             djvm.replay_routing.get("stops"),
         )
     assert outcomes["vector"][:3] == outcomes["scalar"][:3]
     assert outcomes["vector"][1] == 12  # 2 objects x 3 phases x 2 intervals
     assert outcomes["vector"][3] == 12  # every access of the two is a stop
     assert djvm.hlrc.dispatch_plan == (("StickySetFootprinter", "rearming"),)
-    assert len(execute_calls) == 2
+    assert execute_calls == [(0, 0), (0, 1), (0, 1), (0, 2)]
 
 
 WORKLOADS = {
@@ -627,9 +660,9 @@ def test_unobserved_run_refaults_invalidated_copies_and_twins():
 
 
 def test_unobserved_majority_faulting_run_is_never_demoted(execute_calls):
-    """Every occurrence of the body faults all of its objects (the writer
-    invalidates them each round); its faults are batched and every
-    occurrence still replays through the engine."""
+    """Every occurrence of the body, held once, faults all of its
+    objects (the writer invalidates them each round); its faults are
+    batched and every occurrence still replays through the engine."""
     rounds = 5
 
     def run(replay):
@@ -642,16 +675,17 @@ def test_unobserved_majority_faulting_run_is_never_demoted(execute_calls):
             main += [*body, P.barrier(rnd)]
             writer += [*(P.write(oid) for oid in remote), P.barrier(rnd)]
         idle = [P.barrier(rnd) for rnd in range(rounds)]
-        programs = {0: main + [P.ret()], 1: writer + [P.ret()], 2: idle, 3: list(idle)}
+        programs = {0: held_once(main + [P.ret()]), 1: held_once(writer + [P.ret()]), 2: idle, 3: list(idle)}
         res = djvm.run(programs)
-        reader = djvm.threads[0].program.vector_runs()[1][0]
-        return fingerprint(djvm, res), djvm.replay_routing, reader
+        return fingerprint(djvm, res), djvm.replay_routing
 
-    fp, routing, reader = run("vector")
+    fp, routing = run("vector")
     assert fp == run("scalar")[0]
-    # Both bodies (reader and writer) replay in one pass every round.
-    assert routing["runs"] == 2 * rounds
-    assert execute_calls.count((0, reader)) == rounds
+    # Every body of the reader and the writer replays in one pass, the
+    # closing RETs included; the reader's rounds after the first (which
+    # opens with its CALL) are one body.
+    assert routing["runs"] == 2 * (rounds + 1)
+    assert [row for tid, row in execute_calls if tid == 0] == [0, *[1] * (rounds - 1), 2]
     assert routing["faults_batched"] == fp["counters"]["faults"] == 8 * rounds
 
 
@@ -921,7 +955,7 @@ def test_a_deadline_inside_one_tracking_window_matches_scalar(case, execute_call
     # stop (read 5) or the plain read after it (read 6).
     assert fire_pc == (6 if case == "charge_crosses" else 7)
     assert fire_clock >= deadline
-    assert len(execute_calls) == 1
+    assert execute_calls == [(t, 0) for t in range(N_THREADS)]  # each thread's one body
 
 
 def test_a_phase_repeat_inside_one_tracking_window_matches_scalar(execute_calls):
@@ -941,19 +975,19 @@ def test_a_phase_repeat_inside_one_tracking_window_matches_scalar(execute_calls)
         fp = StickySetFootprinter(SamplingPolicy(), djvm.costs)  # every class at gap 1
         fp.attach_gos(djvm.gos)
         djvm.add_hook(fp)
-        with tracked_per_interval() as tracked:
+        with tracked_per_interval() as tracked, footprints_per_interval() as footprints:
             res = djvm.run(one_run_programs(reread(obj_ids)))
         outcomes[replay] = (
             run_fingerprint(djvm, res),
             fp.tracked_accesses,
-            fp.interval_footprints,
+            footprints,
             tracked,
             djvm.replay_routing.get("stops"),
         )
     assert outcomes["vector"][:4] == outcomes["scalar"][:4]
     # Six stops; the second read of ``a`` repeats its phase.
     assert outcomes["vector"][1:] == (5, *outcomes["vector"][2:4], 6)
-    assert len(execute_calls) == 1
+    assert execute_calls == [(t, 0) for t in range(N_THREADS)]  # each thread's one body
 
 
 # -- first-touch hooks ride the one pass ---------------------------------
@@ -974,12 +1008,13 @@ HOOK_CONFIGS = {
 
 
 def revisiting_programs(seed: int, obj_ids: list[int]) -> dict[int, list]:
-    """Per barrier round: a vector run over three objects, then spans
-    shorter than ``MIN_VECTOR_RUN`` (cut by CALL/RET) that re-touch one
-    of them and touch a new one, then a second vector run over both
-    sets.  The short spans run on the scalar loop inside the interval
-    the first run touched: its objects are no first touches there, and
-    the second run may hand over only the objects still new."""
+    """Per barrier round, one body: accesses over three objects, then
+    CALL/RET frames that re-touch one of them and touch a new one, then
+    accesses over both sets.  The one pass takes the body whole, frames
+    included, inside the one interval it opens: an object the body
+    touched before a frame is no first touch inside or after it, and an
+    object a frame touched first is handed over once, at that access —
+    as the scalar loop's per-op first touches do."""
     rng = random.Random(seed)
     programs: dict[int, list] = {}
     for tid in range(N_THREADS):
@@ -1028,10 +1063,11 @@ def test_first_touch_hooks_ride_the_one_pass_and_match_scalar(
 
 def test_first_touch_hooks_after_a_mid_interval_migration(execute_calls):
     """A migration fired mid-interval moves thread 0 to a node without
-    its copies, so the vector run after it refaults objects the interval
-    already touched.  Those are no first touches: neither hook sees
-    them, and the correlation profiler prices only the new objects'
-    faults as faults — as the scalar loop does."""
+    its copies, so the ops after it refault objects the interval already
+    touched.  Those are no first touches: neither hook sees them, and
+    the correlation profiler prices only the new objects' faults as
+    faults.  The pending migration keeps the whole body on the scalar
+    loop; only the closing RET takes the one pass."""
     outcomes = {}
     for replay in ("vector", "scalar"):
         djvm, obj_ids = build_djvm(replay=replay)
@@ -1056,10 +1092,8 @@ def test_first_touch_hooks_after_a_mid_interval_migration(execute_calls):
         )
     vector, scalar = outcomes["vector"], outcomes["scalar"]
     assert vector[:3] == scalar[:3]
-    runs = djvm.threads[0].program.vector_runs()
-    assert execute_calls == [(0, runs[after_pc][0])] and runs[after_pc][1] == len(remote) * 2
-    assert vector[3]["first_touches"] == len(new)
-    assert vector[3]["faults_batched"] == len(remote)  # `before` refaulted
+    assert execute_calls == [(0, 1)]
+    assert vector[3]["first_touches"] == vector[3]["faults_batched"] == 0
     assert [e[2] for e in vector[1]] == before + new
 
 
@@ -1197,13 +1231,14 @@ def run_adaptive_suite(name, replay, *, timer_ms, backend, footprinter_first=Fal
         suite.access_profiler = profiler
     suite.set_rate_all(1)
     suite.attach_controller(AdaptiveRateController(threshold=0.0, ladder=(1, 2, 4, 8, 16, 32)))
-    res = djvm.run(workload.programs())
+    with footprints_per_interval() as footprints:
+        res = djvm.run(workload.programs())
     footprinter, sampler = suite.footprinter, suite.stack_sampler
     left_behind = (
         run_fingerprint(djvm, res, suite),
         suite.policy.rate_changes,
         footprinter.tracked_accesses,
-        footprinter.interval_footprints,
+        footprints,
         sampler.samples_taken,
         [sampler.invariant_refs(thread) for thread in djvm.threads],
     )
@@ -1331,7 +1366,8 @@ def split_programs(
     djvm: DJVM, obj_ids: list[int], rounds: int = SPLIT_ROUNDS
 ) -> tuple[dict[int, list], list[int]]:
     """Thread 0 (node 0) replays one body every round over objects homed
-    at node 0, 1 and 2, reading and writing both kinds; thread 1
+    at node 0, 1 and 2, reading and writing both kinds — held once from
+    the second round on (the first opens with the CALL); thread 1
     (node 1) rewrites the node-2 object every round, so thread 0
     refaults it after each barrier.  Returns the programs and the
     body's (home 0, home 0, home 1, home 2) objects."""
@@ -1347,7 +1383,7 @@ def split_programs(
         main += [*body, P.barrier(rnd)]
         writer += [P.write(f2, 4), P.barrier(rnd)]
     idle = [P.barrier(rnd) for rnd in range(rounds)]
-    programs = {0: main + [P.ret()], 1: writer + [P.ret()], 2: idle, 3: list(idle)}
+    programs = {0: held_once(main + [P.ret()]), 1: writer + [P.ret()], 2: idle, 3: list(idle)}
     return programs, [h0, h1, f1, f2]
 
 
@@ -1371,8 +1407,7 @@ def test_the_one_pass_follows_a_migrate_home_from_an_interval_close(execute_call
     vector, scalar = outcomes["vector"], outcomes["scalar"]
     assert vector[:2] == scalar[:2]
     assert vector[3].migrations == 2
-    body = execute_calls[0]
-    assert execute_calls.count(body) == SPLIT_ROUNDS
+    assert [row for tid, row in execute_calls if tid == 0] == [0, *[1] * (SPLIT_ROUNDS - 1), 2]
     assert vector[2]["faults_batched"] > 0
     # h0 at its new home (node 1) since the move: node 0's copy is a cache.
     assert djvm.gos.get(h0).home_node == 1
@@ -1417,8 +1452,7 @@ def test_a_thread_that_migrates_between_executions(execute_calls):
         outcomes[replay] = (run_fingerprint(djvm, res), hook.events, djvm.replay_routing)
     vector, scalar = outcomes["vector"], outcomes["scalar"]
     assert vector[:2] == scalar[:2]
-    body = execute_calls[0]
-    assert execute_calls.count(body) == rounds - 2
+    assert execute_calls.count((0, 1)) == rounds - 1 - 2
     assert djvm.threads[0].node_id == 0
     assert vector[2]["runs"] > 0
 
